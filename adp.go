@@ -227,7 +227,9 @@ const (
 // Options configures one execution.
 type Options = core.Options
 
-// Report is the outcome: rows plus the adaptive-execution narrative.
+// Report is the outcome: the adaptive-execution narrative plus the result
+// — Rows from Execute, RowCount alone from a streamed run, whose rows went
+// to the cursor.
 type Report = core.Report
 
 // PhaseInfo describes one executed phase.
@@ -239,8 +241,9 @@ var FormatRows = engine.FormatRows
 // ---- Streaming execution -------------------------------------------------
 
 // Stream is a streaming execution cursor returned by Engine.Stream: root
-// result rows arrive incrementally (Next / Rows) while the run executes
-// in the background, a typed event subscription (Events) narrates the
+// result rows arrive incrementally (Next / Rows, or NextBatch for the
+// run's own lent batches) while the run executes in the background, a
+// typed event subscription (Events) narrates the
 // adaptive-execution lifecycle, and Report returns the final execution
 // report. Always Close a stream; see the package documentation's
 // "Streaming results" section for the cursor lifecycle and ordering

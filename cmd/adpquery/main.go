@@ -120,8 +120,10 @@ func run(query, strategy string, sf float64, seed int64, skewed, cards, wireless
 		return err
 	}
 
-	fmt.Printf("\n%s (%s) — %d result rows\n", q.Name, strat, len(rep.Rows))
-	fmt.Print(engine.FormatRows(rep.Schema, rep.Rows, limit))
+	fmt.Printf("\n%s (%s) — %d result rows\n", q.Name, strat, rep.RowCount)
+	if !stream { // a streamed result was echoed off the cursor and is not retained
+		fmt.Print(engine.FormatRows(rep.Schema, rep.Rows, limit))
+	}
 	fmt.Printf("\nexecution report:\n")
 	fmt.Printf("  virtual time   %.3fs (cpu %.3fs, wall %.3fs)\n",
 		rep.VirtualSeconds, rep.CPUSeconds, rep.RealSeconds)
@@ -315,8 +317,10 @@ func runStanding(eng *engine.Engine, q *algebra.Query, o core.Options, limit int
 	rowsDone := make(chan struct{})
 	go func() {
 		defer close(rowsDone)
-		for _, rerr := range sq.Rows() {
-			_ = rerr
+		for {
+			if _, ok := sq.NextBatch(); !ok {
+				return
+			}
 		}
 	}()
 	shown := 0

@@ -44,8 +44,9 @@
 //
 // The Report carries the execution narrative: phases run, plans used,
 // stitch-up time, and tuples reused from prior phases. Engine.Execute is
-// the blocking form — a thin consumer of Stream (the engine's one true
-// execution path) that collects every row into Report.Rows.
+// the blocking form — the same execution path run on the caller's
+// goroutine with nothing attached to the root — and the only one whose
+// Report.Rows holds the result; a streamed run's report carries RowCount.
 //
 // # Streaming results
 //
@@ -53,8 +54,11 @@
 //
 // Cursor lifecycle: Stream validates synchronously and starts the run on
 // a background goroutine; Rows/Next deliver result rows (single
-// consumer); Report drains the cursor, waits for completion, and returns
-// the final report; Close — always call it — cancels a still-running
+// consumer), each a tuple the caller owns; NextBatch is the zero-copy
+// read — the batch the run's root sink wrote, lent until the next cursor
+// call; Report discards what the cursor has not read, waits for
+// completion, and returns the final report (RowCount, not Rows: a
+// streamed result is retained nowhere); Close — always call it — cancels a still-running
 // query and joins every goroutine the run started. Canceling ctx has the
 // same effect mid-flight: drivers observe cancellation at batch
 // boundaries, partition workers quiesce and drain, the stitch-up loop
@@ -64,7 +68,8 @@
 // concatenate to exactly Execute's Report.Rows — streaming never
 // perturbs execution (same rows, counters, and virtual clocks, pinned by
 // equivalence tests). Select-project-join queries deliver first rows
-// mid-run, at monitor-poll boundaries and phase ends (a
+// mid-run, whenever a 1024-row batch fills and at monitor-poll boundaries
+// and phase ends (a
 // partition-parallel phase releases its rows at the phase's
 // deterministic partition-ordered merge); aggregate queries are blocking
 // by nature and release all groups at completion.

@@ -38,6 +38,14 @@ func spjFlightsQuery() *algebra.Query {
 // same float summation order on both layouts), and identical row
 // multisets at P=4 (where delivery order is scheduling-dependent by
 // contract, columnar or not).
+//
+// Which legs exercise the switch: the P=4 ones (exchanges and the
+// partition merge carry columnar frames) and PlanPartition at P=1 (both
+// stages wire Tree.EntryCol). Serial Static and Corrective phases run row
+// batches either way — wireLeaf wires Push/PushBatch only, because a hash
+// build re-materialises every columnar input row (docs/architecture.md
+// has the measured cost) — so those two P=1 legs compare the row path with
+// itself and are kept only so the matrix stays complete.
 func TestColumnarRowBatchEquivalence(t *testing.T) {
 	queries := map[string]*algebra.Query{
 		"spj": spjFlightsQuery(),
@@ -94,10 +102,11 @@ func TestColumnarRowBatchEquivalence(t *testing.T) {
 // TestOrderReleasingMergeStreamsEarly pins the PR 9 merge protocol: at
 // P=4 an SPJ run delivers its first result rows strictly before the
 // phase completes (the old phase-end barrier held everything until
-// PartitionStats), the streamed sequence is exactly the final report's
-// row order (early releases are prefixes of the total order — the order
-// itself is unchanged), and the delivered multiset is byte-identical to
-// the serial baseline's.
+// PartitionStats), every row reaches the hook exactly once (the report of
+// a streamed run carries the count, not a second copy), and the delivered
+// multiset is byte-identical to the serial baseline's. That early
+// releases are prefixes of the merge's total order is pinned where it is
+// deterministic: exec's TestPartitionMergeEarlyReleaseKeepsTotalOrder.
 func TestOrderReleasingMergeStreamsEarly(t *testing.T) {
 	q := spjFlightsQuery()
 
@@ -117,7 +126,9 @@ func TestOrderReleasingMergeStreamsEarly(t *testing.T) {
 	hooks := RunHooks{
 		OnRows: func(rows []types.Tuple) {
 			mu.Lock()
-			streamed = append(streamed, rows...)
+			for _, r := range rows { // lent for the call: keep clones
+				streamed = append(streamed, r.Clone())
+			}
 			if !phaseDone {
 				rowsBeforePhase += len(rows)
 			}
@@ -147,10 +158,10 @@ func TestOrderReleasingMergeStreamsEarly(t *testing.T) {
 	if rowsBeforePhase == 0 {
 		t.Error("no rows released before phase completion: the order-releasing merge never streamed")
 	}
-	if got, want := rowsExact(streamed), rowsExact(rep.Rows); got != want {
-		t.Error("streamed sequence diverges from the report's row order (early release changed the total order)")
+	if rep.Rows != nil || rep.RowCount != int64(len(streamed)) {
+		t.Errorf("report retains %d rows and counts %d, want none retained and %d counted", len(rep.Rows), rep.RowCount, len(streamed))
 	}
-	ss, ps := sortedStrings(serial.Rows), sortedStrings(rep.Rows)
+	ss, ps := sortedStrings(serial.Rows), sortedStrings(streamed)
 	if len(ss) != len(ps) {
 		t.Fatalf("P=4 rows = %d, serial %d", len(ps), len(ss))
 	}
@@ -159,5 +170,5 @@ func TestOrderReleasingMergeStreamsEarly(t *testing.T) {
 			t.Fatalf("P=4 multiset diverges from serial at %d: %s vs %s", i, ps[i], ss[i])
 		}
 	}
-	t.Logf("released %d/%d rows before phase completion", rowsBeforePhase, len(rep.Rows))
+	t.Logf("released %d/%d rows before phase completion", rowsBeforePhase, rep.RowCount)
 }

@@ -166,7 +166,11 @@ type PhaseInfo struct {
 type Report struct {
 	Query    string
 	Strategy Strategy
+	// Rows is the result, retained — unless the run streamed it through
+	// RunHooks.OnRows, in which case the rows went to the hook's consumer
+	// and Rows is nil. RowCount is the number of result rows either way.
 	Rows     []types.Tuple
+	RowCount int64
 	Schema   *types.Schema
 
 	Phases       []PhaseInfo
@@ -220,12 +224,17 @@ type executor struct {
 	reg *stats.Registry
 
 	// runCtx carries cancellation for the whole run; hooks observe it
-	// (streaming). sentRows tracks how much of spjRows has been flushed
-	// to the OnRows hook; schemaSent latches the one-shot OnSchema.
+	// (streaming). out receives every root row; flushed is the row count
+	// of the last RowsDelivered watermark; schemaSent latches the one-shot
+	// OnSchema.
 	runCtx     context.Context
 	hooks      RunHooks
-	sentRows   int
+	out        *rootRows
+	flushed    int64
 	schemaSent bool
+	// standing marks a RunMaintenance run: its maintenance stage reads the
+	// phases' base partitions after the initial run.
+	standing bool
 
 	// Fault-recovery state, mutated only on the run goroutine (fault
 	// events fire synchronously inside source reads). fatal latches the
@@ -241,7 +250,6 @@ type executor struct {
 
 	fullSchema *types.Schema
 	agg        *exec.AggTable // shared group-by across phases (nil for SPJ)
-	spjRows    []types.Tuple
 	outSchema  *types.Schema
 
 	phases   []*PhaseRecord
@@ -305,6 +313,7 @@ func prepareRun(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, 
 		reg:      stats.NewRegistry(),
 		runCtx:   ctx,
 		hooks:    hooks,
+		out:      newRootRows(ctx, hooks),
 		consumed: map[string]float64{},
 		passed:   map[string]float64{},
 		live:     map[string]float64{},
@@ -349,10 +358,9 @@ func prepareRun(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, 
 
 	finish := func() (*Report, error) {
 		if ex.agg != nil {
-			ex.rep.Rows = ex.agg.EmitFinal()
-		} else {
-			ex.rep.Rows = ex.spjRows
+			ex.out.add(ex.agg.EmitFinal())
 		}
+		ex.rep.Rows, ex.rep.RowCount = ex.out.kept, ex.out.count
 		ex.rep.Schema = ex.outSchema
 		ex.rep.VirtualSeconds = ex.ctx.Clock.Now
 		ex.rep.CPUSeconds = ex.ctx.Clock.CPU
@@ -638,7 +646,7 @@ func (ex *executor) runPhase(root algebra.Plan) (exhausted bool, next algebra.Pl
 	if err != nil {
 		return false, nil, err
 	}
-	tree, err := Lower(ex.ctx, root, sink)
+	tree, err := lower(ex.ctx, root, sink, ex.stitches())
 	if err != nil {
 		return false, nil, err
 	}
@@ -686,9 +694,16 @@ func (ex *executor) runPhase(root algebra.Plan) (exhausted bool, next algebra.Pl
 		ex.passed[l.Provider.Name()] += float64(l.Passed)
 	}
 
-	// Register materialized intermediates for stitch-up reuse.
-	for _, j := range tree.Joins {
-		rec.Interm[j.Key] = j.ResultBuf
+	// Register materialized intermediates for stitch-up reuse; the root
+	// join's output was never materialized and leaves its row count.
+	if ex.stitches() {
+		for _, j := range tree.Joins {
+			if j.ResultBuf == nil {
+				rec.RootRows = j.Node.Counters().Out
+				continue
+			}
+			rec.Interm[j.Key] = j.ResultBuf
+		}
 	}
 	ex.phases = append(ex.phases, rec)
 	ex.rep.Phases = append(ex.rep.Phases, PhaseInfo{
@@ -711,7 +726,7 @@ func (ex *executor) runPhase(root algebra.Plan) (exhausted bool, next algebra.Pl
 func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next algebra.Plan, err error) {
 	parts := ex.o.Partitions
 	merge := exec.NewPartitionMerge(parts)
-	pt, lerr := LowerPartitioned(parts, ex.ctx.Cost, root, merge)
+	pt, lerr := lowerPartitioned(parts, ex.ctx.Cost, root, merge, ex.stitches())
 	if lerr != nil {
 		return ex.runPhase(root)
 	}
@@ -800,13 +815,10 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 		ex.passed[l.Provider.Name()] += float64(l.Passed)
 	}
 	// Register merged materialized intermediates for stitch-up reuse —
-	// only the corrective strategy can grow a second phase, so a static
-	// run skips the O(join output) merge entirely.
-	if ex.o.Strategy == Corrective {
-		//adp:unordered-ok map→map copy; stitch-up reads Interm by key
-		for key, list := range pt.MergedInterm() {
-			rec.Interm[key] = list
-		}
+	// only the corrective strategy can grow a second phase, so any other
+	// run materialized nothing to merge.
+	if ex.stitches() {
+		rec.Interm, rec.RootRows = pt.MergedInterm()
 	}
 	// Partition clocks run on the absolute virtual timeline (arrivals are
 	// stamped with the driver clock, which carries prior phases' time), so
@@ -836,13 +848,17 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 }
 
 // wireLeaf builds one phase leaf — filter pushdown, base-partition
-// capture into rec, phasePassed counting, optional instrumentation —
-// delivering post-filter tuples to push/pushBatch (the plan entry in a
-// serial phase, the partition scatter in a parallel one). pushBatch may
-// be nil when the target has no batch entry.
+// capture into rec (when a stitch-up or a maintenance stage can read it),
+// phasePassed counting, optional instrumentation — delivering post-filter
+// tuples to push/pushBatch (the plan entry in a serial phase, the
+// partition scatter in a parallel one). pushBatch may be nil when the
+// target has no batch entry.
 func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed map[string]float64, push func(types.Tuple), pushBatch func([]types.Tuple)) (*exec.Leaf, error) {
-	part := state.NewList(rel.Schema)
-	rec.BaseParts[rel.Name] = part
+	var part *state.List
+	if ex.stitches() || ex.standing {
+		part = state.NewList(rel.Schema)
+		rec.BaseParts[rel.Name] = part
+	}
 	var pred func(types.Tuple) bool
 	if p, ok := ex.q.Filters[rel.Name]; ok && p != nil {
 		bound, err := p.BindPred(rel.Schema)
@@ -856,14 +872,18 @@ func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed m
 		Provider: ex.cat.Providers[name],
 		Pred:     pred,
 		Push: func(t types.Tuple) {
-			part.Insert(t)
+			if part != nil {
+				part.Insert(t)
+			}
 			phasePassed[name]++
 			push(t)
 		},
 	}
 	if pushBatch != nil {
 		leaf.PushBatch = func(ts []types.Tuple) {
-			part.InsertBatch(ts)
+			if part != nil {
+				part.InsertBatch(ts)
+			}
 			phasePassed[name] += float64(len(ts))
 			pushBatch(ts)
 		}
@@ -875,7 +895,7 @@ func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed m
 }
 
 // outputSink adapts a phase tree's root layout into the shared group-by
-// operator (raw or partial form) or the SPJ result collector.
+// operator (raw or partial form) or the run's SPJ result rows.
 func (ex *executor) outputSink(root algebra.Plan) (exec.Sink, error) {
 	rootSchema := root.Schema()
 	if ex.agg != nil {
@@ -899,8 +919,12 @@ func (ex *executor) outputSink(root algebra.Plan) (exec.Sink, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &collectSink{ctx: ex.ctx, ad: ad, dst: &ex.spjRows, cost: true}, nil
+	return &rootSink{ctx: ex.ctx, ad: ad, out: ex.out, cost: true}, nil
 }
+
+// stitches reports whether a stitch-up can ever read what a phase leaves
+// behind: only the corrective strategy runs a second phase.
+func (ex *executor) stitches() bool { return ex.o.Strategy == Corrective }
 
 func planHasPreAgg(p algebra.Plan) bool {
 	switch v := p.(type) {
@@ -1060,7 +1084,7 @@ func (ex *executor) stitchUp() error {
 			if err != nil {
 				return err
 			}
-			sink = &collectSink{ctx: ex.ctx, ad: ad, dst: &ex.spjRows}
+			sink = &rootSink{ctx: ex.ctx, ad: ad, out: ex.out}
 			return nil
 		}
 	}

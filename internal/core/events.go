@@ -91,11 +91,12 @@ type PartitionStats struct {
 func (PartitionStats) event() {}
 
 // RowsDelivered is a result-delivery watermark: the cumulative number of
-// root result rows made available to the consumer so far. Emitted
-// whenever new rows are flushed to the cursor (at monitor poll
-// boundaries, phase ends, and run completion). Blocking queries
-// (aggregates) emit a single watermark when the final groups are
-// released.
+// root result rows made available to the consumer so far. Emitted at
+// monitor poll boundaries and phase ends whenever rows were produced since
+// the last watermark, and at run completion (full batches reach the
+// consumer as they fill, ahead of the watermark that counts them).
+// Blocking queries (aggregates) emit a single watermark when the final
+// groups are released.
 type RowsDelivered struct {
 	// Rows is the cumulative root-row count.
 	Rows int64
@@ -213,11 +214,19 @@ func (UpdateWatermark) event() {}
 type RunHooks struct {
 	// Emit receives lifecycle events (see Event).
 	Emit func(Event)
-	// OnRows receives newly produced root result rows, in result order.
-	// Each call's slice is a sub-slice of the final Report.Rows: rows are
-	// retained and immutable, every row is delivered exactly once, and
-	// the concatenation of all calls equals Report.Rows byte for byte.
+	// OnRows receives newly produced root result rows, in result order,
+	// every row exactly once, never an empty batch. The batch is lent: the
+	// slice and the tuples' storage belong to the run and are overwritten
+	// once the batch is released — when the hook returns, or, with a
+	// Lender, when the holder calls Lender.Release for it. A hook that
+	// keeps rows longer clones them. With OnRows set the Report carries
+	// RowCount only and Rows stays nil; the concatenation of all batches
+	// equals, byte for byte, the Rows of the same run without the hook.
 	OnRows func(rows []types.Tuple)
+	// Lender, when set with OnRows, is the window of batches OnRows lends
+	// from: each delivered batch stays valid until the holder releases it
+	// (oldest first), and the run blocks while the whole window is out.
+	Lender *RowLender
 	// OnSchema receives the output schema, exactly once, before any
 	// OnRows call. (Under plan partitioning the schema is announced after
 	// stage-2 re-optimization, whose column renames shape the output.)
@@ -250,34 +259,28 @@ func (ex *executor) announceSchema(s *types.Schema) {
 	}
 }
 
-// flushRows delivers result rows produced since the last flush to the
-// OnRows hook and emits a RowsDelivered watermark. SPJ queries flush
-// incrementally as phases produce output; aggregate queries have nothing
-// to flush until the shared group-by releases its groups at the end of
-// the run (RunStream delivers those via flushFinal). Flushing charges
-// nothing to the virtual clock, so a streamed run's Report is identical
-// to a blocking one's.
+// flushRows hands the consumer whatever root rows are still in the batch
+// being filled and emits a RowsDelivered watermark, if any rows were
+// produced since the last one. SPJ queries flush as phases produce output
+// (full batches have gone out already, as they filled); aggregate queries
+// have nothing to flush until the shared group-by releases its groups at
+// the end of the run (flushFinal). Flushing charges nothing to the virtual
+// clock, so a streamed run's Report is identical to a blocking one's.
 func (ex *executor) flushRows() {
-	n := len(ex.spjRows)
-	if n == ex.sentRows {
+	n := ex.out.count
+	if n == ex.flushed {
 		return
 	}
-	if ex.hooks.OnRows != nil {
-		ex.hooks.OnRows(ex.spjRows[ex.sentRows:n])
-	}
-	ex.sentRows = n
-	ex.emit(RowsDelivered{Rows: int64(n), VirtualSeconds: ex.ctx.Clock.Now})
+	ex.out.flush()
+	ex.flushed = n
+	ex.emit(RowsDelivered{Rows: n, VirtualSeconds: ex.ctx.Clock.Now})
 }
 
 // flushFinal delivers whatever part of the final result has not been
 // streamed yet (the whole result for aggregate queries, the stitch-up
-// tail for SPJ ones) once rep.Rows is assembled, and emits the run's
-// closing watermark.
+// tail for SPJ ones) and emits the run's closing watermark.
 func (ex *executor) flushFinal() {
-	rows := ex.rep.Rows
-	if ex.hooks.OnRows != nil && len(rows) > ex.sentRows {
-		ex.hooks.OnRows(rows[ex.sentRows:])
-	}
-	ex.sentRows = len(rows)
-	ex.emit(RowsDelivered{Rows: int64(len(rows)), VirtualSeconds: ex.ctx.Clock.Now})
+	ex.out.flush()
+	ex.flushed = ex.out.count
+	ex.emit(RowsDelivered{Rows: ex.flushed, VirtualSeconds: ex.ctx.Clock.Now})
 }

@@ -58,8 +58,9 @@ type MaintOptions struct {
 // RunMaintenance executes q's initial run exactly like RunStream, then
 // pumps the configured delta streams through a maintenance tree,
 // flushing signed result updates at watermarks. The returned Report
-// carries the initial result in Rows (what the row cursor streamed) and
-// the maintenance outcome in Updates / Maintained / DeltaRows.
+// carries the initial result in Rows (or, streamed through OnRows, its
+// count in RowCount) and the maintenance outcome in Updates / Maintained /
+// DeltaRows.
 // PlanPartition is not supported: its two-stage re-optimization has no
 // retained state to maintain.
 func RunMaintenance(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, m MaintOptions, hooks RunHooks) (*Report, error) {
@@ -74,6 +75,7 @@ func RunMaintenance(ctx context.Context, cat *Catalog, q *algebra.Query, o Optio
 	if err != nil {
 		return nil, err
 	}
+	ex.standing = true // the initial run keeps its base partitions for seedFromInitialRun
 	if err := ex.execute(); err != nil {
 		return nil, err
 	}

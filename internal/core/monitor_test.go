@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
@@ -123,6 +124,7 @@ func TestRecordObservationsPublishesSelectivities(t *testing.T) {
 		consumed: map[string]float64{},
 		passed:   map[string]float64{},
 		live:     map[string]float64{},
+		out:      newRootRows(context.Background(), RunHooks{}),
 		rep:      &Report{},
 	}
 	ex.fullSchema = q.Relations[0].Schema

@@ -117,6 +117,12 @@ func (pl *parLowering) sink(child algebra.Plan, keyCols []int, down exec.Sink) (
 // join/group consumer to key on — in which case callers fall back to the
 // serial Lower path.
 func LowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, merge *exec.PartitionMerge) (*ParTree, error) {
+	return lowerPartitioned(parts, cost, plan, merge, false)
+}
+
+// lowerPartitioned is LowerPartitioned with lower's reuse choice applied
+// to every clone.
+func lowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, merge *exec.PartitionMerge, reuse bool) (*ParTree, error) {
 	if parts < 2 {
 		return nil, fmt.Errorf("core: partitioned lowering needs >= 2 partitions, got %d", parts)
 	}
@@ -132,6 +138,8 @@ func LowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, merge 
 			EntryBatch: map[string]func([]types.Tuple){},
 			EntryCol:   map[string]func(*types.ColBatch){},
 			RootSchema: plan.Schema(),
+			reuse:      reuse,
+			nrels:      len(plan.Rels()),
 			par:        &parLowering{pt: pt, p: p},
 		}
 		if err := t.build(plan, merge.Sink(p)); err != nil {
@@ -268,16 +276,23 @@ func (pt *ParTree) CollisionFactor() float64 {
 }
 
 // MergedInterm concatenates the clones' materialized join intermediates
-// into per-expression lists for stitch-up reuse registration (§3.4.2).
-// Call only after the pipeline has quiesced.
-func (pt *ParTree) MergedInterm() map[string]*state.List {
-	out := map[string]*state.List{}
+// into per-expression lists for stitch-up reuse registration (§3.4.2),
+// and sums the output count of the join that materialized nothing — the
+// root (PhaseRecord.RootRows). Call only after the pipeline has quiesced.
+func (pt *ParTree) MergedInterm() (interm map[string]*state.List, rootRows int64) {
+	interm = map[string]*state.List{}
 	for i, j := range pt.Trees[0].Joins {
+		if j.ResultBuf == nil {
+			for _, t := range pt.Trees {
+				rootRows += t.Joins[i].Node.Counters().Out
+			}
+			continue
+		}
 		merged := state.NewList(j.ResultBuf.Schema())
 		for _, t := range pt.Trees {
 			merged.InsertBatch(t.Joins[i].ResultBuf.Rows())
 		}
-		out[j.Key] = merged
+		interm[j.Key] = merged
 	}
-	return out
+	return interm, rootRows
 }

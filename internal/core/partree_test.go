@@ -188,7 +188,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	// Serial reference.
 	sctx := exec.NewContext()
 	var srows []types.Tuple
-	stree, err := Lower(sctx, root, exec.SinkFunc(func(tp types.Tuple) { srows = append(srows, tp) }))
+	stree, err := lower(sctx, root, exec.SinkFunc(func(tp types.Tuple) { srows = append(srows, tp) }), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	// Partitioned pipelines.
 	const parts = 4
 	merge := exec.NewPartitionMerge(parts)
-	pt, err := LowerPartitioned(parts, nil, root, merge)
+	pt, err := lowerPartitioned(parts, nil, root, merge, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +262,16 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 			t.Errorf("join %s counters = %+v, serial %+v", sviews[i].Key, pviews[i], sviews[i])
 		}
 	}
-	// Merged intermediates cover the serial materialization.
-	interm := pt.MergedInterm()
+	// Merged intermediates cover the serial materialization; the root
+	// join materializes nothing on either side and is counted instead.
+	interm, rootRows := pt.MergedInterm()
 	for _, j := range stree.Joins {
+		if j.ResultBuf == nil {
+			if _, ok := interm[j.Key]; ok || rootRows != j.Node.Counters().Out {
+				t.Errorf("root join %s: merged list %v, root rows %d, serial output %d", j.Key, ok, rootRows, j.Node.Counters().Out)
+			}
+			continue
+		}
 		m, ok := interm[j.Key]
 		if !ok || m.Len() != j.ResultBuf.Len() {
 			t.Errorf("interm %s = %v rows, serial %d", j.Key, m, j.ResultBuf.Len())

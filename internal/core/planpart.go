@@ -131,7 +131,7 @@ func (ex *executor) runPlanPartition() error {
 		}
 		ex.outSchema = out2
 		ex.announceSchema(out2)
-		sink = &collectSink{ctx: ex.ctx, ad: ad, dst: &ex.spjRows}
+		sink = &rootSink{ctx: ex.ctx, ad: ad, out: ex.out}
 	}
 	tree2, err := Lower(ex.ctx, res2.Root, sink)
 	if err != nil {

@@ -19,6 +19,9 @@ type aggSink struct {
 	rowView types.Tuple // columnar-entry row view (never retained)
 }
 
+// CopiesInput implements exec.InputCopier.
+func (s *aggSink) CopiesInput() {}
+
 // Push implements exec.Sink.
 func (s *aggSink) Push(t types.Tuple) {
 	s.scratch = s.ad.AdaptInto(s.scratch, t)
@@ -112,53 +115,4 @@ func (s *listSink) PushColBatch(b *types.ColBatch) {
 		s.ctx.Clock.Charge(s.ctx.Cost.Move)
 	}
 	s.dst.InsertBatch(s.cr.Rows(b))
-}
-
-// collectSink adapts and appends result tuples to a slice (the SPJ result
-// collector). Collected tuples are retained, so each is a fresh
-// adaptation; batching still saves the per-tuple downstream call fan-out.
-type collectSink struct {
-	ctx  *exec.Context
-	ad   *types.Adapter
-	dst  *[]types.Tuple
-	cost bool // charge Move per tuple (phase output does; stitch-up already charged)
-
-	colScratch *types.ColBatch // columnar-entry adapter output (aliases input)
-}
-
-// Push implements exec.Sink.
-func (s *collectSink) Push(t types.Tuple) {
-	if s.cost {
-		s.ctx.Clock.Charge(s.ctx.Cost.Move)
-	}
-	*s.dst = append(*s.dst, s.ad.Adapt(t))
-}
-
-// PushBatch implements exec.BatchSink.
-func (s *collectSink) PushBatch(ts []types.Tuple) {
-	for _, t := range ts {
-		s.Push(t)
-	}
-}
-
-// PushColBatch implements exec.ColBatchSink — the columnar pipeline's
-// single transpose point for SPJ output: the adapter permutes columns
-// zero-copy, then each collected row materializes exactly once, here,
-// into its own retained tuple (the same one allocation per row the row
-// path's Adapt pays).
-func (s *collectSink) PushColBatch(b *types.ColBatch) {
-	n := b.Len()
-	if n == 0 {
-		return
-	}
-	if s.colScratch == nil {
-		s.colScratch = types.NewColBatch(s.ad.To().Len())
-	}
-	s.ad.AdaptCols(s.colScratch, b)
-	if s.cost {
-		for i := 0; i < n; i++ {
-			s.ctx.Clock.Charge(s.ctx.Cost.Move)
-		}
-	}
-	*s.dst = s.colScratch.ToRows(*s.dst)
 }

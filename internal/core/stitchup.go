@@ -21,7 +21,13 @@ type PhaseRecord struct {
 	// consumed (the R^i partitions of §2.3).
 	BaseParts map[string]*state.List
 	// Interm maps canonical expression key -> materialized join results.
+	// The root join is not among them: it covers every relation, and the
+	// only vector that could reuse it is the uniform one, which is the
+	// phase itself (the exclusion list, §3.4.2).
 	Interm map[string]*state.List
+	// RootRows counts the root join's output instead: intermediate tuples
+	// no stitch-up can reuse, reported with the Discarded ones.
+	RootRows int64
 }
 
 // StitchUp evaluates the cross-phase combination expression
@@ -264,6 +270,7 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 	}
 	// Discarded = intermediate tuples never reused.
 	for _, ph := range s.phases {
+		s.Discarded += ph.RootRows
 		for _, l := range ph.Interm {
 			if !s.touched[l] {
 				s.Discarded += int64(l.Len())

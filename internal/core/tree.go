@@ -25,7 +25,10 @@ type TreeJoin struct {
 	Preds []algebra.JoinPred
 	Node  *exec.HashJoin
 	// ResultBuf captures the join node's output (the materialized
-	// intermediate result registered for stitch-up reuse, §3.4.2).
+	// intermediate result registered for stitch-up reuse, §3.4.2). Nil
+	// when no stitch-up can read it: the lowering was not for reuse, or
+	// this is the root join, whose uniform vector the exclusion list rules
+	// out — its consumer gets the rows, Node.Counters().Out their number.
 	ResultBuf *state.List
 }
 
@@ -63,6 +66,11 @@ type Tree struct {
 	// HasPreAgg reports that output tuples are in partial layout.
 	HasPreAgg bool
 	finishers []func()
+	// reuse materializes every join output below the root for stitch-up
+	// (see lower); nrels is the plan's relation count, which only the root
+	// join covers.
+	reuse bool
+	nrels int
 	// par is set when this tree is one partition clone of a partitioned
 	// lowering (see LowerPartitioned); it installs exchanges at partition
 	// boundaries during build.
@@ -92,8 +100,18 @@ func (b *blockingPreAgg) flush() {
 // delivering root tuples to out. Join nodes default to the pipelined
 // (data-availability-driven) style, the configuration all experiments use
 // ("most data integration systems almost exclusively rely on pipelined
-// hash joins", §3.4).
+// hash joins", §3.4). Nothing is materialized beyond the operators' own
+// state: the tree of a plan that runs alone (a static run, a maintenance
+// tree, either plan-partitioning stage) has no later reader.
 func Lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink) (*Tree, error) {
+	return lower(ctx, plan, out, false)
+}
+
+// lower is Lower with the choice a corrective phase makes: with reuse,
+// every join below the root also tees its output into TreeJoin.ResultBuf,
+// the intermediate results a later stitch-up fetches instead of
+// recomputing (§3.4.2).
+func lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink, reuse bool) (*Tree, error) {
 	t := &Tree{
 		ctx:        ctx,
 		Entry:      map[string]func(types.Tuple){},
@@ -101,6 +119,8 @@ func Lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink) (*Tree, error) {
 		EntryCol:   map[string]func(*types.ColBatch){},
 		EntryDelta: map[string]func(*types.ColBatch, int){},
 		RootSchema: plan.Schema(),
+		reuse:      reuse,
+		nrels:      len(plan.Rels()),
 	}
 	if err := t.build(plan, out); err != nil {
 		return nil, err
@@ -110,12 +130,13 @@ func Lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink) (*Tree, error) {
 
 // teeSink duplicates a join's output into its materialization buffer
 // (stitch-up reuse, §3.4.2) while forwarding it downstream; batches are
-// forwarded as batches, columnar frames as columnar frames.
+// forwarded as batches, columnar frames as columnar frames. It carries no
+// signed entry: maintenance trees are lowered without reuse and have no
+// tees.
 type teeSink struct {
 	buf *state.List
 	out exec.Sink
 	cr  exec.ColRows
-	dfw exec.DeltaForward
 }
 
 // Push implements exec.Sink.
@@ -144,18 +165,6 @@ func (s *teeSink) PushColBatch(b *types.ColBatch) {
 		return
 	}
 	exec.PushAll(s.out, rows)
-}
-
-// PushDelta implements exec.DeltaSink: signed maintenance traffic
-// forwards downstream without touching the stitch-up buffer — a
-// maintenance rebuild always re-warms join state from the base logs
-// rather than reusing materialized intermediates, and signed rows have
-// no place in an unsigned buffer.
-func (s *teeSink) PushDelta(b *types.ColBatch, sign int) {
-	if b.Len() == 0 {
-		return
-	}
-	s.dfw.Forward(s.out, b, sign)
 }
 
 func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
@@ -194,8 +203,12 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		case algebra.JoinNestedLoops:
 			style = exec.NestedLoops
 		}
-		buf := state.NewList(v.Schema())
-		node := exec.NewHashJoin(t.ctx, style, v.Left.Schema(), v.Right.Schema(), lk, rk, &teeSink{buf: buf, out: out})
+		var buf *state.List
+		if t.reuse && len(v.Rels()) < t.nrels {
+			buf = state.NewList(v.Schema())
+			out = &teeSink{buf: buf, out: out}
+		}
+		node := exec.NewHashJoin(t.ctx, style, v.Left.Schema(), v.Right.Schema(), lk, rk, out)
 		if v.EstLeftCard > 0 || v.EstRightCard > 0 {
 			// Size fixed-bucket tables from the optimizer's estimates
 			// (wrong estimates surface as bucket collisions, §4.4). A

@@ -51,10 +51,14 @@ func TestLowerSimpleJoin(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("outputs = %d, want 2", len(out))
 	}
-	// Intermediate results captured for stitch-up reuse.
+	// A plan lowered to run alone materializes nothing; its only join is
+	// the root, which would not be captured for stitch-up reuse either.
 	j := tree.Joins[0]
-	if j.ResultBuf.Len() != 2 {
-		t.Error("join result buffer not populated")
+	if j.ResultBuf != nil {
+		t.Error("root join output materialized with no reader")
+	}
+	if j.Node.Counters().Out != 2 {
+		t.Errorf("root join counted %d output rows, want 2", j.Node.Counters().Out)
 	}
 	if j.Key != algebra.CanonKey([]string{"A", "B"}) {
 		t.Errorf("join key = %q", j.Key)
@@ -204,5 +208,48 @@ func TestTreeCollisionFactor(t *testing.T) {
 	}
 	if f := treeCollisionFactor(tree); f <= 2 {
 		t.Errorf("overfilled fixed table should raise factor, got %g", f)
+	}
+}
+
+// TestLowerForReuseMaterializesBelowTheRootOnly pins the lowering rule —
+// materialise only for a reader that can exist. A plan lowered to run
+// alone keeps no join output; one lowered for stitch-up reuse tees every
+// join below the root into its ResultBuf and leaves the root join, whose
+// uniform vector the exclusion list rules out, with a row count.
+func TestLowerForReuseMaterializesBelowTheRootOnly(t *testing.T) {
+	res, err := opt.Optimize(opt.Inputs{Query: flightsQuery()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, tr, c := flightsData(30, 80, 60, 1)
+	for _, reuse := range []bool{false, true} {
+		var out int64
+		tree, err := lower(exec.NewContext(), res.Root, exec.SinkFunc(func(types.Tuple) { out++ }), reuse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tree.Joins) != 2 {
+			t.Fatalf("flights plan has %d joins, want 2", len(tree.Joins))
+		}
+		for name, rel := range map[string][]types.Tuple{"F": f.Rows, "T": tr.Rows, "C": c.Rows} {
+			tree.EntryBatch[name](rel)
+		}
+		tree.Finish()
+		inner, root := tree.Joins[0], tree.Joins[1]
+		if len(root.Rels) != 3 || len(inner.Rels) != 2 {
+			t.Fatalf("joins not bottom-up: %v then %v", inner.Rels, root.Rels)
+		}
+		if root.ResultBuf != nil {
+			t.Errorf("reuse=%v: root join output materialized", reuse)
+		}
+		if got := root.Node.Counters().Out; got != out || out == 0 {
+			t.Errorf("reuse=%v: root join counted %d rows, sink received %d", reuse, got, out)
+		}
+		switch {
+		case !reuse && inner.ResultBuf != nil:
+			t.Error("a plan lowered to run alone materialized a join output")
+		case reuse && (inner.ResultBuf == nil || int64(inner.ResultBuf.Len()) != inner.Node.Counters().Out):
+			t.Errorf("lowered for reuse, the inner join's buffer is %v for %d output rows", inner.ResultBuf, inner.Node.Counters().Out)
+		}
 	}
 }

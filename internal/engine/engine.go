@@ -117,9 +117,10 @@ func (e *Engine) catalog(o core.Options) *core.Catalog {
 // Execute runs a query to completion under the given options. Every call
 // opens fresh providers, so repeated Execute calls see the sources from
 // the start (convenient for experiments; a real deployment would stream
-// once). Execute is a thin consumer of Stream — the streaming cursor is
-// the one execution code path — and returns the identical rows, counters,
-// and clocks.
+// once). Execute is core.RunStream with no row hook — the same execution
+// code path a Stream drives, on the caller's goroutine — so the report
+// retains the result in Rows, with the identical rows, counters, and
+// clocks a Stream delivers.
 func (e *Engine) Execute(q *algebra.Query, o core.Options) (*core.Report, error) {
 	return e.ExecuteContext(context.Background(), q, o)
 }
@@ -127,12 +128,14 @@ func (e *Engine) Execute(q *algebra.Query, o core.Options) (*core.Report, error)
 // ExecuteContext is Execute with cancellation: the run stops at the next
 // batch boundary once ctx is canceled and returns ctx's error.
 func (e *Engine) ExecuteContext(ctx context.Context, q *algebra.Query, o core.Options) (*core.Report, error) {
-	s, err := e.Stream(ctx, q, WithOptions(o))
-	if err != nil {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := e.validate(q); err != nil {
 		return nil, err
 	}
-	defer s.Close()
-	return s.Report()
+	e.defaultKnown(&o)
+	return core.RunStream(ctx, e.catalog(o), q, o, core.RunHooks{})
 }
 
 // QueryBuilder assembles an algebra.Query fluently.

@@ -11,17 +11,34 @@ import (
 
 	"github.com/tukwila/adp/internal/core"
 	"github.com/tukwila/adp/internal/source"
+	"github.com/tukwila/adp/internal/types"
 )
 
 // sortedRowStrings canonicalizes result rows for multiset comparison
 // (fault penalties perturb delivery interleaving, not the result).
-func sortedRowStrings(rep *core.Report) []string {
-	out := make([]string, len(rep.Rows))
-	for i, r := range rep.Rows {
+func sortedRowStrings(rows []types.Tuple) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
 		out[i] = r.String()
 	}
 	sort.Strings(out)
 	return out
+}
+
+// readAll reads the cursor to the end, then takes the report: a streamed
+// result is not retained, so a test that wants the rows and the report
+// (or the event log) of one run reads them off the cursor.
+func readAll(s *Stream) ([]types.Tuple, *core.Report, error) {
+	var rows []types.Tuple
+	for {
+		t, ok := s.Next()
+		if !ok {
+			break
+		}
+		rows = append(rows, t)
+	}
+	rep, err := s.Report()
+	return rows, rep, err
 }
 
 // TestEngineRecoveredFaultsMatchFaultFree runs the full public surface:
@@ -44,11 +61,11 @@ func TestEngineRecoveredFaultsMatchFaultFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rep, err := s.Report()
+	rows, rep, err := readAll(s)
 	if err != nil {
 		t.Fatalf("recovered run failed: %v", err)
 	}
-	got, want := sortedRowStrings(rep), sortedRowStrings(base)
+	got, want := sortedRowStrings(rows), sortedRowStrings(base.Rows)
 	if len(got) != len(want) {
 		t.Fatalf("rows = %d, fault-free %d", len(got), len(want))
 	}
@@ -131,15 +148,15 @@ func TestEnginePartialResultsPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rep, err := s.Report()
+	rows, rep, err := readAll(s)
 	if err != nil {
 		t.Fatalf("partial run failed: %v", err)
 	}
 	if !rep.Partial {
 		t.Error("report not marked partial")
 	}
-	if len(rep.Rows) != dieAt {
-		t.Fatalf("partial result has %d groups, want the %d-tuple prefix", len(rep.Rows), dieAt)
+	if len(rows) != dieAt || rep.RowCount != dieAt {
+		t.Fatalf("partial result has %d groups (report counts %d), want the %d-tuple prefix", len(rows), rep.RowCount, dieAt)
 	}
 	if st := rep.SourceFaults["R2"]; !st.Abandoned {
 		t.Errorf("SourceFaults[R2] = %+v", st)
@@ -172,14 +189,14 @@ func TestEngineMirrorFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rep, err := s.Report()
+	rows, rep, err := readAll(s)
 	if err != nil {
 		t.Fatalf("failover run failed: %v", err)
 	}
 	if !rep.SourceFaults["R1"].FailedOver {
 		t.Fatalf("SourceFaults[R1] = %+v", rep.SourceFaults["R1"])
 	}
-	got, want := sortedRowStrings(rep), sortedRowStrings(base)
+	got, want := sortedRowStrings(rows), sortedRowStrings(base.Rows)
 	if len(got) != len(want) {
 		t.Fatalf("rows = %d, fault-free %d", len(got), len(want))
 	}

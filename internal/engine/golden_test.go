@@ -1,0 +1,60 @@
+package engine
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/tukwila/adp/internal/core"
+	"github.com/tukwila/adp/internal/datagen"
+	"github.com/tukwila/adp/internal/source"
+	"github.com/tukwila/adp/internal/workload"
+)
+
+// q5Golden is what a change to the output path, the phase state or the
+// monitor could silently move on the paper's headline case.
+type q5Golden struct {
+	Phases, Switches, Combos int
+	Reused, Discarded        int64
+	Rows                     int
+	Virtual                  float64
+}
+
+// TestQ5CorrectiveGoldens runs the benchmark's agg_corrective shape — Q5
+// at SF 0.03 with no cardinalities, every relation behind a bursty link
+// whose burst pattern is seeded by the relation's name, corrective, P=1 —
+// at seeds 42, 7 and 1234 and requires phases, switches, stitch-up
+// accounting, rows and the virtual clock to equal what the commit before
+// the lent-batch output path produced. Serial virtual time is exact, so
+// the comparison is ==.
+func TestQ5CorrectiveGoldens(t *testing.T) {
+	want := map[int64]q5Golden{
+		42:   {Phases: 3, Switches: 2, Combos: 726, Reused: 265, Discarded: 9, Rows: 5, Virtual: 0.673872449995917},
+		7:    {Phases: 3, Switches: 2, Combos: 726, Reused: 213, Discarded: 5, Rows: 5, Virtual: 0.6765883499959492},
+		1234: {Phases: 3, Switches: 2, Combos: 726, Reused: 247, Discarded: 5, Rows: 5, Virtual: 0.6718530499958778},
+	}
+	for _, seed := range []int64{42, 7, 1234} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			data := datagen.Generate(datagen.Config{ScaleFactor: 0.03, Seed: seed})
+			eng := New()
+			for _, rel := range data.Relations() {
+				var linkSeed int64
+				for _, c := range rel.Name {
+					linkSeed = linkSeed*31 + int64(c)
+				}
+				eng.RegisterRemote(rel, source.NewBursty(rel.Len(), 1_000_000, 8000, 0.01, linkSeed))
+			}
+			rep, err := eng.Execute(workload.Q5(), core.Options{Strategy: core.Corrective})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := q5Golden{
+				Phases: len(rep.Phases), Switches: rep.Switches, Combos: rep.StitchCombos,
+				Reused: rep.Reused, Discarded: rep.Discarded, Rows: len(rep.Rows),
+				Virtual: rep.VirtualSeconds,
+			}
+			if got != want[seed] {
+				t.Errorf("Q5 corrective = %#v, want %#v", got, want[seed])
+			}
+		})
+	}
+}

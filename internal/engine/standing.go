@@ -84,12 +84,7 @@ func (e *Engine) RegisterStanding(ctx context.Context, q *algebra.Query, deltas 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for _, r := range q.Relations {
-		if _, ok := e.rels[r.Name]; !ok {
-			return nil, fmt.Errorf("engine: relation %q not registered", r.Name)
-		}
-	}
-	if err := q.Validate(); err != nil {
+	if err := e.validate(q); err != nil {
 		return nil, err
 	}
 	o := e.buildOptions(opts)
@@ -191,6 +186,10 @@ func (sq *StandingQuery) Updates() iter.Seq2[ivm.Update, error] {
 // run streams exactly like Engine.Stream).
 func (sq *StandingQuery) Next() (types.Tuple, bool) { return sq.s.Next() }
 
+// NextBatch returns the next lent batch of initial-result rows; see
+// Stream.NextBatch.
+func (sq *StandingQuery) NextBatch() ([]types.Tuple, bool) { return sq.s.NextBatch() }
+
 // Rows iterates the remaining initial-result rows; see Stream.Rows.
 func (sq *StandingQuery) Rows() iter.Seq2[types.Tuple, error] { return sq.s.Rows() }
 
@@ -203,11 +202,11 @@ func (sq *StandingQuery) Events() <-chan core.Event { return sq.s.Events() }
 // Err returns the run's terminal error; see Stream.Err.
 func (sq *StandingQuery) Err() error { return sq.s.Err() }
 
-// Report drains any rows and updates not yet consumed through the
-// cursors (Report.Rows and Report.Updates carry the complete streams, so
-// nothing is lost), waits for the maintenance run to complete, and
-// returns the final report. Report.Maintained is the view's current
-// contents.
+// Report discards any rows and updates not yet consumed through the
+// cursors (Report.Updates still carries the complete update stream; the
+// initial rows, like any streamed result, are counted in RowCount and not
+// retained), waits for the maintenance run to complete, and returns the
+// final report. Report.Maintained is the view's current contents.
 func (sq *StandingQuery) Report() (*core.Report, error) {
 	sq.drain()
 	return sq.s.Report()

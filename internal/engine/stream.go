@@ -103,7 +103,7 @@ func WithOptions(base core.Options) Option {
 
 // streamRowBuffer is how many row batches may be in flight between the
 // run goroutine and the cursor before the producer blocks (cursor
-// backpressure).
+// backpressure): the window of the stream's core.RowLender.
 const streamRowBuffer = 16
 
 // Stream is a streaming execution cursor: root result rows arrive
@@ -120,12 +120,14 @@ const streamRowBuffer = 16
 //
 // Delivery contract: rows arrive in result order, exactly once, and their
 // concatenation is byte-identical to what a blocking Execute returns;
-// select-project-join queries deliver first rows mid-run (at monitor poll
-// boundaries and phase ends), while aggregate queries — blocking by
-// nature — deliver all groups when the run completes. Events for one run
-// are totally ordered and every subscription replays them from the start
-// of the run, so a consumer can subscribe at any time without missing the
-// PhaseStarted → PlanSwitched → StitchUpStarted narrative.
+// select-project-join queries deliver first rows mid-run (as batches fill,
+// at monitor poll boundaries and at phase ends), while aggregate queries
+// — blocking by nature — deliver all groups when the run completes. Rows
+// travel on batches lent by the run and are not retained anywhere: Next
+// returns a clone the caller owns, NextBatch the lent batch itself. Events
+// for one run are totally ordered and every subscription replays them from
+// the start of the run, so a consumer can subscribe at any time without
+// missing the PhaseStarted → PlanSwitched → StitchUpStarted narrative.
 type Stream struct {
 	cancel context.CancelFunc
 
@@ -136,7 +138,13 @@ type Stream struct {
 	// its own hooks (OnUpdates) before dispatching.
 	runFn func(context.Context, *core.Catalog, *algebra.Query, core.Options, core.RunHooks) (*core.Report, error)
 
+	// rowsCh carries lent batches to the cursor; lender takes them back.
+	// The channel's capacity is the lender's window, so a send never
+	// blocks: a batch in the channel is a batch not yet released. cur is
+	// the batch the cursor holds (released when it moves on), curIdx how
+	// far Next has walked it.
 	rowsCh chan []types.Tuple
+	lender *core.RowLender
 	cur    []types.Tuple
 	curIdx int
 
@@ -166,17 +174,22 @@ func (e *Engine) Stream(ctx context.Context, q *algebra.Query, opts ...Option) (
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for _, r := range q.Relations {
-		if _, ok := e.rels[r.Name]; !ok {
-			return nil, fmt.Errorf("engine: relation %q not registered", r.Name)
-		}
-	}
-	if err := q.Validate(); err != nil {
+	if err := e.validate(q); err != nil {
 		return nil, err
 	}
 	o := e.buildOptions(opts)
 	cat := e.catalog(o)
 	return startStream(ctx, cat, q, o, core.RunStream), nil
+}
+
+// validate checks q against the registered relations.
+func (e *Engine) validate(q *algebra.Query) error {
+	for _, r := range q.Relations {
+		if _, ok := e.rels[r.Name]; !ok {
+			return fmt.Errorf("engine: relation %q not registered", r.Name)
+		}
+	}
+	return q.Validate()
 }
 
 // buildOptions folds functional options into a core.Options value,
@@ -188,13 +201,19 @@ func (e *Engine) buildOptions(opts []Option) core.Options {
 			f(&o)
 		}
 	}
+	e.defaultKnown(&o)
+	return o
+}
+
+// defaultKnown fills o.Known from the engine-level cardinality
+// advertisements when the run brought none of its own.
+func (e *Engine) defaultKnown(o *core.Options) {
 	if o.Known == nil && len(e.known) > 0 {
 		o.Known = map[string]float64{}
 		for k, v := range e.known {
 			o.Known[k] = v
 		}
 	}
-	return o
 }
 
 // startStream spins up the background run goroutine behind a cursor; the
@@ -206,6 +225,7 @@ func startStream(ctx context.Context, cat *core.Catalog, q *algebra.Query, o cor
 		cancel:      cancel,
 		runFn:       runFn,
 		rowsCh:      make(chan []types.Tuple, streamRowBuffer),
+		lender:      core.NewRowLender(streamRowBuffer),
 		schemaReady: make(chan struct{}),
 		done:        make(chan struct{}),
 		closeCh:     make(chan struct{}),
@@ -223,14 +243,10 @@ func (s *Stream) run(ctx context.Context, cat *core.Catalog, q *algebra.Query, o
 			s.schema = sch
 			close(s.schemaReady)
 		},
-		OnRows: func(rows []types.Tuple) {
-			select {
-			case s.rowsCh <- rows:
-			case <-ctx.Done():
-				// Canceled: the consumer is gone; drop the delivery and
-				// let the run wind down at its next cancellation point.
-			}
-		},
+		// Never blocks (see rowsCh); the run waits in the lender instead,
+		// for the cursor to release a batch or for cancellation.
+		OnRows: func(rows []types.Tuple) { s.rowsCh <- rows },
+		Lender: s.lender,
 	}
 	rep, err := s.runFn(ctx, cat, q, o, hooks)
 	s.rep, s.err = rep, err
@@ -259,29 +275,47 @@ func (s *Stream) appendEvent(ev core.Event) {
 	s.mu.Unlock()
 }
 
-// Next returns the next result row. ok is false when the stream is
-// exhausted — because the run completed, failed, or was canceled; consult
-// Err (definitive at that point) to distinguish. Next is not safe for
-// concurrent use; the Stream is a single-consumer cursor.
+// advance releases the batch the cursor holds and takes the next one off
+// the row channel; false when the stream is exhausted.
+func (s *Stream) advance() bool {
+	if s.cur != nil {
+		s.lender.Release()
+	}
+	s.cur, s.curIdx = <-s.rowsCh, 0
+	return s.cur != nil
+}
+
+// Next returns the next result row, as a tuple the caller owns. ok is
+// false when the stream is exhausted — because the run completed, failed,
+// or was canceled; consult Err (definitive at that point) to distinguish.
+// Next is not safe for concurrent use; the Stream is a single-consumer
+// cursor.
 //
-//adp:hotpath gated by BenchmarkStreamDelivery (scripts/check_allocs.sh)
+//adp:hotpath gated by BenchmarkStreamDelivery/next (scripts/check_allocs.sh)
 func (s *Stream) Next() (types.Tuple, bool) {
-	if s.curIdx < len(s.cur) {
-		t := s.cur[s.curIdx]
-		s.curIdx++
-		return t, true
+	if s.curIdx == len(s.cur) && !s.advance() {
+		return nil, false
 	}
-	for {
-		batch, ok := <-s.rowsCh
-		if !ok {
-			return nil, false
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		s.cur, s.curIdx = batch, 1
-		return batch[0], true
+	t := s.cur[s.curIdx].Clone()
+	s.curIdx++
+	return t, true
+}
+
+// NextBatch returns the rows the cursor has not read yet from the current
+// lent batch, or else the next batch: the zero-copy read. The slice and
+// the tuples' storage stay valid until the next NextBatch, Next or Report
+// call, which gives the batch back to the run; a caller that keeps a row
+// longer clones it. ok is false exactly when Next's would be. Batches are
+// never empty.
+//
+//adp:hotpath gated by BenchmarkStreamDelivery/batch (scripts/check_allocs.sh)
+func (s *Stream) NextBatch() ([]types.Tuple, bool) {
+	if s.curIdx == len(s.cur) && !s.advance() {
+		return nil, false
 	}
+	rest := s.cur[s.curIdx:]
+	s.curIdx = len(s.cur)
+	return rest, true
 }
 
 // Rows returns the remaining result rows as a Go 1.23 range-over-func
@@ -381,14 +415,13 @@ func (s *Stream) Err() error {
 	}
 }
 
-// Report drains any rows not yet consumed through the cursor (the
-// report's Rows field carries the complete result, so nothing is lost),
-// waits for the run to complete, and returns the final execution report.
-// Calling Report without ever reading rows turns the stream into exactly
-// the blocking Execute.
+// Report discards any rows not yet consumed through the cursor, waits for
+// the run to complete, and returns the final execution report. A streamed
+// result is not retained: the report carries RowCount and a nil Rows, and
+// rows dropped here are gone — read the cursor to the end first, or use
+// Execute, for a report that holds the rows.
 func (s *Stream) Report() (*core.Report, error) {
-	s.cur, s.curIdx = nil, 0
-	for range s.rowsCh {
+	for s.advance() {
 	}
 	<-s.done
 	return s.rep, s.err
@@ -401,11 +434,13 @@ func (s *Stream) Report() (*core.Report, error) {
 // consumed are discarded. It never blocks on an absent consumer, and —
 // unlike the cursor methods — it is safe to call from any goroutine
 // (e.g. a watchdog aborting a long run): it only drains the row channel,
-// never the consumer-owned cursor state. In particular it is safe to
-// call — including concurrently from several goroutines — while the run
-// is mid-read on a stalled or retrying source: source delays are virtual
-// time, so the run reaches its next cancellation point promptly and
-// Close returns once the goroutines have drained.
+// never the consumer-owned cursor state, and releases nothing (a batch
+// the consumer still holds is never overwritten; the canceled run stops
+// waiting for batches). In particular it is safe to call — including
+// concurrently from several goroutines — while the run is mid-read on a
+// stalled or retrying source: source delays are virtual time, so the run
+// reaches its next cancellation point promptly and Close returns once the
+// goroutines have drained.
 func (s *Stream) Close() error {
 	s.closeOnce.Do(func() {
 		s.cancel()

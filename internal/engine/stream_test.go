@@ -91,7 +91,9 @@ func spjEngine(nOrders int, sched func(*source.Relation) source.Schedule) (*Engi
 // over Bandwidth- and Bursty-scheduled sources, the cursor must hand out
 // first rows before the run completes — multiple increasing RowsDelivered
 // watermarks, the first strictly below the final count and strictly
-// earlier on the virtual timeline.
+// earlier on the virtual timeline — and what it hands out must be, byte
+// for byte and in order, the Report.Rows of a blocking Execute of the same
+// query (the stream's own report counts its rows and retains none).
 func TestStreamDeliversRowsBeforeCompletion(t *testing.T) {
 	schedules := map[string]func(*source.Relation) source.Schedule{
 		"bandwidth": func(*source.Relation) source.Schedule {
@@ -124,13 +126,25 @@ func TestStreamDeliversRowsBeforeCompletion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(rep.Rows) || len(got) != 20000 {
-				t.Fatalf("streamed %d rows, report has %d, want 20000", len(got), len(rep.Rows))
+			ref, err := e.Execute(q, core.Options{Strategy: core.Static, PollEvery: 512})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(ref.Rows) || len(got) != 20000 {
+				t.Fatalf("streamed %d rows, Execute returned %d, want 20000", len(got), len(ref.Rows))
+			}
+			if rep.Rows != nil || rep.RowCount != 20000 || ref.RowCount != 20000 {
+				t.Fatalf("stream report retains %d rows and counts %d, Execute counts %d; want 0, 20000, 20000",
+					len(rep.Rows), rep.RowCount, ref.RowCount)
 			}
 			for i := range got {
-				if got[i].String() != rep.Rows[i].String() {
-					t.Fatalf("streamed row %d differs from report", i)
+				if got[i].String() != ref.Rows[i].String() {
+					t.Fatalf("streamed row %d differs from Execute's", i)
 				}
+			}
+			if rep.VirtualSeconds != ref.VirtualSeconds || rep.CPUSeconds != ref.CPUSeconds {
+				t.Errorf("stream clocks %g/%g, Execute %g/%g", rep.VirtualSeconds, rep.CPUSeconds,
+					ref.VirtualSeconds, ref.CPUSeconds)
 			}
 			var marks []core.RowsDelivered
 			for ev := range events {
@@ -161,9 +175,9 @@ func TestStreamDeliversRowsBeforeCompletion(t *testing.T) {
 }
 
 // TestExecuteMatchesCoreRunBaseline is the equivalence pin: Execute —
-// now a thin consumer of Stream — must return byte-identical rows,
-// counters, and clocks to the direct core.Run path (the PR-4 baseline
-// semantics) for every strategy at P ∈ {1, 4}.
+// core.RunStream over the engine's own catalog and option defaults — must
+// return byte-identical rows, counters, and clocks to the direct core.Run
+// path (the PR-4 baseline semantics) for every strategy at P ∈ {1, 4}.
 func TestExecuteMatchesCoreRunBaseline(t *testing.T) {
 	for _, strat := range []core.Strategy{core.Static, core.Corrective, core.PlanPartition} {
 		for _, parts := range []int{1, 4} {
@@ -396,9 +410,19 @@ func TestStreamCloseFromAnotherGoroutine(t *testing.T) {
 }
 
 // TestStreamReportWithoutRows: calling Report without touching the cursor
-// must behave exactly like blocking Execute (no deadlock, full result).
+// must run the query to its end exactly like blocking Execute — no
+// deadlock although the result is more batches than the lender's window
+// (Report gives each back as it discards it), the full result counted,
+// and every counter and clock equal to Execute's.
 func TestStreamReportWithoutRows(t *testing.T) {
 	e, q := spjEngine(20000, nil)
+	ref, err := e.Execute(q, core.Options{Strategy: core.Static, PollEvery: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Rows) != 20000 {
+		t.Fatalf("Execute returned %d rows, want 20000", len(ref.Rows))
+	}
 	s, err := e.Stream(context.Background(), q, WithStrategy(core.Static), WithPollEvery(512))
 	if err != nil {
 		t.Fatal(err)
@@ -408,8 +432,12 @@ func TestStreamReportWithoutRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 20000 {
-		t.Fatalf("rows = %d, want 20000", len(rep.Rows))
+	if rep.RowCount != int64(len(ref.Rows)) || rep.Rows != nil {
+		t.Fatalf("report counts %d rows and retains %d, want %d and none", rep.RowCount, len(rep.Rows), len(ref.Rows))
+	}
+	if rep.VirtualSeconds != ref.VirtualSeconds || rep.CPUSeconds != ref.CPUSeconds ||
+		len(rep.Phases) != len(ref.Phases) || rep.Phases[0].Delivered != ref.Phases[0].Delivered {
+		t.Errorf("report %+v diverges from Execute's %+v", rep, ref)
 	}
 }
 

@@ -300,6 +300,10 @@ func (a *AggTable) AbsorbRaw(t types.Tuple) {
 // pipeline directly.
 func (a *AggTable) Push(t types.Tuple) { a.AbsorbRaw(t) }
 
+// CopiesInput implements InputCopier: absorption copies group values into
+// owned storage and folds the rest into aggregate states.
+func (a *AggTable) CopiesInput() {}
+
 // PushBatch implements BatchSink: a batch of raw tuples is absorbed with
 // the shared grouping scratch, no per-tuple allocations at steady state.
 //

@@ -31,6 +31,15 @@ func PushAll(s Sink, ts []types.Tuple) {
 	}
 }
 
+// InputCopier is implemented by sinks that copy whatever they keep out of
+// a pushed tuple before the push returns — an aggregate absorbing values
+// into its groups, a result sink adapting rows into its own storage. A
+// producer feeding such a sink may reuse the storage of the tuples it has
+// pushed (see BatchEmitter); every other sink may retain what it is given.
+type InputCopier interface {
+	CopiesInput()
+}
+
 // discardSink drops tuples and batches (benchmarks disable query output to
 // eliminate client feedback, §3.5).
 type discardSink struct{}
@@ -46,20 +55,25 @@ const arenaSlab = 4096
 
 // valueArena carves tuple storage out of large slabs so that operators
 // whose outputs are retained downstream (join results, projections) pay
-// one allocation per slab instead of one per tuple. Slabs are never
-// reused, so handed-out tuples remain valid forever; the returned slices
-// are capacity-capped so appending to one cannot clobber a neighbour.
+// one allocation per slab instead of one per tuple. Unless the owner calls
+// rewind, slabs are never reused, so handed-out tuples remain valid
+// forever; the returned slices are capacity-capped so appending to one
+// cannot clobber a neighbour.
 type valueArena struct {
 	slab []types.Value
+	// spilled counts the values of slabs abandoned since the last rewind.
+	spilled int
 }
 
-// alloc returns a zeroed tuple of n values carved from the current slab.
+// alloc returns a tuple of n values carved from the current slab (zeroed
+// unless the arena has been rewound).
 func (a *valueArena) alloc(n int) types.Tuple {
 	if cap(a.slab)-len(a.slab) < n {
 		sz := arenaSlab
 		if n > sz {
 			sz = n
 		}
+		a.spilled += len(a.slab)
 		a.slab = make([]types.Value, 0, sz)
 	}
 	off := len(a.slab)
@@ -73,6 +87,19 @@ func (a *valueArena) concat(lt, rt types.Tuple) types.Tuple {
 	copy(out, lt)
 	copy(out[len(lt):], rt)
 	return out
+}
+
+// rewind hands every value carved since the last rewind back to the arena:
+// the caller guarantees nobody holds them any more. A cycle that outgrew
+// its slab gets one slab sized for the whole cycle, so a steady producer
+// settles on a single slab and allocates nothing further.
+func (a *valueArena) rewind() {
+	if a.spilled > 0 {
+		a.slab = make([]types.Value, 0, a.spilled+cap(a.slab))
+		a.spilled = 0
+		return
+	}
+	a.slab = a.slab[:0]
 }
 
 // emitFlushLen caps how many buffered outputs a BatchEmitter accumulates
@@ -89,8 +116,12 @@ const emitFlushLen = 1024
 // order.
 type BatchEmitter struct {
 	active bool
-	buf    []types.Tuple
-	arena  valueArena
+	// recycle rewinds the arena after every delivery instead of abandoning
+	// its slabs: set when the downstream sink copies what it keeps (see
+	// InputCopier), so nothing outlives the delivery.
+	recycle bool
+	buf     []types.Tuple
+	arena   valueArena
 }
 
 // Begin switches emits to the buffered arena path.
@@ -122,4 +153,7 @@ func (e *BatchEmitter) deliver(out Sink) {
 	PushAll(out, e.buf)
 	clear(e.buf)
 	e.buf = e.buf[:0]
+	if e.recycle {
+		e.arena.rewind()
+	}
 }

@@ -175,3 +175,83 @@ func TestBatchAllocsAtLeastHalved(t *testing.T) {
 		t.Fatalf("batched path allocates %.3f/tuple, more than half of baseline %.3f/tuple", batch, tuple)
 	}
 }
+
+// copySink is an InputCopier consumer: it clones what it keeps, and
+// records where each delivery's first tuple lives.
+type copySink struct {
+	rows  []types.Tuple
+	first []*types.Value
+}
+
+func (s *copySink) CopiesInput() {}
+
+func (s *copySink) Push(t types.Tuple) { s.rows = append(s.rows, t.Clone()) }
+
+func (s *copySink) PushBatch(ts []types.Tuple) {
+	s.first = append(s.first, &ts[0][0])
+	for _, t := range ts {
+		s.Push(t)
+	}
+}
+
+// TestJoinRecyclesEmitArenaForCopyingSink pins the emit-arena rule: a join
+// feeding an InputCopier rewinds its arena after every delivery — the same
+// storage carries every batch once the slab has grown to a batch's size —
+// and what the consumer copied out is exactly what a retaining consumer is
+// handed; a join feeding any other sink never reuses a tuple's storage.
+func TestJoinRecyclesEmitArenaForCopyingSink(t *testing.T) {
+	ls := randTuples(2000, 300, 1, rRow)
+	rs := randTuples(2000, 300, 2, sRow)
+	for _, style := range []JoinStyle{Pipelined, BuildThenProbe} {
+		kept, copied := &collectSink{}, &copySink{}
+		feedJoin(NewHashJoin(NewContext(), style, rSchema, sSchema, []int{0}, []int{0}, kept), ls, rs, 64, true)
+		feedJoin(NewHashJoin(NewContext(), style, rSchema, sSchema, []int{0}, []int{0}, copied), ls, rs, 64, true)
+		if len(kept.rows) == 0 || len(kept.rows) != len(copied.rows) {
+			t.Fatalf("%v: %d rows retained, %d copied", style, len(kept.rows), len(copied.rows))
+		}
+		for i := range kept.rows {
+			if kept.rows[i].String() != copied.rows[i].String() {
+				t.Fatalf("%v: row %d = %v through the recycled arena, %v retained", style, i, copied.rows[i], kept.rows[i])
+			}
+		}
+	}
+
+	// Steady state: same-sized deliveries land on the same storage.
+	right := make([]types.Tuple, 64)
+	for i := range right {
+		right[i] = sRow(int64(i), int64(i))
+	}
+	left := make([]types.Tuple, 64)
+	for i := range left {
+		left[i] = rRow(int64(i), int64(i))
+	}
+	copied := &copySink{}
+	j := NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, copied)
+	j.PushRightBatch(right)
+	for i := 0; i < 8; i++ {
+		j.PushLeftBatch(left) // each left row matches one right row: 64 emits a delivery
+	}
+	if len(copied.first) != 8 {
+		t.Fatalf("%d deliveries, want 8", len(copied.first))
+	}
+	for i := 1; i < len(copied.first); i++ {
+		if copied.first[i] != copied.first[0] {
+			t.Fatalf("delivery %d starts at %p, delivery 0 at %p: the arena was not rewound", i, copied.first[i], copied.first[0])
+		}
+	}
+
+	// A retaining consumer's tuples are never overwritten.
+	kept := &collectSink{}
+	j = NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, kept)
+	j.PushRightBatch(right)
+	for i := 0; i < 8; i++ {
+		j.PushLeftBatch(left)
+	}
+	seen := map[*types.Value]bool{}
+	for _, r := range kept.rows {
+		if seen[&r[0]] {
+			t.Fatalf("retained tuple storage %p handed out twice", &r[0])
+		}
+		seen[&r[0]] = true
+	}
+}

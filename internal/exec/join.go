@@ -115,7 +115,9 @@ type HashJoin struct {
 // NewHashJoin creates a join node. leftKey/rightKey are column positions
 // of the equijoin keys in the respective input layouts; leftSchema and
 // rightSchema describe the inputs; out receives concatenated
-// (left ++ right) tuples.
+// (left ++ right) tuples. When out is an InputCopier the batched emit path
+// reuses one arena for every delivery; otherwise emitted tuples are never
+// overwritten and out may retain them.
 func NewHashJoin(ctx *Context, style JoinStyle, leftSchema, rightSchema *types.Schema, leftKey, rightKey []int, out Sink) *HashJoin {
 	j := &HashJoin{
 		Style:     style,
@@ -127,6 +129,7 @@ func NewHashJoin(ctx *Context, style JoinStyle, leftSchema, rightSchema *types.S
 		leftWidth: leftSchema.Len(),
 	}
 	j.colOut, _ = out.(ColBatchSink)
+	_, j.em.recycle = out.(InputCopier)
 	if style == NestedLoops {
 		j.leftList = state.NewList(leftSchema)
 		j.rightList = state.NewList(rightSchema)

@@ -522,6 +522,9 @@ type partitionBuf struct {
 	view     types.ColBatch // aliasing release window (SliceInto)
 }
 
+// CopiesInput implements InputCopier.
+func (b *partitionBuf) CopiesInput() {}
+
 // Push implements Sink.
 func (b *partitionBuf) Push(t types.Tuple) {
 	if b.col == nil {

@@ -220,3 +220,69 @@ func BenchmarkPartitionMergeRelease(b *testing.B) {
 		b.Fatalf("released %d rows, want %d", merge.Released(), 256*b.N)
 	}
 }
+
+// TestPartitionMergeEarlyReleaseKeepsTotalOrder pins the prefix property
+// of the order-releasing merge: whatever ReleasePrefix hands out mid-phase,
+// followed by the phase-end Drain, is the sequence a single Drain over the
+// same pushes would have produced — partition order, append order within a
+// partition. Streaming root output early therefore never changes the
+// result order, which is why a streamed run needs no retained copy of its
+// rows to compare against.
+func TestPartitionMergeEarlyReleaseKeepsTotalOrder(t *testing.T) {
+	const parts = 3
+	row := func(p, i int) types.Tuple { return types.Tuple{types.Int(int64(p)), types.Int(int64(i))} }
+	// steps interleave pushes (partition, row count) with release points
+	// and completions (the watermark advancing past a finished partition).
+	type step struct {
+		push, n  int
+		release  bool
+		complete int
+	}
+	steps := []step{
+		{push: 1, n: 3, complete: -1}, {push: 0, n: 2, complete: -1}, {release: true, complete: -1},
+		{push: 2, n: 4, complete: -1}, {push: 0, n: 3, complete: -1}, {release: true, complete: -1},
+		{complete: 0}, {push: 1, n: 2, complete: -1}, {release: true, complete: -1},
+		{push: 2, n: 1, complete: -1}, {complete: 1}, {release: true, complete: -1},
+		{push: 2, n: 2, complete: -1},
+	}
+	var streamed int // rows the early run released before its drain
+	run := func(early bool) []string {
+		merge := NewPartitionMerge(parts)
+		var got []string
+		out := SinkFunc(func(tp types.Tuple) { got = append(got, tp.String()) })
+		next := make([]int, parts)
+		for _, s := range steps {
+			switch {
+			case s.n > 0:
+				batch := make([]types.Tuple, s.n)
+				for i := range batch {
+					batch[i] = row(s.push, next[s.push])
+					next[s.push]++
+				}
+				PushAll(merge.Sink(s.push), batch)
+			case s.release && early:
+				merge.ReleasePrefix(out)
+			case s.complete >= 0:
+				merge.Complete(s.complete)
+			}
+		}
+		streamed = len(got)
+		merge.Drain(out)
+		return got
+	}
+	want, got := run(false), run(true)
+	if len(want) != 17 {
+		t.Fatalf("single drain delivered %d rows, want 17", len(want))
+	}
+	if streamed == 0 || streamed == len(got) {
+		t.Fatalf("early run released %d of %d rows before its drain; the fixture no longer streams", streamed, len(got))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("early release delivered %d rows, single drain %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d: early release %s, single drain %s", i, got[i], want[i])
+		}
+	}
+}

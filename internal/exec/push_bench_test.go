@@ -85,6 +85,60 @@ func BenchmarkPipelinedJoinPush(b *testing.B) {
 			j.PushRightColBatch(rbs[i])
 		}
 	})
+
+	// Copying consumer: a join whose sink is an InputCopier (the root sink
+	// of a query, an aggregate) rewinds its emit arena after every
+	// delivery. One op here is one left tuple that hits 256 build rows —
+	// 256 24-column results, a slab and a half — delivered to a consumer
+	// that reads and drops them. Once the arena has grown to one delivery
+	// the steady state allocates nothing (budget 0 in check_allocs.sh);
+	// through Discard, which promises nothing, the same op costs a slab
+	// or two.
+	b.Run("batch-wide-recycled", func(b *testing.B) {
+		const keys, fan = 4, 256
+		rs := make([]types.Tuple, 0, keys*fan)
+		for k := 0; k < keys; k++ {
+			for i := 0; i < fan; i++ {
+				rs = append(rs, wideRow(int64(k), int64(i)))
+			}
+		}
+		ls := make([]types.Tuple, 1024)
+		for i := range ls {
+			ls[i] = wideRow(int64(i%keys), int64(i))
+		}
+		sink := &readSink{}
+		j := NewHashJoin(NewContext(), Pipelined, wl, wr, []int{0}, []int{0}, sink)
+		j.PushRightBatch(rs)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % len(ls)
+			j.PushLeftBatch(ls[k : k+1])
+		}
+		b.StopTimer()
+		if sink.rows != fan*b.N {
+			b.Fatalf("consumer read %d rows, want %d", sink.rows, fan*b.N)
+		}
+	})
+}
+
+// readSink is an InputCopier consumer that reads every row and keeps none.
+type readSink struct {
+	rows int
+	sum  int64
+}
+
+func (s *readSink) CopiesInput() {}
+
+func (s *readSink) Push(t types.Tuple) {
+	s.rows++
+	s.sum += t[len(t)-1].I
+}
+
+func (s *readSink) PushBatch(ts []types.Tuple) {
+	for _, t := range ts {
+		s.Push(t)
+	}
 }
 
 // wideCols is the wide-schema width per join side (≥12 columns — the

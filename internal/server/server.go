@@ -294,7 +294,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	schema := st.Schema()
 	if schema == nil {
 		for {
-			if _, ok := st.Next(); !ok {
+			if _, ok := st.NextBatch(); !ok {
 				break
 			}
 		}
@@ -327,32 +327,38 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	writeFrame(schemaFrame{Type: "schema", ID: id, Query: q.Name, Columns: wireSchema(schema)})
 
-	// Row streaming: rows encode into a reused buffer (AppendRowFrame is
-	// allocation-free) and flush to the client every rowFlushBytes.
+	// Row streaming: rows are read on the batches the run lends the cursor
+	// (nothing is copied between the root join's output and this encode),
+	// encode into a reused buffer (AppendRowFrame is allocation-free) and
+	// flush to the client every rowFlushBytes. The budget fails the query
+	// when row budget+1 arrives: a result of exactly budget rows fits.
 	var (
 		rows   int64
 		buf    = make([]byte, 0, 2*rowFlushBytes)
 		budget = s.cfg.MaxRowsPerQuery
 		over   bool
 	)
+stream:
 	for {
-		t, ok := st.Next()
+		batch, ok := st.NextBatch()
 		if !ok {
 			break
 		}
 		if rows == 0 {
 			s.met.firstRowMicros.Store(time.Since(execStart).Microseconds())
 		}
-		buf = AppendRowFrame(buf, t)
-		rows++
-		if len(buf) >= rowFlushBytes {
-			w.Write(buf)
-			flush()
-			buf = buf[:0]
-		}
-		if budget > 0 && rows >= budget {
-			over = true
-			break
+		for _, t := range batch {
+			if budget > 0 && rows == budget {
+				over = true
+				break stream
+			}
+			buf = AppendRowFrame(buf, t)
+			rows++
+			if len(buf) >= rowFlushBytes {
+				w.Write(buf)
+				flush()
+				buf = buf[:0]
+			}
 		}
 	}
 	if len(buf) > 0 {
@@ -481,7 +487,7 @@ func (s *Server) handleStanding(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer close(rowsDone)
 		for {
-			if _, ok := sq.Next(); !ok {
+			if _, ok := sq.NextBatch(); !ok {
 				return
 			}
 		}
@@ -542,16 +548,16 @@ windows:
 			break
 		}
 		for _, u := range win.Updates {
+			if budget > 0 && updates == budget {
+				over = true
+				break windows
+			}
 			buf = AppendUpdateFrame(buf, u.Row, u.Sign)
 			updates++
 			if len(buf) >= rowFlushBytes {
 				w.Write(buf)
 				flush()
 				buf = buf[:0]
-			}
-			if budget > 0 && updates >= budget {
-				over = true
-				break windows
 			}
 		}
 		buf = append(buf, mustJSON(watermarkFrame{
@@ -737,7 +743,7 @@ func (r *queryRegistry) add(id, query string, st eventSource) *queryRecord {
 }
 
 // markDone snapshots the finished stream's event log, releases the
-// stream (and the result rows its report retains), and evicts the oldest
+// stream (and the lent row batches it owns), and evicts the oldest
 // completed records beyond the retain window.
 func (r *queryRegistry) markDone(rec *queryRecord) {
 	rec.mu.Lock()

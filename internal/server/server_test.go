@@ -366,6 +366,35 @@ func TestRowBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestRowBudgetExactFit: the budget is a bound, not a tripwire — a result
+// of exactly MaxRowsPerQuery rows fits and ends in its report frame (the
+// query fails only when row budget+1 arrives).
+// TestServeStandingRowBudgetExactFit is the update-frame counterpart.
+func TestRowBudgetExactFit(t *testing.T) {
+	_, ts, _, _ := newTestServer(t, 37, Config{MaxRowsPerQuery: 37})
+	resp := postQuery(t, ts, spjRequest(`{"strategy":"static"}`))
+	defer resp.Body.Close()
+	lines := frames(t, resp.Body)
+	if len(lines) != 39 || frameType(lines[len(lines)-1]) != "report" { // schema + 37 rows + report
+		t.Fatalf("%d frames ending in %s, want schema + 37 rows + report", len(lines), lines[len(lines)-1])
+	}
+	var rep struct {
+		Report WireReport `json:"report"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &rep); err != nil || rep.Report.Rows != 37 {
+		t.Fatalf("report counts %d rows (%v), want 37", rep.Report.Rows, err)
+	}
+
+	// One row over: exactly the budget is delivered, then the error.
+	_, ts, _, _ = newTestServer(t, 38, Config{MaxRowsPerQuery: 37})
+	resp = postQuery(t, ts, spjRequest(`{"strategy":"static"}`))
+	defer resp.Body.Close()
+	lines = frames(t, resp.Body)
+	if we := decodeError(t, lines[len(lines)-1]); we.Code != CodeResourceExhausted || we.RowsDelivered != 37 || len(lines) != 39 {
+		t.Fatalf("38 rows against a budget of 37: %+v over %d frames", we, len(lines))
+	}
+}
+
 // TestRequestValidation pins the pre-stream rejection envelope for the
 // ways a request can be malformed.
 func TestRequestValidation(t *testing.T) {

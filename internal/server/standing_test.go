@@ -136,6 +136,46 @@ func TestServeStandingStreamShape(t *testing.T) {
 	}
 }
 
+// TestServeStandingRowBudgetExactFit: a standing query whose update stream
+// is exactly MaxRowsPerQuery frames long fits its budget and ends in a
+// report; one frame fewer in the budget and it ends, after exactly budget
+// update frames, in resource_exhausted.
+func TestServeStandingRowBudgetExactFit(t *testing.T) {
+	countUpdates := func(lines []string) (n int) {
+		for _, line := range lines {
+			if frameType(line) == "update" {
+				n++
+			}
+		}
+		return n
+	}
+	body := standingRequest(`{"strategy":"static","poll_every":2}`)
+	_, ts, _, _ := newTestServer(t, 200, Config{})
+	resp := postStanding(t, ts, body)
+	total := countUpdates(frames(t, resp.Body))
+	resp.Body.Close()
+	if total < 51 {
+		t.Fatalf("unbudgeted run delivered %d update frames, want the 50-group baseline and revisions", total)
+	}
+
+	_, ts, _, _ = newTestServer(t, 200, Config{MaxRowsPerQuery: int64(total)})
+	resp = postStanding(t, ts, body)
+	lines := frames(t, resp.Body)
+	resp.Body.Close()
+	if got := countUpdates(lines); got != total || frameType(lines[len(lines)-1]) != "report" {
+		t.Fatalf("budget %d: %d update frames ending in %s, want all of them and a report", total, got, lines[len(lines)-1])
+	}
+
+	_, ts, _, _ = newTestServer(t, 200, Config{MaxRowsPerQuery: int64(total - 1)})
+	resp = postStanding(t, ts, body)
+	lines = frames(t, resp.Body)
+	resp.Body.Close()
+	we := decodeError(t, lines[len(lines)-1])
+	if got := countUpdates(lines); we.Code != CodeResourceExhausted || got != total-1 || we.RowsDelivered != int64(total-1) {
+		t.Fatalf("budget %d: %d update frames, terminal %+v; want exactly the budget, then resource_exhausted", total-1, got, we)
+	}
+}
+
 // TestServeStandingEventsSSE replays the standing run's lifecycle over
 // the events endpoint: MaintenanceStarted and UpdateWatermark must
 // appear alongside the usual phase narrative.

@@ -291,7 +291,7 @@ type watermarkFrame struct {
 }
 
 // WireReport is the execution report as serialized in the terminal
-// report frame (Report.Rows travels as row frames, not here).
+// report frame (the result travels as row frames; Rows is its count).
 type WireReport struct {
 	Query          string                    `json:"query"`
 	Strategy       string                    `json:"strategy"`
@@ -343,7 +343,7 @@ func wireReport(rep *core.Report, planCache string) WireReport {
 	out := WireReport{
 		Query:          rep.Query,
 		Strategy:       rep.Strategy.String(),
-		Rows:           int64(len(rep.Rows)),
+		Rows:           rep.RowCount,
 		VirtualSeconds: rep.VirtualSeconds,
 		CPUSeconds:     rep.CPUSeconds,
 		RealSeconds:    rep.RealSeconds,

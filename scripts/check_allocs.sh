@@ -39,7 +39,8 @@ check() {
 check 'BenchmarkHashTableProbe'                  0  # both probe variants: allocation-free
 check 'BenchmarkPipelinedJoinPush/batch(-[0-9]+)?$'    2  # PR 1 headline: batched push <= 2 allocs/op
 check 'BenchmarkPipelinedJoinPush/columnar(-[0-9]+)?$' 2  # PR 3/9: columnar push never above the row path
-check 'BenchmarkPipelinedJoinPush/batch-wide'    2  # PR 9: wide-schema row baseline
+check 'BenchmarkPipelinedJoinPush/batch-wide(-[0-9]+)?$' 2  # PR 9: wide-schema row baseline
+check 'BenchmarkPipelinedJoinPush/batch-wide-recycled'  0  # PR 17: copying consumer, emit arena rewound per delivery
 check 'BenchmarkPipelinedJoinPush/columnar-wide' 2  # PR 9: wide-schema columnar gather-emit
 check 'BenchmarkHashKeys'                        0  # PR 3: vectorized hash kernel reuse path
 check 'BenchmarkMergeJoinPush/batch'             4  # PR 2: batched ordered merge join
@@ -47,7 +48,8 @@ check 'BenchmarkAggTableAbsorb'                  1  # group-by absorb: zero stea
 check 'BenchmarkExchangePartition/rows'          2  # PR 4: exchange row scatter, steady-state <= 2 per batch
 check 'BenchmarkExchangePartition/columnar'      2  # PR 9: columnar exchange frame (selection-vector Gather)
 check 'BenchmarkPartitionMergeRelease'           1  # PR 9: order-releasing root flush (1 = headroom)
-check 'BenchmarkStreamDelivery'                  2  # PR 5: cursor Next() per row, whole pipeline on the count
+check 'BenchmarkStreamDelivery/next'             1  # PR 17: cursor Next() per row = its clone, whole pipeline on the count
+check 'BenchmarkStreamDelivery/batch'            0  # PR 17: cursor NextBatch(), rows read on lent batches
 check 'BenchmarkFaultyNext'                      1  # PR 6: fault wrapper no-fault fast path (1 = Reset headroom)
 check 'BenchmarkRowEncode'                       0  # PR 7: per-row NDJSON encode into a reused buffer
 check 'BenchmarkDeltaPropagation/join'           2  # PR 10: z-set join re-probe per signed delta row
