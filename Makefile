@@ -37,14 +37,14 @@ test:
 	$(GO) test ./...
 
 # Fast perf smoke: hash-probe, batched/columnar-push, vectorized key
-# hashing, ordered merge-join, exchange-partitioning, and streaming
-# cursor delivery hot paths with allocation reporting (these back the PR
-# acceptance criteria). The exec join benches grow one hash table for the
+# hashing, ordered merge-join, aggregate absorb and partition-table fold,
+# exchange-partitioning, and streaming cursor delivery hot paths with
+# allocation reporting (these back the PR acceptance criteria). The exec join benches grow one hash table for the
 # whole run, so layouts are only comparable at equal iteration counts —
 # hence the fixed -benchtime.
 bench-perf:
 	$(GO) test -run='^$$' -bench='BenchmarkHashTableProbe' -benchmem ./internal/state/
-	$(GO) test -run='^$$' -bench='BenchmarkPipelinedJoinPush|BenchmarkMergeJoinPush|BenchmarkAggTableAbsorb|BenchmarkHashKeys|BenchmarkExchangePartition|BenchmarkPartitionMergeRelease|BenchmarkDeltaPropagation' -benchmem -benchtime=300000x ./internal/exec/
+	$(GO) test -run='^$$' -bench='BenchmarkPipelinedJoinPush|BenchmarkMergeJoinPush|BenchmarkAggTableAbsorb|BenchmarkAggTableMergeFrom|BenchmarkHashKeys|BenchmarkExchangePartition|BenchmarkPartitionMergeRelease|BenchmarkDeltaPropagation' -benchmem -benchtime=300000x ./internal/exec/
 	$(GO) test -run='^$$' -bench='BenchmarkStreamDelivery|BenchmarkFirstRow' -benchmem ./internal/engine/
 	$(GO) test -run='^$$' -bench='BenchmarkFaultyNext' -benchmem ./internal/source/
 	$(GO) test -run='^$$' -bench='BenchmarkRowEncode|BenchmarkServeQuery' -benchmem ./internal/server/
@@ -68,9 +68,11 @@ check-allocs:
 
 # Deterministic chaos suite under the race detector: seeded fault
 # schedules across all strategies and partition counts, pinning
-# recovered-fault runs to their fault-free baselines (PR 6).
+# recovered-fault runs to their fault-free baselines (PR 6) — and, since
+# they share the partition workers, the parallel-aggregation equivalence
+# matrix and the mid-phase cancellation tests (PR 18).
 chaos:
-	$(GO) test -race -count=1 -run='Fault|Chaos' ./internal/source/ ./internal/core/ ./internal/engine/
+	$(GO) test -race -count=1 -run='Fault|Chaos|ParallelAgg|CancelDuring' ./internal/source/ ./internal/core/ ./internal/engine/
 
 # Black-box smoke of the deployable server binary: build it, boot it on
 # a random port, stream a query, check /healthz + /metrics + SSE events,

@@ -171,10 +171,11 @@
 // clones on worker goroutines (partition-parallel execution). The
 // exchange placement follows the plan's key structure:
 //
-//	source ──scatter(join key)──▶ [clone 0: join ⋈ … agg γ] ──▶ merge ┐
-//	source ──scatter(join key)──▶ [clone 1: join ⋈ … agg γ] ──▶ merge ├─▶ output
-//	                                 │ exchange(new key) │            ┘
-//	                                 └──── cross-partition rows ──────┘
+//	source ──scatter(join key)──▶ [clone 0: join ⋈ … agg γ₀] ──┐ fold γ₀, γ₁ … into the
+//	source ──scatter(join key)──▶ [clone 1: join ⋈ … agg γ₁] ──┴▶ shared γ at phase end ─▶ output
+//	                                 │ exchange(new key) │
+//	                                 └─ cross-partition ─┘
+//	SPJ:                          [clone p: join ⋈ …] ──▶ ordered merge ───────────────▶ output
 //
 // Each source run is scattered at the driver on the key its consumer
 // joins or groups on (exec.Exchange); every partition owns a full clone
@@ -185,17 +186,30 @@
 // routes same-partition rows onward synchronously and ships the rest to
 // the owning worker over bounded channels.
 //
+// An aggregate query aggregates inside its partitions: each clone's root
+// join feeds a private AggTable on the clone's own context, nothing of
+// the join output is buffered, and when the phase has finished the driver
+// folds the P tables into the shared group-by in ascending partition
+// order (AggTable.MergeFrom: groups adopted or merged state by state,
+// one AggUpdate charge per group). Corrective runs fold at every phase
+// end, before the stitch-up. Only SPJ queries use the partition merge.
+//
 // The determinism contract: equal keys always land in the same
 // partition, so the union of the clones' outputs is exactly the serial
-// plan's output multiset, per-operator counters sum to the serial
-// totals, and aggregate results are identical (each group lives in
-// exactly one partition). Root output is merged in ascending partition
-// order; global interleaving across partitions — and floating-point sums
-// folded from partition partials — may differ from the serial stream,
-// which is why equivalence is pinned as an order-insensitive multiset.
-// Per-partition clocks are reported in PhaseInfo.PartitionSeconds;
-// Report.VirtualSeconds advances to the slowest partition (the parallel
-// makespan) while CPUSeconds accumulates all partitions' charged work.
+// plan's output multiset and per-operator counters sum to the serial
+// totals. SPJ root output is merged in ascending partition order; global
+// interleaving across partitions may differ from the serial stream, which
+// is why SPJ equivalence is pinned as an order-insensitive multiset.
+// Aggregate groups, counts, min and max equal the serial run's exactly
+// and are emitted in the same order; a float sum keeps the bits a serial
+// absorb of the clones' root rows would give it wherever its group lives
+// in one partition of a one-phase run, and differs by reassociation only
+// (a fixed order of per-partition, per-phase sums) where the group spans
+// partitions or phases.
+// Per-partition clocks are reported in PhaseInfo.PartitionSeconds (the
+// partition's aggregate work included); Report.VirtualSeconds advances to
+// the slowest partition (the parallel makespan) while CPUSeconds
+// accumulates all partitions' charged work.
 // The corrective monitor still runs: polls happen at quiesce points
 // (every in-flight batch fully absorbed — the §4.1 "consistent state"),
 // so plan switching and stitch-up compose with partitioned phases.

@@ -94,8 +94,10 @@ type Options struct {
 	// Partitions runs each phase as this many hash-partitioned pipeline
 	// clones on worker goroutines (partition-parallel execution): source
 	// runs scatter on the consumer's join/group key, every partition runs
-	// the full adaptive pipeline over its share with private state, and a
-	// deterministic partition-ordered merge collects root output.
+	// the full adaptive pipeline over its share with private state —
+	// an aggregate query's final group-by included, folded into the shared
+	// one in partition order at each phase end — and a deterministic
+	// partition-ordered merge collects SPJ root output.
 	// <= 1 executes serially (the default). Plans with no partitionable
 	// shape (single-relation queries) and the PlanPartition strategy fall
 	// back to serial execution automatically.
@@ -153,8 +155,9 @@ type PhaseInfo struct {
 	Delivered int64
 	Seconds   float64 // virtual seconds spent in this phase
 	// PartitionSeconds reports the virtual seconds each partition
-	// pipeline spent in this phase (partition-parallel runs only); the
-	// phase's Seconds covers the slowest partition — the makespan. When
+	// pipeline spent in this phase (partition-parallel runs only), its
+	// share of an aggregate query's group-by included; the phase's
+	// Seconds covers the slowest partition — the makespan. When
 	// the plan repartitions mid-pipeline, cross-partition message
 	// interleaving makes these readings scheduling-dependent diagnostics
 	// (see exec.ParallelDriver.FoldClocks); results and counters stay
@@ -719,14 +722,17 @@ func (ex *executor) runPhase(root algebra.Plan) (exhausted bool, next algebra.Pl
 // lowered into Options.Partitions pipeline clones (LowerPartitioned), an
 // exec.ParallelDriver scatters each source run across one worker per
 // partition, and the corrective monitor polls at quiesce points — the
-// parallel analogue of §4.1's consistent suspension state. Root output
-// merges into the shared aggregate / result collector in deterministic
-// partition order after the pipelines finish. Plans without a
+// parallel analogue of §4.1's consistent suspension state. An aggregate
+// query aggregates inside its partitions: each clone's root join feeds a
+// private AggTable on the clone's own context, and the P tables fold into
+// the shared one group by group once the phase has finished — state in
+// proportion to the groups, never to the join output. SPJ root output
+// merges into the result in deterministic partition order. Plans without a
 // partitionable shape degrade to the serial runPhase.
 func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next algebra.Plan, err error) {
 	parts := ex.o.Partitions
-	merge := exec.NewPartitionMerge(parts)
-	pt, lerr := lowerPartitioned(parts, ex.ctx.Cost, root, merge, ex.stitches())
+	roots, merge, tables := ex.partitionRoots(root, parts)
+	pt, lerr := lowerPartitioned(parts, ex.ctx.Cost, root, roots, ex.stitches())
 	if lerr != nil {
 		return ex.runPhase(root)
 	}
@@ -737,9 +743,11 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 		BaseParts: map[string]*state.List{},
 		Interm:    map[string]*state.List{},
 	}
-	sink, err := ex.outputSink(root)
-	if err != nil {
-		return false, nil, err
+	var sink exec.Sink // where the merge releases SPJ rows
+	if merge != nil {
+		if sink, err = ex.outputSink(root); err != nil {
+			return false, nil, err
+		}
 	}
 	rels := make([]string, len(ex.q.Relations))
 	for i, r := range ex.q.Relations {
@@ -781,13 +789,10 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 		// of holding everything for the phase-end drain. SPJ first rows
 		// therefore reach the client mid-phase, exactly as in a serial
 		// phase; the total order is unchanged (the prefix property).
-		// Aggregate queries skip the early release: their output only
-		// exists at final emit, and absorbing mid-phase would perturb the
-		// shared table's clock interleaving for no observable benefit.
-		if ex.agg == nil {
+		if merge != nil {
 			merge.ReleasePrefix(sink)
-			ex.flushRows()
 		}
+		ex.flushRows()
 		ex.recordObservations(pt.JoinViews(), leaves, phasePassed)
 		if next, ok := ex.monitorStep(root, pd.Delivered(), pt.CollisionFactor()); ok {
 			switchTo = next
@@ -806,9 +811,20 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 	pd.Finish()
 	pd.Close()
 	// Fold partition clocks (makespan + total CPU) into the main clock,
-	// then merge root output into the shared sink in partition order.
+	// then — on this goroutine, in ascending partition order — merge SPJ
+	// root output into the result, or the partitions' aggregate tables into
+	// the shared one. Both orders are fixed, so a group confined to one
+	// partition ends with the very sum its partition computed, and a group
+	// spanning several adds their sums in the same order every run.
 	pd.FoldClocks()
-	merge.Drain(sink)
+	if merge != nil {
+		merge.Drain(sink)
+	}
+	for _, t := range tables {
+		if err := ex.agg.MergeFrom(t); err != nil {
+			return false, nil, err
+		}
+	}
 	ex.recordObservations(pt.JoinViews(), leaves, phasePassed)
 	for _, l := range leaves {
 		ex.consumed[l.Provider.Name()] += float64(l.Read)
@@ -897,29 +913,57 @@ func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed m
 // outputSink adapts a phase tree's root layout into the shared group-by
 // operator (raw or partial form) or the run's SPJ result rows.
 func (ex *executor) outputSink(root algebra.Plan) (exec.Sink, error) {
-	rootSchema := root.Schema()
 	if ex.agg != nil {
-		if planHasPreAgg(root) {
-			ad, err := types.NewAdapter(rootSchema, ex.agg.PartialSchema())
-			if err != nil {
-				return nil, err
-			}
-			return &aggSink{agg: ex.agg, ad: ad, partial: true}, nil
-		}
-		ad, err := types.NewAdapter(rootSchema, ex.fullSchema)
-		if err != nil {
-			return nil, err
-		}
-		if ad.IsIdentity() {
-			return ex.agg, nil
-		}
-		return &aggSink{agg: ex.agg, ad: ad}, nil
+		return ex.aggregateSink(ex.agg, root)
 	}
-	ad, err := types.NewAdapter(rootSchema, ex.outSchema)
+	ad, err := types.NewAdapter(root.Schema(), ex.outSchema)
 	if err != nil {
 		return nil, err
 	}
 	return &rootSink{ctx: ex.ctx, ad: ad, out: ex.out, cost: true}, nil
+}
+
+// aggregateSink adapts root's layout into agg — the shared group-by or a
+// partition's private table of the same shape — in partial form when the
+// plan pre-aggregates, raw otherwise.
+func (ex *executor) aggregateSink(agg *exec.AggTable, root algebra.Plan) (exec.Sink, error) {
+	if planHasPreAgg(root) {
+		ad, err := types.NewAdapter(root.Schema(), agg.PartialSchema())
+		if err != nil {
+			return nil, err
+		}
+		return &aggSink{agg: agg, ad: ad, partial: true}, nil
+	}
+	ad, err := types.NewAdapter(root.Schema(), ex.fullSchema)
+	if err != nil {
+		return nil, err
+	}
+	if ad.IsIdentity() {
+		return agg, nil
+	}
+	return &aggSink{agg: agg, ad: ad}, nil
+}
+
+// partitionRoots decides where the clones of one parallel phase deliver
+// their root output. An SPJ query's rows go to a PartitionMerge, whose
+// partition order is the result order. An aggregate query's go to one
+// private AggTable per partition, built on that partition's context so it
+// charges that partition's clock; the caller folds tables into the shared
+// group-by when the phase ends and drops them if it is canceled.
+func (ex *executor) partitionRoots(root algebra.Plan, parts int) (roots rootSinks, merge *exec.PartitionMerge, tables []*exec.AggTable) {
+	if ex.agg == nil {
+		merge = exec.NewPartitionMerge(parts)
+		return mergeRoots(merge), merge, nil
+	}
+	tables = make([]*exec.AggTable, parts)
+	return func(p int, ctx *exec.Context) (exec.Sink, error) {
+		t, err := exec.NewAggTable(ctx, ex.fullSchema, ex.q.GroupBy, ex.q.Aggs)
+		if err != nil {
+			return nil, err
+		}
+		tables[p] = t
+		return ex.aggregateSink(t, root)
+	}, nil, tables
 }
 
 // stitches reports whether a stitch-up can ever read what a phase leaves

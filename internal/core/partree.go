@@ -30,8 +30,16 @@ import (
 //
 // Equal join keys land in the same partition, so the union of the clones'
 // outputs is exactly the serial plan's output multiset and per-operator
-// counters sum to the serial totals; an aggregation boundary keyed on the
-// group-by columns keeps every group in exactly one partition.
+// counters sum to the serial totals; a pre-aggregation boundary keyed on
+// its group columns keeps every partial group in exactly one partition.
+//
+// Where a clone's root output goes is the caller's choice (rootSinks): an
+// SPJ phase hands every clone a buffer of one exec.PartitionMerge, whose
+// partition order is the result order; an aggregate phase hands clone p a
+// private exec.AggTable on p's own context, so the final group-by runs
+// inside the partitions — a group may then live in several of them, when
+// the group key does not cover the root join's partition key — and the
+// tables fold into the shared one after the phase (exec.AggTable.MergeFrom).
 type ParTree struct {
 	// P is the partition count.
 	P int
@@ -117,12 +125,21 @@ func (pl *parLowering) sink(child algebra.Plan, keyCols []int, down exec.Sink) (
 // join/group consumer to key on — in which case callers fall back to the
 // serial Lower path.
 func LowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, merge *exec.PartitionMerge) (*ParTree, error) {
-	return lowerPartitioned(parts, cost, plan, merge, false)
+	return lowerPartitioned(parts, cost, plan, mergeRoots(merge), false)
 }
 
-// lowerPartitioned is LowerPartitioned with lower's reuse choice applied
-// to every clone.
-func lowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, merge *exec.PartitionMerge, reuse bool) (*ParTree, error) {
+// rootSinks makes partition p's root sink; whatever it builds runs on p's
+// worker and charges p's context.
+type rootSinks func(p int, ctx *exec.Context) (exec.Sink, error)
+
+// mergeRoots delivers every partition's root output to its buffer of merge.
+func mergeRoots(merge *exec.PartitionMerge) rootSinks {
+	return func(p int, _ *exec.Context) (exec.Sink, error) { return merge.Sink(p), nil }
+}
+
+// lowerPartitioned is LowerPartitioned with the clones' root sinks made by
+// roots and lower's reuse choice applied to every clone.
+func lowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, roots rootSinks, reuse bool) (*ParTree, error) {
 	if parts < 2 {
 		return nil, fmt.Errorf("core: partitioned lowering needs >= 2 partitions, got %d", parts)
 	}
@@ -142,7 +159,11 @@ func lowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, merge 
 			nrels:      len(plan.Rels()),
 			par:        &parLowering{pt: pt, p: p},
 		}
-		if err := t.build(plan, merge.Sink(p)); err != nil {
+		out, err := roots(p, ctx)
+		if err != nil {
+			return nil, err
+		}
+		if err := t.build(plan, out); err != nil {
 			return nil, err
 		}
 		if p == 0 {

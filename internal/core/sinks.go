@@ -6,17 +6,19 @@ import (
 	"github.com/tukwila/adp/internal/types"
 )
 
-// aggSink adapts a phase tree's root layout into a shared AggTable —
-// AbsorbRaw for full-layout tuples, AbsorbPartial for pre-aggregated
-// partials. Absorption does not retain the pushed tuple, so adaptation
-// reuses one scratch tuple (types.Adapter.AdaptInto): the sink performs
-// zero steady-state allocations, tuple-at-a-time, batched, or columnar.
+// aggSink adapts a root layout — a phase tree's, the stitch-up's — into an
+// AggTable: AbsorbRaw for full-layout tuples, AbsorbPartial for
+// pre-aggregated partials. Absorption does not retain the pushed tuple, so
+// adaptation reuses one scratch tuple (types.Adapter.AdaptInto): the sink
+// performs zero steady-state allocations, tuple-at-a-time, batched, or
+// columnar.
 type aggSink struct {
 	agg     *exec.AggTable
 	ad      *types.Adapter
 	partial bool
 	scratch types.Tuple
-	rowView types.Tuple // columnar-entry row view (never retained)
+	rowView types.Tuple     // partial-layout columnar entry: row view (never retained)
+	colView *types.ColBatch // raw-layout columnar entry: adapted columns (alias the input)
 }
 
 // CopiesInput implements exec.InputCopier.
@@ -39,12 +41,23 @@ func (s *aggSink) PushBatch(ts []types.Tuple) {
 	}
 }
 
-// PushColBatch implements exec.ColBatchSink: rows are viewed through a
-// reused scratch tuple (absorption never retains its input), so the
-// columnar entry is allocation-free like the row paths.
+// PushColBatch implements exec.ColBatchSink. A raw-layout frame stays
+// columnar: the adapter permutes its columns without copying a value and
+// the table routes the whole frame off one hash vector — the same groups,
+// counters and charges, row for row, as pushing the rows. The table has no
+// columnar entry for partials, so those are viewed row by row through a
+// reused scratch tuple.
 func (s *aggSink) PushColBatch(b *types.ColBatch) {
 	n := b.Len()
 	if n == 0 {
+		return
+	}
+	if !s.partial {
+		if s.colView == nil {
+			s.colView = types.NewColBatch(s.ad.To().Len())
+		}
+		s.ad.AdaptCols(s.colView, b)
+		s.agg.PushColBatch(s.colView)
 		return
 	}
 	w := b.Width()

@@ -1,7 +1,11 @@
 package exec
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"github.com/tukwila/adp/internal/algebra"
@@ -339,17 +343,113 @@ func (a *AggTable) AbsorbPartialBatch(ts []types.Tuple) {
 	}
 }
 
-// EmitFinal produces the final aggregate relation, sorted by group values
-// for determinism, and charges output costs.
-func (a *AggTable) EmitFinal() []types.Tuple {
+var (
+	errMergeMaintained = errors.New("exec: MergeFrom on a maintenance-mode AggTable")
+	errMergeShape      = errors.New("exec: MergeFrom between AggTables of different grouping or aggregates")
+)
+
+// MergeFrom folds src — a table of the same grouping and aggregates, such as
+// a partition clone's private one — into a, state by state: a group a has
+// not seen is adopted as it stands, a group both hold merges its aggregate
+// states into a's. a is charged as if it had absorbed src's EmitPartial
+// rows (one AggUpdate and one In per group of src) without any partial
+// tuple being built or sorted. src's groups become a's: src must not be
+// used afterwards.
+//
+//adp:hotpath gated by BenchmarkAggTableMergeFrom (scripts/check_allocs.sh)
+func (a *AggTable) MergeFrom(src *AggTable) error {
+	if a.maint || src.maint {
+		// Maintenance groups carry weights and value bags that state-wise
+		// merging would not combine.
+		return errMergeMaintained
+	}
+	if len(src.groupIdx) != len(a.groupIdx) || !slices.EqualFunc(src.aggs, a.aggs,
+		func(x, y algebra.AggSpec) bool { return x.Kind == y.Kind }) {
+		return errMergeShape
+	}
+	// No order of chains can show in a or its clock: chains of different
+	// hashes never meet, a group of a merges with at most one group of src,
+	// and the clock adds the same charge once per group.
+	//adp:unordered-ok see above
+	for hash, chain := range src.groups {
+		for range chain {
+			a.counters.In++
+			a.ctx.Clock.Charge(a.ctx.Cost.AggUpdate)
+		}
+		mine := a.groups[hash]
+		if len(mine) == 0 {
+			a.groups[hash] = chain
+			a.nGroups += len(chain)
+			continue
+		}
+	adopt:
+		for _, g := range chain {
+			for _, have := range mine {
+				if strictEqualVals(have.groupVals, g.groupVals) {
+					for i, spec := range a.aggs {
+						have.states[i].merge(spec.Kind, g.states[i])
+					}
+					continue adopt
+				}
+			}
+			a.groups[hash] = append(a.groups[hash], g) //adp:alloc-ok a hash collision between distinct groups
+			a.nGroups++
+		}
+	}
+	return nil
+}
+
+// compareGroupVals is the emit order of groups: CompareKey's order wherever
+// that decides, made total so that every pair of distinct groups has one
+// order. Group identity is strict (types.StrictEqual), but Compare ties
+// Int(k) with Float(k) and +0 with -0, and calls NaN equal to every number;
+// NaN therefore sorts after all other numbers, and a remaining tie falls to
+// the kind, then to the payload bits.
+func compareGroupVals(a, b []types.Value) int {
+	for i := range a {
+		x, y := a[i], b[i]
+		xNaN := x.K == types.KindFloat && math.IsNaN(x.F)
+		yNaN := y.K == types.KindFloat && math.IsNaN(y.F)
+		switch {
+		case xNaN && yNaN:
+			continue // one group: every NaN is the same key
+		case xNaN && (y.K == types.KindInt || y.K == types.KindFloat):
+			return 1
+		case yNaN && (x.K == types.KindInt || x.K == types.KindFloat):
+			return -1
+		}
+		if c := types.Compare(x, y); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.K, y.K); c != 0 {
+			return c
+		}
+		// Same kind and Compare-equal: only floats can still differ (±0).
+		if x.K == types.KindFloat {
+			if c := cmp.Compare(math.Float64bits(x.F), math.Float64bits(y.F)); c != 0 {
+				return c
+			}
+		}
+	}
+	return 0
+}
+
+// sortedGroups returns the table's groups in emit order. The order is a
+// function of the group values alone, never of map iteration or of the
+// order groups were created in.
+func (a *AggTable) sortedGroups() []*aggGroup {
 	gs := make([]*aggGroup, 0, a.nGroups)
 	for _, chain := range a.groups {
 		gs = append(gs, chain...)
 	}
-	idx := types.Identity(len(a.groupIdx))
-	sort.Slice(gs, func(i, j int) bool {
-		return types.CompareKey(types.Tuple(gs[i].groupVals), idx, types.Tuple(gs[j].groupVals), idx) < 0
-	})
+	slices.SortFunc(gs, func(x, y *aggGroup) int { return compareGroupVals(x.groupVals, y.groupVals) })
+	return gs
+}
+
+// EmitFinal produces the final aggregate relation, sorted by group values
+// for determinism, and charges output costs.
+func (a *AggTable) EmitFinal() []types.Tuple {
+	gs := a.sortedGroups()
 	out := make([]types.Tuple, 0, len(gs))
 	for _, g := range gs {
 		t := make(types.Tuple, 0, len(g.groupVals)+len(a.aggs))
@@ -369,14 +469,7 @@ func (a *AggTable) EmitFinal() []types.Tuple {
 // partials is exactly the paper's "traditional pre-aggregation" operator
 // (§6): correct, but unpipelined.
 func (a *AggTable) EmitPartial() []types.Tuple {
-	gs := make([]*aggGroup, 0, a.nGroups)
-	for _, chain := range a.groups {
-		gs = append(gs, chain...)
-	}
-	idx := types.Identity(len(a.groupIdx))
-	sort.Slice(gs, func(i, j int) bool {
-		return types.CompareKey(types.Tuple(gs[i].groupVals), idx, types.Tuple(gs[j].groupVals), idx) < 0
-	})
+	gs := a.sortedGroups()
 	out := make([]types.Tuple, 0, len(gs))
 	for _, g := range gs {
 		t := make(types.Tuple, 0, len(g.groupVals)+len(a.aggs)+1)

@@ -45,6 +45,7 @@ check 'BenchmarkPipelinedJoinPush/columnar-wide' 2  # PR 9: wide-schema columnar
 check 'BenchmarkHashKeys'                        0  # PR 3: vectorized hash kernel reuse path
 check 'BenchmarkMergeJoinPush/batch'             4  # PR 2: batched ordered merge join
 check 'BenchmarkAggTableAbsorb'                  1  # group-by absorb: zero steady-state (1 = headroom)
+check 'BenchmarkAggTableMergeFrom'               0  # PR 18: partition-table fold, groups adopted or already present
 check 'BenchmarkExchangePartition/rows'          2  # PR 4: exchange row scatter, steady-state <= 2 per batch
 check 'BenchmarkExchangePartition/columnar'      2  # PR 9: columnar exchange frame (selection-vector Gather)
 check 'BenchmarkPartitionMergeRelease'           1  # PR 9: order-releasing root flush (1 = headroom)
