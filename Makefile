@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint build test bench bench-perf check-fmt check-allocs check-bench fuzz-short examples chaos serve-smoke ci
+.PHONY: all vet lint build test bench bench-perf check-fmt check-allocs check-bench fuzz-short examples chaos serve-smoke loc ci
 
 all: ci
 
@@ -36,8 +36,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Fast perf smoke: hash-probe, batched/columnar-push, vectorized key
-# hashing, ordered merge-join, aggregate absorb and partition-table fold,
+# Fast perf smoke: hash-probe, join push (row batches, plus the columnar
+# kernel the benchmark's probes still time), vectorized key hashing,
+# ordered merge-join, aggregate absorb and partition-table fold,
 # exchange-partitioning, and streaming cursor delivery hot paths with
 # allocation reporting (these back the PR acceptance criteria). The exec join benches grow one hash table for the
 # whole run, so layouts are only comparable at equal iteration counts —
@@ -95,6 +96,13 @@ check-bench:
 			*) echo "check-bench: FAIL: $$w did not finish correct with 0 failed ops" >&2; exit 1 ;; \
 		esac; \
 	done
+
+# Go line counts per package and in total, non-test and test, outside
+# benchmark/ — the figure every PR states its delta of (ROADMAP, standing
+# constraints). `scripts/loc.sh <dir>` counts another checkout, e.g. a clone
+# of the parent commit.
+loc:
+	@./scripts/loc.sh
 
 # Full benchmark sweep (paper figures; slow).
 bench:

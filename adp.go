@@ -407,15 +407,11 @@ type ExecContext = exec.Context
 // NewExecContext creates a fresh context.
 var NewExecContext = exec.NewContext
 
-// Sink receives tuples from push operators.
+// Sink receives batches of tuples from push operators (see doc.go, "One
+// layout between operators"); a single tuple is a batch of one.
 type Sink = exec.Sink
 
-// BatchSink is the vectorized extension of Sink: operators that implement
-// it accept whole batches of tuples per call (see doc.go, "Batched push
-// execution").
-type BatchSink = exec.BatchSink
-
-// SinkFunc adapts a function to a Sink.
+// SinkFunc adapts a function over a batch of tuples to a Sink.
 type SinkFunc = exec.SinkFunc
 
 // ---- Plan cache ----------------------------------------------------------

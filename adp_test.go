@@ -175,13 +175,9 @@ func TestPublicAPIDatasetAndComplementaryJoin(t *testing.T) {
 		[]int{li.Schema.MustIndexOf("l_orderkey")},
 		[]int{ord.Schema.MustIndexOf("o_orderkey")},
 		adp.DefaultPQCap,
-		adp.SinkFunc(func(adp.Tuple) { n++ }))
-	for _, r := range li.Rows {
-		cj.PushLeft(r)
-	}
-	for _, r := range ord.Rows {
-		cj.PushRight(r)
-	}
+		adp.SinkFunc(func(ts []adp.Tuple) { n += len(ts) }))
+	cj.PushLeftBatch(li.Rows)
+	cj.PushRightBatch(ord.Rows)
 	cj.Finish()
 	if n != li.Len() {
 		t.Errorf("FK join output %d, want %d", n, li.Len())

@@ -120,24 +120,22 @@
 // run whose faults are all recovered yields exactly the fault-free rows,
 // across every strategy, serial and partition-parallel, under -race.
 //
-// # Batched push execution
+// # One layout between operators
 //
-// The execution engine is vectorized end to end: every hot-path operator
-// implements BatchSink (PushBatch([]Tuple)) in addition to the
-// tuple-at-a-time Sink — HashJoin and MergeJoin (both inputs, via
+// Unsigned rows travel between operators as row batches and in no other
+// form: Sink is the single method PushBatch([]Tuple), a lone tuple is a
+// batch of one, and SinkFunc adapts a function over a batch. Every
+// operator takes batches — HashJoin and MergeJoin (both inputs, via
 // LeftSink/RightSink), the ComplementaryJoin router (which groups
 // consecutive same-destination tuples into sub-batches for its merge and
 // hash components and batches the mini stitch-up's emits), Filter,
-// Project, Combine, Queue, AggTable, Pseudogroup, and WindowPreAgg; the
-// corrective stitch-up phase likewise delivers each combination's result
-// vector downstream in one call. The source driver groups consecutive
-// already-available tuples from the same source into batches, and each
-// lowered plan forwards batches end to end (operators without a batch
-// path degrade transparently to per-tuple Push). Batching is purely an
-// execution-efficiency layer: delivery order, operator counters, and
-// virtual-clock accounting are identical to tuple-at-a-time execution —
-// pinned by batch-vs-tuple equivalence tests with byte-identical output
-// order.
+// Project, Combine, Queue, AggTable, Pseudogroup, and WindowPreAgg — and
+// hands its consumer batches: a join delivers one input batch's (or one
+// drain's) results in one call, a windowed pre-aggregate the partials of
+// the windows one input batch filled, the corrective stitch-up each
+// combination's result vector. The source driver groups consecutive
+// already-available tuples from the same source into batches. How a
+// stream is cut into batches never shows in rows or counters.
 //
 // Within a batch the engine is allocation-free at steady state: join keys
 // are hashed once and shared between build-insert and probe
@@ -147,23 +145,18 @@
 // pipeline segment performs amortized O(1) allocations per tuple instead
 // of several.
 //
-// # Columnar batches
-//
-// On top of row batches, the engine speaks a columnar (struct-of-arrays)
-// layout: types.ColBatch stores a batch as per-column value arrays, and
-// operators that profit implement ColBatchSink (PushColBatch) — HashJoin,
-// AggTable, Filter, Project (zero-copy column aliasing via
-// Adapter.AdaptCols), and Combine — with automatic row-batch fallback for
-// everything else. The key machinery is vectorized over this layout:
-// types.HashKeys folds a batch's key columns column-at-a-time into one
-// reused hash vector (zero allocations), state.HashTable consumes that
-// vector via InsertHashedBatch and the ProbeHashedBatch probe driver, and
-// AggTable routes groups by hash plus strict value identity
-// (types.StrictEqual) instead of per-row key encoding. The source driver
-// prefers a leaf's columnar entry when the lowered plan exposes one
-// (Tree.EntryCol). Columnar delivery is, like row batching, semantically
-// invisible: tuple/rows/columnar equivalence tests pin byte-identical
-// output order and identical counters.
+// Rows, not columns, because every hash build retains its rows as tuples
+// (the paper's shareable state structures, §3.1, §3.4): a columnar frame
+// between two joins is transposed in at one and back out at the next, and
+// both end-to-end measurements of such wiring came out behind row batches
+// (docs/architecture.md has the numbers). The columnar layout —
+// types.ColBatch, per-column value arrays, with types.HashKeys folding a
+// batch's key columns into one reused hash vector that state.HashTable
+// (InsertHashedBatch, ProbeHashedBatch) and AggTable group routing spend —
+// is what signed traffic runs on: a standing query's deltas are ColBatches
+// with a sign (DeltaSink.PushDelta), see "Standing queries". It also backs
+// the partition merge's buffers, and a few unsigned columnar kernels that
+// only the benchmark's probes still call.
 //
 // # Parallel execution
 //

@@ -42,15 +42,17 @@ func runHash(li, ord *adp.Relation, lKey, oKey []int) float64 {
 	ctx := adp.NewExecContext()
 	n := 0
 	j := adp.NewHashJoin(ctx, adp.JoinPipelined, li.Schema, ord.Schema, lKey, oKey,
-		adp.SinkFunc(func(adp.Tuple) { n++ }))
+		adp.SinkFunc(func(ts []adp.Tuple) { n += len(ts) }))
+	// The two inputs arrive interleaved, a row at a time: a single tuple is
+	// a batch of one.
 	i, k := 0, 0
 	for i < len(li.Rows) || k < len(ord.Rows) {
 		if i < len(li.Rows) {
-			j.PushLeft(li.Rows[i])
+			j.PushLeftBatch(li.Rows[i : i+1])
 			i++
 		}
 		if k < len(ord.Rows) {
-			j.PushRight(ord.Rows[k])
+			j.PushRightBatch(ord.Rows[k : k+1])
 			k++
 		}
 	}
@@ -66,15 +68,15 @@ func runPair(li, ord *adp.Relation, lKey, oKey []int, pqCap int) (float64, adp.C
 	ctx := adp.NewExecContext()
 	n := 0
 	cj := adp.NewComplementaryJoin(ctx, li.Schema, ord.Schema, lKey, oKey, pqCap,
-		adp.SinkFunc(func(adp.Tuple) { n++ }))
+		adp.SinkFunc(func(ts []adp.Tuple) { n += len(ts) }))
 	i, k := 0, 0
 	for i < len(li.Rows) || k < len(ord.Rows) {
 		if i < len(li.Rows) {
-			cj.PushLeft(li.Rows[i])
+			cj.PushLeftBatch(li.Rows[i : i+1])
 			i++
 		}
 		if k < len(ord.Rows) {
-			cj.PushRight(ord.Rows[k])
+			cj.PushRightBatch(ord.Rows[k : k+1])
 			k++
 		}
 	}

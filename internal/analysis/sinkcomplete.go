@@ -4,53 +4,20 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
-	"go/types"
 )
 
-// SinkCompleteAnalyzer enforces the fallback-chain contract of the sink
-// protocol (PRs 1–3): the driver downgrades delivery dynamically
-// (columnar batch → row batch → row), so a type that advertises the
-// columnar entry must also carry the row-batch and row entries —
-// otherwise a plan shape that happens to trigger the fallback panics at
-// runtime. Concretely, a named type with a PushColBatch method must
-// also have PushBatch and Push, and one with PushBatch must have Push.
-//
-// It also checks that every Push*Batch body tolerates empty input: the
-// drivers flush zero-length runs at phase and fault boundaries, so
-// indexing the batch with a constant before a length guard is a latent
-// panic.
+// SinkCompleteAnalyzer checks that every sink entry tolerates empty input:
+// the drivers flush zero-length runs at phase and fault boundaries, so a
+// PushBatch or PushColBatch body that indexes its batch with a constant
+// before a length guard is a latent panic. That a sink has its entries at
+// all needs no analyzer: exec.Sink is PushBatch, so the compiler checks it.
 var SinkCompleteAnalyzer = &Analyzer{
 	Name: "sinkcomplete",
-	Doc:  "sink types must implement the full fallback chain and tolerate empty batches",
+	Doc:  "sink batch entries must tolerate empty batches",
 	Run:  runSinkComplete,
 }
 
 func runSinkComplete(pass *Pass) error {
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		if _, isIface := named.Underlying().(*types.Interface); isIface {
-			// Interfaces state requirements; the contract binds the
-			// concrete implementations (exec.ColBatchSink itself embeds
-			// Sink already).
-			continue
-		}
-		ms := types.NewMethodSet(types.NewPointer(named))
-		has := func(m string) bool { return hasExportedMethod(ms, m) }
-		switch {
-		case has("PushColBatch") && (!has("PushBatch") || !has("Push")):
-			pass.Reportf(tn.Pos(), "%s implements PushColBatch but not the full sink fallback chain (needs PushBatch and Push); the driver downgrades delivery dynamically", name)
-		case has("PushBatch") && !has("Push"):
-			pass.Reportf(tn.Pos(), "%s implements PushBatch but not Push; the driver downgrades delivery dynamically", name)
-		}
-	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -63,18 +30,6 @@ func runSinkComplete(pass *Pass) error {
 		}
 	}
 	return nil
-}
-
-// hasExportedMethod double-checks a method set lookup across package
-// boundaries: MethodSet.Lookup is package-scoped for unexported names,
-// and the sink protocol's methods are all exported, so scan directly.
-func hasExportedMethod(ms *types.MethodSet, name string) bool {
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == name {
-			return true
-		}
-	}
-	return false
 }
 
 // checkEmptyTolerant flags constant-index access to the batch parameter

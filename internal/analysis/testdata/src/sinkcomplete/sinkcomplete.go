@@ -1,6 +1,5 @@
-// Corpus for the sinkcomplete analyzer: the sink fallback-chain
-// contract (PushColBatch ⇒ PushBatch ⇒ Push) and empty-batch tolerance
-// of Push*Batch entries.
+// Corpus for the sinkcomplete analyzer: empty-batch tolerance of the sink
+// entries (PushBatch, PushColBatch).
 package sinkcomplete
 
 type Tuple []int
@@ -9,31 +8,9 @@ type ColBatch struct{ n int }
 
 func (b *ColBatch) Len() int { return b.n }
 
-// full implements the whole chain: true negative.
-type full struct{ rows int }
-
-func (f *full) Push(t Tuple) { f.rows++ }
-func (f *full) PushBatch(ts []Tuple) {
-	for range ts {
-		f.rows++
-	}
-}
-func (f *full) PushColBatch(b *ColBatch) { f.rows += b.Len() }
-
-// colOnly advertises the columnar entry without the row fallbacks.
-type colOnly struct{} // want `colOnly implements PushColBatch but not the full sink fallback chain`
-
-func (colOnly) PushColBatch(b *ColBatch) {}
-
-// batchOnly has the row-batch entry but no per-row fallback.
-type batchOnly struct{} // want `batchOnly implements PushBatch but not Push`
-
-func (batchOnly) PushBatch(ts []Tuple) {}
-
 // headPeek indexes the batch before checking emptiness.
 type headPeek struct{ last Tuple }
 
-func (h *headPeek) Push(t Tuple) { h.last = t }
 func (h *headPeek) PushBatch(ts []Tuple) {
 	h.last = ts[0] // want `PushBatch indexes its batch parameter before any length guard`
 }
@@ -41,7 +18,6 @@ func (h *headPeek) PushBatch(ts []Tuple) {
 // guarded checks first: true negative.
 type guarded struct{ last Tuple }
 
-func (g *guarded) Push(t Tuple) { g.last = t }
 func (g *guarded) PushBatch(ts []Tuple) {
 	if len(ts) == 0 {
 		return
@@ -49,20 +25,28 @@ func (g *guarded) PushBatch(ts []Tuple) {
 	g.last = ts[0]
 }
 
+// lateGuard checks only after it has indexed.
+type lateGuard struct{ last Tuple }
+
+func (g *lateGuard) PushBatch(ts []Tuple) {
+	g.last = ts[0] // want `PushBatch indexes its batch parameter before any length guard`
+	if len(ts) == 1 {
+		return
+	}
+}
+
 // looper indexes only with the loop variable: inherently bounded.
 type looper struct{ sum int }
 
-func (l *looper) Push(t Tuple) {}
 func (l *looper) PushBatch(ts []Tuple) {
 	for i := range ts {
 		l.sum += len(ts[i])
 	}
 }
 
-// colGuard peeks the columnar batch behind a Len() guard: true negative.
+// colGuard reads the columnar batch behind a Len() guard: true negative.
 type colGuard struct{ n int }
 
-func (c *colGuard) Push(t Tuple)         {}
 func (c *colGuard) PushBatch(ts []Tuple) {}
 func (c *colGuard) PushColBatch(b *ColBatch) {
 	if b.Len() == 0 {

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/tukwila/adp/internal/core"
 	"github.com/tukwila/adp/internal/exec"
@@ -55,10 +54,10 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		cj := core.NewComplementaryJoin(ctx, li.Schema, ord.Schema,
 			[]int{li.Schema.MustIndexOf("l_orderkey")},
 			[]int{ord.Schema.MustIndexOf("o_orderkey")},
-			pq, exec.SinkFunc(func(types.Tuple) { n++ }))
+			pq, exec.SinkFunc(func(ts []types.Tuple) { n += int64(len(ts)) }))
 		d := exec.NewDriver(ctx,
-			&exec.Leaf{Provider: source.NewProvider(li, nil), Push: cj.PushLeft, PushBatch: cj.PushLeftBatch, PushColBatch: cj.PushLeftColBatch},
-			&exec.Leaf{Provider: source.NewProvider(ord, nil), Push: cj.PushRight, PushBatch: cj.PushRightBatch, PushColBatch: cj.PushRightColBatch},
+			&exec.Leaf{Provider: source.NewProvider(li, nil), PushBatch: cj.PushLeftBatch},
+			&exec.Leaf{Provider: source.NewProvider(ord, nil), PushBatch: cj.PushRightBatch},
 		)
 		d.Run(0, nil)
 		cj.Finish()
@@ -69,70 +68,6 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 			Setting:    fmt.Sprintf("%d", pq),
 			Seconds:    ctx.Clock.Now,
 			Detail:     fmt.Sprintf("merge-routed=%.1f%% out=%d", mergeFrac*100, n),
-		})
-	}
-
-	// 2b. Batch layout: tuple-at-a-time vs row batches vs columnar
-	// (struct-of-arrays) delivery of the pipelined hash join. Virtual
-	// seconds must coincide (the layouts are semantically identical);
-	// Detail reports real wall clock, where batching beats per-tuple
-	// delivery and the columnar path trades a driver-side transpose for
-	// vectorized key kernels (a wash on this narrow two-column schema).
-	for _, layout := range []string{"tuple", "rows", "columnar"} {
-		ctx := exec.NewContext()
-		var n int64
-		j := exec.NewHashJoin(ctx, exec.Pipelined, uni.Lineitem.Schema, uni.Orders.Schema,
-			[]int{uni.Lineitem.Schema.MustIndexOf("l_orderkey")},
-			[]int{uni.Orders.Schema.MustIndexOf("o_orderkey")},
-			exec.SinkFunc(func(types.Tuple) { n++ }))
-		ll := &exec.Leaf{Provider: source.NewProvider(uni.Lineitem, nil), Push: j.PushLeft}
-		ol := &exec.Leaf{Provider: source.NewProvider(uni.Orders, nil), Push: j.PushRight}
-		switch layout {
-		case "rows":
-			ll.PushBatch, ol.PushBatch = j.PushLeftBatch, j.PushRightBatch
-		case "columnar":
-			ll.PushColBatch, ol.PushColBatch = j.PushLeftColBatch, j.PushRightColBatch
-		}
-		start := time.Now()
-		exec.NewDriver(ctx, ll, ol).Run(0, nil)
-		j.FinishLeft()
-		j.FinishRight()
-		out = append(out, AblationRow{
-			Experiment: "batch-layout",
-			Setting:    layout,
-			Seconds:    ctx.Clock.Now,
-			Detail:     fmt.Sprintf("wall=%v out=%d", time.Since(start).Round(time.Microsecond), n),
-		})
-	}
-
-	// 2b-wide. The same layout sweep over a wide (12-column-per-side)
-	// synthetic join, where layout dominates: the columnar path's
-	// gather-emit into reused output vectors avoids materializing
-	// 24-slot rows entirely and should beat row batches by ≥20% wall
-	// clock (the PR 9 acceptance target), not merely tie.
-	wideL, wideR := wideJoinRelations(1<<15, cfg.Seed+3)
-	for _, layout := range []string{"tuple", "rows", "columnar"} {
-		ctx := exec.NewContext()
-		var n int64
-		j := exec.NewHashJoin(ctx, exec.Pipelined, wideL.Schema, wideR.Schema,
-			[]int{0}, []int{0}, exec.SinkFunc(func(types.Tuple) { n++ }))
-		ll := &exec.Leaf{Provider: source.NewProvider(wideL, nil), Push: j.PushLeft}
-		rl := &exec.Leaf{Provider: source.NewProvider(wideR, nil), Push: j.PushRight}
-		switch layout {
-		case "rows":
-			ll.PushBatch, rl.PushBatch = j.PushLeftBatch, j.PushRightBatch
-		case "columnar":
-			ll.PushColBatch, rl.PushColBatch = j.PushLeftColBatch, j.PushRightColBatch
-		}
-		start := time.Now()
-		exec.NewDriver(ctx, ll, rl).Run(0, nil)
-		j.FinishLeft()
-		j.FinishRight()
-		out = append(out, AblationRow{
-			Experiment: "batch-layout-wide",
-			Setting:    layout,
-			Seconds:    ctx.Clock.Now,
-			Detail:     fmt.Sprintf("wall=%v out=%d cols=%d", time.Since(start).Round(time.Microsecond), n, wideL.Schema.Len()*2),
 		})
 	}
 
@@ -165,7 +100,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		ctx := exec.NewContext()
 		var partials int64
 		pre, err := exec.NewWindowPreAgg(ctx, liS, groupBy, aggs,
-			exec.SinkFunc(func(types.Tuple) { partials++ }))
+			exec.SinkFunc(func(ts []types.Tuple) { partials += int64(len(ts)) }))
 		if err != nil {
 			return nil, err
 		}
@@ -173,9 +108,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		if setting.fixed {
 			pre.GrowBelow, pre.ShrinkAbove = -1, 2 // never adapt
 		}
-		for _, r := range uni.Lineitem.Rows {
-			pre.Push(r)
-		}
+		pre.PushBatch(uni.Lineitem.Rows)
 		pre.Finish()
 		out = append(out, AblationRow{
 			Experiment: "window-policy",

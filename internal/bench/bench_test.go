@@ -206,7 +206,7 @@ func TestAblationsRun(t *testing.T) {
 			t.Errorf("%s/%s: no time recorded", r.Experiment, r.Setting)
 		}
 	}
-	for _, e := range []string{"poll-interval", "pq-length", "batch-layout", "batch-layout-wide", "window-policy", "stitch-reuse"} {
+	for _, e := range []string{"poll-interval", "pq-length", "window-policy", "stitch-reuse"} {
 		if exps[e] < 2 {
 			t.Errorf("experiment %s has %d rows", e, exps[e])
 		}

@@ -65,7 +65,7 @@ func Figure5(cfg Config) ([]Fig5Result, error) {
 func runFig5Cell(li, ord *source.Relation, strat string) (*Fig5Result, error) {
 	ctx := exec.NewContext()
 	res := &Fig5Result{Strategy: strat}
-	count := exec.SinkFunc(func(types.Tuple) { res.Output++ })
+	count := exec.SinkFunc(func(ts []types.Tuple) { res.Output += int64(len(ts)) })
 
 	lKey := []int{li.Schema.MustIndexOf("l_orderkey")}
 	oKey := []int{ord.Schema.MustIndexOf("o_orderkey")}
@@ -76,8 +76,8 @@ func runFig5Cell(li, ord *source.Relation, strat string) (*Fig5Result, error) {
 	case "hash":
 		j := exec.NewHashJoin(ctx, exec.Pipelined, li.Schema, ord.Schema, lKey, oKey, count)
 		d := exec.NewDriver(ctx,
-			&exec.Leaf{Provider: lp, Push: j.PushLeft, PushBatch: j.PushLeftBatch, PushColBatch: j.PushLeftColBatch},
-			&exec.Leaf{Provider: op, Push: j.PushRight, PushBatch: j.PushRightBatch, PushColBatch: j.PushRightColBatch},
+			&exec.Leaf{Provider: lp, PushBatch: j.PushLeftBatch},
+			&exec.Leaf{Provider: op, PushBatch: j.PushRightBatch},
 		)
 		d.Run(0, nil)
 		j.FinishLeft()
@@ -91,8 +91,8 @@ func runFig5Cell(li, ord *source.Relation, strat string) (*Fig5Result, error) {
 		}
 		cj := core.NewComplementaryJoin(ctx, li.Schema, ord.Schema, lKey, oKey, pq, count)
 		d := exec.NewDriver(ctx,
-			&exec.Leaf{Provider: lp, Push: cj.PushLeft, PushBatch: cj.PushLeftBatch, PushColBatch: cj.PushLeftColBatch},
-			&exec.Leaf{Provider: op, Push: cj.PushRight, PushBatch: cj.PushRightBatch, PushColBatch: cj.PushRightColBatch},
+			&exec.Leaf{Provider: lp, PushBatch: cj.PushLeftBatch},
+			&exec.Leaf{Provider: op, PushBatch: cj.PushRightBatch},
 		)
 		d.Run(0, nil)
 		cj.Finish()

@@ -47,40 +47,6 @@ func partitionJoinRows(n int, seed int64) (ls, rs []types.Tuple) {
 	return ls, rs
 }
 
-// wideJoinRelations synthesizes a 12-column-per-side join pair (key
-// first, then 11 integer payload columns) for the wide-schema layout
-// ablation: n rows per side over a key domain of n/4.
-func wideJoinRelations(n int, seed int64) (*source.Relation, *source.Relation) {
-	const w = 12
-	mkSchema := func(prefix string) *types.Schema {
-		cols := make([]types.Column, w)
-		cols[0] = types.Column{Name: prefix + ".k", Kind: types.KindInt}
-		for i := 1; i < w; i++ {
-			cols[i] = types.Column{Name: fmt.Sprintf("%s.p%d", prefix, i), Kind: types.KindInt}
-		}
-		return types.NewSchema(cols...)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	dom := int64(n / 4)
-	if dom < 4 {
-		dom = 4
-	}
-	mkRows := func() []types.Tuple {
-		out := make([]types.Tuple, n)
-		for i := range out {
-			t := make(types.Tuple, w)
-			t[0] = types.Int(rng.Int63n(dom))
-			for j := 1; j < w; j++ {
-				t[j] = types.Int(int64(i + j))
-			}
-			out[i] = t
-		}
-		return out
-	}
-	return source.NewRelation("WL", mkSchema("wl"), mkRows()),
-		source.NewRelation("WR", mkSchema("wr"), mkRows())
-}
-
 // runPartitionedJoin executes the pipelined join at the given partition
 // width and reports (output rows, virtual makespan, wall clock). Width 1
 // is the serial reference (plain Driver, no exchange).
@@ -92,10 +58,10 @@ func runPartitionedJoin(parts int, ls, rs []types.Tuple) (out int64, virtual flo
 		ctx := exec.NewContext()
 		var n int64
 		j := exec.NewHashJoin(ctx, exec.Pipelined, partLSchema, partRSchema, []int{0}, []int{0},
-			exec.SinkFunc(func(types.Tuple) { n++ }))
+			exec.SinkFunc(func(ts []types.Tuple) { n += int64(len(ts)) }))
 		d := exec.NewDriver(ctx,
-			&exec.Leaf{Provider: source.NewProvider(lrel, nil), Push: j.PushLeft, PushBatch: j.PushLeftBatch},
-			&exec.Leaf{Provider: source.NewProvider(rrel, nil), Push: j.PushRight, PushBatch: j.PushRightBatch},
+			&exec.Leaf{Provider: source.NewProvider(lrel, nil), PushBatch: j.PushLeftBatch},
+			&exec.Leaf{Provider: source.NewProvider(rrel, nil), PushBatch: j.PushRightBatch},
 		)
 		d.Run(0, nil)
 		j.FinishLeft()
@@ -118,11 +84,9 @@ func runPartitionedJoin(parts int, ls, rs []types.Tuple) (out int64, virtual flo
 		joins[p].FinishLeft()
 		joins[p].FinishRight()
 	}, 1)
-	scl := pd.LeafScatter(0, []int{0})
-	scr := pd.LeafScatter(1, []int{0})
 	pd.Run([]*exec.Leaf{
-		{Provider: source.NewProvider(lrel, nil), Push: scl.Push, PushBatch: scl.PushBatch},
-		{Provider: source.NewProvider(rrel, nil), Push: scr.Push, PushBatch: scr.PushBatch},
+		{Provider: source.NewProvider(lrel, nil), PushBatch: pd.LeafScatter(0, []int{0}).PushBatch},
+		{Provider: source.NewProvider(rrel, nil), PushBatch: pd.LeafScatter(1, []int{0}).PushBatch},
 	}, 0, nil)
 	pd.Finish()
 	pd.Close()

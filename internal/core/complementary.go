@@ -25,23 +25,17 @@ type CompJoinStats struct {
 	StitchOut        int64
 }
 
-// statSink counts component output tuples and forwards them (batches
-// included) to the pair's sink.
+// statSink counts component output tuples and forwards them to the pair's
+// sink.
 type statSink struct {
 	n   *int64
 	out exec.Sink
 }
 
-// Push implements exec.Sink.
-func (s *statSink) Push(t types.Tuple) {
-	*s.n++
-	s.out.Push(t)
-}
-
-// PushBatch implements exec.BatchSink.
+// PushBatch implements exec.Sink.
 func (s *statSink) PushBatch(ts []types.Tuple) {
 	*s.n += int64(len(ts))
-	exec.PushAll(s.out, ts)
+	s.out.PushBatch(ts)
 }
 
 // ComplementaryJoin is the complementary join pair of Figure 4: a merge
@@ -75,10 +69,6 @@ type ComplementaryJoin struct {
 	routeScratch []types.Tuple
 	// stitchEm batches the mini stitch-up's emits.
 	stitchEm exec.BatchEmitter
-	// colIn materializes columnar batches for the row-at-a-time router
-	// (the produced tuples are retention-safe: the reorder queue and the
-	// component joins may buffer them indefinitely).
-	colIn exec.ColRows
 
 	Stats    CompJoinStats
 	finished bool
@@ -107,33 +97,10 @@ func NewComplementaryJoin(ctx *exec.Context, leftSchema, rightSchema *types.Sche
 // Schema returns the output layout (left ++ right).
 func (c *ComplementaryJoin) Schema() *types.Schema { return c.hash.Schema() }
 
-// PushLeft feeds a left-input tuple through the router.
-func (c *ComplementaryJoin) PushLeft(t types.Tuple) {
-	if c.pqLeft != nil {
-		if evicted, ok := c.pqLeft.offer(t); ok {
-			c.routeLeft(evicted)
-		}
-		return
-	}
-	c.routeLeft(t)
-}
-
-// PushRight feeds a right-input tuple through the router.
-func (c *ComplementaryJoin) PushRight(t types.Tuple) {
-	if c.pqRight != nil {
-		if evicted, ok := c.pqRight.offer(t); ok {
-			c.routeRight(evicted)
-		}
-		return
-	}
-	c.routeRight(t)
-}
-
-// PushLeftBatch routes a batch of left-input tuples: consecutive tuples
-// bound for the same component are delivered to it as one sub-batch, so
-// both components run their vectorized paths while the pair's output
-// order stays identical to routing tuple-at-a-time. The batch slice is
-// not retained.
+// PushLeftBatch routes a batch of left-input tuples through the router:
+// consecutive tuples bound for the same component are delivered to it as
+// one sub-batch, and the pair's output order is that of routing the tuples
+// one by one. The batch slice is not retained.
 func (c *ComplementaryJoin) PushLeftBatch(ts []types.Tuple) {
 	if c.pqLeft != nil {
 		c.routeScratch = c.routeScratch[:0]
@@ -145,20 +112,6 @@ func (c *ComplementaryJoin) PushLeftBatch(ts []types.Tuple) {
 		ts = c.routeScratch
 	}
 	c.routeRun(ts, true)
-}
-
-// PushLeftColBatch is the router's columnar left entry: the batch is
-// materialized once into retention-safe row tuples and routed exactly
-// like a row batch — consecutive same-destination runs reach the merge
-// and hash components as sub-batches, so their vectorized paths still
-// run and the output sequence is identical to the row and tuple entries.
-func (c *ComplementaryJoin) PushLeftColBatch(b *types.ColBatch) {
-	c.PushLeftBatch(c.colIn.Rows(b))
-}
-
-// PushRightColBatch is the right-input mirror of PushLeftColBatch.
-func (c *ComplementaryJoin) PushRightColBatch(b *types.ColBatch) {
-	c.PushRightBatch(c.colIn.Rows(b))
 }
 
 // PushRightBatch is the right-input mirror of PushLeftBatch.
@@ -201,28 +154,11 @@ func (c *ComplementaryJoin) classifyRight(t types.Tuple) bool {
 	return false
 }
 
-func (c *ComplementaryJoin) routeLeft(t types.Tuple) {
-	if c.classifyLeft(t) {
-		// The router guarantees order, so the error path is unreachable.
-		_ = c.merge.PushLeft(t)
-		return
-	}
-	c.hash.PushLeft(t)
-}
-
-func (c *ComplementaryJoin) routeRight(t types.Tuple) {
-	if c.classifyRight(t) {
-		_ = c.merge.PushRight(t)
-		return
-	}
-	c.hash.PushRight(t)
-}
-
 // routeRun routes an ordered stream of tuples, grouping consecutive
 // same-destination tuples into sub-batches. Classification only touches
 // the watermark, never the components, so classifying a run ahead of
 // delivering it leaves every routing decision — and therefore the output
-// sequence — identical to the tuple-at-a-time router.
+// sequence — what routing tuple by tuple would give.
 func (c *ComplementaryJoin) routeRun(ts []types.Tuple, left bool) {
 	deliver := func(run []types.Tuple, toMerge bool) {
 		if len(run) == 0 {
@@ -299,7 +235,6 @@ func (c *ComplementaryJoin) stitch(left, right state.Keyed) {
 	if left.Len() == 0 || right.Len() == 0 {
 		return
 	}
-	c.stitchEm.Begin()
 	emit := func(lt, rt types.Tuple) {
 		c.ctx.Clock.Charge(c.ctx.Cost.Move)
 		c.Stats.StitchOut++

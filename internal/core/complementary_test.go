@@ -51,15 +51,15 @@ func runPair(t *testing.T, ls, rs []types.Tuple, pqCap int) (int, CompJoinStats)
 	ctx := exec.NewContext()
 	n := 0
 	cj := NewComplementaryJoin(ctx, lSchema, oSchema, []int{0}, []int{0}, pqCap,
-		exec.SinkFunc(func(types.Tuple) { n++ }))
+		exec.SinkFunc(func(ts []types.Tuple) { n += len(ts) }))
 	i, k := 0, 0
 	for i < len(ls) || k < len(rs) {
 		if i < len(ls) {
-			cj.PushLeft(ls[i])
+			cj.PushLeftBatch(ls[i : i+1])
 			i++
 		}
 		if k < len(rs) {
-			cj.PushRight(rs[k])
+			cj.PushRightBatch(rs[k : k+1])
 			k++
 		}
 	}
@@ -147,11 +147,11 @@ func TestComplementaryFasterThanHashOnSorted(t *testing.T) {
 	i, k := 0, 0
 	for i < len(fks) || k < len(keys) {
 		if i < len(fks) {
-			hj.PushLeft(fks[i])
+			hj.PushLeftBatch(fks[i : i+1])
 			i++
 		}
 		if k < len(keys) {
-			hj.PushRight(keys[k])
+			hj.PushRightBatch(keys[k : k+1])
 			k++
 		}
 	}
@@ -163,11 +163,11 @@ func TestComplementaryFasterThanHashOnSorted(t *testing.T) {
 	i, k = 0, 0
 	for i < len(fks) || k < len(keys) {
 		if i < len(fks) {
-			cj.PushLeft(fks[i])
+			cj.PushLeftBatch(fks[i : i+1])
 			i++
 		}
 		if k < len(keys) {
-			cj.PushRight(keys[k])
+			cj.PushRightBatch(keys[k : k+1])
 			k++
 		}
 	}
@@ -191,10 +191,10 @@ func TestComplementaryViaProviders(t *testing.T) {
 	ctx := exec.NewContext()
 	n := 0
 	cj := NewComplementaryJoin(ctx, lSchema, oSchema, []int{0}, []int{0}, DefaultPQCap,
-		exec.SinkFunc(func(types.Tuple) { n++ }))
+		exec.SinkFunc(func(ts []types.Tuple) { n += len(ts) }))
 	d := exec.NewDriver(ctx,
-		&exec.Leaf{Provider: lp, Push: cj.PushLeft},
-		&exec.Leaf{Provider: op, Push: cj.PushRight},
+		&exec.Leaf{Provider: lp, PushBatch: cj.PushLeftBatch},
+		&exec.Leaf{Provider: op, PushBatch: cj.PushRightBatch},
 	)
 	d.Run(0, nil)
 	cj.Finish()
@@ -206,73 +206,62 @@ func TestComplementaryViaProviders(t *testing.T) {
 	}
 }
 
-// rowSink collects tuples in arrival order (tuple-at-a-time only).
+// rowSink collects tuples in arrival order (tuples may be retained, the
+// batch slice is not).
 type rowSink struct {
 	rows []types.Tuple
 }
 
-func (s *rowSink) Push(t types.Tuple) { s.rows = append(s.rows, t) }
+func (s *rowSink) PushBatch(ts []types.Tuple) { s.rows = append(s.rows, ts...) }
 
-// batchRowSink adds a PushBatch so operators deliver whole vectors;
-// flattening preserves arrival order (tuples may be retained, the batch
-// slice is not).
-type batchRowSink struct{ rowSink }
-
-func (s *batchRowSink) PushBatch(ts []types.Tuple) { s.rows = append(s.rows, ts...) }
-
-// feedPair delivers both inputs in alternating per-side chunks, batched
-// or tuple-at-a-time — the same arrival order either way.
-func feedPair(cj *ComplementaryJoin, ls, rs []types.Tuple, chunk int, batched bool) {
+// feedPair delivers both inputs in alternating per-side chunks, each chunk
+// as batches of batch rows — the same arrival order whatever batch.
+func feedPair(cj *ComplementaryJoin, ls, rs []types.Tuple, chunk, batch int) {
+	deliver := func(push func([]types.Tuple), ts []types.Tuple) {
+		for len(ts) > 0 {
+			n := min(batch, len(ts))
+			push(ts[:n])
+			ts = ts[n:]
+		}
+	}
 	i, k := 0, 0
 	for i < len(ls) || k < len(rs) {
 		if i < len(ls) {
 			end := min(i+chunk, len(ls))
-			if batched {
-				cj.PushLeftBatch(ls[i:end])
-			} else {
-				for _, t := range ls[i:end] {
-					cj.PushLeft(t)
-				}
-			}
+			deliver(cj.PushLeftBatch, ls[i:end])
 			i = end
 		}
 		if k < len(rs) {
 			end := min(k+chunk, len(rs))
-			if batched {
-				cj.PushRightBatch(rs[k:end])
-			} else {
-				for _, t := range rs[k:end] {
-					cj.PushRight(t)
-				}
-			}
+			deliver(cj.PushRightBatch, rs[k:end])
 			k = end
 		}
 	}
 	cj.Finish()
 }
 
-// TestComplementaryBatchMatchesTupleAtATime verifies the batched router is
-// semantically identical to tuple-at-a-time routing across reorder
-// fractions and both router configurations: byte-identical output
-// sequence (ordered delivery), identical routing statistics, and
-// virtual-clock totals equal up to float summation order.
-func TestComplementaryBatchMatchesTupleAtATime(t *testing.T) {
+// TestComplementaryBatchSizeInvariant verifies that how the router's input
+// is cut into batches does not show, across reorder fractions and both
+// router configurations: batches of one and whole chunks give a
+// byte-identical output sequence (ordered delivery), identical routing
+// statistics, and virtual-clock totals equal up to float summation order.
+func TestComplementaryBatchSizeInvariant(t *testing.T) {
 	keys, fks := mkSortedFK(300, 3)
 	for _, frac := range []float64{0, 0.02, 0.3, 1.0} {
 		for _, pq := range []int{0, 64, DefaultPQCap} {
-			for _, chunk := range []int{1, 17, 64} {
+			for _, chunk := range []int{17, 64} {
 				ls := reorder(fks, frac, 21)
 				rs := reorder(keys, frac, 22)
 
 				ctx1 := exec.NewContext()
 				out1 := &rowSink{}
 				cj1 := NewComplementaryJoin(ctx1, lSchema, oSchema, []int{0}, []int{0}, pq, out1)
-				feedPair(cj1, ls, rs, chunk, false)
+				feedPair(cj1, ls, rs, chunk, 1)
 
 				ctx2 := exec.NewContext()
-				out2 := &batchRowSink{}
+				out2 := &rowSink{}
 				cj2 := NewComplementaryJoin(ctx2, lSchema, oSchema, []int{0}, []int{0}, pq, out2)
-				feedPair(cj2, ls, rs, chunk, true)
+				feedPair(cj2, ls, rs, chunk, chunk)
 
 				if len(out1.rows) == 0 || len(out1.rows) != len(out2.rows) {
 					t.Fatalf("frac=%g pq=%d chunk=%d: %d vs %d outputs",
@@ -300,86 +289,14 @@ func TestComplementaryBatchMatchesTupleAtATime(t *testing.T) {
 	}
 }
 
-// feedPairCol delivers both inputs in alternating per-side chunks as
-// columnar batches (the driver's struct-of-arrays delivery), reusing one
-// ColBatch per side like the source driver does.
-func feedPairCol(cj *ComplementaryJoin, ls, rs []types.Tuple, chunk int) {
-	lb := types.NewColBatch(2)
-	rb := types.NewColBatch(2)
-	i, k := 0, 0
-	for i < len(ls) || k < len(rs) {
-		if i < len(ls) {
-			end := min(i+chunk, len(ls))
-			lb.Reset()
-			lb.AppendRows(ls[i:end])
-			cj.PushLeftColBatch(lb)
-			i = end
-		}
-		if k < len(rs) {
-			end := min(k+chunk, len(rs))
-			rb.Reset()
-			rb.AppendRows(rs[k:end])
-			cj.PushRightColBatch(rb)
-			k = end
-		}
-	}
-	cj.Finish()
-}
-
-// TestComplementaryColumnarMatchesBatch pins the router's columnar entry
-// (the last row-only seam of the vectorized layer): identical output
-// sequence, identical routing statistics, and clock totals equal up to
-// float summation order versus the row-batch entry, across reordering
-// fractions and router configurations.
-func TestComplementaryColumnarMatchesBatch(t *testing.T) {
-	keys, fks := mkSortedFK(300, 3)
-	for _, frac := range []float64{0, 0.02, 0.3, 1.0} {
-		for _, pq := range []int{0, 64, DefaultPQCap} {
-			for _, chunk := range []int{1, 17, 64} {
-				ls := reorder(fks, frac, 21)
-				rs := reorder(keys, frac, 22)
-
-				ctx1 := exec.NewContext()
-				out1 := &batchRowSink{}
-				cj1 := NewComplementaryJoin(ctx1, lSchema, oSchema, []int{0}, []int{0}, pq, out1)
-				feedPair(cj1, ls, rs, chunk, true)
-
-				ctx2 := exec.NewContext()
-				out2 := &batchRowSink{}
-				cj2 := NewComplementaryJoin(ctx2, lSchema, oSchema, []int{0}, []int{0}, pq, out2)
-				feedPairCol(cj2, ls, rs, chunk)
-
-				if len(out1.rows) == 0 || len(out1.rows) != len(out2.rows) {
-					t.Fatalf("frac=%g pq=%d chunk=%d: %d vs %d outputs",
-						frac, pq, chunk, len(out1.rows), len(out2.rows))
-				}
-				for i := range out1.rows {
-					if out1.rows[i].String() != out2.rows[i].String() {
-						t.Fatalf("frac=%g pq=%d chunk=%d: output %d differs: %v vs %v",
-							frac, pq, chunk, i, out1.rows[i], out2.rows[i])
-					}
-				}
-				if cj1.Stats != cj2.Stats {
-					t.Fatalf("frac=%g pq=%d chunk=%d: stats differ: %+v vs %+v",
-						frac, pq, chunk, cj1.Stats, cj2.Stats)
-				}
-				if d := ctx1.Clock.CPU - ctx2.Clock.CPU; d > 1e-9*ctx1.Clock.CPU || d < -1e-9*ctx1.Clock.CPU {
-					t.Fatalf("frac=%g pq=%d chunk=%d: clocks differ: %v vs %v",
-						frac, pq, chunk, ctx1.Clock.CPU, ctx2.Clock.CPU)
-				}
-			}
-		}
-	}
-}
-
 // TestComplementaryBatchSortedOrderedDelivery checks that on fully sorted
-// input the batched pair delivers merge output in ascending key order —
+// input the pair delivers merge output in ascending key order —
 // the ordered-delivery property downstream merge consumers rely on.
 func TestComplementaryBatchSortedOrderedDelivery(t *testing.T) {
 	keys, fks := mkSortedFK(500, 2)
-	out := &batchRowSink{}
+	out := &rowSink{}
 	cj := NewComplementaryJoin(exec.NewContext(), lSchema, oSchema, []int{0}, []int{0}, 0, out)
-	feedPair(cj, fks, keys, 64, true)
+	feedPair(cj, fks, keys, 64, 64)
 	if cj.Stats.HashRoutedLeft+cj.Stats.HashRoutedRight != 0 {
 		t.Fatalf("sorted input routed to hash: %+v", cj.Stats)
 	}
@@ -390,29 +307,6 @@ func TestComplementaryBatchSortedOrderedDelivery(t *testing.T) {
 		if out.rows[i][0].I < out.rows[i-1][0].I {
 			t.Fatalf("output not key-ordered at %d: %v after %v", i, out.rows[i], out.rows[i-1])
 		}
-	}
-}
-
-// TestComplementaryViaProvidersBatched mirrors TestComplementaryViaProviders
-// through the driver's vectorized delivery path.
-func TestComplementaryViaProvidersBatched(t *testing.T) {
-	keys, fks := mkSortedFK(500, 2)
-	lRel := source.NewRelation("l", lSchema, fks)
-	oRel := source.NewRelation("o", oSchema, keys)
-	lp := source.NewProvider(lRel, source.NewBursty(len(fks), 10000, 100, 0.01, 1))
-	op := source.NewProvider(oRel, source.NewBursty(len(keys), 10000, 100, 0.01, 2))
-
-	ctx := exec.NewContext()
-	out := &batchRowSink{}
-	cj := NewComplementaryJoin(ctx, lSchema, oSchema, []int{0}, []int{0}, DefaultPQCap, out)
-	d := exec.NewDriver(ctx,
-		&exec.Leaf{Provider: lp, Push: cj.PushLeft, PushBatch: cj.PushLeftBatch},
-		&exec.Leaf{Provider: op, Push: cj.PushRight, PushBatch: cj.PushRightBatch},
-	)
-	d.Run(0, nil)
-	cj.Finish()
-	if len(out.rows) != refJoinCount(fks, keys) {
-		t.Fatalf("output = %d, want %d", len(out.rows), refJoinCount(fks, keys))
 	}
 }
 

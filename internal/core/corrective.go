@@ -658,11 +658,11 @@ func (ex *executor) runPhase(root algebra.Plan) (exhausted bool, next algebra.Pl
 	phasePassed := map[string]float64{}
 	var leaves []*exec.Leaf
 	for _, rel := range ex.q.Relations {
-		entry, ok := tree.Entry[rel.Name]
+		entry, ok := tree.EntryBatch[rel.Name]
 		if !ok {
 			return false, nil, fmt.Errorf("core: plan is missing relation %q", rel.Name)
 		}
-		leaf, err := ex.wireLeaf(rec, rel, phasePassed, entry, tree.EntryBatch[rel.Name])
+		leaf, err := ex.wireLeaf(rec, rel, phasePassed, entry)
 		if err != nil {
 			return false, nil, err
 		}
@@ -759,8 +759,7 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 	}
 	pd := exec.NewParallelDriver(ex.ctx, pt.Ctxs)
 	pd.Bind(handlers, pt.RunFinisher, pt.FinishSteps())
-	pd.BindCol(pt.HandlersCol(rels))
-	pt.Bind(pd.StageSend, pd.StageSendCol, len(rels))
+	pt.Bind(pd.StageSend, len(rels))
 
 	// Wire leaves exactly like the serial phase — filter pushdown,
 	// base-partition capture, counters all happen on the driver goroutine
@@ -768,8 +767,7 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 	phasePassed := map[string]float64{}
 	var leaves []*exec.Leaf
 	for i, rel := range ex.q.Relations {
-		scatter := pd.LeafScatter(i, pt.LeafKeys[rel.Name])
-		leaf, err := ex.wireLeaf(rec, rel, phasePassed, scatter.Push, scatter.PushBatch)
+		leaf, err := ex.wireLeaf(rec, rel, phasePassed, pd.LeafScatter(i, pt.LeafKeys[rel.Name]).PushBatch)
 		if err != nil {
 			return false, nil, err
 		}
@@ -866,10 +864,9 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 // wireLeaf builds one phase leaf — filter pushdown, base-partition
 // capture into rec (when a stitch-up or a maintenance stage can read it),
 // phasePassed counting, optional instrumentation — delivering post-filter
-// tuples to push/pushBatch (the plan entry in a serial phase, the
-// partition scatter in a parallel one). pushBatch may be nil when the
-// target has no batch entry.
-func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed map[string]float64, push func(types.Tuple), pushBatch func([]types.Tuple)) (*exec.Leaf, error) {
+// tuples to pushBatch (the plan entry in a serial phase, the partition
+// scatter in a parallel one).
+func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed map[string]float64, pushBatch func([]types.Tuple)) (*exec.Leaf, error) {
 	var part *state.List
 	if ex.stitches() || ex.standing {
 		part = state.NewList(rel.Schema)
@@ -887,22 +884,13 @@ func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed m
 	leaf := &exec.Leaf{
 		Provider: ex.cat.Providers[name],
 		Pred:     pred,
-		Push: func(t types.Tuple) {
-			if part != nil {
-				part.Insert(t)
-			}
-			phasePassed[name]++
-			push(t)
-		},
-	}
-	if pushBatch != nil {
-		leaf.PushBatch = func(ts []types.Tuple) {
+		PushBatch: func(ts []types.Tuple) {
 			if part != nil {
 				part.InsertBatch(ts)
 			}
 			phasePassed[name] += float64(len(ts))
 			pushBatch(ts)
-		}
+		},
 	}
 	if ex.o.Instrument {
 		leaf.OnTuple = ex.instrumentFor(rel)
@@ -1133,8 +1121,7 @@ func (ex *executor) stitchUp() error {
 		}
 	}
 	// The output sink depends on the stitch-up's fold-order schema, so it
-	// is bound after construction; the forwarder keeps the batch path
-	// intact end to end.
+	// is bound after construction.
 	fwd := &forwardSink{}
 	s, err := NewStitchUp(ex.ctx, ex.q, ex.phases, fwd)
 	if err != nil {

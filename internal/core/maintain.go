@@ -346,7 +346,6 @@ func (mt *maintainer) pump() error {
 		leaf := &exec.Leaf{
 			Provider:  dp,
 			Pred:      pred,
-			Push:      g.push,
 			PushBatch: g.pushBatch,
 		}
 		mt.leaves = append(mt.leaves, leaf)
@@ -523,13 +522,7 @@ type deltaIngress struct {
 	cur   int8
 }
 
-// push is the leaf's row entry.
-func (g *deltaIngress) push(t types.Tuple) {
-	g.row(t)
-	g.flush()
-}
-
-// pushBatch is the leaf's batch entry. The tuples are the provider's
+// pushBatch is the leaf's entry. The tuples are the provider's
 // own stable storage (like the initial run's BaseParts capture), so the
 // log and the join tables may retain them without copying.
 func (g *deltaIngress) pushBatch(ts []types.Tuple) {
@@ -585,8 +578,8 @@ type maintRoot struct {
 }
 
 // PushDelta implements exec.DeltaSink (the only path maintenance
-// traffic takes; the unsigned sinks below satisfy the Sink contracts
-// for completeness and treat input as insertions).
+// traffic takes; the unsigned entry below satisfies the Sink contract
+// and treats its input as insertions).
 func (r *maintRoot) PushDelta(b *types.ColBatch, sign int) {
 	n := b.Len()
 	if n == 0 || r.suppress {
@@ -614,24 +607,12 @@ func (r *maintRoot) PushDelta(b *types.ColBatch, sign int) {
 	}
 }
 
-// Push implements exec.Sink.
-func (r *maintRoot) Push(t types.Tuple) {
-	one := types.NewColBatch(len(t))
-	one.AppendRow(t)
-	r.PushDelta(one, 1)
-}
-
-// PushBatch implements exec.BatchSink.
+// PushBatch implements exec.Sink.
 func (r *maintRoot) PushBatch(ts []types.Tuple) {
 	if len(ts) == 0 {
 		return
 	}
 	b := types.NewColBatch(len(ts[0]))
 	b.AppendRows(ts)
-	r.PushDelta(b, 1)
-}
-
-// PushColBatch implements exec.ColBatchSink.
-func (r *maintRoot) PushColBatch(b *types.ColBatch) {
 	r.PushDelta(b, 1)
 }

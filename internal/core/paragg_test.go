@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -156,12 +155,10 @@ func bufferedThenAbsorbed(t *testing.T, fx parAggFixture, mode opt.PreAggMode, p
 	}
 	pd := exec.NewParallelDriver(ex.ctx, pt.Ctxs)
 	pd.Bind(handlers, pt.RunFinisher, pt.FinishSteps())
-	pd.BindCol(pt.HandlersCol(names))
-	pt.Bind(pd.StageSend, pd.StageSendCol, len(names))
+	pt.Bind(pd.StageSend, len(names))
 	var leaves []*exec.Leaf
 	for i, rel := range q.Relations {
-		sc := pd.LeafScatter(i, pt.LeafKeys[rel.Name])
-		leaves = append(leaves, &exec.Leaf{Provider: cat.Providers[rel.Name], Push: sc.Push, PushBatch: sc.PushBatch})
+		leaves = append(leaves, &exec.Leaf{Provider: cat.Providers[rel.Name], PushBatch: pd.LeafScatter(i, pt.LeafKeys[rel.Name]).PushBatch})
 	}
 	// The same read-batch boundaries as the engine's phase loop: polls
 	// split source runs.
@@ -369,79 +366,5 @@ func TestParallelAggStateFollowsGroups(t *testing.T) {
 	}
 	if _, merge, tables := ex.partitionRoots(algebra.NewScan(q.Relations[0]), 2); merge == nil || tables != nil {
 		t.Errorf("SPJ query: merge = %v, %d partition tables; want a merge and no tables", merge, len(tables))
-	}
-}
-
-// TestAggSinkColumnarEntryEqualsRowEntry: a raw-layout frame pushed through
-// aggSink's columnar entry (columns permuted in place, one hash vector per
-// frame) leaves the rows, counters and clock that pushing the same rows one
-// at a time leaves — equal with ==, not within a tolerance. The partial
-// layout, which still walks rows, is held to the same.
-func TestAggSinkColumnarEntryEqualsRowEntry(t *testing.T) {
-	q := sharedKeyFixture(3).q
-	full := q.Relations[0].Schema.Concat(q.Relations[1].Schema).Concat(q.Relations[2].Schema)
-	// The root layout of a plan that joined in another order.
-	root := q.Relations[2].Schema.Concat(q.Relations[0].Schema).Concat(q.Relations[1].Schema)
-	rng := rand.New(rand.NewSource(9))
-	var rows []types.Tuple
-	for i := 0; i < 3000; i++ {
-		k := types.Int(rng.Int63n(50))
-		x := types.Float(float64(rng.Int63n(1000)) * 0.1)
-		if i%11 == 0 {
-			x = types.Null()
-		}
-		rows = append(rows, types.Tuple{k, types.Int(rng.Int63n(9)), k, types.Str(fmt.Sprintf("n%d", k.I%7)), k, x})
-	}
-	run := func(partial, columnar bool) (string, int64, exec.Clock) {
-		ctx := exec.NewContext()
-		agg, err := exec.NewAggTable(ctx, full, q.GroupBy, q.Aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		from, to, in := root, full, rows
-		if partial {
-			// The two halves of the input pre-aggregated apart (so groups
-			// repeat), their partial rows with the group columns moved last.
-			to, in = agg.PartialSchema(), nil
-			from = types.NewSchema(append(slices.Clone(to.Cols[2:]), to.Cols[:2]...)...)
-			for _, half := range [][]types.Tuple{rows[:len(rows)/2], rows[len(rows)/2:]} {
-				pre, err := exec.NewAggTable(exec.NewContext(), root, q.GroupBy, q.Aggs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pre.PushBatch(half)
-				for _, r := range pre.EmitPartial() {
-					in = append(in, append(slices.Clone(r[2:]), r[:2]...))
-				}
-			}
-		}
-		ad, err := types.NewAdapter(from, to)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink := &aggSink{agg: agg, ad: ad, partial: partial}
-		for len(in) > 0 {
-			n := min(len(in), 257)
-			if columnar {
-				b := types.NewColBatch(from.Len())
-				b.AppendRows(in[:n])
-				sink.PushColBatch(b)
-			} else {
-				sink.PushBatch(in[:n])
-			}
-			in = in[n:]
-		}
-		absorbed, clock := agg.Counters().In, *ctx.Clock
-		return bitRows(agg.EmitFinal()), absorbed, clock
-	}
-	for _, partial := range []bool{false, true} {
-		rowOut, rowIn, rowClock := run(partial, false)
-		colOut, colIn, colClock := run(partial, true)
-		if colOut != rowOut {
-			t.Errorf("partial=%v: columnar entry rows differ from the row entry's", partial)
-		}
-		if colIn != rowIn || colClock != rowClock {
-			t.Errorf("partial=%v: columnar entry In=%d clock=%+v, row entry In=%d clock=%+v", partial, colIn, colClock, rowIn, rowClock)
-		}
 	}
 }

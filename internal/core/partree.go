@@ -28,6 +28,10 @@ import (
 //     one shared key — every row hashes back to its own partition and
 //     the exchange degenerates to the local fast path.
 //
+// Everything that crosses a boundary is a row batch: the joins on both
+// sides build on tuples, and columnar frames between them measured behind
+// rows end to end (docs/architecture.md).
+//
 // Equal join keys land in the same partition, so the union of the clones'
 // outputs is exactly the serial plan's output multiset and per-operator
 // counters sum to the serial totals; a pre-aggregation boundary keyed on
@@ -56,10 +60,9 @@ type ParTree struct {
 	boundaries  int
 	entrySinks  [][]exec.Sink
 	entryOffset int
-	// send/sendCol ship cross-partition rows and columnar frames; bound
-	// to the parallel runtime by Bind before execution starts.
-	send    func(from, dst, entry int, rows []types.Tuple)
-	sendCol func(from, dst, entry int, b *types.ColBatch)
+	// send ships cross-partition rows; bound to the parallel runtime by
+	// Bind before execution starts.
+	send func(from, dst, entry int, rows []types.Tuple)
 }
 
 // parLowering is the per-partition boundary installer consulted by
@@ -94,28 +97,13 @@ func (pl *parLowering) sink(child algebra.Plan, keyCols []int, down exec.Sink) (
 	}
 	pl.pt.entrySinks[pl.p] = append(pl.pt.entrySinks[pl.p], down)
 	pt, p := pl.pt, pl.p
-	exch := exec.NewExchange(pt.P, keyCols, func(dst int, rows []types.Tuple) {
+	return exec.NewExchange(pt.P, keyCols, func(dst int, rows []types.Tuple) {
 		if dst == p {
-			exec.PushAll(down, rows)
+			down.PushBatch(rows)
 			return
 		}
 		pt.send(p, dst, pt.entryOffset+id, rows)
-	})
-	// When the consumer takes columns, columnar producer output crosses
-	// the boundary as columnar frames: same-partition frames continue
-	// synchronously, cross-partition frames ride the runtime's columnar
-	// outbox (HandlersCol marks this entry columnar on every partition,
-	// since the clones are structurally identical).
-	if colDown, ok := down.(exec.ColBatchSink); ok && !disableColumnar {
-		exch.RouteCol(func(dst int, b *types.ColBatch) {
-			if dst == p {
-				colDown.PushColBatch(b)
-				return
-			}
-			pt.sendCol(p, dst, pt.entryOffset+id, b)
-		})
-	}
-	return exch, nil
+	}), nil
 }
 
 // LowerPartitioned compiles plan into parts per-partition pipelines, each
@@ -151,9 +139,7 @@ func lowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, roots 
 		}
 		t := &Tree{
 			ctx:        ctx,
-			Entry:      map[string]func(types.Tuple){},
 			EntryBatch: map[string]func([]types.Tuple){},
-			EntryCol:   map[string]func(*types.ColBatch){},
 			RootSchema: plan.Schema(),
 			reuse:      reuse,
 			nrels:      len(plan.Rels()),
@@ -178,8 +164,8 @@ func lowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, roots 
 	// consumer is not a join/group boundary (single-relation plans, scans
 	// under a bare projection) cannot be scattered meaningfully. Sorted so
 	// a plan with several keyless leaves reports the same one every run.
-	names := make([]string, 0, len(pt.Trees[0].Entry))
-	for name := range pt.Trees[0].Entry {
+	names := make([]string, 0, len(pt.Trees[0].EntryBatch))
+	for name := range pt.Trees[0].EntryBatch {
 		names = append(names, name)
 	}
 	slices.Sort(names)
@@ -193,14 +179,10 @@ func lowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, roots 
 
 // Bind connects the tree's cross-partition exchanges to the parallel
 // runtime: send ships rows from one partition's worker to another's
-// entry, sendCol ships columnar frames (only consulted for boundaries
-// whose consumer takes columns — pass nil when the runtime has no
-// columnar transport), and leafEntries is the number of driver-side leaf
-// entries preceding the boundary entries in the runtime's entry
-// numbering.
-func (pt *ParTree) Bind(send func(from, dst, entry int, rows []types.Tuple), sendCol func(from, dst, entry int, b *types.ColBatch), leafEntries int) {
+// entry, and leafEntries is the number of driver-side leaf entries
+// preceding the boundary entries in the runtime's entry numbering.
+func (pt *ParTree) Bind(send func(from, dst, entry int, rows []types.Tuple), leafEntries int) {
 	pt.send = send
-	pt.sendCol = sendCol
 	pt.entryOffset = leafEntries
 }
 
@@ -213,49 +195,18 @@ func (pt *ParTree) Handlers(rels []string) ([][]func([]types.Tuple), error) {
 	for p := 0; p < pt.P; p++ {
 		hs := make([]func([]types.Tuple), 0, len(rels)+pt.boundaries)
 		for _, r := range rels {
-			if eb, ok := pt.Trees[p].EntryBatch[r]; ok {
-				hs = append(hs, eb)
-				continue
-			}
-			entry, ok := pt.Trees[p].Entry[r]
+			entry, ok := pt.Trees[p].EntryBatch[r]
 			if !ok {
 				return nil, fmt.Errorf("core: plan is missing relation %q", r)
 			}
-			hs = append(hs, func(ts []types.Tuple) {
-				for _, t := range ts {
-					entry(t)
-				}
-			})
+			hs = append(hs, entry)
 		}
 		for b := 0; b < pt.boundaries; b++ {
-			sink := pt.entrySinks[p][b]
-			hs = append(hs, func(ts []types.Tuple) { exec.PushAll(sink, ts) })
+			hs = append(hs, pt.entrySinks[p][b].PushBatch)
 		}
 		out[p] = hs
 	}
 	return out, nil
-}
-
-// HandlersCol builds the runtime's per-partition columnar entry table
-// (same entry numbering as Handlers; nil marks a row-only entry). Leaf
-// entries stay row-only — the driver's read loop produces rows, and the
-// leaf capture needs them anyway — while every boundary whose consumer
-// takes columns becomes a columnar entry, matching the RouteCol routes
-// installed at lowering.
-func (pt *ParTree) HandlersCol(rels []string) [][]func(*types.ColBatch) {
-	out := make([][]func(*types.ColBatch), pt.P)
-	for p := 0; p < pt.P; p++ {
-		hs := make([]func(*types.ColBatch), len(rels), len(rels)+pt.boundaries)
-		for b := 0; b < pt.boundaries; b++ {
-			if cs, ok := pt.entrySinks[p][b].(exec.ColBatchSink); ok && !disableColumnar {
-				hs = append(hs, cs.PushColBatch)
-			} else {
-				hs = append(hs, nil)
-			}
-		}
-		out[p] = hs
-	}
-	return out
 }
 
 // FinishSteps returns the broadcast finish-round count.

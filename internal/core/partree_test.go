@@ -188,7 +188,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	// Serial reference.
 	sctx := exec.NewContext()
 	var srows []types.Tuple
-	stree, err := lower(sctx, root, exec.SinkFunc(func(tp types.Tuple) { srows = append(srows, tp) }), true)
+	stree, err := lower(sctx, root, exec.SinkFunc(func(ts []types.Tuple) { srows = append(srows, ts...) }), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,6 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	for _, rel := range q.Relations {
 		sleaves = append(sleaves, &exec.Leaf{
 			Provider:  source.NewProvider(rels[rel.Name], nil),
-			Push:      stree.Entry[rel.Name],
 			PushBatch: stree.EntryBatch[rel.Name],
 		})
 	}
@@ -220,15 +219,12 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	}
 	pd := exec.NewParallelDriver(exec.NewContext(), pt.Ctxs)
 	pd.Bind(handlers, pt.RunFinisher, pt.FinishSteps())
-	pd.BindCol(pt.HandlersCol(names))
-	pt.Bind(pd.StageSend, pd.StageSendCol, len(names))
+	pt.Bind(pd.StageSend, len(names))
 	var pleaves []*exec.Leaf
 	for i, rel := range q.Relations {
-		sc := pd.LeafScatter(i, pt.LeafKeys[rel.Name])
 		pleaves = append(pleaves, &exec.Leaf{
 			Provider:  source.NewProvider(rels[rel.Name], nil),
-			Push:      sc.Push,
-			PushBatch: sc.PushBatch,
+			PushBatch: pd.LeafScatter(i, pt.LeafKeys[rel.Name]).PushBatch,
 		})
 	}
 	if !pd.Run(pleaves, 0, nil) {
@@ -237,7 +233,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	pd.Finish()
 	pd.Close()
 	var prows []types.Tuple
-	merge.Drain(exec.SinkFunc(func(tp types.Tuple) { prows = append(prows, tp) }))
+	merge.Drain(exec.SinkFunc(func(ts []types.Tuple) { prows = append(prows, ts...) }))
 
 	// Root output multisets coincide.
 	ss, ps := sortedStrings(srows), sortedStrings(prows)

@@ -142,7 +142,7 @@ func (ex *executor) runPlanPartition() error {
 		source.NewRelation(matRelName, matSchema, matRows.Rows()), nil)
 	var leaves2 []*exec.Leaf
 	for _, rel := range q2.Relations {
-		entry, ok := tree2.Entry[rel.Name]
+		entry, ok := tree2.EntryBatch[rel.Name]
 		if !ok {
 			return fmt.Errorf("core: stage-2 plan missing relation %q", rel.Name)
 		}
@@ -160,11 +160,7 @@ func (ex *executor) runPlanPartition() error {
 			}
 			pred = bound
 		}
-		leaves2 = append(leaves2, &exec.Leaf{
-			Provider: provider, Pred: pred,
-			Push: entry, PushBatch: tree2.EntryBatch[rel.Name],
-			PushColBatch: tree2.EntryCol[rel.Name],
-		})
+		leaves2 = append(leaves2, &exec.Leaf{Provider: provider, Pred: pred, PushBatch: entry})
 	}
 	t0 := ex.ctx.Clock.Now
 	ex.emit(PhaseStarted{Phase: 1, Plan: res2.Root.String(), Partitions: 1, VirtualSeconds: t0})
@@ -203,7 +199,7 @@ func (ex *executor) wireLeaves(tree *Tree, covered map[string]bool) ([]*exec.Lea
 		if !covered[rel.Name] {
 			continue
 		}
-		entry, ok := tree.Entry[rel.Name]
+		entry, ok := tree.EntryBatch[rel.Name]
 		if !ok {
 			return nil, fmt.Errorf("core: stage-1 plan missing relation %q", rel.Name)
 		}
@@ -215,11 +211,7 @@ func (ex *executor) wireLeaves(tree *Tree, covered map[string]bool) ([]*exec.Lea
 			}
 			pred = bound
 		}
-		leaves = append(leaves, &exec.Leaf{
-			Provider: ex.cat.Providers[rel.Name], Pred: pred,
-			Push: entry, PushBatch: tree.EntryBatch[rel.Name],
-			PushColBatch: tree.EntryCol[rel.Name],
-		})
+		leaves = append(leaves, &exec.Leaf{Provider: ex.cat.Providers[rel.Name], Pred: pred, PushBatch: entry})
 	}
 	return leaves, nil
 }

@@ -154,34 +154,30 @@ type rootSink struct {
 	out  *rootRows
 	cost bool // charge Move per row (phase output does; stitch-up already charged)
 
-	colScratch *types.ColBatch // columnar-entry adapter output (aliases input)
+	colScratch *types.ColBatch // PushColBatch's adapter output (aliases input)
 }
 
 // CopiesInput implements exec.InputCopier: the root join feeding this sink
 // recycles its emit arena.
 func (s *rootSink) CopiesInput() {}
 
-// Push implements exec.Sink.
+// PushBatch implements exec.Sink.
 //
 //adp:hotpath gated by BenchmarkStreamDelivery (scripts/check_allocs.sh)
-func (s *rootSink) Push(t types.Tuple) {
-	if s.cost {
-		s.ctx.Clock.Charge(s.ctx.Cost.Move)
-	}
-	s.ad.AdaptInto(s.out.next(s.ad.To().Len()), t)
-}
-
-// PushBatch implements exec.BatchSink.
 func (s *rootSink) PushBatch(ts []types.Tuple) {
+	w := s.ad.To().Len()
 	for _, t := range ts {
-		s.Push(t)
+		if s.cost {
+			s.ctx.Clock.Charge(s.ctx.Cost.Move)
+		}
+		s.ad.AdaptInto(s.out.next(w), t)
 	}
 }
 
-// PushColBatch implements exec.ColBatchSink — the columnar pipeline's
-// single transpose point for SPJ output (the partition merge's releases,
-// plan partitioning's stages): the adapter permutes columns zero-copy,
-// then each row is read out exactly once, into rootRows storage.
+// PushColBatch implements exec.ColBatchSink for the one producer of
+// columns an unsigned run has, the partition merge's releases of its
+// buffers: the adapter permutes columns zero-copy, then each row is read
+// out exactly once, into rootRows storage.
 func (s *rootSink) PushColBatch(b *types.ColBatch) {
 	n := b.Len()
 	if n == 0 {

@@ -261,7 +261,7 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 		}
 		s.Emitted += int64(len(rows))
 		if len(rows) > 0 {
-			exec.PushAll(s.out, rows)
+			s.out.PushBatch(rows)
 		}
 		return true
 	})
@@ -271,6 +271,7 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 	// Discarded = intermediate tuples never reused.
 	for _, ph := range s.phases {
 		s.Discarded += ph.RootRows
+		//adp:unordered-ok an integer sum over the lists
 		for _, l := range ph.Interm {
 			if !s.touched[l] {
 				s.Discarded += int64(l.Len())

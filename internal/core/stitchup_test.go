@@ -133,7 +133,7 @@ func TestADPIdentityProperty(t *testing.T) {
 			got += phaseJoinCount(rec.BaseParts)
 		}
 		ctx := exec.NewContext()
-		s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(types.Tuple) { got++ }))
+		s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple) { got += len(ts) }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestStitchUpReusesMaterializedIntermediates(t *testing.T) {
 		total += phaseJoinCount(rec.BaseParts)
 	}
 	ctx := exec.NewContext()
-	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(types.Tuple) { total++ }))
+	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple) { total += len(ts) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestStitchUpDisableReuseIgnoresIntermediates(t *testing.T) {
 		total += phaseJoinCount(rec.BaseParts)
 	}
 	ctx := exec.NewContext()
-	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(types.Tuple) { total++ }))
+	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple) { total += len(ts) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestStitchUpSinglePhaseNoop(t *testing.T) {
 	recs := f.partition(1, 12)
 	ctx := exec.NewContext()
 	n := 0
-	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(types.Tuple) { n++ }))
+	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple) { n += len(ts) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,49 +264,6 @@ func TestStitchUpSinglePhaseNoop(t *testing.T) {
 	}
 	if n != 0 || s.Combos != 0 {
 		t.Error("single phase must not produce stitch-up work")
-	}
-}
-
-// TestStitchUpBatchedEmitOrder verifies the batched emit path: a
-// batch-capable sink receives exactly the sequence a tuple-at-a-time sink
-// does (same tuples, same order), with identical Emitted accounting —
-// combination result vectors are delivered via PushBatch without
-// reordering.
-func TestStitchUpBatchedEmitOrder(t *testing.T) {
-	f := newStitchFixture(17, 40, 60, 40, 10)
-	recs := f.partition(3, 18)
-
-	run := func(out exec.Sink) *StitchUp {
-		s, err := NewStitchUp(exec.NewContext(), f.q, recs, out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	tupleOut := &rowSink{}
-	s1 := run(tupleOut)
-	batchOut := &batchRowSink{}
-	s2 := run(batchOut)
-
-	if len(tupleOut.rows) == 0 {
-		t.Fatal("fixture produced no stitch-up output")
-	}
-	if len(tupleOut.rows) != len(batchOut.rows) {
-		t.Fatalf("%d vs %d emitted rows", len(tupleOut.rows), len(batchOut.rows))
-	}
-	for i := range tupleOut.rows {
-		if tupleOut.rows[i].String() != batchOut.rows[i].String() {
-			t.Fatalf("row %d differs: %v vs %v", i, tupleOut.rows[i], batchOut.rows[i])
-		}
-	}
-	if s1.Emitted != s2.Emitted || s1.Emitted != int64(len(tupleOut.rows)) {
-		t.Fatalf("Emitted mismatch: %d vs %d vs %d rows", s1.Emitted, s2.Emitted, len(tupleOut.rows))
-	}
-	if s1.Combos != s2.Combos {
-		t.Fatalf("Combos differ: %d vs %d", s1.Combos, s2.Combos)
 	}
 }
 
@@ -328,7 +285,7 @@ func TestStitchUpEmptyPartitions(t *testing.T) {
 		total += phaseJoinCount(rec.BaseParts)
 	}
 	ctx := exec.NewContext()
-	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(types.Tuple) { total++ }))
+	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple) { total += len(ts) }))
 	if err != nil {
 		t.Fatal(err)
 	}

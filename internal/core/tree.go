@@ -35,24 +35,13 @@ type TreeJoin struct {
 // Tree is a lowered, executable pipeline for one phase's plan.
 type Tree struct {
 	ctx *exec.Context
-	// Entry maps base relation name -> push function accepting post-
-	// filter source tuples.
-	Entry map[string]func(types.Tuple)
-	// EntryBatch maps base relation name -> batched push function (set
-	// when the operator at the entry point accepts batches; the source
-	// driver uses it to deliver whole batches into the plan). The batch
-	// slice must not be retained by the plan.
+	// EntryBatch maps base relation name -> the push function accepting
+	// batches of post-filter source tuples (the source driver's delivery
+	// into the plan). The batch slice must not be retained by the plan.
 	EntryBatch map[string]func([]types.Tuple)
-	// EntryCol maps base relation name -> columnar push function (set
-	// when the entry operator accepts struct-of-arrays batches; preferred
-	// over EntryBatch by the source driver). The batch must not be
-	// retained by the plan.
-	EntryCol map[string]func(*types.ColBatch)
 	// EntryDelta maps base relation name -> signed push function (set
 	// when the entry operator accepts delta batches; the maintenance
-	// driver feeds warm-up replays and live deltas through it). Signed
-	// traffic is inherently columnar, so this is wired regardless of the
-	// disableColumnar test hook.
+	// driver feeds warm-up replays and live deltas through it).
 	EntryDelta map[string]func(*types.ColBatch, int)
 	// Joins lists join nodes bottom-up.
 	Joins []*TreeJoin
@@ -77,14 +66,6 @@ type Tree struct {
 	par *parLowering
 }
 
-// disableColumnar is a test hook: when set, lowering skips every columnar
-// entry point (leaf EntryCol wiring, boundary RouteCol routes, columnar
-// runtime handlers), forcing the whole pipeline onto the row-batch paths.
-// The equivalence pins run each strategy both ways and require
-// byte-identical results — the columnar layout is an execution detail,
-// never a semantic one.
-var disableColumnar bool
-
 // blockingPreAgg adapts an AggTable into a traditional (blocking)
 // pre-aggregation operator feeding a parent sink at finish time.
 type blockingPreAgg struct {
@@ -93,7 +74,7 @@ type blockingPreAgg struct {
 }
 
 func (b *blockingPreAgg) flush() {
-	b.table.EmitPartialTo(b.out)
+	b.out.PushBatch(b.table.EmitPartial())
 }
 
 // Lower compiles an optimizer plan tree into an executable push pipeline
@@ -114,9 +95,7 @@ func Lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink) (*Tree, error) {
 func lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink, reuse bool) (*Tree, error) {
 	t := &Tree{
 		ctx:        ctx,
-		Entry:      map[string]func(types.Tuple){},
 		EntryBatch: map[string]func([]types.Tuple){},
-		EntryCol:   map[string]func(*types.ColBatch){},
 		EntryDelta: map[string]func(*types.ColBatch, int){},
 		RootSchema: plan.Schema(),
 		reuse:      reuse,
@@ -129,58 +108,28 @@ func lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink, reuse bool) (*Tr
 }
 
 // teeSink duplicates a join's output into its materialization buffer
-// (stitch-up reuse, §3.4.2) while forwarding it downstream; batches are
-// forwarded as batches, columnar frames as columnar frames. It carries no
+// (stitch-up reuse, §3.4.2) while forwarding it downstream. It carries no
 // signed entry: maintenance trees are lowered without reuse and have no
 // tees.
 type teeSink struct {
 	buf *state.List
 	out exec.Sink
-	cr  exec.ColRows
 }
 
-// Push implements exec.Sink.
-func (s *teeSink) Push(t types.Tuple) {
-	s.buf.Insert(t)
-	s.out.Push(t)
-}
-
-// PushBatch implements exec.BatchSink.
+// PushBatch implements exec.Sink.
 func (s *teeSink) PushBatch(ts []types.Tuple) {
 	s.buf.InsertBatch(ts)
-	exec.PushAll(s.out, ts)
-}
-
-// PushColBatch implements exec.ColBatchSink: the batch materializes once
-// (arena-bulk, retention-safe rows) for the stitch-up buffer, and the
-// columns themselves forward downstream untouched.
-func (s *teeSink) PushColBatch(b *types.ColBatch) {
-	if b.Len() == 0 {
-		return
-	}
-	rows := s.cr.Rows(b)
-	s.buf.InsertBatch(rows)
-	if cs, ok := s.out.(exec.ColBatchSink); ok {
-		cs.PushColBatch(b)
-		return
-	}
-	exec.PushAll(s.out, rows)
+	s.out.PushBatch(ts)
 }
 
 func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 	switch v := p.(type) {
 	case *algebra.ScanPlan:
 		name := v.Rel.Name
-		if _, dup := t.Entry[name]; dup {
+		if _, dup := t.EntryBatch[name]; dup {
 			return fmt.Errorf("core: relation %q appears twice in plan", name)
 		}
-		t.Entry[name] = out.Push
-		if bs, ok := out.(exec.BatchSink); ok {
-			t.EntryBatch[name] = bs.PushBatch
-		}
-		if cs, ok := out.(exec.ColBatchSink); ok && !disableColumnar {
-			t.EntryCol[name] = cs.PushColBatch
-		}
+		t.EntryBatch[name] = out.PushBatch
 		if ds, ok := out.(exec.DeltaSink); ok {
 			// Lazy: partitioned lowerings construct Tree literals without
 			// the maintenance entry map (their clones never serve deltas).

@@ -36,17 +36,17 @@ func TestLowerSimpleJoin(t *testing.T) {
 	}
 	ctx := exec.NewContext()
 	var out []types.Tuple
-	tree, err := Lower(ctx, res.Root, exec.SinkFunc(func(tp types.Tuple) { out = append(out, tp) }))
+	tree, err := Lower(ctx, res.Root, exec.SinkFunc(func(ts []types.Tuple) { out = append(out, ts...) }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tree.Entry) != 2 || len(tree.Joins) != 1 {
-		t.Fatalf("tree shape wrong: %d entries %d joins", len(tree.Entry), len(tree.Joins))
+	if len(tree.EntryBatch) != 2 || len(tree.Joins) != 1 {
+		t.Fatalf("tree shape wrong: %d entries %d joins", len(tree.EntryBatch), len(tree.Joins))
 	}
-	tree.Entry["A"](types.Tuple{types.Int(1), types.Int(10)})
-	tree.Entry["B"](types.Tuple{types.Int(1)})
-	tree.Entry["A"](types.Tuple{types.Int(1), types.Int(20)})
-	tree.Entry["B"](types.Tuple{types.Int(2)})
+	tree.EntryBatch["A"]([]types.Tuple{types.Tuple{types.Int(1), types.Int(10)}})
+	tree.EntryBatch["B"]([]types.Tuple{types.Tuple{types.Int(1)}})
+	tree.EntryBatch["A"]([]types.Tuple{types.Tuple{types.Int(1), types.Int(20)}})
+	tree.EntryBatch["B"]([]types.Tuple{types.Tuple{types.Int(2)}})
 	tree.Finish()
 	if len(out) != 2 {
 		t.Fatalf("outputs = %d, want 2", len(out))
@@ -94,9 +94,9 @@ func TestLowerWindowedPreAgg(t *testing.T) {
 	}
 	// Push repetitive A tuples; the window operator should coalesce.
 	for i := 0; i < 512; i++ {
-		tree.Entry["A"](types.Tuple{types.Int(int64(i % 4)), types.Int(1)})
+		tree.EntryBatch["A"]([]types.Tuple{types.Tuple{types.Int(int64(i % 4)), types.Int(1)}})
 	}
-	tree.Entry["B"](types.Tuple{types.Int(1)})
+	tree.EntryBatch["B"]([]types.Tuple{types.Tuple{types.Int(1)}})
 	tree.Finish()
 	if tree.PreAggWindow.Coalesced == 0 {
 		t.Error("window pre-agg did not coalesce repetitive input")
@@ -118,13 +118,13 @@ func TestLowerTraditionalPreAggBlocksUntilFinish(t *testing.T) {
 	}
 	ctx := exec.NewContext()
 	var out []types.Tuple
-	tree, err := Lower(ctx, res.Root, exec.SinkFunc(func(tp types.Tuple) { out = append(out, tp) }))
+	tree, err := Lower(ctx, res.Root, exec.SinkFunc(func(ts []types.Tuple) { out = append(out, ts...) }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.Entry["B"](types.Tuple{types.Int(0)})
+	tree.EntryBatch["B"]([]types.Tuple{types.Tuple{types.Int(0)}})
 	for i := 0; i < 100; i++ {
-		tree.Entry["A"](types.Tuple{types.Int(0), types.Int(1)})
+		tree.EntryBatch["A"]([]types.Tuple{types.Tuple{types.Int(0), types.Int(1)}})
 	}
 	if len(out) != 0 {
 		t.Fatal("blocking pre-agg emitted before finish")
@@ -154,11 +154,11 @@ func TestLowerProjectNode(t *testing.T) {
 	}
 	ctx := exec.NewContext()
 	var out []types.Tuple
-	tree, err := Lower(ctx, proj, exec.SinkFunc(func(tp types.Tuple) { out = append(out, tp) }))
+	tree, err := Lower(ctx, proj, exec.SinkFunc(func(ts []types.Tuple) { out = append(out, ts...) }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.Entry["A"](types.Tuple{types.Int(1), types.Int(42)})
+	tree.EntryBatch["A"]([]types.Tuple{types.Tuple{types.Int(1), types.Int(42)}})
 	if len(out) != 1 || out[0][0].I != 42 || len(out[0]) != 1 {
 		t.Errorf("projection wrong: %v", out)
 	}
@@ -204,7 +204,7 @@ func TestTreeCollisionFactor(t *testing.T) {
 	}
 	// Overfill: estimates said 64, feed 10k distinct keys.
 	for i := 0; i < 10000; i++ {
-		tree.Entry["A"](types.Tuple{types.Int(int64(i)), types.Int(1)})
+		tree.EntryBatch["A"]([]types.Tuple{types.Tuple{types.Int(int64(i)), types.Int(1)}})
 	}
 	if f := treeCollisionFactor(tree); f <= 2 {
 		t.Errorf("overfilled fixed table should raise factor, got %g", f)
@@ -224,7 +224,7 @@ func TestLowerForReuseMaterializesBelowTheRootOnly(t *testing.T) {
 	f, tr, c := flightsData(30, 80, 60, 1)
 	for _, reuse := range []bool{false, true} {
 		var out int64
-		tree, err := lower(exec.NewContext(), res.Root, exec.SinkFunc(func(types.Tuple) { out++ }), reuse)
+		tree, err := lower(exec.NewContext(), res.Root, exec.SinkFunc(func(ts []types.Tuple) { out += int64(len(ts)) }), reuse)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -166,8 +166,6 @@ type AggTable struct {
 	// hasArgs records whether any aggregate has an argument evaluator
 	// (COUNT-only tables skip row materialization on the columnar path).
 	hasArgs bool
-	// emitBuf is the reused columnar delivery batch of EmitPartialTo.
-	emitBuf *types.ColBatch
 
 	// Maintenance (signed) mode: dirty lists the groups touched since
 	// the last EmitRevisions, bagScratch is the reused min/max bag key
@@ -300,16 +298,14 @@ func (a *AggTable) AbsorbRaw(t types.Tuple) {
 	}
 }
 
-// Push implements Sink as AbsorbRaw, letting an AggTable terminate a push
-// pipeline directly.
-func (a *AggTable) Push(t types.Tuple) { a.AbsorbRaw(t) }
-
 // CopiesInput implements InputCopier: absorption copies group values into
 // owned storage and folds the rest into aggregate states.
 func (a *AggTable) CopiesInput() {}
 
-// PushBatch implements BatchSink: a batch of raw tuples is absorbed with
-// the shared grouping scratch, no per-tuple allocations at steady state.
+// PushBatch implements Sink as AbsorbRaw of every tuple, letting an
+// AggTable terminate a push pipeline directly: a batch of raw tuples is
+// absorbed with the shared grouping scratch, no per-tuple allocations at
+// steady state.
 //
 //adp:hotpath gated by BenchmarkAggTableAbsorb (scripts/check_allocs.sh)
 func (a *AggTable) PushBatch(ts []types.Tuple) {
@@ -484,32 +480,6 @@ func (a *AggTable) EmitPartial() []types.Tuple {
 	return out
 }
 
-// EmitPartialTo delivers EmitPartial's group revisions downstream,
-// columnar when the sink accepts columns: the freshly built partial rows
-// transpose into a reused batch in emitFlushLen frames, so a partitioned
-// pre-aggregate's flush feeds the boundary exchange's vectorized entry
-// instead of fanning out per-group Push calls. Row order, counters, and
-// charges are identical to pushing EmitPartial's rows one at a time.
-func (a *AggTable) EmitPartialTo(out Sink) {
-	rows := a.EmitPartial()
-	cs, ok := out.(ColBatchSink)
-	if !ok {
-		PushAll(out, rows)
-		return
-	}
-	w := a.partialSchema.Len()
-	if a.emitBuf == nil || a.emitBuf.Width() != w {
-		a.emitBuf = types.NewColBatch(w)
-	}
-	for len(rows) > 0 {
-		n := min(len(rows), emitFlushLen)
-		a.emitBuf.AppendRows(rows[:n])
-		cs.PushColBatch(a.emitBuf)
-		a.emitBuf.Reset()
-		rows = rows[n:]
-	}
-}
-
 // Pseudogroup converts raw tuples into partial-layout singletons: "a
 // trivial pseudogroup operator that essentially performs pre-aggregation
 // over each successive singleton tuple set ... it costs little more than a
@@ -563,15 +533,7 @@ func (p *Pseudogroup) Schema() *types.Schema { return p.schema }
 // Counters exposes statistics.
 func (p *Pseudogroup) Counters() *stats.OpCounters { return &p.counters }
 
-// Push implements Sink.
-func (p *Pseudogroup) Push(t types.Tuple) {
-	p.counters.In++
-	p.counters.Out++
-	p.ctx.Clock.Charge(p.ctx.Cost.Move)
-	p.out.Push(p.singleton(t, false))
-}
-
-// PushBatch implements BatchSink: singleton partials are carved from an
+// PushBatch implements Sink: singleton partials are carved from an
 // arena and forwarded as one batch.
 func (p *Pseudogroup) PushBatch(ts []types.Tuple) {
 	p.scratch = p.scratch[:0]
@@ -579,22 +541,17 @@ func (p *Pseudogroup) PushBatch(ts []types.Tuple) {
 		p.counters.In++
 		p.counters.Out++
 		p.ctx.Clock.Charge(p.ctx.Cost.Move)
-		p.scratch = append(p.scratch, p.singleton(t, true))
+		p.scratch = append(p.scratch, p.singleton(t))
 	}
 	if len(p.scratch) > 0 {
-		PushAll(p.out, p.scratch)
+		p.out.PushBatch(p.scratch)
 	}
 }
 
-// singleton converts one raw tuple to a partial-layout singleton, carving
-// storage from the arena when requested.
-func (p *Pseudogroup) singleton(t types.Tuple, useArena bool) types.Tuple {
-	var out types.Tuple
-	if useArena {
-		out = p.arena.alloc(p.schema.Len())[:0]
-	} else {
-		out = make(types.Tuple, 0, p.schema.Len())
-	}
+// singleton converts one raw tuple to a partial-layout singleton carved
+// from the arena.
+func (p *Pseudogroup) singleton(t types.Tuple) types.Tuple {
+	out := p.arena.alloc(p.schema.Len())[:0]
 	for _, gi := range p.groupIdx {
 		out = append(out, t[gi])
 	}
@@ -636,6 +593,9 @@ type WindowPreAgg struct {
 
 	keyBuf     []byte
 	valScratch []types.Value
+	// pending collects the partials produced while one input batch (or the
+	// final flush) is absorbed; they go downstream in one call.
+	pending []types.Tuple
 
 	counters stats.OpCounters
 	// WindowsFlushed and Coalesced instrument the adaptation policy.
@@ -688,8 +648,28 @@ func (w *WindowPreAgg) Schema() *types.Schema { return w.schema }
 // Counters exposes statistics.
 func (w *WindowPreAgg) Counters() *stats.OpCounters { return &w.counters }
 
-// Push implements Sink.
-func (w *WindowPreAgg) Push(t types.Tuple) {
+// PushBatch implements Sink: every tuple is absorbed into the current
+// window, and the partials of the windows that filled on the way (or, at
+// w=1, the tuples' singletons) leave as one batch.
+func (w *WindowPreAgg) PushBatch(ts []types.Tuple) {
+	for _, t := range ts {
+		w.absorb(t)
+	}
+	w.deliver()
+}
+
+// deliver hands the collected partials downstream.
+func (w *WindowPreAgg) deliver() {
+	if len(w.pending) == 0 {
+		return
+	}
+	w.out.PushBatch(w.pending)
+	clear(w.pending)
+	w.pending = w.pending[:0]
+}
+
+// absorb folds one tuple into the current window.
+func (w *WindowPreAgg) absorb(t types.Tuple) {
 	w.counters.In++
 	if w.W <= 1 {
 		// Degenerate window: pseudogroup pass-through, costing "little
@@ -727,15 +707,8 @@ func (w *WindowPreAgg) Push(t types.Tuple) {
 	}
 }
 
-// PushBatch implements BatchSink.
-func (w *WindowPreAgg) PushBatch(ts []types.Tuple) {
-	for _, t := range ts {
-		w.Push(t)
-	}
-}
-
 // pushSingleton converts one tuple into a partial-layout singleton and
-// forwards it (the w=1 pass-through mode).
+// emits it (the w=1 pass-through mode).
 func (w *WindowPreAgg) pushSingleton(t types.Tuple) {
 	w.ctx.Clock.Charge(w.ctx.Cost.Move)
 	out := make(types.Tuple, 0, len(w.groupIdx)+len(w.aggs)+1)
@@ -752,11 +725,11 @@ func (w *WindowPreAgg) pushSingleton(t types.Tuple) {
 		out = append(out, st.partialCols(spec.Kind)...)
 	}
 	w.counters.Out++
-	w.out.Push(out)
+	w.pending = append(w.pending, out)
 }
 
-// flush emits the current window's partial groups and adapts the window
-// size to the coalescing ratio.
+// flush emits the current window's partial groups (into pending) and
+// adapts the window size to the coalescing ratio.
 func (w *WindowPreAgg) flush() {
 	if w.curN == 0 {
 		return
@@ -775,7 +748,7 @@ func (w *WindowPreAgg) flush() {
 		}
 		w.ctx.Clock.Charge(w.ctx.Cost.Move)
 		w.counters.Out++
-		w.out.Push(t)
+		w.pending = append(w.pending, t)
 	}
 	ratio := float64(len(w.cur)) / float64(w.curN)
 	w.Coalesced += int64(w.curN - len(w.cur))
@@ -796,4 +769,7 @@ func (w *WindowPreAgg) flush() {
 }
 
 // Finish flushes the last (possibly short) window.
-func (w *WindowPreAgg) Finish() { w.flush() }
+func (w *WindowPreAgg) Finish() {
+	w.flush()
+	w.deliver()
+}

@@ -93,9 +93,7 @@ func TestAggTableRaw(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		rows = append(rows, aggRow(rng.Int63n(20), rng.Int63n(1000)-500))
 	}
-	for _, r := range rows {
-		a.Push(r) // Push == AbsorbRaw
-	}
+	a.PushBatch(rows) // PushBatch == AbsorbRaw of each
 	if a.Groups() != 20 {
 		t.Errorf("Groups = %d", a.Groups())
 	}
@@ -155,13 +153,13 @@ func TestPreAggregationDistributesOverUnion(t *testing.T) {
 		ctx := NewContext()
 		final, _ := NewAggTable(ctx, aggIn, []string{"t.g"}, allAggs())
 		pre, err := NewWindowPreAgg(ctx, aggIn, []string{"t.g"}, allAggs(),
-			SinkFunc(func(t types.Tuple) { final.AbsorbPartial(t) }))
+			SinkFunc(final.AbsorbPartialBatch))
 		if err != nil {
 			t.Fatal(err)
 		}
 		pre.W = w0
 		for _, r := range rows {
-			pre.Push(r)
+			pre.PushBatch(one(r))
 		}
 		pre.Finish()
 		got := final.EmitFinal()
@@ -192,12 +190,12 @@ func TestPseudogroupEquivalentToWindowOne(t *testing.T) {
 	ctx := NewContext()
 	finalA, _ := NewAggTable(ctx, aggIn, []string{"t.g"}, allAggs())
 	pg, err := NewPseudogroup(ctx, aggIn, []string{"t.g"}, allAggs(),
-		SinkFunc(func(t types.Tuple) { finalA.AbsorbPartial(t) }))
+		SinkFunc(finalA.AbsorbPartialBatch))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		pg.Push(r)
+		pg.PushBatch(one(r))
 	}
 	if pg.Counters().Out != int64(len(rows)) {
 		t.Error("pseudogroup must be 1:1")
@@ -214,7 +212,7 @@ func TestWindowPreAggAdaptsWindow(t *testing.T) {
 	pre, _ := NewWindowPreAgg(ctx, aggIn, []string{"t.g"}, allAggs(), Discard)
 	pre.W = 16
 	for i := 0; i < 4096; i++ {
-		pre.Push(aggRow(int64(i%4), 1)) // 4 groups only
+		pre.PushBatch(one(aggRow(int64(i%4), 1))) // 4 groups only
 	}
 	pre.Finish()
 	if pre.W <= 16 {
@@ -229,7 +227,7 @@ func TestWindowPreAggAdaptsWindow(t *testing.T) {
 	pre2, _ := NewWindowPreAgg(ctx2, aggIn, []string{"t.g"}, allAggs(), Discard)
 	pre2.W = 64
 	for i := 0; i < 4096; i++ {
-		pre2.Push(aggRow(int64(i), 1)) // every tuple its own group
+		pre2.PushBatch(one(aggRow(int64(i), 1))) // every tuple its own group
 	}
 	pre2.Finish()
 	if pre2.W >= 64 {
@@ -243,14 +241,14 @@ func TestWindowPreAggBounds(t *testing.T) {
 	pre.W, pre.MinW, pre.MaxW = 2, 1, 4
 	// Shrink to floor.
 	for i := 0; i < 64; i++ {
-		pre.Push(aggRow(int64(i), 1))
+		pre.PushBatch(one(aggRow(int64(i), 1)))
 	}
 	if pre.W < pre.MinW {
 		t.Error("window under MinW")
 	}
 	// Grow to cap.
 	for i := 0; i < 256; i++ {
-		pre.Push(aggRow(0, 1))
+		pre.PushBatch(one(aggRow(0, 1)))
 	}
 	if pre.W > pre.MaxW {
 		t.Error("window over MaxW")

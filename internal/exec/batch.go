@@ -4,33 +4,6 @@ import (
 	"github.com/tukwila/adp/internal/types"
 )
 
-// BatchSink is the vectorized extension of Sink: operators that implement
-// it accept a whole slice of tuples per call, letting a pipeline segment
-// amortize per-tuple call and allocation overhead across the batch. The
-// batch slice is owned by the caller and is only valid for the duration of
-// the call — receivers must not retain it (retaining the tuples themselves
-// is fine). Semantics are exactly those of pushing each tuple in order:
-// counters, virtual-clock charges, and output ordering are identical to
-// the tuple-at-a-time path.
-type BatchSink interface {
-	Sink
-	// PushBatch pushes ts in order. ts must not be retained.
-	PushBatch(ts []types.Tuple)
-}
-
-// PushAll delivers a batch to any sink, using the vectorized fast path
-// when the sink advertises one and falling back to tuple-at-a-time Push
-// otherwise.
-func PushAll(s Sink, ts []types.Tuple) {
-	if bs, ok := s.(BatchSink); ok {
-		bs.PushBatch(ts)
-		return
-	}
-	for _, t := range ts {
-		s.Push(t)
-	}
-}
-
 // InputCopier is implemented by sinks that copy whatever they keep out of
 // a pushed tuple before the push returns — an aggregate absorbing values
 // into its groups, a result sink adapting rows into its own storage. A
@@ -40,11 +13,10 @@ type InputCopier interface {
 	CopiesInput()
 }
 
-// discardSink drops tuples and batches (benchmarks disable query output to
+// discardSink drops what it is pushed (benchmarks disable query output to
 // eliminate client feedback, §3.5).
 type discardSink struct{}
 
-func (discardSink) Push(types.Tuple)        {}
 func (discardSink) PushBatch([]types.Tuple) {}
 
 // Discard is a Sink that drops tuples.
@@ -108,14 +80,12 @@ func (a *valueArena) rewind() {
 const emitFlushLen = 1024
 
 // BatchEmitter is the shared emit machinery of the join-shaped operators
-// (HashJoin, MergeJoin, the complementary pair's mini stitch-up): between
-// Begin and Flush, concatenated outputs are carved from a slab arena and
-// buffered so a whole batch's results reach the downstream sink in one
-// PushAll; outside a batch, EmitConcat degrades to a per-tuple Push of a
-// freshly allocated concatenation. Delivery order is always the emit
-// order.
+// (HashJoin, MergeJoin, the complementary pair's mini stitch-up):
+// concatenated outputs are carved from a slab arena and buffered until
+// Flush, so the results of one input batch (or one drain) reach the
+// downstream sink in one PushBatch. Whoever emits must Flush before it
+// returns to its caller. Delivery order is always the emit order.
 type BatchEmitter struct {
-	active bool
 	// recycle rewinds the arena after every delivery instead of abandoning
 	// its slabs: set when the downstream sink copies what it keeps (see
 	// InputCopier), so nothing outlives the delivery.
@@ -124,24 +94,16 @@ type BatchEmitter struct {
 	arena   valueArena
 }
 
-// Begin switches emits to the buffered arena path.
-func (e *BatchEmitter) Begin() { e.active = true }
-
 // EmitConcat emits lt ++ rt.
 func (e *BatchEmitter) EmitConcat(out Sink, lt, rt types.Tuple) {
-	if !e.active {
-		out.Push(lt.Concat(rt))
-		return
-	}
 	e.buf = append(e.buf, e.arena.concat(lt, rt))
 	if len(e.buf) >= emitFlushLen {
 		e.deliver(out)
 	}
 }
 
-// Flush ends the batch, delivering any buffered outputs downstream.
+// Flush delivers any buffered outputs downstream.
 func (e *BatchEmitter) Flush(out Sink) {
-	e.active = false
 	if len(e.buf) > 0 {
 		e.deliver(out)
 	}
@@ -150,7 +112,7 @@ func (e *BatchEmitter) Flush(out Sink) {
 // deliver hands the buffer downstream and clears it before reuse so it
 // does not pin arena-backed results downstream has already dropped.
 func (e *BatchEmitter) deliver(out Sink) {
-	PushAll(out, e.buf)
+	out.PushBatch(e.buf)
 	clear(e.buf)
 	e.buf = e.buf[:0]
 	if e.recycle {

@@ -4,21 +4,24 @@ import (
 	"github.com/tukwila/adp/internal/types"
 )
 
-// Columnar execution: operators that can consume struct-of-arrays batches
-// advertise ColBatchSink, and the source driver delivers same-source runs
-// as types.ColBatch values. The win over row batches is the key
-// machinery: one types.HashKeys sweep hashes a whole batch's key columns
-// column-at-a-time into a reused hash vector, and the hash-based
-// consumers (HashJoin via state.HashTable.InsertHashedBatch /
-// ProbeHashedBatch, AggTable group routing) spend that one vector per
-// batch instead of hashing tuple-by-tuple. Semantics are exactly those of
-// pushing the equivalent row batch: output order and counters are
-// identical, and virtual-clock charges are the same multiset (totals
-// agree up to float summation order).
+// Columnar kernels. The engine moves unsigned rows as row batches only
+// (see Sink): every hash build retains its rows as tuples, so a columnar
+// frame between two joins is transposed in at one and back out at the
+// next, and both end-to-end measurements of that wiring came out behind
+// the row batches (docs/architecture.md has the numbers). This file holds
+// what the signed path runs on — a delta batch is a ColBatch with a sign
+// (delta.go) — and the unsigned entries only benchmark/probes.go still
+// calls (HashJoin's and AggTable's; Exchange's is in exchange.go). Both
+// share the key machinery: one types.HashKeys sweep hashes a whole batch's
+// key columns into a reused hash vector that state.HashTable's
+// InsertHashedBatch / ProbeHashedBatch and AggTable group routing then
+// spend. An unsigned entry means exactly what pushing the equivalent row
+// batch means: output order, counters and clock are identical.
 
-// ColBatchSink is the columnar extension of Sink. The batch is owned by
-// the caller and valid only for the duration of the call; receivers that
-// retain rows must materialize them as tuples (which copies the values).
+// ColBatchSink is a Sink that also accepts struct-of-arrays batches. The
+// batch is owned by the caller and valid only for the duration of the call;
+// receivers that retain rows must materialize them as tuples (which copies
+// the values).
 type ColBatchSink interface {
 	Sink
 	// PushColBatch pushes the batch's rows in order. b must not be
@@ -27,10 +30,9 @@ type ColBatchSink interface {
 }
 
 // colDelivery is the downstream-delivery machinery shared by columnar
-// producers: the columnar fast path when the sink advertises one, with
-// automatic row-batch fallback through PushAll. Fallback rows are carved
-// from a slab arena (downstream may retain them), and the row-header
-// slice is reused across batches.
+// producers: the columnar entry when the sink has one, a row batch
+// otherwise. The rows are carved from a slab arena (downstream may retain
+// them), and the row-header slice is reused across batches.
 type colDelivery struct {
 	arena valueArena
 	rows  []types.Tuple
@@ -62,37 +64,13 @@ func (d *colDelivery) PushColAll(s Sink, b *types.ColBatch) {
 		cs.PushColBatch(b)
 		return
 	}
-	PushAll(s, d.materialize(b))
+	s.PushBatch(d.materialize(b))
 }
 
 // PushColBatch implements ColBatchSink for Discard.
 func (discardSink) PushColBatch(*types.ColBatch) {}
 
-// ColRows materializes columnar batches into retention-safe row tuples
-// for operators outside this package whose routing logic is inherently
-// row-at-a-time (e.g. the complementary join router). The returned slice
-// is reused across calls (batch contract); the tuples are arena-backed
-// and remain valid forever, so consumers may buffer or retain them.
-type ColRows struct{ d colDelivery }
-
-// Rows converts b, reusing internal storage across calls.
-func (c *ColRows) Rows(b *types.ColBatch) []types.Tuple { return c.d.materialize(b) }
-
-// PushColAll delivers a columnar batch to any sink: the columnar fast
-// path when the sink advertises one, an arena-materialized row batch
-// otherwise.
-func (c *ColRows) PushColAll(s Sink, b *types.ColBatch) { c.d.PushColAll(s, b) }
-
 // --- HashJoin ---------------------------------------------------------
-
-// PushColBatch implements ColBatchSink for a join input.
-func (s joinSide) PushColBatch(b *types.ColBatch) {
-	if s.left {
-		s.j.PushLeftColBatch(b)
-	} else {
-		s.j.PushRightColBatch(b)
-	}
-}
 
 // PushLeftColBatch feeds a columnar batch into the left input. This is
 // the vectorized key path: one HashKeys sweep hashes the batch's key
@@ -107,12 +85,9 @@ func (j *HashJoin) PushLeftColBatch(b *types.ColBatch) {
 		return
 	}
 	if j.Style == NestedLoops {
-		for _, t := range j.colIn.materialize(b) {
-			j.PushLeft(t)
-		}
+		j.PushLeftBatch(j.colIn.materialize(b))
 		return
 	}
-	j.beginBatch()
 	j.counters.In += int64(n)
 	j.counters.InLeft += int64(n)
 	j.hashVec = types.HashKeys(j.hashVec, b, j.leftKey)
@@ -137,12 +112,9 @@ func (j *HashJoin) PushRightColBatch(b *types.ColBatch) {
 		return
 	}
 	if j.Style == NestedLoops {
-		for _, t := range j.colIn.materialize(b) {
-			j.PushRight(t)
-		}
+		j.PushRightBatch(j.colIn.materialize(b))
 		return
 	}
-	j.beginBatch()
 	j.counters.In += int64(n)
 	j.counters.InRight += int64(n)
 	j.hashVec = types.HashKeys(j.hashVec, b, j.rightKey)
@@ -226,69 +198,6 @@ func (j *HashJoin) probeBatch(probedLeft bool, b *types.ColBatch, hashes []uint6
 		})
 	}
 	chargeThrough(len(rows) - 1)
-}
-
-// --- Filter -----------------------------------------------------------
-
-// PushColBatch implements ColBatchSink: rows are viewed through a reused
-// scratch tuple for the predicate, and survivors are gathered into a
-// reused columnar batch delivered downstream in one call.
-func (f *Filter) PushColBatch(b *types.ColBatch) {
-	w := b.Width()
-	if f.colScratch == nil || f.colScratch.Width() != w {
-		f.colScratch = types.NewColBatch(w)
-	}
-	out := f.colScratch
-	out.Reset()
-	if cap(f.rowView) < w {
-		f.rowView = make(types.Tuple, w)
-	}
-	row := f.rowView[:w]
-	for i, n := 0, b.Len(); i < n; i++ {
-		f.counters.In++
-		f.ctx.Clock.Charge(f.ctx.Cost.Compare)
-		b.ReadRow(row, i)
-		if f.pred(row) {
-			f.counters.Out++
-			out.AppendRow(row)
-		}
-	}
-	if out.Len() > 0 {
-		f.del.PushColAll(f.out, out)
-	}
-}
-
-// --- Project ----------------------------------------------------------
-
-// PushColBatch implements ColBatchSink. Columnar projection is zero-copy:
-// the output batch's columns alias the input's through the adapter's
-// permutation (AdaptCols), so no value moves at all.
-func (p *Project) PushColBatch(b *types.ColBatch) {
-	n := b.Len()
-	if n == 0 {
-		return
-	}
-	if p.colScratch == nil {
-		p.colScratch = types.NewColBatch(p.adapter.To().Len())
-	}
-	p.counters.In += int64(n)
-	p.counters.Out += int64(n)
-	for i := 0; i < n; i++ {
-		// Per-row, not bulk: float summation order is observable and the
-		// equivalence pins require byte-identical clocks across layouts.
-		p.ctx.Clock.Charge(p.ctx.Cost.Move)
-	}
-	p.adapter.AdaptCols(p.colScratch, b)
-	p.del.PushColAll(p.out, p.colScratch)
-}
-
-// --- Combine ----------------------------------------------------------
-
-// PushColBatch implements ColBatchSink (pass-through).
-func (c *Combine) PushColBatch(b *types.ColBatch) {
-	c.counters.In += int64(b.Len())
-	c.counters.Out += int64(b.Len())
-	c.del.PushColAll(c.out, b)
 }
 
 // --- AggTable ---------------------------------------------------------

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
-	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/types"
 )
 
@@ -34,170 +33,35 @@ func feedJoinCol(j *HashJoin, ls, rs []types.Tuple, chunkSize int) {
 	j.FinishRight()
 }
 
-// TestColumnarMatchesRowAndTuple is the three-way equivalence pin for the
-// join: tuple-at-a-time, row batches, and columnar batches must produce
-// byte-identical outputs in identical order with identical counters.
-// Virtual-clock totals agree up to float summation order (the columnar
-// path charges a batch's inserts ahead of its probes).
-func TestColumnarMatchesRowAndTuple(t *testing.T) {
+// TestColumnarEntryMatchesRows is the equivalence pin for the join's
+// columnar entries (the kernel benchmark/probes.go times): the same chunks
+// pushed as columnar batches and as row batches must produce byte-identical
+// outputs in identical order with identical counters. Virtual-clock totals
+// agree up to float summation order (the columnar path charges a batch's
+// inserts ahead of its probes).
+func TestColumnarEntryMatchesRows(t *testing.T) {
 	ls := randTuples(2000, 300, 1, rRow)
 	rs := randTuples(2000, 300, 2, sRow)
 	for _, style := range []JoinStyle{Pipelined, BuildThenProbe, NestedLoops} {
-		run := func(mode string) (*collectSink, *HashJoin, *Context) {
-			ctx := NewContext()
-			out := &collectSink{}
-			j := NewHashJoin(ctx, style, rSchema, sSchema, []int{0}, []int{0}, out)
-			switch mode {
-			case "tuple":
-				feedJoin(j, ls, rs, 64, false)
-			case "rows":
-				feedJoin(j, ls, rs, 64, true)
-			case "columnar":
-				feedJoinCol(j, ls, rs, 64)
-			}
-			return out, j, ctx
-		}
-		outT, jT, ctxT := run("tuple")
-		for _, mode := range []string{"rows", "columnar"} {
-			out, j, ctx := run(mode)
-			if len(out.rows) != len(outT.rows) || len(out.rows) == 0 {
-				t.Fatalf("%v/%s: %d vs %d output tuples", style, mode, len(out.rows), len(outT.rows))
-			}
-			for i := range out.rows {
-				if out.rows[i].String() != outT.rows[i].String() {
-					t.Fatalf("%v/%s: output %d differs: %v vs %v", style, mode, i, out.rows[i], outT.rows[i])
-				}
-			}
-			if *j.Counters() != *jT.Counters() {
-				t.Fatalf("%v/%s: counters differ: %+v vs %+v", style, mode, j.Counters(), jT.Counters())
-			}
-			if diff := math.Abs(ctx.Clock.CPU - ctxT.Clock.CPU); diff > 1e-9*ctxT.Clock.CPU {
-				t.Fatalf("%v/%s: clocks differ: %v vs %v", style, mode, ctx.Clock.CPU, ctxT.Clock.CPU)
-			}
-		}
-	}
-}
-
-// TestColumnarPipelineSegment pushes columnar batches through a
-// Filter → Project → HashJoin → AggTable segment (the shape of a lowered
-// phase plan, with the projection exercising the zero-copy column
-// aliasing) and checks the final aggregate, all counters, and the clock
-// against the tuple-at-a-time execution.
-func TestColumnarPipelineSegment(t *testing.T) {
-	// Project r(k,a) -> (a,k) then back so the join still keys on column 1
-	// of the projected layout.
-	projSchema := types.NewSchema(
-		types.Column{Name: "r.a", Kind: types.KindInt},
-		types.Column{Name: "r.k", Kind: types.KindInt},
-	)
-	full := projSchema.Concat(sSchema)
-	aggs := []algebra.AggSpec{{Kind: algebra.AggCount, As: "n"}}
-	build := func(t *testing.T) (*Filter, *HashJoin, *AggTable, *Context) {
-		t.Helper()
-		ctx := NewContext()
-		agg, err := NewAggTable(ctx, full, []string{"r.k"}, aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j := NewHashJoin(ctx, Pipelined, projSchema, sSchema, []int{1}, []int{0}, agg)
-		ad, err := types.NewAdapter(rSchema, projSchema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := NewProject(ctx, ad, j.LeftSink())
-		f := NewFilter(ctx, func(tp types.Tuple) bool { return tp[1].I%3 != 0 }, p)
-		return f, j, agg, ctx
-	}
-	ls := randTuples(3000, 200, 3, rRow)
-	rs := randTuples(3000, 200, 4, sRow)
-
-	f1, j1, a1, ctx1 := build(t)
-	for i := range ls {
-		f1.Push(ls[i])
-		j1.PushRight(rs[i])
-	}
-	f2, j2, a2, ctx2 := build(t)
-	lb, rb := types.NewColBatch(2), types.NewColBatch(2)
-	for i := 0; i < len(ls); i += 128 {
-		end := min(i+128, len(ls))
-		lb.Reset()
-		lb.AppendRows(ls[i:end])
-		f2.PushColBatch(lb)
-		rb.Reset()
-		rb.AppendRows(rs[i:end])
-		j2.PushRightColBatch(rb)
-	}
-
-	r1, r2 := a1.EmitFinal(), a2.EmitFinal()
-	if len(r1) != len(r2) || len(r1) == 0 {
-		t.Fatalf("group counts differ: %d vs %d", len(r1), len(r2))
-	}
-	for i := range r1 {
-		if r1[i].String() != r2[i].String() {
-			t.Fatalf("group %d differs: %v vs %v", i, r1[i], r2[i])
-		}
-	}
-	if *a1.Counters() != *a2.Counters() || *j1.Counters() != *j2.Counters() || *f1.Counters() != *f2.Counters() {
-		t.Fatal("operator counters differ between tuple and columnar runs")
-	}
-	if diff := math.Abs(ctx1.Clock.CPU - ctx2.Clock.CPU); diff > 1e-9*ctx1.Clock.CPU {
-		t.Fatalf("pipeline clocks differ: %v vs %v", ctx1.Clock.CPU, ctx2.Clock.CPU)
-	}
-}
-
-// TestDriverColumnarDelivery runs the availability-ordered source driver
-// three ways — tuple, row-batch, and columnar leaves — over sources with
-// interleaved arrival schedules, and requires identical outputs,
-// delivery counts, and final clocks.
-func TestDriverColumnarDelivery(t *testing.T) {
-	ls := randTuples(1500, 250, 5, rRow)
-	rs := randTuples(1500, 250, 6, sRow)
-	lRel := source.NewRelation("r", rSchema, ls)
-	rRel := source.NewRelation("s", sSchema, rs)
-	run := func(mode string) (*collectSink, *Driver, *Context) {
-		ctx := NewContext()
-		out := &collectSink{}
-		j := NewHashJoin(ctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, out)
-		ll := &Leaf{
-			Provider: source.NewProvider(lRel, source.NewBursty(len(ls), 12000, 80, 0.01, 3)),
-			Pred:     func(tp types.Tuple) bool { return tp[1].I%7 != 0 },
-			Push:     j.PushLeft,
-		}
-		rl := &Leaf{
-			Provider: source.NewProvider(rRel, source.NewBursty(len(rs), 9000, 120, 0.02, 4)),
-			Push:     j.PushRight,
-		}
-		switch mode {
-		case "rows":
-			ll.PushBatch, rl.PushBatch = j.PushLeftBatch, j.PushRightBatch
-		case "columnar":
-			ll.PushColBatch, rl.PushColBatch = j.PushLeftColBatch, j.PushRightColBatch
-		}
-		d := NewDriver(ctx, ll, rl)
-		d.Run(0, nil)
-		j.FinishLeft()
-		j.FinishRight()
-		return out, d, ctx
-	}
-	outT, dT, ctxT := run("tuple")
-	if len(outT.rows) == 0 {
-		t.Fatal("no join output")
-	}
-	for _, mode := range []string{"rows", "columnar"} {
-		out, d, ctx := run(mode)
-		if d.Delivered != dT.Delivered {
-			t.Fatalf("%s: delivered %d vs %d", mode, d.Delivered, dT.Delivered)
-		}
-		if len(out.rows) != len(outT.rows) {
-			t.Fatalf("%s: %d vs %d outputs", mode, len(out.rows), len(outT.rows))
+		ctxR, ctx := NewContext(), NewContext()
+		outR, out := &collectSink{}, &collectSink{}
+		jR := NewHashJoin(ctxR, style, rSchema, sSchema, []int{0}, []int{0}, outR)
+		j := NewHashJoin(ctx, style, rSchema, sSchema, []int{0}, []int{0}, out)
+		feedJoin(jR, ls, rs, 64, 64)
+		feedJoinCol(j, ls, rs, 64)
+		if len(out.rows) != len(outR.rows) || len(out.rows) == 0 {
+			t.Fatalf("%v: %d vs %d output tuples", style, len(out.rows), len(outR.rows))
 		}
 		for i := range out.rows {
-			if out.rows[i].String() != outT.rows[i].String() {
-				t.Fatalf("%s: output %d differs", mode, i)
+			if out.rows[i].String() != outR.rows[i].String() {
+				t.Fatalf("%v: output %d differs: %v vs %v", style, i, out.rows[i], outR.rows[i])
 			}
 		}
-		if ctx.Clock.Now != ctxT.Clock.Now && math.Abs(ctx.Clock.Now-ctxT.Clock.Now) > 1e-9*ctxT.Clock.Now {
-			t.Fatalf("%s: clock %v vs %v", mode, ctx.Clock.Now, ctxT.Clock.Now)
+		if *j.Counters() != *jR.Counters() {
+			t.Fatalf("%v: counters differ: %+v vs %+v", style, j.Counters(), jR.Counters())
+		}
+		if diff := math.Abs(ctx.Clock.CPU - ctxR.Clock.CPU); diff > 1e-9*ctxR.Clock.CPU {
+			t.Fatalf("%v: clocks differ: %v vs %v", style, ctx.Clock.CPU, ctxR.Clock.CPU)
 		}
 	}
 }
@@ -265,7 +129,7 @@ func TestAggTableColumnarGrouping(t *testing.T) {
 // TestColumnarAllocsNotWorse enforces the allocation acceptance bound as
 // a like-for-like regression test: the columnar join path must not
 // allocate more per tuple than the row-batch path (the shared floor is
-// bucket-chain storage), and both must stay far under tuple-at-a-time.
+// bucket-chain storage).
 func TestColumnarAllocsNotWorse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -278,13 +142,9 @@ func TestColumnarAllocsNotWorse(t *testing.T) {
 	perTuple := func(fn func()) float64 {
 		return testing.AllocsPerRun(3, fn) / float64(2*n)
 	}
-	tuple := perTuple(func() {
-		j := NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, Discard)
-		feedJoin(j, ls, rs, 64, false)
-	})
 	rows := perTuple(func() {
 		j := NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, Discard)
-		feedJoin(j, ls, rs, 64, true)
+		feedJoin(j, ls, rs, 64, 64)
 	})
 	columnar := perTuple(func() {
 		j := NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, Discard)
@@ -295,13 +155,10 @@ func TestColumnarAllocsNotWorse(t *testing.T) {
 		j.FinishLeft()
 		j.FinishRight()
 	})
-	t.Logf("allocs/tuple: tuple %.3f, rows %.3f, columnar %.3f", tuple, rows, columnar)
+	t.Logf("allocs/tuple: rows %.3f, columnar %.3f", rows, columnar)
 	// Small tolerance: the columnar path's extra slab arenas amortize to
 	// well under 0.1 allocs/tuple.
 	if columnar > rows+0.1 {
 		t.Fatalf("columnar path allocates %.3f/tuple, row path %.3f/tuple", columnar, rows)
-	}
-	if columnar > tuple/2 {
-		t.Fatalf("columnar path allocates %.3f/tuple, more than half of tuple-at-a-time %.3f", columnar, tuple)
 	}
 }

@@ -4,56 +4,6 @@ import (
 	"github.com/tukwila/adp/internal/types"
 )
 
-// Columnar emit machinery: BatchEmitter's siblings for operators whose
-// downstream sink accepts columns (ColBatchSink). Where BatchEmitter
-// carves concatenated row tuples from a slab arena — storage that must
-// live forever because downstream may retain the rows — the columnar
-// emitters append output values into a single reused ColBatch and deliver
-// it under the batch contract (valid for the duration of the call), so a
-// join's steady-state emit path allocates nothing at all. Delivery order
-// is always the emit order, and frames flush at emitFlushLen exactly like
-// the row emitter, so downstream sees the same rows in the same order in
-// the same-sized chunks.
-
-// ColBatchEmitter buffers concatenated (left ++ right) outputs as columns.
-// Begin(width) arms it for one input batch; EmitConcat appends l ++ r
-// column-at-a-time; Flush delivers the remainder and disarms.
-type ColBatchEmitter struct {
-	active bool
-	buf    *types.ColBatch
-}
-
-// Begin arms the emitter for an output width (lazily (re)allocating the
-// reused batch when the width changes).
-func (e *ColBatchEmitter) Begin(width int) {
-	if e.buf == nil || e.buf.Width() != width {
-		e.buf = types.NewColBatch(width)
-	}
-	e.active = true
-}
-
-// EmitConcat appends the output row lt ++ rt, delivering a full frame
-// downstream mid-batch when the buffer reaches emitFlushLen.
-func (e *ColBatchEmitter) EmitConcat(out ColBatchSink, lt, rt types.Tuple) {
-	e.buf.AppendConcat(lt, rt)
-	if e.buf.Len() >= emitFlushLen {
-		e.deliver(out)
-	}
-}
-
-// Flush ends the batch, delivering any buffered outputs downstream.
-func (e *ColBatchEmitter) Flush(out ColBatchSink) {
-	e.active = false
-	if e.buf != nil && e.buf.Len() > 0 {
-		e.deliver(out)
-	}
-}
-
-func (e *ColBatchEmitter) deliver(out ColBatchSink) {
-	out.PushColBatch(e.buf)
-	e.buf.Reset()
-}
-
 // hitEmitter is the hash join's columnar probe-hit gatherer: while a
 // columnar batch probes the build table, hits accumulate as (probe row
 // index, matched build tuple) pairs, and flushes gather them into the

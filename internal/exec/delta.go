@@ -31,13 +31,13 @@ type DeltaSink interface {
 
 // DeltaForward delivers signed batches to a downstream sink, caching the
 // one DeltaSink type assertion. Pure insertions (+1) degrade to the
-// plain columnar path when the sink is sign-agnostic — an insert-only
-// delta stream is indistinguishable from ordinary execution — but a
-// retraction reaching a sign-agnostic sink is a lowering bug and panics.
+// unsigned path when the sink is sign-agnostic — an insert-only delta
+// stream is indistinguishable from ordinary execution — but a retraction
+// reaching a sign-agnostic sink is a lowering bug and panics.
 type DeltaForward struct {
 	checked bool
 	ds      DeltaSink
-	cr      ColRows
+	del     colDelivery
 }
 
 // Forward delivers one signed batch to out.
@@ -54,7 +54,7 @@ func (d *DeltaForward) Forward(out Sink, b *types.ColBatch, sign int) {
 		return
 	}
 	if sign > 0 {
-		d.cr.PushColAll(out, b)
+		d.del.PushColAll(out, b)
 		return
 	}
 	panic("exec: retraction delta reached a sink without PushDelta")
@@ -83,16 +83,7 @@ func (s *signedOut) ensure(width int) {
 	}
 }
 
-// Push implements Sink (single signed row).
-func (s *signedOut) Push(t types.Tuple) {
-	s.ensure(len(t))
-	s.buf.Reset()
-	s.buf.AppendRow(t)
-	s.fw.Forward(s.out, s.buf, s.sign)
-	s.buf.Reset()
-}
-
-// PushBatch implements BatchSink.
+// PushBatch implements Sink (the nested-loops scan's row emits).
 func (s *signedOut) PushBatch(ts []types.Tuple) {
 	if len(ts) == 0 {
 		return
@@ -315,15 +306,15 @@ func (j *HashJoin) scanDelta(l *state.List, deltaLeft bool, t types.Tuple, emitS
 		}
 		j.ctx.Clock.Charge(j.ctx.Cost.Move)
 		j.counters.Out++
-		j.sout.Push(lt.Concat(rt))
+		j.sout.PushBatch([]types.Tuple{lt.Concat(rt)})
 		return true
 	})
 }
 
 // --- Filter -----------------------------------------------------------
 
-// PushDelta implements DeltaSink: the predicate sweep is sign-blind
-// (identical to PushColBatch), survivors keep the batch's sign.
+// PushDelta implements DeltaSink: the predicate sweep is sign-blind,
+// survivors keep the batch's sign.
 func (f *Filter) PushDelta(b *types.ColBatch, sign int) {
 	w := b.Width()
 	if f.colScratch == nil || f.colScratch.Width() != w {

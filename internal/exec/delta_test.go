@@ -20,13 +20,11 @@ type updateLog struct {
 	signs []int
 }
 
-func (u *updateLog) Push(t types.Tuple) { u.add(t, 1) }
 func (u *updateLog) PushBatch(ts []types.Tuple) {
 	for _, t := range ts {
 		u.add(t, 1)
 	}
 }
-func (u *updateLog) PushColBatch(b *types.ColBatch) { u.PushDelta(b, 1) }
 func (u *updateLog) PushDelta(b *types.ColBatch, sign int) {
 	for i := 0; i < b.Len(); i++ {
 		row := make(types.Tuple, b.Width())

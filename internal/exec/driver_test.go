@@ -15,9 +15,16 @@ func TestDriverBestLeafTieBreak(t *testing.T) {
 	a := source.NewRelation("a", rSchema, []types.Tuple{rRow(1, 0), rRow(2, 0)})
 	b := source.NewRelation("b", sSchema, []types.Tuple{sRow(1, 0), sRow(2, 0)})
 	var order []string
+	note := func(leaf string) func([]types.Tuple) {
+		return func(ts []types.Tuple) {
+			for range ts {
+				order = append(order, leaf)
+			}
+		}
+	}
 	d := NewDriver(NewContext(),
-		&Leaf{Provider: source.NewProvider(a, nil), Push: func(types.Tuple) { order = append(order, "a") }},
-		&Leaf{Provider: source.NewProvider(b, nil), Push: func(types.Tuple) { order = append(order, "b") }},
+		&Leaf{Provider: source.NewProvider(a, nil), PushBatch: note("a")},
+		&Leaf{Provider: source.NewProvider(b, nil), PushBatch: note("b")},
 	)
 	if best := d.bestLeaf(); best != 0 {
 		t.Fatalf("tie must break to lowest index, got %d", best)
@@ -34,20 +41,23 @@ func TestDriverBestLeafTieBreak(t *testing.T) {
 // TestDriverFutureArrivalsDoNotBlock pins the difference between "next
 // tuple is in the future" and "exhausted": a pending-future leaf is still
 // the best leaf (the clock jumps forward to it); bestLeaf reports -1 only
-// when every source is exhausted, and Step mirrors that.
+// when every source is exhausted, and a run suspended after every tuple
+// mirrors that.
 func TestDriverFutureArrivalsDoNotBlock(t *testing.T) {
 	late := source.NewRelation("late", rSchema, []types.Tuple{rRow(1, 0)})
 	later := source.NewRelation("later", sSchema, []types.Tuple{sRow(1, 0)})
 	ctx := NewContext()
 	d := NewDriver(ctx,
-		&Leaf{Provider: source.NewProvider(late, source.Bandwidth{Latency: 5, TuplesPerSec: 1}), Push: func(types.Tuple) {}},
-		&Leaf{Provider: source.NewProvider(later, source.Bandwidth{Latency: 50, TuplesPerSec: 1}), Push: func(types.Tuple) {}},
+		&Leaf{Provider: source.NewProvider(late, source.Bandwidth{Latency: 5, TuplesPerSec: 1}), PushBatch: func([]types.Tuple) {}},
+		&Leaf{Provider: source.NewProvider(later, source.Bandwidth{Latency: 50, TuplesPerSec: 1}), PushBatch: func([]types.Tuple) {}},
 	)
 	if best := d.bestLeaf(); best != 0 {
 		t.Fatalf("earliest future arrival must win, got leaf %d", best)
 	}
-	if !d.Step() {
-		t.Fatal("Step must service a future arrival, not report exhaustion")
+	// step delivers one tuple; false once the sources are exhausted.
+	step := func() bool { return !d.Run(1, func() bool { return true }) }
+	if !step() {
+		t.Fatal("a run must service a future arrival, not report exhaustion")
 	}
 	if ctx.Clock.Now < 5 {
 		t.Errorf("clock should jump to the arrival, now=%g", ctx.Clock.Now)
@@ -55,14 +65,14 @@ func TestDriverFutureArrivalsDoNotBlock(t *testing.T) {
 	if best := d.bestLeaf(); best != 1 {
 		t.Fatalf("remaining leaf must be chosen, got %d", best)
 	}
-	if !d.Step() {
-		t.Fatal("second Step must deliver")
+	if !step() {
+		t.Fatal("second step must deliver")
 	}
 	if best := d.bestLeaf(); best != -1 {
 		t.Fatalf("all exhausted must yield -1, got %d", best)
 	}
-	if d.Step() {
-		t.Fatal("Step after exhaustion must report false")
+	if step() {
+		t.Fatal("a step after exhaustion must report exhaustion")
 	}
 	if !d.Run(0, nil) {
 		t.Fatal("Run over exhausted sources must report exhaustion")
@@ -81,7 +91,7 @@ func TestDriverPollCadenceExact(t *testing.T) {
 	}
 	rel := source.NewRelation("r", rSchema, rows)
 	for _, every := range []int{1, 7, 64, 100, 1000} {
-		d := NewDriver(NewContext(), &Leaf{Provider: source.NewProvider(rel, nil), Push: func(types.Tuple) {}})
+		d := NewDriver(NewContext(), &Leaf{Provider: source.NewProvider(rel, nil), PushBatch: func([]types.Tuple) {}})
 		var at []int64
 		exhausted := d.Run(every, func() bool {
 			at = append(at, d.Delivered)
@@ -110,7 +120,7 @@ func TestDriverPollCadenceExact(t *testing.T) {
 // with a tiny batch budget (pollEvery ignored entirely).
 func TestDriverPollNotCalledWhenNil(t *testing.T) {
 	rel := source.NewRelation("r", rSchema, []types.Tuple{rRow(1, 0), rRow(2, 0)})
-	d := NewDriver(NewContext(), &Leaf{Provider: source.NewProvider(rel, nil), Push: func(types.Tuple) {}})
+	d := NewDriver(NewContext(), &Leaf{Provider: source.NewProvider(rel, nil), PushBatch: func([]types.Tuple) {}})
 	if !d.Run(1, nil) || d.Delivered != 2 {
 		t.Fatalf("nil-poll run broken: delivered=%d", d.Delivered)
 	}

@@ -14,11 +14,18 @@ import (
 // an upstream operator's partitioning key routes every row back to its
 // own partition (the local fast path: no cross-partition traffic at all).
 //
-// Within one PushBatch/PushColBatch call, partitions are delivered in
-// ascending partition order and rows keep their input order inside each
-// partition, so single-producer topologies stay fully deterministic. The
-// rows slice handed to route is reused across batches and must not be
-// retained (the tuples themselves may be).
+// Within one PushBatch call, partitions are delivered in ascending
+// partition order and rows keep their input order inside each partition, so
+// single-producer topologies stay fully deterministic. The rows slice handed
+// to route is reused across batches and must not be retained (the tuples
+// themselves may be).
+//
+// PushBatch is the entry the engine runs: leaves and boundaries scatter row
+// batches. The columnar entry (RouteCol + PushColBatch, same delivery
+// discipline) is a kernel no plan is wired to any more; it stays, with its
+// tests and alloc budget, for benchmark/probes.go, which times it as
+// exec.exchange_scatter_ns_per_row until that probe is re-pointed at
+// PushBatch.
 //
 // Exchange charges nothing to the virtual clock: it models an in-memory
 // transfer between pipeline partitions, not one of the paper's costed
@@ -29,14 +36,11 @@ type Exchange struct {
 	route   func(part int, rows []types.Tuple)
 
 	// routeCol, when installed (RouteCol), receives columnar sub-batches
-	// for columnar input: partition-parallel hops then move columns end
-	// to end with no transpose at the boundary.
+	// for columnar input.
 	routeCol func(part int, b *types.ColBatch)
 
-	// scratch[p] gathers the current batch's rows for partition p; one
-	// single-tuple buffer backs the scalar Push path.
+	// scratch[p] gathers the current batch's rows for partition p.
 	scratch [][]types.Tuple
-	one     [1]types.Tuple
 
 	// Columnar-entry scratch: the batch hash vector (one HashKeys sweep
 	// partitions the whole batch), the arena-backed materializer that
@@ -94,16 +98,7 @@ func partitionOf(h uint64, parts int) int {
 	return int(h % uint64(parts))
 }
 
-// Push implements Sink: a single row routes as a one-row sub-batch.
-func (e *Exchange) Push(t types.Tuple) {
-	e.counters.In++
-	e.counters.Out++
-	e.one[0] = t
-	e.route(e.PartitionOf(t), e.one[:1])
-	e.one[0] = nil
-}
-
-// PushBatch implements BatchSink: the batch is scattered into reused
+// PushBatch implements Sink: the batch is scattered into reused
 // per-partition buffers and delivered partition by partition (ascending),
 // preserving row order within each partition. Steady state performs no
 // allocations beyond buffer growth.

@@ -56,7 +56,7 @@ func TestExchangePartitioning(t *testing.T) {
 		}
 	}
 
-	// Scalar and columnar entries agree with the batch path.
+	// One-row batches and the columnar entry agree with the batch path.
 	scalar := make([]int, 0, len(rows))
 	exS := NewExchange(parts, []int{0}, func(p int, ts []types.Tuple) {
 		for range ts {
@@ -64,7 +64,7 @@ func TestExchangePartitioning(t *testing.T) {
 		}
 	})
 	for _, tp := range rows {
-		exS.Push(tp)
+		exS.PushBatch(one(tp))
 	}
 	colParts := make([][]types.Tuple, parts)
 	exC := NewExchange(parts, []int{0}, func(p int, ts []types.Tuple) {

@@ -26,7 +26,10 @@ func sRow(k, b int64) types.Tuple { return types.Tuple{types.Int(k), types.Int(b
 // collectSink gathers output tuples.
 type collectSink struct{ rows []types.Tuple }
 
-func (c *collectSink) Push(t types.Tuple) { c.rows = append(c.rows, t) }
+func (c *collectSink) PushBatch(ts []types.Tuple) { c.rows = append(c.rows, ts...) }
+
+// one is a tuple as the batch of one it travels as.
+func one(t types.Tuple) []types.Tuple { return []types.Tuple{t} }
 
 // joinReference computes the expected equijoin result size via nested
 // loops over raw slices.
@@ -56,21 +59,21 @@ func runJoinBothSides(j *HashJoin, ls, rs []types.Tuple, interleave bool) {
 		i, k := 0, 0
 		for i < len(ls) || k < len(rs) {
 			if i < len(ls) {
-				j.PushLeft(ls[i])
+				j.PushLeftBatch(one(ls[i]))
 				i++
 			}
 			if k < len(rs) {
-				j.PushRight(rs[k])
+				j.PushRightBatch(one(rs[k]))
 				k++
 			}
 		}
 	} else {
 		for _, r := range rs {
-			j.PushRight(r)
+			j.PushRightBatch(one(r))
 		}
 		j.FinishRight()
 		for _, l := range ls {
-			j.PushLeft(l)
+			j.PushLeftBatch(one(l))
 		}
 	}
 	j.FinishLeft()
@@ -112,8 +115,8 @@ func TestJoinOutputLayout(t *testing.T) {
 	if j.Schema().Len() != 4 || j.Schema().Cols[2].Name != "s.k" {
 		t.Fatalf("join schema = %v", j.Schema())
 	}
-	j.PushLeft(rRow(1, 10))
-	j.PushRight(sRow(1, 20))
+	j.PushLeftBatch(one(rRow(1, 10)))
+	j.PushRightBatch(one(sRow(1, 20)))
 	if len(sink.rows) != 1 {
 		t.Fatal("no output")
 	}
@@ -134,8 +137,8 @@ func TestBuildThenProbeBuffersUntilBuildDone(t *testing.T) {
 	ctx := NewContext()
 	sink := &collectSink{}
 	j := NewHashJoin(ctx, BuildThenProbe, rSchema, sSchema, []int{0}, []int{0}, sink)
-	j.PushLeft(rRow(1, 10)) // buffered: build not done
-	j.PushRight(sRow(1, 20))
+	j.PushLeftBatch(one(rRow(1, 10))) // buffered: build not done
+	j.PushRightBatch(one(sRow(1, 20)))
 	if len(sink.rows) != 0 {
 		t.Fatal("probe before build completion")
 	}
@@ -144,7 +147,7 @@ func TestBuildThenProbeBuffersUntilBuildDone(t *testing.T) {
 		t.Fatal("buffered probes not drained")
 	}
 	// Late left tuples probe immediately after build completion.
-	j.PushLeft(rRow(1, 11))
+	j.PushLeftBatch(one(rRow(1, 11)))
 	if len(sink.rows) != 2 {
 		t.Fatal("post-build probe failed")
 	}
@@ -153,8 +156,8 @@ func TestBuildThenProbeBuffersUntilBuildDone(t *testing.T) {
 func TestNestedLoopsLists(t *testing.T) {
 	ctx := NewContext()
 	j := NewHashJoin(ctx, NestedLoops, rSchema, sSchema, []int{0}, []int{0}, &collectSink{})
-	j.PushLeft(rRow(1, 1))
-	j.PushRight(sRow(2, 2))
+	j.PushLeftBatch(one(rRow(1, 1)))
+	j.PushRightBatch(one(sRow(2, 2)))
 	l, r := j.Lists()
 	if l.Len() != 1 || r.Len() != 1 {
 		t.Error("nested loops must buffer both sides")
@@ -191,13 +194,13 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	i, k := 0, 0
 	for i < len(ls) || k < len(rs) {
 		if i < len(ls) {
-			if err := m.PushLeft(ls[i]); err != nil {
+			if err := m.PushLeftBatch(one(ls[i])); err != nil {
 				t.Fatal(err)
 			}
 			i++
 		}
 		if k < len(rs) {
-			if err := m.PushRight(rs[k]); err != nil {
+			if err := m.PushRightBatch(one(rs[k])); err != nil {
 				t.Fatal(err)
 			}
 			k++
@@ -222,12 +225,12 @@ func TestMergeJoinDuplicatesBothSides(t *testing.T) {
 	sink := &collectSink{}
 	m := NewMergeJoin(ctx, rSchema, sSchema, []int{0}, []int{0}, sink)
 	for _, k := range []int64{5, 5, 7} {
-		if err := m.PushLeft(rRow(k, 0)); err != nil {
+		if err := m.PushLeftBatch(one(rRow(k, 0))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, k := range []int64{5, 5, 5, 7} {
-		if err := m.PushRight(sRow(k, 0)); err != nil {
+		if err := m.PushRightBatch(one(sRow(k, 0))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,10 +244,10 @@ func TestMergeJoinDuplicatesBothSides(t *testing.T) {
 func TestMergeJoinRejectsOutOfOrder(t *testing.T) {
 	ctx := NewContext()
 	m := NewMergeJoin(ctx, rSchema, sSchema, []int{0}, []int{0}, &collectSink{})
-	if err := m.PushLeft(rRow(5, 0)); err != nil {
+	if err := m.PushLeftBatch(one(rRow(5, 0))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PushLeft(rRow(3, 0)); err == nil {
+	if err := m.PushLeftBatch(one(rRow(3, 0))); err == nil {
 		t.Error("out-of-order push must error")
 	}
 }
@@ -253,8 +256,8 @@ func TestFilterProjectCombineQueue(t *testing.T) {
 	ctx := NewContext()
 	sink := &collectSink{}
 	f := NewFilter(ctx, func(t types.Tuple) bool { return t[0].I > 1 }, sink)
-	f.Push(rRow(1, 1))
-	f.Push(rRow(2, 2))
+	f.PushBatch(one(rRow(1, 1)))
+	f.PushBatch(one(rRow(2, 2)))
 	if len(sink.rows) != 1 || f.Counters().Out != 1 || f.Counters().In != 2 {
 		t.Error("filter wrong")
 	}
@@ -266,24 +269,24 @@ func TestFilterProjectCombineQueue(t *testing.T) {
 	}
 	psink := &collectSink{}
 	p := NewProject(ctx, ad, psink)
-	p.Push(rRow(7, 42))
+	p.PushBatch(one(rRow(7, 42)))
 	if len(psink.rows) != 1 || psink.rows[0][0].I != 42 || p.Counters().Out != 1 {
 		t.Error("project wrong")
 	}
 
 	csink := &collectSink{}
 	c := NewCombine(csink)
-	c.Push(rRow(1, 1))
-	c.Push(rRow(2, 2))
+	c.PushBatch(one(rRow(1, 1)))
+	c.PushBatch(one(rRow(2, 2)))
 	if len(csink.rows) != 2 || c.Counters().In != 2 {
 		t.Error("combine wrong")
 	}
 
 	qsink := &collectSink{}
 	q := NewQueue(qsink)
-	q.Push(rRow(1, 1))
-	q.Push(rRow(2, 2))
-	q.Push(rRow(3, 3))
+	q.PushBatch(one(rRow(1, 1)))
+	q.PushBatch(one(rRow(2, 2)))
+	q.PushBatch(one(rRow(3, 3)))
 	if q.Len() != 3 || len(qsink.rows) != 0 {
 		t.Error("queue should buffer")
 	}
@@ -306,10 +309,17 @@ func TestDriverAvailabilityOrder(t *testing.T) {
 	ps := source.NewProvider(slow, source.Bandwidth{TuplesPerSec: 1})
 
 	var order []string
+	note := func(leaf string) func([]types.Tuple) {
+		return func(ts []types.Tuple) {
+			for range ts {
+				order = append(order, leaf)
+			}
+		}
+	}
 	ctx := NewContext()
 	d := NewDriver(ctx,
-		&Leaf{Provider: pf, Push: func(types.Tuple) { order = append(order, "fast") }},
-		&Leaf{Provider: ps, Push: func(types.Tuple) { order = append(order, "slow") }},
+		&Leaf{Provider: pf, PushBatch: note("fast")},
+		&Leaf{Provider: ps, PushBatch: note("slow")},
 	)
 	if !d.Run(0, nil) {
 		t.Fatal("Run should exhaust")
@@ -337,10 +347,10 @@ func TestDriverFilterAndInstrumentation(t *testing.T) {
 	var pushed, observed int
 	ctx := NewContext()
 	leaf := &Leaf{
-		Provider: p,
-		Push:     func(types.Tuple) { pushed++ },
-		Pred:     func(t types.Tuple) bool { return t[0].I%2 == 1 },
-		OnTuple:  func(types.Tuple) { observed++ },
+		Provider:  p,
+		PushBatch: func(ts []types.Tuple) { pushed += len(ts) },
+		Pred:      func(t types.Tuple) bool { return t[0].I%2 == 1 },
+		OnTuple:   func(types.Tuple) { observed++ },
 	}
 	d := NewDriver(ctx, leaf)
 	d.Run(0, nil)
@@ -363,7 +373,7 @@ func TestDriverPollSuspends(t *testing.T) {
 	}
 	p := source.NewProvider(rel, nil)
 	ctx := NewContext()
-	d := NewDriver(ctx, &Leaf{Provider: p, Push: func(types.Tuple) {}})
+	d := NewDriver(ctx, &Leaf{Provider: p, PushBatch: func([]types.Tuple) {}})
 	polls := 0
 	exhausted := d.Run(10, func() bool {
 		polls++

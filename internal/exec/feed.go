@@ -14,17 +14,9 @@ import (
 // overhead charged to the clock so the overhead experiment is honest.
 type Leaf struct {
 	Provider source.Provider
-	// Push delivers a post-filter tuple into the plan.
-	Push func(t types.Tuple)
-	// PushBatch, when set, delivers a batch of post-filter tuples into
-	// the plan in one call (the driver's vectorized delivery path). The
+	// PushBatch delivers a batch of post-filter tuples into the plan. The
 	// slice is reused across batches and must not be retained.
 	PushBatch func(ts []types.Tuple)
-	// PushColBatch, when set, delivers a batch of post-filter tuples as a
-	// columnar (struct-of-arrays) batch, the layout the vectorized key
-	// kernels want; it takes precedence over PushBatch. The batch is
-	// reused across deliveries and must not be retained.
-	PushColBatch func(b *types.ColBatch)
 	// Pred is the bound local selection (nil = none).
 	Pred func(t types.Tuple) bool
 	// OnTuple observes every tuple read (pre-filter), e.g. histogram
@@ -35,10 +27,6 @@ type Leaf struct {
 	// Passed counts tuples surviving the filter.
 	Read   int64
 	Passed int64
-
-	// colScratch is the reused columnar delivery batch (PushColBatch
-	// leaves only).
-	colScratch *types.ColBatch
 }
 
 // Driver delivers source tuples into a plan in global availability order:
@@ -121,28 +109,13 @@ func (d *Driver) readInto(l *Leaf) (types.Tuple, bool) {
 	return row.T, true
 }
 
-// Step delivers a single tuple from the earliest-available non-exhausted
-// leaf; ok=false when all sources are exhausted.
-func (d *Driver) Step() bool {
-	best := d.bestLeaf()
-	if best < 0 {
-		return false
-	}
-	l := d.leaves[best]
-	if t, ok := d.readInto(l); ok {
-		l.Push(t)
-	}
-	return true
-}
-
 // stepBatch reads up to max tuples from the earliest-available leaf into
-// batch and delivers the post-filter survivors in one call (PushBatch when
-// the leaf supports it). A batch extends only while the same leaf remains
-// the earliest under Step's selection rule AND its next tuple is already
-// available (arrival ≤ current virtual time, so the AdvanceTo it would
-// perform is a no-op) — which makes the batched run's delivery order,
-// counters, and final clock identical to tuple-at-a-time stepping. It
-// returns the number of tuples read (0 when sources are exhausted).
+// batch and delivers the post-filter survivors in one call. A batch extends
+// only while the same leaf remains the earliest (bestLeaf) AND its next
+// tuple is already available (arrival ≤ current virtual time, so the
+// AdvanceTo it would perform is a no-op) — so the delivery order, the
+// counters and the clock do not depend on max. It returns the number of
+// tuples read (0 when sources are exhausted).
 func (d *Driver) stepBatch(max int, batch *[]types.Tuple) int {
 	best := d.bestLeaf()
 	if best < 0 {
@@ -164,24 +137,7 @@ func (d *Driver) stepBatch(max int, batch *[]types.Tuple) int {
 	}
 	*batch = buf
 	if len(buf) > 0 {
-		switch {
-		case l.PushColBatch != nil:
-			// Columnar delivery: transpose the run into the leaf's reused
-			// struct-of-arrays batch so the plan's key kernels can run
-			// column-at-a-time.
-			if l.colScratch == nil {
-				l.colScratch = types.NewColBatch(l.Provider.Schema().Len())
-			}
-			l.colScratch.Reset()
-			l.colScratch.AppendRows(buf)
-			l.PushColBatch(l.colScratch)
-		case l.PushBatch != nil:
-			l.PushBatch(buf)
-		default:
-			for _, t := range buf {
-				l.Push(t)
-			}
-		}
+		l.PushBatch(buf)
 	}
 	return reads
 }

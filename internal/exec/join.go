@@ -6,16 +6,23 @@ import (
 	"github.com/tukwila/adp/internal/types"
 )
 
-// Sink receives output tuples from a push operator.
+// Sink receives the output of a push operator. Unsigned rows travel between
+// operators as row batches and in no other form — a single tuple is a batch
+// of one — so a pipeline segment amortizes per-call and allocation overhead
+// across the batch. The batch slice is owned by the caller and is only
+// valid for the duration of the call: receivers must not retain it. They
+// may retain the tuples themselves, unless they declare that they do not
+// (InputCopier).
 type Sink interface {
-	Push(t types.Tuple)
+	// PushBatch pushes ts in order. ts must not be retained.
+	PushBatch(ts []types.Tuple)
 }
 
 // SinkFunc adapts a function to a Sink.
-type SinkFunc func(t types.Tuple)
+type SinkFunc func(ts []types.Tuple)
 
-// Push implements Sink.
-func (f SinkFunc) Push(t types.Tuple) { f(t) }
+// PushBatch implements Sink.
+func (f SinkFunc) PushBatch(ts []types.Tuple) { f(ts) }
 
 // JoinStyle selects the iterator module driving a join node's state
 // structures (§3.1): data-availability-driven (pipelined hash),
@@ -78,9 +85,8 @@ type HashJoin struct {
 	leftDone      bool
 	rightDone     bool
 
-	// Batched-execution scratch: the reused probe-key buffer and the
-	// emitter a batch's outputs accumulate into before one downstream
-	// delivery.
+	// Emit scratch: the reused probe-key buffer and the emitter a batch's
+	// (or a drain's) outputs accumulate into before one downstream delivery.
 	keyScratch types.Tuple
 	em         BatchEmitter
 
@@ -115,9 +121,9 @@ type HashJoin struct {
 // NewHashJoin creates a join node. leftKey/rightKey are column positions
 // of the equijoin keys in the respective input layouts; leftSchema and
 // rightSchema describe the inputs; out receives concatenated
-// (left ++ right) tuples. When out is an InputCopier the batched emit path
-// reuses one arena for every delivery; otherwise emitted tuples are never
-// overwritten and out may retain them.
+// (left ++ right) tuples. When out is an InputCopier the emit path reuses one
+// arena for every delivery; otherwise emitted tuples are never overwritten
+// and out may retain them.
 func NewHashJoin(ctx *Context, style JoinStyle, leftSchema, rightSchema *types.Schema, leftKey, rightKey []int, out Sink) *HashJoin {
 	j := &HashJoin{
 		Style:     style,
@@ -180,56 +186,14 @@ func (j *HashJoin) Tables() (left, right state.Keyed) { return j.left, j.right }
 // Lists exposes nested-loops buffers.
 func (j *HashJoin) Lists() (left, right *state.List) { return j.leftList, j.rightList }
 
-// keyValues extracts the key columns of t.
-func keyValues(t types.Tuple, cols []int) []types.Value {
-	out := make([]types.Value, len(cols))
-	for i, c := range cols {
-		out[i] = t[c]
-	}
-	return out
-}
-
-// PushLeft feeds one tuple into the left input.
-func (j *HashJoin) PushLeft(t types.Tuple) {
-	j.counters.In++
-	j.counters.InLeft++
-	switch j.Style {
-	case Pipelined:
-		j.left.Insert(t)
-		j.ctx.Clock.Charge(j.ctx.Cost.HashInsert)
-		j.probeRight(t)
-	case BuildThenProbe:
-		j.left.Insert(t)
-		j.ctx.Clock.Charge(j.ctx.Cost.HashInsert)
-		if j.rightDone {
-			j.probeRight(t)
-		} else {
-			j.pendingProbes = append(j.pendingProbes, t)
-		}
-	case NestedLoops:
-		j.leftList.Insert(t)
-		j.ctx.Clock.Charge(j.ctx.Cost.Move)
-		j.scanRight(t)
-	}
-}
-
-// joinSide exposes one input of a HashJoin as a (batch-capable) sink, so
-// plan lowering can wire whole batches into either side.
+// joinSide exposes one input of a HashJoin as a sink, so plan lowering can
+// wire either side.
 type joinSide struct {
 	j    *HashJoin
 	left bool
 }
 
-// Push implements Sink.
-func (s joinSide) Push(t types.Tuple) {
-	if s.left {
-		s.j.PushLeft(t)
-	} else {
-		s.j.PushRight(t)
-	}
-}
-
-// PushBatch implements BatchSink.
+// PushBatch implements Sink.
 func (s joinSide) PushBatch(ts []types.Tuple) {
 	if s.left {
 		s.j.PushLeftBatch(ts)
@@ -238,32 +202,30 @@ func (s joinSide) PushBatch(ts []types.Tuple) {
 	}
 }
 
-// LeftSink returns the join's left input as a batch-capable sink.
+// LeftSink returns the join's left input as a sink.
 func (j *HashJoin) LeftSink() Sink { return joinSide{j: j, left: true} }
 
-// RightSink returns the join's right input as a batch-capable sink.
+// RightSink returns the join's right input as a sink.
 func (j *HashJoin) RightSink() Sink { return joinSide{j: j, left: false} }
 
 // PushLeftBatch feeds a batch of tuples into the left input. For hash
-// styles this is the allocation-amortized fast path: each tuple's key is
-// hashed exactly once (shared between the build-side insert and the
-// opposite-side probe), probe keys live in a reused scratch buffer, join
-// results are carved from an arena, and the batch's outputs are delivered
-// downstream in one call. Counters, clock charges, and output order are
-// identical to pushing the tuples one at a time.
+// styles each tuple's key is hashed exactly once (shared between the
+// build-side insert and the opposite-side probe), probe keys live in a
+// reused scratch buffer, join results are carved from an arena, and the
+// batch's outputs are delivered downstream in one call, in the order the
+// tuples produced them.
 //
 //adp:hotpath gated by BenchmarkPipelinedJoinPush (scripts/check_allocs.sh)
 func (j *HashJoin) PushLeftBatch(ts []types.Tuple) {
-	if j.Style == NestedLoops {
-		for _, t := range ts {
-			j.PushLeft(t)
-		}
-		return
-	}
-	j.beginBatch()
 	for _, t := range ts {
 		j.counters.In++
 		j.counters.InLeft++
+		if j.Style == NestedLoops {
+			j.leftList.Insert(t)
+			j.ctx.Clock.Charge(j.ctx.Cost.Move)
+			j.scanRight(t)
+			continue
+		}
 		h := t.HashKey(j.leftKey)
 		j.leftHT.InsertHashed(h, t)
 		j.ctx.Clock.Charge(j.ctx.Cost.HashInsert)
@@ -280,16 +242,18 @@ func (j *HashJoin) PushLeftBatch(ts []types.Tuple) {
 //
 //adp:hotpath gated by BenchmarkPipelinedJoinPush (scripts/check_allocs.sh)
 func (j *HashJoin) PushRightBatch(ts []types.Tuple) {
-	if j.Style == NestedLoops {
-		for _, t := range ts {
-			j.PushRight(t)
-		}
-		return
-	}
-	j.beginBatch()
 	for _, t := range ts {
 		j.counters.In++
 		j.counters.InRight++
+		if j.Style == NestedLoops {
+			j.rightList.Insert(t)
+			j.ctx.Clock.Charge(j.ctx.Cost.Move)
+			// A late inner tuple must join with all buffered outers
+			// (symmetric nested loops keeps results complete regardless of
+			// arrival interleaving).
+			j.scanLeft(t)
+			continue
+		}
 		h := t.HashKey(j.rightKey)
 		j.rightHT.InsertHashed(h, t)
 		j.ctx.Clock.Charge(j.ctx.Cost.HashInsert)
@@ -300,9 +264,6 @@ func (j *HashJoin) PushRightBatch(ts []types.Tuple) {
 	}
 	j.endBatch()
 }
-
-// beginBatch switches emits to the arena + output-buffer path.
-func (j *HashJoin) beginBatch() { j.em.Begin() }
 
 // endBatch delivers the accumulated outputs downstream in one call.
 func (j *HashJoin) endBatch() { j.em.Flush(j.out) }
@@ -322,7 +283,10 @@ func (j *HashJoin) keyFor(t types.Tuple, cols []int) types.Tuple {
 }
 
 // probeRightHashed probes the right table with lt's key and its
-// precomputed hash, zero-allocation except for emitted results.
+// precomputed hash, zero-allocation except for emitted results. The charge
+// is the scan work of one probe — hashing plus walking the bucket chain:
+// collisions in under-sized fixed tables make this the dominant cost of a
+// mis-planned query.
 func (j *HashJoin) probeRightHashed(h uint64, lt types.Tuple) {
 	key := j.keyFor(lt, j.leftKey)
 	work := 1.0 + float64(j.rightHT.ChainLenHashed(h))
@@ -339,58 +303,6 @@ func (j *HashJoin) probeLeftHashed(h uint64, rt types.Tuple) {
 	work := 1.0 + float64(j.leftHT.ChainLenHashed(h))
 	j.ctx.Clock.Charge(work * j.ctx.Cost.HashProbe)
 	j.leftHT.ProbeHashed(h, key, func(lt types.Tuple) bool {
-		j.emit(lt, rt)
-		return true
-	})
-}
-
-// PushRight feeds one tuple into the right input.
-func (j *HashJoin) PushRight(t types.Tuple) {
-	j.counters.In++
-	j.counters.InRight++
-	switch j.Style {
-	case Pipelined:
-		j.right.Insert(t)
-		j.ctx.Clock.Charge(j.ctx.Cost.HashInsert)
-		j.probeLeft(t)
-	case BuildThenProbe:
-		j.right.Insert(t)
-		j.ctx.Clock.Charge(j.ctx.Cost.HashInsert)
-		// Probes wait for FinishRight.
-	case NestedLoops:
-		j.rightList.Insert(t)
-		j.ctx.Clock.Charge(j.ctx.Cost.Move)
-		// A late inner tuple must join with all buffered outers
-		// (symmetric nested loops keeps results complete regardless of
-		// arrival interleaving).
-		j.scanLeft(t)
-	}
-}
-
-// chargeProbe accounts the scan work of one probe: hashing plus walking
-// the bucket chain. Collisions in under-sized fixed tables make this the
-// dominant cost of a mis-planned query.
-func (j *HashJoin) chargeProbe(table state.Keyed, key []types.Value) {
-	work := 1.0
-	if ht, ok := table.(*state.HashTable); ok {
-		work += float64(ht.ChainLen(key))
-	}
-	j.ctx.Clock.Charge(work * j.ctx.Cost.HashProbe)
-}
-
-func (j *HashJoin) probeRight(lt types.Tuple) {
-	key := keyValues(lt, j.leftKey)
-	j.chargeProbe(j.right, key)
-	j.right.Probe(key, func(rt types.Tuple) bool {
-		j.emit(lt, rt)
-		return true
-	})
-}
-
-func (j *HashJoin) probeLeft(rt types.Tuple) {
-	key := keyValues(rt, j.rightKey)
-	j.chargeProbe(j.left, key)
-	j.left.Probe(key, func(lt types.Tuple) bool {
 		j.emit(lt, rt)
 		return true
 	})
@@ -426,14 +338,16 @@ func (j *HashJoin) emit(lt, rt types.Tuple) {
 func (j *HashJoin) FinishLeft() { j.leftDone = true }
 
 // FinishRight signals end of the right (build) input; a build-then-probe
-// join drains its buffered probes here.
+// join drains its buffered probes here, through the same hashed probe and
+// emitter as a pushed batch, so the drain reaches downstream as batches.
 func (j *HashJoin) FinishRight() {
 	j.rightDone = true
 	if j.Style == BuildThenProbe {
 		for _, lt := range j.pendingProbes {
-			j.probeRight(lt)
+			j.probeRightHashed(lt.HashKey(j.leftKey), lt)
 		}
 		j.pendingProbes = nil
+		j.endBatch()
 	}
 }
 
@@ -445,11 +359,10 @@ type Filter struct {
 	scratch  []types.Tuple
 	counters stats.OpCounters
 
-	// Columnar scratch: survivor gather batch, predicate row view, and
-	// downstream delivery machinery.
+	// Signed-entry scratch (PushDelta): survivor gather batch, predicate
+	// row view, and downstream delivery.
 	colScratch *types.ColBatch
 	rowView    types.Tuple
-	del        colDelivery
 	dfw        DeltaForward
 }
 
@@ -458,17 +371,7 @@ func NewFilter(ctx *Context, pred func(types.Tuple) bool, out Sink) *Filter {
 	return &Filter{ctx: ctx, pred: pred, out: out}
 }
 
-// Push implements Sink.
-func (f *Filter) Push(t types.Tuple) {
-	f.counters.In++
-	f.ctx.Clock.Charge(f.ctx.Cost.Compare)
-	if f.pred(t) {
-		f.counters.Out++
-		f.out.Push(t)
-	}
-}
-
-// PushBatch implements BatchSink: survivors are collected into a reused
+// PushBatch implements Sink: survivors are collected into a reused
 // scratch batch and forwarded in one downstream call.
 func (f *Filter) PushBatch(ts []types.Tuple) {
 	f.scratch = f.scratch[:0]
@@ -481,7 +384,7 @@ func (f *Filter) PushBatch(ts []types.Tuple) {
 		}
 	}
 	if len(f.scratch) > 0 {
-		PushAll(f.out, f.scratch)
+		f.out.PushBatch(f.scratch)
 	}
 }
 
@@ -497,10 +400,9 @@ type Project struct {
 	scratch  []types.Tuple
 	counters stats.OpCounters
 
-	// Columnar scratch: the zero-copy aliased output batch and downstream
-	// delivery machinery.
+	// Signed-entry scratch (PushDelta): the zero-copy aliased output batch
+	// and downstream delivery.
 	colScratch *types.ColBatch
-	del        colDelivery
 	dfw        DeltaForward
 }
 
@@ -509,15 +411,7 @@ func NewProject(ctx *Context, adapter *types.Adapter, out Sink) *Project {
 	return &Project{ctx: ctx, adapter: adapter, out: out}
 }
 
-// Push implements Sink.
-func (p *Project) Push(t types.Tuple) {
-	p.counters.In++
-	p.counters.Out++
-	p.ctx.Clock.Charge(p.ctx.Cost.Move)
-	p.out.Push(p.adapter.Adapt(t))
-}
-
-// PushBatch implements BatchSink. Output tuples are carved from an arena
+// PushBatch implements Sink. Output tuples are carved from an arena
 // (projections may be retained downstream, so storage is never reused,
 // just allocated in slabs) and forwarded as one batch.
 func (p *Project) PushBatch(ts []types.Tuple) {
@@ -530,7 +424,7 @@ func (p *Project) PushBatch(ts []types.Tuple) {
 		p.scratch = append(p.scratch, p.adapter.AdaptInto(p.arena.alloc(width), t))
 	}
 	if len(p.scratch) > 0 {
-		PushAll(p.out, p.scratch)
+		p.out.PushBatch(p.scratch)
 	}
 }
 
@@ -542,25 +436,17 @@ func (p *Project) Counters() *stats.OpCounters { return &p.counters }
 type Combine struct {
 	out      Sink
 	counters stats.OpCounters
-	del      colDelivery
 	dfw      DeltaForward
 }
 
 // NewCombine builds a combine node.
 func NewCombine(out Sink) *Combine { return &Combine{out: out} }
 
-// Push implements Sink.
-func (c *Combine) Push(t types.Tuple) {
-	c.counters.In++
-	c.counters.Out++
-	c.out.Push(t)
-}
-
-// PushBatch implements BatchSink (pass-through).
+// PushBatch implements Sink (pass-through).
 func (c *Combine) PushBatch(ts []types.Tuple) {
 	c.counters.In += int64(len(ts))
 	c.counters.Out += int64(len(ts))
-	PushAll(c.out, ts)
+	c.out.PushBatch(ts)
 }
 
 // Counters exposes statistics.
@@ -578,13 +464,7 @@ type Queue struct {
 // NewQueue builds a queue in front of out.
 func NewQueue(out Sink) *Queue { return &Queue{out: out} }
 
-// Push implements Sink (enqueue).
-func (q *Queue) Push(t types.Tuple) {
-	q.counters.In++
-	q.buf = append(q.buf, t)
-}
-
-// PushBatch implements BatchSink (bulk enqueue).
+// PushBatch implements Sink (enqueue).
 func (q *Queue) PushBatch(ts []types.Tuple) {
 	q.counters.In += int64(len(ts))
 	q.buf = append(q.buf, ts...)
@@ -608,7 +488,7 @@ func (q *Queue) Drain(max int) int {
 		return 0
 	}
 	q.counters.Out += int64(n)
-	PushAll(q.out, q.buf[:n])
+	q.out.PushBatch(q.buf[:n])
 	rest := copy(q.buf, q.buf[n:])
 	clear(q.buf[rest:])
 	q.buf = q.buf[:rest]

@@ -66,8 +66,8 @@ func (s *mergeSide) push(t types.Tuple) error {
 		s.ready = append(s.ready, s.open)
 		s.open = mergeGroup{rows: s.arena.one(t)}
 	default:
-		return fmt.Errorf("exec: merge join received out-of-order tuple (key %v after %v)",
-			keyValues(t, s.keyCols), keyValues(s.open.rows[0], s.keyCols))
+		return fmt.Errorf("exec: merge join received out-of-order tuple (%v after %v on key columns %v)",
+			t, s.open.rows[0], s.keyCols)
 	}
 	return nil
 }
@@ -93,24 +93,14 @@ type MergeJoin struct {
 	right  mergeSide
 	schema *types.Schema
 
-	em BatchEmitter
-
-	// Columnar scratch: the reused batch hash vector and arena-backed
-	// materializer for columnar entries (group storage and the local
-	// tables need retention-safe rows), plus the columnar emitter used
-	// when the downstream sink takes columns and the input arrived
-	// columnar.
-	hashVec  []uint64
-	colIn    colDelivery
-	colOut   ColBatchSink
-	cem      ColBatchEmitter
+	em       BatchEmitter
 	counters stats.OpCounters
 }
 
 // NewMergeJoin creates the node. Inputs must arrive ascending on their key
 // columns.
 func NewMergeJoin(ctx *Context, leftSchema, rightSchema *types.Schema, leftKey, rightKey []int, out Sink) *MergeJoin {
-	m := &MergeJoin{
+	return &MergeJoin{
 		ctx:    ctx,
 		out:    out,
 		schema: leftSchema.Concat(rightSchema),
@@ -119,8 +109,6 @@ func NewMergeJoin(ctx *Context, leftSchema, rightSchema *types.Schema, leftKey, 
 		right: mergeSide{keyCols: rightKey,
 			table: state.NewHashTable(rightSchema, rightKey)},
 	}
-	m.colOut, _ = out.(ColBatchSink)
-	return m
 }
 
 // Schema returns the output layout.
@@ -133,45 +121,16 @@ func (m *MergeJoin) Counters() *stats.OpCounters { return &m.counters }
 // stitch-up).
 func (m *MergeJoin) Tables() (left, right *state.HashTable) { return m.left.table, m.right.table }
 
-// PushLeft feeds an in-order tuple to the left input.
-func (m *MergeJoin) PushLeft(t types.Tuple) error {
-	m.counters.In++
-	m.counters.InLeft++
-	m.left.table.Insert(t)
-	m.ctx.Clock.Charge(m.ctx.Cost.HashInsert)
-	if err := m.left.push(t); err != nil {
-		return err
-	}
-	m.advance()
-	return nil
-}
-
-// PushRight feeds an in-order tuple to the right input.
-func (m *MergeJoin) PushRight(t types.Tuple) error {
-	m.counters.In++
-	m.counters.InRight++
-	m.right.table.Insert(t)
-	m.ctx.Clock.Charge(m.ctx.Cost.HashInsert)
-	if err := m.right.push(t); err != nil {
-		return err
-	}
-	m.advance()
-	return nil
-}
-
 // PushLeftBatch feeds a batch of in-order tuples to the left input. Each
 // tuple's key is hashed once for the local-table insert, and the batch's
 // join outputs are carved from the emitter's arena and delivered
-// downstream in one call. Counters, virtual-clock charges, output order,
-// and error handling are identical to pushing the tuples one at a time:
-// an out-of-order tuple is rejected individually (it is still stored in
-// the local table, as PushLeft does) and processing continues with the
-// rest of the batch; the first error is returned. The batch slice is not
-// retained.
+// downstream in one call. An out-of-order tuple is rejected individually
+// (it is still stored in the local table) and processing continues with
+// the rest of the batch; the first error is returned. The batch slice is
+// not retained.
 //
 //adp:hotpath gated by BenchmarkMergeJoinPush (scripts/check_allocs.sh)
 func (m *MergeJoin) PushLeftBatch(ts []types.Tuple) error {
-	m.em.Begin()
 	err := m.pushBatch(&m.left, &m.counters.InLeft, ts)
 	m.em.Flush(m.out)
 	return err
@@ -181,16 +140,13 @@ func (m *MergeJoin) PushLeftBatch(ts []types.Tuple) error {
 //
 //adp:hotpath gated by BenchmarkMergeJoinPush (scripts/check_allocs.sh)
 func (m *MergeJoin) PushRightBatch(ts []types.Tuple) error {
-	m.em.Begin()
 	err := m.pushBatch(&m.right, &m.counters.InRight, ts)
 	m.em.Flush(m.out)
 	return err
 }
 
-// pushBatch is the shared batch entry: per tuple it mirrors PushLeft/
-// PushRight exactly (insert, charge, group accounting, advance, and
-// per-tuple rejection of out-of-order arrivals) so the only difference
-// from the tuple path is the buffered delivery.
+// pushBatch is the shared entry of both sides: per tuple, insert, charge,
+// group accounting, advance, and rejection of an out-of-order arrival.
 func (m *MergeJoin) pushBatch(side *mergeSide, inSide *int64, ts []types.Tuple) error {
 	var firstErr error
 	for _, t := range ts {
@@ -199,8 +155,8 @@ func (m *MergeJoin) pushBatch(side *mergeSide, inSide *int64, ts []types.Tuple) 
 		side.table.InsertHashed(t.HashKey(side.keyCols), t)
 		m.ctx.Clock.Charge(m.ctx.Cost.HashInsert)
 		if err := side.push(t); err != nil {
-			// Match the tuple path: the offending tuple is dropped from the
-			// merge (its table insert stands) and later tuples still flow.
+			// The offending tuple is dropped from the merge (its table
+			// insert stands) and later tuples still flow.
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -211,83 +167,11 @@ func (m *MergeJoin) pushBatch(side *mergeSide, inSide *int64, ts []types.Tuple) 
 	return firstErr
 }
 
-// PushLeftColBatch feeds a columnar batch of in-order tuples to the left
-// input. The batch's key columns hash in one HashKeys sweep (shared by
-// the local-table bulk insert), rows materialize once into arena-backed
-// tuples (group storage retains them), and — when the downstream sink
-// takes columns — the batch's join outputs emit columnar, appended
-// column-at-a-time into a reused output batch with no row-major
-// concatenation. Counters, charges (up to batch summation), output order,
-// and error handling match the row-batch path.
-func (m *MergeJoin) PushLeftColBatch(b *types.ColBatch) error {
-	m.beginEmit()
-	err := m.pushColBatch(&m.left, &m.counters.InLeft, b)
-	m.flushEmit()
-	return err
-}
-
-// PushRightColBatch feeds a columnar batch to the right input.
-func (m *MergeJoin) PushRightColBatch(b *types.ColBatch) error {
-	m.beginEmit()
-	err := m.pushColBatch(&m.right, &m.counters.InRight, b)
-	m.flushEmit()
-	return err
-}
-
-// pushColBatch mirrors pushBatch for a columnar entry: one vectorized
-// hash sweep, a bulk materialize, a bulk hashed table insert, then the
-// per-row merge bookkeeping (group accounting, advance, per-tuple
-// rejection of out-of-order arrivals).
-func (m *MergeJoin) pushColBatch(side *mergeSide, inSide *int64, b *types.ColBatch) error {
-	n := b.Len()
-	if n == 0 {
-		return nil
-	}
-	m.hashVec = types.HashKeys(m.hashVec, b, side.keyCols)
-	rows := m.colIn.materialize(b)
-	side.table.InsertHashedBatch(m.hashVec, rows)
-	var firstErr error
-	for _, t := range rows {
-		m.counters.In++
-		*inSide++
-		// Charged per row, not in bulk, so the clock accumulates in the
-		// row path's exact order (float summation order is observable:
-		// the equivalence pins require byte-identical clocks).
-		m.ctx.Clock.Charge(m.ctx.Cost.HashInsert)
-		if err := side.push(t); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		m.advance()
-	}
-	return firstErr
-}
-
-// beginEmit arms the columnar emitter when the downstream sink takes
-// columns, the row emitter otherwise (columnar entries only).
-func (m *MergeJoin) beginEmit() {
-	if m.colOut != nil {
-		m.cem.Begin(m.schema.Len())
-		return
-	}
-	m.em.Begin()
-}
-
-func (m *MergeJoin) flushEmit() {
-	if m.colOut != nil {
-		m.cem.Flush(m.colOut)
-		return
-	}
-	m.em.Flush(m.out)
-}
-
-// mergeSideSink exposes one input of a MergeJoin as a (batch-capable)
-// sink. The Sink interface has no error channel and an out-of-order push
-// is a routing bug by the merge join's contract, so a caller wiring a
-// merge join behind a sink MUST guarantee order — a violation panics
-// rather than silently dropping rows from the join.
+// mergeSideSink exposes one input of a MergeJoin as a sink. The Sink
+// interface has no error channel and an out-of-order push is a routing bug
+// by the merge join's contract, so a caller wiring a merge join behind a
+// sink MUST guarantee order — a violation panics rather than silently
+// dropping rows from the join.
 type mergeSideSink struct {
 	m    *MergeJoin
 	left bool
@@ -299,16 +183,7 @@ func (s mergeSideSink) check(err error) {
 	}
 }
 
-// Push implements Sink.
-func (s mergeSideSink) Push(t types.Tuple) {
-	if s.left {
-		s.check(s.m.PushLeft(t))
-	} else {
-		s.check(s.m.PushRight(t))
-	}
-}
-
-// PushBatch implements BatchSink.
+// PushBatch implements Sink.
 func (s mergeSideSink) PushBatch(ts []types.Tuple) {
 	if s.left {
 		s.check(s.m.PushLeftBatch(ts))
@@ -317,42 +192,31 @@ func (s mergeSideSink) PushBatch(ts []types.Tuple) {
 	}
 }
 
-// PushColBatch implements ColBatchSink.
-func (s mergeSideSink) PushColBatch(b *types.ColBatch) {
-	if s.left {
-		s.check(s.m.PushLeftColBatch(b))
-	} else {
-		s.check(s.m.PushRightColBatch(b))
-	}
-}
-
-// LeftSink returns the join's left input as a batch-capable sink.
+// LeftSink returns the join's left input as a sink.
 func (m *MergeJoin) LeftSink() Sink { return mergeSideSink{m: m, left: true} }
 
-// RightSink returns the join's right input as a batch-capable sink.
+// RightSink returns the join's right input as a sink.
 func (m *MergeJoin) RightSink() Sink { return mergeSideSink{m: m, left: false} }
 
 // FinishLeft closes the left input.
 func (m *MergeJoin) FinishLeft() {
 	m.left.finish()
 	m.advance()
+	m.em.Flush(m.out)
 }
 
 // FinishRight closes the right input.
 func (m *MergeJoin) FinishRight() {
 	m.right.finish()
 	m.advance()
+	m.em.Flush(m.out)
 }
 
-// emit delivers one joined tuple (buffered during a batch; columnar when
-// a columnar entry armed the columnar emitter).
+// emit buffers one joined tuple; every entry that can advance the merge
+// flushes the emitter before it returns.
 func (m *MergeJoin) emit(lt, rt types.Tuple) {
 	m.ctx.Clock.Charge(m.ctx.Cost.Move)
 	m.counters.Out++
-	if m.cem.active {
-		m.cem.EmitConcat(m.colOut, lt, rt)
-		return
-	}
 	m.em.EmitConcat(m.out, lt, rt)
 }
 

@@ -20,33 +20,29 @@ func sortedPair(nKeys, fanout int) (ls, rs []types.Tuple) {
 }
 
 // feedMergeJoin pushes ls/rs in alternating chunks of chunkSize per side,
-// through the batch entries (batched=true) or tuple-at-a-time, mirroring
-// feedJoin so any output difference isolates the merge batch machinery.
-func feedMergeJoin(t *testing.T, m *MergeJoin, ls, rs []types.Tuple, chunkSize int, batched bool) {
+// each chunk as batches of batch rows, mirroring feedJoin so any output
+// difference isolates how the input was cut.
+func feedMergeJoin(t *testing.T, m *MergeJoin, ls, rs []types.Tuple, chunkSize, batch int) {
 	t.Helper()
-	deliver := func(push func(types.Tuple) error, pushBatch func([]types.Tuple) error, chunk []types.Tuple) {
-		if batched {
-			if err := pushBatch(chunk); err != nil {
+	deliver := func(push func([]types.Tuple) error, chunk []types.Tuple) {
+		for len(chunk) > 0 {
+			n := min(batch, len(chunk))
+			if err := push(chunk[:n]); err != nil {
 				t.Fatal(err)
 			}
-			return
-		}
-		for _, tp := range chunk {
-			if err := push(tp); err != nil {
-				t.Fatal(err)
-			}
+			chunk = chunk[n:]
 		}
 	}
 	i, k := 0, 0
 	for i < len(ls) || k < len(rs) {
 		if i < len(ls) {
 			end := min(i+chunkSize, len(ls))
-			deliver(m.PushLeft, m.PushLeftBatch, ls[i:end])
+			deliver(m.PushLeftBatch, ls[i:end])
 			i = end
 		}
 		if k < len(rs) {
 			end := min(k+chunkSize, len(rs))
-			deliver(m.PushRight, m.PushRightBatch, rs[k:end])
+			deliver(m.PushRightBatch, rs[k:end])
 			k = end
 		}
 	}
@@ -54,18 +50,19 @@ func feedMergeJoin(t *testing.T, m *MergeJoin, ls, rs []types.Tuple, chunkSize i
 	m.FinishRight()
 }
 
-// TestMergeJoinBatchMatchesTupleAtATime verifies the batched merge-join
-// path is byte-identical to tuple-at-a-time pushing: same outputs in the
-// same (key-ascending) order, same counters, same virtual-clock charges.
-func TestMergeJoinBatchMatchesTupleAtATime(t *testing.T) {
+// TestMergeJoinBatchSizeInvariant verifies that how the merge join's input
+// is cut into batches does not show: batches of one and whole chunks give
+// the same outputs in the same (key-ascending) order, the same counters,
+// the same virtual-clock charges.
+func TestMergeJoinBatchSizeInvariant(t *testing.T) {
 	ls, rs := sortedPair(400, 3)
-	for _, chunk := range []int{1, 7, 64, 1000} {
+	for _, chunk := range []int{7, 64, 1000} {
 		ctx1, ctx2 := NewContext(), NewContext()
 		out1, out2 := &collectSink{}, &collectSink{}
 		m1 := NewMergeJoin(ctx1, rSchema, sSchema, []int{0}, []int{0}, out1)
 		m2 := NewMergeJoin(ctx2, rSchema, sSchema, []int{0}, []int{0}, out2)
-		feedMergeJoin(t, m1, ls, rs, chunk, false)
-		feedMergeJoin(t, m2, ls, rs, chunk, true)
+		feedMergeJoin(t, m1, ls, rs, chunk, 1)
+		feedMergeJoin(t, m2, ls, rs, chunk, chunk)
 		if len(out1.rows) == 0 || len(out1.rows) != len(out2.rows) {
 			t.Fatalf("chunk %d: %d vs %d output tuples", chunk, len(out1.rows), len(out2.rows))
 		}
@@ -97,10 +94,10 @@ func TestMergeJoinBatchMatchesTupleAtATime(t *testing.T) {
 	}
 }
 
-// TestMergeJoinBatchOutOfOrder verifies the batch entry mirrors the tuple
-// path on routing bugs: the offending tuple is rejected individually (the
-// first error is returned), the rest of the batch still flows, and the
-// resulting outputs, counters, and clock match per-tuple pushes exactly.
+// TestMergeJoinBatchOutOfOrder verifies what a batch does on a routing
+// bug: the offending tuple is rejected individually (the first error is
+// returned), the rest of the batch still flows, and the resulting outputs,
+// counters, and clock match pushing the tuples one by one exactly.
 func TestMergeJoinBatchOutOfOrder(t *testing.T) {
 	ls := []types.Tuple{rRow(5, 0), rRow(3, 0), rRow(7, 0)} // 3 is out of order
 	rs := []types.Tuple{sRow(5, 0), sRow(7, 0)}
@@ -109,12 +106,12 @@ func TestMergeJoinBatchOutOfOrder(t *testing.T) {
 	m1 := NewMergeJoin(ctx1, rSchema, sSchema, []int{0}, []int{0}, out1)
 	tupleErrs := 0
 	for _, tp := range ls {
-		if err := m1.PushLeft(tp); err != nil {
+		if err := m1.PushLeftBatch(one(tp)); err != nil {
 			tupleErrs++
 		}
 	}
 	for _, tp := range rs {
-		if err := m1.PushRight(tp); err != nil {
+		if err := m1.PushRightBatch(one(tp)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,7 +130,7 @@ func TestMergeJoinBatchOutOfOrder(t *testing.T) {
 	m2.FinishRight()
 
 	if tupleErrs != 1 {
-		t.Fatalf("tuple path rejected %d tuples, want 1", tupleErrs)
+		t.Fatalf("one-row pushes rejected %d tuples, want 1", tupleErrs)
 	}
 	if len(out1.rows) != 2 || len(out2.rows) != len(out1.rows) {
 		t.Fatalf("outputs: tuple %d, batch %d, want 2 each", len(out1.rows), len(out2.rows))
@@ -151,17 +148,14 @@ func TestMergeJoinBatchOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestMergeJoinSinksAreBatchCapable wires batches through LeftSink/
-// RightSink via PushAll, the path plan wiring uses.
-func TestMergeJoinSinksAreBatchCapable(t *testing.T) {
+// TestMergeJoinSinks wires batches through LeftSink/RightSink, the path
+// plan wiring uses.
+func TestMergeJoinSinks(t *testing.T) {
 	ls, rs := sortedPair(50, 2)
 	out := &collectSink{}
 	m := NewMergeJoin(NewContext(), rSchema, sSchema, []int{0}, []int{0}, out)
-	if _, ok := m.LeftSink().(BatchSink); !ok {
-		t.Fatal("LeftSink is not batch-capable")
-	}
-	PushAll(m.LeftSink(), ls)
-	PushAll(m.RightSink(), rs)
+	m.LeftSink().PushBatch(ls)
+	m.RightSink().PushBatch(rs)
 	m.FinishLeft()
 	m.FinishRight()
 	if len(out.rows) != len(ls) {
@@ -179,32 +173,5 @@ func TestMergeJoinSinkPanicsOnDisorder(t *testing.T) {
 			t.Fatal("out-of-order push through the sink did not panic")
 		}
 	}()
-	PushAll(m.LeftSink(), []types.Tuple{rRow(5, 0), rRow(3, 0)})
-}
-
-// mergeAllocsPerTuple measures heap allocations per pushed tuple for the
-// merge join, tuple-at-a-time vs batched.
-func mergeAllocsPerTuple(t *testing.T, n int, batched bool) float64 {
-	ls, rs := sortedPair(n, 4)
-	total := len(ls) + len(rs)
-	allocs := testing.AllocsPerRun(1, func() {
-		m := NewMergeJoin(NewContext(), rSchema, sSchema, []int{0}, []int{0}, Discard)
-		feedMergeJoin(t, m, ls, rs, 64, batched)
-	})
-	return allocs / float64(total)
-}
-
-// TestMergeJoinBatchAllocsReduced pins the batch path's allocation win:
-// buffered arena emits must cut allocations per tuple versus the
-// tuple-at-a-time path's per-output Concat.
-func TestMergeJoinBatchAllocsReduced(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement")
-	}
-	tuple := mergeAllocsPerTuple(t, 2048, false)
-	batch := mergeAllocsPerTuple(t, 2048, true)
-	t.Logf("merge allocs/tuple: tuple-at-a-time %.3f, batch %.3f", tuple, batch)
-	if batch >= tuple*0.75 {
-		t.Fatalf("batched merge path allocates %.3f/tuple, want < 75%% of baseline %.3f/tuple", batch, tuple)
-	}
+	m.LeftSink().PushBatch([]types.Tuple{rRow(5, 0), rRow(3, 0)})
 }

@@ -19,7 +19,7 @@ func TestJoinWithSpilledPartitions(t *testing.T) {
 
 	// Build one side, spill half its partitions, then probe.
 	for i := int64(0); i < 1000; i++ {
-		j.PushRight(sRow(i%100, i))
+		j.PushRightBatch(one(sRow(i%100, i)))
 	}
 	lt, rt := j.Tables()
 	_ = lt
@@ -29,7 +29,7 @@ func TestJoinWithSpilledPartitions(t *testing.T) {
 	}
 	cpuBefore := ctx.Clock.CPU
 	for i := int64(0); i < 100; i++ {
-		j.PushLeft(rRow(i, 0))
+		j.PushLeftBatch(one(rRow(i, 0)))
 	}
 	if len(sink.rows) != 1000 {
 		t.Fatalf("spilled join produced %d rows, want 1000", len(sink.rows))
@@ -58,10 +58,10 @@ func TestMemoryManagerWithJoinIntermediates(t *testing.T) {
 
 	out := state.NewList(rSchema.Concat(sSchema))
 	j := NewHashJoin(ctx, Pipelined, rSchema, sSchema, []int{0}, []int{0},
-		SinkFunc(func(tp types.Tuple) { out.Insert(tp) }))
+		SinkFunc(out.InsertBatch))
 	for i := int64(0); i < 200; i++ {
-		j.PushLeft(rRow(i%50, i))
-		j.PushRight(sRow(i%50, i))
+		j.PushLeftBatch(one(rRow(i%50, i)))
+		j.PushRightBatch(one(sRow(i%50, i)))
 	}
 	reg.Register(0, "⋈{R,S}", 2, out)
 

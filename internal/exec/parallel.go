@@ -19,7 +19,9 @@ import (
 // buffers that the worker flushes between messages — never from inside an
 // operator frame, so operator scratch state is never reentered, and the
 // flush loop keeps receiving its own inbox while a send blocks, which
-// makes the bounded channels deadlock-free.
+// makes the bounded channels deadlock-free. Everything that travels is a
+// row batch: one message payload, one handler table, one outbox and one
+// buffer pool.
 //
 // Consistency points use a single WaitGroup that counts in-flight
 // messages plus non-empty outbox slots: when it reaches zero, every
@@ -40,15 +42,13 @@ const (
 )
 
 // parMsg is one unit of work on a worker inbox: a finish step broadcast
-// (step >= 0) or a data sub-batch — row-major or columnar — for one entry
-// point.
+// (step >= 0) or a data sub-batch for one entry point.
 type parMsg struct {
 	step    int // -1 = data message, >= 0 = run finisher step
 	entry   int
 	rows    []types.Tuple
-	buf     *[]types.Tuple  // pooled backing storage, recycled after processing
-	col     *types.ColBatch // columnar payload (pooled frame; nil for row payloads)
-	arrival float64         // sender's virtual time; receiver advances to it
+	buf     *[]types.Tuple // pooled backing storage, recycled after processing
+	arrival float64        // sender's virtual time; receiver advances to it
 }
 
 // ParallelDriver executes one lowered, partitioned plan: the serial read
@@ -63,15 +63,8 @@ type ParallelDriver struct {
 	// handlers[p][e] delivers a data sub-batch into partition p's entry e.
 	// Entry numbering is the caller's (leaf entries then boundaries).
 	handlers [][]func([]types.Tuple)
-	// colHandlers[p][e], when bound (BindCol), delivers a columnar frame
-	// into entry e; colEntry[e] marks the entries it covers. A columnar
-	// entry carries ALL its traffic — frames and row batches alike — in
-	// one columnar outbox buffer per destination, so per-(dst,entry)
-	// delivery stays FIFO no matter which payload kind the producer emits.
-	colHandlers [][]func(*types.ColBatch)
-	colEntry    []bool
-	finish      func(part, step int)
-	steps       int
+	finish   func(part, step int)
+	steps    int
 
 	inbox   []chan parMsg
 	workers []*parWorker
@@ -80,7 +73,6 @@ type ParallelDriver struct {
 	inflight sync.WaitGroup
 	joined   sync.WaitGroup // worker goroutines
 	pool     sync.Pool      // *[]types.Tuple message buffers
-	colPool  sync.Pool      // *types.ColBatch message frames
 
 	read    *Driver
 	started bool
@@ -93,13 +85,11 @@ type ParallelDriver struct {
 }
 
 // parWorker owns partition p: its inbox processing and its outbox
-// buffers (out[dst][entry] for row entries, colOut[dst][entry] for
-// columnar entries; both unused for dst == p).
+// buffers (out[dst][entry]; unused for dst == p).
 type parWorker struct {
-	pd     *ParallelDriver
-	p      int
-	out    [][][]types.Tuple
-	colOut [][]*types.ColBatch
+	pd  *ParallelDriver
+	p   int
+	out [][][]types.Tuple
 }
 
 // NewParallelDriver creates a driver over per-partition contexts (one per
@@ -124,26 +114,8 @@ func (pd *ParallelDriver) Bind(handlers [][]func([]types.Tuple), finish func(par
 	pd.steps = steps
 }
 
-// BindCol installs the per-partition columnar entry handlers (same entry
-// numbering and shape as Bind's; nil marks an entry as row-only). The
-// entries with a handler become columnar entries: every payload staged to
-// them rides columnar frames — row batches transpose into the frame at
-// the sender — which keeps each (dst, entry) stream single-buffered and
-// FIFO. Optional; call after Bind and before Run. Entry kinds are derived
-// from partition 0 (all partitions are clones).
-func (pd *ParallelDriver) BindCol(handlers [][]func(*types.ColBatch)) {
-	pd.colHandlers = handlers
-	pd.colEntry = nil
-	if len(handlers) > 0 {
-		pd.colEntry = make([]bool, len(handlers[0]))
-		for e, h := range handlers[0] {
-			pd.colEntry[e] = h != nil
-		}
-	}
-}
-
 // LeafScatter returns the driver-side exchange for one source leaf: a
-// batch-capable sink that hash-partitions post-filter source rows on
+// sink that hash-partitions post-filter source rows on
 // keyCols and ships each partition's share to its worker, stamped with
 // the driver clock's current virtual time (the rows' arrival horizon).
 func (pd *ParallelDriver) LeafScatter(entry int, keyCols []int) *Exchange {
@@ -165,12 +137,6 @@ func (pd *ParallelDriver) StageSend(from, dst, entry int, rows []types.Tuple) {
 		return
 	}
 	w := pd.workers[from]
-	if entry < len(pd.colEntry) && pd.colEntry[entry] {
-		// Columnar entry: row payloads transpose into the shared columnar
-		// slot so the (dst, entry) stream stays in emit order.
-		w.colSlot(dst, entry, len(rows[0])).AppendRows(rows)
-		return
-	}
 	slot := w.out[dst][entry]
 	if len(slot) == 0 {
 		// The slot's credit is released when the packed message is
@@ -178,36 +144,6 @@ func (pd *ParallelDriver) StageSend(from, dst, entry int, rows []types.Tuple) {
 		pd.inflight.Add(1)
 	}
 	w.out[dst][entry] = append(slot, rows...)
-}
-
-// StageSendCol is StageSend's columnar sibling: the frame's columns are
-// bulk-appended into the sender's columnar outbox slot (the caller's
-// exchange reuses the frame immediately). Only call it for entries bound
-// through BindCol, from partition from's worker goroutine.
-func (pd *ParallelDriver) StageSendCol(from, dst, entry int, b *types.ColBatch) {
-	if dst == from {
-		pd.colHandlers[from][entry](b)
-		return
-	}
-	if b.Len() == 0 {
-		return
-	}
-	pd.workers[from].colSlot(dst, entry, b.Width()).Append(b)
-}
-
-// colSlot returns the columnar outbox slot for (dst, entry), lazily
-// allocating it and taking the slot's inflight credit when it transitions
-// from empty (released when the packed frame is processed).
-func (w *parWorker) colSlot(dst, entry, width int) *types.ColBatch {
-	slot := w.colOut[dst][entry]
-	if slot == nil {
-		slot = types.NewColBatch(width)
-		w.colOut[dst][entry] = slot
-	}
-	if slot.Len() == 0 {
-		w.pd.inflight.Add(1)
-	}
-	return slot
 }
 
 // sendData ships a data sub-batch from the driver goroutine to a worker,
@@ -228,16 +164,6 @@ func (pd *ParallelDriver) getBuf() *[]types.Tuple {
 	return &b
 }
 
-// getColBuf returns a pooled columnar frame of the given width (a pooled
-// frame of a different width is rare — mixed-width boundaries — and is
-// simply dropped for a fresh one).
-func (pd *ParallelDriver) getColBuf(width int) *types.ColBatch {
-	if b, ok := pd.colPool.Get().(*types.ColBatch); ok && b.Width() == width {
-		return b
-	}
-	return types.NewColBatch(width)
-}
-
 // start launches the workers (idempotent).
 func (pd *ParallelDriver) start() {
 	if pd.started {
@@ -253,12 +179,10 @@ func (pd *ParallelDriver) start() {
 	for p := 0; p < pd.parts; p++ {
 		pd.inbox[p] = make(chan parMsg, parInboxCap)
 		out := make([][][]types.Tuple, pd.parts)
-		colOut := make([][]*types.ColBatch, pd.parts)
 		for d := range out {
 			out[d] = make([][]types.Tuple, entries)
-			colOut[d] = make([]*types.ColBatch, entries)
 		}
-		pd.workers[p] = &parWorker{pd: pd, p: p, out: out, colOut: colOut}
+		pd.workers[p] = &parWorker{pd: pd, p: p, out: out}
 	}
 	for p := 0; p < pd.parts; p++ {
 		pd.joined.Add(1)
@@ -271,7 +195,7 @@ func (pd *ParallelDriver) start() {
 // the partition workers and poll observes a quiesced pipeline: before
 // each poll call the driver waits until every in-flight batch has been
 // fully processed and all workers are parked, so poll may safely read
-// per-partition operator state. The leaves' Push/PushBatch functions are
+// per-partition operator state. The leaves' PushBatch functions are
 // expected to route into this driver's LeafScatter exchanges.
 func (pd *ParallelDriver) Run(leaves []*Leaf, pollEvery int, poll func() bool) (exhausted bool) {
 	exhausted, _ = pd.RunContext(context.Background(), leaves, pollEvery, poll)
@@ -391,13 +315,6 @@ func (w *parWorker) handle(m parMsg) {
 		return
 	}
 	pd.ctxs[w.p].Clock.AdvanceTo(m.arrival)
-	if m.col != nil {
-		pd.colHandlers[w.p][m.entry](m.col)
-		m.col.Reset()
-		pd.colPool.Put(m.col)
-		pd.inflight.Done()
-		return
-	}
 	pd.handlers[w.p][m.entry](m.rows)
 	if m.buf != nil {
 		clear(m.rows)
@@ -422,10 +339,6 @@ func (w *parWorker) flush() {
 					pending = true
 					w.sendSlot(dst, e)
 				}
-				if cs := w.colOut[dst][e]; cs != nil && cs.Len() > 0 {
-					pending = true
-					w.sendColSlot(dst, e)
-				}
 			}
 		}
 		if !pending {
@@ -448,29 +361,6 @@ func (w *parWorker) sendSlot(dst, entry int) {
 	// The slot's inflight credit transfers to the message; the receiver
 	// releases it after processing.
 	m := parMsg{step: -1, entry: entry, rows: *buf, buf: buf, arrival: pd.ctxs[w.p].Clock.Now}
-	w.send(dst, m)
-}
-
-// sendColSlot packs one columnar outbox slot into a pooled frame and
-// sends it (same liveness discipline as sendSlot: the sender services its
-// own inbox while the destination is full).
-func (w *parWorker) sendColSlot(dst, entry int) {
-	pd := w.pd
-	slot := w.colOut[dst][entry]
-	frame := pd.getColBuf(slot.Width())
-	frame.Append(slot)
-	slot.Reset()
-	// The slot's inflight credit transfers to the frame; the receiver
-	// releases it after processing.
-	w.send(dst, parMsg{step: -1, entry: entry, col: frame, arrival: pd.ctxs[w.p].Clock.Now})
-}
-
-// send delivers m to dst's inbox, servicing this worker's own inbox while
-// the destination is full — the receive keeps the system live (no
-// send-cycle deadlock) and is safe because flush only runs between
-// messages, never inside an operator.
-func (w *parWorker) send(dst int, m parMsg) {
-	pd := w.pd
 	for {
 		select {
 		case pd.inbox[dst] <- m:
@@ -500,10 +390,10 @@ func (w *parWorker) send(dst int, m parMsg) {
 // guaranteed deterministic as a per-partition-ordered multiset, not as a
 // global sequence.
 //
-// Buffers are columnar: root frames from a columnar pipeline bulk-append
-// column-wise with no transpose, and release hands the buffered columns
-// downstream as ColBatch views — the root boundary is the pipeline's
-// single transpose point, paid only by sinks that cannot take columns.
+// Buffers are columnar: a root join's row batches are copied in column by
+// column (so the join may recycle its emit arena, see InputCopier), and
+// release hands the buffered columns downstream as zero-copy ColBatch views
+// — the run's root sink reads each row out of them exactly once.
 type PartitionMerge struct {
 	bufs []*partitionBuf
 	next int // watermark: lowest partition not yet fully released
@@ -525,16 +415,7 @@ type partitionBuf struct {
 // CopiesInput implements InputCopier.
 func (b *partitionBuf) CopiesInput() {}
 
-// Push implements Sink.
-func (b *partitionBuf) Push(t types.Tuple) {
-	if b.col == nil {
-		b.col = types.NewColBatch(len(t))
-	}
-	b.col.AppendRow(t)
-	b.total++
-}
-
-// PushBatch implements BatchSink.
+// PushBatch implements Sink.
 func (b *partitionBuf) PushBatch(ts []types.Tuple) {
 	if len(ts) == 0 {
 		return

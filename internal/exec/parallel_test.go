@@ -47,8 +47,8 @@ func (f *parJoinFixture) leaves(ls, rs []types.Tuple) []*Leaf {
 	scl := f.pd.LeafScatter(0, []int{0})
 	scr := f.pd.LeafScatter(1, []int{0})
 	return []*Leaf{
-		{Provider: source.NewProvider(lrel, nil), Push: scl.Push, PushBatch: scl.PushBatch},
-		{Provider: source.NewProvider(rrel, nil), Push: scr.Push, PushBatch: scr.PushBatch},
+		{Provider: source.NewProvider(lrel, nil), PushBatch: scl.PushBatch},
+		{Provider: source.NewProvider(rrel, nil), PushBatch: scr.PushBatch},
 	}
 }
 
@@ -65,8 +65,8 @@ func TestParallelDriverJoinMatchesSerial(t *testing.T) {
 	ssink := &collectSink{}
 	sj := NewHashJoin(sctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, ssink)
 	sd := NewDriver(sctx,
-		&Leaf{Provider: source.NewProvider(source.NewRelation("r", rSchema, ls), nil), Push: sj.PushLeft, PushBatch: sj.PushLeftBatch},
-		&Leaf{Provider: source.NewProvider(source.NewRelation("s", sSchema, rs), nil), Push: sj.PushRight, PushBatch: sj.PushRightBatch},
+		&Leaf{Provider: source.NewProvider(source.NewRelation("r", rSchema, ls), nil), PushBatch: sj.PushLeftBatch},
+		&Leaf{Provider: source.NewProvider(source.NewRelation("s", sSchema, rs), nil), PushBatch: sj.PushRightBatch},
 	)
 	sd.Run(0, nil)
 	sj.FinishLeft()
@@ -187,7 +187,7 @@ func TestParallelDriverStageSend(t *testing.T) {
 	pd.Bind(handlers, func(int, int) {}, 1)
 	sc := pd.LeafScatter(0, []int{0})
 	rel := source.NewRelation("r", rSchema, ls)
-	leaves := []*Leaf{{Provider: source.NewProvider(rel, nil), Push: sc.Push, PushBatch: sc.PushBatch}}
+	leaves := []*Leaf{{Provider: source.NewProvider(rel, nil), PushBatch: sc.PushBatch}}
 	if !pd.Run(leaves, 0, nil) {
 		t.Fatal("run did not exhaust")
 	}
@@ -249,7 +249,11 @@ func TestPartitionMergeEarlyReleaseKeepsTotalOrder(t *testing.T) {
 	run := func(early bool) []string {
 		merge := NewPartitionMerge(parts)
 		var got []string
-		out := SinkFunc(func(tp types.Tuple) { got = append(got, tp.String()) })
+		out := SinkFunc(func(ts []types.Tuple) {
+			for _, tp := range ts {
+				got = append(got, tp.String())
+			}
+		})
 		next := make([]int, parts)
 		for _, s := range steps {
 			switch {
@@ -259,7 +263,7 @@ func TestPartitionMergeEarlyReleaseKeepsTotalOrder(t *testing.T) {
 					batch[i] = row(s.push, next[s.push])
 					next[s.push]++
 				}
-				PushAll(merge.Sink(s.push), batch)
+				merge.Sink(s.push).PushBatch(batch)
 			case s.release && early:
 				merge.ReleasePrefix(out)
 			case s.complete >= 0:

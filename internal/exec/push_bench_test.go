@@ -9,26 +9,16 @@ import (
 	"github.com/tukwila/adp/internal/types"
 )
 
-// BenchmarkPipelinedJoinPush compares tuple-at-a-time vs batched push
-// through a symmetric pipelined hash join — the engine's innermost loop.
-// allocs/op is the headline metric: the batched path amortizes probe-key,
-// probe-index, and join-result allocations across the batch.
+// BenchmarkPipelinedJoinPush pushes batches through a symmetric pipelined
+// hash join — the engine's innermost loop — and, for comparison, through
+// the join's columnar entries. allocs/op is the headline metric: a batch
+// amortizes probe-key, probe-index, and join-result allocations.
 func BenchmarkPipelinedJoinPush(b *testing.B) {
 	const batch = 64
 	mkRows := func(n int) ([]types.Tuple, []types.Tuple) {
 		dom := int64(max(n/4, 4))
 		return randTuples(n, dom, 7, rRow), randTuples(n, dom, 8, sRow)
 	}
-	b.Run("tuple-at-a-time", func(b *testing.B) {
-		ls, rs := mkRows(b.N)
-		j := NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, Discard)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			j.PushLeft(ls[i])
-			j.PushRight(rs[i])
-		}
-	})
 	b.Run("batch", func(b *testing.B) {
 		ls, rs := mkRows(b.N)
 		j := NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, Discard)
@@ -130,14 +120,10 @@ type readSink struct {
 
 func (s *readSink) CopiesInput() {}
 
-func (s *readSink) Push(t types.Tuple) {
-	s.rows++
-	s.sum += t[len(t)-1].I
-}
-
 func (s *readSink) PushBatch(ts []types.Tuple) {
 	for _, t := range ts {
-		s.Push(t)
+		s.rows++
+		s.sum += t[len(t)-1].I
 	}
 }
 
@@ -199,13 +185,12 @@ func BenchmarkHashKeys(b *testing.B) {
 	_ = vec
 }
 
-// BenchmarkMergeJoinPush compares tuple-at-a-time vs batched push through
-// the ordered merge join — the hot path of the complementary pair when
-// source data arrives (mostly) sorted. The batch path shares one hash per
-// insert and amortizes emit allocations in the arena.
+// BenchmarkMergeJoinPush pushes batches through the ordered merge join —
+// the hot path of the complementary pair when source data arrives (mostly)
+// sorted: one hash per insert, emit allocations amortized in the arena.
 func BenchmarkMergeJoinPush(b *testing.B) {
 	const batch = 64
-	run := func(b *testing.B, batched bool) {
+	b.Run("batch", func(b *testing.B) {
 		// Ascending unique keys both sides: every push closes a group and
 		// the join streams 1:1 matches.
 		ls := make([]types.Tuple, b.N)
@@ -217,29 +202,16 @@ func BenchmarkMergeJoinPush(b *testing.B) {
 		m := NewMergeJoin(NewContext(), rSchema, sSchema, []int{0}, []int{0}, Discard)
 		b.ReportAllocs()
 		b.ResetTimer()
-		if batched {
-			for i := 0; i < b.N; i += batch {
-				end := min(i+batch, b.N)
-				if err := m.PushLeftBatch(ls[i:end]); err != nil {
-					b.Fatal(err)
-				}
-				if err := m.PushRightBatch(rs[i:end]); err != nil {
-					b.Fatal(err)
-				}
+		for i := 0; i < b.N; i += batch {
+			end := min(i+batch, b.N)
+			if err := m.PushLeftBatch(ls[i:end]); err != nil {
+				b.Fatal(err)
 			}
-		} else {
-			for i := 0; i < b.N; i++ {
-				if err := m.PushLeft(ls[i]); err != nil {
-					b.Fatal(err)
-				}
-				if err := m.PushRight(rs[i]); err != nil {
-					b.Fatal(err)
-				}
+			if err := m.PushRightBatch(rs[i:end]); err != nil {
+				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("tuple-at-a-time", func(b *testing.B) { run(b, false) })
-	b.Run("batch", func(b *testing.B) { run(b, true) })
+	})
 }
 
 // BenchmarkAggTableAbsorb tracks the group-by absorption hot path (byte
@@ -317,7 +289,7 @@ func BenchmarkDeltaPropagation(b *testing.B) {
 func BenchmarkPipelineSegmentPush(b *testing.B) {
 	const batch = 64
 	full := rSchema.Concat(sSchema)
-	run := func(b *testing.B, batched bool) {
+	b.Run("batch", func(b *testing.B) {
 		ls := randTuples(b.N, int64(max(b.N/4, 4)), 10, rRow)
 		rs := randTuples(b.N, int64(max(b.N/4, 4)), 11, sRow)
 		ctx := NewContext()
@@ -330,19 +302,10 @@ func BenchmarkPipelineSegmentPush(b *testing.B) {
 		f := NewFilter(ctx, func(tp types.Tuple) bool { return tp[1].I%5 != 0 }, j.LeftSink())
 		b.ReportAllocs()
 		b.ResetTimer()
-		if batched {
-			for i := 0; i < b.N; i += batch {
-				end := min(i+batch, b.N)
-				f.PushBatch(ls[i:end])
-				j.PushRightBatch(rs[i:end])
-			}
-		} else {
-			for i := 0; i < b.N; i++ {
-				f.Push(ls[i])
-				j.PushRight(rs[i])
-			}
+		for i := 0; i < b.N; i += batch {
+			end := min(i+batch, b.N)
+			f.PushBatch(ls[i:end])
+			j.PushRightBatch(rs[i:end])
 		}
-	}
-	b.Run("tuple-at-a-time", func(b *testing.B) { run(b, false) })
-	b.Run("batch", func(b *testing.B) { run(b, true) })
+	})
 }

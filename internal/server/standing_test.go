@@ -227,6 +227,37 @@ func TestServeStandingValidation(t *testing.T) {
 	}
 }
 
+// TestServeStandingRejectionIsStable: a body whose delta scripts are bad
+// for two relations is refused with the same bytes on every request — the
+// relation named is the first by name, not whichever the request's map
+// yielded first.
+func TestServeStandingRejectionIsStable(t *testing.T) {
+	_, ts, _, _ := newTestServer(t, 50, Config{})
+	body := `{"query":{"relations":["orders"],"select":["orders.id"]},
+		"deltas":{"orders":[{"at":0.01,"sign":2,"row":[1,1,1.0]}],
+			"cust":[{"at":0.01,"sign":1,"row":[1]}],
+			"ghost":[{"at":0.01,"sign":1,"row":[1]}]}}`
+	var first []byte
+	for i := 0; i < 50; i++ {
+		resp := postStanding(t, ts, body)
+		got := readAll(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("request %d: status %d, want 400", i, resp.StatusCode)
+		}
+		if i == 0 {
+			first = got
+			if !strings.Contains(string(first), `for \"cust\"`) {
+				t.Fatalf("rejection names %s, want the first relation by name (cust)", first)
+			}
+			continue
+		}
+		if string(got) != string(first) {
+			t.Fatalf("request %d rejected with %s, request 0 with %s", i, got, first)
+		}
+	}
+}
+
 // TestServeStandingMetrics checks the standing counters surface on
 // /metrics after a completed standing query.
 func TestServeStandingMetrics(t *testing.T) {

@@ -9,7 +9,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -132,10 +134,12 @@ type DeltaSpec struct {
 }
 
 // buildDeltas resolves wire delta scripts against the engine's relation
-// schemas into source scripts.
+// schemas into source scripts. Relations are visited by name, so a body
+// with several bad scripts is refused with the same message every time.
 func (s *Server) buildDeltas(specs map[string][]DeltaSpec) (map[string][]source.Delta, error) {
 	out := make(map[string][]source.Delta, len(specs))
-	for name, script := range specs {
+	for _, name := range slices.Sorted(maps.Keys(specs)) {
+		script := specs[name]
 		rel, ok := s.eng.Relation(name)
 		if !ok {
 			return nil, fmt.Errorf("deltas for unknown relation %q", name)
