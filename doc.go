@@ -145,6 +145,15 @@
 // pipeline segment performs amortized O(1) allocations per tuple instead
 // of several.
 //
+// A row is buffered once. A state.HashTable is an index — one {hash, next}
+// entry per row, one {head, tail, count} per bucket — over a state.List
+// that stores the rows in arrival order in fixed-size chunks, so growing
+// either never copies a row. A corrective phase's base partition is the
+// list of the join side its scan fed, the stitch-up probes a second index
+// over that same list (state.IndexList), carries joined prefixes as
+// base-tuple headers, and concatenates values only at its last fold step
+// (docs/architecture.md, "State structures").
+//
 // Rows, not columns, because every hash build retains its rows as tuples
 // (the paper's shareable state structures, §3.1, §3.4): a columnar frame
 // between two joins is transposed in at one and back out at the next, and

@@ -635,49 +635,71 @@ func (ex *executor) monitorStep(root algebra.Plan, delivered int64, collision fl
 	return nil, false
 }
 
+// phaseRun is one serial phase lowered and wired, ready for its driver.
+type phaseRun struct {
+	rec    *PhaseRecord
+	tree   *Tree
+	leaves []*exec.Leaf
+	passed map[string]float64 // post-filter tuples per relation, this phase
+}
+
 // runPhase lowers and executes one phase of plan root; it returns whether
 // the sources are exhausted and, if not, the next phase's plan.
 func (ex *executor) runPhase(root algebra.Plan) (exhausted bool, next algebra.Plan, err error) {
-	phaseID := len(ex.phases)
-	rec := &PhaseRecord{
-		ID:        phaseID,
-		Plan:      root,
-		BaseParts: map[string]*state.List{},
-		Interm:    map[string]*state.List{},
+	ph, err := ex.wirePhase(root)
+	if err != nil {
+		return false, nil, err
+	}
+	return ex.drivePhase(ph)
+}
+
+// wirePhase lowers root into the next phase's tree and wires one leaf per
+// relation into it: filter pushdown, the base partition, counters.
+func (ex *executor) wirePhase(root algebra.Plan) (*phaseRun, error) {
+	ph := &phaseRun{
+		rec: &PhaseRecord{
+			ID:        len(ex.phases),
+			Plan:      root,
+			BaseParts: map[string]*state.List{},
+			Interm:    map[string]*state.List{},
+		},
+		passed: map[string]float64{},
 	}
 	sink, err := ex.outputSink(root)
 	if err != nil {
-		return false, nil, err
+		return nil, err
 	}
-	tree, err := lower(ex.ctx, root, sink, ex.stitches())
-	if err != nil {
-		return false, nil, err
+	if ph.tree, err = lower(ex.ctx, root, sink, ex.stitches()); err != nil {
+		return nil, err
 	}
-
-	// Wire leaves: filter pushdown, base-partition capture, counters.
-	phasePassed := map[string]float64{}
-	var leaves []*exec.Leaf
 	for _, rel := range ex.q.Relations {
-		entry, ok := tree.EntryBatch[rel.Name]
+		entry, ok := ph.tree.EntryBatch[rel.Name]
 		if !ok {
-			return false, nil, fmt.Errorf("core: plan is missing relation %q", rel.Name)
+			return nil, fmt.Errorf("core: plan is missing relation %q", rel.Name)
 		}
-		leaf, err := ex.wireLeaf(rec, rel, phasePassed, entry)
+		leaf, err := ex.wireLeaf(ph.rec, rel, ph.passed, ph.tree.LeafLists[rel.Name], entry)
 		if err != nil {
-			return false, nil, err
+			return nil, err
 		}
-		leaves = append(leaves, leaf)
+		ph.leaves = append(ph.leaves, leaf)
 	}
+	return ph, nil
+}
+
+// drivePhase runs a wired phase until its sources are exhausted or the
+// monitor switches plans, and records what it leaves behind.
+func (ex *executor) drivePhase(ph *phaseRun) (exhausted bool, next algebra.Plan, err error) {
+	rec, tree, leaves, root := ph.rec, ph.tree, ph.leaves, ph.rec.Plan
 	driver := exec.NewDriver(ex.ctx, leaves...)
 	driver.Fatal = ex.runFatal
 	t0 := ex.ctx.Clock.Now
 	ex.phaseT0, ex.phaseStallBase = t0, ex.stallSecs
-	ex.emit(PhaseStarted{Phase: phaseID, Plan: root.String(), Partitions: 1, VirtualSeconds: t0})
+	ex.emit(PhaseStarted{Phase: rec.ID, Plan: root.String(), Partitions: 1, VirtualSeconds: t0})
 
 	var switchTo algebra.Plan
 	poll := func() bool {
 		ex.flushRows()
-		ex.recordObservations(tree.joinViews(), leaves, phasePassed)
+		ex.recordObservations(tree.joinViews(), leaves, ph.passed)
 		if next, ok := ex.monitorStep(root, driver.Delivered, treeCollisionFactor(tree)); ok {
 			switchTo = next
 			return true
@@ -690,7 +712,7 @@ func (ex *executor) runPhase(root algebra.Plan) (exhausted bool, next algebra.Pl
 		return false, nil, rerr
 	}
 	tree.Finish()
-	ex.recordObservations(tree.joinViews(), leaves, phasePassed)
+	ex.recordObservations(tree.joinViews(), leaves, ph.passed)
 	// Fold this phase's reads into the completed-phase totals.
 	for _, l := range leaves {
 		ex.consumed[l.Provider.Name()] += float64(l.Read)
@@ -767,7 +789,7 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 	phasePassed := map[string]float64{}
 	var leaves []*exec.Leaf
 	for i, rel := range ex.q.Relations {
-		leaf, err := ex.wireLeaf(rec, rel, phasePassed, pd.LeafScatter(i, pt.LeafKeys[rel.Name]).PushBatch)
+		leaf, err := ex.wireLeaf(rec, rel, phasePassed, nil, pd.LeafScatter(i, pt.LeafKeys[rel.Name]).PushBatch)
 		if err != nil {
 			return false, nil, err
 		}
@@ -861,16 +883,21 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 	return exhausted, switchTo, nil
 }
 
-// wireLeaf builds one phase leaf — filter pushdown, base-partition
-// capture into rec (when a stitch-up or a maintenance stage can read it),
+// wireLeaf builds one phase leaf — filter pushdown, the base partition
+// recorded in rec (when a stitch-up or a maintenance stage can read it),
 // phasePassed counting, optional instrumentation — delivering post-filter
 // tuples to pushBatch (the plan entry in a serial phase, the partition
-// scatter in a parallel one).
-func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed map[string]float64, pushBatch func([]types.Tuple)) (*exec.Leaf, error) {
-	var part *state.List
+// scatter in a parallel one). The base partition is shared, the list of the
+// join side pushBatch feeds, when there is one (Tree.LeafLists): source data
+// is buffered once (§3.4). Otherwise the leaf captures it.
+func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed map[string]float64, shared *state.List, pushBatch func([]types.Tuple)) (*exec.Leaf, error) {
+	var capture *state.List
 	if ex.stitches() || ex.standing {
-		part = state.NewList(rel.Schema)
-		rec.BaseParts[rel.Name] = part
+		if shared == nil {
+			capture = state.NewList(rel.Schema)
+			shared = capture
+		}
+		rec.BaseParts[rel.Name] = shared
 	}
 	var pred func(types.Tuple) bool
 	if p, ok := ex.q.Filters[rel.Name]; ok && p != nil {
@@ -885,8 +912,8 @@ func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed m
 		Provider: ex.cat.Providers[name],
 		Pred:     pred,
 		PushBatch: func(ts []types.Tuple) {
-			if part != nil {
-				part.InsertBatch(ts)
+			if capture != nil {
+				capture.InsertBatch(ts)
 			}
 			phasePassed[name] += float64(len(ts))
 			pushBatch(ts)

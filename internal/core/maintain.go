@@ -216,10 +216,11 @@ func (mt *maintainer) seedFromInitialRun() {
 				continue
 			}
 			log, track := mt.logs[rel.Name], mt.track[rel.Name]
-			for _, t := range part.Rows() {
+			part.Scan(func(t types.Tuple) bool {
 				log.add(t, 1)
 				track.Add(t)
-			}
+				return true
+			})
 		}
 	}
 }

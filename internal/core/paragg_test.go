@@ -300,10 +300,19 @@ func TestParallelAggMatchesSerial(t *testing.T) {
 }
 
 // TestParallelAggStateFollowsGroups pins the memory the design buys on any
-// machine, as a ratio: a P=2 aggregate run allocates at most 1.3x what the
-// serial run of the same query does (1.20x here; buffering the root join's
-// output for a serial absorb made it 10.6x on this fixture), and no
-// aggregate query is given a PartitionMerge to buffer into.
+// machine, as a ratio: a P=2 aggregate run allocates at most 1.39x what the
+// serial run of the same query does (buffering the root join's output for a
+// serial absorb made it 10.6x on this fixture), and no aggregate query is
+// given a PartitionMerge to buffer into.
+//
+// The bound was 1.3 (1.20 measured, 1.27 under -race) until hash tables
+// became indexes over chunked lists. That took 19% off the P=2 run (5.42 →
+// 4.39 MB) and 22% off the serial one (4.51 → 3.51 MB): what is left at P=2
+// is per-partition fixed cost no table layout touches (emit arenas, the
+// partition aggregates' fold, scatter buffers), so the ratio rose to 1.25
+// (1.32 under -race) because its denominator fell further. Hence both runs
+// are also pinned below what commit 7e491a5 allocated, and the ratio at
+// the worst measured plus 5%.
 func TestParallelAggStateFollowsGroups(t *testing.T) {
 	// A join that multiplies: 20k source rows, 48k root rows, 2000 groups.
 	const keys = 2000
@@ -348,8 +357,12 @@ func TestParallelAggStateFollowsGroups(t *testing.T) {
 		t.Fatalf("run fell back to %d partitions", par.Partitions)
 	}
 	assertAggRowsWithin(t, par.Rows, serial.Rows, 1e-9)
-	if ratio := float64(parBytes) / float64(serialBytes); ratio > 1.3 {
-		t.Errorf("P=2 allocated %d B, serial %d B: ratio %.2f, want <= 1.3", parBytes, serialBytes, ratio)
+	if ratio := float64(parBytes) / float64(serialBytes); ratio > 1.39 {
+		t.Errorf("P=2 allocated %d B, serial %d B: ratio %.2f, want <= 1.39", parBytes, serialBytes, ratio)
+	}
+	const parentPar, parentSerial = 5_421_208, 4_507_488
+	if parBytes > parentPar || serialBytes > parentSerial {
+		t.Errorf("P=2 allocated %d B, serial %d B: want at most %d and %d", parBytes, serialBytes, parentPar, parentSerial)
 	}
 
 	ex, _, err := prepareRun(nil, cat(), q, Options{Strategy: Static, Partitions: 2}, RunHooks{})

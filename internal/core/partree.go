@@ -262,7 +262,9 @@ func (pt *ParTree) MergedInterm() (interm map[string]*state.List, rootRows int64
 		}
 		merged := state.NewList(j.ResultBuf.Schema())
 		for _, t := range pt.Trees {
-			merged.InsertBatch(t.Joins[i].ResultBuf.Rows())
+			for _, chunk := range t.Joins[i].ResultBuf.Chunks() {
+				merged.InsertBatch(chunk)
+			}
 		}
 		interm[j.Key] = merged
 	}

@@ -40,6 +40,10 @@ type forwardSink struct {
 	out exec.Sink
 }
 
+// CopiesInput implements exec.InputCopier: both destinations a stitch-up
+// is bound to, aggSink and rootSink, copy what they keep.
+func (f *forwardSink) CopiesInput() {}
+
 // PushBatch implements exec.Sink.
 func (f *forwardSink) PushBatch(ts []types.Tuple) { f.out.PushBatch(ts) }
 

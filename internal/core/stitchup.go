@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/exec"
@@ -18,7 +19,9 @@ type PhaseRecord struct {
 	// Plan is the join tree the phase executed (display/diagnostics).
 	Plan algebra.Plan
 	// BaseParts maps relation name -> post-filter tuples this phase
-	// consumed (the R^i partitions of §2.3).
+	// consumed (the R^i partitions of §2.3), in arrival order: the list of
+	// the join side the relation's scan fed, where it fed one directly
+	// (Tree.LeafLists), else a list the leaf captured.
 	BaseParts map[string]*state.List
 	// Interm maps canonical expression key -> materialized join results.
 	// The root join is not among them: it covers every relation, and the
@@ -35,10 +38,17 @@ type PhaseRecord struct {
 //	∪ { R1^c1 ⋈ ... ⋈ Rm^cm : ¬(c1 = ... = cm) }
 //
 // after all phases complete, reusing phase-materialized intermediate
-// results for uniform prefixes and probing lazily built (and, where
-// needed, rehashed) hash tables over base partitions — the implemented
-// strategy of §3.4.2/§3.4.3. Uniform combinations are the exclusion list:
-// they were already produced by the phases themselves.
+// results for uniform prefixes and probing lazily built indexes over base
+// partitions — the implemented strategy of §3.4.2/§3.4.3. Uniform
+// combinations are the exclusion list: they were already produced by the
+// phases themselves.
+//
+// No base row is copied on the way. A base partition is the list the
+// phase's join buffered it in (PhaseRecord.BaseParts); the table a fold
+// step probes is a second index over that list (state.IndexList); the
+// joined prefix of a vector is kept by reference, one base-tuple header per
+// relation (prefixRows); and only the last fold step concatenates values,
+// into storage every combination reuses when the sink copies what it keeps.
 type StitchUp struct {
 	ctx    *exec.Context
 	q      *algebra.Query
@@ -63,15 +73,29 @@ type StitchUp struct {
 
 	// prefix schemas / join key resolution caches.
 	prefixSchemas []*types.Schema
-	prefixKeyCols [][]int // probe-side key positions per fold step
-	relKeyCols    [][]int // build-side key positions per fold step
-	// hash tables over base partitions, keyed (rel, phase).
-	tables map[string]*state.HashTable
+	relOff        []int      // relOff[j] is Order[j]'s first column in Schema
+	prefixKeys    [][]keyRef // prefix-side key columns per fold step
+	relKeyCols    [][]int    // build-side key positions per fold step
+	// tables[step][phase] indexes Order[step]'s phase partition on the
+	// step's build key.
+	tables [][]*state.HashTable
 	// reuse bookkeeping: which intermediates were touched.
 	touched map[*state.List]bool
 	// keyScratch is the reused probe-key buffer.
 	keyScratch types.Tuple
+
+	// levels[i] is the joined prefix of length i+1 of the current vector;
+	// wide holds the last fold step's concatenated rows, carved from arena,
+	// which rewinds per combination when out copies its input.
+	levels  []prefixRows
+	wide    []types.Tuple
+	arena   exec.ValueArena
+	recycle bool
 }
+
+// keyRef locates a join column of a by-reference prefix row: column col of
+// the row's rel-th relation.
+type keyRef struct{ rel, col int }
 
 // NewStitchUp prepares a stitch-up evaluation. out receives tuples in the
 // returned Schema's layout.
@@ -81,9 +105,9 @@ func NewStitchUp(ctx *exec.Context, q *algebra.Query, phases []*PhaseRecord, out
 		q:       q,
 		phases:  phases,
 		out:     out,
-		tables:  map[string]*state.HashTable{},
 		touched: map[*state.List]bool{},
 	}
+	_, s.recycle = out.(exec.InputCopier)
 	if err := s.computeOrder(); err != nil {
 		return nil, err
 	}
@@ -126,18 +150,22 @@ func (s *StitchUp) computeOrder() error {
 	rel0, _ := q.Relation(s.Order[0])
 	sch := rel0.Schema
 	s.prefixSchemas = []*types.Schema{sch}
+	s.relOff = []int{0}
 	for _, name := range s.Order[1:] {
 		r, _ := q.Relation(name)
+		s.relOff = append(s.relOff, sch.Len())
 		sch = sch.Concat(r.Schema)
 		s.prefixSchemas = append(s.prefixSchemas, sch)
 	}
+	s.relOff = append(s.relOff, sch.Len())
 	s.Schema = sch
 	return nil
 }
 
 // resolveKeys precomputes, for each fold step i (adding Order[i]), the
-// probe key positions in the prefix layout and the matching build key
-// positions in the relation layout.
+// probe key columns of the prefix — resolved in the prefix layout, kept as
+// (relation, column) — and the matching build key positions in the
+// relation layout.
 func (s *StitchUp) resolveKeys() error {
 	for i := 1; i < len(s.Order); i++ {
 		prefixSet := map[string]bool{}
@@ -150,7 +178,8 @@ func (s *StitchUp) resolveKeys() error {
 		if len(preds) == 0 {
 			return fmt.Errorf("core: stitch-up: no join predicate connecting %s to prefix", rel)
 		}
-		var pCols, rCols []int
+		var pKeys []keyRef
+		var rCols []int
 		for _, p := range preds {
 			pr, pc, rr, rc := p.LeftRel, p.LeftCol, p.RightRel, p.RightCol
 			if rr != rel {
@@ -161,37 +190,34 @@ func (s *StitchUp) resolveKeys() error {
 			if pi < 0 || ri < 0 {
 				return fmt.Errorf("core: stitch-up: cannot resolve %s", p)
 			}
-			pCols = append(pCols, pi)
+			rel := 0
+			for s.relOff[rel+1] <= pi {
+				rel++
+			}
+			pKeys = append(pKeys, keyRef{rel: rel, col: pi - s.relOff[rel]})
 			rCols = append(rCols, ri)
 		}
-		s.prefixKeyCols = append(s.prefixKeyCols, pCols)
+		s.prefixKeys = append(s.prefixKeys, pKeys)
 		s.relKeyCols = append(s.relKeyCols, rCols)
 	}
 	return nil
 }
 
-// tableFor lazily builds (or rehashes) the hash table over relation rel's
-// phase-p base partition keyed for fold step — the stitch-up join deciding
+// tableFor lazily builds the index over part — relation Order[step]'s
+// phase partition — keyed for the fold step: the stitch-up join deciding
 // "on a pairwise basis which state structure should be scanned ... if
 // necessary for performance, it will rehash one of the structures
-// according to the join key" (§3.4.3).
-func (s *StitchUp) tableFor(step int, phase int) *state.HashTable {
-	rel := s.Order[step]
-	key := fmt.Sprintf("%s#%d", rel, phase)
-	if t, ok := s.tables[key]; ok {
+// according to the join key" (§3.4.3). The rows stay where the phase left
+// them; building the index is charged as the hash build it stands for.
+func (s *StitchUp) tableFor(step, phase int, part *state.List) *state.HashTable {
+	if t := s.tables[step][phase]; t != nil {
 		return t
 	}
-	relRef, _ := s.q.Relation(rel)
-	part := s.phases[phase].BaseParts[rel]
-	t := state.NewHashTable(relRef.Schema, s.relKeyCols[step-1])
-	if part != nil {
-		part.Scan(func(tp types.Tuple) bool {
-			t.Insert(tp)
-			s.ctx.Clock.Charge(s.ctx.Cost.HashInsert)
-			return true
-		})
+	t := state.IndexList(part, s.relKeyCols[step-1])
+	for range part.Len() {
+		s.ctx.Clock.Charge(s.ctx.Cost.HashInsert)
 	}
-	s.tables[key] = t
+	s.tables[step][phase] = t
 	return t
 }
 
@@ -217,10 +243,16 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 	if m < 2 || n < 2 {
 		return nil
 	}
-	// results[i] holds the joined prefix of length i+1 for the current
-	// vector (with a lazily built hash for probe-side swapping); entries
-	// stay valid while the vector prefix is unchanged.
-	results := make([]*prefixResult, m)
+	s.tables = make([][]*state.HashTable, m)
+	for i := range s.tables {
+		s.tables[i] = make([]*state.HashTable, n)
+	}
+	// levels[i] stays valid while the vector's first i+1 positions are
+	// unchanged (and with it the index a later step built over it).
+	s.levels = make([]prefixRows, m-1)
+	for i := range s.levels {
+		s.levels[i].k = i + 1
+	}
 	prev := make([]int, m)
 	for i := range prev {
 		prev[i] = -1
@@ -243,25 +275,32 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 		}
 		copy(prev, c)
 		if first == 0 {
-			results[0] = &prefixResult{rows: s.basePartition(0, c[0])}
+			s.levels[0].reset()
+			if part := s.phases[c[0]].BaseParts[s.Order[0]]; part != nil {
+				part.Scan(func(t types.Tuple) bool {
+					s.levels[0].add()[0] = t
+					return true
+				})
+			}
 			first = 1
 		}
-		for i := first; i < m; i++ {
-			results[i], err = s.extend(results[i-1], i, c)
-			if err != nil {
-				return false
-			}
+		// The last step's whole vector is materialized before its Move
+		// charges and its one delivery (per-tuple charges are preserved, and
+		// delivery order equals the per-tuple emit order): what the sink
+		// charges must not interleave with the fold's own charges.
+		s.wide = s.wide[:0]
+		if s.recycle {
+			s.arena.Rewind()
 		}
-		// Batched emit: the combination's result vector is delivered
-		// downstream in one call (per-tuple Move charges are preserved, and
-		// delivery order equals the per-tuple emit order).
-		rows := results[m-1].rows
-		for range rows {
+		for i := first; i < m; i++ {
+			s.extend(i, c)
+		}
+		for range s.wide {
 			s.ctx.Clock.Charge(s.ctx.Cost.Move)
 		}
-		s.Emitted += int64(len(rows))
-		if len(rows) > 0 {
-			s.out.PushBatch(rows)
+		s.Emitted += int64(len(s.wide))
+		if len(s.wide) > 0 {
+			s.out.PushBatch(s.wide)
 		}
 		return true
 	})
@@ -281,121 +320,187 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 	return nil
 }
 
-// basePartition returns relation Order[0]'s phase-p partition rows.
-func (s *StitchUp) basePartition(step, phase int) []types.Tuple {
-	part := s.phases[phase].BaseParts[s.Order[step]]
-	if part == nil {
-		return nil
-	}
-	return part.Rows()
+// prefixChunk is the number of rows per prefixRows chunk.
+const prefixChunk = 512
+
+// prefixRows is the cached join of a vector prefix of k relations, kept by
+// reference: row r is k base-tuple headers, one per relation in fold
+// order, in chunks a later prefix of the same length reuses. heads/next are
+// a lazily built hash index over the rows (1-based row numbers, 0 ends a
+// chain) keyed on the columns the NEXT fold step probes, so the stitch-up
+// join can scan the smaller side and probe the larger ("it decides on a
+// pairwise basis which state structure should be scanned for tuples and
+// which should be probed against", §3.4.3).
+type prefixRows struct {
+	k, n    int
+	chunks  [][]types.Tuple
+	heads   []int32
+	next    []int32
+	indexed bool
+	// adapted backs the rows of a reused intermediate, which are headers
+	// into tuples adapted to the fold order; it rewinds with the prefix.
+	adapted exec.ValueArena
 }
 
-// prefixResult is the cached join of a vector prefix: its rows plus a
-// lazily built hash table keyed on the columns the NEXT fold step probes,
-// so the stitch-up join can scan the smaller side and probe the larger
-// ("it decides on a pairwise basis which state structure should be
-// scanned for tuples and which should be probed against", §3.4.3).
-type prefixResult struct {
-	rows []types.Tuple
-	hash *state.HashTable
+func (p *prefixRows) reset() {
+	p.n, p.indexed = 0, false
+	p.adapted.Rewind()
 }
 
-// hashFor builds (once) the prefix hash keyed on the step's prefix-side
-// join columns.
-func (s *StitchUp) hashFor(p *prefixResult, step int) *state.HashTable {
-	if p.hash != nil {
-		return p.hash
+// row returns row r's k headers.
+func (p *prefixRows) row(r int) []types.Tuple {
+	off := r % prefixChunk * p.k
+	return p.chunks[r/prefixChunk][off : off+p.k]
+}
+
+// add appends a row and returns its k headers for the caller to fill.
+func (p *prefixRows) add() []types.Tuple {
+	if p.n == len(p.chunks)*prefixChunk {
+		p.chunks = append(p.chunks, make([]types.Tuple, prefixChunk*p.k))
 	}
-	h := state.NewHashTable(s.prefixSchemas[step-1], s.prefixKeyCols[step-1])
-	for _, t := range p.rows {
+	p.n++
+	return p.row(p.n - 1)
+}
+
+// keyOf extracts row's key columns into key.
+func keyOf(key types.Tuple, row []types.Tuple, refs []keyRef) {
+	for i, ref := range refs {
+		key[i] = row[ref.rel][ref.col]
+	}
+}
+
+// index builds (once per prefix) the hash over the rows' refs columns, one
+// HashInsert charged per row. Buckets are those of a table the rows were
+// inserted into one by one, and rows are linked back to front so every
+// chain ascends: a probe meets its matches in row order.
+func (s *StitchUp) index(p *prefixRows, refs []keyRef) {
+	if p.indexed {
+		return
+	}
+	p.indexed = true
+	buckets := state.BucketsFor(p.n)
+	p.heads = slices.Grow(p.heads[:0], buckets)[:buckets]
+	clear(p.heads)
+	p.next = slices.Grow(p.next[:0], p.n)[:p.n]
+	mask := uint64(len(p.heads) - 1)
+	key := s.keyScratchFor(len(refs))
+	for r := p.n - 1; r >= 0; r-- {
 		s.ctx.Clock.Charge(s.ctx.Cost.HashInsert)
-		h.Insert(t)
+		keyOf(key, p.row(r), refs)
+		b := key.HashKey(types.Identity(len(key))) & mask
+		p.next[r] = p.heads[b]
+		p.heads[b] = int32(r + 1)
 	}
-	p.hash = h
-	return h
 }
 
-// extend joins the prefix rows with Order[i]'s phase-c[i] partition. When
-// the prefix c[0..i] is uniform and that phase materialized the prefix
-// subexpression, the materialized result is adapted and reused instead.
-func (s *StitchUp) extend(prefix *prefixResult, i int, c []int) (*prefixResult, error) {
-	// Reuse check: uniform c[0..i] with a materialized intermediate —
-	// the exclusion-list mechanism of §3.4.2.
-	if !s.DisableReuse {
-		uniform := true
-		for k := 1; k <= i; k++ {
-			if c[k] != c[0] {
-				uniform = false
-				break
-			}
-		}
-		if uniform {
-			key := algebra.CanonKey(s.Order[:i+1])
-			if interm, ok := s.phases[c[0]].Interm[key]; ok && interm != nil {
-				ad, err := types.NewAdapter(interm.Schema(), s.prefixSchemas[i])
-				if err == nil {
-					rows := make([]types.Tuple, 0, interm.Len())
-					interm.Scan(func(t types.Tuple) bool {
-						s.ctx.Clock.Charge(s.ctx.Cost.Move)
-						rows = append(rows, ad.Adapt(t))
-						return true
-					})
-					s.Reused += int64(len(rows))
-					s.touched[interm] = true
-					return &prefixResult{rows: rows}, nil
-				}
-			}
+// reuse fills level i from the intermediate phase c[0] materialized for
+// the prefix, when c[0..i] is uniform and there is one in a layout that
+// adapts — the exclusion-list mechanism of §3.4.2. Each row is adapted to
+// the fold order once and sliced per relation.
+func (s *StitchUp) reuse(i int, c []int) bool {
+	for k := 1; k <= i; k++ {
+		if c[k] != c[0] {
+			return false
 		}
 	}
-	if prefix == nil || len(prefix.rows) == 0 {
-		return &prefixResult{}, nil
+	interm := s.phases[c[0]].Interm[algebra.CanonKey(s.Order[:i+1])]
+	if interm == nil {
+		return false
 	}
-	rel := s.Order[i]
-	part := s.phases[c[i]].BaseParts[rel]
-	partLen := 0
-	if part != nil {
-		partLen = part.Len()
+	ad, err := types.NewAdapter(interm.Schema(), s.prefixSchemas[i])
+	if err != nil {
+		return false
 	}
-	if partLen == 0 {
-		return &prefixResult{}, nil
-	}
-	pCols := s.prefixKeyCols[i-1]
-	rCols := s.relKeyCols[i-1]
-	var out []types.Tuple
-	if len(prefix.rows) <= partLen {
-		// Scan the prefix, probe the partition's hash table (the reused
-		// key buffer + precomputed hash keep the probe allocation-free).
-		table := s.tableFor(i, c[i])
-		key := s.keyScratchFor(len(pCols))
-		for _, pt := range prefix.rows {
-			for k, col := range pCols {
-				key[k] = pt[col]
-			}
-			s.ctx.Clock.Charge(s.ctx.Cost.HashProbe)
-			table.ProbeHashed(key.HashKey(types.Identity(len(key))), key, func(rt types.Tuple) bool {
-				s.ctx.Clock.Charge(s.ctx.Cost.Move)
-				out = append(out, pt.Concat(rt))
-				return true
-			})
+	out := &s.levels[i]
+	interm.Scan(func(t types.Tuple) bool {
+		s.ctx.Clock.Charge(s.ctx.Cost.Move)
+		row, wide := out.add(), ad.AdaptInto(out.adapted.Alloc(s.relOff[i+1]), t)
+		for j := range row {
+			row[j] = wide[s.relOff[j]:s.relOff[j+1]:s.relOff[j+1]]
 		}
-	} else {
-		// Scan the (smaller) partition, probe a hash over the prefix.
-		ph := s.hashFor(prefix, i)
-		key := s.keyScratchFor(len(rCols))
-		part.Scan(func(rt types.Tuple) bool {
-			for k, col := range rCols {
-				key[k] = rt[col]
-			}
-			s.ctx.Clock.Charge(s.ctx.Cost.HashProbe)
-			ph.ProbeHashed(key.HashKey(types.Identity(len(key))), key, func(pt types.Tuple) bool {
-				s.ctx.Clock.Charge(s.ctx.Cost.Move)
-				out = append(out, pt.Concat(rt))
-				return true
-			})
+		return true
+	})
+	s.Reused += int64(interm.Len())
+	s.touched[interm] = true
+	return true
+}
+
+// extend joins the prefix of length i with Order[i]'s phase-c[i]
+// partition: into level i by reference, or — on the last step, whose
+// vector is never uniform (algebra.Combinations) and so never reused —
+// concatenated into s.wide.
+func (s *StitchUp) extend(i int, c []int) {
+	last := i == len(s.Order)-1
+	var out *prefixRows
+	if !last {
+		out = &s.levels[i]
+		out.reset()
+		if !s.DisableReuse && s.reuse(i, c) {
+			return
+		}
+	}
+	prefix := &s.levels[i-1]
+	part := s.phases[c[i]].BaseParts[s.Order[i]]
+	if prefix.n == 0 || part == nil || part.Len() == 0 {
+		return
+	}
+	pKeys, rCols := s.prefixKeys[i-1], s.relKeyCols[i-1]
+	key := s.keyScratchFor(len(rCols))
+	var pt []types.Tuple // the prefix row being matched
+	emit := func(rt types.Tuple) bool {
+		s.ctx.Clock.Charge(s.ctx.Cost.Move)
+		if !last {
+			row := out.add()
+			copy(row, pt)
+			row[i] = rt
 			return true
-		})
+		}
+		wide := s.arena.Alloc(s.relOff[i+1])
+		for j, t := range pt {
+			copy(wide[s.relOff[j]:], t)
+		}
+		copy(wide[s.relOff[i]:], rt)
+		s.wide = append(s.wide, wide)
+		return true
 	}
-	return &prefixResult{rows: out}, nil
+	if prefix.n <= part.Len() {
+		// Scan the prefix, probe the partition's index (the reused key
+		// buffer + precomputed hash keep the probe allocation-free).
+		table := s.tableFor(i, c[i], part)
+		for r := 0; r < prefix.n; r++ {
+			pt = prefix.row(r)
+			keyOf(key, pt, pKeys)
+			s.ctx.Clock.Charge(s.ctx.Cost.HashProbe)
+			table.ProbeHashed(key.HashKey(types.Identity(len(key))), key, emit)
+		}
+		return
+	}
+	// Scan the (smaller) partition, probe a hash over the prefix.
+	s.index(prefix, pKeys)
+	mask := uint64(len(prefix.heads) - 1)
+	part.Scan(func(rt types.Tuple) bool {
+		for k, col := range rCols {
+			key[k] = rt[col]
+		}
+		s.ctx.Clock.Charge(s.ctx.Cost.HashProbe)
+		for id := prefix.heads[key.HashKey(types.Identity(len(key)))&mask]; id != 0; id = prefix.next[id-1] {
+			pt = prefix.row(int(id - 1))
+			if keyEquals(pt, pKeys, key) {
+				emit(rt)
+			}
+		}
+		return true
+	})
+}
+
+// keyEquals reports whether row's refs columns equal key.
+func keyEquals(row []types.Tuple, refs []keyRef, key types.Tuple) bool {
+	for i, ref := range refs {
+		if !types.Equal(row[ref.rel][ref.col], key[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // keyScratchFor returns the reused probe-key buffer sized to n.

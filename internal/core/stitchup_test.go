@@ -7,6 +7,7 @@ import (
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/exec"
+	"github.com/tukwila/adp/internal/opt"
 	"github.com/tukwila/adp/internal/state"
 	"github.com/tukwila/adp/internal/types"
 )
@@ -294,5 +295,74 @@ func TestStitchUpEmptyPartitions(t *testing.T) {
 	}
 	if total != want {
 		t.Fatalf("empty partition: got %d, want %d", total, want)
+	}
+}
+
+// TestBasePartitionIsTheJoinsList: source data is buffered once. Through a
+// forced-switch corrective run at P=1, after every phase, the base
+// partition of every relation whose scan feeds a join side directly is
+// that side's own list — the same pointer, holding exactly the rows that
+// passed the leaf — and only a relation under a pre-aggregate has a list
+// captured beside the tree.
+func TestBasePartitionIsTheJoinsList(t *testing.T) {
+	for name, mode := range map[string]opt.PreAggMode{"none": opt.PreAggNone, "windowed": opt.PreAggWindowed} {
+		t.Run(name, func(t *testing.T) {
+			fx := sharedKeyFixture(7)
+			o := forcedSwitching(Options{PreAgg: mode, Known: fx.known})
+			ex, _, err := prepareRun(nil, fx.cat(), fx.q, o, RunHooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			initial, err := opt.Optimize(opt.Inputs{Query: fx.q, Known: o.Known, Cost: ex.ctx.Cost, PreAgg: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared, captured := 0, 0
+			for plan, exhausted := initial.Root, false; !exhausted; {
+				ph, err := ex.wirePhase(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if exhausted, plan, err = ex.drivePhase(ph); err != nil {
+					t.Fatal(err)
+				}
+				direct := map[string]*state.List{} // relation -> the join side its scan feeds
+				joinLists := map[*state.List]bool{}
+				for _, jp := range algebra.CollectJoins(ph.rec.Plan) {
+					tj, ok := ph.tree.JoinFor(jp.Key())
+					if !ok {
+						t.Fatalf("phase %d: no join node for %s", ph.rec.ID, jp.Key())
+					}
+					left, right := tj.Node.Lists()
+					joinLists[left], joinLists[right] = true, true
+					if scan, ok := jp.Left.(*algebra.ScanPlan); ok {
+						direct[scan.Rel.Name] = left
+					}
+					if scan, ok := jp.Right.(*algebra.ScanPlan); ok {
+						direct[scan.Rel.Name] = right
+					}
+				}
+				for _, rel := range fx.q.Relations {
+					part := ph.rec.BaseParts[rel.Name]
+					if part == nil || float64(part.Len()) != ph.passed[rel.Name] {
+						t.Fatalf("phase %d: base partition of %s = %v, want the %v rows that passed its leaf", ph.rec.ID, rel.Name, part, ph.passed[rel.Name])
+					}
+					if want := direct[rel.Name]; want != nil {
+						shared++
+						if part != want {
+							t.Errorf("phase %d: base partition of %s is a list of its own, not its join side's", ph.rec.ID, rel.Name)
+						}
+					} else {
+						captured++
+						if joinLists[part] {
+							t.Errorf("phase %d: %s is not scanned into a join, yet shares one's list", ph.rec.ID, rel.Name)
+						}
+					}
+				}
+			}
+			if len(ex.phases) < 2 || shared == 0 || (mode == opt.PreAggWindowed) != (captured > 0) {
+				t.Fatalf("%d phases, %d shared and %d captured partitions: the fixture no longer reaches both", len(ex.phases), shared, captured)
+			}
+		})
 	}
 }

@@ -45,6 +45,12 @@ type Tree struct {
 	EntryDelta map[string]func(*types.ColBatch, int)
 	// Joins lists join nodes bottom-up.
 	Joins []*TreeJoin
+	// LeafLists maps a base relation whose scan feeds a join side directly
+	// to the list behind that side: the join already buffers every row the
+	// leaf delivers, in delivery order, so the phase's base partition is
+	// that list and not a copy of it. Relations under a pre-aggregate, a
+	// projection or a partition boundary are absent.
+	LeafLists map[string]*state.List
 	// PreAggWindow is the adjustable-window pre-aggregation operator if
 	// the plan contains one.
 	PreAggWindow *exec.WindowPreAgg
@@ -97,6 +103,7 @@ func lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink, reuse bool) (*Tr
 		ctx:        ctx,
 		EntryBatch: map[string]func([]types.Tuple){},
 		EntryDelta: map[string]func(*types.ColBatch, int){},
+		LeafLists:  map[string]*state.List{},
 		RootSchema: plan.Schema(),
 		reuse:      reuse,
 		nrels:      len(plan.Rels()),
@@ -157,17 +164,23 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 			buf = state.NewList(v.Schema())
 			out = &teeSink{buf: buf, out: out}
 		}
-		node := exec.NewHashJoin(t.ctx, style, v.Left.Schema(), v.Right.Schema(), lk, rk, out)
-		if v.EstLeftCard > 0 || v.EstRightCard > 0 {
-			// Size fixed-bucket tables from the optimizer's estimates
-			// (wrong estimates surface as bucket collisions, §4.4). A
-			// partition clone expects its per-partition share.
-			el, er := v.EstLeftCard, v.EstRightCard
-			if t.par != nil {
-				el /= float64(t.par.pt.P)
-				er /= float64(t.par.pt.P)
+		// Fixed-bucket tables are sized from the optimizer's estimates
+		// (wrong estimates surface as bucket collisions, §4.4). A
+		// partition clone expects its per-partition share.
+		el, er := v.EstLeftCard, v.EstRightCard
+		if t.par != nil {
+			el /= float64(t.par.pt.P)
+			er /= float64(t.par.pt.P)
+		}
+		node := exec.NewHashJoinSized(t.ctx, style, v.Left.Schema(), v.Right.Schema(), lk, rk, el, er, out)
+		if t.par == nil {
+			leftList, rightList := node.Lists()
+			if scan, ok := v.Left.(*algebra.ScanPlan); ok {
+				t.LeafLists[scan.Rel.Name] = leftList
 			}
-			node.SizeTables(el, er)
+			if scan, ok := v.Right.(*algebra.ScanPlan); ok {
+				t.LeafLists[scan.Rel.Name] = rightList
+			}
 		}
 		leftIn, err := t.boundarySink(v.Left, lk, node.LeftSink())
 		if err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/tukwila/adp/internal/core"
@@ -34,16 +35,7 @@ func TestQ5CorrectiveGoldens(t *testing.T) {
 	}
 	for _, seed := range []int64{42, 7, 1234} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			data := datagen.Generate(datagen.Config{ScaleFactor: 0.03, Seed: seed})
-			eng := New()
-			for _, rel := range data.Relations() {
-				var linkSeed int64
-				for _, c := range rel.Name {
-					linkSeed = linkSeed*31 + int64(c)
-				}
-				eng.RegisterRemote(rel, source.NewBursty(rel.Len(), 1_000_000, 8000, 0.01, linkSeed))
-			}
-			rep, err := eng.Execute(workload.Q5(), core.Options{Strategy: core.Corrective})
+			rep, err := q5BurstyEngine(seed).Execute(workload.Q5(), core.Options{Strategy: core.Corrective})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,5 +48,45 @@ func TestQ5CorrectiveGoldens(t *testing.T) {
 				t.Errorf("Q5 corrective = %#v, want %#v", got, want[seed])
 			}
 		})
+	}
+}
+
+// q5BurstyEngine registers TPC-H at SF 0.03 behind the benchmark's bursty
+// links, each seeded by its relation's name.
+func q5BurstyEngine(seed int64) *Engine {
+	data := datagen.Generate(datagen.Config{ScaleFactor: 0.03, Seed: seed})
+	eng := New()
+	for _, rel := range data.Relations() {
+		var linkSeed int64
+		for _, c := range rel.Name {
+			linkSeed = linkSeed*31 + int64(c)
+		}
+		eng.RegisterRemote(rel, source.NewBursty(rel.Len(), 1_000_000, 8000, 0.01, linkSeed))
+	}
+	return eng
+}
+
+// TestQ5CorrectiveAllocation pins what buffering every row once buys on the
+// paper's headline case: the same run (seed 42, three phases, 726
+// combinations, five rows) allocates at most 0.45x what it did at commit
+// 7e491a5, where a base row sat in its leaf's partition list, in its join's
+// bucket chain, in a second table the stitch-up built, and in a fresh wide
+// tuple at every fold step.
+func TestQ5CorrectiveAllocation(t *testing.T) {
+	const parentBytes = 118_720_936 // TotalAlloc of the measured run at commit 7e491a5
+	eng := q5BurstyEngine(42)
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := eng.Execute(workload.Q5(), core.Options{Strategy: core.Corrective}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run() // warm whatever the first run of anything allocates once
+	if got := run(); float64(got) > 0.45*parentBytes {
+		t.Errorf("corrective Q5 allocated %d B, want at most 0.45 x %d", got, uint64(parentBytes))
 	}
 }

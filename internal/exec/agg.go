@@ -493,7 +493,7 @@ type Pseudogroup struct {
 	argEvals []expr.Evaluator
 	schema   *types.Schema
 	out      Sink
-	arena    valueArena
+	arena    ValueArena
 	scratch  []types.Tuple
 	counters stats.OpCounters
 }
@@ -551,7 +551,7 @@ func (p *Pseudogroup) PushBatch(ts []types.Tuple) {
 // singleton converts one raw tuple to a partial-layout singleton carved
 // from the arena.
 func (p *Pseudogroup) singleton(t types.Tuple) types.Tuple {
-	out := p.arena.alloc(p.schema.Len())[:0]
+	out := p.arena.Alloc(p.schema.Len())[:0]
 	for _, gi := range p.groupIdx {
 		out = append(out, t[gi])
 	}

@@ -25,21 +25,21 @@ var Discard Sink = discardSink{}
 // arenaSlab is the value-arena slab size (values, not tuples).
 const arenaSlab = 4096
 
-// valueArena carves tuple storage out of large slabs so that operators
+// ValueArena carves tuple storage out of large slabs so that operators
 // whose outputs are retained downstream (join results, projections) pay
 // one allocation per slab instead of one per tuple. Unless the owner calls
-// rewind, slabs are never reused, so handed-out tuples remain valid
+// Rewind, slabs are never reused, so handed-out tuples remain valid
 // forever; the returned slices are capacity-capped so appending to one
 // cannot clobber a neighbour.
-type valueArena struct {
+type ValueArena struct {
 	slab []types.Value
-	// spilled counts the values of slabs abandoned since the last rewind.
+	// spilled counts the values of slabs abandoned since the last Rewind.
 	spilled int
 }
 
-// alloc returns a tuple of n values carved from the current slab (zeroed
+// Alloc returns a tuple of n values carved from the current slab (zeroed
 // unless the arena has been rewound).
-func (a *valueArena) alloc(n int) types.Tuple {
+func (a *ValueArena) Alloc(n int) types.Tuple {
 	if cap(a.slab)-len(a.slab) < n {
 		sz := arenaSlab
 		if n > sz {
@@ -54,18 +54,18 @@ func (a *valueArena) alloc(n int) types.Tuple {
 }
 
 // concat builds lt ++ rt in arena storage (the join-emit fast path).
-func (a *valueArena) concat(lt, rt types.Tuple) types.Tuple {
-	out := a.alloc(len(lt) + len(rt))
+func (a *ValueArena) concat(lt, rt types.Tuple) types.Tuple {
+	out := a.Alloc(len(lt) + len(rt))
 	copy(out, lt)
 	copy(out[len(lt):], rt)
 	return out
 }
 
-// rewind hands every value carved since the last rewind back to the arena:
+// Rewind hands every value carved since the last Rewind back to the arena:
 // the caller guarantees nobody holds them any more. A cycle that outgrew
 // its slab gets one slab sized for the whole cycle, so a steady producer
 // settles on a single slab and allocates nothing further.
-func (a *valueArena) rewind() {
+func (a *ValueArena) Rewind() {
 	if a.spilled > 0 {
 		a.slab = make([]types.Value, 0, a.spilled+cap(a.slab))
 		a.spilled = 0
@@ -91,7 +91,7 @@ type BatchEmitter struct {
 	// InputCopier), so nothing outlives the delivery.
 	recycle bool
 	buf     []types.Tuple
-	arena   valueArena
+	arena   ValueArena
 }
 
 // EmitConcat emits lt ++ rt.
@@ -116,6 +116,6 @@ func (e *BatchEmitter) deliver(out Sink) {
 	clear(e.buf)
 	e.buf = e.buf[:0]
 	if e.recycle {
-		e.arena.rewind()
+		e.arena.Rewind()
 	}
 }

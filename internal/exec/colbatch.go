@@ -34,7 +34,7 @@ type ColBatchSink interface {
 // otherwise. The rows are carved from a slab arena (downstream may retain
 // them), and the row-header slice is reused across batches.
 type colDelivery struct {
-	arena valueArena
+	arena ValueArena
 	rows  []types.Tuple
 }
 
@@ -48,7 +48,7 @@ func (d *colDelivery) materialize(b *types.ColBatch) []types.Tuple {
 	w := b.Width()
 	n := b.Len()
 	rows := d.rows[:0]
-	flat := d.arena.alloc(n * w)
+	flat := d.arena.Alloc(n * w)
 	for i := 0; i < n; i++ {
 		t := flat[i*w : (i+1)*w : (i+1)*w]
 		b.ReadRow(t, i)

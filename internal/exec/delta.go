@@ -188,7 +188,7 @@ func (j *HashJoin) pushDelta(left bool, b *types.ColBatch, sign int) {
 // deltaTable returns the hash table a signed build lands in, creating
 // the negative table on first retraction. Negative tables start at the
 // default bucket count — they hold deletions, which the cardinality
-// estimates behind SizeTables never cover.
+// estimates behind NewHashJoinSized never cover.
 func (j *HashJoin) deltaTable(left bool, sign int) *state.HashTable {
 	if sign > 0 {
 		if left {

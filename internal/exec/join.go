@@ -78,7 +78,9 @@ type HashJoin struct {
 	leftHT  *state.HashTable
 	rightHT *state.HashTable
 
-	leftList  *state.List // nested-loops storage
+	// leftList/rightList hold each side's rows in arrival order: the
+	// nested-loops storage, or the lists the hash tables index.
+	leftList  *state.List
 	rightList *state.List
 
 	pendingProbes []types.Tuple // BuildThenProbe: left tuples awaiting build
@@ -125,6 +127,16 @@ type HashJoin struct {
 // arena for every delivery; otherwise emitted tuples are never overwritten
 // and out may retain them.
 func NewHashJoin(ctx *Context, style JoinStyle, leftSchema, rightSchema *types.Schema, leftKey, rightKey []int, out Sink) *HashJoin {
+	return NewHashJoinSized(ctx, style, leftSchema, rightSchema, leftKey, rightKey, 0, 0, out)
+}
+
+// NewHashJoinSized is NewHashJoin with fixed-bucket hash tables allocated
+// from the optimizer's cardinality estimates, reproducing Tukwila's
+// behaviour: table memory can grow, but bucket counts are fixed at creation,
+// so an under-estimated input suffers bucket collisions for the rest of the
+// query (§4.4). Without an estimate for either side the tables start at the
+// default size and grow; nested-loops joins have lists and ignore both.
+func NewHashJoinSized(ctx *Context, style JoinStyle, leftSchema, rightSchema *types.Schema, leftKey, rightKey []int, estLeft, estRight float64, out Sink) *HashJoin {
 	j := &HashJoin{
 		Style:     style,
 		ctx:       ctx,
@@ -136,45 +148,27 @@ func NewHashJoin(ctx *Context, style JoinStyle, leftSchema, rightSchema *types.S
 	}
 	j.colOut, _ = out.(ColBatchSink)
 	_, j.em.recycle = out.(InputCopier)
-	if style == NestedLoops {
+	switch {
+	case style == NestedLoops:
 		j.leftList = state.NewList(leftSchema)
 		j.rightList = state.NewList(rightSchema)
-	} else {
+		return j
+	case estLeft > 0 || estRight > 0:
+		size := func(est float64) int { return int(min(max(est, 64), 1<<26)) }
+		j.leftHT = state.NewHashTableSized(leftSchema, leftKey, size(estLeft))
+		j.rightHT = state.NewHashTableSized(rightSchema, rightKey, size(estRight))
+		j.leftHT.Fixed, j.rightHT.Fixed = true, true
+	default:
 		j.leftHT = state.NewHashTable(leftSchema, leftKey)
 		j.rightHT = state.NewHashTable(rightSchema, rightKey)
-		j.left, j.right = j.leftHT, j.rightHT
 	}
+	j.left, j.right = j.leftHT, j.rightHT
+	j.leftList, j.rightList = j.leftHT.List(), j.rightHT.List()
 	return j
 }
 
 // Schema returns the output layout.
 func (j *HashJoin) Schema() *types.Schema { return j.schema }
-
-// SizeTables allocates fixed-bucket hash tables from the optimizer's
-// cardinality estimates, reproducing Tukwila's behaviour: table memory can
-// grow, but bucket counts are fixed at creation, so an under-estimated
-// input suffers bucket collisions for the rest of the query (§4.4).
-// No-op for nested-loops joins.
-func (j *HashJoin) SizeTables(estLeft, estRight float64) {
-	if j.Style == NestedLoops {
-		return
-	}
-	size := func(est float64) int {
-		if est < 64 {
-			return 64
-		}
-		if est > 1<<26 {
-			return 1 << 26
-		}
-		return int(est)
-	}
-	lt := state.NewHashTableSized(j.left.Schema(), j.leftKey, size(estLeft))
-	lt.Fixed = true
-	rt := state.NewHashTableSized(j.right.Schema(), j.rightKey, size(estRight))
-	rt.Fixed = true
-	j.left, j.right = lt, rt
-	j.leftHT, j.rightHT = lt, rt
-}
 
 // Counters exposes the operator's statistics block (§3.3).
 func (j *HashJoin) Counters() *stats.OpCounters { return &j.counters }
@@ -183,7 +177,9 @@ func (j *HashJoin) Counters() *stats.OpCounters { return &j.counters }
 // for nested-loops (whose lists are exposed via Lists).
 func (j *HashJoin) Tables() (left, right state.Keyed) { return j.left, j.right }
 
-// Lists exposes nested-loops buffers.
+// Lists exposes each side's buffered rows in arrival order, whatever the
+// style: the source data a plan must buffer at its leaves (§3.4), which a
+// leaf feeding this join directly shares as its base partition.
 func (j *HashJoin) Lists() (left, right *state.List) { return j.leftList, j.rightList }
 
 // joinSide exposes one input of a HashJoin as a sink, so plan lowering can
@@ -396,7 +392,7 @@ type Project struct {
 	ctx      *Context
 	adapter  *types.Adapter
 	out      Sink
-	arena    valueArena
+	arena    ValueArena
 	scratch  []types.Tuple
 	counters stats.OpCounters
 
@@ -421,7 +417,7 @@ func (p *Project) PushBatch(ts []types.Tuple) {
 		p.counters.In++
 		p.counters.Out++
 		p.ctx.Clock.Charge(p.ctx.Cost.Move)
-		p.scratch = append(p.scratch, p.adapter.AdaptInto(p.arena.alloc(width), t))
+		p.scratch = append(p.scratch, p.adapter.AdaptInto(p.arena.Alloc(width), t))
 	}
 	if len(p.scratch) > 0 {
 		p.out.PushBatch(p.scratch)

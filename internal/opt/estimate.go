@@ -76,6 +76,7 @@ type estimator struct {
 	nameIdx  map[string]int
 	baseCard map[string]float64 // post-filter effective cardinality
 	rawCard  map[string]float64 // pre-filter cardinality
+	keys     map[uint]string    // setKey, memoised per relation bitmask
 }
 
 func newEstimator(in Inputs) *estimator {
@@ -85,6 +86,7 @@ func newEstimator(in Inputs) *estimator {
 		nameIdx:  map[string]int{},
 		baseCard: map[string]float64{},
 		rawCard:  map[string]float64{},
+		keys:     map[uint]string{},
 	}
 	for i, r := range in.Query.Relations {
 		e.names = append(e.names, r.Name)
@@ -221,15 +223,21 @@ func (e *estimator) joinSel(j algebra.JoinPred) float64 {
 	return sel
 }
 
-// setKey builds the canonical key of a relation bitmask.
+// setKey returns the canonical key of a relation bitmask, built once per
+// mask: every candidate split of a subset asks for the same one.
 func (e *estimator) setKey(mask uint) string {
+	if key, ok := e.keys[mask]; ok {
+		return key
+	}
 	var rels []string
 	for i, n := range e.names {
 		if mask&(1<<uint(i)) != 0 {
 			rels = append(rels, n)
 		}
 	}
-	return algebra.CanonKey(rels)
+	key := algebra.CanonKey(rels)
+	e.keys[mask] = key
+	return key
 }
 
 // systemR computes the textbook estimate for joining two subsets.

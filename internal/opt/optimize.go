@@ -251,13 +251,19 @@ func (o *optimizer) best(mask uint) *memoEntry {
 		o.memo[mask] = e
 		return e
 	}
-	var best *memoEntry
 	// Enumerate partitions into two non-empty connected halves joined by
 	// at least one predicate (bushy enumeration over connected
 	// subgraph/complement pairs, §4.3). Disconnected halves are skipped,
 	// so plans never contain cross products — System-R discipline, which
 	// also keeps mid-query re-planning from "discovering" free cross
-	// products over nearly exhausted sources.
+	// products over nearly exhausted sources. Only the winning split is
+	// remembered; its join node — a concatenated schema — is built once.
+	var (
+		best      *memoEntry
+		left      *memoEntry // the winning split, larger input first
+		right     *memoEntry
+		bestPreds []algebra.JoinPred
+	)
 	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 		other := mask &^ sub
 		if sub > other {
@@ -278,21 +284,22 @@ func (o *optimizer) best(mask uint) *memoEntry {
 			total = math.Max(total-credit, l.cost+r.cost)
 		}
 		if best == nil || total < best.cost {
+			if best == nil {
+				best = &memoEntry{}
+			}
+			best.card, best.cost = card, total
 			// Smaller (build) side to the right by convention.
-			left, right := l, r
-			leftMask, rightMask := sub, other
+			left, right, bestPreds = l, r, preds
 			if right.card > left.card {
 				left, right = right, left
-				leftMask, rightMask = rightMask, leftMask
 			}
-			_ = leftMask
-			_ = rightMask
-			jp := algebra.NewJoin(left.plan, right.plan, preds)
-			jp.EstLeftCard, jp.EstRightCard = left.card, right.card
-			best = &memoEntry{plan: jp, card: card, cost: total}
 		}
 	}
-	if best == nil {
+	if best != nil {
+		jp := algebra.NewJoin(left.plan, right.plan, bestPreds)
+		jp.EstLeftCard, jp.EstRightCard = left.card, right.card
+		best.plan = jp
+	} else {
 		// Only reachable when the query's join graph is disconnected,
 		// which Validate rejects; fall back to an arbitrary cross pair so
 		// the optimizer still terminates if reached via EstimateSetCard.

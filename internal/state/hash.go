@@ -12,17 +12,29 @@ import (
 // reproduce that behaviour when Fixed is set, and grow otherwise.
 const defaultBuckets = 1024
 
-// HashTable is the workhorse state structure: bucketed chaining hash table
-// keyed on a column subset, used by pipelined and hybrid hash joins and by
-// the hash-based aggregation operators. It supports lazy partition-wise
-// spilling (overflow handling in the style of XJoin / the Tukwila pipelined
-// hash join, §5) by marking partition regions as swapped out; spilled
-// partitions remain probe-able but record simulated I/O.
+// HashTable is the workhorse state structure: a bucketed chaining hash
+// index, keyed on a column subset, over a List. Rows live once, in arrival
+// order, in the list; the index keeps one {hash, next} entry per row beside
+// it and one {head, tail, count} per bucket, all in 1-based row ids. A
+// bucket's chain is therefore its rows in arrival order, and stays so
+// across grow, which re-links every entry from its stored hash — no row is
+// rehashed, copied or moved. Several indexes may share one list (IndexList).
+// Row ids are int32: a table indexes at most 2^31-1 rows.
+//
+// Chain order, chain length and the bucket count are part of the contract,
+// not layout detail: a pipelined join charges the virtual clock by the
+// chain it walks, the corrective monitor reads Len/Buckets, and results
+// leave in chain order.
+//
+// It supports lazy partition-wise spilling (overflow handling in the style
+// of XJoin / the Tukwila pipelined hash join, §5) by marking partition
+// regions as swapped out; spilled partitions remain probe-able but record
+// simulated I/O.
 type HashTable struct {
-	schema  *types.Schema
+	list    *List
 	keyCols []int
-	buckets [][]types.Tuple
-	n       int
+	entries chunked[entry]
+	buckets []bucket
 	// Fixed prevents bucket-array growth (reproduces mis-estimated
 	// allocation collisions).
 	Fixed bool
@@ -34,27 +46,58 @@ type HashTable struct {
 	DiskReads int64
 }
 
+// entry is the index's record of one row: its key hash and the next row of
+// its bucket's chain (0 ends it).
+type entry struct {
+	hash uint64
+	next int32
+}
+
+// bucket is one chain: its first and last row (0 when empty) and its length.
+type bucket struct{ head, tail, count int32 }
+
 // NewHashTable creates a hash table keyed on keyCols over the layout
 // schema.
 func NewHashTable(schema *types.Schema, keyCols []int) *HashTable {
-	return &HashTable{
-		schema:       schema,
-		keyCols:      keyCols,
-		buckets:      make([][]types.Tuple, defaultBuckets),
-		spilledParts: make(map[int]bool),
-		partCount:    16,
-	}
+	return NewHashTableSized(schema, keyCols, defaultBuckets)
 }
 
 // NewHashTableSized creates a hash table with an explicit bucket count
 // (for the optimizer to size from cardinality estimates).
 func NewHashTableSized(schema *types.Schema, keyCols []int, nbuckets int) *HashTable {
-	if nbuckets < 1 {
-		nbuckets = 1
-	}
-	h := NewHashTable(schema, keyCols)
-	h.buckets = make([][]types.Tuple, ceilPow2(nbuckets))
+	h := &HashTable{list: NewList(schema), keyCols: keyCols, partCount: 16}
+	h.buckets = make([]bucket, ceilPow2(max(nbuckets, 1)))
 	return h
+}
+
+// IndexList builds a second index, keyed on keyCols, over the rows l
+// already holds — the stitch-up join "will rehash one of the structures
+// according to the join key" when key compatibility fails (§3.4.3, §3.2),
+// without copying a row. Buckets and chains are exactly those of a growing
+// table the rows were inserted into one by one, allocated once at their
+// final size. l must not grow while the index is in use.
+func IndexList(l *List, keyCols []int) *HashTable {
+	h := &HashTable{list: l, keyCols: keyCols, partCount: 16}
+	h.buckets = make([]bucket, BucketsFor(l.Len()))
+	h.entries.reserve(l.Len())
+	for c, chunk := range l.Chunks() {
+		for i, t := range chunk {
+			h.entries.chunks[c][i].hash = t.HashKey(keyCols)
+		}
+	}
+	h.relink()
+	return h
+}
+
+// BucketsFor returns the bucket count a growing table holds after n
+// inserts: the default, doubled each time an insert finds four rows per
+// bucket.
+func BucketsFor(n int) int {
+	b := defaultBuckets
+	for n-1 >= 4*b {
+		b <<= 1
+	}
+	return b
 }
 
 func ceilPow2(n int) int {
@@ -68,6 +111,28 @@ func ceilPow2(n int) int {
 func (h *HashTable) bucketOf(hash uint64) int {
 	return int(hash & uint64(len(h.buckets)-1))
 }
+
+// link appends row id, whose entry is e, to its bucket's chain.
+func (h *HashTable) link(id int32, e *entry) {
+	b := &h.buckets[h.bucketOf(e.hash)]
+	if b.tail != 0 {
+		h.entries.at(int(b.tail - 1)).next = id
+	} else {
+		b.head = id
+	}
+	b.tail = id
+	b.count++
+}
+
+// row returns row id and its chain successor: two independent loads, issued
+// together so that a chain walk waits for one cache miss per step, not two.
+func (h *HashTable) row(id int32) (types.Tuple, int32) {
+	c, i := int(id-1)>>chunkShift, int(id-1)&(chunkRows-1)
+	return h.list.rows.chunks[c][i], h.entries.chunks[c][i].next
+}
+
+// List returns the rows the table indexes, in arrival order.
+func (h *HashTable) List() *List { return h.list }
 
 // Insert implements Structure.
 func (h *HashTable) Insert(t types.Tuple) {
@@ -85,12 +150,13 @@ func (h *HashTable) Insert(t types.Tuple) {
 // paper's §4.4 semantics — spilled structures keep their boundaries so
 // overflowed regions stay aligned across the tables sharing them.
 func (h *HashTable) InsertHashed(hash uint64, t types.Tuple) {
-	if !h.Fixed && len(h.spilledParts) == 0 && h.n >= 4*len(h.buckets) {
+	if !h.Fixed && len(h.spilledParts) == 0 && h.entries.n >= 4*len(h.buckets) {
 		h.grow()
 	}
-	b := h.bucketOf(hash)
-	h.buckets[b] = append(h.buckets[b], t)
-	h.n++
+	h.list.Insert(t)
+	h.entries.push(entry{hash: hash})
+	id := h.entries.n
+	h.link(int32(id), h.entries.at(id-1))
 }
 
 // InsertHashedBatch inserts a batch of tuples with a precomputed hash
@@ -117,68 +183,59 @@ func (h *HashTable) ProbeHashedBatch(hashes []uint64, keys []types.Tuple, keyCol
 		if h.isSpilled(bi) {
 			h.DiskReads++
 		}
-		for _, t := range h.buckets[bi] {
+		for id := h.buckets[bi].head; id != 0; {
+			t, next := h.row(id)
 			if t.KeyEquals(h.keyCols, key, keyCols) {
 				if !fn(i, t) {
 					break
 				}
 			}
+			id = next
 		}
 	}
 }
 
-// grow doubles the bucket array. Doubling means each old chain splits
-// across exactly two destinations (b and b+len(old)), so chains are
-// counted first and allocated at exact capacity — no append-regrowth
-// churn while rehashing.
+// grow doubles the bucket array and re-links every row, in arrival order,
+// from its stored hash: each chain keeps its order, nothing is rehashed and
+// no row moves.
 func (h *HashTable) grow() {
-	old := h.buckets
-	half := len(old)
-	h.buckets = make([][]types.Tuple, 2*half)
-	var dests []int
-	for b, chain := range old {
-		if len(chain) == 0 {
-			continue
-		}
-		dests = dests[:0]
-		hi := 0
-		for _, t := range chain {
-			d := h.bucketOf(t.HashKey(h.keyCols))
-			dests = append(dests, d)
-			if d != b {
-				hi++
-			}
-		}
-		if lo := len(chain) - hi; lo > 0 {
-			h.buckets[b] = make([]types.Tuple, 0, lo)
-		}
-		if hi > 0 {
-			h.buckets[b+half] = make([]types.Tuple, 0, hi)
-		}
-		for i, t := range chain {
-			h.buckets[dests[i]] = append(h.buckets[dests[i]], t)
+	h.buckets = make([]bucket, 2*len(h.buckets))
+	h.relink()
+}
+
+// relink chains every entry into the (empty) bucket array, in arrival order.
+func (h *HashTable) relink() {
+	id := int32(0)
+	for _, chunk := range h.entries.chunks {
+		for i := range chunk {
+			id++
+			chunk[i].next = 0
+			h.link(id, &chunk[i])
 		}
 	}
 }
 
 // Len implements Structure.
-func (h *HashTable) Len() int { return h.n }
+func (h *HashTable) Len() int { return h.entries.n }
 
 // Buckets returns the bucket count; Len/Buckets is the expected probe
 // chain length the re-optimizer reads as a sizing-health signal (§3.3
 // exposes structure size/cardinality to the decision modules).
 func (h *HashTable) Buckets() int { return len(h.buckets) }
 
-// Scan implements Structure (bucket order; not key-sorted).
+// Scan implements Structure (bucket order, each chain in arrival order;
+// not key-sorted).
 func (h *HashTable) Scan(fn func(types.Tuple) bool) {
-	for bi, chain := range h.buckets {
+	for bi := range h.buckets {
 		if h.isSpilled(bi) {
 			h.DiskReads++
 		}
-		for _, t := range chain {
+		for id := h.buckets[bi].head; id != 0; {
+			t, next := h.row(id)
 			if !fn(t) {
 				return
 			}
+			id = next
 		}
 	}
 }
@@ -187,7 +244,7 @@ func (h *HashTable) Scan(fn func(types.Tuple) bool) {
 func (h *HashTable) Properties() Properties { return Properties{KeyAccess: true} }
 
 // Schema implements Structure.
-func (h *HashTable) Schema() *types.Schema { return h.schema }
+func (h *HashTable) Schema() *types.Schema { return h.list.Schema() }
 
 // KeyCols implements Keyed.
 func (h *HashTable) KeyCols() []int { return h.keyCols }
@@ -210,12 +267,14 @@ func (h *HashTable) ProbeHashed(hash uint64, key types.Tuple, fn func(types.Tupl
 		h.DiskReads++
 	}
 	idx := types.Identity(len(key))
-	for _, t := range h.buckets[bi] {
+	for id := h.buckets[bi].head; id != 0; {
+		t, next := h.row(id)
 		if t.KeyEquals(h.keyCols, key, idx) {
 			if !fn(t) {
 				return
 			}
 		}
+		id = next
 	}
 }
 
@@ -231,20 +290,7 @@ func (h *HashTable) ChainLen(key []types.Value) int {
 
 // ChainLenHashed is ChainLen for a precomputed key hash.
 func (h *HashTable) ChainLenHashed(hash uint64) int {
-	return len(h.buckets[h.bucketOf(hash)])
-}
-
-// Rehash builds a new hash table over the same tuples keyed on different
-// columns — the stitch-up join "will rehash one of the structures
-// according to the join key" when key compatibility fails (§3.4.3, §3.2).
-func (h *HashTable) Rehash(newKeyCols []int) *HashTable {
-	out := NewHashTableSized(h.schema, newKeyCols, len(h.buckets))
-	out.Fixed = h.Fixed
-	h.Scan(func(t types.Tuple) bool {
-		out.Insert(t)
-		return true
-	})
-	return out
+	return int(h.buckets[h.bucketOf(hash)].count)
 }
 
 // --- spill simulation -------------------------------------------------
@@ -267,6 +313,9 @@ func (h *HashTable) isSpilled(bucket int) bool {
 // should be spilled with identical fractions so overflowed regions align.
 func (h *HashTable) SpillPartitions(frac float64) int {
 	n := int(float64(h.partCount) * frac)
+	if h.spilledParts == nil {
+		h.spilledParts = make(map[int]bool)
+	}
 	for p := 0; p < n; p++ {
 		h.spilledParts[p] = true
 	}
@@ -285,9 +334,7 @@ func (h *HashTable) SpilledFraction() float64 {
 
 // UnspillAll brings every partition back in memory (stitch-up reads
 // overflowed regions back).
-func (h *HashTable) UnspillAll() {
-	h.spilledParts = make(map[int]bool)
-}
+func (h *HashTable) UnspillAll() { h.spilledParts = nil }
 
 // HashOverSorted is a hash table over key-sorted data: each bucket keeps
 // its chain in key order so probes binary-search within the bucket

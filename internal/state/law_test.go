@@ -1,0 +1,378 @@
+package state
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"github.com/tukwila/adp/internal/types"
+)
+
+// chainModel is the layout HashTable had before it became an index over a
+// List: one slice of tuples per bucket, appended to on insert and split in
+// two on grow. The virtual clock charges a probe by its chain's length and
+// results leave in chain order, so the index must agree with this model on
+// every bucket count, chain and hit sequence, not merely on which rows
+// match.
+type chainModel struct {
+	keyCols   []int
+	buckets   [][]types.Tuple
+	n         int
+	fixed     bool
+	spilled   int // partitions 0..spilled-1 are swapped out
+	diskReads int64
+}
+
+func newChainModel(keyCols []int, nbuckets int, fixed bool) *chainModel {
+	return &chainModel{keyCols: keyCols, buckets: make([][]types.Tuple, ceilPow2(max(nbuckets, 1))), fixed: fixed}
+}
+
+func (m *chainModel) bucketOf(hash uint64) int { return int(hash & uint64(len(m.buckets)-1)) }
+
+func (m *chainModel) insert(t types.Tuple) {
+	if !m.fixed && m.spilled == 0 && m.n >= 4*len(m.buckets) {
+		old := m.buckets
+		m.buckets = make([][]types.Tuple, 2*len(old))
+		for _, chain := range old {
+			for _, t := range chain {
+				b := m.bucketOf(t.HashKey(m.keyCols))
+				m.buckets[b] = append(m.buckets[b], t)
+			}
+		}
+	}
+	b := m.bucketOf(t.HashKey(m.keyCols))
+	m.buckets[b] = append(m.buckets[b], t)
+	m.n++
+}
+
+func (m *chainModel) touch(bucket int) {
+	if bucket%16 < m.spilled {
+		m.diskReads++
+	}
+}
+
+// probe returns the chain's rows equal to key, in chain order.
+func (m *chainModel) probe(hash uint64, key types.Tuple) (hits []types.Tuple) {
+	b := m.bucketOf(hash)
+	m.touch(b)
+	for _, t := range m.buckets[b] {
+		if t.KeyEquals(m.keyCols, key, types.Identity(len(key))) {
+			hits = append(hits, t)
+		}
+	}
+	return hits
+}
+
+func (m *chainModel) scan() (rows []types.Tuple) {
+	for b, chain := range m.buckets {
+		m.touch(b)
+		rows = append(rows, chain...)
+	}
+	return rows
+}
+
+// lawValues are the key values that stress equality against hashing: equal
+// across kinds (1, 1.0), unequal but alike ("1"), both zeros, NaN (which
+// Compare calls equal to every number while hashing apart from them all),
+// NULL, and a few plain integers so chains hold more than one key.
+var lawValues = []types.Value{
+	types.Int(1), types.Float(1), types.Str("1"), types.Float(0), types.Float(math.Copysign(0, -1)),
+	types.Int(0), types.Float(math.NaN()), types.Null(), types.Int(2), types.Int(3), types.Int(1025),
+	types.Float(2.5), types.Str(""), types.Int(-1),
+}
+
+var lawSchema = types.NewSchema(
+	types.Column{Name: "t.a", Kind: types.KindInt},
+	types.Column{Name: "t.b", Kind: types.KindInt},
+	types.Column{Name: "t.id", Kind: types.KindInt},
+)
+
+// ids renders rows by their id column, which the tests keep unique.
+func ids(rows []types.Tuple) []int64 {
+	out := make([]int64, len(rows))
+	for i, t := range rows {
+		out[i] = t[len(t)-1].I
+	}
+	return out
+}
+
+// lawPair is a table and its model, fed the same operations.
+type lawPair struct {
+	h      *HashTable
+	m      *chainModel
+	nextID int64
+}
+
+func newLawPair(keyCols []int, nbuckets int, fixed bool) *lawPair {
+	h := NewHashTableSized(lawSchema, keyCols, nbuckets)
+	h.Fixed = fixed
+	return &lawPair{h: h, m: newChainModel(keyCols, nbuckets, fixed)}
+}
+
+func (p *lawPair) insert(a, b types.Value) {
+	t := types.Tuple{a, b, types.Int(p.nextID)}
+	p.nextID++
+	p.h.Insert(t)
+	p.m.insert(t)
+}
+
+// spill swaps out the first frac of the partitions; a smaller fraction
+// after a larger one brings nothing back.
+func (p *lawPair) spill(frac float64) {
+	p.m.spilled = max(p.m.spilled, p.h.SpillPartitions(frac))
+}
+
+func (p *lawPair) unspill() {
+	p.h.UnspillAll()
+	p.m.spilled = 0
+}
+
+// check compares the table with the model on everything the engine reads:
+// size, bucket count, and per probe key the chain length, the scalar and
+// the batched hit sequence and the simulated disk reads; with scan, the
+// scan order too.
+func (p *lawPair) check(scan bool) error {
+	if p.h.Len() != p.m.n || p.h.Buckets() != len(p.m.buckets) {
+		return fmt.Errorf("len/buckets = %d/%d, model %d/%d", p.h.Len(), p.h.Buckets(), p.m.n, len(p.m.buckets))
+	}
+	nk := len(p.m.keyCols)
+	var keys []types.Tuple
+	var hashes []uint64
+	var want [][]int64
+	for i, v := range lawValues {
+		key := types.Tuple{v, lawValues[(i*5+1)%len(lawValues)]}[:nk]
+		hash := key.HashKey(types.Identity(nk))
+		keys, hashes = append(keys, key), append(hashes, hash)
+		if got, w := p.h.ChainLenHashed(hash), len(p.m.buckets[p.m.bucketOf(hash)]); got != w {
+			return fmt.Errorf("ChainLenHashed(%v) = %d, model %d", key, got, w)
+		}
+		w := ids(p.m.probe(hash, key))
+		want = append(want, w)
+		var got []types.Tuple
+		p.h.ProbeHashed(hash, key, func(t types.Tuple) bool { got = append(got, t); return true })
+		if !slices.Equal(ids(got), w) {
+			return fmt.Errorf("ProbeHashed(%v) = %v, model %v", key, ids(got), w)
+		}
+		if len(w) > 1 { // an early stop ends the walk after the first hit
+			n := 0
+			p.h.ProbeHashed(hash, key, func(types.Tuple) bool { n++; return false })
+			p.m.probe(hash, key)
+			if n != 1 {
+				return fmt.Errorf("ProbeHashed(%v) visited %d rows after a stop", key, n)
+			}
+		}
+	}
+	got := make([][]int64, len(keys))
+	p.h.ProbeHashedBatch(hashes, keys, types.Identity(nk), func(row int, t types.Tuple) bool {
+		got[row] = append(got[row], t[2].I)
+		return true
+	})
+	for i := range keys {
+		p.m.probe(hashes[i], keys[i])
+		if !slices.Equal(got[i], want[i]) {
+			return fmt.Errorf("ProbeHashedBatch row %d (%v) = %v, model %v", i, keys[i], got[i], want[i])
+		}
+	}
+	if scan {
+		var rows []types.Tuple
+		p.h.Scan(func(t types.Tuple) bool { rows = append(rows, t); return true })
+		if w := ids(p.m.scan()); !slices.Equal(ids(rows), w) {
+			return fmt.Errorf("Scan order = %v, model %v", ids(rows), w)
+		}
+		if w := p.m.n; p.h.List().Len() != w || !slices.IsSorted(ids(p.h.List().Rows())) {
+			return fmt.Errorf("list holds %d rows, out of arrival order or short of %d", p.h.List().Len(), w)
+		}
+	}
+	if p.h.DiskReads != p.m.diskReads {
+		return fmt.Errorf("DiskReads = %d, model %d", p.h.DiskReads, p.m.diskReads)
+	}
+	return nil
+}
+
+// TestHashTableMatchesChainModel: random inserts of duplicate, cross-kind,
+// zero, NaN and NULL keys into a growing and a fixed table, checked against
+// the old layout after every step, across every grow, and through a spill
+// (which freezes growth) and its reversal (which resumes it).
+func TestHashTableMatchesChainModel(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		keyCols  []int
+		nbuckets int
+		fixed    bool
+	}{
+		{"growing/one-column", []int{0}, 2, false},
+		{"growing/two-columns", []int{1, 0}, 1, false},
+		{"fixed/one-bucket", []int{0}, 1, true},
+		{"fixed/eight-buckets", []int{0, 1}, 8, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			p := newLawPair(tc.keyCols, tc.nbuckets, tc.fixed)
+			const steps = 700
+			for i := 0; i < steps; i++ {
+				switch i {
+				case 300:
+					p.spill(0.5)
+				case 450:
+					p.unspill()
+				}
+				p.insert(lawValues[rng.Intn(len(lawValues))], lawValues[rng.Intn(len(lawValues))])
+				if err := p.check(i%16 == 0 || i == steps-1); err != nil {
+					t.Fatalf("after %d inserts: %v", i+1, err)
+				}
+			}
+			if !tc.fixed && p.h.Buckets() < 128 {
+				t.Fatalf("growing table ended at %d buckets: grow was not exercised", p.h.Buckets())
+			}
+		})
+	}
+	// A default table grows at 4096 and at 8192 rows, past chunk boundaries
+	// of the list and of the index.
+	t.Run("growing/default", func(t *testing.T) {
+		p := newLawPair([]int{0}, defaultBuckets, false)
+		for i := 0; i < 9000; i++ {
+			p.insert(types.Int(int64(i%1500)), types.Int(0))
+			if i%1000 == 0 || (i >= 4090 && i <= 4100) || i == 8999 {
+				if err := p.check(true); err != nil {
+					t.Fatalf("after %d inserts: %v", i+1, err)
+				}
+			}
+		}
+		if p.h.Buckets() != 4*defaultBuckets || p.h.Buckets() != BucketsFor(p.h.Len()) {
+			t.Fatalf("buckets = %d after %d inserts, BucketsFor says %d", p.h.Buckets(), p.h.Len(), BucketsFor(p.h.Len()))
+		}
+	})
+}
+
+// FuzzHashTableModel drives the table and the model from an op script: a
+// byte inserts the key its bits select, or spills, unspills or probes.
+func FuzzHashTableModel(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 10, 11, 12, 251, 13, 14, 15}, uint8(1), false)
+	f.Add([]byte{6, 6, 6, 0, 1, 6, 252, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1}, uint8(0), true)
+	f.Fuzz(func(t *testing.T, script []byte, nbuckets uint8, fixed bool) {
+		if len(script) > 400 {
+			script = script[:400]
+		}
+		p := newLawPair([]int{0}, int(nbuckets%8), fixed)
+		for i, op := range script {
+			switch {
+			case op == 250:
+				p.spill(0.5)
+			case op == 251:
+				p.unspill()
+			case op == 252:
+				p.spill(1)
+			default:
+				v := int(op) % len(lawValues)
+				p.insert(lawValues[v], lawValues[(v+int(op)/len(lawValues))%len(lawValues)])
+			}
+			if err := p.check(i%8 == 0 || i == len(script)-1); err != nil {
+				t.Fatalf("after op %d (%d): %v", i, op, err)
+			}
+		}
+	})
+}
+
+// TestListChunkBoundaries: Len, At, Scan, Chunks, Rows and InsertBatch at
+// sizes on and around the first chunk's doublings and the chunk size, with
+// rows arriving one by one and in batches that straddle chunks.
+func TestListChunkBoundaries(t *testing.T) {
+	for _, n := range []int{0, 1, 15, 16, 17, 1023, 1024, 1025, 5000} {
+		for _, batch := range []int{0, 1, 7, 1000, 1024, 3000} {
+			t.Run(fmt.Sprintf("n=%d/batch=%d", n, batch), func(t *testing.T) {
+				rows := make([]types.Tuple, n)
+				for i := range rows {
+					rows[i] = types.Tuple{types.Int(int64(i))}
+				}
+				l := NewList(lawSchema)
+				if batch == 0 {
+					for _, r := range rows {
+						l.Insert(r)
+					}
+				} else {
+					for lo := 0; lo < n; lo += batch {
+						l.InsertBatch(rows[lo:min(lo+batch, n)])
+						l.InsertBatch(nil)
+					}
+				}
+				if l.Len() != n {
+					t.Fatalf("Len = %d, want %d", l.Len(), n)
+				}
+				for i := range rows {
+					if got := l.At(i); got[0].I != int64(i) {
+						t.Fatalf("At(%d) = %v", i, got)
+					}
+				}
+				var scanned, chunked []types.Tuple
+				l.Scan(func(r types.Tuple) bool { scanned = append(scanned, r); return true })
+				chunks := l.Chunks()
+				for c, chunk := range chunks {
+					if c < len(chunks)-1 && len(chunk) != chunkRows {
+						t.Fatalf("chunk %d of %d holds %d rows, want %d", c, len(chunks), len(chunk), chunkRows)
+					}
+					if len(chunk) == 0 || len(chunk) > chunkRows {
+						t.Fatalf("chunk %d holds %d rows", c, len(chunk))
+					}
+					chunked = append(chunked, chunk...)
+				}
+				for name, got := range map[string][]types.Tuple{"Scan": scanned, "Chunks": chunked, "Rows": l.Rows()} {
+					if !slices.Equal(ids(got), ids(rows)) {
+						t.Fatalf("%s yields %d rows out of order or number, want %d", name, len(got), n)
+					}
+				}
+				stopped := 0
+				l.Scan(func(types.Tuple) bool { stopped++; return stopped < 20 })
+				if want := min(n, 20); stopped != want {
+					t.Fatalf("Scan visited %d rows after a stop at 20, want %d", stopped, want)
+				}
+			})
+		}
+	}
+}
+
+// TestIndexListSharesRows: an index built over a list in one pass is the
+// table the rows would have made arriving one by one — bucket count,
+// chains, hit sequences, scan order — over the very same row storage, for
+// the build key and for another.
+func TestIndexListSharesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{0, 1, 100, 4096, 4097, 6000, 20000} {
+		built := newLawPair([]int{0}, defaultBuckets, false)
+		for i := 0; i < n; i++ {
+			built.insert(types.Int(rng.Int63n(int64(n/3+1))), lawValues[rng.Intn(len(lawValues))])
+		}
+		list := built.h.List()
+		for _, keyCols := range [][]int{{0}, {1}, {1, 0}} {
+			idx := &lawPair{h: IndexList(list, keyCols), m: newChainModel(keyCols, defaultBuckets, false)}
+			list.Scan(func(r types.Tuple) bool { idx.m.insert(r); return true })
+			if err := idx.check(true); err != nil {
+				t.Fatalf("n=%d key %v: %v", n, keyCols, err)
+			}
+			if idx.h.List() != list {
+				t.Fatalf("n=%d key %v: the index has a list of its own", n, keyCols)
+			}
+		}
+		if err := built.check(true); err != nil {
+			t.Fatalf("n=%d: the table changed under its second index: %v", n, err)
+		}
+	}
+	// The same backing arrays, not copies: a join's list handed on as a
+	// base partition keeps its chunks through every later append.
+	h := NewHashTable(lawSchema, []int{0})
+	l := h.List()
+	var first []*types.Tuple
+	for i := 0; i < 3*chunkRows; i++ {
+		h.Insert(types.Tuple{types.Int(int64(i)), types.Null(), types.Int(int64(i))})
+		if i%chunkRows == chunkRows-1 {
+			first = append(first, &l.Chunks()[i/chunkRows][0])
+		}
+	}
+	idx := IndexList(l, []int{2})
+	for c, chunk := range idx.List().Chunks() {
+		if &chunk[0] != first[c] {
+			t.Fatalf("chunk %d moved after it filled", c)
+		}
+	}
+}

@@ -75,6 +75,12 @@ func (r *Registry) LookupPlan(planID int, exprKey string) (*Entry, bool) {
 func (r *Registry) Plans() []int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	return r.plans()
+}
+
+// plans is Plans for a caller that holds the lock: a second RLock behind a
+// waiting writer would deadlock.
+func (r *Registry) plans() []int {
 	seen := map[int]bool{}
 	for _, e := range r.entries {
 		seen[e.PlanID] = true
@@ -109,7 +115,7 @@ func (r *Registry) TotalTuples() int {
 func (r *Registry) String() string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return fmt.Sprintf("registry{%d entries, %d plans}", len(r.entries), len(r.Plans()))
+	return fmt.Sprintf("registry{%d entries, %d plans}", len(r.entries), len(r.plans()))
 }
 
 // MemoryManager simulates Tukwila's constrained-memory paging policy:

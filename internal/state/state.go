@@ -7,6 +7,16 @@
 // structure registry that records (plan ID, expression, cardinality) for
 // stitch-up planning, and a memory manager that simulates paging structures
 // to disk in most-complex-expression-first order.
+//
+// Rows are buffered once. A List stores tuples in arrival order in
+// fixed-size chunks, so it allocates what it holds and growth never moves a
+// row; a HashTable owns no rows but indexes a List — an entry per row and a
+// chain per bucket, in row ids — so grow re-links instead of rehashing, and
+// IndexList puts a second index, on another key, over rows a list already
+// holds. A structure's consumers read more than its contents: chain length
+// is what a probe is charged, Len/Buckets what the monitor prices a plan
+// by, chain order the order results leave in. Those are contract
+// (TestHashTableMatchesChainModel), whatever the layout.
 package state
 
 import (
@@ -62,32 +72,115 @@ type HashedProber interface {
 	ProbeHashed(hash uint64, key types.Tuple, fn func(t types.Tuple) bool)
 }
 
+// chunkMin and chunkRows are the chunk geometry List and HashTable share:
+// a sequence's first chunk starts at chunkMin rows and doubles (by copy, at
+// most chunkRows rows in all) until it holds chunkRows; every later chunk
+// is allocated at chunkRows. Past the first chunk growth never moves a row,
+// so a sequence allocates what it holds — an appended slice, which Go grows
+// by 1.25x once it is large, allocates about five times that.
+const (
+	chunkMin   = 16
+	chunkShift = 10
+	chunkRows  = 1 << chunkShift
+)
+
+// chunked is an append-only sequence in that geometry: element i lives at
+// chunks[i>>chunkShift][i&(chunkRows-1)].
+type chunked[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+func (c *chunked[T]) at(i int) *T { return &c.chunks[i>>chunkShift][i&(chunkRows-1)] }
+
+func (c *chunked[T]) push(v T) {
+	last := c.tail(1)
+	c.chunks[last] = append(c.chunks[last], v)
+	c.n++
+}
+
+func (c *chunked[T]) pushAll(vs []T) {
+	for len(vs) > 0 {
+		last := c.tail(len(vs))
+		n := min(len(vs), cap(c.chunks[last])-len(c.chunks[last]))
+		c.chunks[last] = append(c.chunks[last], vs[:n]...)
+		c.n += n
+		vs = vs[n:]
+	}
+}
+
+// tail returns the index of the last chunk, which has room: grown first, for
+// a caller about to append need elements, if it was full.
+func (c *chunked[T]) tail(need int) int {
+	last := len(c.chunks) - 1
+	if last < 0 || len(c.chunks[last]) == cap(c.chunks[last]) {
+		c.grow(need)
+		last = len(c.chunks) - 1
+	}
+	return last
+}
+
+// grow makes room at the tail for need more elements, or for as many as a
+// chunk takes: a short tail chunk (the first one, or the exact tail reserve
+// left) at least doubles, a full one gets a successor.
+func (c *chunked[T]) grow(need int) {
+	last := len(c.chunks) - 1
+	switch {
+	case last < 0:
+		c.chunks = append(c.chunks, make([]T, 0, min(max(need, chunkMin), chunkRows)))
+	case cap(c.chunks[last]) < chunkRows:
+		tail := c.chunks[last]
+		c.chunks[last] = append(make([]T, 0, min(max(2*cap(tail), len(tail)+need), chunkRows)), tail...)
+	default:
+		c.chunks = append(c.chunks, make([]T, 0, chunkRows))
+	}
+}
+
+// reserve sizes an empty sequence for exactly n elements, all zero.
+func (c *chunked[T]) reserve(n int) {
+	for rest := n; rest > 0; rest -= chunkRows {
+		c.chunks = append(c.chunks, make([]T, min(rest, chunkRows)))
+	}
+	c.n = n
+}
+
 // List is the simplest structure: an insertion-ordered tuple buffer with
-// no key access (nested-loops inners, combine buffers).
+// no key access (nested-loops inners, base partitions, materialized
+// intermediates), and the row store every HashTable indexes. Rows are
+// addressed by arrival position and never move once past the first chunk.
 type List struct {
 	schema *types.Schema
-	rows   []types.Tuple
+	rows   chunked[types.Tuple]
 }
 
 // NewList creates an empty list over the given layout.
 func NewList(schema *types.Schema) *List { return &List{schema: schema} }
 
 // Insert implements Structure.
-func (l *List) Insert(t types.Tuple) { l.rows = append(l.rows, t) }
+func (l *List) Insert(t types.Tuple) { l.rows.push(t) }
 
 // InsertBatch bulk-appends a batch of tuples — the vectorized counterpart
 // of Insert used by batched sinks (leaf partition capture, join-result
 // tees). Only the tuples are retained, never the batch slice itself.
-func (l *List) InsertBatch(ts []types.Tuple) { l.rows = append(l.rows, ts...) }
+func (l *List) InsertBatch(ts []types.Tuple) { l.rows.pushAll(ts) }
 
 // Len implements Structure.
-func (l *List) Len() int { return len(l.rows) }
+func (l *List) Len() int { return l.rows.n }
+
+// At returns the i-th row in arrival order.
+func (l *List) At(i int) types.Tuple { return *l.rows.at(i) }
+
+// Chunks exposes the row storage in arrival order (read-only): every chunk
+// but the last holds chunkRows rows.
+func (l *List) Chunks() [][]types.Tuple { return l.rows.chunks }
 
 // Scan implements Structure.
 func (l *List) Scan(fn func(types.Tuple) bool) {
-	for _, t := range l.rows {
-		if !fn(t) {
-			return
+	for _, chunk := range l.rows.chunks {
+		for _, t := range chunk {
+			if !fn(t) {
+				return
+			}
 		}
 	}
 }
@@ -98,8 +191,15 @@ func (l *List) Properties() Properties { return Properties{} }
 // Schema implements Structure.
 func (l *List) Schema() *types.Schema { return l.schema }
 
-// Rows exposes the backing slice (read-only use).
-func (l *List) Rows() []types.Tuple { return l.rows }
+// Rows copies the list into one flat slice, for callers off the hot path
+// that need one (a materialized relation handed to a source).
+func (l *List) Rows() []types.Tuple {
+	out := make([]types.Tuple, 0, l.rows.n)
+	for _, chunk := range l.rows.chunks {
+		out = append(out, chunk...)
+	}
+	return out
+}
 
 // SortedList keeps tuples ordered by a key, supporting binary-search
 // probes and ordered scans. Inserts of already-ordered input are O(1)

@@ -207,7 +207,7 @@ func TestHashTableRehash(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Insert(types.Tuple{types.Int(int64(i)), types.Int(int64(i % 10))})
 	}
-	r := h.Rehash([]int{1})
+	r := IndexList(h.List(), []int{1})
 	if r.Len() != 100 {
 		t.Fatalf("rehash lost tuples: %d", r.Len())
 	}

@@ -40,9 +40,10 @@ check() {
 # they keep their budgets until those probes are re-pointed at the row
 # entries (docs/architecture.md).
 check 'BenchmarkHashTableProbe'                  0  # both probe variants: allocation-free
-check 'BenchmarkPipelinedJoinPush/batch(-[0-9]+)?$'    2  # PR 1 headline: batched push <= 2 allocs/op
+check 'BenchmarkHashTableInsert'                 0  # PR 21: growing and fixed build, chunks and re-links round to zero per row
+check 'BenchmarkPipelinedJoinPush/batch(-[0-9]+)?$'    0  # PR 1 headline (<= 2); PR 21: a build appends to chunks, nothing per row
 check 'BenchmarkPipelinedJoinPush/columnar(-[0-9]+)?$' 2  # PR 3/9: columnar push never above the row path
-check 'BenchmarkPipelinedJoinPush/batch-wide(-[0-9]+)?$' 2  # PR 9: wide-schema row baseline
+check 'BenchmarkPipelinedJoinPush/batch-wide(-[0-9]+)?$' 0  # PR 9: wide-schema row baseline; PR 21: as batch
 check 'BenchmarkPipelinedJoinPush/batch-wide-recycled'  0  # PR 17: copying consumer, emit arena rewound per delivery
 check 'BenchmarkPipelinedJoinPush/columnar-wide' 2  # PR 9: wide-schema columnar gather-emit
 check 'BenchmarkHashKeys'                        0  # PR 3: vectorized hash kernel reuse path
@@ -52,11 +53,12 @@ check 'BenchmarkAggTableMergeFrom'               0  # PR 18: partition-table fol
 check 'BenchmarkExchangePartition/rows'          2  # PR 4: exchange row scatter, steady-state <= 2 per batch
 check 'BenchmarkExchangePartition/columnar'      2  # PR 9: columnar exchange frame (selection-vector Gather)
 check 'BenchmarkPartitionMergeRelease'           1  # PR 9: order-releasing root flush (1 = headroom)
+check 'BenchmarkStitchUp'                      110  # PR 21: 3 phases x 3 relations with reuse: 9 indexes, prefix chunks, arenas (103; 49807 before)
 check 'BenchmarkStreamDelivery/next'             1  # PR 17: cursor Next() per row = its clone, whole pipeline on the count
 check 'BenchmarkStreamDelivery/batch'            0  # PR 17: cursor NextBatch(), rows read on lent batches
 check 'BenchmarkFaultyNext'                      1  # PR 6: fault wrapper no-fault fast path (1 = Reset headroom)
 check 'BenchmarkRowEncode'                       0  # PR 7: per-row NDJSON encode into a reused buffer
-check 'BenchmarkDeltaPropagation/join'           2  # PR 10: z-set join re-probe per signed delta row
+check 'BenchmarkDeltaPropagation/join'           0  # PR 10: z-set join re-probe per signed delta row; PR 21: as batch
 check 'BenchmarkDeltaPropagation/agg'            2  # PR 10: signed agg absorb + revision emit per delta row
 
 if [ "$fail" -ne 0 ]; then
