@@ -74,9 +74,11 @@ check-allocs:
 # schedules across all strategies and partition counts, pinning
 # recovered-fault runs to their fault-free baselines (PR 6) — and, since
 # they share the partition workers, the parallel-aggregation equivalence
-# matrix and the mid-phase cancellation tests (PR 18).
+# matrix and the mid-phase cancellation tests (PR 18) — and, since the
+# delta pump shares the phase runner with the partition workers' caller, the
+# maintenance pins and the event goldens of every caller of it (PR 23).
 chaos:
-	$(GO) test -race -count=1 -run='Fault|Chaos|ParallelAgg|CancelDuring' ./internal/source/ ./internal/core/ ./internal/engine/
+	$(GO) test -race -count=1 -run='Fault|Chaos|ParallelAgg|CancelDuring|Maintenance|PhaseEvent' ./internal/source/ ./internal/core/ ./internal/engine/
 
 # Black-box smoke of the deployable server binary: build it, boot it on
 # a random port, stream a query, check /healthz + /metrics + SSE events,

@@ -170,7 +170,9 @@
 // # Parallel execution
 //
 // Options.Partitions > 1 runs every phase as P hash-partitioned pipeline
-// clones on worker goroutines (partition-parallel execution). The
+// clones on worker goroutines (partition-parallel execution) — through the
+// same phase runner, monitor and root adapters as a serial phase, which is
+// its one-tree case (docs/architecture.md, "One phase runner"). The
 // exchange placement follows the plan's key structure:
 //
 //	source ──scatter(join key)──▶ [clone 0: join ⋈ … agg γ₀] ──┐ fold γ₀, γ₁ … into the

@@ -338,25 +338,8 @@ func prepareRun(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, 
 			fp.SetNotify(ex.handleFault)
 		}
 	}
-	ex.fullSchema = q.Relations[0].Schema
-	for _, r := range q.Relations[1:] {
-		ex.fullSchema = ex.fullSchema.Concat(r.Schema)
-	}
-	if len(q.Aggs) > 0 || len(q.GroupBy) > 0 {
-		agg, err := exec.NewAggTable(ex.ctx, ex.fullSchema, q.GroupBy, q.Aggs)
-		if err != nil {
-			return nil, nil, err
-		}
-		ex.agg = agg
-		ex.outSchema = agg.Schema()
-	} else if len(q.Project) > 0 {
-		s, err := ex.fullSchema.Project(q.Project)
-		if err != nil {
-			return nil, nil, err
-		}
-		ex.outSchema = s
-	} else {
-		ex.outSchema = ex.fullSchema
+	if err := ex.bindOutput(q); err != nil {
+		return nil, nil, err
 	}
 
 	finish := func() (*Report, error) {
@@ -375,6 +358,27 @@ func prepareRun(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, 
 	return ex, finish, nil
 }
 
+// bindOutput derives from q what the run's phases deliver into: the full
+// join layout, the final group-by shared across phases (nil for SPJ) and the
+// output schema.
+func (ex *executor) bindOutput(q *algebra.Query) error {
+	ex.fullSchema = q.Relations[0].Schema
+	for _, r := range q.Relations[1:] {
+		ex.fullSchema = ex.fullSchema.Concat(r.Schema)
+	}
+	ex.agg, ex.outSchema = nil, ex.fullSchema
+	var err error
+	switch {
+	case len(q.Aggs) > 0 || len(q.GroupBy) > 0:
+		if ex.agg, err = exec.NewAggTable(ex.ctx, ex.fullSchema, q.GroupBy, q.Aggs); err == nil {
+			ex.outSchema = ex.agg.Schema()
+		}
+	case len(q.Project) > 0:
+		ex.outSchema, err = ex.fullSchema.Project(q.Project)
+	}
+	return err
+}
+
 // execute runs the initial (full) pass under the selected strategy.
 func (ex *executor) execute() error {
 	if ex.o.Strategy == PlanPartition {
@@ -387,23 +391,28 @@ func (ex *executor) execute() error {
 }
 
 // snapshotSourceFaults copies each faulty provider's final recovery
-// counters into the report (empty map entries are skipped so clean runs
-// keep a nil SourceFaults).
+// counters into the report.
 func (ex *executor) snapshotSourceFaults() {
 	for _, r := range ex.q.Relations {
-		fp, ok := ex.cat.Providers[r.Name].(*source.Faulty)
-		if !ok {
-			continue
-		}
-		st := fp.Stats()
-		if st == (source.FaultStats{}) {
-			continue
-		}
-		if ex.rep.SourceFaults == nil {
-			ex.rep.SourceFaults = map[string]source.FaultStats{}
-		}
-		ex.rep.SourceFaults[r.Name] = st
+		ex.recordFaults(r.Name, ex.cat.Providers[r.Name])
 	}
+}
+
+// recordFaults reports p's recovery counters under key, if p injects faults
+// and any fired (clean runs keep a nil SourceFaults).
+func (ex *executor) recordFaults(key string, p source.Provider) {
+	fp, ok := p.(*source.Faulty)
+	if !ok {
+		return
+	}
+	st := fp.Stats()
+	if st == (source.FaultStats{}) {
+		return
+	}
+	if ex.rep.SourceFaults == nil {
+		ex.rep.SourceFaults = map[string]source.FaultStats{}
+	}
+	ex.rep.SourceFaults[key] = st
 }
 
 // handleFault is the notify hook for faulty providers: it narrates the
@@ -473,31 +482,6 @@ func (ex *executor) estTotalCard(rel string) float64 {
 	return opt.DefaultCard
 }
 
-// treeCollisionFactor measures how much the running plan's fixed-bucket
-// hash tables are suffering: the worst join table's expected probe-chain
-// length, converted to a cost multiplier ((1+chain)/2, since probes are
-// roughly half of join work). Healthy tables yield 1.
-func treeCollisionFactor(tree *Tree) float64 {
-	worst := 1.0
-	for _, j := range tree.Joins {
-		l, r := j.Node.Tables()
-		for _, t := range []state.Keyed{l, r} {
-			ht, ok := t.(*state.HashTable)
-			if !ok || ht == nil || ht.Buckets() == 0 {
-				continue
-			}
-			chain := float64(ht.Len()) / float64(ht.Buckets())
-			if chain < 1 {
-				chain = 1
-			}
-			if f := (1 + chain) / 2; f > worst {
-				worst = f
-			}
-		}
-	}
-	return worst
-}
-
 // stitchPenalty estimates the stitch-up work a plan switch would add:
 // every tuple already routed to earlier phases must be re-hashed and
 // cross-probed against the new phase's partitions, and the combination
@@ -562,11 +546,11 @@ func (ex *executor) runPhased() error {
 // monitorStep makes one corrective-monitor decision over a consistent
 // snapshot of the running phase (observations already recorded): whether
 // to abandon the current plan for a substantially better one (§4.1). It
-// returns the plan to switch to, if any. collision is the running tree's
-// observed bucket-collision cost multiplier.
-func (ex *executor) monitorStep(root algebra.Plan, delivered int64, collision float64) (algebra.Plan, bool) {
+// returns the plan to switch to, nil to carry on. collision is the running
+// tree's observed bucket-collision cost multiplier.
+func (ex *executor) monitorStep(root algebra.Plan, delivered int64, collision float64) algebra.Plan {
 	if ex.o.Strategy != Corrective || len(ex.phases)+1 >= ex.o.MaxPhases {
-		return nil, false
+		return nil
 	}
 	// A stalled (or retry-delayed) source is a cost-estimate violation in
 	// its own right: the plan was priced assuming the advertised arrival
@@ -580,7 +564,7 @@ func (ex *executor) monitorStep(root algebra.Plan, delivered int64, collision fl
 	// the monitor needs stable observed rates (§4.1's "stable,
 	// consistent" behaviour under a 1-second interval).
 	if delivered < int64(3*ex.o.PollEvery) && stall <= 0 {
-		return nil, false
+		return nil
 	}
 	if stall > 0 {
 		elapsed := math.Max(ex.ctx.Clock.Now-ex.phaseT0, 1e-9)
@@ -596,367 +580,185 @@ func (ex *executor) monitorStep(root algebra.Plan, delivered int64, collision fl
 		}
 	}
 	if total <= 0 || remaining/total < 0.2 {
-		return nil, false
-	}
-	// Price the current plan's remaining work in the optimizer's cost
-	// units, inflated by the plan's observed bucket-collision factor:
-	// hash tables sized from wrong estimates cannot be re-bucketed
-	// (§4.4), and relieving that pain is what a plan switch buys.
-	in := ex.optInputs()
-	curModel, _ := opt.CostPlan(in, root)
-	curRemaining := curModel * collision
-	best, err := opt.Optimize(in)
-	if err != nil {
-		return nil, false
-	}
-	if samePlanShape(best.Root, root) {
-		return nil, false
+		return nil
 	}
 	// A switch is only worthwhile if the candidate (priced over the
-	// remaining data) plus the stitch-up work it induces beats the
-	// current plan substantially (§4.1).
-	penalty := ex.stitchPenalty()
+	// remaining data) plus the stitch-up work it induces beats the current
+	// plan substantially (§4.1).
+	return ex.betterPlan(ex.optInputs(), root, collision, ex.stitchPenalty(), len(ex.phases))
+}
+
+// betterPlan is the monitor's decision, the same for a phased run and the
+// maintenance stage: price current's remaining work in the optimizer's cost
+// units, inflated by its observed bucket-collision factor — hash tables
+// sized from wrong estimates cannot be re-bucketed (§4.4), and relieving
+// that pain is what a plan switch buys — re-optimize over the same inputs,
+// and adopt a candidate of another shape whose cost plus penalty, the work
+// the switch itself induces, beats SwitchFactor × the current plan's (nil:
+// none does). The decision goes to OnPoll and, taken, out as phase's
+// PlanSwitched event.
+func (ex *executor) betterPlan(in opt.Inputs, current algebra.Plan, collision, penalty float64, phase int) algebra.Plan {
+	curModel, _ := opt.CostPlan(in, current)
+	curRemaining := curModel * collision
+	best, err := opt.Optimize(in)
+	if err != nil || samePlanShape(best.Root, current) {
+		return nil
+	}
 	switched := best.Cost+penalty < ex.o.SwitchFactor*curRemaining
 	if ex.o.OnPoll != nil {
 		ex.o.OnPoll(curRemaining, best.Cost, penalty, switched)
 	}
-	if switched {
-		ex.emit(PlanSwitched{
-			Phase:            len(ex.phases),
-			From:             root.String(),
-			To:               best.Root.String(),
-			CurrentRemaining: curRemaining,
-			CandidateCost:    best.Cost,
-			StitchPenalty:    penalty,
-			VirtualSeconds:   ex.ctx.Clock.Now,
-		})
-		return best.Root, true
+	if !switched {
+		return nil
 	}
-	return nil, false
+	ex.emit(PlanSwitched{
+		Phase:            phase,
+		From:             current.String(),
+		To:               best.Root.String(),
+		CurrentRemaining: curRemaining,
+		CandidateCost:    best.Cost,
+		StitchPenalty:    penalty,
+		VirtualSeconds:   ex.ctx.Clock.Now,
+	})
+	return best.Root
 }
 
-// phaseRun is one serial phase lowered and wired, ready for its driver.
-type phaseRun struct {
-	rec    *PhaseRecord
-	tree   *Tree
-	leaves []*exec.Leaf
-	passed map[string]float64 // post-filter tuples per relation, this phase
-}
-
-// runPhase lowers and executes one phase of plan root; it returns whether
-// the sources are exhausted and, if not, the next phase's plan.
+// runPhase lowers and executes one phase of plan root on the run's
+// goroutine; it returns whether the sources are exhausted and, if not, the
+// next phase's plan.
 func (ex *executor) runPhase(root algebra.Plan) (exhausted bool, next algebra.Plan, err error) {
-	ph, err := ex.wirePhase(root)
+	ph, err := ex.lowerPhase(root)
 	if err != nil {
 		return false, nil, err
 	}
-	return ex.drivePhase(ph)
+	return ex.runMonitored(ph)
 }
 
-// wirePhase lowers root into the next phase's tree and wires one leaf per
-// relation into it: filter pushdown, the base partition, counters.
-func (ex *executor) wirePhase(root algebra.Plan) (*phaseRun, error) {
-	ph := &phaseRun{
-		rec: &PhaseRecord{
-			ID:        len(ex.phases),
-			Plan:      root,
-			BaseParts: map[string]*state.List{},
-			Interm:    map[string]*state.List{},
-		},
-		passed: map[string]float64{},
-	}
+// lowerPhase lowers root into a serial phase: its tree, one leaf per relation
+// into the tree's entries.
+func (ex *executor) lowerPhase(root algebra.Plan) (*phase, error) {
 	sink, err := ex.outputSink(root)
 	if err != nil {
 		return nil, err
 	}
-	if ph.tree, err = lower(ex.ctx, root, sink, ex.stitches()); err != nil {
+	tree, err := lower(ex.ctx, root, sink, ex.stitches())
+	if err != nil {
 		return nil, err
 	}
-	for _, rel := range ex.q.Relations {
-		entry, ok := ph.tree.EntryBatch[rel.Name]
-		if !ok {
-			return nil, fmt.Errorf("core: plan is missing relation %q", rel.Name)
-		}
-		leaf, err := ex.wireLeaf(ph.rec, rel, ph.passed, ph.tree.LeafLists[rel.Name], entry)
-		if err != nil {
-			return nil, err
-		}
-		ph.leaves = append(ph.leaves, leaf)
+	leaves, err := entryLeaves(tree, ex.q.Relations, ex.q.Filters, ex.cat.Providers)
+	if err != nil {
+		return nil, err
 	}
+	ph := ex.serialPhase(root, tree, leaves)
+	ex.keepBase(ph, tree.LeafLists)
 	return ph, nil
 }
 
-// drivePhase runs a wired phase until its sources are exhausted or the
-// monitor switches plans, and records what it leaves behind.
-func (ex *executor) drivePhase(ph *phaseRun) (exhausted bool, next algebra.Plan, err error) {
-	rec, tree, leaves, root := ph.rec, ph.tree, ph.leaves, ph.rec.Plan
-	driver := exec.NewDriver(ex.ctx, leaves...)
-	driver.Fatal = ex.runFatal
-	t0 := ex.ctx.Clock.Now
-	ex.phaseT0, ex.phaseStallBase = t0, ex.stallSecs
-	ex.emit(PhaseStarted{Phase: rec.ID, Plan: root.String(), Partitions: 1, VirtualSeconds: t0})
-
-	var switchTo algebra.Plan
-	poll := func() bool {
-		ex.flushRows()
-		ex.recordObservations(tree.joinViews(), leaves, ph.passed)
-		if next, ok := ex.monitorStep(root, driver.Delivered, treeCollisionFactor(tree)); ok {
-			switchTo = next
-			return true
-		}
-		return false
-	}
-
-	exhausted, rerr := driver.RunContext(ex.runCtx, ex.o.PollEvery, poll)
-	if rerr != nil {
-		return false, nil, rerr
-	}
-	tree.Finish()
-	ex.recordObservations(tree.joinViews(), leaves, ph.passed)
-	// Fold this phase's reads into the completed-phase totals.
-	for _, l := range leaves {
-		ex.consumed[l.Provider.Name()] += float64(l.Read)
-		ex.passed[l.Provider.Name()] += float64(l.Passed)
-	}
-
-	// Register materialized intermediates for stitch-up reuse; the root
-	// join's output was never materialized and leaves its row count.
-	if ex.stitches() {
-		for _, j := range tree.Joins {
-			if j.ResultBuf == nil {
-				rec.RootRows = j.Node.Counters().Out
-				continue
-			}
-			rec.Interm[j.Key] = j.ResultBuf
-		}
-	}
-	ex.phases = append(ex.phases, rec)
-	ex.rep.Phases = append(ex.rep.Phases, PhaseInfo{
-		Plan:      root.String(),
-		Delivered: driver.Delivered,
-		Seconds:   ex.ctx.Clock.Now - t0,
+// runMonitored drives ph under the execution monitor: every poll publishes
+// the phase's observations and asks monitorStep whether to abandon the plan.
+func (ex *executor) runMonitored(ph *phase) (exhausted bool, next algebra.Plan, err error) {
+	exhausted, err = ex.drive(ph, func() bool {
+		ex.recordObservations(joinViews(ph.trees), ph.leaves)
+		next = ex.monitorStep(ph.root, ph.delivered(), collisionFactor(ph.trees))
+		return next != nil
 	})
-	ex.flushRows()
-	return exhausted, switchTo, nil
+	return exhausted, next, err
 }
 
-// runPhaseParallel is runPhase's partition-parallel sibling: the plan is
-// lowered into Options.Partitions pipeline clones (LowerPartitioned), an
-// exec.ParallelDriver scatters each source run across one worker per
-// partition, and the corrective monitor polls at quiesce points — the
-// parallel analogue of §4.1's consistent suspension state. An aggregate
-// query aggregates inside its partitions: each clone's root join feeds a
-// private AggTable on the clone's own context, and the P tables fold into
-// the shared one group by group once the phase has finished — state in
-// proportion to the groups, never to the join output. SPJ root output
-// merges into the result in deterministic partition order. Plans without a
-// partitionable shape degrade to the serial runPhase.
+// runPhaseParallel is runPhase at Options.Partitions: the plan is lowered
+// into that many pipeline clones (LowerPartitioned), the leaves — exactly
+// a serial phase's: filter pushdown, base-partition capture, counters all
+// happen on the driver goroutine — scatter each post-filter run across one
+// worker per partition, and the monitor polls at quiesce
+// points, the parallel analogue of §4.1's consistent suspension state.
+// Where the clones' root output goes is partitionRoots' choice and
+// phase.finish's work. Plans without a partitionable shape degrade to the
+// serial runPhase.
 func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next algebra.Plan, err error) {
-	parts := ex.o.Partitions
-	roots, merge, tables := ex.partitionRoots(root, parts)
-	pt, lerr := lowerPartitioned(parts, ex.ctx.Cost, root, roots, ex.stitches())
+	roots, merge, tables := ex.partitionRoots(root, ex.o.Partitions)
+	pt, lerr := lowerPartitioned(ex.o.Partitions, ex.ctx.Cost, root, roots, ex.stitches())
 	if lerr != nil {
 		return ex.runPhase(root)
 	}
-	phaseID := len(ex.phases)
-	rec := &PhaseRecord{
-		ID:        phaseID,
-		Plan:      root,
-		BaseParts: map[string]*state.List{},
-		Interm:    map[string]*state.List{},
-	}
-	var sink exec.Sink // where the merge releases SPJ rows
-	if merge != nil {
-		if sink, err = ex.outputSink(root); err != nil {
-			return false, nil, err
-		}
-	}
-	rels := make([]string, len(ex.q.Relations))
-	for i, r := range ex.q.Relations {
-		rels[i] = r.Name
-	}
-	handlers, err := pt.Handlers(rels)
+	ph, err := ex.parallelPhase(root, pt)
 	if err != nil {
 		return false, nil, err
 	}
-	pd := exec.NewParallelDriver(ex.ctx, pt.Ctxs)
-	pd.Bind(handlers, pt.RunFinisher, pt.FinishSteps())
-	pt.Bind(pd.StageSend, len(rels))
-
-	// Wire leaves exactly like the serial phase — filter pushdown,
-	// base-partition capture, counters all happen on the driver goroutine
-	// — then scatter each post-filter run across the partitions.
-	phasePassed := map[string]float64{}
-	var leaves []*exec.Leaf
-	for i, rel := range ex.q.Relations {
-		leaf, err := ex.wireLeaf(rec, rel, phasePassed, nil, pd.LeafScatter(i, pt.LeafKeys[rel.Name]).PushBatch)
-		if err != nil {
-			return false, nil, err
-		}
-		leaves = append(leaves, leaf)
-	}
-	t0 := ex.ctx.Clock.Now
-	ex.phaseT0, ex.phaseStallBase = t0, ex.stallSecs
-	pd.Fatal = ex.runFatal
-	ex.emit(PhaseStarted{Phase: phaseID, Plan: root.String(), Partitions: parts, VirtualSeconds: t0})
-
-	var switchTo algebra.Plan
-	poll := func() bool {
-		// The parallel driver quiesces the pipelines before every poll,
-		// so per-partition operator state is safe to read here — and the
-		// partition buffers are stable, so the order-releasing merge can
-		// stream the globally-ordered prefix of root output now instead
-		// of holding everything for the phase-end drain. SPJ first rows
-		// therefore reach the client mid-phase, exactly as in a serial
-		// phase; the total order is unchanged (the prefix property).
-		if merge != nil {
-			merge.ReleasePrefix(sink)
-		}
-		ex.flushRows()
-		ex.recordObservations(pt.JoinViews(), leaves, phasePassed)
-		if next, ok := ex.monitorStep(root, pd.Delivered(), pt.CollisionFactor()); ok {
-			switchTo = next
-			return true
-		}
-		return false
-	}
-
-	exhausted, rerr := pd.RunContext(ex.runCtx, leaves, ex.o.PollEvery, poll)
-	if rerr != nil {
-		// Canceled mid-phase: the pipelines have quiesced; join the
-		// workers before unwinding so nothing leaks.
-		pd.Close()
-		return false, nil, rerr
-	}
-	pd.Finish()
-	pd.Close()
-	// Fold partition clocks (makespan + total CPU) into the main clock,
-	// then — on this goroutine, in ascending partition order — merge SPJ
-	// root output into the result, or the partitions' aggregate tables into
-	// the shared one. Both orders are fixed, so a group confined to one
-	// partition ends with the very sum its partition computed, and a group
-	// spanning several adds their sums in the same order every run.
-	pd.FoldClocks()
+	ph.merge, ph.tables = merge, tables
 	if merge != nil {
-		merge.Drain(sink)
-	}
-	for _, t := range tables {
-		if err := ex.agg.MergeFrom(t); err != nil {
+		// Where the merge releases SPJ rows.
+		if ph.sink, err = ex.outputSink(root); err != nil {
 			return false, nil, err
 		}
 	}
-	ex.recordObservations(pt.JoinViews(), leaves, phasePassed)
-	for _, l := range leaves {
-		ex.consumed[l.Provider.Name()] += float64(l.Read)
-		ex.passed[l.Provider.Name()] += float64(l.Passed)
-	}
-	// Register merged materialized intermediates for stitch-up reuse —
-	// only the corrective strategy can grow a second phase, so any other
-	// run materialized nothing to merge.
-	if ex.stitches() {
-		rec.Interm, rec.RootRows = pt.MergedInterm()
-	}
-	// Partition clocks run on the absolute virtual timeline (arrivals are
-	// stamped with the driver clock, which carries prior phases' time), so
-	// the per-phase reading is the delta against the phase start.
-	partSecs := make([]float64, parts)
-	for p, c := range pt.Ctxs {
-		if s := c.Clock.Now - t0; s > 0 {
-			partSecs[p] = s
+	for i, rel := range ex.q.Relations {
+		l, err := leaf(rel, ex.q.Filters, ex.cat.Providers[rel.Name], ph.par.LeafScatter(i, pt.LeafKeys[rel.Name]).PushBatch)
+		if err != nil {
+			return false, nil, err
 		}
+		ph.leaves = append(ph.leaves, l)
 	}
-	ex.phases = append(ex.phases, rec)
-	ex.rep.Partitions = parts
-	ex.rep.Phases = append(ex.rep.Phases, PhaseInfo{
-		Plan:             root.String(),
-		Delivered:        pd.Delivered(),
-		Seconds:          ex.ctx.Clock.Now - t0,
-		PartitionSeconds: partSecs,
-	})
-	ex.emit(PartitionStats{
-		Phase:          phaseID,
-		Delivered:      pd.Delivered(),
-		Seconds:        partSecs,
-		VirtualSeconds: ex.ctx.Clock.Now,
-	})
-	ex.flushRows()
-	return exhausted, switchTo, nil
+	ex.keepBase(ph, nil)
+	return ex.runMonitored(ph)
 }
 
-// wireLeaf builds one phase leaf — filter pushdown, the base partition
-// recorded in rec (when a stitch-up or a maintenance stage can read it),
-// phasePassed counting, optional instrumentation — delivering post-filter
-// tuples to pushBatch (the plan entry in a serial phase, the partition
-// scatter in a parallel one). The base partition is shared, the list of the
-// join side pushBatch feeds, when there is one (Tree.LeafLists): source data
-// is buffered once (§3.4). Otherwise the leaf captures it.
-func (ex *executor) wireLeaf(rec *PhaseRecord, rel algebra.RelRef, phasePassed map[string]float64, shared *state.List, pushBatch func([]types.Tuple)) (*exec.Leaf, error) {
-	var capture *state.List
-	if ex.stitches() || ex.standing {
-		if shared == nil {
-			capture = state.NewList(rel.Schema)
-			shared = capture
-		}
-		rec.BaseParts[rel.Name] = shared
-	}
-	var pred func(types.Tuple) bool
-	if p, ok := ex.q.Filters[rel.Name]; ok && p != nil {
-		bound, err := p.BindPred(rel.Schema)
-		if err != nil {
-			return nil, err
-		}
-		pred = bound
-	}
-	name := rel.Name
-	leaf := &exec.Leaf{
-		Provider: ex.cat.Providers[name],
-		Pred:     pred,
-		PushBatch: func(ts []types.Tuple) {
-			if capture != nil {
-				capture.InsertBatch(ts)
+// keepBase completes the leaves of a static or corrective phase, one per
+// relation: each one's base partition goes into ph.base when a stitch-up or
+// a maintenance stage can read it, and optional instrumentation is attached.
+// The base partition is shared, the list of the join side the leaf feeds,
+// when there is one (lists: Tree.LeafLists): source data is buffered once
+// (§3.4). Otherwise the leaf captures it on its way into the plan.
+func (ex *executor) keepBase(ph *phase, lists map[string]*state.List) {
+	for i, rel := range ex.q.Relations {
+		l := ph.leaves[i]
+		if ex.stitches() || ex.standing {
+			part := lists[rel.Name]
+			if part == nil {
+				part = state.NewList(rel.Schema)
+				capture, deliver := part, l.PushBatch
+				l.PushBatch = func(ts []types.Tuple) {
+					capture.InsertBatch(ts)
+					deliver(ts)
+				}
 			}
-			phasePassed[name] += float64(len(ts))
-			pushBatch(ts)
-		},
-	}
-	if ex.o.Instrument {
-		leaf.OnTuple = ex.instrumentFor(rel)
-	}
-	return leaf, nil
-}
-
-// outputSink adapts a phase tree's root layout into the shared group-by
-// operator (raw or partial form) or the run's SPJ result rows.
-func (ex *executor) outputSink(root algebra.Plan) (exec.Sink, error) {
-	if ex.agg != nil {
-		return ex.aggregateSink(ex.agg, root)
-	}
-	ad, err := types.NewAdapter(root.Schema(), ex.outSchema)
-	if err != nil {
-		return nil, err
-	}
-	return &rootSink{ctx: ex.ctx, ad: ad, out: ex.out, cost: true}, nil
-}
-
-// aggregateSink adapts root's layout into agg — the shared group-by or a
-// partition's private table of the same shape — in partial form when the
-// plan pre-aggregates, raw otherwise.
-func (ex *executor) aggregateSink(agg *exec.AggTable, root algebra.Plan) (exec.Sink, error) {
-	if planHasPreAgg(root) {
-		ad, err := types.NewAdapter(root.Schema(), agg.PartialSchema())
-		if err != nil {
-			return nil, err
+			ph.base[rel.Name] = part
 		}
-		return &aggSink{agg: agg, ad: ad, partial: true}, nil
+		if ex.o.Instrument {
+			l.OnTuple = ex.instrumentFor(rel)
+		}
 	}
-	ad, err := types.NewAdapter(root.Schema(), ex.fullSchema)
-	if err != nil {
+}
+
+// outputSink is where a phase of plan root delivers the run's output.
+func (ex *executor) outputSink(root algebra.Plan) (exec.Sink, error) {
+	return ex.rootSinkFor(root.Schema(), ex.agg, ex.fullSchema, ex.outSchema, planHasPreAgg(root), true)
+}
+
+// rootSinkFor adapts a root layout — a phase tree's, the stitch-up's — into
+// where a run's root rows go: agg, when the query aggregates (the shared
+// group-by, a partition's private table, plan partitioning's second-stage
+// table), absorbing partials when the layout is pre-aggregated and
+// full-layout tuples otherwise; else the run's SPJ result rows in layout
+// out. cost charges one Move per SPJ row: a phase's output pays it, a
+// stitch-up's was charged when it was concatenated.
+func (ex *executor) rootSinkFor(from *types.Schema, agg *exec.AggTable, full, out *types.Schema, partial, cost bool) (exec.Sink, error) {
+	to := out
+	switch {
+	case agg != nil && partial:
+		to = agg.PartialSchema()
+	case agg != nil:
+		to = full
+	}
+	ad, err := types.NewAdapter(from, to)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if ad.IsIdentity() {
+	case agg == nil:
+		return &rootSink{ctx: ex.ctx, ad: ad, out: ex.out, cost: cost}, nil
+	case !partial && ad.IsIdentity():
 		return agg, nil
 	}
-	return &aggSink{agg: agg, ad: ad}, nil
+	return &aggSink{agg: agg, ad: ad, partial: partial}, nil
 }
 
 // partitionRoots decides where the clones of one parallel phase deliver
@@ -977,7 +779,7 @@ func (ex *executor) partitionRoots(root algebra.Plan, parts int) (roots rootSink
 			return nil, err
 		}
 		tables[p] = t
-		return ex.aggregateSink(t, root)
+		return ex.rootSinkFor(root.Schema(), t, ex.fullSchema, nil, planHasPreAgg(root), true)
 	}, nil, tables
 }
 
@@ -1025,66 +827,37 @@ func (ex *executor) instrumentFor(rel algebra.RelRef) func(types.Tuple) {
 	}
 }
 
-// joinView is the monitor's consistent snapshot of one logical join:
-// identity plus counters, aggregated across partition clones when the
-// phase runs partition-parallel.
-type joinView struct {
-	Key   string
-	Rels  []string
-	Preds []algebra.JoinPred
-
-	Out, InLeft, InRight int64
-}
-
-// joinViews snapshots the tree's join counters for the monitor.
-func (t *Tree) joinViews() []joinView {
-	out := make([]joinView, len(t.Joins))
-	for i, j := range t.Joins {
-		c := j.Node.Counters()
-		out[i] = joinView{
-			Key: j.Key, Rels: j.Rels, Preds: j.Preds,
-			Out: c.Out, InLeft: c.InLeft, InRight: c.InRight,
-		}
-	}
-	return out
-}
-
-// recordObservations publishes runtime statistics into the shared registry
-// (§3.3): source cardinalities, local-filter selectivities, per-
-// subexpression join selectivities, and multiplicative-join flags.
-func (ex *executor) recordObservations(joins []joinView, leaves []*exec.Leaf, phasePassed map[string]float64) {
-	totRead := map[string]float64{}
-	totPassed := map[string]float64{}
-	for name, v := range ex.consumed {
-		totRead[name] = v
-	}
-	for name, v := range ex.passed {
-		totPassed[name] = v
-	}
+// observeLeaves publishes what the leaves have read on top of the completed
+// phases' totals into the shared registry (§3.3): source cardinalities and
+// local-filter selectivities.
+func (ex *executor) observeLeaves(leaves []*exec.Leaf) {
 	for _, l := range leaves {
 		name := l.Provider.Name()
-		totRead[name] += float64(l.Read)
-		totPassed[name] += float64(l.Passed)
-		ex.live[name] = totRead[name]
-		ex.reg.ObserveSource(name, totRead[name], l.Provider.Exhausted())
-		if totRead[name] > 0 {
-			ex.reg.ObserveExpr(opt.FilterSelKey(name), totPassed[name], totRead[name], l.Provider.Exhausted())
+		read := ex.consumed[name] + float64(l.Read)
+		ex.live[name] = read
+		ex.reg.ObserveSource(name, read, l.Provider.Exhausted())
+		if read > 0 {
+			ex.reg.ObserveExpr(opt.FilterSelKey(name), ex.passed[name]+float64(l.Passed), read, l.Provider.Exhausted())
 		}
 	}
+}
+
+// recordObservations publishes a running phase's statistics: what its leaves
+// have read (observeLeaves), per-subexpression join selectivities, and
+// multiplicative-join flags.
+func (ex *executor) recordObservations(joins []joinView, leaves []*exec.Leaf) {
+	ex.observeLeaves(leaves)
+	phasePassed := map[string]float64{} // post-filter tuples per relation, this phase
+	for _, l := range leaves {
+		phasePassed[l.Provider.Name()] = float64(l.Passed)
+	}
 	for _, j := range joins {
-		out := float64(j.Out)
-		prod := 1.0
-		ok := true
+		out, prod := float64(j.Out), 1.0
 		for _, r := range j.Rels {
-			p := phasePassed[r]
-			if p <= 0 {
-				ok = false
-				break
-			}
-			prod *= p
+			prod *= phasePassed[r]
 		}
-		if !ok || prod <= 0 {
-			continue
+		if prod <= 0 {
+			continue // an input is still empty: no selectivity to speak of
 		}
 		ex.reg.ObserveExpr(j.Key, out, prod, false)
 		// Multiplicative flagging (§4.2): output exceeds both inputs.
@@ -1126,27 +899,6 @@ func (ex *executor) stitchUp() error {
 		return nil
 	}
 	t0 := ex.ctx.Clock.Now
-	var sink exec.Sink
-	var prep func(*StitchUp) error
-	if ex.agg != nil {
-		prep = func(s *StitchUp) error {
-			ad, err := types.NewAdapter(s.Schema, ex.fullSchema)
-			if err != nil {
-				return err
-			}
-			sink = &aggSink{agg: ex.agg, ad: ad}
-			return nil
-		}
-	} else {
-		prep = func(s *StitchUp) error {
-			ad, err := types.NewAdapter(s.Schema, ex.outSchema)
-			if err != nil {
-				return err
-			}
-			sink = &rootSink{ctx: ex.ctx, ad: ad, out: ex.out}
-			return nil
-		}
-	}
 	// The output sink depends on the stitch-up's fold-order schema, so it
 	// is bound after construction.
 	fwd := &forwardSink{}
@@ -1154,10 +906,9 @@ func (ex *executor) stitchUp() error {
 	if err != nil {
 		return err
 	}
-	if err := prep(s); err != nil {
+	if fwd.out, err = ex.rootSinkFor(s.Schema, ex.agg, ex.fullSchema, ex.outSchema, false, false); err != nil {
 		return err
 	}
-	fwd.out = sink
 	s.DisableReuse = ex.o.DisableStitchReuse
 	ex.emit(StitchUpStarted{Phases: len(ex.phases), VirtualSeconds: t0})
 	if err := s.RunContext(ex.runCtx); err != nil {

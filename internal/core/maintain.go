@@ -5,29 +5,30 @@
 // delta sources push signed changes:
 //
 //   - Every post-filter base row of the initial run (captured in the
-//     phases' BaseParts) seeds a per-relation ordered log and a live-
-//     multiset tracker.
+//     phases' BaseParts) seeds a per-relation ordered log and, where the
+//     relation has a delta stream to clamp, a live-multiset tracker.
 //   - A fresh *maintenance tree* is lowered from a re-optimized,
 //     pre-agg-free plan and warmed up by replaying the logs through the
 //     signed (PushDelta) path, rebuilding exactly the join state the
 //     history implies. The first warm-up also produces the baseline
 //     update assertions — folding the update stream from empty always
 //     yields the maintained result.
-//   - The same availability-ordered exec.Driver that pumps base sources
-//     pumps the delta streams, interleaving relations by virtual
+//   - The delta streams are pumped as a phase of the runner that pumped
+//     the base sources (phase.go), interleaving relations by virtual
 //     arrival. Delta rows pass the relation's filter pushdown, deletes
 //     are clamped against the tracker (a delete of a never-inserted row
 //     is dropped), and surviving rows enter the tree as sign-run
 //     batches.
 //   - At every poll the aggregate's group revisions (or the collected
 //     SPJ result deltas) flush as one update watermark, and — under the
-//     Corrective strategy — the monitor re-prices the maintenance plan
-//     against the delta-grown cardinalities. A substantially better
-//     shape triggers a mid-maintenance switch: a new tree is lowered
-//     and re-warmed from the logs with its root suppressed, so already-
-//     delivered updates are never re-emitted. This is the paper's
-//     phase-boundary story transplanted to continuous execution: the
-//     replayed logs are the stitch-up over already-propagated deltas.
+//     Corrective strategy — the monitor puts the maintenance plan,
+//     re-priced against the delta-grown cardinalities, to the phased
+//     run's decision (betterPlan). A substantially better shape triggers
+//     a mid-maintenance switch: a new tree is lowered and re-warmed from
+//     the logs with its root suppressed, so already-delivered updates
+//     are never re-emitted. This is the paper's phase-boundary story
+//     transplanted to continuous execution: the replayed logs are the
+//     stitch-up over already-propagated deltas.
 package core
 
 import (
@@ -131,7 +132,6 @@ func newMaintainer(ex *executor, m MaintOptions) (*maintainer, error) {
 	}
 	for _, rel := range ex.q.Relations {
 		mt.logs[rel.Name] = &deltaLog{}
-		mt.track[rel.Name] = ivm.NewBaseTracker()
 	}
 	for name, dp := range m.Deltas {
 		rel, ok := relOf(ex.q, name)
@@ -141,6 +141,8 @@ func newMaintainer(ex *executor, m MaintOptions) (*maintainer, error) {
 		if got, want := dp.Schema().Len(), rel.Schema.Len()+1; got != want {
 			return nil, fmt.Errorf("core: delta stream %q has width %d, want base+sign = %d", name, got, want)
 		}
+		// Only a relation with a delta stream has an ingress to clamp at.
+		mt.track[name] = ivm.NewBaseTracker()
 	}
 	if len(ex.q.Aggs) > 0 || len(ex.q.GroupBy) > 0 {
 		magg, err := exec.NewAggTable(ex.ctx, ex.fullSchema, ex.q.GroupBy, ex.q.Aggs)
@@ -181,11 +183,11 @@ func (mt *maintainer) run() error {
 	// observations with pre-aggregation forced off: partial pre-agg
 	// states are blind to signs, so the standing aggregate always sits
 	// outside the tree.
-	plan, err := mt.optimizePlan()
+	res, err := opt.Optimize(mt.optInputs())
 	if err != nil {
 		return err
 	}
-	if err := mt.buildTree(plan, true); err != nil {
+	if err := mt.buildTree(res.Root, true); err != nil {
 		return err
 	}
 	// Baseline watermark: the first warm-up ran with a live root, so
@@ -197,13 +199,9 @@ func (mt *maintainer) run() error {
 	}
 	mt.watermark()
 
-	ex.rep.Updates = mt.updates()
 	ex.rep.Maintained = ivm.Fold(ex.rep.Updates).Rows()
 	return nil
 }
-
-// updates returns the full flushed update log.
-func (mt *maintainer) updates() []ivm.Update { return mt.ex.rep.Updates }
 
 // seedFromInitialRun folds every phase's captured post-filter base
 // partitions into the per-relation logs and trackers, in phase order —
@@ -218,7 +216,9 @@ func (mt *maintainer) seedFromInitialRun() {
 			log, track := mt.logs[rel.Name], mt.track[rel.Name]
 			part.Scan(func(t types.Tuple) bool {
 				log.add(t, 1)
-				track.Add(t)
+				if track != nil {
+					track.Add(t)
+				}
 				return true
 			})
 		}
@@ -233,14 +233,6 @@ func (mt *maintainer) optInputs() opt.Inputs {
 	return in
 }
 
-func (mt *maintainer) optimizePlan() (algebra.Plan, error) {
-	res, err := opt.Optimize(mt.optInputs())
-	if err != nil {
-		return nil, err
-	}
-	return res.Root, nil
-}
-
 // buildTree lowers plan into a fresh maintenance tree and warms it up
 // by replaying the base logs through the signed path. On the first
 // build the root is live — warm-up emissions are the baseline
@@ -249,20 +241,19 @@ func (mt *maintainer) optimizePlan() (algebra.Plan, error) {
 // logged history has already been delivered as updates.
 func (mt *maintainer) buildTree(plan algebra.Plan, first bool) error {
 	ex := mt.ex
-	root := &maintRoot{mt: mt, agg: mt.magg}
-	tree, err := Lower(ex.ctx, plan, root)
-	if err != nil {
-		return err
-	}
 	target := ex.outSchema
 	if mt.magg != nil {
 		target = ex.fullSchema
 	}
-	ad, err := types.NewAdapter(tree.RootSchema, target)
+	ad, err := types.NewAdapter(plan.Schema(), target)
 	if err != nil {
 		return err
 	}
-	root.ad = ad
+	root := &maintRoot{mt: mt, agg: mt.magg, ad: ad}
+	tree, err := Lower(ex.ctx, plan, root)
+	if err != nil {
+		return err
+	}
 	for _, rel := range ex.q.Relations {
 		if tree.EntryDelta[rel.Name] == nil {
 			return fmt.Errorf("core: maintenance plan has no signed entry for relation %q", rel.Name)
@@ -305,10 +296,12 @@ func (mt *maintainer) replayLogs() {
 	}
 }
 
-// pump drives the delta streams through the tree with the same
-// availability-ordered driver as the initial run: faults narrate
-// through the usual events and fail-fast/partial policies, watermarks
-// and the maintenance monitor fire at poll boundaries.
+// pump drives the delta streams through the tree as a phase of the initial
+// run's runner (phase.run: the availability-ordered driver, the shared leaf,
+// the between-batches fatal check), so faults narrate through the usual
+// events and fail-fast/partial policies. What it polls is maintenance's own:
+// a watermark, then the monitor. The report narrates maintenance by those
+// watermarks, not as a phase, so the pump is run, not driven.
 func (mt *maintainer) pump() error {
 	ex := mt.ex
 	if len(mt.m.Deltas) == 0 {
@@ -323,42 +316,30 @@ func (mt *maintainer) pump() error {
 		if fp, ok := dp.(*source.Faulty); ok {
 			fp.SetNotify(ex.handleFault)
 		}
-		var pred func(types.Tuple) bool
-		if p, ok := ex.q.Filters[rel.Name]; ok && p != nil {
-			// The filter binds against the base schema; a delta row is
-			// the base row plus the sign column, so base-column indexes
-			// line up and deletes of filtered-out rows drop here too —
-			// the logs and trackers are post-filter multisets.
-			bound, err := p.BindPred(rel.Schema)
-			if err != nil {
-				return err
-			}
-			pred = bound
-		}
 		g := &deltaIngress{
 			mt:    mt,
-			name:  rel.Name,
 			track: mt.track[rel.Name],
 			log:   mt.logs[rel.Name],
 			entry: mt.tree.EntryDelta[rel.Name],
 			buf:   types.NewColBatch(rel.Schema.Len()),
 		}
 		mt.ingress[rel.Name] = g
-		leaf := &exec.Leaf{
-			Provider:  dp,
-			Pred:      pred,
-			PushBatch: g.pushBatch,
+		// The filter binds against the base schema; a delta row is the base
+		// row plus the sign column, so base-column indexes line up and
+		// deletes of filtered-out rows drop here too — the logs and trackers
+		// are post-filter multisets.
+		l, err := leaf(rel, ex.q.Filters, dp, g.pushBatch)
+		if err != nil {
+			return err
 		}
-		mt.leaves = append(mt.leaves, leaf)
+		mt.leaves = append(mt.leaves, l)
 	}
-	driver := exec.NewDriver(ex.ctx, mt.leaves...)
-	driver.Fatal = ex.runFatal
 	poll := func() bool {
 		mt.watermark()
 		mt.monitor()
 		return false
 	}
-	if _, err := driver.RunContext(ex.runCtx, mt.m.FlushEvery, poll); err != nil {
+	if _, err := ex.serialPhase(mt.plan, mt.tree, mt.leaves).run(ex.runCtx, mt.m.FlushEvery, poll); err != nil {
 		return err
 	}
 	for _, l := range mt.leaves {
@@ -367,18 +348,7 @@ func (mt *maintainer) pump() error {
 	// Snapshot delta-stream fault stats under "<rel>.delta" — the base
 	// relation's own stats (snapshotted at finish) keep the bare name.
 	for _, rel := range ex.q.Relations {
-		fp, ok := mt.m.Deltas[rel.Name].(*source.Faulty)
-		if !ok {
-			continue
-		}
-		st := fp.Stats()
-		if st == (source.FaultStats{}) {
-			continue
-		}
-		if ex.rep.SourceFaults == nil {
-			ex.rep.SourceFaults = map[string]source.FaultStats{}
-		}
-		ex.rep.SourceFaults[rel.Name+".delta"] = st
+		ex.recordFaults(rel.Name+".delta", mt.m.Deltas[rel.Name])
 	}
 	return nil
 }
@@ -421,51 +391,31 @@ func (mt *maintainer) watermark() {
 }
 
 // monitor is the corrective monitor's maintenance-stage step: publish
-// delta-grown observations, re-price the maintenance plan (inflated by
-// its observed bucket collisions — tables sized for the initial
-// cardinalities suffer §4.4's fixed-bucket pain as deltas pour in), and
-// switch to a substantially better shape by rebuilding the tree from
-// the logs. The rebuild penalty prices that replay.
+// delta-grown observations and put the maintenance plan to a phased run's
+// decision (betterPlan) — re-priced with pre-aggregation off, inflated by
+// its observed bucket collisions (tables sized for the initial cardinalities
+// suffer §4.4's fixed-bucket pain as deltas pour in), against a penalty that
+// prices the replay of the logs a rebuilt tree needs — at every poll: a
+// standing plan has no steady state to wait for and no end to be too near
+// to. A better shape is adopted by rebuilding the tree from the logs.
 func (mt *maintainer) monitor() {
 	ex := mt.ex
 	if ex.o.Strategy != Corrective || ex.rep.MaintSwitches+1 >= ex.o.MaxPhases {
 		return
 	}
 	mt.observe()
-	in := mt.optInputs()
-	curModel, _ := opt.CostPlan(in, mt.plan)
-	curRemaining := curModel * treeCollisionFactor(mt.tree)
-	best, err := opt.Optimize(in)
-	if err != nil {
-		return
-	}
-	if samePlanShape(best.Root, mt.plan) {
-		return
-	}
 	var replay float64
 	for _, rel := range ex.q.Relations {
 		replay += float64(len(mt.logs[rel.Name].rows))
 	}
 	cm := ex.ctx.Cost
 	penalty := replay * (cm.HashInsert + cm.HashProbe + cm.Move)
-	switched := best.Cost+penalty < ex.o.SwitchFactor*curRemaining
-	if ex.o.OnPoll != nil {
-		ex.o.OnPoll(curRemaining, best.Cost, penalty, switched)
-	}
-	if !switched {
+	best := ex.betterPlan(mt.optInputs(), mt.plan, collisionFactor([]*Tree{mt.tree}), penalty, len(ex.phases)+ex.rep.MaintSwitches)
+	if best == nil {
 		return
 	}
-	ex.emit(PlanSwitched{
-		Phase:            len(ex.phases) + ex.rep.MaintSwitches,
-		From:             mt.plan.String(),
-		To:               best.Root.String(),
-		CurrentRemaining: curRemaining,
-		CandidateCost:    best.Cost,
-		StitchPenalty:    penalty,
-		VirtualSeconds:   ex.ctx.Clock.Now,
-	})
 	ex.rep.MaintSwitches++
-	if err := mt.buildTree(best.Root, false); err != nil {
+	if err := mt.buildTree(best, false); err != nil {
 		// A plan the optimizer produced must lower; latch as fatal so
 		// the pump aborts on its next between-batches check.
 		if ex.fatal == nil {
@@ -481,30 +431,14 @@ func (mt *maintainer) monitor() {
 // actually been fed across warm-up and pumping).
 func (mt *maintainer) observe() {
 	ex := mt.ex
-	for _, l := range mt.leaves {
-		name := l.Provider.Name()
-		tot := ex.consumed[name] + float64(l.Read)
-		ex.live[name] = tot
-		ex.reg.ObserveSource(name, tot, l.Provider.Exhausted())
-		if tot > 0 {
-			passed := ex.passed[name] + float64(l.Passed)
-			ex.reg.ObserveExpr(opt.FilterSelKey(name), passed, tot, l.Provider.Exhausted())
-		}
-	}
-	for _, j := range mt.tree.joinViews() {
-		out := float64(j.Out)
+	ex.observeLeaves(mt.leaves)
+	for _, j := range joinViews([]*Tree{mt.tree}) {
 		prod := 1.0
-		ok := true
 		for _, r := range j.Rels {
-			p := float64(len(mt.logs[r].rows))
-			if p <= 0 {
-				ok = false
-				break
-			}
-			prod *= p
+			prod *= float64(len(mt.logs[r].rows))
 		}
-		if ok && prod > 0 {
-			ex.reg.ObserveExpr(j.Key, out, prod, false)
+		if prod > 0 {
+			ex.reg.ObserveExpr(j.Key, float64(j.Out), prod, false)
 		}
 	}
 }
@@ -515,7 +449,6 @@ func (mt *maintainer) observe() {
 // forwards them as sign-run batches.
 type deltaIngress struct {
 	mt    *maintainer
-	name  string
 	track *ivm.BaseTracker
 	log   *deltaLog
 	entry func(*types.ColBatch, int)

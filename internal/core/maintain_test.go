@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
@@ -582,5 +583,51 @@ func TestMaintenanceNoDeltasIsBaselineOnly(t *testing.T) {
 		if u.Sign != 1 {
 			t.Fatalf("baseline-only run emitted a retraction: %+v", u)
 		}
+	}
+}
+
+// TestMaintenanceTracksOnlyDeltaRelations: a live-multiset tracker exists to
+// clamp deletes at a delta stream's ingress, so a standing Q3A whose only
+// delta stream is lineitem's builds and seeds one for lineitem alone —
+// customer and orders rows are never encoded into a tracker nobody reads —
+// and clamps, counts and emits exactly what commit a34c48a, which tracked
+// every relation, did (the update stream is TestMaintenanceRunGoldens'
+// agg/static/P=1/clean leg's).
+func TestMaintenanceTracksOnlyDeltaRelations(t *testing.T) {
+	q, cat, script := q3aChurn(false)
+	c := cat()
+	ex, finish, err := prepareRun(context.Background(), c, q, Options{Strategy: Static, PollEvery: 256}, RunHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt, err := newMaintainer(ex, MaintOptions{Deltas: maintDeltaProviders(c, script(c)), FlushEvery: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.standing = true
+	if err := ex.execute(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mt.run(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mt.track) != 1 || mt.track["lineitem"] == nil || mt.track["lineitem"].Len() == 0 {
+		t.Fatalf("trackers = %v, want a populated one for lineitem alone", mt.track)
+	}
+	for _, rel := range []string{"customer", "orders"} {
+		if len(mt.logs[rel].rows) == 0 {
+			t.Errorf("%s has no replay log: the fixture no longer reads it", rel)
+		}
+	}
+	var ups strings.Builder
+	for _, u := range rep.Updates {
+		fmt.Fprintf(&ups, "%+d %s", u.Sign, bitRows([]types.Tuple{u.Row}))
+	}
+	if got, want := fmt.Sprintf("%d:%s clamped=%d", len(rep.Updates), digest(ups.String()), rep.DeltaClamped), "952:096b55a08e6e768c clamped=157"; got != want {
+		t.Errorf("update stream = %s, want %s", got, want)
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"context"
+	"fmt"
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
@@ -110,49 +110,43 @@ func TestOnPollCallbackObservesDecisions(t *testing.T) {
 }
 
 func TestRecordObservationsPublishesSelectivities(t *testing.T) {
-	// After a static run over the flights data, the registry must hold
+	// After a static run over the flights data — one tree, or four partition
+	// clones whose counters the monitor's view sums — the registry must hold
 	// source cardinalities, filter selectivities and join selectivities.
-	f, tr, c := flightsData(100, 300, 200, 37)
-	q := flightsQuery()
-	cat := catalogOf(f, tr, c)
-	ex := &executor{
-		cat:      cat,
-		q:        q,
-		o:        Options{Strategy: Static},
-		ctx:      exec.NewContext(),
-		reg:      stats.NewRegistry(),
-		consumed: map[string]float64{},
-		passed:   map[string]float64{},
-		live:     map[string]float64{},
-		out:      newRootRows(context.Background(), RunHooks{}),
-		rep:      &Report{},
-	}
-	ex.fullSchema = q.Relations[0].Schema
-	for _, r := range q.Relations[1:] {
-		ex.fullSchema = ex.fullSchema.Concat(r.Schema)
-	}
-	agg, err := exec.NewAggTable(ex.ctx, ex.fullSchema, q.GroupBy, q.Aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex.agg = agg
-	if _, _, err := ex.runPhase(mustPlan(t, q)); err != nil {
-		t.Fatal(err)
-	}
-	for _, rel := range []string{"F", "T", "C"} {
-		sc, ok := ex.reg.Source(rel)
-		if !ok || !sc.Complete {
-			t.Errorf("source %s not observed complete", rel)
-		}
-	}
-	if _, ok := ex.reg.Expr(algebra.CanonKey([]string{"F", "T"})); !ok {
-		// Depending on the chosen tree the first join may be T⋈C instead.
-		if _, ok2 := ex.reg.Expr(algebra.CanonKey([]string{"C", "T"})); !ok2 {
-			t.Error("no join selectivity observed")
-		}
-	}
-	if _, ok := ex.reg.Expr(algebra.CanonKey([]string{"C", "F", "T"})); !ok {
-		t.Error("full-expression selectivity not observed")
+	for _, parts := range []int{1, 4} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			f, tr, c := flightsData(100, 300, 200, 37)
+			q := flightsQuery()
+			ex, _, err := prepareRun(nil, catalogOf(f, tr, c), q, Options{Strategy: Static, Partitions: parts}, RunHooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := ex.runPhase
+			if parts > 1 {
+				run = ex.runPhaseParallel
+			}
+			if _, _, err := run(mustPlan(t, q)); err != nil {
+				t.Fatal(err)
+			}
+			if parts > 1 && ex.rep.Partitions != parts {
+				t.Fatalf("phase fell back to %d partitions", ex.rep.Partitions)
+			}
+			for _, rel := range []string{"F", "T", "C"} {
+				sc, ok := ex.reg.Source(rel)
+				if !ok || !sc.Complete {
+					t.Errorf("source %s not observed complete", rel)
+				}
+			}
+			if _, ok := ex.reg.Expr(algebra.CanonKey([]string{"F", "T"})); !ok {
+				// Depending on the chosen tree the first join may be T⋈C instead.
+				if _, ok2 := ex.reg.Expr(algebra.CanonKey([]string{"C", "T"})); !ok2 {
+					t.Error("no join selectivity observed")
+				}
+			}
+			if _, ok := ex.reg.Expr(algebra.CanonKey([]string{"C", "F", "T"})); !ok {
+				t.Error("full-expression selectivity not observed")
+			}
+		})
 	}
 }
 

@@ -167,7 +167,7 @@ func bufferedThenAbsorbed(t *testing.T, fx parAggFixture, mode opt.PreAggMode, p
 	}
 	pd.Finish()
 	pd.Close()
-	sink, err := ex.aggregateSink(ex.agg, best.Root)
+	sink, err := ex.outputSink(best.Root)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/exec"
-	"github.com/tukwila/adp/internal/state"
 	"github.com/tukwila/adp/internal/types"
 )
 
@@ -137,14 +136,8 @@ func lowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, roots 
 		if cost != nil {
 			ctx.Cost = cost
 		}
-		t := &Tree{
-			ctx:        ctx,
-			EntryBatch: map[string]func([]types.Tuple){},
-			RootSchema: plan.Schema(),
-			reuse:      reuse,
-			nrels:      len(plan.Rels()),
-			par:        &parLowering{pt: pt, p: p},
-		}
+		t := newTree(ctx, plan, reuse)
+		t.par = &parLowering{pt: pt, p: p}
 		out, err := roots(p, ctx)
 		if err != nil {
 			return nil, err
@@ -215,58 +208,3 @@ func (pt *ParTree) FinishSteps() int { return pt.Trees[0].FinishSteps() }
 // RunFinisher runs finisher step on partition p's clone (invoked by the
 // parallel runtime on p's worker).
 func (pt *ParTree) RunFinisher(p, step int) { pt.Trees[p].RunFinisher(step) }
-
-// JoinViews aggregates the clones' join counters into one monitor view
-// per logical join: each tuple flows through exactly one clone, so the
-// sums equal what the serial plan's single node would have counted.
-func (pt *ParTree) JoinViews() []joinView {
-	base := pt.Trees[0].Joins
-	out := make([]joinView, len(base))
-	for i, j := range base {
-		out[i] = joinView{Key: j.Key, Rels: j.Rels, Preds: j.Preds}
-		for _, t := range pt.Trees {
-			c := t.Joins[i].Node.Counters()
-			out[i].Out += c.Out
-			out[i].InLeft += c.InLeft
-			out[i].InRight += c.InRight
-		}
-	}
-	return out
-}
-
-// CollisionFactor returns the worst bucket-collision cost multiplier
-// across all partition clones (the §4.4 signal the monitor inflates the
-// current plan's remaining cost by).
-func (pt *ParTree) CollisionFactor() float64 {
-	worst := 1.0
-	for _, t := range pt.Trees {
-		if f := treeCollisionFactor(t); f > worst {
-			worst = f
-		}
-	}
-	return worst
-}
-
-// MergedInterm concatenates the clones' materialized join intermediates
-// into per-expression lists for stitch-up reuse registration (§3.4.2),
-// and sums the output count of the join that materialized nothing — the
-// root (PhaseRecord.RootRows). Call only after the pipeline has quiesced.
-func (pt *ParTree) MergedInterm() (interm map[string]*state.List, rootRows int64) {
-	interm = map[string]*state.List{}
-	for i, j := range pt.Trees[0].Joins {
-		if j.ResultBuf == nil {
-			for _, t := range pt.Trees {
-				rootRows += t.Joins[i].Node.Counters().Out
-			}
-			continue
-		}
-		merged := state.NewList(j.ResultBuf.Schema())
-		for _, t := range pt.Trees {
-			for _, chunk := range t.Joins[i].ResultBuf.Chunks() {
-				merged.InsertBatch(chunk)
-			}
-		}
-		interm[j.Key] = merged
-	}
-	return interm, rootRows
-}

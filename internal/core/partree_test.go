@@ -246,7 +246,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 		}
 	}
 	// Join counters sum to the serial totals.
-	sviews, pviews := stree.joinViews(), pt.JoinViews()
+	sviews, pviews := joinViews([]*Tree{stree}), joinViews(pt.Trees)
 	if len(sviews) != len(pviews) {
 		t.Fatalf("join count = %d, serial %d", len(pviews), len(sviews))
 	}
@@ -260,7 +260,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	}
 	// Merged intermediates cover the serial materialization; the root
 	// join materializes nothing on either side and is counted instead.
-	interm, rootRows := pt.MergedInterm()
+	interm, rootRows := intermediates(pt.Trees)
 	for _, j := range stree.Joins {
 		if j.ResultBuf == nil {
 			if _, ok := interm[j.Key]; ok || rootRows != j.Node.Counters().Out {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/tukwila/adp/internal/algebra"
-	"github.com/tukwila/adp/internal/exec"
 	"github.com/tukwila/adp/internal/expr"
 	"github.com/tukwila/adp/internal/opt"
 	"github.com/tukwila/adp/internal/source"
@@ -54,23 +53,22 @@ func (ex *executor) runPlanPartition() error {
 	for _, r := range breakJoin.Rels() {
 		covered[r] = true
 	}
-	stage1Leaves, err := ex.wireLeaves(tree, covered)
+	var rels1 []algebra.RelRef
+	for _, rel := range ex.q.Relations {
+		if covered[rel.Name] {
+			rels1 = append(rels1, rel)
+		}
+	}
+	// Filters push down, nothing is monitored or polled.
+	leaves, err := entryLeaves(tree, rels1, ex.q.Filters, ex.cat.Providers)
 	if err != nil {
 		return err
 	}
-	stage1Plan := breakJoin.String() + " → materialize"
-	ex.emit(PhaseStarted{Phase: 0, Plan: stage1Plan, Partitions: 1, VirtualSeconds: ex.ctx.Clock.Now})
-	driver := exec.NewDriver(ex.ctx, stage1Leaves...)
-	driver.Fatal = ex.runFatal
-	if _, rerr := driver.RunContext(ex.runCtx, 0, nil); rerr != nil {
-		return rerr
+	stage1 := ex.serialPhase(breakJoin, tree, leaves)
+	stage1.plan = breakJoin.String() + " → materialize"
+	if _, err := ex.drive(stage1, nil); err != nil {
+		return err
 	}
-	tree.Finish()
-	ex.rep.Phases = append(ex.rep.Phases, PhaseInfo{
-		Plan:      stage1Plan,
-		Delivered: driver.Delivered,
-		Seconds:   ex.ctx.Clock.Now,
-	})
 
 	// --- Stage 2: re-optimize the remainder over the materialization. --
 	q2, err := rewriteQuery(ex.q, covered, matSchema, rename)
@@ -88,132 +86,38 @@ func (ex *executor) runPlanPartition() error {
 	if err != nil {
 		return err
 	}
-	// Execute stage 2 with its own final aggregation (schemas were
-	// renamed, so the stage-2 full schema differs from the original).
-	full2 := q2.Relations[0].Schema
-	for _, r := range q2.Relations[1:] {
-		full2 = full2.Concat(r.Schema)
+	// Stage 2 ends in its own final aggregation or projection (schemas were
+	// renamed, so the stage-2 full schema differs from the original), which
+	// replaces the run's unused original from here on.
+	if err := ex.bindOutput(q2); err != nil {
+		return err
 	}
-	var sink exec.Sink
-	var agg2 *exec.AggTable
-	if ex.agg != nil {
-		agg2, err = exec.NewAggTable(ex.ctx, full2, q2.GroupBy, q2.Aggs)
-		if err != nil {
-			return err
-		}
-		ex.announceSchema(agg2.Schema())
-		if planHasPreAgg(res2.Root) {
-			ad, err := types.NewAdapter(res2.Root.Schema(), agg2.PartialSchema())
-			if err != nil {
-				return err
-			}
-			sink = &aggSink{agg: agg2, ad: ad, partial: true}
-		} else {
-			ad, err := types.NewAdapter(res2.Root.Schema(), full2)
-			if err != nil {
-				return err
-			}
-			sink = &aggSink{agg: agg2, ad: ad}
-		}
-	} else {
-		out2 := ex.outSchema
-		if len(q2.Project) > 0 {
-			out2, err = full2.Project(q2.Project)
-			if err != nil {
-				return err
-			}
-		} else {
-			out2 = full2
-		}
-		ad, err := types.NewAdapter(res2.Root.Schema(), out2)
-		if err != nil {
-			return err
-		}
-		ex.outSchema = out2
-		ex.announceSchema(out2)
-		sink = &rootSink{ctx: ex.ctx, ad: ad, out: ex.out}
+	ex.announceSchema(ex.outSchema)
+	sink, err := ex.rootSinkFor(res2.Root.Schema(), ex.agg, ex.fullSchema, ex.outSchema, planHasPreAgg(res2.Root), false)
+	if err != nil {
+		return err
 	}
 	tree2, err := Lower(ex.ctx, res2.Root, sink)
 	if err != nil {
 		return err
 	}
 	// Leaves: the materialized relation plus the remaining base sources.
-	matProvider := source.NewProvider(
-		source.NewRelation(matRelName, matSchema, matRows.Rows()), nil)
-	var leaves2 []*exec.Leaf
-	for _, rel := range q2.Relations {
-		entry, ok := tree2.EntryBatch[rel.Name]
-		if !ok {
-			return fmt.Errorf("core: stage-2 plan missing relation %q", rel.Name)
-		}
-		var provider source.Provider
-		if rel.Name == matRelName {
-			provider = matProvider
-		} else {
-			provider = ex.cat.Providers[rel.Name]
-		}
-		var pred func(types.Tuple) bool
-		if p, ok := q2.Filters[rel.Name]; ok && p != nil {
-			bound, err := p.BindPred(rel.Schema)
-			if err != nil {
-				return err
-			}
-			pred = bound
-		}
-		leaves2 = append(leaves2, &exec.Leaf{Provider: provider, Pred: pred, PushBatch: entry})
+	providers2 := map[string]source.Provider{
+		matRelName: source.NewProvider(source.NewRelation(matRelName, matSchema, matRows.Rows()), nil),
 	}
-	t0 := ex.ctx.Clock.Now
-	ex.emit(PhaseStarted{Phase: 1, Plan: res2.Root.String(), Partitions: 1, VirtualSeconds: t0})
-	d2 := exec.NewDriver(ex.ctx, leaves2...)
-	d2.Fatal = ex.runFatal
+	for _, rel := range q2.Relations[1:] {
+		providers2[rel.Name] = ex.cat.Providers[rel.Name]
+	}
+	leaves2, err := entryLeaves(tree2, q2.Relations, q2.Filters, providers2)
+	if err != nil {
+		return err
+	}
 	// Poll only to flush streamed SPJ rows; plan partitioning never
 	// switches plans mid-stage. Polling changes batch boundaries but not
 	// delivery order, counters, or the clock (the batching equivalence
 	// contract), so reports stay identical to the unpolled baseline.
-	if _, rerr := d2.RunContext(ex.runCtx, ex.o.PollEvery, func() bool {
-		ex.flushRows()
-		return false
-	}); rerr != nil {
-		return rerr
-	}
-	tree2.Finish()
-	ex.rep.Phases = append(ex.rep.Phases, PhaseInfo{
-		Plan:      res2.Root.String(),
-		Delivered: d2.Delivered,
-		Seconds:   ex.ctx.Clock.Now - t0,
-	})
-	ex.flushRows()
-	if agg2 != nil {
-		// Replace the unused original shared aggregate with stage 2's.
-		ex.agg = agg2
-		ex.outSchema = agg2.Schema()
-	}
-	return nil
-}
-
-// wireLeaves attaches providers for the covered relations to a stage-1
-// tree (filters pushed down, no monitoring).
-func (ex *executor) wireLeaves(tree *Tree, covered map[string]bool) ([]*exec.Leaf, error) {
-	var leaves []*exec.Leaf
-	for _, rel := range ex.q.Relations {
-		if !covered[rel.Name] {
-			continue
-		}
-		entry, ok := tree.EntryBatch[rel.Name]
-		if !ok {
-			return nil, fmt.Errorf("core: stage-1 plan missing relation %q", rel.Name)
-		}
-		var pred func(types.Tuple) bool
-		if p, ok := ex.q.Filters[rel.Name]; ok && p != nil {
-			bound, err := p.BindPred(rel.Schema)
-			if err != nil {
-				return nil, err
-			}
-			pred = bound
-		}
-		leaves = append(leaves, &exec.Leaf{Provider: ex.cat.Providers[rel.Name], Pred: pred, PushBatch: entry})
-	}
-	return leaves, nil
+	_, err = ex.drive(ex.serialPhase(res2.Root, tree2, leaves2), func() bool { return false })
+	return err
 }
 
 // renamedSchema renames a subexpression's columns into the

@@ -40,8 +40,9 @@ type forwardSink struct {
 	out exec.Sink
 }
 
-// CopiesInput implements exec.InputCopier: both destinations a stitch-up
-// is bound to, aggSink and rootSink, copy what they keep.
+// CopiesInput implements exec.InputCopier: every destination rootSinkFor
+// binds a stitch-up to — the aggregate, an aggSink, a rootSink — copies what
+// it keeps.
 func (f *forwardSink) CopiesInput() {}
 
 // PushBatch implements exec.Sink.

@@ -319,19 +319,24 @@ func TestBasePartitionIsTheJoinsList(t *testing.T) {
 			}
 			shared, captured := 0, 0
 			for plan, exhausted := initial.Root, false; !exhausted; {
-				ph, err := ex.wirePhase(plan)
+				ph, err := ex.lowerPhase(plan)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if exhausted, plan, err = ex.drivePhase(ph); err != nil {
+				if exhausted, plan, err = ex.runMonitored(ph); err != nil {
 					t.Fatal(err)
+				}
+				rec := ex.phases[len(ex.phases)-1]
+				passed := map[string]int{}
+				for _, l := range ph.leaves {
+					passed[l.Provider.Name()] = int(l.Passed)
 				}
 				direct := map[string]*state.List{} // relation -> the join side its scan feeds
 				joinLists := map[*state.List]bool{}
-				for _, jp := range algebra.CollectJoins(ph.rec.Plan) {
-					tj, ok := ph.tree.JoinFor(jp.Key())
+				for _, jp := range algebra.CollectJoins(rec.Plan) {
+					tj, ok := ph.trees[0].JoinFor(jp.Key())
 					if !ok {
-						t.Fatalf("phase %d: no join node for %s", ph.rec.ID, jp.Key())
+						t.Fatalf("phase %d: no join node for %s", rec.ID, jp.Key())
 					}
 					left, right := tj.Node.Lists()
 					joinLists[left], joinLists[right] = true, true
@@ -343,19 +348,19 @@ func TestBasePartitionIsTheJoinsList(t *testing.T) {
 					}
 				}
 				for _, rel := range fx.q.Relations {
-					part := ph.rec.BaseParts[rel.Name]
-					if part == nil || float64(part.Len()) != ph.passed[rel.Name] {
-						t.Fatalf("phase %d: base partition of %s = %v, want the %v rows that passed its leaf", ph.rec.ID, rel.Name, part, ph.passed[rel.Name])
+					part := rec.BaseParts[rel.Name]
+					if part == nil || part.Len() != passed[rel.Name] {
+						t.Fatalf("phase %d: base partition of %s = %v, want the %v rows that passed its leaf", rec.ID, rel.Name, part, passed[rel.Name])
 					}
 					if want := direct[rel.Name]; want != nil {
 						shared++
 						if part != want {
-							t.Errorf("phase %d: base partition of %s is a list of its own, not its join side's", ph.rec.ID, rel.Name)
+							t.Errorf("phase %d: base partition of %s is a list of its own, not its join side's", rec.ID, rel.Name)
 						}
 					} else {
 						captured++
 						if joinLists[part] {
-							t.Errorf("phase %d: %s is not scanned into a join, yet shares one's list", ph.rec.ID, rel.Name)
+							t.Errorf("phase %d: %s is not scanned into a join, yet shares one's list", rec.ID, rel.Name)
 						}
 					}
 				}

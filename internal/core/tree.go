@@ -5,7 +5,9 @@
 // phase, §4), evaluates stitch-up expressions with exclusion lists and
 // subexpression reuse (§3.4), provides the complementary merge/hash join
 // pair for exploiting (partial) order (§5), and the adaptive
-// pre-aggregation integration (§6).
+// pre-aggregation integration (§6). Every plan any strategy executes —
+// the maintenance stage of a standing query included — runs as a phase of
+// one runner under one monitor decision (phase.go).
 package core
 
 import (
@@ -99,7 +101,17 @@ func Lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink) (*Tree, error) {
 // the intermediate results a later stitch-up fetches instead of
 // recomputing (§3.4.2).
 func lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink, reuse bool) (*Tree, error) {
-	t := &Tree{
+	t := newTree(ctx, plan, reuse)
+	if err := t.build(plan, out); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// newTree is the empty tree plan is about to be built into: one phase's,
+// or one partition clone of it.
+func newTree(ctx *exec.Context, plan algebra.Plan, reuse bool) *Tree {
+	return &Tree{
 		ctx:        ctx,
 		EntryBatch: map[string]func([]types.Tuple){},
 		EntryDelta: map[string]func(*types.ColBatch, int){},
@@ -108,10 +120,6 @@ func lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink, reuse bool) (*Tr
 		reuse:      reuse,
 		nrels:      len(plan.Rels()),
 	}
-	if err := t.build(plan, out); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // teeSink duplicates a join's output into its materialization buffer
@@ -138,11 +146,6 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		}
 		t.EntryBatch[name] = out.PushBatch
 		if ds, ok := out.(exec.DeltaSink); ok {
-			// Lazy: partitioned lowerings construct Tree literals without
-			// the maintenance entry map (their clones never serve deltas).
-			if t.EntryDelta == nil {
-				t.EntryDelta = map[string]func(*types.ColBatch, int){}
-			}
 			t.EntryDelta[name] = ds.PushDelta
 		}
 		return nil

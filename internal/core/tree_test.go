@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/exec"
 	"github.com/tukwila/adp/internal/expr"
 	"github.com/tukwila/adp/internal/opt"
+	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/types"
 )
 
@@ -188,26 +190,101 @@ func TestSamePlanShape(t *testing.T) {
 	}
 }
 
+// TestTreeCollisionFactor: healthy tables cost nothing extra, one overfilled
+// fixed-bucket table anywhere in the lowered plan — its one tree, or any of
+// its partition clones — raises the factor.
 func TestTreeCollisionFactor(t *testing.T) {
 	q := treeFixtureQuery()
 	res, err := opt.Optimize(opt.Inputs{Query: q, Known: map[string]float64{"A": 64, "B": 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := exec.NewContext()
-	tree, err := Lower(ctx, res.Root, exec.Discard)
+	for name, lowered := range map[string]func() ([]*Tree, error){
+		"one tree": func() ([]*Tree, error) {
+			tree, err := Lower(exec.NewContext(), res.Root, exec.Discard)
+			return []*Tree{tree}, err
+		},
+		"4 clones": func() ([]*Tree, error) {
+			pt, err := LowerPartitioned(4, nil, res.Root, exec.NewPartitionMerge(4))
+			if err != nil {
+				return nil, err
+			}
+			return pt.Trees, nil
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			trees, err := lowered()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f := collisionFactor(trees); f != 1 {
+				t.Errorf("empty tables should have factor 1, got %g", f)
+			}
+			// Overfill: estimates said 64, feed 10k distinct keys.
+			last := trees[len(trees)-1]
+			for i := 0; i < 10000; i++ {
+				last.EntryBatch["A"]([]types.Tuple{types.Tuple{types.Int(int64(i)), types.Int(1)}})
+			}
+			if f := collisionFactor(trees); f <= 2 {
+				t.Errorf("overfilled fixed table should raise factor, got %g", f)
+			}
+		})
+	}
+}
+
+// TestSerialPhaseIsOneTreePhase: a serial phase is the one-tree case of the
+// monitor's view over []*Tree, not a second implementation. Over one lowered
+// tree the helpers return what Tree.joinViews and treeCollisionFactor
+// returned before they went (the literals were written by commit a34c48a
+// for this plan and data), and the intermediates registered for a stitch-up
+// are the joins' own buffers — every row is buffered once.
+func TestSerialPhaseIsOneTreePhase(t *testing.T) {
+	f, tr, c := flightsData(800, 1000, 700, 5)
+	rels := map[string]*source.Relation{"F": f, "T": tr, "C": c}
+	q := flightsQuery()
+	res, err := opt.Optimize(opt.Inputs{Query: q, Known: map[string]float64{"F": 50, "T": 60, "C": 40}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := treeCollisionFactor(tree); f != 1 {
-		t.Errorf("empty tables should have factor 1, got %g", f)
+	tree, err := lower(exec.NewContext(), res.Root, exec.Discard, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Overfill: estimates said 64, feed 10k distinct keys.
-	for i := 0; i < 10000; i++ {
-		tree.EntryBatch["A"]([]types.Tuple{types.Tuple{types.Int(int64(i)), types.Int(1)}})
+	var leaves []*exec.Leaf
+	for _, rel := range q.Relations {
+		leaves = append(leaves, &exec.Leaf{Provider: source.NewProvider(rels[rel.Name], nil), PushBatch: tree.EntryBatch[rel.Name]})
 	}
-	if f := treeCollisionFactor(tree); f <= 2 {
-		t.Errorf("overfilled fixed table should raise factor, got %g", f)
+	exec.NewDriver(exec.NewContext(), leaves...).Run(0, nil)
+	tree.Finish()
+	trees := []*Tree{tree}
+
+	want := []joinView{
+		{Key: "⋈{F,T}", Out: 970, InLeft: 1000, InRight: 800},
+		{Key: "⋈{C,F,T}", Out: 626, InLeft: 970, InRight: 700},
+	}
+	views := joinViews(trees)
+	if len(views) != len(want) {
+		t.Fatalf("%d join views, want %d", len(views), len(want))
+	}
+	for i, v := range views {
+		j := tree.Joins[i]
+		if v.Key != want[i].Key || v.Out != want[i].Out || v.InLeft != want[i].InLeft || v.InRight != want[i].InRight {
+			t.Errorf("view %d = %+v, want %+v", i, v, want[i])
+		}
+		if v.Key != j.Key || !slices.Equal(v.Rels, j.Rels) || len(v.Preds) != len(j.Preds) || v.Out != j.Node.Counters().Out {
+			t.Errorf("view %d = %+v does not describe join %s", i, v, j.Key)
+		}
+	}
+	if got := collisionFactor(trees); got != 8.3125 {
+		t.Errorf("collision factor = %v, want 8.3125", got)
+	}
+	interm, rootRows := intermediates(trees)
+	inner, root := tree.Joins[0], tree.Joins[1]
+	if len(interm) != 1 || interm[inner.Key] != inner.ResultBuf || inner.ResultBuf.Len() != 970 {
+		t.Errorf("intermediates = %v, want the inner join's own 970-row buffer %p", interm, inner.ResultBuf)
+	}
+	if root.ResultBuf != nil || rootRows != 626 {
+		t.Errorf("root join: buffer %v, %d root rows, want none and 626", root.ResultBuf, rootRows)
 	}
 }
 

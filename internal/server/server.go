@@ -30,6 +30,7 @@ import (
 	"github.com/tukwila/adp/internal/core"
 	"github.com/tukwila/adp/internal/engine"
 	"github.com/tukwila/adp/internal/source"
+	"github.com/tukwila/adp/internal/types"
 )
 
 // Config tunes the query service. Zero values take the documented
@@ -197,43 +198,52 @@ const maxRequestBytes = 1 << 20
 // written and flushed to the client mid-run.
 const rowFlushBytes = 8 << 10
 
-// handleQuery runs POST /v1/query: admission, execution, NDJSON stream.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// admission is one request validated and holding an execution slot until
+// release: the query, its options, and a context carrying its deadline.
+type admission struct {
+	q       *algebra.Query
+	o       core.Options
+	ctx     context.Context
+	release func()
+}
+
+// admit takes a streaming request from the socket to an execution slot:
+// refuse while draining, decode the body into req (bounded, unknown fields
+// rejected), build the query and options from its spec and ro parts, run the
+// endpoint's own validate over them (nil = none), clamp the deadline, and
+// claim a slot or shed load. A request that does not make it has been
+// answered with its error envelope (ok false); every reject is counted here.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, req any, spec *QuerySpec, ro *RunOptions, validate func(core.Options) error) (a admission, ok bool) {
 	if s.draining.Load() {
 		s.met.queriesRejected.Add(1)
 		s.reject(w, WireError{Code: CodeDraining, HTTPStatus: http.StatusServiceUnavailable,
 			Message: "server is draining; not admitting new queries"})
-		return
+		return a, false
 	}
-	var req QueryRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.reject(w, WireError{Code: CodeInvalidRequest, HTTPStatus: http.StatusBadRequest,
-			Message: "bad request body: " + err.Error()})
-		return
+	if err := dec.Decode(req); err != nil {
+		s.badRequest(w, "bad request body: "+err.Error())
+		return a, false
 	}
-	q, err := s.buildQuery(req.Query)
+	q, err := s.buildQuery(*spec)
+	if err == nil {
+		a.o, err = s.buildOptions(*ro)
+	}
+	if err == nil && validate != nil {
+		err = validate(a.o)
+	}
 	if err != nil {
-		s.reject(w, WireError{Code: CodeInvalidRequest, HTTPStatus: http.StatusBadRequest,
-			Message: err.Error()})
-		return
+		s.badRequest(w, err.Error())
+		return a, false
 	}
-	o, err := s.buildOptions(req.Options)
-	if err != nil {
-		s.reject(w, WireError{Code: CodeInvalidRequest, HTTPStatus: http.StatusBadRequest,
-			Message: err.Error()})
-		return
-	}
-	deadline := time.Duration(req.Options.DeadlineMillis) * time.Millisecond
+	deadline := time.Duration(ro.DeadlineMillis) * time.Millisecond
 	if deadline <= 0 {
 		deadline = s.cfg.DefaultDeadline
 	}
 	if s.cfg.MaxDeadline > 0 && deadline > s.cfg.MaxDeadline {
 		deadline = s.cfg.MaxDeadline
 	}
-
-	// Admission: claim an execution slot or shed load.
 	if err := s.sched.acquire(r.Context()); err != nil {
 		s.met.queriesRejected.Add(1)
 		switch {
@@ -246,16 +256,148 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		default: // client went away while queued
 			s.reject(w, WireError{Code: CodeCanceled, HTTPStatus: 499, Message: err.Error()})
 		}
+		return a, false
+	}
+	s.met.queriesTotal.Add(1)
+	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	a.q, a.ctx, a.release = q, ctx, func() {
+		cancel()
+		s.sched.release()
+	}
+	return a, true
+}
+
+// badRequest rejects a request the client got wrong.
+func (s *Server) badRequest(w http.ResponseWriter, msg string) {
+	s.reject(w, WireError{Code: CodeInvalidRequest, HTTPStatus: http.StatusBadRequest, Message: msg})
+}
+
+// ndjsonWriter is the response side of a streaming endpoint: the run's
+// registration for the events endpoint, the schema frame, row or update
+// frames encoded into one reused buffer that goes out every rowFlushBytes,
+// the per-query budget on those frames, and the terminal frame.
+type ndjsonWriter struct {
+	s       *Server
+	w       http.ResponseWriter
+	flusher http.Flusher
+	r       run
+	rec     *queryRecord
+	buf     []byte
+	frames  int64 // row/update frames encoded so far
+	budget  int64 // Config.MaxRowsPerQuery (0 = unlimited)
+	// drained marks the cursor read to its end: no goroutines remain, and
+	// done skips the Close that tears a run down on every earlier exit, so
+	// live event subscriptions (SSE) are not truncated at the tail.
+	drained bool
+}
+
+// begin registers the live run under a fresh id for the events endpoint
+// (until the deferred done), waits for its schema, and opens the NDJSON
+// response with the headers and the schema frame. Schema blocks until the
+// run announces output columns — or, if the run died first (validation
+// passed but execution failed at once), returns nil with the run finished:
+// next drains the cursor and the failure gets a real HTTP error status.
+func (s *Server) begin(w http.ResponseWriter, query string, r run, next func() bool, what string) (nw *ndjsonWriter, ok bool) {
+	id := fmt.Sprintf("q-%d", s.idSeq.Add(1))
+	nw = &ndjsonWriter{s: s, w: w, r: r, rec: s.reg.add(id, r), budget: s.cfg.MaxRowsPerQuery}
+	schema := r.Schema()
+	if schema == nil {
+		for next() {
+		}
+		err := r.Err()
+		if err == nil {
+			err = errors.New(what + " produced no schema")
+		}
+		s.met.queriesFailed.Add(1)
+		s.countTerminal(err)
+		s.reject(w, mapError(err, 0))
+		return nw, false
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Adp-Query-Id", id)
+	nw.flusher, _ = w.(http.Flusher)
+	nw.buf = make([]byte, 0, 2*rowFlushBytes)
+	nw.write(mustJSON(schemaFrame{Type: "schema", ID: id, Query: query, Columns: wireSchema(schema)}))
+	return nw, true
+}
+
+// done releases the run: torn down unless drained, then retired to the
+// registry's retain window.
+func (nw *ndjsonWriter) done() {
+	if !nw.drained {
+		nw.r.Close()
+	}
+	nw.s.reg.markDone(nw.rec)
+}
+
+// write sends b and flushes it to the client.
+func (nw *ndjsonWriter) write(b []byte) {
+	nw.w.Write(b)
+	if nw.flusher != nil {
+		nw.flusher.Flush()
+	}
+}
+
+// fit counts n more frames against the budget and returns how many of them
+// it admits. The query fails when row budget+1 arrives, so a result of
+// exactly budget rows fits.
+func (nw *ndjsonWriter) fit(n int) int {
+	if left := nw.budget - nw.frames; nw.budget > 0 && int64(n) > left {
+		n = int(left)
+	}
+	nw.frames += int64(n)
+	return n
+}
+
+// end terminates the stream: the tail of the buffer (flushed by the terminal
+// frame's write), then an error frame if the frames ran into the budget —
+// what describes it — or the run ended in an error, else the run's report.
+func (nw *ndjsonWriter) end(over bool, what, planCache string) {
+	met := nw.s.met
+	if len(nw.buf) > 0 {
+		nw.w.Write(nw.buf)
+	}
+	met.rowsDelivered.Add(nw.frames)
+	if over {
+		met.budgetRowsExhausted.Add(1)
+		met.queriesFailed.Add(1)
+		nw.write(mustJSON(errorFrame{Type: "error", Error: WireError{
+			Code: CodeResourceExhausted, HTTPStatus: http.StatusTooManyRequests,
+			Message:       fmt.Sprintf(what, nw.budget),
+			RowsDelivered: nw.frames,
+		}}))
 		return
 	}
-	defer s.sched.release()
-	s.met.queriesTotal.Add(1)
+	if err := nw.r.Err(); err != nil {
+		met.queriesFailed.Add(1)
+		nw.s.countTerminal(err)
+		nw.write(mustJSON(errorFrame{Type: "error", Error: mapError(err, nw.frames)}))
+		return
+	}
+	rep, _ := nw.r.Report()
+	met.planSwitches.Add(int64(rep.Switches + rep.MaintSwitches))
+	met.sourceFaults.Add(int64(len(rep.SourceFaults)))
+	met.deltaRows.Add(rep.DeltaRows)
+	if rep.Partial {
+		met.partialResults.Add(1)
+	}
+	nw.write(mustJSON(reportFrame{Type: "report", Report: wireReport(rep, planCache)}))
+}
+
+// handleQuery runs POST /v1/query: admission, execution, NDJSON stream.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var req QueryRequest
+	a, ok := s.admit(w, r, &req, &req.Query, &req.Options, nil)
+	if !ok {
+		return
+	}
+	defer a.release()
 
 	// Plan cache: same query shape, same initial plan, optimizer skipped.
 	// PlanPartition re-optimizes mid-run by design and bypasses the cache.
 	planCache := ""
-	if s.cache != nil && o.Strategy != core.PlanPartition {
-		if s.cache.Lookup(engine.Fingerprint(q, o), &o) {
+	if s.cache != nil && a.o.Strategy != core.PlanPartition {
+		if s.cache.Lookup(engine.Fingerprint(a.q, a.o), &a.o) {
 			planCache = "hit"
 			s.met.planCacheHits.Add(1)
 		} else {
@@ -264,134 +406,42 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
 	execStart := time.Now()
-	st, err := s.eng.Stream(ctx, q, engine.WithOptions(o))
+	st, err := s.eng.Stream(a.ctx, a.q, engine.WithOptions(a.o))
 	if err != nil {
-		s.reject(w, WireError{Code: CodeInvalidRequest, HTTPStatus: http.StatusBadRequest,
-			Message: err.Error()})
+		s.badRequest(w, err.Error())
 		return
 	}
-	// The stream is torn down explicitly on early exits; a fully drained
-	// cursor has no goroutines left and skipping Close there keeps live
-	// event subscriptions (SSE) from being truncated at the tail.
-	closeStream := true
-	defer func() {
-		if closeStream {
-			st.Close()
-		}
-	}()
-
-	id := fmt.Sprintf("q-%d", s.idSeq.Add(1))
-	rec := s.reg.add(id, q.Name, st)
-	defer s.reg.markDone(rec)
-
-	// Schema blocks until the run announces output columns — or, if the
-	// run died first (validation passed but execution failed at once),
-	// returns nil with the stream already finished: those failures still
-	// get a real HTTP error status.
-	schema := st.Schema()
-	if schema == nil {
-		for {
-			if _, ok := st.NextBatch(); !ok {
-				break
-			}
-		}
-		err := st.Err()
-		if err == nil {
-			err = errors.New("query produced no schema")
-		}
-		s.met.queriesFailed.Add(1)
-		s.countTerminal(err)
-		s.reject(w, mapError(err, 0))
+	nw, ok := s.begin(w, a.q.Name, st, func() bool { _, ok := st.NextBatch(); return ok }, "query")
+	defer nw.done()
+	if !ok {
 		return
 	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Adp-Query-Id", id)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	writeFrame := func(v any) {
-		b, merr := json.Marshal(v)
-		if merr != nil {
-			return
-		}
-		w.Write(append(b, '\n'))
-		flush()
-	}
-
-	writeFrame(schemaFrame{Type: "schema", ID: id, Query: q.Name, Columns: wireSchema(schema)})
 
 	// Row streaming: rows are read on the batches the run lends the cursor
-	// (nothing is copied between the root join's output and this encode),
-	// encode into a reused buffer (AppendRowFrame is allocation-free) and
-	// flush to the client every rowFlushBytes. The budget fails the query
-	// when row budget+1 arrives: a result of exactly budget rows fits.
-	var (
-		rows   int64
-		buf    = make([]byte, 0, 2*rowFlushBytes)
-		budget = s.cfg.MaxRowsPerQuery
-		over   bool
-	)
-stream:
-	for {
+	// (nothing is copied between the root join's output and this encode)
+	// and encode into the writer's buffer (AppendRowFrame is allocation-free),
+	// which goes out every rowFlushBytes.
+	over := false
+	for !over {
 		batch, ok := st.NextBatch()
 		if !ok {
 			break
 		}
-		if rows == 0 {
+		if nw.frames == 0 {
 			s.met.firstRowMicros.Store(time.Since(execStart).Microseconds())
 		}
-		for _, t := range batch {
-			if budget > 0 && rows == budget {
-				over = true
-				break stream
-			}
-			buf = AppendRowFrame(buf, t)
-			rows++
-			if len(buf) >= rowFlushBytes {
-				w.Write(buf)
-				flush()
+		fit, buf := nw.fit(len(batch)), nw.buf
+		for _, t := range batch[:fit] {
+			if buf = AppendRowFrame(buf, t); len(buf) >= rowFlushBytes {
+				nw.write(buf)
 				buf = buf[:0]
 			}
 		}
+		nw.buf, over = buf, fit < len(batch)
 	}
-	if len(buf) > 0 {
-		w.Write(buf)
-	}
-	s.met.rowsDelivered.Add(rows)
-
-	if over {
-		st.Close() // cancel the run; remaining rows are discarded
-		closeStream = false
-		s.met.budgetRowsExhausted.Add(1)
-		s.met.queriesFailed.Add(1)
-		writeFrame(errorFrame{Type: "error", Error: WireError{
-			Code: CodeResourceExhausted, HTTPStatus: http.StatusTooManyRequests,
-			Message:       fmt.Sprintf("query exceeded the per-query row budget (%d rows)", budget),
-			RowsDelivered: rows,
-		}})
-		return
-	}
-	closeStream = false // cursor fully drained: no goroutines remain
-	if err := st.Err(); err != nil {
-		s.met.queriesFailed.Add(1)
-		s.countTerminal(err)
-		writeFrame(errorFrame{Type: "error", Error: mapError(err, rows)})
-		return
-	}
-	rep, _ := st.Report()
-	s.met.planSwitches.Add(int64(rep.Switches))
-	s.met.sourceFaults.Add(int64(len(rep.SourceFaults)))
-	if rep.Partial {
-		s.met.partialResults.Add(1)
-	}
-	writeFrame(reportFrame{Type: "report", Report: wireReport(rep, planCache)})
+	nw.drained = !over // else done cancels the run; remaining rows are discarded
+	nw.end(over, "query exceeded the per-query row budget (%d rows)", planCache)
 }
 
 // handleStanding runs POST /v1/standing: admission, an initial run plus
@@ -399,85 +449,29 @@ stream:
 // NDJSON stream of signed update frames punctuated by watermark frames.
 // The baseline window (seq 0) asserts the initial result, so a client
 // folding update frames from empty always holds the maintained view.
+// Standing queries bypass the plan cache.
 func (s *Server) handleStanding(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.met.queriesRejected.Add(1)
-		s.reject(w, WireError{Code: CodeDraining, HTTPStatus: http.StatusServiceUnavailable,
-			Message: "server is draining; not admitting new queries"})
-		return
-	}
 	var req StandingRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.reject(w, WireError{Code: CodeInvalidRequest, HTTPStatus: http.StatusBadRequest,
-			Message: "bad request body: " + err.Error()})
-		return
-	}
-	q, err := s.buildQuery(req.Query)
-	if err != nil {
-		s.reject(w, WireError{Code: CodeInvalidRequest, HTTPStatus: http.StatusBadRequest,
-			Message: err.Error()})
-		return
-	}
-	o, err := s.buildOptions(req.Options)
-	if err != nil {
-		s.reject(w, WireError{Code: CodeInvalidRequest, HTTPStatus: http.StatusBadRequest,
-			Message: err.Error()})
-		return
-	}
-	if o.Strategy == core.PlanPartition {
-		s.reject(w, WireError{Code: CodeInvalidRequest, HTTPStatus: http.StatusBadRequest,
-			Message: "strategy planpart cannot maintain a standing query (use static or corrective)"})
-		return
-	}
-	deltas, err := s.buildDeltas(req.Deltas)
-	if err != nil {
-		s.reject(w, WireError{Code: CodeInvalidRequest, HTTPStatus: http.StatusBadRequest,
-			Message: err.Error()})
-		return
-	}
-	deadline := time.Duration(req.Options.DeadlineMillis) * time.Millisecond
-	if deadline <= 0 {
-		deadline = s.cfg.DefaultDeadline
-	}
-	if s.cfg.MaxDeadline > 0 && deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
-
-	if err := s.sched.acquire(r.Context()); err != nil {
-		s.met.queriesRejected.Add(1)
-		switch {
-		case errors.Is(err, errQueueFull):
-			s.reject(w, WireError{Code: CodeAdmissionRejected, HTTPStatus: http.StatusTooManyRequests,
-				Message: "execution slots busy and admission queue full"})
-		case errors.Is(err, errQueueTimeout):
-			s.reject(w, WireError{Code: CodeQueueTimeout, HTTPStatus: http.StatusServiceUnavailable,
-				Message: "timed out waiting for an execution slot"})
-		default:
-			s.reject(w, WireError{Code: CodeCanceled, HTTPStatus: 499, Message: err.Error()})
+	var deltas map[string][]source.Delta
+	a, ok := s.admit(w, r, &req, &req.Query, &req.Options, func(o core.Options) (err error) {
+		if o.Strategy == core.PlanPartition {
+			return errors.New("strategy planpart cannot maintain a standing query (use static or corrective)")
 		}
+		deltas, err = s.buildDeltas(req.Deltas)
+		return err
+	})
+	if !ok {
 		return
 	}
-	defer s.sched.release()
-	s.met.queriesTotal.Add(1)
+	defer a.release()
 	s.met.standingInflight.Add(1)
 	defer s.met.standingInflight.Add(-1)
 
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-	sq, err := s.eng.RegisterStanding(ctx, q, deltas, engine.WithOptions(o))
+	sq, err := s.eng.RegisterStanding(a.ctx, a.q, deltas, engine.WithOptions(a.o))
 	if err != nil {
-		s.reject(w, WireError{Code: CodeInvalidRequest, HTTPStatus: http.StatusBadRequest,
-			Message: err.Error()})
+		s.badRequest(w, err.Error())
 		return
 	}
-	closeQuery := true
-	defer func() {
-		if closeQuery {
-			sq.Close()
-		}
-	}()
 	// The initial result travels as the baseline update window, so the
 	// row cursor is pure backpressure here: drain it in the background.
 	// Report also touches the cursor, so the success path below waits on
@@ -492,117 +486,41 @@ func (s *Server) handleStanding(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}()
-
-	id := fmt.Sprintf("q-%d", s.idSeq.Add(1))
-	rec := s.reg.add(id, q.Name, sq)
-	defer s.reg.markDone(rec)
-
-	schema := sq.Schema()
-	if schema == nil {
-		for {
-			if _, ok := sq.NextWindow(); !ok {
-				break
-			}
-		}
-		err := sq.Err()
-		if err == nil {
-			err = errors.New("standing query produced no schema")
-		}
-		s.met.queriesFailed.Add(1)
-		s.countTerminal(err)
-		s.reject(w, mapError(err, 0))
+	nw, ok := s.begin(w, a.q.Name, sq, func() bool { _, ok := sq.NextWindow(); return ok }, "standing query")
+	defer nw.done()
+	if !ok {
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Adp-Query-Id", id)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	writeFrame := func(v any) {
-		b, merr := json.Marshal(v)
-		if merr != nil {
-			return
-		}
-		w.Write(append(b, '\n'))
-		flush()
-	}
-	writeFrame(schemaFrame{Type: "schema", ID: id, Query: q.Name, Columns: wireSchema(schema)})
-
 	// Update streaming: each watermark window writes its signed update
-	// frames (reused buffer, allocation-free encode) and closes with a
-	// watermark frame. The per-query row budget bounds update frames.
-	var (
-		updates int64
-		buf     = make([]byte, 0, 2*rowFlushBytes)
-		budget  = s.cfg.MaxRowsPerQuery
-		over    bool
-	)
-windows:
-	for {
+	// frames (allocation-free encode) and closes with a watermark frame.
+	// The per-query row budget bounds update frames.
+	over := false
+	for !over {
 		win, ok := sq.NextWindow()
 		if !ok {
 			break
 		}
-		for _, u := range win.Updates {
-			if budget > 0 && updates == budget {
-				over = true
-				break windows
-			}
-			buf = AppendUpdateFrame(buf, u.Row, u.Sign)
-			updates++
-			if len(buf) >= rowFlushBytes {
-				w.Write(buf)
-				flush()
+		fit, buf := nw.fit(len(win.Updates)), nw.buf
+		for _, u := range win.Updates[:fit] {
+			if buf = AppendUpdateFrame(buf, u.Row, u.Sign); len(buf) >= rowFlushBytes {
+				nw.write(buf)
 				buf = buf[:0]
 			}
 		}
-		buf = append(buf, mustJSON(watermarkFrame{
-			Type: "watermark", Seq: win.Watermark.Seq, Updates: win.Watermark.Updates,
-			DeltaRows: win.Watermark.DeltaRows, VirtualSeconds: win.Watermark.VirtualSeconds,
-		})...)
-		w.Write(buf)
-		flush()
-		buf = buf[:0]
+		if over = fit < len(win.Updates); !over {
+			nw.write(append(buf, mustJSON(watermarkFrame{
+				Type: "watermark", Seq: win.Watermark.Seq, Updates: win.Watermark.Updates,
+				DeltaRows: win.Watermark.DeltaRows, VirtualSeconds: win.Watermark.VirtualSeconds,
+			})...))
+			buf = buf[:0]
+		}
+		nw.buf = buf
 	}
-	if len(buf) > 0 {
-		w.Write(buf)
+	if nw.drained = !over && sq.Err() == nil; nw.drained {
+		<-rowsDone // run is done (windows exhausted), so the drain exits promptly
 	}
-	s.met.rowsDelivered.Add(updates)
-
-	if over {
-		sq.Close()
-		closeQuery = false
-		s.met.budgetRowsExhausted.Add(1)
-		s.met.queriesFailed.Add(1)
-		writeFrame(errorFrame{Type: "error", Error: WireError{
-			Code: CodeResourceExhausted, HTTPStatus: http.StatusTooManyRequests,
-			Message:       fmt.Sprintf("standing query exceeded the per-query row budget (%d update frames)", budget),
-			RowsDelivered: updates,
-		}})
-		return
-	}
-	if err := sq.Err(); err != nil {
-		closeQuery = false
-		sq.Close()
-		s.met.queriesFailed.Add(1)
-		s.countTerminal(err)
-		writeFrame(errorFrame{Type: "error", Error: mapError(err, updates)})
-		return
-	}
-	<-rowsDone // run is done (windows exhausted), so the drain exits promptly
-	rep, _ := sq.Report()
-	closeQuery = false // fully drained: no goroutines remain
-	s.met.planSwitches.Add(int64(rep.Switches + rep.MaintSwitches))
-	s.met.sourceFaults.Add(int64(len(rep.SourceFaults)))
-	s.met.deltaRows.Add(rep.DeltaRows)
-	if rep.Partial {
-		s.met.partialResults.Add(1)
-	}
-	writeFrame(reportFrame{Type: "report", Report: wireReport(rep, "")})
+	nw.end(over, "standing query exceeded the per-query row budget (%d update frames)", "")
 }
 
 // mustJSON marshals a frame and appends the NDJSON newline; frames are
@@ -714,19 +632,23 @@ type queryRegistry struct {
 	retain int
 }
 
-// eventSource is what the registry needs from a live run: a replayable
-// event subscription. Both *engine.Stream and *engine.StandingQuery
-// provide it.
-type eventSource interface {
+// run is what the request pipeline needs from a live execution — the
+// registry its replayable event subscription, the response its schema, its
+// terminal error or report, and its teardown. Both *engine.Stream and
+// *engine.StandingQuery provide it.
+type run interface {
 	Events() <-chan core.Event
+	Schema() *types.Schema
+	Err() error
+	Report() (*core.Report, error)
+	Close() error
 }
 
 type queryRecord struct {
-	id    string
-	query string
+	id string
 
 	mu     sync.Mutex
-	stream eventSource  // nil once done
+	stream run          // nil once done
 	log    []core.Event // snapshot once done
 }
 
@@ -734,8 +656,8 @@ func newQueryRegistry(retain int) *queryRegistry {
 	return &queryRegistry{byID: map[string]*queryRecord{}, retain: retain}
 }
 
-func (r *queryRegistry) add(id, query string, st eventSource) *queryRecord {
-	rec := &queryRecord{id: id, query: query, stream: st}
+func (r *queryRegistry) add(id string, st run) *queryRecord {
+	rec := &queryRecord{id: id, stream: st}
 	r.mu.Lock()
 	r.byID[id] = rec
 	r.mu.Unlock()
