@@ -39,7 +39,8 @@ test:
 # Fast perf smoke: hash-probe and hash-build, join push (row batches, plus the
 # columnar kernel the benchmark's probes still time), vectorized key hashing,
 # ordered merge-join, aggregate absorb and partition-table fold,
-# exchange-partitioning, one whole stitch-up, and streaming cursor delivery
+# exchange-partitioning, one whole stitch-up, one standing query per
+# maintenance set-up, and streaming cursor delivery
 # hot paths with allocation reporting (these back the PR acceptance criteria). The exec join benches grow one hash table for the
 # whole run, so layouts are only comparable at equal iteration counts —
 # hence the fixed -benchtime.
@@ -47,6 +48,7 @@ bench-perf:
 	$(GO) test -run='^$$' -bench='BenchmarkHashTableProbe|BenchmarkHashTableInsert' -benchmem ./internal/state/
 	$(GO) test -run='^$$' -bench='BenchmarkPipelinedJoinPush|BenchmarkMergeJoinPush|BenchmarkAggTableAbsorb|BenchmarkAggTableMergeFrom|BenchmarkHashKeys|BenchmarkExchangePartition|BenchmarkPartitionMergeRelease|BenchmarkDeltaPropagation' -benchmem -benchtime=300000x ./internal/exec/
 	$(GO) test -run='^$$' -bench='BenchmarkStitchUp' -benchmem -benchtime=50x ./internal/core/
+	$(GO) test -run='^$$' -bench='BenchmarkStandingSetup' -benchmem -benchtime=20x ./internal/core/
 	$(GO) test -run='^$$' -bench='BenchmarkStreamDelivery|BenchmarkFirstRow' -benchmem ./internal/engine/
 	$(GO) test -run='^$$' -bench='BenchmarkFaultyNext' -benchmem ./internal/source/
 	$(GO) test -run='^$$' -bench='BenchmarkRowEncode|BenchmarkServeQuery' -benchmem ./internal/server/
@@ -57,13 +59,15 @@ examples:
 	$(GO) build ./examples/...
 	$(GO) vet ./examples/...
 
-# Short fixed-duration fuzzing of the key codec and of the hash index
-# against the chain model of the layout it replaced (the go-native fuzz
+# Short fixed-duration fuzzing of the key codec, of the hash index against
+# the chain model of the layout it replaced, and of the delta-row scalar
+# conversion against the all-encoding/json one it replaced (the go-native fuzz
 # targets; each -fuzz invocation accepts a single target).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyCodecRoundTrip$$' -fuzztime=5s ./internal/types/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeKeyArbitrary$$' -fuzztime=5s ./internal/types/
 	$(GO) test -run='^$$' -fuzz='^FuzzHashTableModel$$' -fuzztime=5s ./internal/state/
+	$(GO) test -run='^$$' -fuzz='^FuzzValueForKind$$' -fuzztime=5s ./internal/server/
 
 # Allocation-budget gate: runs bench-perf, parses allocs/op, fails on any
 # pinned-budget regression. Raw output lands in bench-perf.txt.

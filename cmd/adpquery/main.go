@@ -356,6 +356,7 @@ func runStanding(eng *engine.Engine, q *algebra.Query, o core.Options, limit int
 	fmt.Printf("  updates        %d revisions over %d delta rows (%d clamped)\n",
 		len(rep.Updates), rep.DeltaRows, rep.DeltaClamped)
 	fmt.Printf("  plan switches  %d initial, %d during maintenance\n", rep.Switches, rep.MaintSwitches)
+	fmt.Printf("  set-up         %d rows pushed again to build a maintenance tree (0: the initial run's tree was adopted)\n", rep.MaintReplayed)
 	for name, st := range rep.SourceFaults {
 		fmt.Printf("  faults[%s]  transients %d, stalls %d (%.3fs), retries %d (%.3fs backoff)",
 			name, st.Transients, st.Stalls, st.StallSeconds, st.Retries, st.BackoffSeconds)

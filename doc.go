@@ -167,6 +167,30 @@
 // the partition merge's buffers, and a few unsigned columnar kernels that
 // only the benchmark's probes still call.
 //
+// # Standing queries
+//
+// Engine.RegisterStanding runs a query once and then keeps its result current
+// as signed deltas stream in, emitting revisions (Update) at watermarks; the
+// baseline window asserts the initial result, so folding the update stream
+// from empty always yields the maintained view. Maintenance starts from the
+// state the initial run built — base rows are processed once:
+//
+//   - adopted: a serial run without pre-aggregation (the default) absorbs
+//     into its group-by as signed from the first row, so that table's pending
+//     revisions are the baseline and the table is the standing aggregate; if
+//     the run ended in one phase, that phase's join tree is the maintenance
+//     tree as it stands, and nothing is pushed a second time;
+//   - built: if it ended in several phases, or whenever the corrective
+//     monitor switches the maintenance plan, a new tree is warmed with its
+//     root unbound from the lists that already hold each relation's rows —
+//     asserted (+1), then retracted (-1);
+//   - replayed: with Partitions > 1 or pre-aggregation the result cannot be
+//     maintained in place, and a tree is warmed through a live root into a
+//     fresh aggregate: a full replay before the first update.
+//
+// Report.MaintReplayed counts the rows pushed again (0 when adopted). See
+// docs/architecture.md, "Standing queries: the delta data-flow".
+//
 // # Parallel execution
 //
 // Options.Partitions > 1 runs every phase as P hash-partitioned pipeline

@@ -211,11 +211,14 @@ type Report struct {
 	// canonical sorted-multiset form. DeltaRows counts delta-source rows
 	// read; DeltaClamped counts deletes dropped for matching no live
 	// row; MaintSwitches counts mid-maintenance plan switches.
+	// MaintReplayed counts the rows pushed again, through the signed path,
+	// to build a maintenance tree: 0 while the initial run's own tree serves.
 	Updates       []ivm.Update
 	Maintained    []types.Tuple
 	DeltaRows     int64
 	DeltaClamped  int64
 	MaintSwitches int
+	MaintReplayed int64
 }
 
 // executor carries one run's state.
@@ -236,7 +239,8 @@ type executor struct {
 	flushed    int64
 	schemaSent bool
 	// standing marks a RunMaintenance run: its maintenance stage reads the
-	// phases' base partitions after the initial run.
+	// phases' base partitions and takes over a serial phase's tree after the
+	// initial run.
 	standing bool
 
 	// Fault-recovery state, mutated only on the run goroutine (fault
@@ -650,7 +654,7 @@ func (ex *executor) lowerPhase(root algebra.Plan) (*phase, error) {
 		return nil, err
 	}
 	ph := ex.serialPhase(root, tree, leaves)
-	ex.keepBase(ph, tree.LeafLists)
+	ex.keepBase(ph)
 	return ph, nil
 }
 
@@ -698,7 +702,7 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 		}
 		ph.leaves = append(ph.leaves, l)
 	}
-	ex.keepBase(ph, nil)
+	ex.keepBase(ph)
 	return ex.runMonitored(ph)
 }
 
@@ -706,13 +710,13 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 // relation: each one's base partition goes into ph.base when a stitch-up or
 // a maintenance stage can read it, and optional instrumentation is attached.
 // The base partition is shared, the list of the join side the leaf feeds,
-// when there is one (lists: Tree.LeafLists): source data is buffered once
-// (§3.4). Otherwise the leaf captures it on its way into the plan.
-func (ex *executor) keepBase(ph *phase, lists map[string]*state.List) {
+// when there is one (Tree.LeafLists): source data is buffered once (§3.4).
+// Otherwise the leaf captures it on its way into the plan.
+func (ex *executor) keepBase(ph *phase) {
 	for i, rel := range ex.q.Relations {
 		l := ph.leaves[i]
 		if ex.stitches() || ex.standing {
-			part := lists[rel.Name]
+			part, _ := ph.trees[0].LeafLists(rel.Name)
 			if part == nil {
 				part = state.NewList(rel.Schema)
 				capture, deliver := part, l.PushBatch
@@ -740,8 +744,9 @@ func (ex *executor) outputSink(root algebra.Plan) (exec.Sink, error) {
 // table), absorbing partials when the layout is pre-aggregated and
 // full-layout tuples otherwise; else the run's SPJ result rows in layout
 // out. cost charges one Move per SPJ row: a phase's output pays it, a
-// stitch-up's was charged when it was concatenated.
-func (ex *executor) rootSinkFor(from *types.Schema, agg *exec.AggTable, full, out *types.Schema, partial, cost bool) (exec.Sink, error) {
+// stitch-up's was charged when it was concatenated. Each takes signed batches
+// too: a phase's tree may become a standing query's maintenance tree.
+func (ex *executor) rootSinkFor(from *types.Schema, agg *exec.AggTable, full, out *types.Schema, partial, cost bool) (exec.DeltaSink, error) {
 	to := out
 	switch {
 	case agg != nil && partial:

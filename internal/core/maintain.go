@@ -1,34 +1,40 @@
-// Standing-query maintenance: the delta-pump stage behind
-// RunMaintenance. The initial run executes through the unchanged
-// RunStream machinery (any strategy phases, partitions, faults,
-// stitch-up included); maintenance then keeps the result current as
-// delta sources push signed changes:
+// Standing-query maintenance: the delta-pump stage behind RunMaintenance. The
+// initial run executes through the unchanged RunStream machinery (any
+// strategy phases, partitions, faults, stitch-up included); maintenance then
+// keeps the result current as delta sources push signed changes, starting
+// from the state that run built, so that base rows are processed once:
 //
-//   - Every post-filter base row of the initial run (captured in the
-//     phases' BaseParts) seeds a per-relation ordered log and, where the
-//     relation has a delta stream to clamp, a live-multiset tracker.
-//   - A fresh *maintenance tree* is lowered from a re-optimized,
-//     pre-agg-free plan and warmed up by replaying the logs through the
-//     signed (PushDelta) path, rebuilding exactly the join state the
-//     history implies. The first warm-up also produces the baseline
-//     update assertions — folding the update stream from empty always
-//     yields the maintained result.
-//   - The delta streams are pumped as a phase of the runner that pumped
-//     the base sources (phase.go), interleaving relations by virtual
-//     arrival. Delta rows pass the relation's filter pushdown, deletes
-//     are clamped against the tracker (a delete of a never-inserted row
-//     is dropped), and surviving rows enter the tree as sign-run
-//     batches.
-//   - At every poll the aggregate's group revisions (or the collected
-//     SPJ result deltas) flush as one update watermark, and — under the
-//     Corrective strategy — the monitor puts the maintenance plan,
-//     re-priced against the delta-grown cardinalities, to the phased
-//     run's decision (betterPlan). A substantially better shape triggers
-//     a mid-maintenance switch: a new tree is lowered and re-warmed from
-//     the logs with its root suppressed, so already-delivered updates
-//     are never re-emitted. This is the paper's phase-boundary story
-//     transplanted to continuous execution: the replayed logs are the
-//     stitch-up over already-propagated deltas.
+//   - Adopted. A serial run without pre-aggregation maintains its result in
+//     place: its group-by absorbs signed (+1) from the first row, so the
+//     revisions it has pending at the end are the baseline window — folding
+//     the update stream from empty always yields the maintained result — and
+//     an SPJ run keeps its root rows as the baseline's assertions. If it
+//     ended in one phase, that phase's tree is the maintenance tree as it
+//     stands, main tables full and negative tables not yet created, and
+//     nothing is pushed again (Report.MaintReplayed stays 0).
+//   - Built. If it ended in several phases, or when the monitor switches
+//     plans, a tree is lowered and warmed with its root unbound: each
+//     relation's asserted rows (+1), then its retracted ones (-1), out of the
+//     lists that already hold them — the phases' base partitions, the
+//     previous tree's leaf joins. There is no other record of the history.
+//   - Replayed. A run whose aggregate cannot be maintained in place (several
+//     partitions merge their tables; a pre-aggregate's partials carry no
+//     weights) warms a built tree through a live root into a fresh
+//     maintenance aggregate; the emissions are the baseline.
+//   - The delta streams are pumped as a phase of the runner that pumped the
+//     base sources (phase.go), interleaving relations by virtual arrival.
+//     Delta rows pass the relation's filter pushdown, deletes are clamped
+//     against a live-multiset tracker seeded from the base partitions (a
+//     delete of a never-inserted row is dropped), and surviving rows enter
+//     the tree as sign-run batches.
+//   - At every poll the aggregate's group revisions (or the collected SPJ
+//     result deltas) flush as one update watermark, and — under the
+//     Corrective strategy — the monitor puts the maintenance plan, re-priced
+//     against the delta-grown cardinalities, to the phased run's decision
+//     (betterPlan). A substantially better shape is built as above, so
+//     already-delivered updates are never re-emitted: the paper's
+//     phase-boundary story transplanted to continuous execution, the warm-up
+//     being the stitch-up over already-propagated deltas.
 package core
 
 import (
@@ -40,6 +46,7 @@ import (
 	"github.com/tukwila/adp/internal/ivm"
 	"github.com/tukwila/adp/internal/opt"
 	"github.com/tukwila/adp/internal/source"
+	"github.com/tukwila/adp/internal/state"
 	"github.com/tukwila/adp/internal/types"
 )
 
@@ -76,28 +83,10 @@ func RunMaintenance(ctx context.Context, cat *Catalog, q *algebra.Query, o Optio
 	if err != nil {
 		return nil, err
 	}
-	ex.standing = true // the initial run keeps its base partitions for seedFromInitialRun
-	if err := ex.execute(); err != nil {
-		return nil, err
-	}
 	if err := mt.run(); err != nil {
 		return nil, err
 	}
 	return finish()
-}
-
-// deltaLog is one relation's ordered signed base history: the initial
-// run's post-filter rows (+1) followed by every clamped, filtered delta
-// in ingestion order. Replaying it through the signed path reconstructs
-// the relation's exact z-set contribution to any join tree.
-type deltaLog struct {
-	rows  []types.Tuple
-	signs []int8
-}
-
-func (l *deltaLog) add(t types.Tuple, sign int8) {
-	l.rows = append(l.rows, t)
-	l.signs = append(l.signs, sign)
 }
 
 // maintainer drives the delta-pump stage.
@@ -105,20 +94,23 @@ type maintainer struct {
 	ex *executor
 	m  MaintOptions
 
-	magg *exec.AggTable // standing maintenance aggregate (nil for SPJ)
-	plan algebra.Plan
-	tree *Tree
-	root *maintRoot
+	// inPlace: the initial run maintains its result itself (adopted, above).
+	// agg is the standing aggregate (nil for SPJ): that run's group-by, or
+	// else a fresh table a live root fills.
+	inPlace bool
+	agg     *exec.AggTable
+	plan    algebra.Plan
+	tree    *Tree
 
-	logs    map[string]*deltaLog
-	track   map[string]*ivm.BaseTracker
-	ingress map[string]*deltaIngress
-	leaves  []*exec.Leaf
+	track  map[string]*ivm.BaseTracker
+	leaves []*exec.Leaf
 
-	pendingSPJ []ivm.Update // SPJ root output since the last watermark
-	seq        int
+	seq int
 }
 
+// newMaintainer validates the delta streams and, before the initial run
+// absorbs or emits anything, decides whether it maintains its result in
+// place: serial and free of pre-aggregation.
 func newMaintainer(ex *executor, m MaintOptions) (*maintainer, error) {
 	if m.FlushEvery <= 0 {
 		m.FlushEvery = ex.o.PollEvery
@@ -126,12 +118,8 @@ func newMaintainer(ex *executor, m MaintOptions) (*maintainer, error) {
 	mt := &maintainer{
 		ex:      ex,
 		m:       m,
-		logs:    map[string]*deltaLog{},
+		inPlace: ex.o.Partitions <= 1 && ex.o.PreAgg == opt.PreAggNone,
 		track:   map[string]*ivm.BaseTracker{},
-		ingress: map[string]*deltaIngress{},
-	}
-	for _, rel := range ex.q.Relations {
-		mt.logs[rel.Name] = &deltaLog{}
 	}
 	for name, dp := range m.Deltas {
 		rel, ok := relOf(ex.q, name)
@@ -144,13 +132,16 @@ func newMaintainer(ex *executor, m MaintOptions) (*maintainer, error) {
 		// Only a relation with a delta stream has an ingress to clamp at.
 		mt.track[name] = ivm.NewBaseTracker()
 	}
-	if len(ex.q.Aggs) > 0 || len(ex.q.GroupBy) > 0 {
-		magg, err := exec.NewAggTable(ex.ctx, ex.fullSchema, ex.q.GroupBy, ex.q.Aggs)
-		if err != nil {
+	ex.standing = true
+	ex.out.asserts = mt.inPlace && ex.agg == nil
+	if mt.agg = ex.agg; mt.agg != nil && !mt.inPlace {
+		var err error
+		if mt.agg, err = exec.NewAggTable(ex.ctx, ex.fullSchema, ex.q.GroupBy, ex.q.Aggs); err != nil {
 			return nil, err
 		}
-		magg.EnableMaintenance()
-		mt.magg = magg
+	}
+	if mt.agg != nil {
+		mt.agg.EnableMaintenance()
 	}
 	return mt, nil
 }
@@ -164,12 +155,31 @@ func relOf(q *algebra.Query, name string) (algebra.RelRef, bool) {
 	return algebra.RelRef{}, false
 }
 
-// run is the maintenance stage: seed logs from the initial run, build
-// and warm the maintenance tree, emit the baseline watermark, pump the
+// run is the standing query: the initial run, then the maintenance stage —
+// take over what that run left behind, emit the baseline watermark, pump the
 // delta streams, and record the maintained outcome.
 func (mt *maintainer) run() error {
 	ex := mt.ex
-	mt.seedFromInitialRun()
+	if err := ex.execute(); err != nil {
+		return err
+	}
+	if mt.inPlace && ex.agg != nil {
+		// The initial result leaves the group-by before a delta revises it;
+		// from here on the table is the maintenance stage's.
+		ex.out.add(ex.agg.EmitFinal())
+		ex.agg = nil
+	}
+	// Each tracker is seeded independently — order can't leak into output —
+	// from the phases' base partitions: there is no tree yet.
+	for name, track := range mt.track { //adp:unordered-ok
+		asserted, _ := mt.lists(name)
+		for _, part := range asserted {
+			part.Scan(func(t types.Tuple) bool {
+				track.Add(t)
+				return true
+			})
+		}
+	}
 
 	rels := make([]string, 0, len(mt.m.Deltas))
 	for _, r := range ex.q.Relations {
@@ -179,19 +189,10 @@ func (mt *maintainer) run() error {
 	}
 	ex.emit(MaintenanceStarted{Relations: rels, VirtualSeconds: ex.ctx.Clock.Now})
 
-	// The maintenance plan is re-optimized over the initial run's
-	// observations with pre-aggregation forced off: partial pre-agg
-	// states are blind to signs, so the standing aggregate always sits
-	// outside the tree.
-	res, err := opt.Optimize(mt.optInputs())
-	if err != nil {
+	if err := mt.setUp(); err != nil {
 		return err
 	}
-	if err := mt.buildTree(res.Root, true); err != nil {
-		return err
-	}
-	// Baseline watermark: the first warm-up ran with a live root, so
-	// its emissions are the initial result as pure assertions.
+	// Baseline watermark: the initial result as pure assertions.
 	mt.watermark()
 
 	if err := mt.pump(); err != nil {
@@ -203,97 +204,113 @@ func (mt *maintainer) run() error {
 	return nil
 }
 
-// seedFromInitialRun folds every phase's captured post-filter base
-// partitions into the per-relation logs and trackers, in phase order —
-// the deterministic ingestion order the initial run actually consumed.
-func (mt *maintainer) seedFromInitialRun() {
-	for _, rec := range mt.ex.phases {
-		for _, rel := range mt.ex.q.Relations {
-			part := rec.BaseParts[rel.Name]
-			if part == nil {
-				continue
-			}
-			log, track := mt.logs[rel.Name], mt.track[rel.Name]
-			part.Scan(func(t types.Tuple) bool {
-				log.add(t, 1)
-				if track != nil {
-					track.Add(t)
-				}
-				return true
-			})
+// setUp readies the maintenance tree from what the initial run left behind.
+// A run that maintained its result in place and ended in one phase left the
+// tree: it is adopted with its plan, less the intermediate results no
+// stitch-up will read now. Any other run left base partitions, and a tree is
+// built over them from a plan re-optimized over the run's observations — its
+// root live only if the warm-up has yet to produce the result.
+func (mt *maintainer) setUp() error {
+	ex := mt.ex
+	if first := ex.phases[0]; mt.inPlace && len(ex.phases) == 1 {
+		mt.plan, mt.tree = first.Plan, first.tree
+		first.Interm = nil
+		for _, j := range mt.tree.Joins {
+			j.ResultBuf = nil
 		}
+		return nil
 	}
+	res, err := opt.Optimize(mt.optInputs())
+	if err != nil {
+		return err
+	}
+	return mt.buildTree(res.Root, !mt.inPlace)
 }
 
-// optInputs is the executor's optimizer-input snapshot with
-// pre-aggregation forced off.
+// optInputs is the executor's optimizer-input snapshot with pre-aggregation
+// forced off: partial pre-agg states are blind to signs, so the standing
+// aggregate always sits outside the tree.
 func (mt *maintainer) optInputs() opt.Inputs {
 	in := mt.ex.optInputs()
 	in.PreAgg = opt.PreAggNone
 	return in
 }
 
-// buildTree lowers plan into a fresh maintenance tree and warms it up
-// by replaying the base logs through the signed path. On the first
-// build the root is live — warm-up emissions are the baseline
-// assertions. On rebuilds the root is suppressed: the replay
-// reconstructs join state only, because every result consequence of the
-// logged history has already been delivered as updates.
-func (mt *maintainer) buildTree(plan algebra.Plan, first bool) error {
+// buildTree lowers plan into a fresh maintenance tree and warms it up: every
+// relation's asserted rows, then its retracted ones — a retraction that found
+// no assertion would break the prefix property the min/max bags rely on —
+// enter through one reused batch, a list chunk (at most 1024 rows) at a time.
+// With live the root is bound first and the warm-up's emissions are the
+// baseline's assertions; otherwise it is bound after, because every result
+// consequence of those rows has already been delivered as updates.
+func (mt *maintainer) buildTree(plan algebra.Plan, live bool) error {
 	ex := mt.ex
-	target := ex.outSchema
-	if mt.magg != nil {
-		target = ex.fullSchema
-	}
-	ad, err := types.NewAdapter(plan.Schema(), target)
+	sink, err := ex.rootSinkFor(plan.Schema(), mt.agg, ex.fullSchema, ex.outSchema, false, true)
 	if err != nil {
 		return err
 	}
-	root := &maintRoot{mt: mt, agg: mt.magg, ad: ad}
+	root := &forwardSink{}
 	tree, err := Lower(ex.ctx, plan, root)
 	if err != nil {
 		return err
 	}
+	if live {
+		root.out = sink
+	}
 	for _, rel := range ex.q.Relations {
-		if tree.EntryDelta[rel.Name] == nil {
-			return fmt.Errorf("core: maintenance plan has no signed entry for relation %q", rel.Name)
+		entry, batch := tree.EntryDelta[rel.Name], types.NewColBatch(rel.Schema.Len())
+		push := func(l *state.List, sign int) {
+			for _, chunk := range l.Chunks() {
+				batch.Reset()
+				batch.AppendRows(chunk)
+				entry(batch, sign)
+				ex.rep.MaintReplayed += int64(len(chunk))
+			}
+		}
+		asserted, retracted := mt.lists(rel.Name)
+		for _, l := range asserted {
+			push(l, 1)
+		}
+		if retracted != nil {
+			push(retracted, -1)
 		}
 	}
-	mt.plan, mt.tree, mt.root = plan, tree, root
-	root.suppress = !first
-	mt.replayLogs()
-	root.suppress = false
-	// Point the live ingress sinks (if any) at the new tree's entries.
-	// Each key is updated independently — order can't leak into output.
-	for name, g := range mt.ingress { //adp:unordered-ok
-		g.entry = tree.EntryDelta[name]
-	}
+	root.out = sink
+	mt.plan, mt.tree = plan, tree
 	return nil
 }
 
-// replayLogs feeds every relation's signed history into the current
-// tree in relation order, chunked into sign-run batches.
-func (mt *maintainer) replayLogs() {
-	for _, rel := range mt.ex.q.Relations {
-		log := mt.logs[rel.Name]
-		if len(log.rows) == 0 {
-			continue
+// lists returns where rel's z-set is buffered: its asserted rows — the base
+// rows, then every delta inserted since, in arrival order — and its retracted
+// ones. The maintenance tree's leaf join holds both once there is a tree;
+// until then the initial run's phases hold the base rows.
+func (mt *maintainer) lists(rel string) (asserted []*state.List, retracted *state.List) {
+	if mt.tree != nil {
+		if main, neg := mt.tree.LeafLists(rel); main != nil {
+			return []*state.List{main}, neg
 		}
-		entry := mt.tree.EntryDelta[rel.Name]
-		batch := types.NewColBatch(rel.Schema.Len())
-		cur := log.signs[0]
-		for i, t := range log.rows {
-			if log.signs[i] != cur {
-				entry(batch, int(cur))
-				batch.Reset()
-				cur = log.signs[i]
-			}
-			batch.AppendRow(t)
-		}
-		if batch.Len() > 0 {
-			entry(batch, int(cur))
+		return nil, nil
+	}
+	for _, rec := range mt.ex.phases {
+		if part := rec.BaseParts[rel]; part != nil {
+			asserted = append(asserted, part)
 		}
 	}
+	return asserted, nil
+}
+
+// fed counts the rows of rel the maintenance tree has been fed, base rows and
+// deltas of either sign.
+func (mt *maintainer) fed(rel string) float64 {
+	main, neg := mt.tree.LeafLists(rel)
+	n := 0
+	if main != nil {
+		n = main.Len()
+	}
+	if neg != nil {
+		n += neg.Len()
+	}
+	return float64(n)
 }
 
 // pump drives the delta streams through the tree as a phase of the initial
@@ -304,10 +321,6 @@ func (mt *maintainer) replayLogs() {
 // watermarks, not as a phase, so the pump is run, not driven.
 func (mt *maintainer) pump() error {
 	ex := mt.ex
-	if len(mt.m.Deltas) == 0 {
-		return nil
-	}
-	mt.leaves = mt.leaves[:0]
 	for _, rel := range ex.q.Relations {
 		dp, ok := mt.m.Deltas[rel.Name]
 		if !ok {
@@ -318,16 +331,14 @@ func (mt *maintainer) pump() error {
 		}
 		g := &deltaIngress{
 			mt:    mt,
+			rel:   rel.Name,
 			track: mt.track[rel.Name],
-			log:   mt.logs[rel.Name],
-			entry: mt.tree.EntryDelta[rel.Name],
 			buf:   types.NewColBatch(rel.Schema.Len()),
 		}
-		mt.ingress[rel.Name] = g
 		// The filter binds against the base schema; a delta row is the base
 		// row plus the sign column, so base-column indexes line up and
-		// deletes of filtered-out rows drop here too — the logs and trackers
-		// are post-filter multisets.
+		// deletes of filtered-out rows drop here too — the trackers and the
+		// join lists are post-filter multisets.
 		l, err := leaf(rel, ex.q.Filters, dp, g.pushBatch)
 		if err != nil {
 			return err
@@ -361,13 +372,13 @@ func (mt *maintainer) pump() error {
 func (mt *maintainer) watermark() {
 	ex := mt.ex
 	start := len(ex.rep.Updates)
-	if mt.magg != nil {
-		mt.magg.EmitRevisions(func(t types.Tuple, sign int) {
+	if mt.agg != nil {
+		mt.agg.EmitRevisions(func(t types.Tuple, sign int) {
 			ex.rep.Updates = append(ex.rep.Updates, ivm.Update{Row: t, Sign: sign})
 		})
 	} else {
-		ex.rep.Updates = append(ex.rep.Updates, mt.pendingSPJ...)
-		mt.pendingSPJ = mt.pendingSPJ[:0]
+		ex.rep.Updates = append(ex.rep.Updates, ex.out.updates...)
+		ex.out.updates = ex.out.updates[:0]
 	}
 	flushed := ex.rep.Updates[start:]
 	if len(flushed) == 0 && mt.seq > 0 {
@@ -393,11 +404,12 @@ func (mt *maintainer) watermark() {
 // monitor is the corrective monitor's maintenance-stage step: publish
 // delta-grown observations and put the maintenance plan to a phased run's
 // decision (betterPlan) — re-priced with pre-aggregation off, inflated by
-// its observed bucket collisions (tables sized for the initial cardinalities
-// suffer §4.4's fixed-bucket pain as deltas pour in), against a penalty that
-// prices the replay of the logs a rebuilt tree needs — at every poll: a
-// standing plan has no steady state to wait for and no end to be too near
-// to. A better shape is adopted by rebuilding the tree from the logs.
+// its observed bucket collisions (tables sized from the estimates of the
+// plan's optimization suffer §4.4's fixed-bucket pain as deltas pour in),
+// against a penalty that prices the warm-up a built tree needs — at every
+// poll: a standing plan has no steady state to wait for and no end to be too
+// near to. A better shape is adopted by building its tree from the lists of
+// the one it replaces.
 func (mt *maintainer) monitor() {
 	ex := mt.ex
 	if ex.o.Strategy != Corrective || ex.rep.MaintSwitches+1 >= ex.o.MaxPhases {
@@ -406,7 +418,7 @@ func (mt *maintainer) monitor() {
 	mt.observe()
 	var replay float64
 	for _, rel := range ex.q.Relations {
-		replay += float64(len(mt.logs[rel.Name].rows))
+		replay += mt.fed(rel.Name)
 	}
 	cm := ex.ctx.Cost
 	penalty := replay * (cm.HashInsert + cm.HashProbe + cm.Move)
@@ -427,15 +439,15 @@ func (mt *maintainer) monitor() {
 // observe publishes the delta-grown source cardinalities and the
 // maintenance tree's join selectivities into the optimizer registry.
 // Totals fold the initial run's consumption with the live delta reads;
-// join inputs are approximated by the log lengths (what the tree has
-// actually been fed across warm-up and pumping).
+// join inputs are approximated by what the tree has been fed of each
+// relation (fed).
 func (mt *maintainer) observe() {
 	ex := mt.ex
 	ex.observeLeaves(mt.leaves)
 	for _, j := range joinViews([]*Tree{mt.tree}) {
 		prod := 1.0
 		for _, r := range j.Rels {
-			prod *= float64(len(mt.logs[r].rows))
+			prod *= mt.fed(r)
 		}
 		if prod > 0 {
 			ex.reg.ObserveExpr(j.Key, float64(j.Out), prod, false)
@@ -445,108 +457,46 @@ func (mt *maintainer) observe() {
 
 // deltaIngress is one relation's gate between the delta leaf and the
 // tree: it splits the wire sign off each row, clamps deletes against
-// the live base multiset, appends survivors to the replay log, and
-// forwards them as sign-run batches.
+// the live base multiset, and forwards survivors as sign-run batches into
+// the maintenance tree of the moment, whose leaf join is their only record.
 type deltaIngress struct {
 	mt    *maintainer
+	rel   string
 	track *ivm.BaseTracker
-	log   *deltaLog
-	entry func(*types.ColBatch, int)
 	buf   *types.ColBatch
 	cur   int8
 }
 
-// pushBatch is the leaf's entry. The tuples are the provider's
-// own stable storage (like the initial run's BaseParts capture), so the
-// log and the join tables may retain them without copying.
+// pushBatch is the leaf's entry.
 func (g *deltaIngress) pushBatch(ts []types.Tuple) {
 	for _, t := range ts {
-		g.row(t)
+		row, sign := source.SplitSign(t)
+		s := int8(1)
+		if sign < 0 {
+			if !g.track.Remove(row) {
+				// Clamp: delete of a row with no live occurrence. Dropping
+				// it here keeps every downstream structure an exact
+				// multiset.
+				g.mt.ex.rep.DeltaClamped++
+				continue
+			}
+			s = -1
+		} else {
+			g.track.Add(row)
+		}
+		if s != g.cur {
+			g.flush()
+			g.cur = s
+		}
+		g.buf.AppendRow(row)
 	}
 	g.flush()
-}
-
-func (g *deltaIngress) row(t types.Tuple) {
-	row, sign := source.SplitSign(t)
-	if sign < 0 {
-		if !g.track.Remove(row) {
-			// Clamp: delete of a row with no live occurrence. Dropping
-			// it here keeps every downstream structure an exact
-			// multiset.
-			g.mt.ex.rep.DeltaClamped++
-			return
-		}
-		sign = -1
-	} else {
-		sign = 1
-		g.track.Add(row)
-	}
-	s := int8(sign)
-	g.log.add(row, s)
-	if s != g.cur {
-		g.flush()
-		g.cur = s
-	}
-	g.buf.AppendRow(row)
 }
 
 func (g *deltaIngress) flush() {
 	if g.buf.Len() == 0 {
 		return
 	}
-	g.entry(g.buf, int(g.cur))
+	g.mt.tree.EntryDelta[g.rel](g.buf, int(g.cur))
 	g.buf.Reset()
-}
-
-// maintRoot is the maintenance tree's output sink: it adapts root-
-// layout batches and routes them into the standing aggregate (signed
-// absorption) or the pending SPJ update buffer. While suppressed
-// (rebuild warm-up) it swallows everything — the replay only exists to
-// reconstruct join state.
-type maintRoot struct {
-	mt       *maintainer
-	ad       *types.Adapter
-	agg      *exec.AggTable
-	buf      *types.ColBatch
-	suppress bool
-}
-
-// PushDelta implements exec.DeltaSink (the only path maintenance
-// traffic takes; the unsigned entry below satisfies the Sink contract
-// and treats its input as insertions).
-func (r *maintRoot) PushDelta(b *types.ColBatch, sign int) {
-	n := b.Len()
-	if n == 0 || r.suppress {
-		return
-	}
-	src := b
-	if !r.ad.IsIdentity() {
-		if r.buf == nil {
-			r.buf = types.NewColBatch(r.ad.To().Len())
-		}
-		r.ad.AdaptCols(r.buf, b)
-		src = r.buf
-	}
-	if r.agg != nil {
-		r.agg.PushDelta(src, sign)
-		return
-	}
-	ctx := r.mt.ex.ctx
-	w := src.Width()
-	for i := 0; i < n; i++ {
-		ctx.Clock.Charge(ctx.Cost.Move)
-		row := make(types.Tuple, w)
-		src.ReadRow(row, i)
-		r.mt.pendingSPJ = append(r.mt.pendingSPJ, ivm.Update{Row: row, Sign: sign})
-	}
-}
-
-// PushBatch implements exec.Sink.
-func (r *maintRoot) PushBatch(ts []types.Tuple) {
-	if len(ts) == 0 {
-		return
-	}
-	b := types.NewColBatch(len(ts[0]))
-	b.AppendRows(ts)
-	r.PushDelta(b, 1)
 }

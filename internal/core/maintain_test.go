@@ -594,33 +594,13 @@ func TestMaintenanceNoDeltasIsBaselineOnly(t *testing.T) {
 // every relation, did (the update stream is TestMaintenanceRunGoldens'
 // agg/static/P=1/clean leg's).
 func TestMaintenanceTracksOnlyDeltaRelations(t *testing.T) {
-	q, cat, script := q3aChurn(false)
-	c := cat()
-	ex, finish, err := prepareRun(context.Background(), c, q, Options{Strategy: Static, PollEvery: 256}, RunHooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt, err := newMaintainer(ex, MaintOptions{Deltas: maintDeltaProviders(c, script(c)), FlushEvery: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex.standing = true
-	if err := ex.execute(); err != nil {
-		t.Fatal(err)
-	}
-	if err := mt.run(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := finish()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, mt, rep := standingRun(t, q3aChurn, false, Options{Strategy: Static, PollEvery: 256}, nil)
 	if len(mt.track) != 1 || mt.track["lineitem"] == nil || mt.track["lineitem"].Len() == 0 {
 		t.Fatalf("trackers = %v, want a populated one for lineitem alone", mt.track)
 	}
 	for _, rel := range []string{"customer", "orders"} {
-		if len(mt.logs[rel].rows) == 0 {
-			t.Errorf("%s has no replay log: the fixture no longer reads it", rel)
+		if mt.fed(rel) == 0 {
+			t.Errorf("the tree was fed no %s rows: the fixture no longer reads it", rel)
 		}
 	}
 	var ups strings.Builder

@@ -123,6 +123,9 @@ func (ph *phase) finish(agg *exec.AggTable) error {
 // of the report. A nil onPoll runs the phase unpolled.
 func (ex *executor) drive(ph *phase, onPoll func() bool) (exhausted bool, err error) {
 	rec := &PhaseRecord{ID: len(ex.phases), Plan: ph.root, BaseParts: ph.base}
+	if ex.standing && ph.par == nil {
+		rec.tree = ph.trees[0]
+	}
 	if ph.plan == "" {
 		ph.plan = ph.root.String()
 	}

@@ -23,6 +23,16 @@ import (
 // order and numbering of lifecycle events, the monitor's inputs at every
 // poll, and a standing run's update stream, watermarks and clocks.
 //
+// One deliberate re-baseline since (PR 24): a serial standing run's
+// maintenance stage adopts the initial phase's tree and group-by and no longer
+// replays the base rows into a second tree, so on the P=1 legs of
+// maintRunGoldens the clocks moved, and — the adopted tree's tables being
+// sized from the initial optimization's estimates, not from a re-optimization
+// over the finished run — so did the corrective legs' monitor decisions
+// (maintSwitches there, "standing" in phaseEventGoldens, "maintenance" in
+// onPollGoldens). Every update stream, watermark and delta counter is the
+// parent's; standing_golden_test.go holds both sides' values for every shape.
+//
 // Serial virtual time is exact, so P=1 legs compare clocks with ==. At P=4
 // the initial run's partition clocks fold into the run clock in an order
 // the scheduler decides (exec.ParallelDriver.FoldClocks), so those legs pin
@@ -138,21 +148,13 @@ type maintGolden struct {
 	clocks []float64 // run clocks, phase seconds, watermark clocks
 }
 
-// maintLeg runs one standing query and renders its golden. With failover
-// the delta stream of rel stalls, fails once transiently, then dies for good
-// and fails over to a mirror of the same script.
+// maintLeg runs one standing query and renders its golden, with failover
+// after failOver of that relation's delta stream.
 func maintLeg(t *testing.T, q *algebra.Query, cat *Catalog, scripts map[string][]source.Delta, o Options, failover string) (maintGolden, *Report) {
 	t.Helper()
 	deltas := maintDeltaProviders(cat, scripts)
 	if failover != "" {
-		rel, _ := relOf(q, failover)
-		deltas[failover] = source.NewFaulty(deltas[failover],
-			source.NewFaultSchedule(
-				source.Fault{At: 20, Kind: source.FaultStall, Stall: 5},
-				source.Fault{At: 45, Kind: source.FaultTransient, Times: 1},
-				source.Fault{At: 80, Kind: source.FaultPermanent},
-			),
-			source.RetryPolicy{MaxAttempts: 3, Backoff: 0.5, Mirror: source.DeltaRelation(failover, rel.Schema, scripts[failover]), FailoverDelay: 2})
+		failOver(q, deltas, scripts, failover)
 	}
 	var marks []UpdateWatermark
 	rep, err := RunMaintenance(context.Background(), cat, q, o, MaintOptions{Deltas: deltas, FlushEvery: 100}, RunHooks{
@@ -189,11 +191,11 @@ func maintLeg(t *testing.T, q *algebra.Query, cat *Catalog, scripts map[string][
 var maintRunGoldens = map[string]maintGolden{
 	"agg/static/P=1/clean": {
 		counts: "updates=952:096b55a08e6e768c deltaRows=900 clamped=157 maintSwitches=0 switches=0 marks=[0 682 0][1 19 100][2 30 200][3 22 300][4 34 400][5 40 500][6 34 600][7 29 700][8 37 800][9 25 900] phases=[7c2ab5e08c043fed 15332]",
-		clocks: []float64{0.45022100000000637, 0.15306200000014908, 0.14657730000013452, 0.1472623000001354, 0.1479482000001364, 0.1500155000000003, 0.20001800000000045, 0.25001980000000046, 0.3000102000000005, 0.35001650000000045, 0.40001890000000057, 0.4500164000000005, 0.04250160000000878},
+		clocks: []float64{0.4500096000000005, 0.04503610000001147, 0.04291080000001108, 0.05000780000000007, 0.10001109999999992, 0.1500087000000003, 0.20001230000000045, 0.25001410000000046, 0.3000102000000005, 0.35001080000000045, 0.40001320000000057, 0.4500096000000005, 0.04250160000000878},
 	},
 	"agg/static/P=1/failover": {
 		counts: "updates=952:096b55a08e6e768c deltaRows=900 clamped=157 maintSwitches=0 switches=0 marks=[0 682 0][1 19 100][2 30 200][3 22 300][4 34 400][5 40 500][6 34 600][7 29 700][8 37 800][9 25 900] phases=[7c2ab5e08c043fed 15332]",
-		clocks: []float64{7.50593120000029, 0.15306200000014908, 0.14657730000013452, 7.500131500000006, 7.500817400000046, 7.501516600000089, 7.5022315000001285, 7.50295710000017, 7.503670800000209, 7.504314100000241, 7.505032100000276, 7.5057266000003215, 0.04250160000000878},
+		clocks: []float64{7.501957200000199, 0.04503610000001147, 0.04291080000001108, 7.500050400000003, 7.5002900000000245, 7.500520300000051, 7.500765200000076, 7.501018400000102, 7.501256800000125, 7.501482300000146, 7.501731400000168, 7.501957200000199, 0.04250160000000878},
 	},
 	"agg/static/P=4/clean": {
 		counts: "updates=952:096b55a08e6e768c deltaRows=900 clamped=157 maintSwitches=0 switches=0 marks=[0 682 0][1 19 100][2 30 200][3 22 300][4 34 400][5 40 500][6 34 600][7 29 700][8 37 800][9 25 900] phases=[7c2ab5e08c043fed 15332]",
@@ -205,11 +207,11 @@ var maintRunGoldens = map[string]maintGolden{
 	},
 	"agg/corrective/P=1/clean": {
 		counts: "updates=387:dfb91a46aae7659b deltaRows=2800 clamped=39 maintSwitches=1 switches=0 marks=[0 3 0][1 6 100][2 6 200][3 6 300][4 6 400][5 6 500][6 6 600][7 6 700][8 6 800][9 6 900][10 6 1000][11 6 1100][12 6 1200][13 6 1300][14 6 1400][15 6 1500][16 84 2400][17 87 2500][18 78 2600][19 23 2700][20 22 2800] phases=[e1692d25b2b11cb5 10]",
-		clocks: []float64{3.5775779000059247, 1.3019009999833857, 7.639999999999992e-05, 0.10000610000000003, 0.20000610000000021, 0.3000061000000003, 0.40000610000000036, 0.5000083000000001, 0.6000061000000001, 0.7000061000000002, 0.8000083000000003, 0.9000061000000004, 1.0000061000000002, 1.1000082999999892, 1.2000082999999782, 1.3000060999999672, 1.4000060999999562, 1.5000082999999451, 2.7096840000018756, 3.105104500004176, 3.485627300006811, 3.530224100006369, 3.577577000005925, 4.509999999999999e-05},
+		clocks: []float64{4.1702896999955685, 1.8923711999588266, 4.6899999999999995e-05, 0.10001310000000002, 0.20001310000000025, 0.3000131000000002, 0.4000131000000003, 0.5000187999999999, 0.6000131000000001, 0.7000131000000002, 0.8000188000000001, 0.9000131000000003, 1.0000130999999999, 1.1000187999999886, 1.2000187999999776, 1.3000130999999668, 1.4000130999999558, 1.5000187999999446, 2.7096840000018756, 3.105104500004176, 4.078340000013046, 4.122936800004327, 4.1702896999955685, 4.509999999999999e-05},
 	},
 	"agg/corrective/P=1/failover": {
-		counts: "updates=293:1ed4804e16b1bf48 deltaRows=2800 clamped=39 maintSwitches=2 switches=0 marks=[0 3 0][1 6 100][2 6 200][3 6 300][4 6 400][5 6 500][6 6 600][7 6 700][8 6 800][9 6 900][10 6 1000][11 6 1100][12 6 1200][13 6 1300][14 6 1400][15 6 1500][16 16 2400][17 1 2500][18 51 2600][19 67 2700][20 65 2800] phases=[e1692d25b2b11cb5 10]",
-		clocks: []float64{8.560274700071584, 0.9604214999925667, 7.639999999999992e-05, 0.10000610000000003, 0.20000610000000021, 0.3000061000000003, 0.40000610000000036, 0.5000083000000001, 0.6000061000000001, 0.7000061000000002, 0.8000083000000003, 0.9000061000000004, 1.0000061000000002, 1.1000082999999892, 1.2000082999999782, 1.3000060999999672, 1.4000060999999562, 1.5000082999999451, 2.6800068999998152, 2.780002399999805, 8.136550800020137, 8.421412300045512, 8.560273800071585, 4.509999999999999e-05},
+		counts: "updates=293:1ed4804e16b1bf48 deltaRows=2800 clamped=39 maintSwitches=1 switches=0 marks=[0 3 0][1 6 100][2 6 200][3 6 300][4 6 400][5 6 500][6 6 600][7 6 700][8 6 800][9 6 900][10 6 1000][11 6 1100][12 6 1200][13 6 1300][14 6 1400][15 6 1500][16 16 2400][17 1 2500][18 51 2600][19 67 2700][20 65 2800] phases=[e1692d25b2b11cb5 10]",
+		clocks: []float64{8.560273800071585, 0.9573330999926596, 4.6899999999999995e-05, 0.10001310000000002, 0.20001310000000025, 0.3000131000000002, 0.4000131000000003, 0.5000187999999999, 0.6000131000000001, 0.7000131000000002, 0.8000188000000001, 0.9000131000000003, 1.0000130999999999, 1.1000187999999886, 1.2000187999999776, 1.3000130999999668, 1.4000130999999558, 1.5000187999999446, 2.6800068999998152, 2.780002399999805, 8.136550800020137, 8.421412300045512, 8.560273800071585, 4.509999999999999e-05},
 	},
 	"agg/corrective/P=4/clean": {
 		counts: "updates=387:dfb91a46aae7659b deltaRows=2800 clamped=39 maintSwitches=1 switches=0 marks=[0 3 0][1 6 100][2 6 200][3 6 300][4 6 400][5 6 500][6 6 600][7 6 700][8 6 800][9 6 900][10 6 1000][11 6 1100][12 6 1200][13 6 1300][14 6 1400][15 6 1500][16 84 2400][17 87 2500][18 78 2600][19 23 2700][20 22 2800] phases=[e1692d25b2b11cb5 10]",
@@ -221,11 +223,11 @@ var maintRunGoldens = map[string]maintGolden{
 	},
 	"spj/static/P=1/clean": {
 		counts: "updates=2857:5a486f0fd75adbba deltaRows=900 clamped=157 maintSwitches=0 switches=0 marks=[0 2698 0][1 12 100][2 18 200][3 15 300][4 18 400][5 22 500][6 20 600][7 18 700][8 23 800][9 13 900] phases=[7c2ab5e08c043fed 15332]",
-		clocks: []float64{0.45000890000000027, 0.14979430000014066, 0.1436747000001322, 0.14434800000013306, 0.14501590000013403, 0.1500089000000001, 0.20000780000000015, 0.2500078000000001, 0.3000000000000002, 0.3500078000000002, 0.40000780000000025, 0.45000890000000027, 0.04115260000001264},
+		clocks: []float64{0.4500021000000003, 0.0431174000000125, 0.04115260000001264, 0.050002100000000035, 0.10000210000000008, 0.1500021000000001, 0.20000210000000015, 0.2500021000000001, 0.3000000000000002, 0.3500021000000002, 0.40000210000000025, 0.4500021000000003, 0.04115260000001264},
 	},
 	"spj/static/P=1/failover": {
 		counts: "updates=2857:5a486f0fd75adbba deltaRows=900 clamped=157 maintSwitches=0 switches=0 marks=[0 2698 0][1 12 100][2 18 200][3 15 300][4 18 400][5 22 500][6 20 600][7 18 700][8 23 800][9 13 900] phases=[7c2ab5e08c043fed 15332]",
-		clocks: []float64{7.505570100000391, 0.14979430000014066, 0.1436747000001322, 7.500123800000009, 7.500791700000057, 7.501476800000106, 7.502172500000154, 7.502875100000206, 7.5035686000002535, 7.504194200000294, 7.5048896000003396, 7.505570100000391, 0.04115260000001264},
+		clocks: []float64{7.501800700000268, 0.0431174000000125, 0.04115260000001264, 7.500042700000005, 7.500264300000035, 7.5004805000000685, 7.500706200000102, 7.500936400000137, 7.50115460000017, 7.501362400000199, 7.501588900000231, 7.501800700000268, 0.04115260000001264},
 	},
 	"spj/static/P=4/clean": {
 		counts: "updates=2857:5a486f0fd75adbba deltaRows=900 clamped=157 maintSwitches=0 switches=0 marks=[0 2698 0][1 12 100][2 18 200][3 15 300][4 18 400][5 22 500][6 20 600][7 18 700][8 23 800][9 13 900] phases=[7c2ab5e08c043fed 15332]",
@@ -236,12 +238,12 @@ var maintRunGoldens = map[string]maintGolden{
 		clocks: []float64{7.505570100000391, 0.14800460000013008, 0.11361119999995987, 7.500123800000009, 7.500791700000057, 7.501476800000106, 7.502172500000154, 7.502875100000206, 7.5035686000002535, 7.504194200000294, 7.5048896000003396, 7.505570100000391, 0.011089100000000279},
 	},
 	"spj/corrective/P=1/clean": {
-		counts: "updates=219328:715b86b7118242cd deltaRows=2800 clamped=39 maintSwitches=2 switches=0 marks=[0 3 0][1 154 100][2 148 200][3 154 300][4 150 400][5 159 500][6 158 600][7 148 700][8 149 800][9 146 900][10 153 1000][11 148 1100][12 144 1200][13 145 1300][14 155 1400][15 157 1500][16 66124 2400][17 60152 2500][18 53267 2600][19 18721 2700][20 18793 2800] phases=[e1692d25b2b11cb5 10]",
-		clocks: []float64{3.4689602999907687, 1.1955802999762593, 7.249999999999992e-05, 0.10000380000000006, 0.20000380000000018, 0.3000038000000002, 0.4000038000000003, 0.5000055000000002, 0.6000038000000003, 0.7000038000000004, 0.8000055000000005, 0.9000038000000006, 1.0000038000000004, 1.1000054999999893, 1.2000054999999783, 1.3000037999999674, 1.4000037999999564, 1.5000054999999453, 2.676596799997258, 3.041915199995359, 3.3957810999942746, 3.4310104999925253, 3.4689602999907687, 4.3599999999999996e-05},
+		counts: "updates=219328:715b86b7118242cd deltaRows=2800 clamped=39 maintSwitches=1 switches=0 marks=[0 3 0][1 154 100][2 148 200][3 154 300][4 150 400][5 159 500][6 158 600][7 148 700][8 149 800][9 146 900][10 153 1000][11 148 1100][12 144 1200][13 145 1300][14 155 1400][15 157 1500][16 66124 2400][17 60152 2500][18 53267 2600][19 18721 2700][20 18793 2800] phases=[e1692d25b2b11cb5 10]",
+		clocks: []float64{3.7813252999952747, 1.5022424999625044, 4.3599999999999996e-05, 0.10001080000000005, 0.2000108000000002, 0.30001080000000013, 0.4000108000000002, 0.500016, 0.6000108000000003, 0.7000108000000004, 0.8000160000000003, 0.9000108000000006, 1.0000108, 1.1000159999999888, 1.2000159999999778, 1.300010799999967, 1.400010799999956, 1.5000159999999447, 2.676596799997258, 3.354280199999865, 3.7081460999987805, 3.7433754999970312, 3.7813252999952747, 4.3599999999999996e-05},
 	},
 	"spj/corrective/P=1/failover": {
-		counts: "updates=219328:8298a2f3c7d615fe deltaRows=2800 clamped=39 maintSwitches=3 switches=0 marks=[0 3 0][1 154 100][2 148 200][3 154 300][4 150 400][5 159 500][6 158 600][7 148 700][8 149 800][9 146 900][10 153 1000][11 148 1100][12 144 1200][13 145 1300][14 155 1400][15 157 1500][16 13554 2400][17 733 2500][18 66857 2600][19 73670 2700][20 62243 2800] phases=[e1692d25b2b11cb5 10]",
-		clocks: []float64{8.469750399997798, 0.8541289999834517, 7.249999999999992e-05, 0.10000380000000006, 0.20000380000000018, 0.3000038000000002, 0.4000038000000003, 0.5000055000000002, 0.6000038000000003, 0.7000038000000004, 0.8000055000000005, 0.9000038000000006, 1.0000038000000004, 1.1000054999999893, 1.2000054999999783, 1.3000037999999674, 1.4000037999999564, 1.5000054999999453, 2.680002099999816, 2.780002099999805, 8.1140235000162, 8.362029900003714, 8.469750399997798, 4.3599999999999996e-05},
+		counts: "updates=219328:8298a2f3c7d615fe deltaRows=2800 clamped=39 maintSwitches=1 switches=0 marks=[0 3 0][1 154 100][2 148 200][3 154 300][4 150 400][5 159 500][6 158 600][7 148 700][8 149 800][9 146 900][10 153 1000][11 148 1100][12 144 1200][13 145 1300][14 155 1400][15 157 1500][16 13554 2400][17 733 2500][18 66857 2600][19 73670 2700][20 62243 2800] phases=[e1692d25b2b11cb5 10]",
+		clocks: []float64{8.469750399997798, 0.847580299983467, 4.3599999999999996e-05, 0.10001080000000005, 0.2000108000000002, 0.30001080000000013, 0.4000108000000002, 0.500016, 0.6000108000000003, 0.7000108000000004, 0.8000160000000003, 0.9000108000000006, 1.0000108, 1.1000159999999888, 1.2000159999999778, 1.300010799999967, 1.400010799999956, 1.5000159999999447, 2.680002099999816, 2.780002099999805, 8.1140235000162, 8.362029900003714, 8.469750399997798, 4.3599999999999996e-05},
 	},
 	"spj/corrective/P=4/clean": {
 		counts: "updates=219328:715b86b7118242cd deltaRows=2800 clamped=39 maintSwitches=2 switches=0 marks=[0 3 0][1 154 100][2 148 200][3 154 300][4 150 400][5 159 500][6 158 600][7 148 700][8 149 800][9 146 900][10 153 1000][11 148 1100][12 144 1200][13 145 1300][14 155 1400][15 157 1500][16 66124 2400][17 60152 2500][18 53267 2600][19 18721 2700][20 18793 2800] phases=[e1692d25b2b11cb5 10]",
@@ -362,7 +364,7 @@ var phaseEventGoldens = map[string]string{
 	"planpart":            "events=3:b57a33d353ddb5fb phases=2 switches=0 maintSwitches=0",
 	"planpart-spj":        "events=4:736745e9dc52db47 phases=2 switches=0 maintSwitches=0",
 	"planpart-degenerate": "events=2:b41db769b4a4bb77 phases=1 switches=0 maintSwitches=0",
-	"standing":            "events=27:0454e2aae522649c phases=1 switches=0 maintSwitches=2",
+	"standing":            "events=26:4133f8fa293a61ff phases=1 switches=0 maintSwitches=1",
 }
 
 // TestPhaseEventGoldens: the type and field sequence of the lifecycle
@@ -434,7 +436,7 @@ func TestPhaseEventGoldens(t *testing.T) {
 var onPollGoldens = map[string]string{
 	"phased":      "polls=10 switches=1:857df8340e2cf37c",
 	"phased-q5":   "polls=5 switches=0:42f1f7e6ccfddb5c",
-	"maintenance": "polls=16 switches=1:3e30d97acfd6d8eb",
+	"maintenance": "polls=26 switches=1:c9a2ca036a681671",
 }
 
 // TestOnPollGoldens: every monitor decision of a phased and of a

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"github.com/tukwila/adp/internal/exec"
+	"github.com/tukwila/adp/internal/ivm"
 	"github.com/tukwila/adp/internal/types"
 )
 
@@ -86,6 +87,11 @@ type rootRows struct {
 	kept  []types.Tuple // retained rows (no hook)
 	count int64         // rows written, either way
 	drop  types.Tuple   // where rows go once the run is canceled
+
+	// A standing SPJ query's signed root rows since the last update watermark;
+	// with asserts, the initial run's root rows too, as +1: the baseline.
+	asserts bool
+	updates []ivm.Update
 }
 
 func newRootRows(ctx context.Context, hooks RunHooks) *rootRows {
@@ -154,7 +160,7 @@ type rootSink struct {
 	out  *rootRows
 	cost bool // charge Move per row (phase output does; stitch-up already charged)
 
-	colScratch *types.ColBatch // PushColBatch's adapter output (aliases input)
+	colScratch types.ColBatch // the columnar entries' adapter output (aliases input)
 }
 
 // CopiesInput implements exec.InputCopier: the root join feeding this sink
@@ -170,7 +176,22 @@ func (s *rootSink) PushBatch(ts []types.Tuple) {
 		if s.cost {
 			s.ctx.Clock.Charge(s.ctx.Cost.Move)
 		}
-		s.ad.AdaptInto(s.out.next(w), t)
+		row := s.ad.AdaptInto(s.out.next(w), t)
+		if s.out.asserts {
+			s.out.updates = append(s.out.updates, ivm.Update{Row: row.Clone(), Sign: 1}) //adp:alloc-ok standing runs only: the baseline window is retained
+		}
+	}
+}
+
+// PushDelta implements exec.DeltaSink: a standing SPJ query's signed root
+// rows, out of its maintenance tree, are updates of the next window.
+func (s *rootSink) PushDelta(b *types.ColBatch, sign int) {
+	s.ad.AdaptCols(&s.colScratch, b)
+	for i, n := 0, b.Len(); i < n; i++ {
+		if s.cost {
+			s.ctx.Clock.Charge(s.ctx.Cost.Move)
+		}
+		s.out.updates = append(s.out.updates, ivm.Update{Row: s.colScratch.Row(i), Sign: sign})
 	}
 }
 
@@ -183,10 +204,7 @@ func (s *rootSink) PushColBatch(b *types.ColBatch) {
 	if n == 0 {
 		return
 	}
-	if s.colScratch == nil {
-		s.colScratch = types.NewColBatch(s.ad.To().Len())
-	}
-	s.ad.AdaptCols(s.colScratch, b)
+	s.ad.AdaptCols(&s.colScratch, b)
 	w := s.ad.To().Len()
 	for i := 0; i < n; i++ {
 		if s.cost {

@@ -16,6 +16,7 @@ type aggSink struct {
 	ad      *types.Adapter
 	partial bool
 	scratch types.Tuple
+	cols    types.ColBatch // PushDelta's adapter output (aliases its input)
 }
 
 // CopiesInput implements exec.InputCopier.
@@ -33,11 +34,19 @@ func (s *aggSink) PushBatch(ts []types.Tuple) {
 	}
 }
 
-// forwardSink forwards batches to a late-bound downstream sink (the
+// PushDelta implements exec.DeltaSink: a standing query's signed root rows,
+// out of its maintenance tree, are adapted as columns and absorbed as signed.
+func (s *aggSink) PushDelta(b *types.ColBatch, sign int) {
+	s.ad.AdaptCols(&s.cols, b)
+	s.agg.PushDelta(&s.cols, sign)
+}
+
+// forwardSink forwards batches to a late-bound downstream sink: the
 // stitch-up output is constructed before its schema-dependent destination
-// exists).
+// exists, and a maintenance tree is warmed up before its root is bound when
+// every consequence of the rows it is warmed with has been delivered already.
 type forwardSink struct {
-	out exec.Sink
+	out exec.DeltaSink
 }
 
 // CopiesInput implements exec.InputCopier: every destination rootSinkFor
@@ -47,6 +56,14 @@ func (f *forwardSink) CopiesInput() {}
 
 // PushBatch implements exec.Sink.
 func (f *forwardSink) PushBatch(ts []types.Tuple) { f.out.PushBatch(ts) }
+
+// PushDelta implements exec.DeltaSink. While nothing is bound the batch is
+// dropped: the warm-up only reconstructs join state.
+func (f *forwardSink) PushDelta(b *types.ColBatch, sign int) {
+	if f.out != nil {
+		f.out.PushDelta(b, sign)
+	}
+}
 
 // listSink materializes tuples into a state structure, charging one Move
 // per tuple (a materialization write).

@@ -31,6 +31,8 @@ type PhaseRecord struct {
 	// RootRows counts the root join's output instead: intermediate tuples
 	// no stitch-up can reuse, reported with the Discarded ones.
 	RootRows int64
+	// tree is a serial phase's, kept for a standing query to adopt.
+	tree *Tree
 }
 
 // StitchUp evaluates the cross-phase combination expression

@@ -338,7 +338,8 @@ func TestBasePartitionIsTheJoinsList(t *testing.T) {
 					if !ok {
 						t.Fatalf("phase %d: no join node for %s", rec.ID, jp.Key())
 					}
-					left, right := tj.Node.Lists()
+					left, _ := tj.Node.SideLists(true)
+					right, _ := tj.Node.SideLists(false)
 					joinLists[left], joinLists[right] = true, true
 					if scan, ok := jp.Left.(*algebra.ScanPlan); ok {
 						direct[scan.Rel.Name] = left

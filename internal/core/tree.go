@@ -30,7 +30,8 @@ type TreeJoin struct {
 	// intermediate result registered for stitch-up reuse, §3.4.2). Nil
 	// when no stitch-up can read it: the lowering was not for reuse, or
 	// this is the root join, whose uniform vector the exclusion list rules
-	// out — its consumer gets the rows, Node.Counters().Out their number.
+	// out — its consumer gets the rows, Node.Counters().Out their number —
+	// or a maintenance stage adopted the tree, after which none can follow.
 	ResultBuf *state.List
 }
 
@@ -43,23 +44,17 @@ type Tree struct {
 	EntryBatch map[string]func([]types.Tuple)
 	// EntryDelta maps base relation name -> signed push function (set
 	// when the entry operator accepts delta batches; the maintenance
-	// driver feeds warm-up replays and live deltas through it).
+	// driver feeds warm-up scans and live deltas through it).
 	EntryDelta map[string]func(*types.ColBatch, int)
 	// Joins lists join nodes bottom-up.
 	Joins []*TreeJoin
-	// LeafLists maps a base relation whose scan feeds a join side directly
-	// to the list behind that side: the join already buffers every row the
-	// leaf delivers, in delivery order, so the phase's base partition is
-	// that list and not a copy of it. Relations under a pre-aggregate, a
+	// leaves maps a base relation whose scan feeds a join side directly to
+	// that side (see LeafLists). Relations under a pre-aggregate, a
 	// projection or a partition boundary are absent.
-	LeafLists map[string]*state.List
+	leaves map[string]leafLister
 	// PreAggWindow is the adjustable-window pre-aggregation operator if
 	// the plan contains one.
 	PreAggWindow *exec.WindowPreAgg
-	// preAggBlocking is a traditional pre-agg awaiting flush at finish.
-	preAggBlocking *blockingPreAgg
-	// RootSchema is the layout of tuples delivered to the output sink.
-	RootSchema *types.Schema
 	// HasPreAgg reports that output tuples are in partial layout.
 	HasPreAgg bool
 	finishers []func()
@@ -72,6 +67,24 @@ type Tree struct {
 	// lowering (see LowerPartitioned); it installs exchanges at partition
 	// boundaries during build.
 	par *parLowering
+}
+
+// leafLister is an entry sink that buffers what it is fed in lists of its
+// own: an input side of an exec.HashJoin.
+type leafLister interface {
+	Lists() (main, neg *state.List)
+}
+
+// LeafLists returns the lists behind the join side rel's scan feeds: the
+// join already buffers every row the leaf delivers, in delivery order, so
+// the phase's base partition is main and not a copy of it; neg holds the
+// rows signed deltas retracted since (nil until one did), main and neg
+// together the relation's z-set. Both are nil without such a side.
+func (t *Tree) LeafLists(rel string) (main, neg *state.List) {
+	if side, ok := t.leaves[rel]; ok {
+		return side.Lists()
+	}
+	return nil, nil
 }
 
 // blockingPreAgg adapts an AggTable into a traditional (blocking)
@@ -91,7 +104,8 @@ func (b *blockingPreAgg) flush() {
 // ("most data integration systems almost exclusively rely on pipelined
 // hash joins", §3.4). Nothing is materialized beyond the operators' own
 // state: the tree of a plan that runs alone (a static run, a maintenance
-// tree, either plan-partitioning stage) has no later reader.
+// tree built after the initial run, either plan-partitioning stage) has no
+// later reader.
 func Lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink) (*Tree, error) {
 	return lower(ctx, plan, out, false)
 }
@@ -115,27 +129,30 @@ func newTree(ctx *exec.Context, plan algebra.Plan, reuse bool) *Tree {
 		ctx:        ctx,
 		EntryBatch: map[string]func([]types.Tuple){},
 		EntryDelta: map[string]func(*types.ColBatch, int){},
-		LeafLists:  map[string]*state.List{},
-		RootSchema: plan.Schema(),
+		leaves:     map[string]leafLister{},
 		reuse:      reuse,
 		nrels:      len(plan.Rels()),
 	}
 }
 
 // teeSink duplicates a join's output into its materialization buffer
-// (stitch-up reuse, §3.4.2) while forwarding it downstream. It carries no
-// signed entry: maintenance trees are lowered without reuse and have no
-// tees.
+// (stitch-up reuse, §3.4.2) while forwarding it downstream.
 type teeSink struct {
-	buf *state.List
-	out exec.Sink
+	join *TreeJoin
+	out  exec.Sink
+	dfw  exec.DeltaForward
 }
 
 // PushBatch implements exec.Sink.
 func (s *teeSink) PushBatch(ts []types.Tuple) {
-	s.buf.InsertBatch(ts)
+	s.join.ResultBuf.InsertBatch(ts)
 	s.out.PushBatch(ts)
 }
+
+// PushDelta implements exec.DeltaSink. Signed batches pass through untee'd:
+// they reach a phase's tree once a maintenance stage has adopted it, and no
+// stitch-up follows a finished initial run.
+func (s *teeSink) PushDelta(b *types.ColBatch, sign int) { s.dfw.Forward(s.out, b, sign) }
 
 func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 	switch v := p.(type) {
@@ -147,6 +164,9 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		t.EntryBatch[name] = out.PushBatch
 		if ds, ok := out.(exec.DeltaSink); ok {
 			t.EntryDelta[name] = ds.PushDelta
+		}
+		if side, ok := out.(leafLister); ok && t.par == nil {
+			t.leaves[name] = side
 		}
 		return nil
 
@@ -162,10 +182,10 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		case algebra.JoinNestedLoops:
 			style = exec.NestedLoops
 		}
-		var buf *state.List
+		tj := &TreeJoin{Key: v.Key(), Rels: v.Rels(), Preds: v.Preds}
 		if t.reuse && len(v.Rels()) < t.nrels {
-			buf = state.NewList(v.Schema())
-			out = &teeSink{buf: buf, out: out}
+			tj.ResultBuf = state.NewList(v.Schema())
+			out = &teeSink{join: tj, out: out}
 		}
 		// Fixed-bucket tables are sized from the optimizer's estimates
 		// (wrong estimates surface as bucket collisions, §4.4). A
@@ -176,15 +196,7 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 			er /= float64(t.par.pt.P)
 		}
 		node := exec.NewHashJoinSized(t.ctx, style, v.Left.Schema(), v.Right.Schema(), lk, rk, el, er, out)
-		if t.par == nil {
-			leftList, rightList := node.Lists()
-			if scan, ok := v.Left.(*algebra.ScanPlan); ok {
-				t.LeafLists[scan.Rel.Name] = leftList
-			}
-			if scan, ok := v.Right.(*algebra.ScanPlan); ok {
-				t.LeafLists[scan.Rel.Name] = rightList
-			}
-		}
+		tj.Node = node
 		leftIn, err := t.boundarySink(v.Left, lk, node.LeftSink())
 		if err != nil {
 			return err
@@ -199,13 +211,7 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		if err := t.build(v.Right, rightIn); err != nil {
 			return err
 		}
-		t.Joins = append(t.Joins, &TreeJoin{
-			Key:       v.Key(),
-			Rels:      v.Rels(),
-			Preds:     v.Preds,
-			Node:      node,
-			ResultBuf: buf,
-		})
+		t.Joins = append(t.Joins, tj)
 		t.finishers = append(t.finishers, func() {
 			node.FinishLeft()
 			node.FinishRight()
@@ -246,7 +252,6 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 			return err
 		}
 		b := &blockingPreAgg{table: table, out: out}
-		t.preAggBlocking = b
 		in, err := t.boundarySink(v.Input, groupCols, table)
 		if err != nil {
 			return err

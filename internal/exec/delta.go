@@ -199,14 +199,32 @@ func (j *HashJoin) deltaTable(left bool, sign int) *state.HashTable {
 	if left {
 		if j.negLeftHT == nil {
 			j.negLeftHT = state.NewHashTable(j.left.Schema(), j.leftKey) //adp:alloc-ok first retraction only
+			j.negLeftList = j.negLeftHT.List()
 		}
 		return j.negLeftHT
 	}
 	if j.negRightHT == nil {
 		j.negRightHT = state.NewHashTable(j.right.Schema(), j.rightKey) //adp:alloc-ok first retraction only
+		j.negRightList = j.negRightHT.List()
 	}
 	return j.negRightHT
 }
+
+// SideLists exposes one side's z-set as the join buffers it, whatever the
+// style. main holds the rows pushed or asserted, in arrival order: the source
+// data a plan must buffer at its leaves (§3.4), which a leaf feeding this
+// side directly shares as its base partition. neg holds the rows retracted
+// (nil until there is one); a maintenance tree built later is warmed from
+// both.
+func (j *HashJoin) SideLists(left bool) (main, neg *state.List) {
+	if left {
+		return j.leftList, j.negLeftList
+	}
+	return j.rightList, j.negRightList
+}
+
+// Lists is SideLists of the side this sink feeds.
+func (s joinSide) Lists() (main, neg *state.List) { return s.j.SideLists(s.left) }
 
 // probeDelta probes one retained table with the delta batch, emitting
 // every hit with emitSign. hashes and rows come from pushDelta's key

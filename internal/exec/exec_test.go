@@ -158,7 +158,8 @@ func TestNestedLoopsLists(t *testing.T) {
 	j := NewHashJoin(ctx, NestedLoops, rSchema, sSchema, []int{0}, []int{0}, &collectSink{})
 	j.PushLeftBatch(one(rRow(1, 1)))
 	j.PushRightBatch(one(sRow(2, 2)))
-	l, r := j.Lists()
+	l, _ := j.SideLists(true)
+	r, _ := j.SideLists(false)
 	if l.Len() != 1 || r.Len() != 1 {
 		t.Error("nested loops must buffer both sides")
 	}

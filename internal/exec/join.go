@@ -110,7 +110,8 @@ type HashJoin struct {
 	// lazily created negative tables — the z-set representation, where a
 	// side's effective multiset is its main state minus its negative
 	// state — and signed emits leave through sout, which bridges the
-	// columnar hit gatherer to the downstream DeltaSink.
+	// columnar hit gatherer to the downstream DeltaSink. The negative lists
+	// are to the negative tables what leftList/rightList are to the main ones.
 	negLeftHT    *state.HashTable
 	negRightHT   *state.HashTable
 	negLeftList  *state.List
@@ -174,13 +175,8 @@ func (j *HashJoin) Schema() *types.Schema { return j.schema }
 func (j *HashJoin) Counters() *stats.OpCounters { return &j.counters }
 
 // Tables exposes the buffered state structures for stitch-up reuse; nil
-// for nested-loops (whose lists are exposed via Lists).
+// for nested-loops (whose lists are exposed via SideLists).
 func (j *HashJoin) Tables() (left, right state.Keyed) { return j.left, j.right }
-
-// Lists exposes each side's buffered rows in arrival order, whatever the
-// style: the source data a plan must buffer at its leaves (§3.4), which a
-// leaf feeding this join directly shares as its base partition.
-func (j *HashJoin) Lists() (left, right *state.List) { return j.leftList, j.rightList }
 
 // joinSide exposes one input of a HashJoin as a sink, so plan lowering can
 // wire either side.

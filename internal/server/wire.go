@@ -5,6 +5,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -171,6 +172,9 @@ func (s *Server) buildDeltas(specs map[string][]DeltaSpec) (map[string][]source.
 
 // valueForKind converts one JSON scalar to a typed column value.
 func valueForKind(raw json.RawMessage, k types.Kind) (types.Value, error) {
+	if v, ok := plainValueForKind(raw, k); ok {
+		return v, nil
+	}
 	var v any
 	if err := json.Unmarshal(raw, &v); err != nil {
 		return types.Value{}, fmt.Errorf("bad value: %w", err)
@@ -200,6 +204,35 @@ func valueForKind(raw json.RawMessage, k types.Kind) (types.Value, error) {
 	default:
 		return types.Value{}, fmt.Errorf("column kind %v not wire-typed", k)
 	}
+}
+
+// plainValueForKind is valueForKind for the literals a delta script is made
+// of, read straight off the bytes the body decode has already scanned: a
+// number for a numeric column (behind a JSON check, for strconv would also
+// take +1, 0x10, Inf, 1_0 and 01), a string with nothing to unescape or
+// repair for a string column. Anything else — null, escapes, surrounding
+// space, a value of the wrong kind or out of range, malformed bytes — is not
+// ok, and valueForKind decodes it or words the refusal.
+func plainValueForKind(raw []byte, k types.Kind) (types.Value, bool) {
+	n := len(raw)
+	digit := func(c byte) bool { return c-'0' <= 9 }
+	switch {
+	case n == 0:
+	case k == types.KindString:
+		if n > 1 && raw[0] == '"' && raw[n-1] == '"' && bytes.IndexByte(raw, '\\') < 0 && utf8.Valid(raw) && json.Valid(raw) {
+			return types.Str(string(raw[1 : n-1])), true
+		}
+	case (raw[0] == '-' || digit(raw[0])) && digit(raw[n-1]) && json.Valid(raw):
+		x, err := strconv.ParseFloat(string(raw), 64)
+		switch {
+		case err != nil:
+		case k == types.KindFloat:
+			return types.Float(x), true
+		case k == types.KindInt && x == math.Trunc(x) && math.Abs(x) < 1<<53:
+			return types.Int(int64(x)), true
+		}
+	}
+	return types.Value{}, false
 }
 
 // ---- Error envelope ------------------------------------------------------

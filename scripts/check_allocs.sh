@@ -13,13 +13,13 @@ make bench-perf | tee "$out"
 
 fail=0
 
-# check <benchmark-name-regex> <max-allocs-per-op>
-# Takes the WORST (max) allocs/op among matching result lines, so a
-# regression in any sub-benchmark trips the gate.
+# check <benchmark-name-regex> <max-per-op> [unit]
+# Takes the WORST (max) value of unit (allocs/op unless given: B/op) among
+# matching result lines, so a regression in any sub-benchmark trips the gate.
 check() {
-  local pattern="$1" budget="$2" worst
-  worst=$(awk -v pat="$pattern" '$1 ~ pat {
-      for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)
+  local pattern="$1" budget="$2" unit="${3:-allocs/op}" worst
+  worst=$(awk -v pat="$pattern" -v unit="$unit" '$1 ~ pat {
+      for (i = 2; i <= NF; i++) if ($i == unit) print $(i-1)
     }' "$out" | sort -n | tail -1)
   if [ -z "${worst}" ]; then
     echo "check-allocs: FAIL: no benchmark result matched '$pattern'" >&2
@@ -27,10 +27,10 @@ check() {
     return
   fi
   if [ "$worst" -gt "$budget" ]; then
-    echo "check-allocs: FAIL: $pattern = $worst allocs/op, budget $budget" >&2
+    echo "check-allocs: FAIL: $pattern = $worst $unit, budget $budget" >&2
     fail=1
   else
-    echo "check-allocs: ok:   $pattern = $worst allocs/op (budget $budget)"
+    echo "check-allocs: ok:   $pattern = $worst $unit (budget $budget)"
   fi
 }
 
@@ -60,6 +60,16 @@ check 'BenchmarkFaultyNext'                      1  # PR 6: fault wrapper no-fau
 check 'BenchmarkRowEncode'                       0  # PR 7: per-row NDJSON encode into a reused buffer
 check 'BenchmarkDeltaPropagation/join'           0  # PR 10: z-set join re-probe per signed delta row; PR 21: as batch
 check 'BenchmarkDeltaPropagation/agg'            2  # PR 10: signed agg absorb + revision emit per delta row
+# PR 24: one standing Q3A, SF 0.002, 600 deltas (21260 / 21997 / 25855 allocs measured; the
+# parent, which replayed every shape: 25120 and 45.4 MB serial, 26015 and 47.4 MB at P=4).
+# The counts move by under 1 % when the warm-up goes back to one relation-sized batch;
+# the bytes double, so those are gated too. All budgets are 1.25 x the measurement.
+check 'BenchmarkStandingSetup/adopted'       26500  # the initial phase's tree is the maintenance tree
+check 'BenchmarkStandingSetup/switched'      27400  # + one tree built from the adopted one's lists
+check 'BenchmarkStandingSetup/replayed-p4'   32300  # four partitions: a tree warmed through a live root
+check 'BenchmarkStandingSetup/adopted'     6480000 B/op  # 5.18 MB
+check 'BenchmarkStandingSetup/switched'   18400000 B/op  # 14.73 MB; 38.5 MB through one relation-sized batch
+check 'BenchmarkStandingSetup/replayed-p4' 30100000 B/op # 24.10 MB; 45.8 MB through one relation-sized batch
 
 if [ "$fail" -ne 0 ]; then
   echo "check-allocs: allocation budgets regressed" >&2
