@@ -40,7 +40,8 @@ test:
 # columnar kernel the benchmark's probes still time), vectorized key hashing,
 # ordered merge-join, aggregate absorb and partition-table fold,
 # exchange-partitioning, one whole stitch-up, one standing query per
-# maintenance set-up, and streaming cursor delivery
+# maintenance set-up, one corrective poll's re-optimization, and streaming
+# cursor delivery
 # hot paths with allocation reporting (these back the PR acceptance criteria). The exec join benches grow one hash table for the
 # whole run, so layouts are only comparable at equal iteration counts —
 # hence the fixed -benchtime.
@@ -49,6 +50,7 @@ bench-perf:
 	$(GO) test -run='^$$' -bench='BenchmarkPipelinedJoinPush|BenchmarkMergeJoinPush|BenchmarkAggTableAbsorb|BenchmarkAggTableMergeFrom|BenchmarkHashKeys|BenchmarkExchangePartition|BenchmarkPartitionMergeRelease|BenchmarkDeltaPropagation' -benchmem -benchtime=300000x ./internal/exec/
 	$(GO) test -run='^$$' -bench='BenchmarkStitchUp' -benchmem -benchtime=50x ./internal/core/
 	$(GO) test -run='^$$' -bench='BenchmarkStandingSetup' -benchmem -benchtime=20x ./internal/core/
+	$(GO) test -run='^$$' -bench='BenchmarkReoptimize' -benchmem ./internal/opt/
 	$(GO) test -run='^$$' -bench='BenchmarkStreamDelivery|BenchmarkFirstRow' -benchmem ./internal/engine/
 	$(GO) test -run='^$$' -bench='BenchmarkFaultyNext' -benchmem ./internal/source/
 	$(GO) test -run='^$$' -bench='BenchmarkRowEncode|BenchmarkServeQuery' -benchmem ./internal/server/
@@ -61,13 +63,15 @@ examples:
 
 # Short fixed-duration fuzzing of the key codec, of the hash index against
 # the chain model of the layout it replaced, and of the delta-row scalar
-# conversion against the all-encoding/json one it replaced (the go-native fuzz
-# targets; each -fuzz invocation accepts a single target).
+# conversion against the all-encoding/json one it replaced, and of one
+# planner's re-optimizations against the optimizer it replaced (the go-native
+# fuzz targets; each -fuzz invocation accepts a single target).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyCodecRoundTrip$$' -fuzztime=5s ./internal/types/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeKeyArbitrary$$' -fuzztime=5s ./internal/types/
 	$(GO) test -run='^$$' -fuzz='^FuzzHashTableModel$$' -fuzztime=5s ./internal/state/
 	$(GO) test -run='^$$' -fuzz='^FuzzValueForKind$$' -fuzztime=5s ./internal/server/
+	$(GO) test -run='^$$' -fuzz='^FuzzReoptimize$$' -fuzztime=5s ./internal/opt/
 
 # Allocation-budget gate: runs bench-perf, parses allocs/op, fails on any
 # pinned-budget regression. Raw output lands in bench-perf.txt.

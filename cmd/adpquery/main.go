@@ -127,7 +127,7 @@ func run(query, strategy string, sf float64, seed int64, skewed, cards, wireless
 	fmt.Printf("\nexecution report:\n")
 	fmt.Printf("  virtual time   %.3fs (cpu %.3fs, wall %.3fs)\n",
 		rep.VirtualSeconds, rep.CPUSeconds, rep.RealSeconds)
-	fmt.Printf("  phases         %d (switches %d)\n", len(rep.Phases), rep.Switches)
+	fmt.Printf("  phases         %d (switches %d, optimizer calls %d)\n", len(rep.Phases), rep.Switches, rep.OptCalls)
 	for i, p := range rep.Phases {
 		fmt.Printf("    phase %d: %d tuples, %.3fs\n      %s\n", i, p.Delivered, p.Seconds, p.Plan)
 	}

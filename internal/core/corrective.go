@@ -187,6 +187,12 @@ type Report struct {
 	CPUSeconds     float64
 	RealSeconds    float64
 
+	// OptCalls counts optimizer invocations: the initial plan unless the
+	// plan cache supplied it, every monitor decision that reached the
+	// optimizer (OnPoll sees only those whose candidate differs in shape),
+	// the maintenance set-up's, and plan partitioning's two.
+	OptCalls int
+
 	// Partitions is the partition-parallel width the phases executed with
 	// (0 or 1 = serial). Counters and CPUSeconds aggregate across
 	// partitions; VirtualSeconds reflects the parallel makespan.
@@ -264,7 +270,8 @@ type executor struct {
 	passed   map[string]float64 // post-filter (completed phases)
 	live     map[string]float64 // pre-filter reads including the running phase
 
-	rep *Report
+	planner *opt.Planner // reoptimizer's
+	rep     *Report
 }
 
 // Run executes query q over the catalog with the selected strategy,
@@ -453,37 +460,31 @@ func (ex *executor) runFatal() error { return ex.fatal }
 // running phase, in virtual seconds.
 func (ex *executor) phaseStall() float64 { return ex.stallSecs - ex.phaseStallBase }
 
-// optInputs assembles the optimizer inputs from current observations.
+// optInputs assembles the optimizer inputs from current observations. It
+// runs only after observeLeaves, so live holds every relation's reads.
 func (ex *executor) optInputs() opt.Inputs {
-	consumed := ex.live
-	if len(consumed) == 0 {
-		consumed = ex.consumed
-	}
 	return opt.Inputs{
 		Query:    ex.q,
 		Known:    ex.o.Known,
 		Obs:      ex.reg,
-		Consumed: consumed,
+		Consumed: ex.live,
 		Cost:     ex.ctx.Cost,
 		PreAgg:   ex.o.PreAgg,
 	}
 }
 
-// estTotalCard resolves a source's total cardinality for the monitor:
-// known value, else exact for exhausted sources, else the 2x foresight
-// heuristic the optimizer uses.
-func (ex *executor) estTotalCard(rel string) float64 {
-	sc, observed := ex.reg.Source(rel)
-	if observed && sc.Complete {
-		return sc.Read // exact beats stale advertised cardinalities
+// reoptimizer hands out the run's planner — the monitors' and the
+// maintenance set-up's — for one optimizer call, which it counts. The
+// planner is built at the first: a static run, or one whose plan came from
+// the plan cache and never polls, builds none.
+func (ex *executor) reoptimizer() *opt.Planner {
+	if ex.planner == nil {
+		// Cannot fail: prepareRun validated q, and the optimization that
+		// planned phase 0 (or filled the plan cache) accepted its size.
+		ex.planner, _ = opt.NewPlanner(ex.q)
 	}
-	if c, ok := ex.o.Known[rel]; ok && c > 0 && (!observed || sc.Read <= c) {
-		return c
-	}
-	if observed {
-		return math.Max(2*sc.Read, opt.DefaultCard)
-	}
-	return opt.DefaultCard
+	ex.rep.OptCalls++
+	return ex.planner
 }
 
 // stitchPenalty estimates the stitch-up work a plan switch would add:
@@ -501,7 +502,7 @@ func (ex *executor) stitchPenalty() float64 {
 	var work float64
 	for _, rel := range ex.q.Relations {
 		consumed := ex.live[rel.Name]
-		remaining := math.Max(ex.estTotalCard(rel.Name)-consumed, 0)
+		remaining := math.Max(opt.TotalCard(ex.o.Known, ex.reg, rel.Name)-consumed, 0)
 		work += math.Min(consumed, remaining)
 	}
 	phases := math.Max(1, float64(len(ex.phases)))
@@ -518,6 +519,7 @@ func (ex *executor) runPhased() error {
 		if err != nil {
 			return err
 		}
+		ex.rep.OptCalls++
 		current = initial.Root
 		if ex.o.OnInitialPlan != nil {
 			ex.o.OnInitialPlan(current)
@@ -577,7 +579,7 @@ func (ex *executor) monitorStep(root algebra.Plan, delivered int64, collision fl
 	// Only switch while enough data remains for a new plan to matter.
 	var remaining, total float64
 	for _, rel := range ex.q.Relations {
-		tot := ex.estTotalCard(rel.Name)
+		tot := opt.TotalCard(ex.o.Known, ex.reg, rel.Name)
 		total += tot
 		if c := ex.live[rel.Name]; c < tot {
 			remaining += tot - c
@@ -602,10 +604,11 @@ func (ex *executor) monitorStep(root algebra.Plan, delivered int64, collision fl
 // none does). The decision goes to OnPoll and, taken, out as phase's
 // PlanSwitched event.
 func (ex *executor) betterPlan(in opt.Inputs, current algebra.Plan, collision, penalty float64, phase int) algebra.Plan {
-	curModel, _ := opt.CostPlan(in, current)
+	p := ex.reoptimizer()
+	curModel, _ := p.CostPlan(in, current)
 	curRemaining := curModel * collision
-	best, err := opt.Optimize(in)
-	if err != nil || samePlanShape(best.Root, current) {
+	best := p.Optimize(in)
+	if samePlanShape(best.Root, current) {
 		return nil
 	}
 	switched := best.Cost+penalty < ex.o.SwitchFactor*curRemaining
@@ -875,25 +878,23 @@ func (ex *executor) recordObservations(joins []joinView, leaves []*exec.Leaf) {
 	}
 }
 
-// samePlanShape compares join trees structurally (keys of every join node
-// plus pre-agg placement); two plans with identical shapes differ only in
-// physical detail, so switching would buy nothing.
+// samePlanShape compares optimizer plans structurally (the relation at every
+// leaf, the sides of every join, pre-agg placement); two plans with
+// identical shapes differ only in physical detail, so switching would buy
+// nothing.
 func samePlanShape(a, b algebra.Plan) bool {
-	return shapeKey(a) == shapeKey(b)
-}
-
-func shapeKey(p algebra.Plan) string {
-	switch v := p.(type) {
+	switch x := a.(type) {
 	case *algebra.ScanPlan:
-		return v.Rel.Name
+		y, ok := b.(*algebra.ScanPlan)
+		return ok && x.Rel.Name == y.Rel.Name
 	case *algebra.JoinPlan:
-		return "(" + shapeKey(v.Left) + "⋈" + shapeKey(v.Right) + ")"
+		y, ok := b.(*algebra.JoinPlan)
+		return ok && samePlanShape(x.Left, y.Left) && samePlanShape(x.Right, y.Right)
 	case *algebra.GroupPlan:
-		return "γ(" + shapeKey(v.Input) + ")"
-	case *algebra.ProjectPlan:
-		return shapeKey(v.Input)
+		y, ok := b.(*algebra.GroupPlan)
+		return ok && samePlanShape(x.Input, y.Input)
 	default:
-		return "?"
+		return false
 	}
 }
 

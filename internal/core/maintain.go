@@ -220,11 +220,7 @@ func (mt *maintainer) setUp() error {
 		}
 		return nil
 	}
-	res, err := opt.Optimize(mt.optInputs())
-	if err != nil {
-		return err
-	}
-	return mt.buildTree(res.Root, !mt.inPlace)
+	return mt.buildTree(ex.reoptimizer().Optimize(mt.optInputs()).Root, !mt.inPlace)
 }
 
 // optInputs is the executor's optimizer-input snapshot with pre-aggregation

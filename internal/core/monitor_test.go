@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
@@ -10,6 +12,7 @@ import (
 	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/stats"
 	"github.com/tukwila/adp/internal/types"
+	"github.com/tukwila/adp/internal/workload"
 )
 
 func monitorFixture() *executor {
@@ -26,27 +29,27 @@ func monitorFixture() *executor {
 func TestEstTotalCardPriorities(t *testing.T) {
 	ex := monitorFixture()
 	// Nothing known: default.
-	if got := ex.estTotalCard("F"); got != opt.DefaultCard {
+	if got := opt.TotalCard(ex.o.Known, ex.reg, "F"); got != opt.DefaultCard {
 		t.Errorf("default = %g", got)
 	}
 	// Advertised value wins over nothing.
 	ex.o.Known["F"] = 5000
-	if got := ex.estTotalCard("F"); got != 5000 {
+	if got := opt.TotalCard(ex.o.Known, ex.reg, "F"); got != 5000 {
 		t.Errorf("advertised = %g", got)
 	}
 	// Incomplete observation below the advertisement: advertisement holds.
 	ex.reg.ObserveSource("F", 3000, false)
-	if got := ex.estTotalCard("F"); got != 5000 {
+	if got := opt.TotalCard(ex.o.Known, ex.reg, "F"); got != 5000 {
 		t.Errorf("advertised should hold: %g", got)
 	}
 	// Observation falsifies the advertisement: foresight takes over.
 	ex.reg.ObserveSource("F", 30000, false)
-	if got := ex.estTotalCard("F"); got != 60000 {
+	if got := opt.TotalCard(ex.o.Known, ex.reg, "F"); got != 60000 {
 		t.Errorf("foresight = %g, want 60000", got)
 	}
 	// Exhausted source: exact, beats everything.
 	ex.reg.ObserveSource("F", 31234, true)
-	if got := ex.estTotalCard("F"); got != 31234 {
+	if got := opt.TotalCard(ex.o.Known, ex.reg, "F"); got != 31234 {
 		t.Errorf("exact = %g", got)
 	}
 }
@@ -106,6 +109,67 @@ func TestOnPollCallbackObservesDecisions(t *testing.T) {
 	}
 	if switches != rep.Switches {
 		t.Errorf("OnPoll saw %d switches, report says %d", switches, rep.Switches)
+	}
+}
+
+// TestOptCallsCountsEveryOptimizerCall: on the Q5 corrective fixture
+// Report.OptCalls is the initial optimization plus one per betterPlan call —
+// every poll that passed monitorStep's gates, which this test counts by
+// replaying the run phase by phase with the gates restated — so it is at
+// least one more than the decisions OnPoll sees.
+func TestOptCallsCountsEveryOptimizerCall(t *testing.T) {
+	q5 := []string{"region", "nation", "supplier", "customer", "orders", "lineitem"}
+	polls := 0
+	o := Options{Strategy: Corrective, OnPoll: func(float64, float64, float64, bool) { polls++ }}
+	rep, err := Run(tpchCatalog(q5...), workload.Q5(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OptCalls < 1+polls {
+		t.Errorf("OptCalls = %d, below 1 + %d OnPoll decisions", rep.OptCalls, polls)
+	}
+
+	ex, _, err := prepareRun(context.Background(), tpchCatalog(q5...), workload.Q5(), o, RunHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gatesPass := func(delivered int64) bool {
+		if len(ex.phases)+1 >= ex.o.MaxPhases || delivered < int64(3*ex.o.PollEvery) && ex.phaseStall() <= 0 {
+			return false
+		}
+		var remaining, total float64
+		for _, rel := range ex.q.Relations {
+			tot := opt.TotalCard(ex.o.Known, ex.reg, rel.Name)
+			total += tot
+			remaining += math.Max(tot-ex.live[rel.Name], 0)
+		}
+		return total > 0 && remaining/total >= 0.2
+	}
+	reached, current := 0, mustPlan(t, ex.q)
+	for {
+		ph, err := ex.lowerPhase(current)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var next algebra.Plan
+		exhausted, err := ex.drive(ph, func() bool {
+			ex.recordObservations(joinViews(ph.trees), ph.leaves)
+			if gatesPass(ph.delivered()) {
+				reached++
+			}
+			next = ex.monitorStep(ph.root, ph.delivered(), collisionFactor(ph.trees))
+			return next != nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exhausted {
+			break
+		}
+		current = next
+	}
+	if reached == 0 || ex.rep.OptCalls != reached || rep.OptCalls != 1+reached {
+		t.Errorf("OptCalls = %d (replayed without the initial call: %d), want 1 + %d betterPlan calls", rep.OptCalls, ex.rep.OptCalls, reached)
 	}
 }
 

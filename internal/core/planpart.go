@@ -27,6 +27,7 @@ func (ex *executor) runPlanPartition() error {
 	if err != nil {
 		return err
 	}
+	ex.rep.OptCalls++
 	joins := algebra.CollectJoins(initial.Root)
 	if len(joins) <= ex.o.MaterializeAfterJoins {
 		// Degenerates to static execution: no renames, original schema.
@@ -86,6 +87,7 @@ func (ex *executor) runPlanPartition() error {
 	if err != nil {
 		return err
 	}
+	ex.rep.OptCalls++
 	// Stage 2 ends in its own final aggregation or projection (schemas were
 	// renamed, so the stage-2 full schema differs from the original), which
 	// replaces the run's unused original from here on.

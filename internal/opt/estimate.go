@@ -47,8 +47,6 @@ type Inputs struct {
 	Cost *exec.CostModel
 	// PreAgg selects pre-aggregation handling.
 	PreAgg PreAggMode
-	// DefaultCard overrides the no-statistics default when > 0.
-	DefaultCard float64
 }
 
 // PreAggMode selects how the optimizer treats pre-aggregation points.
@@ -68,61 +66,23 @@ const (
 	PreAggWindowed
 )
 
-// estimator resolves cardinalities and selectivities for one optimization.
-type estimator struct {
-	in       Inputs
-	q        *algebra.Query
-	names    []string
-	nameIdx  map[string]int
-	baseCard map[string]float64 // post-filter effective cardinality
-	rawCard  map[string]float64 // pre-filter cardinality
-	keys     map[uint]string    // setKey, memoised per relation bitmask
-}
-
-func newEstimator(in Inputs) *estimator {
-	e := &estimator{
-		in:       in,
-		q:        in.Query,
-		nameIdx:  map[string]int{},
-		baseCard: map[string]float64{},
-		rawCard:  map[string]float64{},
-		keys:     map[uint]string{},
-	}
-	for i, r := range in.Query.Relations {
-		e.names = append(e.names, r.Name)
-		e.nameIdx[r.Name] = i
-	}
-	for _, r := range in.Query.Relations {
-		raw := e.totalCard(r.Name)
-		if c := in.Consumed[r.Name]; c > 0 {
-			raw = math.Max(raw-c, 0)
-		}
-		e.rawCard[r.Name] = raw
-		e.baseCard[r.Name] = raw * e.filterSel(r.Name)
-	}
-	return e
-}
-
-// totalCard resolves the full cardinality of a base relation. An exact
-// count from a fully consumed source beats everything (source-advertised
-// cardinalities are frequently stale in data integration); then advertised
-// values; then the foresight-adjusted running count; then the default.
-func (e *estimator) totalCard(rel string) float64 {
-	def := e.in.DefaultCard
-	if def <= 0 {
-		def = DefaultCard
-	}
+// TotalCard resolves the full cardinality of a base relation, for the
+// optimizer and the corrective monitor alike. An exact count from a fully
+// consumed source beats everything (source-advertised cardinalities are
+// frequently stale in data integration); then advertised values; then the
+// foresight-adjusted running count; then the default.
+func TotalCard(known map[string]float64, obs *stats.Registry, rel string) float64 {
 	var read float64
 	var observed, complete bool
-	if e.in.Obs != nil {
-		if sc, ok := e.in.Obs.Source(rel); ok {
+	if obs != nil {
+		if sc, ok := obs.Source(rel); ok {
 			observed, complete, read = true, sc.Complete, sc.Read
 		}
 	}
 	if complete {
 		return read // exact count beats stale advertised cardinalities
 	}
-	if c, ok := e.in.Known[rel]; ok && c > 0 {
+	if c, ok := known[rel]; ok && c > 0 {
 		// Trust the advertisement until observation falsifies it.
 		if read <= c {
 			return c
@@ -133,27 +93,48 @@ func (e *estimator) totalCard(rel string) float64 {
 		// as much data again remains. Without it, mid-query re-planning
 		// would price the remainder of every unknown source at zero and
 		// switching could never pay off.
-		return math.Max(2*read, def)
+		return math.Max(2*read, DefaultCard)
 	}
-	return def
+	return DefaultCard
 }
 
-// filterSel returns the local selection selectivity for rel: the observed
-// ratio when the executor has recorded one, else a System-R style
+// load reads one call's statistics into the planner's arrays, each value
+// once: per relation its remaining (pre-filter) and post-filter
+// cardinality, per predicate its join selectivity, per subset its observed
+// cardinality and credit.
+func (p *Planner) load(in Inputs) {
+	p.cm = in.Cost
+	if p.cm == nil {
+		p.cm = p.defaultCost
+	}
+	for i, name := range p.names {
+		raw := TotalCard(in.Known, in.Obs, name)
+		if c := in.Consumed[name]; c > 0 {
+			raw = math.Max(raw-c, 0)
+		}
+		p.raw[i] = raw
+		p.base[i] = raw * p.filterSel(in.Obs, i)
+	}
+	for k := range p.preds {
+		p.loadPred(k, in.Obs)
+	}
+	for i := range p.sets {
+		p.loadSet(int32(i), in)
+	}
+}
+
+// filterSel returns relation i's local selection selectivity: the observed
+// ratio when the executor has recorded one, else the System-R style
 // syntactic estimate.
-func (e *estimator) filterSel(rel string) float64 {
-	if e.in.Obs != nil {
-		if o, ok := e.in.Obs.Expr(FilterSelKey(rel)); ok {
+func (p *Planner) filterSel(obs *stats.Registry, i int) float64 {
+	if obs != nil {
+		if o, ok := obs.Expr(p.filterKeys[i]); ok {
 			if s := o.Selectivity(); s >= 0 {
 				return s
 			}
 		}
 	}
-	p, ok := e.q.Filters[rel]
-	if !ok || p == nil {
-		return 1
-	}
-	return predSel(p)
+	return p.filterSyn[i]
 }
 
 // predSel is the System-R syntactic selectivity heuristic: 0.1 per
@@ -185,105 +166,95 @@ func predSel(p expr.Predicate) float64 {
 	}
 }
 
-// distinctOf estimates the number of distinct values of col in rel. A
-// column equi-joined to another relation is speculated to be drawn from
-// the smaller domain (key/foreign-key reasoning); otherwise the column is
-// assumed unique within the relation.
-func (e *estimator) distinctOf(rel, col string) float64 {
-	d := math.Max(e.baseCard[rel], 1)
-	for _, j := range e.q.Joins {
-		var other string
+// othersOf lists, in join-graph order, the relations equi-joined to column
+// col of rel: what distinct reasons about.
+func (p *Planner) othersOf(rel, col string) []int {
+	var others []int
+	for _, j := range p.q.Joins {
 		switch {
 		case j.LeftRel == rel && j.LeftCol == col:
-			other = j.RightRel
+			others = append(others, p.idx[j.RightRel])
 		case j.RightRel == rel && j.RightCol == col:
-			other = j.LeftRel
-		default:
-			continue
+			others = append(others, p.idx[j.LeftRel])
 		}
-		if oc := e.rawCard[other]; oc > 0 && oc < d {
+	}
+	return others
+}
+
+// distinct estimates the number of distinct values of a column of relation
+// rel (-1: not the query's) equi-joined to others. Such a column is
+// speculated to be drawn from the smaller domain (key/foreign-key
+// reasoning); otherwise the column is assumed unique within the relation.
+func (p *Planner) distinct(rel int, others []int) float64 {
+	d := 1.0
+	if rel >= 0 {
+		d = math.Max(p.base[rel], 1)
+	}
+	for _, o := range others {
+		if oc := p.raw[o]; oc > 0 && oc < d {
 			d = oc
 		}
 	}
 	return math.Max(d, 1)
 }
 
-// joinSel estimates one equijoin predicate's selectivity as
-// 1/max(distinct(left), distinct(right)), raised by any multiplicative
-// flag recorded at runtime (§4.2's conservative heuristic).
-func (e *estimator) joinSel(j algebra.JoinPred) float64 {
-	dl := e.distinctOf(j.LeftRel, j.LeftCol)
-	dr := e.distinctOf(j.RightRel, j.RightCol)
-	sel := 1 / math.Max(dl, dr)
-	if e.in.Obs != nil {
-		if f, ok := e.in.Obs.Multiplicative(j.String()); ok && f > 1 {
-			sel *= f
+// loadPred estimates predicate k's selectivity as
+// 1/max(distinct(left), distinct(right)), raised by any multiplicative flag
+// recorded at runtime (§4.2's conservative heuristic).
+func (p *Planner) loadPred(k int, obs *stats.Registry) {
+	pr := &p.preds[k]
+	dl := p.distinct(pr.left, pr.leftOthers)
+	dr := p.distinct(pr.right, pr.rightOthers)
+	pr.sel = 1 / math.Max(dl, dr)
+	if obs != nil {
+		if f, ok := obs.Multiplicative(pr.key); ok && f > 1 {
+			pr.sel *= f
 		}
 	}
-	return sel
 }
 
-// setKey returns the canonical key of a relation bitmask, built once per
-// mask: every candidate split of a subset asks for the same one.
-func (e *estimator) setKey(mask uint) string {
-	if key, ok := e.keys[mask]; ok {
-		return key
-	}
-	var rels []string
-	for i, n := range e.names {
-		if mask&(1<<uint(i)) != 0 {
-			rels = append(rels, n)
-		}
-	}
-	key := algebra.CanonKey(rels)
-	e.keys[mask] = key
-	return key
-}
-
-// systemR computes the textbook estimate for joining two subsets.
-func (e *estimator) systemR(cardL, cardR float64, preds []algebra.JoinPred) float64 {
-	est := cardL * cardR
-	if len(preds) == 0 {
-		return est // cross product
-	}
-	for _, p := range preds {
-		est *= e.joinSel(p)
-	}
-	return est
-}
-
-// cardOf estimates the cardinality of the relation subset mask, combining
-// (a) a runtime observation for the logically equivalent subexpression
-// when one exists, else averaging (b) the System-R estimate with (c) the
-// parent-expression key/foreign-key speculation of §4.2. children carries
-// the chosen decomposition's cardinalities for (b).
-func (e *estimator) cardOf(mask uint, cardL, cardR float64, preds []algebra.JoinPred) float64 {
-	// (a) Observed selectivity for this subexpression: selectivity is
-	// defined as out / product(inputs), shared across physical forms.
-	if e.in.Obs != nil {
-		if o, ok := e.in.Obs.Expr(e.setKey(mask)); ok {
-			if s := o.Selectivity(); s >= 0 {
+// loadSet reads subset i's runtime observation — its selectivity, defined
+// as out / product(inputs) and shared across physical forms, times this
+// call's input product — and its credit.
+func (p *Planner) loadSet(i int32, in Inputs) {
+	s := &p.sets[i]
+	s.observed = false
+	if in.Obs != nil {
+		if o, ok := in.Obs.Expr(s.key); ok {
+			if sel := o.Selectivity(); sel >= 0 {
 				prod := 1.0
-				for i, n := range e.names {
-					if mask&(1<<uint(i)) != 0 {
-						prod *= math.Max(e.baseCard[n], 1)
+				for r := range p.names {
+					if s.mask&(1<<uint(r)) != 0 {
+						prod *= math.Max(p.base[r], 1)
 					}
 				}
-				return s * prod
+				s.obsCard, s.observed = sel*prod, true
 			}
 		}
 	}
-	sysR := e.systemR(cardL, cardR, preds)
-	// (c) Parent-expression speculation: if this join looks like a
-	// key/foreign-key join, its cardinality matches the foreign-key
-	// side's input cardinality. We approximate the FK side as the larger
-	// input.
-	spec := math.Max(cardL, cardR)
-	if len(preds) == 0 {
-		return sysR
+	s.credit, s.credited = in.Credit[s.key]
+}
+
+// cardOf estimates the cardinality of subset s from a decomposition into
+// halves of cardL and cardR joined by preds: (a) the runtime observation for
+// the logically equivalent subexpression when one exists, else the average
+// of (b) the System-R estimate and (c) the parent-expression key/foreign-key
+// speculation of §4.2.
+func (p *Planner) cardOf(s *subset, cardL, cardR float64, preds []int32) float64 {
+	if s.observed {
+		return s.obsCard
 	}
-	// Average the heuristics to damp individual errors (§4.2: "averaging
-	// them will tend to reduce the effects of a single heuristic making a
-	// poor decision").
-	return (sysR + spec) / 2
+	sysR := cardL * cardR
+	if len(preds) == 0 {
+		return sysR // cross product
+	}
+	for _, k := range preds {
+		sysR *= p.preds[k].sel
+	}
+	// (c) If this join looks like a key/foreign-key join, its cardinality
+	// matches the foreign-key side's input cardinality; the FK side is
+	// approximated as the larger input. Averaging the heuristics damps
+	// individual errors (§4.2: "averaging them will tend to reduce the
+	// effects of a single heuristic making a poor decision").
+	return (sysR + math.Max(cardL, cardR)) / 2
 }

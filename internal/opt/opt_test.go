@@ -286,43 +286,27 @@ func TestPredSelHeuristics(t *testing.T) {
 	}
 }
 
-func TestEstimateSetCard(t *testing.T) {
-	in := Inputs{Query: starQuery(), Known: map[string]float64{"fact": 10000, "dim1": 100, "dim2": 100}}
-	// Key-FK join: |fact ⋈ dim1| should be near |fact|.
-	got := EstimateSetCard(in, []string{"fact", "dim1"})
-	if got < 5000 || got > 20000 {
-		t.Errorf("EstimateSetCard = %g, want ~10000", got)
-	}
-}
-
 func TestDefaultCardUsedWithoutStats(t *testing.T) {
-	in := Inputs{Query: chainQuery()}
-	e := newEstimator(in)
-	if e.totalCard("a") != DefaultCard {
-		t.Errorf("default card = %g", e.totalCard("a"))
+	if got := TotalCard(nil, nil, "a"); got != DefaultCard {
+		t.Errorf("default card = %g", got)
 	}
 	// Incomplete observation below default keeps default.
 	reg := stats.NewRegistry()
 	reg.ObserveSource("a", 100, false)
-	in.Obs = reg
-	e = newEstimator(in)
-	if e.totalCard("a") != DefaultCard {
+	if TotalCard(nil, reg, "a") != DefaultCard {
 		t.Error("incomplete small observation should not lower default")
 	}
 	// Complete observation wins.
 	reg.ObserveSource("a", 100, true)
-	e = newEstimator(in)
-	if e.totalCard("a") != 100 {
+	if TotalCard(nil, reg, "a") != 100 {
 		t.Error("complete observation should override default")
 	}
 	// Incomplete observation above default raises the floor, with the
 	// 2x foresight factor for still-flowing sources.
 	reg2 := stats.NewRegistry()
 	reg2.ObserveSource("a", 50000, false)
-	in.Obs = reg2
-	e = newEstimator(in)
-	if e.totalCard("a") != 100000 {
-		t.Errorf("incomplete observation estimate = %g, want 100000 (2x foresight)", e.totalCard("a"))
+	if got := TotalCard(nil, reg2, "a"); got != 100000 {
+		t.Errorf("incomplete observation estimate = %g, want 100000 (2x foresight)", got)
 	}
 }
 

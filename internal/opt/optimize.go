@@ -3,9 +3,13 @@ package opt
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
+	"strings"
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/exec"
+	"github.com/tukwila/adp/internal/types"
 )
 
 // Result is the optimizer's output.
@@ -30,100 +34,258 @@ type Result struct {
 	JoinOrder []string
 }
 
-// memoEntry caches the best plan for a relation subset.
-type memoEntry struct {
-	plan algebra.Plan
-	card float64
-	cost float64
+// Planner is one query's optimizer. What does not depend on the
+// statistics — the validated query, the relation subsets the enumeration
+// visits with their splits, keys and predicates, scan and pre-aggregation
+// nodes, and every join node's schema once built — is computed once, so
+// that each Optimize or CostPlan call is arithmetic over the statistics it
+// reads. It is not safe for concurrent use: a run owns its planner.
+type Planner struct {
+	q     *algebra.Query
+	names []string
+	idx   map[string]int
+	scans []algebra.Plan
+	// filterKeys are the relations' observation keys (FilterSelKey),
+	// filterSyn their syntactic filter selectivities.
+	filterKeys []string
+	filterSyn  []float64
+	pre        preAgg
+
+	// preds are the query's join predicates, then any other a costed plan
+	// carried; sets every connected relation subset, each after its
+	// halves (setOf indexes them by mask), then any other a costed plan
+	// joined; splits each subset's two-halves decompositions and between
+	// each split's predicates. full is the all-relations subset.
+	preds   []pred
+	sets    []subset
+	setOf   map[uint]int32
+	splits  []split
+	between []int32
+	full    int32
+	// joins holds each join node built, by split and input layouts: the
+	// nodes of a winning tree are copies of these.
+	joins map[joinKey]*algebra.JoinPlan
+
+	// One call's statistics (load) and cost model.
+	raw, base   []float64
+	cm          *exec.CostModel
+	defaultCost *exec.CostModel
+	scratch     []int32
 }
 
-type optimizer struct {
-	in   Inputs
-	est  *estimator
-	cost *exec.CostModel
-	memo map[uint]*memoEntry
-	// adjacency: relation index -> bitmask of joined relations.
-	adj []uint
-	// preAgg: leaf relation index that receives pre-aggregation (-1
-	// none); reduction factor applied to its effective card.
-	preAggLeaf      int
-	preAggFactor    float64
-	preAggGroupCols []string
+// pred is one join predicate with its registry key (JoinPred.String), its
+// relations and, per side, the relations distinct reasons over; sel is this
+// call's selectivity.
+type pred struct {
+	pred                    algebra.JoinPred
+	key                     string
+	left, right             int
+	leftOthers, rightOthers []int
+	sel                     float64
 }
 
-// Optimize plans the query. It is deterministic: ties break toward the
-// earlier enumeration order.
-func Optimize(in Inputs) (*Result, error) {
-	if err := in.Query.Validate(); err != nil {
+// subset is one relation subset: its splits are splits[lo:hi]. The rest is
+// one call's: the observation and credit read for key, and the memo entry
+// — card and cost of the cheapest plan, win its split (-1: a leaf).
+type subset struct {
+	mask       uint
+	key        string
+	lo, hi     int32
+	observed   bool
+	obsCard    float64
+	credited   bool
+	credit     float64
+	card, cost float64
+	win        int32
+}
+
+// split decomposes a subset into two connected halves, each a subset
+// index, joined by the predicates between[lo:hi].
+type split struct {
+	sub, other int32
+	lo, hi     int32
+}
+
+type joinKey struct {
+	split       int32
+	left, right *types.Schema
+}
+
+// preAgg is the pre-aggregation a query admits (§6): the leaf providing
+// every aggregate argument (-1: none), its partial group key, the relations
+// equi-joined to each key column, and the node per PreAggMode.
+type preAgg struct {
+	leaf   int
+	cols   []string
+	others [][]int
+	node   [PreAggWindowed + 1]algebra.Plan
+}
+
+// NewPlanner validates q and builds its search space.
+func NewPlanner(q *algebra.Query) (*Planner, error) {
+	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if len(in.Query.Relations) > 20 {
-		return nil, fmt.Errorf("opt: too many relations (%d)", len(in.Query.Relations))
+	n := len(q.Relations)
+	if n > 20 {
+		return nil, fmt.Errorf("opt: too many relations (%d)", n)
 	}
-	o := &optimizer{
-		in:         in,
-		est:        newEstimator(in),
-		cost:       in.Cost,
-		memo:       map[uint]*memoEntry{},
-		preAggLeaf: -1,
+	p := &Planner{
+		q:           q,
+		names:       make([]string, n),
+		idx:         make(map[string]int, n),
+		scans:       make([]algebra.Plan, n),
+		filterKeys:  make([]string, n),
+		filterSyn:   make([]float64, n),
+		setOf:       map[uint]int32{},
+		joins:       map[joinKey]*algebra.JoinPlan{},
+		raw:         make([]float64, n),
+		base:        make([]float64, n),
+		defaultCost: exec.DefaultCosts(),
 	}
-	if o.cost == nil {
-		o.cost = exec.DefaultCosts()
+	for i, r := range q.Relations {
+		p.names[i], p.idx[r.Name] = r.Name, i
+		p.scans[i] = algebra.NewScan(r)
+		p.filterKeys[i], p.filterSyn[i] = FilterSelKey(r.Name), 1
+		if f := q.Filters[r.Name]; f != nil {
+			p.filterSyn[i] = predSel(f)
+		}
 	}
-	q := in.Query
-	o.adj = make([]uint, len(q.Relations))
+	adj := make([]uint, n)
 	for _, j := range q.Joins {
-		li, ri := o.est.nameIdx[j.LeftRel], o.est.nameIdx[j.RightRel]
-		o.adj[li] |= 1 << uint(ri)
-		o.adj[ri] |= 1 << uint(li)
+		li, ri := p.idx[j.LeftRel], p.idx[j.RightRel]
+		adj[li] |= 1 << uint(ri)
+		adj[ri] |= 1 << uint(li)
+		p.addPred(j)
 	}
-	o.planPreAgg()
+	p.planPreAgg()
+	// Every connected subset, in ascending mask order so halves precede
+	// wholes. Disconnected halves are skipped, so plans never contain
+	// cross products — System-R discipline, which also keeps mid-query
+	// re-planning from "discovering" free cross products over nearly
+	// exhausted sources; Validate guarantees the whole is connected.
+	for mask := uint(1); mask < 1<<uint(n); mask++ {
+		if !connected(adj, mask) {
+			continue
+		}
+		i := p.addSet(mask)
+		if mask&(mask-1) == 0 {
+			continue
+		}
+		// Each split once, in best's enumeration order: bushy, over
+		// connected subgraph/complement pairs (§4.3).
+		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
+			other := mask &^ sub
+			if sub > other || !connected(adj, sub) || !connected(adj, other) {
+				continue
+			}
+			sp := split{sub: p.setOf[sub], other: p.setOf[other], lo: int32(len(p.between))}
+			for k, j := range q.Joins {
+				l, r := uint(1)<<uint(p.idx[j.LeftRel]), uint(1)<<uint(p.idx[j.RightRel])
+				if sub&l != 0 && other&r != 0 || other&l != 0 && sub&r != 0 {
+					p.between = append(p.between, int32(k))
+				}
+			}
+			sp.hi = int32(len(p.between))
+			p.splits = append(p.splits, sp)
+		}
+		p.sets[i].hi = int32(len(p.splits))
+	}
+	p.full = p.setOf[1<<uint(n)-1]
+	return p, nil
+}
 
-	full := uint(1)<<uint(len(q.Relations)) - 1
-	best := o.best(full)
+// connected reports whether the relations in mask form a connected
+// subgraph of the join graph adj.
+func connected(adj []uint, mask uint) bool {
+	seen := mask & -mask
+	for frontier := seen; frontier != 0; {
+		var next uint
+		for i := range adj {
+			if frontier&(1<<uint(i)) != 0 {
+				next |= adj[i] & mask &^ seen
+			}
+		}
+		seen |= next
+		frontier = next
+	}
+	return seen == mask
+}
+
+// addSet registers mask as a subset with no splits yet.
+func (p *Planner) addSet(mask uint) int32 {
+	var rels []string
+	for i, n := range p.names {
+		if mask&(1<<uint(i)) != 0 {
+			rels = append(rels, n)
+		}
+	}
+	i := int32(len(p.sets))
+	p.sets = append(p.sets, subset{mask: mask, key: algebra.CanonKey(rels), lo: int32(len(p.splits)), hi: int32(len(p.splits))})
+	p.setOf[mask] = i
+	return i
+}
+
+// addPred registers a join predicate.
+func (p *Planner) addPred(j algebra.JoinPred) {
+	rel := func(name string) int {
+		if i, ok := p.idx[name]; ok {
+			return i
+		}
+		return -1
+	}
+	p.preds = append(p.preds, pred{
+		pred: j, key: j.String(), left: rel(j.LeftRel), right: rel(j.RightRel),
+		leftOthers: p.othersOf(j.LeftRel, j.LeftCol), rightOthers: p.othersOf(j.RightRel, j.RightCol),
+	})
+}
+
+// Optimize plans in.Query once, on a planner of its own. It is
+// deterministic: ties break toward the earlier enumeration order.
+func Optimize(in Inputs) (*Result, error) {
+	p, err := NewPlanner(in.Query)
+	if err != nil {
+		return nil, err
+	}
+	return p.Optimize(in), nil
+}
+
+// Optimize plans the planner's query (in.Query is not read) under in's
+// statistics.
+func (p *Planner) Optimize(in Inputs) *Result {
+	p.load(in)
+	leaf, factor := p.preAggFor(in.PreAgg)
+	p.fill(leaf, factor)
+	best := &p.sets[p.full]
 	res := &Result{
-		Root:    best.plan,
-		GroupBy: q.GroupBy,
-		Aggs:    q.Aggs,
-		Card:    best.card,
-		Cost:    best.cost,
+		GroupBy:   p.q.GroupBy,
+		Aggs:      p.q.Aggs,
+		Card:      best.card,
+		Cost:      best.cost,
+		JoinOrder: make([]string, 0, len(p.names)),
 	}
-	if o.preAggLeaf >= 0 {
-		res.PreAggLeaf = q.Relations[o.preAggLeaf].Name
-		res.PreAggGroupCols = o.preAggGroupCols
+	res.Root = p.tree(p.full, leaf, in.PreAgg, res)
+	if leaf >= 0 {
+		res.PreAggLeaf = p.names[leaf]
+		res.PreAggGroupCols = p.pre.cols
 	}
-	res.JoinOrder = leafOrder(best.plan)
 	// Final aggregation cost: one update per root output tuple.
-	if len(q.Aggs) > 0 || len(q.GroupBy) > 0 {
-		res.Cost += best.card * o.cost.AggUpdate
+	if len(p.q.Aggs) > 0 || len(p.q.GroupBy) > 0 {
+		res.Cost += best.card * p.cm.AggUpdate
 	}
-	return res, nil
+	return res
 }
 
-func leafOrder(p algebra.Plan) []string {
-	switch v := p.(type) {
-	case *algebra.ScanPlan:
-		return []string{v.Rel.Name}
-	case *algebra.JoinPlan:
-		return append(leafOrder(v.Left), leafOrder(v.Right)...)
-	case *algebra.GroupPlan:
-		return leafOrder(v.Input)
-	case *algebra.ProjectPlan:
-		return leafOrder(v.Input)
-	default:
-		return nil
-	}
-}
-
-// planPreAgg decides whether a leaf receives a pre-aggregation operator
-// and with which partial group key (§6). The eligible leaf is the one
-// providing every aggregate argument column; its partial group key is the
-// leaf's group-by columns plus every join column the query uses from it
-// (partial groups "including any join attributes, even if these are not
-// part of the final groups", §2.2).
-func (o *optimizer) planPreAgg() {
-	q := o.in.Query
-	if o.in.PreAgg == PreAggNone || len(q.Aggs) == 0 || len(q.Relations) < 2 {
+// planPreAgg finds the leaf that can receive a pre-aggregation operator
+// and its partial group key (§6). The eligible leaf is the one providing
+// every aggregate argument column; its partial group key is the leaf's
+// group-by columns plus every join column the query uses from it (partial
+// groups "including any join attributes, even if these are not part of the
+// final groups", §2.2). Whether a call inserts it is preAggFor's decision.
+func (p *Planner) planPreAgg() {
+	p.pre.leaf = -1
+	q := p.q
+	if len(q.Aggs) == 0 || len(q.Relations) < 2 {
 		return
 	}
 	// Collect the argument columns of all aggregates.
@@ -156,17 +318,10 @@ func (o *optimizer) planPreAgg() {
 	rel := q.Relations[leaf]
 	// Partial group key: query group-by columns belonging to this leaf +
 	// all of its join columns.
-	seen := map[string]bool{}
 	var cols []string
 	add := func(c string) {
-		idx := rel.Schema.IndexOf(c)
-		if idx < 0 {
-			return
-		}
-		qn := rel.Schema.Cols[idx].Name
-		if !seen[qn] {
-			seen[qn] = true
-			cols = append(cols, qn)
+		if idx := rel.Schema.IndexOf(c); idx >= 0 && !slices.Contains(cols, rel.Schema.Cols[idx].Name) {
+			cols = append(cols, rel.Schema.Cols[idx].Name)
 		}
 	}
 	for _, g := range q.GroupBy {
@@ -183,27 +338,35 @@ func (o *optimizer) planPreAgg() {
 	if len(cols) == 0 {
 		return
 	}
-	// Estimated reduction: distinct(group key) / card(leaf).
-	card := math.Max(o.est.baseCard[rel.Name], 1)
-	distinct := 1.0
 	for _, c := range cols {
-		short := c
-		if i := rel.Schema.IndexOf(c); i >= 0 {
-			short = rel.Schema.Cols[i].Name
-		}
-		// distinctOf wants the bare column name as declared in join preds.
-		if dot := lastDot(short); dot >= 0 {
-			short = short[dot+1:]
-		}
-		distinct *= o.est.distinctOf(rel.Name, short)
+		// distinct reasons over the bare column name, as join preds
+		// declare it.
+		p.pre.others = append(p.pre.others, p.othersOf(rel.Name, c[strings.LastIndexByte(c, '.')+1:]))
+	}
+	p.pre.leaf, p.pre.cols = leaf, cols
+	p.pre.node[PreAggTraditional] = algebra.NewPreAgg(p.scans[leaf], cols, q.Aggs, false)
+	p.pre.node[PreAggWindowed] = algebra.NewPreAgg(p.scans[leaf], cols, q.Aggs, true)
+}
+
+// preAggFor decides one call's pre-aggregation under mode: the leaf (-1:
+// none) and the reduction it is estimated to achieve, distinct(group key)
+// / card(leaf).
+func (p *Planner) preAggFor(mode PreAggMode) (leaf int, factor float64) {
+	if mode == PreAggNone || p.pre.leaf < 0 {
+		return -1, 0
+	}
+	card := math.Max(p.base[p.pre.leaf], 1)
+	distinct := 1.0
+	for _, others := range p.pre.others {
+		distinct *= p.distinct(p.pre.leaf, others)
 	}
 	distinct = math.Min(distinct, card)
-	factor := distinct / card
-	switch o.in.PreAgg {
+	factor = distinct / card
+	switch mode {
 	case PreAggTraditional:
 		// Conservative: apply only when clearly beneficial.
 		if factor > 0.8 {
-			return
+			return -1, 0
 		}
 	case PreAggWindowed:
 		// Always inserted; the operator self-regulates at runtime. For
@@ -213,184 +376,87 @@ func (o *optimizer) planPreAgg() {
 			factor = 1
 		}
 	}
-	o.preAggLeaf = leaf
-	o.preAggFactor = factor
-	o.preAggGroupCols = cols
+	return p.pre.leaf, factor
 }
 
-func lastDot(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '.' {
-			return i
-		}
-	}
-	return -1
-}
-
-// best returns the memoized best plan for subset mask (top-down recursion
-// with memoization, "equivalent to dynamic programming but more flexible
-// for sharing subexpressions between optimizer re-invocations", §4.3).
-func (o *optimizer) best(mask uint) *memoEntry {
-	if e, ok := o.memo[mask]; ok {
-		return e
-	}
-	q := o.in.Query
-	// Singleton: scan leaf (plus pre-aggregation if planned here).
-	if mask&(mask-1) == 0 {
-		idx := trailingZeros(mask)
-		rel := q.Relations[idx]
-		var plan algebra.Plan = algebra.NewScan(rel)
-		card := o.est.baseCard[rel.Name]
-		cost := math.Max(o.est.rawCard[rel.Name], 1) * o.cost.Move // read+filter
-		if idx == o.preAggLeaf {
-			plan = algebra.NewPreAgg(plan, o.preAggGroupCols, q.Aggs, o.in.PreAgg == PreAggWindowed)
-			cost += card * o.cost.AggUpdate
-			card *= o.preAggFactor
-		}
-		e := &memoEntry{plan: plan, card: math.Max(card, 0), cost: cost}
-		o.memo[mask] = e
-		return e
-	}
-	// Enumerate partitions into two non-empty connected halves joined by
-	// at least one predicate (bushy enumeration over connected
-	// subgraph/complement pairs, §4.3). Disconnected halves are skipped,
-	// so plans never contain cross products — System-R discipline, which
-	// also keeps mid-query re-planning from "discovering" free cross
-	// products over nearly exhausted sources. Only the winning split is
-	// remembered; its join node — a concatenated schema — is built once.
-	var (
-		best      *memoEntry
-		left      *memoEntry // the winning split, larger input first
-		right     *memoEntry
-		bestPreds []algebra.JoinPred
-	)
-	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-		other := mask &^ sub
-		if sub > other {
-			continue // each split once
-		}
-		if !o.connectedTo(sub, other) {
+// fill re-costs every subset over the loaded statistics — the memo of
+// top-down enumeration ("equivalent to dynamic programming but more
+// flexible for sharing subexpressions between optimizer re-invocations",
+// §4.3), filled halves first. A leaf is a scan (plus pre-aggregation when
+// planned there); a whole takes its cheapest split, the earlier one on a
+// tie.
+//
+//adp:hotpath gated by BenchmarkReoptimize (scripts/check_allocs.sh)
+func (p *Planner) fill(leaf int, factor float64) {
+	cm := p.cm
+	for i := range p.sets[:p.full+1] {
+		s := &p.sets[i]
+		s.win = -1
+		if s.lo == s.hi {
+			r := bits.TrailingZeros(s.mask)
+			card := p.base[r]
+			cost := math.Max(p.raw[r], 1) * cm.Move // read+filter
+			if r == leaf {
+				cost += card * cm.AggUpdate
+				card *= factor
+			}
+			s.card, s.cost = math.Max(card, 0), cost
 			continue
 		}
-		if !o.subsetConnected(sub) || !o.subsetConnected(other) {
-			continue
-		}
-		l, r := o.best(sub), o.best(other)
-		preds := o.predsBetween(sub, other)
-		card := o.est.cardOf(mask, l.card, r.card, preds)
-		jc := o.joinCost(l.card, r.card, card)
-		total := l.cost + r.cost + jc
-		if credit, ok := o.in.Credit[o.est.setKey(mask)]; ok {
-			total = math.Max(total-credit, l.cost+r.cost)
-		}
-		if best == nil || total < best.cost {
-			if best == nil {
-				best = &memoEntry{}
+		for k := s.lo; k < s.hi; k++ {
+			sp := &p.splits[k]
+			l, r := &p.sets[sp.sub], &p.sets[sp.other]
+			card := p.cardOf(s, l.card, r.card, p.between[sp.lo:sp.hi])
+			total := l.cost + r.cost + p.joinCost(l.card, r.card, card)
+			if s.credited {
+				total = math.Max(total-s.credit, l.cost+r.cost)
 			}
-			best.card, best.cost = card, total
-			// Smaller (build) side to the right by convention.
-			left, right, bestPreds = l, r, preds
-			if right.card > left.card {
-				left, right = right, left
+			if s.win < 0 || total < s.cost {
+				s.card, s.cost, s.win = card, total, k
 			}
 		}
 	}
-	if best != nil {
-		jp := algebra.NewJoin(left.plan, right.plan, bestPreds)
-		jp.EstLeftCard, jp.EstRightCard = left.card, right.card
-		best.plan = jp
-	} else {
-		// Only reachable when the query's join graph is disconnected,
-		// which Validate rejects; fall back to an arbitrary cross pair so
-		// the optimizer still terminates if reached via EstimateSetCard.
-		sub := mask & (^mask + 1) // lowest set bit
-		other := mask &^ sub
-		l, r := o.best(sub), o.best(other)
-		card := l.card * r.card
-		jp := algebra.NewJoin(l.plan, r.plan, nil)
-		jp.EstLeftCard, jp.EstRightCard = l.card, r.card
-		best = &memoEntry{plan: jp, card: card, cost: l.cost + r.cost + o.joinCost(l.card, r.card, card)}
-	}
-	o.memo[mask] = best
-	return best
-}
-
-// subsetConnected reports whether the relations in mask form a connected
-// subgraph of the query's join graph.
-func (o *optimizer) subsetConnected(mask uint) bool {
-	if mask == 0 {
-		return false
-	}
-	start := mask & (^mask + 1)
-	seen := start
-	frontier := start
-	for frontier != 0 {
-		var next uint
-		for i := range o.adj {
-			if frontier&(1<<uint(i)) != 0 {
-				next |= o.adj[i] & mask &^ seen
-			}
-		}
-		seen |= next
-		frontier = next
-	}
-	return seen == mask
-}
-
-func trailingZeros(m uint) int {
-	n := 0
-	for m&1 == 0 {
-		m >>= 1
-		n++
-	}
-	return n
-}
-
-func (o *optimizer) connectedTo(a, b uint) bool {
-	for i := range o.adj {
-		if a&(1<<uint(i)) != 0 && o.adj[i]&b != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func (o *optimizer) predsBetween(a, b uint) []algebra.JoinPred {
-	sa, sb := map[string]bool{}, map[string]bool{}
-	for i, n := range o.est.names {
-		if a&(1<<uint(i)) != 0 {
-			sa[n] = true
-		}
-		if b&(1<<uint(i)) != 0 {
-			sb[n] = true
-		}
-	}
-	return o.in.Query.JoinsBetween(sa, sb)
 }
 
 // joinCost models a pipelined hash join: both inputs inserted, both
 // probed, outputs constructed.
-func (o *optimizer) joinCost(cl, cr, out float64) float64 {
-	return (cl+cr)*(o.cost.HashInsert+o.cost.HashProbe) + out*o.cost.Move
+func (p *Planner) joinCost(cl, cr, out float64) float64 {
+	return (cl+cr)*(p.cm.HashInsert+p.cm.HashProbe) + out*p.cm.Move
 }
 
-// EstimateSetCard exposes subset cardinality estimation to the corrective
-// monitor: it estimates |⋈ rels| under the same model the optimizer uses.
-func EstimateSetCard(in Inputs, rels []string) float64 {
-	o := &optimizer{in: in, est: newEstimator(in), cost: in.Cost, memo: map[uint]*memoEntry{}, preAggLeaf: -1}
-	if o.cost == nil {
-		o.cost = exec.DefaultCosts()
+// tree builds subset i's cheapest plan, appending its relations to
+// res.JoinOrder left to right. Its join nodes are fresh — a running plan's
+// EstLeftCard/EstRightCard never change under it — copies sharing the
+// cached schemas, relation lists and predicates.
+func (p *Planner) tree(i int32, leaf int, mode PreAggMode, res *Result) algebra.Plan {
+	s := &p.sets[i]
+	if s.win < 0 {
+		r := bits.TrailingZeros(s.mask)
+		res.JoinOrder = append(res.JoinOrder, p.names[r])
+		if r != leaf {
+			return p.scans[r]
+		}
+		return p.pre.node[mode]
 	}
-	q := in.Query
-	o.adj = make([]uint, len(q.Relations))
-	for _, j := range q.Joins {
-		li, ri := o.est.nameIdx[j.LeftRel], o.est.nameIdx[j.RightRel]
-		o.adj[li] |= 1 << uint(ri)
-		o.adj[ri] |= 1 << uint(li)
+	sp := &p.splits[s.win]
+	l, r := sp.sub, sp.other
+	if p.sets[r].card > p.sets[l].card {
+		l, r = r, l // smaller (build) side to the right by convention
 	}
-	var mask uint
-	for _, r := range rels {
-		mask |= 1 << uint(o.est.nameIdx[r])
+	left, right := p.tree(l, leaf, mode, res), p.tree(r, leaf, mode, res)
+	key := joinKey{s.win, left.Schema(), right.Schema()}
+	proto, ok := p.joins[key]
+	if !ok {
+		preds := make([]algebra.JoinPred, 0, sp.hi-sp.lo)
+		for _, k := range p.between[sp.lo:sp.hi] {
+			preds = append(preds, p.preds[k].pred)
+		}
+		proto = algebra.NewJoin(left, right, preds)
+		p.joins[key] = proto
 	}
-	return o.best(mask).card
+	j := new(algebra.JoinPlan)
+	*j = *proto
+	j.Left, j.Right = left, right
+	j.EstLeftCard, j.EstRightCard = p.sets[l].card, p.sets[r].card
+	return j
 }

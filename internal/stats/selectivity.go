@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // OpCounters is the per-operator counter block every Tukwila query operator
 // maintains (§3.3): "Every query operator maintains a counter indicating
@@ -124,35 +121,4 @@ func (r *Registry) Multiplicative(pred string) (float64, bool) {
 	defer r.mu.RUnlock()
 	f, ok := r.multiplicative[pred]
 	return f, ok
-}
-
-// Keys returns all observed subexpression keys in sorted order
-// (deterministic iteration for the optimizer and for tests).
-func (r *Registry) Keys() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.sel))
-	for k := range r.sel {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Snapshot copies the registry; the background re-optimizer works from a
-// stable snapshot while execution keeps updating the live registry.
-func (r *Registry) Snapshot() *Registry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s := NewRegistry()
-	for k, v := range r.sel {
-		s.sel[k] = v
-	}
-	for k, v := range r.sourceCard {
-		s.sourceCard[k] = v
-	}
-	for k, v := range r.multiplicative {
-		s.multiplicative[k] = v
-	}
-	return s
 }

@@ -70,6 +70,11 @@ check 'BenchmarkStandingSetup/replayed-p4'   32300  # four partitions: a tree wa
 check 'BenchmarkStandingSetup/adopted'     6480000 B/op  # 5.18 MB
 check 'BenchmarkStandingSetup/switched'   18400000 B/op  # 14.73 MB; 38.5 MB through one relation-sized batch
 check 'BenchmarkStandingSetup/replayed-p4' 30100000 B/op # 24.10 MB; 45.8 MB through one relation-sized batch
+# PR 25: one corrective poll's optimizer work on Q5 (CostPlan + Optimize on the query's
+# planner) under "plain", "obs" and "both": 7 allocs and 880 B measured on each. The parent,
+# which re-planned from scratch, took 670 / 691 / 689 allocs and 66.1 / 67.1 / 67.1 KB.
+check 'BenchmarkReoptimize'                      9  # a Result, its JoinOrder, one node per join
+check 'BenchmarkReoptimize'                   1100 B/op
 
 if [ "$fail" -ne 0 ]; then
   echo "check-allocs: allocation budgets regressed" >&2
