@@ -37,7 +37,7 @@ test:
 	$(GO) test ./...
 
 # Fast perf smoke: hash-probe and hash-build, join push (row batches, plus the
-# columnar kernel the benchmark's probes still time), vectorized key hashing,
+# columnar shim the benchmark's probes time), vectorized key hashing,
 # ordered merge-join, aggregate absorb and partition-table fold,
 # exchange-partitioning, one whole stitch-up, one standing query per
 # maintenance set-up, one corrective poll's re-optimization, and streaming

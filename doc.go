@@ -158,14 +158,14 @@
 // (the paper's shareable state structures, §3.1, §3.4): a columnar frame
 // between two joins is transposed in at one and back out at the next, and
 // both end-to-end measurements of such wiring came out behind row batches
-// (docs/architecture.md has the numbers). The columnar layout —
-// types.ColBatch, per-column value arrays, with types.HashKeys folding a
-// batch's key columns into one reused hash vector that state.HashTable
-// (InsertHashedBatch, ProbeHashedBatch) and AggTable group routing spend —
-// is what signed traffic runs on: a standing query's deltas are ColBatches
-// with a sign (DeltaSink.PushDelta), see "Standing queries". It also backs
-// the partition merge's buffers, and a few unsigned columnar kernels that
-// only the benchmark's probes still call.
+// (docs/architecture.md has the numbers). Signed traffic is row batches
+// too, the sign travelling beside them (DeltaSink.PushSigned): a standing
+// query's deltas enter the tree as the source rows they are, see "Standing
+// queries". The columnar layout — types.ColBatch, per-column value arrays,
+// with types.HashKeys folding a batch's key columns into one reused hash
+// vector — backs the partition merge's buffers and Exchange's columnar
+// entry; a few columnar shims that the benchmark's probes call transpose
+// their batch once and run the row entries.
 //
 // # Standing queries
 //

@@ -60,12 +60,12 @@ type JoinPlan struct {
 // JoinAlgorithm selects the physical join operator.
 type JoinAlgorithm string
 
-// Physical join algorithms supported by the execution layer.
+// Physical join algorithms; plan lowering rejects the complementary pair
+// (core.ComplementaryJoin builds it by hand).
 const (
 	JoinPipelinedHash JoinAlgorithm = "pipelined-hash"
 	JoinHybridHash    JoinAlgorithm = "hybrid-hash"
 	JoinNestedLoops   JoinAlgorithm = "nested-loops"
-	JoinMerge         JoinAlgorithm = "merge"
 	JoinComplementary JoinAlgorithm = "complementary" // merge+hash pair (§5)
 )
 

@@ -14,8 +14,8 @@ import (
 // without sorting, because map order would leak into row order, event
 // order, or fingerprint bytes.
 var emitSeedNames = map[string]bool{
-	// Sink protocol (exec.Sink / ColBatchSink).
-	"PushBatch": true, "PushColBatch": true,
+	// Sink protocol (exec.Sink / DeltaSink / ColBatchSink).
+	"PushBatch": true, "PushSigned": true, "PushColBatch": true,
 	// Event and row emission in core/engine.
 	"emit": true, "Emit": true, "EmitFinal": true, "flushRows": true,
 	// Key codec and fingerprint paths.

@@ -8,8 +8,8 @@ import (
 
 // SinkCompleteAnalyzer checks that every sink entry tolerates empty input:
 // the drivers flush zero-length runs at phase and fault boundaries, so a
-// PushBatch or PushColBatch body that indexes its batch with a constant
-// before a length guard is a latent panic. That a sink has its entries at
+// PushBatch, PushSigned or PushColBatch body that indexes its batch with a
+// constant before a length guard is a latent panic. That a sink has its entries at
 // all needs no analyzer: exec.Sink is PushBatch, so the compiler checks it.
 var SinkCompleteAnalyzer = &Analyzer{
 	Name: "sinkcomplete",
@@ -24,7 +24,7 @@ func runSinkComplete(pass *Pass) error {
 			if !ok || fn.Body == nil || fn.Recv == nil {
 				continue
 			}
-			if fn.Name.Name == "PushBatch" || fn.Name.Name == "PushColBatch" {
+			if n := fn.Name.Name; n == "PushBatch" || n == "PushSigned" || n == "PushColBatch" {
 				checkEmptyTolerant(pass, fn)
 			}
 		}
@@ -33,8 +33,8 @@ func runSinkComplete(pass *Pass) error {
 }
 
 // checkEmptyTolerant flags constant-index access to the batch parameter
-// that no length guard precedes: Push*Batch entries run on empty input
-// at phase/fault boundaries.
+// that no length guard precedes: Push* entries run on empty input at
+// phase/fault boundaries.
 func checkEmptyTolerant(pass *Pass, fn *ast.FuncDecl) {
 	params := fn.Type.Params
 	if params == nil || len(params.List) == 0 || len(params.List[0].Names) == 0 {
@@ -81,6 +81,6 @@ func checkEmptyTolerant(pass *Pass, fn *ast.FuncDecl) {
 		return true
 	})
 	if firstIndexExpr != nil && (firstGuard == token.NoPos || firstGuard > firstIndex) {
-		pass.Reportf(firstIndex, "%s indexes its batch parameter before any length guard; Push*Batch entries must tolerate empty input (drivers flush zero-length runs)", fn.Name.Name)
+		pass.Reportf(firstIndex, "%s indexes its batch parameter before any length guard; Push* entries must tolerate empty input (drivers flush zero-length runs)", fn.Name.Name)
 	}
 }

@@ -32,6 +32,21 @@ func helper(s *sink, m map[string]int) {
 
 func emitVia(s *sink, v int) { s.PushBatch(v) }
 
+type deltaSink struct{ rows, signs []int }
+
+func (d *deltaSink) PushSigned(vs []int, sign int) {
+	d.rows = append(d.rows, vs...)
+	d.signs = append(d.signs, sign)
+}
+
+// revise emits signed rows in map order: the signed entry is an emit path
+// too.
+func revise(d *deltaSink, m map[string]int) {
+	for _, v := range m { // want `map iteration in revise, which reaches an emit/fingerprint path`
+		d.PushSigned([]int{v}, -1)
+	}
+}
+
 // emitSorted is the blessed fix: collect the keys, sort, then range the
 // slice. The key-collection loop itself is recognized as safe.
 func emitSorted(s *sink, m map[string]int) {

@@ -1,5 +1,5 @@
 // Corpus for the sinkcomplete analyzer: empty-batch tolerance of the sink
-// entries (PushBatch, PushColBatch).
+// entries (PushBatch, PushSigned, PushColBatch).
 package sinkcomplete
 
 type Tuple []int
@@ -23,6 +23,14 @@ func (g *guarded) PushBatch(ts []Tuple) {
 		return
 	}
 	g.last = ts[0]
+}
+
+// signedPeek indexes its signed batch before checking emptiness.
+type signedPeek struct{ last Tuple }
+
+func (s *signedPeek) PushBatch(ts []Tuple) {}
+func (s *signedPeek) PushSigned(ts []Tuple, sign int) {
+	s.last = ts[0] // want `PushSigned indexes its batch parameter before any length guard`
 }
 
 // lateGuard checks only after it has indexed.

@@ -235,10 +235,11 @@ func (mt *maintainer) optInputs() opt.Inputs {
 // buildTree lowers plan into a fresh maintenance tree and warms it up: every
 // relation's asserted rows, then its retracted ones — a retraction that found
 // no assertion would break the prefix property the min/max bags rely on —
-// enter through one reused batch, a list chunk (at most 1024 rows) at a time.
-// With live the root is bound first and the warm-up's emissions are the
-// baseline's assertions; otherwise it is bound after, because every result
-// consequence of those rows has already been delivered as updates.
+// enter as signed batches, a list chunk (at most 1024 rows) at a time, and
+// the new tree's tables keep the very tuples the lists hold. With live the
+// root is bound first and the warm-up's emissions are the baseline's
+// assertions; otherwise it is bound after, because every result consequence
+// of those rows has already been delivered as updates.
 func (mt *maintainer) buildTree(plan algebra.Plan, live bool) error {
 	ex := mt.ex
 	sink, err := ex.rootSinkFor(plan.Schema(), mt.agg, ex.fullSchema, ex.outSchema, false, true)
@@ -254,12 +255,10 @@ func (mt *maintainer) buildTree(plan algebra.Plan, live bool) error {
 		root.out = sink
 	}
 	for _, rel := range ex.q.Relations {
-		entry, batch := tree.EntryDelta[rel.Name], types.NewColBatch(rel.Schema.Len())
+		entry := tree.EntryDelta[rel.Name]
 		push := func(l *state.List, sign int) {
 			for _, chunk := range l.Chunks() {
-				batch.Reset()
-				batch.AppendRows(chunk)
-				entry(batch, sign)
+				entry(chunk, sign)
 				ex.rep.MaintReplayed += int64(len(chunk))
 			}
 		}
@@ -325,12 +324,7 @@ func (mt *maintainer) pump() error {
 		if fp, ok := dp.(*source.Faulty); ok {
 			fp.SetNotify(ex.handleFault)
 		}
-		g := &deltaIngress{
-			mt:    mt,
-			rel:   rel.Name,
-			track: mt.track[rel.Name],
-			buf:   types.NewColBatch(rel.Schema.Len()),
-		}
+		g := &deltaIngress{mt: mt, rel: rel.Name, track: mt.track[rel.Name]}
 		// The filter binds against the base schema; a delta row is the base
 		// row plus the sign column, so base-column indexes line up and
 		// deletes of filtered-out rows drop here too — the trackers and the
@@ -455,11 +449,12 @@ func (mt *maintainer) observe() {
 // tree: it splits the wire sign off each row, clamps deletes against
 // the live base multiset, and forwards survivors as sign-run batches into
 // the maintenance tree of the moment, whose leaf join is their only record.
+// A survivor is the source row less its sign column, not a copy.
 type deltaIngress struct {
 	mt    *maintainer
 	rel   string
 	track *ivm.BaseTracker
-	buf   *types.ColBatch
+	buf   []types.Tuple
 	cur   int8
 }
 
@@ -484,15 +479,15 @@ func (g *deltaIngress) pushBatch(ts []types.Tuple) {
 			g.flush()
 			g.cur = s
 		}
-		g.buf.AppendRow(row)
+		g.buf = append(g.buf, row)
 	}
 	g.flush()
 }
 
 func (g *deltaIngress) flush() {
-	if g.buf.Len() == 0 {
+	if len(g.buf) == 0 {
 		return
 	}
 	g.mt.tree.EntryDelta[g.rel](g.buf, int(g.cur))
-	g.buf.Reset()
+	g.buf = g.buf[:0]
 }

@@ -160,7 +160,7 @@ type rootSink struct {
 	out  *rootRows
 	cost bool // charge Move per row (phase output does; stitch-up already charged)
 
-	colScratch types.ColBatch // the columnar entries' adapter output (aliases input)
+	colScratch types.ColBatch // PushColBatch's adapter output (aliases its input)
 }
 
 // CopiesInput implements exec.InputCopier: the root join feeding this sink
@@ -183,15 +183,14 @@ func (s *rootSink) PushBatch(ts []types.Tuple) {
 	}
 }
 
-// PushDelta implements exec.DeltaSink: a standing SPJ query's signed root
+// PushSigned implements exec.DeltaSink: a standing SPJ query's signed root
 // rows, out of its maintenance tree, are updates of the next window.
-func (s *rootSink) PushDelta(b *types.ColBatch, sign int) {
-	s.ad.AdaptCols(&s.colScratch, b)
-	for i, n := 0, b.Len(); i < n; i++ {
+func (s *rootSink) PushSigned(ts []types.Tuple, sign int) {
+	for _, t := range ts {
 		if s.cost {
 			s.ctx.Clock.Charge(s.ctx.Cost.Move)
 		}
-		s.out.updates = append(s.out.updates, ivm.Update{Row: s.colScratch.Row(i), Sign: sign})
+		s.out.updates = append(s.out.updates, ivm.Update{Row: s.ad.Adapt(t), Sign: sign})
 	}
 }
 

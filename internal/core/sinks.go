@@ -16,7 +16,6 @@ type aggSink struct {
 	ad      *types.Adapter
 	partial bool
 	scratch types.Tuple
-	cols    types.ColBatch // PushDelta's adapter output (aliases its input)
 }
 
 // CopiesInput implements exec.InputCopier.
@@ -34,11 +33,13 @@ func (s *aggSink) PushBatch(ts []types.Tuple) {
 	}
 }
 
-// PushDelta implements exec.DeltaSink: a standing query's signed root rows,
-// out of its maintenance tree, are adapted as columns and absorbed as signed.
-func (s *aggSink) PushDelta(b *types.ColBatch, sign int) {
-	s.ad.AdaptCols(&s.cols, b)
-	s.agg.PushDelta(&s.cols, sign)
+// PushSigned implements exec.DeltaSink: a standing query's signed root rows,
+// out of its maintenance tree, are adapted and absorbed as signed.
+func (s *aggSink) PushSigned(ts []types.Tuple, sign int) {
+	for _, t := range ts {
+		s.scratch = s.ad.AdaptInto(s.scratch, t)
+		s.agg.AbsorbSigned(s.scratch, sign)
+	}
 }
 
 // forwardSink forwards batches to a late-bound downstream sink: the
@@ -57,11 +58,11 @@ func (f *forwardSink) CopiesInput() {}
 // PushBatch implements exec.Sink.
 func (f *forwardSink) PushBatch(ts []types.Tuple) { f.out.PushBatch(ts) }
 
-// PushDelta implements exec.DeltaSink. While nothing is bound the batch is
+// PushSigned implements exec.DeltaSink. While nothing is bound the batch is
 // dropped: the warm-up only reconstructs join state.
-func (f *forwardSink) PushDelta(b *types.ColBatch, sign int) {
+func (f *forwardSink) PushSigned(ts []types.Tuple, sign int) {
 	if f.out != nil {
-		f.out.PushDelta(b, sign)
+		f.out.PushSigned(ts, sign)
 	}
 }
 

@@ -43,9 +43,9 @@ type Tree struct {
 	// into the plan). The batch slice must not be retained by the plan.
 	EntryBatch map[string]func([]types.Tuple)
 	// EntryDelta maps base relation name -> signed push function (set
-	// when the entry operator accepts delta batches; the maintenance
+	// when the entry operator accepts signed batches; the maintenance
 	// driver feeds warm-up scans and live deltas through it).
-	EntryDelta map[string]func(*types.ColBatch, int)
+	EntryDelta map[string]func([]types.Tuple, int)
 	// Joins lists join nodes bottom-up.
 	Joins []*TreeJoin
 	// leaves maps a base relation whose scan feeds a join side directly to
@@ -128,7 +128,7 @@ func newTree(ctx *exec.Context, plan algebra.Plan, reuse bool) *Tree {
 	return &Tree{
 		ctx:        ctx,
 		EntryBatch: map[string]func([]types.Tuple){},
-		EntryDelta: map[string]func(*types.ColBatch, int){},
+		EntryDelta: map[string]func([]types.Tuple, int){},
 		leaves:     map[string]leafLister{},
 		reuse:      reuse,
 		nrels:      len(plan.Rels()),
@@ -140,7 +140,6 @@ func newTree(ctx *exec.Context, plan algebra.Plan, reuse bool) *Tree {
 type teeSink struct {
 	join *TreeJoin
 	out  exec.Sink
-	dfw  exec.DeltaForward
 }
 
 // PushBatch implements exec.Sink.
@@ -149,10 +148,13 @@ func (s *teeSink) PushBatch(ts []types.Tuple) {
 	s.out.PushBatch(ts)
 }
 
-// PushDelta implements exec.DeltaSink. Signed batches pass through untee'd:
+// PushSigned implements exec.DeltaSink. Signed batches pass through untee'd:
 // they reach a phase's tree once a maintenance stage has adopted it, and no
-// stitch-up follows a finished initial run.
-func (s *teeSink) PushDelta(b *types.ColBatch, sign int) { s.dfw.Forward(s.out, b, sign) }
+// stitch-up follows a finished initial run. Above a join of a tree that can
+// be adopted (serial, no pre-aggregate) every sink takes signed batches.
+func (s *teeSink) PushSigned(ts []types.Tuple, sign int) {
+	s.out.(exec.DeltaSink).PushSigned(ts, sign)
+}
 
 func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 	switch v := p.(type) {
@@ -163,7 +165,7 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		}
 		t.EntryBatch[name] = out.PushBatch
 		if ds, ok := out.(exec.DeltaSink); ok {
-			t.EntryDelta[name] = ds.PushDelta
+			t.EntryDelta[name] = ds.PushSigned
 		}
 		if side, ok := out.(leafLister); ok && t.par == nil {
 			t.leaves[name] = side
@@ -177,10 +179,13 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		}
 		style := exec.Pipelined
 		switch v.Algorithm {
+		case "", algebra.JoinPipelinedHash:
 		case algebra.JoinHybridHash:
 			style = exec.BuildThenProbe
 		case algebra.JoinNestedLoops:
 			style = exec.NestedLoops
+		default:
+			return fmt.Errorf("core: cannot lower join algorithm %q", v.Algorithm)
 		}
 		tj := &TreeJoin{Key: v.Key(), Rels: v.Rels(), Preds: v.Preds}
 		if t.reuse && len(v.Rels()) < t.nrels {

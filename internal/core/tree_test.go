@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
@@ -144,6 +145,29 @@ func TestLowerRejectsFinalGroupInsideTree(t *testing.T) {
 	ctx := exec.NewContext()
 	if _, err := Lower(ctx, final, exec.Discard); err == nil {
 		t.Error("final aggregation inside a phase tree must be rejected")
+	}
+
+	// A join algorithm lowering cannot run is rejected by name, not run as
+	// a pipelined hash join under a plan string naming another join.
+	join := func(alg algebra.JoinAlgorithm) algebra.Plan {
+		j := algebra.NewJoin(algebra.NewScan(q.Relations[0]), algebra.NewScan(q.Relations[1]), q.Joins)
+		j.Algorithm = alg
+		return j
+	}
+	for _, alg := range []algebra.JoinAlgorithm{algebra.JoinComplementary, "merge", "sort-merge"} {
+		_, err := Lower(ctx, join(alg), exec.Discard)
+		if err == nil || !strings.Contains(err.Error(), string(alg)) {
+			t.Errorf("join algorithm %q: err = %v, want a rejection naming it", alg, err)
+		}
+	}
+	for _, alg := range []algebra.JoinAlgorithm{"", algebra.JoinPipelinedHash} {
+		tree, err := Lower(ctx, join(alg), exec.Discard)
+		if err != nil {
+			t.Fatalf("join algorithm %q: %v", alg, err)
+		}
+		if style := tree.Joins[0].Node.Style; style != exec.Pipelined {
+			t.Errorf("join algorithm %q lowered as %v, want pipelined-hash", alg, style)
+		}
 	}
 }
 

@@ -153,28 +153,23 @@ type AggTable struct {
 	// groups chains aggregate groups under their key hash; group identity
 	// is the hash plus strict value equality (types.StrictEqual), which
 	// matches the byte codec's grouping semantics exactly — Int(1),
-	// Float(1), and Str("1") stay distinct — while letting the columnar
-	// path route a whole batch off one types.HashKeys vector.
+	// Float(1), and Str("1") stay distinct.
 	groups  map[uint64][]*aggGroup
 	nGroups int
 	// valScratch is allocation-free grouping scratch: group values are
 	// extracted into it and only copied to owned storage when a new group
-	// is created. hashVec and rowView back the columnar absorb path.
+	// is created. colIn materializes the columnar entries (colbatch.go).
 	valScratch []types.Value
-	hashVec    []uint64
-	rowView    types.Tuple
-	// hasArgs records whether any aggregate has an argument evaluator
-	// (COUNT-only tables skip row materialization on the columnar path).
-	hasArgs bool
+	colIn      colDelivery
 
 	// Maintenance (signed) mode: dirty lists the groups touched since
 	// the last EmitRevisions, bagScratch is the reused min/max bag key
-	// buffer, revBuf the reused revision delivery batch. See aggdelta.go.
+	// buffer, revRows the reused revision delivery batch. See aggdelta.go.
 	maint      bool
 	hasMinMax  bool
 	dirty      []*aggGroup
 	bagScratch []byte
-	revBuf     *types.ColBatch
+	revRows    []types.Tuple
 
 	counters stats.OpCounters
 }
@@ -207,7 +202,6 @@ func NewAggTable(ctx *Context, in *types.Schema, groupBy []string, aggs []algebr
 			return nil, fmt.Errorf("exec: aggregate %s: %w", spec, err)
 		}
 		a.argEvals = append(a.argEvals, ev)
-		a.hasArgs = true
 	}
 	return a, nil
 }
@@ -224,17 +218,11 @@ func (a *AggTable) Counters() *stats.OpCounters { return &a.counters }
 // Groups returns the current number of groups.
 func (a *AggTable) Groups() int { return a.nGroups }
 
-// groupFor finds or creates the group for the given key values (the
-// scalar path: the hash is computed here, one value at a time).
+// groupFor finds or creates the group for the given key values. vals may
+// be scratch storage: it is copied to owned storage only when the group is
+// new. Lookup is allocation-free at steady state.
 func (a *AggTable) groupFor(vals []types.Value) *aggGroup {
-	return a.groupForHashed(types.Tuple(vals).HashKey(types.Identity(len(vals))), vals)
-}
-
-// groupForHashed finds or creates the group for the given key values and
-// their precomputed hash (the columnar path hands in one HashKeys lane
-// per row). vals may be scratch storage: it is copied to owned storage
-// only when the group is new. Lookup is allocation-free at steady state.
-func (a *AggTable) groupForHashed(hash uint64, vals []types.Value) *aggGroup {
+	hash := types.Tuple(vals).HashKey(types.Identity(len(vals)))
 	for _, g := range a.groups[hash] {
 		if strictEqualVals(g.groupVals, vals) {
 			return g
@@ -279,7 +267,7 @@ func (a *AggTable) AbsorbRaw(t types.Tuple) {
 	if a.maint {
 		// Maintenance groups carry weights and value bags that plain
 		// accumulation would not update; an unsigned absorb is an insert.
-		a.absorbSigned(t, 1)
+		a.AbsorbSigned(t, 1)
 		return
 	}
 	a.counters.In++

@@ -113,59 +113,37 @@ func (a *AggTable) EnableMaintenance() {
 // Maintained reports whether the table is in signed maintenance mode.
 func (a *AggTable) Maintained() bool { return a.maint }
 
-// PushDelta implements DeltaSink: a signed columnar batch is absorbed
-// with the same one-HashKeys-vector group routing as PushColBatch.
+// PushSigned implements DeltaSink: every row is absorbed with the batch's
+// sign.
 //
 //adp:hotpath gated by BenchmarkDeltaPropagation (scripts/check_allocs.sh)
-func (a *AggTable) PushDelta(b *types.ColBatch, sign int) {
-	n := b.Len()
-	if n == 0 {
-		return
+func (a *AggTable) PushSigned(ts []types.Tuple, sign int) {
+	if len(ts) > 0 && !a.maint {
+		panic("exec: PushSigned on an AggTable without maintenance enabled")
 	}
-	if !a.maint {
-		panic("exec: PushDelta on an AggTable without maintenance enabled")
-	}
-	a.hashVec = types.HashKeys(a.hashVec, b, a.groupIdx)
-	w := b.Width()
-	if cap(a.rowView) < w {
-		a.rowView = make(types.Tuple, w)
-	}
-	row := a.rowView[:w]
-	s := int64(sign)
-	for i := 0; i < n; i++ {
-		vals := a.groupScratch(len(a.groupIdx))
-		for k, gi := range a.groupIdx {
-			vals[k] = b.At(i, gi)
-		}
-		if a.hasArgs {
-			b.ReadRow(row, i)
-		}
-		a.absorbSignedHashed(a.hashVec[i], vals, row, s)
+	for _, t := range ts {
+		a.AbsorbSigned(t, sign)
 	}
 }
 
-// absorbSigned is the scalar signed absorb (row-path deliveries and the
-// maintenance-mode AbsorbRaw routing).
-func (a *AggTable) absorbSigned(t types.Tuple, sign int64) {
+// AbsorbSigned folds one signed raw tuple (input layout) into its group
+// and marks the group dirty for the next revision emit. A group is only
+// removed from the table at emit time — mid-window the zero-weight group
+// must stay findable so a re-insert revives it rather than forking a
+// duplicate. The table must be in maintenance mode.
+//
+//adp:hotpath gated by BenchmarkDeltaPropagation (scripts/check_allocs.sh)
+func (a *AggTable) AbsorbSigned(t types.Tuple, sign int) {
+	a.counters.In++
+	a.ctx.Clock.Charge(a.ctx.Cost.AggUpdate)
 	vals := a.groupScratch(len(a.groupIdx))
 	for i, gi := range a.groupIdx {
 		vals[i] = t[gi]
 	}
-	a.absorbSignedHashed(types.Tuple(vals).HashKey(types.Identity(len(vals))), vals, t, sign)
-}
-
-// absorbSignedHashed folds one signed row into its group and marks the
-// group dirty for the next revision emit. A group is only removed from
-// the table at emit time — mid-window the zero-weight group must stay
-// findable so a re-insert revives it rather than forking a duplicate.
-//
-//adp:hotpath gated by BenchmarkDeltaPropagation (scripts/check_allocs.sh)
-func (a *AggTable) absorbSignedHashed(hash uint64, vals []types.Value, row types.Tuple, sign int64) {
-	a.counters.In++
-	a.ctx.Clock.Charge(a.ctx.Cost.AggUpdate)
-	g := a.groupForHashed(hash, vals)
+	g := a.groupFor(vals)
 	m := g.m
-	m.weight += sign
+	s := int64(sign)
+	m.weight += s
 	if !m.dirty {
 		m.dirty = true
 		a.dirty = append(a.dirty, g) //adp:alloc-ok amortized dirty-list growth
@@ -173,13 +151,13 @@ func (a *AggTable) absorbSignedHashed(hash uint64, vals []types.Value, row types
 	for i, spec := range a.aggs {
 		var v types.Value
 		if a.argEvals[i] != nil {
-			v = a.argEvals[i](row)
+			v = a.argEvals[i](t)
 		}
 		var bag *valueBag
 		if m.bags != nil {
 			bag = &m.bags[i]
 		}
-		a.bagScratch = accumulateSigned(spec.Kind, v, sign, &g.states[i], bag, a.bagScratch)
+		a.bagScratch = accumulateSigned(spec.Kind, v, s, &g.states[i], bag, a.bagScratch)
 	}
 }
 
@@ -274,27 +252,24 @@ func (a *AggTable) EmitRevisions(emit func(t types.Tuple, sign int)) {
 	a.dirty = a.dirty[:0]
 }
 
-// EmitRevisionsTo delivers the pending revisions as signed columnar
-// frames: consecutive same-sign revisions share one reused ColBatch, so
-// revisions leave the aggregate in the pipeline's native layout instead
-// of falling back to rows.
+// EmitRevisionsTo delivers the pending revisions as signed row batches:
+// consecutive same-sign revisions share one batch, of at most emitFlushLen
+// rows.
 func (a *AggTable) EmitRevisionsTo(out DeltaSink) {
-	if a.revBuf == nil {
-		a.revBuf = types.NewColBatch(a.outSchema.Len())
-	}
 	cur := 0
 	flush := func() {
-		if a.revBuf.Len() > 0 {
-			out.PushDelta(a.revBuf, cur)
-			a.revBuf.Reset()
+		if len(a.revRows) > 0 {
+			out.PushSigned(a.revRows, cur)
+			clear(a.revRows)
+			a.revRows = a.revRows[:0]
 		}
 	}
 	a.EmitRevisions(func(t types.Tuple, sign int) {
-		if sign != cur || a.revBuf.Len() >= emitFlushLen {
+		if sign != cur || len(a.revRows) >= emitFlushLen {
 			flush()
 			cur = sign
 		}
-		a.revBuf.AppendRow(t)
+		a.revRows = append(a.revRows, t)
 	})
 	flush()
 }

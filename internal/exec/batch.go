@@ -90,8 +90,11 @@ type BatchEmitter struct {
 	// its slabs: set when the downstream sink copies what it keeps (see
 	// InputCopier), so nothing outlives the delivery.
 	recycle bool
-	buf     []types.Tuple
-	arena   ValueArena
+	// sign, when nonzero, delivers through the sink's signed entry: a z-set
+	// join arms it for one probe sweep (delta.go).
+	sign  int
+	buf   []types.Tuple
+	arena ValueArena
 }
 
 // EmitConcat emits lt ++ rt.
@@ -112,7 +115,7 @@ func (e *BatchEmitter) Flush(out Sink) {
 // deliver hands the buffer downstream and clears it before reuse so it
 // does not pin arena-backed results downstream has already dropped.
 func (e *BatchEmitter) deliver(out Sink) {
-	out.PushBatch(e.buf)
+	deliver(out, e.buf, e.sign)
 	clear(e.buf)
 	e.buf = e.buf[:0]
 	if e.recycle {

@@ -1,18 +1,16 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/expr"
+	"github.com/tukwila/adp/internal/stats"
 	"github.com/tukwila/adp/internal/types"
 )
 
-func deltaBatch(rows ...types.Tuple) *types.ColBatch {
-	b := types.NewColBatch(len(rows[0]))
-	b.AppendRows(rows)
-	return b
-}
+func deltaBatch(rows ...types.Tuple) []types.Tuple { return rows }
 
 // updateLog collects signed deliveries from a DeltaSink target.
 type updateLog struct {
@@ -25,11 +23,9 @@ func (u *updateLog) PushBatch(ts []types.Tuple) {
 		u.add(t, 1)
 	}
 }
-func (u *updateLog) PushDelta(b *types.ColBatch, sign int) {
-	for i := 0; i < b.Len(); i++ {
-		row := make(types.Tuple, b.Width())
-		b.ReadRow(row, i)
-		u.add(row, sign)
+func (u *updateLog) PushSigned(ts []types.Tuple, sign int) {
+	for _, t := range ts {
+		u.add(t, sign)
 	}
 }
 func (u *updateLog) add(t types.Tuple, sign int) {
@@ -65,6 +61,9 @@ func maintAggFixture(t *testing.T, aggs []algebra.AggSpec) *AggTable {
 
 func row(k, v int64) types.Tuple { return types.Tuple{types.Int(k), types.Int(v)} }
 
+// signedPush pushes ts with sign through s's signed entry.
+func signedPush(s Sink, ts []types.Tuple, sign int) { s.(DeltaSink).PushSigned(ts, sign) }
+
 // collectRevisions drains pending revisions into parallel slices.
 func collectRevisions(a *AggTable) ([]types.Tuple, []int) {
 	var rows []types.Tuple
@@ -84,7 +83,7 @@ func TestAggDeltaMinMaxRetraction(t *testing.T) {
 		{Kind: algebra.AggMin, Arg: expr.Column("A.v"), As: "mn"},
 		{Kind: algebra.AggCount, As: "ct"},
 	})
-	a.PushDelta(deltaBatch(row(1, 3), row(1, 0), row(1, 1)), 1)
+	a.PushSigned(deltaBatch(row(1, 3), row(1, 0), row(1, 1)), 1)
 	rows, signs := collectRevisions(a)
 	if len(rows) != 1 || signs[0] != 1 {
 		t.Fatalf("baseline revisions = %v %v", rows, signs)
@@ -93,7 +92,7 @@ func TestAggDeltaMinMaxRetraction(t *testing.T) {
 		t.Fatalf("baseline row = %v, want max 3 min 0 count 3", rows[0])
 	}
 
-	a.PushDelta(deltaBatch(row(1, 3)), -1)
+	a.PushSigned(deltaBatch(row(1, 3)), -1)
 	rows, signs = collectRevisions(a)
 	if len(rows) != 2 || signs[0] != -1 || signs[1] != 1 {
 		t.Fatalf("revision = %v %v, want retraction+assertion", rows, signs)
@@ -103,13 +102,13 @@ func TestAggDeltaMinMaxRetraction(t *testing.T) {
 	}
 
 	// Delete everything: the group retracts, never asserts an empty row.
-	a.PushDelta(deltaBatch(row(1, 0), row(1, 1)), -1)
+	a.PushSigned(deltaBatch(row(1, 0), row(1, 1)), -1)
 	rows, signs = collectRevisions(a)
 	if len(rows) != 1 || signs[0] != -1 {
 		t.Fatalf("zero-weight revision = %v %v, want single retraction", rows, signs)
 	}
 	// Revive the group: a fresh assertion, not a resurrection artifact.
-	a.PushDelta(deltaBatch(row(1, 7)), 1)
+	a.PushSigned(deltaBatch(row(1, 7)), 1)
 	rows, signs = collectRevisions(a)
 	if len(rows) != 1 || signs[0] != 1 || rows[0][1].I != 7 {
 		t.Fatalf("revival revision = %v %v", rows, signs)
@@ -122,10 +121,10 @@ func TestAggDeltaUnchangedGroupEmitsNothing(t *testing.T) {
 	a := maintAggFixture(t, []algebra.AggSpec{
 		{Kind: algebra.AggSum, Arg: expr.Column("A.v"), As: "sm"},
 	})
-	a.PushDelta(deltaBatch(row(1, 5)), 1)
+	a.PushSigned(deltaBatch(row(1, 5)), 1)
 	collectRevisions(a)
-	a.PushDelta(deltaBatch(row(1, 9)), 1)
-	a.PushDelta(deltaBatch(row(1, 9)), -1)
+	a.PushSigned(deltaBatch(row(1, 9)), 1)
+	a.PushSigned(deltaBatch(row(1, 9)), -1)
 	rows, signs := collectRevisions(a)
 	if len(rows) != 0 {
 		t.Fatalf("cancelling churn emitted %v %v", rows, signs)
@@ -133,24 +132,24 @@ func TestAggDeltaUnchangedGroupEmitsNothing(t *testing.T) {
 }
 
 // TestAggDeltaRevisionsColumnar: EmitRevisionsTo delivers the same
-// revisions as EmitRevisions, batched by sign runs.
+// revisions as EmitRevisions, as signed row batches cut at sign runs.
 func TestAggDeltaRevisionsColumnar(t *testing.T) {
 	mk := func() *AggTable {
 		a := maintAggFixture(t, []algebra.AggSpec{
 			{Kind: algebra.AggSum, Arg: expr.Column("A.v"), As: "sm"},
 			{Kind: algebra.AggCount, As: "ct"},
 		})
-		a.PushDelta(deltaBatch(row(1, 5), row(2, 6), row(3, 7)), 1)
+		a.PushSigned(deltaBatch(row(1, 5), row(2, 6), row(3, 7)), 1)
 		collectRevisions(a)
-		a.PushDelta(deltaBatch(row(1, 1), row(2, 2)), 1)
-		a.PushDelta(deltaBatch(row(3, 7)), -1)
+		a.PushSigned(deltaBatch(row(1, 1), row(2, 2)), 1)
+		a.PushSigned(deltaBatch(row(3, 7)), -1)
 		return a
 	}
 	wantRows, wantSigns := collectRevisions(mk())
 	var log updateLog
 	mk().EmitRevisionsTo(&log)
 	if len(log.rows) != len(wantRows) {
-		t.Fatalf("columnar revisions = %d, want %d", len(log.rows), len(wantRows))
+		t.Fatalf("batched revisions = %d, want %d", len(log.rows), len(wantRows))
 	}
 	for i := range wantRows {
 		if log.signs[i] != wantSigns[i] || log.rows[i].String() != wantRows[i].String() {
@@ -180,24 +179,24 @@ func TestJoinDeltaBothSidesBothSigns(t *testing.T) {
 	for _, style := range []JoinStyle{Pipelined, BuildThenProbe, NestedLoops} {
 		var log updateLog
 		j, _, _ := joinFixture(t, style, &log)
-		j.PushDeltaLeft(deltaBatch(row(1, 10), row(2, 20)), 1)
-		j.PushDeltaRight(deltaBatch(row(1, 100), row(1, 101), row(3, 300)), 1)
+		signedPush(j.LeftSink(), deltaBatch(row(1, 10), row(2, 20)), 1)
+		signedPush(j.RightSink(), deltaBatch(row(1, 100), row(1, 101), row(3, 300)), 1)
 		// Current result: (1,10)×(1,100), (1,10)×(1,101).
 		if got := len(log.net()); got != 2 {
 			t.Fatalf("style %v: net join rows = %d, want 2 (%v)", style, got, log.net())
 		}
 		// Delete one right row: one retraction.
-		j.PushDeltaRight(deltaBatch(row(1, 100)), -1)
+		signedPush(j.RightSink(), deltaBatch(row(1, 100)), -1)
 		if got := len(log.net()); got != 1 {
 			t.Fatalf("style %v: net after delete = %d, want 1 (%v)", style, got, log.net())
 		}
 		// Delete a left row whose partner is already gone plus re-insert:
 		// net must return to the same single row.
-		j.PushDeltaLeft(deltaBatch(row(1, 10)), -1)
+		signedPush(j.LeftSink(), deltaBatch(row(1, 10)), -1)
 		if got := len(log.net()); got != 0 {
 			t.Fatalf("style %v: net after left delete = %d, want 0", style, got)
 		}
-		j.PushDeltaLeft(deltaBatch(row(1, 10)), 1)
+		signedPush(j.LeftSink(), deltaBatch(row(1, 10)), 1)
 		net := log.net()
 		if len(net) != 1 {
 			t.Fatalf("style %v: net after re-insert = %v", style, net)
@@ -216,14 +215,14 @@ func TestJoinDeltaDuplicateMultiplicity(t *testing.T) {
 	var log updateLog
 	j, _, _ := joinFixture(t, Pipelined, &log)
 	dup := row(1, 10)
-	j.PushDeltaLeft(deltaBatch(dup, dup.Clone()), 1)
-	j.PushDeltaRight(deltaBatch(row(1, 100)), 1)
+	signedPush(j.LeftSink(), deltaBatch(dup, dup.Clone()), 1)
+	signedPush(j.RightSink(), deltaBatch(row(1, 100)), 1)
 	for _, cnt := range log.net() {
 		if cnt != 2 {
 			t.Fatalf("duplicate build must double the hit: %v", log.net())
 		}
 	}
-	j.PushDeltaLeft(deltaBatch(row(1, 10)), -1)
+	signedPush(j.LeftSink(), deltaBatch(row(1, 10)), -1)
 	for _, cnt := range log.net() {
 		if cnt != 1 {
 			t.Fatalf("one delete must remove one occurrence: %v", log.net())
@@ -244,13 +243,118 @@ func TestFilterProjectDeltaSignPassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := NewFilter(NewContext(), pred, &log)
-	f.PushDelta(deltaBatch(row(1, 10), row(2, 3)), 1)
-	f.PushDelta(deltaBatch(row(1, 10)), -1)
+	f.PushSigned(deltaBatch(row(1, 10), row(2, 3)), 1)
+	f.PushSigned(deltaBatch(row(1, 10)), -1)
 	net := log.net()
 	if len(net) != 0 {
 		t.Fatalf("filtered churn must cancel: %v", net)
 	}
 	if len(log.rows) != 2 {
 		t.Fatalf("filter must pass v=10 both ways and drop v=3: %d deliveries", len(log.rows))
+	}
+}
+
+// TestInsertOnlySignedMatchesPlain pins PR 10's observation that an
+// insert-only delta stream is indistinguishable from ordinary execution:
+// the same chunks pushed through each operator's signed entry with sign +1
+// and through its unsigned entry give the same output rows in the same
+// order and the same counters. Virtual clocks agree up to float summation
+// order (a z-set join charges a batch's inserts ahead of its probes) once
+// both sides of a hash join hold a row: a z-set probe of an empty table is
+// skipped, charge and all.
+func TestInsertOnlySignedMatchesPlain(t *testing.T) {
+	ls := randTuples(600, 100, 1, rRow)
+	rs := randTuples(600, 100, 2, sRow)
+	cases := []struct {
+		name string
+		// build wires the operator to out and returns its inputs (input i is
+		// fed [ls, rs][i]), its counters, and what runs after the last push.
+		build func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func())
+	}{
+		{"join/pipelined", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+			j := NewHashJoin(ctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, out)
+			j.PushRightBatch(rs[:1])
+			return []Sink{j.LeftSink(), j.RightSink()}, j.Counters(), nil
+		}},
+		{"join/build-then-probe-after-finish", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+			j := NewHashJoin(ctx, BuildThenProbe, rSchema, sSchema, []int{0}, []int{0}, out)
+			j.PushRightBatch(rs)
+			j.FinishLeft()
+			j.FinishRight()
+			return []Sink{j.LeftSink()}, j.Counters(), nil
+		}},
+		{"join/nested-loops", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+			j := NewHashJoin(ctx, NestedLoops, rSchema, sSchema, []int{0}, []int{0}, out)
+			return []Sink{j.LeftSink(), j.RightSink()}, j.Counters(), nil
+		}},
+		{"filter", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+			f := NewFilter(ctx, func(tp types.Tuple) bool { return tp[1].I%3 != 0 }, out)
+			return []Sink{f}, f.Counters(), nil
+		}},
+		{"project", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+			ad, err := types.NewAdapter(rSchema, types.NewSchema(rSchema.Cols[1], rSchema.Cols[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := NewProject(ctx, ad, out)
+			return []Sink{p}, p.Counters(), nil
+		}},
+		{"combine", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+			c := NewCombine(out)
+			return []Sink{c}, c.Counters(), nil
+		}},
+		{"agg/maintenance", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+			a, err := NewAggTable(ctx, rSchema, []string{"r.k"}, []algebra.AggSpec{
+				{Kind: algebra.AggSum, Arg: expr.Column("r.a"), As: "sm"},
+				{Kind: algebra.AggMin, Arg: expr.Column("r.a"), As: "mn"},
+				{Kind: algebra.AggCount, As: "ct"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.EnableMaintenance()
+			return []Sink{a}, a.Counters(), func() {
+				a.EmitRevisions(func(r types.Tuple, sign int) { out.PushBatch(one(r)) })
+			}
+		}},
+	}
+	run := func(t *testing.T, build func(*testing.T, *Context, Sink) ([]Sink, *stats.OpCounters, func()), signed bool) (*updateLog, stats.OpCounters, float64) {
+		ctx, log := NewContext(), &updateLog{}
+		ins, counters, drain := build(t, ctx, log)
+		data := [][]types.Tuple{ls, rs}
+		for lo := 0; lo < len(ls); lo += 64 {
+			for i, in := range ins {
+				chunk := data[i][lo:min(lo+64, len(data[i]))]
+				if signed {
+					signedPush(in, chunk, +1)
+				} else {
+					in.PushBatch(chunk)
+				}
+			}
+		}
+		if drain != nil {
+			drain()
+		}
+		return log, *counters, ctx.Clock.CPU
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			plain, plainCtr, plainCPU := run(t, c.build, false)
+			signed, signedCtr, signedCPU := run(t, c.build, true)
+			if len(plain.rows) == 0 || len(signed.rows) != len(plain.rows) {
+				t.Fatalf("%d signed rows, %d plain", len(signed.rows), len(plain.rows))
+			}
+			for i := range plain.rows {
+				if signed.signs[i] != 1 || signed.rows[i].String() != plain.rows[i].String() {
+					t.Fatalf("row %d: signed %v/%d, plain %v", i, signed.rows[i], signed.signs[i], plain.rows[i])
+				}
+			}
+			if signedCtr != plainCtr {
+				t.Fatalf("counters: signed %+v, plain %+v", signedCtr, plainCtr)
+			}
+			if diff := math.Abs(signedCPU - plainCPU); diff > 1e-9*plainCPU {
+				t.Fatalf("clocks: signed %v, plain %v", signedCPU, plainCPU)
+			}
+		})
 	}
 }

@@ -88,35 +88,25 @@ type HashJoin struct {
 	rightDone     bool
 
 	// Emit scratch: the reused probe-key buffer and the emitter a batch's
-	// (or a drain's) outputs accumulate into before one downstream delivery.
+	// (or a drain's, or a signed sweep's) outputs accumulate into before
+	// one downstream delivery.
 	keyScratch types.Tuple
 	em         BatchEmitter
 
-	// Columnar-execution scratch: the reused batch hash vector and the
-	// arena-backed materializer turning columnar input rows into the
-	// tuples the state structures retain.
+	// Signed-push scratch: the reused hash vector of a delta batch's keys,
+	// and the materializer of the columnar entries (colbatch.go).
 	hashVec []uint64
 	colIn   colDelivery
-
-	// Columnar-emit scratch: colOut caches the one downstream type
-	// assertion (nil when the sink cannot take columns), hits gathers
-	// columnar probe hits into the reused output batch, and leftWidth
-	// locates the left/right halves of the output layout.
-	colOut    ColBatchSink
-	hits      hitEmitter
-	leftWidth int
 
 	// Delta-maintenance state (standing queries): deletes build into
 	// lazily created negative tables — the z-set representation, where a
 	// side's effective multiset is its main state minus its negative
-	// state — and signed emits leave through sout, which bridges the
-	// columnar hit gatherer to the downstream DeltaSink. The negative lists
-	// are to the negative tables what leftList/rightList are to the main ones.
+	// state. The negative lists are to the negative tables what
+	// leftList/rightList are to the main ones.
 	negLeftHT    *state.HashTable
 	negRightHT   *state.HashTable
 	negLeftList  *state.List
 	negRightList *state.List
-	sout         *signedOut
 
 	counters stats.OpCounters
 }
@@ -139,15 +129,13 @@ func NewHashJoin(ctx *Context, style JoinStyle, leftSchema, rightSchema *types.S
 // default size and grow; nested-loops joins have lists and ignore both.
 func NewHashJoinSized(ctx *Context, style JoinStyle, leftSchema, rightSchema *types.Schema, leftKey, rightKey []int, estLeft, estRight float64, out Sink) *HashJoin {
 	j := &HashJoin{
-		Style:     style,
-		ctx:       ctx,
-		out:       out,
-		leftKey:   leftKey,
-		rightKey:  rightKey,
-		schema:    leftSchema.Concat(rightSchema),
-		leftWidth: leftSchema.Len(),
+		Style:    style,
+		ctx:      ctx,
+		out:      out,
+		leftKey:  leftKey,
+		rightKey: rightKey,
+		schema:   leftSchema.Concat(rightSchema),
 	}
-	j.colOut, _ = out.(ColBatchSink)
 	_, j.em.recycle = out.(InputCopier)
 	switch {
 	case style == NestedLoops:
@@ -215,7 +203,7 @@ func (j *HashJoin) PushLeftBatch(ts []types.Tuple) {
 		if j.Style == NestedLoops {
 			j.leftList.Insert(t)
 			j.ctx.Clock.Charge(j.ctx.Cost.Move)
-			j.scanRight(t)
+			j.scan(j.rightList, t, true)
 			continue
 		}
 		h := t.HashKey(j.leftKey)
@@ -243,7 +231,7 @@ func (j *HashJoin) PushRightBatch(ts []types.Tuple) {
 			// A late inner tuple must join with all buffered outers
 			// (symmetric nested loops keeps results complete regardless of
 			// arrival interleaving).
-			j.scanLeft(t)
+			j.scan(j.leftList, t, false)
 			continue
 		}
 		h := t.HashKey(j.rightKey)
@@ -300,19 +288,15 @@ func (j *HashJoin) probeLeftHashed(h uint64, rt types.Tuple) {
 	})
 }
 
-func (j *HashJoin) scanRight(lt types.Tuple) {
-	j.rightList.Scan(func(rt types.Tuple) bool {
+// scan is the nested-loops probe: t against every row of the opposite
+// side's list l, one Compare each; tLeft says t is the left operand.
+func (j *HashJoin) scan(l *state.List, t types.Tuple, tLeft bool) {
+	l.Scan(func(m types.Tuple) bool {
 		j.ctx.Clock.Charge(j.ctx.Cost.Compare)
-		if lt.KeyEquals(j.leftKey, rt, j.rightKey) {
-			j.emit(lt, rt)
+		lt, rt := t, m
+		if !tLeft {
+			lt, rt = m, t
 		}
-		return true
-	})
-}
-
-func (j *HashJoin) scanLeft(rt types.Tuple) {
-	j.leftList.Scan(func(lt types.Tuple) bool {
-		j.ctx.Clock.Charge(j.ctx.Cost.Compare)
 		if lt.KeyEquals(j.leftKey, rt, j.rightKey) {
 			j.emit(lt, rt)
 		}
@@ -350,12 +334,6 @@ type Filter struct {
 	out      Sink
 	scratch  []types.Tuple
 	counters stats.OpCounters
-
-	// Signed-entry scratch (PushDelta): survivor gather batch, predicate
-	// row view, and downstream delivery.
-	colScratch *types.ColBatch
-	rowView    types.Tuple
-	dfw        DeltaForward
 }
 
 // NewFilter builds a filter node.
@@ -365,7 +343,13 @@ func NewFilter(ctx *Context, pred func(types.Tuple) bool, out Sink) *Filter {
 
 // PushBatch implements Sink: survivors are collected into a reused
 // scratch batch and forwarded in one downstream call.
-func (f *Filter) PushBatch(ts []types.Tuple) {
+func (f *Filter) PushBatch(ts []types.Tuple) { f.push(ts, 0) }
+
+// PushSigned implements DeltaSink: the predicate sweep is sign-blind,
+// survivors keep the batch's sign.
+func (f *Filter) PushSigned(ts []types.Tuple, sign int) { f.push(ts, sign) }
+
+func (f *Filter) push(ts []types.Tuple, sign int) {
 	f.scratch = f.scratch[:0]
 	for _, t := range ts {
 		f.counters.In++
@@ -375,9 +359,7 @@ func (f *Filter) PushBatch(ts []types.Tuple) {
 			f.scratch = append(f.scratch, t)
 		}
 	}
-	if len(f.scratch) > 0 {
-		f.out.PushBatch(f.scratch)
-	}
+	deliver(f.out, f.scratch, sign)
 }
 
 // Counters exposes statistics.
@@ -391,11 +373,6 @@ type Project struct {
 	arena    ValueArena
 	scratch  []types.Tuple
 	counters stats.OpCounters
-
-	// Signed-entry scratch (PushDelta): the zero-copy aliased output batch
-	// and downstream delivery.
-	colScratch *types.ColBatch
-	dfw        DeltaForward
 }
 
 // NewProject builds a projection node from an adapter.
@@ -406,7 +383,12 @@ func NewProject(ctx *Context, adapter *types.Adapter, out Sink) *Project {
 // PushBatch implements Sink. Output tuples are carved from an arena
 // (projections may be retained downstream, so storage is never reused,
 // just allocated in slabs) and forwarded as one batch.
-func (p *Project) PushBatch(ts []types.Tuple) {
+func (p *Project) PushBatch(ts []types.Tuple) { p.push(ts, 0) }
+
+// PushSigned implements DeltaSink: the column permutation is sign-blind.
+func (p *Project) PushSigned(ts []types.Tuple, sign int) { p.push(ts, sign) }
+
+func (p *Project) push(ts []types.Tuple, sign int) {
 	width := p.adapter.To().Len()
 	p.scratch = p.scratch[:0]
 	for _, t := range ts {
@@ -415,9 +397,7 @@ func (p *Project) PushBatch(ts []types.Tuple) {
 		p.ctx.Clock.Charge(p.ctx.Cost.Move)
 		p.scratch = append(p.scratch, p.adapter.AdaptInto(p.arena.Alloc(width), t))
 	}
-	if len(p.scratch) > 0 {
-		p.out.PushBatch(p.scratch)
-	}
+	deliver(p.out, p.scratch, sign)
 }
 
 // Counters exposes statistics.
@@ -428,17 +408,21 @@ func (p *Project) Counters() *stats.OpCounters { return &p.counters }
 type Combine struct {
 	out      Sink
 	counters stats.OpCounters
-	dfw      DeltaForward
 }
 
 // NewCombine builds a combine node.
 func NewCombine(out Sink) *Combine { return &Combine{out: out} }
 
 // PushBatch implements Sink (pass-through).
-func (c *Combine) PushBatch(ts []types.Tuple) {
+func (c *Combine) PushBatch(ts []types.Tuple) { c.push(ts, 0) }
+
+// PushSigned implements DeltaSink (signed pass-through).
+func (c *Combine) PushSigned(ts []types.Tuple, sign int) { c.push(ts, sign) }
+
+func (c *Combine) push(ts []types.Tuple, sign int) {
 	c.counters.In += int64(len(ts))
 	c.counters.Out += int64(len(ts))
-	c.out.PushBatch(ts)
+	deliver(c.out, ts, sign)
 }
 
 // Counters exposes statistics.

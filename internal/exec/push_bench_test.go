@@ -10,9 +10,10 @@ import (
 )
 
 // BenchmarkPipelinedJoinPush pushes batches through a symmetric pipelined
-// hash join — the engine's innermost loop — and, for comparison, through
-// the join's columnar entries. allocs/op is the headline metric: a batch
-// amortizes probe-key, probe-index, and join-result allocations.
+// hash join — the engine's innermost loop — and through the join's columnar
+// shims, which transpose each batch once and push it as rows. allocs/op is
+// the headline metric: a batch amortizes probe-key, probe-index, and
+// join-result allocations.
 func BenchmarkPipelinedJoinPush(b *testing.B) {
 	const batch = 64
 	mkRows := func(n int) ([]types.Tuple, []types.Tuple) {
@@ -44,9 +45,8 @@ func BenchmarkPipelinedJoinPush(b *testing.B) {
 	})
 
 	// Wide-schema variants (12 columns per side, 24-column join output):
-	// the regime where layout matters most. The batch path pays one
-	// arena-backed 24-slot concat per emit; the columnar path gathers hit
-	// columns into reused output vectors and never forms the row.
+	// the regime where layout matters most. Every emit pays one
+	// arena-backed 24-slot concat.
 	wl, wr := wideSchemas(wideCols)
 	mkWide := func(n int) ([]types.Tuple, []types.Tuple) {
 		dom := int64(max(n/4, 4))
@@ -234,8 +234,8 @@ func BenchmarkAggTableAbsorb(b *testing.B) {
 // BenchmarkDeltaPropagation tracks the standing-query maintenance hot
 // paths (PR 10): the z-set join re-probe (a signed batch builds into
 // its side's delta state and probes the opposite side's live + negative
-// tables) and the signed aggregate revision cycle (PushDelta absorb +
-// EmitRevisionsTo retraction/assertion frames). Both alternate signs so
+// tables) and the signed aggregate revision cycle (PushSigned absorb +
+// EmitRevisionsTo retraction/assertion batches). Both alternate signs so
 // assertion and retraction orderings are exercised every pair of
 // batches. Budgets in scripts/check_allocs.sh: <= 2 allocs/op each,
 // an op being one delta row.
@@ -243,20 +243,21 @@ func BenchmarkDeltaPropagation(b *testing.B) {
 	const batch = 64
 	b.Run("join", func(b *testing.B) {
 		dom := int64(max(b.N/4, 4))
-		lbs := toColBatches(randTuples(b.N, dom, 7, rRow), batch)
-		rbs := toColBatches(randTuples(b.N, dom, 8, sRow), batch)
+		ls, rs := randTuples(b.N, dom, 7, rRow), randTuples(b.N, dom, 8, sRow)
 		j := NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, Discard)
+		left, right := j.LeftSink().(DeltaSink), j.RightSink().(DeltaSink)
 		b.ReportAllocs()
 		b.ResetTimer()
 		sign := 1
-		for i := range lbs {
-			j.PushDeltaLeft(lbs[i], sign)
-			j.PushDeltaRight(rbs[i], sign)
+		for i := 0; i < b.N; i += batch {
+			end := min(i+batch, b.N)
+			left.PushSigned(ls[i:end], sign)
+			right.PushSigned(rs[i:end], sign)
 			sign = -sign
 		}
 	})
 	b.Run("agg", func(b *testing.B) {
-		bs := toColBatches(randTuples(1<<12, 512, 9, rRow), batch)
+		rows := randTuples(1<<12, 512, 9, rRow)
 		agg, err := NewAggTable(NewContext(), rSchema, []string{"r.k"},
 			[]algebra.AggSpec{
 				{Kind: algebra.AggSum, Arg: expr.Column("r.a"), As: "sm"},
@@ -268,17 +269,16 @@ func BenchmarkDeltaPropagation(b *testing.B) {
 		agg.EnableMaintenance()
 		sink := discardSink{}
 		// Warm every group so the steady state revises rather than creates.
-		for _, cb := range bs {
-			agg.PushDelta(cb, 1)
-		}
+		agg.PushSigned(rows, 1)
 		agg.EmitRevisionsTo(sink)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i += 2 * batch {
-			cb := bs[(i/(2*batch))%len(bs)]
-			agg.PushDelta(cb, 1)
+			k := (i / (2 * batch)) % (len(rows) / batch)
+			chunk := rows[k*batch : (k+1)*batch]
+			agg.PushSigned(chunk, 1)
 			agg.EmitRevisionsTo(sink)
-			agg.PushDelta(cb, -1)
+			agg.PushSigned(chunk, -1)
 			agg.EmitRevisionsTo(sink)
 		}
 	})

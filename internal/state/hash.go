@@ -160,8 +160,8 @@ func (h *HashTable) InsertHashed(hash uint64, t types.Tuple) {
 }
 
 // InsertHashedBatch inserts a batch of tuples with a precomputed hash
-// vector (hashes[i] is ts[i]'s key hash, e.g. one types.HashKeys sweep
-// over a columnar batch). State evolution — growth timing, bucket chain
+// vector (hashes[i] is ts[i]'s key hash, e.g. from the key sweep of a
+// signed batch). State evolution — growth timing, bucket chain
 // order — is exactly that of calling InsertHashed per tuple.
 func (h *HashTable) InsertHashedBatch(hashes []uint64, ts []types.Tuple) {
 	for i, t := range ts {

@@ -1,14 +1,12 @@
 package types
 
-// Columnar (struct-of-arrays) batches. Row batches ([]Tuple) move through
-// the push pipeline as vectors of pointer-chasing tuples, so the hot key
-// machinery (hashing, key equality, group routing) walks one value at a
-// time with a cache miss per tuple. A ColBatch stores the same rows as
-// per-column value arrays, which lets the key kernels run column-at-a-time
-// over dense storage: HashKeys folds a whole batch's key columns into a
-// reused hash vector, and downstream operators consume that one vector per
-// batch (state.HashTable.InsertHashedBatch / ProbeHashedBatch,
-// exec.AggTable group routing) instead of hashing tuple-by-tuple.
+// Columnar (struct-of-arrays) batches. Operators pass rows to each other
+// as row batches ([]Tuple), signed or not; a ColBatch stores rows as
+// per-column value arrays for the few places that buffer or scatter them
+// in bulk — the partition merge's buffers, Exchange's columnar entry —
+// where the key kernels run column-at-a-time over dense storage: HashKeys
+// folds a whole batch's key columns into a reused hash vector instead of
+// hashing tuple-by-tuple.
 //
 // Ownership contract: a ColBatch handed to a consumer is only valid for
 // the duration of the call (like a row batch), and its storage is reused
@@ -44,9 +42,6 @@ func (b *ColBatch) Reset() {
 	b.n = 0
 }
 
-// At returns column j of row i.
-func (b *ColBatch) At(i, j int) Value { return b.cols[j][i] }
-
 // Col returns the dense storage of column j (valid until the next Reset/
 // append; callers must not grow it).
 func (b *ColBatch) Col(j int) []Value { return b.cols[j] }
@@ -65,20 +60,6 @@ func (b *ColBatch) AppendRows(ts []Tuple) {
 	for _, t := range ts {
 		b.AppendRow(t)
 	}
-}
-
-// AppendConcat appends the row l ++ r, column-at-a-time: the join-emit
-// bridge that never materializes the concatenated row. l's values land in
-// columns [0, len(l)), r's in [len(l), len(l)+len(r)).
-func (b *ColBatch) AppendConcat(l, r Tuple) {
-	for j, v := range l {
-		b.cols[j] = append(b.cols[j], v)
-	}
-	w := len(l)
-	for j, v := range r {
-		b.cols[w+j] = append(b.cols[w+j], v)
-	}
-	b.n++
 }
 
 // Append appends every row of src (a bulk column-wise copy; widths must
@@ -105,30 +86,6 @@ func (b *ColBatch) Gather(src *ColBatch, sel []int32) {
 			dc = append(dc, sc[i])
 		}
 		b.cols[j] = dc
-	}
-	b.n += len(sel)
-}
-
-// AppendHits appends len(sel) join-output rows built from probe hits
-// without materializing any row: hit k joins probe row sel[k] of src with
-// the row-major matched tuple matches[k]. The probe side's columns gather
-// column-at-a-time into [probeOff, probeOff+src.Width()); each match-side
-// tuple spreads into [matchOff, matchOff+len(matches[k])). sel and
-// matches must have equal length.
-//
-//adp:hotpath gated by BenchmarkPipelinedJoinPush (scripts/check_allocs.sh)
-func (b *ColBatch) AppendHits(src *ColBatch, sel []int32, probeOff int, matches []Tuple, matchOff int) {
-	for j, sc := range src.cols {
-		dc := b.cols[probeOff+j]
-		for _, i := range sel {
-			dc = append(dc, sc[i])
-		}
-		b.cols[probeOff+j] = dc
-	}
-	for _, mt := range matches {
-		for j, v := range mt {
-			b.cols[matchOff+j] = append(b.cols[matchOff+j], v)
-		}
 	}
 	b.n += len(sel)
 }
@@ -164,18 +121,13 @@ func (b *ColBatch) ReadRow(dst Tuple, i int) {
 	}
 }
 
-// Row returns row i as a freshly allocated tuple.
-func (b *ColBatch) Row(i int) Tuple {
-	t := make(Tuple, len(b.cols))
-	b.ReadRow(t, i)
-	return t
-}
-
 // ToRows materializes every row, appending to dst (the column→row
 // bridge). Each returned tuple owns its storage.
 func (b *ColBatch) ToRows(dst []Tuple) []Tuple {
 	for i := 0; i < b.n; i++ {
-		dst = append(dst, b.Row(i))
+		t := make(Tuple, len(b.cols))
+		b.ReadRow(t, i)
+		dst = append(dst, t)
 	}
 	return dst
 }

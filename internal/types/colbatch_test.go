@@ -31,8 +31,8 @@ func TestColBatchRoundTrip(t *testing.T) {
 			t.Fatalf("row %d: %v round-tripped to %v", i, rows[i], back[i])
 		}
 		for j := range rows[i] {
-			if !StrictEqual(b.At(i, j), rows[i][j]) {
-				t.Fatalf("At(%d,%d) = %v, want %v", i, j, b.At(i, j), rows[i][j])
+			if !StrictEqual(b.Col(j)[i], rows[i][j]) {
+				t.Fatalf("Col(%d)[%d] = %v, want %v", j, i, b.Col(j)[i], rows[i][j])
 			}
 		}
 	}

@@ -35,17 +35,16 @@ check() {
 }
 
 # Pinned budgets (see ROADMAP.md / PR history). An op in the push
-# benchmarks delivers one tuple per side. The columnar budgets gate kernels
-# no plan is wired to any more: benchmark/probes.go still times them, so
-# they keep their budgets until those probes are re-pointed at the row
-# entries (docs/architecture.md).
+# benchmarks delivers one tuple per side. The columnar budgets gate the shims
+# benchmark/probes.go times: each transposes its batch once and runs the row
+# entry (docs/architecture.md).
 check 'BenchmarkHashTableProbe'                  0  # both probe variants: allocation-free
 check 'BenchmarkHashTableInsert'                 0  # PR 21: growing and fixed build, chunks and re-links round to zero per row
 check 'BenchmarkPipelinedJoinPush/batch(-[0-9]+)?$'    0  # PR 1 headline (<= 2); PR 21: a build appends to chunks, nothing per row
-check 'BenchmarkPipelinedJoinPush/columnar(-[0-9]+)?$' 2  # PR 3/9: columnar push never above the row path
+check 'BenchmarkPipelinedJoinPush/columnar(-[0-9]+)?$' 2  # PR 3/9: columnar push never above the row path; now a shim over it
 check 'BenchmarkPipelinedJoinPush/batch-wide(-[0-9]+)?$' 0  # PR 9: wide-schema row baseline; PR 21: as batch
 check 'BenchmarkPipelinedJoinPush/batch-wide-recycled'  0  # PR 17: copying consumer, emit arena rewound per delivery
-check 'BenchmarkPipelinedJoinPush/columnar-wide' 2  # PR 9: wide-schema columnar gather-emit
+check 'BenchmarkPipelinedJoinPush/columnar-wide' 2  # PR 9: wide-schema columnar entry
 check 'BenchmarkHashKeys'                        0  # PR 3: vectorized hash kernel reuse path
 check 'BenchmarkMergeJoinPush/batch'             4  # PR 2: batched ordered merge join
 check 'BenchmarkAggTableAbsorb'                  1  # group-by absorb: zero steady-state (1 = headroom)
@@ -58,7 +57,7 @@ check 'BenchmarkStreamDelivery/next'             1  # PR 17: cursor Next() per r
 check 'BenchmarkStreamDelivery/batch'            0  # PR 17: cursor NextBatch(), rows read on lent batches
 check 'BenchmarkFaultyNext'                      1  # PR 6: fault wrapper no-fault fast path (1 = Reset headroom)
 check 'BenchmarkRowEncode'                       0  # PR 7: per-row NDJSON encode into a reused buffer
-check 'BenchmarkDeltaPropagation/join'           0  # PR 10: z-set join re-probe per signed delta row; PR 21: as batch
+check 'BenchmarkDeltaPropagation/join'           0  # PR 10: z-set join re-probe per signed delta row; PR 21: as batch; signed rows kept as pushed
 check 'BenchmarkDeltaPropagation/agg'            2  # PR 10: signed agg absorb + revision emit per delta row
 # PR 24: one standing Q3A, SF 0.002, 600 deltas (21260 / 21997 / 25855 allocs measured; the
 # parent, which replayed every shape: 25120 and 45.4 MB serial, 26015 and 47.4 MB at P=4).
@@ -68,8 +67,10 @@ check 'BenchmarkStandingSetup/adopted'       26500  # the initial phase's tree i
 check 'BenchmarkStandingSetup/switched'      27400  # + one tree built from the adopted one's lists
 check 'BenchmarkStandingSetup/replayed-p4'   32300  # four partitions: a tree warmed through a live root
 check 'BenchmarkStandingSetup/adopted'     6480000 B/op  # 5.18 MB
-check 'BenchmarkStandingSetup/switched'   18400000 B/op  # 14.73 MB; 38.5 MB through one relation-sized batch
-check 'BenchmarkStandingSetup/replayed-p4' 30100000 B/op # 24.10 MB; 45.8 MB through one relation-sized batch
+# Since signed batches are rows the warm-up pushes list chunks as they are and the new tree's
+# tables keep those tuples: 5.02 / 7.99 / 16.72 MB and 21243 / 21473 / 25352 allocs measured.
+check 'BenchmarkStandingSetup/switched'    9980000 B/op  # 7.99 MB; 14.73 MB when chunks were transposed into columns
+check 'BenchmarkStandingSetup/replayed-p4' 20900000 B/op # 16.72 MB; 24.10 MB when chunks were transposed into columns
 # PR 25: one corrective poll's optimizer work on Q5 (CostPlan + Optimize on the query's
 # planner) under "plain", "obs" and "both": 7 allocs and 880 B measured on each. The parent,
 # which re-planned from scratch, took 670 / 691 / 689 allocs and 66.1 / 67.1 / 67.1 KB.
