@@ -1,12 +1,13 @@
 # Developer/CI entry points. `make ci` is the pre-commit smoke and the
 # GitHub Actions gate: formatting, vet, build, full tests, the
 # allocation-budget gate over the perf microbenchmarks (which also leaves
-# the raw benchmark output in bench-perf.txt for archiving), and the
-# socket-to-socket benchmark's workloads run once each for correctness.
+# the raw benchmark output in bench-perf.txt for archiving), the
+# socket-to-socket benchmark module's vet and tests, and its workloads run
+# once each for correctness.
 
 GO ?= go
 
-.PHONY: all vet lint build test bench bench-perf check-fmt check-allocs check-bench fuzz-short examples chaos serve-smoke loc ci
+.PHONY: all vet lint build test bench bench-perf check-fmt check-allocs check-bench bench-module fuzz-short examples chaos serve-smoke loc ci
 
 all: ci
 
@@ -110,6 +111,14 @@ check-bench:
 		esac; \
 	done
 
+# The benchmark is a module of its own (benchmark/go.mod, which replaces the
+# engine with ../): it compiles against the exec, opt, core and server APIs,
+# so it is vetted and tested with every change to them. Nothing in it is
+# built by `go build ./...` from the root.
+bench-module:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 # Go line counts per package and in total, non-test and test, outside
 # benchmark/ — the figure every PR states its delta of (ROADMAP, standing
 # constraints). `scripts/loc.sh <dir>` counts another checkout, e.g. a clone
@@ -121,4 +130,4 @@ loc:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
-ci: check-fmt vet lint build test examples fuzz-short chaos check-allocs check-bench serve-smoke
+ci: check-fmt vet lint build test examples fuzz-short chaos check-allocs bench-module check-bench serve-smoke

@@ -407,6 +407,10 @@ type ExecContext = exec.Context
 // NewExecContext creates a fresh context.
 var NewExecContext = exec.NewContext
 
+// ClockSeconds converts an ExecContext clock reading, virtual nanoseconds,
+// to the seconds a Report carries.
+var ClockSeconds = exec.Seconds
+
 // Sink receives batches of tuples from push operators (see doc.go, "One
 // layout between operators"); a single tuple is a batch of one.
 type Sink = exec.Sink

@@ -237,7 +237,11 @@
 // Per-partition clocks are reported in PhaseInfo.PartitionSeconds (the
 // partition's aggregate work included); Report.VirtualSeconds advances to
 // the slowest partition (the parallel makespan) while CPUSeconds
-// accumulates all partitions' charged work.
+// accumulates all partitions' charged work. Virtual time is integer
+// nanoseconds, so a serial run's clock is exact whatever order its
+// charges are added in; a partition clock still depends on the order
+// messages from several producers reach it, so parallel clocks are
+// diagnostics, reproducible only within a tolerance.
 // The corrective monitor still runs: polls happen at quiesce points
 // (every in-flight batch fully absorbed — the §4.1 "consistent state"),
 // so plan switching and stitch-up compose with partitioned phases.

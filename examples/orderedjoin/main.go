@@ -61,7 +61,7 @@ func runHash(li, ord *adp.Relation, lKey, oKey []int) float64 {
 	if n != len(li.Rows) {
 		log.Fatalf("hash join produced %d rows, want %d", n, len(li.Rows))
 	}
-	return ctx.Clock.Now
+	return adp.ClockSeconds(ctx.Clock.Now)
 }
 
 func runPair(li, ord *adp.Relation, lKey, oKey []int, pqCap int) (float64, adp.ComplementaryJoin) {
@@ -84,5 +84,5 @@ func runPair(li, ord *adp.Relation, lKey, oKey []int, pqCap int) (float64, adp.C
 	if n != len(li.Rows) {
 		log.Fatalf("join produced %d rows, want %d", n, len(li.Rows))
 	}
-	return ctx.Clock.Now, *cj
+	return adp.ClockSeconds(ctx.Clock.Now), *cj
 }

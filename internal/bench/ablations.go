@@ -66,7 +66,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		out = append(out, AblationRow{
 			Experiment: "pq-length",
 			Setting:    fmt.Sprintf("%d", pq),
-			Seconds:    ctx.Clock.Now,
+			Seconds:    exec.Seconds(ctx.Clock.Now),
 			Detail:     fmt.Sprintf("merge-routed=%.1f%% out=%d", mergeFrac*100, n),
 		})
 	}
@@ -113,7 +113,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		out = append(out, AblationRow{
 			Experiment: "window-policy",
 			Setting:    setting.label,
-			Seconds:    ctx.Clock.Now,
+			Seconds:    exec.Seconds(ctx.Clock.Now),
 			Detail: fmt.Sprintf("partials=%d coalesced=%d finalW=%d",
 				partials, pre.Coalesced, pre.W),
 		})

@@ -105,7 +105,7 @@ func runFig5Cell(li, ord *source.Relation, strat string) (*Fig5Result, error) {
 	default:
 		return nil, fmt.Errorf("bench: unknown figure-5 strategy %q", strat)
 	}
-	res.Seconds = ctx.Clock.Now
+	res.Seconds = exec.Seconds(ctx.Clock.Now)
 	return res, nil
 }
 

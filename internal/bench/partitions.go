@@ -66,7 +66,7 @@ func runPartitionedJoin(parts int, ls, rs []types.Tuple) (out int64, virtual flo
 		d.Run(0, nil)
 		j.FinishLeft()
 		j.FinishRight()
-		return n, ctx.Clock.Now, time.Since(start)
+		return n, exec.Seconds(ctx.Clock.Now), time.Since(start)
 	}
 
 	ctxs := make([]*exec.Context, parts)
@@ -91,7 +91,7 @@ func runPartitionedJoin(parts int, ls, rs []types.Tuple) (out int64, virtual flo
 	pd.Finish()
 	pd.Close()
 	pd.FoldClocks()
-	return int64(merge.Len()), driverCtx.Clock.Now, time.Since(start)
+	return int64(merge.Len()), exec.Seconds(driverCtx.Clock.Now), time.Since(start)
 }
 
 // partitionSweep runs the partitions-scaling ablation. The dataset

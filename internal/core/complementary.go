@@ -128,38 +128,31 @@ func (c *ComplementaryJoin) PushRightBatch(ts []types.Tuple) {
 	c.routeRun(ts, false)
 }
 
-// classifyLeft makes the router decision for one left tuple — true routes
-// to the merge join — charging the comparison and updating the watermark
+// classify makes the router decision for one tuple of the left or right
+// input — true routes to the merge join — updating that input's watermark
 // and routing statistics.
-func (c *ComplementaryJoin) classifyLeft(t types.Tuple) bool {
-	c.ctx.Clock.Charge(c.ctx.Cost.Compare)
-	if c.lastLeft == nil || types.CompareKey(c.lastLeft, c.leftKey, t, c.leftKey) <= 0 {
-		c.lastLeft = t
-		c.Stats.MergeRoutedLeft++
+func (c *ComplementaryJoin) classify(t types.Tuple, left bool) bool {
+	last, key, merged, hashed := &c.lastRight, c.rightKey, &c.Stats.MergeRoutedRight, &c.Stats.HashRoutedRight
+	if left {
+		last, key, merged, hashed = &c.lastLeft, c.leftKey, &c.Stats.MergeRoutedLeft, &c.Stats.HashRoutedLeft
+	}
+	if *last == nil || types.CompareKey(*last, key, t, key) <= 0 {
+		*last = t
+		*merged++
 		return true
 	}
-	c.Stats.HashRoutedLeft++
-	return false
-}
-
-// classifyRight is the right-input mirror of classifyLeft.
-func (c *ComplementaryJoin) classifyRight(t types.Tuple) bool {
-	c.ctx.Clock.Charge(c.ctx.Cost.Compare)
-	if c.lastRight == nil || types.CompareKey(c.lastRight, c.rightKey, t, c.rightKey) <= 0 {
-		c.lastRight = t
-		c.Stats.MergeRoutedRight++
-		return true
-	}
-	c.Stats.HashRoutedRight++
+	*hashed++
 	return false
 }
 
 // routeRun routes an ordered stream of tuples, grouping consecutive
-// same-destination tuples into sub-batches. Classification only touches
-// the watermark, never the components, so classifying a run ahead of
-// delivering it leaves every routing decision — and therefore the output
-// sequence — what routing tuple by tuple would give.
+// same-destination tuples into sub-batches; each routing decision is
+// charged one comparison. Classification only touches the watermark, never
+// the components, so classifying a run ahead of delivering it leaves every
+// routing decision — and therefore the output sequence — what routing tuple
+// by tuple would give.
 func (c *ComplementaryJoin) routeRun(ts []types.Tuple, left bool) {
+	c.ctx.Clock.Charge(int64(len(ts)) * c.ctx.Cost.Compare)
 	deliver := func(run []types.Tuple, toMerge bool) {
 		if len(run) == 0 {
 			return
@@ -177,13 +170,9 @@ func (c *ComplementaryJoin) routeRun(ts []types.Tuple, left bool) {
 			c.hash.PushRightBatch(run)
 		}
 	}
-	classify := c.classifyRight
-	if left {
-		classify = c.classifyLeft
-	}
 	start, toMerge := 0, false
 	for i, t := range ts {
-		m := classify(t)
+		m := c.classify(t, left)
 		if i == 0 {
 			toMerge = m
 			continue
@@ -235,8 +224,8 @@ func (c *ComplementaryJoin) stitch(left, right state.Keyed) {
 	if left.Len() == 0 || right.Len() == 0 {
 		return
 	}
+	out := c.Stats.StitchOut
 	emit := func(lt, rt types.Tuple) {
-		c.ctx.Clock.Charge(c.ctx.Cost.Move)
 		c.Stats.StitchOut++
 		c.stitchEm.EmitConcat(c.out, lt, rt)
 	}
@@ -250,11 +239,11 @@ func (c *ComplementaryJoin) stitch(left, right state.Keyed) {
 	if left.Len() <= right.Len() {
 		cols := left.KeyCols()
 		key := make(types.Tuple, len(cols))
+		c.ctx.Clock.Charge(int64(left.Len()) * c.ctx.Cost.HashProbe)
 		left.Scan(func(lt types.Tuple) bool {
 			for i, col := range cols {
 				key[i] = lt[col]
 			}
-			c.ctx.Clock.Charge(c.ctx.Cost.HashProbe)
 			probe(right, key, func(rt types.Tuple) bool {
 				emit(lt, rt)
 				return true
@@ -264,11 +253,11 @@ func (c *ComplementaryJoin) stitch(left, right state.Keyed) {
 	} else {
 		cols := right.KeyCols()
 		key := make(types.Tuple, len(cols))
+		c.ctx.Clock.Charge(int64(right.Len()) * c.ctx.Cost.HashProbe)
 		right.Scan(func(rt types.Tuple) bool {
 			for i, col := range cols {
 				key[i] = rt[col]
 			}
-			c.ctx.Clock.Charge(c.ctx.Cost.HashProbe)
 			probe(left, key, func(lt types.Tuple) bool {
 				emit(lt, rt)
 				return true
@@ -276,6 +265,7 @@ func (c *ComplementaryJoin) stitch(left, right state.Keyed) {
 			return true
 		})
 	}
+	c.ctx.Clock.Charge((c.Stats.StitchOut - out) * c.ctx.Cost.Move)
 	c.stitchEm.Flush(c.out)
 }
 

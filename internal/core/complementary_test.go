@@ -174,7 +174,7 @@ func TestComplementaryFasterThanHashOnSorted(t *testing.T) {
 	cj.Finish()
 
 	if pairCtx.Clock.CPU >= hashCtx.Clock.CPU {
-		t.Errorf("complementary pair CPU %.6f should beat hash join %.6f on sorted data",
+		t.Errorf("complementary pair CPU %d ns should beat hash join %d ns on sorted data",
 			pairCtx.Clock.CPU, hashCtx.Clock.CPU)
 	}
 }
@@ -244,7 +244,7 @@ func feedPair(cj *ComplementaryJoin, ls, rs []types.Tuple, chunk, batch int) {
 // is cut into batches does not show, across reorder fractions and both
 // router configurations: batches of one and whole chunks give a
 // byte-identical output sequence (ordered delivery), identical routing
-// statistics, and virtual-clock totals equal up to float summation order.
+// statistics, and identical virtual-clock totals.
 func TestComplementaryBatchSizeInvariant(t *testing.T) {
 	keys, fks := mkSortedFK(300, 3)
 	for _, frac := range []float64{0, 0.02, 0.3, 1.0} {
@@ -277,10 +277,7 @@ func TestComplementaryBatchSizeInvariant(t *testing.T) {
 					t.Fatalf("frac=%g pq=%d chunk=%d: stats differ: %+v vs %+v",
 						frac, pq, chunk, cj1.Stats, cj2.Stats)
 				}
-				// Charges accumulate in a different order across the router
-				// and components, so totals agree only up to float
-				// non-associativity.
-				if d := ctx1.Clock.CPU - ctx2.Clock.CPU; d > 1e-9*ctx1.Clock.CPU || d < -1e-9*ctx1.Clock.CPU {
+				if ctx1.Clock.CPU != ctx2.Clock.CPU {
 					t.Fatalf("frac=%g pq=%d chunk=%d: clocks differ: %v vs %v",
 						frac, pq, chunk, ctx1.Clock.CPU, ctx2.Clock.CPU)
 				}

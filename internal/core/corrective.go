@@ -252,14 +252,14 @@ type executor struct {
 	// Fault-recovery state, mutated only on the run goroutine (fault
 	// events fire synchronously inside source reads). fatal latches the
 	// first abandonment under the fail-fast policy and aborts the
-	// drivers between batches; stallSecs accumulates injected stall and
-	// backoff virtual seconds, which the corrective monitor reads as a
+	// drivers between batches; stall accumulates injected stall and
+	// backoff virtual time, which the corrective monitor reads as a
 	// cost-estimate violation (phaseStallBase/phaseT0 scope it to the
 	// running phase).
 	fatal          error
-	stallSecs      float64
-	phaseStallBase float64
-	phaseT0        float64
+	stall          int64
+	phaseStallBase int64
+	phaseT0        int64
 
 	fullSchema *types.Schema
 	agg        *exec.AggTable // shared group-by across phases (nil for SPJ)
@@ -359,8 +359,8 @@ func prepareRun(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, 
 		}
 		ex.rep.Rows, ex.rep.RowCount = ex.out.kept, ex.out.count
 		ex.rep.Schema = ex.outSchema
-		ex.rep.VirtualSeconds = ex.ctx.Clock.Now
-		ex.rep.CPUSeconds = ex.ctx.Clock.CPU
+		ex.rep.VirtualSeconds = exec.Seconds(ex.ctx.Clock.Now)
+		ex.rep.CPUSeconds = exec.Seconds(ex.ctx.Clock.CPU)
 		ex.rep.RealSeconds = elapsed()
 		ex.snapshotSourceFaults()
 		ex.flushFinal()
@@ -433,13 +433,13 @@ func (ex *executor) recordFaults(key string, p source.Provider) {
 // source is abandoned: latch a fatal error (fail-fast, the default) or
 // mark the run partial (Options.PartialResults).
 func (ex *executor) handleFault(ev source.FaultEvent) {
-	now := ex.ctx.Clock.Now
+	now := ex.now()
 	switch ev.Kind {
 	case source.FaultEventStalled:
-		ex.stallSecs += ev.Seconds
+		ex.stall += exec.Nanos(ev.Seconds)
 		ex.emit(SourceStalled{Source: ev.Source, Tuple: ev.Tuple, Seconds: ev.Seconds, VirtualSeconds: now})
 	case source.FaultEventRetried:
-		ex.stallSecs += ev.Seconds
+		ex.stall += exec.Nanos(ev.Seconds)
 		ex.emit(SourceRetried{Source: ev.Source, Tuple: ev.Tuple, Attempt: ev.Attempt, Backoff: ev.Seconds, VirtualSeconds: now})
 	case source.FaultEventFailedOver:
 		ex.emit(SourceFailedOver{Source: ev.Source, Tuple: ev.Tuple, VirtualSeconds: now})
@@ -457,8 +457,12 @@ func (ex *executor) handleFault(ev source.FaultEvent) {
 func (ex *executor) runFatal() error { return ex.fatal }
 
 // phaseStall is the injected stall+backoff time observed during the
-// running phase, in virtual seconds.
-func (ex *executor) phaseStall() float64 { return ex.stallSecs - ex.phaseStallBase }
+// running phase.
+func (ex *executor) phaseStall() int64 { return ex.stall - ex.phaseStallBase }
+
+// now is the run's virtual clock reading in the seconds that reports and
+// events carry.
+func (ex *executor) now() float64 { return exec.Seconds(ex.ctx.Clock.Now) }
 
 // optInputs assembles the optimizer inputs from current observations. It
 // runs only after observeLeaves, so live holds every relation's reads.
@@ -493,8 +497,6 @@ func (ex *executor) reoptimizer() *opt.Planner {
 // count grows with the phase count (§3.4). This is what keeps the monitor
 // from switching gratuitously near the end of a query.
 func (ex *executor) stitchPenalty() float64 {
-	cm := ex.ctx.Cost
-	perTuple := cm.HashInsert + cm.HashProbe + cm.Move
 	// Mixed combinations pair consumed partitions with remaining data;
 	// with scan/probe side selection the work per combination is bounded
 	// by the smaller side, so the penalty tracks min(consumed, remaining)
@@ -506,7 +508,14 @@ func (ex *executor) stitchPenalty() float64 {
 		work += math.Min(consumed, remaining)
 	}
 	phases := math.Max(1, float64(len(ex.phases)))
-	return work * perTuple * phases
+	return work * rehashCost(ex.ctx.Cost) * phases
+}
+
+// rehashCost is the work a plan switch induces per tuple an earlier plan
+// already consumed — a hash insert, a probe and a move — in the optimizer's
+// unit, seconds.
+func rehashCost(cm *exec.CostModel) float64 {
+	return exec.Seconds(cm.HashInsert) + exec.Seconds(cm.HashProbe) + exec.Seconds(cm.Move)
 }
 
 // runPhased executes the Static and Corrective strategies.
@@ -573,8 +582,8 @@ func (ex *executor) monitorStep(root algebra.Plan, delivered int64, collision fl
 		return nil
 	}
 	if stall > 0 {
-		elapsed := math.Max(ex.ctx.Clock.Now-ex.phaseT0, 1e-9)
-		collision *= 1 + stall/elapsed
+		elapsed := max(ex.ctx.Clock.Now-ex.phaseT0, 1)
+		collision *= 1 + float64(stall)/float64(elapsed)
 	}
 	// Only switch while enough data remains for a new plan to matter.
 	var remaining, total float64
@@ -625,7 +634,7 @@ func (ex *executor) betterPlan(in opt.Inputs, current algebra.Plan, collision, p
 		CurrentRemaining: curRemaining,
 		CandidateCost:    best.Cost,
 		StitchPenalty:    penalty,
-		VirtualSeconds:   ex.ctx.Clock.Now,
+		VirtualSeconds:   ex.now(),
 	})
 	return best.Root
 }
@@ -761,8 +770,10 @@ func (ex *executor) rootSinkFor(from *types.Schema, agg *exec.AggTable, full, ou
 	switch {
 	case err != nil:
 		return nil, err
+	case agg == nil && cost:
+		return &rootSink{ctx: ex.ctx, ad: ad, out: ex.out, move: ex.ctx.Cost.Move}, nil
 	case agg == nil:
-		return &rootSink{ctx: ex.ctx, ad: ad, out: ex.out, cost: cost}, nil
+		return &rootSink{ctx: ex.ctx, ad: ad, out: ex.out}, nil
 	case !partial && ad.IsIdentity():
 		return agg, nil
 	}
@@ -916,11 +927,11 @@ func (ex *executor) stitchUp() error {
 		return err
 	}
 	s.DisableReuse = ex.o.DisableStitchReuse
-	ex.emit(StitchUpStarted{Phases: len(ex.phases), VirtualSeconds: t0})
+	ex.emit(StitchUpStarted{Phases: len(ex.phases), VirtualSeconds: exec.Seconds(t0)})
 	if err := s.RunContext(ex.runCtx); err != nil {
 		return err
 	}
-	ex.rep.StitchTime = ex.ctx.Clock.Now - t0
+	ex.rep.StitchTime = exec.Seconds(ex.ctx.Clock.Now - t0)
 	ex.rep.StitchCombos = s.Combos
 	ex.rep.Reused = s.Reused
 	ex.rep.Discarded = s.Discarded

@@ -273,7 +273,7 @@ func (ex *executor) flushRows() {
 	}
 	ex.out.flush()
 	ex.flushed = n
-	ex.emit(RowsDelivered{Rows: n, VirtualSeconds: ex.ctx.Clock.Now})
+	ex.emit(RowsDelivered{Rows: n, VirtualSeconds: ex.now()})
 }
 
 // flushFinal delivers whatever part of the final result has not been
@@ -282,5 +282,5 @@ func (ex *executor) flushRows() {
 func (ex *executor) flushFinal() {
 	ex.out.flush()
 	ex.flushed = ex.out.count
-	ex.emit(RowsDelivered{Rows: ex.flushed, VirtualSeconds: ex.ctx.Clock.Now})
+	ex.emit(RowsDelivered{Rows: ex.flushed, VirtualSeconds: ex.now()})
 }

@@ -63,7 +63,7 @@ func TestStitchAccountingGoldens(t *testing.T) {
 	}
 	t.Run("spj", func(t *testing.T) {
 		want := stitchGolden{Phases: 2, Switches: 1, Combos: 6, Reused: 56925, Discarded: 119450,
-			Rows: 240000, Virtual: 0.8005934999884453}
+			Rows: 240000, Virtual: 0.8005935}
 		if got := run(t, true); got != want {
 			t.Errorf("corrective SPJ accounting = %#v, want %#v", got, want)
 		}
@@ -78,7 +78,7 @@ func TestStitchAccountingGoldens(t *testing.T) {
 	})
 	t.Run("agg", func(t *testing.T) {
 		want := stitchGolden{Phases: 2, Switches: 1, Combos: 6, Reused: 200000, Discarded: 200000,
-			Rows: 1000, Virtual: 1.3173499999713438}
+			Rows: 1000, Virtual: 1.31735}
 		if got := run(t, false); got != want {
 			t.Errorf("corrective aggregate accounting = %#v, want %#v", got, want)
 		}

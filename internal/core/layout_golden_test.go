@@ -3,7 +3,6 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -21,15 +20,9 @@ import (
 // entries), trees with a blocking or a windowed pre-aggregate under Static
 // and under Corrective with forced switching, and trees of hybrid-hash and
 // of nested-loops joins. A leg pins the result rows in order, every counter
-// of the Report, the phases and the virtual clock.
-//
-// Clocks are compared with == wherever every operator was already handed
-// batches. Three kinds of leg are held to 1e-12 relative instead, because
-// what their operators hand downstream changes from one row per call to one
-// batch per call and the order in which a clock adds its charges shows in
-// the last bits of a float sum: the output of a windowed pre-aggregate, the
-// drained probes of a hybrid-hash join, and the hits of a nested-loops
-// join. Their rows, counters and phases are pinned exactly like the others'.
+// of the Report, the phases and the virtual clock, with ==. The clocks were
+// rounded to the nanosecond once virtual time became integer nanoseconds, so
+// the order in which a clock adds its charges no longer shows.
 
 // layoutLeg is one golden run.
 type layoutLeg struct {
@@ -39,8 +32,6 @@ type layoutLeg struct {
 	// algorithm, when set, replaces the join algorithm of every join of the
 	// optimizer's plan, which then runs as Options.InitialPlan.
 	algorithm algebra.JoinAlgorithm
-	// clockTol is the relative tolerance on clocks (0 = ==).
-	clockTol float64
 }
 
 func layoutLegs() []layoutLeg {
@@ -57,17 +48,16 @@ func layoutLegs() []layoutLeg {
 	planPart := func(fx parAggFixture) Options {
 		return Options{Strategy: PlanPartition, MaterializeAfterJoins: 1, Known: fx.known, PollEvery: 500}
 	}
-	const granular = 1e-12
 	return []layoutLeg{
 		{name: "planpart/spj", spj: true, o: planPart},
 		{name: "planpart/agg", o: planPart},
 		{name: "blocking/static", o: static(opt.PreAggTraditional)},
 		{name: "blocking/corrective", o: corrective(opt.PreAggTraditional)},
-		{name: "windowed/static", o: static(opt.PreAggWindowed), clockTol: granular},
-		{name: "windowed/corrective", o: corrective(opt.PreAggWindowed), clockTol: granular},
-		{name: "hybrid-hash/spj", spj: true, o: static(opt.PreAggNone), algorithm: algebra.JoinHybridHash, clockTol: granular},
-		{name: "hybrid-hash/agg", o: static(opt.PreAggNone), algorithm: algebra.JoinHybridHash, clockTol: granular},
-		{name: "nested-loops/spj", spj: true, o: static(opt.PreAggNone), algorithm: algebra.JoinNestedLoops, clockTol: granular},
+		{name: "windowed/static", o: static(opt.PreAggWindowed)},
+		{name: "windowed/corrective", o: corrective(opt.PreAggWindowed)},
+		{name: "hybrid-hash/spj", spj: true, o: static(opt.PreAggNone), algorithm: algebra.JoinHybridHash},
+		{name: "hybrid-hash/agg", o: static(opt.PreAggNone), algorithm: algebra.JoinHybridHash},
+		{name: "nested-loops/spj", spj: true, o: static(opt.PreAggNone), algorithm: algebra.JoinNestedLoops},
 	}
 }
 
@@ -160,39 +150,39 @@ type layoutGolden struct {
 var layoutSerialGoldens = map[string]layoutGolden{
 	"planpart/spj": {
 		counts: "rows=3208/3208:692b7d6642db6c38 switches=0 combos=0 reused=0 discarded=0 phases=[d24e88e0ed182691 4000][b8509b0e0eaab4ec 9733]",
-		clocks: []float64{0.06611329999999174, 0.06491739999999574, 0, 0.04118280000002299, 0.024930499999968755},
+		clocks: []float64{0.0661133, 0.0649174, 0.0, 0.0411828, 0.0249305},
 	},
 	"planpart/agg": {
 		counts: "rows=468/468:dbbb36658871b87e switches=0 combos=0 reused=0 discarded=0 phases=[d24e88e0ed182691 4000][b8509b0e0eaab4ec 9733]",
-		clocks: []float64{0.06882009999997404, 0.06762419999998147, 0, 0.04118280000002299, 0.027496899999953514},
+		clocks: []float64{0.0688201, 0.0676242, 0.0, 0.0411828, 0.0274969},
 	},
 	"blocking/static": {
 		counts: "rows=468/468:dba93f4f9c4b0224 switches=0 combos=0 reused=0 discarded=0 phases=[9e6856cf12666642 4133]",
-		clocks: []float64{0.035673200000006726, 0.017231700000000908, 0, 0.035532800000005936},
+		clocks: []float64{0.0356732, 0.0172317, 0.0, 0.0355328},
 	},
 	"blocking/corrective": {
 		counts: "rows=468/468:dbbb36658871b87e switches=2 combos=24 reused=5 discarded=38 phases=[9e6856cf12666642 300][30c6377da20437b6 150][84e1febb99f6bf81 3683]",
-		clocks: []float64{0.048058900000041774, 0.03303510000003327, 0.023916400000040982, 0.0013878999999999795, 0.0003610999999999816, 0.02225310000000004},
+		clocks: []float64{0.0480589, 0.0330351, 0.0239164, 0.0013879, 0.0003611, 0.0222531},
 	},
 	"windowed/static": {
 		counts: "rows=468/468:dd8acf419013ac5d switches=0 combos=0 reused=0 discarded=0 phases=[a23c56360ea076cc 4133]",
-		clocks: []float64{0.07340550000000569, 0.07308050000000607, 0, 0.07326510000000815},
+		clocks: []float64{0.0734055, 0.0730805, 0.0, 0.0732651},
 	},
 	"windowed/corrective": {
 		counts: "rows=468/468:dbbb36658871b87e switches=1 combos=6 reused=0 discarded=78 phases=[a23c56360ea076cc 400][51adc8c7d99444e9 3733]",
-		clocks: []float64{0.04738390000004259, 0.03342980000003773, 0.023241100000041797, 0.0016634999999999684, 0.022338900000000037},
+		clocks: []float64{0.0473839, 0.0334298, 0.0232411, 0.0016635, 0.0223389},
 	},
 	"hybrid-hash/spj": {
 		counts: "rows=3208/3208:571a66554581fef9 switches=0 combos=0 reused=0 discarded=0 phases=[e471e1478f2f6c1d 4133]",
-		clocks: []float64{0.07813449999997872, 0.05826650000003084, 0, 0.07813449999997872},
+		clocks: []float64{0.0781345, 0.0582665, 0.0, 0.0781345},
 	},
 	"hybrid-hash/agg": {
 		counts: "rows=468/468:dbbb36658871b87e switches=0 combos=0 reused=0 discarded=0 phases=[e471e1478f2f6c1d 4133]",
-		clocks: []float64{0.07987889999997787, 0.060010900000033236, 0, 0.07973849999998033},
+		clocks: []float64{0.0798789, 0.0600109, 0.0, 0.0797385},
 	},
 	"nested-loops/spj": {
 		counts: "rows=3208/3208:08bc264e828fb365 switches=0 combos=0 reused=0 discarded=0 phases=[b14cf95882b3d57b 4133]",
-		clocks: []float64{1.2882124000902768, 1.2881247000902647, 0, 1.2882124000902768},
+		clocks: []float64{1.2882124, 1.2881247, 0.0, 1.2882124},
 	},
 }
 
@@ -235,8 +225,8 @@ func TestLayoutGoldensSerial(t *testing.T) {
 				t.Fatalf("clocks = %#v, want %#v", got.clocks, want.clocks)
 			}
 			for i, w := range want.clocks {
-				if g := got.clocks[i]; g != w && !(math.Abs(g-w) <= leg.clockTol*math.Abs(w)) {
-					t.Errorf("clock %d = %v, want %v (tolerance %g)", i, g, w, leg.clockTol)
+				if g := got.clocks[i]; g != w {
+					t.Errorf("clock %d = %v, want %v", i, g, w)
 				}
 			}
 		})

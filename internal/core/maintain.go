@@ -187,7 +187,7 @@ func (mt *maintainer) run() error {
 			rels = append(rels, r.Name)
 		}
 	}
-	ex.emit(MaintenanceStarted{Relations: rels, VirtualSeconds: ex.ctx.Clock.Now})
+	ex.emit(MaintenanceStarted{Relations: rels, VirtualSeconds: ex.now()})
 
 	if err := mt.setUp(); err != nil {
 		return err
@@ -382,7 +382,7 @@ func (mt *maintainer) watermark() {
 		Seq:            mt.seq,
 		Updates:        len(flushed),
 		DeltaRows:      read,
-		VirtualSeconds: ex.ctx.Clock.Now,
+		VirtualSeconds: ex.now(),
 	}
 	if ex.hooks.OnUpdates != nil {
 		ex.hooks.OnUpdates(wm, flushed)
@@ -410,9 +410,7 @@ func (mt *maintainer) monitor() {
 	for _, rel := range ex.q.Relations {
 		replay += mt.fed(rel.Name)
 	}
-	cm := ex.ctx.Cost
-	penalty := replay * (cm.HashInsert + cm.HashProbe + cm.Move)
-	best := ex.betterPlan(mt.optInputs(), mt.plan, collisionFactor([]*Tree{mt.tree}), penalty, len(ex.phases)+ex.rep.MaintSwitches)
+	best := ex.betterPlan(mt.optInputs(), mt.plan, collisionFactor([]*Tree{mt.tree}), replay*rehashCost(ex.ctx.Cost), len(ex.phases)+ex.rep.MaintSwitches)
 	if best == nil {
 		return
 	}

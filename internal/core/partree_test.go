@@ -135,7 +135,7 @@ func TestParallelCorrectiveForcedSwitching(t *testing.T) {
 		// own makespan — even for phases after a plan switch.
 		for i, ph := range rep.Phases {
 			for p, s := range ph.PartitionSeconds {
-				if s < 0 || s > ph.Seconds+1e-9 {
+				if s < 0 || s > ph.Seconds {
 					t.Errorf("seed %d phase %d partition %d: %g outside [0, %g]", seed, i, p, s, ph.Seconds)
 				}
 			}

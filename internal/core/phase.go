@@ -130,8 +130,8 @@ func (ex *executor) drive(ph *phase, onPoll func() bool) (exhausted bool, err er
 		ph.plan = ph.root.String()
 	}
 	t0 := ex.ctx.Clock.Now
-	ex.phaseT0, ex.phaseStallBase = t0, ex.stallSecs
-	ex.emit(PhaseStarted{Phase: rec.ID, Plan: ph.plan, Partitions: len(ph.trees), VirtualSeconds: t0})
+	ex.phaseT0, ex.phaseStallBase = t0, ex.stall
+	ex.emit(PhaseStarted{Phase: rec.ID, Plan: ph.plan, Partitions: len(ph.trees), VirtualSeconds: exec.Seconds(t0)})
 	var poll func() bool
 	if onPoll != nil {
 		poll = func() bool {
@@ -171,19 +171,19 @@ func (ex *executor) drive(ph *phase, onPoll func() bool) (exhausted bool, err er
 		rec.Interm, rec.RootRows = intermediates(ph.trees)
 	}
 	ex.phases = append(ex.phases, rec)
-	info := PhaseInfo{Plan: ph.plan, Delivered: ph.delivered(), Seconds: ex.ctx.Clock.Now - t0}
+	info := PhaseInfo{Plan: ph.plan, Delivered: ph.delivered(), Seconds: exec.Seconds(ex.ctx.Clock.Now - t0)}
 	if ph.par != nil {
 		// Partition clocks run on the absolute virtual timeline (arrivals
 		// are stamped with the driver clock, which carries prior phases'
 		// time), so the per-phase reading is the delta against the start.
 		info.PartitionSeconds = make([]float64, len(ph.trees))
 		for p, t := range ph.trees {
-			if s := t.ctx.Clock.Now - t0; s > 0 {
-				info.PartitionSeconds[p] = s
+			if d := t.ctx.Clock.Now - t0; d > 0 {
+				info.PartitionSeconds[p] = exec.Seconds(d)
 			}
 		}
 		ex.rep.Partitions = len(ph.trees)
-		ex.emit(PartitionStats{Phase: rec.ID, Delivered: info.Delivered, Seconds: info.PartitionSeconds, VirtualSeconds: ex.ctx.Clock.Now})
+		ex.emit(PartitionStats{Phase: rec.ID, Delivered: info.Delivered, Seconds: info.PartitionSeconds, VirtualSeconds: ex.now()})
 	}
 	ex.rep.Phases = append(ex.rep.Phases, info)
 	ex.flushRows()

@@ -158,7 +158,7 @@ type rootSink struct {
 	ctx  *exec.Context
 	ad   *types.Adapter
 	out  *rootRows
-	cost bool // charge Move per row (phase output does; stitch-up already charged)
+	move int64 // charged per row: a Move, or 0 where the producer paid it (rootSinkFor's cost)
 
 	colScratch types.ColBatch // PushColBatch's adapter output (aliases its input)
 }
@@ -171,11 +171,9 @@ func (s *rootSink) CopiesInput() {}
 //
 //adp:hotpath gated by BenchmarkStreamDelivery (scripts/check_allocs.sh)
 func (s *rootSink) PushBatch(ts []types.Tuple) {
+	s.ctx.Clock.Charge(int64(len(ts)) * s.move)
 	w := s.ad.To().Len()
 	for _, t := range ts {
-		if s.cost {
-			s.ctx.Clock.Charge(s.ctx.Cost.Move)
-		}
 		row := s.ad.AdaptInto(s.out.next(w), t)
 		if s.out.asserts {
 			s.out.updates = append(s.out.updates, ivm.Update{Row: row.Clone(), Sign: 1}) //adp:alloc-ok standing runs only: the baseline window is retained
@@ -186,10 +184,8 @@ func (s *rootSink) PushBatch(ts []types.Tuple) {
 // PushSigned implements exec.DeltaSink: a standing SPJ query's signed root
 // rows, out of its maintenance tree, are updates of the next window.
 func (s *rootSink) PushSigned(ts []types.Tuple, sign int) {
+	s.ctx.Clock.Charge(int64(len(ts)) * s.move)
 	for _, t := range ts {
-		if s.cost {
-			s.ctx.Clock.Charge(s.ctx.Cost.Move)
-		}
 		s.out.updates = append(s.out.updates, ivm.Update{Row: s.ad.Adapt(t), Sign: sign})
 	}
 }
@@ -203,12 +199,10 @@ func (s *rootSink) PushColBatch(b *types.ColBatch) {
 	if n == 0 {
 		return
 	}
+	s.ctx.Clock.Charge(int64(n) * s.move)
 	s.ad.AdaptCols(&s.colScratch, b)
 	w := s.ad.To().Len()
 	for i := 0; i < n; i++ {
-		if s.cost {
-			s.ctx.Clock.Charge(s.ctx.Cost.Move)
-		}
 		s.colScratch.ReadRow(s.out.next(w), i)
 	}
 }

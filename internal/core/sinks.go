@@ -73,11 +73,8 @@ type listSink struct {
 	dst *state.List
 }
 
-// PushBatch implements exec.Sink: one bulk append after the per-tuple Move
-// charges.
+// PushBatch implements exec.Sink: one bulk append.
 func (s *listSink) PushBatch(ts []types.Tuple) {
-	for range ts {
-		s.ctx.Clock.Charge(s.ctx.Cost.Move)
-	}
+	s.ctx.Clock.Charge(int64(len(ts)) * s.ctx.Cost.Move)
 	s.dst.InsertBatch(ts)
 }

@@ -29,7 +29,7 @@ import (
 type stitchLegGolden struct {
 	Rows                               string // digest of the rows, in order
 	Reused, Discarded, Emitted, Combos int64
-	Clock                              float64
+	Clock                              int64 // virtual nanoseconds
 }
 
 // digestSink renders what it is pushed before the push returns, so the
@@ -142,28 +142,28 @@ func TestStitchLegGoldens(t *testing.T) {
 		{name: "reuse", prep: func(recs []*PhaseRecord, _ *StitchUp, _ *digestSink, _ context.CancelFunc) {
 			recs[0].Interm[rsKey] = joinRS(recs[0], false)
 			recs[2].Interm[rsKey] = joinRS(recs[2], false)
-		}, want: stitchLegGolden{Rows: "cdc49ce6ebdf9dd3", Reused: 466, Discarded: 0, Emitted: 13412, Combos: 24, Clock: 0.01090679999999883}},
+		}, want: stitchLegGolden{Rows: "cdc49ce6ebdf9dd3", Reused: 466, Discarded: 0, Emitted: 13412, Combos: 24, Clock: 10906800}},
 		{name: "reuse-disabled", prep: func(recs []*PhaseRecord, s *StitchUp, _ *digestSink, _ context.CancelFunc) {
 			recs[0].Interm[rsKey] = joinRS(recs[0], false)
 			recs[2].Interm[rsKey] = joinRS(recs[2], false)
 			s.DisableReuse = true
-		}, want: stitchLegGolden{Rows: "4e3d8868521d1689", Reused: 0, Discarded: 466, Emitted: 13412, Combos: 24, Clock: 0.01096729999999883}},
+		}, want: stitchLegGolden{Rows: "4e3d8868521d1689", Reused: 0, Discarded: 466, Emitted: 13412, Combos: 24, Clock: 10967300}},
 		{name: "adapter-fails", prep: func(recs []*PhaseRecord, _ *StitchUp, _ *digestSink, _ context.CancelFunc) {
 			recs[0].Interm[rsKey] = joinRS(recs[0], true)
 			recs[2].Interm[rsKey] = joinRS(recs[2], false)
-		}, want: stitchLegGolden{Rows: "cdc49ce6ebdf9dd3", Reused: 37, Discarded: 429, Emitted: 13412, Combos: 24, Clock: 0.010951899999998824}},
+		}, want: stitchLegGolden{Rows: "cdc49ce6ebdf9dd3", Reused: 37, Discarded: 429, Emitted: 13412, Combos: 24, Clock: 10951900}},
 		{name: "empty-partition-mid-vector", prep: func(recs []*PhaseRecord, _ *StitchUp, _ *digestSink, _ context.CancelFunc) {
 			recs[0].Interm[rsKey] = joinRS(recs[0], false)
 			recs[1].BaseParts["S"] = state.NewList(recs[1].BaseParts["S"].Schema())
 			delete(recs[2].BaseParts, "T") // a phase that never saw T at all
-		}, want: stitchLegGolden{Rows: "8fac9ea050a1deb5", Reused: 429, Discarded: 0, Emitted: 2527, Combos: 24, Clock: 0.0030492999999997563}},
+		}, want: stitchLegGolden{Rows: "8fac9ea050a1deb5", Reused: 429, Discarded: 0, Emitted: 2527, Combos: 24, Clock: 3049300}},
 		{name: "canceled-between-combinations", prep: func(_ []*PhaseRecord, _ *StitchUp, sink *digestSink, cancel context.CancelFunc) {
 			sink.after = func(n int64) {
 				if n > 2500 {
 					cancel()
 				}
 			}
-		}, err: context.Canceled, want: stitchLegGolden{Rows: "a7ba9a531c4c44ab", Reused: 0, Discarded: 0, Emitted: 4212, Combos: 2, Clock: 0.003315699999999615}},
+		}, err: context.Canceled, want: stitchLegGolden{Rows: "a7ba9a531c4c44ab", Reused: 0, Discarded: 0, Emitted: 4212, Combos: 2, Clock: 3315700}},
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
@@ -225,14 +225,14 @@ func TestStitchRunGoldensReuseDisabled(t *testing.T) {
 	}
 	t.Run("spj", func(t *testing.T) {
 		want := runGolden{stitchGolden: stitchGolden{Phases: 2, Switches: 1, Combos: 6, Reused: 0, Discarded: 176375,
-			Rows: 240000, Virtual: 0.8017137999882165}, Rows: "94bad3bb74e455b0", StitchTime: 0.3918424999866553}
+			Rows: 240000, Virtual: 0.8017138}, Rows: "94bad3bb74e455b0", StitchTime: 0.3918425}
 		if got := run(t, true); got != want {
 			t.Errorf("got  %#v\nwant %#v", got, want)
 		}
 	})
 	t.Run("agg", func(t *testing.T) {
 		want := runGolden{stitchGolden: stitchGolden{Phases: 2, Switches: 1, Combos: 6, Reused: 0, Discarded: 400000,
-			Rows: 1000, Virtual: 1.3194499999712377}, Rows: "0ae7de02c204e1ce", StitchTime: 0.17241999998240942}
+			Rows: 1000, Virtual: 1.31945}, Rows: "0ae7de02c204e1ce", StitchTime: 0.17242}
 		if got := run(t, false); got != want {
 			t.Errorf("got  %#v\nwant %#v", got, want)
 		}

@@ -216,9 +216,7 @@ func (s *StitchUp) tableFor(step, phase int, part *state.List) *state.HashTable 
 		return t
 	}
 	t := state.IndexList(part, s.relKeyCols[step-1])
-	for range part.Len() {
-		s.ctx.Clock.Charge(s.ctx.Cost.HashInsert)
-	}
+	s.ctx.Clock.Charge(int64(part.Len()) * s.ctx.Cost.HashInsert)
 	s.tables[step][phase] = t
 	return t
 }
@@ -286,10 +284,9 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 			}
 			first = 1
 		}
-		// The last step's whole vector is materialized before its Move
-		// charges and its one delivery (per-tuple charges are preserved, and
-		// delivery order equals the per-tuple emit order): what the sink
-		// charges must not interleave with the fold's own charges.
+		// The combination's rows leave in one delivery, each charged one
+		// Move as it leaves, on top of the fold's own: the Move a phase's
+		// root sink charges its rows, which the stitch-up's does not.
 		s.wide = s.wide[:0]
 		if s.recycle {
 			s.arena.Rewind()
@@ -297,9 +294,7 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 		for i := first; i < m; i++ {
 			s.extend(i, c)
 		}
-		for range s.wide {
-			s.ctx.Clock.Charge(s.ctx.Cost.Move)
-		}
+		s.ctx.Clock.Charge(int64(len(s.wide)) * s.ctx.Cost.Move)
 		s.Emitted += int64(len(s.wide))
 		if len(s.wide) > 0 {
 			s.out.PushBatch(s.wide)
@@ -386,8 +381,8 @@ func (s *StitchUp) index(p *prefixRows, refs []keyRef) {
 	p.next = slices.Grow(p.next[:0], p.n)[:p.n]
 	mask := uint64(len(p.heads) - 1)
 	key := s.keyScratchFor(len(refs))
+	s.ctx.Clock.Charge(int64(p.n) * s.ctx.Cost.HashInsert)
 	for r := p.n - 1; r >= 0; r-- {
-		s.ctx.Clock.Charge(s.ctx.Cost.HashInsert)
 		keyOf(key, p.row(r), refs)
 		b := key.HashKey(types.Identity(len(key))) & mask
 		p.next[r] = p.heads[b]
@@ -414,8 +409,8 @@ func (s *StitchUp) reuse(i int, c []int) bool {
 		return false
 	}
 	out := &s.levels[i]
+	s.ctx.Clock.Charge(int64(interm.Len()) * s.ctx.Cost.Move)
 	interm.Scan(func(t types.Tuple) bool {
-		s.ctx.Clock.Charge(s.ctx.Cost.Move)
 		row, wide := out.add(), ad.AdaptInto(out.adapted.Alloc(s.relOff[i+1]), t)
 		for j := range row {
 			row[j] = wide[s.relOff[j]:s.relOff[j+1]:s.relOff[j+1]]
@@ -469,10 +464,10 @@ func (s *StitchUp) extend(i int, c []int) {
 		// Scan the prefix, probe the partition's index (the reused key
 		// buffer + precomputed hash keep the probe allocation-free).
 		table := s.tableFor(i, c[i], part)
+		s.ctx.Clock.Charge(int64(prefix.n) * s.ctx.Cost.HashProbe)
 		for r := 0; r < prefix.n; r++ {
 			pt = prefix.row(r)
 			keyOf(key, pt, pKeys)
-			s.ctx.Clock.Charge(s.ctx.Cost.HashProbe)
 			table.ProbeHashed(key.HashKey(types.Identity(len(key))), key, emit)
 		}
 		return
@@ -480,11 +475,11 @@ func (s *StitchUp) extend(i int, c []int) {
 	// Scan the (smaller) partition, probe a hash over the prefix.
 	s.index(prefix, pKeys)
 	mask := uint64(len(prefix.heads) - 1)
+	s.ctx.Clock.Charge(int64(part.Len()) * s.ctx.Cost.HashProbe)
 	part.Scan(func(rt types.Tuple) bool {
 		for k, col := range rCols {
 			key[k] = rt[col]
 		}
-		s.ctx.Clock.Charge(s.ctx.Cost.HashProbe)
 		for id := prefix.heads[key.HashKey(types.Identity(len(key)))&mask]; id != 0; id = prefix.next[id-1] {
 			pt = prefix.row(int(id - 1))
 			if keyEquals(pt, pKeys, key) {

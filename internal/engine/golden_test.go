@@ -29,9 +29,9 @@ type q5Golden struct {
 // the comparison is ==.
 func TestQ5CorrectiveGoldens(t *testing.T) {
 	want := map[int64]q5Golden{
-		42:   {Phases: 3, Switches: 2, Combos: 726, Reused: 265, Discarded: 9, Rows: 5, Virtual: 0.673872449995917},
-		7:    {Phases: 3, Switches: 2, Combos: 726, Reused: 213, Discarded: 5, Rows: 5, Virtual: 0.6765883499959492},
-		1234: {Phases: 3, Switches: 2, Combos: 726, Reused: 247, Discarded: 5, Rows: 5, Virtual: 0.6718530499958778},
+		42:   {Phases: 3, Switches: 2, Combos: 726, Reused: 265, Discarded: 9, Rows: 5, Virtual: 0.67387245},
+		7:    {Phases: 3, Switches: 2, Combos: 726, Reused: 213, Discarded: 5, Rows: 5, Virtual: 0.67658835},
+		1234: {Phases: 3, Switches: 2, Combos: 726, Reused: 247, Discarded: 5, Rows: 5, Virtual: 0.67185305},
 	}
 	for _, seed := range []int64{42, 7, 1234} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

@@ -351,15 +351,12 @@ func (a *AggTable) MergeFrom(src *AggTable) error {
 		func(x, y algebra.AggSpec) bool { return x.Kind == y.Kind }) {
 		return errMergeShape
 	}
-	// No order of chains can show in a or its clock: chains of different
-	// hashes never meet, a group of a merges with at most one group of src,
-	// and the clock adds the same charge once per group.
+	a.counters.In += int64(src.nGroups)
+	a.ctx.Clock.Charge(int64(src.nGroups) * a.ctx.Cost.AggUpdate)
+	// No order of chains can show in a: chains of different hashes never
+	// meet, and a group of a merges with at most one group of src.
 	//adp:unordered-ok see above
 	for hash, chain := range src.groups {
-		for range chain {
-			a.counters.In++
-			a.ctx.Clock.Charge(a.ctx.Cost.AggUpdate)
-		}
 		mine := a.groups[hash]
 		if len(mine) == 0 {
 			a.groups[hash] = chain
@@ -434,6 +431,7 @@ func (a *AggTable) sortedGroups() []*aggGroup {
 // for determinism, and charges output costs.
 func (a *AggTable) EmitFinal() []types.Tuple {
 	gs := a.sortedGroups()
+	a.emitted(len(gs))
 	out := make([]types.Tuple, 0, len(gs))
 	for _, g := range gs {
 		t := make(types.Tuple, 0, len(g.groupVals)+len(a.aggs))
@@ -441,11 +439,15 @@ func (a *AggTable) EmitFinal() []types.Tuple {
 		for i, spec := range a.aggs {
 			t = append(t, g.states[i].final(spec.Kind))
 		}
-		a.ctx.Clock.Charge(a.ctx.Cost.Move)
-		a.counters.Out++
 		out = append(out, t)
 	}
 	return out
+}
+
+// emitted accounts n output rows: one Move each.
+func (a *AggTable) emitted(n int) {
+	a.counters.Out += int64(n)
+	a.ctx.Clock.Charge(int64(n) * a.ctx.Cost.Move)
 }
 
 // EmitPartial produces the table's groups as partial-layout tuples
@@ -454,6 +456,7 @@ func (a *AggTable) EmitFinal() []types.Tuple {
 // (§6): correct, but unpipelined.
 func (a *AggTable) EmitPartial() []types.Tuple {
 	gs := a.sortedGroups()
+	a.emitted(len(gs))
 	out := make([]types.Tuple, 0, len(gs))
 	for _, g := range gs {
 		t := make(types.Tuple, 0, len(g.groupVals)+len(a.aggs)+1)
@@ -461,8 +464,6 @@ func (a *AggTable) EmitPartial() []types.Tuple {
 		for i, spec := range a.aggs {
 			t = append(t, g.states[i].partialCols(spec.Kind)...)
 		}
-		a.ctx.Clock.Charge(a.ctx.Cost.Move)
-		a.counters.Out++
 		out = append(out, t)
 	}
 	return out
@@ -525,10 +526,10 @@ func (p *Pseudogroup) Counters() *stats.OpCounters { return &p.counters }
 // arena and forwarded as one batch.
 func (p *Pseudogroup) PushBatch(ts []types.Tuple) {
 	p.scratch = p.scratch[:0]
+	p.counters.In += int64(len(ts))
+	p.counters.Out += int64(len(ts))
+	p.ctx.Clock.Charge(int64(len(ts)) * p.ctx.Cost.Move)
 	for _, t := range ts {
-		p.counters.In++
-		p.counters.Out++
-		p.ctx.Clock.Charge(p.ctx.Cost.Move)
 		p.scratch = append(p.scratch, p.singleton(t))
 	}
 	if len(p.scratch) > 0 {
@@ -727,6 +728,8 @@ func (w *WindowPreAgg) flush() {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	w.counters.Out += int64(len(keys))
+	w.ctx.Clock.Charge(int64(len(keys)) * w.ctx.Cost.Move)
 	for _, k := range keys {
 		g := w.cur[k]
 		t := make(types.Tuple, 0, len(g.groupVals)+len(w.aggs)+1)
@@ -734,8 +737,6 @@ func (w *WindowPreAgg) flush() {
 		for i, spec := range w.aggs {
 			t = append(t, g.states[i].partialCols(spec.Kind)...)
 		}
-		w.ctx.Clock.Charge(w.ctx.Cost.Move)
-		w.counters.Out++
 		w.pending = append(w.pending, t)
 	}
 	ratio := float64(len(w.cur)) / float64(w.curN)

@@ -169,7 +169,7 @@ func TestMergeFromEqualsOneTable(t *testing.T) {
 					t.Errorf("In = %d, via partials %d, source groups %d", got, want, groups)
 				}
 				if mc, pc := merged.ctx.Clock, viaPartials.ctx.Clock; mc.Now != pc.Now || mc.CPU != pc.CPU {
-					t.Errorf("clock = %g/%g, via partials %g/%g", mc.Now, mc.CPU, pc.Now, pc.CPU)
+					t.Errorf("clock = %d/%d, via partials %d/%d", mc.Now, mc.CPU, pc.Now, pc.CPU)
 				}
 				if merged.Groups() != whole.Groups() {
 					t.Errorf("Groups = %d, want %d", merged.Groups(), whole.Groups())

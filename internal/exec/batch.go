@@ -90,8 +90,8 @@ type BatchEmitter struct {
 	// its slabs: set when the downstream sink copies what it keeps (see
 	// InputCopier), so nothing outlives the delivery.
 	recycle bool
-	// sign, when nonzero, delivers through the sink's signed entry: a z-set
-	// join arms it for one probe sweep (delta.go).
+	// sign, when nonzero, delivers through the sink's signed entry: a join
+	// arms it for each probe sweep (HashJoin.sweep).
 	sign  int
 	buf   []types.Tuple
 	arena ValueArena

@@ -3,7 +3,6 @@ package exec
 import (
 	"crypto/sha256"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -113,9 +112,7 @@ func TestBatchPipelineSegment(t *testing.T) {
 			t.Fatalf("group %d differs: %v vs %v", i, r1[i], r2[i])
 		}
 	}
-	// Charges are summed in a different order across operators when the
-	// batches differ, so the totals agree only up to float non-associativity.
-	if diff := math.Abs(ctx1.Clock.CPU - ctx2.Clock.CPU); diff > 1e-9*ctx1.Clock.CPU {
+	if ctx1.Clock.CPU != ctx2.Clock.CPU {
 		t.Fatalf("pipeline clocks differ: %v vs %v", ctx1.Clock.CPU, ctx2.Clock.CPU)
 	}
 }
@@ -253,7 +250,7 @@ func TestHybridHashDrain(t *testing.T) {
 	if got, want := *j.Counters(), (stats.OpCounters{In: 4000, InLeft: 2000, InRight: 2000, Out: 13396}); got != want {
 		t.Errorf("counters = %+v, want %+v", got, want)
 	}
-	if want := 0.024954400000009803; ctx.Clock.Now != want || ctx.Clock.CPU != want {
+	if want := int64(24954400); ctx.Clock.Now != want || ctx.Clock.CPU != want {
 		t.Errorf("clock = (%v, %v), want %v for both", ctx.Clock.Now, ctx.Clock.CPU, want)
 	}
 

@@ -5,62 +5,78 @@
 // availability-ordered source driver that simulates Tukwila's adaptive
 // operator scheduling over delayed, bursty sources.
 //
-// Execution is deterministic and single-threaded; concurrency across
-// operators is modelled by a virtual clock: delivering a tuple advances
-// the clock to its arrival time, and each operator charges per-tuple CPU
-// costs. A pipelined (data-availability-driven) join therefore overlaps
-// CPU with I/O gaps exactly the way Tukwila's thread scheduler does, while
-// a blocking join pays its probe CPU after its build input's last arrival.
+// Concurrency across operators is modelled by a virtual clock: delivering a
+// tuple advances the clock to its arrival time, and each operator charges
+// per-tuple CPU costs. A pipelined (data-availability-driven) join therefore
+// overlaps CPU with I/O gaps exactly the way Tukwila's thread scheduler
+// does, while a blocking join pays its probe CPU after its build input's
+// last arrival. Virtual time is counted in integer nanoseconds, so the
+// charges made between two arrivals sum to the same reading in any order:
+// an operator charges a batch's work once, whenever it suits it. A serial
+// run's clock is therefore a function of its input alone; the parallel
+// driver's partition clocks still depend on the order messages reach them
+// (ParallelDriver.FoldClocks).
 package exec
 
-// Clock is the virtual time of a query execution, in seconds.
+import "math"
+
+// Clock is the virtual time of a query execution, in nanoseconds.
 type Clock struct {
 	// Now is the current virtual time.
-	Now float64
-	// CPU accumulates charged CPU seconds (a query is CPU-bound when
+	Now int64
+	// CPU accumulates charged CPU time (a query is CPU-bound when
 	// CPU ≈ Now).
-	CPU float64
+	CPU int64
 }
 
 // AdvanceTo moves the clock forward to an arrival time (no-op if in the
 // past: data that arrived while we were computing is ready immediately).
-func (c *Clock) AdvanceTo(t float64) {
-	if t > c.Now {
-		c.Now = t
+func (c *Clock) AdvanceTo(ns int64) {
+	if ns > c.Now {
+		c.Now = ns
 	}
 }
 
-// Charge accounts sec seconds of CPU work.
-func (c *Clock) Charge(sec float64) {
-	c.Now += sec
-	c.CPU += sec
+// Charge accounts ns nanoseconds of CPU work.
+func (c *Clock) Charge(ns int64) {
+	c.Now += ns
+	c.CPU += ns
 }
 
-// CostModel holds per-operation virtual CPU costs in seconds. The ratios
-// matter more than the absolute values: merge-join comparisons are cheaper
-// than hash probes ("a merge join ... is slightly more efficient than a
-// pipelined hash join", §5), nested-loops comparisons dominate when inner
-// cardinalities are large, and aggregation updates sit between.
+// Seconds converts virtual nanoseconds into the float seconds that reports,
+// events and the optimizer's cost units are expressed in.
+func Seconds(ns int64) float64 { return float64(ns) / 1e9 }
+
+// Nanos rounds a source arrival stamp, in float seconds, to the nearest
+// virtual nanosecond. Rounding is monotone: stamps keep their order, and
+// stamps less than half a nanosecond apart may land on one tick.
+func Nanos(sec float64) int64 { return int64(math.Round(sec * 1e9)) }
+
+// CostModel holds per-operation virtual CPU costs in nanoseconds. The
+// ratios matter more than the absolute values: merge-join comparisons are
+// cheaper than hash probes ("a merge join ... is slightly more efficient
+// than a pipelined hash join", §5), nested-loops comparisons dominate when
+// inner cardinalities are large, and aggregation updates sit between.
 type CostModel struct {
-	HashInsert float64 // insert a tuple into a hash table
-	HashProbe  float64 // probe a hash bucket (per candidate compared)
-	Compare    float64 // one key comparison (merge join, sorted probe)
-	Move       float64 // construct/propagate one output tuple
-	AggUpdate  float64 // fold one tuple into an aggregate state
-	DiskIO     float64 // touch a spilled partition
-	HistUpdate float64 // fold one value into a histogram (§4.5 overhead)
+	HashInsert int64 // insert a tuple into a hash table
+	HashProbe  int64 // probe a hash bucket (per candidate compared)
+	Compare    int64 // one key comparison (merge join, sorted probe)
+	Move       int64 // construct/propagate one output tuple
+	AggUpdate  int64 // fold one tuple into an aggregate state
+	DiskIO     int64 // touch a spilled partition
+	HistUpdate int64 // fold one value into a histogram (§4.5 overhead)
 }
 
 // DefaultCosts is the cost model used by all experiments.
 func DefaultCosts() *CostModel {
 	return &CostModel{
-		HashInsert: 1.0e-6,
-		HashProbe:  1.1e-6,
-		Compare:    0.25e-6,
-		Move:       0.3e-6,
-		AggUpdate:  0.8e-6,
-		DiskIO:     20e-6,
-		HistUpdate: 1.4e-6,
+		HashInsert: 1000,
+		HashProbe:  1100,
+		Compare:    250,
+		Move:       300,
+		AggUpdate:  800,
+		DiskIO:     20000,
+		HistUpdate: 1400,
 	}
 }
 

@@ -68,19 +68,19 @@ func (d *colDelivery) PushColAll(s Sink, b *types.ColBatch) {
 func (discardSink) PushColBatch(*types.ColBatch) {}
 
 // PushLeftColBatch is PushLeftBatch of b's rows.
-func (j *HashJoin) PushLeftColBatch(b *types.ColBatch) { j.PushLeftBatch(j.colIn.materialize(b)) }
+func (j *HashJoin) PushLeftColBatch(b *types.ColBatch) { j.push(0, j.colIn.materialize(b), 0) }
 
 // PushRightColBatch is PushRightBatch of b's rows.
-func (j *HashJoin) PushRightColBatch(b *types.ColBatch) { j.PushRightBatch(j.colIn.materialize(b)) }
+func (j *HashJoin) PushRightColBatch(b *types.ColBatch) { j.push(1, j.colIn.materialize(b), 0) }
 
 // PushDeltaLeft is the left side's PushSigned of b's rows.
 func (j *HashJoin) PushDeltaLeft(b *types.ColBatch, sign int) {
-	j.pushSigned(true, j.colIn.materialize(b), sign)
+	j.push(0, j.colIn.materialize(b), sign)
 }
 
 // PushDeltaRight is the right side's PushSigned of b's rows.
 func (j *HashJoin) PushDeltaRight(b *types.ColBatch, sign int) {
-	j.pushSigned(false, j.colIn.materialize(b), sign)
+	j.push(1, j.colIn.materialize(b), sign)
 }
 
 // PushColBatch implements ColBatchSink as PushBatch of b's rows.

@@ -1,6 +1,10 @@
 package exec
 
 import (
+	"context"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/tukwila/adp/internal/source"
@@ -36,6 +40,86 @@ func TestDriverBestLeafTieBreak(t *testing.T) {
 			t.Fatalf("delivery order = %v, want %v", order, want)
 		}
 	}
+
+	// Less than half a nanosecond apart, two stamps land on one tick, yet
+	// the leaves are still ordered by their exact stamps: the higher-index
+	// leaf, earlier by 0.3 ns, is delivered first, and each delivery finds
+	// the clock at the same tick.
+	const at = 1e-3
+	ctx := NewContext()
+	var seen []string
+	stamp := func(leaf string) func([]types.Tuple) {
+		return func([]types.Tuple) { seen = append(seen, fmt.Sprintf("%s@%d", leaf, ctx.Clock.Now)) }
+	}
+	d = NewDriver(ctx,
+		&Leaf{Provider: source.NewProvider(source.NewRelation("a", rSchema, []types.Tuple{rRow(1, 0)}), source.Stamped{Arrivals: []float64{at + 0.3e-9}}), PushBatch: stamp("a")},
+		&Leaf{Provider: source.NewProvider(source.NewRelation("b", sSchema, []types.Tuple{sRow(1, 0)}), source.Stamped{Arrivals: []float64{at}}), PushBatch: stamp("b")},
+	)
+	d.Run(0, nil)
+	if want := []string{"b@1000000", "a@1000000"}; !slices.Equal(seen, want) {
+		t.Fatalf("sub-tick deliveries = %v, want %v", seen, want)
+	}
+}
+
+// TestDriverBatchCapInvariant backs Driver.run's claim that its batch cap
+// changes neither the delivery order nor the counters nor the clock: a
+// batch only extends over tuples that are already available, so the
+// arrivals a capped run advances to are the uncapped run's, and integer
+// charges sum to the same reading however they are grouped. Three bursty
+// leaves — one filtered, one instrumented — feed a sink that charges per
+// batch; every cap the drivers use must read the same.
+func TestDriverBatchCapInvariant(t *testing.T) {
+	type outcome struct {
+		order              []string
+		delivered, in, out int64
+		read, passed       [3]int64
+		now, cpu           int64
+	}
+	run := func(batchCap int) outcome {
+		ctx := NewContext()
+		var o outcome
+		leaves := make([]*Leaf, 3)
+		for i := range leaves {
+			rows := randTuples(400, 50, int64(i+1), rRow)
+			sched := source.NewBursty(len(rows), 1e7, 16+8*i, 0.002, int64(10+i))
+			name := fmt.Sprint(i)
+			leaves[i] = &Leaf{
+				Provider: source.NewProvider(source.NewRelation(name, rSchema, rows), sched),
+				PushBatch: func(ts []types.Tuple) {
+					ctx.Clock.Charge(int64(len(ts)) * ctx.Cost.HashInsert)
+					for _, t := range ts {
+						o.order = append(o.order, name+":"+t.String())
+					}
+				},
+			}
+		}
+		leaves[1].Pred = func(t types.Tuple) bool { return t[1].I%3 != 0 }
+		leaves[2].OnTuple = func(types.Tuple) {}
+		d := NewDriver(ctx, leaves...)
+		if exhausted, err := d.run(context.Background(), batchCap, 0, nil); !exhausted || err != nil {
+			t.Fatalf("cap %d: exhausted=%v err=%v", batchCap, exhausted, err)
+		}
+		o.delivered, o.in, o.out = d.Delivered, d.counters.In, d.counters.Out
+		for i, l := range leaves {
+			o.read[i], o.passed[i] = l.Read, l.Passed
+		}
+		o.now, o.cpu = ctx.Clock.Now, ctx.Clock.CPU
+		return o
+	}
+	base := run(1)
+	if len(base.order) == 0 || base.passed[1] == base.read[1] {
+		t.Fatalf("fixture delivers %d rows, filters %d of %d", len(base.order), base.read[1]-base.passed[1], base.read[1])
+	}
+	for _, batchCap := range []int{7, DefaultBatch, ParReadBatch} {
+		got := run(batchCap)
+		if !slices.Equal(got.order, base.order) {
+			t.Fatalf("cap %d: delivery sequence differs from cap 1", batchCap)
+		}
+		got.order = base.order
+		if !reflect.DeepEqual(got, base) {
+			t.Fatalf("cap %d: %+v, cap 1 %+v", batchCap, got, base)
+		}
+	}
 }
 
 // TestDriverFutureArrivalsDoNotBlock pins the difference between "next
@@ -59,8 +143,8 @@ func TestDriverFutureArrivalsDoNotBlock(t *testing.T) {
 	if !step() {
 		t.Fatal("a run must service a future arrival, not report exhaustion")
 	}
-	if ctx.Clock.Now < 5 {
-		t.Errorf("clock should jump to the arrival, now=%g", ctx.Clock.Now)
+	if ctx.Clock.Now < Nanos(5) {
+		t.Errorf("clock should jump to the arrival, now=%d", ctx.Clock.Now)
 	}
 	if best := d.bestLeaf(); best != 1 {
 		t.Fatalf("remaining leaf must be chosen, got %d", best)

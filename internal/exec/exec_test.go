@@ -331,8 +331,8 @@ func TestDriverAvailabilityOrder(t *testing.T) {
 			t.Fatalf("delivery order = %v", order)
 		}
 	}
-	if ctx.Clock.Now < 2 {
-		t.Errorf("clock should advance to last arrival, got %g", ctx.Clock.Now)
+	if ctx.Clock.Now < Nanos(2) {
+		t.Errorf("clock should advance to last arrival, got %d", ctx.Clock.Now)
 	}
 	if d.Delivered != 4 {
 		t.Error("Delivered wrong")
@@ -403,5 +403,29 @@ func TestClockSemantics(t *testing.T) {
 	c.Charge(2)
 	if c.Now != 7 || c.CPU != 2 {
 		t.Error("Charge wrong")
+	}
+}
+
+// TestDefaultCostsInSeconds pins every default cost, read in seconds as the
+// optimizer reads it, to the seconds literal the model held before it
+// counted nanoseconds: plans and their costs stay bit for bit.
+func TestDefaultCostsInSeconds(t *testing.T) {
+	cm := DefaultCosts()
+	for _, c := range []struct {
+		name string
+		ns   int64
+		sec  float64
+	}{
+		{"HashInsert", cm.HashInsert, 1.0e-6},
+		{"HashProbe", cm.HashProbe, 1.1e-6},
+		{"Compare", cm.Compare, 0.25e-6},
+		{"Move", cm.Move, 0.3e-6},
+		{"AggUpdate", cm.AggUpdate, 0.8e-6},
+		{"DiskIO", cm.DiskIO, 20e-6},
+		{"HistUpdate", cm.HistUpdate, 1.4e-6},
+	} {
+		if got := Seconds(c.ns); got != c.sec {
+			t.Errorf("%s: %d ns reads %v s, want %v", c.name, c.ns, got, c.sec)
+		}
 	}
 }

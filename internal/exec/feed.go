@@ -80,7 +80,8 @@ func (d *Driver) bestLeaf() int {
 	return best
 }
 
-// readInto consumes one row from leaf l, advancing the clock and charging
+// readInto consumes one row from leaf l, advancing the clock to the row's
+// arrival stamp rounded to the nanosecond and charging
 // instrumentation/filter costs; it returns the tuple and whether it
 // survived the filter. A read that yields nothing (the provider faulted
 // or exhausted between the availability peek and the read) counts as
@@ -90,7 +91,7 @@ func (d *Driver) readInto(l *Leaf) (types.Tuple, bool) {
 	if !ok {
 		return nil, false
 	}
-	d.ctx.Clock.AdvanceTo(row.At)
+	d.ctx.Clock.AdvanceTo(Nanos(row.At))
 	l.Read++
 	d.Delivered++
 	d.counters.In++
@@ -112,9 +113,10 @@ func (d *Driver) readInto(l *Leaf) (types.Tuple, bool) {
 // stepBatch reads up to max tuples from the earliest-available leaf into
 // batch and delivers the post-filter survivors in one call. A batch extends
 // only while the same leaf remains the earliest (bestLeaf) AND its next
-// tuple is already available (arrival ≤ current virtual time, so the
-// AdvanceTo it would perform is a no-op) — so the delivery order, the
-// counters and the clock do not depend on max. It returns the number of
+// tuple is already available (its stamp, rounded as readInto rounds it, is
+// at most the current virtual time, so the AdvanceTo it would perform is a
+// no-op) — so the delivery order, the counters and the clock do not depend
+// on max. It returns the number of
 // tuples read (0 when sources are exhausted).
 func (d *Driver) stepBatch(max int, batch *[]types.Tuple) int {
 	best := d.bestLeaf()
@@ -131,7 +133,7 @@ func (d *Driver) stepBatch(max int, batch *[]types.Tuple) int {
 			buf = append(buf, t)
 		}
 		at, more := l.Provider.PeekArrival()
-		if !more || at > d.ctx.Clock.Now || d.bestLeaf() != best {
+		if !more || Nanos(at) > d.ctx.Clock.Now || d.bestLeaf() != best {
 			break
 		}
 	}

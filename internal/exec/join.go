@@ -62,53 +62,38 @@ func (s JoinStyle) String() string {
 // data in the other plans" (§3.4) — and those structures are exposed for
 // reuse by stitch-up plans.
 type HashJoin struct {
-	Style    JoinStyle
-	ctx      *Context
-	out      Sink
-	leftKey  []int
-	rightKey []int
-	schema   *types.Schema
+	Style  JoinStyle
+	ctx    *Context
+	out    Sink
+	schema *types.Schema
 
-	left  state.Keyed // buffered left tuples (hash or list)
-	right state.Keyed
-
-	// leftHT/rightHT are the concrete hash tables behind left/right (nil
-	// for nested loops), cached so the batched fast path can use the
-	// hashed insert/probe APIs without per-tuple type assertions.
-	leftHT  *state.HashTable
-	rightHT *state.HashTable
-
-	// leftList/rightList hold each side's rows in arrival order: the
-	// nested-loops storage, or the lists the hash tables index.
-	leftList  *state.List
-	rightList *state.List
+	// in holds the two inputs' buffered rows, left then right.
+	in [2]joinInput
 
 	pendingProbes []types.Tuple // BuildThenProbe: left tuples awaiting build
 	leftDone      bool
 	rightDone     bool
 
-	// Emit scratch: the reused probe-key buffer and the emitter a batch's
-	// (or a drain's, or a signed sweep's) outputs accumulate into before
-	// one downstream delivery.
-	keyScratch types.Tuple
-	em         BatchEmitter
-
-	// Signed-push scratch: the reused hash vector of a delta batch's keys,
-	// and the materializer of the columnar entries (colbatch.go).
-	hashVec []uint64
-	colIn   colDelivery
-
-	// Delta-maintenance state (standing queries): deletes build into
-	// lazily created negative tables — the z-set representation, where a
-	// side's effective multiset is its main state minus its negative
-	// state. The negative lists are to the negative tables what
-	// leftList/rightList are to the main ones.
-	negLeftHT    *state.HashTable
-	negRightHT   *state.HashTable
-	negLeftList  *state.List
-	negRightList *state.List
+	// The emitter a sweep's outputs accumulate into before one downstream
+	// delivery, and the materializer of the columnar entries (colbatch.go).
+	em    BatchEmitter
+	colIn colDelivery
 
 	counters stats.OpCounters
+}
+
+// joinInput is one input of a HashJoin: its key columns, its main table and
+// — from its first retraction on — its negative table (delta.go).
+type joinInput struct {
+	key       []int
+	main, neg *joinTable
+}
+
+// joinTable is one multiset of buffered rows: the rows in arrival order and,
+// for the hash styles, the hash table indexing them (nil for nested loops).
+type joinTable struct {
+	list *state.List
+	ht   *state.HashTable
 }
 
 // NewHashJoin creates a join node. leftKey/rightKey are column positions
@@ -129,31 +114,40 @@ func NewHashJoin(ctx *Context, style JoinStyle, leftSchema, rightSchema *types.S
 // default size and grow; nested-loops joins have lists and ignore both.
 func NewHashJoinSized(ctx *Context, style JoinStyle, leftSchema, rightSchema *types.Schema, leftKey, rightKey []int, estLeft, estRight float64, out Sink) *HashJoin {
 	j := &HashJoin{
-		Style:    style,
-		ctx:      ctx,
-		out:      out,
-		leftKey:  leftKey,
-		rightKey: rightKey,
-		schema:   leftSchema.Concat(rightSchema),
+		Style:  style,
+		ctx:    ctx,
+		out:    out,
+		schema: leftSchema.Concat(rightSchema),
 	}
 	_, j.em.recycle = out.(InputCopier)
-	switch {
-	case style == NestedLoops:
-		j.leftList = state.NewList(leftSchema)
-		j.rightList = state.NewList(rightSchema)
-		return j
-	case estLeft > 0 || estRight > 0:
-		size := func(est float64) int { return int(min(max(est, 64), 1<<26)) }
-		j.leftHT = state.NewHashTableSized(leftSchema, leftKey, size(estLeft))
-		j.rightHT = state.NewHashTableSized(rightSchema, rightKey, size(estRight))
-		j.leftHT.Fixed, j.rightHT.Fixed = true, true
-	default:
-		j.leftHT = state.NewHashTable(leftSchema, leftKey)
-		j.rightHT = state.NewHashTable(rightSchema, rightKey)
+	var buckets [2]int
+	if estLeft > 0 || estRight > 0 {
+		for i, est := range [2]float64{estLeft, estRight} {
+			buckets[i] = int(min(max(est, 64), 1<<26))
+		}
 	}
-	j.left, j.right = j.leftHT, j.rightHT
-	j.leftList, j.rightList = j.leftHT.List(), j.rightHT.List()
+	j.in[0].key, j.in[1].key = leftKey, rightKey
+	for i, schema := range [2]*types.Schema{leftSchema, rightSchema} {
+		j.in[i].main = j.newTable(schema, j.in[i].key, buckets[i])
+	}
 	return j
+}
+
+// newTable creates an empty table for an input of the given layout: a list
+// for nested loops, else a hash table over one — fixed at buckets buckets
+// when buckets > 0, growing from the default size otherwise.
+func (j *HashJoin) newTable(schema *types.Schema, key []int, buckets int) *joinTable {
+	var ht *state.HashTable
+	switch {
+	case j.Style == NestedLoops:
+		return &joinTable{list: state.NewList(schema)}
+	case buckets > 0:
+		ht = state.NewHashTableSized(schema, key, buckets)
+		ht.Fixed = true
+	default:
+		ht = state.NewHashTable(schema, key)
+	}
+	return &joinTable{list: ht.List(), ht: ht}
 }
 
 // Schema returns the output layout.
@@ -164,166 +158,172 @@ func (j *HashJoin) Counters() *stats.OpCounters { return &j.counters }
 
 // Tables exposes the buffered state structures for stitch-up reuse; nil
 // for nested-loops (whose lists are exposed via SideLists).
-func (j *HashJoin) Tables() (left, right state.Keyed) { return j.left, j.right }
+func (j *HashJoin) Tables() (left, right state.Keyed) {
+	if j.Style == NestedLoops {
+		return nil, nil
+	}
+	return j.in[0].main.ht, j.in[1].main.ht
+}
 
-// joinSide exposes one input of a HashJoin as a sink, so plan lowering can
-// wire either side.
+// joinSide exposes one input of a HashJoin (i: 0 left, 1 right) as a sink,
+// so plan lowering can wire either side.
 type joinSide struct {
-	j    *HashJoin
-	left bool
+	j *HashJoin
+	i int
 }
 
 // PushBatch implements Sink.
-func (s joinSide) PushBatch(ts []types.Tuple) {
-	if s.left {
-		s.j.PushLeftBatch(ts)
-	} else {
-		s.j.PushRightBatch(ts)
-	}
-}
+func (s joinSide) PushBatch(ts []types.Tuple) { s.j.push(s.i, ts, 0) }
+
+// PushSigned implements DeltaSink.
+func (s joinSide) PushSigned(ts []types.Tuple, sign int) { s.j.push(s.i, ts, sign) }
 
 // LeftSink returns the join's left input as a sink.
-func (j *HashJoin) LeftSink() Sink { return joinSide{j: j, left: true} }
+func (j *HashJoin) LeftSink() Sink { return joinSide{j: j, i: 0} }
 
 // RightSink returns the join's right input as a sink.
-func (j *HashJoin) RightSink() Sink { return joinSide{j: j, left: false} }
+func (j *HashJoin) RightSink() Sink { return joinSide{j: j, i: 1} }
 
-// PushLeftBatch feeds a batch of tuples into the left input. For hash
-// styles each tuple's key is hashed exactly once (shared between the
-// build-side insert and the opposite-side probe), probe keys live in a
-// reused scratch buffer, join results are carved from an arena, and the
-// batch's outputs are delivered downstream in one call, in the order the
-// tuples produced them.
-//
-//adp:hotpath gated by BenchmarkPipelinedJoinPush (scripts/check_allocs.sh)
-func (j *HashJoin) PushLeftBatch(ts []types.Tuple) {
-	for _, t := range ts {
-		j.counters.In++
-		j.counters.InLeft++
-		if j.Style == NestedLoops {
-			j.leftList.Insert(t)
-			j.ctx.Clock.Charge(j.ctx.Cost.Move)
-			j.scan(j.rightList, t, true)
-			continue
-		}
-		h := t.HashKey(j.leftKey)
-		j.leftHT.InsertHashed(h, t)
-		j.ctx.Clock.Charge(j.ctx.Cost.HashInsert)
-		if j.Style == Pipelined || j.rightDone {
-			j.probeRightHashed(h, t)
-		} else {
-			j.pendingProbes = append(j.pendingProbes, t)
-		}
-	}
-	j.endBatch()
-}
+// PushLeftBatch feeds a batch of tuples into the left input.
+func (j *HashJoin) PushLeftBatch(ts []types.Tuple) { j.push(0, ts, 0) }
 
 // PushRightBatch feeds a batch of tuples into the right input.
+func (j *HashJoin) PushRightBatch(ts []types.Tuple) { j.push(1, ts, 0) }
+
+// push is the join's one entry, for both inputs, every style and every
+// sign (0 for unsigned traffic): rows of input i build into its main
+// table — its negative table when sign < 0 — and probe the other input's
+// tables by the bilinear delta rule (delta.go): its main table emits the
+// rows' sign, its negative table the opposite one. The asserting sweep runs
+// first: downstream consumers that track value multisets (the signed
+// aggregate's min/max bags) need every retraction to find a live assertion,
+// and since the negative table is a sub-multiset of the main one,
+// assert-first ordering guarantees that prefix property. Unsigned rows
+// assert; they never meet a negative table, as unsigned traffic ends before
+// the first retraction. Only an unsigned push into a build-then-probe join
+// that is still building defers its probes: a left batch waits in
+// pendingProbes for FinishRight, a right batch probes nothing (the drain
+// meets it). Signed rows arrive once both inputs have finished their
+// initial run, and probe at once whatever the style.
 //
-//adp:hotpath gated by BenchmarkPipelinedJoinPush (scripts/check_allocs.sh)
-func (j *HashJoin) PushRightBatch(ts []types.Tuple) {
-	for _, t := range ts {
-		j.counters.In++
-		j.counters.InRight++
-		if j.Style == NestedLoops {
-			j.rightList.Insert(t)
-			j.ctx.Clock.Charge(j.ctx.Cost.Move)
-			// A late inner tuple must join with all buffered outers
-			// (symmetric nested loops keeps results complete regardless of
-			// arrival interleaving).
-			j.scan(j.leftList, t, false)
-			continue
-		}
-		h := t.HashKey(j.rightKey)
-		j.rightHT.InsertHashed(h, t)
-		j.ctx.Clock.Charge(j.ctx.Cost.HashInsert)
-		if j.Style == Pipelined {
-			j.probeLeftHashed(h, t)
-		}
-		// BuildThenProbe: probes wait for FinishRight.
+//adp:hotpath gated by BenchmarkPipelinedJoinPush and BenchmarkDeltaPropagation (scripts/check_allocs.sh)
+func (j *HashJoin) push(i int, rows []types.Tuple, sign int) {
+	n := int64(len(rows))
+	if n == 0 {
+		return
 	}
-	j.endBatch()
+	j.counters.In += n
+	if i == 0 {
+		j.counters.InLeft += n
+	} else {
+		j.counters.InRight += n
+	}
+	build, other := j.in[i].main, &j.in[1-i]
+	first, second, firstSign := other.main, other.neg, sign
+	if sign < 0 {
+		build = j.negTable(i)
+		first, second, firstSign = other.neg, other.main, 1
+	}
+	if sign == 0 && j.Style == BuildThenProbe && (i == 1 || !j.rightDone) {
+		first, second = nil, nil
+		if i == 0 {
+			j.pendingProbes = append(j.pendingProbes, rows...)
+		}
+	}
+	j.sweep(i, rows, build, first, firstSign)
+	j.sweep(i, rows, nil, second, -1)
 }
 
-// endBatch delivers the accumulated outputs downstream in one call.
-func (j *HashJoin) endBatch() { j.em.Flush(j.out) }
+// hashBlock is how many rows a sweep hashes at a time: into a vector on its
+// own stack, so that no join keeps one sized to its largest batch.
+const hashBlock = 64
 
-// keyFor extracts t's key columns into the reused scratch buffer. The
-// result is only valid until the next keyFor call; probe callees do not
-// retain it.
-func (j *HashJoin) keyFor(t types.Tuple, cols []int) types.Tuple {
-	if cap(j.keyScratch) < len(cols) {
-		j.keyScratch = make(types.Tuple, len(cols))
-	}
-	k := j.keyScratch[:len(cols)]
-	for i, c := range cols {
-		k[i] = t[c]
-	}
-	return k
-}
-
-// probeRightHashed probes the right table with lt's key and its
-// precomputed hash, zero-allocation except for emitted results. The charge
-// is the scan work of one probe — hashing plus walking the bucket chain:
+// sweep runs rows of input i through the join's state: each row builds into
+// build and probes probe (either may be nil), and every hit leaves, left
+// operand first, with sign — downstream at every emitFlushLen and at the
+// sweep's end, in row order and, per row, in probe's chain (or list) order.
+// A hash style hashes each row's key once for both. The work is charged at
+// once, which nothing the sweep emits can change: per row a HashInsert (a
+// Move into a nested-loops list); per probe 1 + chain length hash probes —
 // collisions in under-sized fixed tables make this the dominant cost of a
-// mis-planned query.
-func (j *HashJoin) probeRightHashed(h uint64, lt types.Tuple) {
-	key := j.keyFor(lt, j.leftKey)
-	work := 1.0 + float64(j.rightHT.ChainLenHashed(h))
-	j.ctx.Clock.Charge(work * j.ctx.Cost.HashProbe)
-	j.rightHT.ProbeHashed(h, key, func(rt types.Tuple) bool {
-		j.emit(lt, rt)
-		return true
-	})
-}
-
-// probeLeftHashed is the mirror of probeRightHashed.
-func (j *HashJoin) probeLeftHashed(h uint64, rt types.Tuple) {
-	key := j.keyFor(rt, j.rightKey)
-	work := 1.0 + float64(j.leftHT.ChainLenHashed(h))
-	j.ctx.Clock.Charge(work * j.ctx.Cost.HashProbe)
-	j.leftHT.ProbeHashed(h, key, func(lt types.Tuple) bool {
-		j.emit(lt, rt)
-		return true
-	})
-}
-
-// scan is the nested-loops probe: t against every row of the opposite
-// side's list l, one Compare each; tLeft says t is the left operand.
-func (j *HashJoin) scan(l *state.List, t types.Tuple, tLeft bool) {
-	l.Scan(func(m types.Tuple) bool {
-		j.ctx.Clock.Charge(j.ctx.Cost.Compare)
-		lt, rt := t, m
-		if !tLeft {
-			lt, rt = m, t
+// mis-planned query — or one Compare per buffered row; one Move per hit. A
+// table that exists is probed, and charged, even when it is empty; a
+// negative table never created costs nothing.
+//
+//adp:hotpath gated by BenchmarkPipelinedJoinPush and BenchmarkDeltaPropagation (scripts/check_allocs.sh)
+func (j *HashJoin) sweep(i int, rows []types.Tuple, build, probe *joinTable, sign int) {
+	if build == nil && probe == nil {
+		return
+	}
+	n, cost, hits := int64(len(rows)), j.ctx.Cost, j.counters.Out
+	j.em.sign = sign
+	block := rows
+	emit := func(k int, m types.Tuple) bool {
+		lt, rt := block[k], m
+		if i == 1 {
+			lt, rt = m, block[k]
 		}
-		if lt.KeyEquals(j.leftKey, rt, j.rightKey) {
-			j.emit(lt, rt)
-		}
+		j.counters.Out++
+		j.em.EmitConcat(j.out, lt, rt)
 		return true
-	})
-}
-
-func (j *HashJoin) emit(lt, rt types.Tuple) {
-	j.ctx.Clock.Charge(j.ctx.Cost.Move)
-	j.counters.Out++
-	j.em.EmitConcat(j.out, lt, rt)
+	}
+	if j.Style == NestedLoops {
+		if build != nil {
+			build.list.InsertBatch(rows)
+			j.ctx.Clock.Charge(n * cost.Move)
+		}
+		if probe != nil {
+			j.ctx.Clock.Charge(n * int64(probe.list.Len()) * cost.Compare)
+			for k, r := range rows {
+				probe.list.Scan(func(m types.Tuple) bool {
+					if r.KeyEquals(j.in[i].key, m, j.in[1-i].key) {
+						emit(k, m)
+					}
+					return true
+				})
+			}
+		}
+	} else {
+		var buf [hashBlock]uint64
+		work := int64(0)
+		for lo := 0; lo < len(rows); lo += hashBlock {
+			block = rows[lo:min(lo+hashBlock, len(rows))]
+			hs := buf[:len(block)]
+			for k, r := range block {
+				hs[k] = r.HashKey(j.in[i].key)
+			}
+			if build != nil {
+				build.ht.InsertHashedBatch(hs, block)
+			}
+			if probe != nil {
+				work += int64(len(block))
+				for _, h := range hs {
+					work += int64(probe.ht.ChainLenHashed(h))
+				}
+				probe.ht.ProbeHashedBatch(hs, block, j.in[i].key, emit)
+			}
+		}
+		if build != nil {
+			j.ctx.Clock.Charge(n * cost.HashInsert)
+		}
+		j.ctx.Clock.Charge(work * cost.HashProbe)
+	}
+	j.ctx.Clock.Charge((j.counters.Out - hits) * cost.Move)
+	j.em.Flush(j.out)
+	j.em.sign = 0
 }
 
 // FinishLeft signals end of the left input.
 func (j *HashJoin) FinishLeft() { j.leftDone = true }
 
 // FinishRight signals end of the right (build) input; a build-then-probe
-// join drains its buffered probes here, through the same hashed probe and
-// emitter as a pushed batch, so the drain reaches downstream as batches.
+// join drains its buffered probes here, through the same sweep as a pushed
+// batch, so the drain reaches downstream as batches.
 func (j *HashJoin) FinishRight() {
 	j.rightDone = true
 	if j.Style == BuildThenProbe {
-		for _, lt := range j.pendingProbes {
-			j.probeRightHashed(lt.HashKey(j.leftKey), lt)
-		}
+		j.sweep(0, j.pendingProbes, nil, j.in[1].main, 0)
 		j.pendingProbes = nil
-		j.endBatch()
 	}
 }
 
@@ -351,9 +351,9 @@ func (f *Filter) PushSigned(ts []types.Tuple, sign int) { f.push(ts, sign) }
 
 func (f *Filter) push(ts []types.Tuple, sign int) {
 	f.scratch = f.scratch[:0]
+	f.ctx.Clock.Charge(int64(len(ts)) * f.ctx.Cost.Compare)
 	for _, t := range ts {
 		f.counters.In++
-		f.ctx.Clock.Charge(f.ctx.Cost.Compare)
 		if f.pred(t) {
 			f.counters.Out++
 			f.scratch = append(f.scratch, t)
@@ -391,10 +391,10 @@ func (p *Project) PushSigned(ts []types.Tuple, sign int) { p.push(ts, sign) }
 func (p *Project) push(ts []types.Tuple, sign int) {
 	width := p.adapter.To().Len()
 	p.scratch = p.scratch[:0]
+	p.counters.In += int64(len(ts))
+	p.counters.Out += int64(len(ts))
+	p.ctx.Clock.Charge(int64(len(ts)) * p.ctx.Cost.Move)
 	for _, t := range ts {
-		p.counters.In++
-		p.counters.Out++
-		p.ctx.Clock.Charge(p.ctx.Cost.Move)
 		p.scratch = append(p.scratch, p.adapter.AdaptInto(p.arena.Alloc(width), t))
 	}
 	deliver(p.out, p.scratch, sign)

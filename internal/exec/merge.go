@@ -145,15 +145,16 @@ func (m *MergeJoin) PushRightBatch(ts []types.Tuple) error {
 	return err
 }
 
-// pushBatch is the shared entry of both sides: per tuple, insert, charge,
-// group accounting, advance, and rejection of an out-of-order arrival.
+// pushBatch is the shared entry of both sides: the batch's inserts charged
+// at once, then per tuple insert, group accounting, advance, and rejection
+// of an out-of-order arrival.
 func (m *MergeJoin) pushBatch(side *mergeSide, inSide *int64, ts []types.Tuple) error {
 	var firstErr error
+	m.counters.In += int64(len(ts))
+	*inSide += int64(len(ts))
+	m.ctx.Clock.Charge(int64(len(ts)) * m.ctx.Cost.HashInsert)
 	for _, t := range ts {
-		m.counters.In++
-		*inSide++
 		side.table.InsertHashed(t.HashKey(side.keyCols), t)
-		m.ctx.Clock.Charge(m.ctx.Cost.HashInsert)
 		if err := side.push(t); err != nil {
 			// The offending tuple is dropped from the merge (its table
 			// insert stands) and later tuples still flow.

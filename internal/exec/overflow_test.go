@@ -75,7 +75,7 @@ func TestMemoryManagerWithJoinIntermediates(t *testing.T) {
 	}
 	// Stitch-up wants the intermediate back: page in, charge I/O.
 	mm.PageIn("⋈{R,S}")
-	ctx.Clock.Charge(float64(out.Len()) * ctx.Cost.DiskIO)
+	ctx.Clock.Charge(int64(out.Len()) * ctx.Cost.DiskIO)
 	if mm.IsEvicted("⋈{R,S}") {
 		t.Error("page-in failed")
 	}

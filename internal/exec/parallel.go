@@ -48,7 +48,7 @@ type parMsg struct {
 	entry   int
 	rows    []types.Tuple
 	buf     *[]types.Tuple // pooled backing storage, recycled after processing
-	arrival float64        // sender's virtual time; receiver advances to it
+	arrival int64          // sender's virtual time; receiver advances to it
 }
 
 // ParallelDriver executes one lowered, partitioned plan: the serial read
@@ -277,12 +277,14 @@ func (pd *ParallelDriver) Close() {
 // accumulates every partition's charged work (total work is the sum).
 //
 // Determinism caveat: a partition clock interleaves AdvanceTo (a max)
-// with Charge (a sum), so its reading depends on message arrival order.
-// With the driver as a partition's only producer that order is FIFO and
-// the clocks are reproducible; once mid-plan exchanges add peer-worker
-// producers, inbox interleaving is scheduling-dependent and per-partition
-// readings may vary run-to-run (bounded by the work performed). Rows and
-// counters are never affected — only the clock diagnostics.
+// with Charge (a sum), so its reading depends on the order messages reach
+// it — never on the order charges are added, which integer nanoseconds make
+// unobservable. With the driver as a partition's only producer that order
+// is FIFO and the clocks are reproducible; once mid-plan exchanges add
+// peer-worker producers, inbox interleaving is scheduling-dependent and
+// per-partition readings may vary run-to-run (bounded by the work
+// performed). Rows and counters are never affected — only the clock
+// diagnostics.
 func (pd *ParallelDriver) FoldClocks() {
 	for _, c := range pd.ctxs {
 		pd.ctx.Clock.AdvanceTo(c.Clock.Now)

@@ -100,7 +100,7 @@ func TestParallelDriverJoinMatchesSerial(t *testing.T) {
 		}
 	}
 	var in, out int64
-	var cpu float64
+	var cpu int64
 	for p, j := range f.joins {
 		c := j.Counters()
 		in += c.In

@@ -19,7 +19,7 @@ func TestCostPlanMatchesOptimizeForChosenPlan(t *testing.T) {
 	}
 	// Optimize's reported cost includes the final aggregation update; the
 	// join-tree cost must match within that term.
-	aggCost := res.Card * exec.DefaultCosts().AggUpdate
+	aggCost := res.Card * exec.Seconds(exec.DefaultCosts().AggUpdate)
 	if diff := res.Cost - cost - aggCost; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("CostPlan %.9f + agg %.9f != Optimize %.9f", cost, aggCost, res.Cost)
 	}

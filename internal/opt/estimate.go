@@ -49,6 +49,24 @@ type Inputs struct {
 	PreAgg PreAggMode
 }
 
+// costs is an execution cost model in the optimizer's unit, seconds: each
+// exec.CostModel field's nanoseconds over 1e9, which reproduces bit for bit
+// the seconds literals the model was first written in.
+type costs struct{ HashInsert, HashProbe, Move, AggUpdate float64 }
+
+// costsOf reads cm (nil: exec.DefaultCosts) in seconds.
+func costsOf(cm *exec.CostModel) costs {
+	if cm == nil {
+		cm = exec.DefaultCosts()
+	}
+	return costs{
+		HashInsert: exec.Seconds(cm.HashInsert),
+		HashProbe:  exec.Seconds(cm.HashProbe),
+		Move:       exec.Seconds(cm.Move),
+		AggUpdate:  exec.Seconds(cm.AggUpdate),
+	}
+}
+
 // PreAggMode selects how the optimizer treats pre-aggregation points.
 type PreAggMode uint8
 
@@ -103,9 +121,9 @@ func TotalCard(known map[string]float64, obs *stats.Registry, rel string) float6
 // cardinality, per predicate its join selectivity, per subset its observed
 // cardinality and credit.
 func (p *Planner) load(in Inputs) {
-	p.cm = in.Cost
-	if p.cm == nil {
-		p.cm = p.defaultCost
+	p.cm = p.defaultCost
+	if in.Cost != nil {
+		p.cm = costsOf(in.Cost)
 	}
 	for i, name := range p.names {
 		raw := TotalCard(in.Known, in.Obs, name)

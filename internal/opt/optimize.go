@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"github.com/tukwila/adp/internal/algebra"
-	"github.com/tukwila/adp/internal/exec"
 	"github.com/tukwila/adp/internal/types"
 )
 
@@ -67,10 +66,9 @@ type Planner struct {
 	joins map[joinKey]*algebra.JoinPlan
 
 	// One call's statistics (load) and cost model.
-	raw, base   []float64
-	cm          *exec.CostModel
-	defaultCost *exec.CostModel
-	scratch     []int32
+	raw, base       []float64
+	cm, defaultCost costs
+	scratch         []int32
 }
 
 // pred is one join predicate with its registry key (JoinPred.String), its
@@ -141,7 +139,7 @@ func NewPlanner(q *algebra.Query) (*Planner, error) {
 		joins:       map[joinKey]*algebra.JoinPlan{},
 		raw:         make([]float64, n),
 		base:        make([]float64, n),
-		defaultCost: exec.DefaultCosts(),
+		defaultCost: costsOf(nil),
 	}
 	for i, r := range q.Relations {
 		p.names[i], p.idx[r.Name] = r.Name, i

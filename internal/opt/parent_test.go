@@ -2,8 +2,9 @@ package opt
 
 // The optimizer as it was before the Planner (commit 79df4af):
 // optimize.go, estimate.go and costplan.go verbatim but for renamed
-// identifiers and one line — Inputs.DefaultCard, a field nothing set, is
-// gone, so totalCard reads it as its zero value. FuzzReoptimize holds the
+// identifiers, one line — Inputs.DefaultCard, a field nothing set, is
+// gone, so totalCard reads it as its zero value — and the cost model, read
+// in seconds through costsOf now that exec.CostModel counts nanoseconds. FuzzReoptimize holds the
 // Planner to it. Result, Inputs, PreAggMode, DefaultCard and FilterSelKey
 // are the package's own, unchanged.
 
@@ -12,7 +13,6 @@ import (
 	"math"
 
 	"github.com/tukwila/adp/internal/algebra"
-	"github.com/tukwila/adp/internal/exec"
 	"github.com/tukwila/adp/internal/expr"
 )
 
@@ -27,7 +27,7 @@ type parentMemoEntry struct {
 type parentOptimizer struct {
 	in   Inputs
 	est  *parentEstimator
-	cost *exec.CostModel
+	cost costs
 	memo map[uint]*parentMemoEntry
 	// adjacency: relation index -> bitmask of joined relations.
 	adj []uint
@@ -50,12 +50,9 @@ func parentOptimize(in Inputs) (*Result, error) {
 	o := &parentOptimizer{
 		in:         in,
 		est:        parentNewEstimator(in),
-		cost:       in.Cost,
+		cost:       costsOf(in.Cost),
 		memo:       map[uint]*parentMemoEntry{},
 		preAggLeaf: -1,
-	}
-	if o.cost == nil {
-		o.cost = exec.DefaultCosts()
 	}
 	q := in.Query
 	o.adj = make([]uint, len(q.Relations))
@@ -364,10 +361,7 @@ func (o *parentOptimizer) joinCost(cl, cr, out float64) float64 {
 // EstimateSetCard exposes subset cardinality estimation to the corrective
 // monitor: it estimates |⋈ rels| under the same model the optimizer uses.
 func parentEstimateSetCard(in Inputs, rels []string) float64 {
-	o := &parentOptimizer{in: in, est: parentNewEstimator(in), cost: in.Cost, memo: map[uint]*parentMemoEntry{}, preAggLeaf: -1}
-	if o.cost == nil {
-		o.cost = exec.DefaultCosts()
-	}
+	o := &parentOptimizer{in: in, est: parentNewEstimator(in), cost: costsOf(in.Cost), memo: map[uint]*parentMemoEntry{}, preAggLeaf: -1}
 	q := in.Query
 	o.adj = make([]uint, len(q.Relations))
 	for _, j := range q.Joins {
@@ -611,10 +605,7 @@ func (e *parentEstimator) cardOf(mask uint, cardL, cardR float64, preds []algebr
 // only when a substantially better plan exists).
 func parentCostPlan(in Inputs, root algebra.Plan) (cost, card float64) {
 	e := parentNewEstimator(in)
-	cm := in.Cost
-	if cm == nil {
-		cm = exec.DefaultCosts()
-	}
+	cm := costsOf(in.Cost)
 	var walk func(p algebra.Plan) (cost, card float64, mask uint)
 	walk = func(p algebra.Plan) (float64, float64, uint) {
 		switch v := p.(type) {

@@ -87,7 +87,7 @@ func (b *fuzzBytes) inputs(q *algebra.Query) Inputs {
 	}
 	if flags&16 != 0 {
 		in.Cost = exec.DefaultCosts()
-		in.Cost.Move *= float64(1 + b.next()%4)
+		in.Cost.Move *= int64(1 + b.next()%4)
 	}
 	return in
 }

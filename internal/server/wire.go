@@ -338,6 +338,7 @@ type WireReport struct {
 	RealSeconds    float64                   `json:"real_seconds"`
 	Partitions     int                       `json:"partitions,omitempty"`
 	Switches       int                       `json:"switches"`
+	OptCalls       int                       `json:"opt_calls,omitempty"`
 	Phases         []WirePhase               `json:"phases"`
 	StitchSeconds  float64                   `json:"stitch_seconds,omitempty"`
 	StitchCombos   int                       `json:"stitch_combos,omitempty"`
@@ -386,6 +387,7 @@ func wireReport(rep *core.Report, planCache string) WireReport {
 		RealSeconds:    rep.RealSeconds,
 		Partitions:     rep.Partitions,
 		Switches:       rep.Switches,
+		OptCalls:       rep.OptCalls,
 		StitchSeconds:  rep.StitchTime,
 		StitchCombos:   rep.StitchCombos,
 		Reused:         rep.Reused,
