@@ -1,7 +1,8 @@
 package adp_test
 
 // Benchmarks regenerating the paper's tables and figures, one per
-// experiment (see DESIGN.md's experiment index). Each benchmark iteration
+// experiment of internal/bench (cmd/adpbench's -experiment names the same
+// list). Each benchmark iteration
 // executes the full experiment at a reduced scale factor so `go test
 // -bench=.` completes quickly; run cmd/adpbench with -sf 0.05 or larger
 // for paper-regime numbers. Benchmarks report the headline metric of the

@@ -128,14 +128,16 @@
 // operator takes batches — HashJoin and MergeJoin (both inputs, via
 // LeftSink/RightSink), the ComplementaryJoin router (which groups
 // consecutive same-destination tuples into sub-batches for its merge and
-// hash components and batches the mini stitch-up's emits), Filter,
-// Project, Combine, Queue, AggTable, Pseudogroup, and WindowPreAgg — and
-// hands its consumer batches: a join delivers one input batch's (or one
-// drain's) results in one call, a windowed pre-aggregate the partials of
-// the windows one input batch filled, the corrective stitch-up each
-// combination's result vector. The source driver groups consecutive
-// already-available tuples from the same source into batches. How a
-// stream is cut into batches never shows in rows or counters.
+// hash components and batches the mini stitch-up's emits), Project,
+// AggTable, WindowPreAgg (whose w=1 mode is the paper's pseudogroup), the
+// partition Exchange and the PartitionMerge — and hands its consumer
+// batches: a join delivers one input batch's (or one drain's) results in
+// one call, a windowed pre-aggregate the partials of the windows one input
+// batch filled, the corrective stitch-up each combination's result vector.
+// Selections run in the source driver, as each leaf's predicate, and the
+// driver groups consecutive already-available tuples from the same source
+// into batches. How a stream is cut into batches never shows in rows or
+// counters.
 //
 // Within a batch the engine is allocation-free at steady state: join keys
 // are hashed once and shared between build-insert and probe
@@ -161,11 +163,11 @@
 // (docs/architecture.md has the numbers). Signed traffic is row batches
 // too, the sign travelling beside them (DeltaSink.PushSigned): a standing
 // query's deltas enter the tree as the source rows they are, see "Standing
-// queries". The columnar layout — types.ColBatch, per-column value arrays,
-// with types.HashKeys folding a batch's key columns into one reused hash
-// vector — backs the partition merge's buffers and Exchange's columnar
-// entry; a few columnar shims that the benchmark's probes call transpose
-// their batch once and run the row entries.
+// queries". So one row format runs from the leaves to the socket: a
+// partitioned SPJ phase's merge buffers its partitions' root rows as the
+// root joins emit them. The columnar layout, types.ColBatch, survives only
+// behind the shims the benchmark's kernel probes call, each of which
+// transposes its batch once and runs the row entry.
 //
 // # Standing queries
 //

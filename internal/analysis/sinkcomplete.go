@@ -8,8 +8,8 @@ import (
 
 // SinkCompleteAnalyzer checks that every sink entry tolerates empty input:
 // the drivers flush zero-length runs at phase and fault boundaries, so a
-// PushBatch, PushSigned or PushColBatch body that indexes its batch with a
-// constant before a length guard is a latent panic. That a sink has its entries at
+// PushBatch or PushSigned body that indexes its batch with a constant
+// before a length guard is a latent panic. That a sink has its entries at
 // all needs no analyzer: exec.Sink is PushBatch, so the compiler checks it.
 var SinkCompleteAnalyzer = &Analyzer{
 	Name: "sinkcomplete",
@@ -24,7 +24,7 @@ func runSinkComplete(pass *Pass) error {
 			if !ok || fn.Body == nil || fn.Recv == nil {
 				continue
 			}
-			if n := fn.Name.Name; n == "PushBatch" || n == "PushSigned" || n == "PushColBatch" {
+			if n := fn.Name.Name; n == "PushBatch" || n == "PushSigned" {
 				checkEmptyTolerant(pass, fn)
 			}
 		}
@@ -65,15 +65,9 @@ func checkEmptyTolerant(pass *Pass, fn *ast.FuncDecl) {
 				firstIndex, firstIndexExpr = e.Pos(), e
 			}
 		case *ast.CallExpr:
-			// len(batch) or batch.Len() — any appearance counts as a
-			// guard if it precedes the first constant index.
-			var guarded bool
-			if isBuiltin(pass, e.Fun, "len") && len(e.Args) == 1 && usesParam(e.Args[0]) {
-				guarded = true
-			}
-			if sel, ok := e.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Len" && usesParam(sel.X) {
-				guarded = true
-			}
+			// len(batch) — any appearance counts as a guard if it precedes
+			// the first constant index.
+			guarded := isBuiltin(pass, e.Fun, "len") && len(e.Args) == 1 && usesParam(e.Args[0])
 			if guarded && (firstGuard == token.NoPos || e.Pos() < firstGuard) {
 				firstGuard = e.Pos()
 			}

@@ -1,12 +1,8 @@
 // Corpus for the sinkcomplete analyzer: empty-batch tolerance of the sink
-// entries (PushBatch, PushSigned, PushColBatch).
+// entries (PushBatch, PushSigned).
 package sinkcomplete
 
 type Tuple []int
-
-type ColBatch struct{ n int }
-
-func (b *ColBatch) Len() int { return b.n }
 
 // headPeek indexes the batch before checking emptiness.
 type headPeek struct{ last Tuple }
@@ -50,15 +46,4 @@ func (l *looper) PushBatch(ts []Tuple) {
 	for i := range ts {
 		l.sum += len(ts[i])
 	}
-}
-
-// colGuard reads the columnar batch behind a Len() guard: true negative.
-type colGuard struct{ n int }
-
-func (c *colGuard) PushBatch(ts []Tuple) {}
-func (c *colGuard) PushColBatch(b *ColBatch) {
-	if b.Len() == 0 {
-		return
-	}
-	c.n += b.Len()
 }

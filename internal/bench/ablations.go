@@ -19,9 +19,10 @@ type AblationRow struct {
 	Detail     string
 }
 
-// Ablations sweeps the design choices DESIGN.md calls out: the corrective
-// polling interval (§4.1 "how often to make decisions"), the priority-
-// queue length of the complementary router (§5), the window-adaptation
+// Ablations sweeps the engine's design choices, one experiment each: the
+// corrective polling interval (§4.1 "how often to make decisions"), the
+// priority-queue length of the complementary router (§5), the partition
+// count of a hash-partitioned join (partitions.go), the window-adaptation
 // policy of pre-aggregation (§6), and stitch-up reuse (§3.4.2).
 func Ablations(cfg Config) ([]AblationRow, error) {
 	cfg.defaults()

@@ -3,7 +3,7 @@
 // local data), Figure 3 / Table 2 (the same over a simulated bursty
 // wireless network), the §4.5 selectivity-predictability study, Figure 5 /
 // Table 3 (complementary join pairs), Figure 6 (pre-aggregation
-// strategies), and the design-choice ablations listed in DESIGN.md.
+// strategies), and the design-choice ablations (Ablations).
 // Absolute times are virtual seconds from the engine's deterministic cost
 // model, so results are stable across machines; the comparisons (who wins,
 // by what factor) are the reproduction target.

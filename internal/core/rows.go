@@ -159,8 +159,6 @@ type rootSink struct {
 	ad   *types.Adapter
 	out  *rootRows
 	move int64 // charged per row: a Move, or 0 where the producer paid it (rootSinkFor's cost)
-
-	colScratch types.ColBatch // PushColBatch's adapter output (aliases its input)
 }
 
 // CopiesInput implements exec.InputCopier: the root join feeding this sink
@@ -187,22 +185,5 @@ func (s *rootSink) PushSigned(ts []types.Tuple, sign int) {
 	s.ctx.Clock.Charge(int64(len(ts)) * s.move)
 	for _, t := range ts {
 		s.out.updates = append(s.out.updates, ivm.Update{Row: s.ad.Adapt(t), Sign: sign})
-	}
-}
-
-// PushColBatch implements exec.ColBatchSink for the one producer of
-// columns an unsigned run has, the partition merge's releases of its
-// buffers: the adapter permutes columns zero-copy, then each row is read
-// out exactly once, into rootRows storage.
-func (s *rootSink) PushColBatch(b *types.ColBatch) {
-	n := b.Len()
-	if n == 0 {
-		return
-	}
-	s.ctx.Clock.Charge(int64(n) * s.move)
-	s.ad.AdaptCols(&s.colScratch, b)
-	w := s.ad.To().Len()
-	for i := 0; i < n; i++ {
-		s.colScratch.ReadRow(s.out.next(w), i)
 	}
 }

@@ -469,93 +469,6 @@ func (a *AggTable) EmitPartial() []types.Tuple {
 	return out
 }
 
-// Pseudogroup converts raw tuples into partial-layout singletons: "a
-// trivial pseudogroup operator that essentially performs pre-aggregation
-// over each successive singleton tuple set ... it costs little more than a
-// conventional projection operation" (§3.2). Inserting it wherever a
-// pre-aggregation point exists keeps subexpression schemas identical
-// across plans that did or did not pre-aggregate.
-type Pseudogroup struct {
-	ctx      *Context
-	groupIdx []int
-	aggs     []algebra.AggSpec
-	argEvals []expr.Evaluator
-	schema   *types.Schema
-	out      Sink
-	arena    ValueArena
-	scratch  []types.Tuple
-	counters stats.OpCounters
-}
-
-// NewPseudogroup builds the operator for input layout in.
-func NewPseudogroup(ctx *Context, in *types.Schema, groupBy []string, aggs []algebra.AggSpec, out Sink) (*Pseudogroup, error) {
-	p := &Pseudogroup{
-		ctx:    ctx,
-		aggs:   aggs,
-		schema: algebra.GroupSchema(in, groupBy, aggs, true),
-		out:    out,
-	}
-	for _, g := range groupBy {
-		i := in.IndexOf(g)
-		if i < 0 {
-			return nil, fmt.Errorf("exec: pseudogroup column %q not in input", g)
-		}
-		p.groupIdx = append(p.groupIdx, i)
-	}
-	for _, spec := range aggs {
-		if spec.Arg == nil {
-			p.argEvals = append(p.argEvals, nil)
-			continue
-		}
-		ev, err := spec.Arg.Bind(in)
-		if err != nil {
-			return nil, err
-		}
-		p.argEvals = append(p.argEvals, ev)
-	}
-	return p, nil
-}
-
-// Schema returns the partial layout produced.
-func (p *Pseudogroup) Schema() *types.Schema { return p.schema }
-
-// Counters exposes statistics.
-func (p *Pseudogroup) Counters() *stats.OpCounters { return &p.counters }
-
-// PushBatch implements Sink: singleton partials are carved from an
-// arena and forwarded as one batch.
-func (p *Pseudogroup) PushBatch(ts []types.Tuple) {
-	p.scratch = p.scratch[:0]
-	p.counters.In += int64(len(ts))
-	p.counters.Out += int64(len(ts))
-	p.ctx.Clock.Charge(int64(len(ts)) * p.ctx.Cost.Move)
-	for _, t := range ts {
-		p.scratch = append(p.scratch, p.singleton(t))
-	}
-	if len(p.scratch) > 0 {
-		p.out.PushBatch(p.scratch)
-	}
-}
-
-// singleton converts one raw tuple to a partial-layout singleton carved
-// from the arena.
-func (p *Pseudogroup) singleton(t types.Tuple) types.Tuple {
-	out := p.arena.Alloc(p.schema.Len())[:0]
-	for _, gi := range p.groupIdx {
-		out = append(out, t[gi])
-	}
-	for i, spec := range p.aggs {
-		var st aggState
-		var v types.Value
-		if p.argEvals[i] != nil {
-			v = p.argEvals[i](t)
-		}
-		st.accumulate(spec.Kind, v)
-		out = append(out, st.partialCols(spec.Kind)...)
-	}
-	return out
-}
-
 // WindowPreAgg is the paper's adjustable sliding-window pre-aggregation
 // operator (§2.3, §6): it partially pre-aggregates every w tuples,
 // emitting each window's partial groups downstream, and adapts w to the

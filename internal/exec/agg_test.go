@@ -181,6 +181,11 @@ func TestPreAggregationDistributesOverUnion(t *testing.T) {
 	}
 }
 
+// TestPseudogroupEquivalentToWindowOne pins the pseudogroup of §3.2 — a
+// pre-aggregation over each successive singleton tuple set — as
+// WindowPreAgg's w=1 mode: one partial per input row, in the partial
+// layout, each equal to what a table aggregating that row alone emits as
+// its partial, and coalescing to the direct aggregate.
 func TestPseudogroupEquivalentToWindowOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	var rows []types.Tuple
@@ -189,19 +194,31 @@ func TestPseudogroupEquivalentToWindowOne(t *testing.T) {
 	}
 	ctx := NewContext()
 	finalA, _ := NewAggTable(ctx, aggIn, []string{"t.g"}, allAggs())
-	pg, err := NewPseudogroup(ctx, aggIn, []string{"t.g"}, allAggs(),
-		SinkFunc(finalA.AbsorbPartialBatch))
+	var partials []types.Tuple
+	pg, err := NewWindowPreAgg(ctx, aggIn, []string{"t.g"}, allAggs(), SinkFunc(func(ts []types.Tuple) {
+		partials = append(partials, ts...)
+		finalA.AbsorbPartialBatch(ts)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	pg.W = 1
 	for _, r := range rows {
 		pg.PushBatch(one(r))
 	}
-	if pg.Counters().Out != int64(len(rows)) {
-		t.Error("pseudogroup must be 1:1")
+	pg.Finish()
+	if pg.Counters().Out != int64(len(rows)) || len(partials) != len(rows) {
+		t.Fatalf("pseudogroup must be 1:1: %d rows in, %d partials out", len(rows), len(partials))
 	}
 	if !pg.Schema().Equal(algebra.GroupSchema(aggIn, []string{"t.g"}, allAggs(), true)) {
 		t.Error("pseudogroup schema mismatch with partial schema")
+	}
+	for i, r := range rows {
+		single, _ := NewAggTable(NewContext(), aggIn, []string{"t.g"}, allAggs())
+		single.AbsorbRaw(r)
+		if want := single.EmitPartial()[0]; partials[i].String() != want.String() {
+			t.Fatalf("row %d: singleton partial %v, want %v", i, partials[i], want)
+		}
 	}
 	checkAggResult(t, rows, finalA.EmitFinal())
 }
@@ -287,12 +304,6 @@ func TestAggErrorsOnBadColumns(t *testing.T) {
 	bad := []algebra.AggSpec{{Kind: algebra.AggSum, Arg: expr.Column("zzz"), As: "s"}}
 	if _, err := NewAggTable(ctx, aggIn, nil, bad); err == nil {
 		t.Error("bad agg col should error")
-	}
-	if _, err := NewPseudogroup(ctx, aggIn, []string{"zzz"}, nil, Discard); err == nil {
-		t.Error("pseudogroup bad group col should error")
-	}
-	if _, err := NewPseudogroup(ctx, aggIn, nil, bad, Discard); err == nil {
-		t.Error("pseudogroup bad agg col should error")
 	}
 	if _, err := NewWindowPreAgg(ctx, aggIn, []string{"zzz"}, nil, Discard); err == nil {
 		t.Error("window pre-agg bad group col should error")

@@ -1,12 +1,14 @@
 package exec
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
+	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/stats"
 	"github.com/tukwila/adp/internal/types"
 )
@@ -72,36 +74,35 @@ func TestJoinBatchSizeInvariant(t *testing.T) {
 	}
 }
 
-// TestBatchPipelineSegment pushes a Filter → HashJoin → AggTable segment
-// batches of one and batches of 128 and checks the final aggregates are
-// equal.
+// TestBatchPipelineSegment drives a leaf-filtered HashJoin → AggTable
+// segment, the shape of a lowered phase plan, and checks that batches of
+// one and batches of up to the driver's default give equal final
+// aggregates and clocks.
 func TestBatchPipelineSegment(t *testing.T) {
 	full := rSchema.Concat(sSchema)
 	aggs := []algebra.AggSpec{{Kind: algebra.AggCount, As: "n"}}
-	build := func() (*Filter, *HashJoin, *AggTable, *Context) {
+	ls := randTuples(3000, 200, 3, rRow)
+	rs := randTuples(3000, 200, 4, sRow)
+	run := func(batch int) (*AggTable, *Context) {
 		ctx := NewContext()
 		agg, err := NewAggTable(ctx, full, []string{"r.k"}, aggs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		j := NewHashJoin(ctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, agg)
-		f := NewFilter(ctx, func(tp types.Tuple) bool { return tp[1].I%3 != 0 }, j.LeftSink())
-		return f, j, agg, ctx
+		// r arrives ten times as fast as s, so runs of r rows queue up
+		// between two s rows.
+		d := NewDriver(ctx,
+			&Leaf{Provider: source.NewProvider(source.NewRelation("r", rSchema, ls), source.Bandwidth{TuplesPerSec: 1e5}),
+				PushBatch: j.PushLeftBatch, Pred: func(tp types.Tuple) bool { return tp[1].I%3 != 0 }},
+			&Leaf{Provider: source.NewProvider(source.NewRelation("s", sSchema, rs), source.Bandwidth{TuplesPerSec: 1e4}),
+				PushBatch: j.PushRightBatch},
+		)
+		d.run(context.Background(), batch, 0, nil)
+		return agg, ctx
 	}
-	ls := randTuples(3000, 200, 3, rRow)
-	rs := randTuples(3000, 200, 4, sRow)
-
-	f1, j1, a1, ctx1 := build()
-	for i := range ls {
-		f1.PushBatch(ls[i : i+1])
-		j1.PushRightBatch(rs[i : i+1])
-	}
-	f2, j2, a2, ctx2 := build()
-	for i := 0; i < len(ls); i += 128 {
-		end := min(i+128, len(ls))
-		f2.PushBatch(ls[i:end])
-		j2.PushRightBatch(rs[i:end])
-	}
+	a1, ctx1 := run(1)
+	a2, ctx2 := run(DefaultBatch)
 
 	r1, r2 := a1.EmitFinal(), a2.EmitFinal()
 	if len(r1) != len(r2) || len(r1) == 0 {
@@ -112,37 +113,8 @@ func TestBatchPipelineSegment(t *testing.T) {
 			t.Fatalf("group %d differs: %v vs %v", i, r1[i], r2[i])
 		}
 	}
-	if ctx1.Clock.CPU != ctx2.Clock.CPU {
-		t.Fatalf("pipeline clocks differ: %v vs %v", ctx1.Clock.CPU, ctx2.Clock.CPU)
-	}
-}
-
-// TestQueueDrainCompacts covers the Drain memory fix: partial drains
-// preserve order and compact the backing buffer rather than pinning the
-// drained prefix.
-func TestQueueDrainCompacts(t *testing.T) {
-	sink := &collectSink{}
-	q := NewQueue(sink)
-	for i := int64(0); i < 10; i++ {
-		q.PushBatch(one(rRow(i, i)))
-	}
-	if n := q.Drain(3); n != 3 || q.Len() != 7 {
-		t.Fatalf("Drain(3) = %d, len %d", n, q.Len())
-	}
-	q.PushBatch([]types.Tuple{rRow(10, 10), rRow(11, 11)})
-	if n := q.Drain(0); n != 9 || q.Len() != 0 {
-		t.Fatalf("Drain(0) = %d, len %d", n, q.Len())
-	}
-	if len(sink.rows) != 12 {
-		t.Fatalf("delivered %d tuples, want 12", len(sink.rows))
-	}
-	for i, row := range sink.rows {
-		if row[0].I != int64(i) {
-			t.Fatalf("row %d out of order: %v", i, row)
-		}
-	}
-	if n := q.Drain(5); n != 0 {
-		t.Fatalf("Drain on empty = %d", n)
+	if *ctx1.Clock != *ctx2.Clock {
+		t.Fatalf("pipeline clocks differ: %+v vs %+v", ctx1.Clock, ctx2.Clock)
 	}
 }
 

@@ -4,22 +4,19 @@ import (
 	"github.com/tukwila/adp/internal/types"
 )
 
-// Columnar entries. The engine moves rows between operators as row batches
-// only, signed or not (see Sink and DeltaSink): every hash build retains
-// its rows as tuples, so a columnar frame between two joins is transposed
-// in at one and back out at the next, and both end-to-end measurements of
-// that wiring came out behind the row batches (docs/architecture.md has
-// the numbers). What remains columnar is the partition merge's buffers
-// (parallel.go), Exchange's columnar entry (exchange.go), and the shims
-// below, which benchmark/probes.go compiles against: each materializes its
-// batch once and calls the row entry the engine runs, so a shim means
+// Columnar shims. Rows travel the engine as row batches only, signed or not
+// (see Sink and DeltaSink), from the leaves to the partition merge: every
+// hash build retains its rows as tuples, so a columnar frame between two
+// operators is transposed in at one and back out at the next, and both
+// end-to-end measurements of that wiring came out behind the row batches
+// (docs/architecture.md has the numbers). What remains columnar is the
+// shims below, which benchmark/probes.go compiles against: each materializes
+// its batch once and calls the row entry the engine runs, so a shim means
 // exactly what pushing the equivalent row batch means — output order,
 // counters and clock are identical.
 
 // ColBatchSink is a Sink that also accepts struct-of-arrays batches. The
-// batch is owned by the caller and valid only for the duration of the call;
-// receivers that retain rows must materialize them as tuples (which copies
-// the values).
+// batch is owned by the caller and valid only for the duration of the call.
 type ColBatchSink interface {
 	Sink
 	// PushColBatch pushes the batch's rows in order. b must not be
@@ -55,18 +52,6 @@ func (d *colDelivery) materialize(b *types.ColBatch) []types.Tuple {
 	return rows
 }
 
-// PushColAll delivers a columnar batch to any sink.
-func (d *colDelivery) PushColAll(s Sink, b *types.ColBatch) {
-	if cs, ok := s.(ColBatchSink); ok {
-		cs.PushColBatch(b)
-		return
-	}
-	s.PushBatch(d.materialize(b))
-}
-
-// PushColBatch implements ColBatchSink for Discard.
-func (discardSink) PushColBatch(*types.ColBatch) {}
-
 // PushLeftColBatch is PushLeftBatch of b's rows.
 func (j *HashJoin) PushLeftColBatch(b *types.ColBatch) { j.push(0, j.colIn.materialize(b), 0) }
 
@@ -88,3 +73,14 @@ func (a *AggTable) PushColBatch(b *types.ColBatch) { a.PushBatch(a.colIn.materia
 
 // PushDelta is PushSigned of b's rows.
 func (a *AggTable) PushDelta(b *types.ColBatch, sign int) { a.PushSigned(a.colIn.materialize(b), sign) }
+
+// PushColBatch implements ColBatchSink as PushBatch of b's rows.
+func (e *Exchange) PushColBatch(b *types.ColBatch) { e.PushBatch(e.colIn.materialize(b)) }
+
+// RouteCol does nothing: every partition's rows leave through the row route
+// the exchange was built with. It remains for benchmark/probes.go, which
+// installs a columnar route before it times PushColBatch.
+func (e *Exchange) RouteCol(func(part int, b *types.ColBatch)) {}
+
+// PushColBatch implements ColBatchSink as PushBatch of b's rows.
+func (b *partitionBuf) PushColBatch(cb *types.ColBatch) { b.PushBatch(b.colIn.materialize(cb)) }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,7 +14,9 @@ import (
 // TestColumnarEntryMatchesRows pins each columnar shim benchmark/probes.go
 // times against the row entry it stands for: the same chunks pushed as
 // columnar batches and as row batches give identical outputs in identical
-// order, identical counters and an identical virtual clock.
+// order, identical counters and an identical virtual clock — for the
+// exchange, the same rows per partition; for the partition merge, the same
+// released sequence.
 func TestColumnarEntryMatchesRows(t *testing.T) {
 	ls := randTuples(2000, 300, 1, rRow)
 	rs := randTuples(2000, 300, 2, sRow)
@@ -114,6 +117,56 @@ func TestColumnarEntryMatchesRows(t *testing.T) {
 	ac.EmitRevisionsTo(col.out)
 	ar.EmitRevisionsTo(row.out)
 	check(t, "agg/signed", col, row, *ac.Counters(), *ar.Counters())
+
+	// Exchange.PushColBatch: the same rows reach every partition, in order.
+	const parts = 4
+	routed := func(push func(*Exchange, int)) ([][]string, stats.OpCounters) {
+		got := make([][]string, parts)
+		ex := NewExchange(parts, []int{0}, func(p int, ts []types.Tuple) {
+			for _, tp := range ts {
+				got[p] = append(got[p], tp.String())
+			}
+		})
+		for i := range lbs {
+			push(ex, i)
+		}
+		return got, *ex.Counters()
+	}
+	colParts, colCtr := routed(func(ex *Exchange, i int) { ex.PushColBatch(lbs[i]) })
+	rowParts, rowCtr := routed(func(ex *Exchange, i int) { ex.PushBatch(chunk(ls, i)) })
+	if colCtr != rowCtr || rowCtr.In != int64(len(ls)) || rowCtr.Out != rowCtr.In {
+		t.Fatalf("exchange: counters %+v vs %+v", colCtr, rowCtr)
+	}
+	for p := range rowParts {
+		if fmt.Sprint(colParts[p]) != fmt.Sprint(rowParts[p]) {
+			t.Fatalf("exchange: partition %d got %d rows from the columnar entry, %d from the row entry, or in another order",
+				p, len(colParts[p]), len(rowParts[p]))
+		}
+	}
+
+	// partitionBuf.PushColBatch: the merge releases the same sequence.
+	released := func(push func(s Sink, i int)) []string {
+		merge := NewPartitionMerge(parts)
+		var got []string
+		out := SinkFunc(func(ts []types.Tuple) {
+			for _, tp := range ts {
+				got = append(got, tp.String())
+			}
+		})
+		for i := range lbs {
+			push(merge.Sink(i%parts), i)
+			if i%3 == 2 {
+				merge.ReleasePrefix(out)
+			}
+		}
+		merge.Drain(out)
+		return got
+	}
+	colRel := released(func(s Sink, i int) { s.(ColBatchSink).PushColBatch(lbs[i]) })
+	rowRel := released(func(s Sink, i int) { s.PushBatch(chunk(ls, i)) })
+	if len(rowRel) != len(ls) || fmt.Sprint(colRel) != fmt.Sprint(rowRel) {
+		t.Fatalf("merge: %d rows released from the columnar entry, %d from the row entry, or in another order", len(colRel), len(rowRel))
+	}
 }
 
 // TestAggTableColumnarGrouping pins the hashed group routing against the

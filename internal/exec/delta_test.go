@@ -229,27 +229,27 @@ func TestJoinDeltaDuplicateMultiplicity(t *testing.T) {
 	}
 }
 
-// TestFilterProjectDeltaSignPassthrough: unary operators forward signs
-// untouched and apply identical row logic to both polarities.
-func TestFilterProjectDeltaSignPassthrough(t *testing.T) {
+// TestProjectDeltaSignPassthrough: a unary operator forwards signs
+// untouched and applies identical row logic to both polarities.
+func TestProjectDeltaSignPassthrough(t *testing.T) {
 	s := types.NewSchema(
 		types.Column{Name: "A.k", Kind: types.KindInt},
 		types.Column{Name: "A.v", Kind: types.KindInt},
 	)
-	var log updateLog
-	pred, err := expr.Gt(expr.Column("A.v"), expr.IntLit(5)).BindPred(s)
+	ad, err := types.NewAdapter(s, types.NewSchema(s.Cols[1], s.Cols[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFilter(NewContext(), pred, &log)
-	f.PushSigned(deltaBatch(row(1, 10), row(2, 3)), 1)
-	f.PushSigned(deltaBatch(row(1, 10)), -1)
-	net := log.net()
-	if len(net) != 0 {
-		t.Fatalf("filtered churn must cancel: %v", net)
+	var log updateLog
+	p := NewProject(NewContext(), ad, &log)
+	p.PushSigned(deltaBatch(row(1, 10), row(2, 3)), 1)
+	p.PushSigned(deltaBatch(row(1, 10)), -1)
+	if len(log.rows) != 3 || log.signs[0] != 1 || log.signs[1] != 1 || log.signs[2] != -1 {
+		t.Fatalf("project must pass every row with its sign: %v %v", log.rows, log.signs)
 	}
-	if len(log.rows) != 2 {
-		t.Fatalf("filter must pass v=10 both ways and drop v=3: %d deliveries", len(log.rows))
+	net := log.net()
+	if len(net) != 1 || net[row(3, 2).String()] != 1 {
+		t.Fatalf("projected churn must leave the permuted (2, 3): %v", net)
 	}
 }
 
@@ -282,10 +282,6 @@ func TestInsertOnlySignedMatchesPlain(t *testing.T) {
 			j := NewHashJoin(ctx, NestedLoops, rSchema, sSchema, []int{0}, []int{0}, out)
 			return []Sink{j.LeftSink(), j.RightSink()}, j.Counters(), nil
 		}},
-		{"filter", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
-			f := NewFilter(ctx, func(tp types.Tuple) bool { return tp[1].I%3 != 0 }, out)
-			return []Sink{f}, f.Counters(), nil
-		}},
 		{"project", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
 			ad, err := types.NewAdapter(rSchema, types.NewSchema(rSchema.Cols[1], rSchema.Cols[0]))
 			if err != nil {
@@ -293,10 +289,6 @@ func TestInsertOnlySignedMatchesPlain(t *testing.T) {
 			}
 			p := NewProject(ctx, ad, out)
 			return []Sink{p}, p.Counters(), nil
-		}},
-		{"combine", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
-			c := NewCombine(out)
-			return []Sink{c}, c.Counters(), nil
 		}},
 		{"agg/maintenance", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
 			a, err := NewAggTable(ctx, rSchema, []string{"r.k"}, []algebra.AggSpec{

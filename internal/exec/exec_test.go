@@ -253,52 +253,17 @@ func TestMergeJoinRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestFilterProjectCombineQueue(t *testing.T) {
-	ctx := NewContext()
-	sink := &collectSink{}
-	f := NewFilter(ctx, func(t types.Tuple) bool { return t[0].I > 1 }, sink)
-	f.PushBatch(one(rRow(1, 1)))
-	f.PushBatch(one(rRow(2, 2)))
-	if len(sink.rows) != 1 || f.Counters().Out != 1 || f.Counters().In != 2 {
-		t.Error("filter wrong")
-	}
-
+func TestProjectAdaptsColumns(t *testing.T) {
 	to := types.NewSchema(types.Column{Name: "r.a", Kind: types.KindInt})
 	ad, err := types.NewAdapter(rSchema, to)
 	if err != nil {
 		t.Fatal(err)
 	}
 	psink := &collectSink{}
-	p := NewProject(ctx, ad, psink)
+	p := NewProject(NewContext(), ad, psink)
 	p.PushBatch(one(rRow(7, 42)))
 	if len(psink.rows) != 1 || psink.rows[0][0].I != 42 || p.Counters().Out != 1 {
 		t.Error("project wrong")
-	}
-
-	csink := &collectSink{}
-	c := NewCombine(csink)
-	c.PushBatch(one(rRow(1, 1)))
-	c.PushBatch(one(rRow(2, 2)))
-	if len(csink.rows) != 2 || c.Counters().In != 2 {
-		t.Error("combine wrong")
-	}
-
-	qsink := &collectSink{}
-	q := NewQueue(qsink)
-	q.PushBatch(one(rRow(1, 1)))
-	q.PushBatch(one(rRow(2, 2)))
-	q.PushBatch(one(rRow(3, 3)))
-	if q.Len() != 3 || len(qsink.rows) != 0 {
-		t.Error("queue should buffer")
-	}
-	if n := q.Drain(2); n != 2 || len(qsink.rows) != 2 || q.Len() != 1 {
-		t.Error("partial drain wrong")
-	}
-	if n := q.Drain(0); n != 1 || q.Len() != 0 {
-		t.Error("full drain wrong")
-	}
-	if q.Counters().Out != 3 {
-		t.Error("queue counters wrong")
 	}
 }
 

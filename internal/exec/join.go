@@ -327,44 +327,6 @@ func (j *HashJoin) FinishRight() {
 	}
 }
 
-// Filter is a push node applying a bound predicate.
-type Filter struct {
-	ctx      *Context
-	pred     func(types.Tuple) bool
-	out      Sink
-	scratch  []types.Tuple
-	counters stats.OpCounters
-}
-
-// NewFilter builds a filter node.
-func NewFilter(ctx *Context, pred func(types.Tuple) bool, out Sink) *Filter {
-	return &Filter{ctx: ctx, pred: pred, out: out}
-}
-
-// PushBatch implements Sink: survivors are collected into a reused
-// scratch batch and forwarded in one downstream call.
-func (f *Filter) PushBatch(ts []types.Tuple) { f.push(ts, 0) }
-
-// PushSigned implements DeltaSink: the predicate sweep is sign-blind,
-// survivors keep the batch's sign.
-func (f *Filter) PushSigned(ts []types.Tuple, sign int) { f.push(ts, sign) }
-
-func (f *Filter) push(ts []types.Tuple, sign int) {
-	f.scratch = f.scratch[:0]
-	f.ctx.Clock.Charge(int64(len(ts)) * f.ctx.Cost.Compare)
-	for _, t := range ts {
-		f.counters.In++
-		if f.pred(t) {
-			f.counters.Out++
-			f.scratch = append(f.scratch, t)
-		}
-	}
-	deliver(f.out, f.scratch, sign)
-}
-
-// Counters exposes statistics.
-func (f *Filter) Counters() *stats.OpCounters { return &f.counters }
-
 // Project is a push node permuting/trimming columns via an adapter.
 type Project struct {
 	ctx      *Context
@@ -402,74 +364,3 @@ func (p *Project) push(ts []types.Tuple, sign int) {
 
 // Counters exposes statistics.
 func (p *Project) Counters() *stats.OpCounters { return &p.counters }
-
-// Combine unions several producers into one sink, counting pass-through
-// (the paper's combine operator, §3).
-type Combine struct {
-	out      Sink
-	counters stats.OpCounters
-}
-
-// NewCombine builds a combine node.
-func NewCombine(out Sink) *Combine { return &Combine{out: out} }
-
-// PushBatch implements Sink (pass-through).
-func (c *Combine) PushBatch(ts []types.Tuple) { c.push(ts, 0) }
-
-// PushSigned implements DeltaSink (signed pass-through).
-func (c *Combine) PushSigned(ts []types.Tuple, sign int) { c.push(ts, sign) }
-
-func (c *Combine) push(ts []types.Tuple, sign int) {
-	c.counters.In += int64(len(ts))
-	c.counters.Out += int64(len(ts))
-	deliver(c.out, ts, sign)
-}
-
-// Counters exposes statistics.
-func (c *Combine) Counters() *stats.OpCounters { return &c.counters }
-
-// Queue buffers tuples between producer and consumer, modelling the
-// inter-thread queues of Tukwila's engine (the "Q" boxes of Figure 4).
-// Drain delivers buffered tuples to the downstream sink.
-type Queue struct {
-	buf      []types.Tuple
-	out      Sink
-	counters stats.OpCounters
-}
-
-// NewQueue builds a queue in front of out.
-func NewQueue(out Sink) *Queue { return &Queue{out: out} }
-
-// PushBatch implements Sink (enqueue).
-func (q *Queue) PushBatch(ts []types.Tuple) {
-	q.counters.In += int64(len(ts))
-	q.buf = append(q.buf, ts...)
-}
-
-// Len returns the queued count.
-func (q *Queue) Len() int { return len(q.buf) }
-
-// Drain flushes up to max tuples (max<=0 flushes all) as one batch. The
-// drained prefix is compacted out of the backing array (rather than
-// re-slicing past it, which would pin the drained tuples in memory and
-// leak the array's head for the queue's lifetime) and the vacated tail is
-// cleared so drained tuples become collectable as soon as downstream is
-// done with them.
-func (q *Queue) Drain(max int) int {
-	n := len(q.buf)
-	if max > 0 && max < n {
-		n = max
-	}
-	if n == 0 {
-		return 0
-	}
-	q.counters.Out += int64(n)
-	q.out.PushBatch(q.buf[:n])
-	rest := copy(q.buf, q.buf[n:])
-	clear(q.buf[rest:])
-	q.buf = q.buf[:rest]
-	return n
-}
-
-// Counters exposes statistics.
-func (q *Queue) Counters() *stats.OpCounters { return &q.counters }

@@ -376,70 +376,44 @@ func (w *parWorker) sendSlot(dst, entry int) {
 }
 
 // PartitionMerge is the order-releasing merge sink at the root of a
-// partitioned plan. Partition p's root output accumulates in its own
-// buffer (append order — deterministic whenever the partition's input
-// order is), and the merged global order is the concatenation of the
-// partition sequences in ascending partition order — exactly what the old
-// phase-end Drain delivered. The watermark protocol releases prefixes of
-// that order early: a partition buffer only ever appends, so at any
-// quiescent point the lowest unreleased partition's buffered rows are a
-// stable prefix of its final sequence. ReleasePrefix (called at monitor
-// polls) streams that prefix downstream mid-phase; partitions above the
-// watermark hold until every lower partition is complete, so the total
-// order never changes. Drain marks all partitions complete and releases
-// the remainder. With cross-partition repartitioning in the plan the
-// within-partition order is scheduling-dependent, so the merged stream is
-// guaranteed deterministic as a per-partition-ordered multiset, not as a
-// global sequence.
-//
-// Buffers are columnar: a root join's row batches are copied in column by
-// column (so the join may recycle its emit arena, see InputCopier), and
-// release hands the buffered columns downstream as zero-copy ColBatch views
-// — the run's root sink reads each row out of them exactly once.
+// partitioned plan. Partition p's root rows accumulate in its own buffer,
+// in append order — deterministic whenever the partition's input order is —
+// and the merged order is the concatenation of the partition sequences in
+// ascending partition order. Partition 0's buffered rows are therefore
+// always a prefix of the rows still to come: at a quiescent point (a
+// monitor poll) ReleasePrefix streams them downstream mid-phase, and at the
+// phase end Drain releases every buffer in partition order, so streaming
+// early never changes the total order. With cross-partition repartitioning
+// in the plan the within-partition order is scheduling-dependent, so the
+// merged stream is deterministic as a per-partition-ordered multiset, not as
+// a global sequence.
 type PartitionMerge struct {
 	bufs []*partitionBuf
-	next int // watermark: lowest partition not yet fully released
-	del  colDelivery
 }
 
-// partitionBuf buffers one partition's root output as columns (values are
-// copied out of pushed tuples/frames, so transient columnar frames are
-// safe to buffer).
+// partitionBuf buffers one partition's root rows until their release.
 type partitionBuf struct {
-	col      *types.ColBatch // lazily sized from the first push; nil after full release
-	released int             // buffered rows already delivered (resets when the buffer recycles)
-	sent     int             // rows ever delivered downstream (monotonic)
-	total    int             // rows ever buffered (survives the buffer's release)
-	complete bool
-	view     types.ColBatch // aliasing release window (SliceInto)
+	rows  []types.Tuple
+	total int         // rows ever buffered
+	sent  int         // rows released
+	colIn colDelivery // PushColBatch's materializer (colbatch.go)
 }
-
-// CopiesInput implements InputCopier.
-func (b *partitionBuf) CopiesInput() {}
 
 // PushBatch implements Sink.
 func (b *partitionBuf) PushBatch(ts []types.Tuple) {
-	if len(ts) == 0 {
-		return
-	}
-	if b.col == nil {
-		b.col = types.NewColBatch(len(ts[0]))
-	}
-	b.col.AppendRows(ts)
+	b.rows = append(b.rows, ts...)
 	b.total += len(ts)
 }
 
-// PushColBatch implements ColBatchSink (bulk column-wise copy).
-func (b *partitionBuf) PushColBatch(cb *types.ColBatch) {
-	n := cb.Len()
-	if n == 0 {
+// release delivers the buffered rows downstream and empties the buffer.
+func (b *partitionBuf) release(out Sink) {
+	if len(b.rows) == 0 {
 		return
 	}
-	if b.col == nil {
-		b.col = types.NewColBatch(cb.Width())
-	}
-	b.col.Append(cb)
-	b.total += n
+	out.PushBatch(b.rows)
+	b.sent += len(b.rows)
+	clear(b.rows)
+	b.rows = b.rows[:0]
 }
 
 // NewPartitionMerge creates a merge over parts partitions.
@@ -473,49 +447,19 @@ func (m *PartitionMerge) Released() int {
 	return n
 }
 
-// ReleasePrefix delivers the longest released-safe prefix of the merged
-// global order: the watermark partition's new rows (always safe — its
-// buffer is append-only), then, as partitions complete, everything behind
-// the advancing watermark. Fully released buffers are freed. Call only at
-// a quiescent point (rows mid-flight could otherwise still append behind
-// a released window).
-func (m *PartitionMerge) ReleasePrefix(out Sink) {
-	for m.next < len(m.bufs) {
-		b := m.bufs[m.next]
-		if b.col != nil && b.released < b.col.Len() {
-			n := b.col.Len()
-			b.col.SliceInto(&b.view, b.released, n)
-			m.del.PushColAll(out, &b.view)
-			b.sent += n - b.released
-			b.released = n
-		}
-		if !b.complete {
-			// Fully released and still open: recycle the buffer storage
-			// (subsequent appends extend the same partition sequence), so
-			// a long-streaming watermark partition holds only the
-			// unreleased window, not every row ever released.
-			if b.col != nil && b.released == b.col.Len() {
-				b.col.Reset()
-				b.released = 0
-			}
-			return
-		}
-		b.col = nil
-		m.next++
-	}
-}
+// ReleasePrefix delivers partition 0's rows buffered since the last
+// release: the longest prefix of the merged order that is final while the
+// other partitions still run. Call only at a quiescent point (rows
+// mid-flight could otherwise still append behind a released window).
+func (m *PartitionMerge) ReleasePrefix(out Sink) { m.bufs[0].release(out) }
 
-// Complete marks partition p's root output final (no further pushes), so
-// the watermark may advance past it on the next release.
-func (m *PartitionMerge) Complete(p int) { m.bufs[p].complete = true }
-
-// Drain marks every partition complete and releases the remainder
-// downstream in partition order. Call only after the pipeline has
-// quiesced; the total delivered sequence (earlier ReleasePrefix calls
-// included) is identical to a single phase-end drain.
+// Drain releases every partition's remaining rows downstream in partition
+// order and frees the buffers. Call only after the pipeline has quiesced;
+// the total delivered sequence (earlier ReleasePrefix calls included) is
+// identical to a single phase-end drain.
 func (m *PartitionMerge) Drain(out Sink) {
 	for _, b := range m.bufs {
-		b.complete = true
+		b.release(out)
+		b.rows = nil
 	}
-	m.ReleasePrefix(out)
 }

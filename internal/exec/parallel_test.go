@@ -199,20 +199,19 @@ func TestParallelDriverStageSend(t *testing.T) {
 }
 
 // BenchmarkPartitionMergeRelease tracks the order-releasing root path:
-// one op pushes a 256-row columnar frame into the watermark partition and
-// releases it downstream as a columnar view (the mid-phase streaming
-// flush the monitor performs at every poll). Steady state recycles the
-// fully-released buffer, so the budget pinned in scripts/check_allocs.sh
-// holds the whole push-and-release cycle near zero allocations.
+// one op pushes a 256-row batch into partition 0 and releases it
+// downstream (the mid-phase streaming flush the monitor performs at every
+// poll). The buffer is reused once released, so the budget pinned in
+// scripts/check_allocs.sh holds the whole push-and-release cycle near zero
+// allocations.
 func BenchmarkPartitionMergeRelease(b *testing.B) {
 	rows := randTuples(256, 64, 13, rRow)
-	cb := types.FromRows(rows, 2)
 	merge := NewPartitionMerge(4)
-	sink := merge.Sink(0).(ColBatchSink)
+	sink := merge.Sink(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink.PushColBatch(cb)
+		sink.PushBatch(rows)
 		merge.ReleasePrefix(Discard)
 	}
 	b.StopTimer()
@@ -222,30 +221,29 @@ func BenchmarkPartitionMergeRelease(b *testing.B) {
 }
 
 // TestPartitionMergeEarlyReleaseKeepsTotalOrder pins the prefix property
-// of the order-releasing merge: whatever ReleasePrefix hands out mid-phase,
-// followed by the phase-end Drain, is the sequence a single Drain over the
-// same pushes would have produced — partition order, append order within a
-// partition. Streaming root output early therefore never changes the
-// result order, which is why a streamed run needs no retained copy of its
-// rows to compare against.
+// of the order-releasing merge: whatever ReleasePrefix hands out mid-phase
+// — partition 0's rows so far, which are final whatever the other
+// partitions still produce — followed by the phase-end Drain, is the
+// sequence a single Drain over the same pushes would have produced:
+// partition order, append order within a partition. Streaming root output
+// early therefore never changes the result order, which is why a streamed
+// run needs no retained copy of its rows to compare against.
 func TestPartitionMergeEarlyReleaseKeepsTotalOrder(t *testing.T) {
 	const parts = 3
 	row := func(p, i int) types.Tuple { return types.Tuple{types.Int(int64(p)), types.Int(int64(i))} }
-	// steps interleave pushes (partition, row count) with release points
-	// and completions (the watermark advancing past a finished partition).
+	// steps interleave pushes (partition, row count) with release points.
 	type step struct {
-		push, n  int
-		release  bool
-		complete int
+		push, n int
+		release bool
 	}
 	steps := []step{
-		{push: 1, n: 3, complete: -1}, {push: 0, n: 2, complete: -1}, {release: true, complete: -1},
-		{push: 2, n: 4, complete: -1}, {push: 0, n: 3, complete: -1}, {release: true, complete: -1},
-		{complete: 0}, {push: 1, n: 2, complete: -1}, {release: true, complete: -1},
-		{push: 2, n: 1, complete: -1}, {complete: 1}, {release: true, complete: -1},
-		{push: 2, n: 2, complete: -1},
+		{push: 1, n: 3}, {push: 0, n: 2}, {release: true},
+		{push: 2, n: 4}, {push: 0, n: 3}, {release: true},
+		{release: true}, {push: 1, n: 2}, {release: true},
+		{push: 2, n: 1}, {push: 0, n: 1}, {release: true},
+		{push: 2, n: 2},
 	}
-	var streamed int // rows the early run released before its drain
+	var streamed []string // rows the early run released before its drain
 	run := func(early bool) []string {
 		merge := NewPartitionMerge(parts)
 		var got []string
@@ -266,20 +264,21 @@ func TestPartitionMergeEarlyReleaseKeepsTotalOrder(t *testing.T) {
 				merge.Sink(s.push).PushBatch(batch)
 			case s.release && early:
 				merge.ReleasePrefix(out)
-			case s.complete >= 0:
-				merge.Complete(s.complete)
 			}
 		}
-		streamed = len(got)
+		streamed = append([]string(nil), got...)
 		merge.Drain(out)
+		if merge.Len() != len(got) || merge.Released() != len(got) {
+			t.Fatalf("buffered %d and released %d rows, delivered %d", merge.Len(), merge.Released(), len(got))
+		}
 		return got
 	}
 	want, got := run(false), run(true)
-	if len(want) != 17 {
-		t.Fatalf("single drain delivered %d rows, want 17", len(want))
+	if len(want) != 18 {
+		t.Fatalf("single drain delivered %d rows, want 18", len(want))
 	}
-	if streamed == 0 || streamed == len(got) {
-		t.Fatalf("early run released %d of %d rows before its drain; the fixture no longer streams", streamed, len(got))
+	if len(streamed) != 6 {
+		t.Fatalf("early run released %d rows before its drain, want partition 0's 6", len(streamed))
 	}
 	if len(got) != len(want) {
 		t.Fatalf("early release delivered %d rows, single drain %d", len(got), len(want))

@@ -283,29 +283,3 @@ func BenchmarkDeltaPropagation(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkPipelineSegmentPush pushes batches through Filter → Join →
-// AggTable, the shape of a lowered phase plan.
-func BenchmarkPipelineSegmentPush(b *testing.B) {
-	const batch = 64
-	full := rSchema.Concat(sSchema)
-	b.Run("batch", func(b *testing.B) {
-		ls := randTuples(b.N, int64(max(b.N/4, 4)), 10, rRow)
-		rs := randTuples(b.N, int64(max(b.N/4, 4)), 11, sRow)
-		ctx := NewContext()
-		agg, err := NewAggTable(ctx, full, []string{"r.k"},
-			[]algebra.AggSpec{{Kind: algebra.AggCount, As: "n"}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		j := NewHashJoin(ctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, agg)
-		f := NewFilter(ctx, func(tp types.Tuple) bool { return tp[1].I%5 != 0 }, j.LeftSink())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += batch {
-			end := min(i+batch, b.N)
-			f.PushBatch(ls[i:end])
-			j.PushRightBatch(rs[i:end])
-		}
-	})
-}

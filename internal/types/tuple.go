@@ -138,20 +138,6 @@ func (a *Adapter) AdaptInto(dst, t Tuple) Tuple {
 	return dst
 }
 
-// AdaptCols permutes a columnar batch without copying any values: column
-// j of dst aliases column perm[j] of src. dst is therefore valid only as
-// long as src's current storage — the projection fast path for batches
-// consumed synchronously downstream.
-func (a *Adapter) AdaptCols(dst, src *ColBatch) {
-	if len(dst.cols) != len(a.perm) {
-		dst.cols = make([][]Value, len(a.perm))
-	}
-	for j, p := range a.perm {
-		dst.cols[j] = src.cols[p]
-	}
-	dst.n = src.n
-}
-
 // From and To expose the adapter's endpoint schemas.
 func (a *Adapter) From() *Schema { return a.from }
 

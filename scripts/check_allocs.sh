@@ -50,11 +50,15 @@ check 'BenchmarkMergeJoinPush/batch'             4  # PR 2: batched ordered merg
 check 'BenchmarkAggTableAbsorb'                  1  # group-by absorb: zero steady-state (1 = headroom)
 check 'BenchmarkAggTableMergeFrom'               0  # PR 18: partition-table fold, groups adopted or already present
 check 'BenchmarkExchangePartition/rows'          2  # PR 4: exchange row scatter, steady-state <= 2 per batch
-check 'BenchmarkExchangePartition/columnar'      2  # PR 9: columnar exchange frame (selection-vector Gather)
-check 'BenchmarkPartitionMergeRelease'           1  # PR 9: order-releasing root flush (1 = headroom)
+check 'BenchmarkExchangePartition/columnar'      2  # columnar shim: one transpose, then the row scatter
+check 'BenchmarkPartitionMergeRelease'           1  # order-releasing root flush, rows in and out of one reused buffer (1 = headroom)
 check 'BenchmarkStitchUp'                      110  # PR 21: 3 phases x 3 relations with reuse: 9 indexes, prefix chunks, arenas (103; 49807 before)
 check 'BenchmarkStreamDelivery/next'             1  # PR 17: cursor Next() per row = its clone, whole pipeline on the count
 check 'BenchmarkStreamDelivery/batch'            0  # PR 17: cursor NextBatch(), rows read on lent batches
+# The SPJ P>1 root path: a stream's first row through the order-releasing partition merge.
+# 1.93 MB and 547 allocs measured since the merge buffers rows (2.06 MB and 670 when it
+# buffered columns); the budget is 1.25 x the measurement.
+check 'BenchmarkFirstRow/P=4'              2412000 B/op
 check 'BenchmarkFaultyNext'                      1  # PR 6: fault wrapper no-fault fast path (1 = Reset headroom)
 check 'BenchmarkRowEncode'                       0  # PR 7: per-row NDJSON encode into a reused buffer
 check 'BenchmarkDeltaPropagation/join'           0  # PR 10: z-set join re-probe per signed delta row; PR 21: as batch; signed rows kept as pushed
