@@ -41,8 +41,9 @@ test:
 # columnar shim the benchmark's probes time), vectorized key hashing,
 # ordered merge-join, aggregate absorb and partition-table fold,
 # exchange-partitioning, one whole stitch-up, one standing query per
-# maintenance set-up, one corrective poll's re-optimization, and streaming
-# cursor delivery
+# maintenance set-up, a standing query's delta-tracker seed and request
+# decode, one corrective poll's re-optimization, and streaming cursor
+# delivery
 # hot paths with allocation reporting (these back the PR acceptance criteria). The exec join benches grow one hash table for the
 # whole run, so layouts are only comparable at equal iteration counts —
 # hence the fixed -benchtime.
@@ -51,10 +52,11 @@ bench-perf:
 	$(GO) test -run='^$$' -bench='BenchmarkPipelinedJoinPush|BenchmarkMergeJoinPush|BenchmarkAggTableAbsorb|BenchmarkAggTableMergeFrom|BenchmarkHashKeys|BenchmarkExchangePartition|BenchmarkPartitionMergeRelease|BenchmarkDeltaPropagation' -benchmem -benchtime=300000x ./internal/exec/
 	$(GO) test -run='^$$' -bench='BenchmarkStitchUp' -benchmem -benchtime=50x ./internal/core/
 	$(GO) test -run='^$$' -bench='BenchmarkStandingSetup' -benchmem -benchtime=20x ./internal/core/
+	$(GO) test -run='^$$' -bench='BenchmarkBaseTrackerSeed' -benchmem ./internal/ivm/
 	$(GO) test -run='^$$' -bench='BenchmarkReoptimize' -benchmem ./internal/opt/
 	$(GO) test -run='^$$' -bench='BenchmarkStreamDelivery|BenchmarkFirstRow' -benchmem ./internal/engine/
 	$(GO) test -run='^$$' -bench='BenchmarkFaultyNext' -benchmem ./internal/source/
-	$(GO) test -run='^$$' -bench='BenchmarkRowEncode|BenchmarkServeQuery' -benchmem ./internal/server/
+	$(GO) test -run='^$$' -bench='BenchmarkRowEncode|BenchmarkServeQuery|BenchmarkStandingDecode' -benchmem ./internal/server/
 
 # Examples gate: the runnable examples must keep building and vetting
 # cleanly (they are real module packages, so rot breaks users first).
@@ -63,15 +65,20 @@ examples:
 	$(GO) vet ./examples/...
 
 # Short fixed-duration fuzzing of the key codec, of the hash index against
-# the chain model of the layout it replaced, and of the delta-row scalar
-# conversion against the all-encoding/json one it replaced, and of one
-# planner's re-optimizations against the optimizer it replaced (the go-native
-# fuzz targets; each -fuzz invocation accepts a single target).
+# the chain model of the layout it replaced, of the delta-row scalar
+# conversion against the all-encoding/json one it replaced, of the standing
+# body's one-pass delta decode against the encoding/json decode and
+# buildDeltas it replaced, of the delta tracker's hash index against the
+# string-key tracker it replaced, and of one planner's re-optimizations
+# against the optimizer it replaced (the go-native fuzz targets; each -fuzz
+# invocation accepts a single target).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyCodecRoundTrip$$' -fuzztime=5s ./internal/types/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeKeyArbitrary$$' -fuzztime=5s ./internal/types/
 	$(GO) test -run='^$$' -fuzz='^FuzzHashTableModel$$' -fuzztime=5s ./internal/state/
 	$(GO) test -run='^$$' -fuzz='^FuzzValueForKind$$' -fuzztime=5s ./internal/server/
+	$(GO) test -run='^$$' -fuzz='^FuzzStandingDeltas$$' -fuzztime=5s ./internal/server/
+	$(GO) test -run='^$$' -fuzz='^FuzzBaseTracker$$' -fuzztime=5s ./internal/ivm/
 	$(GO) test -run='^$$' -fuzz='^FuzzReoptimize$$' -fuzztime=5s ./internal/opt/
 
 # Allocation-budget gate: runs bench-perf, parses allocs/op, fails on any

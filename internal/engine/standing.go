@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"maps"
+	"slices"
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/core"
@@ -73,10 +75,11 @@ type StandingWindow struct {
 // then maintains its result incrementally against the given delta
 // scripts (relation name -> signed changes, applied in script order at
 // their stamped virtual arrival times). Relations without an entry see
-// no changes. Delta-stream faults injected via InjectDeltaFaults — or a
-// WithSourcePolicy for the relation — wrap the stream in the same
-// retry/backoff/failover machinery base sources use. The watermark
-// cadence follows WithPollEvery.
+// no changes; a script for a relation q does not read is refused here,
+// before anything runs. Delta-stream faults injected via
+// InjectDeltaFaults — or a WithSourcePolicy for the relation — wrap the
+// stream in the same retry/backoff/failover machinery base sources use.
+// The watermark cadence follows WithPollEvery.
 //
 // The returned StandingQuery starts executing immediately on a
 // background goroutine and honors ctx cancellation.
@@ -90,12 +93,16 @@ func (e *Engine) RegisterStanding(ctx context.Context, q *algebra.Query, deltas 
 	o := e.buildOptions(opts)
 	cat := e.catalog(o)
 	m := core.MaintOptions{Deltas: map[string]source.Provider{}}
-	for name, script := range deltas {
+	// By name, so that of several bad streams the same one is refused.
+	for _, name := range slices.Sorted(maps.Keys(deltas)) {
 		rel, ok := e.rels[name]
 		if !ok {
 			return nil, fmt.Errorf("engine: delta stream for unregistered relation %q", name)
 		}
-		dp, err := source.NewDeltaProvider(source.NewProvider(rel, nil), script)
+		if !slices.ContainsFunc(q.Relations, func(r algebra.RelRef) bool { return r.Name == name }) {
+			return nil, fmt.Errorf("engine: delta stream %q is not a relation of query %q", name, q.Name)
+		}
+		dp, err := source.NewDeltaProvider(source.NewProvider(rel, nil), deltas[name])
 		if err != nil {
 			return nil, err
 		}

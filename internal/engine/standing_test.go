@@ -244,3 +244,30 @@ func TestRegisterStandingValidation(t *testing.T) {
 		t.Error("delta width mismatch should fail")
 	}
 }
+
+// TestRegisterStandingRefusesRelationOutsideQuery: a delta script for a
+// registered relation the query does not read is refused by
+// RegisterStanding itself — before any run starts — and of several bad
+// scripts the first by name is the one named.
+func TestRegisterStandingRefusesRelationOutsideQuery(t *testing.T) {
+	e := testEngine()
+	q := e.Query("ids").From("orders").Select("orders.id").MustBuild()
+	sq, err := e.RegisterStanding(context.Background(), q, map[string][]source.Delta{
+		"orders": ordersDeltas(),
+		"cust":   {source.Ins(0.01, types.Int(99), types.Str("zed"))},
+	})
+	if sq != nil || err == nil {
+		t.Fatalf("RegisterStanding = %v, %v; want a refusal", sq, err)
+	}
+	if want := `engine: delta stream "cust" is not a relation of query "ids"`; err.Error() != want {
+		t.Fatalf("refused with %q, want %q", err, want)
+	}
+	_, err = e.RegisterStanding(context.Background(), q, map[string][]source.Delta{
+		"orders": ordersDeltas(),
+		"cust":   {source.Ins(0.01, types.Int(99), types.Str("zed"))},
+		"aghost": {source.Ins(0.01, types.Int(1))},
+	})
+	if want := `engine: delta stream for unregistered relation "aghost"`; err == nil || err.Error() != want {
+		t.Fatalf("refused with %v, want %q", err, want)
+	}
+}

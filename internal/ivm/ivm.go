@@ -128,44 +128,122 @@ func SortedRows(rows []types.Tuple) []types.Tuple {
 // maintenance driver can clamp deletes: a delete of a row with no live
 // occurrence is dropped before it reaches the operator tree, which
 // keeps the z-set join state an exact multiset difference.
+//
+// It is a hash index over the rows it is given: a row hashes with
+// types.HashValue over all its columns, and rows with one hash are told
+// apart by types.StrictEqual — the key codec's identity, so Int(1),
+// Float(1) and Str("1") are three rows, the two zeros two, and every NaN
+// one. Each distinct row keeps a count; an entry whose count falls to
+// zero stays for the row's next Add, so the open-addressed slot table
+// never deletes.
 type BaseTracker struct {
-	counts map[string]int64
-	keyBuf []byte
+	slots   []int32        // 1 + entry number, 0 = empty; a power of two long
+	shift   uint           // 64 - log2(len(slots)): a hash's home slot is its top bits
+	entries [][]trackedRow // trackerChunk-long chunks, which never move
+	n       int32          // entries
+	live    int            // occurrences, Len
 }
+
+type trackedRow struct {
+	row  types.Tuple // the first occurrence Add was given, not a copy
+	hash uint64
+	n    int64 // live occurrences
+}
+
+const trackerChunk = 1024
 
 // NewBaseTracker returns an empty tracker.
 func NewBaseTracker() *BaseTracker {
-	return &BaseTracker{counts: make(map[string]int64)}
+	return &BaseTracker{slots: make([]int32, 16), shift: 64 - 4}
 }
 
-// Add records one live occurrence of row.
+// Add records one live occurrence of row. The tracker keeps row itself,
+// not a copy, so row's values must not change while the tracker lives:
+// hand it rows from storage that never moves or is rewritten, such as a
+// state.List chunk or a provider's relation.
 func (t *BaseTracker) Add(row types.Tuple) {
-	t.keyBuf = types.AppendKeyAll(t.keyBuf[:0], row)
-	t.counts[string(t.keyBuf)]++
+	h := hashRow(row)
+	s := t.find(h, row)
+	t.live++
+	if i := t.slots[s]; i != 0 {
+		t.entry(i).n++
+		return
+	}
+	if t.n%trackerChunk == 0 {
+		t.entries = append(t.entries, make([]trackedRow, 0, trackerChunk))
+	}
+	last := &t.entries[len(t.entries)-1]
+	*last = append(*last, trackedRow{row: row, hash: h, n: 1})
+	t.n++
+	t.slots[s] = t.n
+	if 4*int(t.n) > 3*len(t.slots) {
+		t.grow()
+	}
 }
 
 // Remove drops one occurrence of row, reporting whether one was live.
 // A false return is the clamp: the delete matched nothing and must not
 // propagate.
 func (t *BaseTracker) Remove(row types.Tuple) bool {
-	t.keyBuf = types.AppendKeyAll(t.keyBuf[:0], row)
-	c := t.counts[string(t.keyBuf)]
-	if c <= 0 {
+	i := t.slots[t.find(hashRow(row), row)]
+	if i == 0 || t.entry(i).n == 0 {
 		return false
 	}
-	if c == 1 {
-		delete(t.counts, string(t.keyBuf))
-	} else {
-		t.counts[string(t.keyBuf)] = c - 1
-	}
+	t.entry(i).n--
+	t.live--
 	return true
 }
 
 // Len returns the tracked live-row count.
-func (t *BaseTracker) Len() int {
-	n := int64(0)
-	for _, c := range t.counts {
-		n += c
+func (t *BaseTracker) Len() int { return t.live }
+
+func (t *BaseTracker) entry(i int32) *trackedRow {
+	return &t.entries[(i-1)/trackerChunk][(i-1)%trackerChunk]
+}
+
+// find returns the slot holding row's entry, or the empty slot where it
+// belongs.
+func (t *BaseTracker) find(h uint64, row types.Tuple) int {
+	mask := len(t.slots) - 1
+	for s := t.home(h); ; s = (s + 1) & mask {
+		i := t.slots[s]
+		if i == 0 {
+			return s
+		}
+		if e := t.entry(i); e.hash == h && sameRow(e.row, row) {
+			return s
+		}
 	}
-	return int(n)
+}
+
+// home spreads a hash over the slot table (Fibonacci hashing), so the
+// table's size does not pick which of the hash's bits count.
+func (t *BaseTracker) home(h uint64) int { return int((h * 0x9e3779b97f4a7c15) >> t.shift) }
+
+// grow doubles the slot table and re-homes every entry by its kept hash.
+func (t *BaseTracker) grow() {
+	t.slots = make([]int32, 2*len(t.slots))
+	t.shift--
+	mask := len(t.slots) - 1
+	for i := int32(1); i <= t.n; i++ {
+		s := t.home(t.entry(i).hash)
+		for t.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		t.slots[s] = i
+	}
+}
+
+func hashRow(row types.Tuple) uint64 { return row.HashKey(types.Identity(len(row))) }
+
+func sameRow(a, b types.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !types.StrictEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }

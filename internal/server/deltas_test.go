@@ -1,0 +1,325 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"maps"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"github.com/tukwila/adp/internal/datagen"
+	"github.com/tukwila/adp/internal/engine"
+	"github.com/tukwila/adp/internal/source"
+	"github.com/tukwila/adp/internal/types"
+)
+
+// buildDeltasRef is buildDeltas as commit e11d2be had it, converting values
+// with valueForKindRef, to which FuzzValueForKind held that commit's
+// valueForKind, error text included.
+func (s *Server) buildDeltasRef(specs map[string][]DeltaSpec) (map[string][]source.Delta, error) {
+	out := make(map[string][]source.Delta, len(specs))
+	for _, name := range slices.Sorted(maps.Keys(specs)) {
+		script := specs[name]
+		rel, ok := s.eng.Relation(name)
+		if !ok {
+			return nil, fmt.Errorf("deltas for unknown relation %q", name)
+		}
+		ds := make([]source.Delta, 0, len(script))
+		for i, d := range script {
+			if d.Sign != 1 && d.Sign != -1 {
+				return nil, fmt.Errorf("delta %d for %q: sign must be 1 or -1", i, name)
+			}
+			if len(d.Row) != rel.Schema.Len() {
+				return nil, fmt.Errorf("delta %d for %q: %d values, schema has %d columns",
+					i, name, len(d.Row), rel.Schema.Len())
+			}
+			row := make(types.Tuple, len(d.Row))
+			for j, raw := range d.Row {
+				v, err := valueForKindRef(raw, rel.Schema.Cols[j].Kind)
+				if err != nil {
+					return nil, fmt.Errorf("delta %d for %q, column %q: %w",
+						i, name, rel.Schema.Cols[j].Name, err)
+				}
+				row[j] = v
+			}
+			ds = append(ds, source.Delta{At: d.At, Sign: d.Sign, Row: row})
+		}
+		out[name] = ds
+	}
+	return out, nil
+}
+
+// decodeStandingRef reads a standing body's deltas as commit e11d2be did:
+// the body into a StandingRequest, unknown fields refused, then
+// buildDeltas. A refusal of the body and one of its scripts come back
+// apart, for the handler reports the one before the query's and the other
+// after.
+func decodeStandingRef(s *Server, body []byte) (deltas map[string][]source.Delta, bodyErr, scriptErr error) {
+	var req StandingRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, err, nil
+	}
+	deltas, err := s.buildDeltasRef(req.Deltas)
+	return deltas, nil, err
+}
+
+// decodeStanding reads a standing body's deltas as the handler does.
+func decodeStanding(s *Server, body []byte) (deltas map[string][]source.Delta, bodyErr, scriptErr error) {
+	req, _, _, scripts := s.standingBody()
+	if err := decodeBody(bytes.NewReader(body), req); err != nil {
+		return nil, err, nil
+	}
+	deltas, err := scripts.resolve()
+	return deltas, nil, err
+}
+
+// diffDeltas describes the first difference between two decoded bodies'
+// deltas ("" if none): values compare by StrictEqual and the sign bit,
+// stamps bit for bit.
+func diffDeltas(got, want map[string][]source.Delta) string {
+	if !slices.Equal(slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want))) {
+		return fmt.Sprintf("relations %v, want %v", slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
+	}
+	for name, ws := range want {
+		gs := got[name]
+		if len(gs) != len(ws) {
+			return fmt.Sprintf("%s: %d deltas, want %d", name, len(gs), len(ws))
+		}
+		for i, w := range ws {
+			g := gs[i]
+			if math.Float64bits(g.At) != math.Float64bits(w.At) || g.Sign != w.Sign || len(g.Row) != len(w.Row) {
+				return fmt.Sprintf("%s delta %d: %+v, want %+v", name, i, g, w)
+			}
+			for j := range w.Row {
+				if !types.StrictEqual(g.Row[j], w.Row[j]) || math.Signbit(g.Row[j].F) != math.Signbit(w.Row[j].F) {
+					return fmt.Sprintf("%s delta %d value %d: %#v, want %#v", name, i, j, g.Row[j], w.Row[j])
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// standingDeltasSeeds are bodies over the spjEngine fixture (orders: int,
+// int, float; cust: int, string): the standing tests' and the wire
+// protocol's, and bodies with what the decode has to get right besides.
+func standingDeltasSeeds() []string {
+	q := `{"relations":["orders"],"select":["orders.id"]}`
+	body := func(deltas string) string { return `{"query":` + q + `,"deltas":` + deltas + `}` }
+	orders := func(ds ...string) string { return body(`{"orders":[` + strings.Join(ds, ",") + `]}`) }
+	return []string{
+		standingRequest(`{"strategy":"static","poll_every":2}`),
+		standingRequest(`{"strategy":"planpart"}`),
+		`{"query":{"name":"spend-by-customer","relations":["cust","orders"],"joins":[{"left":"orders.cust","right":"cust.id"}],
+		  "group_by":["cust.name"],"aggs":[{"fn":"sum","arg":"orders.total","as":"spend"}]},
+		  "deltas":{"orders":[{"at": 0.5, "sign": 1, "row": [106, 3, 30]},{"at": 1.0, "sign": -1, "row": [101, 2, 80]}]},
+		  "options":{"strategy":"static","poll_every":1}}`,
+		`{"query": {"relations": ["orders"], "select": ["orders.id"]}, "deltas": {}, "options": {"strategy": "planpart"}}`,
+		orders(`{"at":0.01,"sign":2,"row":[1,1,1.0]}`),
+		orders(`{"at":0.01,"sign":1,"row":[1,1]}`),
+		body(`{"ghost":[{"at":0.01,"sign":1,"row":[1]}]}`),
+		orders(`{"at":0.01,"sign":1,"row":["x",1,1.0]}`),
+		body(`{"orders":[{"at":0.01,"sign":2,"row":[1,1,1.0]}],"cust":[{"at":0.01,"sign":1,"row":[1]}],"ghost":[{"at":0.01,"sign":1,"row":[1]}]}`),
+		body(`{"cust":[{"at":0,"sign":1,"row":[1,"x"]}],"orders":[{"at":0,"sign":1,"row":[1,2,"3"]}],"ghost":null}`),
+		// Keys by case folding, duplicates, unknown keys, nulls.
+		orders(`{"AT":0.5,"Sign":1,"ROW":[1,2,3.5]}`, `{"ſign":-1,"rOw":[1,2,3.5],"aT":1}`),
+		orders(`{"at":1,"at":null,"sign":1,"sign":-1,"row":[1,2,3],"row":[4,5,6]}`),
+		orders(`{"at":1,"sign":1,"row":[1,2,3],"row":null}`),
+		orders(`{"at":1,"sign":1,"row":[1,2,3],"extra":true}`),
+		orders(`{"at":null,"sign":1,"row":[1,2,3]}`, `{"at":1,"sign":null,"row":[1,2,3]}`, `{"at":1,"sign":1,"row":null}`, `null`),
+		body(`{"orders":[{"at":1,"sign":1,"row":[1,2,3]}],"orders":[{"at":2,"sign":-1,"row":[1,2,3]}]}`),
+		`{"query":` + q + `,"deltas":{"orders":[{"at":1,"sign":1,"row":[1,2,3]}]},"Deltas":{"cust":[{"at":2,"sign":1,"row":[1,"a"]}]}}`,
+		`{"query":` + q + `,"deltas":{"orders":[{"at":1,"sign":1,"row":[1,2,3]}]},"deltas":null}`,
+		`{"query":` + q + `,"deltas":null,"DELTAS":{"orders":null}}`,
+		// Escapes and broken UTF-8 in a string column and in names.
+		body(`{"cust":[{"at":0,"sign":1,"row":[1,"A\"b\\\n😀\ud800"]},{"at":0,"sign":1,"row":[2,"plain é"]}]}`),
+		body("{\"cust\":[{\"at\":0,\"sign\":1,\"row\":[1,\"\xff\xfe\"]}],\"c\\u0075st\":[]}"),
+		body(`{"cust":[{"at":0,"sign":1,"row":[1,"a"]}]}`),
+		// Numbers: integral floats and exponents in int columns, the 2^53
+		// bound, negative zero, out of range, wrong JSON types.
+		orders(`{"at":0,"sign":1,"row":[1.0,1e3,2.5]}`, `{"at":1E-3,"sign":-1,"row":[-0,-0.0,-0]}`),
+		orders(`{"at":0,"sign":1,"row":[9007199254740991,-9007199254740991,9007199254740993]}`),
+		orders(`{"at":0,"sign":1,"row":[9007199254740992,1,1]}`),
+		orders(`{"at":0,"sign":1,"row":[1.5,1,1]}`),
+		orders(`{"at":0,"sign":1,"row":[1e400,1,1]}`),
+		orders(`{"at":0,"sign":1,"row":[[1e400],1,1]}`, `{"at":0,"sign":1,"row":[{"a":1},true,null]}`),
+		orders(`{"at":1e400,"sign":1,"row":[1,1,1]}`),
+		orders(`{"at":"0","sign":1,"row":[1,1,1]}`),
+		orders(`{"at":0,"sign":1.0,"row":[1,1,1]}`),
+		orders(`{"at":0,"sign":1e0,"row":[1,1,1]}`),
+		orders(`{"at":0,"sign":"1","row":[1,1,1]}`),
+		orders(`{"at":0,"sign":0,"row":[1,1,1]}`),
+		orders(`{"at":0,"sign":-0,"row":[1,1,1]}`),
+		orders(`{"at":0,"sign":99999999999999999999,"row":[1,1,1]}`),
+		orders(`{"at":0,"sign":1,"row":[1,1,1,1]}`),
+		orders(`{"at":0,"sign":1,"row":{}}`),
+		orders(`{"at":0,"sign":1,"row":"abc"}`),
+		orders(`5`, `[]`),
+		body(`{"orders":{}}`),
+		body(`[]`),
+		body(`"x"`),
+		// Space, trailing bytes, a broken body.
+		"{\"query\":" + q + ",\n\t\"deltas\" : { \"orders\" : [ { \"at\" : 0 , \"sign\" : 1 , \"row\" : [ 1 , 2 , 3 ] } ] } }",
+		orders(`{"at":0,"sign":1,"row":[1,2,3]}`) + ` trailing`,
+		orders(`{"at":0,"sign":1,"row":[1,2,3]`),
+	}
+}
+
+// FuzzStandingDeltas: over any body, the handler's one-pass read of the
+// deltas accepts exactly what decoding into a StandingRequest and then
+// buildDeltas accepted, at the same stage: a refusal of the body (reported
+// before the query's) or of a script (after it, word for word). What both
+// accept decodes to the same deltas, value for value and stamp for stamp,
+// and what the handler refuses it answers with 400 invalid_request.
+func FuzzStandingDeltas(f *testing.F) {
+	for _, b := range standingDeltasSeeds() {
+		f.Add([]byte(b))
+	}
+	eng, _ := spjEngine(200)
+	s := New(eng, Config{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		want, wantBody, wantScript := decodeStandingRef(s, body)
+		got, gotBody, gotScript := decodeStanding(s, body)
+		switch {
+		case (gotBody == nil) != (wantBody == nil):
+			t.Fatalf("body %q: refusal of the body %v, want %v", body, gotBody, wantBody)
+		case (gotScript == nil) != (wantScript == nil):
+			t.Fatalf("body %q: refusal of a script %v, want %v", body, gotScript, wantScript)
+		case gotScript != nil && gotScript.Error() != wantScript.Error():
+			t.Fatalf("body %q: script refused with %q, want %q", body, gotScript, wantScript)
+		case gotBody == nil && gotScript == nil:
+			if d := diffDeltas(got, want); d != "" {
+				t.Fatalf("body %q: %s", body, d)
+			}
+			return
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/standing", bytes.NewReader(body)))
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusBadRequest || eb.Error.Code != CodeInvalidRequest {
+			t.Fatalf("body %q: answered %d %s, want 400 invalid_request", body, rec.Code, rec.Body)
+		}
+	})
+}
+
+// TestStandingDeltasSeeds: every fuzz seed is refused, if at all, in the
+// words the encoding/json decode used — the seeds' queries are well formed,
+// so a refusal of the body is one of its deltas member — and the seeds
+// exercise every outcome.
+func TestStandingDeltasSeeds(t *testing.T) {
+	eng, _ := spjEngine(200)
+	s := New(eng, Config{})
+	var accepted, bodies, scripts int
+	for _, b := range standingDeltasSeeds() {
+		_, wantBody, wantScript := decodeStandingRef(s, []byte(b))
+		_, gotBody, gotScript := decodeStanding(s, []byte(b))
+		if fmt.Sprint(gotBody, gotScript) != fmt.Sprint(wantBody, wantScript) {
+			t.Errorf("body %s: refused with %v / %v, want %v / %v", b, gotBody, gotScript, wantBody, wantScript)
+		}
+		switch {
+		case gotBody != nil:
+			bodies++
+		case gotScript != nil:
+			scripts++
+		default:
+			accepted++
+		}
+	}
+	if accepted < 10 || bodies < 10 || scripts < 10 {
+		t.Fatalf("seeds: %d accepted, %d refused bodies, %d refused scripts; want 10 of each", accepted, bodies, scripts)
+	}
+}
+
+// churnBody is a standing_churn-shaped POST /v1/standing body: Q3A over
+// TPC-H SF 0.005 and n lineitem deltas in thirds — an insert of a copy of a
+// base row, a retraction of a base row, a retraction of an earlier insert —
+// rendered as JSON numbers and quoted strings. It returns the body and the
+// engine over the data.
+func churnBody(tb testing.TB, n int) ([]byte, *engine.Engine) {
+	data := datagen.Generate(datagen.Config{ScaleFactor: 0.005, Seed: 42})
+	eng := engine.New()
+	for _, rel := range data.Relations() {
+		eng.Register(rel)
+	}
+	rng := rand.New(rand.NewSource(42))
+	base := data.Lineitem.Rows
+	var inserted []types.Tuple
+	specs := make([]DeltaSpec, n)
+	for i := range specs {
+		d := DeltaSpec{At: float64(i) * 1e-4, Sign: -1}
+		var row types.Tuple
+		switch i % 3 {
+		case 0:
+			d.Sign, row = 1, base[rng.Intn(len(base))]
+			inserted = append(inserted, row)
+		case 1:
+			row = base[rng.Intn(len(base))]
+		default:
+			j := rng.Intn(len(inserted))
+			row = inserted[j]
+			inserted[j] = inserted[len(inserted)-1]
+			inserted = inserted[:len(inserted)-1]
+		}
+		for _, v := range row {
+			switch v.K {
+			case types.KindInt:
+				d.Row = append(d.Row, strconv.AppendInt(nil, v.I, 10))
+			case types.KindFloat:
+				d.Row = append(d.Row, strconv.AppendFloat(nil, v.F, 'g', -1, 64))
+			default:
+				d.Row = append(d.Row, strconv.AppendQuote(nil, v.S))
+			}
+		}
+		specs[i] = d
+	}
+	body, err := json.Marshal(StandingRequest{
+		Query:   QuerySpec{Prepared: "Q3A"},
+		Deltas:  map[string][]DeltaSpec{"lineitem": specs},
+		Options: RunOptions{Strategy: "static", PollEvery: 256},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body, eng
+}
+
+// BenchmarkStandingDecode is the standing handler's decode of a
+// standing_churn-shaped body (9 000 lineitem deltas, about 0.65 MB): the
+// body's decode, the scripts read in it, and their resolution.
+func BenchmarkStandingDecode(b *testing.B) {
+	body, eng := churnBody(b, 9000)
+	s := New(eng, Config{})
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deltas, bodyErr, scriptErr := decodeStanding(s, body)
+		if bodyErr != nil || scriptErr != nil || len(deltas["lineitem"]) != 9000 {
+			b.Fatalf("decoded %d deltas: %v, %v", len(deltas["lineitem"]), bodyErr, scriptErr)
+		}
+	}
+}
+
+// TestStandingDecodeChurn: the benchmark's body decodes to what the
+// encoding/json decode made of it.
+func TestStandingDecodeChurn(t *testing.T) {
+	body, eng := churnBody(t, 3000)
+	s := New(eng, Config{})
+	want, wantBody, wantScript := decodeStandingRef(s, body)
+	got, gotBody, gotScript := decodeStanding(s, body)
+	if wantBody != nil || wantScript != nil || gotBody != nil || gotScript != nil {
+		t.Fatalf("refused: %v %v / %v %v", gotBody, gotScript, wantBody, wantScript)
+	}
+	if d := diffDeltas(got, want); d != "" {
+		t.Fatal(d)
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -220,9 +221,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, req any, spec *Qu
 			Message: "server is draining; not admitting new queries"})
 		return a, false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
+	if err := decodeBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), req); err != nil {
 		s.badRequest(w, "bad request body: "+err.Error())
 		return a, false
 	}
@@ -265,6 +264,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, req any, spec *Qu
 		s.sched.release()
 	}
 	return a, true
+}
+
+// decodeBody decodes the first JSON value of a request body into req,
+// refusing unknown fields.
+func decodeBody(body io.Reader, req any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(req)
 }
 
 // badRequest rejects a request the client got wrong.
@@ -451,13 +458,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // folding update frames from empty always holds the maintained view.
 // Standing queries bypass the plan cache.
 func (s *Server) handleStanding(w http.ResponseWriter, r *http.Request) {
-	var req StandingRequest
+	req, spec, ro, scripts := s.standingBody()
 	var deltas map[string][]source.Delta
-	a, ok := s.admit(w, r, &req, &req.Query, &req.Options, func(o core.Options) (err error) {
+	a, ok := s.admit(w, r, req, spec, ro, func(o core.Options) (err error) {
 		if o.Strategy == core.PlanPartition {
 			return errors.New("strategy planpart cannot maintain a standing query (use static or corrective)")
 		}
-		deltas, err = s.buildDeltas(req.Deltas)
+		deltas, err = scripts.resolve()
 		return err
 	})
 	if !ok {

@@ -201,7 +201,8 @@ func TestServeStandingEventsSSE(t *testing.T) {
 }
 
 // TestServeStandingValidation pins the 400 paths: bad sign, bad width,
-// unknown relation, wrong value type, and the planpart rejection.
+// unknown relation, wrong value type, a relation the query does not read,
+// and the planpart rejection.
 func TestServeStandingValidation(t *testing.T) {
 	_, ts, _, _ := newTestServer(t, 50, Config{})
 	cases := []struct {
@@ -217,6 +218,8 @@ func TestServeStandingValidation(t *testing.T) {
 			"deltas":{"ghost":[{"at":0.01,"sign":1,"row":[1]}]}}`},
 		{"bad-type", `{"query":{"relations":["orders"],"select":["orders.id"]},
 			"deltas":{"orders":[{"at":0.01,"sign":1,"row":["x",1,1.0]}]}}`},
+		{"outside-query", `{"query":{"relations":["orders"],"select":["orders.id"]},
+			"deltas":{"cust":[{"at":0.01,"sign":1,"row":[1,"x"]}]}}`},
 	}
 	for _, tc := range cases {
 		resp := postStanding(t, ts, tc.body)

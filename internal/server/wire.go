@@ -5,14 +5,11 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -132,107 +129,6 @@ type DeltaSpec struct {
 	At   float64           `json:"at"`
 	Sign int               `json:"sign"`
 	Row  []json.RawMessage `json:"row"`
-}
-
-// buildDeltas resolves wire delta scripts against the engine's relation
-// schemas into source scripts. Relations are visited by name, so a body
-// with several bad scripts is refused with the same message every time.
-func (s *Server) buildDeltas(specs map[string][]DeltaSpec) (map[string][]source.Delta, error) {
-	out := make(map[string][]source.Delta, len(specs))
-	for _, name := range slices.Sorted(maps.Keys(specs)) {
-		script := specs[name]
-		rel, ok := s.eng.Relation(name)
-		if !ok {
-			return nil, fmt.Errorf("deltas for unknown relation %q", name)
-		}
-		ds := make([]source.Delta, 0, len(script))
-		for i, d := range script {
-			if d.Sign != 1 && d.Sign != -1 {
-				return nil, fmt.Errorf("delta %d for %q: sign must be 1 or -1", i, name)
-			}
-			if len(d.Row) != rel.Schema.Len() {
-				return nil, fmt.Errorf("delta %d for %q: %d values, schema has %d columns",
-					i, name, len(d.Row), rel.Schema.Len())
-			}
-			row := make(types.Tuple, len(d.Row))
-			for j, raw := range d.Row {
-				v, err := valueForKind(raw, rel.Schema.Cols[j].Kind)
-				if err != nil {
-					return nil, fmt.Errorf("delta %d for %q, column %q: %w",
-						i, name, rel.Schema.Cols[j].Name, err)
-				}
-				row[j] = v
-			}
-			ds = append(ds, source.Delta{At: d.At, Sign: d.Sign, Row: row})
-		}
-		out[name] = ds
-	}
-	return out, nil
-}
-
-// valueForKind converts one JSON scalar to a typed column value.
-func valueForKind(raw json.RawMessage, k types.Kind) (types.Value, error) {
-	if v, ok := plainValueForKind(raw, k); ok {
-		return v, nil
-	}
-	var v any
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return types.Value{}, fmt.Errorf("bad value: %w", err)
-	}
-	if v == nil {
-		return types.Null(), nil
-	}
-	switch k {
-	case types.KindInt:
-		x, ok := v.(float64)
-		if !ok || x != math.Trunc(x) || math.Abs(x) >= 1<<53 {
-			return types.Value{}, fmt.Errorf("want an integer, got %s", raw)
-		}
-		return types.Int(int64(x)), nil
-	case types.KindFloat:
-		x, ok := v.(float64)
-		if !ok {
-			return types.Value{}, fmt.Errorf("want a number, got %s", raw)
-		}
-		return types.Float(x), nil
-	case types.KindString:
-		x, ok := v.(string)
-		if !ok {
-			return types.Value{}, fmt.Errorf("want a string, got %s", raw)
-		}
-		return types.Str(x), nil
-	default:
-		return types.Value{}, fmt.Errorf("column kind %v not wire-typed", k)
-	}
-}
-
-// plainValueForKind is valueForKind for the literals a delta script is made
-// of, read straight off the bytes the body decode has already scanned: a
-// number for a numeric column (behind a JSON check, for strconv would also
-// take +1, 0x10, Inf, 1_0 and 01), a string with nothing to unescape or
-// repair for a string column. Anything else — null, escapes, surrounding
-// space, a value of the wrong kind or out of range, malformed bytes — is not
-// ok, and valueForKind decodes it or words the refusal.
-func plainValueForKind(raw []byte, k types.Kind) (types.Value, bool) {
-	n := len(raw)
-	digit := func(c byte) bool { return c-'0' <= 9 }
-	switch {
-	case n == 0:
-	case k == types.KindString:
-		if n > 1 && raw[0] == '"' && raw[n-1] == '"' && bytes.IndexByte(raw, '\\') < 0 && utf8.Valid(raw) && json.Valid(raw) {
-			return types.Str(string(raw[1 : n-1])), true
-		}
-	case (raw[0] == '-' || digit(raw[0])) && digit(raw[n-1]) && json.Valid(raw):
-		x, err := strconv.ParseFloat(string(raw), 64)
-		switch {
-		case err != nil:
-		case k == types.KindFloat:
-			return types.Float(x), true
-		case k == types.KindInt && x == math.Trunc(x) && math.Abs(x) < 1<<53:
-			return types.Int(int64(x)), true
-		}
-	}
-	return types.Value{}, false
 }
 
 // ---- Error envelope ------------------------------------------------------

@@ -84,8 +84,15 @@ func SplitSign(t types.Tuple) (row types.Tuple, sign int) {
 // faulty delta stream fails over to another copy of the same script.
 func DeltaRelation(name string, base *types.Schema, deltas []Delta) *Relation {
 	rows := make([]types.Tuple, len(deltas))
+	n := 0
+	for _, d := range deltas {
+		n += len(d.Row) + 1
+	}
+	slab := make([]types.Value, n) // every row's values, signs included, in one allocation
 	for i, d := range deltas {
-		row := make(types.Tuple, len(d.Row)+1)
+		w := len(d.Row) + 1
+		row := slab[:w:w]
+		slab = slab[w:]
 		copy(row, d.Row)
 		sign := d.Sign
 		if sign >= 0 {

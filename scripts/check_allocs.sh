@@ -63,18 +63,27 @@ check 'BenchmarkFaultyNext'                      1  # PR 6: fault wrapper no-fau
 check 'BenchmarkRowEncode'                       0  # PR 7: per-row NDJSON encode into a reused buffer
 check 'BenchmarkDeltaPropagation/join'           0  # PR 10: z-set join re-probe per signed delta row; PR 21: as batch; signed rows kept as pushed
 check 'BenchmarkDeltaPropagation/agg'            2  # PR 10: signed agg absorb + revision emit per delta row
-# PR 24: one standing Q3A, SF 0.002, 600 deltas (21260 / 21997 / 25855 allocs measured; the
-# parent, which replayed every shape: 25120 and 45.4 MB serial, 26015 and 47.4 MB at P=4).
-# The counts move by under 1 % when the warm-up goes back to one relation-sized batch;
-# the bytes double, so those are gated too. All budgets are 1.25 x the measurement.
-check 'BenchmarkStandingSetup/adopted'       26500  # the initial phase's tree is the maintenance tree
-check 'BenchmarkStandingSetup/switched'      27400  # + one tree built from the adopted one's lists
-check 'BenchmarkStandingSetup/replayed-p4'   32300  # four partitions: a tree warmed through a live root
-check 'BenchmarkStandingSetup/adopted'     6480000 B/op  # 5.18 MB
-# Since signed batches are rows the warm-up pushes list chunks as they are and the new tree's
-# tables keep those tuples: 5.02 / 7.99 / 16.72 MB and 21243 / 21473 / 25352 allocs measured.
-check 'BenchmarkStandingSetup/switched'    9980000 B/op  # 7.99 MB; 14.73 MB when chunks were transposed into columns
-check 'BenchmarkStandingSetup/replayed-p4' 20900000 B/op # 16.72 MB; 24.10 MB when chunks were transposed into columns
+# One standing Q3A, SF 0.002, 600 deltas. The counts move by under 1 % when the
+# warm-up goes back to one relation-sized batch; the bytes double, so those are gated too.
+# Since the delta tracker is a hash index over the rows it is given, seeding it builds no
+# string keys: 8654 / 8864 / 12751 allocs and 4.12 / 7.03 / 15.77 MB measured (21243 /
+# 21453 / 25338 and 5.02 / 7.93 / 16.66 MB with string keys). All budgets are 1.25 x the
+# measurement.
+check 'BenchmarkStandingSetup/adopted'       10820  # the initial phase's tree is the maintenance tree
+check 'BenchmarkStandingSetup/switched'      11080  # + one tree built from the adopted one's lists
+check 'BenchmarkStandingSetup/replayed-p4'   15940  # four partitions: a tree warmed through a live root
+check 'BenchmarkStandingSetup/adopted'     5150000 B/op
+check 'BenchmarkStandingSetup/switched'    8800000 B/op
+check 'BenchmarkStandingSetup/replayed-p4' 19710000 B/op
+# The delta tracker seeded with SF 0.005's 30113 lineitem rows: 49 allocs and 1.75 MB measured
+# (the string-key tracker: 30383 allocs, 4.94 MB). Budgets 1.25 x the measurement.
+check 'BenchmarkBaseTrackerSeed'                62  # slot-table doublings and 1024-entry chunks
+check 'BenchmarkBaseTrackerSeed'           2200000 B/op
+# The standing handler's decode of a 9000-delta lineitem body (0.65 MB): 65 allocs and 7.09 MB
+# measured (encoding/json into DeltaSpecs, then buildDeltas: 117060 allocs, 10.58 MB).
+# Budgets 1.25 x the measurement.
+check 'BenchmarkStandingDecode'                 82  # the decoder's buffer, the text, value slabs, delta slices
+check 'BenchmarkStandingDecode'            8860000 B/op
 # PR 25: one corrective poll's optimizer work on Q5 (CostPlan + Optimize on the query's
 # planner) under "plain", "obs" and "both": 7 allocs and 880 B measured on each. The parent,
 # which re-planned from scratch, took 670 / 691 / 689 allocs and 66.1 / 67.1 / 67.1 KB.
