@@ -42,8 +42,8 @@ test:
 # ordered merge-join, aggregate absorb and partition-table fold,
 # exchange-partitioning, one whole stitch-up, one standing query per
 # maintenance set-up, a standing query's delta-tracker seed and request
-# decode, one corrective poll's re-optimization, and streaming cursor
-# delivery
+# decode, one corrective poll's re-optimization, streaming cursor
+# delivery, and the NDJSON row encode (a short and a wide row)
 # hot paths with allocation reporting (these back the PR acceptance criteria). The exec join benches grow one hash table for the
 # whole run, so layouts are only comparable at equal iteration counts —
 # hence the fixed -benchtime.
@@ -69,8 +69,9 @@ examples:
 # conversion against the all-encoding/json one it replaced, of the standing
 # body's one-pass delta decode against the encoding/json decode and
 # buildDeltas it replaced, of the delta tracker's hash index against the
-# string-key tracker it replaced, and of one planner's re-optimizations
-# against the optimizer it replaced (the go-native fuzz targets; each -fuzz
+# string-key tracker it replaced, of one planner's re-optimizations
+# against the optimizer it replaced, and of the row encoder's float fast
+# path against strconv (the go-native fuzz targets; each -fuzz
 # invocation accepts a single target).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyCodecRoundTrip$$' -fuzztime=5s ./internal/types/
@@ -78,6 +79,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzHashTableModel$$' -fuzztime=5s ./internal/state/
 	$(GO) test -run='^$$' -fuzz='^FuzzValueForKind$$' -fuzztime=5s ./internal/server/
 	$(GO) test -run='^$$' -fuzz='^FuzzStandingDeltas$$' -fuzztime=5s ./internal/server/
+	$(GO) test -run='^$$' -fuzz='^FuzzAppendFloat$$' -fuzztime=5s ./internal/server/
 	$(GO) test -run='^$$' -fuzz='^FuzzBaseTracker$$' -fuzztime=5s ./internal/ivm/
 	$(GO) test -run='^$$' -fuzz='^FuzzReoptimize$$' -fuzztime=5s ./internal/opt/
 

@@ -113,6 +113,9 @@ type Server struct {
 	cache    *engine.PlanCache
 	mux      *http.ServeMux
 	reg      *queryRegistry
+	// bufs holds idle ndjsonWriter buffers, sized to the execution slots:
+	// the most writers live at once.
+	bufs     chan []byte
 	draining atomic.Bool
 	idSeq    atomic.Int64
 }
@@ -128,6 +131,7 @@ func New(eng *engine.Engine, cfg Config) *Server {
 		met:      &metrics{},
 		mux:      http.NewServeMux(),
 		reg:      newQueryRegistry(cfg.RetainQueries),
+		bufs:     make(chan []byte, cfg.MaxConcurrent),
 	}
 	if cfg.PlanCacheSize >= 0 {
 		s.cache = engine.NewPlanCache(cfg.PlanCacheSize)
@@ -195,9 +199,25 @@ func (s *Server) PlanCacheStats() engine.PlanCacheStats {
 // maxRequestBytes bounds a query-request body.
 const maxRequestBytes = 1 << 20
 
-// rowFlushBytes is the buffered-row threshold at which the stream is
-// written and flushed to the client mid-run.
-const rowFlushBytes = 8 << 10
+// firstWriteBytes and writeBytes pace a stream's row writes (send): its
+// first row frames go out at the first frame boundary past firstWriteBytes,
+// so the first rows never wait for a long batch to be encoded; after that a
+// batch goes out at its end, and mid-batch only past writeBytes.
+const (
+	firstWriteBytes = 8 << 10
+	writeBytes      = 64 << 10
+)
+
+// A stream's row buffer starts at newBufBytes and grows by append to what
+// its batches need (a little past writeBytes). done keeps it for the next
+// query unless an outsize frame grew it past keepBufBytes. The buffers wait
+// in a channel rather than a sync.Pool: a Pool puts a buffer in the
+// releasing P's private slot, which a query starting on another P cannot
+// take, so a query often grew a fresh one.
+const (
+	newBufBytes  = 2 * firstWriteBytes
+	keepBufBytes = 4 * writeBytes
+)
 
 // admission is one request validated and holding an execution slot until
 // release: the query, its options, and a context carrying its deadline.
@@ -281,7 +301,7 @@ func (s *Server) badRequest(w http.ResponseWriter, msg string) {
 
 // ndjsonWriter is the response side of a streaming endpoint: the run's
 // registration for the events endpoint, the schema frame, row or update
-// frames encoded into one reused buffer that goes out every rowFlushBytes,
+// frames encoded into a pooled buffer and written a batch at a time (send),
 // the per-query budget on those frames, and the terminal frame.
 type ndjsonWriter struct {
 	s       *Server
@@ -289,9 +309,10 @@ type ndjsonWriter struct {
 	flusher http.Flusher
 	r       run
 	rec     *queryRecord
-	buf     []byte
-	frames  int64 // row/update frames encoded so far
-	budget  int64 // Config.MaxRowsPerQuery (0 = unlimited)
+	buf     []byte // from s.bufs, taken by begin and returned by done
+	writeAt int    // buffered bytes that trigger a mid-batch write
+	frames  int64  // row/update frames encoded so far
+	budget  int64  // Config.MaxRowsPerQuery (0 = unlimited)
 	// drained marks the cursor read to its end: no goroutines remain, and
 	// done skips the Close that tears a run down on every earlier exit, so
 	// live event subscriptions (SSE) are not truncated at the tail.
@@ -323,18 +344,29 @@ func (s *Server) begin(w http.ResponseWriter, query string, r run, next func() b
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Adp-Query-Id", id)
 	nw.flusher, _ = w.(http.Flusher)
-	nw.buf = make([]byte, 0, 2*rowFlushBytes)
+	select {
+	case nw.buf = <-s.bufs:
+	default:
+		nw.buf = make([]byte, 0, newBufBytes)
+	}
+	nw.writeAt = firstWriteBytes
 	nw.write(mustJSON(schemaFrame{Type: "schema", ID: id, Query: query, Columns: wireSchema(schema)}))
 	return nw, true
 }
 
 // done releases the run: torn down unless drained, then retired to the
-// registry's retain window.
+// registry's retain window; the buffer is kept as grown for the next query.
 func (nw *ndjsonWriter) done() {
 	if !nw.drained {
 		nw.r.Close()
 	}
 	nw.s.reg.markDone(nw.rec)
+	if nw.buf != nil && cap(nw.buf) <= keepBufBytes {
+		select {
+		case nw.s.bufs <- nw.buf[:0]:
+		default:
+		}
+	}
 }
 
 // write sends b and flushes it to the client.
@@ -356,14 +388,36 @@ func (nw *ndjsonWriter) fit(n int) int {
 	return n
 }
 
-// end terminates the stream: the tail of the buffer (flushed by the terminal
-// frame's write), then an error frame if the frames ran into the budget —
-// what describes it — or the run ended in an error, else the run's report.
+// send encodes one batch the cursor lent — enc appends frame i of its n —
+// and has written all of it to the client when it returns, followed by tail
+// (the standing stream's watermark frame; nil for none) if the whole batch
+// fit the row budget; over reports that it did not. The first row write of
+// a stream goes out at the first frame boundary past firstWriteBytes; after
+// that a batch is written at its end, and mid-batch only past writeBytes.
+func (nw *ndjsonWriter) send(n int, enc func(buf []byte, i int) []byte, tail []byte) (over bool) {
+	fit, buf := nw.fit(n), nw.buf
+	for i := 0; i < fit; i++ {
+		if buf = enc(buf, i); len(buf) >= nw.writeAt {
+			nw.write(buf)
+			buf, nw.writeAt = buf[:0], writeBytes
+		}
+	}
+	if over = fit < n; !over {
+		buf = append(buf, tail...)
+	}
+	if len(buf) > 0 {
+		nw.write(buf)
+		nw.writeAt = writeBytes
+	}
+	nw.buf = buf[:0]
+	return over
+}
+
+// end terminates the stream (send left nothing buffered): an error frame if
+// the frames ran into the budget — what describes it — or the run ended in
+// an error, else the run's report.
 func (nw *ndjsonWriter) end(over bool, what, planCache string) {
 	met := nw.s.met
-	if len(nw.buf) > 0 {
-		nw.w.Write(nw.buf)
-	}
 	met.rowsDelivered.Add(nw.frames)
 	if over {
 		met.budgetRowsExhausted.Add(1)
@@ -428,7 +482,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Row streaming: rows are read on the batches the run lends the cursor
 	// (nothing is copied between the root join's output and this encode)
 	// and encode into the writer's buffer (AppendRowFrame is allocation-free),
-	// which goes out every rowFlushBytes.
+	// which is on the wire before the next batch is awaited.
 	over := false
 	for !over {
 		batch, ok := st.NextBatch()
@@ -438,14 +492,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if nw.frames == 0 {
 			s.met.firstRowMicros.Store(time.Since(execStart).Microseconds())
 		}
-		fit, buf := nw.fit(len(batch)), nw.buf
-		for _, t := range batch[:fit] {
-			if buf = AppendRowFrame(buf, t); len(buf) >= rowFlushBytes {
-				nw.write(buf)
-				buf = buf[:0]
-			}
-		}
-		nw.buf, over = buf, fit < len(batch)
+		over = nw.send(len(batch), func(buf []byte, i int) []byte { return AppendRowFrame(buf, batch[i]) }, nil)
 	}
 	nw.drained = !over // else done cancels the run; remaining rows are discarded
 	nw.end(over, "query exceeded the per-query row budget (%d rows)", planCache)
@@ -508,21 +555,13 @@ func (s *Server) handleStanding(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			break
 		}
-		fit, buf := nw.fit(len(win.Updates)), nw.buf
-		for _, u := range win.Updates[:fit] {
-			if buf = AppendUpdateFrame(buf, u.Row, u.Sign); len(buf) >= rowFlushBytes {
-				nw.write(buf)
-				buf = buf[:0]
-			}
-		}
-		if over = fit < len(win.Updates); !over {
-			nw.write(append(buf, mustJSON(watermarkFrame{
-				Type: "watermark", Seq: win.Watermark.Seq, Updates: win.Watermark.Updates,
-				DeltaRows: win.Watermark.DeltaRows, VirtualSeconds: win.Watermark.VirtualSeconds,
-			})...))
-			buf = buf[:0]
-		}
-		nw.buf = buf
+		over = nw.send(len(win.Updates), func(buf []byte, i int) []byte {
+			u := win.Updates[i]
+			return AppendUpdateFrame(buf, u.Row, u.Sign)
+		}, mustJSON(watermarkFrame{
+			Type: "watermark", Seq: win.Watermark.Seq, Updates: win.Watermark.Updates,
+			DeltaRows: win.Watermark.DeltaRows, VirtualSeconds: win.Watermark.VirtualSeconds,
+		}))
 	}
 	if nw.drained = !over && sq.Err() == nil; nw.drained {
 		<-rowsDone // run is done (windows exhausted), so the drain exits promptly

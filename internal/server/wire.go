@@ -363,6 +363,8 @@ func AppendUpdateFrame(dst []byte, t types.Tuple, sign int) []byte {
 
 // appendTupleValues appends a tuple's values as JSON array elements
 // (no brackets), allocation-free.
+//
+//adp:hotpath gated by BenchmarkRowEncode (scripts/check_allocs.sh)
 func appendTupleValues(dst []byte, t types.Tuple) []byte {
 	for i, v := range t {
 		if i > 0 {
@@ -375,7 +377,7 @@ func appendTupleValues(dst []byte, t types.Tuple) []byte {
 			if math.IsNaN(v.F) || math.IsInf(v.F, 0) {
 				dst = append(dst, "null"...)
 			} else {
-				dst = strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+				dst = appendFloat(dst, v.F)
 			}
 		case types.KindString:
 			dst = appendJSONString(dst, v.S)
@@ -386,9 +388,68 @@ func appendTupleValues(dst []byte, t types.Tuple) []byte {
 	return dst
 }
 
+// appendFloat appends f byte for byte as strconv.AppendFloat(dst, f, 'g',
+// -1, 64) does — the shortest decimal that reads back as f — and prints the
+// short decimals stored data is made of (prices in cents, quantities)
+// without strconv's shortest-digit search.
+//
+// Why the fast path is exact: for 1e-4 <= |f| < 1e6, let n = round(|f|·1e8).
+// n < 1e14 < 2^53 is an exact float64, and so is 1e8, so the division n/1e8
+// is the decimal d = n·10⁻⁸ correctly rounded: n/1e8 == |f| says that d
+// reads back as |f|. d has at most 14 significant digits. No two distinct
+// decimals of at most 15 significant digits round to the same double, and
+// the shortest decimal that reads back as |f| has no more digits than d, so
+// it is d. d lies in [1e-4, 1e6) (rounding is monotone, and 1e6 is exact),
+// where strconv prints the shortest decimal in %f form with no trailing
+// zeros: the integer part, then '.' and the fraction if it is not zero.
+// That costs one multiply, one round and one divide. Every other value —
+// computed ones such as qty × price or a sum, whose shortest form is
+// longer, ±0, subnormals, |f| >= 1e6, NaN and ±Inf — goes to strconv.
+//
+//adp:hotpath gated by BenchmarkRowEncode (scripts/check_allocs.sh)
+func appendFloat(dst []byte, f float64) []byte {
+	if a := math.Abs(f); a >= 1e-4 && a < 1e6 {
+		if n := math.Round(a * 1e8); n/1e8 == a {
+			u := uint64(n)
+			ip, fp := u/1e8, u%1e8
+			var b [24]byte
+			i := len(b)
+			if fp != 0 {
+				w := 8
+				for fp%10 == 0 {
+					fp /= 10
+					w--
+				}
+				for ; w > 0; w-- {
+					i--
+					b[i] = byte('0' + fp%10)
+					fp /= 10
+				}
+				i--
+				b[i] = '.'
+			}
+			for {
+				i--
+				b[i] = byte('0' + ip%10)
+				if ip /= 10; ip == 0 {
+					break
+				}
+			}
+			if f < 0 {
+				i--
+				b[i] = '-'
+			}
+			return append(dst, b[i:]...)
+		}
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
 // appendJSONString appends s as a JSON string literal: quotes and
 // backslashes escaped, control characters as \u00XX, valid UTF-8 passed
 // through (invalid bytes become U+FFFD, matching encoding/json).
+//
+//adp:hotpath gated by BenchmarkRowEncode (scripts/check_allocs.sh)
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0

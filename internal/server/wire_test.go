@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http/httptest"
 	"os"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -23,7 +25,8 @@ import (
 // TestAppendRowFrame pins the hot-path row encoder against encoding/json
 // on adversarial values: quotes, control characters, invalid UTF-8,
 // NULLs, and non-finite floats (which encode as null, JSON having no
-// NaN/Inf).
+// NaN/Inf). Every frame it encodes, and rows of every kind with exact and
+// computed floats, must also be the parent encoder's bytes.
 func TestAppendRowFrame(t *testing.T) {
 	cases := []struct {
 		tup  types.Tuple
@@ -45,6 +48,7 @@ func TestAppendRowFrame(t *testing.T) {
 	}
 	for i, tc := range cases {
 		got := AppendRowFrame(nil, tc.tup)
+		checkParentBytes(t, tc.tup)
 		if !bytes.HasSuffix(got, []byte("]}\n")) {
 			t.Fatalf("case %d: frame not terminated: %q", i, got)
 		}
@@ -67,6 +71,85 @@ func TestAppendRowFrame(t *testing.T) {
 			}
 		}
 	}
+
+	// Rows of every kind, shaped like spj_wide_out's, plus the float edges:
+	// the frames must be the parent encoder's bytes.
+	for _, f := range floatSeeds() {
+		checkParentBytes(t, types.Tuple{types.Float(f), types.Float(-f)})
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		qty, price, total := datagenFloats(rng)
+		checkParentBytes(t, types.Tuple{
+			types.Int(rng.Int63n(3000)), types.Str(fmt.Sprintf("Customer#%06d", i)), types.Str("BUILDING"),
+			types.Int(int64(i)), types.Int(int64(8000 + rng.Intn(2500))), types.Float(total),
+			types.Int(int64(1 + rng.Intn(7))), types.Float(qty), types.Float(price), types.Str("N"),
+			types.Null(), types.Float(math.NaN()), types.Float(math.Inf(-1)), types.Str("q\"\x01\xff"),
+		})
+	}
+}
+
+// checkParentBytes holds a tuple's row and update frames to the bytes the
+// parent encoder (appendTupleValuesParent) gives.
+func checkParentBytes(t *testing.T, tup types.Tuple) {
+	t.Helper()
+	vals := appendTupleValuesParent(nil, tup)
+	want := append(append([]byte(rowFramePrefix), vals...), rowFrameSuffix...)
+	if got := AppendRowFrame([]byte("prefix"), tup); !bytes.Equal(got[len("prefix"):], want) {
+		t.Fatalf("row frame of %v:\n got %q\nwant %q", tup, got[len("prefix"):], want)
+	}
+	want = append(append([]byte(updateFramePrefix+`-1,"values":[`), vals...), rowFrameSuffix...)
+	if got := AppendUpdateFrame(nil, tup, -1); !bytes.Equal(got, want) {
+		t.Fatalf("update frame of %v:\n got %q\nwant %q", tup, got, want)
+	}
+}
+
+// datagenFloats draws floats the way internal/datagen builds lineitem and
+// orders: a whole quantity, an extended price qty × (900 + cents/100), and
+// an order total summing 1..7 such prices.
+func datagenFloats(rng *rand.Rand) (qty, price, total float64) {
+	for lines := 1 + rng.Intn(7); lines > 0; lines-- {
+		qty = float64(rng.Intn(50) + 1)
+		price = qty * (900 + float64(rng.Intn(100000))/100)
+		total += price
+	}
+	return qty, price, total
+}
+
+// floatSeeds are the values FuzzAppendFloat starts from: n/100 prices,
+// qty × price products and 7-line sums as datagen builds them, ±0, the
+// edges of the fast path's range and their neighbours, subnormals and
+// MaxFloat64.
+func floatSeeds() []float64 {
+	out := []float64{
+		0, math.Copysign(0, -1), 1, 0.5, 80, 12.5, 63.75, 48032.1634, 0.07,
+		1e-4, math.Nextafter(1e-4, 0), math.Nextafter(1e-4, 1),
+		999999.99999999, 999999.999999995, 1e6, math.Nextafter(1e6, 0), math.Nextafter(1e6, 2e6),
+		123456.78901234, 0.00012345678, 1e-8, 1e21, 1e-7,
+		math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff), math.MaxFloat64,
+		math.Inf(1), math.NaN(),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		_, price, total := datagenFloats(rng)
+		out = append(out, float64(rng.Intn(1000000))/100, price, total)
+	}
+	return out
+}
+
+// FuzzAppendFloat holds appendFloat to strconv.AppendFloat(dst, f, 'g', -1,
+// 64), byte for byte, for arbitrary bit patterns.
+func FuzzAppendFloat(f *testing.F) {
+	for _, x := range floatSeeds() {
+		f.Add(math.Float64bits(x))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		x := math.Float64frombits(bits)
+		want := strconv.AppendFloat([]byte("["), x, 'g', -1, 64)
+		if got := appendFloat([]byte("["), x); !bytes.Equal(got, want) {
+			t.Fatalf("appendFloat(%#016x) = %q, strconv gives %q", bits, got, want)
+		}
+	})
 }
 
 // ---- docs/wire-protocol.md round-trip ------------------------------------

@@ -61,6 +61,8 @@ check 'BenchmarkStreamDelivery/batch'            0  # PR 17: cursor NextBatch(),
 check 'BenchmarkFirstRow/P=4'              2412000 B/op
 check 'BenchmarkFaultyNext'                      1  # PR 6: fault wrapper no-fault fast path (1 = Reset headroom)
 check 'BenchmarkRowEncode'                       0  # PR 7: per-row NDJSON encode into a reused buffer
+check 'BenchmarkRowEncode/wide'                  0  # spj_wide_out's ten column kinds, exact and computed floats
+check 'BenchmarkRowEncode/wide'                  0 B/op
 check 'BenchmarkDeltaPropagation/join'           0  # PR 10: z-set join re-probe per signed delta row; PR 21: as batch; signed rows kept as pushed
 check 'BenchmarkDeltaPropagation/agg'            2  # PR 10: signed agg absorb + revision emit per delta row
 # One standing Q3A, SF 0.002, 600 deltas. The counts move by under 1 % when the
