@@ -141,7 +141,7 @@
 //
 // Within a batch the engine is allocation-free at steady state: join keys
 // are hashed once and shared between build-insert and probe
-// (state.HashedProber), probe keys and group-by keys live in reused
+// (HashTable.ProbeHashed), probe keys and group-by keys live in reused
 // scratch buffers (the types.AppendKey byte codec replaces fmt-based key
 // encoding), and join/projection outputs are carved from slab arenas so a
 // pipeline segment performs amortized O(1) allocations per tuple instead

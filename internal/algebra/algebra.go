@@ -44,11 +44,6 @@ func (p JoinPred) String() string {
 	return l + " = " + r
 }
 
-// Touches reports whether the predicate references rel.
-func (p JoinPred) Touches(rel string) bool {
-	return p.LeftRel == rel || p.RightRel == rel
-}
-
 // AggKind enumerates the aggregate functions; all distribute over union
 // (average via sum/count decomposition, §2.2 footnote 1), which is what
 // legitimizes pre-aggregation and shared group-by operators across ADP

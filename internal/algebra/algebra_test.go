@@ -106,9 +106,6 @@ func TestJoinPredCanonicalString(t *testing.T) {
 	if a.String() != b.String() {
 		t.Errorf("predicate strings differ: %q vs %q", a, b)
 	}
-	if !a.Touches("F") || !a.Touches("T") || a.Touches("C") {
-		t.Error("Touches wrong")
-	}
 }
 
 func TestCanonKeyOrderInsensitive(t *testing.T) {

@@ -1,0 +1,153 @@
+package analysis_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// keptWithoutCaller lists the exported functions and methods under
+// internal/ that no non-test file calls, each with the reason it stays. A
+// key is the declaring package's path under internal/, the receiver type
+// for a method, and the name, joined by dots.
+var keptWithoutCaller = map[string]string{
+	// Helpers that other packages' tests use.
+	"algebra.NewGroup":         "the tests of algebra, opt and core build group-by specs with it",
+	"algebra.CombinationCount": "the tests of algebra and core check the number of phase combinations with it",
+	"core.Tree.JoinFor":        "the tests of core look up a tree's join by expression with it",
+	"ivm.SortedRows":           "the tests of ivm and core compare folded views with it",
+	"ivm.Multiset.Negative":    "the tests of ivm, core and engine read a view's negative multiplicities with it",
+	"source.MustDeltaProvider": "the maintenance tests of core build delta providers with it",
+
+	// How tests observe live state.
+	"stats.Histogram.EstimateEq":            "how the tests observe a live §4.5 histogram",
+	"stats.Histogram.EstimateRange":         "how the tests observe a live §4.5 histogram",
+	"stats.Histogram.Count":                 "how the tests observe a live §4.5 histogram",
+	"stats.OrderDetector.Count":             "how the tests observe a live order detector",
+	"exec.Driver.Leaves":                    "how the driver test observes the attached leaves",
+	"exec.ParallelDriver.PartitionContexts": "how the parallel tests read each partition's clock",
+	"exec.PartitionMerge.Released":          "how the merge tests count released rows",
+	"server.Server.Draining":                "how the drain test waits for the server to stop admitting",
+
+	// Entry points that tests drive in place of the engine's own caller.
+	"core.LowerPartitioned":           "the tree and parallel-aggregation tests lower onto a bare PartitionMerge with it",
+	"engine.Engine.InjectDeltaFaults": "the standing chaos pins arm delta-source faults with it",
+
+	// References the tests hold a faster path to.
+	"types.DecodeKey": "FuzzKeyCodecRoundTrip and FuzzDecodeKeyArbitrary hold the key codec to it",
+	"types.EncodeKey": "the key codec tests hold AppendKey's bytes to it",
+
+	// Called by the standard library through an interface.
+	"core.tupleHeap.Less":               "container/heap calls it",
+	"core.tupleHeap.Swap":               "container/heap calls it",
+	"server.deltaScripts.UnmarshalJSON": "encoding/json calls it",
+}
+
+// TestEveryExportHasACaller keeps dead exports from creeping back: every
+// exported top-level function and method declared under internal/ must be
+// named by some identifier, other than its own declaration, in a non-test
+// .go file of the repository — benchmark/, cmd/ and examples/ included —
+// or be listed in keptWithoutCaller with its reason.
+//
+// Matching is by name alone, not by resolved object. A name shared with
+// another identifier (a method called String, Len or Push, a field, a
+// local) therefore counts as called even when the export itself is not:
+// the test under-reports, and it never reports an export that has a
+// caller.
+func TestEveryExportHasACaller(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("repository root not found above internal/analysis: %v", err)
+	}
+	fset := token.NewFileSet()
+	declared := map[string]string{} // key -> name
+	mentioned := map[string]bool{}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, filepath.Dir(path))
+		pkg, inInternal := strings.CutPrefix(filepath.ToSlash(rel), "internal/")
+		decls := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || !inInternal || !fd.Name.IsExported() {
+				continue
+			}
+			decls[fd.Name] = true
+			key := pkg + "." + fd.Name.Name
+			if fd.Recv != nil {
+				key = pkg + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+			}
+			declared[key] = fd.Name.Name
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !decls[id] {
+				mentioned[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(declared) == 0 {
+		t.Fatal("no exported function found under internal/")
+	}
+	var dead []string
+	for key, name := range declared {
+		if !mentioned[name] && keptWithoutCaller[key] == "" {
+			dead = append(dead, key)
+		}
+	}
+	sort.Strings(dead)
+	for _, key := range dead {
+		t.Errorf("%s is exported and nothing outside tests calls it: delete it, or list it in keptWithoutCaller with its reason", key)
+	}
+	for key := range keptWithoutCaller {
+		if name, ok := declared[key]; !ok {
+			t.Errorf("keptWithoutCaller lists %s, which is not declared", key)
+		} else if mentioned[name] {
+			t.Errorf("keptWithoutCaller lists %s, which now has a caller", key)
+		}
+	}
+}
+
+// recvName returns the type name of a method receiver, without pointer or
+// type parameters.
+func recvName(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.StarExpr:
+		return recvName(x.X)
+	case *ast.IndexExpr:
+		return recvName(x.X)
+	case *ast.IndexListExpr:
+		return recvName(x.X)
+	case *ast.Ident:
+		return x.Name
+	}
+	return "?"
+}

@@ -215,12 +215,10 @@ func (c *ComplementaryJoin) Finish() {
 }
 
 // stitch cross-joins a left-side table against a right-side table,
-// scanning the smaller and probing the larger. Probes go through the
-// hashed fast path with a reused key buffer when the probed structure
-// advertises it (both sides are hash tables in the complementary pair),
-// and emits are batched through the emitter so downstream receives whole
-// result vectors.
-func (c *ComplementaryJoin) stitch(left, right state.Keyed) {
+// scanning the smaller and probing the larger through the hashed fast path
+// with a reused key buffer; emits are batched through the emitter so
+// downstream receives whole result vectors.
+func (c *ComplementaryJoin) stitch(left, right *state.HashTable) {
 	if left.Len() == 0 || right.Len() == 0 {
 		return
 	}
@@ -228,13 +226,6 @@ func (c *ComplementaryJoin) stitch(left, right state.Keyed) {
 	emit := func(lt, rt types.Tuple) {
 		c.Stats.StitchOut++
 		c.stitchEm.EmitConcat(c.out, lt, rt)
-	}
-	probe := func(table state.Keyed, key types.Tuple, fn func(types.Tuple) bool) {
-		if hp, ok := table.(state.HashedProber); ok {
-			hp.ProbeHashed(key.HashKey(types.Identity(len(key))), key, fn)
-			return
-		}
-		table.Probe(key, fn)
 	}
 	if left.Len() <= right.Len() {
 		cols := left.KeyCols()
@@ -244,7 +235,7 @@ func (c *ComplementaryJoin) stitch(left, right state.Keyed) {
 			for i, col := range cols {
 				key[i] = lt[col]
 			}
-			probe(right, key, func(rt types.Tuple) bool {
+			right.ProbeHashed(key.HashKey(types.Identity(len(key))), key, func(rt types.Tuple) bool {
 				emit(lt, rt)
 				return true
 			})
@@ -258,7 +249,7 @@ func (c *ComplementaryJoin) stitch(left, right state.Keyed) {
 			for i, col := range cols {
 				key[i] = rt[col]
 			}
-			probe(left, key, func(lt types.Tuple) bool {
+			left.ProbeHashed(key.HashKey(types.Identity(len(key))), key, func(lt types.Tuple) bool {
 				emit(lt, rt)
 				return true
 			})

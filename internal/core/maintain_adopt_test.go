@@ -83,7 +83,7 @@ func TestMaintenanceAdoptsInitialTree(t *testing.T) {
 	for _, spj := range []bool{false, true} {
 		t.Run(map[bool]string{false: "agg", true: "spj"}[spj], func(t *testing.T) {
 			var group *exec.AggTable
-			var atStart []state.Keyed
+			var atStart []*state.HashTable
 			ex, mt, rep := standingRun(t, q3aChurn, spj, Options{Strategy: Static, PollEvery: 256}, func(ex *executor, _ *maintainer, ev Event) {
 				switch ev.(type) {
 				case PhaseStarted:
@@ -106,7 +106,7 @@ func TestMaintenanceAdoptsInitialTree(t *testing.T) {
 			if rep.MaintReplayed != 0 {
 				t.Errorf("MaintReplayed = %d, want 0", rep.MaintReplayed)
 			}
-			var after []state.Keyed
+			var after []*state.HashTable
 			for _, j := range mt.tree.Joins {
 				l, r := j.Node.Tables()
 				after = append(after, l, r)

@@ -259,9 +259,8 @@ func collisionFactor(trees []*Tree) float64 {
 	for _, tree := range trees {
 		for _, j := range tree.Joins {
 			l, r := j.Node.Tables()
-			for _, t := range []state.Keyed{l, r} {
-				ht, ok := t.(*state.HashTable)
-				if !ok || ht == nil || ht.Buckets() == 0 {
+			for _, ht := range []*state.HashTable{l, r} {
+				if ht == nil || ht.Buckets() == 0 {
 					continue
 				}
 				chain := float64(ht.Len()) / float64(ht.Buckets())

@@ -320,13 +320,6 @@ func (a *AggTable) AbsorbPartial(t types.Tuple) {
 	}
 }
 
-// AbsorbPartialBatch folds a batch of partial tuples.
-func (a *AggTable) AbsorbPartialBatch(ts []types.Tuple) {
-	for _, t := range ts {
-		a.AbsorbPartial(t)
-	}
-}
-
 var (
 	errMergeMaintained = errors.New("exec: MergeFrom on a maintenance-mode AggTable")
 	errMergeShape      = errors.New("exec: MergeFrom between AggTables of different grouping or aggregates")

@@ -153,7 +153,11 @@ func TestPreAggregationDistributesOverUnion(t *testing.T) {
 		ctx := NewContext()
 		final, _ := NewAggTable(ctx, aggIn, []string{"t.g"}, allAggs())
 		pre, err := NewWindowPreAgg(ctx, aggIn, []string{"t.g"}, allAggs(),
-			SinkFunc(final.AbsorbPartialBatch))
+			SinkFunc(func(ts []types.Tuple) {
+				for _, t := range ts {
+					final.AbsorbPartial(t)
+				}
+			}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +201,9 @@ func TestPseudogroupEquivalentToWindowOne(t *testing.T) {
 	var partials []types.Tuple
 	pg, err := NewWindowPreAgg(ctx, aggIn, []string{"t.g"}, allAggs(), SinkFunc(func(ts []types.Tuple) {
 		partials = append(partials, ts...)
-		finalA.AbsorbPartialBatch(ts)
+		for _, t := range ts {
+			finalA.AbsorbPartial(t)
+		}
 	}))
 	if err != nil {
 		t.Fatal(err)

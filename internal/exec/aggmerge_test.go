@@ -163,7 +163,9 @@ func TestMergeFromEqualsOneTable(t *testing.T) {
 				// The same tables, folded through their partial rows.
 				viaPartials := newAllAggs(t)
 				for _, src := range build() {
-					viaPartials.AbsorbPartialBatch(src.EmitPartial())
+					for _, t := range src.EmitPartial() {
+						viaPartials.AbsorbPartial(t)
+					}
 				}
 				if got, want := merged.Counters().In, viaPartials.Counters().In; got != want || got != int64(groups) {
 					t.Errorf("In = %d, via partials %d, source groups %d", got, want, groups)

@@ -63,7 +63,6 @@ type CostModel struct {
 	Compare    int64 // one key comparison (merge join, sorted probe)
 	Move       int64 // construct/propagate one output tuple
 	AggUpdate  int64 // fold one tuple into an aggregate state
-	DiskIO     int64 // touch a spilled partition
 	HistUpdate int64 // fold one value into a histogram (§4.5 overhead)
 }
 
@@ -75,7 +74,6 @@ func DefaultCosts() *CostModel {
 		Compare:    250,
 		Move:       300,
 		AggUpdate:  800,
-		DiskIO:     20000,
 		HistUpdate: 1400,
 	}
 }

@@ -386,7 +386,6 @@ func TestDefaultCostsInSeconds(t *testing.T) {
 		{"Compare", cm.Compare, 0.25e-6},
 		{"Move", cm.Move, 0.3e-6},
 		{"AggUpdate", cm.AggUpdate, 0.8e-6},
-		{"DiskIO", cm.DiskIO, 20e-6},
 		{"HistUpdate", cm.HistUpdate, 1.4e-6},
 	} {
 		if got := Seconds(c.ns); got != c.sec {

@@ -158,12 +158,7 @@ func (j *HashJoin) Counters() *stats.OpCounters { return &j.counters }
 
 // Tables exposes the buffered state structures for stitch-up reuse; nil
 // for nested-loops (whose lists are exposed via SideLists).
-func (j *HashJoin) Tables() (left, right state.Keyed) {
-	if j.Style == NestedLoops {
-		return nil, nil
-	}
-	return j.in[0].main.ht, j.in[1].main.ht
-}
+func (j *HashJoin) Tables() (left, right *state.HashTable) { return j.in[0].main.ht, j.in[1].main.ht }
 
 // joinSide exposes one input of a HashJoin (i: 0 left, 1 right) as a sink,
 // so plan lowering can wire either side.

@@ -155,10 +155,6 @@ func MustDeltaProvider(base Provider, deltas []Delta) *DeltaProvider {
 	return dp
 }
 
-// BaseSchema returns the wrapped source's schema (without the sign
-// column).
-func (d *DeltaProvider) BaseSchema() *types.Schema { return d.base }
-
 // Name implements Provider: the base source's name, so delta routing by
 // relation name needs no extra mapping.
 func (d *DeltaProvider) Name() string { return d.inner.Name() }

@@ -53,18 +53,6 @@ type Row struct {
 	At float64
 }
 
-// Stream is one-pass sequential access to a source, mirroring the paper's
-// constraint: "we limit access to the input relations to be sequential
-// only".
-type Stream interface {
-	// Name identifies the underlying source.
-	Name() string
-	// Schema is the tuple layout.
-	Schema() *types.Schema
-	// Next returns the next row; ok=false at end of stream.
-	Next() (row Row, ok bool)
-}
-
 // Schedule assigns an arrival time (virtual seconds) to the i-th tuple of
 // a stream.
 type Schedule interface {
@@ -154,37 +142,6 @@ func (b *Bursty) ArrivalAt(i int) float64 {
 		return 0
 	}
 	return b.arrivals[len(b.arrivals)-1]
-}
-
-// relStream is the canonical Stream over a Relation with a Schedule.
-type relStream struct {
-	rel   *Relation
-	sched Schedule
-	pos   int
-}
-
-// NewStream opens a one-pass stream over rel with arrival schedule sched.
-func NewStream(rel *Relation, sched Schedule) Stream {
-	if sched == nil {
-		sched = Immediate{}
-	}
-	return &relStream{rel: rel, sched: sched}
-}
-
-// Name implements Stream.
-func (s *relStream) Name() string { return s.rel.Name }
-
-// Schema implements Stream.
-func (s *relStream) Schema() *types.Schema { return s.rel.Schema }
-
-// Next implements Stream.
-func (s *relStream) Next() (Row, bool) {
-	if s.pos >= len(s.rel.Rows) {
-		return Row{}, false
-	}
-	r := Row{T: s.rel.Rows[s.pos], At: s.sched.ArrivalAt(s.pos)}
-	s.pos++
-	return r, true
 }
 
 // Provider hands out the tuples of one named source across the phases of

@@ -28,31 +28,6 @@ func seqRel(name string, n int) *Relation {
 	return intRel(name, keys...)
 }
 
-func TestStreamDeliversAllInOrder(t *testing.T) {
-	rel := intRel("r", 3, 1, 2)
-	s := NewStream(rel, nil)
-	if s.Name() != "r" || s.Schema() != sch {
-		t.Error("stream metadata wrong")
-	}
-	var got []int64
-	for {
-		row, ok := s.Next()
-		if !ok {
-			break
-		}
-		got = append(got, row.T[0].I)
-		if row.At != 0 {
-			t.Error("Immediate schedule should deliver at t=0")
-		}
-	}
-	if len(got) != 3 || got[0] != 3 || got[1] != 1 || got[2] != 2 {
-		t.Errorf("stream order wrong: %v", got)
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("exhausted stream returned a row")
-	}
-}
-
 func TestBandwidthSchedule(t *testing.T) {
 	b := Bandwidth{TuplesPerSec: 10, Latency: 1}
 	if got := b.ArrivalAt(0); got != 1.1 {

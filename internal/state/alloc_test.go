@@ -72,32 +72,6 @@ func TestChainLenZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestHashOverSortedProbeHashedZeroAllocs covers the sorted-bucket
-// structure's fast path.
-func TestHashOverSortedProbeHashedZeroAllocs(t *testing.T) {
-	schema := types.NewSchema(
-		types.Column{Name: "t.k", Kind: types.KindInt},
-		types.Column{Name: "t.v", Kind: types.KindInt},
-	)
-	h := NewHashOverSorted(schema, []int{0})
-	for i := 0; i < 4096; i++ {
-		h.Insert(types.Tuple{types.Int(int64(i % 256)), types.Int(int64(i))})
-	}
-	key := types.Tuple{types.Int(99)}
-	hash := key.HashKey(types.Identity(1))
-	found := 0
-	fn := func(types.Tuple) bool { found++; return true }
-	allocs := testing.AllocsPerRun(1000, func() {
-		h.ProbeHashed(hash, key, fn)
-	})
-	if allocs != 0 {
-		t.Fatalf("HashOverSorted.ProbeHashed allocates %v per run, want 0", allocs)
-	}
-	if found == 0 {
-		t.Fatal("hashed probe matched nothing")
-	}
-}
-
 // TestListInsertBatchAmortizedAllocs pins the bulk-append path the
 // batched tee/leaf sinks use: appending a 64-tuple batch costs at most
 // one (amortized) allocation — the backing-array growth — never

@@ -1,10 +1,6 @@
 package state
 
-import (
-	"sort"
-
-	"github.com/tukwila/adp/internal/types"
-)
+import "github.com/tukwila/adp/internal/types"
 
 // defaultBuckets is the initial bucket count for hash structures. Buckets
 // in Tukwila "cannot be dynamically adjusted, meaning that an overly large
@@ -25,11 +21,6 @@ const defaultBuckets = 1024
 // not layout detail: a pipelined join charges the virtual clock by the
 // chain it walks, the corrective monitor reads Len/Buckets, and results
 // leave in chain order.
-//
-// It supports lazy partition-wise spilling (overflow handling in the style
-// of XJoin / the Tukwila pipelined hash join, §5) by marking partition
-// regions as swapped out; spilled partitions remain probe-able but record
-// simulated I/O.
 type HashTable struct {
 	list    *List
 	keyCols []int
@@ -38,12 +29,6 @@ type HashTable struct {
 	// Fixed prevents bucket-array growth (reproduces mis-estimated
 	// allocation collisions).
 	Fixed bool
-	// spill bookkeeping: partitions are bucket-index ranges.
-	spilledParts map[int]bool
-	partCount    int
-	// DiskReads counts probes that touched a spilled partition
-	// (simulated I/O for cost accounting).
-	DiskReads int64
 }
 
 // entry is the index's record of one row: its key hash and the next row of
@@ -65,7 +50,7 @@ func NewHashTable(schema *types.Schema, keyCols []int) *HashTable {
 // NewHashTableSized creates a hash table with an explicit bucket count
 // (for the optimizer to size from cardinality estimates).
 func NewHashTableSized(schema *types.Schema, keyCols []int, nbuckets int) *HashTable {
-	h := &HashTable{list: NewList(schema), keyCols: keyCols, partCount: 16}
+	h := &HashTable{list: NewList(schema), keyCols: keyCols}
 	h.buckets = make([]bucket, ceilPow2(max(nbuckets, 1)))
 	return h
 }
@@ -77,7 +62,7 @@ func NewHashTableSized(schema *types.Schema, keyCols []int, nbuckets int) *HashT
 // table the rows were inserted into one by one, allocated once at their
 // final size. l must not grow while the index is in use.
 func IndexList(l *List, keyCols []int) *HashTable {
-	h := &HashTable{list: l, keyCols: keyCols, partCount: 16}
+	h := &HashTable{list: l, keyCols: keyCols}
 	h.buckets = make([]bucket, BucketsFor(l.Len()))
 	h.entries.reserve(l.Len())
 	for c, chunk := range l.Chunks() {
@@ -134,7 +119,7 @@ func (h *HashTable) row(id int32) (types.Tuple, int32) {
 // List returns the rows the table indexes, in arrival order.
 func (h *HashTable) List() *List { return h.list }
 
-// Insert implements Structure.
+// Insert adds one tuple, hashing its key.
 func (h *HashTable) Insert(t types.Tuple) {
 	h.InsertHashed(t.HashKey(h.keyCols), t)
 }
@@ -142,15 +127,8 @@ func (h *HashTable) Insert(t types.Tuple) {
 // InsertHashed inserts a tuple whose key hash the caller already computed
 // (a pipelined join hashes each tuple once and reuses the hash for both
 // the build insert and the opposite-side probe).
-//
-// Growth freezes once any partition has spilled: partition(bucket) is
-// bucket % partCount over a fixed partCount, so doubling the bucket array
-// after a spill would silently migrate tuples between spilled and
-// resident partitions with no I/O accounting. Frozen buckets are also the
-// paper's §4.4 semantics — spilled structures keep their boundaries so
-// overflowed regions stay aligned across the tables sharing them.
 func (h *HashTable) InsertHashed(hash uint64, t types.Tuple) {
-	if !h.Fixed && len(h.spilledParts) == 0 && h.entries.n >= 4*len(h.buckets) {
+	if !h.Fixed && h.entries.n >= 4*len(h.buckets) {
 		h.grow()
 	}
 	h.list.Insert(t)
@@ -171,19 +149,14 @@ func (h *HashTable) InsertHashedBatch(hashes []uint64, ts []types.Tuple) {
 
 // ProbeHashedBatch drives one probe per batch row: row i probes with hash
 // hashes[i] and the key columns keyCols of keys[i], and fn receives the
-// row index with each matching resident tuple (return false to stop that
+// row index with each matching tuple (return false to stop that
 // row's probe; later rows still probe). It is the batch companion of
-// ProbeHashed — one hash vector and zero per-row setup, with spill I/O
-// accounted per probe exactly as in the scalar path.
+// ProbeHashed — one hash vector and zero per-row setup.
 //
 //adp:hotpath gated by BenchmarkHashTableProbe (scripts/check_allocs.sh)
 func (h *HashTable) ProbeHashedBatch(hashes []uint64, keys []types.Tuple, keyCols []int, fn func(row int, match types.Tuple) bool) {
 	for i, key := range keys {
-		bi := h.bucketOf(hashes[i])
-		if h.isSpilled(bi) {
-			h.DiskReads++
-		}
-		for id := h.buckets[bi].head; id != 0; {
+		for id := h.buckets[h.bucketOf(hashes[i])].head; id != 0; {
 			t, next := h.row(id)
 			if t.KeyEquals(h.keyCols, key, keyCols) {
 				if !fn(i, t) {
@@ -215,7 +188,7 @@ func (h *HashTable) relink() {
 	}
 }
 
-// Len implements Structure.
+// Len returns the number of indexed rows.
 func (h *HashTable) Len() int { return h.entries.n }
 
 // Buckets returns the bucket count; Len/Buckets is the expected probe
@@ -223,14 +196,11 @@ func (h *HashTable) Len() int { return h.entries.n }
 // exposes structure size/cardinality to the decision modules).
 func (h *HashTable) Buckets() int { return len(h.buckets) }
 
-// Scan implements Structure (bucket order, each chain in arrival order;
-// not key-sorted).
+// Scan visits the rows in bucket order, each chain in arrival order (not
+// key-sorted); return false from fn to stop early.
 func (h *HashTable) Scan(fn func(types.Tuple) bool) {
-	for bi := range h.buckets {
-		if h.isSpilled(bi) {
-			h.DiskReads++
-		}
-		for id := h.buckets[bi].head; id != 0; {
+	for _, b := range h.buckets {
+		for id := b.head; id != 0; {
 			t, next := h.row(id)
 			if !fn(t) {
 				return
@@ -240,16 +210,10 @@ func (h *HashTable) Scan(fn func(types.Tuple) bool) {
 	}
 }
 
-// Properties implements Structure.
-func (h *HashTable) Properties() Properties { return Properties{KeyAccess: true} }
-
-// Schema implements Structure.
-func (h *HashTable) Schema() *types.Schema { return h.list.Schema() }
-
-// KeyCols implements Keyed.
+// KeyCols returns the column positions forming the key.
 func (h *HashTable) KeyCols() []int { return h.keyCols }
 
-// Probe implements Keyed.
+// Probe visits the rows whose key equals key, in chain order.
 func (h *HashTable) Probe(key []types.Value, fn func(types.Tuple) bool) {
 	probe := types.Tuple(key)
 	h.ProbeHashed(probe.HashKey(types.Identity(len(key))), probe, fn)
@@ -262,12 +226,8 @@ func (h *HashTable) Probe(key []types.Value, fn func(types.Tuple) bool) {
 //
 //adp:hotpath gated by BenchmarkHashTableProbe (scripts/check_allocs.sh)
 func (h *HashTable) ProbeHashed(hash uint64, key types.Tuple, fn func(types.Tuple) bool) {
-	bi := h.bucketOf(hash)
-	if h.isSpilled(bi) {
-		h.DiskReads++
-	}
 	idx := types.Identity(len(key))
-	for id := h.buckets[bi].head; id != 0; {
+	for id := h.buckets[h.bucketOf(hash)].head; id != 0; {
 		t, next := h.row(id)
 		if t.KeyEquals(h.keyCols, key, idx) {
 			if !fn(t) {
@@ -291,141 +251,4 @@ func (h *HashTable) ChainLen(key []types.Value) int {
 // ChainLenHashed is ChainLen for a precomputed key hash.
 func (h *HashTable) ChainLenHashed(hash uint64) int {
 	return int(h.buckets[h.bucketOf(hash)].count)
-}
-
-// --- spill simulation -------------------------------------------------
-
-// partition maps a bucket index to a partition id.
-func (h *HashTable) partition(bucket int) int {
-	return bucket % h.partCount
-}
-
-func (h *HashTable) isSpilled(bucket int) bool {
-	if len(h.spilledParts) == 0 {
-		return false
-	}
-	return h.spilledParts[h.partition(bucket)]
-}
-
-// SpillPartitions marks the given fraction of partitions as swapped to
-// disk ("lazily partitions all four hash tables along the same boundaries
-// and swaps some of these regions to disk", §5). Tables sharing boundaries
-// should be spilled with identical fractions so overflowed regions align.
-func (h *HashTable) SpillPartitions(frac float64) int {
-	n := int(float64(h.partCount) * frac)
-	if h.spilledParts == nil {
-		h.spilledParts = make(map[int]bool)
-	}
-	for p := 0; p < n; p++ {
-		h.spilledParts[p] = true
-	}
-	return n
-}
-
-// SpilledFraction reports the fraction of partitions swapped out; the
-// re-optimizer reads this as the structure's "swapped-to-disk status"
-// (§3.3).
-func (h *HashTable) SpilledFraction() float64 {
-	if h.partCount == 0 {
-		return 0
-	}
-	return float64(len(h.spilledParts)) / float64(h.partCount)
-}
-
-// UnspillAll brings every partition back in memory (stitch-up reads
-// overflowed regions back).
-func (h *HashTable) UnspillAll() { h.spilledParts = nil }
-
-// HashOverSorted is a hash table over key-sorted data: each bucket keeps
-// its chain in key order so probes binary-search within the bucket
-// ("hash over sorted data (which allows us to perform a binary search over
-// hash buckets)", §3.1). It requires key-ordered insertion to be cheap;
-// out-of-order inserts fall back to binary insertion within the bucket.
-type HashOverSorted struct {
-	schema  *types.Schema
-	keyCols []int
-	buckets [][]types.Tuple
-	n       int
-}
-
-// NewHashOverSorted creates the structure.
-func NewHashOverSorted(schema *types.Schema, keyCols []int) *HashOverSorted {
-	return &HashOverSorted{
-		schema:  schema,
-		keyCols: keyCols,
-		buckets: make([][]types.Tuple, defaultBuckets),
-	}
-}
-
-func (h *HashOverSorted) bucketOf(t types.Tuple) int {
-	return int(t.HashKey(h.keyCols) & uint64(len(h.buckets)-1))
-}
-
-// Insert implements Structure, keeping each bucket sorted.
-func (h *HashOverSorted) Insert(t types.Tuple) {
-	bi := h.bucketOf(t)
-	chain := h.buckets[bi]
-	n := len(chain)
-	if n == 0 || types.CompareKey(chain[n-1], h.keyCols, t, h.keyCols) <= 0 {
-		h.buckets[bi] = append(chain, t)
-	} else {
-		i := sort.Search(n, func(i int) bool {
-			return types.CompareKey(chain[i], h.keyCols, t, h.keyCols) > 0
-		})
-		chain = append(chain, nil)
-		copy(chain[i+1:], chain[i:])
-		chain[i] = t
-		h.buckets[bi] = chain
-	}
-	h.n++
-}
-
-// Len implements Structure.
-func (h *HashOverSorted) Len() int { return h.n }
-
-// Scan implements Structure.
-func (h *HashOverSorted) Scan(fn func(types.Tuple) bool) {
-	for _, chain := range h.buckets {
-		for _, t := range chain {
-			if !fn(t) {
-				return
-			}
-		}
-	}
-}
-
-// Properties implements Structure.
-func (h *HashOverSorted) Properties() Properties {
-	return Properties{KeyAccess: true, RequiresSort: true}
-}
-
-// Schema implements Structure.
-func (h *HashOverSorted) Schema() *types.Schema { return h.schema }
-
-// KeyCols implements Keyed.
-func (h *HashOverSorted) KeyCols() []int { return h.keyCols }
-
-// Probe implements Keyed with binary search inside the bucket.
-func (h *HashOverSorted) Probe(key []types.Value, fn func(types.Tuple) bool) {
-	probe := types.Tuple(key)
-	h.ProbeHashed(probe.HashKey(types.Identity(len(key))), probe, fn)
-}
-
-// ProbeHashed probes with a precomputed key hash (see
-// HashTable.ProbeHashed); binary search within the bucket, zero
-// steady-state allocations.
-func (h *HashOverSorted) ProbeHashed(hash uint64, key types.Tuple, fn func(types.Tuple) bool) {
-	idx := types.Identity(len(key))
-	chain := h.buckets[int(hash)&(len(h.buckets)-1)]
-	lo := sort.Search(len(chain), func(i int) bool {
-		return types.CompareKey(chain[i], h.keyCols, key, idx) >= 0
-	})
-	for i := lo; i < len(chain); i++ {
-		if types.CompareKey(chain[i], h.keyCols, key, idx) != 0 {
-			return
-		}
-		if !fn(chain[i]) {
-			return
-		}
-	}
 }

@@ -111,57 +111,3 @@ func TestProbeHashedBatchZeroAllocs(t *testing.T) {
 		t.Fatal("batched probe matched nothing")
 	}
 }
-
-// TestSpillFreezesGrowth is the spill/grow interaction regression test:
-// once any partition has spilled, the bucket array must not grow (growth
-// keeps partition(bucket) = bucket % partCount stable), so a key's
-// spilled-ness — and therefore DiskReads accounting — is consistent
-// across subsequent inserts.
-func TestSpillFreezesGrowth(t *testing.T) {
-	h := NewHashTable(kvSchema(), []int{0})
-	for i := 0; i < 1000; i++ {
-		h.Insert(kvTuple(int64(i), int64(i)))
-	}
-	if n := h.SpillPartitions(0.25); n == 0 {
-		t.Fatal("no partitions spilled")
-	}
-	frac := h.SpilledFraction()
-	buckets := h.Buckets()
-
-	// Record which probe keys touch spilled partitions now.
-	spilledKey := map[int64]bool{}
-	for k := int64(0); k < 256; k++ {
-		before := h.DiskReads
-		h.Probe([]types.Value{types.Int(k)}, func(types.Tuple) bool { return true })
-		spilledKey[k] = h.DiskReads > before
-	}
-
-	// Push far past the growth threshold (4 tuples per bucket).
-	for i := 1000; i < 8*buckets; i++ {
-		h.Insert(kvTuple(int64(i), int64(i)))
-	}
-	if h.Buckets() != buckets {
-		t.Fatalf("bucket array grew from %d to %d after spill", buckets, h.Buckets())
-	}
-	if h.SpilledFraction() != frac {
-		t.Fatalf("spilled fraction drifted: %v vs %v", h.SpilledFraction(), frac)
-	}
-	// Every key's spilled-ness must be unchanged: no tuple silently
-	// migrated between spilled and resident partitions.
-	for k := int64(0); k < 256; k++ {
-		before := h.DiskReads
-		h.Probe([]types.Value{types.Int(k)}, func(types.Tuple) bool { return true })
-		if got := h.DiskReads > before; got != spilledKey[k] {
-			t.Fatalf("key %d changed spill residency after inserts: %v -> %v", k, spilledKey[k], got)
-		}
-	}
-
-	// Unspilling re-enables growth.
-	h.UnspillAll()
-	for i := 0; i < 4*buckets; i++ {
-		h.Insert(kvTuple(int64(i), int64(i)))
-	}
-	if h.Buckets() <= buckets {
-		t.Fatalf("growth did not resume after UnspillAll (still %d buckets)", h.Buckets())
-	}
-}

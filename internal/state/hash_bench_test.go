@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkHashTableProbe tracks the probe hot path's time and
-// allocations: the plain Keyed.Probe interface call vs the
+// allocations: the plain Probe call, which hashes the key, vs the
 // precomputed-hash fast path a pipelined join uses.
 func BenchmarkHashTableProbe(b *testing.B) {
 	h := allocTestTable(1 << 16)

@@ -17,12 +17,10 @@ import (
 // every bucket count, chain and hit sequence, not merely on which rows
 // match.
 type chainModel struct {
-	keyCols   []int
-	buckets   [][]types.Tuple
-	n         int
-	fixed     bool
-	spilled   int // partitions 0..spilled-1 are swapped out
-	diskReads int64
+	keyCols []int
+	buckets [][]types.Tuple
+	n       int
+	fixed   bool
 }
 
 func newChainModel(keyCols []int, nbuckets int, fixed bool) *chainModel {
@@ -32,7 +30,7 @@ func newChainModel(keyCols []int, nbuckets int, fixed bool) *chainModel {
 func (m *chainModel) bucketOf(hash uint64) int { return int(hash & uint64(len(m.buckets)-1)) }
 
 func (m *chainModel) insert(t types.Tuple) {
-	if !m.fixed && m.spilled == 0 && m.n >= 4*len(m.buckets) {
+	if !m.fixed && m.n >= 4*len(m.buckets) {
 		old := m.buckets
 		m.buckets = make([][]types.Tuple, 2*len(old))
 		for _, chain := range old {
@@ -47,17 +45,9 @@ func (m *chainModel) insert(t types.Tuple) {
 	m.n++
 }
 
-func (m *chainModel) touch(bucket int) {
-	if bucket%16 < m.spilled {
-		m.diskReads++
-	}
-}
-
 // probe returns the chain's rows equal to key, in chain order.
 func (m *chainModel) probe(hash uint64, key types.Tuple) (hits []types.Tuple) {
-	b := m.bucketOf(hash)
-	m.touch(b)
-	for _, t := range m.buckets[b] {
+	for _, t := range m.buckets[m.bucketOf(hash)] {
 		if t.KeyEquals(m.keyCols, key, types.Identity(len(key))) {
 			hits = append(hits, t)
 		}
@@ -66,8 +56,7 @@ func (m *chainModel) probe(hash uint64, key types.Tuple) (hits []types.Tuple) {
 }
 
 func (m *chainModel) scan() (rows []types.Tuple) {
-	for b, chain := range m.buckets {
-		m.touch(b)
+	for _, chain := range m.buckets {
 		rows = append(rows, chain...)
 	}
 	return rows
@@ -118,21 +107,9 @@ func (p *lawPair) insert(a, b types.Value) {
 	p.m.insert(t)
 }
 
-// spill swaps out the first frac of the partitions; a smaller fraction
-// after a larger one brings nothing back.
-func (p *lawPair) spill(frac float64) {
-	p.m.spilled = max(p.m.spilled, p.h.SpillPartitions(frac))
-}
-
-func (p *lawPair) unspill() {
-	p.h.UnspillAll()
-	p.m.spilled = 0
-}
-
 // check compares the table with the model on everything the engine reads:
-// size, bucket count, and per probe key the chain length, the scalar and
-// the batched hit sequence and the simulated disk reads; with scan, the
-// scan order too.
+// size, bucket count, and per probe key the chain length and the scalar
+// and the batched hit sequence; with scan, the scan order too.
 func (p *lawPair) check(scan bool) error {
 	if p.h.Len() != p.m.n || p.h.Buckets() != len(p.m.buckets) {
 		return fmt.Errorf("len/buckets = %d/%d, model %d/%d", p.h.Len(), p.h.Buckets(), p.m.n, len(p.m.buckets))
@@ -158,7 +135,6 @@ func (p *lawPair) check(scan bool) error {
 		if len(w) > 1 { // an early stop ends the walk after the first hit
 			n := 0
 			p.h.ProbeHashed(hash, key, func(types.Tuple) bool { n++; return false })
-			p.m.probe(hash, key)
 			if n != 1 {
 				return fmt.Errorf("ProbeHashed(%v) visited %d rows after a stop", key, n)
 			}
@@ -170,7 +146,6 @@ func (p *lawPair) check(scan bool) error {
 		return true
 	})
 	for i := range keys {
-		p.m.probe(hashes[i], keys[i])
 		if !slices.Equal(got[i], want[i]) {
 			return fmt.Errorf("ProbeHashedBatch row %d (%v) = %v, model %v", i, keys[i], got[i], want[i])
 		}
@@ -185,16 +160,12 @@ func (p *lawPair) check(scan bool) error {
 			return fmt.Errorf("list holds %d rows, out of arrival order or short of %d", p.h.List().Len(), w)
 		}
 	}
-	if p.h.DiskReads != p.m.diskReads {
-		return fmt.Errorf("DiskReads = %d, model %d", p.h.DiskReads, p.m.diskReads)
-	}
 	return nil
 }
 
 // TestHashTableMatchesChainModel: random inserts of duplicate, cross-kind,
 // zero, NaN and NULL keys into a growing and a fixed table, checked against
-// the old layout after every step, across every grow, and through a spill
-// (which freezes growth) and its reversal (which resumes it).
+// the old layout after every step and across every grow.
 func TestHashTableMatchesChainModel(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -212,12 +183,6 @@ func TestHashTableMatchesChainModel(t *testing.T) {
 			p := newLawPair(tc.keyCols, tc.nbuckets, tc.fixed)
 			const steps = 700
 			for i := 0; i < steps; i++ {
-				switch i {
-				case 300:
-					p.spill(0.5)
-				case 450:
-					p.unspill()
-				}
 				p.insert(lawValues[rng.Intn(len(lawValues))], lawValues[rng.Intn(len(lawValues))])
 				if err := p.check(i%16 == 0 || i == steps-1); err != nil {
 					t.Fatalf("after %d inserts: %v", i+1, err)
@@ -247,27 +212,19 @@ func TestHashTableMatchesChainModel(t *testing.T) {
 }
 
 // FuzzHashTableModel drives the table and the model from an op script: a
-// byte inserts the key its bits select, or spills, unspills or probes.
+// byte inserts the key its bits select; every insert is followed by a
+// probe of every law key, and every eighth by a scan.
 func FuzzHashTableModel(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 10, 11, 12, 251, 13, 14, 15}, uint8(1), false)
-	f.Add([]byte{6, 6, 6, 0, 1, 6, 252, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1}, uint8(0), true)
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, uint8(1), false)
+	f.Add([]byte{6, 6, 6, 0, 1, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1}, uint8(0), true)
 	f.Fuzz(func(t *testing.T, script []byte, nbuckets uint8, fixed bool) {
 		if len(script) > 400 {
 			script = script[:400]
 		}
 		p := newLawPair([]int{0}, int(nbuckets%8), fixed)
 		for i, op := range script {
-			switch {
-			case op == 250:
-				p.spill(0.5)
-			case op == 251:
-				p.unspill()
-			case op == 252:
-				p.spill(1)
-			default:
-				v := int(op) % len(lawValues)
-				p.insert(lawValues[v], lawValues[(v+int(op)/len(lawValues))%len(lawValues)])
-			}
+			v := int(op) % len(lawValues)
+			p.insert(lawValues[v], lawValues[(v+int(op)/len(lawValues))%len(lawValues)])
 			if err := p.check(i%8 == 0 || i == len(script)-1); err != nil {
 				t.Fatalf("after op %d (%d): %v", i, op, err)
 			}

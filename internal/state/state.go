@@ -1,12 +1,12 @@
-// Package state implements Tukwila's state structures (paper §3.1–3.2):
-// the storage components factored out of join and aggregation operators so
-// that intermediate results can be shared and reused across the multiple
-// plans of an adaptively partitioned query. Tukwila's five structures are
-// all provided — list, sorted list, hash table, hash over sorted data
-// (binary search within buckets), and B+ tree — together with the state
-// structure registry that records (plan ID, expression, cardinality) for
-// stitch-up planning, and a memory manager that simulates paging structures
-// to disk in most-complex-expression-first order.
+// Package state implements the state structures Tukwila factors out of its
+// join and aggregation operators (paper §3.1–3.2), so that intermediate
+// results can be shared and reused across the plans of an adaptively
+// partitioned query. Every plan the engine lowers needs two of the paper's
+// five structures: a List, and a HashTable — a chained hash index over a
+// List. The sorted list, the hash over sorted data and the B+ tree, like
+// the paging of state to disk (§3.4.2) and the spilling of overflowed hash
+// partitions (§5), are not reproduced: no plan builds them and no strategy
+// runs under a memory budget.
 //
 // Rows are buffered once. A List stores tuples in arrival order in
 // fixed-size chunks, so it allocates what it holds and growth never moves a
@@ -19,58 +19,7 @@
 // (TestHashTableMatchesChainModel), whatever the layout.
 package state
 
-import (
-	"sort"
-
-	"github.com/tukwila/adp/internal/types"
-)
-
-// Properties advertises what a structure supports; the optimizer and the
-// stitch-up join consult these instead of depending on concrete types
-// ("they advertise certain properties (e.g., supports key-based access,
-// requires sorted data)", §3.1).
-type Properties struct {
-	KeyAccess     bool // supports key-based probing
-	Sorted        bool // iteration yields key order
-	RequiresSort  bool // input must arrive in key order
-	SupportsRange bool // supports range scans
-}
-
-// Structure is the common interface of all state structures. Tuples are
-// stored in the physical layout of the producing plan; consumers with a
-// different layout read through a types.Adapter.
-type Structure interface {
-	// Insert adds one tuple.
-	Insert(t types.Tuple)
-	// Len returns the number of stored tuples.
-	Len() int
-	// Scan iterates all tuples; return false from fn to stop early.
-	Scan(fn func(t types.Tuple) bool)
-	// Properties reports the structure's advertised capabilities.
-	Properties() Properties
-	// Schema returns the layout of stored tuples.
-	Schema() *types.Schema
-}
-
-// Keyed is a structure supporting key-based access on its build key.
-type Keyed interface {
-	Structure
-	// KeyCols returns the column positions forming the access key.
-	KeyCols() []int
-	// Probe visits all tuples whose key equals the given key values.
-	Probe(key []types.Value, fn func(t types.Tuple) bool)
-}
-
-// HashedProber is the allocation-free probe fast path advertised by
-// hash-based structures: the caller hashes the key once (typically shared
-// with the build-side insert) and probes without any per-call allocation.
-// Operators type-assert for it and fall back to Keyed.Probe otherwise.
-type HashedProber interface {
-	Keyed
-	// ProbeHashed visits tuples matching key, whose hash the caller
-	// precomputed with Tuple.HashKey over the key's positions.
-	ProbeHashed(hash uint64, key types.Tuple, fn func(t types.Tuple) bool)
-}
+import "github.com/tukwila/adp/internal/types"
 
 // chunkMin and chunkRows are the chunk geometry List and HashTable share:
 // a sequence's first chunk starts at chunkMin rows and doubles (by copy, at
@@ -156,7 +105,7 @@ type List struct {
 // NewList creates an empty list over the given layout.
 func NewList(schema *types.Schema) *List { return &List{schema: schema} }
 
-// Insert implements Structure.
+// Insert appends one tuple.
 func (l *List) Insert(t types.Tuple) { l.rows.push(t) }
 
 // InsertBatch bulk-appends a batch of tuples — the vectorized counterpart
@@ -164,7 +113,7 @@ func (l *List) Insert(t types.Tuple) { l.rows.push(t) }
 // tees). Only the tuples are retained, never the batch slice itself.
 func (l *List) InsertBatch(ts []types.Tuple) { l.rows.pushAll(ts) }
 
-// Len implements Structure.
+// Len returns the number of stored tuples.
 func (l *List) Len() int { return l.rows.n }
 
 // At returns the i-th row in arrival order.
@@ -174,7 +123,8 @@ func (l *List) At(i int) types.Tuple { return *l.rows.at(i) }
 // but the last holds chunkRows rows.
 func (l *List) Chunks() [][]types.Tuple { return l.rows.chunks }
 
-// Scan implements Structure.
+// Scan visits the tuples in arrival order; return false from fn to stop
+// early.
 func (l *List) Scan(fn func(types.Tuple) bool) {
 	for _, chunk := range l.rows.chunks {
 		for _, t := range chunk {
@@ -185,10 +135,7 @@ func (l *List) Scan(fn func(types.Tuple) bool) {
 	}
 }
 
-// Properties implements Structure.
-func (l *List) Properties() Properties { return Properties{} }
-
-// Schema implements Structure.
+// Schema returns the layout of the stored tuples.
 func (l *List) Schema() *types.Schema { return l.schema }
 
 // Rows copies the list into one flat slice, for callers off the hot path
@@ -200,92 +147,3 @@ func (l *List) Rows() []types.Tuple {
 	}
 	return out
 }
-
-// SortedList keeps tuples ordered by a key, supporting binary-search
-// probes and ordered scans. Inserts of already-ordered input are O(1)
-// appends (the common data-integration case of a sorted source); an
-// out-of-order insert falls back to binary insertion.
-type SortedList struct {
-	schema  *types.Schema
-	keyCols []int
-	rows    []types.Tuple
-}
-
-// NewSortedList creates an empty sorted list keyed on keyCols.
-func NewSortedList(schema *types.Schema, keyCols []int) *SortedList {
-	return &SortedList{schema: schema, keyCols: keyCols}
-}
-
-// Insert implements Structure, maintaining order.
-func (s *SortedList) Insert(t types.Tuple) {
-	n := len(s.rows)
-	if n == 0 || types.CompareKey(s.rows[n-1], s.keyCols, t, s.keyCols) <= 0 {
-		s.rows = append(s.rows, t)
-		return
-	}
-	i := sort.Search(n, func(i int) bool {
-		return types.CompareKey(s.rows[i], s.keyCols, t, s.keyCols) > 0
-	})
-	s.rows = append(s.rows, nil)
-	copy(s.rows[i+1:], s.rows[i:])
-	s.rows[i] = t
-}
-
-// Len implements Structure.
-func (s *SortedList) Len() int { return len(s.rows) }
-
-// Scan implements Structure (key order).
-func (s *SortedList) Scan(fn func(types.Tuple) bool) {
-	for _, t := range s.rows {
-		if !fn(t) {
-			return
-		}
-	}
-}
-
-// Properties implements Structure.
-func (s *SortedList) Properties() Properties {
-	return Properties{KeyAccess: true, Sorted: true, SupportsRange: true}
-}
-
-// Schema implements Structure.
-func (s *SortedList) Schema() *types.Schema { return s.schema }
-
-// KeyCols implements Keyed.
-func (s *SortedList) KeyCols() []int { return s.keyCols }
-
-// Probe implements Keyed via binary search.
-func (s *SortedList) Probe(key []types.Value, fn func(types.Tuple) bool) {
-	probe := types.Tuple(key)
-	idx := types.Identity(len(key))
-	lo := sort.Search(len(s.rows), func(i int) bool {
-		return types.CompareKey(s.rows[i], s.keyCols, probe, idx) >= 0
-	})
-	for i := lo; i < len(s.rows); i++ {
-		if types.CompareKey(s.rows[i], s.keyCols, probe, idx) != 0 {
-			return
-		}
-		if !fn(s.rows[i]) {
-			return
-		}
-	}
-}
-
-// ScanRange visits tuples with key in [lo, hi] (inclusive), in order.
-func (s *SortedList) ScanRange(lo, hi []types.Value, fn func(types.Tuple) bool) {
-	idx := types.Identity(len(lo))
-	start := sort.Search(len(s.rows), func(i int) bool {
-		return types.CompareKey(s.rows[i], s.keyCols, types.Tuple(lo), idx) >= 0
-	})
-	for i := start; i < len(s.rows); i++ {
-		if types.CompareKey(s.rows[i], s.keyCols, types.Tuple(hi), idx) > 0 {
-			return
-		}
-		if !fn(s.rows[i]) {
-			return
-		}
-	}
-}
-
-// Rows exposes the ordered backing slice.
-func (s *SortedList) Rows() []types.Tuple { return s.rows }

@@ -111,49 +111,3 @@ func (d *OrderDetector) LikelyUnique() bool {
 	}
 	return d.dup == 0
 }
-
-// UniquenessDetector tracks exact uniqueness of a (possibly unsorted)
-// stream with a bounded-memory value set; it gives up (answers unknown)
-// beyond its budget. Tukwila exposes key information from state structures
-// (§3.3); this is the streaming analogue used before a structure exists.
-type UniquenessDetector struct {
-	limit   int
-	seen    map[uint64]struct{}
-	dup     bool
-	overrun bool
-}
-
-// NewUniquenessDetector creates a detector that tracks up to limit
-// distinct hashes.
-func NewUniquenessDetector(limit int) *UniquenessDetector {
-	return &UniquenessDetector{limit: limit, seen: make(map[uint64]struct{}, 64)}
-}
-
-// Observe folds one value.
-func (u *UniquenessDetector) Observe(v types.Value) {
-	if u.dup || u.overrun {
-		return
-	}
-	h := types.Hash(v)
-	if _, ok := u.seen[h]; ok {
-		u.dup = true
-		return
-	}
-	if len(u.seen) >= u.limit {
-		u.overrun = true
-		return
-	}
-	u.seen[h] = struct{}{}
-}
-
-// Result reports (unique, known): known is false when the detector ran out
-// of budget before seeing a duplicate.
-func (u *UniquenessDetector) Result() (unique, known bool) {
-	if u.dup {
-		return false, true
-	}
-	if u.overrun {
-		return false, false
-	}
-	return true, true
-}

@@ -258,18 +258,6 @@ func minI64(a, b int64) int64 {
 	return b
 }
 
-// DistinctEstimate returns a crude distinct-count estimate.
-func (h *Histogram) DistinctEstimate() float64 {
-	d := float64(len(h.singletons))
-	for _, b := range h.buckets {
-		d += float64(b.NDV)
-	}
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
 // JoinSizeEstimate estimates |R ⋈ S| on the summarized attributes by
 // aligning the two histograms: matching singletons multiply exactly;
 // overlapping range buckets contribute n_r * n_s / max(ndv) over the

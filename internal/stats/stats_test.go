@@ -229,30 +229,6 @@ func TestOrderDetectorDuplicatesNotUnique(t *testing.T) {
 	}
 }
 
-func TestUniquenessDetector(t *testing.T) {
-	u := NewUniquenessDetector(100)
-	for i := 0; i < 50; i++ {
-		u.Observe(types.Int(int64(i)))
-	}
-	if uq, known := u.Result(); !uq || !known {
-		t.Error("unique stream not reported unique")
-	}
-	u.Observe(types.Int(7))
-	if uq, known := u.Result(); uq || !known {
-		t.Error("duplicate not detected")
-	}
-}
-
-func TestUniquenessDetectorOverrun(t *testing.T) {
-	u := NewUniquenessDetector(10)
-	for i := 0; i < 50; i++ {
-		u.Observe(types.Int(int64(i)))
-	}
-	if _, known := u.Result(); known {
-		t.Error("over-budget detector should answer unknown")
-	}
-}
-
 func TestOpCountersSelectivity(t *testing.T) {
 	c := &OpCounters{}
 	if c.Selectivity() != 1 {

@@ -10,8 +10,8 @@ import (
 )
 
 // Key codec: a compact, self-framing byte encoding of a tuple's key
-// columns, used wherever exact key identity is needed (group-by maps,
-// spill files). Unlike HashKey it is collision-free, and unlike the old
+// columns, used wherever exact key identity is needed (group-by maps).
+// Unlike HashKey it is collision-free, and unlike the old
 // fmt-based EncodeKey it builds into a caller-supplied buffer with
 // strconv.Append*, so steady-state encoding performs zero allocations.
 //

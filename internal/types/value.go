@@ -241,8 +241,3 @@ func Hash(v Value) uint64 {
 
 // fnvOffset is the FNV-1a 64-bit offset basis.
 const fnvOffset = 14695981039346656037
-
-// HashInt is a normalization helper: integer-valued floats hash like ints.
-// Float hashing handles this internally; the helper exists for callers that
-// build keys from raw int64s.
-func HashInt(h uint64, i int64) uint64 { return HashValue(h, Int(i)) }

@@ -157,15 +157,6 @@ func TestHashEqualProperty(t *testing.T) {
 	}
 }
 
-func TestHashIntMatchesValueHash(t *testing.T) {
-	f := func(h uint64, i int64) bool {
-		return HashInt(h, i) == HashValue(h, Int(i))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestKindDistinguishedInHash(t *testing.T) {
 	if Hash(Int(1)) == Hash(Str("1")) {
 		t.Error("Int(1) and Str(\"1\") should hash differently")
