@@ -411,11 +411,13 @@ var NewExecContext = exec.NewContext
 // to the seconds a Report carries.
 var ClockSeconds = exec.Seconds
 
-// Sink receives batches of tuples from push operators (see doc.go, "One
-// layout between operators"); a single tuple is a batch of one.
+// Sink receives batches of tuples from push operators through its one
+// method, Push(rows, sign): sign 0 for ordinary execution, ±1 for a
+// standing query's delta (see doc.go, "One layout between operators"); a
+// single tuple is a batch of one.
 type Sink = exec.Sink
 
-// SinkFunc adapts a function over a batch of tuples to a Sink.
+// SinkFunc adapts a function over a batch of tuples and its sign to a Sink.
 type SinkFunc = exec.SinkFunc
 
 // ---- Plan cache ----------------------------------------------------------

@@ -175,7 +175,7 @@ func TestPublicAPIDatasetAndComplementaryJoin(t *testing.T) {
 		[]int{li.Schema.MustIndexOf("l_orderkey")},
 		[]int{ord.Schema.MustIndexOf("o_orderkey")},
 		adp.DefaultPQCap,
-		adp.SinkFunc(func(ts []adp.Tuple) { n += len(ts) }))
+		adp.SinkFunc(func(ts []adp.Tuple, _ int) { n += len(ts) }))
 	cj.PushLeftBatch(li.Rows)
 	cj.PushRightBatch(ord.Rows)
 	cj.Finish()

@@ -122,9 +122,10 @@
 //
 // # One layout between operators
 //
-// Unsigned rows travel between operators as row batches and in no other
-// form: Sink is the single method PushBatch([]Tuple), a lone tuple is a
-// batch of one, and SinkFunc adapts a function over a batch. Every
+// Rows travel between operators as row batches and in no other form: Sink
+// is the single method Push(rows []Tuple, sign int), where sign 0 is
+// ordinary execution and ±1 a standing query's delta, a lone tuple is a
+// batch of one, and SinkFunc adapts a function over a signed batch. Every
 // operator takes batches — HashJoin and MergeJoin (both inputs, via
 // LeftSink/RightSink), the ComplementaryJoin router (which groups
 // consecutive same-destination tuples into sub-batches for its merge and
@@ -160,10 +161,10 @@
 // (the paper's shareable state structures, §3.1, §3.4): a columnar frame
 // between two joins is transposed in at one and back out at the next, and
 // both end-to-end measurements of such wiring came out behind row batches
-// (docs/architecture.md has the numbers). Signed traffic is row batches
-// too, the sign travelling beside them (DeltaSink.PushSigned): a standing
-// query's deltas enter the tree as the source rows they are, see "Standing
-// queries". So one row format runs from the leaves to the socket: a
+// (docs/architecture.md has the numbers). Signed traffic is the same row
+// batches through the same Push, the sign travelling beside them: a
+// standing query's deltas enter the tree as the source rows they are, see
+// "Standing queries". So one row format runs from the leaves to the socket: a
 // partitioned SPJ phase's merge buffers its partitions' root rows as the
 // root joins emit them. The columnar layout, types.ColBatch, survives only
 // behind the shims the benchmark's kernel probes call, each of which

@@ -42,17 +42,18 @@ func runHash(li, ord *adp.Relation, lKey, oKey []int) float64 {
 	ctx := adp.NewExecContext()
 	n := 0
 	j := adp.NewHashJoin(ctx, adp.JoinPipelined, li.Schema, ord.Schema, lKey, oKey,
-		adp.SinkFunc(func(ts []adp.Tuple) { n += len(ts) }))
+		adp.SinkFunc(func(ts []adp.Tuple, _ int) { n += len(ts) }))
 	// The two inputs arrive interleaved, a row at a time: a single tuple is
-	// a batch of one.
+	// a batch of one, pushed unsigned (sign 0).
+	left, right := j.LeftSink(), j.RightSink()
 	i, k := 0, 0
 	for i < len(li.Rows) || k < len(ord.Rows) {
 		if i < len(li.Rows) {
-			j.PushLeftBatch(li.Rows[i : i+1])
+			left.Push(li.Rows[i:i+1], 0)
 			i++
 		}
 		if k < len(ord.Rows) {
-			j.PushRightBatch(ord.Rows[k : k+1])
+			right.Push(ord.Rows[k:k+1], 0)
 			k++
 		}
 	}
@@ -68,7 +69,7 @@ func runPair(li, ord *adp.Relation, lKey, oKey []int, pqCap int) (float64, adp.C
 	ctx := adp.NewExecContext()
 	n := 0
 	cj := adp.NewComplementaryJoin(ctx, li.Schema, ord.Schema, lKey, oKey, pqCap,
-		adp.SinkFunc(func(ts []adp.Tuple) { n += len(ts) }))
+		adp.SinkFunc(func(ts []adp.Tuple, _ int) { n += len(ts) }))
 	i, k := 0, 0
 	for i < len(li.Rows) || k < len(ord.Rows) {
 		if i < len(li.Rows) {

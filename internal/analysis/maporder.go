@@ -14,8 +14,9 @@ import (
 // without sorting, because map order would leak into row order, event
 // order, or fingerprint bytes.
 var emitSeedNames = map[string]bool{
-	// Sink protocol (exec.Sink / DeltaSink).
-	"PushBatch": true, "PushSigned": true,
+	// Sink protocol (exec.Sink), and the source driver's leaf delivery
+	// (exec.Leaf.PushBatch).
+	"Push": true, "PushBatch": true,
 	// Event and row emission in core/engine.
 	"emit": true, "Emit": true, "EmitFinal": true, "flushRows": true,
 	// Key codec and fingerprint paths.

@@ -8,9 +8,9 @@ import (
 
 // SinkCompleteAnalyzer checks that every sink entry tolerates empty input:
 // the drivers flush zero-length runs at phase and fault boundaries, so a
-// PushBatch or PushSigned body that indexes its batch with a constant
-// before a length guard is a latent panic. That a sink has its entries at
-// all needs no analyzer: exec.Sink is PushBatch, so the compiler checks it.
+// Push body that indexes its batch with a constant before a length guard is
+// a latent panic. That a sink has its entry at all needs no analyzer:
+// exec.Sink is Push, so the compiler checks it.
 var SinkCompleteAnalyzer = &Analyzer{
 	Name: "sinkcomplete",
 	Doc:  "sink batch entries must tolerate empty batches",
@@ -24,7 +24,7 @@ func runSinkComplete(pass *Pass) error {
 			if !ok || fn.Body == nil || fn.Recv == nil {
 				continue
 			}
-			if n := fn.Name.Name; n == "PushBatch" || n == "PushSigned" {
+			if fn.Name.Name == "Push" {
 				checkEmptyTolerant(pass, fn)
 			}
 		}
@@ -33,7 +33,7 @@ func runSinkComplete(pass *Pass) error {
 }
 
 // checkEmptyTolerant flags constant-index access to the batch parameter
-// that no length guard precedes: Push* entries run on empty input at
+// that no length guard precedes: Push entries run on empty input at
 // phase/fault boundaries.
 func checkEmptyTolerant(pass *Pass, fn *ast.FuncDecl) {
 	params := fn.Type.Params
@@ -75,6 +75,6 @@ func checkEmptyTolerant(pass *Pass, fn *ast.FuncDecl) {
 		return true
 	})
 	if firstIndexExpr != nil && (firstGuard == token.NoPos || firstGuard > firstIndex) {
-		pass.Reportf(firstIndex, "%s indexes its batch parameter before any length guard; Push* entries must tolerate empty input (drivers flush zero-length runs)", fn.Name.Name)
+		pass.Reportf(firstIndex, "%s indexes its batch parameter before any length guard; Push entries must tolerate empty input (drivers flush zero-length runs)", fn.Name.Name)
 	}
 }

@@ -6,44 +6,54 @@ package maporder
 
 import "sort"
 
-type sink struct{ rows []int }
+type sink struct{ rows, signs []int }
 
-func (s *sink) PushBatch(vs ...int) { s.rows = append(s.rows, vs...) }
+func (s *sink) Push(vs []int, sign int) {
+	for _, v := range vs {
+		s.rows = append(s.rows, v)
+		s.signs = append(s.signs, sign)
+	}
+}
+
 func (s *sink) emit(vs []int) {
 	for _, v := range vs {
-		s.PushBatch(v)
+		s.Push([]int{v}, 0)
 	}
 }
 
 // emitAll emits in map order: the canonical violation.
 func emitAll(s *sink, m map[string]int) {
 	for _, v := range m { // want `map iteration in emitAll, which reaches an emit/fingerprint path`
-		s.PushBatch(v)
+		s.Push([]int{v}, 0)
 	}
 }
 
-// helper does not call PushBatch itself but reaches it through emitVia, so
-// its map range is still order-sensitive.
+// helper does not call Push itself but reaches it through emitVia, so its
+// map range is still order-sensitive.
 func helper(s *sink, m map[string]int) {
 	for k := range m { // want `map iteration in helper`
 		emitVia(s, len(k))
 	}
 }
 
-func emitVia(s *sink, v int) { s.PushBatch(v) }
+func emitVia(s *sink, v int) { s.Push([]int{v}, 0) }
 
-type deltaSink struct{ rows, signs []int }
-
-func (d *deltaSink) PushSigned(vs []int, sign int) {
-	d.rows = append(d.rows, vs...)
-	d.signs = append(d.signs, sign)
+// revise emits signed rows in map order: a signed push is the same emit
+// path.
+func revise(s *sink, m map[string]int) {
+	for _, v := range m { // want `map iteration in revise, which reaches an emit/fingerprint path`
+		s.Push([]int{v}, -1)
+	}
 }
 
-// revise emits signed rows in map order: the signed entry is an emit path
-// too.
-func revise(d *deltaSink, m map[string]int) {
-	for _, v := range m { // want `map iteration in revise, which reaches an emit/fingerprint path`
-		d.PushSigned([]int{v}, -1)
+// leaf stands for exec.Leaf, whose PushBatch is the source driver's
+// delivery into a plan.
+type leaf struct{ PushBatch func([]int) }
+
+// feed delivers source rows in map order.
+func feed(l leaf, m map[string]int) {
+	for _, v := range m { // want `map iteration in feed, which reaches an emit/fingerprint path`
+		l.PushBatch([]int{v})
 	}
 }
 
@@ -56,7 +66,7 @@ func emitSorted(s *sink, m map[string]int) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		s.PushBatch(m[k])
+		s.Push([]int{m[k]}, 0)
 	}
 }
 
@@ -67,7 +77,7 @@ func annotated(s *sink, m map[string]int) {
 	for _, v := range m {
 		total += v
 	}
-	s.PushBatch(total)
+	s.Push([]int{total}, 0)
 }
 
 // tally is a true negative: it never reaches an emit path, so map order

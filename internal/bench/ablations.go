@@ -55,7 +55,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		cj := core.NewComplementaryJoin(ctx, li.Schema, ord.Schema,
 			[]int{li.Schema.MustIndexOf("l_orderkey")},
 			[]int{ord.Schema.MustIndexOf("o_orderkey")},
-			pq, exec.SinkFunc(func(ts []types.Tuple) { n += int64(len(ts)) }))
+			pq, exec.SinkFunc(func(ts []types.Tuple, _ int) { n += int64(len(ts)) }))
 		d := exec.NewDriver(ctx,
 			&exec.Leaf{Provider: source.NewProvider(li, nil), PushBatch: cj.PushLeftBatch},
 			&exec.Leaf{Provider: source.NewProvider(ord, nil), PushBatch: cj.PushRightBatch},
@@ -101,7 +101,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		ctx := exec.NewContext()
 		var partials int64
 		pre, err := exec.NewWindowPreAgg(ctx, liS, groupBy, aggs,
-			exec.SinkFunc(func(ts []types.Tuple) { partials += int64(len(ts)) }))
+			exec.SinkFunc(func(ts []types.Tuple, _ int) { partials += int64(len(ts)) }))
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +109,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		if setting.fixed {
 			pre.GrowBelow, pre.ShrinkAbove = -1, 2 // never adapt
 		}
-		pre.PushBatch(uni.Lineitem.Rows)
+		pre.Push(uni.Lineitem.Rows, 0)
 		pre.Finish()
 		out = append(out, AblationRow{
 			Experiment: "window-policy",

@@ -65,7 +65,7 @@ func Figure5(cfg Config) ([]Fig5Result, error) {
 func runFig5Cell(li, ord *source.Relation, strat string) (*Fig5Result, error) {
 	ctx := exec.NewContext()
 	res := &Fig5Result{Strategy: strat}
-	count := exec.SinkFunc(func(ts []types.Tuple) { res.Output += int64(len(ts)) })
+	count := exec.SinkFunc(func(ts []types.Tuple, _ int) { res.Output += int64(len(ts)) })
 
 	lKey := []int{li.Schema.MustIndexOf("l_orderkey")}
 	oKey := []int{ord.Schema.MustIndexOf("o_orderkey")}
@@ -76,8 +76,8 @@ func runFig5Cell(li, ord *source.Relation, strat string) (*Fig5Result, error) {
 	case "hash":
 		j := exec.NewHashJoin(ctx, exec.Pipelined, li.Schema, ord.Schema, lKey, oKey, count)
 		d := exec.NewDriver(ctx,
-			&exec.Leaf{Provider: lp, PushBatch: j.PushLeftBatch},
-			&exec.Leaf{Provider: op, PushBatch: j.PushRightBatch},
+			&exec.Leaf{Provider: lp, PushBatch: exec.Feed(j.LeftSink())},
+			&exec.Leaf{Provider: op, PushBatch: exec.Feed(j.RightSink())},
 		)
 		d.Run(0, nil)
 		j.FinishLeft()

@@ -58,10 +58,10 @@ func runPartitionedJoin(parts int, ls, rs []types.Tuple) (out int64, virtual flo
 		ctx := exec.NewContext()
 		var n int64
 		j := exec.NewHashJoin(ctx, exec.Pipelined, partLSchema, partRSchema, []int{0}, []int{0},
-			exec.SinkFunc(func(ts []types.Tuple) { n += int64(len(ts)) }))
+			exec.SinkFunc(func(ts []types.Tuple, _ int) { n += int64(len(ts)) }))
 		d := exec.NewDriver(ctx,
-			&exec.Leaf{Provider: source.NewProvider(lrel, nil), PushBatch: j.PushLeftBatch},
-			&exec.Leaf{Provider: source.NewProvider(rrel, nil), PushBatch: j.PushRightBatch},
+			&exec.Leaf{Provider: source.NewProvider(lrel, nil), PushBatch: exec.Feed(j.LeftSink())},
+			&exec.Leaf{Provider: source.NewProvider(rrel, nil), PushBatch: exec.Feed(j.RightSink())},
 		)
 		d.Run(0, nil)
 		j.FinishLeft()
@@ -72,11 +72,11 @@ func runPartitionedJoin(parts int, ls, rs []types.Tuple) (out int64, virtual flo
 	ctxs := make([]*exec.Context, parts)
 	joins := make([]*exec.HashJoin, parts)
 	merge := exec.NewPartitionMerge(parts)
-	handlers := make([][]func([]types.Tuple), parts)
+	handlers := make([][]exec.Sink, parts)
 	for p := 0; p < parts; p++ {
 		ctxs[p] = exec.NewContext()
 		joins[p] = exec.NewHashJoin(ctxs[p], exec.Pipelined, partLSchema, partRSchema, []int{0}, []int{0}, merge.Sink(p))
-		handlers[p] = []func([]types.Tuple){joins[p].PushLeftBatch, joins[p].PushRightBatch}
+		handlers[p] = []exec.Sink{joins[p].LeftSink(), joins[p].RightSink()}
 	}
 	driverCtx := exec.NewContext()
 	pd := exec.NewParallelDriver(driverCtx, ctxs)
@@ -85,8 +85,8 @@ func runPartitionedJoin(parts int, ls, rs []types.Tuple) (out int64, virtual flo
 		joins[p].FinishRight()
 	}, 1)
 	pd.Run([]*exec.Leaf{
-		{Provider: source.NewProvider(lrel, nil), PushBatch: pd.LeafScatter(0, []int{0}).PushBatch},
-		{Provider: source.NewProvider(rrel, nil), PushBatch: pd.LeafScatter(1, []int{0}).PushBatch},
+		{Provider: source.NewProvider(lrel, nil), PushBatch: exec.Feed(pd.LeafScatter(0, []int{0}))},
+		{Provider: source.NewProvider(rrel, nil), PushBatch: exec.Feed(pd.LeafScatter(1, []int{0}))},
 	}, 0, nil)
 	pd.Finish()
 	pd.Close()

@@ -32,10 +32,10 @@ type statSink struct {
 	out exec.Sink
 }
 
-// PushBatch implements exec.Sink.
-func (s *statSink) PushBatch(ts []types.Tuple) {
+// Push implements exec.Sink.
+func (s *statSink) Push(ts []types.Tuple, sign int) {
 	*s.n += int64(len(ts))
-	s.out.PushBatch(ts)
+	s.out.Push(ts, sign)
 }
 
 // ComplementaryJoin is the complementary join pair of Figure 4: a merge
@@ -53,6 +53,8 @@ type ComplementaryJoin struct {
 	rightKey []int
 	merge    *exec.MergeJoin
 	hash     *exec.HashJoin
+	// toMerge and toHash are the components' inputs, left then right.
+	toMerge, toHash [2]exec.Sink
 
 	// PQCap enables the priority-queue router when > 0.
 	pqLeft  *tupleHeap
@@ -87,6 +89,8 @@ func NewComplementaryJoin(ctx *exec.Context, leftSchema, rightSchema *types.Sche
 		&statSink{n: &c.Stats.MergeOut, out: out})
 	c.hash = exec.NewHashJoin(ctx, exec.Pipelined, leftSchema, rightSchema, leftKey, rightKey,
 		&statSink{n: &c.Stats.HashOut, out: out})
+	c.toMerge = [2]exec.Sink{c.merge.LeftSink(), c.merge.RightSink()}
+	c.toHash = [2]exec.Sink{c.hash.LeftSink(), c.hash.RightSink()}
 	if pqCap > 0 {
 		c.pqLeft = newTupleHeap(leftKey, pqCap)
 		c.pqRight = newTupleHeap(rightKey, pqCap)
@@ -101,31 +105,24 @@ func (c *ComplementaryJoin) Schema() *types.Schema { return c.hash.Schema() }
 // consecutive tuples bound for the same component are delivered to it as
 // one sub-batch, and the pair's output order is that of routing the tuples
 // one by one. The batch slice is not retained.
-func (c *ComplementaryJoin) PushLeftBatch(ts []types.Tuple) {
-	if c.pqLeft != nil {
-		c.routeScratch = c.routeScratch[:0]
-		for _, t := range ts {
-			if evicted, ok := c.pqLeft.offer(t); ok {
-				c.routeScratch = append(c.routeScratch, evicted)
-			}
-		}
-		ts = c.routeScratch
-	}
-	c.routeRun(ts, true)
-}
+func (c *ComplementaryJoin) PushLeftBatch(ts []types.Tuple) { c.route(c.pqLeft, ts, true) }
 
 // PushRightBatch is the right-input mirror of PushLeftBatch.
-func (c *ComplementaryJoin) PushRightBatch(ts []types.Tuple) {
-	if c.pqRight != nil {
+func (c *ComplementaryJoin) PushRightBatch(ts []types.Tuple) { c.route(c.pqRight, ts, false) }
+
+// route passes one input's batch through its reorder buffer pq, if any, and
+// routes what leaves it.
+func (c *ComplementaryJoin) route(pq *tupleHeap, ts []types.Tuple, left bool) {
+	if pq != nil {
 		c.routeScratch = c.routeScratch[:0]
 		for _, t := range ts {
-			if evicted, ok := c.pqRight.offer(t); ok {
+			if evicted, ok := pq.offer(t); ok {
 				c.routeScratch = append(c.routeScratch, evicted)
 			}
 		}
 		ts = c.routeScratch
 	}
-	c.routeRun(ts, false)
+	c.routeRun(ts, left)
 }
 
 // classify makes the router decision for one tuple of the left or right
@@ -153,21 +150,19 @@ func (c *ComplementaryJoin) classify(t types.Tuple, left bool) bool {
 // by tuple would give.
 func (c *ComplementaryJoin) routeRun(ts []types.Tuple, left bool) {
 	c.ctx.Clock.Charge(int64(len(ts)) * c.ctx.Cost.Compare)
+	side := 1
+	if left {
+		side = 0
+	}
 	deliver := func(run []types.Tuple, toMerge bool) {
-		if len(run) == 0 {
-			return
-		}
 		switch {
-		case toMerge && left:
-			// In-order by the watermark invariant: the error path is
-			// unreachable.
-			_ = c.merge.PushLeftBatch(run)
+		case len(run) == 0:
 		case toMerge:
-			_ = c.merge.PushRightBatch(run)
-		case left:
-			c.hash.PushLeftBatch(run)
+			// In-order by the watermark invariant: the merge join's
+			// out-of-order panic is unreachable.
+			c.toMerge[side].Push(run, 0)
 		default:
-			c.hash.PushRightBatch(run)
+			c.toHash[side].Push(run, 0)
 		}
 	}
 	start, toMerge := 0, false

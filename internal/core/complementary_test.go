@@ -51,7 +51,7 @@ func runPair(t *testing.T, ls, rs []types.Tuple, pqCap int) (int, CompJoinStats)
 	ctx := exec.NewContext()
 	n := 0
 	cj := NewComplementaryJoin(ctx, lSchema, oSchema, []int{0}, []int{0}, pqCap,
-		exec.SinkFunc(func(ts []types.Tuple) { n += len(ts) }))
+		exec.SinkFunc(func(ts []types.Tuple, _ int) { n += len(ts) }))
 	i, k := 0, 0
 	for i < len(ls) || k < len(rs) {
 		if i < len(ls) {
@@ -147,11 +147,11 @@ func TestComplementaryFasterThanHashOnSorted(t *testing.T) {
 	i, k := 0, 0
 	for i < len(fks) || k < len(keys) {
 		if i < len(fks) {
-			hj.PushLeftBatch(fks[i : i+1])
+			hj.LeftSink().Push(fks[i:i+1], 0)
 			i++
 		}
 		if k < len(keys) {
-			hj.PushRightBatch(keys[k : k+1])
+			hj.RightSink().Push(keys[k:k+1], 0)
 			k++
 		}
 	}
@@ -191,7 +191,7 @@ func TestComplementaryViaProviders(t *testing.T) {
 	ctx := exec.NewContext()
 	n := 0
 	cj := NewComplementaryJoin(ctx, lSchema, oSchema, []int{0}, []int{0}, DefaultPQCap,
-		exec.SinkFunc(func(ts []types.Tuple) { n += len(ts) }))
+		exec.SinkFunc(func(ts []types.Tuple, _ int) { n += len(ts) }))
 	d := exec.NewDriver(ctx,
 		&exec.Leaf{Provider: lp, PushBatch: cj.PushLeftBatch},
 		&exec.Leaf{Provider: op, PushBatch: cj.PushRightBatch},
@@ -212,7 +212,7 @@ type rowSink struct {
 	rows []types.Tuple
 }
 
-func (s *rowSink) PushBatch(ts []types.Tuple) { s.rows = append(s.rows, ts...) }
+func (s *rowSink) Push(ts []types.Tuple, _ int) { s.rows = append(s.rows, ts...) }
 
 // feedPair delivers both inputs in alternating per-side chunks, each chunk
 // as batches of batch rows — the same arrival order whatever batch.

@@ -708,7 +708,7 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 		}
 	}
 	for i, rel := range ex.q.Relations {
-		l, err := leaf(rel, ex.q.Filters, ex.cat.Providers[rel.Name], ph.par.LeafScatter(i, pt.LeafKeys[rel.Name]).PushBatch)
+		l, err := leaf(rel, ex.q.Filters, ex.cat.Providers[rel.Name], exec.Feed(ph.par.LeafScatter(i, pt.LeafKeys[rel.Name])))
 		if err != nil {
 			return false, nil, err
 		}
@@ -758,7 +758,7 @@ func (ex *executor) outputSink(root algebra.Plan) (exec.Sink, error) {
 // out. cost charges one Move per SPJ row: a phase's output pays it, a
 // stitch-up's was charged when it was concatenated. Each takes signed batches
 // too: a phase's tree may become a standing query's maintenance tree.
-func (ex *executor) rootSinkFor(from *types.Schema, agg *exec.AggTable, full, out *types.Schema, partial, cost bool) (exec.DeltaSink, error) {
+func (ex *executor) rootSinkFor(from *types.Schema, agg *exec.AggTable, full, out *types.Schema, partial, cost bool) (exec.Sink, error) {
 	to := out
 	switch {
 	case agg != nil && partial:

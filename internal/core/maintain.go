@@ -255,10 +255,10 @@ func (mt *maintainer) buildTree(plan algebra.Plan, live bool) error {
 		root.out = sink
 	}
 	for _, rel := range ex.q.Relations {
-		entry := tree.EntryDelta[rel.Name]
+		entry := tree.Entry[rel.Name]
 		push := func(l *state.List, sign int) {
 			for _, chunk := range l.Chunks() {
-				entry(chunk, sign)
+				entry.Push(chunk, sign)
 				ex.rep.MaintReplayed += int64(len(chunk))
 			}
 		}
@@ -486,6 +486,6 @@ func (g *deltaIngress) flush() {
 	if len(g.buf) == 0 {
 		return
 	}
-	g.mt.tree.EntryDelta[g.rel](g.buf, int(g.cur))
+	g.mt.tree.Entry[g.rel].Push(g.buf, int(g.cur))
 	g.buf = g.buf[:0]
 }

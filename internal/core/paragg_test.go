@@ -158,7 +158,7 @@ func bufferedThenAbsorbed(t *testing.T, fx parAggFixture, mode opt.PreAggMode, p
 	pt.Bind(pd.StageSend, len(names))
 	var leaves []*exec.Leaf
 	for i, rel := range q.Relations {
-		leaves = append(leaves, &exec.Leaf{Provider: cat.Providers[rel.Name], PushBatch: pd.LeafScatter(i, pt.LeafKeys[rel.Name]).PushBatch})
+		leaves = append(leaves, &exec.Leaf{Provider: cat.Providers[rel.Name], PushBatch: exec.Feed(pd.LeafScatter(i, pt.LeafKeys[rel.Name]))})
 	}
 	// The same read-batch boundaries as the engine's phase loop: polls
 	// split source runs.

@@ -98,7 +98,7 @@ func (pl *parLowering) sink(child algebra.Plan, keyCols []int, down exec.Sink) (
 	pt, p := pl.pt, pl.p
 	return exec.NewExchange(pt.P, keyCols, func(dst int, rows []types.Tuple) {
 		if dst == p {
-			down.PushBatch(rows)
+			down.Push(rows, 0)
 			return
 		}
 		pt.send(p, dst, pt.entryOffset+id, rows)
@@ -157,8 +157,8 @@ func lowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, roots 
 	// consumer is not a join/group boundary (single-relation plans, scans
 	// under a bare projection) cannot be scattered meaningfully. Sorted so
 	// a plan with several keyless leaves reports the same one every run.
-	names := make([]string, 0, len(pt.Trees[0].EntryBatch))
-	for name := range pt.Trees[0].EntryBatch {
+	names := make([]string, 0, len(pt.Trees[0].Entry))
+	for name := range pt.Trees[0].Entry {
 		names = append(names, name)
 	}
 	slices.Sort(names)
@@ -180,22 +180,23 @@ func (pt *ParTree) Bind(send func(from, dst, entry int, rows []types.Tuple), lea
 }
 
 // Handlers builds the runtime's per-partition entry table: entries
-// [0, len(rels)) deliver into the named relations' plan entries (in rels
-// order — the same order the caller registers leaves), and entries
-// [len(rels), len(rels)+boundaries) deliver into the exchange boundaries.
-func (pt *ParTree) Handlers(rels []string) ([][]func([]types.Tuple), error) {
-	out := make([][]func([]types.Tuple), pt.P)
+// [0, len(rels)) are the named relations' plan entries (in rels order — the
+// same order the caller registers leaves), and entries
+// [len(rels), len(rels)+boundaries) the consumers behind the exchange
+// boundaries.
+func (pt *ParTree) Handlers(rels []string) ([][]exec.Sink, error) {
+	out := make([][]exec.Sink, pt.P)
 	for p := 0; p < pt.P; p++ {
-		hs := make([]func([]types.Tuple), 0, len(rels)+pt.boundaries)
+		hs := make([]exec.Sink, 0, len(rels)+pt.boundaries)
 		for _, r := range rels {
-			entry, ok := pt.Trees[p].EntryBatch[r]
+			entry, ok := pt.Trees[p].Entry[r]
 			if !ok {
 				return nil, fmt.Errorf("core: plan is missing relation %q", r)
 			}
 			hs = append(hs, entry)
 		}
 		for b := 0; b < pt.boundaries; b++ {
-			hs = append(hs, pt.entrySinks[p][b].PushBatch)
+			hs = append(hs, pt.entrySinks[p][b])
 		}
 		out[p] = hs
 	}

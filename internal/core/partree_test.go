@@ -188,7 +188,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	// Serial reference.
 	sctx := exec.NewContext()
 	var srows []types.Tuple
-	stree, err := lower(sctx, root, exec.SinkFunc(func(ts []types.Tuple) { srows = append(srows, ts...) }), true)
+	stree, err := lower(sctx, root, exec.SinkFunc(func(ts []types.Tuple, _ int) { srows = append(srows, ts...) }), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	for _, rel := range q.Relations {
 		sleaves = append(sleaves, &exec.Leaf{
 			Provider:  source.NewProvider(rels[rel.Name], nil),
-			PushBatch: stree.EntryBatch[rel.Name],
+			PushBatch: exec.Feed(stree.Entry[rel.Name]),
 		})
 	}
 	exec.NewDriver(sctx, sleaves...).Run(0, nil)
@@ -224,7 +224,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	for i, rel := range q.Relations {
 		pleaves = append(pleaves, &exec.Leaf{
 			Provider:  source.NewProvider(rels[rel.Name], nil),
-			PushBatch: pd.LeafScatter(i, pt.LeafKeys[rel.Name]).PushBatch,
+			PushBatch: exec.Feed(pd.LeafScatter(i, pt.LeafKeys[rel.Name])),
 		})
 	}
 	if !pd.Run(pleaves, 0, nil) {
@@ -233,7 +233,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	pd.Finish()
 	pd.Close()
 	var prows []types.Tuple
-	merge.Drain(exec.SinkFunc(func(ts []types.Tuple) { prows = append(prows, ts...) }))
+	merge.Drain(exec.SinkFunc(func(ts []types.Tuple, _ int) { prows = append(prows, ts...) }))
 
 	// Root output multisets coincide.
 	ss, ps := sortedStrings(srows), sortedStrings(prows)

@@ -209,11 +209,11 @@ func leaf(rel algebra.RelRef, filters map[string]expr.Predicate, provider source
 func entryLeaves(tree *Tree, rels []algebra.RelRef, filters map[string]expr.Predicate, providers map[string]source.Provider) ([]*exec.Leaf, error) {
 	leaves := make([]*exec.Leaf, 0, len(rels))
 	for _, rel := range rels {
-		entry, ok := tree.EntryBatch[rel.Name]
+		entry, ok := tree.Entry[rel.Name]
 		if !ok {
 			return nil, fmt.Errorf("core: plan is missing relation %q", rel.Name)
 		}
-		l, err := leaf(rel, filters, providers[rel.Name], entry)
+		l, err := leaf(rel, filters, providers[rel.Name], exec.Feed(entry))
 		if err != nil {
 			return nil, err
 		}

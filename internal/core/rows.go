@@ -165,25 +165,23 @@ type rootSink struct {
 // recycles its emit arena.
 func (s *rootSink) CopiesInput() {}
 
-// PushBatch implements exec.Sink.
+// Push implements exec.Sink. A signed row — a standing SPJ query's root row
+// out of its maintenance tree — is an update of the next window.
 //
 //adp:hotpath gated by BenchmarkStreamDelivery (scripts/check_allocs.sh)
-func (s *rootSink) PushBatch(ts []types.Tuple) {
+func (s *rootSink) Push(ts []types.Tuple, sign int) {
 	s.ctx.Clock.Charge(int64(len(ts)) * s.move)
+	if sign != 0 {
+		for _, t := range ts {
+			s.out.updates = append(s.out.updates, ivm.Update{Row: s.ad.Adapt(t), Sign: sign})
+		}
+		return
+	}
 	w := s.ad.To().Len()
 	for _, t := range ts {
 		row := s.ad.AdaptInto(s.out.next(w), t)
 		if s.out.asserts {
 			s.out.updates = append(s.out.updates, ivm.Update{Row: row.Clone(), Sign: 1}) //adp:alloc-ok standing runs only: the baseline window is retained
 		}
-	}
-}
-
-// PushSigned implements exec.DeltaSink: a standing SPJ query's signed root
-// rows, out of its maintenance tree, are updates of the next window.
-func (s *rootSink) PushSigned(ts []types.Tuple, sign int) {
-	s.ctx.Clock.Charge(int64(len(ts)) * s.move)
-	for _, t := range ts {
-		s.out.updates = append(s.out.updates, ivm.Update{Row: s.ad.Adapt(t), Sign: sign})
 	}
 }

@@ -8,9 +8,10 @@ import (
 
 // aggSink adapts a root layout — a phase tree's, the stitch-up's — into an
 // AggTable: AbsorbRaw for full-layout tuples, AbsorbPartial for
-// pre-aggregated partials. Absorption does not retain the pushed tuple, so
-// adaptation reuses one scratch tuple (types.Adapter.AdaptInto): the sink
-// performs zero steady-state allocations.
+// pre-aggregated partials, AbsorbSigned for a standing query's signed root
+// rows out of its maintenance tree. Absorption does not retain the pushed
+// tuple, so adaptation reuses one scratch tuple (types.Adapter.AdaptInto):
+// the sink performs zero steady-state allocations.
 type aggSink struct {
 	agg     *exec.AggTable
 	ad      *types.Adapter
@@ -21,24 +22,18 @@ type aggSink struct {
 // CopiesInput implements exec.InputCopier.
 func (s *aggSink) CopiesInput() {}
 
-// PushBatch implements exec.Sink.
-func (s *aggSink) PushBatch(ts []types.Tuple) {
+// Push implements exec.Sink.
+func (s *aggSink) Push(ts []types.Tuple, sign int) {
 	for _, t := range ts {
 		s.scratch = s.ad.AdaptInto(s.scratch, t)
-		if s.partial {
+		switch {
+		case sign != 0:
+			s.agg.AbsorbSigned(s.scratch, sign)
+		case s.partial:
 			s.agg.AbsorbPartial(s.scratch)
-		} else {
+		default:
 			s.agg.AbsorbRaw(s.scratch)
 		}
-	}
-}
-
-// PushSigned implements exec.DeltaSink: a standing query's signed root rows,
-// out of its maintenance tree, are adapted and absorbed as signed.
-func (s *aggSink) PushSigned(ts []types.Tuple, sign int) {
-	for _, t := range ts {
-		s.scratch = s.ad.AdaptInto(s.scratch, t)
-		s.agg.AbsorbSigned(s.scratch, sign)
 	}
 }
 
@@ -47,7 +42,7 @@ func (s *aggSink) PushSigned(ts []types.Tuple, sign int) {
 // exists, and a maintenance tree is warmed up before its root is bound when
 // every consequence of the rows it is warmed with has been delivered already.
 type forwardSink struct {
-	out exec.DeltaSink
+	out exec.Sink
 }
 
 // CopiesInput implements exec.InputCopier: every destination rootSinkFor
@@ -55,14 +50,11 @@ type forwardSink struct {
 // it keeps.
 func (f *forwardSink) CopiesInput() {}
 
-// PushBatch implements exec.Sink.
-func (f *forwardSink) PushBatch(ts []types.Tuple) { f.out.PushBatch(ts) }
-
-// PushSigned implements exec.DeltaSink. While nothing is bound the batch is
-// dropped: the warm-up only reconstructs join state.
-func (f *forwardSink) PushSigned(ts []types.Tuple, sign int) {
+// Push implements exec.Sink. While nothing is bound the batch is dropped:
+// the warm-up only reconstructs join state.
+func (f *forwardSink) Push(ts []types.Tuple, sign int) {
 	if f.out != nil {
-		f.out.PushSigned(ts, sign)
+		f.out.Push(ts, sign)
 	}
 }
 
@@ -73,8 +65,10 @@ type listSink struct {
 	dst *state.List
 }
 
-// PushBatch implements exec.Sink: one bulk append.
-func (s *listSink) PushBatch(ts []types.Tuple) {
+// Push implements exec.Sink: one bulk append. A materialization keeps no
+// signed state (exec.SignBlind).
+func (s *listSink) Push(ts []types.Tuple, sign int) {
+	exec.SignBlind(sign)
 	s.ctx.Clock.Charge(int64(len(ts)) * s.ctx.Cost.Move)
 	s.dst.InsertBatch(ts)
 }

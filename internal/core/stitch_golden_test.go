@@ -42,7 +42,7 @@ type digestSink struct {
 
 func (d *digestSink) CopiesInput() {}
 
-func (d *digestSink) PushBatch(ts []types.Tuple) {
+func (d *digestSink) Push(ts []types.Tuple, _ int) {
 	d.rows = append(d.rows, bitRows(ts)...)
 	d.n += int64(len(ts))
 	if d.after != nil {

@@ -297,7 +297,7 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 		s.ctx.Clock.Charge(int64(len(s.wide)) * s.ctx.Cost.Move)
 		s.Emitted += int64(len(s.wide))
 		if len(s.wide) > 0 {
-			s.out.PushBatch(s.wide)
+			s.out.Push(s.wide, 0)
 		}
 		return true
 	})

@@ -15,7 +15,7 @@ type countSink struct{ rows int }
 
 func (s *countSink) CopiesInput() {}
 
-func (s *countSink) PushBatch(ts []types.Tuple) { s.rows += len(ts) }
+func (s *countSink) Push(ts []types.Tuple, _ int) { s.rows += len(ts) }
 
 // BenchmarkStitchUp is one stitch-up of three relations cut into three
 // phases, every phase having materialized A⋈B for reuse: 24 combinations

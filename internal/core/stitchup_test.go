@@ -134,7 +134,7 @@ func TestADPIdentityProperty(t *testing.T) {
 			got += phaseJoinCount(rec.BaseParts)
 		}
 		ctx := exec.NewContext()
-		s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple) { got += len(ts) }))
+		s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple, _ int) { got += len(ts) }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestStitchUpReusesMaterializedIntermediates(t *testing.T) {
 		total += phaseJoinCount(rec.BaseParts)
 	}
 	ctx := exec.NewContext()
-	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple) { total += len(ts) }))
+	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple, _ int) { total += len(ts) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestStitchUpDisableReuseIgnoresIntermediates(t *testing.T) {
 		total += phaseJoinCount(rec.BaseParts)
 	}
 	ctx := exec.NewContext()
-	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple) { total += len(ts) }))
+	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple, _ int) { total += len(ts) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestStitchUpSinglePhaseNoop(t *testing.T) {
 	recs := f.partition(1, 12)
 	ctx := exec.NewContext()
 	n := 0
-	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple) { n += len(ts) }))
+	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple, _ int) { n += len(ts) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestStitchUpEmptyPartitions(t *testing.T) {
 		total += phaseJoinCount(rec.BaseParts)
 	}
 	ctx := exec.NewContext()
-	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple) { total += len(ts) }))
+	s, err := NewStitchUp(ctx, f.q, recs, exec.SinkFunc(func(ts []types.Tuple, _ int) { total += len(ts) }))
 	if err != nil {
 		t.Fatal(err)
 	}

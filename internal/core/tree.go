@@ -38,14 +38,10 @@ type TreeJoin struct {
 // Tree is a lowered, executable pipeline for one phase's plan.
 type Tree struct {
 	ctx *exec.Context
-	// EntryBatch maps base relation name -> the push function accepting
-	// batches of post-filter source tuples (the source driver's delivery
-	// into the plan). The batch slice must not be retained by the plan.
-	EntryBatch map[string]func([]types.Tuple)
-	// EntryDelta maps base relation name -> signed push function (set
-	// when the entry operator accepts signed batches; the maintenance
-	// driver feeds warm-up scans and live deltas through it).
-	EntryDelta map[string]func([]types.Tuple, int)
+	// Entry maps base relation name -> the operator input its post-filter
+	// source tuples enter the plan through: unsigned from the source driver,
+	// signed from the maintenance driver's warm-up scans and live deltas.
+	Entry map[string]exec.Sink
 	// Joins lists join nodes bottom-up.
 	Joins []*TreeJoin
 	// leaves maps a base relation whose scan feeds a join side directly to
@@ -95,7 +91,7 @@ type blockingPreAgg struct {
 }
 
 func (b *blockingPreAgg) flush() {
-	b.out.PushBatch(b.table.EmitPartial())
+	b.out.Push(b.table.EmitPartial(), 0)
 }
 
 // Lower compiles an optimizer plan tree into an executable push pipeline
@@ -126,12 +122,11 @@ func lower(ctx *exec.Context, plan algebra.Plan, out exec.Sink, reuse bool) (*Tr
 // or one partition clone of it.
 func newTree(ctx *exec.Context, plan algebra.Plan, reuse bool) *Tree {
 	return &Tree{
-		ctx:        ctx,
-		EntryBatch: map[string]func([]types.Tuple){},
-		EntryDelta: map[string]func([]types.Tuple, int){},
-		leaves:     map[string]leafLister{},
-		reuse:      reuse,
-		nrels:      len(plan.Rels()),
+		ctx:    ctx,
+		Entry:  map[string]exec.Sink{},
+		leaves: map[string]leafLister{},
+		reuse:  reuse,
+		nrels:  len(plan.Rels()),
 	}
 }
 
@@ -142,31 +137,24 @@ type teeSink struct {
 	out  exec.Sink
 }
 
-// PushBatch implements exec.Sink.
-func (s *teeSink) PushBatch(ts []types.Tuple) {
-	s.join.ResultBuf.InsertBatch(ts)
-	s.out.PushBatch(ts)
-}
-
-// PushSigned implements exec.DeltaSink. Signed batches pass through untee'd:
-// they reach a phase's tree once a maintenance stage has adopted it, and no
-// stitch-up follows a finished initial run. Above a join of a tree that can
-// be adopted (serial, no pre-aggregate) every sink takes signed batches.
-func (s *teeSink) PushSigned(ts []types.Tuple, sign int) {
-	s.out.(exec.DeltaSink).PushSigned(ts, sign)
+// Push implements exec.Sink. Signed batches pass through untee'd: they reach
+// a phase's tree once a maintenance stage has adopted it, and no stitch-up
+// follows a finished initial run.
+func (s *teeSink) Push(ts []types.Tuple, sign int) {
+	if sign == 0 {
+		s.join.ResultBuf.InsertBatch(ts)
+	}
+	s.out.Push(ts, sign)
 }
 
 func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 	switch v := p.(type) {
 	case *algebra.ScanPlan:
 		name := v.Rel.Name
-		if _, dup := t.EntryBatch[name]; dup {
+		if _, dup := t.Entry[name]; dup {
 			return fmt.Errorf("core: relation %q appears twice in plan", name)
 		}
-		t.EntryBatch[name] = out.PushBatch
-		if ds, ok := out.(exec.DeltaSink); ok {
-			t.EntryDelta[name] = ds.PushSigned
-		}
+		t.Entry[name] = out
 		if side, ok := out.(leafLister); ok && t.par == nil {
 			t.leaves[name] = side
 		}

@@ -39,17 +39,17 @@ func TestLowerSimpleJoin(t *testing.T) {
 	}
 	ctx := exec.NewContext()
 	var out []types.Tuple
-	tree, err := Lower(ctx, res.Root, exec.SinkFunc(func(ts []types.Tuple) { out = append(out, ts...) }))
+	tree, err := Lower(ctx, res.Root, exec.SinkFunc(func(ts []types.Tuple, _ int) { out = append(out, ts...) }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tree.EntryBatch) != 2 || len(tree.Joins) != 1 {
-		t.Fatalf("tree shape wrong: %d entries %d joins", len(tree.EntryBatch), len(tree.Joins))
+	if len(tree.Entry) != 2 || len(tree.Joins) != 1 {
+		t.Fatalf("tree shape wrong: %d entries %d joins", len(tree.Entry), len(tree.Joins))
 	}
-	tree.EntryBatch["A"]([]types.Tuple{types.Tuple{types.Int(1), types.Int(10)}})
-	tree.EntryBatch["B"]([]types.Tuple{types.Tuple{types.Int(1)}})
-	tree.EntryBatch["A"]([]types.Tuple{types.Tuple{types.Int(1), types.Int(20)}})
-	tree.EntryBatch["B"]([]types.Tuple{types.Tuple{types.Int(2)}})
+	tree.Entry["A"].Push([]types.Tuple{types.Tuple{types.Int(1), types.Int(10)}}, 0)
+	tree.Entry["B"].Push([]types.Tuple{types.Tuple{types.Int(1)}}, 0)
+	tree.Entry["A"].Push([]types.Tuple{types.Tuple{types.Int(1), types.Int(20)}}, 0)
+	tree.Entry["B"].Push([]types.Tuple{types.Tuple{types.Int(2)}}, 0)
 	tree.Finish()
 	if len(out) != 2 {
 		t.Fatalf("outputs = %d, want 2", len(out))
@@ -97,9 +97,9 @@ func TestLowerWindowedPreAgg(t *testing.T) {
 	}
 	// Push repetitive A tuples; the window operator should coalesce.
 	for i := 0; i < 512; i++ {
-		tree.EntryBatch["A"]([]types.Tuple{types.Tuple{types.Int(int64(i % 4)), types.Int(1)}})
+		tree.Entry["A"].Push([]types.Tuple{types.Tuple{types.Int(int64(i % 4)), types.Int(1)}}, 0)
 	}
-	tree.EntryBatch["B"]([]types.Tuple{types.Tuple{types.Int(1)}})
+	tree.Entry["B"].Push([]types.Tuple{types.Tuple{types.Int(1)}}, 0)
 	tree.Finish()
 	if tree.PreAggWindow.Coalesced == 0 {
 		t.Error("window pre-agg did not coalesce repetitive input")
@@ -121,13 +121,13 @@ func TestLowerTraditionalPreAggBlocksUntilFinish(t *testing.T) {
 	}
 	ctx := exec.NewContext()
 	var out []types.Tuple
-	tree, err := Lower(ctx, res.Root, exec.SinkFunc(func(ts []types.Tuple) { out = append(out, ts...) }))
+	tree, err := Lower(ctx, res.Root, exec.SinkFunc(func(ts []types.Tuple, _ int) { out = append(out, ts...) }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.EntryBatch["B"]([]types.Tuple{types.Tuple{types.Int(0)}})
+	tree.Entry["B"].Push([]types.Tuple{types.Tuple{types.Int(0)}}, 0)
 	for i := 0; i < 100; i++ {
-		tree.EntryBatch["A"]([]types.Tuple{types.Tuple{types.Int(0), types.Int(1)}})
+		tree.Entry["A"].Push([]types.Tuple{types.Tuple{types.Int(0), types.Int(1)}}, 0)
 	}
 	if len(out) != 0 {
 		t.Fatal("blocking pre-agg emitted before finish")
@@ -180,11 +180,11 @@ func TestLowerProjectNode(t *testing.T) {
 	}
 	ctx := exec.NewContext()
 	var out []types.Tuple
-	tree, err := Lower(ctx, proj, exec.SinkFunc(func(ts []types.Tuple) { out = append(out, ts...) }))
+	tree, err := Lower(ctx, proj, exec.SinkFunc(func(ts []types.Tuple, _ int) { out = append(out, ts...) }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.EntryBatch["A"]([]types.Tuple{types.Tuple{types.Int(1), types.Int(42)}})
+	tree.Entry["A"].Push([]types.Tuple{types.Tuple{types.Int(1), types.Int(42)}}, 0)
 	if len(out) != 1 || out[0][0].I != 42 || len(out[0]) != 1 {
 		t.Errorf("projection wrong: %v", out)
 	}
@@ -247,7 +247,7 @@ func TestTreeCollisionFactor(t *testing.T) {
 			// Overfill: estimates said 64, feed 10k distinct keys.
 			last := trees[len(trees)-1]
 			for i := 0; i < 10000; i++ {
-				last.EntryBatch["A"]([]types.Tuple{types.Tuple{types.Int(int64(i)), types.Int(1)}})
+				last.Entry["A"].Push([]types.Tuple{types.Tuple{types.Int(int64(i)), types.Int(1)}}, 0)
 			}
 			if f := collisionFactor(trees); f <= 2 {
 				t.Errorf("overfilled fixed table should raise factor, got %g", f)
@@ -276,7 +276,7 @@ func TestSerialPhaseIsOneTreePhase(t *testing.T) {
 	}
 	var leaves []*exec.Leaf
 	for _, rel := range q.Relations {
-		leaves = append(leaves, &exec.Leaf{Provider: source.NewProvider(rels[rel.Name], nil), PushBatch: tree.EntryBatch[rel.Name]})
+		leaves = append(leaves, &exec.Leaf{Provider: source.NewProvider(rels[rel.Name], nil), PushBatch: exec.Feed(tree.Entry[rel.Name])})
 	}
 	exec.NewDriver(exec.NewContext(), leaves...).Run(0, nil)
 	tree.Finish()
@@ -325,7 +325,7 @@ func TestLowerForReuseMaterializesBelowTheRootOnly(t *testing.T) {
 	f, tr, c := flightsData(30, 80, 60, 1)
 	for _, reuse := range []bool{false, true} {
 		var out int64
-		tree, err := lower(exec.NewContext(), res.Root, exec.SinkFunc(func(ts []types.Tuple) { out += int64(len(ts)) }), reuse)
+		tree, err := lower(exec.NewContext(), res.Root, exec.SinkFunc(func(ts []types.Tuple, _ int) { out += int64(len(ts)) }), reuse)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func TestLowerForReuseMaterializesBelowTheRootOnly(t *testing.T) {
 			t.Fatalf("flights plan has %d joins, want 2", len(tree.Joins))
 		}
 		for name, rel := range map[string][]types.Tuple{"F": f.Rows, "T": tr.Rows, "C": c.Rows} {
-			tree.EntryBatch[name](rel)
+			tree.Entry[name].Push(rel, 0)
 		}
 		tree.Finish()
 		inner, root := tree.Joins[0], tree.Joins[1]

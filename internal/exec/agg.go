@@ -290,15 +290,25 @@ func (a *AggTable) AbsorbRaw(t types.Tuple) {
 // owned storage and folds the rest into aggregate states.
 func (a *AggTable) CopiesInput() {}
 
-// PushBatch implements Sink as AbsorbRaw of every tuple, letting an
-// AggTable terminate a push pipeline directly: a batch of raw tuples is
-// absorbed with the shared grouping scratch, no per-tuple allocations at
-// steady state.
+// Push implements Sink, letting an AggTable terminate a push pipeline
+// directly: an unsigned batch is AbsorbRaw of every tuple, a signed one
+// AbsorbSigned of every tuple with the batch's sign, both with the shared
+// grouping scratch and no per-tuple allocations at steady state. A signed
+// batch needs maintenance mode.
 //
-//adp:hotpath gated by BenchmarkAggTableAbsorb (scripts/check_allocs.sh)
-func (a *AggTable) PushBatch(ts []types.Tuple) {
+//adp:hotpath gated by BenchmarkAggTableAbsorb and BenchmarkDeltaPropagation (scripts/check_allocs.sh)
+func (a *AggTable) Push(ts []types.Tuple, sign int) {
+	if sign == 0 {
+		for _, t := range ts {
+			a.AbsorbRaw(t)
+		}
+		return
+	}
+	if len(ts) > 0 && !a.maint {
+		panic("exec: signed Push on an AggTable without maintenance enabled")
+	}
 	for _, t := range ts {
-		a.AbsorbRaw(t)
+		a.AbsorbSigned(t, sign)
 	}
 }
 
@@ -543,10 +553,12 @@ func (w *WindowPreAgg) Schema() *types.Schema { return w.schema }
 // Counters exposes statistics.
 func (w *WindowPreAgg) Counters() *stats.OpCounters { return &w.counters }
 
-// PushBatch implements Sink: every tuple is absorbed into the current
-// window, and the partials of the windows that filled on the way (or, at
-// w=1, the tuples' singletons) leave as one batch.
-func (w *WindowPreAgg) PushBatch(ts []types.Tuple) {
+// Push implements Sink: every tuple is absorbed into the current window, and
+// the partials of the windows that filled on the way (or, at w=1, the
+// tuples' singletons) leave as one batch. Partials keep no signed state
+// (SignBlind).
+func (w *WindowPreAgg) Push(ts []types.Tuple, sign int) {
+	SignBlind(sign)
 	for _, t := range ts {
 		w.absorb(t)
 	}
@@ -558,7 +570,7 @@ func (w *WindowPreAgg) deliver() {
 	if len(w.pending) == 0 {
 		return
 	}
-	w.out.PushBatch(w.pending)
+	w.out.Push(w.pending, 0)
 	clear(w.pending)
 	w.pending = w.pending[:0]
 }

@@ -93,7 +93,7 @@ func TestAggTableRaw(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		rows = append(rows, aggRow(rng.Int63n(20), rng.Int63n(1000)-500))
 	}
-	a.PushBatch(rows) // PushBatch == AbsorbRaw of each
+	a.Push(rows, 0) // unsigned Push == AbsorbRaw of each
 	if a.Groups() != 20 {
 		t.Errorf("Groups = %d", a.Groups())
 	}
@@ -153,7 +153,7 @@ func TestPreAggregationDistributesOverUnion(t *testing.T) {
 		ctx := NewContext()
 		final, _ := NewAggTable(ctx, aggIn, []string{"t.g"}, allAggs())
 		pre, err := NewWindowPreAgg(ctx, aggIn, []string{"t.g"}, allAggs(),
-			SinkFunc(func(ts []types.Tuple) {
+			SinkFunc(func(ts []types.Tuple, _ int) {
 				for _, t := range ts {
 					final.AbsorbPartial(t)
 				}
@@ -163,7 +163,7 @@ func TestPreAggregationDistributesOverUnion(t *testing.T) {
 		}
 		pre.W = w0
 		for _, r := range rows {
-			pre.PushBatch(one(r))
+			pre.Push(one(r), 0)
 		}
 		pre.Finish()
 		got := final.EmitFinal()
@@ -199,7 +199,7 @@ func TestPseudogroupEquivalentToWindowOne(t *testing.T) {
 	ctx := NewContext()
 	finalA, _ := NewAggTable(ctx, aggIn, []string{"t.g"}, allAggs())
 	var partials []types.Tuple
-	pg, err := NewWindowPreAgg(ctx, aggIn, []string{"t.g"}, allAggs(), SinkFunc(func(ts []types.Tuple) {
+	pg, err := NewWindowPreAgg(ctx, aggIn, []string{"t.g"}, allAggs(), SinkFunc(func(ts []types.Tuple, _ int) {
 		partials = append(partials, ts...)
 		for _, t := range ts {
 			finalA.AbsorbPartial(t)
@@ -210,7 +210,7 @@ func TestPseudogroupEquivalentToWindowOne(t *testing.T) {
 	}
 	pg.W = 1
 	for _, r := range rows {
-		pg.PushBatch(one(r))
+		pg.Push(one(r), 0)
 	}
 	pg.Finish()
 	if pg.Counters().Out != int64(len(rows)) || len(partials) != len(rows) {
@@ -235,7 +235,7 @@ func TestWindowPreAggAdaptsWindow(t *testing.T) {
 	pre, _ := NewWindowPreAgg(ctx, aggIn, []string{"t.g"}, allAggs(), Discard)
 	pre.W = 16
 	for i := 0; i < 4096; i++ {
-		pre.PushBatch(one(aggRow(int64(i%4), 1))) // 4 groups only
+		pre.Push(one(aggRow(int64(i%4), 1)), 0) // 4 groups only
 	}
 	pre.Finish()
 	if pre.W <= 16 {
@@ -250,7 +250,7 @@ func TestWindowPreAggAdaptsWindow(t *testing.T) {
 	pre2, _ := NewWindowPreAgg(ctx2, aggIn, []string{"t.g"}, allAggs(), Discard)
 	pre2.W = 64
 	for i := 0; i < 4096; i++ {
-		pre2.PushBatch(one(aggRow(int64(i), 1))) // every tuple its own group
+		pre2.Push(one(aggRow(int64(i), 1)), 0) // every tuple its own group
 	}
 	pre2.Finish()
 	if pre2.W >= 64 {
@@ -264,14 +264,14 @@ func TestWindowPreAggBounds(t *testing.T) {
 	pre.W, pre.MinW, pre.MaxW = 2, 1, 4
 	// Shrink to floor.
 	for i := 0; i < 64; i++ {
-		pre.PushBatch(one(aggRow(int64(i), 1)))
+		pre.Push(one(aggRow(int64(i), 1)), 0)
 	}
 	if pre.W < pre.MinW {
 		t.Error("window under MinW")
 	}
 	// Grow to cap.
 	for i := 0; i < 256; i++ {
-		pre.PushBatch(one(aggRow(0, 1)))
+		pre.Push(one(aggRow(0, 1)), 0)
 	}
 	if pre.W > pre.MaxW {
 		t.Error("window over MaxW")

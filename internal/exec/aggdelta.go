@@ -113,19 +113,6 @@ func (a *AggTable) EnableMaintenance() {
 // Maintained reports whether the table is in signed maintenance mode.
 func (a *AggTable) Maintained() bool { return a.maint }
 
-// PushSigned implements DeltaSink: every row is absorbed with the batch's
-// sign.
-//
-//adp:hotpath gated by BenchmarkDeltaPropagation (scripts/check_allocs.sh)
-func (a *AggTable) PushSigned(ts []types.Tuple, sign int) {
-	if len(ts) > 0 && !a.maint {
-		panic("exec: PushSigned on an AggTable without maintenance enabled")
-	}
-	for _, t := range ts {
-		a.AbsorbSigned(t, sign)
-	}
-}
-
 // AbsorbSigned folds one signed raw tuple (input layout) into its group
 // and marks the group dirty for the next revision emit. A group is only
 // removed from the table at emit time — mid-window the zero-weight group
@@ -255,11 +242,11 @@ func (a *AggTable) EmitRevisions(emit func(t types.Tuple, sign int)) {
 // EmitRevisionsTo delivers the pending revisions as signed row batches:
 // consecutive same-sign revisions share one batch, of at most emitFlushLen
 // rows.
-func (a *AggTable) EmitRevisionsTo(out DeltaSink) {
+func (a *AggTable) EmitRevisionsTo(out Sink) {
 	cur := 0
 	flush := func() {
 		if len(a.revRows) > 0 {
-			out.PushSigned(a.revRows, cur)
+			out.Push(a.revRows, cur)
 			clear(a.revRows)
 			a.revRows = a.revRows[:0]
 		}

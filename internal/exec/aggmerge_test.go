@@ -135,7 +135,7 @@ func TestMergeFromEqualsOneTable(t *testing.T) {
 			t.Run(fmt.Sprintf("P=%d/%s", parts, split), func(t *testing.T) {
 				rows := mergeInput(int64(parts), 4000, 97)
 				whole := newAllAggs(t)
-				whole.PushBatch(rows)
+				whole.Push(rows, 0)
 
 				build := func() []*AggTable {
 					ts := make([]*AggTable, parts)
@@ -196,7 +196,7 @@ func TestMergeFromEdges(t *testing.T) {
 
 	t.Run("empty source", func(t *testing.T) {
 		dst := newAllAggs(t)
-		dst.PushBatch(rows)
+		dst.Push(rows, 0)
 		want := exactRows(dst.EmitPartial())
 		in, clock := dst.Counters().In, *dst.ctx.Clock
 		if err := dst.MergeFrom(newAllAggs(t)); err != nil {
@@ -212,7 +212,7 @@ func TestMergeFromEdges(t *testing.T) {
 
 	t.Run("empty destination", func(t *testing.T) {
 		src := newAllAggs(t)
-		src.PushBatch(rows)
+		src.Push(rows, 0)
 		want := exactRows(src.EmitFinal())
 		dst := newAllAggs(t)
 		if err := dst.MergeFrom(src); err != nil {

@@ -13,11 +13,11 @@ type InputCopier interface {
 	CopiesInput()
 }
 
-// discardSink drops what it is pushed (benchmarks disable query output to
-// eliminate client feedback, §3.5).
+// discardSink drops what it is pushed, whatever the sign (benchmarks
+// disable query output to eliminate client feedback, §3.5).
 type discardSink struct{}
 
-func (discardSink) PushBatch([]types.Tuple) {}
+func (discardSink) Push([]types.Tuple, int) {}
 
 // Discard is a Sink that drops tuples.
 var Discard Sink = discardSink{}
@@ -83,15 +83,15 @@ const emitFlushLen = 1024
 // (HashJoin, MergeJoin, the complementary pair's mini stitch-up):
 // concatenated outputs are carved from a slab arena and buffered until
 // Flush, so the results of one input batch (or one drain) reach the
-// downstream sink in one PushBatch. Whoever emits must Flush before it
-// returns to its caller. Delivery order is always the emit order.
+// downstream sink in one Push. Whoever emits must Flush before it returns
+// to its caller. Delivery order is always the emit order.
 type BatchEmitter struct {
 	// recycle rewinds the arena after every delivery instead of abandoning
 	// its slabs: set when the downstream sink copies what it keeps (see
 	// InputCopier), so nothing outlives the delivery.
 	recycle bool
-	// sign, when nonzero, delivers through the sink's signed entry: a join
-	// arms it for each probe sweep (HashJoin.sweep).
+	// sign is what every delivery carries: a join arms it for each probe
+	// sweep (HashJoin.sweep); 0 otherwise.
 	sign  int
 	buf   []types.Tuple
 	arena ValueArena
@@ -115,7 +115,7 @@ func (e *BatchEmitter) Flush(out Sink) {
 // deliver hands the buffer downstream and clears it before reuse so it
 // does not pin arena-backed results downstream has already dropped.
 func (e *BatchEmitter) deliver(out Sink) {
-	deliver(out, e.buf, e.sign)
+	out.Push(e.buf, e.sign)
 	clear(e.buf)
 	e.buf = e.buf[:0]
 	if e.recycle {

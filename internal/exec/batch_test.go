@@ -18,22 +18,23 @@ import (
 // batch rows, so any output difference isolates how the input was cut.
 func feedJoin(j *HashJoin, ls, rs []types.Tuple, chunkSize, batch int) {
 	i, k := 0, 0
-	deliver := func(push func([]types.Tuple), chunk []types.Tuple) {
+	deliver := func(in Sink, chunk []types.Tuple) {
 		for len(chunk) > 0 {
 			n := min(batch, len(chunk))
-			push(chunk[:n])
+			in.Push(chunk[:n], 0)
 			chunk = chunk[n:]
 		}
 	}
+	left, right := j.LeftSink(), j.RightSink()
 	for i < len(ls) || k < len(rs) {
 		if i < len(ls) {
 			end := min(i+chunkSize, len(ls))
-			deliver(j.PushLeftBatch, ls[i:end])
+			deliver(left, ls[i:end])
 			i = end
 		}
 		if k < len(rs) {
 			end := min(k+chunkSize, len(rs))
-			deliver(j.PushRightBatch, rs[k:end])
+			deliver(right, rs[k:end])
 			k = end
 		}
 	}
@@ -94,9 +95,9 @@ func TestBatchPipelineSegment(t *testing.T) {
 		// between two s rows.
 		d := NewDriver(ctx,
 			&Leaf{Provider: source.NewProvider(source.NewRelation("r", rSchema, ls), source.Bandwidth{TuplesPerSec: 1e5}),
-				PushBatch: j.PushLeftBatch, Pred: func(tp types.Tuple) bool { return tp[1].I%3 != 0 }},
+				PushBatch: Feed(j.LeftSink()), Pred: func(tp types.Tuple) bool { return tp[1].I%3 != 0 }},
 			&Leaf{Provider: source.NewProvider(source.NewRelation("s", sSchema, rs), source.Bandwidth{TuplesPerSec: 1e4}),
-				PushBatch: j.PushRightBatch},
+				PushBatch: Feed(j.RightSink())},
 		)
 		d.run(context.Background(), batch, 0, nil)
 		return agg, ctx
@@ -127,7 +128,7 @@ type copySink struct {
 
 func (s *copySink) CopiesInput() {}
 
-func (s *copySink) PushBatch(ts []types.Tuple) {
+func (s *copySink) Push(ts []types.Tuple, _ int) {
 	s.first = append(s.first, &ts[0][0])
 	for _, t := range ts {
 		s.rows = append(s.rows, t.Clone())
@@ -167,9 +168,9 @@ func TestJoinRecyclesEmitArenaForCopyingSink(t *testing.T) {
 	}
 	copied := &copySink{}
 	j := NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, copied)
-	j.PushRightBatch(right)
+	j.RightSink().Push(right, 0)
 	for i := 0; i < 8; i++ {
-		j.PushLeftBatch(left) // each left row matches one right row: 64 emits a delivery
+		j.LeftSink().Push(left, 0) // each left row matches one right row: 64 emits a delivery
 	}
 	if len(copied.first) != 8 {
 		t.Fatalf("%d deliveries, want 8", len(copied.first))
@@ -183,9 +184,9 @@ func TestJoinRecyclesEmitArenaForCopyingSink(t *testing.T) {
 	// A retaining consumer's tuples are never overwritten.
 	kept := &collectSink{}
 	j = NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, kept)
-	j.PushRightBatch(right)
+	j.RightSink().Push(right, 0)
 	for i := 0; i < 8; i++ {
-		j.PushLeftBatch(left)
+		j.LeftSink().Push(left, 0)
 	}
 	seen := map[*types.Value]bool{}
 	for _, r := range kept.rows {
@@ -230,8 +231,8 @@ func TestHybridHashDrain(t *testing.T) {
 	joins := make([]*HashJoin, 0, runs+1) // AllocsPerRun warms up with one extra call
 	for len(joins) < cap(joins) {
 		j := NewHashJoin(NewContext(), BuildThenProbe, rSchema, sSchema, []int{0}, []int{0}, Discard)
-		j.PushLeftBatch(ls)
-		j.PushRightBatch(rs)
+		j.LeftSink().Push(ls, 0)
+		j.RightSink().Push(rs, 0)
 		joins = append(joins, j)
 	}
 	perProbe := testing.AllocsPerRun(runs, func() {

@@ -4,8 +4,9 @@ import (
 	"github.com/tukwila/adp/internal/types"
 )
 
-// Columnar shims. Rows travel the engine as row batches only, signed or not
-// (see Sink and DeltaSink), from the leaves to the partition merge: every
+// Columnar shims, part of the benchmark-frozen surface (docs/architecture.md,
+// "Benchmark-frozen surface"). Rows travel the engine as row batches only,
+// signed or not (Sink.Push), from the leaves to the partition merge: every
 // hash build retains its rows as tuples, so a columnar frame between two
 // operators is transposed in at one and back out at the next, and both
 // end-to-end measurements of that wiring came out behind the row batches
@@ -52,35 +53,35 @@ func (d *colDelivery) materialize(b *types.ColBatch) []types.Tuple {
 	return rows
 }
 
-// PushLeftColBatch is PushLeftBatch of b's rows.
+// PushLeftColBatch is the left sink's unsigned Push of b's rows.
 func (j *HashJoin) PushLeftColBatch(b *types.ColBatch) { j.push(0, j.colIn.materialize(b), 0) }
 
-// PushRightColBatch is PushRightBatch of b's rows.
+// PushRightColBatch is the right sink's unsigned Push of b's rows.
 func (j *HashJoin) PushRightColBatch(b *types.ColBatch) { j.push(1, j.colIn.materialize(b), 0) }
 
-// PushDeltaLeft is the left side's PushSigned of b's rows.
+// PushDeltaLeft is the left sink's Push of b's rows with sign.
 func (j *HashJoin) PushDeltaLeft(b *types.ColBatch, sign int) {
 	j.push(0, j.colIn.materialize(b), sign)
 }
 
-// PushDeltaRight is the right side's PushSigned of b's rows.
+// PushDeltaRight is the right sink's Push of b's rows with sign.
 func (j *HashJoin) PushDeltaRight(b *types.ColBatch, sign int) {
 	j.push(1, j.colIn.materialize(b), sign)
 }
 
-// PushColBatch implements ColBatchSink as PushBatch of b's rows.
-func (a *AggTable) PushColBatch(b *types.ColBatch) { a.PushBatch(a.colIn.materialize(b)) }
+// PushColBatch implements ColBatchSink as the unsigned Push of b's rows.
+func (a *AggTable) PushColBatch(b *types.ColBatch) { a.Push(a.colIn.materialize(b), 0) }
 
-// PushDelta is PushSigned of b's rows.
-func (a *AggTable) PushDelta(b *types.ColBatch, sign int) { a.PushSigned(a.colIn.materialize(b), sign) }
+// PushDelta is Push of b's rows with sign.
+func (a *AggTable) PushDelta(b *types.ColBatch, sign int) { a.Push(a.colIn.materialize(b), sign) }
 
-// PushColBatch implements ColBatchSink as PushBatch of b's rows.
-func (e *Exchange) PushColBatch(b *types.ColBatch) { e.PushBatch(e.colIn.materialize(b)) }
+// PushColBatch implements ColBatchSink as the unsigned Push of b's rows.
+func (e *Exchange) PushColBatch(b *types.ColBatch) { e.Push(e.colIn.materialize(b), 0) }
 
 // RouteCol does nothing: every partition's rows leave through the row route
 // the exchange was built with. It remains for benchmark/probes.go, which
 // installs a columnar route before it times PushColBatch.
 func (e *Exchange) RouteCol(func(part int, b *types.ColBatch)) {}
 
-// PushColBatch implements ColBatchSink as PushBatch of b's rows.
-func (b *partitionBuf) PushColBatch(cb *types.ColBatch) { b.PushBatch(b.colIn.materialize(cb)) }
+// PushColBatch implements ColBatchSink as the unsigned Push of b's rows.
+func (b *partitionBuf) PushColBatch(cb *types.ColBatch) { b.Push(b.colIn.materialize(cb), 0) }

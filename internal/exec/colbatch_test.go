@@ -55,8 +55,8 @@ func TestColumnarEntryMatchesRows(t *testing.T) {
 		for i := range lbs {
 			jc.PushLeftColBatch(lbs[i])
 			jc.PushRightColBatch(rbs[i])
-			jr.PushLeftBatch(chunk(ls, i))
-			jr.PushRightBatch(chunk(rs, i))
+			jr.LeftSink().Push(chunk(ls, i), 0)
+			jr.RightSink().Push(chunk(rs, i), 0)
 		}
 		for _, j := range []*HashJoin{jc, jr} {
 			j.FinishLeft()
@@ -70,12 +70,12 @@ func TestColumnarEntryMatchesRows(t *testing.T) {
 		for i := range lbs {
 			jc.PushDeltaLeft(lbs[i], +1)
 			jc.PushDeltaRight(rbs[i], +1)
-			signedPush(jr.LeftSink(), chunk(ls, i), +1)
-			signedPush(jr.RightSink(), chunk(rs, i), +1)
+			jr.LeftSink().Push(chunk(ls, i), +1)
+			jr.RightSink().Push(chunk(rs, i), +1)
 		}
 		for i := range rbs {
 			jc.PushDeltaRight(rbs[i], -1)
-			signedPush(jr.RightSink(), chunk(rs, i), -1)
+			jr.RightSink().Push(chunk(rs, i), -1)
 		}
 		check(t, style.String()+"/signed", col, row, *jc.Counters(), *jr.Counters())
 	}
@@ -95,10 +95,10 @@ func TestColumnarEntryMatchesRows(t *testing.T) {
 	ac, ar := newAgg(col), newAgg(row)
 	for i := range lbs {
 		ac.PushColBatch(lbs[i])
-		ar.PushBatch(chunk(ls, i))
+		ar.Push(chunk(ls, i), 0)
 	}
-	col.out.PushBatch(ac.EmitFinal())
-	row.out.PushBatch(ar.EmitFinal())
+	col.out.Push(ac.EmitFinal(), 0)
+	row.out.Push(ar.EmitFinal(), 0)
 	check(t, "agg", col, row, *ac.Counters(), *ar.Counters())
 
 	// AggTable.PushDelta: assert every batch, retract every other one.
@@ -108,11 +108,11 @@ func TestColumnarEntryMatchesRows(t *testing.T) {
 	ar.EnableMaintenance()
 	for i := range lbs {
 		ac.PushDelta(lbs[i], +1)
-		ar.PushSigned(chunk(ls, i), +1)
+		ar.Push(chunk(ls, i), +1)
 	}
 	for i := 0; i < len(lbs); i += 2 {
 		ac.PushDelta(lbs[i], -1)
-		ar.PushSigned(chunk(ls, i), -1)
+		ar.Push(chunk(ls, i), -1)
 	}
 	ac.EmitRevisionsTo(col.out)
 	ar.EmitRevisionsTo(row.out)
@@ -133,7 +133,7 @@ func TestColumnarEntryMatchesRows(t *testing.T) {
 		return got, *ex.Counters()
 	}
 	colParts, colCtr := routed(func(ex *Exchange, i int) { ex.PushColBatch(lbs[i]) })
-	rowParts, rowCtr := routed(func(ex *Exchange, i int) { ex.PushBatch(chunk(ls, i)) })
+	rowParts, rowCtr := routed(func(ex *Exchange, i int) { ex.Push(chunk(ls, i), 0) })
 	if colCtr != rowCtr || rowCtr.In != int64(len(ls)) || rowCtr.Out != rowCtr.In {
 		t.Fatalf("exchange: counters %+v vs %+v", colCtr, rowCtr)
 	}
@@ -148,7 +148,7 @@ func TestColumnarEntryMatchesRows(t *testing.T) {
 	released := func(push func(s Sink, i int)) []string {
 		merge := NewPartitionMerge(parts)
 		var got []string
-		out := SinkFunc(func(ts []types.Tuple) {
+		out := SinkFunc(func(ts []types.Tuple, _ int) {
 			for _, tp := range ts {
 				got = append(got, tp.String())
 			}
@@ -163,7 +163,7 @@ func TestColumnarEntryMatchesRows(t *testing.T) {
 		return got
 	}
 	colRel := released(func(s Sink, i int) { s.(ColBatchSink).PushColBatch(lbs[i]) })
-	rowRel := released(func(s Sink, i int) { s.PushBatch(chunk(ls, i)) })
+	rowRel := released(func(s Sink, i int) { s.Push(chunk(ls, i), 0) })
 	if len(rowRel) != len(ls) || fmt.Sprint(colRel) != fmt.Sprint(rowRel) {
 		t.Fatalf("merge: %d rows released from the columnar entry, %d from the row entry, or in another order", len(colRel), len(rowRel))
 	}

@@ -3,8 +3,9 @@
 // lowered operator tree as the initial run, but each batch carries a
 // sign: +1 for insertions into the result, -1 for retractions. The sign
 // travels out of band — a delta batch is an ordinary row batch whose rows
-// all share the batch's sign — so the tuples the state structures retain,
-// the hash tables and the emitters are the unsigned path's, untouched.
+// all share the batch's sign, Sink.Push's second argument — so the tuples
+// the state structures retain, the hash tables and the emitters are the
+// unsigned path's, untouched.
 //
 // Join state follows the z-set formulation (Olteanu, arXiv:2404.17679):
 // each side's effective multiset is its main table minus a lazily
@@ -20,41 +21,24 @@ package exec
 
 import (
 	"github.com/tukwila/adp/internal/state"
-	"github.com/tukwila/adp/internal/types"
 )
 
-// DeltaSink is a sink that also accepts signed row batches. Every row of
-// ts carries the batch's sign; like a PushBatch, ts must not be retained,
-// the tuples may be.
-type DeltaSink interface {
-	Sink
-	PushSigned(ts []types.Tuple, sign int)
+// DeltaSink is Sink, whose Push carries the sign. The alias remains for
+// benchmark/probes.go, which asserts Discard to it.
+type DeltaSink = Sink
+
+// SignBlind is the sign check of a sink that keeps no signed state: it takes
+// an insertion (+1) as it takes an unsigned row — an insert-only delta stream
+// is indistinguishable from ordinary execution — and panics on a retraction.
+// No maintenance tree reaches such a sink (maintenance trees are serial and
+// free of pre-aggregation), so a retraction there is a lowering bug.
+func SignBlind(sign int) {
+	if sign < 0 {
+		panic(errSignBlind)
+	}
 }
 
-// deliver hands rows to out: as a row batch when sign is 0 (unsigned
-// traffic), else through out's signed entry. Pure insertions (+1) degrade
-// to the unsigned path when out is sign-agnostic — an insert-only delta
-// stream is indistinguishable from ordinary execution — but a retraction
-// reaching a sign-agnostic sink is a lowering bug and panics.
-func deliver(out Sink, ts []types.Tuple, sign int) {
-	if len(ts) == 0 {
-		return
-	}
-	if sign != 0 {
-		if ds, ok := out.(DeltaSink); ok {
-			ds.PushSigned(ts, sign)
-			return
-		}
-		if sign < 0 {
-			panic("exec: retraction delta reached a sink without PushSigned")
-		}
-	}
-	out.PushBatch(ts)
-}
-
-// PushSigned on the discard sink drops signed batches like everything
-// else.
-func (discardSink) PushSigned([]types.Tuple, int) {}
+const errSignBlind = "exec: retraction delta reached a sign-blind Push"
 
 // --- HashJoin ---------------------------------------------------------
 

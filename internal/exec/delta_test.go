@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
@@ -11,25 +13,17 @@ import (
 
 func deltaBatch(rows ...types.Tuple) []types.Tuple { return rows }
 
-// updateLog collects signed deliveries from a DeltaSink target.
+// updateLog collects every delivery with its sign.
 type updateLog struct {
 	rows  []types.Tuple
 	signs []int
 }
 
-func (u *updateLog) PushBatch(ts []types.Tuple) {
+func (u *updateLog) Push(ts []types.Tuple, sign int) {
 	for _, t := range ts {
-		u.add(t, 1)
+		u.rows = append(u.rows, t.Clone())
+		u.signs = append(u.signs, sign)
 	}
-}
-func (u *updateLog) PushSigned(ts []types.Tuple, sign int) {
-	for _, t := range ts {
-		u.add(t, sign)
-	}
-}
-func (u *updateLog) add(t types.Tuple, sign int) {
-	u.rows = append(u.rows, t.Clone())
-	u.signs = append(u.signs, sign)
 }
 
 // net folds the signed log into a multiset count per row rendering.
@@ -60,9 +54,6 @@ func maintAggFixture(t *testing.T, aggs []algebra.AggSpec) *AggTable {
 
 func row(k, v int64) types.Tuple { return types.Tuple{types.Int(k), types.Int(v)} }
 
-// signedPush pushes ts with sign through s's signed entry.
-func signedPush(s Sink, ts []types.Tuple, sign int) { s.(DeltaSink).PushSigned(ts, sign) }
-
 // collectRevisions drains pending revisions into parallel slices.
 func collectRevisions(a *AggTable) ([]types.Tuple, []int) {
 	var rows []types.Tuple
@@ -82,7 +73,7 @@ func TestAggDeltaMinMaxRetraction(t *testing.T) {
 		{Kind: algebra.AggMin, Arg: expr.Column("A.v"), As: "mn"},
 		{Kind: algebra.AggCount, As: "ct"},
 	})
-	a.PushSigned(deltaBatch(row(1, 3), row(1, 0), row(1, 1)), 1)
+	a.Push(deltaBatch(row(1, 3), row(1, 0), row(1, 1)), 1)
 	rows, signs := collectRevisions(a)
 	if len(rows) != 1 || signs[0] != 1 {
 		t.Fatalf("baseline revisions = %v %v", rows, signs)
@@ -91,7 +82,7 @@ func TestAggDeltaMinMaxRetraction(t *testing.T) {
 		t.Fatalf("baseline row = %v, want max 3 min 0 count 3", rows[0])
 	}
 
-	a.PushSigned(deltaBatch(row(1, 3)), -1)
+	a.Push(deltaBatch(row(1, 3)), -1)
 	rows, signs = collectRevisions(a)
 	if len(rows) != 2 || signs[0] != -1 || signs[1] != 1 {
 		t.Fatalf("revision = %v %v, want retraction+assertion", rows, signs)
@@ -101,13 +92,13 @@ func TestAggDeltaMinMaxRetraction(t *testing.T) {
 	}
 
 	// Delete everything: the group retracts, never asserts an empty row.
-	a.PushSigned(deltaBatch(row(1, 0), row(1, 1)), -1)
+	a.Push(deltaBatch(row(1, 0), row(1, 1)), -1)
 	rows, signs = collectRevisions(a)
 	if len(rows) != 1 || signs[0] != -1 {
 		t.Fatalf("zero-weight revision = %v %v, want single retraction", rows, signs)
 	}
 	// Revive the group: a fresh assertion, not a resurrection artifact.
-	a.PushSigned(deltaBatch(row(1, 7)), 1)
+	a.Push(deltaBatch(row(1, 7)), 1)
 	rows, signs = collectRevisions(a)
 	if len(rows) != 1 || signs[0] != 1 || rows[0][1].I != 7 {
 		t.Fatalf("revival revision = %v %v", rows, signs)
@@ -120,10 +111,10 @@ func TestAggDeltaUnchangedGroupEmitsNothing(t *testing.T) {
 	a := maintAggFixture(t, []algebra.AggSpec{
 		{Kind: algebra.AggSum, Arg: expr.Column("A.v"), As: "sm"},
 	})
-	a.PushSigned(deltaBatch(row(1, 5)), 1)
+	a.Push(deltaBatch(row(1, 5)), 1)
 	collectRevisions(a)
-	a.PushSigned(deltaBatch(row(1, 9)), 1)
-	a.PushSigned(deltaBatch(row(1, 9)), -1)
+	a.Push(deltaBatch(row(1, 9)), 1)
+	a.Push(deltaBatch(row(1, 9)), -1)
 	rows, signs := collectRevisions(a)
 	if len(rows) != 0 {
 		t.Fatalf("cancelling churn emitted %v %v", rows, signs)
@@ -138,10 +129,10 @@ func TestAggDeltaRevisionsColumnar(t *testing.T) {
 			{Kind: algebra.AggSum, Arg: expr.Column("A.v"), As: "sm"},
 			{Kind: algebra.AggCount, As: "ct"},
 		})
-		a.PushSigned(deltaBatch(row(1, 5), row(2, 6), row(3, 7)), 1)
+		a.Push(deltaBatch(row(1, 5), row(2, 6), row(3, 7)), 1)
 		collectRevisions(a)
-		a.PushSigned(deltaBatch(row(1, 1), row(2, 2)), 1)
-		a.PushSigned(deltaBatch(row(3, 7)), -1)
+		a.Push(deltaBatch(row(1, 1), row(2, 2)), 1)
+		a.Push(deltaBatch(row(3, 7)), -1)
 		return a
 	}
 	wantRows, wantSigns := collectRevisions(mk())
@@ -178,24 +169,24 @@ func TestJoinDeltaBothSidesBothSigns(t *testing.T) {
 	for _, style := range []JoinStyle{Pipelined, BuildThenProbe, NestedLoops} {
 		var log updateLog
 		j, _, _ := joinFixture(t, style, &log)
-		signedPush(j.LeftSink(), deltaBatch(row(1, 10), row(2, 20)), 1)
-		signedPush(j.RightSink(), deltaBatch(row(1, 100), row(1, 101), row(3, 300)), 1)
+		j.LeftSink().Push(deltaBatch(row(1, 10), row(2, 20)), 1)
+		j.RightSink().Push(deltaBatch(row(1, 100), row(1, 101), row(3, 300)), 1)
 		// Current result: (1,10)×(1,100), (1,10)×(1,101).
 		if got := len(log.net()); got != 2 {
 			t.Fatalf("style %v: net join rows = %d, want 2 (%v)", style, got, log.net())
 		}
 		// Delete one right row: one retraction.
-		signedPush(j.RightSink(), deltaBatch(row(1, 100)), -1)
+		j.RightSink().Push(deltaBatch(row(1, 100)), -1)
 		if got := len(log.net()); got != 1 {
 			t.Fatalf("style %v: net after delete = %d, want 1 (%v)", style, got, log.net())
 		}
 		// Delete a left row whose partner is already gone plus re-insert:
 		// net must return to the same single row.
-		signedPush(j.LeftSink(), deltaBatch(row(1, 10)), -1)
+		j.LeftSink().Push(deltaBatch(row(1, 10)), -1)
 		if got := len(log.net()); got != 0 {
 			t.Fatalf("style %v: net after left delete = %d, want 0", style, got)
 		}
-		signedPush(j.LeftSink(), deltaBatch(row(1, 10)), 1)
+		j.LeftSink().Push(deltaBatch(row(1, 10)), 1)
 		net := log.net()
 		if len(net) != 1 {
 			t.Fatalf("style %v: net after re-insert = %v", style, net)
@@ -214,14 +205,14 @@ func TestJoinDeltaDuplicateMultiplicity(t *testing.T) {
 	var log updateLog
 	j, _, _ := joinFixture(t, Pipelined, &log)
 	dup := row(1, 10)
-	signedPush(j.LeftSink(), deltaBatch(dup, dup.Clone()), 1)
-	signedPush(j.RightSink(), deltaBatch(row(1, 100)), 1)
+	j.LeftSink().Push(deltaBatch(dup, dup.Clone()), 1)
+	j.RightSink().Push(deltaBatch(row(1, 100)), 1)
 	for _, cnt := range log.net() {
 		if cnt != 2 {
 			t.Fatalf("duplicate build must double the hit: %v", log.net())
 		}
 	}
-	signedPush(j.LeftSink(), deltaBatch(row(1, 10)), -1)
+	j.LeftSink().Push(deltaBatch(row(1, 10)), -1)
 	for _, cnt := range log.net() {
 		if cnt != 1 {
 			t.Fatalf("one delete must remove one occurrence: %v", log.net())
@@ -230,7 +221,8 @@ func TestJoinDeltaDuplicateMultiplicity(t *testing.T) {
 }
 
 // TestProjectDeltaSignPassthrough: a unary operator forwards signs
-// untouched and applies identical row logic to both polarities.
+// untouched and applies identical row logic to both polarities, into every
+// exec sink that keeps signed state.
 func TestProjectDeltaSignPassthrough(t *testing.T) {
 	s := types.NewSchema(
 		types.Column{Name: "A.k", Kind: types.KindInt},
@@ -242,8 +234,8 @@ func TestProjectDeltaSignPassthrough(t *testing.T) {
 	}
 	var log updateLog
 	p := NewProject(NewContext(), ad, &log)
-	p.PushSigned(deltaBatch(row(1, 10), row(2, 3)), 1)
-	p.PushSigned(deltaBatch(row(1, 10)), -1)
+	p.Push(deltaBatch(row(1, 10), row(2, 3)), 1)
+	p.Push(deltaBatch(row(1, 10)), -1)
 	if len(log.rows) != 3 || log.signs[0] != 1 || log.signs[1] != 1 || log.signs[2] != -1 {
 		t.Fatalf("project must pass every row with its sign: %v %v", log.rows, log.signs)
 	}
@@ -251,38 +243,113 @@ func TestProjectDeltaSignPassthrough(t *testing.T) {
 	if len(net) != 1 || net[row(3, 2).String()] != 1 {
 		t.Fatalf("projected churn must leave the permuted (2, 3): %v", net)
 	}
+
+	// The same churn through a projection into each sink that keeps signed
+	// state nets what pushing the projected rows into the sink directly nets:
+	// the sign arrives intact. Discard drops both polarities.
+	pad, err := types.NewAdapter(rSchema, types.NewSchema(rSchema.Cols[1], rSchema.Cols[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn := []struct {
+		rows []types.Tuple
+		sign int
+	}{{deltaBatch(rRow(1, 10), rRow(2, 3)), 1}, {deltaBatch(rRow(1, 10)), -1}}
+	sinks := []struct {
+		name string
+		// wire returns a sink over the projected layout and its net result.
+		wire func(t *testing.T, ctx *Context) (Sink, func() map[string]int)
+	}{
+		{"log", func(t *testing.T, ctx *Context) (Sink, func() map[string]int) {
+			out := &updateLog{}
+			return out, out.net
+		}},
+		{"join side", func(t *testing.T, ctx *Context) (Sink, func() map[string]int) {
+			out := &updateLog{}
+			j := NewHashJoin(ctx, Pipelined, pad.To(), sSchema, []int{1}, []int{0}, out)
+			j.RightSink().Push(deltaBatch(sRow(1, 0), sRow(2, 0)), 1)
+			return j.LeftSink(), out.net
+		}},
+		{"maintained agg", func(t *testing.T, ctx *Context) (Sink, func() map[string]int) {
+			a, err := NewAggTable(ctx, pad.To(), []string{"r.k"}, []algebra.AggSpec{
+				{Kind: algebra.AggSum, Arg: expr.Column("r.a"), As: "sm"},
+				{Kind: algebra.AggCount, As: "ct"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.EnableMaintenance()
+			return a, func() map[string]int {
+				out := &updateLog{}
+				a.EmitRevisionsTo(out)
+				return out.net()
+			}
+		}},
+		{"discard", func(t *testing.T, ctx *Context) (Sink, func() map[string]int) {
+			return Discard, func() map[string]int { return map[string]int{} }
+		}},
+	}
+	for _, c := range sinks {
+		t.Run(c.name, func(t *testing.T) {
+			via, viaNet := c.wire(t, NewContext())
+			direct, directNet := c.wire(t, NewContext())
+			p := NewProject(NewContext(), pad, via)
+			for _, b := range churn {
+				p.Push(b.rows, b.sign)
+				projected := make([]types.Tuple, len(b.rows))
+				for i, r := range b.rows {
+					projected[i] = pad.Adapt(r)
+				}
+				direct.Push(projected, b.sign)
+			}
+			got, want := viaNet(), directNet()
+			if fmt.Sprint(got) != fmt.Sprint(want) || (len(want) == 0) != (c.name == "discard") {
+				t.Fatalf("through the projection %v, pushed directly %v", got, want)
+			}
+		})
+	}
 }
 
 // TestInsertOnlySignedMatchesPlain pins PR 10's observation that an
 // insert-only delta stream is indistinguishable from ordinary execution:
-// the same chunks pushed through each operator's signed entry with sign +1
-// and through its unsigned entry give the same output rows in the same
-// order, the same counters and the same virtual clock.
+// the same chunks pushed into each operator with sign +1 and with sign 0
+// give the same output rows in the same order, the same counters and the
+// same virtual clock. An operator that keeps signed state passes the +1 on;
+// a sign-blind one (no maintenance tree reaches it) emits what it emits at
+// 0, and refuses a retraction with SignBlind's panic.
 func TestInsertOnlySignedMatchesPlain(t *testing.T) {
 	ls := randTuples(600, 100, 1, rRow)
 	rs := randTuples(600, 100, 2, sRow)
+	byKey := func(ts []types.Tuple) []types.Tuple {
+		out := slices.Clone(ts)
+		slices.SortStableFunc(out, func(a, b types.Tuple) int { return types.Compare(a[0], b[0]) })
+		return out
+	}
 	cases := []struct {
 		name string
+		// blind marks a sign-blind operator; sorted feeds it key-ordered
+		// inputs.
+		blind, sorted bool
 		// build wires the operator to out and returns its inputs (input i is
 		// fed [ls, rs][i]), its counters, and what runs after the last push.
 		build func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func())
 	}{
-		{"join/pipelined", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+		{name: "join/pipelined", build: func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
 			j := NewHashJoin(ctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, out)
 			return []Sink{j.LeftSink(), j.RightSink()}, j.Counters(), nil
 		}},
-		{"join/build-then-probe-after-finish", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+		{name: "join/build-then-probe-after-finish", build: func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
 			j := NewHashJoin(ctx, BuildThenProbe, rSchema, sSchema, []int{0}, []int{0}, out)
-			j.PushRightBatch(rs)
+			j.RightSink().Push(rs, 0)
 			j.FinishLeft()
 			j.FinishRight()
 			return []Sink{j.LeftSink()}, j.Counters(), nil
 		}},
-		{"join/nested-loops", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+		{name: "join/nested-loops", build: func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
 			j := NewHashJoin(ctx, NestedLoops, rSchema, sSchema, []int{0}, []int{0}, out)
 			return []Sink{j.LeftSink(), j.RightSink()}, j.Counters(), nil
 		}},
-		{"project", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+		{name: "project", build: func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
 			ad, err := types.NewAdapter(rSchema, types.NewSchema(rSchema.Cols[1], rSchema.Cols[0]))
 			if err != nil {
 				t.Fatal(err)
@@ -290,7 +357,7 @@ func TestInsertOnlySignedMatchesPlain(t *testing.T) {
 			p := NewProject(ctx, ad, out)
 			return []Sink{p}, p.Counters(), nil
 		}},
-		{"agg/maintenance", func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+		{name: "agg/maintenance", build: func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
 			a, err := NewAggTable(ctx, rSchema, []string{"r.k"}, []algebra.AggSpec{
 				{Kind: algebra.AggSum, Arg: expr.Column("r.a"), As: "sm"},
 				{Kind: algebra.AggMin, Arg: expr.Column("r.a"), As: "mn"},
@@ -301,22 +368,41 @@ func TestInsertOnlySignedMatchesPlain(t *testing.T) {
 			}
 			a.EnableMaintenance()
 			return []Sink{a}, a.Counters(), func() {
-				a.EmitRevisions(func(r types.Tuple, sign int) { out.PushBatch(one(r)) })
+				a.EmitRevisions(func(r types.Tuple, sign int) { out.Push(one(r), sign) })
+			}
+		}},
+		{name: "exchange", blind: true, build: func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+			ex := NewExchange(4, []int{0}, func(_ int, rows []types.Tuple) { out.Push(rows, 0) })
+			return []Sink{ex}, ex.Counters(), nil
+		}},
+		{name: "partition-merge", blind: true, build: func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+			m := NewPartitionMerge(2)
+			return []Sink{m.Sink(0), m.Sink(1)}, &stats.OpCounters{}, func() { m.Drain(out) }
+		}},
+		{name: "window-preagg", blind: true, build: func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+			w, err := NewWindowPreAgg(ctx, rSchema, []string{"r.k"}, []algebra.AggSpec{
+				{Kind: algebra.AggSum, Arg: expr.Column("r.a"), As: "sm"},
+				{Kind: algebra.AggCount, As: "ct"},
+			}, out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []Sink{w}, w.Counters(), w.Finish
+		}},
+		{name: "merge-join", blind: true, sorted: true, build: func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
+			m := NewMergeJoin(ctx, rSchema, sSchema, []int{0}, []int{0}, out)
+			return []Sink{m.LeftSink(), m.RightSink()}, m.Counters(), func() {
+				m.FinishLeft()
+				m.FinishRight()
 			}
 		}},
 	}
-	run := func(t *testing.T, build func(*testing.T, *Context, Sink) ([]Sink, *stats.OpCounters, func()), signed bool) (*updateLog, stats.OpCounters, int64) {
+	run := func(t *testing.T, build func(*testing.T, *Context, Sink) ([]Sink, *stats.OpCounters, func()), data [][]types.Tuple, sign int) (*updateLog, stats.OpCounters, int64) {
 		ctx, log := NewContext(), &updateLog{}
 		ins, counters, drain := build(t, ctx, log)
-		data := [][]types.Tuple{ls, rs}
 		for lo := 0; lo < len(ls); lo += 64 {
 			for i, in := range ins {
-				chunk := data[i][lo:min(lo+64, len(data[i]))]
-				if signed {
-					signedPush(in, chunk, +1)
-				} else {
-					in.PushBatch(chunk)
-				}
+				in.Push(data[i][lo:min(lo+64, len(data[i]))], sign)
 			}
 		}
 		if drain != nil {
@@ -326,13 +412,21 @@ func TestInsertOnlySignedMatchesPlain(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			plain, plainCtr, plainCPU := run(t, c.build, false)
-			signed, signedCtr, signedCPU := run(t, c.build, true)
+			data := [][]types.Tuple{ls, rs}
+			if c.sorted {
+				data = [][]types.Tuple{byKey(ls), byKey(rs)}
+			}
+			plain, plainCtr, plainCPU := run(t, c.build, data, 0)
+			signed, signedCtr, signedCPU := run(t, c.build, data, +1)
 			if len(plain.rows) == 0 || len(signed.rows) != len(plain.rows) {
 				t.Fatalf("%d signed rows, %d plain", len(signed.rows), len(plain.rows))
 			}
+			wantSign := 1
+			if c.blind {
+				wantSign = 0
+			}
 			for i := range plain.rows {
-				if signed.signs[i] != 1 || signed.rows[i].String() != plain.rows[i].String() {
+				if signed.signs[i] != wantSign || signed.rows[i].String() != plain.rows[i].String() {
 					t.Fatalf("row %d: signed %v/%d, plain %v", i, signed.rows[i], signed.signs[i], plain.rows[i])
 				}
 			}
@@ -342,6 +436,32 @@ func TestInsertOnlySignedMatchesPlain(t *testing.T) {
 			if signedCPU != plainCPU {
 				t.Fatalf("clocks: signed %v, plain %v", signedCPU, plainCPU)
 			}
+			if !c.blind {
+				return
+			}
+			ins, _, _ := c.build(t, NewContext(), Discard)
+			defer func() {
+				if got := recover(); got != errSignBlind {
+					t.Fatalf("a retraction panicked with %v, want %q", got, errSignBlind)
+				}
+			}()
+			ins[0].Push(one(data[0][0]), -1)
 		})
+	}
+
+	// An aggregate outside maintenance mode refuses either sign.
+	for _, sign := range []int{+1, -1} {
+		a, err := NewAggTable(NewContext(), rSchema, []string{"r.k"}, []algebra.AggSpec{{Kind: algebra.AggCount, As: "ct"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if got, want := recover(), "exec: signed Push on an AggTable without maintenance enabled"; got != want {
+					t.Fatalf("sign %d: panicked with %v, want %q", sign, got, want)
+				}
+			}()
+			a.Push(one(ls[0]), sign)
+		}()
 	}
 }

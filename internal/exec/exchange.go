@@ -14,7 +14,7 @@ import (
 // an upstream operator's partitioning key routes every row back to its
 // own partition (the local fast path: no cross-partition traffic at all).
 //
-// Within one PushBatch call, partitions are delivered in ascending
+// Within one Push call, partitions are delivered in ascending
 // partition order and rows keep their input order inside each partition, so
 // single-producer topologies stay fully deterministic. The rows slice handed
 // to route is reused across batches and must not be retained (the tuples
@@ -68,13 +68,14 @@ func partitionOf(h uint64, parts int) int {
 	return int(h % uint64(parts))
 }
 
-// PushBatch implements Sink: the batch is scattered into reused
-// per-partition buffers and delivered partition by partition (ascending),
-// preserving row order within each partition. Steady state performs no
-// allocations beyond buffer growth.
+// Push implements Sink: the batch is scattered into reused per-partition
+// buffers and delivered partition by partition (ascending), preserving row
+// order within each partition. Steady state performs no allocations beyond
+// buffer growth. The route is unsigned, so the exchange is sign-blind.
 //
 //adp:hotpath gated by BenchmarkExchangePartition (scripts/check_allocs.sh)
-func (e *Exchange) PushBatch(ts []types.Tuple) {
+func (e *Exchange) Push(ts []types.Tuple, sign int) {
+	SignBlind(sign)
 	e.counters.In += int64(len(ts))
 	for _, t := range ts {
 		p := e.PartitionOf(t)

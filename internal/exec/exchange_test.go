@@ -23,7 +23,7 @@ func TestExchangePartitioning(t *testing.T) {
 		}
 	})
 
-	ex.PushBatch(rows)
+	ex.Push(rows, 0)
 	total := 0
 	for p := range routed {
 		total += len(routed[p])
@@ -64,7 +64,7 @@ func TestExchangePartitioning(t *testing.T) {
 		}
 	})
 	for _, tp := range rows {
-		exS.PushBatch(one(tp))
+		exS.Push(one(tp), 0)
 	}
 	for i, tp := range rows {
 		if scalar[i] != ex.PartitionOf(tp) {
@@ -79,10 +79,10 @@ func TestExchangePartitioning(t *testing.T) {
 func TestExchangeSteadyStateAllocs(t *testing.T) {
 	rows := randTuples(256, 32, 9, rRow)
 	ex := NewExchange(4, []int{0}, func(int, []types.Tuple) {})
-	ex.PushBatch(rows) // warm the scratch buffers
-	avg := testing.AllocsPerRun(50, func() { ex.PushBatch(rows) })
+	ex.Push(rows, 0) // warm the scratch buffers
+	avg := testing.AllocsPerRun(50, func() { ex.Push(rows, 0) })
 	if avg > 0 {
-		t.Errorf("Exchange.PushBatch allocates %.1f/op at steady state, want 0", avg)
+		t.Errorf("Exchange.Push allocates %.1f/op at steady state, want 0", avg)
 	}
 }
 
@@ -100,7 +100,7 @@ func BenchmarkExchangePartition(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ex.PushBatch(rows)
+			ex.Push(rows, 0)
 		}
 		_ = n
 	})

@@ -26,7 +26,7 @@ func sRow(k, b int64) types.Tuple { return types.Tuple{types.Int(k), types.Int(b
 // collectSink gathers output tuples.
 type collectSink struct{ rows []types.Tuple }
 
-func (c *collectSink) PushBatch(ts []types.Tuple) { c.rows = append(c.rows, ts...) }
+func (c *collectSink) Push(ts []types.Tuple, _ int) { c.rows = append(c.rows, ts...) }
 
 // one is a tuple as the batch of one it travels as.
 func one(t types.Tuple) []types.Tuple { return []types.Tuple{t} }
@@ -59,21 +59,21 @@ func runJoinBothSides(j *HashJoin, ls, rs []types.Tuple, interleave bool) {
 		i, k := 0, 0
 		for i < len(ls) || k < len(rs) {
 			if i < len(ls) {
-				j.PushLeftBatch(one(ls[i]))
+				j.LeftSink().Push(one(ls[i]), 0)
 				i++
 			}
 			if k < len(rs) {
-				j.PushRightBatch(one(rs[k]))
+				j.RightSink().Push(one(rs[k]), 0)
 				k++
 			}
 		}
 	} else {
 		for _, r := range rs {
-			j.PushRightBatch(one(r))
+			j.RightSink().Push(one(r), 0)
 		}
 		j.FinishRight()
 		for _, l := range ls {
-			j.PushLeftBatch(one(l))
+			j.LeftSink().Push(one(l), 0)
 		}
 	}
 	j.FinishLeft()
@@ -115,8 +115,8 @@ func TestJoinOutputLayout(t *testing.T) {
 	if j.Schema().Len() != 4 || j.Schema().Cols[2].Name != "s.k" {
 		t.Fatalf("join schema = %v", j.Schema())
 	}
-	j.PushLeftBatch(one(rRow(1, 10)))
-	j.PushRightBatch(one(sRow(1, 20)))
+	j.LeftSink().Push(one(rRow(1, 10)), 0)
+	j.RightSink().Push(one(sRow(1, 20)), 0)
 	if len(sink.rows) != 1 {
 		t.Fatal("no output")
 	}
@@ -137,8 +137,8 @@ func TestBuildThenProbeBuffersUntilBuildDone(t *testing.T) {
 	ctx := NewContext()
 	sink := &collectSink{}
 	j := NewHashJoin(ctx, BuildThenProbe, rSchema, sSchema, []int{0}, []int{0}, sink)
-	j.PushLeftBatch(one(rRow(1, 10))) // buffered: build not done
-	j.PushRightBatch(one(sRow(1, 20)))
+	j.LeftSink().Push(one(rRow(1, 10)), 0) // buffered: build not done
+	j.RightSink().Push(one(sRow(1, 20)), 0)
 	if len(sink.rows) != 0 {
 		t.Fatal("probe before build completion")
 	}
@@ -147,7 +147,7 @@ func TestBuildThenProbeBuffersUntilBuildDone(t *testing.T) {
 		t.Fatal("buffered probes not drained")
 	}
 	// Late left tuples probe immediately after build completion.
-	j.PushLeftBatch(one(rRow(1, 11)))
+	j.LeftSink().Push(one(rRow(1, 11)), 0)
 	if len(sink.rows) != 2 {
 		t.Fatal("post-build probe failed")
 	}
@@ -156,8 +156,8 @@ func TestBuildThenProbeBuffersUntilBuildDone(t *testing.T) {
 func TestNestedLoopsLists(t *testing.T) {
 	ctx := NewContext()
 	j := NewHashJoin(ctx, NestedLoops, rSchema, sSchema, []int{0}, []int{0}, &collectSink{})
-	j.PushLeftBatch(one(rRow(1, 1)))
-	j.PushRightBatch(one(sRow(2, 2)))
+	j.LeftSink().Push(one(rRow(1, 1)), 0)
+	j.RightSink().Push(one(sRow(2, 2)), 0)
 	l, _ := j.SideLists(true)
 	r, _ := j.SideLists(false)
 	if l.Len() != 1 || r.Len() != 1 {
@@ -195,13 +195,13 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	i, k := 0, 0
 	for i < len(ls) || k < len(rs) {
 		if i < len(ls) {
-			if err := m.PushLeftBatch(one(ls[i])); err != nil {
+			if err := m.push(true, one(ls[i])); err != nil {
 				t.Fatal(err)
 			}
 			i++
 		}
 		if k < len(rs) {
-			if err := m.PushRightBatch(one(rs[k])); err != nil {
+			if err := m.push(false, one(rs[k])); err != nil {
 				t.Fatal(err)
 			}
 			k++
@@ -226,12 +226,12 @@ func TestMergeJoinDuplicatesBothSides(t *testing.T) {
 	sink := &collectSink{}
 	m := NewMergeJoin(ctx, rSchema, sSchema, []int{0}, []int{0}, sink)
 	for _, k := range []int64{5, 5, 7} {
-		if err := m.PushLeftBatch(one(rRow(k, 0))); err != nil {
+		if err := m.push(true, one(rRow(k, 0))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, k := range []int64{5, 5, 5, 7} {
-		if err := m.PushRightBatch(one(sRow(k, 0))); err != nil {
+		if err := m.push(false, one(sRow(k, 0))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,10 +245,10 @@ func TestMergeJoinDuplicatesBothSides(t *testing.T) {
 func TestMergeJoinRejectsOutOfOrder(t *testing.T) {
 	ctx := NewContext()
 	m := NewMergeJoin(ctx, rSchema, sSchema, []int{0}, []int{0}, &collectSink{})
-	if err := m.PushLeftBatch(one(rRow(5, 0))); err != nil {
+	if err := m.push(true, one(rRow(5, 0))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PushLeftBatch(one(rRow(3, 0))); err == nil {
+	if err := m.push(true, one(rRow(3, 0))); err == nil {
 		t.Error("out-of-order push must error")
 	}
 }
@@ -261,7 +261,7 @@ func TestProjectAdaptsColumns(t *testing.T) {
 	}
 	psink := &collectSink{}
 	p := NewProject(NewContext(), ad, psink)
-	p.PushBatch(one(rRow(7, 42)))
+	p.Push(one(rRow(7, 42)), 0)
 	if len(psink.rows) != 1 || psink.rows[0][0].I != 42 || p.Counters().Out != 1 {
 		t.Error("project wrong")
 	}

@@ -29,6 +29,12 @@ type Leaf struct {
 	Passed int64
 }
 
+// Feed is the leaf delivery (Leaf.PushBatch) that pushes every post-filter
+// batch into s unsigned.
+func Feed(s Sink) func([]types.Tuple) {
+	return func(ts []types.Tuple) { s.Push(ts, 0) }
+}
+
 // Driver delivers source tuples into a plan in global availability order:
 // at each step the leaf whose next tuple arrives earliest is serviced.
 // This models Tukwila's adaptive scheduling — when one source stalls,

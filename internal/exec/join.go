@@ -6,23 +6,25 @@ import (
 	"github.com/tukwila/adp/internal/types"
 )
 
-// Sink receives the output of a push operator. Unsigned rows travel between
-// operators as row batches and in no other form — a single tuple is a batch
-// of one — so a pipeline segment amortizes per-call and allocation overhead
-// across the batch. The batch slice is owned by the caller and is only
-// valid for the duration of the call: receivers must not retain it. They
-// may retain the tuples themselves, unless they declare that they do not
-// (InputCopier).
+// Sink receives the output of a push operator. Rows travel between operators
+// as row batches and in no other form — a single tuple is a batch of one —
+// so a pipeline segment amortizes per-call and allocation overhead across
+// the batch. Every row of a batch carries the batch's sign: 0 in ordinary
+// (unsigned) execution, +1 for an insertion into a standing query's result
+// and -1 for a retraction (delta.go). The batch slice is owned by the caller
+// and is only valid for the duration of the call: receivers must not retain
+// it. They may retain the tuples themselves, unless they declare that they
+// do not (InputCopier).
 type Sink interface {
-	// PushBatch pushes ts in order. ts must not be retained.
-	PushBatch(ts []types.Tuple)
+	// Push pushes ts, in order, with sign. ts must not be retained.
+	Push(ts []types.Tuple, sign int)
 }
 
 // SinkFunc adapts a function to a Sink.
-type SinkFunc func(ts []types.Tuple)
+type SinkFunc func(ts []types.Tuple, sign int)
 
-// PushBatch implements Sink.
-func (f SinkFunc) PushBatch(ts []types.Tuple) { f(ts) }
+// Push implements Sink.
+func (f SinkFunc) Push(ts []types.Tuple, sign int) { f(ts, sign) }
 
 // JoinStyle selects the iterator module driving a join node's state
 // structures (§3.1): data-availability-driven (pipelined hash),
@@ -167,23 +169,14 @@ type joinSide struct {
 	i int
 }
 
-// PushBatch implements Sink.
-func (s joinSide) PushBatch(ts []types.Tuple) { s.j.push(s.i, ts, 0) }
-
-// PushSigned implements DeltaSink.
-func (s joinSide) PushSigned(ts []types.Tuple, sign int) { s.j.push(s.i, ts, sign) }
+// Push implements Sink.
+func (s joinSide) Push(ts []types.Tuple, sign int) { s.j.push(s.i, ts, sign) }
 
 // LeftSink returns the join's left input as a sink.
 func (j *HashJoin) LeftSink() Sink { return joinSide{j: j, i: 0} }
 
 // RightSink returns the join's right input as a sink.
 func (j *HashJoin) RightSink() Sink { return joinSide{j: j, i: 1} }
-
-// PushLeftBatch feeds a batch of tuples into the left input.
-func (j *HashJoin) PushLeftBatch(ts []types.Tuple) { j.push(0, ts, 0) }
-
-// PushRightBatch feeds a batch of tuples into the right input.
-func (j *HashJoin) PushRightBatch(ts []types.Tuple) { j.push(1, ts, 0) }
 
 // push is the join's one entry, for both inputs, every style and every
 // sign (0 for unsigned traffic): rows of input i build into its main
@@ -337,15 +330,11 @@ func NewProject(ctx *Context, adapter *types.Adapter, out Sink) *Project {
 	return &Project{ctx: ctx, adapter: adapter, out: out}
 }
 
-// PushBatch implements Sink. Output tuples are carved from an arena
-// (projections may be retained downstream, so storage is never reused,
-// just allocated in slabs) and forwarded as one batch.
-func (p *Project) PushBatch(ts []types.Tuple) { p.push(ts, 0) }
-
-// PushSigned implements DeltaSink: the column permutation is sign-blind.
-func (p *Project) PushSigned(ts []types.Tuple, sign int) { p.push(ts, sign) }
-
-func (p *Project) push(ts []types.Tuple, sign int) {
+// Push implements Sink. Output tuples are carved from an arena (projections
+// may be retained downstream, so storage is never reused, just allocated in
+// slabs) and forwarded as one batch with the input's sign: the column
+// permutation is the same for either polarity.
+func (p *Project) Push(ts []types.Tuple, sign int) {
 	width := p.adapter.To().Len()
 	p.scratch = p.scratch[:0]
 	p.counters.In += int64(len(ts))
@@ -354,7 +343,7 @@ func (p *Project) push(ts []types.Tuple, sign int) {
 	for _, t := range ts {
 		p.scratch = append(p.scratch, p.adapter.AdaptInto(p.arena.Alloc(width), t))
 	}
-	deliver(p.out, p.scratch, sign)
+	p.out.Push(p.scratch, sign)
 }
 
 // Counters exposes statistics.

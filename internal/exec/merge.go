@@ -121,34 +121,20 @@ func (m *MergeJoin) Counters() *stats.OpCounters { return &m.counters }
 // stitch-up).
 func (m *MergeJoin) Tables() (left, right *state.HashTable) { return m.left.table, m.right.table }
 
-// PushLeftBatch feeds a batch of in-order tuples to the left input. Each
-// tuple's key is hashed once for the local-table insert, and the batch's
-// join outputs are carved from the emitter's arena and delivered
-// downstream in one call. An out-of-order tuple is rejected individually
-// (it is still stored in the local table) and processing continues with
-// the rest of the batch; the first error is returned. The batch slice is
-// not retained.
+// push feeds a batch of in-order tuples to the left or the right input: the
+// batch's inserts charged at once, then per tuple one key hash for the
+// local-table insert, group accounting and advance, the batch's join outputs
+// carved from the emitter's arena and delivered downstream in one call. An
+// out-of-order tuple is rejected individually (it is still stored in the
+// local table) and processing continues with the rest of the batch; the
+// first error is returned. The batch slice is not retained.
 //
 //adp:hotpath gated by BenchmarkMergeJoinPush (scripts/check_allocs.sh)
-func (m *MergeJoin) PushLeftBatch(ts []types.Tuple) error {
-	err := m.pushBatch(&m.left, &m.counters.InLeft, ts)
-	m.em.Flush(m.out)
-	return err
-}
-
-// PushRightBatch feeds a batch of in-order tuples to the right input.
-//
-//adp:hotpath gated by BenchmarkMergeJoinPush (scripts/check_allocs.sh)
-func (m *MergeJoin) PushRightBatch(ts []types.Tuple) error {
-	err := m.pushBatch(&m.right, &m.counters.InRight, ts)
-	m.em.Flush(m.out)
-	return err
-}
-
-// pushBatch is the shared entry of both sides: the batch's inserts charged
-// at once, then per tuple insert, group accounting, advance, and rejection
-// of an out-of-order arrival.
-func (m *MergeJoin) pushBatch(side *mergeSide, inSide *int64, ts []types.Tuple) error {
+func (m *MergeJoin) push(left bool, ts []types.Tuple) error {
+	side, inSide := &m.right, &m.counters.InRight
+	if left {
+		side, inSide = &m.left, &m.counters.InLeft
+	}
 	var firstErr error
 	m.counters.In += int64(len(ts))
 	*inSide += int64(len(ts))
@@ -165,6 +151,7 @@ func (m *MergeJoin) pushBatch(side *mergeSide, inSide *int64, ts []types.Tuple) 
 		}
 		m.advance()
 	}
+	m.em.Flush(m.out)
 	return firstErr
 }
 
@@ -178,18 +165,11 @@ type mergeSideSink struct {
 	left bool
 }
 
-func (s mergeSideSink) check(err error) {
-	if err != nil {
+// Push implements Sink. The merge join keeps no signed state (SignBlind).
+func (s mergeSideSink) Push(ts []types.Tuple, sign int) {
+	SignBlind(sign)
+	if err := s.m.push(s.left, ts); err != nil {
 		panic("exec: out-of-order push through MergeJoin sink: " + err.Error())
-	}
-}
-
-// PushBatch implements Sink.
-func (s mergeSideSink) PushBatch(ts []types.Tuple) {
-	if s.left {
-		s.check(s.m.PushLeftBatch(ts))
-	} else {
-		s.check(s.m.PushRightBatch(ts))
 	}
 }
 

@@ -24,10 +24,10 @@ func sortedPair(nKeys, fanout int) (ls, rs []types.Tuple) {
 // difference isolates how the input was cut.
 func feedMergeJoin(t *testing.T, m *MergeJoin, ls, rs []types.Tuple, chunkSize, batch int) {
 	t.Helper()
-	deliver := func(push func([]types.Tuple) error, chunk []types.Tuple) {
+	deliver := func(left bool, chunk []types.Tuple) {
 		for len(chunk) > 0 {
 			n := min(batch, len(chunk))
-			if err := push(chunk[:n]); err != nil {
+			if err := m.push(left, chunk[:n]); err != nil {
 				t.Fatal(err)
 			}
 			chunk = chunk[n:]
@@ -37,12 +37,12 @@ func feedMergeJoin(t *testing.T, m *MergeJoin, ls, rs []types.Tuple, chunkSize, 
 	for i < len(ls) || k < len(rs) {
 		if i < len(ls) {
 			end := min(i+chunkSize, len(ls))
-			deliver(m.PushLeftBatch, ls[i:end])
+			deliver(true, ls[i:end])
 			i = end
 		}
 		if k < len(rs) {
 			end := min(k+chunkSize, len(rs))
-			deliver(m.PushRightBatch, rs[k:end])
+			deliver(false, rs[k:end])
 			k = end
 		}
 	}
@@ -106,12 +106,12 @@ func TestMergeJoinBatchOutOfOrder(t *testing.T) {
 	m1 := NewMergeJoin(ctx1, rSchema, sSchema, []int{0}, []int{0}, out1)
 	tupleErrs := 0
 	for _, tp := range ls {
-		if err := m1.PushLeftBatch(one(tp)); err != nil {
+		if err := m1.push(true, one(tp)); err != nil {
 			tupleErrs++
 		}
 	}
 	for _, tp := range rs {
-		if err := m1.PushRightBatch(one(tp)); err != nil {
+		if err := m1.push(false, one(tp)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,10 +120,10 @@ func TestMergeJoinBatchOutOfOrder(t *testing.T) {
 
 	ctx2, out2 := NewContext(), &collectSink{}
 	m2 := NewMergeJoin(ctx2, rSchema, sSchema, []int{0}, []int{0}, out2)
-	if err := m2.PushLeftBatch(ls); err == nil {
+	if err := m2.push(true, ls); err == nil {
 		t.Fatal("out-of-order batch push did not error")
 	}
-	if err := m2.PushRightBatch(rs); err != nil {
+	if err := m2.push(false, rs); err != nil {
 		t.Fatal(err)
 	}
 	m2.FinishLeft()
@@ -154,8 +154,8 @@ func TestMergeJoinSinks(t *testing.T) {
 	ls, rs := sortedPair(50, 2)
 	out := &collectSink{}
 	m := NewMergeJoin(NewContext(), rSchema, sSchema, []int{0}, []int{0}, out)
-	m.LeftSink().PushBatch(ls)
-	m.RightSink().PushBatch(rs)
+	m.LeftSink().Push(ls, 0)
+	m.RightSink().Push(rs, 0)
 	m.FinishLeft()
 	m.FinishRight()
 	if len(out.rows) != len(ls) {
@@ -173,5 +173,5 @@ func TestMergeJoinSinkPanicsOnDisorder(t *testing.T) {
 			t.Fatal("out-of-order push through the sink did not panic")
 		}
 	}()
-	m.LeftSink().PushBatch([]types.Tuple{rRow(5, 0), rRow(3, 0)})
+	m.LeftSink().Push([]types.Tuple{rRow(5, 0), rRow(3, 0)}, 0)
 }

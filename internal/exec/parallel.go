@@ -60,9 +60,9 @@ type ParallelDriver struct {
 	parts int
 	ctxs  []*Context // per-partition contexts
 
-	// handlers[p][e] delivers a data sub-batch into partition p's entry e.
+	// handlers[p][e] takes a data sub-batch into partition p's entry e.
 	// Entry numbering is the caller's (leaf entries then boundaries).
-	handlers [][]func([]types.Tuple)
+	handlers [][]Sink
 	finish   func(part, step int)
 	steps    int
 
@@ -105,10 +105,10 @@ func (pd *ParallelDriver) Partitions() int { return pd.parts }
 // only at a consistent point: after Quiesce, Finish, or Close).
 func (pd *ParallelDriver) PartitionContexts() []*Context { return pd.ctxs }
 
-// Bind installs the per-partition entry handlers and the finisher
-// protocol (steps broadcast rounds, each running finish(p, step) on every
-// partition). Must be called before Run.
-func (pd *ParallelDriver) Bind(handlers [][]func([]types.Tuple), finish func(part, step int), steps int) {
+// Bind installs the per-partition entry sinks, which every data sub-batch
+// reaches unsigned, and the finisher protocol (steps broadcast rounds, each
+// running finish(p, step) on every partition). Must be called before Run.
+func (pd *ParallelDriver) Bind(handlers [][]Sink, finish func(part, step int), steps int) {
 	pd.handlers = handlers
 	pd.finish = finish
 	pd.steps = steps
@@ -130,7 +130,7 @@ func (pd *ParallelDriver) LeafScatter(entry int, keyCols []int) *Exchange {
 // from's worker goroutine (exchanges live inside that partition's chain).
 func (pd *ParallelDriver) StageSend(from, dst, entry int, rows []types.Tuple) {
 	if dst == from {
-		pd.handlers[from][entry](rows)
+		pd.handlers[from][entry].Push(rows, 0)
 		return
 	}
 	if len(rows) == 0 {
@@ -195,7 +195,7 @@ func (pd *ParallelDriver) start() {
 // the partition workers and poll observes a quiesced pipeline: before
 // each poll call the driver waits until every in-flight batch has been
 // fully processed and all workers are parked, so poll may safely read
-// per-partition operator state. The leaves' PushBatch functions are
+// per-partition operator state. The leaves' deliveries (Leaf.PushBatch) are
 // expected to route into this driver's LeafScatter exchanges.
 func (pd *ParallelDriver) Run(leaves []*Leaf, pollEvery int, poll func() bool) (exhausted bool) {
 	exhausted, _ = pd.RunContext(context.Background(), leaves, pollEvery, poll)
@@ -317,7 +317,7 @@ func (w *parWorker) handle(m parMsg) {
 		return
 	}
 	pd.ctxs[w.p].Clock.AdvanceTo(m.arrival)
-	pd.handlers[w.p][m.entry](m.rows)
+	pd.handlers[w.p][m.entry].Push(m.rows, 0)
 	if m.buf != nil {
 		clear(m.rows)
 		*m.buf = m.rows[:0]
@@ -399,8 +399,9 @@ type partitionBuf struct {
 	colIn colDelivery // PushColBatch's materializer (colbatch.go)
 }
 
-// PushBatch implements Sink.
-func (b *partitionBuf) PushBatch(ts []types.Tuple) {
+// Push implements Sink. A partitioned phase never maintains (SignBlind).
+func (b *partitionBuf) Push(ts []types.Tuple, sign int) {
+	SignBlind(sign)
 	b.rows = append(b.rows, ts...)
 	b.total += len(ts)
 }
@@ -410,7 +411,7 @@ func (b *partitionBuf) release(out Sink) {
 	if len(b.rows) == 0 {
 		return
 	}
-	out.PushBatch(b.rows)
+	out.Push(b.rows, 0)
 	b.sent += len(b.rows)
 	clear(b.rows)
 	b.rows = b.rows[:0]

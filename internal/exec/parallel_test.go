@@ -23,15 +23,11 @@ func newParJoinFixture(parts int) *parJoinFixture {
 	ctxs := make([]*Context, parts)
 	joins := make([]*HashJoin, parts)
 	merge := NewPartitionMerge(parts)
-	handlers := make([][]func([]types.Tuple), parts)
+	handlers := make([][]Sink, parts)
 	for p := 0; p < parts; p++ {
 		ctxs[p] = NewContext()
 		joins[p] = NewHashJoin(ctxs[p], Pipelined, rSchema, sSchema, []int{0}, []int{0}, merge.Sink(p))
-		j := joins[p]
-		handlers[p] = []func([]types.Tuple){
-			j.PushLeftBatch,
-			j.PushRightBatch,
-		}
+		handlers[p] = []Sink{joins[p].LeftSink(), joins[p].RightSink()}
 	}
 	pd := NewParallelDriver(NewContext(), ctxs)
 	pd.Bind(handlers, func(p, step int) {
@@ -47,8 +43,8 @@ func (f *parJoinFixture) leaves(ls, rs []types.Tuple) []*Leaf {
 	scl := f.pd.LeafScatter(0, []int{0})
 	scr := f.pd.LeafScatter(1, []int{0})
 	return []*Leaf{
-		{Provider: source.NewProvider(lrel, nil), PushBatch: scl.PushBatch},
-		{Provider: source.NewProvider(rrel, nil), PushBatch: scr.PushBatch},
+		{Provider: source.NewProvider(lrel, nil), PushBatch: Feed(scl)},
+		{Provider: source.NewProvider(rrel, nil), PushBatch: Feed(scr)},
 	}
 }
 
@@ -65,8 +61,8 @@ func TestParallelDriverJoinMatchesSerial(t *testing.T) {
 	ssink := &collectSink{}
 	sj := NewHashJoin(sctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, ssink)
 	sd := NewDriver(sctx,
-		&Leaf{Provider: source.NewProvider(source.NewRelation("r", rSchema, ls), nil), PushBatch: sj.PushLeftBatch},
-		&Leaf{Provider: source.NewProvider(source.NewRelation("s", sSchema, rs), nil), PushBatch: sj.PushRightBatch},
+		&Leaf{Provider: source.NewProvider(source.NewRelation("r", rSchema, ls), nil), PushBatch: Feed(sj.LeftSink())},
+		&Leaf{Provider: source.NewProvider(source.NewRelation("s", sSchema, rs), nil), PushBatch: Feed(sj.RightSink())},
 	)
 	sd.Run(0, nil)
 	sj.FinishLeft()
@@ -161,33 +157,33 @@ func TestParallelDriverStageSend(t *testing.T) {
 
 	ctxs := make([]*Context, parts)
 	var stage2Got atomic.Int64
-	handlers := make([][]func([]types.Tuple), parts)
+	handlers := make([][]Sink, parts)
 	exchanges := make([]*Exchange, parts)
 	var pd *ParallelDriver
 	for p := 0; p < parts; p++ {
 		p := p
 		ctxs[p] = NewContext()
 		// Stage 2 entry (entry id 1+1=2... entries: leaf=0, stage2=1).
-		stage2 := func(ts []types.Tuple) { stage2Got.Add(int64(len(ts))) }
+		stage2 := SinkFunc(func(ts []types.Tuple, _ int) { stage2Got.Add(int64(len(ts))) })
 		// Stage 1: re-key every row on column 1 (distinct from the leaf
 		// scatter key), exchanging across partitions.
 		exchanges[p] = NewExchange(parts, []int{1}, func(dst int, rows []types.Tuple) {
 			if dst == p {
-				stage2(rows)
+				stage2.Push(rows, 0)
 				return
 			}
 			pd.StageSend(p, dst, 1, rows)
 		})
-		handlers[p] = []func([]types.Tuple){
-			exchanges[p].PushBatch, // entry 0: leaf
-			stage2,                 // entry 1: repartitioned stage
+		handlers[p] = []Sink{
+			exchanges[p], // entry 0: leaf
+			stage2,       // entry 1: repartitioned stage
 		}
 	}
 	pd = NewParallelDriver(NewContext(), ctxs)
 	pd.Bind(handlers, func(int, int) {}, 1)
 	sc := pd.LeafScatter(0, []int{0})
 	rel := source.NewRelation("r", rSchema, ls)
-	leaves := []*Leaf{{Provider: source.NewProvider(rel, nil), PushBatch: sc.PushBatch}}
+	leaves := []*Leaf{{Provider: source.NewProvider(rel, nil), PushBatch: Feed(sc)}}
 	if !pd.Run(leaves, 0, nil) {
 		t.Fatal("run did not exhaust")
 	}
@@ -211,7 +207,7 @@ func BenchmarkPartitionMergeRelease(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink.PushBatch(rows)
+		sink.Push(rows, 0)
 		merge.ReleasePrefix(Discard)
 	}
 	b.StopTimer()
@@ -247,7 +243,7 @@ func TestPartitionMergeEarlyReleaseKeepsTotalOrder(t *testing.T) {
 	run := func(early bool) []string {
 		merge := NewPartitionMerge(parts)
 		var got []string
-		out := SinkFunc(func(ts []types.Tuple) {
+		out := SinkFunc(func(ts []types.Tuple, _ int) {
 			for _, tp := range ts {
 				got = append(got, tp.String())
 			}
@@ -261,7 +257,7 @@ func TestPartitionMergeEarlyReleaseKeepsTotalOrder(t *testing.T) {
 					batch[i] = row(s.push, next[s.push])
 					next[s.push]++
 				}
-				merge.Sink(s.push).PushBatch(batch)
+				merge.Sink(s.push).Push(batch, 0)
 			case s.release && early:
 				merge.ReleasePrefix(out)
 			}

@@ -23,12 +23,13 @@ func BenchmarkPipelinedJoinPush(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		ls, rs := mkRows(b.N)
 		j := NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, Discard)
+		left, right := j.LeftSink(), j.RightSink()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i += batch {
 			end := min(i+batch, b.N)
-			j.PushLeftBatch(ls[i:end])
-			j.PushRightBatch(rs[i:end])
+			left.Push(ls[i:end], 0)
+			right.Push(rs[i:end], 0)
 		}
 	})
 	b.Run("columnar", func(b *testing.B) {
@@ -55,12 +56,13 @@ func BenchmarkPipelinedJoinPush(b *testing.B) {
 	b.Run("batch-wide", func(b *testing.B) {
 		ls, rs := mkWide(b.N)
 		j := NewHashJoin(NewContext(), Pipelined, wl, wr, []int{0}, []int{0}, Discard)
+		left, right := j.LeftSink(), j.RightSink()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i += batch {
 			end := min(i+batch, b.N)
-			j.PushLeftBatch(ls[i:end])
-			j.PushRightBatch(rs[i:end])
+			left.Push(ls[i:end], 0)
+			right.Push(rs[i:end], 0)
 		}
 	})
 	b.Run("columnar-wide", func(b *testing.B) {
@@ -98,12 +100,13 @@ func BenchmarkPipelinedJoinPush(b *testing.B) {
 		}
 		sink := &readSink{}
 		j := NewHashJoin(NewContext(), Pipelined, wl, wr, []int{0}, []int{0}, sink)
-		j.PushRightBatch(rs)
+		left, right := j.LeftSink(), j.RightSink()
+		right.Push(rs, 0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := i % len(ls)
-			j.PushLeftBatch(ls[k : k+1])
+			left.Push(ls[k:k+1], 0)
 		}
 		b.StopTimer()
 		if sink.rows != fan*b.N {
@@ -120,7 +123,7 @@ type readSink struct {
 
 func (s *readSink) CopiesInput() {}
 
-func (s *readSink) PushBatch(ts []types.Tuple) {
+func (s *readSink) Push(ts []types.Tuple, _ int) {
 	for _, t := range ts {
 		s.rows++
 		s.sum += t[len(t)-1].I
@@ -204,10 +207,10 @@ func BenchmarkMergeJoinPush(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i += batch {
 			end := min(i+batch, b.N)
-			if err := m.PushLeftBatch(ls[i:end]); err != nil {
+			if err := m.push(true, ls[i:end]); err != nil {
 				b.Fatal(err)
 			}
-			if err := m.PushRightBatch(rs[i:end]); err != nil {
+			if err := m.push(false, rs[i:end]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -234,7 +237,7 @@ func BenchmarkAggTableAbsorb(b *testing.B) {
 // BenchmarkDeltaPropagation tracks the standing-query maintenance hot
 // paths (PR 10): the z-set join re-probe (a signed batch builds into
 // its side's delta state and probes the opposite side's live + negative
-// tables) and the signed aggregate revision cycle (PushSigned absorb +
+// tables) and the signed aggregate revision cycle (signed Push absorb +
 // EmitRevisionsTo retraction/assertion batches). Both alternate signs so
 // assertion and retraction orderings are exercised every pair of
 // batches. Budgets in scripts/check_allocs.sh: <= 2 allocs/op each,
@@ -245,14 +248,14 @@ func BenchmarkDeltaPropagation(b *testing.B) {
 		dom := int64(max(b.N/4, 4))
 		ls, rs := randTuples(b.N, dom, 7, rRow), randTuples(b.N, dom, 8, sRow)
 		j := NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, Discard)
-		left, right := j.LeftSink().(DeltaSink), j.RightSink().(DeltaSink)
+		left, right := j.LeftSink(), j.RightSink()
 		b.ReportAllocs()
 		b.ResetTimer()
 		sign := 1
 		for i := 0; i < b.N; i += batch {
 			end := min(i+batch, b.N)
-			left.PushSigned(ls[i:end], sign)
-			right.PushSigned(rs[i:end], sign)
+			left.Push(ls[i:end], sign)
+			right.Push(rs[i:end], sign)
 			sign = -sign
 		}
 	})
@@ -269,16 +272,16 @@ func BenchmarkDeltaPropagation(b *testing.B) {
 		agg.EnableMaintenance()
 		sink := discardSink{}
 		// Warm every group so the steady state revises rather than creates.
-		agg.PushSigned(rows, 1)
+		agg.Push(rows, 1)
 		agg.EmitRevisionsTo(sink)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i += 2 * batch {
 			k := (i / (2 * batch)) % (len(rows) / batch)
 			chunk := rows[k*batch : (k+1)*batch]
-			agg.PushSigned(chunk, 1)
+			agg.Push(chunk, 1)
 			agg.EmitRevisionsTo(sink)
-			agg.PushSigned(chunk, -1)
+			agg.Push(chunk, -1)
 			agg.EmitRevisionsTo(sink)
 		}
 	})
