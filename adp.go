@@ -350,26 +350,20 @@ type StandingWindow = engine.StandingWindow
 
 // ---- Direct operator access (advanced) ----------------------------------
 
-// HashJoin is the binary hash-join push operator (pipelined/symmetric,
-// build-then-probe, or nested-loops style).
+// HashJoin is the binary hash-join push operator: the pipelined
+// (symmetric) hash join, which needs no end-of-stream call.
 type HashJoin = exec.HashJoin
 
 // NewHashJoin builds a join node delivering concatenated (left ++ right)
 // tuples to a sink.
 var NewHashJoin = exec.NewHashJoin
 
-// JoinStyle selects the join's iterator module.
+// JoinStyle names the join's iterator module; NewHashJoin takes it.
 type JoinStyle = exec.JoinStyle
 
-// Join styles.
-const (
-	// JoinPipelined is the symmetric (data-availability-driven) hash join.
-	JoinPipelined = exec.Pipelined
-	// JoinBuildThenProbe is the hybrid-hash style.
-	JoinBuildThenProbe = exec.BuildThenProbe
-	// JoinNestedLoops buffers the inner side in a list.
-	JoinNestedLoops = exec.NestedLoops
-)
+// JoinPipelined is the symmetric (data-availability-driven) hash join, the
+// one style there is.
+const JoinPipelined = exec.Pipelined
 
 // ComplementaryJoin is the merge/hash complementary join pair of §5.
 type ComplementaryJoin = core.ComplementaryJoin

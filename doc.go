@@ -129,12 +129,12 @@
 // operator takes batches — HashJoin and MergeJoin (both inputs, via
 // LeftSink/RightSink), the ComplementaryJoin router (which groups
 // consecutive same-destination tuples into sub-batches for its merge and
-// hash components and batches the mini stitch-up's emits), Project,
-// AggTable, WindowPreAgg (whose w=1 mode is the paper's pseudogroup), the
-// partition Exchange and the PartitionMerge — and hands its consumer
-// batches: a join delivers one input batch's (or one drain's) results in
-// one call, a windowed pre-aggregate the partials of the windows one input
-// batch filled, the corrective stitch-up each combination's result vector.
+// hash components and batches the mini stitch-up's emits), AggTable,
+// WindowPreAgg (whose w=1 mode is the paper's pseudogroup), the partition
+// Exchange and the PartitionMerge — and hands its consumer batches: a join
+// delivers one input batch's results in one call, a windowed pre-aggregate
+// the partials of the windows one input batch filled, the corrective
+// stitch-up each combination's result vector.
 // Selections run in the source driver, as each leaf's predicate, and the
 // driver groups consecutive already-available tuples from the same source
 // into batches. How a stream is cut into batches never shows in rows or

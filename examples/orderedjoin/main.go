@@ -57,8 +57,6 @@ func runHash(li, ord *adp.Relation, lKey, oKey []int) float64 {
 			k++
 		}
 	}
-	j.FinishLeft()
-	j.FinishRight()
 	if n != len(li.Rows) {
 		log.Fatalf("hash join produced %d rows, want %d", n, len(li.Rows))
 	}

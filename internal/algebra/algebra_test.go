@@ -216,24 +216,6 @@ func TestGroupSchemaPartialAvgExpansion(t *testing.T) {
 	}
 }
 
-func TestProjectPlan(t *testing.T) {
-	f := relRef("F", "fid", "from")
-	p, err := NewProject(NewScan(f), []string{"F.from"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Schema().Len() != 1 || p.Rels()[0] != "F" {
-		t.Error("project plan wrong")
-	}
-	if p.Key() != "π"+CanonKey([]string{"F"}) {
-		t.Error("project key wrong")
-	}
-	_ = p.String()
-	if _, err := NewProject(NewScan(f), []string{"zzz"}); err == nil {
-		t.Error("bad projection should error")
-	}
-}
-
 func TestCombinationsMatchesCount(t *testing.T) {
 	for _, tc := range []struct{ m, n int }{{2, 2}, {3, 2}, {3, 3}, {4, 3}, {1, 5}} {
 		var got int

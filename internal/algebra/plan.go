@@ -60,12 +60,11 @@ type JoinPlan struct {
 // JoinAlgorithm selects the physical join operator.
 type JoinAlgorithm string
 
-// Physical join algorithms; plan lowering rejects the complementary pair
-// (core.ComplementaryJoin builds it by hand).
+// Physical join algorithms. Plan lowering knows the pipelined hash join
+// alone; it rejects the complementary pair (core.ComplementaryJoin builds it
+// by hand).
 const (
 	JoinPipelinedHash JoinAlgorithm = "pipelined-hash"
-	JoinHybridHash    JoinAlgorithm = "hybrid-hash"
-	JoinNestedLoops   JoinAlgorithm = "nested-loops"
 	JoinComplementary JoinAlgorithm = "complementary" // merge+hash pair (§5)
 )
 
@@ -232,35 +231,6 @@ func (p *GroupPlan) String() string {
 	return fmt.Sprintf("%s[%s](%s)(%s)", kind, strings.Join(p.GroupBy, ","), strings.Join(aggs, ","), p.Input)
 }
 
-// ProjectPlan trims/reorders output columns of SPJ queries.
-type ProjectPlan struct {
-	Input  Plan
-	Cols   []string
-	schema *types.Schema
-}
-
-// NewProject builds a projection node; unresolvable columns error.
-func NewProject(input Plan, cols []string) (*ProjectPlan, error) {
-	s, err := input.Schema().Project(cols)
-	if err != nil {
-		return nil, err
-	}
-	return &ProjectPlan{Input: input, Cols: cols, schema: s}, nil
-}
-
-// Schema implements Plan.
-func (p *ProjectPlan) Schema() *types.Schema { return p.schema }
-
-// Rels implements Plan.
-func (p *ProjectPlan) Rels() []string { return p.Input.Rels() }
-
-// Key implements Plan.
-func (p *ProjectPlan) Key() string { return "π" + p.Input.Key() }
-
-func (p *ProjectPlan) String() string {
-	return fmt.Sprintf("π[%s](%s)", strings.Join(p.Cols, ","), p.Input)
-}
-
 // CollectJoins returns the join nodes of a plan in execution (bottom-up,
 // left-deep-first) order.
 func CollectJoins(p Plan) []*JoinPlan {
@@ -273,8 +243,6 @@ func CollectJoins(p Plan) []*JoinPlan {
 			walk(v.Right)
 			out = append(out, v)
 		case *GroupPlan:
-			walk(v.Input)
-		case *ProjectPlan:
 			walk(v.Input)
 		}
 	}

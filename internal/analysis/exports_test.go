@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,8 @@ var keptWithoutCaller = map[string]string{
 	"ivm.SortedRows":           "the tests of ivm and core compare folded views with it",
 	"ivm.Multiset.Negative":    "the tests of ivm, core and engine read a view's negative multiplicities with it",
 	"source.MustDeltaProvider": "the maintenance tests of core build delta providers with it",
+	"source.SortednessAsc":     "the tests of source and datagen measure how ordered a relation is with it",
+	"opt.CostPlan":             "the tests of opt price a given plan on a fresh planner with it; the monitor reuses its planner",
 
 	// How tests observe live state.
 	"stats.Histogram.EstimateEq":            "how the tests observe a live §4.5 histogram",
@@ -34,6 +37,9 @@ var keptWithoutCaller = map[string]string{
 	"exec.ParallelDriver.PartitionContexts": "how the parallel tests read each partition's clock",
 	"exec.PartitionMerge.Released":          "how the merge tests count released rows",
 	"server.Server.Draining":                "how the drain test waits for the server to stop admitting",
+
+	// The test-support package, which only tests import.
+	"analysis/analysistest.Run": "the analyzer tests run their testdata corpora through it",
 
 	// Entry points that tests drive in place of the engine's own caller.
 	"core.LowerPartitioned":           "the tree and parallel-aggregation tests lower onto a bare PartitionMerge with it",
@@ -51,15 +57,18 @@ var keptWithoutCaller = map[string]string{
 
 // TestEveryExportHasACaller keeps dead exports from creeping back: every
 // exported top-level function and method declared under internal/ must be
-// named by some identifier, other than its own declaration, in a non-test
-// .go file of the repository — benchmark/, cmd/ and examples/ included —
-// or be listed in keptWithoutCaller with its reason.
+// named, other than by its own declaration, in a non-test .go file of the
+// repository — benchmark/, cmd/ and examples/ included — or be listed in
+// keptWithoutCaller with its reason.
 //
-// Matching is by name alone, not by resolved object. A name shared with
-// another identifier (a method called String, Len or Push, a field, a
-// local) therefore counts as called even when the export itself is not:
-// the test under-reports, and it never reports an export that has a
-// caller.
+// A top-level function is named by a selector pkg.Name whose pkg is the
+// file's name for the declaring package's import, or by the bare Name in a
+// file of the declaring package itself: a call of exec.Foo does not name
+// algebra.Foo. Methods are matched by name alone, not by resolved
+// object: a method name shared with another identifier (a method called
+// String, Len or Push, a field, a local) counts as called even when the
+// method itself is not. Either way the test may under-report, and it never
+// reports an export that has a caller.
 func TestEveryExportHasACaller(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -70,7 +79,8 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	declared := map[string]string{} // key -> name
-	mentioned := map[string]bool{}
+	mentioned := map[string]bool{}  // method names
+	named := map[string]bool{}      // package-qualified function keys
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -90,6 +100,19 @@ func TestEveryExportHasACaller(t *testing.T) {
 		}
 		rel, _ := filepath.Rel(root, filepath.Dir(path))
 		pkg, inInternal := strings.CutPrefix(filepath.ToSlash(rel), "internal/")
+		imports := map[string]string{} // file's import name -> path under internal/
+		for _, spec := range f.Imports {
+			ipath, _ := strconv.Unquote(spec.Path.Value)
+			ipkg, ok := strings.CutPrefix(ipath, modulePath+"/internal/")
+			if !ok {
+				continue
+			}
+			name := ipkg[strings.LastIndex(ipkg, "/")+1:]
+			if spec.Name != nil {
+				name = spec.Name.Name
+			}
+			imports[name] = ipkg
+		}
 		decls := map[*ast.Ident]bool{}
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -103,9 +126,22 @@ func TestEveryExportHasACaller(t *testing.T) {
 			}
 			declared[key] = fd.Name.Name
 		}
+		sels := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !decls[id] {
-				mentioned[id.Name] = true
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				sels[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					named[imports[x.Name]+"."+n.Sel.Name] = true
+				}
+			case *ast.Ident:
+				if decls[n] {
+					break
+				}
+				mentioned[n.Name] = true
+				if inInternal && !sels[n] {
+					named[pkg+"."+n.Name] = true
+				}
 			}
 			return true
 		})
@@ -118,8 +154,14 @@ func TestEveryExportHasACaller(t *testing.T) {
 		t.Fatal("no exported function found under internal/")
 	}
 	var dead []string
+	called := func(key, name string) bool {
+		if strings.Count(key, ".") == 1 {
+			return named[key]
+		}
+		return mentioned[name]
+	}
 	for key, name := range declared {
-		if !mentioned[name] && keptWithoutCaller[key] == "" {
+		if !called(key, name) && keptWithoutCaller[key] == "" {
 			dead = append(dead, key)
 		}
 	}
@@ -130,11 +172,14 @@ func TestEveryExportHasACaller(t *testing.T) {
 	for key := range keptWithoutCaller {
 		if name, ok := declared[key]; !ok {
 			t.Errorf("keptWithoutCaller lists %s, which is not declared", key)
-		} else if mentioned[name] {
+		} else if called(key, name) {
 			t.Errorf("keptWithoutCaller lists %s, which now has a caller", key)
 		}
 	}
 }
+
+// modulePath is the import path of the repository's root module.
+const modulePath = "github.com/tukwila/adp"
 
 // recvName returns the type name of a method receiver, without pointer or
 // type parameters.

@@ -80,8 +80,6 @@ func runFig5Cell(li, ord *source.Relation, strat string) (*Fig5Result, error) {
 			&exec.Leaf{Provider: op, PushBatch: exec.Feed(j.RightSink())},
 		)
 		d.Run(0, nil)
-		j.FinishLeft()
-		j.FinishRight()
 		res.HashOut = j.Counters().Out
 		res.HashRouted = j.Counters().In
 	case "comp", "comp+pq":

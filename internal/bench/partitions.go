@@ -64,8 +64,6 @@ func runPartitionedJoin(parts int, ls, rs []types.Tuple) (out int64, virtual flo
 			&exec.Leaf{Provider: source.NewProvider(rrel, nil), PushBatch: exec.Feed(j.RightSink())},
 		)
 		d.Run(0, nil)
-		j.FinishLeft()
-		j.FinishRight()
 		return n, exec.Seconds(ctx.Clock.Now), time.Since(start)
 	}
 
@@ -80,10 +78,7 @@ func runPartitionedJoin(parts int, ls, rs []types.Tuple) (out int64, virtual flo
 	}
 	driverCtx := exec.NewContext()
 	pd := exec.NewParallelDriver(driverCtx, ctxs)
-	pd.Bind(handlers, func(p, step int) {
-		joins[p].FinishLeft()
-		joins[p].FinishRight()
-	}, 1)
+	pd.Bind(handlers, nil, 0)
 	pd.Run([]*exec.Leaf{
 		{Provider: source.NewProvider(lrel, nil), PushBatch: exec.Feed(pd.LeafScatter(0, []int{0}))},
 		{Provider: source.NewProvider(rrel, nil), PushBatch: exec.Feed(pd.LeafScatter(1, []int{0}))},

@@ -180,7 +180,7 @@ func (c *ComplementaryJoin) routeRun(ts []types.Tuple, left bool) {
 	deliver(ts[start:], toMerge)
 }
 
-// Finish drains the reorder buffers, closes both joins, and performs the
+// Finish drains the reorder buffers, closes the merge join, and performs the
 // mini stitch-up: h(L)hash ⋈ h(R)merge and h(L)merge ⋈ h(R)hash, choosing
 // scan/probe sides by size as the stitch-up join does (§3.4.3).
 func (c *ComplementaryJoin) Finish() {
@@ -200,8 +200,6 @@ func (c *ComplementaryJoin) Finish() {
 	}
 	c.merge.FinishLeft()
 	c.merge.FinishRight()
-	c.hash.FinishLeft()
-	c.hash.FinishRight()
 
 	hashL, hashR := c.hash.Tables()
 	mergeL, mergeR := c.merge.Tables()

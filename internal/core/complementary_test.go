@@ -155,8 +155,6 @@ func TestComplementaryFasterThanHashOnSorted(t *testing.T) {
 			k++
 		}
 	}
-	hj.FinishLeft()
-	hj.FinishRight()
 
 	pairCtx := exec.NewContext()
 	cj := NewComplementaryJoin(pairCtx, lSchema, oSchema, []int{0}, []int{0}, 0, exec.Discard)

@@ -812,8 +812,6 @@ func planHasPreAgg(p algebra.Plan) bool {
 		return planHasPreAgg(v.Left) || planHasPreAgg(v.Right)
 	case *algebra.GroupPlan:
 		return v.Partial || planHasPreAgg(v.Input)
-	case *algebra.ProjectPlan:
-		return planHasPreAgg(v.Input)
 	default:
 		return false
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/opt"
 	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/types"
@@ -18,8 +17,7 @@ import (
 // whose layout that commit changes and that no benchmark workload reaches:
 // both plan-partitioning stages (the one strategy that wired columnar leaf
 // entries), trees with a blocking or a windowed pre-aggregate under Static
-// and under Corrective with forced switching, and trees of hybrid-hash and
-// of nested-loops joins. A leg pins the result rows in order, every counter
+// and under Corrective with forced switching. A leg pins the result rows in order, every counter
 // of the Report, the phases and the virtual clock, with ==. The clocks were
 // rounded to the nanosecond once virtual time became integer nanoseconds, so
 // the order in which a clock adds its charges no longer shows.
@@ -29,9 +27,6 @@ type layoutLeg struct {
 	name string
 	spj  bool
 	o    func(fx parAggFixture) Options
-	// algorithm, when set, replaces the join algorithm of every join of the
-	// optimizer's plan, which then runs as Options.InitialPlan.
-	algorithm algebra.JoinAlgorithm
 }
 
 func layoutLegs() []layoutLeg {
@@ -55,9 +50,6 @@ func layoutLegs() []layoutLeg {
 		{name: "blocking/corrective", o: corrective(opt.PreAggTraditional)},
 		{name: "windowed/static", o: static(opt.PreAggWindowed)},
 		{name: "windowed/corrective", o: corrective(opt.PreAggWindowed)},
-		{name: "hybrid-hash/spj", spj: true, o: static(opt.PreAggNone), algorithm: algebra.JoinHybridHash},
-		{name: "hybrid-hash/agg", o: static(opt.PreAggNone), algorithm: algebra.JoinHybridHash},
-		{name: "nested-loops/spj", spj: true, o: static(opt.PreAggNone), algorithm: algebra.JoinNestedLoops},
 	}
 }
 
@@ -73,16 +65,6 @@ func layoutRun(t *testing.T, leg layoutLeg, parts int) *Report {
 	}
 	o := leg.o(fx)
 	o.Partitions = parts
-	if leg.algorithm != "" {
-		best, err := opt.Optimize(opt.Inputs{Query: &q, Known: fx.known})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, j := range algebra.CollectJoins(best.Root) {
-			j.Algorithm = leg.algorithm
-		}
-		o.InitialPlan = best.Root
-	}
 	rels := map[string]*source.Relation{}
 	for name, p := range fx.cat().Providers {
 		rels[name] = source.NewRelation(name, p.Schema(), drainProvider(p))
@@ -172,18 +154,6 @@ var layoutSerialGoldens = map[string]layoutGolden{
 		counts: "rows=468/468:dbbb36658871b87e switches=1 combos=6 reused=0 discarded=78 phases=[a23c56360ea076cc 400][51adc8c7d99444e9 3733]",
 		clocks: []float64{0.0473839, 0.0334298, 0.0232411, 0.0016635, 0.0223389},
 	},
-	"hybrid-hash/spj": {
-		counts: "rows=3208/3208:571a66554581fef9 switches=0 combos=0 reused=0 discarded=0 phases=[e471e1478f2f6c1d 4133]",
-		clocks: []float64{0.0781345, 0.0582665, 0.0, 0.0781345},
-	},
-	"hybrid-hash/agg": {
-		counts: "rows=468/468:dbbb36658871b87e switches=0 combos=0 reused=0 discarded=0 phases=[e471e1478f2f6c1d 4133]",
-		clocks: []float64{0.0798789, 0.0600109, 0.0, 0.0797385},
-	},
-	"nested-loops/spj": {
-		counts: "rows=3208/3208:08bc264e828fb365 switches=0 combos=0 reused=0 discarded=0 phases=[b14cf95882b3d57b 4133]",
-		clocks: []float64{1.2882124, 1.2881247, 0.0, 1.2882124},
-	},
 }
 
 var layoutParallelGoldens = map[string]string{
@@ -199,12 +169,6 @@ var layoutParallelGoldens = map[string]string{
 	"windowed/static/P=4":     "rows=468/468:a77ce799be0d0d6c switches=0 combos=0 reused=0 discarded=0 phases=[a23c56360ea076cc 4133]",
 	"windowed/corrective/P=2": "rows=468/468:db1c9a3d5ff73ffa switches=1 combos=6 reused=0 discarded=69 phases=[a23c56360ea076cc 400][51adc8c7d99444e9 3733]",
 	"windowed/corrective/P=4": "rows=468/468:db1c9a3d5ff73ffa switches=1 combos=6 reused=0 discarded=146 phases=[a23c56360ea076cc 600][51adc8c7d99444e9 3533]",
-	"hybrid-hash/spj/P=2":     "rows=3208/3208:d22e6c7a47bb1c9f switches=0 combos=0 reused=0 discarded=0 phases=[e471e1478f2f6c1d 4133]",
-	"hybrid-hash/spj/P=4":     "rows=3208/3208:d22e6c7a47bb1c9f switches=0 combos=0 reused=0 discarded=0 phases=[e471e1478f2f6c1d 4133]",
-	"hybrid-hash/agg/P=2":     "rows=468/468:db1c9a3d5ff73ffa switches=0 combos=0 reused=0 discarded=0 phases=[e471e1478f2f6c1d 4133]",
-	"hybrid-hash/agg/P=4":     "rows=468/468:db1c9a3d5ff73ffa switches=0 combos=0 reused=0 discarded=0 phases=[e471e1478f2f6c1d 4133]",
-	"nested-loops/spj/P=2":    "rows=3208/3208:d22e6c7a47bb1c9f switches=0 combos=0 reused=0 discarded=0 phases=[b14cf95882b3d57b 4133]",
-	"nested-loops/spj/P=4":    "rows=3208/3208:d22e6c7a47bb1c9f switches=0 combos=0 reused=0 discarded=0 phases=[b14cf95882b3d57b 4133]",
 }
 
 // TestLayoutGoldensSerial: rows in order, counters, phases and clocks of

@@ -260,7 +260,7 @@ func collisionFactor(trees []*Tree) float64 {
 		for _, j := range tree.Joins {
 			l, r := j.Node.Tables()
 			for _, ht := range []*state.HashTable{l, r} {
-				if ht == nil || ht.Buckets() == 0 {
+				if ht.Buckets() == 0 {
 					continue
 				}
 				chain := float64(ht.Len()) / float64(ht.Buckets())

@@ -12,11 +12,11 @@ import (
 )
 
 // TestSignedChainReachesRoot holds core's sinks to the one sink contract
-// that exec's TestInsertOnlySignedMatchesPlain and
-// TestProjectDeltaSignPassthrough pin for exec's: a signed batch pushed into
-// a join side reaches a maintained root — the aggregate through aggSink, an
-// SPJ run's rootSink — through Project, teeSink and forwardSink with its
-// sign intact, and teeSink materializes unsigned batches only. listSink,
+// that exec's TestInsertOnlySignedMatchesPlain pins for exec's: a signed
+// batch pushed into a join side reaches a maintained root — the aggregate
+// through aggSink, an SPJ run's rootSink, which projects — through teeSink
+// and forwardSink with its sign intact, and teeSink materializes unsigned
+// batches only. listSink,
 // which no maintenance tree reaches, takes +1 as it takes 0 and refuses a
 // retraction.
 func TestSignedChainReachesRoot(t *testing.T) {
@@ -25,19 +25,14 @@ func TestSignedChainReachesRoot(t *testing.T) {
 		types.Column{Name: "A.v", Kind: types.KindInt})
 	b := types.NewSchema(types.Column{Name: "B.k", Kind: types.KindInt})
 	joined := a.Concat(b)
-	proj := types.NewSchema(joined.Cols[1], joined.Cols[0]) // (A.v, A.k)
-	toProj, err := types.NewAdapter(joined, proj)
-	if err != nil {
-		t.Fatal(err)
-	}
 	aRow := func(k, v int64) types.Tuple { return types.Tuple{types.Int(k), types.Int(v)} }
 	bRows := []types.Tuple{{types.Int(1)}, {types.Int(2)}}
-	// chain wires join side → Project → teeSink → forwardSink → root and
-	// pushes the same churn into it: two assertions, then one retraction.
+	// chain wires join side → teeSink → forwardSink → root and pushes the
+	// same churn into it: two assertions, then one retraction.
 	chain := func(ctx *exec.Context, root exec.Sink) *TreeJoin {
-		tj := &TreeJoin{ResultBuf: state.NewList(proj)}
+		tj := &TreeJoin{ResultBuf: state.NewList(joined)}
 		tee := &teeSink{join: tj, out: &forwardSink{out: root}}
-		j := exec.NewHashJoin(ctx, exec.Pipelined, a, b, []int{0}, []int{0}, exec.NewProject(ctx, toProj, tee))
+		j := exec.NewHashJoin(ctx, exec.Pipelined, a, b, []int{0}, []int{0}, tee)
 		j.RightSink().Push(bRows, 1)
 		j.LeftSink().Push([]types.Tuple{aRow(1, 10), aRow(2, 3), aRow(1, 5)}, 1)
 		j.LeftSink().Push([]types.Tuple{aRow(1, 10)}, -1)
@@ -49,7 +44,7 @@ func TestSignedChainReachesRoot(t *testing.T) {
 
 	t.Run("aggregate", func(t *testing.T) {
 		ctx := exec.NewContext()
-		in := types.NewSchema(proj.Cols[1], proj.Cols[0]) // (A.k, A.v)
+		in := types.NewSchema(joined.Cols[0], joined.Cols[1]) // (A.k, A.v)
 		agg, err := exec.NewAggTable(ctx, in, []string{"A.k"}, []algebra.AggSpec{
 			{Kind: algebra.AggSum, Arg: expr.Column("A.v"), As: "s"},
 			{Kind: algebra.AggCount, As: "n"},
@@ -58,7 +53,7 @@ func TestSignedChainReachesRoot(t *testing.T) {
 			t.Fatal(err)
 		}
 		agg.EnableMaintenance()
-		ad, err := types.NewAdapter(proj, in)
+		ad, err := types.NewAdapter(joined, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +67,8 @@ func TestSignedChainReachesRoot(t *testing.T) {
 
 	t.Run("spj", func(t *testing.T) {
 		ctx := exec.NewContext()
-		ad, err := types.NewAdapter(proj, proj)
+		proj := types.NewSchema(joined.Cols[1], joined.Cols[0]) // (A.v, A.k)
+		ad, err := types.NewAdapter(joined, proj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +87,7 @@ func TestSignedChainReachesRoot(t *testing.T) {
 	})
 
 	t.Run("tee materializes unsigned rows", func(t *testing.T) {
-		tj := &TreeJoin{ResultBuf: state.NewList(proj)}
+		tj := &TreeJoin{ResultBuf: state.NewList(a)}
 		var fwd []int
 		(&teeSink{join: tj, out: &forwardSink{out: exec.SinkFunc(func(ts []types.Tuple, sign int) {
 			fwd = append(fwd, sign)

@@ -45,14 +45,16 @@ type Tree struct {
 	// Joins lists join nodes bottom-up.
 	Joins []*TreeJoin
 	// leaves maps a base relation whose scan feeds a join side directly to
-	// that side (see LeafLists). Relations under a pre-aggregate, a
-	// projection or a partition boundary are absent.
+	// that side (see LeafLists). Relations under a pre-aggregate or a
+	// partition boundary are absent.
 	leaves map[string]leafLister
 	// PreAggWindow is the adjustable-window pre-aggregation operator if
 	// the plan contains one.
 	PreAggWindow *exec.WindowPreAgg
 	// HasPreAgg reports that output tuples are in partial layout.
 	HasPreAgg bool
+	// finishers flush the pre-aggregates, each after every one below it: a
+	// pipelined join has nothing to do at end of stream.
 	finishers []func()
 	// reuse materializes every join output below the root for stitch-up
 	// (see lower); nrels is the plan's relation count, which only the root
@@ -95,10 +97,10 @@ func (b *blockingPreAgg) flush() {
 }
 
 // Lower compiles an optimizer plan tree into an executable push pipeline
-// delivering root tuples to out. Join nodes default to the pipelined
-// (data-availability-driven) style, the configuration all experiments use
-// ("most data integration systems almost exclusively rely on pipelined
-// hash joins", §3.4). Nothing is materialized beyond the operators' own
+// delivering root tuples to out. Every join node is a pipelined
+// (data-availability-driven) hash join, the configuration all experiments
+// use ("most data integration systems almost exclusively rely on pipelined
+// hash joins", §3.4); any other join algorithm is rejected. Nothing is materialized beyond the operators' own
 // state: the tree of a plan that runs alone (a static run, a maintenance
 // tree built after the initial run, either plan-partitioning stage) has no
 // later reader.
@@ -165,14 +167,7 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		if err != nil {
 			return err
 		}
-		style := exec.Pipelined
-		switch v.Algorithm {
-		case "", algebra.JoinPipelinedHash:
-		case algebra.JoinHybridHash:
-			style = exec.BuildThenProbe
-		case algebra.JoinNestedLoops:
-			style = exec.NestedLoops
-		default:
+		if v.Algorithm != "" && v.Algorithm != algebra.JoinPipelinedHash {
 			return fmt.Errorf("core: cannot lower join algorithm %q", v.Algorithm)
 		}
 		tj := &TreeJoin{Key: v.Key(), Rels: v.Rels(), Preds: v.Preds}
@@ -188,7 +183,7 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 			el /= float64(t.par.pt.P)
 			er /= float64(t.par.pt.P)
 		}
-		node := exec.NewHashJoinSized(t.ctx, style, v.Left.Schema(), v.Right.Schema(), lk, rk, el, er, out)
+		node := exec.NewHashJoinSized(t.ctx, v.Left.Schema(), v.Right.Schema(), lk, rk, el, er, out)
 		tj.Node = node
 		leftIn, err := t.boundarySink(v.Left, lk, node.LeftSink())
 		if err != nil {
@@ -205,10 +200,6 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 			return err
 		}
 		t.Joins = append(t.Joins, tj)
-		t.finishers = append(t.finishers, func() {
-			node.FinishLeft()
-			node.FinishRight()
-		})
 		return nil
 
 	case *algebra.GroupPlan:
@@ -233,10 +224,6 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 			if err := t.build(v.Input, in); err != nil {
 				return err
 			}
-			// Child-before-parent order: the pre-agg's flush must run
-			// before any ancestor join's finish, which holds because a
-			// parent join appends its finisher only after its whole
-			// subtree (including this node) has been built.
 			t.finishers = append(t.finishers, pre.Finish)
 			return nil
 		}
@@ -254,13 +241,6 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		}
 		t.finishers = append(t.finishers, b.flush)
 		return nil
-
-	case *algebra.ProjectPlan:
-		ad, err := types.NewAdapter(v.Input.Schema(), v.Schema())
-		if err != nil {
-			return err
-		}
-		return t.build(v.Input, exec.NewProject(t.ctx, ad, out))
 
 	default:
 		return fmt.Errorf("core: cannot lower plan node %T", p)
@@ -290,8 +270,8 @@ func (t *Tree) boundarySink(child algebra.Plan, keyCols []int, down exec.Sink) (
 	return t.par.sink(child, keyCols, down)
 }
 
-// Finish propagates end-of-stream through the tree: pre-aggregates flush
-// first, then joins bottom-up (so drained probes cascade upward).
+// Finish propagates end-of-stream through the tree: its pre-aggregates
+// flush, bottom-up.
 func (t *Tree) Finish() {
 	for _, f := range t.finishers {
 		f()

@@ -46,6 +46,19 @@ func TestLowerSimpleJoin(t *testing.T) {
 	if len(tree.Entry) != 2 || len(tree.Joins) != 1 {
 		t.Fatalf("tree shape wrong: %d entries %d joins", len(tree.Entry), len(tree.Joins))
 	}
+	// A pipelined join has nothing to do at end of stream: a join-only
+	// plan runs no finish step, and its partitioned lowering no broadcast
+	// finish round.
+	if n := tree.FinishSteps(); n != 0 {
+		t.Errorf("FinishSteps = %d, want 0", n)
+	}
+	pt, err := LowerPartitioned(2, nil, res.Root, exec.NewPartitionMerge(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := pt.FinishSteps(); n != 0 {
+		t.Errorf("partitioned FinishSteps = %d, want 0", n)
+	}
 	tree.Entry["A"].Push([]types.Tuple{types.Tuple{types.Int(1), types.Int(10)}}, 0)
 	tree.Entry["B"].Push([]types.Tuple{types.Tuple{types.Int(1)}}, 0)
 	tree.Entry["A"].Push([]types.Tuple{types.Tuple{types.Int(1), types.Int(20)}}, 0)
@@ -94,6 +107,9 @@ func TestLowerWindowedPreAgg(t *testing.T) {
 	}
 	if !tree.HasPreAgg || tree.PreAggWindow == nil {
 		t.Fatal("windowed pre-agg not lowered")
+	}
+	if n := tree.FinishSteps(); n != 1 {
+		t.Errorf("FinishSteps = %d, want 1: the pre-aggregate's flush", n)
 	}
 	// Push repetitive A tuples; the window operator should coalesce.
 	for i := 0; i < 512; i++ {
@@ -154,39 +170,16 @@ func TestLowerRejectsFinalGroupInsideTree(t *testing.T) {
 		j.Algorithm = alg
 		return j
 	}
-	for _, alg := range []algebra.JoinAlgorithm{algebra.JoinComplementary, "merge", "sort-merge"} {
+	for _, alg := range []algebra.JoinAlgorithm{algebra.JoinComplementary, "hybrid-hash", "nested-loops", "merge", "sort-merge"} {
 		_, err := Lower(ctx, join(alg), exec.Discard)
 		if err == nil || !strings.Contains(err.Error(), string(alg)) {
 			t.Errorf("join algorithm %q: err = %v, want a rejection naming it", alg, err)
 		}
 	}
 	for _, alg := range []algebra.JoinAlgorithm{"", algebra.JoinPipelinedHash} {
-		tree, err := Lower(ctx, join(alg), exec.Discard)
-		if err != nil {
-			t.Fatalf("join algorithm %q: %v", alg, err)
+		if _, err := Lower(ctx, join(alg), exec.Discard); err != nil {
+			t.Errorf("join algorithm %q: %v", alg, err)
 		}
-		if style := tree.Joins[0].Node.Style; style != exec.Pipelined {
-			t.Errorf("join algorithm %q lowered as %v, want pipelined-hash", alg, style)
-		}
-	}
-}
-
-func TestLowerProjectNode(t *testing.T) {
-	q := treeFixtureQuery()
-	scan := algebra.NewScan(q.Relations[0])
-	proj, err := algebra.NewProject(scan, []string{"A.v"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := exec.NewContext()
-	var out []types.Tuple
-	tree, err := Lower(ctx, proj, exec.SinkFunc(func(ts []types.Tuple, _ int) { out = append(out, ts...) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree.Entry["A"].Push([]types.Tuple{types.Tuple{types.Int(1), types.Int(42)}}, 0)
-	if len(out) != 1 || out[0][0].I != 42 || len(out[0]) != 1 {
-		t.Errorf("projection wrong: %v", out)
 	}
 }
 

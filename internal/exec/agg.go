@@ -506,8 +506,6 @@ type WindowPreAgg struct {
 	// WindowsFlushed and Coalesced instrument the adaptation policy.
 	WindowsFlushed int
 	Coalesced      int64 // tuples absorbed minus partials emitted
-	// WindowTrace records the window size at each flush (ablation).
-	WindowTrace []int
 }
 
 // NewWindowPreAgg builds the operator with the default policy (initial
@@ -660,7 +658,6 @@ func (w *WindowPreAgg) flush() {
 	ratio := float64(len(w.cur)) / float64(w.curN)
 	w.Coalesced += int64(w.curN - len(w.cur))
 	w.WindowsFlushed++
-	w.WindowTrace = append(w.WindowTrace, w.W)
 	switch {
 	case ratio <= w.GrowBelow:
 		if w.W*2 <= w.MaxW {

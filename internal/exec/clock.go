@@ -1,18 +1,17 @@
 // Package exec implements the physical execution layer: push-based
 // dataflow operators (the "iterator modules" of paper §3.1 recast as push
-// nodes over shared state structures), hash/merge/nested-loops join nodes,
-// blocking and windowed aggregation, pseudogrouping, and the
-// availability-ordered source driver that simulates Tukwila's adaptive
-// operator scheduling over delayed, bursty sources.
+// nodes over shared state structures), the pipelined hash join and the merge
+// join, blocking and windowed aggregation, and the availability-ordered
+// source driver that simulates Tukwila's adaptive operator scheduling over
+// delayed, bursty sources.
 //
 // Concurrency across operators is modelled by a virtual clock: delivering a
 // tuple advances the clock to its arrival time, and each operator charges
 // per-tuple CPU costs. A pipelined (data-availability-driven) join therefore
 // overlaps CPU with I/O gaps exactly the way Tukwila's thread scheduler
-// does, while a blocking join pays its probe CPU after its build input's
-// last arrival. Virtual time is counted in integer nanoseconds, so the
-// charges made between two arrivals sum to the same reading in any order:
-// an operator charges a batch's work once, whenever it suits it. A serial
+// does. Virtual time is counted in integer nanoseconds, so the charges made
+// between two arrivals sum to the same reading in any order: an operator
+// charges a batch's work once, whenever it suits it. A serial
 // run's clock is therefore a function of its input alone; the parallel
 // driver's partition clocks still depend on the order messages reach them
 // (ParallelDriver.FoldClocks).
@@ -55,8 +54,7 @@ func Nanos(sec float64) int64 { return int64(math.Round(sec * 1e9)) }
 // CostModel holds per-operation virtual CPU costs in nanoseconds. The
 // ratios matter more than the absolute values: merge-join comparisons are
 // cheaper than hash probes ("a merge join ... is slightly more efficient
-// than a pipelined hash join", §5), nested-loops comparisons dominate when
-// inner cardinalities are large, and aggregation updates sit between.
+// than a pipelined hash join", §5), and aggregation updates sit between.
 type CostModel struct {
 	HashInsert int64 // insert a tuple into a hash table
 	HashProbe  int64 // probe a hash bucket (per candidate compared)

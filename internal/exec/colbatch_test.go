@@ -45,40 +45,34 @@ func TestColumnarEntryMatchesRows(t *testing.T) {
 			t.Fatalf("%s: clocks differ: %+v vs %+v", name, col.ctx.Clock, row.ctx.Clock)
 		}
 	}
-	for _, style := range []JoinStyle{Pipelined, BuildThenProbe, NestedLoops} {
-		newJoin := func(s side) *HashJoin {
-			return NewHashJoin(s.ctx, style, rSchema, sSchema, []int{0}, []int{0}, s.out)
-		}
-		// PushLeftColBatch / PushRightColBatch.
-		col, row := newSide(), newSide()
-		jc, jr := newJoin(col), newJoin(row)
-		for i := range lbs {
-			jc.PushLeftColBatch(lbs[i])
-			jc.PushRightColBatch(rbs[i])
-			jr.LeftSink().Push(chunk(ls, i), 0)
-			jr.RightSink().Push(chunk(rs, i), 0)
-		}
-		for _, j := range []*HashJoin{jc, jr} {
-			j.FinishLeft()
-			j.FinishRight()
-		}
-		check(t, style.String(), col, row, *jc.Counters(), *jr.Counters())
-
-		// PushDeltaLeft / PushDeltaRight: assert both sides, retract the right.
-		col, row = newSide(), newSide()
-		jc, jr = newJoin(col), newJoin(row)
-		for i := range lbs {
-			jc.PushDeltaLeft(lbs[i], +1)
-			jc.PushDeltaRight(rbs[i], +1)
-			jr.LeftSink().Push(chunk(ls, i), +1)
-			jr.RightSink().Push(chunk(rs, i), +1)
-		}
-		for i := range rbs {
-			jc.PushDeltaRight(rbs[i], -1)
-			jr.RightSink().Push(chunk(rs, i), -1)
-		}
-		check(t, style.String()+"/signed", col, row, *jc.Counters(), *jr.Counters())
+	newJoin := func(s side) *HashJoin {
+		return NewHashJoin(s.ctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, s.out)
 	}
+	// PushLeftColBatch / PushRightColBatch.
+	col, row := newSide(), newSide()
+	jc, jr := newJoin(col), newJoin(row)
+	for i := range lbs {
+		jc.PushLeftColBatch(lbs[i])
+		jc.PushRightColBatch(rbs[i])
+		jr.LeftSink().Push(chunk(ls, i), 0)
+		jr.RightSink().Push(chunk(rs, i), 0)
+	}
+	check(t, "join", col, row, *jc.Counters(), *jr.Counters())
+
+	// PushDeltaLeft / PushDeltaRight: assert both sides, retract the right.
+	col, row = newSide(), newSide()
+	jc, jr = newJoin(col), newJoin(row)
+	for i := range lbs {
+		jc.PushDeltaLeft(lbs[i], +1)
+		jc.PushDeltaRight(rbs[i], +1)
+		jr.LeftSink().Push(chunk(ls, i), +1)
+		jr.RightSink().Push(chunk(rs, i), +1)
+	}
+	for i := range rbs {
+		jc.PushDeltaRight(rbs[i], -1)
+		jr.RightSink().Push(chunk(rs, i), -1)
+	}
+	check(t, "join/signed", col, row, *jc.Counters(), *jr.Counters())
 
 	newAgg := func(s side) *AggTable {
 		a, err := NewAggTable(s.ctx, rSchema, []string{"r.k"}, []algebra.AggSpec{
@@ -91,7 +85,7 @@ func TestColumnarEntryMatchesRows(t *testing.T) {
 		return a
 	}
 	// AggTable.PushColBatch.
-	col, row := newSide(), newSide()
+	col, row = newSide(), newSide()
 	ac, ar := newAgg(col), newAgg(row)
 	for i := range lbs {
 		ac.PushColBatch(lbs[i])
@@ -255,8 +249,6 @@ func TestColumnarAllocsNotWorse(t *testing.T) {
 			j.PushLeftColBatch(lbs[i])
 			j.PushRightColBatch(rbs[i])
 		}
-		j.FinishLeft()
-		j.FinishRight()
 	})
 	t.Logf("allocs/tuple: rows %.3f, columnar %.3f", rows, columnar)
 	// Small tolerance: the columnar path's extra slab arenas amortize to

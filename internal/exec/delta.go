@@ -46,29 +46,28 @@ const errSignBlind = "exec: retraction delta reached a sign-blind Push"
 // first retraction. Negative tables start at the default bucket count —
 // they hold deletions, which the cardinality estimates behind
 // NewHashJoinSized never cover.
-func (j *HashJoin) negTable(i int) *joinTable {
+func (j *HashJoin) negTable(i int) *state.HashTable {
 	in := &j.in[i]
 	if in.neg == nil {
-		in.neg = j.newTable(in.main.list.Schema(), in.key, 0) //adp:alloc-ok first retraction only
+		in.neg = newTable(in.main.List().Schema(), in.key, 0) //adp:alloc-ok first retraction only
 	}
 	return in.neg
 }
 
-// SideLists exposes one side's z-set as the join buffers it, whatever the
-// style. main holds the rows pushed or asserted, in arrival order: the source
-// data a plan must buffer at its leaves (§3.4), which a leaf feeding this
-// side directly shares as its base partition. neg holds the rows retracted
-// (nil until there is one); a maintenance tree built later is warmed from
-// both.
+// SideLists exposes one side's z-set as the join buffers it. main holds the
+// rows pushed or asserted, in arrival order: the source data a plan must
+// buffer at its leaves (§3.4), which a leaf feeding this side directly
+// shares as its base partition. neg holds the rows retracted (nil until
+// there is one); a maintenance tree built later is warmed from both.
 func (j *HashJoin) SideLists(left bool) (main, neg *state.List) {
 	in := &j.in[1]
 	if left {
 		in = &j.in[0]
 	}
 	if in.neg != nil {
-		neg = in.neg.list
+		neg = in.neg.List()
 	}
-	return in.main.list, neg
+	return in.main.List(), neg
 }
 
 // Lists is SideLists of the side this sink feeds.

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -148,7 +147,7 @@ func TestAggDeltaRevisionsColumnar(t *testing.T) {
 	}
 }
 
-func joinFixture(t *testing.T, style JoinStyle, out Sink) (*HashJoin, *types.Schema, *types.Schema) {
+func joinFixture(t *testing.T, out Sink) (*HashJoin, *types.Schema, *types.Schema) {
 	t.Helper()
 	ls := types.NewSchema(
 		types.Column{Name: "L.k", Kind: types.KindInt},
@@ -158,7 +157,7 @@ func joinFixture(t *testing.T, style JoinStyle, out Sink) (*HashJoin, *types.Sch
 		types.Column{Name: "R.k", Kind: types.KindInt},
 		types.Column{Name: "R.b", Kind: types.KindInt},
 	)
-	return NewHashJoin(NewContext(), style, ls, rs, []int{0}, []int{0}, out), ls, rs
+	return NewHashJoin(NewContext(), Pipelined, ls, rs, []int{0}, []int{0}, out), ls, rs
 }
 
 // TestJoinDeltaBothSidesBothSigns: the z-set re-probe rule — inserts
@@ -166,35 +165,33 @@ func joinFixture(t *testing.T, style JoinStyle, out Sink) (*HashJoin, *types.Sch
 // their insertions produced, and a retraction followed by a re-insert of
 // the same row cancels (negative state annihilation).
 func TestJoinDeltaBothSidesBothSigns(t *testing.T) {
-	for _, style := range []JoinStyle{Pipelined, BuildThenProbe, NestedLoops} {
-		var log updateLog
-		j, _, _ := joinFixture(t, style, &log)
-		j.LeftSink().Push(deltaBatch(row(1, 10), row(2, 20)), 1)
-		j.RightSink().Push(deltaBatch(row(1, 100), row(1, 101), row(3, 300)), 1)
-		// Current result: (1,10)×(1,100), (1,10)×(1,101).
-		if got := len(log.net()); got != 2 {
-			t.Fatalf("style %v: net join rows = %d, want 2 (%v)", style, got, log.net())
-		}
-		// Delete one right row: one retraction.
-		j.RightSink().Push(deltaBatch(row(1, 100)), -1)
-		if got := len(log.net()); got != 1 {
-			t.Fatalf("style %v: net after delete = %d, want 1 (%v)", style, got, log.net())
-		}
-		// Delete a left row whose partner is already gone plus re-insert:
-		// net must return to the same single row.
-		j.LeftSink().Push(deltaBatch(row(1, 10)), -1)
-		if got := len(log.net()); got != 0 {
-			t.Fatalf("style %v: net after left delete = %d, want 0", style, got)
-		}
-		j.LeftSink().Push(deltaBatch(row(1, 10)), 1)
-		net := log.net()
-		if len(net) != 1 {
-			t.Fatalf("style %v: net after re-insert = %v", style, net)
-		}
-		for _, cnt := range net {
-			if cnt != 1 {
-				t.Fatalf("style %v: multiplicity = %v", style, net)
-			}
+	var log updateLog
+	j, _, _ := joinFixture(t, &log)
+	j.LeftSink().Push(deltaBatch(row(1, 10), row(2, 20)), 1)
+	j.RightSink().Push(deltaBatch(row(1, 100), row(1, 101), row(3, 300)), 1)
+	// Current result: (1,10)×(1,100), (1,10)×(1,101).
+	if got := len(log.net()); got != 2 {
+		t.Fatalf("net join rows = %d, want 2 (%v)", got, log.net())
+	}
+	// Delete one right row: one retraction.
+	j.RightSink().Push(deltaBatch(row(1, 100)), -1)
+	if got := len(log.net()); got != 1 {
+		t.Fatalf("net after delete = %d, want 1 (%v)", got, log.net())
+	}
+	// Delete a left row whose partner is already gone plus re-insert:
+	// net must return to the same single row.
+	j.LeftSink().Push(deltaBatch(row(1, 10)), -1)
+	if got := len(log.net()); got != 0 {
+		t.Fatalf("net after left delete = %d, want 0", got)
+	}
+	j.LeftSink().Push(deltaBatch(row(1, 10)), 1)
+	net := log.net()
+	if len(net) != 1 {
+		t.Fatalf("net after re-insert = %v", net)
+	}
+	for _, cnt := range net {
+		if cnt != 1 {
+			t.Fatalf("multiplicity = %v", net)
 		}
 	}
 }
@@ -203,7 +200,7 @@ func TestJoinDeltaBothSidesBothSigns(t *testing.T) {
 // probe hits; deleting one duplicate removes exactly one hit's worth.
 func TestJoinDeltaDuplicateMultiplicity(t *testing.T) {
 	var log updateLog
-	j, _, _ := joinFixture(t, Pipelined, &log)
+	j, _, _ := joinFixture(t, &log)
 	dup := row(1, 10)
 	j.LeftSink().Push(deltaBatch(dup, dup.Clone()), 1)
 	j.RightSink().Push(deltaBatch(row(1, 100)), 1)
@@ -217,96 +214,6 @@ func TestJoinDeltaDuplicateMultiplicity(t *testing.T) {
 		if cnt != 1 {
 			t.Fatalf("one delete must remove one occurrence: %v", log.net())
 		}
-	}
-}
-
-// TestProjectDeltaSignPassthrough: a unary operator forwards signs
-// untouched and applies identical row logic to both polarities, into every
-// exec sink that keeps signed state.
-func TestProjectDeltaSignPassthrough(t *testing.T) {
-	s := types.NewSchema(
-		types.Column{Name: "A.k", Kind: types.KindInt},
-		types.Column{Name: "A.v", Kind: types.KindInt},
-	)
-	ad, err := types.NewAdapter(s, types.NewSchema(s.Cols[1], s.Cols[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log updateLog
-	p := NewProject(NewContext(), ad, &log)
-	p.Push(deltaBatch(row(1, 10), row(2, 3)), 1)
-	p.Push(deltaBatch(row(1, 10)), -1)
-	if len(log.rows) != 3 || log.signs[0] != 1 || log.signs[1] != 1 || log.signs[2] != -1 {
-		t.Fatalf("project must pass every row with its sign: %v %v", log.rows, log.signs)
-	}
-	net := log.net()
-	if len(net) != 1 || net[row(3, 2).String()] != 1 {
-		t.Fatalf("projected churn must leave the permuted (2, 3): %v", net)
-	}
-
-	// The same churn through a projection into each sink that keeps signed
-	// state nets what pushing the projected rows into the sink directly nets:
-	// the sign arrives intact. Discard drops both polarities.
-	pad, err := types.NewAdapter(rSchema, types.NewSchema(rSchema.Cols[1], rSchema.Cols[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn := []struct {
-		rows []types.Tuple
-		sign int
-	}{{deltaBatch(rRow(1, 10), rRow(2, 3)), 1}, {deltaBatch(rRow(1, 10)), -1}}
-	sinks := []struct {
-		name string
-		// wire returns a sink over the projected layout and its net result.
-		wire func(t *testing.T, ctx *Context) (Sink, func() map[string]int)
-	}{
-		{"log", func(t *testing.T, ctx *Context) (Sink, func() map[string]int) {
-			out := &updateLog{}
-			return out, out.net
-		}},
-		{"join side", func(t *testing.T, ctx *Context) (Sink, func() map[string]int) {
-			out := &updateLog{}
-			j := NewHashJoin(ctx, Pipelined, pad.To(), sSchema, []int{1}, []int{0}, out)
-			j.RightSink().Push(deltaBatch(sRow(1, 0), sRow(2, 0)), 1)
-			return j.LeftSink(), out.net
-		}},
-		{"maintained agg", func(t *testing.T, ctx *Context) (Sink, func() map[string]int) {
-			a, err := NewAggTable(ctx, pad.To(), []string{"r.k"}, []algebra.AggSpec{
-				{Kind: algebra.AggSum, Arg: expr.Column("r.a"), As: "sm"},
-				{Kind: algebra.AggCount, As: "ct"},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.EnableMaintenance()
-			return a, func() map[string]int {
-				out := &updateLog{}
-				a.EmitRevisionsTo(out)
-				return out.net()
-			}
-		}},
-		{"discard", func(t *testing.T, ctx *Context) (Sink, func() map[string]int) {
-			return Discard, func() map[string]int { return map[string]int{} }
-		}},
-	}
-	for _, c := range sinks {
-		t.Run(c.name, func(t *testing.T) {
-			via, viaNet := c.wire(t, NewContext())
-			direct, directNet := c.wire(t, NewContext())
-			p := NewProject(NewContext(), pad, via)
-			for _, b := range churn {
-				p.Push(b.rows, b.sign)
-				projected := make([]types.Tuple, len(b.rows))
-				for i, r := range b.rows {
-					projected[i] = pad.Adapt(r)
-				}
-				direct.Push(projected, b.sign)
-			}
-			got, want := viaNet(), directNet()
-			if fmt.Sprint(got) != fmt.Sprint(want) || (len(want) == 0) != (c.name == "discard") {
-				t.Fatalf("through the projection %v, pushed directly %v", got, want)
-			}
-		})
 	}
 }
 
@@ -337,25 +244,6 @@ func TestInsertOnlySignedMatchesPlain(t *testing.T) {
 		{name: "join/pipelined", build: func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
 			j := NewHashJoin(ctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, out)
 			return []Sink{j.LeftSink(), j.RightSink()}, j.Counters(), nil
-		}},
-		{name: "join/build-then-probe-after-finish", build: func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
-			j := NewHashJoin(ctx, BuildThenProbe, rSchema, sSchema, []int{0}, []int{0}, out)
-			j.RightSink().Push(rs, 0)
-			j.FinishLeft()
-			j.FinishRight()
-			return []Sink{j.LeftSink()}, j.Counters(), nil
-		}},
-		{name: "join/nested-loops", build: func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
-			j := NewHashJoin(ctx, NestedLoops, rSchema, sSchema, []int{0}, []int{0}, out)
-			return []Sink{j.LeftSink(), j.RightSink()}, j.Counters(), nil
-		}},
-		{name: "project", build: func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
-			ad, err := types.NewAdapter(rSchema, types.NewSchema(rSchema.Cols[1], rSchema.Cols[0]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := NewProject(ctx, ad, out)
-			return []Sink{p}, p.Counters(), nil
 		}},
 		{name: "agg/maintenance", build: func(t *testing.T, ctx *Context, out Sink) ([]Sink, *stats.OpCounters, func()) {
 			a, err := NewAggTable(ctx, rSchema, []string{"r.k"}, []algebra.AggSpec{

@@ -71,39 +71,31 @@ func runJoinBothSides(j *HashJoin, ls, rs []types.Tuple, interleave bool) {
 		for _, r := range rs {
 			j.RightSink().Push(one(r), 0)
 		}
-		j.FinishRight()
 		for _, l := range ls {
 			j.LeftSink().Push(one(l), 0)
 		}
 	}
-	j.FinishLeft()
-	j.FinishRight()
 }
 
+// TestJoinStylesAgree: the join's output does not depend on whether its
+// inputs interleave or one arrives whole before the other.
 func TestJoinStylesAgree(t *testing.T) {
 	ls := randTuples(300, 50, 1, rRow)
 	rs := randTuples(200, 50, 2, sRow)
 	want := joinReference(ls, rs)
-	for _, style := range []JoinStyle{Pipelined, BuildThenProbe, NestedLoops} {
-		for _, interleave := range []bool{true, false} {
-			if style == BuildThenProbe && interleave {
-				// build side must complete; interleaved pushes are
-				// buffered — still correct, exercised below.
-				_ = style
-			}
-			ctx := NewContext()
-			sink := &collectSink{}
-			j := NewHashJoin(ctx, style, rSchema, sSchema, []int{0}, []int{0}, sink)
-			runJoinBothSides(j, ls, rs, interleave)
-			if got := len(sink.rows); got != want {
-				t.Errorf("style %v interleave=%v: %d rows, want %d", style, interleave, got, want)
-			}
-			if j.Counters().Out != int64(want) {
-				t.Errorf("style %v: Out counter %d, want %d", style, j.Counters().Out, want)
-			}
-			if ctx.Clock.CPU <= 0 {
-				t.Error("no CPU charged")
-			}
+	for _, interleave := range []bool{true, false} {
+		ctx := NewContext()
+		sink := &collectSink{}
+		j := NewHashJoin(ctx, Pipelined, rSchema, sSchema, []int{0}, []int{0}, sink)
+		runJoinBothSides(j, ls, rs, interleave)
+		if got := len(sink.rows); got != want {
+			t.Errorf("interleave=%v: %d rows, want %d", interleave, got, want)
+		}
+		if j.Counters().Out != int64(want) {
+			t.Errorf("interleave=%v: Out counter %d, want %d", interleave, j.Counters().Out, want)
+		}
+		if ctx.Clock.CPU <= 0 {
+			t.Error("no CPU charged")
 		}
 	}
 }
@@ -130,44 +122,6 @@ func TestJoinOutputLayout(t *testing.T) {
 	}
 	if j.Counters().InLeft != 1 || j.Counters().InRight != 1 {
 		t.Error("side counters wrong")
-	}
-}
-
-func TestBuildThenProbeBuffersUntilBuildDone(t *testing.T) {
-	ctx := NewContext()
-	sink := &collectSink{}
-	j := NewHashJoin(ctx, BuildThenProbe, rSchema, sSchema, []int{0}, []int{0}, sink)
-	j.LeftSink().Push(one(rRow(1, 10)), 0) // buffered: build not done
-	j.RightSink().Push(one(sRow(1, 20)), 0)
-	if len(sink.rows) != 0 {
-		t.Fatal("probe before build completion")
-	}
-	j.FinishRight()
-	if len(sink.rows) != 1 {
-		t.Fatal("buffered probes not drained")
-	}
-	// Late left tuples probe immediately after build completion.
-	j.LeftSink().Push(one(rRow(1, 11)), 0)
-	if len(sink.rows) != 2 {
-		t.Fatal("post-build probe failed")
-	}
-}
-
-func TestNestedLoopsLists(t *testing.T) {
-	ctx := NewContext()
-	j := NewHashJoin(ctx, NestedLoops, rSchema, sSchema, []int{0}, []int{0}, &collectSink{})
-	j.LeftSink().Push(one(rRow(1, 1)), 0)
-	j.RightSink().Push(one(sRow(2, 2)), 0)
-	l, _ := j.SideLists(true)
-	r, _ := j.SideLists(false)
-	if l.Len() != 1 || r.Len() != 1 {
-		t.Error("nested loops must buffer both sides")
-	}
-	if tl, tr := j.Tables(); tl != nil || tr != nil {
-		t.Error("nested loops should not expose hash tables")
-	}
-	if Pipelined.String() != "pipelined-hash" || BuildThenProbe.String() != "hybrid-hash" || NestedLoops.String() != "nested-loops" {
-		t.Error("style names wrong")
 	}
 }
 
@@ -250,20 +204,6 @@ func TestMergeJoinRejectsOutOfOrder(t *testing.T) {
 	}
 	if err := m.push(true, one(rRow(3, 0))); err == nil {
 		t.Error("out-of-order push must error")
-	}
-}
-
-func TestProjectAdaptsColumns(t *testing.T) {
-	to := types.NewSchema(types.Column{Name: "r.a", Kind: types.KindInt})
-	ad, err := types.NewAdapter(rSchema, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	psink := &collectSink{}
-	p := NewProject(NewContext(), ad, psink)
-	p.Push(one(rRow(7, 42)), 0)
-	if len(psink.rows) != 1 || psink.rows[0][0].I != 42 || p.Counters().Out != 1 {
-		t.Error("project wrong")
 	}
 }
 

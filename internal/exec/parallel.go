@@ -30,8 +30,8 @@ import (
 // (§4.1), reached here by quiescing instead of by being single-threaded.
 // End-of-stream runs the pipeline finishers as broadcast finish steps,
 // one quiesce round per finisher, so cross-partition emissions of step s
-// (a pre-aggregate flush, a drained build-then-probe) are absorbed
-// everywhere before any step s+1 finisher runs.
+// (a pre-aggregate flush) are absorbed everywhere before any step s+1
+// finisher runs.
 const (
 	// ParReadBatch is the parallel driver's source-read batch cap: larger
 	// than the serial DefaultBatch so each channel message amortizes more

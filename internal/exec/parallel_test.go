@@ -30,10 +30,7 @@ func newParJoinFixture(parts int) *parJoinFixture {
 		handlers[p] = []Sink{joins[p].LeftSink(), joins[p].RightSink()}
 	}
 	pd := NewParallelDriver(NewContext(), ctxs)
-	pd.Bind(handlers, func(p, step int) {
-		joins[p].FinishLeft()
-		joins[p].FinishRight()
-	}, 1)
+	pd.Bind(handlers, nil, 0)
 	return &parJoinFixture{pd: pd, joins: joins, merge: merge}
 }
 
@@ -65,8 +62,6 @@ func TestParallelDriverJoinMatchesSerial(t *testing.T) {
 		&Leaf{Provider: source.NewProvider(source.NewRelation("s", sSchema, rs), nil), PushBatch: Feed(sj.RightSink())},
 	)
 	sd.Run(0, nil)
-	sj.FinishLeft()
-	sj.FinishRight()
 
 	f := newParJoinFixture(4)
 	if !f.pd.Run(f.leaves(ls, rs), 0, nil) {

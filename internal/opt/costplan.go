@@ -61,9 +61,6 @@ func (p *Planner) costOf(n algebra.Plan, in Inputs) (cost, card float64, mask ui
 	case *algebra.GroupPlan:
 		c, card, mask := p.costOf(v.Input, in)
 		return c + card*cm.AggUpdate, card, mask
-	case *algebra.ProjectPlan:
-		c, card, mask := p.costOf(v.Input, in)
-		return c + card*cm.Move, card, mask
 	default:
 		return 0, 0, 0
 	}

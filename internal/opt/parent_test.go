@@ -92,8 +92,6 @@ func parentLeafOrder(p algebra.Plan) []string {
 		return append(parentLeafOrder(v.Left), parentLeafOrder(v.Right)...)
 	case *algebra.GroupPlan:
 		return parentLeafOrder(v.Input)
-	case *algebra.ProjectPlan:
-		return parentLeafOrder(v.Input)
 	default:
 		return nil
 	}
@@ -638,9 +636,6 @@ func parentCostPlan(in Inputs, root algebra.Plan) (cost, card float64) {
 				return c, card, mask
 			}
 			return c, card, mask
-		case *algebra.ProjectPlan:
-			c, card, mask := walk(v.Input)
-			return c + card*cm.Move, card, mask
 		default:
 			return 0, 0, 0
 		}

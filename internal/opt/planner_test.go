@@ -102,6 +102,31 @@ func joinEstimates(p algebra.Plan) []float64 {
 	return out
 }
 
+// offVocabulary returns the first node of p that core.Tree.build cannot
+// lower — anything but a scan, a pipelined hash join or a partial group —
+// or nil.
+func offVocabulary(p algebra.Plan) algebra.Plan {
+	switch v := p.(type) {
+	case *algebra.ScanPlan:
+		return nil
+	case *algebra.JoinPlan:
+		if v.Algorithm != algebra.JoinPipelinedHash {
+			return v
+		}
+		if n := offVocabulary(v.Left); n != nil {
+			return n
+		}
+		return offVocabulary(v.Right)
+	case *algebra.GroupPlan:
+		if !v.Partial {
+			return v
+		}
+		return offVocabulary(v.Input)
+	default:
+		return p
+	}
+}
+
 func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
@@ -111,7 +136,8 @@ func sameBits(a, b []float64) bool {
 // fresh call: the same plan with the same estimates on every node, card,
 // cost, pre-aggregation and join order, and the same CostPlan of that plan
 // and of a fixed one — floats bit for bit. A plan a call returned keeps its
-// estimates while later calls run.
+// estimates while later calls run, and holds nothing plan lowering does not
+// know.
 func FuzzReoptimize(f *testing.F) {
 	f.Add([]byte{4, 2, 0xff, 7, 1, 9, 3, 5, 200, 4, 8, 15, 16, 23, 42})
 	f.Add([]byte{3, 1, 31, 2, 27, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6})
@@ -139,6 +165,9 @@ func FuzzReoptimize(f *testing.F) {
 			}
 			if g, w := got.Root.String(), want.Root.String(); g != w {
 				t.Fatalf("plan\n got  %s\n want %s", g, w)
+			}
+			if n := offVocabulary(got.Root); n != nil {
+				t.Fatalf("plan %s holds %T %s, which lowering rejects", got.Root, n, n)
 			}
 			if !sameBits(joinEstimates(got.Root), joinEstimates(want.Root)) {
 				t.Fatalf("node estimates %v, want %v", joinEstimates(got.Root), joinEstimates(want.Root))

@@ -171,14 +171,6 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a, b := intRel("r", 1, 2), intRel("r", 3)
-	c := Concat(a, b)
-	if c.Len() != 3 || c.Rows[2][0].I != 3 {
-		t.Errorf("Concat wrong: %v", c)
-	}
-}
-
 func TestRelationCloneAndString(t *testing.T) {
 	rel := intRel("r", 1)
 	cl := rel.Clone()

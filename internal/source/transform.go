@@ -63,11 +63,3 @@ func SortednessAsc(rel *Relation, col string) float64 {
 	}
 	return float64(asc) / float64(len(rel.Rows)-1)
 }
-
-// Concat appends the rows of b to a copy of a (same schema required).
-func Concat(a, b *Relation) *Relation {
-	rows := make([]types.Tuple, 0, len(a.Rows)+len(b.Rows))
-	rows = append(rows, a.Rows...)
-	rows = append(rows, b.Rows...)
-	return &Relation{Name: a.Name, Schema: a.Schema, Rows: rows}
-}

@@ -94,8 +94,8 @@ func (c *chunked[T]) reserve(n int) {
 }
 
 // List is the simplest structure: an insertion-ordered tuple buffer with
-// no key access (nested-loops inners, base partitions, materialized
-// intermediates), and the row store every HashTable indexes. Rows are
+// no key access (base partitions, materialized intermediates), and the row
+// store every HashTable indexes. Rows are
 // addressed by arrival position and never move once past the first chunk.
 type List struct {
 	schema *types.Schema
