@@ -95,8 +95,10 @@ check-allocs:
 # matrix and the mid-phase cancellation tests (PR 18) — and, since the
 # delta pump shares the phase runner with the partition workers' caller, the
 # maintenance pins and the event goldens of every caller of it (PR 23).
+# The standing queries of the engine and the server run here too: their
+# update cursor is read while the run goroutine publishes windows into it.
 chaos:
-	$(GO) test -race -count=1 -run='Fault|Chaos|ParallelAgg|CancelDuring|Maintenance|PhaseEvent' ./internal/source/ ./internal/core/ ./internal/engine/
+	$(GO) test -race -count=1 -run='Fault|Chaos|ParallelAgg|CancelDuring|Maintenance|PhaseEvent|RegisterStanding|ServeStanding' ./internal/source/ ./internal/core/ ./internal/engine/ ./internal/server/
 
 # Black-box smoke of the deployable server binary: build it, boot it on
 # a random port, stream a query, check /healthz + /metrics + SSE events,

@@ -340,9 +340,10 @@ type Update = ivm.Update
 // Engine.RegisterStanding: the query runs once over the base sources,
 // then signed deltas stream through the same lowered plan, revising the
 // result at watermark boundaries instead of recomputing from scratch.
-// Consume the initial result with Next/Rows, revisions with
-// NextUpdate/NextWindow/Updates, then Report (Report.Maintained holds
-// the current view) and always Close.
+// Consume the update stream — the baseline window, which asserts the
+// initial result, then the revisions — with NextWindow, NextUpdate or
+// Updates, then Report (Report.Maintained holds the current view,
+// Report.UpdateCount the updates delivered) and always Close.
 type StandingQuery = engine.StandingQuery
 
 // StandingWindow is one watermark window of standing-query updates.

@@ -311,18 +311,7 @@ func runStanding(eng *engine.Engine, q *algebra.Query, o core.Options, limit int
 			printEvent(ev)
 		}
 	}()
-	// The baseline window (seq 0) asserts the initial result itself, so
-	// the row cursor is redundant here; drain it in the background.
-	// Report touches the cursor too, so wait for the drain before it.
-	rowsDone := make(chan struct{})
-	go func() {
-		defer close(rowsDone)
-		for {
-			if _, ok := sq.NextBatch(); !ok {
-				return
-			}
-		}
-	}()
+	// The baseline window (seq 0) is the initial result.
 	shown := 0
 	for {
 		win, ok := sq.NextWindow()
@@ -341,7 +330,6 @@ func runStanding(eng *engine.Engine, q *algebra.Query, o core.Options, limit int
 			shown++
 		}
 	}
-	<-rowsDone
 	rep, err := sq.Report()
 	<-eventsDone
 	if err != nil {
@@ -354,7 +342,7 @@ func runStanding(eng *engine.Engine, q *algebra.Query, o core.Options, limit int
 	fmt.Printf("  virtual time   %.3fs (cpu %.3fs, wall %.3fs)\n",
 		rep.VirtualSeconds, rep.CPUSeconds, rep.RealSeconds)
 	fmt.Printf("  updates        %d revisions over %d delta rows (%d clamped)\n",
-		len(rep.Updates), rep.DeltaRows, rep.DeltaClamped)
+		rep.UpdateCount, rep.DeltaRows, rep.DeltaClamped)
 	fmt.Printf("  plan switches  %d initial, %d during maintenance\n", rep.Switches, rep.MaintSwitches)
 	fmt.Printf("  set-up         %d rows pushed again to build a maintenance tree (0: the initial run's tree was adopted)\n", rep.MaintReplayed)
 	for name, st := range rep.SourceFaults {

@@ -173,10 +173,12 @@
 // # Standing queries
 //
 // Engine.RegisterStanding runs a query once and then keeps its result current
-// as signed deltas stream in, emitting revisions (Update) at watermarks; the
-// baseline window asserts the initial result, so folding the update stream
-// from empty always yields the maintained view. Maintenance starts from the
-// state the initial run built — base rows are processed once:
+// as signed deltas stream in, emitting revisions (Update) at watermarks. The
+// initial result leaves once, as the baseline window, which asserts it, so
+// folding the update stream from empty always yields the maintained view; the
+// stream is kept only where no hook reads it (Report.Updates), and counted
+// either way (Report.UpdateCount). Maintenance starts from the state the
+// initial run built — base rows are processed once:
 //
 //   - adopted: a serial run without pre-aggregation (the default) absorbs
 //     into its group-by as signed from the first row, so that table's pending

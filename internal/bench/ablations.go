@@ -21,9 +21,9 @@ type AblationRow struct {
 
 // Ablations sweeps the engine's design choices, one experiment each: the
 // corrective polling interval (§4.1 "how often to make decisions"), the
-// priority-queue length of the complementary router (§5), the partition
-// count of a hash-partitioned join (partitions.go), the window-adaptation
-// policy of pre-aggregation (§6), and stitch-up reuse (§3.4.2).
+// priority-queue length of the complementary router (§5), the
+// window-adaptation policy of pre-aggregation (§6), and stitch-up reuse
+// (§3.4.2).
 func Ablations(cfg Config) ([]AblationRow, error) {
 	cfg.defaults()
 	uni, _ := cfg.datasets()
@@ -71,17 +71,6 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 			Detail:     fmt.Sprintf("merge-routed=%.1f%% out=%d", mergeFrac*100, n),
 		})
 	}
-
-	// 2c. Partition scaling: the pipelined hash join run as P
-	// hash-partitioned pipeline clones on worker goroutines (exchange +
-	// parallel driver). Seconds is the virtual makespan — the slowest
-	// partition's clock — which scales down with P, and is reproducible
-	// here because the single-join topology has no cross-partition
-	// exchanges (the driver is each worker's only producer);
-	// Detail's real wall clock should follow on a multi-core host (the
-	// PR 4 acceptance target: ≥ 2× at P=4 with GOMAXPROCS ≥ 4; a
-	// single-core host shows the coordination overhead instead).
-	out = append(out, partitionSweep(uni, []int{1, 2, 4, 8})...)
 
 	// 3. Window adaptation policy: adaptive vs fixed windows on the Q10A
 	// pre-aggregation input (lineitem grouped by order key).

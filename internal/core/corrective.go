@@ -112,8 +112,6 @@ type Options struct {
 	// continues over the tuples the source delivered before dying and
 	// the Report is marked Partial with accurate SourceFaults counters.
 	PartialResults bool
-	// Cost overrides the cost model.
-	Cost *exec.CostModel
 	// InitialPlan, when non-nil, is adopted as phase 0's plan and the
 	// initial optimizer call is skipped entirely (the plan-cache fast
 	// path of the query service). The plan must come from a previous
@@ -170,8 +168,9 @@ type Report struct {
 	Query    string
 	Strategy Strategy
 	// Rows is the result, retained — unless the run streamed it through
-	// RunHooks.OnRows, in which case the rows went to the hook's consumer
-	// and Rows is nil. RowCount is the number of result rows either way.
+	// RunHooks.OnRows or was a standing query's, which delivers it as the
+	// baseline update window: then Rows is nil. RowCount is the number of
+	// result rows either way.
 	Rows     []types.Tuple
 	RowCount int64
 	Schema   *types.Schema
@@ -210,16 +209,18 @@ type Report struct {
 	Histograms map[string]*stats.Histogram
 	Orders     map[string]*stats.OrderDetector
 
-	// Maintenance outcome (RunMaintenance only). Updates is the full
-	// signed update stream in emission order: the baseline assertions of
-	// the initial result followed by every watermark's revisions.
-	// Maintained is ivm.Fold(Updates).Rows() — the maintained result in
-	// canonical sorted-multiset form. DeltaRows counts delta-source rows
-	// read; DeltaClamped counts deletes dropped for matching no live
-	// row; MaintSwitches counts mid-maintenance plan switches.
-	// MaintReplayed counts the rows pushed again, through the signed path,
-	// to build a maintenance tree: 0 while the initial run's own tree serves.
+	// Maintenance outcome (RunMaintenance only). Updates is the signed
+	// update stream in emission order — the baseline window, then every
+	// watermark's revisions — kept only when no RunHooks.OnUpdates reads
+	// it; UpdateCount is its length either way. Maintained is the stream
+	// folded: the maintained result in canonical sorted-multiset form.
+	// DeltaRows counts delta-source rows read; DeltaClamped counts deletes
+	// dropped for matching no live row; MaintSwitches counts
+	// mid-maintenance plan switches. MaintReplayed counts the rows pushed
+	// again, through the signed path, to build a maintenance tree: 0 while
+	// the initial run's own tree serves.
 	Updates       []ivm.Update
+	UpdateCount   int64
 	Maintained    []types.Tuple
 	DeltaRows     int64
 	DeltaClamped  int64
@@ -244,10 +245,6 @@ type executor struct {
 	out        *rootRows
 	flushed    int64
 	schemaSent bool
-	// standing marks a RunMaintenance run: its maintenance stage reads the
-	// phases' base partitions and takes over a serial phase's tree after the
-	// initial run.
-	standing bool
 
 	// Fault-recovery state, mutated only on the run goroutine (fault
 	// events fire synchronously inside source reads). fatal latches the
@@ -333,9 +330,6 @@ func prepareRun(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, 
 		live:     map[string]float64{},
 		rep:      &Report{Query: q.Name, Strategy: o.Strategy},
 	}
-	if o.Cost != nil {
-		ex.ctx.Cost = o.Cost
-	}
 	if o.Instrument {
 		ex.rep.Histograms = map[string]*stats.Histogram{}
 		ex.rep.Orders = map[string]*stats.OrderDetector{}
@@ -354,7 +348,7 @@ func prepareRun(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, 
 	}
 
 	finish := func() (*Report, error) {
-		if ex.agg != nil {
+		if ex.agg != nil && !ex.out.standing {
 			ex.out.add(ex.agg.EmitFinal())
 		}
 		ex.rep.Rows, ex.rep.RowCount = ex.out.kept, ex.out.count
@@ -727,7 +721,7 @@ func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next al
 func (ex *executor) keepBase(ph *phase) {
 	for i, rel := range ex.q.Relations {
 		l := ph.leaves[i]
-		if ex.stitches() || ex.standing {
+		if ex.stitches() || ex.out.standing {
 			part, _ := ph.trees[0].LeafLists(rel.Name)
 			if part == nil {
 				part = state.NewList(rel.Schema)

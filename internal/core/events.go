@@ -222,6 +222,7 @@ type RunHooks struct {
 	// keeps rows longer clones them. With OnRows set the Report carries
 	// RowCount only and Rows stays nil; the concatenation of all batches
 	// equals, byte for byte, the Rows of the same run without the hook.
+	// RunMaintenance never calls it (its result is OnUpdates' baseline).
 	OnRows func(rows []types.Tuple)
 	// Lender, when set with OnRows, is the window of batches OnRows lends
 	// from: each delivered batch stays valid until the holder releases it
@@ -233,11 +234,10 @@ type RunHooks struct {
 	OnSchema func(s *types.Schema)
 	// OnUpdates receives each flushed standing-query watermark window
 	// with its updates, in emission order (RunMaintenance only), invoked
-	// just before the matching UpdateWatermark event. Each call's slice
-	// is a sub-slice of the final Report.Updates: updates are retained
-	// and immutable, every update is delivered exactly once, and the
-	// concatenation of all calls equals Report.Updates. The baseline
-	// window (Seq 0) is delivered even when empty.
+	// just before the matching UpdateWatermark event. Each window is its own
+	// slice, the hook's to keep and the run's no longer: Report.Updates
+	// stays nil. Every update is delivered exactly once, and the baseline
+	// window (Seq 0) — the initial result — even when empty.
 	OnUpdates func(wm UpdateWatermark, updates []ivm.Update)
 }
 

@@ -53,7 +53,7 @@ import (
 // MaintOptions configures the maintenance stage of a standing query.
 type MaintOptions struct {
 	// Deltas maps relation names to their signed delta streams
-	// (typically *source.DeltaProvider, optionally wrapped in
+	// (typically source.NewDeltaProvider's, optionally wrapped in
 	// *source.Faulty). Each provider's schema must be the base schema
 	// plus the trailing sign column. Relations without an entry simply
 	// never change.
@@ -65,10 +65,11 @@ type MaintOptions struct {
 
 // RunMaintenance executes q's initial run exactly like RunStream, then
 // pumps the configured delta streams through a maintenance tree,
-// flushing signed result updates at watermarks. The returned Report
-// carries the initial result in Rows (or, streamed through OnRows, its
-// count in RowCount) and the maintenance outcome in Updates / Maintained /
-// DeltaRows.
+// flushing signed result updates at watermarks. The initial result leaves
+// once, as the baseline window: OnRows is never called, and the returned
+// Report has no Rows, only RowCount. The maintenance outcome is in
+// UpdateCount / Maintained / DeltaRows, and the update stream itself in
+// Updates unless OnUpdates took it.
 // PlanPartition is not supported: its two-stage re-optimization has no
 // retained state to maintain.
 func RunMaintenance(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, m MaintOptions, hooks RunHooks) (*Report, error) {
@@ -105,7 +106,8 @@ type maintainer struct {
 	track  map[string]*ivm.BaseTracker
 	leaves []*exec.Leaf
 
-	seq int
+	view *ivm.Multiset // the windows folded: the maintained result
+	seq  int
 }
 
 // newMaintainer validates the delta streams and, before the initial run
@@ -120,6 +122,7 @@ func newMaintainer(ex *executor, m MaintOptions) (*maintainer, error) {
 		m:       m,
 		inPlace: ex.o.Partitions <= 1 && ex.o.PreAgg == opt.PreAggNone,
 		track:   map[string]*ivm.BaseTracker{},
+		view:    ivm.NewMultiset(),
 	}
 	for name, dp := range m.Deltas {
 		rel, ok := relOf(ex.q, name)
@@ -132,7 +135,7 @@ func newMaintainer(ex *executor, m MaintOptions) (*maintainer, error) {
 		// Only a relation with a delta stream has an ingress to clamp at.
 		mt.track[name] = ivm.NewBaseTracker()
 	}
-	ex.standing = true
+	ex.out.standing = true
 	ex.out.asserts = mt.inPlace && ex.agg == nil
 	if mt.agg = ex.agg; mt.agg != nil && !mt.inPlace {
 		var err error
@@ -163,12 +166,6 @@ func (mt *maintainer) run() error {
 	if err := ex.execute(); err != nil {
 		return err
 	}
-	if mt.inPlace && ex.agg != nil {
-		// The initial result leaves the group-by before a delta revises it;
-		// from here on the table is the maintenance stage's.
-		ex.out.add(ex.agg.EmitFinal())
-		ex.agg = nil
-	}
 	// Each tracker is seeded independently — order can't leak into output —
 	// from the phases' base partitions: there is no tree yet.
 	for name, track := range mt.track { //adp:unordered-ok
@@ -192,15 +189,18 @@ func (mt *maintainer) run() error {
 	if err := mt.setUp(); err != nil {
 		return err
 	}
-	// Baseline watermark: the initial result as pure assertions.
-	mt.watermark()
+	// Baseline watermark: the initial result as pure assertions, the one
+	// time it leaves the run — an aggregate's, counted here.
+	if n := mt.watermark(); mt.agg != nil {
+		ex.out.count = int64(n)
+	}
 
 	if err := mt.pump(); err != nil {
 		return err
 	}
 	mt.watermark()
 
-	ex.rep.Maintained = ivm.Fold(ex.rep.Updates).Rows()
+	ex.rep.Maintained = mt.view.Rows()
 	return nil
 }
 
@@ -355,40 +355,46 @@ func (mt *maintainer) pump() error {
 }
 
 // watermark flushes the updates produced since the last call — the
-// aggregate's pending group revisions, or the SPJ root's collected
-// signed rows — to the OnUpdates hook and the event stream. The first
+// aggregate's pending group revisions, or the SPJ root's collected signed
+// rows — as one window, folded into the view, to the OnUpdates hook (else
+// Report.Updates) and the event stream, and returns its size. The first
 // watermark (the baseline) always emits, so subscribers can anchor the
 // fold even when the initial result is empty.
-func (mt *maintainer) watermark() {
+func (mt *maintainer) watermark() int {
 	ex := mt.ex
-	start := len(ex.rep.Updates)
+	var win []ivm.Update
 	if mt.agg != nil {
 		mt.agg.EmitRevisions(func(t types.Tuple, sign int) {
-			ex.rep.Updates = append(ex.rep.Updates, ivm.Update{Row: t, Sign: sign})
+			win = append(win, ivm.Update{Row: t, Sign: sign})
 		})
 	} else {
-		ex.rep.Updates = append(ex.rep.Updates, ex.out.updates...)
-		ex.out.updates = ex.out.updates[:0]
+		win, ex.out.updates = ex.out.updates, nil
 	}
-	flushed := ex.rep.Updates[start:]
-	if len(flushed) == 0 && mt.seq > 0 {
-		return
+	if len(win) == 0 && mt.seq > 0 {
+		return 0
 	}
+	for _, u := range win {
+		mt.view.Apply(u)
+	}
+	ex.rep.UpdateCount += int64(len(win))
 	var read int64
 	for _, l := range mt.leaves {
 		read += l.Read
 	}
 	wm := UpdateWatermark{
 		Seq:            mt.seq,
-		Updates:        len(flushed),
+		Updates:        len(win),
 		DeltaRows:      read,
 		VirtualSeconds: ex.now(),
 	}
 	if ex.hooks.OnUpdates != nil {
-		ex.hooks.OnUpdates(wm, flushed)
+		ex.hooks.OnUpdates(wm, win)
+	} else {
+		ex.rep.Updates = append(ex.rep.Updates, win...)
 	}
 	ex.emit(wm)
 	mt.seq++
+	return len(win)
 }
 
 // monitor is the corrective monitor's maintenance-stage step: publish

@@ -10,6 +10,7 @@ import (
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/expr"
 	"github.com/tukwila/adp/internal/ivm"
+	"github.com/tukwila/adp/internal/opt"
 	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/types"
 )
@@ -117,11 +118,14 @@ func assertRowsIdentical(t *testing.T, got, want []types.Tuple) {
 
 // assertMaintainedOracle is the headline pin: the maintained result must
 // be byte-identical (as a sorted multiset) to a from-scratch run over
-// the post-delta relations, and the update stream must fold to it
+// the post-delta relations, and the run's update stream must fold to it
 // without ever going negative.
-func assertMaintainedOracle(t *testing.T, rep *Report, oracle *Report) {
+func assertMaintainedOracle(t *testing.T, rep *Report, updates []ivm.Update, oracle *Report) {
 	t.Helper()
-	fold := ivm.Fold(rep.Updates)
+	if int64(len(updates)) != rep.UpdateCount {
+		t.Fatalf("%d updates, the report counts %d", len(updates), rep.UpdateCount)
+	}
+	fold := ivm.Fold(updates)
 	if fold.Negative() {
 		t.Fatal("update stream folds to a negative multiset (unmatched retraction)")
 	}
@@ -159,14 +163,19 @@ func TestMaintenanceOracleEquivalenceAgg(t *testing.T) {
 				}), FlushEvery: 50}
 
 				var marks []UpdateWatermark
-				var streamed []ivm.Update
+				var streamed, baseline []ivm.Update
 				rep, err := RunMaintenance(context.Background(), cat, q, o, m, RunHooks{
 					Emit: func(ev Event) {
 						if wm, ok := ev.(UpdateWatermark); ok {
 							marks = append(marks, wm)
 						}
 					},
-					OnUpdates: func(_ UpdateWatermark, us []ivm.Update) { streamed = append(streamed, us...) },
+					OnUpdates: func(wm UpdateWatermark, us []ivm.Update) {
+						if wm.Seq == 0 {
+							baseline = us
+						}
+						streamed = append(streamed, us...)
+					},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -179,17 +188,18 @@ func TestMaintenanceOracleEquivalenceAgg(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertMaintainedOracle(t, rep, oracle)
+				assertMaintainedOracle(t, rep, streamed, oracle)
 
-				// The initial result is untouched by maintenance.
+				// The initial result is untouched by maintenance: the
+				// baseline window asserts exactly it.
 				initial, err := Run(catalogOf(f.Clone(), tr.Clone(), c.Clone()), q, Options{Strategy: strat, PollEvery: 64, SwitchFactor: 0.99, MaxPhases: 5, Partitions: parts})
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertRowsIdentical(t, ivm.SortedRows(rep.Rows), ivm.SortedRows(initial.Rows))
+				assertRowsIdentical(t, ivm.Fold(baseline).Rows(), ivm.SortedRows(initial.Rows))
 
 				// Watermark protocol: baseline first, strictly increasing,
-				// OnUpdates concatenation = Report.Updates.
+				// the hook the stream's one holder.
 				if len(marks) == 0 || marks[0].Seq != 0 {
 					t.Fatalf("no baseline watermark: %+v", marks)
 				}
@@ -198,8 +208,8 @@ func TestMaintenanceOracleEquivalenceAgg(t *testing.T) {
 						t.Fatalf("watermark seq gap: %+v", marks)
 					}
 				}
-				if len(streamed) != len(rep.Updates) {
-					t.Fatalf("OnUpdates delivered %d updates, report has %d", len(streamed), len(rep.Updates))
+				if rep.Updates != nil {
+					t.Fatalf("the report kept %d updates beside the OnUpdates hook", len(rep.Updates))
 				}
 				if want := int64(len(df) + len(dt) + len(dc)); rep.DeltaRows != want {
 					t.Errorf("DeltaRows = %d, want %d", rep.DeltaRows, want)
@@ -237,7 +247,7 @@ func TestMaintenanceOracleEquivalenceSPJ(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertMaintainedOracle(t, rep, oracle)
+				assertMaintainedOracle(t, rep, rep.Updates, oracle)
 			})
 		}
 	}
@@ -268,7 +278,7 @@ func TestMaintenanceFilterPushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertMaintainedOracle(t, rep, oracle)
+	assertMaintainedOracle(t, rep, rep.Updates, oracle)
 }
 
 func kvSchema(name string) *types.Schema {
@@ -350,7 +360,7 @@ func TestMaintenanceGroupCountToZeroRetracts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertMaintainedOracle(t, rep, oracle)
+	assertMaintainedOracle(t, rep, rep.Updates, oracle)
 	if len(rep.Maintained) != 1 || rep.Maintained[0][0].I != 2 {
 		t.Fatalf("group 1 must be retracted, maintained = %v", rep.Maintained)
 	}
@@ -470,7 +480,7 @@ func TestMaintenanceForcedPlanSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertMaintainedOracle(t, rep, oracle)
+	assertMaintainedOracle(t, rep, rep.Updates, oracle)
 	t.Logf("maintenance switches=%d updates=%d", rep.MaintSwitches, len(rep.Updates))
 }
 
@@ -569,17 +579,28 @@ func TestMaintenanceUnknownDeltaRelation(t *testing.T) {
 
 // TestMaintenanceNoDeltasIsBaselineOnly: with no delta streams the
 // standing result is the initial result, delivered as the baseline
-// watermark.
+// watermark and nothing after it.
 func TestMaintenanceNoDeltasIsBaselineOnly(t *testing.T) {
 	f, tr, c := flightsData(80, 200, 150, 89)
 	q := maintFlightsQuery()
+	var windows [][]ivm.Update
 	rep, err := RunMaintenance(context.Background(), catalogOf(f, tr, c), q,
-		Options{Strategy: Static}, MaintOptions{}, RunHooks{})
+		Options{Strategy: Static}, MaintOptions{}, RunHooks{
+			OnUpdates: func(_ UpdateWatermark, us []ivm.Update) { windows = append(windows, us) },
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRowsIdentical(t, rep.Maintained, ivm.SortedRows(rep.Rows))
-	for _, u := range rep.Updates {
+	if len(windows) != 1 {
+		t.Fatalf("%d windows, want the baseline alone", len(windows))
+	}
+	initial, err := Run(catalogOf(f.Clone(), tr.Clone(), c.Clone()), q, Options{Strategy: Static})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRowsIdentical(t, ivm.Fold(windows[0]).Rows(), ivm.SortedRows(initial.Rows))
+	assertRowsIdentical(t, rep.Maintained, ivm.SortedRows(initial.Rows))
+	for _, u := range windows[0] {
 		if u.Sign != 1 {
 			t.Fatalf("baseline-only run emitted a retraction: %+v", u)
 		}
@@ -609,5 +630,60 @@ func TestMaintenanceTracksOnlyDeltaRelations(t *testing.T) {
 	}
 	if got, want := fmt.Sprintf("%d:%s clamped=%d", len(rep.Updates), digest(ups.String()), rep.DeltaClamped), "952:096b55a08e6e768c clamped=157"; got != want {
 		t.Errorf("update stream = %s, want %s", got, want)
+	}
+}
+
+// TestMaintenanceDeliversResultOnce: a standing query's initial result
+// leaves the run once, as the baseline window. Over {aggregate, SPJ} ×
+// {serial, 4 partitions} × {no pre-aggregation, windowed} — every way the
+// set-up takes over the initial run — OnRows is never called, RowCount is
+// the baseline window's size and the one-shot run's, and the baseline window
+// folds to the one-shot run's rows.
+func TestMaintenanceDeliversResultOnce(t *testing.T) {
+	for _, spj := range []bool{false, true} {
+		for _, parts := range []int{1, 4} {
+			for _, preAgg := range []opt.PreAggMode{opt.PreAggNone, opt.PreAggWindowed} {
+				name := fmt.Sprintf("%s/P=%d/%v", map[bool]string{false: "agg", true: "spj"}[spj], parts, preAgg)
+				t.Run(name, func(t *testing.T) {
+					q, cat, script := q3aChurn(spj)
+					o := Options{Strategy: Static, PollEvery: 256, Partitions: parts, PreAgg: preAgg}
+					c := cat()
+					var onRows int
+					var baseline []ivm.Update
+					rep, err := RunMaintenance(context.Background(), c, q, o, MaintOptions{Deltas: maintDeltaProviders(c, script(c)), FlushEvery: 100}, RunHooks{
+						OnRows: func([]types.Tuple) { onRows++ },
+						OnUpdates: func(wm UpdateWatermark, us []ivm.Update) {
+							if wm.Seq == 0 {
+								baseline = us
+							}
+						},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					once, err := Run(cat(), q, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if onRows != 0 || rep.Rows != nil {
+						t.Errorf("OnRows called %d times, Report.Rows holds %d rows", onRows, len(rep.Rows))
+					}
+					if rep.RowCount != int64(len(baseline)) || rep.RowCount != once.RowCount {
+						t.Errorf("RowCount = %d, baseline window %d, one-shot run %d", rep.RowCount, len(baseline), once.RowCount)
+					}
+					// The standing aggregate absorbs raw rows (optInputs turns
+					// pre-aggregation off), and a pre-aggregate sums its
+					// partials in another order: the baseline's bits are a
+					// one-shot run's without one.
+					if preAgg != opt.PreAggNone {
+						o.PreAgg = opt.PreAggNone
+						if once, err = Run(cat(), q, o); err != nil {
+							t.Fatal(err)
+						}
+					}
+					assertRowsIdentical(t, ivm.Fold(baseline).Rows(), ivm.SortedRows(once.Rows))
+				})
+			}
+		}
 	}
 }

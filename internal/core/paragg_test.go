@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -162,7 +163,7 @@ func bufferedThenAbsorbed(t *testing.T, fx parAggFixture, mode opt.PreAggMode, p
 	}
 	// The same read-batch boundaries as the engine's phase loop: polls
 	// split source runs.
-	if !pd.Run(leaves, pollEvery, func() bool { return false }) {
+	if exhausted, err := pd.RunContext(context.Background(), leaves, pollEvery, func() bool { return false }); err != nil || !exhausted {
 		t.Fatal("reference run did not exhaust its sources")
 	}
 	pd.Finish()

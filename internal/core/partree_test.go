@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -227,7 +228,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 			PushBatch: exec.Feed(pd.LeafScatter(i, pt.LeafKeys[rel.Name])),
 		})
 	}
-	if !pd.Run(pleaves, 0, nil) {
+	if exhausted, err := pd.RunContext(context.Background(), pleaves, 0, nil); err != nil || !exhausted {
 		t.Fatal("parallel run did not exhaust sources")
 	}
 	pd.Finish()

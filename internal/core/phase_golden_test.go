@@ -42,6 +42,14 @@ import (
 // 79 014 and 1 607 probes of 1.1 µs to the agg/clean, agg/failover, spj/clean
 // and spj/failover legs, the counts the skipped probes had.
 //
+// A third re-baseline, of the aggregate legs' P=1 clocks, came when a standing
+// query's initial result left the run once, as the baseline window: the
+// group-by's EmitFinal, one Move (300 ns) for each of 682 Q3A groups or 3
+// fixture groups that nothing read, is no longer charged before the baseline
+// window's revisions, so the CPU seconds and the baseline stamp fall by it.
+// The P=4 legs lose the same charge at the end of the run and keep the
+// parent's clocks within parClockTol.
+//
 // Serial virtual time is exact, so P=1 legs compare clocks with ==. At P=4
 // the initial run's partition clocks fold into the run clock in an order
 // the scheduler decides (exec.ParallelDriver.FoldClocks), so those legs pin
@@ -200,11 +208,11 @@ func maintLeg(t *testing.T, q *algebra.Query, cat *Catalog, scripts map[string][
 var maintRunGoldens = map[string]maintGolden{
 	"agg/static/P=1/clean": {
 		counts: "updates=952:096b55a08e6e768c deltaRows=900 clamped=157 maintSwitches=0 switches=0 marks=[0 682 0][1 19 100][2 30 200][3 22 300][4 34 400][5 40 500][6 34 600][7 29 700][8 37 800][9 25 900] phases=[7c2ab5e08c043fed 15332]",
-		clocks: []float64{0.4500096, 0.0450361, 0.0429108, 0.0500078, 0.1000111, 0.1500087, 0.2000123, 0.2500141, 0.3000102, 0.3500108, 0.4000132, 0.4500096, 0.0425016},
+		clocks: []float64{0.4500096, 0.0448315, 0.0427062, 0.0500078, 0.1000111, 0.1500087, 0.2000123, 0.2500141, 0.3000102, 0.3500108, 0.4000132, 0.4500096, 0.0425016},
 	},
 	"agg/static/P=1/failover": {
 		counts: "updates=952:096b55a08e6e768c deltaRows=900 clamped=157 maintSwitches=0 switches=0 marks=[0 682 0][1 19 100][2 30 200][3 22 300][4 34 400][5 40 500][6 34 600][7 29 700][8 37 800][9 25 900] phases=[7c2ab5e08c043fed 15332]",
-		clocks: []float64{7.5019572, 0.0450361, 0.0429108, 7.5000504, 7.50029, 7.5005203, 7.5007652, 7.5010184, 7.5012568, 7.5014823, 7.5017314, 7.5019572, 0.0425016},
+		clocks: []float64{7.5019572, 0.0448315, 0.0427062, 7.5000504, 7.50029, 7.5005203, 7.5007652, 7.5010184, 7.5012568, 7.5014823, 7.5017314, 7.5019572, 0.0425016},
 	},
 	"agg/static/P=4/clean": {
 		counts: "updates=952:096b55a08e6e768c deltaRows=900 clamped=157 maintSwitches=0 switches=0 marks=[0 682 0][1 19 100][2 30 200][3 22 300][4 34 400][5 40 500][6 34 600][7 29 700][8 37 800][9 25 900] phases=[7c2ab5e08c043fed 15332]",
@@ -216,11 +224,11 @@ var maintRunGoldens = map[string]maintGolden{
 	},
 	"agg/corrective/P=1/clean": {
 		counts: "updates=387:dfb91a46aae7659b deltaRows=2800 clamped=39 maintSwitches=1 switches=0 marks=[0 3 0][1 6 100][2 6 200][3 6 300][4 6 400][5 6 500][6 6 600][7 6 700][8 6 800][9 6 900][10 6 1000][11 6 1100][12 6 1200][13 6 1300][14 6 1400][15 6 1500][16 84 2400][17 87 2500][18 78 2600][19 23 2700][20 22 2800] phases=[e1692d25b2b11cb5 10]",
-		clocks: []float64{4.3399251, 2.0620066, 4.69e-05, 0.1000131, 0.2000131, 0.3000131, 0.4000131, 0.5000188, 0.6000131, 0.7000131, 0.8000188, 0.9000131, 1.0000131, 1.1000188, 1.2000188, 1.3000131, 1.4000131, 1.5000188, 2.709684, 3.1051045, 4.2479754, 4.2925722, 4.3399251, 4.51e-05},
+		clocks: []float64{4.3399251, 2.0620057, 4.6e-05, 0.1000131, 0.2000131, 0.3000131, 0.4000131, 0.5000188, 0.6000131, 0.7000131, 0.8000188, 0.9000131, 1.0000131, 1.1000188, 1.2000188, 1.3000131, 1.4000131, 1.5000188, 2.709684, 3.1051045, 4.2479754, 4.2925722, 4.3399251, 4.51e-05},
 	},
 	"agg/corrective/P=1/failover": {
 		counts: "updates=293:1ed4804e16b1bf48 deltaRows=2800 clamped=39 maintSwitches=1 switches=0 marks=[0 3 0][1 6 100][2 6 200][3 6 300][4 6 400][5 6 500][6 6 600][7 6 700][8 6 800][9 6 900][10 6 1000][11 6 1100][12 6 1200][13 6 1300][14 6 1400][15 6 1500][16 16 2400][17 1 2500][18 51 2600][19 67 2700][20 65 2800] phases=[e1692d25b2b11cb5 10]",
-		clocks: []float64{8.5620415, 0.9591008, 4.69e-05, 0.1000131, 0.2000131, 0.3000131, 0.4000131, 0.5000188, 0.6000131, 0.7000131, 0.8000188, 0.9000131, 1.0000131, 1.1000188, 1.2000188, 1.3000131, 1.4000131, 1.5000188, 2.6800069, 2.7800024, 8.1365508, 8.42318, 8.5620415, 4.51e-05},
+		clocks: []float64{8.5620415, 0.9590999, 4.6e-05, 0.1000131, 0.2000131, 0.3000131, 0.4000131, 0.5000188, 0.6000131, 0.7000131, 0.8000188, 0.9000131, 1.0000131, 1.1000188, 1.2000188, 1.3000131, 1.4000131, 1.5000188, 2.6800069, 2.7800024, 8.1365508, 8.42318, 8.5620415, 4.51e-05},
 	},
 	"agg/corrective/P=4/clean": {
 		counts: "updates=387:dfb91a46aae7659b deltaRows=2800 clamped=39 maintSwitches=1 switches=0 marks=[0 3 0][1 6 100][2 6 200][3 6 300][4 6 400][5 6 500][6 6 600][7 6 700][8 6 800][9 6 900][10 6 1000][11 6 1100][12 6 1200][13 6 1300][14 6 1400][15 6 1500][16 84 2400][17 87 2500][18 78 2600][19 23 2700][20 22 2800] phases=[e1692d25b2b11cb5 10]",

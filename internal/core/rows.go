@@ -88,10 +88,11 @@ type rootRows struct {
 	count int64         // rows written, either way
 	drop  types.Tuple   // where rows go once the run is canceled
 
-	// A standing SPJ query's signed root rows since the last update watermark;
-	// with asserts, the initial run's root rows too, as +1: the baseline.
-	asserts bool
-	updates []ivm.Update
+	// A standing query's root rows are counted, not written: its result
+	// leaves as updates, the signed root rows since the last watermark and,
+	// with asserts, the initial run's as +1, the baseline.
+	standing, asserts bool
+	updates           []ivm.Update
 }
 
 func newRootRows(ctx context.Context, hooks RunHooks) *rootRows {
@@ -171,17 +172,21 @@ func (s *rootSink) CopiesInput() {}
 //adp:hotpath gated by BenchmarkStreamDelivery (scripts/check_allocs.sh)
 func (s *rootSink) Push(ts []types.Tuple, sign int) {
 	s.ctx.Clock.Charge(int64(len(ts)) * s.move)
+	out := s.out
+	if sign == 0 && out.standing {
+		if out.count += int64(len(ts)); !out.asserts {
+			return
+		}
+		sign = 1
+	}
 	if sign != 0 {
 		for _, t := range ts {
-			s.out.updates = append(s.out.updates, ivm.Update{Row: s.ad.Adapt(t), Sign: sign})
+			out.updates = append(out.updates, ivm.Update{Row: s.ad.Adapt(t), Sign: sign})
 		}
 		return
 	}
 	w := s.ad.To().Len()
 	for _, t := range ts {
-		row := s.ad.AdaptInto(s.out.next(w), t)
-		if s.out.asserts {
-			s.out.updates = append(s.out.updates, ivm.Update{Row: row.Clone(), Sign: 1}) //adp:alloc-ok standing runs only: the baseline window is retained
-		}
+		s.ad.AdaptInto(out.next(w), t)
 	}
 }

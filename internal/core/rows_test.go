@@ -98,7 +98,7 @@ func TestPhaseStateKeptOnlyForAReader(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex.standing = c.standing
+			ex.out.standing = c.standing
 			if err := ex.execute(); err != nil {
 				t.Fatal(err)
 			}

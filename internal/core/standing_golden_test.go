@@ -214,9 +214,11 @@ func runStandingLeg(t *testing.T, fixture standingFixture, spj bool, o Options, 
 		readAll int64
 	}
 	var marks []mark
+	var updates []ivm.Update
 	upto := 0
 	rep, err := RunMaintenance(context.Background(), c, q, o, MaintOptions{Deltas: deltas, FlushEvery: 100}, RunHooks{
 		OnUpdates: func(wm UpdateWatermark, us []ivm.Update) {
+			updates = append(updates, us...)
 			upto += len(us)
 			m := mark{wm: wm, upto: upto, readBy: map[string]int{}}
 			for name, p := range deltas {
@@ -234,13 +236,13 @@ func runStandingLeg(t *testing.T, fixture standingFixture, spj bool, o Options, 
 			t.Fatalf("delta stream of %s did not fail over: %+v", failover, rep.SourceFaults)
 		}
 	}
-	if len(marks) == 0 || marks[len(marks)-1].upto != len(rep.Updates) {
-		t.Fatalf("OnUpdates delivered %d updates, the report holds %d", upto, len(rep.Updates))
+	if len(marks) == 0 || int64(upto) != rep.UpdateCount || rep.Updates != nil {
+		t.Fatalf("OnUpdates delivered %d updates, the report counts %d and holds %d", upto, rep.UpdateCount, len(rep.Updates))
 	}
 
-	lines := make([]string, len(rep.Updates))
+	lines := make([]string, len(updates))
 	var exact, keys, windows strings.Builder
-	for i, u := range rep.Updates {
+	for i, u := range updates {
 		lines[i] = fmt.Sprintf("%+d %s", u.Sign, bitRows([]types.Tuple{u.Row}))
 		exact.WriteString(lines[i])
 		fmt.Fprintf(&keys, "%+d ", u.Sign)
@@ -252,7 +254,7 @@ func runStandingLeg(t *testing.T, fixture standingFixture, spj bool, o Options, 
 		keys.WriteByte('\n')
 	}
 	g := standingGolden{
-		order:   fmt.Sprintf("updates=%d:%s/%s", len(rep.Updates), digest(exact.String()), digest(keys.String())),
+		order:   fmt.Sprintf("updates=%d:%s/%s", len(updates), digest(exact.String()), digest(keys.String())),
 		monitor: fmt.Sprintf("maintSwitches=%d polls=%d:%s", rep.MaintSwitches, npolls, digest(polls.String())),
 		clocks:  []float64{rep.VirtualSeconds, rep.CPUSeconds},
 	}
@@ -279,7 +281,7 @@ func runStandingLeg(t *testing.T, fixture standingFixture, spj bool, o Options, 
 		if m.readAll != m.wm.DeltaRows {
 			t.Fatalf("watermark %d counts %d delta rows, the providers handed out %d", m.wm.Seq, m.wm.DeltaRows, m.readAll)
 		}
-		fold := ivm.Fold(rep.Updates[:m.upto])
+		fold := ivm.Fold(updates[:m.upto])
 		if fold.Negative() {
 			t.Fatalf("watermark %d: the update stream folds to a negative multiset", m.wm.Seq)
 		}
@@ -453,31 +455,38 @@ var standingParent = map[string]standingGolden{
 //     clean and failover, 3 064 on replayed-windowed and
 //     replayed-traditional. Serial legs compare clocks with ==; replayed-p4
 //     keeps the parent's, within parClockTol.
+//   - clocks, on every serial aggregate leg, once the initial result left the
+//     run only as the baseline window: the group-by's EmitFinal, one Move
+//     (300 ns) per group for rows nothing read — 682 groups on the Q3A legs,
+//     1 000 on built-initial-switch, 3 on built-maint-switch — is not
+//     charged. The adopted and built legs' CPU seconds and baseline stamp
+//     fall by it, and every later stamp by at most it; the replayed legs'
+//     run clock and CPU seconds fall by it at the end of the run.
 var standingRebaselined = map[string]standingGolden{
 	"agg/adopted-static/clean": {
-		clocks: []float64{0.4500096, 0.0450361, 0.0429108, 0.0500078, 0.1000111, 0.1500087, 0.2000123, 0.2500141, 0.3000102, 0.3500108, 0.4000132, 0.4500096, 0.0425016}},
+		clocks: []float64{0.4500096, 0.0448315, 0.0427062, 0.0500078, 0.1000111, 0.1500087, 0.2000123, 0.2500141, 0.3000102, 0.3500108, 0.4000132, 0.4500096, 0.0425016}},
 	"agg/adopted-static/failover": {
-		clocks: []float64{7.5019572, 0.0450361, 0.0429108, 7.5000504, 7.50029, 7.5005203, 7.5007652, 7.5010184, 7.5012568, 7.5014823, 7.5017314, 7.5019572, 0.0425016}},
+		clocks: []float64{7.5019572, 0.0448315, 0.0427062, 7.5000504, 7.50029, 7.5005203, 7.5007652, 7.5010184, 7.5012568, 7.5014823, 7.5017314, 7.5019572, 0.0425016}},
 	"agg/adopted-corrective/clean": {monitor: "maintSwitches=0 polls=56:f79354965ef5e989",
-		clocks: []float64{0.4500096, 0.0450361, 0.0429108, 0.0500078, 0.1000111, 0.1500087, 0.2000123, 0.2500141, 0.3000102, 0.3500108, 0.4000132, 0.4500096, 0.0425016}},
+		clocks: []float64{0.4500096, 0.0448315, 0.0427062, 0.0500078, 0.1000111, 0.1500087, 0.2000123, 0.2500141, 0.3000102, 0.3500108, 0.4000132, 0.4500096, 0.0425016}},
 	"agg/adopted-corrective/failover": {monitor: "maintSwitches=0 polls=56:f79354965ef5e989",
-		clocks: []float64{7.5019572, 0.0450361, 0.0429108, 7.5000504, 7.50029, 7.5005203, 7.5007652, 7.5010184, 7.5012568, 7.5014823, 7.5017314, 7.5019572, 0.0425016}},
+		clocks: []float64{7.5019572, 0.0448315, 0.0427062, 7.5000504, 7.50029, 7.5005203, 7.5007652, 7.5010184, 7.5012568, 7.5014823, 7.5017314, 7.5019572, 0.0425016}},
 	"agg/built-initial-switch/clean": {
-		clocks: []float64{1.6214552, 1.6214552, 1.2859236, 1.334469, 1.3839882, 1.4402953, 1.4988955, 1.558959, 1.6214552, 0.28294, 0.00378}},
+		clocks: []float64{1.6211552, 1.6211552, 1.2856236, 1.334169, 1.3836882, 1.4399953, 1.4985955, 1.558659, 1.6211552, 0.28294, 0.00378}},
 	"agg/built-initial-switch/failover": {
-		clocks: []float64{7.5873167, 1.6207814, 1.2859236, 1.3334056, 1.3833864, 1.4347406, 1.4858637, 7.517526, 7.5873167, 0.28294, 0.00378}},
+		clocks: []float64{7.5873167, 1.6204814, 1.2856236, 1.3331056, 1.3830864, 1.4344406, 1.4855637, 7.517526, 7.5873167, 0.28294, 0.00378}},
 	"agg/built-maint-switch/clean": {monitor: "maintSwitches=1 polls=26:c9a2ca036a681671",
-		clocks: []float64{4.3399251, 2.0620066, 4.69e-05, 0.1000131, 0.2000131, 0.3000131, 0.4000131, 0.5000188, 0.6000131, 0.7000131, 0.8000188, 0.9000131, 1.0000131, 1.1000188, 1.2000188, 1.3000131, 1.4000131, 1.5000188, 2.709684, 3.1051045, 4.2479754, 4.2925722, 4.3399251, 4.51e-05}},
+		clocks: []float64{4.3399251, 2.0620057, 4.6e-05, 0.1000131, 0.2000131, 0.3000131, 0.4000131, 0.5000188, 0.6000131, 0.7000131, 0.8000188, 0.9000131, 1.0000131, 1.1000188, 1.2000188, 1.3000131, 1.4000131, 1.5000188, 2.709684, 3.1051045, 4.2479754, 4.2925722, 4.3399251, 4.51e-05}},
 	"agg/built-maint-switch/failover": {monitor: "maintSwitches=1 polls=26:bde52e65f917bd72",
-		clocks: []float64{8.5620415, 0.9591008, 4.69e-05, 0.1000131, 0.2000131, 0.3000131, 0.4000131, 0.5000188, 0.6000131, 0.7000131, 0.8000188, 0.9000131, 1.0000131, 1.1000188, 1.2000188, 1.3000131, 1.4000131, 1.5000188, 2.6800069, 2.7800024, 8.1365508, 8.42318, 8.5620415, 4.51e-05}},
+		clocks: []float64{8.5620415, 0.9590999, 4.6e-05, 0.1000131, 0.2000131, 0.3000131, 0.4000131, 0.5000188, 0.6000131, 0.7000131, 0.8000188, 0.9000131, 1.0000131, 1.1000188, 1.2000188, 1.3000131, 1.4000131, 1.5000188, 2.6800069, 2.7800024, 8.1365508, 8.42318, 8.5620415, 4.51e-05}},
 	"agg/replayed-windowed/clean": {
-		clocks: []float64{0.450221, 0.1417871, 0.1353024, 0.1359874, 0.1366733, 0.1500155, 0.200018, 0.2500198, 0.3000102, 0.3500165, 0.4000189, 0.4500164, 0.0278563}},
+		clocks: []float64{0.4500164, 0.1415825, 0.1353024, 0.1359874, 0.1366733, 0.1500155, 0.200018, 0.2500198, 0.3000102, 0.3500165, 0.4000189, 0.4500164, 0.0278563}},
 	"agg/replayed-windowed/failover": {
-		clocks: []float64{7.5059312, 0.1417871, 0.1353024, 7.5001315, 7.5008174, 7.5015166, 7.5022315, 7.5029571, 7.5036708, 7.5043141, 7.5050321, 7.5057266, 0.0278563}},
+		clocks: []float64{7.5057266, 0.1415825, 0.1353024, 7.5001315, 7.5008174, 7.5015166, 7.5022315, 7.5029571, 7.5036708, 7.5043141, 7.5050321, 7.5057266, 0.0278563}},
 	"agg/replayed-traditional/clean": {
-		clocks: []float64{0.450221, 0.1564324, 0.1499477, 0.1506327, 0.1513186, 0.1520178, 0.200018, 0.2500198, 0.3000102, 0.3500165, 0.4000189, 0.4500164, 0.0425016}},
+		clocks: []float64{0.4500164, 0.1562278, 0.1499477, 0.1506327, 0.1513186, 0.1520178, 0.200018, 0.2500198, 0.3000102, 0.3500165, 0.4000189, 0.4500164, 0.0425016}},
 	"agg/replayed-traditional/failover": {
-		clocks: []float64{7.5059312, 0.1564324, 0.1499477, 7.5001315, 7.5008174, 7.5015166, 7.5022315, 7.5029571, 7.5036708, 7.5043141, 7.5050321, 7.5057266, 0.0425016}},
+		clocks: []float64{7.5057266, 0.1562278, 0.1499477, 7.5001315, 7.5008174, 7.5015166, 7.5022315, 7.5029571, 7.5036708, 7.5043141, 7.5050321, 7.5057266, 0.0425016}},
 	"spj/adopted-static/clean": {
 		clocks: []float64{0.4500021, 0.0431174, 0.0411526, 0.0500021, 0.1000021, 0.1500021, 0.2000021, 0.2500021, 0.3, 0.3500021, 0.4000021, 0.4500021, 0.0411526}},
 	"spj/adopted-static/failover": {

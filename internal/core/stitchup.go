@@ -221,18 +221,13 @@ func (s *StitchUp) tableFor(step, phase int, part *state.List) *state.HashTable 
 	return t
 }
 
-// Run evaluates every non-uniform combination. It enumerates vectors in
-// lexicographic order maintaining per-prefix result caches, so shared
-// prefixes across adjacent combinations are computed once; uniform
+// RunContext evaluates every non-uniform combination. It enumerates
+// vectors in lexicographic order maintaining per-prefix result caches, so
+// shared prefixes across adjacent combinations are computed once; uniform
 // prefixes whose joins a phase already materialized are fetched from that
-// phase's state structures instead of recomputed.
-func (s *StitchUp) Run() error {
-	return s.RunContext(context.Background())
-}
-
-// RunContext is Run with cancellation, checked between combinations; a
-// canceled stitch-up returns the context's error with the partial output
-// already emitted left in place downstream.
+// phase's state structures instead of recomputed. Cancellation is checked
+// between combinations; a canceled stitch-up returns the context's error
+// with the partial output already emitted left in place downstream.
 func (s *StitchUp) RunContext(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()

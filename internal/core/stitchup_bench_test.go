@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
@@ -46,7 +47,7 @@ func BenchmarkStitchUp(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Run(); err != nil {
+		if err := s.RunContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		if sink.rows == 0 || s.Reused == 0 {

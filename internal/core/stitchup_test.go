@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -138,7 +139,7 @@ func TestADPIdentityProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Run(); err != nil {
+		if err := s.RunContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
@@ -188,7 +189,7 @@ func TestStitchUpReusesMaterializedIntermediates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if total != want {
@@ -223,7 +224,7 @@ func TestStitchUpDisableReuseIgnoresIntermediates(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.DisableReuse = true
-	if err := s.Run(); err != nil {
+	if err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if total != want {
@@ -260,7 +261,7 @@ func TestStitchUpSinglePhaseNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 || s.Combos != 0 {
@@ -290,7 +291,7 @@ func TestStitchUpEmptyPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if total != want {

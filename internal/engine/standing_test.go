@@ -45,21 +45,17 @@ func TestRegisterStandingMaintainsAggregate(t *testing.T) {
 	}
 	defer sq.Close()
 
-	// Initial result streams through the row cursor like any run.
-	var initial []types.Tuple
-	for row, err := range sq.Rows() {
-		if err != nil {
-			t.Fatal(err)
-		}
-		initial = append(initial, row)
+	// The initial result is the baseline window.
+	baseline, ok := sq.NextWindow()
+	if !ok || baseline.Watermark.Seq != 0 {
+		t.Fatalf("first window = %+v, %v; want the baseline", baseline.Watermark, ok)
 	}
-	if len(initial) != 10 {
-		t.Fatalf("initial groups = %d, want 10", len(initial))
+	if len(baseline.Updates) != 10 {
+		t.Fatalf("initial groups = %d, want 10", len(baseline.Updates))
 	}
 
-	// Updates arrive through the update cursor; their concatenation is
-	// the report's update log.
-	var ups []ivm.Update
+	// Revisions follow through the same cursor; the report counts them all.
+	ups := baseline.Updates
 	for u, err := range sq.Updates() {
 		if err != nil {
 			t.Fatal(err)
@@ -70,8 +66,8 @@ func TestRegisterStandingMaintainsAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ups) != len(rep.Updates) {
-		t.Fatalf("cursor updates = %d, report updates = %d", len(ups), len(rep.Updates))
+	if int64(len(ups)) != rep.UpdateCount || rep.RowCount != 10 {
+		t.Fatalf("cursor updates = %d, report counts %d updates and %d rows", len(ups), rep.UpdateCount, rep.RowCount)
 	}
 	if rep.DeltaRows != int64(len(ordersDeltas())) {
 		t.Errorf("DeltaRows = %d, want %d", rep.DeltaRows, len(ordersDeltas()))
@@ -110,6 +106,62 @@ func TestRegisterStandingMaintainsAggregate(t *testing.T) {
 	}
 	if !found {
 		t.Error("group c3 missing from maintained view")
+	}
+}
+
+// TestRegisterStandingKeepsNoUpdates: the cursor is the update stream's one
+// holder. A standing query read to the end reports no Updates, counts the
+// windows' updates in UpdateCount, and maintains, to the bit, what a
+// RunMaintenance without hooks does on the same inputs.
+func TestRegisterStandingKeepsNoUpdates(t *testing.T) {
+	e := testEngine()
+	q := standingSpendQuery(e)
+	opts := []Option{WithStrategy(core.Static), WithPollEvery(2)}
+	sq, err := e.RegisterStanding(context.Background(), q, map[string][]source.Delta{"orders": ordersDeltas()}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sq.Close()
+	var n int64
+	for {
+		win, ok := sq.NextWindow()
+		if !ok {
+			break
+		}
+		n += int64(len(win.Updates))
+	}
+	rep, err := sq.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Updates != nil || rep.UpdateCount != n {
+		t.Fatalf("report holds %d updates and counts %d; the windows held %d", len(rep.Updates), rep.UpdateCount, n)
+	}
+
+	o := e.buildOptions(opts)
+	rel, _ := e.Relation("orders")
+	dp, err := source.NewDeltaProvider(source.NewProvider(rel, nil), ordersDeltas())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := core.RunMaintenance(context.Background(), e.catalog(o), q, o,
+		core.MaintOptions{Deltas: map[string]source.Provider{"orders": dp}}, core.RunHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.UpdateCount != n || int64(len(plain.Updates)) != n {
+		t.Fatalf("without hooks: %d updates kept, %d counted; the cursor read %d", len(plain.Updates), plain.UpdateCount, n)
+	}
+	if len(rep.Maintained) != len(plain.Maintained) {
+		t.Fatalf("maintained rows = %d, without hooks %d", len(rep.Maintained), len(plain.Maintained))
+	}
+	var a, b []byte
+	for i := range plain.Maintained {
+		a = types.AppendKeyAll(a[:0], rep.Maintained[i])
+		b = types.AppendKeyAll(b[:0], plain.Maintained[i])
+		if string(a) != string(b) {
+			t.Fatalf("maintained row %d = %v, without hooks %v", i, rep.Maintained[i], plain.Maintained[i])
+		}
 	}
 }
 

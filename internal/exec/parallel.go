@@ -190,24 +190,20 @@ func (pd *ParallelDriver) start() {
 	}
 }
 
-// Run delivers source tuples until exhaustion or until poll asks to
-// suspend, exactly like Driver.Run, except that deliveries scatter across
-// the partition workers and poll observes a quiesced pipeline: before
-// each poll call the driver waits until every in-flight batch has been
-// fully processed and all workers are parked, so poll may safely read
-// per-partition operator state. The leaves' deliveries (Leaf.PushBatch) are
-// expected to route into this driver's LeafScatter exchanges.
-func (pd *ParallelDriver) Run(leaves []*Leaf, pollEvery int, poll func() bool) (exhausted bool) {
-	exhausted, _ = pd.RunContext(context.Background(), leaves, pollEvery, poll)
-	return exhausted
-}
-
-// RunContext is Run with cancellation. The context is checked between
-// read batches; on cancel the driver stops reading, quiesces the workers
-// (every in-flight message fully processed, all workers parked — the same
-// consistent state a poll suspension reaches), and returns the context's
-// error. The workers stay alive so the caller decides between resuming
-// and Close; a canceled run must still Close to join them.
+// RunContext delivers source tuples until exhaustion or until poll asks
+// to suspend, exactly like Driver.Run, except that deliveries scatter
+// across the partition workers and poll observes a quiesced pipeline:
+// before each poll call the driver waits until every in-flight batch has
+// been fully processed and all workers are parked, so poll may safely read
+// per-partition operator state. The leaves' deliveries (Leaf.PushBatch)
+// are expected to route into this driver's LeafScatter exchanges.
+//
+// The context is checked between read batches; on cancel the driver stops
+// reading, quiesces the workers (every in-flight message fully processed,
+// all workers parked — the same consistent state a poll suspension
+// reaches), and returns the context's error. The workers stay alive so
+// the caller decides between resuming and Close; a canceled run must still
+// Close to join them.
 func (pd *ParallelDriver) RunContext(ctx context.Context, leaves []*Leaf, pollEvery int, poll func() bool) (exhausted bool, err error) {
 	pd.start()
 	pd.read = NewDriver(pd.ctx, leaves...)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -64,7 +65,7 @@ func TestParallelDriverJoinMatchesSerial(t *testing.T) {
 	sd.Run(0, nil)
 
 	f := newParJoinFixture(4)
-	if !f.pd.Run(f.leaves(ls, rs), 0, nil) {
+	if exhausted, err := f.pd.RunContext(context.Background(), f.leaves(ls, rs), 0, nil); err != nil || !exhausted {
 		t.Fatal("parallel run did not exhaust")
 	}
 	f.pd.Finish()
@@ -121,7 +122,7 @@ func TestParallelDriverPollSeesQuiescedState(t *testing.T) {
 	rs := randTuples(2000, 100, 32, sRow)
 	f := newParJoinFixture(3)
 	polls := 0
-	exhausted := f.pd.Run(f.leaves(ls, rs), 500, func() bool {
+	exhausted, _ := f.pd.RunContext(context.Background(), f.leaves(ls, rs), 500, func() bool {
 		polls++
 		var in int64
 		for _, j := range f.joins {
@@ -179,7 +180,7 @@ func TestParallelDriverStageSend(t *testing.T) {
 	sc := pd.LeafScatter(0, []int{0})
 	rel := source.NewRelation("r", rSchema, ls)
 	leaves := []*Leaf{{Provider: source.NewProvider(rel, nil), PushBatch: Feed(sc)}}
-	if !pd.Run(leaves, 0, nil) {
+	if exhausted, err := pd.RunContext(context.Background(), leaves, 0, nil); err != nil || !exhausted {
 		t.Fatal("run did not exhaust")
 	}
 	pd.Finish()

@@ -42,7 +42,9 @@ func NewMultiset() *Multiset {
 	return &Multiset{counts: make(map[string]*msEntry)}
 }
 
-// Add folds sign occurrences of row.
+// Add folds sign occurrences of row. A row whose count returns to zero
+// leaves the multiset, so it holds no more entries than live rows and
+// unmatched retractions; a count below zero stays (Negative).
 func (m *Multiset) Add(row types.Tuple, sign int) {
 	m.keyBuf = types.AppendKeyAll(m.keyBuf[:0], row)
 	e := m.counts[string(m.keyBuf)]
@@ -50,7 +52,9 @@ func (m *Multiset) Add(row types.Tuple, sign int) {
 		e = &msEntry{row: row.Clone()}
 		m.counts[string(m.keyBuf)] = e
 	}
-	e.cnt += int64(sign)
+	if e.cnt += int64(sign); e.cnt == 0 {
+		delete(m.counts, string(m.keyBuf))
+	}
 }
 
 // Apply folds one update.

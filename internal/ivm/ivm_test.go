@@ -254,3 +254,23 @@ func TestBaseTrackerClamp(t *testing.T) {
 		t.Errorf("Len() = %d after refused removes, want 1", one.Len())
 	}
 }
+
+// TestMultisetHoldsLiveRowsOnly: a row whose count returns to zero leaves
+// the multiset, so folding a stream holds no more than the rows still live
+// — and a retraction that matched nothing still stays, for Negative.
+func TestMultisetHoldsLiveRowsOnly(t *testing.T) {
+	m := NewMultiset()
+	for i := 0; i < 10_000; i++ {
+		m.Add(types.Tuple{types.Int(int64(i)), types.Str("x")}, 1)
+	}
+	for i := 0; i < 10_000; i++ {
+		m.Add(types.Tuple{types.Int(int64(i)), types.Str("x")}, -1)
+	}
+	if len(m.counts) != 0 || m.Len() != 0 || m.Negative() {
+		t.Fatalf("after inserting and deleting 10 000 rows: %d entries, Len %d, Negative %v", len(m.counts), m.Len(), m.Negative())
+	}
+	m.Add(types.Tuple{types.Int(7)}, -1)
+	if !m.Negative() || len(m.counts) != 1 {
+		t.Fatalf("a lone retraction: Negative %v, %d entries", m.Negative(), len(m.counts))
+	}
+}

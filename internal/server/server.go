@@ -526,20 +526,6 @@ func (s *Server) handleStanding(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err.Error())
 		return
 	}
-	// The initial result travels as the baseline update window, so the
-	// row cursor is pure backpressure here: drain it in the background.
-	// Report also touches the cursor, so the success path below waits on
-	// rowsDone first (the Close paths don't need to: Close never touches
-	// consumer-owned cursor state).
-	rowsDone := make(chan struct{})
-	go func() {
-		defer close(rowsDone)
-		for {
-			if _, ok := sq.NextBatch(); !ok {
-				return
-			}
-		}
-	}()
 	nw, ok := s.begin(w, a.q.Name, sq, func() bool { _, ok := sq.NextWindow(); return ok }, "standing query")
 	defer nw.done()
 	if !ok {
@@ -547,8 +533,9 @@ func (s *Server) handleStanding(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Update streaming: each watermark window writes its signed update
-	// frames (allocation-free encode) and closes with a watermark frame.
-	// The per-query row budget bounds update frames.
+	// frames (allocation-free encode) and closes with a watermark frame;
+	// the first, the baseline, is the initial result. The per-query row
+	// budget bounds update frames.
 	over := false
 	for !over {
 		win, ok := sq.NextWindow()
@@ -563,9 +550,7 @@ func (s *Server) handleStanding(w http.ResponseWriter, r *http.Request) {
 			DeltaRows: win.Watermark.DeltaRows, VirtualSeconds: win.Watermark.VirtualSeconds,
 		}))
 	}
-	if nw.drained = !over && sq.Err() == nil; nw.drained {
-		<-rowsDone // run is done (windows exhausted), so the drain exits promptly
-	}
+	nw.drained = !over && sq.Err() == nil
 	nw.end(over, "standing query exceeded the per-query row budget (%d update frames)", "")
 }
 

@@ -290,7 +290,7 @@ func wireReport(rep *core.Report, planCache string) WireReport {
 		Discarded:      rep.Discarded,
 		Partial:        rep.Partial,
 		PlanCache:      planCache,
-		Updates:        int64(len(rep.Updates)),
+		Updates:        rep.UpdateCount,
 		DeltaRows:      rep.DeltaRows,
 		DeltaClamped:   rep.DeltaClamped,
 		MaintainedRows: int64(len(rep.Maintained)),

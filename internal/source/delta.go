@@ -1,12 +1,12 @@
 // Delta streams for incremental view maintenance. A standing query runs
 // its initial phase over the base relations, then keeps its result
 // maintained as sources push signed changes — inserts and deletes —
-// after the initial run. A DeltaProvider adapts a script of such changes
+// after the initial run. NewDeltaProvider adapts a script of such changes
 // into an ordinary Provider over the *delta relation*: the base schema
 // extended with a trailing sign column (+1 insert, -1 delete), every row
 // stamped with a virtual arrival time. Because the delta stream is just
 // a Provider, the whole PR 6 fault stack composes unchanged: wrap a
-// DeltaProvider in Faulty and delta delivery can stall, fail
+// delta provider in Faulty and delta delivery can stall, fail
 // transiently, or fail over to a mirror delta relation at the consumed
 // watermark — with the same determinism contract as base sources.
 package source
@@ -106,26 +106,17 @@ func DeltaRelation(name string, base *types.Schema, deltas []Delta) *Relation {
 	return NewRelation(name, DeltaSchema(base), rows)
 }
 
-// DeltaProvider is a Provider over the signed delta stream of one base
-// source. It wraps the base provider only to derive identity and layout:
-// Name matches the base (so the maintenance driver can route deltas to
-// the plan leaf reading that relation), Schema is the base schema plus
-// the sign column, and every delta row is validated against the base
-// width at construction. Delivery itself is an ordinary scheduled read
-// over the materialized script, so Faulty composes on top without
-// knowing it is wrapping deltas.
-type DeltaProvider struct {
-	base  *types.Schema
-	inner Provider
-}
-
 // NewDeltaProvider builds the delta stream of base from a script of
-// signed changes. Changes deliver in script order with their stamped
-// arrival times; the availability-ordered driver interleaves multiple
-// relations' delta streams by those stamps exactly as it interleaves
-// base sources. Rows whose width does not match the base schema are
-// rejected.
-func NewDeltaProvider(base Provider, deltas []Delta) (*DeltaProvider, error) {
+// signed changes: a Provider over the script's DeltaRelation, stamped with
+// each change's arrival time. Its Name is the base source's, so the
+// maintenance driver routes deltas to the plan leaf reading that relation
+// without extra mapping; its Schema is the base schema plus the sign
+// column. Changes deliver in script order with their stamped arrival
+// times; the availability-ordered driver interleaves multiple relations'
+// delta streams by those stamps exactly as it interleaves base sources,
+// and Faulty composes on top without knowing it is wrapping deltas. Rows
+// whose width does not match the base schema are rejected.
+func NewDeltaProvider(base Provider, deltas []Delta) (Provider, error) {
 	bs := base.Schema()
 	arr := make([]float64, len(deltas))
 	for i, d := range deltas {
@@ -138,48 +129,15 @@ func NewDeltaProvider(base Provider, deltas []Delta) (*DeltaProvider, error) {
 		}
 		arr[i] = d.At
 	}
-	rel := DeltaRelation(base.Name(), bs, deltas)
-	return &DeltaProvider{
-		base:  bs,
-		inner: NewProvider(rel, Stamped{Arrivals: arr}),
-	}, nil
+	return NewProvider(DeltaRelation(base.Name(), bs, deltas), Stamped{Arrivals: arr}), nil
 }
 
 // MustDeltaProvider is NewDeltaProvider for fixtures with known-good
 // scripts; it panics on a malformed script.
-func MustDeltaProvider(base Provider, deltas []Delta) *DeltaProvider {
+func MustDeltaProvider(base Provider, deltas []Delta) Provider {
 	dp, err := NewDeltaProvider(base, deltas)
 	if err != nil {
 		panic(err)
 	}
 	return dp
 }
-
-// Name implements Provider: the base source's name, so delta routing by
-// relation name needs no extra mapping.
-func (d *DeltaProvider) Name() string { return d.inner.Name() }
-
-// Schema implements Provider: the signed delta schema.
-func (d *DeltaProvider) Schema() *types.Schema { return d.inner.Schema() }
-
-// Total implements Provider.
-func (d *DeltaProvider) Total() int { return d.inner.Total() }
-
-// Consumed implements Provider.
-func (d *DeltaProvider) Consumed() int { return d.inner.Consumed() }
-
-// Exhausted implements Provider.
-func (d *DeltaProvider) Exhausted() bool { return d.inner.Exhausted() }
-
-// Next implements Provider.
-func (d *DeltaProvider) Next() (Row, bool) { return d.inner.Next() }
-
-// PeekArrival implements Provider.
-func (d *DeltaProvider) PeekArrival() (float64, bool) { return d.inner.PeekArrival() }
-
-// Reset implements Provider.
-func (d *DeltaProvider) Reset() { d.inner.Reset() }
-
-// Faulted implements Provider: the plain delta stream never faults
-// (wrap in Faulty for that).
-func (d *DeltaProvider) Faulted() error { return d.inner.Faulted() }

@@ -69,14 +69,16 @@ check 'BenchmarkDeltaPropagation/agg'            2  # PR 10: signed agg absorb +
 # warm-up goes back to one relation-sized batch; the bytes double, so those are gated too.
 # Since the delta tracker is a hash index over the rows it is given, seeding it builds no
 # string keys: 8654 / 8864 / 12751 allocs and 4.12 / 7.03 / 15.77 MB measured (21243 /
-# 21453 / 25338 and 5.02 / 7.93 / 16.66 MB with string keys). All budgets are 1.25 x the
-# measurement.
-check 'BenchmarkStandingSetup/adopted'       10820  # the initial phase's tree is the maintenance tree
-check 'BenchmarkStandingSetup/switched'      11080  # + one tree built from the adopted one's lists
-check 'BenchmarkStandingSetup/replayed-p4'   15940  # four partitions: a tree warmed through a live root
-check 'BenchmarkStandingSetup/adopted'     5150000 B/op
-check 'BenchmarkStandingSetup/switched'    8800000 B/op
-check 'BenchmarkStandingSetup/replayed-p4' 19710000 B/op
+# 21453 / 25338 and 5.02 / 7.93 / 16.66 MB with string keys). Since the initial result
+# leaves only as the baseline window (no final groups emitted before it, and the update
+# windows folded as they go instead of all at the end): 7360 / 7552 / 11385 allocs and
+# 3.93 / 6.84 / 15.57 MB. All budgets are 1.25 x the measurement.
+check 'BenchmarkStandingSetup/adopted'        9200  # the initial phase's tree is the maintenance tree
+check 'BenchmarkStandingSetup/switched'       9440  # + one tree built from the adopted one's lists
+check 'BenchmarkStandingSetup/replayed-p4'   14240  # four partitions: a tree warmed through a live root
+check 'BenchmarkStandingSetup/adopted'     4920000 B/op
+check 'BenchmarkStandingSetup/switched'    8560000 B/op
+check 'BenchmarkStandingSetup/replayed-p4' 19470000 B/op
 # The delta tracker seeded with SF 0.005's 30113 lineitem rows: 49 allocs and 1.75 MB measured
 # (the string-key tracker: 30383 allocs, 4.94 MB). Budgets 1.25 x the measurement.
 check 'BenchmarkBaseTrackerSeed'                62  # slot-table doublings and 1024-entry chunks
