@@ -50,9 +50,8 @@ var keptWithoutCaller = map[string]string{
 	"types.EncodeKey": "the key codec tests hold AppendKey's bytes to it",
 
 	// Called by the standard library through an interface.
-	"core.tupleHeap.Less":               "container/heap calls it",
-	"core.tupleHeap.Swap":               "container/heap calls it",
-	"server.deltaScripts.UnmarshalJSON": "encoding/json calls it",
+	"core.tupleHeap.Less": "container/heap calls it",
+	"core.tupleHeap.Swap": "container/heap calls it",
 }
 
 // TestEveryExportHasACaller keeps dead exports from creeping back: every

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,31 +15,53 @@ import (
 	"github.com/tukwila/adp/internal/types"
 )
 
-// standingBody returns what a POST /v1/standing body decodes into: a
-// StandingRequest whose deltas member a deltaScripts reads. The type is
-// declared here under the exported one's name so that encoding/json words
-// its refusals of query and options exactly as it does for StandingRequest.
-func (s *Server) standingBody() (req any, spec *QuerySpec, ro *RunOptions, deltas *deltaScripts) {
-	type StandingRequest struct {
-		Query   QuerySpec    `json:"query"`
-		Deltas  deltaScripts `json:"deltas"`
-		Options RunOptions   `json:"options,omitempty"`
-	}
-	b := &StandingRequest{Deltas: deltaScripts{s: s}}
-	return b, &b.Query, &b.Options, &b.Deltas
+// standingBody is a POST /v1/standing body as the handler reads it: its
+// query and options, and its deltas member's scripts.
+type standingBody struct {
+	query   QuerySpec
+	options RunOptions
+	deltas  deltaScripts
 }
 
-// deltaScripts is the deltas member of a standing request body, read in
-// one pass over its bytes: encoding/json hands UnmarshalJSON the member's
-// text (once per occurrence of the key), and each relation's script is
-// read off it by that relation's column kinds, its rows converted straight
+// decode reads a standing body in one pass over its text, which the delta
+// rows' plain strings alias, after json.Valid checks the first value's
+// syntax (bytes after it are ignored, as a Decoder ignored them). Keys match
+// as encoding/json matches them, and it accepts what decoding into a
+// StandingRequest accepted; a refused body is decoded whole into one, only
+// to word the refusal. The refusals buildDeltas made wait in their script
+// until resolve, which reports them after the query and options, as before.
+func (b *standingBody) decode(body string) error {
+	sc := &deltaScanner{src: body}
+	obj, err := sc.ws() == '{', errUnread
+	if start := sc.i; obj && json.Valid([]byte(sc.skip())) {
+		sc.i = start
+		err = sc.each(func(key string) error {
+			switch {
+			case strings.EqualFold(key, "query"):
+				return decodeBody(sc.skip(), &b.query)
+			case strings.EqualFold(key, "options"):
+				return decodeBody(sc.skip(), &b.options)
+			case strings.EqualFold(key, "deltas"):
+				return b.deltas.read(sc)
+			}
+			return errUnread
+		})
+	}
+	if err == nil {
+		return nil
+	}
+	// Worded by encoding/json; the one non-object it takes is null, the empty request.
+	if werr := decodeBody(body, new(StandingRequest)); werr != nil || !obj {
+		return werr
+	}
+	return err
+}
+
+// deltaScripts is the deltas member of a standing request body: each
+// relation's script read by its column kinds, its rows converted straight
 // into slabs of values. It accepts what decoding into
 // map[string][]DeltaSpec and then buildDeltas accepted, and yields the same
-// deltas. The refusals encoding/json made — a value of the wrong JSON type,
-// an unknown key in a delta — fail the body's decode, in its words, so they
-// still come before the query's; the ones buildDeltas made wait in their
-// script until resolve, which reports them after the query and options, as
-// before.
+// deltas.
 type deltaScripts struct {
 	s       *Server
 	scripts map[string]*deltaScript
@@ -56,48 +77,26 @@ type deltaScript struct {
 // slabRows is how many rows one slab of converted values holds.
 const slabRows = 1024
 
-// UnmarshalJSON reads one occurrence of the deltas member. Like a map, the
-// member takes the scripts of every occurrence, a later script for a
-// relation replacing an earlier one, and null empties it.
-func (d *deltaScripts) UnmarshalJSON(data []byte) error {
-	// Plain strings in the rows are substrings of this one copy.
-	sc := &deltaScanner{src: string(data)}
+// read reads one occurrence of the deltas member at the scanner. Like a
+// map, the member takes the scripts of every occurrence, a later script for
+// a relation replacing an earlier one, and null empties it.
+func (d *deltaScripts) read(sc *deltaScanner) error {
 	switch sc.ws() {
 	case 'n':
+		sc.skip()
 		d.scripts = nil
 		return nil
 	case '{':
-	default:
-		return refusal(data, errUnread)
+		if d.scripts == nil {
+			d.scripts = map[string]*deltaScript{}
+		}
+		return sc.each(func(name string) error {
+			script, err := d.readScript(sc, name)
+			d.scripts[name] = script
+			return err
+		})
 	}
-	if d.scripts == nil {
-		d.scripts = map[string]*deltaScript{}
-	}
-	err := sc.each(func(name string) error {
-		script, err := d.read(sc, name)
-		d.scripts[name] = script
-		return err
-	})
-	if err != nil {
-		return refusal(data, err)
-	}
-	return nil
-}
-
-// refusal words the refusal of a deltas member the scan would not read
-// exactly as decoding it into a StandingRequest did — the decode of the
-// member alone, into a type of that name — and falls back on the scan's
-// error if that decode takes the member after all.
-func refusal(data []byte, scanErr error) error {
-	type StandingRequest struct {
-		Deltas map[string][]DeltaSpec `json:"deltas"`
-	}
-	body := append(append([]byte(`{"deltas":`), data...), '}')
-	if err := decodeBody(bytes.NewReader(body), new(StandingRequest)); err != nil {
-		// Wrapped, so that the body's decoder leaves the field it names be.
-		return fmt.Errorf("%w", err)
-	}
-	return scanErr
+	return errUnread
 }
 
 // resolve returns the decoded scripts, or the refusal of the first bad
@@ -115,9 +114,11 @@ func (d *deltaScripts) resolve() (map[string][]source.Delta, error) {
 	return out, nil
 }
 
-// read reads the script for relation name at the scanner. A script for a
-// relation the engine does not have is refused, but still read through.
-func (d *deltaScripts) read(sc *deltaScanner, name string) (*deltaScript, error) {
+// readScript reads the script for relation name at the scanner. A script
+// for a relation the engine does not have is refused, but still read
+// through. A row takes a slab slot past its values, for its sign, so that
+// the delta source reads it in place (source.Delta).
+func (d *deltaScripts) readScript(sc *deltaScanner, name string) (*deltaScript, error) {
 	script := &deltaScript{}
 	var cols []types.Column
 	if rel, ok := d.s.eng.Relation(name); ok {
@@ -134,13 +135,15 @@ func (d *deltaScripts) read(sc *deltaScanner, name string) (*deltaScript, error)
 		return nil, errUnread
 	}
 	w := len(cols)
-	var vals []types.Value // the slab rows convert into
+	var vals []types.Value      // the slab rows convert into
+	var chunks [][]source.Delta // the deltas, a chunk to a slab
 	n := 0
 	err := sc.each(func(string) error {
 		i := n
 		n++
-		if cap(vals)-len(vals) < w {
-			vals = make([]types.Value, 0, slabRows*w)
+		if cap(vals)-len(vals) <= w {
+			vals = make([]types.Value, 0, slabRows*(w+1))
+			chunks = append(chunks, make([]source.Delta, 0, slabRows))
 		}
 		start := len(vals)
 		var (
@@ -159,12 +162,15 @@ func (d *deltaScripts) read(sc *deltaScanner, name string) (*deltaScript, error)
 		case del.bad != nil:
 			script.err = fmt.Errorf("delta %d for %q, column %q: %w", i, name, cols[del.badCol].Name, del.bad)
 		default:
-			script.deltas = append(script.deltas, source.Delta{At: del.at, Sign: del.sign, Row: vals[start:len(vals):len(vals)]})
+			vals = append(vals, types.Int(int64(del.sign)))
+			c := len(chunks) - 1
+			chunks[c] = append(chunks[c], source.Delta{At: del.at, Sign: del.sign, Row: vals[start : start+w : start+w+1]})
 			return nil
 		}
 		vals = vals[:start]
 		return nil
 	})
+	script.deltas = slices.Concat(chunks...)
 	return script, err
 }
 
@@ -238,19 +244,17 @@ func (sc *deltaScanner) delta(cols []types.Column, vals []types.Value) (scannedD
 	return d, vals, err
 }
 
-// deltaScanner walks the JSON text of a deltas member. The text has passed
-// encoding/json's syntax check before UnmarshalJSON sees it, so the scanner
-// only finds where each value ends; on bytes that are not JSON it stops
-// with an error rather than misread them.
+// deltaScanner walks the JSON text of a standing body, which has passed
+// json.Valid, so it only finds where each value ends; on bytes that are not
+// JSON it stops with an error rather than misread them.
 type deltaScanner struct {
 	src string
 	i   int
 }
 
-// errUnread stops the scan at what it will not read — bytes that are not
-// JSON, a value of the wrong JSON type, an unknown key — for refusal to
-// word.
-var errUnread = errors.New("json: deltas member not of type map[string][]server.DeltaSpec")
+// errUnread stops the scan at what it will not read — a value of the wrong
+// JSON type, an unknown key — for the decode into a StandingRequest to word.
+var errUnread = errors.New("json: body not of type server.StandingRequest")
 
 // ws skips white space and returns the byte after it, 0 at the end.
 func (sc *deltaScanner) ws() byte {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -56,30 +57,59 @@ func (s *Server) buildDeltasRef(specs map[string][]DeltaSpec) (map[string][]sour
 	return out, nil
 }
 
-// decodeStandingRef reads a standing body's deltas as commit e11d2be did:
-// the body into a StandingRequest, unknown fields refused, then
-// buildDeltas. A refusal of the body and one of its scripts come back
-// apart, for the handler reports the one before the query's and the other
-// after.
-func decodeStandingRef(s *Server, body []byte) (deltas map[string][]source.Delta, bodyErr, scriptErr error) {
+// decodedBody is what a standing body decodes to: its query, options and
+// deltas, or a refusal of the body or of one of its scripts. The two
+// refusals come apart, for the handler reports the one before the query's
+// and the other after.
+type decodedBody struct {
+	query              QuerySpec
+	options            RunOptions
+	deltas             map[string][]source.Delta
+	bodyErr, scriptErr error
+}
+
+// decodeStandingRef reads a standing body as commit e11d2be did: the body
+// into a StandingRequest, unknown fields refused, then buildDeltas.
+func decodeStandingRef(s *Server, body []byte) (d decodedBody) {
 	var req StandingRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, err, nil
+	if d.bodyErr = dec.Decode(&req); d.bodyErr != nil {
+		return d
 	}
-	deltas, err := s.buildDeltasRef(req.Deltas)
-	return deltas, nil, err
+	d.query, d.options = req.Query, req.Options
+	d.deltas, d.scriptErr = s.buildDeltasRef(req.Deltas)
+	return d
 }
 
-// decodeStanding reads a standing body's deltas as the handler does.
-func decodeStanding(s *Server, body []byte) (deltas map[string][]source.Delta, bodyErr, scriptErr error) {
-	req, _, _, scripts := s.standingBody()
-	if err := decodeBody(bytes.NewReader(body), req); err != nil {
-		return nil, err, nil
+// decodeStanding reads a standing body's text as the handler does.
+func decodeStanding(s *Server, body string) (d decodedBody) {
+	b := &standingBody{deltas: deltaScripts{s: s}}
+	if d.bodyErr = b.decode(body); d.bodyErr != nil {
+		return d
 	}
-	deltas, err := scripts.resolve()
-	return deltas, nil, err
+	d.query, d.options = b.query, b.options
+	d.deltas, d.scriptErr = b.deltas.resolve()
+	return d
+}
+
+// diffBodies describes the first difference between two bodies' decodes
+// ("" if none): the same refusals, word for word, and — for what both
+// accept — equal queries and options and the same deltas (diffDeltas).
+func diffBodies(got, want decodedBody) string {
+	switch {
+	case fmt.Sprint(got.bodyErr) != fmt.Sprint(want.bodyErr):
+		return fmt.Sprintf("refusal of the body %v, want %v", got.bodyErr, want.bodyErr)
+	case want.bodyErr != nil:
+		return ""
+	case !reflect.DeepEqual(got.query, want.query) || !reflect.DeepEqual(got.options, want.options):
+		return fmt.Sprintf("query %+v options %+v, want %+v %+v", got.query, got.options, want.query, want.options)
+	case fmt.Sprint(got.scriptErr) != fmt.Sprint(want.scriptErr):
+		return fmt.Sprintf("refusal of a script %v, want %v", got.scriptErr, want.scriptErr)
+	case want.scriptErr != nil:
+		return ""
+	}
+	return diffDeltas(got.deltas, want.deltas)
 }
 
 // diffDeltas describes the first difference between two decoded bodies'
@@ -170,16 +200,38 @@ func standingDeltasSeeds() []string {
 		// Space, trailing bytes, a broken body.
 		"{\"query\":" + q + ",\n\t\"deltas\" : { \"orders\" : [ { \"at\" : 0 , \"sign\" : 1 , \"row\" : [ 1 , 2 , 3 ] } ] } }",
 		orders(`{"at":0,"sign":1,"row":[1,2,3]}`) + ` trailing`,
+		orders(`{"at":0,"sign":1,"row":[1,2,3]}`) + `}]`,
 		orders(`{"at":0,"sign":1,"row":[1,2,3]`),
+		// The envelope: keys by case folding, a repeated query or options
+		// merging into the earlier, an unknown key, a type error in the query
+		// before a syntax error in the deltas, bodies that are not objects.
+		`{"QUERY":` + q + `,"Deltas":{"orders":[{"at":1,"sign":1,"row":[1,2,3]}]},"OptionS":{"strategy":"static"}}`,
+		`{"query":{"relations":["orders"]},"deltas":{},"query":{"select":["orders.id"]},"query":null}`,
+		`{"query":` + q + `,"options":{"strategy":"static","poll_every":2},"deltas":{},"options":{"poll_every":3}}`,
+		`{"query":` + q + `,"deltas":{},"extra":1}`,
+		`{"query":{"relations":"orders"},"deltas":{"orders":[{"at":0,"sign":1,"row":[1,2,3]}]}}`,
+		`{"query":{"relations":"orders"},"deltas":{"orders":[{"at":0,"sign":1,"row":[1,2,3],]}]}}`,
+		`{"query":{"relation":["orders"]},"deltas":{}}`,
+		`{"query":` + q + `,"deltas":{},"options":{"strategy":1}}`,
+		`{"query":` + q + `,"deltas":{"orders":[]},"deltas":5}`,
+		`null`, `nullx`, ` [1]`, `5`, `"x"`, ``, ` `, `{`, `{}`, `{}x`,
+		// Syntax errors inside values, which only the syntax check finds.
+		orders(`{"at":0,"sign":1,"row":[1,2,3.]}`),
+		orders(`{"at":01,"sign":1,"row":[1,2,3]}`),
+		orders(`{"at":0,"sign":1,"row":[1,2,+3]}`),
+		orders(`{"at":0,"sign":1,"row":[1,2,nul]}`),
+		body("{\"cust\":[{\"at\":0,\"sign\":1,\"row\":[1,\"a\tb\"]}]}"),
+		body(`{"cust":[{"at":0,"sign":1,"row":[1,"\x"]}]}`),
 	}
 }
 
-// FuzzStandingDeltas: over any body, the handler's one-pass read of the
-// deltas accepts exactly what decoding into a StandingRequest and then
-// buildDeltas accepted, at the same stage: a refusal of the body (reported
-// before the query's) or of a script (after it, word for word). What both
-// accept decodes to the same deltas, value for value and stamp for stamp,
-// and what the handler refuses it answers with 400 invalid_request.
+// FuzzStandingDeltas: over any body, the handler's one-pass read accepts
+// exactly what decoding into a StandingRequest and then buildDeltas
+// accepted, at the same stage: a refusal of the body (reported before the
+// query's) or of a script (after it), word for word. What both accept
+// decodes to the same query, options and deltas, value for value and stamp
+// for stamp, and what the handler refuses it answers with 400
+// invalid_request.
 func FuzzStandingDeltas(f *testing.F) {
 	for _, b := range standingDeltasSeeds() {
 		f.Add([]byte(b))
@@ -187,19 +239,12 @@ func FuzzStandingDeltas(f *testing.F) {
 	eng, _ := spjEngine(200)
 	s := New(eng, Config{})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		want, wantBody, wantScript := decodeStandingRef(s, body)
-		got, gotBody, gotScript := decodeStanding(s, body)
-		switch {
-		case (gotBody == nil) != (wantBody == nil):
-			t.Fatalf("body %q: refusal of the body %v, want %v", body, gotBody, wantBody)
-		case (gotScript == nil) != (wantScript == nil):
-			t.Fatalf("body %q: refusal of a script %v, want %v", body, gotScript, wantScript)
-		case gotScript != nil && gotScript.Error() != wantScript.Error():
-			t.Fatalf("body %q: script refused with %q, want %q", body, gotScript, wantScript)
-		case gotBody == nil && gotScript == nil:
-			if d := diffDeltas(got, want); d != "" {
-				t.Fatalf("body %q: %s", body, d)
-			}
+		want := decodeStandingRef(s, body)
+		got := decodeStanding(s, string(body))
+		if d := diffBodies(got, want); d != "" {
+			t.Fatalf("body %q: %s", body, d)
+		}
+		if want.bodyErr == nil && want.scriptErr == nil {
 			return
 		}
 		rec := httptest.NewRecorder()
@@ -211,24 +256,22 @@ func FuzzStandingDeltas(f *testing.F) {
 	})
 }
 
-// TestStandingDeltasSeeds: every fuzz seed is refused, if at all, in the
-// words the encoding/json decode used — the seeds' queries are well formed,
-// so a refusal of the body is one of its deltas member — and the seeds
-// exercise every outcome.
+// TestStandingDeltasSeeds: every fuzz seed decodes as the encoding/json
+// decode did — refused, if at all, in its words — and the seeds exercise
+// every outcome.
 func TestStandingDeltasSeeds(t *testing.T) {
 	eng, _ := spjEngine(200)
 	s := New(eng, Config{})
 	var accepted, bodies, scripts int
 	for _, b := range standingDeltasSeeds() {
-		_, wantBody, wantScript := decodeStandingRef(s, []byte(b))
-		_, gotBody, gotScript := decodeStanding(s, []byte(b))
-		if fmt.Sprint(gotBody, gotScript) != fmt.Sprint(wantBody, wantScript) {
-			t.Errorf("body %s: refused with %v / %v, want %v / %v", b, gotBody, gotScript, wantBody, wantScript)
+		got := decodeStanding(s, b)
+		if d := diffBodies(got, decodeStandingRef(s, []byte(b))); d != "" {
+			t.Errorf("body %s: %s", b, d)
 		}
 		switch {
-		case gotBody != nil:
+		case got.bodyErr != nil:
 			bodies++
-		case gotScript != nil:
+		case got.scriptErr != nil:
 			scripts++
 		default:
 			accepted++
@@ -292,20 +335,35 @@ func churnBody(tb testing.TB, n int) ([]byte, *engine.Engine) {
 	return body, eng
 }
 
-// BenchmarkStandingDecode is the standing handler's decode of a
-// standing_churn-shaped body (9 000 lineitem deltas, about 0.65 MB): the
-// body's decode, the scripts read in it, and their resolution.
+// BenchmarkStandingDecode is the standing handler's read of a
+// standing_churn-shaped body (9 000 lineitem deltas, about 0.65 MB) from
+// its text: "decode" is the body's decode and the scripts' resolution, and
+// "provider" goes on to build the lineitem delta source over the deltas.
 func BenchmarkStandingDecode(b *testing.B) {
 	body, eng := churnBody(b, 9000)
 	s := New(eng, Config{})
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		deltas, bodyErr, scriptErr := decodeStanding(s, body)
-		if bodyErr != nil || scriptErr != nil || len(deltas["lineitem"]) != 9000 {
-			b.Fatalf("decoded %d deltas: %v, %v", len(deltas["lineitem"]), bodyErr, scriptErr)
+	text := string(body)
+	rel, _ := eng.Relation("lineitem")
+	for _, provider := range []bool{false, true} {
+		name := "decode"
+		if provider {
+			name = "provider"
 		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d := decodeStanding(s, text)
+				if d.bodyErr != nil || d.scriptErr != nil || len(d.deltas["lineitem"]) != 9000 {
+					b.Fatalf("decoded %d deltas: %v, %v", len(d.deltas["lineitem"]), d.bodyErr, d.scriptErr)
+				}
+				if provider {
+					if _, err := source.NewDeltaProvider(source.NewProvider(rel, nil), d.deltas["lineitem"]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -314,12 +372,11 @@ func BenchmarkStandingDecode(b *testing.B) {
 func TestStandingDecodeChurn(t *testing.T) {
 	body, eng := churnBody(t, 3000)
 	s := New(eng, Config{})
-	want, wantBody, wantScript := decodeStandingRef(s, body)
-	got, gotBody, gotScript := decodeStanding(s, body)
-	if wantBody != nil || wantScript != nil || gotBody != nil || gotScript != nil {
-		t.Fatalf("refused: %v %v / %v %v", gotBody, gotScript, wantBody, wantScript)
+	want := decodeStandingRef(s, body)
+	if want.bodyErr != nil || want.scriptErr != nil {
+		t.Fatalf("refused: %v %v", want.bodyErr, want.scriptErr)
 	}
-	if d := diffDeltas(got, want); d != "" {
+	if d := diffBodies(decodeStanding(s, string(body)), want); d != "" {
 		t.Fatal(d)
 	}
 }

@@ -16,16 +16,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/core"
@@ -150,15 +152,6 @@ func (s *Server) RegisterPrepared(name string, q *algebra.Query) {
 	s.prepared[name] = q
 }
 
-func (s *Server) preparedNames() []string {
-	out := make([]string, 0, len(s.prepared))
-	for n := range s.prepared {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
@@ -229,19 +222,23 @@ type admission struct {
 }
 
 // admit takes a streaming request from the socket to an execution slot:
-// refuse while draining, decode the body into req (bounded, unknown fields
-// rejected), build the query and options from its spec and ro parts, run the
+// refuse while draining, read the body (readBody) and decode it into the
+// spec and ro it fills, build the query and options from them, run the
 // endpoint's own validate over them (nil = none), clamp the deadline, and
 // claim a slot or shed load. A request that does not make it has been
 // answered with its error envelope (ok false); every reject is counted here.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, req any, spec *QuerySpec, ro *RunOptions, validate func(core.Options) error) (a admission, ok bool) {
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, decode func(body string) error, spec *QuerySpec, ro *RunOptions, validate func(core.Options) error) (a admission, ok bool) {
 	if s.draining.Load() {
 		s.met.queriesRejected.Add(1)
 		s.reject(w, WireError{Code: CodeDraining, HTTPStatus: http.StatusServiceUnavailable,
 			Message: "server is draining; not admitting new queries"})
 		return a, false
 	}
-	if err := decodeBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), req); err != nil {
+	body, readErr := readBody(w, r)
+	if err := decode(body); err != nil {
+		if readErr != nil && (err == io.EOF || err == io.ErrUnexpectedEOF) {
+			err = readErr // cut short where the read failed (past the bound): what a Decoder on the socket said
+		}
 		s.badRequest(w, "bad request body: "+err.Error())
 		return a, false
 	}
@@ -286,10 +283,21 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, req any, spec *Qu
 	return a, true
 }
 
+// readBody reads a request body once, up to maxRequestBytes, into one
+// buffer: sized by Content-Length but never past the bound, and grown as it
+// fills when the length is absent or short. It returns the text read — the
+// buffer itself, which nothing writes after — and the error that stopped
+// the read short, if any: past the bound, the MaxBytesReader's.
+func readBody(w http.ResponseWriter, r *http.Request) (string, error) {
+	b := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxRequestBytes)+bytes.MinRead))
+	_, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	return unsafe.String(unsafe.SliceData(b.Bytes()), b.Len()), err
+}
+
 // decodeBody decodes the first JSON value of a request body into req,
 // refusing unknown fields.
-func decodeBody(body io.Reader, req any) error {
-	dec := json.NewDecoder(body)
+func decodeBody(body string, req any) error {
+	dec := json.NewDecoder(strings.NewReader(body))
 	dec.DisallowUnknownFields()
 	return dec.Decode(req)
 }
@@ -448,7 +456,7 @@ func (nw *ndjsonWriter) end(over bool, what, planCache string) {
 // handleQuery runs POST /v1/query: admission, execution, NDJSON stream.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	a, ok := s.admit(w, r, &req, &req.Query, &req.Options, nil)
+	a, ok := s.admit(w, r, func(body string) error { return decodeBody(body, &req) }, &req.Query, &req.Options, nil)
 	if !ok {
 		return
 	}
@@ -505,13 +513,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // folding update frames from empty always holds the maintained view.
 // Standing queries bypass the plan cache.
 func (s *Server) handleStanding(w http.ResponseWriter, r *http.Request) {
-	req, spec, ro, scripts := s.standingBody()
+	b := &standingBody{deltas: deltaScripts{s: s}}
 	var deltas map[string][]source.Delta
-	a, ok := s.admit(w, r, req, spec, ro, func(o core.Options) (err error) {
+	a, ok := s.admit(w, r, b.decode, &b.query, &b.options, func(o core.Options) (err error) {
 		if o.Strategy == core.PlanPartition {
 			return errors.New("strategy planpart cannot maintain a standing query (use static or corrective)")
 		}
-		deltas, err = scripts.resolve()
+		deltas, err = b.deltas.resolve()
 		return err
 	})
 	if !ok {

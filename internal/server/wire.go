@@ -9,7 +9,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -505,7 +507,7 @@ func (s *Server) buildQuery(spec QuerySpec) (*algebra.Query, error) {
 		q, ok := s.prepared[spec.Prepared]
 		if !ok {
 			return nil, fmt.Errorf("unknown prepared query %q (have %s)",
-				spec.Prepared, strings.Join(s.preparedNames(), ", "))
+				spec.Prepared, strings.Join(slices.Sorted(maps.Keys(s.prepared)), ", "))
 		}
 		return q, nil
 	}

@@ -28,6 +28,9 @@ const SignCol = "__delta_sign"
 // base-schema tuple, Sign is +1 (insert) or -1 (delete), At is the
 // virtual arrival time of the change. Deletes carry the entire row, not
 // a key: multiset semantics remove one matching duplicate per delete.
+// DeltaRelation reads a Row in place when the value just past it, within
+// its capacity, is types.Int of its sign; such a row must not be written
+// after.
 type Delta struct {
 	Row  types.Tuple
 	Sign int
@@ -79,31 +82,37 @@ func SplitSign(t types.Tuple) (row types.Tuple, sign int) {
 }
 
 // DeltaRelation materializes a delta script as a Relation over the
-// signed schema. The relation is what a mirror failover target for a
-// delta source looks like: RetryPolicy.Mirror takes a *Relation, so a
-// faulty delta stream fails over to another copy of the same script.
+// signed schema, reading rows in that layout in place (see Delta) and
+// copying the others into one slab. The relation is what a mirror failover
+// target for a delta source looks like: RetryPolicy.Mirror takes a
+// *Relation, so a faulty delta stream fails over to another copy of the
+// same script.
 func DeltaRelation(name string, base *types.Schema, deltas []Delta) *Relation {
 	rows := make([]types.Tuple, len(deltas))
 	n := 0
-	for _, d := range deltas {
-		n += len(d.Row) + 1
-	}
-	slab := make([]types.Value, n) // every row's values, signs included, in one allocation
 	for i, d := range deltas {
-		w := len(d.Row) + 1
-		row := slab[:w:w]
-		slab = slab[w:]
-		copy(row, d.Row)
-		sign := d.Sign
-		if sign >= 0 {
-			sign = 1
+		if w := len(d.Row); cap(d.Row) > w && d.Row[:w+1][w] == signValue(d.Sign) {
+			rows[i] = d.Row[: w+1 : w+1]
 		} else {
-			sign = -1
+			n += w + 1
 		}
-		row[len(d.Row)] = types.Int(int64(sign))
-		rows[i] = row
+	}
+	slab := make([]types.Value, 0, n) // the copied rows' values, signs included, in one allocation
+	for i, d := range deltas {
+		if rows[i] == nil {
+			slab = append(append(slab, d.Row...), signValue(d.Sign))
+			rows[i] = slab[len(slab)-len(d.Row)-1 : len(slab) : len(slab)]
+		}
 	}
 	return NewRelation(name, DeltaSchema(base), rows)
+}
+
+// signValue is a delta's sign column value: -1 for a negative sign, else +1.
+func signValue(s int) types.Value {
+	if s < 0 {
+		return types.Int(-1)
+	}
+	return types.Int(1)
 }
 
 // NewDeltaProvider builds the delta stream of base from a script of

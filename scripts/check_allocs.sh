@@ -83,11 +83,16 @@ check 'BenchmarkStandingSetup/replayed-p4' 19470000 B/op
 # (the string-key tracker: 30383 allocs, 4.94 MB). Budgets 1.25 x the measurement.
 check 'BenchmarkBaseTrackerSeed'                62  # slot-table doublings and 1024-entry chunks
 check 'BenchmarkBaseTrackerSeed'           2200000 B/op
-# The standing handler's decode of a 9000-delta lineitem body (0.65 MB): 65 allocs and 7.09 MB
-# measured (encoding/json into DeltaSpecs, then buildDeltas: 117060 allocs, 10.58 MB).
-# Budgets 1.25 x the measurement.
-check 'BenchmarkStandingDecode'                 82  # the decoder's buffer, the text, value slabs, delta slices
-check 'BenchmarkStandingDecode'            8860000 B/op
+# The standing handler's decode of a 9000-delta lineitem body (0.65 MB) from its text: 52 allocs
+# and 4.05 MB measured since the body is read once and no encoding/json pass runs over the
+# deltas (65 allocs and 7.09 MB with a json.Decoder's buffer and a copy of the member's text;
+# encoding/json into DeltaSpecs, then buildDeltas: 117060 allocs, 10.58 MB). The provider leg
+# goes on to build the delta source, which reads the decoded rows in place: 64 allocs and
+# 4.35 MB. Budgets 1.25 x the measurement.
+check 'BenchmarkStandingDecode/decode'          65  # value slabs (a sign slot per row), delta chunks, the script's deltas
+check 'BenchmarkStandingDecode/decode'     5064000 B/op
+check 'BenchmarkStandingDecode/provider'        80  # + the relation's row slice and arrivals, no row copied
+check 'BenchmarkStandingDecode/provider'   5434000 B/op
 # PR 25: one corrective poll's optimizer work on Q5 (CostPlan + Optimize on the query's
 # planner) under "plain", "obs" and "both": 7 allocs and 880 B measured on each. The parent,
 # which re-planned from scratch, took 670 / 691 / 689 allocs and 66.1 / 67.1 / 67.1 KB.

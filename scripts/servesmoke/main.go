@@ -1,8 +1,9 @@
 // Command servesmoke is the `make serve-smoke` driver: it boots a built
 // adpserve binary on a random port, runs the full black-box happy path —
 // /healthz, a streamed NDJSON query checked frame by frame, the SSE
-// events replay, /metrics — then sends SIGTERM and asserts the server
-// drains and exits cleanly. It exercises the deployable artifact, not
+// events replay, /metrics, a standing query sent with a Content-Length and
+// again chunked — then sends SIGTERM and asserts the server drains and
+// exits cleanly. It exercises the deployable artifact, not
 // the library: a regression in flag parsing, listener bring-up, or
 // signal handling fails here even when every unit test passes.
 //
@@ -14,9 +15,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"syscall"
 	"time"
@@ -79,6 +82,9 @@ func run(bin string) error {
 		return err
 	}
 	if err := checkMetrics(base); err != nil {
+		return err
+	}
+	if err := checkStanding(base); err != nil {
 		return err
 	}
 
@@ -257,5 +263,70 @@ func checkMetrics(base string) error {
 			return fmt.Errorf("metrics: missing %q", line)
 		}
 	}
+	return nil
+}
+
+// standingBody is a small standing query: the orders with keys below 3,
+// maintained against an insert, its retraction and a second insert.
+const standingBody = `{"query":{"relations":["orders"],"select":["orders.o_orderkey"],
+	"filters":[{"col":"orders.o_orderkey","op":"<","value":3}]},
+	"deltas":{"orders":[
+		{"at":0.001,"sign":1,"row":[1,1,"O",10.5,1000,0]},
+		{"at":0.002,"sign":-1,"row":[1,1,"O",10.5,1000,0]},
+		{"at":0.003,"sign":1,"row":[2,7,"F",99.25,1200,1]}]},
+	"options":{"strategy":"static","poll_every":1}}`
+
+// runVaries matches what differs between two runs of one standing query:
+// the query id in its schema frame and the wall time in its report.
+var runVaries = regexp.MustCompile(`"id":"q-[0-9]+"|"real_seconds":[-+.0-9eE]+`)
+
+// checkStanding posts standingBody once with a Content-Length and once
+// chunked. Each response must hold the baseline watermark (seq 0), at
+// least one later watermark and a terminal report frame, and the two must
+// be the same bytes but for runVaries.
+func checkStanding(base string) error {
+	var bodies [2]string
+	for i, chunked := range []bool{false, true} {
+		var body io.Reader = strings.NewReader(standingBody)
+		if chunked {
+			body = io.MultiReader(body) // of no known length: sent chunked
+		}
+		resp, err := http.Post(base+"/v1/standing", "application/json", body)
+		if err != nil {
+			return err
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("standing (chunked=%v): status %d: %.200s", chunked, resp.StatusCode, b)
+		}
+		seqs, report := []int{}, false
+		for _, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+			var frame struct {
+				Type string `json:"type"`
+				Seq  int    `json:"seq"`
+			}
+			if err := json.Unmarshal([]byte(line), &frame); err != nil {
+				return fmt.Errorf("standing (chunked=%v): bad frame %.80s: %w", chunked, line, err)
+			}
+			switch frame.Type {
+			case "watermark":
+				seqs = append(seqs, frame.Seq)
+			case "report":
+				report = true
+			}
+		}
+		if len(seqs) < 2 || seqs[0] != 0 || !report {
+			return fmt.Errorf("standing (chunked=%v): watermarks %v, report %v; want seq 0, a later one and a report", chunked, seqs, report)
+		}
+		bodies[i] = runVaries.ReplaceAllString(string(b), "")
+	}
+	if bodies[0] != bodies[1] {
+		return fmt.Errorf("standing: chunked response differs:\n%s\nwant\n%s", bodies[1], bodies[0])
+	}
+	fmt.Printf("servesmoke: standing query streamed the same %d bytes sent with a length and chunked\n", len(bodies[0]))
 	return nil
 }
