@@ -40,7 +40,8 @@ test:
 # Fast perf smoke: hash-probe and hash-build, join push (row batches, plus the
 # columnar shim the benchmark's probes time), vectorized key hashing,
 # ordered merge-join, aggregate absorb and partition-table fold,
-# exchange-partitioning, one whole stitch-up, one standing query per
+# exchange-partitioning, one whole stitch-up, one corrective run that
+# switches twice and stitches up, one standing query per
 # maintenance set-up, a standing query's delta-tracker seed and request
 # decode, one corrective poll's re-optimization, streaming cursor
 # delivery, and the NDJSON row encode (a short and a wide row)
@@ -51,6 +52,7 @@ bench-perf:
 	$(GO) test -run='^$$' -bench='BenchmarkHashTableProbe|BenchmarkHashTableInsert' -benchmem ./internal/state/
 	$(GO) test -run='^$$' -bench='BenchmarkPipelinedJoinPush|BenchmarkMergeJoinPush|BenchmarkAggTableAbsorb|BenchmarkAggTableMergeFrom|BenchmarkHashKeys|BenchmarkExchangePartition|BenchmarkPartitionMergeRelease|BenchmarkDeltaPropagation' -benchmem -benchtime=300000x ./internal/exec/
 	$(GO) test -run='^$$' -bench='BenchmarkStitchUp' -benchmem -benchtime=50x ./internal/core/
+	$(GO) test -run='^$$' -bench='BenchmarkCorrectiveRun' -benchmem -benchtime=20x ./internal/core/
 	$(GO) test -run='^$$' -bench='BenchmarkStandingSetup' -benchmem -benchtime=20x ./internal/core/
 	$(GO) test -run='^$$' -bench='BenchmarkBaseTrackerSeed' -benchmem ./internal/ivm/
 	$(GO) test -run='^$$' -bench='BenchmarkReoptimize' -benchmem ./internal/opt/

@@ -278,6 +278,90 @@ func TestCancelDuringStitchUp(t *testing.T) {
 	}
 }
 
+// TestCancelDuringIndexReuse cancels a corrective SPJ run, its rows lent
+// through a window of batches, once a finished phase's index storage has
+// gone to the next phase's tables (at the next PhaseStarted), and in the
+// middle of the stitch-up whose indexes take the last phase's (at its first
+// delivered batch). The run returns the context's error with every
+// partition worker joined, every batch the consumer still holds reads as it
+// did when it was lent, and every row delivered is a row of the result.
+func TestCancelDuringIndexReuse(t *testing.T) {
+	q, rels := misestimationData(600)
+	spj := *q
+	spj.GroupBy, spj.Aggs = nil, nil
+	ref, err := Run(catalogOf(rels()...), &spj, Options{Strategy: Static})
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := map[string]int{}
+	for _, r := range ref.Rows {
+		result[bitRows([]types.Tuple{r})]++
+	}
+	for _, parts := range []int{1, 4} {
+		for _, at := range []string{"switch", "stitch-up"} {
+			t.Run(fmt.Sprintf("partitions=%d/%s", parts, at), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				const window = 4
+				lender := NewRowLender(window)
+				var held [][]types.Tuple
+				var lent []string
+				delivered := map[string]int{}
+				canceled, stitching := false, false
+				_, err := RunStream(ctx, catalogOf(rels()...), &spj, misOptions(parts), RunHooks{
+					Lender: lender,
+					OnRows: func(rows []types.Tuple) {
+						for _, r := range rows {
+							delivered[bitRows([]types.Tuple{r})]++
+						}
+						if len(held) == window-1 { // give the oldest back, unchanged
+							if bitRows(held[0]) != lent[0] {
+								t.Error("a held batch changed before it was released")
+							}
+							held, lent = held[1:], lent[1:]
+							lender.Release()
+						}
+						held, lent = append(held, rows), append(lent, bitRows(rows))
+						if at == "stitch-up" && stitching && !canceled {
+							canceled = true
+							cancel()
+						}
+					},
+					Emit: func(ev Event) {
+						switch e := ev.(type) {
+						case PhaseStarted:
+							if at == "switch" && e.Phase > 0 && !canceled {
+								canceled = true
+								cancel()
+							}
+						case StitchUpStarted:
+							stitching = true
+						}
+					},
+				})
+				if !canceled {
+					t.Fatalf("the run never reached its %s; cancellation untested", at)
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				for i, rows := range held {
+					if bitRows(rows) != lent[i] {
+						t.Errorf("held batch %d of %d changed after the run returned", i, len(held))
+					}
+				}
+				for row, n := range delivered {
+					if n > result[row] {
+						t.Fatalf("row %q delivered %d times, the result holds it %d times", row, n, result[row])
+					}
+				}
+				assertNoGoroutineLeak(t, base)
+			})
+		}
+	}
+}
+
 // TestCancelBeforeRun: an already-canceled context aborts before any
 // phase executes.
 func TestCancelBeforeRun(t *testing.T) {

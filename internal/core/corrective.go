@@ -666,12 +666,22 @@ func (ex *executor) lowerPhase(root algebra.Plan) (*phase, error) {
 
 // runMonitored drives ph under the execution monitor: every poll publishes
 // the phase's observations and asks monitorStep whether to abandon the plan.
+// Once the next phase or the stitch-up is sure to follow (a switch, or the
+// end of a run that switched), ph's join tables give their index storage to
+// the run's spare for those to build on; their lists stay.
 func (ex *executor) runMonitored(ph *phase) (exhausted bool, next algebra.Plan, err error) {
 	exhausted, err = ex.drive(ph, func() bool {
 		ex.recordObservations(joinViews(ph.trees), ph.leaves)
 		next = ex.monitorStep(ph.root, ph.delivered(), collisionFactor(ph.trees))
 		return next != nil
 	})
+	if err == nil && (!exhausted || len(ex.phases) >= 2) {
+		for _, t := range ph.trees {
+			for _, j := range t.Joins {
+				j.Node.Release(&ex.ctx.Spare)
+			}
+		}
+	}
 	return exhausted, next, err
 }
 

@@ -260,9 +260,6 @@ func collisionFactor(trees []*Tree) float64 {
 		for _, j := range tree.Joins {
 			l, r := j.Node.Tables()
 			for _, ht := range []*state.HashTable{l, r} {
-				if ht.Buckets() == 0 {
-					continue
-				}
 				chain := float64(ht.Len()) / float64(ht.Buckets())
 				if chain < 1 {
 					chain = 1

@@ -1,0 +1,127 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"github.com/tukwila/adp/internal/opt"
+	"github.com/tukwila/adp/internal/state"
+)
+
+// Corrective goldens at four partitions. Every value below was written by
+// the commit before a finished phase's index storage went to the next
+// phase's tables and the stitch-up's indexes, on the sharedKey fixture under
+// forced switching: one switch (SPJ, aggregate) or two (blocking
+// pre-aggregate), then a stitch-up over the partition clones' lists. A leg
+// pins the result rows in order, every count of layoutCounts, and the run's,
+// the CPU and the stitch-up's clocks, with ==: no join of the fixture moves a
+// row between partitions, so each clone sees its rows in one order and the
+// makespan is the same every run.
+var reuseP4Goldens = map[string]struct {
+	counts                string
+	virtual, cpu, stitchT float64
+}{
+	"spj/corrective": {
+		counts:  "rows=3208/3208:eeb8d9a9f8420dc0 switches=1 combos=6 reused=41 discarded=459 phases=[30c6377da20437b6 350][69dfab4db7a19081 3783]",
+		virtual: 0.0443655, cpu: 0.0300717, stitchT: 0.02028,
+	},
+	"agg/corrective": {
+		counts:  "rows=468/468:dbbb36658871b87e switches=1 combos=6 reused=55 discarded=24 phases=[30c6377da20437b6 400][84e1febb99f6bf81 3733]",
+		virtual: 0.0471033, cpu: 0.0320603, stitchT: 0.0229608,
+	},
+	"blocking/corrective": {
+		counts:  "rows=468/468:dbbb36658871b87e switches=2 combos=24 reused=5 discarded=38 phases=[9e6856cf12666642 300][30c6377da20437b6 150][84e1febb99f6bf81 3683]",
+		virtual: 0.0480589, cpu: 0.0329961, stitchT: 0.0239164,
+	},
+}
+
+// TestCorrectiveGoldensP4: the legs above, each run at P=4.
+func TestCorrectiveGoldensP4(t *testing.T) {
+	corrective := func(mode opt.PreAggMode) func(parAggFixture) Options {
+		return func(fx parAggFixture) Options {
+			return forcedSwitching(Options{PreAgg: mode, Known: fx.known})
+		}
+	}
+	for _, leg := range []layoutLeg{
+		{name: "spj/corrective", spj: true, o: corrective(opt.PreAggNone)},
+		{name: "agg/corrective", o: corrective(opt.PreAggNone)},
+		{name: "blocking/corrective", o: corrective(opt.PreAggTraditional)},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			rep := layoutRun(t, leg, 4)
+			want := reuseP4Goldens[leg.name]
+			if rep.Partitions != 4 {
+				t.Fatalf("run fell back to %d partitions", rep.Partitions)
+			}
+			if got := layoutCounts(rep, true); got != want.counts {
+				t.Errorf("counts = %q\n        want %q", got, want.counts)
+			}
+			if rep.VirtualSeconds != want.virtual || rep.CPUSeconds != want.cpu || rep.StitchTime != want.stitchT {
+				t.Errorf("virtual/cpu/stitch-up = %v/%v/%v, want %v/%v/%v",
+					rep.VirtualSeconds, rep.CPUSeconds, rep.StitchTime, want.virtual, want.cpu, want.stitchT)
+			}
+		})
+	}
+}
+
+// TestOnlyASwitchReleasesPhaseTables: a standing run records each serial
+// phase's tree. After the initial run, one that ended in its first phase has
+// every join table of it live, for the maintenance stage to adopt; one that
+// switched gave every phase's index storage away — the earlier phases' to the
+// phases after them, the last one's to the stitch-up — and kept the lists.
+func TestOnlyASwitchReleasesPhaseTables(t *testing.T) {
+	for _, leg := range []struct {
+		name    string
+		fixture standingFixture
+		o       Options
+	}{
+		{"static", q3aMinMax, Options{Strategy: Static, PollEvery: 256}},
+		{"corrective-one-phase", q3aMinMax, Options{Strategy: Corrective, PollEvery: 256}},
+		{"corrective-switched", misChurn, Options{Strategy: Corrective, PollEvery: 200, MaxPhases: 4}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			q, cat, _ := leg.fixture(false)
+			ex, _, err := prepareRun(context.Background(), cat(), q, leg.o, RunHooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := newMaintainer(ex, MaintOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ex.execute(); err != nil {
+				t.Fatal(err)
+			}
+			switched := len(ex.phases) > 1
+			if switched != (leg.name == "corrective-switched") {
+				t.Fatalf("%d phases: the fixture no longer shapes the run", len(ex.phases))
+			}
+			for _, rec := range ex.phases {
+				for _, j := range rec.tree.Joins {
+					l, r := j.Node.Tables()
+					for _, ht := range []*state.HashTable{l, r} {
+						if got := released(ht); got != switched {
+							t.Fatalf("phase %d join %s: released = %t, want %t", rec.ID, j.Key, got, switched)
+						}
+					}
+				}
+			}
+			for _, rel := range q.Relations {
+				kept := 0
+				for _, rec := range ex.phases {
+					kept += rec.BaseParts[rel.Name].Len()
+				}
+				if float64(kept) != ex.passed[rel.Name] {
+					t.Errorf("%s: the phases' lists hold %d rows, the leaves passed %v", rel.Name, kept, ex.passed[rel.Name])
+				}
+			}
+		})
+	}
+}
+
+// released reports whether ht's index storage was given away: using it
+// panics.
+func released(ht *state.HashTable) (gone bool) {
+	defer func() { gone = recover() != nil }()
+	ht.Len()
+	return false
+}

@@ -210,12 +210,13 @@ func (s *StitchUp) resolveKeys() error {
 // "on a pairwise basis which state structure should be scanned ... if
 // necessary for performance, it will rehash one of the structures
 // according to the join key" (§3.4.3). The rows stay where the phase left
-// them; building the index is charged as the hash build it stands for.
+// them, the index is built on storage the phases' indexes released, and
+// building it is charged as the hash build it stands for.
 func (s *StitchUp) tableFor(step, phase int, part *state.List) *state.HashTable {
 	if t := s.tables[step][phase]; t != nil {
 		return t
 	}
-	t := state.IndexList(part, s.relKeyCols[step-1])
+	t := state.IndexList(part, s.relKeyCols[step-1], &s.ctx.Spare)
 	s.ctx.Clock.Charge(int64(part.Len()) * s.ctx.Cost.HashInsert)
 	s.tables[step][phase] = t
 	return t

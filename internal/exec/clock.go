@@ -17,7 +17,11 @@
 // (ParallelDriver.FoldClocks).
 package exec
 
-import "math"
+import (
+	"math"
+
+	"github.com/tukwila/adp/internal/state"
+)
 
 // Clock is the virtual time of a query execution, in nanoseconds.
 type Clock struct {
@@ -77,10 +81,11 @@ func DefaultCosts() *CostModel {
 }
 
 // Context bundles the clock and cost model shared by all operators of one
-// query execution.
+// query execution, and the index storage its finished plans released.
 type Context struct {
 	Clock *Clock
 	Cost  *CostModel
+	Spare state.Spare
 }
 
 // NewContext creates a fresh execution context.

@@ -49,7 +49,7 @@ const errSignBlind = "exec: retraction delta reached a sign-blind Push"
 func (j *HashJoin) negTable(i int) *state.HashTable {
 	in := &j.in[i]
 	if in.neg == nil {
-		in.neg = newTable(in.main.List().Schema(), in.key, 0) //adp:alloc-ok first retraction only
+		in.neg = state.NewHashTable(in.main.List().Schema(), in.key) //adp:alloc-ok first retraction only
 	}
 	return in.neg
 }

@@ -79,7 +79,8 @@ func NewHashJoin(ctx *Context, _ JoinStyle, leftSchema, rightSchema *types.Schem
 // behaviour: table memory can grow, but bucket counts are fixed at creation,
 // so an under-estimated input suffers bucket collisions for the rest of the
 // query (§4.4). Without an estimate for either side the tables start at the
-// default size and grow.
+// default size and grow. Sized tables take their storage from the
+// context's spare.
 func NewHashJoinSized(ctx *Context, leftSchema, rightSchema *types.Schema, leftKey, rightKey []int, estLeft, estRight float64, out Sink) *HashJoin {
 	j := &HashJoin{
 		ctx:    ctx,
@@ -87,29 +88,17 @@ func NewHashJoinSized(ctx *Context, leftSchema, rightSchema *types.Schema, leftK
 		schema: leftSchema.Concat(rightSchema),
 	}
 	_, j.em.recycle = out.(InputCopier)
-	var buckets [2]int
-	if estLeft > 0 || estRight > 0 {
-		for i, est := range [2]float64{estLeft, estRight} {
-			buckets[i] = int(min(max(est, 64), 1<<26))
-		}
-	}
 	j.in[0].key, j.in[1].key = leftKey, rightKey
+	ests := [2]float64{estLeft, estRight}
 	for i, schema := range [2]*types.Schema{leftSchema, rightSchema} {
-		j.in[i].main = newTable(schema, j.in[i].key, buckets[i])
+		if estLeft <= 0 && estRight <= 0 {
+			j.in[i].main = state.NewHashTable(schema, j.in[i].key)
+			continue
+		}
+		j.in[i].main = state.NewHashTableSized(schema, j.in[i].key, int(min(max(ests[i], 64), 1<<26)), &ctx.Spare)
+		j.in[i].main.Fixed = true
 	}
 	return j
-}
-
-// newTable creates an empty hash table for an input of the given layout:
-// fixed at buckets buckets when buckets > 0, growing from the default size
-// otherwise.
-func newTable(schema *types.Schema, key []int, buckets int) *state.HashTable {
-	if buckets <= 0 {
-		return state.NewHashTable(schema, key)
-	}
-	ht := state.NewHashTableSized(schema, key, buckets)
-	ht.Fixed = true
-	return ht
 }
 
 // Schema returns the output layout.
@@ -120,6 +109,17 @@ func (j *HashJoin) Counters() *stats.OpCounters { return &j.counters }
 
 // Tables exposes the buffered state structures for stitch-up reuse.
 func (j *HashJoin) Tables() (left, right *state.HashTable) { return j.in[0].main, j.in[1].main }
+
+// Release gives the index storage of the join's tables to spare once nothing
+// will push into or probe the join again; its lists stay (SideLists).
+func (j *HashJoin) Release(spare *state.Spare) {
+	for _, in := range j.in {
+		spare.Release(in.main)
+		if in.neg != nil {
+			spare.Release(in.neg)
+		}
+	}
+}
 
 // joinSide exposes one input of a HashJoin (i: 0 left, 1 right) as a sink,
 // so plan lowering can wire either side.

@@ -41,29 +41,70 @@ type entry struct {
 // bucket is one chain: its first and last row (0 when empty) and its length.
 type bucket struct{ head, tail, count int32 }
 
+// Spare is a run's free list of index storage: the bucket arrays and full
+// entry chunks of tables nothing will probe again, which the run's next
+// tables take back, cleared. It is not safe for concurrent use.
+type Spare struct {
+	buckets [][]bucket
+	entries [][]entry
+}
+
+// Release gives h's bucket array and full entry chunks to s. h keeps its
+// List, whose rows a stitch-up still reads; used as an index again, h panics.
+func (s *Spare) Release(h *HashTable) {
+	s.buckets = append(s.buckets, h.buckets) // nil if h was released: never taken
+	for _, chunk := range h.entries.chunks {
+		if cap(chunk) == chunkRows {
+			s.entries = append(s.entries, chunk)
+		}
+	}
+	h.buckets, h.entries = nil, chunked[entry]{}
+}
+
+// index makes an empty index of n buckets over l on storage from s (nil: none):
+// the smallest free bucket array that holds n, re-sliced to n (bucketOf masks
+// by the length) and cleared, and s's free entry chunks while they last.
+func (s *Spare) index(l *List, keyCols []int, n int) *HashTable {
+	h := &HashTable{list: l, keyCols: keyCols}
+	best := -1
+	if s != nil {
+		h.entries.free = &s.entries
+		for i, b := range s.buckets {
+			if cap(b) >= n && (best < 0 || cap(b) < cap(s.buckets[best])) {
+				best = i
+			}
+		}
+	}
+	if best < 0 {
+		h.buckets = make([]bucket, n)
+		return h
+	}
+	h.buckets = s.buckets[best][:n]
+	clear(h.buckets)
+	s.buckets = append(s.buckets[:best], s.buckets[best+1:]...)
+	return h
+}
+
 // NewHashTable creates a hash table keyed on keyCols over the layout
 // schema.
 func NewHashTable(schema *types.Schema, keyCols []int) *HashTable {
-	return NewHashTableSized(schema, keyCols, defaultBuckets)
+	return NewHashTableSized(schema, keyCols, defaultBuckets, nil)
 }
 
-// NewHashTableSized creates a hash table with an explicit bucket count
-// (for the optimizer to size from cardinality estimates).
-func NewHashTableSized(schema *types.Schema, keyCols []int, nbuckets int) *HashTable {
-	h := &HashTable{list: NewList(schema), keyCols: keyCols}
-	h.buckets = make([]bucket, ceilPow2(max(nbuckets, 1)))
-	return h
+// NewHashTableSized creates a hash table with an explicit bucket count (for
+// the optimizer to size from cardinality estimates), on storage from spare.
+func NewHashTableSized(schema *types.Schema, keyCols []int, nbuckets int, spare *Spare) *HashTable {
+	return spare.index(NewList(schema), keyCols, ceilPow2(max(nbuckets, 1)))
 }
 
 // IndexList builds a second index, keyed on keyCols, over the rows l
 // already holds — the stitch-up join "will rehash one of the structures
 // according to the join key" when key compatibility fails (§3.4.3, §3.2),
 // without copying a row. Buckets and chains are exactly those of a growing
-// table the rows were inserted into one by one, allocated once at their
-// final size. l must not grow while the index is in use.
-func IndexList(l *List, keyCols []int) *HashTable {
-	h := &HashTable{list: l, keyCols: keyCols}
-	h.buckets = make([]bucket, BucketsFor(l.Len()))
+// table the rows were inserted into one by one, stored once at their final
+// size (from spare). l must not grow while the index is in use.
+func IndexList(l *List, keyCols []int, spare *Spare) *HashTable {
+	h := spare.index(l, keyCols, BucketsFor(l.Len()))
 	h.entries.reserve(l.Len())
 	for c, chunk := range l.Chunks() {
 		for i, t := range chunk {
@@ -128,6 +169,7 @@ func (h *HashTable) Insert(t types.Tuple) {
 // (a pipelined join hashes each tuple once and reuses the hash for both
 // the build insert and the opposite-side probe).
 func (h *HashTable) InsertHashed(hash uint64, t types.Tuple) {
+	h.live()
 	if !h.Fixed && h.entries.n >= 4*len(h.buckets) {
 		h.grow()
 	}
@@ -188,17 +230,26 @@ func (h *HashTable) relink() {
 	}
 }
 
+// live panics on a released table, which must not read as empty (a probe
+// panics without it, on the nil bucket array).
+func (h *HashTable) live() {
+	if h.buckets == nil {
+		panic("state: hash table used after its index storage was released")
+	}
+}
+
 // Len returns the number of indexed rows.
-func (h *HashTable) Len() int { return h.entries.n }
+func (h *HashTable) Len() int { h.live(); return h.entries.n }
 
 // Buckets returns the bucket count; Len/Buckets is the expected probe
 // chain length the re-optimizer reads as a sizing-health signal (§3.3
 // exposes structure size/cardinality to the decision modules).
-func (h *HashTable) Buckets() int { return len(h.buckets) }
+func (h *HashTable) Buckets() int { h.live(); return len(h.buckets) }
 
 // Scan visits the rows in bucket order, each chain in arrival order (not
 // key-sorted); return false from fn to stop early.
 func (h *HashTable) Scan(fn func(types.Tuple) bool) {
+	h.live()
 	for _, b := range h.buckets {
 		for id := b.head; id != 0; {
 			t, next := h.row(id)

@@ -94,10 +94,41 @@ type lawPair struct {
 	nextID int64
 }
 
-func newLawPair(keyCols []int, nbuckets int, fixed bool) *lawPair {
-	h := NewHashTableSized(lawSchema, keyCols, nbuckets)
+// newLawPair builds the table on spare's storage (nil: its own).
+func newLawPair(keyCols []int, nbuckets int, fixed bool, spare *Spare) *lawPair {
+	h := NewHashTableSized(lawSchema, keyCols, nbuckets, spare)
 	h.Fixed = fixed
 	return &lawPair{h: h, m: newChainModel(keyCols, nbuckets, fixed)}
+}
+
+// donorSpare holds the storage of a fixed table of nbuckets buckets that
+// indexed rows distinct keys: every bucket's head, tail and count and every
+// entry's hash and next left as the donor had them.
+func donorSpare(nbuckets, rows int) *Spare {
+	h := NewHashTableSized(lawSchema, []int{0}, nbuckets, nil)
+	h.Fixed = true
+	for i := 0; i < rows; i++ {
+		h.Insert(types.Tuple{types.Int(int64(i)), types.Int(int64(i)), types.Int(int64(i))})
+	}
+	s := &Spare{}
+	s.Release(h)
+	return s
+}
+
+// storages are the legs every law runs on: a table's own storage, and
+// storage another table used and released whose bucket array is smaller
+// than, as large as or larger than the table asks for (req buckets); each
+// recycled leg holds three full entry chunks.
+func storages(req int) map[string]func() *Spare {
+	legs := map[string]func() *Spare{
+		"fresh":           func() *Spare { return nil },
+		"recycled/equal":  func() *Spare { return donorSpare(req, 2*chunkRows+7) },
+		"recycled/larger": func() *Spare { return donorSpare(4*req, 2*chunkRows+7) },
+	}
+	if req > 1 {
+		legs["recycled/smaller"] = func() *Spare { return donorSpare(req/2, 2*chunkRows+7) }
+	}
+	return legs
 }
 
 func (p *lawPair) insert(a, b types.Value) {
@@ -165,7 +196,8 @@ func (p *lawPair) check(scan bool) error {
 
 // TestHashTableMatchesChainModel: random inserts of duplicate, cross-kind,
 // zero, NaN and NULL keys into a growing and a fixed table, checked against
-// the old layout after every step and across every grow.
+// the old layout after every step and across every grow, on a table's own
+// storage and on storage another table released.
 func TestHashTableMatchesChainModel(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -179,36 +211,138 @@ func TestHashTableMatchesChainModel(t *testing.T) {
 		{"fixed/eight-buckets", []int{0, 1}, 8, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(5))
-			p := newLawPair(tc.keyCols, tc.nbuckets, tc.fixed)
-			const steps = 700
-			for i := 0; i < steps; i++ {
-				p.insert(lawValues[rng.Intn(len(lawValues))], lawValues[rng.Intn(len(lawValues))])
-				if err := p.check(i%16 == 0 || i == steps-1); err != nil {
-					t.Fatalf("after %d inserts: %v", i+1, err)
-				}
-			}
-			if !tc.fixed && p.h.Buckets() < 128 {
-				t.Fatalf("growing table ended at %d buckets: grow was not exercised", p.h.Buckets())
+			for leg, spare := range storages(tc.nbuckets) {
+				t.Run(leg, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(5))
+					s := spare()
+					p := newLawPair(tc.keyCols, tc.nbuckets, tc.fixed, s)
+					const steps = 700
+					for i := 0; i < steps; i++ {
+						p.insert(lawValues[rng.Intn(len(lawValues))], lawValues[rng.Intn(len(lawValues))])
+						if err := p.check(i%16 == 0 || i == steps-1); err != nil {
+							t.Fatalf("after %d inserts: %v", i+1, err)
+						}
+					}
+					if !tc.fixed && p.h.Buckets() < 128 {
+						t.Fatalf("growing table ended at %d buckets: grow was not exercised", p.h.Buckets())
+					}
+					if s != nil && len(s.entries) != 2 {
+						t.Fatalf("%d of 3 spare entry chunks left: the table's full chunk is not a recycled one", len(s.entries))
+					}
+				})
 			}
 		})
 	}
 	// A default table grows at 4096 and at 8192 rows, past chunk boundaries
 	// of the list and of the index.
 	t.Run("growing/default", func(t *testing.T) {
-		p := newLawPair([]int{0}, defaultBuckets, false)
-		for i := 0; i < 9000; i++ {
-			p.insert(types.Int(int64(i%1500)), types.Int(0))
-			if i%1000 == 0 || (i >= 4090 && i <= 4100) || i == 8999 {
-				if err := p.check(true); err != nil {
-					t.Fatalf("after %d inserts: %v", i+1, err)
+		for leg, spare := range storages(defaultBuckets) {
+			t.Run(leg, func(t *testing.T) {
+				p := newLawPair([]int{0}, defaultBuckets, false, spare())
+				for i := 0; i < 9000; i++ {
+					p.insert(types.Int(int64(i%1500)), types.Int(0))
+					if i%1000 == 0 || (i >= 4090 && i <= 4100) || i == 8999 {
+						if err := p.check(true); err != nil {
+							t.Fatalf("after %d inserts: %v", i+1, err)
+						}
+					}
 				}
-			}
-		}
-		if p.h.Buckets() != 4*defaultBuckets || p.h.Buckets() != BucketsFor(p.h.Len()) {
-			t.Fatalf("buckets = %d after %d inserts, BucketsFor says %d", p.h.Buckets(), p.h.Len(), BucketsFor(p.h.Len()))
+				if p.h.Buckets() != 4*defaultBuckets || p.h.Buckets() != BucketsFor(p.h.Len()) {
+					t.Fatalf("buckets = %d after %d inserts, BucketsFor says %d", p.h.Buckets(), p.h.Len(), BucketsFor(p.h.Len()))
+				}
+			})
 		}
 	})
+}
+
+// TestSpareTakesBestFit: a table takes the smallest released bucket array
+// that holds what it asks for, re-sliced to exactly that, and allocates when
+// none does; a released table's full entry chunks are kept, its short first
+// chunk is not.
+func TestSpareTakesBestFit(t *testing.T) {
+	s := &Spare{}
+	arrays := map[int]*bucket{}
+	for _, n := range []int{1024, 64, 256} {
+		d := donorSpare(n, 10)
+		arrays[n] = &d.buckets[0][0]
+		s.Release(NewHashTableSized(lawSchema, []int{0}, 1, d)) // moves the array into s
+		if len(d.buckets) != 0 || len(d.entries) != 0 {
+			t.Fatalf("donor of %d buckets kept %d arrays, %d chunks", n, len(d.buckets), len(d.entries))
+		}
+	}
+	for _, tc := range []struct{ ask, from int }{{100, 256}, {300, 1024}, {2, 64}, {2, 0}} {
+		h := NewHashTableSized(lawSchema, []int{0}, tc.ask, s)
+		if h.Buckets() != ceilPow2(tc.ask) {
+			t.Fatalf("asked %d buckets, got %d", tc.ask, h.Buckets())
+		}
+		if from := arrays[tc.from]; (tc.from != 0) != (&h.buckets[0] == from) {
+			t.Fatalf("asked %d buckets: took the wrong array (want the %d-bucket one)", tc.ask, tc.from)
+		}
+		for i, b := range h.buckets {
+			if b != (bucket{}) {
+				t.Fatalf("asked %d buckets: bucket %d not cleared: %+v", tc.ask, i, b)
+			}
+		}
+	}
+	d := &Spare{}
+	h := NewHashTable(lawSchema, []int{0})
+	for i := 0; i < chunkRows/2; i++ {
+		h.Insert(types.Tuple{types.Int(int64(i)), types.Null(), types.Int(int64(i))})
+	}
+	d.Release(h)
+	if len(d.entries) != 0 || len(d.buckets) != 1 {
+		t.Fatalf("a half-chunk table released %d chunks, %d arrays; want 0, 1", len(d.entries), len(d.buckets))
+	}
+}
+
+// TestReleasedTablePanics: a table whose storage was released must not
+// read as empty — every use of it as an index panics — while its list
+// keeps every row.
+func TestReleasedTablePanics(t *testing.T) {
+	build := func() *HashTable {
+		h := NewHashTable(lawSchema, []int{0})
+		for i := 0; i < 3*chunkRows; i++ {
+			h.Insert(types.Tuple{types.Int(int64(i % 7)), types.Null(), types.Int(int64(i))})
+		}
+		return h
+	}
+	key := types.Tuple{types.Int(3)}
+	hash := key.HashKey(types.Identity(1))
+	uses := map[string]func(h *HashTable){
+		"Len":          func(h *HashTable) { h.Len() },
+		"Buckets":      func(h *HashTable) { h.Buckets() },
+		"Insert":       func(h *HashTable) { h.Insert(types.Tuple{types.Int(1), types.Null(), types.Int(-1)}) },
+		"InsertHashed": func(h *HashTable) { h.InsertHashed(hash, types.Tuple{types.Int(3), types.Null(), types.Int(-1)}) },
+		"Probe":        func(h *HashTable) { h.Probe(key, func(types.Tuple) bool { return true }) },
+		"ProbeHashed":  func(h *HashTable) { h.ProbeHashed(hash, key, func(types.Tuple) bool { return true }) },
+		"ProbeHashedBatch": func(h *HashTable) {
+			h.ProbeHashedBatch([]uint64{hash}, []types.Tuple{key}, []int{0}, func(int, types.Tuple) bool { return true })
+		},
+		"ChainLen": func(h *HashTable) { h.ChainLen(key) },
+		"Scan":     func(h *HashTable) { h.Scan(func(types.Tuple) bool { return true }) },
+	}
+	for name, use := range uses {
+		for _, index := range []string{"table", "IndexList"} {
+			t.Run(name+"/"+index, func(t *testing.T) {
+				h := build()
+				if index == "IndexList" {
+					h = IndexList(h.List(), []int{2}, nil)
+				}
+				(&Spare{}).Release(h)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s on a released table did not panic", name)
+						}
+					}()
+					use(h)
+				}()
+				if l := h.List(); l.Len() != 3*chunkRows || !slices.IsSorted(ids(l.Rows())) {
+					t.Fatalf("the released table's list holds %d rows, want %d in arrival order", l.Len(), 3*chunkRows)
+				}
+			})
+		}
+	}
 }
 
 // FuzzHashTableModel drives the table and the model from an op script: a
@@ -221,12 +355,18 @@ func FuzzHashTableModel(f *testing.F) {
 		if len(script) > 400 {
 			script = script[:400]
 		}
-		p := newLawPair([]int{0}, int(nbuckets%8), fixed)
-		for i, op := range script {
-			v := int(op) % len(lawValues)
-			p.insert(lawValues[v], lawValues[(v+int(op)/len(lawValues))%len(lawValues)])
-			if err := p.check(i%8 == 0 || i == len(script)-1); err != nil {
-				t.Fatalf("after op %d (%d): %v", i, op, err)
+		// The script runs on the table's own storage, then on storage a
+		// table of half, the same or four times the bucket count released.
+		req := ceilPow2(max(int(nbuckets%8), 1))
+		donor := []int{max(req/2, 1), req, 4 * req}[len(script)%3]
+		for _, spare := range []*Spare{nil, donorSpare(donor, chunkRows+len(script))} {
+			p := newLawPair([]int{0}, int(nbuckets%8), fixed, spare)
+			for i, op := range script {
+				v := int(op) % len(lawValues)
+				p.insert(lawValues[v], lawValues[(v+int(op)/len(lawValues))%len(lawValues)])
+				if err := p.check(i%8 == 0 || i == len(script)-1); err != nil {
+					t.Fatalf("recycled=%t donor=%d, after op %d (%d): %v", spare != nil, donor, i, op, err)
+				}
 			}
 		}
 	})
@@ -292,27 +432,40 @@ func TestListChunkBoundaries(t *testing.T) {
 // TestIndexListSharesRows: an index built over a list in one pass is the
 // table the rows would have made arriving one by one — bucket count,
 // chains, hit sequences, scan order — over the very same row storage, for
-// the build key and for another.
+// the build key and for another. It runs on fresh index storage, and on
+// storage released by another table and then by each index before the next.
 func TestIndexListSharesRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{0, 1, 100, 4096, 4097, 6000, 20000} {
-		built := newLawPair([]int{0}, defaultBuckets, false)
-		for i := 0; i < n; i++ {
-			built.insert(types.Int(rng.Int63n(int64(n/3+1))), lawValues[rng.Intn(len(lawValues))])
+	for _, recycled := range []bool{false, true} {
+		var spare *Spare
+		if recycled {
+			spare = donorSpare(4*defaultBuckets, 20*chunkRows+100)
 		}
-		list := built.h.List()
-		for _, keyCols := range [][]int{{0}, {1}, {1, 0}} {
-			idx := &lawPair{h: IndexList(list, keyCols), m: newChainModel(keyCols, defaultBuckets, false)}
-			list.Scan(func(r types.Tuple) bool { idx.m.insert(r); return true })
-			if err := idx.check(true); err != nil {
-				t.Fatalf("n=%d key %v: %v", n, keyCols, err)
+		rng := rand.New(rand.NewSource(17))
+		for _, n := range []int{0, 1, 100, 4096, 4097, 6000, 20000} {
+			built := newLawPair([]int{0}, defaultBuckets, false, nil)
+			for i := 0; i < n; i++ {
+				built.insert(types.Int(rng.Int63n(int64(n/3+1))), lawValues[rng.Intn(len(lawValues))])
 			}
-			if idx.h.List() != list {
-				t.Fatalf("n=%d key %v: the index has a list of its own", n, keyCols)
+			list := built.h.List()
+			for _, keyCols := range [][]int{{0}, {1}, {1, 0}} {
+				idx := &lawPair{h: IndexList(list, keyCols, spare), m: newChainModel(keyCols, defaultBuckets, false)}
+				list.Scan(func(r types.Tuple) bool { idx.m.insert(r); return true })
+				if err := idx.check(true); err != nil {
+					t.Fatalf("recycled=%t n=%d key %v: %v", recycled, n, keyCols, err)
+				}
+				if idx.h.List() != list {
+					t.Fatalf("recycled=%t n=%d key %v: the index has a list of its own", recycled, n, keyCols)
+				}
+				if spare != nil {
+					spare.Release(idx.h)
+				}
+			}
+			if err := built.check(true); err != nil {
+				t.Fatalf("recycled=%t n=%d: the table changed under its second index: %v", recycled, n, err)
 			}
 		}
-		if err := built.check(true); err != nil {
-			t.Fatalf("n=%d: the table changed under its second index: %v", n, err)
+		if recycled && len(spare.entries) != 21 {
+			t.Fatalf("the spare holds %d entry chunks after every index gave its storage back, want the donor's 21", len(spare.entries))
 		}
 	}
 	// The same backing arrays, not copies: a join's list handed on as a
@@ -326,7 +479,7 @@ func TestIndexListSharesRows(t *testing.T) {
 			first = append(first, &l.Chunks()[i/chunkRows][0])
 		}
 	}
-	idx := IndexList(l, []int{2})
+	idx := IndexList(l, []int{2}, nil)
 	for c, chunk := range idx.List().Chunks() {
 		if &chunk[0] != first[c] {
 			t.Fatalf("chunk %d moved after it filled", c)

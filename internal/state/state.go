@@ -13,10 +13,11 @@
 // row; a HashTable owns no rows but indexes a List — an entry per row and a
 // chain per bucket, in row ids — so grow re-links instead of rehashing, and
 // IndexList puts a second index, on another key, over rows a list already
-// holds. A structure's consumers read more than its contents: chain length
-// is what a probe is charged, Len/Buckets what the monitor prices a plan
-// by, chain order the order results leave in. Those are contract
-// (TestHashTableMatchesChainModel), whatever the layout.
+// holds; a Spare hands a finished phase's index storage to the next tables
+// while its lists stay. A structure's consumers read more than its
+// contents: chain length is what a probe is charged, Len/Buckets what the
+// monitor prices a plan by, chain order the order results leave in. Those
+// are contract (TestHashTableMatchesChainModel), whatever the layout.
 package state
 
 import "github.com/tukwila/adp/internal/types"
@@ -34,10 +35,12 @@ const (
 )
 
 // chunked is an append-only sequence in that geometry: element i lives at
-// chunks[i>>chunkShift][i&(chunkRows-1)].
+// chunks[i>>chunkShift][i&(chunkRows-1)]. free, if set, holds released full
+// chunks (Spare) to use before allocating.
 type chunked[T any] struct {
 	chunks [][]T
 	n      int
+	free   *[][]T
 }
 
 func (c *chunked[T]) at(i int) *T { return &c.chunks[i>>chunkShift][i&(chunkRows-1)] }
@@ -76,19 +79,32 @@ func (c *chunked[T]) grow(need int) {
 	last := len(c.chunks) - 1
 	switch {
 	case last < 0:
-		c.chunks = append(c.chunks, make([]T, 0, min(max(need, chunkMin), chunkRows)))
+		c.chunks = append(c.chunks, c.alloc(min(max(need, chunkMin), chunkRows)))
 	case cap(c.chunks[last]) < chunkRows:
 		tail := c.chunks[last]
-		c.chunks[last] = append(make([]T, 0, min(max(2*cap(tail), len(tail)+need), chunkRows)), tail...)
+		c.chunks[last] = append(c.alloc(min(max(2*cap(tail), len(tail)+need), chunkRows)), tail...)
 	default:
-		c.chunks = append(c.chunks, make([]T, 0, chunkRows))
+		c.chunks = append(c.chunks, c.alloc(chunkRows))
 	}
+}
+
+// alloc returns an empty chunk with room for n: a free one, cleared, if free
+// has one and n is over half a chunk; else a new one.
+func (c *chunked[T]) alloc(n int) []T {
+	if c.free == nil || len(*c.free) == 0 || 2*n <= chunkRows {
+		return make([]T, 0, n)
+	}
+	chunk := (*c.free)[len(*c.free)-1][:chunkRows]
+	*c.free = (*c.free)[:len(*c.free)-1]
+	clear(chunk)
+	return chunk[:0]
 }
 
 // reserve sizes an empty sequence for exactly n elements, all zero.
 func (c *chunked[T]) reserve(n int) {
 	for rest := n; rest > 0; rest -= chunkRows {
-		c.chunks = append(c.chunks, make([]T, min(rest, chunkRows)))
+		size := min(rest, chunkRows)
+		c.chunks = append(c.chunks, c.alloc(size)[:size])
 	}
 	c.n = n
 }

@@ -93,7 +93,7 @@ func TestHashTableKeyed(t *testing.T) {
 }
 
 func TestHashTableFixedBucketsStillCorrect(t *testing.T) {
-	h := NewHashTableSized(sch, []int{0}, 4)
+	h := NewHashTableSized(sch, []int{0}, 4, nil)
 	h.Fixed = true
 	for i := 0; i < 1000; i++ {
 		h.Insert(row(int64(i%37), "x"))
@@ -116,7 +116,7 @@ func TestHashTableRehash(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Insert(types.Tuple{types.Int(int64(i)), types.Int(int64(i % 10))})
 	}
-	r := IndexList(h.List(), []int{1})
+	r := IndexList(h.List(), []int{1}, nil)
 	if r.Len() != 100 {
 		t.Fatalf("rehash lost tuples: %d", r.Len())
 	}

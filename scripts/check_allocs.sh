@@ -53,6 +53,12 @@ check 'BenchmarkExchangePartition/rows'          2  # PR 4: exchange row scatter
 check 'BenchmarkExchangePartition/columnar'      2  # columnar shim: one transpose, then the row scatter
 check 'BenchmarkPartitionMergeRelease'           1  # order-releasing root flush, rows in and out of one reused buffer (1 = headroom)
 check 'BenchmarkStitchUp'                      110  # PR 21: 3 phases x 3 relations with reuse: 9 indexes, prefix chunks, arenas (103; 49807 before)
+# One corrective Q5 at SF 0.002 that switches twice and stitches up: 6680 allocs and 5.33 MB
+# measured since a finished phase's index storage goes to the next phase's sized tables and
+# the stitch-up's indexes (6701 allocs and 7.80 MB when every phase allocated its own).
+# Budgets 1.25 x the measurement.
+check 'BenchmarkCorrectiveRun'                8350  # three phases' trees, the stitch-up, the optimizer's calls
+check 'BenchmarkCorrectiveRun'             6664000 B/op
 check 'BenchmarkStreamDelivery/next'             1  # PR 17: cursor Next() per row = its clone, whole pipeline on the count
 check 'BenchmarkStreamDelivery/batch'            0  # PR 17: cursor NextBatch(), rows read on lent batches
 # The SPJ P>1 root path: a stream's first row through the order-releasing partition merge.
