@@ -99,8 +99,10 @@ check-allocs:
 # maintenance pins and the event goldens of every caller of it (PR 23).
 # The standing queries of the engine and the server run here too: their
 # update cursor is read while the run goroutine publishes windows into it.
+# So do the recycling pins: a run, and its partition clones, take storage an
+# earlier run's goroutines released, and a stream the batches another lent.
 chaos:
-	$(GO) test -race -count=1 -run='Fault|Chaos|ParallelAgg|CancelDuring|Maintenance|PhaseEvent|RegisterStanding|ServeStanding' ./internal/source/ ./internal/core/ ./internal/engine/ ./internal/server/
+	$(GO) test -race -count=1 -run='Fault|Chaos|ParallelAgg|CancelDuring|Maintenance|PhaseEvent|RegisterStanding|ServeStanding|Recycled' ./internal/source/ ./internal/core/ ./internal/engine/ ./internal/server/
 
 # Black-box smoke of the deployable server binary: build it, boot it on
 # a random port, stream a query, check /healthz + /metrics + SSE events,

@@ -235,6 +235,9 @@ type executor struct {
 	o   Options
 	ctx *exec.Context
 	reg *stats.Registry
+	// clones are the partition clones' contexts, each on a spare of its own:
+	// release gives them back with ctx.
+	clones []*exec.Context
 
 	// runCtx carries cancellation for the whole run; hooks observe it
 	// (streaming). out receives every root row; flushed is the row count
@@ -294,7 +297,9 @@ func RunStream(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, h
 	if err := ex.execute(); err != nil {
 		return nil, err
 	}
-	return finish()
+	rep, err := finish()
+	ex.release()
+	return rep, err
 }
 
 // prepareRun validates the query against the catalog and assembles the
@@ -320,7 +325,7 @@ func prepareRun(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, 
 		cat:      cat,
 		q:        q,
 		o:        o,
-		ctx:      exec.NewContext(),
+		ctx:      exec.NewRunContext(exec.DefaultCosts()),
 		reg:      stats.NewRegistry(),
 		runCtx:   ctx,
 		hooks:    hooks,
@@ -361,6 +366,25 @@ func prepareRun(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, 
 		return ex.rep, nil
 	}
 	return ex, finish, nil
+}
+
+// release gives the storage of every structure the run built back to the
+// pool for the next run (exec.Context.Release), once its report is final:
+// nothing reads the run's trees or lists after. A run that fails skips it
+// and leaves its storage to the GC.
+func (ex *executor) release() {
+	ex.ctx.Release()
+	for _, c := range ex.clones {
+		c.Release()
+	}
+}
+
+// cloneContext is a partition clone's context: a run context of its own,
+// which the clone uses on its worker and release gives back after the run.
+func (ex *executor) cloneContext() *exec.Context {
+	c := exec.NewRunContext(ex.ctx.Cost)
+	ex.clones = append(ex.clones, c)
+	return c
 }
 
 // bindOutput derives from q what the run's phases deliver into: the full
@@ -678,7 +702,7 @@ func (ex *executor) runMonitored(ph *phase) (exhausted bool, next algebra.Plan, 
 	if err == nil && (!exhausted || len(ex.phases) >= 2) {
 		for _, t := range ph.trees {
 			for _, j := range t.Joins {
-				j.Node.Release(&ex.ctx.Spare)
+				j.Node.Release(ex.ctx.Spare)
 			}
 		}
 	}
@@ -696,7 +720,7 @@ func (ex *executor) runMonitored(ph *phase) (exhausted bool, next algebra.Plan, 
 // serial runPhase.
 func (ex *executor) runPhaseParallel(root algebra.Plan) (exhausted bool, next algebra.Plan, err error) {
 	roots, merge, tables := ex.partitionRoots(root, ex.o.Partitions)
-	pt, lerr := lowerPartitioned(ex.o.Partitions, ex.ctx.Cost, root, roots, ex.stitches())
+	pt, lerr := lowerPartitioned(ex.o.Partitions, ex.cloneContext, root, roots, ex.stitches())
 	if lerr != nil {
 		return ex.runPhase(root)
 	}
@@ -932,6 +956,14 @@ func (ex *executor) stitchUp() error {
 	ex.emit(StitchUpStarted{Phases: len(ex.phases), VirtualSeconds: exec.Seconds(t0)})
 	if err := s.RunContext(ex.runCtx); err != nil {
 		return err
+	}
+	// Nothing probes the stitch-up's indexes again: the next run takes them.
+	for _, step := range s.tables {
+		for _, t := range step {
+			if t != nil {
+				ex.ctx.Spare.Release(t)
+			}
+		}
 	}
 	ex.rep.StitchTime = exec.Seconds(ex.ctx.Clock.Now - t0)
 	ex.rep.StitchCombos = s.Combos

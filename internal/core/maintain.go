@@ -87,7 +87,9 @@ func RunMaintenance(ctx context.Context, cat *Catalog, q *algebra.Query, o Optio
 	if err := mt.run(); err != nil {
 		return nil, err
 	}
-	return finish()
+	rep, err := finish()
+	ex.release()
+	return rep, err
 }
 
 // maintainer drives the delta-pump stage.

@@ -342,6 +342,10 @@ func TestParallelAggStateFollowsGroups(t *testing.T) {
 	allocated := func(parts int) (uint64, *Report) {
 		c := cat()
 		var before, after runtime.MemStats
+		// Two collections empty the pool of spares (state.TakeSpare): each
+		// run allocates all the storage it needs, not what the run before
+		// it left too little of.
+		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		rep, err := Run(c, q, Options{Strategy: Static, Partitions: parts})

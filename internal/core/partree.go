@@ -112,7 +112,14 @@ func (pl *parLowering) sink(child algebra.Plan, keyCols []int, down exec.Sink) (
 // join/group consumer to key on — in which case callers fall back to the
 // serial Lower path.
 func LowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, merge *exec.PartitionMerge) (*ParTree, error) {
-	return lowerPartitioned(parts, cost, plan, mergeRoots(merge), false)
+	newCtx := func() *exec.Context {
+		ctx := exec.NewContext()
+		if cost != nil {
+			ctx.Cost = cost
+		}
+		return ctx
+	}
+	return lowerPartitioned(parts, newCtx, plan, mergeRoots(merge), false)
 }
 
 // rootSinks makes partition p's root sink; whatever it builds runs on p's
@@ -124,18 +131,16 @@ func mergeRoots(merge *exec.PartitionMerge) rootSinks {
 	return func(p int, _ *exec.Context) (exec.Sink, error) { return merge.Sink(p), nil }
 }
 
-// lowerPartitioned is LowerPartitioned with the clones' root sinks made by
-// roots and lower's reuse choice applied to every clone.
-func lowerPartitioned(parts int, cost *exec.CostModel, plan algebra.Plan, roots rootSinks, reuse bool) (*ParTree, error) {
+// lowerPartitioned is LowerPartitioned with each clone's context made by
+// newCtx, its root sink by roots, and lower's reuse choice applied to every
+// clone.
+func lowerPartitioned(parts int, newCtx func() *exec.Context, plan algebra.Plan, roots rootSinks, reuse bool) (*ParTree, error) {
 	if parts < 2 {
 		return nil, fmt.Errorf("core: partitioned lowering needs >= 2 partitions, got %d", parts)
 	}
 	pt := &ParTree{P: parts, LeafKeys: map[string][]int{}}
 	for p := 0; p < parts; p++ {
-		ctx := exec.NewContext()
-		if cost != nil {
-			ctx.Cost = cost
-		}
+		ctx := newCtx()
 		t := newTree(ctx, plan, reuse)
 		t.par = &parLowering{pt: pt, p: p}
 		out, err := roots(p, ctx)

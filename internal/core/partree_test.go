@@ -206,7 +206,7 @@ func TestPartitionedLoweringCountersSumToSerial(t *testing.T) {
 	// Partitioned pipelines.
 	const parts = 4
 	merge := exec.NewPartitionMerge(parts)
-	pt, err := lowerPartitioned(parts, nil, root, mergeRoots(merge), true)
+	pt, err := lowerPartitioned(parts, exec.NewContext, root, mergeRoots(merge), true)
 	if err != nil {
 		t.Fatal(err)
 	}

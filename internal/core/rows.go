@@ -52,6 +52,10 @@ func NewRowLender(window int) *RowLender {
 // delivery, in delivery order.
 func (l *RowLender) Release() { l.free <- struct{}{} }
 
+// Idle reports whether every batch is back: once its run is over, such a
+// lender can serve another run.
+func (l *RowLender) Idle() bool { return len(l.free) == cap(l.free) }
+
 // acquire waits for a free batch and returns it empty, sized for rows of
 // the given width; nil once ctx is canceled.
 func (l *RowLender) acquire(ctx context.Context, width int) *rowBatch {

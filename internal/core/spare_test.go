@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"github.com/tukwila/adp/internal/exec"
 	"github.com/tukwila/adp/internal/opt"
 	"github.com/tukwila/adp/internal/state"
 )
@@ -123,5 +124,107 @@ func TestOnlyASwitchReleasesPhaseTables(t *testing.T) {
 func released(ht *state.HashTable) (gone bool) {
 	defer func() { gone = recover() != nil }()
 	ht.Len()
+	return false
+}
+
+// TestRunEndReleasesEveryJoin: once a run's report is final, release gives
+// back the storage of every join the run built — every phase's, the
+// maintenance trees' (the adopted one included), and every partition
+// clone's, whose contexts, one per clone and phase, all give their spares
+// back — and each of those lists reads as released, not as empty. The
+// report built before it keeps its rows.
+func TestRunEndReleasesEveryJoin(t *testing.T) {
+	for _, leg := range []struct {
+		name   string
+		o      Options
+		maint  bool
+		phases int
+	}{
+		{"corrective-switched", misOptions(1), false, 2},
+		{"corrective-p4", misOptions(4), false, 2},
+		{"standing-adopted", Options{Strategy: Static, PollEvery: 200}, true, 1},
+		{"standing-built", misOptions(1), true, 2},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			q, cat, script := misChurn(false)
+			c := cat()
+			ex, finish, err := prepareRun(context.Background(), c, q, leg.o, RunHooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mt *maintainer
+			if leg.maint {
+				if mt, err = newMaintainer(ex, MaintOptions{Deltas: maintDeltaProviders(c, script(c))}); err != nil {
+					t.Fatal(err)
+				}
+				err = mt.run()
+			} else {
+				err = ex.execute()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ex.phases) < leg.phases {
+				t.Fatalf("%d phases: the fixture no longer shapes the run", len(ex.phases))
+			}
+			rows := bitRows(rep.Rows)
+			var lists []*state.List
+			var trees []*Tree
+			for _, rec := range ex.phases {
+				if leg.o.Partitions <= 1 {
+					for _, part := range rec.BaseParts {
+						lists = append(lists, part) // a join's leaf list
+					}
+				}
+				if rec.tree != nil {
+					trees = append(trees, rec.tree)
+				}
+			}
+			if mt != nil {
+				trees = append(trees, mt.tree)
+			}
+			if leg.o.Partitions > 1 && len(ex.clones) != leg.o.Partitions*len(ex.phases) {
+				t.Fatalf("%d clone contexts for %d phases at P=%d", len(ex.clones), len(ex.phases), leg.o.Partitions)
+			}
+			ex.release()
+			for _, ctx := range append([]*exec.Context{ex.ctx}, ex.clones...) {
+				if ctx.Spare != nil {
+					t.Fatal("a context of the run kept its spare")
+				}
+			}
+			for _, tree := range trees {
+				for _, j := range tree.Joins {
+					l, r := j.Node.Tables()
+					for _, ht := range []*state.HashTable{l, r} {
+						if !released(ht) {
+							t.Fatalf("join %s: a table kept its index storage", j.Key)
+						}
+						lists = append(lists, ht.List())
+					}
+				}
+			}
+			if len(lists) == 0 && leg.o.Partitions <= 1 {
+				t.Fatal("no list to check")
+			}
+			for _, l := range lists {
+				if !listReleased(l) {
+					t.Fatalf("a list of the run reads %d rows after release", l.Len())
+				}
+			}
+			if bitRows(rep.Rows) != rows {
+				t.Fatal("the report's rows changed when the run released its storage")
+			}
+		})
+	}
+}
+
+// listReleased reports whether l's rows were given away: using it panics.
+func listReleased(l *state.List) (gone bool) {
+	defer func() { gone = recover() != nil }()
+	l.Len()
 	return false
 }

@@ -13,7 +13,8 @@ import (
 // the tree is the initial phase's. switched: the same, then one tree built
 // from the adopted one's main and negative lists, as a mid-maintenance switch
 // does. replayed-p4: four partitions, so a tree warmed with the base rows
-// through a live root. The budgets in scripts/check_allocs.sh keep the
+// through a live root. Each run ends as RunMaintenance's does, giving its
+// storage to the next. The budgets in scripts/check_allocs.sh keep the
 // warm-up on its one reused batch: a relation-sized one regrows every column
 // a dozen times.
 func BenchmarkStandingSetup(b *testing.B) {
@@ -52,6 +53,7 @@ func BenchmarkStandingSetup(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				ex.release()
 				if base := basePassed(ex); rep.DeltaRows != 600 || (rep.MaintReplayed == 0) != (leg.name == "adopted") || rep.MaintReplayed > base+600 {
 					b.Fatalf("read %d deltas, pushed %d rows to build a tree (%d base rows)", rep.DeltaRows, rep.MaintReplayed, base)
 				}

@@ -216,7 +216,7 @@ func (s *StitchUp) tableFor(step, phase int, part *state.List) *state.HashTable 
 	if t := s.tables[step][phase]; t != nil {
 		return t
 	}
-	t := state.IndexList(part, s.relKeyCols[step-1], &s.ctx.Spare)
+	t := state.IndexList(part, s.relKeyCols[step-1], s.ctx.Spare)
 	s.ctx.Clock.Charge(int64(part.Len()) * s.ctx.Cost.HashInsert)
 	s.tables[step][phase] = t
 	return t

@@ -106,6 +106,11 @@ func WithOptions(base core.Options) Option {
 // backpressure): the window of the stream's core.RowLender.
 const streamRowBuffer = 16
 
+// lenders holds the lenders of finished streams that got every batch back
+// (Stream.Report): a later stream lends the same batches again. The GC
+// empties it when it has gone unused for two cycles.
+var lenders = sync.Pool{New: func() any { return core.NewRowLender(streamRowBuffer) }}
+
 // Stream is a streaming execution cursor: root result rows arrive
 // incrementally while the run executes on a background goroutine, and a
 // typed event subscription narrates the adaptive-execution lifecycle
@@ -124,10 +129,12 @@ const streamRowBuffer = 16
 // at monitor poll boundaries and at phase ends), while aggregate queries
 // — blocking by nature — deliver all groups when the run completes. Rows
 // travel on batches lent by the run and are not retained anywhere: Next
-// returns a clone the caller owns, NextBatch the lent batch itself. Events
-// for one run are totally ordered and every subscription replays them from
-// the start of the run, so a consumer can subscribe at any time without
-// missing the PhaseStarted → PlanSwitched → StitchUpStarted narrative.
+// returns a clone the caller owns, NextBatch the lent batch itself, whose
+// storage a later stream reuses once Report has returned (Close alone
+// leaves it to the caller). Events for one run are totally ordered and
+// every subscription replays them from the start of the run, so a consumer
+// can subscribe at any time without missing the PhaseStarted →
+// PlanSwitched → StitchUpStarted narrative.
 type Stream struct {
 	cancel context.CancelFunc
 
@@ -225,7 +232,7 @@ func startStream(ctx context.Context, cat *core.Catalog, q *algebra.Query, o cor
 		cancel:      cancel,
 		runFn:       runFn,
 		rowsCh:      make(chan []types.Tuple, streamRowBuffer),
-		lender:      core.NewRowLender(streamRowBuffer),
+		lender:      lenders.Get().(*core.RowLender),
 		schemaReady: make(chan struct{}),
 		done:        make(chan struct{}),
 		closeCh:     make(chan struct{}),
@@ -419,11 +426,17 @@ func (s *Stream) Err() error {
 // the run to complete, and returns the final execution report. A streamed
 // result is not retained: the report carries RowCount and a nil Rows, and
 // rows dropped here are gone — read the cursor to the end first, or use
-// Execute, for a report that holds the rows.
+// Execute, for a report that holds the rows. Report gives the last batch
+// back: from then on a later stream reuses the storage of every batch
+// NextBatch returned.
 func (s *Stream) Report() (*core.Report, error) {
 	for s.advance() {
 	}
 	<-s.done
+	if s.lender != nil && s.lender.Idle() {
+		lenders.Put(s.lender)
+		s.lender = nil
+	}
 	return s.rep, s.err
 }
 
@@ -435,12 +448,12 @@ func (s *Stream) Report() (*core.Report, error) {
 // unlike the cursor methods — it is safe to call from any goroutine
 // (e.g. a watchdog aborting a long run): it only drains the row channel,
 // never the consumer-owned cursor state, and releases nothing (a batch
-// the consumer still holds is never overwritten; the canceled run stops
-// waiting for batches). In particular it is safe to call — including
-// concurrently from several goroutines — while the run is mid-read on a
-// stalled or retrying source: source delays are virtual time, so the run
-// reaches its next cancellation point promptly and Close returns once the
-// goroutines have drained.
+// the consumer still holds is never overwritten, by this run or a later
+// stream; the canceled run stops waiting for batches). In particular it
+// is safe to call — including concurrently from several goroutines —
+// while the run is mid-read on a stalled or retrying source: source
+// delays are virtual time, so the run reaches its next cancellation point
+// promptly and Close returns once the goroutines have drained.
 func (s *Stream) Close() error {
 	s.closeOnce.Do(func() {
 		s.cancel()

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"github.com/tukwila/adp/internal/state"
 	"github.com/tukwila/adp/internal/types"
 )
 
@@ -28,25 +29,32 @@ const arenaSlab = 4096
 // ValueArena carves tuple storage out of large slabs so that operators
 // whose outputs are retained downstream (join results, projections) pay
 // one allocation per slab instead of one per tuple. Unless the owner calls
-// Rewind, slabs are never reused, so handed-out tuples remain valid
-// forever; the returned slices are capacity-capped so appending to one
-// cannot clobber a neighbour.
+// Rewind or release, slabs are never reused, so handed-out tuples remain
+// valid until then; the returned slices are capacity-capped so appending
+// to one cannot clobber a neighbour.
 type ValueArena struct {
 	slab []types.Value
 	// spilled counts the values of slabs abandoned since the last Rewind.
 	spilled int
+	// spare, when set (an arena that never rewinds), supplies every
+	// arenaSlab-sized slab; slabs are those it handed out, for release.
+	spare *state.Spare
+	slabs [][]types.Value
 }
 
 // Alloc returns a tuple of n values carved from the current slab (zeroed
 // unless the arena has been rewound).
 func (a *ValueArena) Alloc(n int) types.Tuple {
 	if cap(a.slab)-len(a.slab) < n {
-		sz := arenaSlab
-		if n > sz {
-			sz = n
-		}
 		a.spilled += len(a.slab)
-		a.slab = make([]types.Value, 0, sz)
+		if n > arenaSlab {
+			a.slab = make([]types.Value, 0, n)
+		} else {
+			a.slab = a.spare.Values(arenaSlab)
+			if a.spare != nil {
+				a.slabs = append(a.slabs, a.slab)
+			}
+		}
 	}
 	off := len(a.slab)
 	a.slab = a.slab[:off+n]
@@ -72,6 +80,13 @@ func (a *ValueArena) Rewind() {
 		return
 	}
 	a.slab = a.slab[:0]
+}
+
+// release gives the slabs the spare supplied back to it, once nothing reads
+// a tuple the arena handed out.
+func (a *ValueArena) release(spare *state.Spare) {
+	spare.ReleaseValues(a.slabs)
+	a.slab, a.slabs = nil, nil
 }
 
 // emitFlushLen caps how many buffered outputs a BatchEmitter accumulates

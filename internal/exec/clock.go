@@ -81,14 +81,40 @@ func DefaultCosts() *CostModel {
 }
 
 // Context bundles the clock and cost model shared by all operators of one
-// query execution, and the index storage its finished plans released.
+// query execution, and the storage its structures take before they allocate
+// and give back when they are done: Spare, nil on a context no run ends.
 type Context struct {
 	Clock *Clock
 	Cost  *CostModel
-	Spare state.Spare
+	Spare *state.Spare
+	// joins are the joins built on Spare, which Release empties.
+	joins []*HashJoin
 }
 
-// NewContext creates a fresh execution context.
+// NewContext creates a fresh execution context, whose structures allocate
+// their own storage.
 func NewContext() *Context {
 	return &Context{Clock: &Clock{}, Cost: DefaultCosts()}
+}
+
+// NewRunContext creates the context of one run, or of one partition clone
+// of it, under cost: its structures take their storage from a pooled spare
+// (state.TakeSpare), which Release gives back when the run is over.
+func NewRunContext(cost *CostModel) *Context {
+	return &Context{Clock: &Clock{}, Cost: cost, Spare: state.TakeSpare()}
+}
+
+// Release ends the run of c: every join built on c gives its tables' index
+// storage, its lists' rows and its emitted rows' slabs to c's spare, and the
+// spare goes back to the pool. Nothing built on c may be used after. A
+// context without a spare releases nothing.
+func (c *Context) Release() {
+	if c.Spare == nil {
+		return
+	}
+	for _, j := range c.joins {
+		j.free(c.Spare)
+	}
+	c.Spare.Return()
+	c.Spare, c.joins = nil, nil
 }

@@ -88,6 +88,12 @@ func NewHashJoinSized(ctx *Context, leftSchema, rightSchema *types.Schema, leftK
 		schema: leftSchema.Concat(rightSchema),
 	}
 	_, j.em.recycle = out.(InputCopier)
+	if ctx.Spare != nil {
+		ctx.joins = append(ctx.joins, j)
+		if !j.em.recycle {
+			j.em.arena.spare = ctx.Spare
+		}
+	}
 	j.in[0].key, j.in[1].key = leftKey, rightKey
 	ests := [2]float64{estLeft, estRight}
 	for i, schema := range [2]*types.Schema{leftSchema, rightSchema} {
@@ -95,7 +101,7 @@ func NewHashJoinSized(ctx *Context, leftSchema, rightSchema *types.Schema, leftK
 			j.in[i].main = state.NewHashTable(schema, j.in[i].key)
 			continue
 		}
-		j.in[i].main = state.NewHashTableSized(schema, j.in[i].key, int(min(max(ests[i], 64), 1<<26)), &ctx.Spare)
+		j.in[i].main = state.NewHashTableSized(schema, j.in[i].key, int(min(max(ests[i], 64), 1<<26)), ctx.Spare)
 		j.in[i].main.Fixed = true
 	}
 	return j
@@ -119,6 +125,20 @@ func (j *HashJoin) Release(spare *state.Spare) {
 			spare.Release(in.neg)
 		}
 	}
+}
+
+// free gives everything j holds to spare at the end of its run: its
+// tables' index storage, its lists' rows and the slabs of the rows it
+// emitted, which its consumer kept.
+func (j *HashJoin) free(spare *state.Spare) {
+	j.Release(spare)
+	for _, in := range j.in {
+		spare.ReleaseList(in.main.List())
+		if in.neg != nil {
+			spare.ReleaseList(in.neg.List())
+		}
+	}
+	j.em.arena.release(spare)
 }
 
 // joinSide exposes one input of a HashJoin (i: 0 left, 1 right) as a sink,

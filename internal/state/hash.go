@@ -41,50 +41,6 @@ type entry struct {
 // bucket is one chain: its first and last row (0 when empty) and its length.
 type bucket struct{ head, tail, count int32 }
 
-// Spare is a run's free list of index storage: the bucket arrays and full
-// entry chunks of tables nothing will probe again, which the run's next
-// tables take back, cleared. It is not safe for concurrent use.
-type Spare struct {
-	buckets [][]bucket
-	entries [][]entry
-}
-
-// Release gives h's bucket array and full entry chunks to s. h keeps its
-// List, whose rows a stitch-up still reads; used as an index again, h panics.
-func (s *Spare) Release(h *HashTable) {
-	s.buckets = append(s.buckets, h.buckets) // nil if h was released: never taken
-	for _, chunk := range h.entries.chunks {
-		if cap(chunk) == chunkRows {
-			s.entries = append(s.entries, chunk)
-		}
-	}
-	h.buckets, h.entries = nil, chunked[entry]{}
-}
-
-// index makes an empty index of n buckets over l on storage from s (nil: none):
-// the smallest free bucket array that holds n, re-sliced to n (bucketOf masks
-// by the length) and cleared, and s's free entry chunks while they last.
-func (s *Spare) index(l *List, keyCols []int, n int) *HashTable {
-	h := &HashTable{list: l, keyCols: keyCols}
-	best := -1
-	if s != nil {
-		h.entries.free = &s.entries
-		for i, b := range s.buckets {
-			if cap(b) >= n && (best < 0 || cap(b) < cap(s.buckets[best])) {
-				best = i
-			}
-		}
-	}
-	if best < 0 {
-		h.buckets = make([]bucket, n)
-		return h
-	}
-	h.buckets = s.buckets[best][:n]
-	clear(h.buckets)
-	s.buckets = append(s.buckets[:best], s.buckets[best+1:]...)
-	return h
-}
-
 // NewHashTable creates a hash table keyed on keyCols over the layout
 // schema.
 func NewHashTable(schema *types.Schema, keyCols []int) *HashTable {
@@ -92,9 +48,14 @@ func NewHashTable(schema *types.Schema, keyCols []int) *HashTable {
 }
 
 // NewHashTableSized creates a hash table with an explicit bucket count (for
-// the optimizer to size from cardinality estimates), on storage from spare.
+// the optimizer to size from cardinality estimates), on storage from spare:
+// its index's and its list's.
 func NewHashTableSized(schema *types.Schema, keyCols []int, nbuckets int, spare *Spare) *HashTable {
-	return spare.index(NewList(schema), keyCols, ceilPow2(max(nbuckets, 1)))
+	l := NewList(schema)
+	if spare != nil {
+		l.rows.free = &spare.rows
+	}
+	return spare.index(l, keyCols, ceilPow2(max(nbuckets, 1)))
 }
 
 // IndexList builds a second index, keyed on keyCols, over the rows l

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/tukwila/adp/internal/types"
 )
@@ -105,25 +106,43 @@ func newLawPair(keyCols []int, nbuckets int, fixed bool, spare *Spare) *lawPair 
 // indexed rows distinct keys: every bucket's head, tail and count and every
 // entry's hash and next left as the donor had them.
 func donorSpare(nbuckets, rows int) *Spare {
+	s := &Spare{}
+	s.Release(donor(nbuckets, rows))
+	return s
+}
+
+func donor(nbuckets, rows int) *HashTable {
 	h := NewHashTableSized(lawSchema, []int{0}, nbuckets, nil)
 	h.Fixed = true
 	for i := 0; i < rows; i++ {
 		h.Insert(types.Tuple{types.Int(int64(i)), types.Int(int64(i)), types.Int(int64(i))})
 	}
+	return h
+}
+
+// returnedSpare is what another run returned to the pool: donorSpare's
+// storage and the donor's list chunks, every row header of every chunk
+// still set (rows a multiple of chunkRows), as the run's end left them.
+func returnedSpare(nbuckets, rows int) *Spare {
+	h := donor(nbuckets, rows)
 	s := &Spare{}
 	s.Release(h)
+	s.ReleaseList(h.List())
+	s.endRun()
 	return s
 }
 
 // storages are the legs every law runs on: a table's own storage, and
 // storage another table used and released whose bucket array is smaller
 // than, as large as or larger than the table asks for (req buckets); each
-// recycled leg holds three full entry chunks.
+// recycled leg holds three full entry chunks, and the returned leg three
+// full row chunks for the table's list too.
 func storages(req int) map[string]func() *Spare {
 	legs := map[string]func() *Spare{
 		"fresh":           func() *Spare { return nil },
 		"recycled/equal":  func() *Spare { return donorSpare(req, 2*chunkRows+7) },
 		"recycled/larger": func() *Spare { return donorSpare(4*req, 2*chunkRows+7) },
+		"returned":        func() *Spare { return returnedSpare(req, 3*chunkRows) },
 	}
 	if req > 1 {
 		legs["recycled/smaller"] = func() *Spare { return donorSpare(req/2, 2*chunkRows+7) }
@@ -226,8 +245,13 @@ func TestHashTableMatchesChainModel(t *testing.T) {
 					if !tc.fixed && p.h.Buckets() < 128 {
 						t.Fatalf("growing table ended at %d buckets: grow was not exercised", p.h.Buckets())
 					}
-					if s != nil && len(s.entries) != 2 {
-						t.Fatalf("%d of 3 spare entry chunks left: the table's full chunk is not a recycled one", len(s.entries))
+					if s != nil && len(s.entries.items) != 2 {
+						t.Fatalf("%d of 3 spare entry chunks left: the table's full chunk is not a recycled one", len(s.entries.items))
+					}
+					if leg == "returned" {
+						if err := rowsFromSpare(p.h.List(), s); err != nil {
+							t.Fatal(err)
+						}
 					}
 				})
 			}
@@ -255,6 +279,22 @@ func TestHashTableMatchesChainModel(t *testing.T) {
 	})
 }
 
+// rowsFromSpare checks that l's first chunk is one of the returned spare's
+// three: two are left, and the headers past l's rows, which the donor had
+// set, were cleared when l took it.
+func rowsFromSpare(l *List, s *Spare) error {
+	if len(s.rows.items) != 2 {
+		return fmt.Errorf("%d of 3 spare row chunks left: the list's full chunk is not a returned one", len(s.rows.items))
+	}
+	chunk := l.rows.chunks[0]
+	for i, t := range chunk[len(chunk):cap(chunk)] {
+		if t != nil {
+			return fmt.Errorf("row slot %d of a taken chunk kept the donor's header %v", len(chunk)+i, t)
+		}
+	}
+	return nil
+}
+
 // TestSpareTakesBestFit: a table takes the smallest released bucket array
 // that holds what it asks for, re-sliced to exactly that, and allocates when
 // none does; a released table's full entry chunks are kept, its short first
@@ -264,10 +304,10 @@ func TestSpareTakesBestFit(t *testing.T) {
 	arrays := map[int]*bucket{}
 	for _, n := range []int{1024, 64, 256} {
 		d := donorSpare(n, 10)
-		arrays[n] = &d.buckets[0][0]
+		arrays[n] = &d.buckets.items[0][0]
 		s.Release(NewHashTableSized(lawSchema, []int{0}, 1, d)) // moves the array into s
-		if len(d.buckets) != 0 || len(d.entries) != 0 {
-			t.Fatalf("donor of %d buckets kept %d arrays, %d chunks", n, len(d.buckets), len(d.entries))
+		if len(d.buckets.items) != 0 || len(d.entries.items) != 0 {
+			t.Fatalf("donor of %d buckets kept %d arrays, %d chunks", n, len(d.buckets.items), len(d.entries.items))
 		}
 	}
 	for _, tc := range []struct{ ask, from int }{{100, 256}, {300, 1024}, {2, 64}, {2, 0}} {
@@ -290,8 +330,8 @@ func TestSpareTakesBestFit(t *testing.T) {
 		h.Insert(types.Tuple{types.Int(int64(i)), types.Null(), types.Int(int64(i))})
 	}
 	d.Release(h)
-	if len(d.entries) != 0 || len(d.buckets) != 1 {
-		t.Fatalf("a half-chunk table released %d chunks, %d arrays; want 0, 1", len(d.entries), len(d.buckets))
+	if len(d.entries.items) != 0 || len(d.buckets.items) != 1 {
+		t.Fatalf("a half-chunk table released %d chunks, %d arrays; want 0, 1", len(d.entries.items), len(d.buckets.items))
 	}
 }
 
@@ -345,6 +385,112 @@ func TestReleasedTablePanics(t *testing.T) {
 	}
 }
 
+// TestReleasedListPanics: a list whose rows were released must not read as
+// empty — every use of it panics — and releasing it again gives nothing.
+func TestReleasedListPanics(t *testing.T) {
+	row := types.Tuple{types.Int(1), types.Null(), types.Int(1)}
+	uses := map[string]func(l *List){
+		"Len":         func(l *List) { l.Len() },
+		"At":          func(l *List) { l.At(0) },
+		"Scan":        func(l *List) { l.Scan(func(types.Tuple) bool { return true }) },
+		"Chunks":      func(l *List) { l.Chunks() },
+		"Rows":        func(l *List) { l.Rows() },
+		"Insert":      func(l *List) { l.Insert(row) },
+		"InsertBatch": func(l *List) { l.InsertBatch([]types.Tuple{row}) },
+	}
+	for name, use := range uses {
+		for _, n := range []int{0, 3 * chunkRows} {
+			t.Run(fmt.Sprintf("%s/rows=%d", name, n), func(t *testing.T) {
+				l := NewList(lawSchema)
+				for i := 0; i < n; i++ {
+					l.Insert(row)
+				}
+				s := &Spare{}
+				s.ReleaseList(l)
+				s.ReleaseList(l)
+				if len(s.rows.items) != n/chunkRows {
+					t.Fatalf("the spare holds %d row chunks, want %d", len(s.rows.items), n/chunkRows)
+				}
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s on a released list did not panic", name)
+					}
+				}()
+				use(l)
+			})
+		}
+	}
+}
+
+// TestDoubleReleaseGivesNothing: releasing a released table leaves the
+// spare as it was — no nil bucket array for every later best-fit scan to
+// step over.
+func TestDoubleReleaseGivesNothing(t *testing.T) {
+	h := donor(64, 2*chunkRows+7)
+	s := &Spare{}
+	s.Release(h)
+	buckets, entries := slices.Clone(s.buckets.items), slices.Clone(s.entries.items)
+	s.Release(h)
+	if !slices.Equal(pointers(s.buckets.items), pointers(buckets)) || !slices.Equal(pointers(s.entries.items), pointers(entries)) {
+		t.Fatalf("a second release changed the spare: %d arrays, %d chunks; want %d, %d",
+			len(s.buckets.items), len(s.entries.items), len(buckets), len(entries))
+	}
+}
+
+// pointers renders storage by where it starts.
+func pointers[T any](items [][]T) []*T {
+	out := make([]*T, len(items))
+	for i, v := range items {
+		out[i] = unsafe.SliceData(v)
+	}
+	return out
+}
+
+// TestSpareHoldsOneRun: a returned spare holds what its run released and
+// nothing an earlier run left that this one did not take — taken or not,
+// an earlier run's storage never comes back twice — and a slab or chunk is
+// cleared when it is taken.
+func TestSpareHoldsOneRun(t *testing.T) {
+	s := &Spare{}
+	first := donor(1024, 3*chunkRows)
+	s.Release(first)
+	s.ReleaseList(first.List())
+	s.ReleaseValues([][]types.Value{{types.Int(7), types.Int(8)}})
+	s.endRun()
+	if len(s.buckets.items) != 1 || len(s.entries.items) != 3 || len(s.rows.items) != 3 || len(s.values.items) != 1 {
+		t.Fatalf("after one run: %d arrays, %d entry chunks, %d row chunks, %d slabs; want 1, 3, 3, 1",
+			len(s.buckets.items), len(s.entries.items), len(s.rows.items), len(s.values.items))
+	}
+	// The next run takes the array, one entry chunk, one row chunk and the
+	// slab, and releases a table of its own.
+	h := NewHashTableSized(lawSchema, []int{0}, 1024, s)
+	for i := 0; i < chunkRows; i++ {
+		h.Insert(types.Tuple{types.Int(int64(i)), types.Null(), types.Int(int64(i))})
+	}
+	if v := s.Values(2); len(v) != 0 || cap(v) != 2 || v[:2][0] != (types.Value{}) || v[:2][1] != (types.Value{}) {
+		t.Fatalf("Values(2) = %v (cap %d), want an empty cleared slab of the released two", v[:cap(v)], cap(v))
+	}
+	if len(s.buckets.items) != 0 || len(s.entries.items) != 2 || len(s.rows.items) != 2 || len(s.values.items) != 0 {
+		t.Fatalf("the next run did not take from the spare: %d arrays, %d entry chunks, %d row chunks, %d slabs left",
+			len(s.buckets.items), len(s.entries.items), len(s.rows.items), len(s.values.items))
+	}
+	second := donor(64, 10)
+	s.Release(second)
+	s.Release(h)
+	s.ReleaseList(h.List())
+	s.endRun()
+	// What the first run left and the second did not take is gone: two
+	// arrays, one entry chunk and one row chunk, all the second run's.
+	if len(s.buckets.items) != 2 || len(s.entries.items) != 1 || len(s.rows.items) != 1 || len(s.values.items) != 0 {
+		t.Fatalf("after the next run: %d arrays, %d entry chunks, %d row chunks, %d slabs; want 2, 1, 1, 0",
+			len(s.buckets.items), len(s.entries.items), len(s.rows.items), len(s.values.items))
+	}
+	s.endRun()
+	if len(s.buckets.items) != 0 || len(s.entries.items) != 0 || len(s.rows.items) != 0 {
+		t.Fatal("a run that released nothing returned storage")
+	}
+}
+
 // FuzzHashTableModel drives the table and the model from an op script: a
 // byte inserts the key its bits select; every insert is followed by a
 // probe of every law key, and every eighth by a scan.
@@ -355,17 +501,18 @@ func FuzzHashTableModel(f *testing.F) {
 		if len(script) > 400 {
 			script = script[:400]
 		}
-		// The script runs on the table's own storage, then on storage a
-		// table of half, the same or four times the bucket count released.
 		req := ceilPow2(max(int(nbuckets%8), 1))
-		donor := []int{max(req/2, 1), req, 4 * req}[len(script)%3]
-		for _, spare := range []*Spare{nil, donorSpare(donor, chunkRows+len(script))} {
+		size := []int{max(req/2, 1), req, 4 * req}[len(script)%3]
+		// The script runs on the table's own storage, then on storage a
+		// table of half, the same or four times the bucket count released,
+		// then on what such a table's run returned, its list's rows too.
+		for leg, spare := range []*Spare{nil, donorSpare(size, chunkRows+len(script)), returnedSpare(size, 3*chunkRows)} {
 			p := newLawPair([]int{0}, int(nbuckets%8), fixed, spare)
 			for i, op := range script {
 				v := int(op) % len(lawValues)
 				p.insert(lawValues[v], lawValues[(v+int(op)/len(lawValues))%len(lawValues)])
 				if err := p.check(i%8 == 0 || i == len(script)-1); err != nil {
-					t.Fatalf("recycled=%t donor=%d, after op %d (%d): %v", spare != nil, donor, i, op, err)
+					t.Fatalf("leg %d donor=%d, after op %d (%d): %v", leg, size, i, op, err)
 				}
 			}
 		}
@@ -464,8 +611,8 @@ func TestIndexListSharesRows(t *testing.T) {
 				t.Fatalf("recycled=%t n=%d: the table changed under its second index: %v", recycled, n, err)
 			}
 		}
-		if recycled && len(spare.entries) != 21 {
-			t.Fatalf("the spare holds %d entry chunks after every index gave its storage back, want the donor's 21", len(spare.entries))
+		if recycled && len(spare.entries.items) != 21 {
+			t.Fatalf("the spare holds %d entry chunks after every index gave its storage back, want the donor's 21", len(spare.entries.items))
 		}
 	}
 	// The same backing arrays, not copies: a join's list handed on as a

@@ -13,11 +13,16 @@
 // row; a HashTable owns no rows but indexes a List — an entry per row and a
 // chain per bucket, in row ids — so grow re-links instead of rehashing, and
 // IndexList puts a second index, on another key, over rows a list already
-// holds; a Spare hands a finished phase's index storage to the next tables
-// while its lists stay. A structure's consumers read more than its
-// contents: chain length is what a probe is charged, Len/Buckets what the
-// monitor prices a plan by, chain order the order results leave in. Those
-// are contract (TestHashTableMatchesChainModel), whatever the layout.
+// holds. A Spare hands storage from structures nothing will use again to
+// the next ones, cleared and at the sizes they ask for: a finished phase's
+// index storage to the run's next tables while its lists stay, and, when a
+// run ends, every index, list chunk and emitted-row slab of the run to the
+// next run, through a process-wide pool of spares (TakeSpare, Return). A
+// released structure panics on use rather than read as empty. A
+// structure's consumers read more than its contents: chain length is what
+// a probe is charged, Len/Buckets what the monitor prices a plan by, chain
+// order the order results leave in. Those are contract
+// (TestHashTableMatchesChainModel), whatever the layout.
 package state
 
 import "github.com/tukwila/adp/internal/types"
@@ -40,7 +45,7 @@ const (
 type chunked[T any] struct {
 	chunks [][]T
 	n      int
-	free   *[][]T
+	free   *stack[T]
 }
 
 func (c *chunked[T]) at(i int) *T { return &c.chunks[i>>chunkShift][i&(chunkRows-1)] }
@@ -91,11 +96,10 @@ func (c *chunked[T]) grow(need int) {
 // alloc returns an empty chunk with room for n: a free one, cleared, if free
 // has one and n is over half a chunk; else a new one.
 func (c *chunked[T]) alloc(n int) []T {
-	if c.free == nil || len(*c.free) == 0 || 2*n <= chunkRows {
+	if c.free == nil || len(c.free.items) == 0 || 2*n <= chunkRows {
 		return make([]T, 0, n)
 	}
-	chunk := (*c.free)[len(*c.free)-1][:chunkRows]
-	*c.free = (*c.free)[:len(*c.free)-1]
+	chunk := c.free.pop()[:chunkRows]
 	clear(chunk)
 	return chunk[:0]
 }
@@ -121,28 +125,36 @@ type List struct {
 // NewList creates an empty list over the given layout.
 func NewList(schema *types.Schema) *List { return &List{schema: schema} }
 
+// live panics on a released list (Spare.ReleaseList), which must not read
+// as empty.
+func (l *List) live() {
+	if l.rows.n < 0 {
+		panic("state: list used after its rows were released")
+	}
+}
+
 // Insert appends one tuple.
-func (l *List) Insert(t types.Tuple) { l.rows.push(t) }
+func (l *List) Insert(t types.Tuple) { l.live(); l.rows.push(t) }
 
 // InsertBatch bulk-appends a batch of tuples — the vectorized counterpart
 // of Insert used by batched sinks (leaf partition capture, join-result
 // tees). Only the tuples are retained, never the batch slice itself.
-func (l *List) InsertBatch(ts []types.Tuple) { l.rows.pushAll(ts) }
+func (l *List) InsertBatch(ts []types.Tuple) { l.live(); l.rows.pushAll(ts) }
 
 // Len returns the number of stored tuples.
-func (l *List) Len() int { return l.rows.n }
+func (l *List) Len() int { l.live(); return l.rows.n }
 
 // At returns the i-th row in arrival order.
-func (l *List) At(i int) types.Tuple { return *l.rows.at(i) }
+func (l *List) At(i int) types.Tuple { l.live(); return *l.rows.at(i) }
 
 // Chunks exposes the row storage in arrival order (read-only): every chunk
 // but the last holds chunkRows rows.
-func (l *List) Chunks() [][]types.Tuple { return l.rows.chunks }
+func (l *List) Chunks() [][]types.Tuple { l.live(); return l.rows.chunks }
 
 // Scan visits the tuples in arrival order; return false from fn to stop
 // early.
 func (l *List) Scan(fn func(types.Tuple) bool) {
-	for _, chunk := range l.rows.chunks {
+	for _, chunk := range l.Chunks() {
 		for _, t := range chunk {
 			if !fn(t) {
 				return
@@ -157,7 +169,7 @@ func (l *List) Schema() *types.Schema { return l.schema }
 // Rows copies the list into one flat slice, for callers off the hot path
 // that need one (a materialized relation handed to a source).
 func (l *List) Rows() []types.Tuple {
-	out := make([]types.Tuple, 0, l.rows.n)
+	out := make([]types.Tuple, 0, l.Len())
 	for _, chunk := range l.rows.chunks {
 		out = append(out, chunk...)
 	}

@@ -56,9 +56,12 @@ check 'BenchmarkStitchUp'                      110  # PR 21: 3 phases x 3 relati
 # One corrective Q5 at SF 0.002 that switches twice and stitches up: 6680 allocs and 5.33 MB
 # measured since a finished phase's index storage goes to the next phase's sized tables and
 # the stitch-up's indexes (6701 allocs and 7.80 MB when every phase allocated its own).
-# Budgets 1.25 x the measurement.
-check 'BenchmarkCorrectiveRun'                8350  # three phases' trees, the stitch-up, the optimizer's calls
-check 'BenchmarkCorrectiveRun'             6664000 B/op
+# Since a finished run's storage serves the next run: 6640 allocs and 1.92 MB at steady
+# state, 6643 allocs and 2.10 MB the worst of 13 runs (an op whose run finds no pooled spare
+# on its P allocates as a cold one does); 6740 allocs and 5.34 MB cold, on a drained pool
+# (one op in a fresh process). Budgets 1.25 x the worst steady-state measurement.
+check 'BenchmarkCorrectiveRun'                8304  # three phases' trees, the stitch-up, the optimizer's calls
+check 'BenchmarkCorrectiveRun'             2628000 B/op
 check 'BenchmarkStreamDelivery/next'             1  # PR 17: cursor Next() per row = its clone, whole pipeline on the count
 check 'BenchmarkStreamDelivery/batch'            0  # PR 17: cursor NextBatch(), rows read on lent batches
 # The SPJ P>1 root path: a stream's first row through the order-releasing partition merge.
@@ -78,13 +81,18 @@ check 'BenchmarkDeltaPropagation/agg'            2  # PR 10: signed agg absorb +
 # 21453 / 25338 and 5.02 / 7.93 / 16.66 MB with string keys). Since the initial result
 # leaves only as the baseline window (no final groups emitted before it, and the update
 # windows folded as they go instead of all at the end): 7360 / 7552 / 11385 allocs and
-# 3.93 / 6.84 / 15.57 MB. All budgets are 1.25 x the measurement.
-check 'BenchmarkStandingSetup/adopted'        9200  # the initial phase's tree is the maintenance tree
-check 'BenchmarkStandingSetup/switched'       9440  # + one tree built from the adopted one's lists
-check 'BenchmarkStandingSetup/replayed-p4'   14240  # four partitions: a tree warmed through a live root
-check 'BenchmarkStandingSetup/adopted'     4920000 B/op
-check 'BenchmarkStandingSetup/switched'    8560000 B/op
-check 'BenchmarkStandingSetup/replayed-p4' 19470000 B/op
+# 3.93 / 6.84 / 15.57 MB. Since a finished run's storage serves the next run (the benchmark
+# ends each run as RunMaintenance does): 7346 / 7525 / 11330 allocs and 2.71 / 4.61 / 8.39 MB
+# at steady state, the worst of 12 runs (2.20–2.71 / 3.39–4.61 / 6.89–8.39 MB: an op whose
+# run finds no pooled spare on its P allocates as a cold one does); cold, on a drained pool
+# (one op in a fresh process), 7390 / 7589 / 11492 allocs and 3.93 / 6.85 / 15.60 MB. All
+# budgets are 1.25 x the worst steady-state measurement.
+check 'BenchmarkStandingSetup/adopted'        9183  # the initial phase's tree is the maintenance tree
+check 'BenchmarkStandingSetup/switched'       9407  # + one tree built from the adopted one's lists
+check 'BenchmarkStandingSetup/replayed-p4'   14163  # four partitions: a tree warmed through a live root
+check 'BenchmarkStandingSetup/adopted'     3386000 B/op
+check 'BenchmarkStandingSetup/switched'    5760000 B/op
+check 'BenchmarkStandingSetup/replayed-p4' 10485000 B/op
 # The delta tracker seeded with SF 0.005's 30113 lineitem rows: 49 allocs and 1.75 MB measured
 # (the string-key tracker: 30383 allocs, 4.94 MB). Budgets 1.25 x the measurement.
 check 'BenchmarkBaseTrackerSeed'                62  # slot-table doublings and 1024-entry chunks
