@@ -52,7 +52,7 @@ bench-perf:
 	$(GO) test -run='^$$' -bench='BenchmarkHashTableProbe|BenchmarkHashTableInsert' -benchmem ./internal/state/
 	$(GO) test -run='^$$' -bench='BenchmarkPipelinedJoinPush|BenchmarkMergeJoinPush|BenchmarkAggTableAbsorb|BenchmarkAggTableMergeFrom|BenchmarkHashKeys|BenchmarkExchangePartition|BenchmarkPartitionMergeRelease|BenchmarkDeltaPropagation' -benchmem -benchtime=300000x ./internal/exec/
 	$(GO) test -run='^$$' -bench='BenchmarkStitchUp' -benchmem -benchtime=50x ./internal/core/
-	$(GO) test -run='^$$' -bench='BenchmarkCorrectiveRun' -benchmem -benchtime=20x ./internal/core/
+	$(GO) test -run='^$$' -bench='BenchmarkCorrectiveRun|BenchmarkParallelAggRun' -benchmem -benchtime=20x ./internal/core/
 	$(GO) test -run='^$$' -bench='BenchmarkStandingSetup' -benchmem -benchtime=20x ./internal/core/
 	$(GO) test -run='^$$' -bench='BenchmarkBaseTrackerSeed' -benchmem ./internal/ivm/
 	$(GO) test -run='^$$' -bench='BenchmarkReoptimize' -benchmem ./internal/opt/
@@ -67,7 +67,8 @@ examples:
 	$(GO) vet ./examples/...
 
 # Short fixed-duration fuzzing of the key codec, of the hash index against
-# the chain model of the layout it replaced, of the delta-row scalar
+# the chain model of the layout it replaced, of the aggregate's flat group
+# store against the map-based table it replaced, of the delta-row scalar
 # conversion against the all-encoding/json one it replaced, of the standing
 # body's one-pass delta decode against the encoding/json decode and
 # buildDeltas it replaced, of the delta tracker's hash index against the
@@ -79,6 +80,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyCodecRoundTrip$$' -fuzztime=5s ./internal/types/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeKeyArbitrary$$' -fuzztime=5s ./internal/types/
 	$(GO) test -run='^$$' -fuzz='^FuzzHashTableModel$$' -fuzztime=5s ./internal/state/
+	$(GO) test -run='^$$' -fuzz='^FuzzAggTableModel$$' -fuzztime=5s ./internal/exec/
 	$(GO) test -run='^$$' -fuzz='^FuzzValueForKind$$' -fuzztime=5s ./internal/server/
 	$(GO) test -run='^$$' -fuzz='^FuzzStandingDeltas$$' -fuzztime=5s ./internal/server/
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendFloat$$' -fuzztime=5s ./internal/server/
@@ -100,9 +102,10 @@ check-allocs:
 # The standing queries of the engine and the server run here too: their
 # update cursor is read while the run goroutine publishes windows into it.
 # So do the recycling pins: a run, and its partition clones, take storage an
-# earlier run's goroutines released, and a stream the batches another lent.
+# earlier run's goroutines released, and a stream the batches another lent;
+# and the run-end release pins, joins and aggregate tables alike.
 chaos:
-	$(GO) test -race -count=1 -run='Fault|Chaos|ParallelAgg|CancelDuring|Maintenance|PhaseEvent|RegisterStanding|ServeStanding|Recycled' ./internal/source/ ./internal/core/ ./internal/engine/ ./internal/server/
+	$(GO) test -race -count=1 -run='Fault|Chaos|ParallelAgg|CancelDuring|Maintenance|PhaseEvent|RegisterStanding|ServeStanding|Recycled|RunEndReleases' ./internal/source/ ./internal/core/ ./internal/engine/ ./internal/server/
 
 # Black-box smoke of the deployable server binary: build it, boot it on
 # a random port, stream a query, check /healthz + /metrics + SSE events,

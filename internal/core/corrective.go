@@ -354,7 +354,7 @@ func prepareRun(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, 
 
 	finish := func() (*Report, error) {
 		if ex.agg != nil && !ex.out.standing {
-			ex.out.add(ex.agg.EmitFinal())
+			ex.agg.EmitFinal(ex.out.next)
 		}
 		ex.rep.Rows, ex.rep.RowCount = ex.out.kept, ex.out.count
 		ex.rep.Schema = ex.outSchema

@@ -33,3 +33,24 @@ func BenchmarkCorrectiveRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkParallelAggRun is one static Q3A at SF 0.005 over two partitions,
+// with known cardinalities: each clone aggregates into a table of its own,
+// the tables fold into the shared group-by at the phase end, and the run ends
+// as RunStream ends it, giving every group store back for the next run. The
+// budgets in scripts/check_allocs.sh keep that reuse gated.
+func BenchmarkParallelAggRun(b *testing.B) {
+	data := datagen.Generate(datagen.Config{ScaleFactor: 0.005, Seed: 42})
+	q, known := workload.Q3A(), workload.KnownCards(data)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := Run(NewCatalog(data.Relations(), nil), q, Options{Strategy: Static, Partitions: 2, Known: known})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Partitions != 2 || len(rep.Rows) == 0 {
+			b.Fatalf("ran at %d partitions, %d rows", rep.Partitions, len(rep.Rows))
+		}
+	}
+}

@@ -173,7 +173,8 @@ func bufferedThenAbsorbed(t *testing.T, fx parAggFixture, mode opt.PreAggMode, p
 		t.Fatal(err)
 	}
 	merge.Drain(sink)
-	return ex.agg.EmitFinal()
+	ex.agg.EmitFinal(ex.out.next)
+	return ex.out.kept
 }
 
 var (
@@ -314,6 +315,14 @@ func TestParallelAggMatchesSerial(t *testing.T) {
 // (1.32 under -race) because its denominator fell further. Hence both runs
 // are also pinned below what commit 7e491a5 allocated, and the ratio at
 // the worst measured plus 5%.
+//
+// Since aggregate groups live in a flat group store, the serial run
+// allocates 2.76 MB and the P=2 run 3.42-3.43 MB (2.77 and 3.62-3.79 under
+// -race, where sync.Pool drops some of the parallel driver's buffers):
+// ratio 1.24 (1.31-1.37), inside the bound. Neither run finds a pooled
+// spare, so the P=2 run's shared group-by takes the partition tables'
+// chunks rather than copy their groups (state.Groups.Adopt). The absolute
+// pins are those cold figures, the worst measured, plus 5%.
 func TestParallelAggStateFollowsGroups(t *testing.T) {
 	// A join that multiplies: 20k source rows, 48k root rows, 2000 groups.
 	const keys = 2000
@@ -365,9 +374,9 @@ func TestParallelAggStateFollowsGroups(t *testing.T) {
 	if ratio := float64(parBytes) / float64(serialBytes); ratio > 1.39 {
 		t.Errorf("P=2 allocated %d B, serial %d B: ratio %.2f, want <= 1.39", parBytes, serialBytes, ratio)
 	}
-	const parentPar, parentSerial = 5_421_208, 4_507_488
-	if parBytes > parentPar || serialBytes > parentSerial {
-		t.Errorf("P=2 allocated %d B, serial %d B: want at most %d and %d", parBytes, serialBytes, parentPar, parentSerial)
+	const pinPar, pinSerial = 3_983_000, 2_909_000
+	if parBytes > pinPar || serialBytes > pinSerial {
+		t.Errorf("P=2 allocated %d B, serial %d B: want at most %d and %d", parBytes, serialBytes, pinPar, pinSerial)
 	}
 
 	ex, _, err := prepareRun(nil, cat(), q, Options{Strategy: Static, Partitions: 2}, RunHooks{})

@@ -76,9 +76,9 @@ func (l *RowLender) acquire(ctx context.Context, width int) *rowBatch {
 }
 
 // rootRows is where a run's root rows end up: every phase's root sink, the
-// stitch-up's and the final aggregate emit write through it. With a row
-// hook the rows go into lent batches and nothing is retained; without one
-// each row is a retained tuple of Report.Rows.
+// stitch-up's and the final aggregate emit (AggTable.EmitFinal) write
+// through it. With a row hook the rows go into lent batches and nothing is
+// retained; without one each row is a retained tuple of Report.Rows.
 type rootRows struct {
 	ctx    context.Context
 	onRows func([]types.Tuple) // nil: retain
@@ -147,13 +147,6 @@ func (r *rootRows) flush() {
 	r.onRows(b.rows)
 	if r.own {
 		r.lender.Release()
-	}
-}
-
-// add copies finished rows in (the final aggregate groups).
-func (r *rootRows) add(rows []types.Tuple) {
-	for _, t := range rows {
-		copy(r.next(len(t)), t)
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/exec"
 	"github.com/tukwila/adp/internal/opt"
+	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/state"
 )
 
@@ -154,7 +156,11 @@ func TestRunEndReleasesEveryJoin(t *testing.T) {
 			}
 			var mt *maintainer
 			if leg.maint {
-				if mt, err = newMaintainer(ex, MaintOptions{Deltas: maintDeltaProviders(c, script(c))}); err != nil {
+				var m MaintOptions
+				if script != nil {
+					m.Deltas = maintDeltaProviders(c, script(c))
+				}
+				if mt, err = newMaintainer(ex, m); err != nil {
 					t.Fatal(err)
 				}
 				err = mt.run()
@@ -220,6 +226,118 @@ func TestRunEndReleasesEveryJoin(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRunEndReleasesEveryAggTable: once a run's report is final, release
+// gives back the group store of every aggregate table the run built — the
+// shared group-by, every phase's blocking pre-aggregates, the maintenance
+// tree's — and each of those panics on use rather than reads as empty. The
+// corrective leg with a traditional pre-aggregate runs as a standing query
+// without deltas, whose phase records keep their trees. A
+// partition's private table is built on its clone's context, which release
+// ends like the run's own (exec's TestReleaseFreesEveryStructure pins that a
+// context frees every table built on it). The report built before keeps its
+// rows.
+func TestRunEndReleasesEveryAggTable(t *testing.T) {
+	blocking := sharedKeyFixture(7)
+	for _, leg := range []struct {
+		name    string
+		fixture func() (*algebra.Query, func() *Catalog, func(*Catalog) map[string][]source.Delta)
+		o       Options
+		maint   bool
+		tables  int // at least: the group-by, pre-aggregates, maintenance tree's
+	}{
+		{name: "q3a-serial", fixture: func() (*algebra.Query, func() *Catalog, func(*Catalog) map[string][]source.Delta) {
+			return q3aChurn(false)
+		},
+			o: Options{Strategy: Static}, tables: 1},
+		{name: "q3a-p2", fixture: func() (*algebra.Query, func() *Catalog, func(*Catalog) map[string][]source.Delta) {
+			return q3aChurn(false)
+		},
+			o: Options{Strategy: Static, Partitions: 2}, tables: 1},
+		{name: "corrective-traditional", fixture: func() (*algebra.Query, func() *Catalog, func(*Catalog) map[string][]source.Delta) {
+			return blocking.q, blocking.cat, nil
+		}, o: forcedSwitching(Options{PreAgg: opt.PreAggTraditional, Known: blocking.known}), maint: true, tables: 3},
+		{name: "standing-adopted", fixture: func() (*algebra.Query, func() *Catalog, func(*Catalog) map[string][]source.Delta) {
+			return q3aMinMax(false)
+		},
+			o: Options{Strategy: Static, PollEvery: 200}, maint: true, tables: 1},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			q, cat, script := leg.fixture()
+			c := cat()
+			ex, finish, err := prepareRun(context.Background(), c, q, leg.o, RunHooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mt *maintainer
+			if leg.maint {
+				var m MaintOptions
+				if script != nil {
+					m.Deltas = maintDeltaProviders(c, script(c))
+				}
+				if mt, err = newMaintainer(ex, m); err != nil {
+					t.Fatal(err)
+				}
+				err = mt.run()
+			} else {
+				err = ex.execute()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables := []*exec.AggTable{ex.agg}
+			var trees []*Tree
+			for _, rec := range ex.phases {
+				if rec.tree != nil {
+					trees = append(trees, rec.tree)
+				}
+			}
+			if mt != nil {
+				tables, trees = append(tables, mt.agg), append(trees, mt.tree)
+			}
+			for _, tree := range trees {
+				for _, f := range tree.finishers {
+					if pre, ok := f.(*blockingPreAgg); ok {
+						tables = append(tables, pre.table)
+					}
+				}
+			}
+			if len(tables) < leg.tables {
+				t.Fatalf("%d aggregate tables, want at least %d: the fixture no longer shapes the run", len(tables), leg.tables)
+			}
+			if parts := leg.o.Partitions; parts > 1 && (rep.Partitions != parts || len(ex.clones) != parts*len(ex.phases)) {
+				t.Fatalf("ran at %d partitions with %d clone contexts for %d phases", rep.Partitions, len(ex.clones), len(ex.phases))
+			}
+			rows := bitRows(rep.Rows)
+			ex.release()
+			for _, ctx := range append([]*exec.Context{ex.ctx}, ex.clones...) {
+				if ctx.Spare != nil {
+					t.Fatal("a context of the run kept its spare")
+				}
+			}
+			for i, a := range tables {
+				if !aggReleased(a) {
+					t.Fatalf("aggregate table %d reads %d groups after release", i, a.Groups())
+				}
+			}
+			if bitRows(rep.Rows) != rows {
+				t.Fatal("the report's rows changed when the run released its storage")
+			}
+		})
+	}
+}
+
+// aggReleased reports whether a's group store was given away: using it
+// panics.
+func aggReleased(a *exec.AggTable) (gone bool) {
+	defer func() { gone = recover() != nil }()
+	a.Groups()
+	return false
 }
 
 // listReleased reports whether l's rows were given away: using it panics.

@@ -53,9 +53,9 @@ type Tree struct {
 	PreAggWindow *exec.WindowPreAgg
 	// HasPreAgg reports that output tuples are in partial layout.
 	HasPreAgg bool
-	// finishers flush the pre-aggregates, each after every one below it: a
-	// pipelined join has nothing to do at end of stream.
-	finishers []func()
+	// finishers are the pre-aggregates, each flushed after every one below
+	// it: a pipelined join has nothing to do at end of stream.
+	finishers []interface{ Finish() }
 	// reuse materializes every join output below the root for stitch-up
 	// (see lower); nrels is the plan's relation count, which only the root
 	// join covers.
@@ -92,7 +92,8 @@ type blockingPreAgg struct {
 	out   exec.Sink
 }
 
-func (b *blockingPreAgg) flush() {
+// Finish emits the table's groups as partials.
+func (b *blockingPreAgg) Finish() {
 	b.out.Push(b.table.EmitPartial(), 0)
 }
 
@@ -224,7 +225,7 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 			if err := t.build(v.Input, in); err != nil {
 				return err
 			}
-			t.finishers = append(t.finishers, pre.Finish)
+			t.finishers = append(t.finishers, pre)
 			return nil
 		}
 		table, err := exec.NewAggTable(t.ctx, v.Input.Schema(), v.GroupBy, v.Aggs)
@@ -239,7 +240,7 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		if err := t.build(v.Input, in); err != nil {
 			return err
 		}
-		t.finishers = append(t.finishers, b.flush)
+		t.finishers = append(t.finishers, b)
 		return nil
 
 	default:
@@ -274,7 +275,7 @@ func (t *Tree) boundarySink(child algebra.Plan, keyCols []int, down exec.Sink) (
 // flush, bottom-up.
 func (t *Tree) Finish() {
 	for _, f := range t.finishers {
-		f()
+		f.Finish()
 	}
 }
 
@@ -283,7 +284,7 @@ func (t *Tree) Finish() {
 func (t *Tree) FinishSteps() int { return len(t.finishers) }
 
 // RunFinisher runs finisher step i (child-before-parent order).
-func (t *Tree) RunFinisher(i int) { t.finishers[i]() }
+func (t *Tree) RunFinisher(i int) { t.finishers[i].Finish() }
 
 // JoinFor returns the tree's join node materializing exprKey, if any.
 func (t *Tree) JoinFor(exprKey string) (*TreeJoin, bool) {

@@ -11,6 +11,7 @@ import (
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/core"
 	"github.com/tukwila/adp/internal/datagen"
+	"github.com/tukwila/adp/internal/expr"
 	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/types"
 	"github.com/tukwila/adp/internal/workload"
@@ -73,6 +74,66 @@ func lineitemChurn(e *Engine) []source.Delta {
 		}
 	}
 	return ds
+}
+
+// minMaxAvg is orders ⋈ lineitem grouped by order key: the smallest
+// quantity, the largest price and the average discount of each order.
+func minMaxAvg(e *Engine) *algebra.Query {
+	return e.Query("minmaxavg").
+		From("orders", "lineitem").
+		Join("orders", "o_orderkey", "lineitem", "l_orderkey").
+		GroupBy("lineitem.l_orderkey").
+		Agg(algebra.AggMin, expr.Column("lineitem.l_quantity"), "mnq").
+		Agg(algebra.AggMax, expr.Column("lineitem.l_extendedprice"), "mxp").
+		Agg(algebra.AggAvg, expr.Column("lineitem.l_discount"), "avd").
+		MustBuild()
+}
+
+// lineitemEmptyRevive retracts each of the first 300 lineitem rows and
+// inserts every other one of them back, 300 deltas later.
+func lineitemEmptyRevive(e *Engine) []source.Delta {
+	rel, _ := e.Relation("lineitem")
+	var ds []source.Delta
+	for i, row := range rel.Rows[:300] {
+		ds = append(ds, source.Del(float64(i)*1e-4, row...))
+	}
+	for i, row := range rel.Rows[:300] {
+		if i%2 == 0 {
+			ds = append(ds, source.Ins(float64(300+i)*1e-4, row...))
+		}
+	}
+	return ds
+}
+
+// standingDigest registers q as a standing query fed deltas on lineitem,
+// corrective and polled every 100 tuples, and digests every update window
+// and the report.
+func standingDigest(e *Engine, q *algebra.Query, deltas []source.Delta) (string, error) {
+	sq, err := e.RegisterStanding(context.Background(), q,
+		map[string][]source.Delta{"lineitem": deltas},
+		WithStrategy(core.Corrective), WithPollEvery(100))
+	if err != nil {
+		return "", err
+	}
+	defer sq.Close()
+	var b strings.Builder
+	for w, ok := sq.NextWindow(); ok; w, ok = sq.NextWindow() {
+		rows := make([]types.Tuple, len(w.Updates))
+		for i, u := range w.Updates {
+			rows[i] = append(u.Row.Clone(), types.Int(int64(u.Sign)))
+		}
+		fmt.Fprintf(&b, "w%d=%s@%x ", w.Watermark.Seq, rowsDigest(rows), math.Float64bits(w.Watermark.VirtualSeconds))
+	}
+	rep, err := sq.Report()
+	if err != nil {
+		return "", err
+	}
+	if rep.DeltaClamped != 0 || rep.UpdateCount == 0 {
+		return "", fmt.Errorf("%d deltas clamped, %d updates: the script no longer retracts live rows", rep.DeltaClamped, rep.UpdateCount)
+	}
+	fmt.Fprintf(&b, "updates=%d deltas=%d maint-switches=%d replayed=%d maintained=%s %s",
+		rep.UpdateCount, rep.DeltaRows, rep.MaintSwitches, rep.MaintReplayed, rowsDigest(rep.Maintained), reportDigest(rep, nil, true))
+	return b.String(), nil
 }
 
 // rowsDigest renders rows, in order, as their count and one hash.
@@ -171,31 +232,18 @@ var recycleLegs = []struct {
 		name: "standing-q3a-churn",
 		want: "w0=682:88826480f25b084f@3fbedafb63b90cfc w1=38:b77e738611f766fb@3fbeed2b1125c231 w2=8:319723201f31bdb4@3fbefcf660440d76 updates=728 deltas=206 maint-switches=0 replayed=0 maintained=680:fe8aeff84c3e5e0c rows=0:0000000000000011 count=682 phases=1 switches=0 combos=0 reused=0 discarded=0 opt=154 [15332 3fbecd92c56a01fc] virtual=3fbefdc9c4da9004 cpu=3fa60535c9e6687f stitch=0",
 		run: func(e *Engine) (string, error) {
-			sq, err := e.RegisterStanding(context.Background(), workload.Q3A(),
-				map[string][]source.Delta{"lineitem": lineitemChurn(e)},
-				WithStrategy(core.Corrective), WithPollEvery(100))
-			if err != nil {
-				return "", err
-			}
-			defer sq.Close()
-			var b strings.Builder
-			for w, ok := sq.NextWindow(); ok; w, ok = sq.NextWindow() {
-				rows := make([]types.Tuple, len(w.Updates))
-				for i, u := range w.Updates {
-					rows[i] = append(u.Row.Clone(), types.Int(int64(u.Sign)))
-				}
-				fmt.Fprintf(&b, "w%d=%s@%x ", w.Watermark.Seq, rowsDigest(rows), math.Float64bits(w.Watermark.VirtualSeconds))
-			}
-			rep, err := sq.Report()
-			if err != nil {
-				return "", err
-			}
-			if rep.DeltaClamped != 0 || rep.UpdateCount == 0 {
-				return "", fmt.Errorf("%d deltas clamped, %d updates: the script no longer retracts live rows", rep.DeltaClamped, rep.UpdateCount)
-			}
-			fmt.Fprintf(&b, "updates=%d deltas=%d maint-switches=%d replayed=%d maintained=%s %s",
-				rep.UpdateCount, rep.DeltaRows, rep.MaintSwitches, rep.MaintReplayed, rowsDigest(rep.Maintained), reportDigest(rep, nil, true))
-			return b.String(), nil
+			return standingDigest(e, workload.Q3A(), lineitemChurn(e))
+		},
+	},
+	{
+		// Every lineitem row of the first orders is retracted, which
+		// empties their groups, and every other one comes back two windows
+		// later, which revives them: MIN and MAX fall back on their value
+		// bags, AVG on its count.
+		name: "standing-minmaxavg-revive",
+		want: "w0=3000:5c38bca9d148df8d@3fbf088e43fb0193 w1=29:ea452f8bb00d9dba@3fbf254e6e221c8a w2=33:e975d9cbb9094ad1@3fbf4573a797891e w3=26:0044cedd0ee2ac39@3fbf6395d18dfcad w4=52:e399bba86bd24a35@3fbf825fc130b758 w5=22:1a26e48806ef648c@3fbf919e2295563e updates=3162 deltas=450 maint-switches=0 replayed=0 maintained=2988:27ec289d9a8e9a58 rows=0:0000000000000011 count=3000 phases=1 switches=0 combos=0 reused=0 discarded=0 opt=153 [15032 3fbecd92c56a01fc] virtual=3fbf919e2295563e cpu=3fafed12bd71e5f6 stitch=0",
+		run: func(e *Engine) (string, error) {
+			return standingDigest(e, minMaxAvg(e), lineitemEmptyRevive(e))
 		},
 	},
 	{

@@ -1,115 +1,85 @@
 package exec
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/expr"
+	"github.com/tukwila/adp/internal/state"
 	"github.com/tukwila/adp/internal/stats"
 	"github.com/tukwila/adp/internal/types"
 )
 
-// aggState is the distributive state of one aggregate in one group. Every
-// paper aggregate (min, max, sum, count, avg) is covered: avg decomposes
-// into sum+count (§2.2 footnote 1), which is why pre-aggregation and
-// cross-phase shared group-bys are sound.
-type aggState struct {
-	has    bool
-	minmax types.Value
-	sum    float64
-	cnt    int64
-}
+// aggState is the distributive state of one aggregate in one group, held in
+// one value of the group's record (state.Groups): min and max keep the
+// extreme (NULL: none yet), sum and avg the sum in F and the non-null count in
+// I, count the count in I. Every paper aggregate (min, max, sum, count, avg)
+// is covered: avg decomposes into sum+count (§2.2 footnote 1), which is why
+// pre-aggregation and cross-phase shared group-bys are sound.
+type aggState types.Value
 
 func (s *aggState) accumulate(kind algebra.AggKind, v types.Value) {
-	switch kind {
-	case algebra.AggCount:
-		s.cnt++
-		return
+	switch {
+	case kind == algebra.AggCount:
+		s.I++
+	case kind == algebra.AggMin || kind == algebra.AggMax:
+		s.fold(kind, v)
+	case !v.IsNull():
+		s.F += v.AsFloat()
+		s.I++
 	}
-	if v.IsNull() {
-		return
+}
+
+// fold keeps v, if it is not NULL, when it is the first or a new extreme.
+func (s *aggState) fold(kind algebra.AggKind, v types.Value) {
+	switch {
+	case v.IsNull():
+	case s.K == types.KindNull,
+		kind == algebra.AggMin && types.Compare(v, types.Value(*s)) < 0,
+		kind == algebra.AggMax && types.Compare(v, types.Value(*s)) > 0:
+		*s = aggState(v)
 	}
-	switch kind {
-	case algebra.AggMin:
-		if !s.has || types.Compare(v, s.minmax) < 0 {
-			s.minmax = v
-		}
-	case algebra.AggMax:
-		if !s.has || types.Compare(v, s.minmax) > 0 {
-			s.minmax = v
-		}
-	case algebra.AggSum:
-		s.sum += v.AsFloat()
-	case algebra.AggAvg:
-		s.sum += v.AsFloat()
-	}
-	s.cnt++
-	s.has = true
 }
 
 // merge folds a partial state (from a pre-aggregation or another phase)
 // into s.
 func (s *aggState) merge(kind algebra.AggKind, other aggState) {
-	switch kind {
-	case algebra.AggMin:
-		if other.has && (!s.has || types.Compare(other.minmax, s.minmax) < 0) {
-			s.minmax = other.minmax
-			s.has = true
-		}
-	case algebra.AggMax:
-		if other.has && (!s.has || types.Compare(other.minmax, s.minmax) > 0) {
-			s.minmax = other.minmax
-			s.has = true
-		}
-	case algebra.AggSum, algebra.AggAvg:
-		s.sum += other.sum
-		s.cnt += other.cnt
-		s.has = s.has || other.has
-	case algebra.AggCount:
-		s.cnt += other.cnt
+	if kind == algebra.AggMin || kind == algebra.AggMax {
+		s.fold(kind, types.Value(other))
+		return
 	}
+	s.F += other.F
+	s.I += other.I
 }
 
 func (s *aggState) final(kind algebra.AggKind) types.Value {
 	switch kind {
 	case algebra.AggMin, algebra.AggMax:
-		if !s.has {
-			return types.Null()
-		}
-		return s.minmax
+		return types.Value(*s)
 	case algebra.AggSum:
-		return types.Float(s.sum)
+		return types.Float(s.F)
 	case algebra.AggCount:
-		return types.Int(s.cnt)
+		return types.Int(s.I)
 	default: // avg
-		if s.cnt == 0 {
+		if s.I == 0 {
 			return types.Null()
 		}
-		return types.Float(s.sum / float64(s.cnt))
+		return types.Float(s.F / float64(s.I))
 	}
 }
 
-// partialCols returns the partial-tuple state values of s in the layout of
-// algebra.GroupSchema(partial=true).
-func (s *aggState) partialCols(kind algebra.AggKind) []types.Value {
-	switch kind {
-	case algebra.AggMin, algebra.AggMax:
-		if !s.has {
-			return []types.Value{types.Null()}
-		}
-		return []types.Value{s.minmax}
-	case algebra.AggSum:
-		return []types.Value{types.Float(s.sum)}
-	case algebra.AggCount:
-		return []types.Value{types.Int(s.cnt)}
-	default: // avg -> sum, cnt
-		return []types.Value{types.Float(s.sum), types.Int(s.cnt)}
+// appendPartial appends the partial-tuple state values of s, in the layout of
+// algebra.GroupSchema(partial=true), to t.
+func (s *aggState) appendPartial(t types.Tuple, kind algebra.AggKind) types.Tuple {
+	if kind == algebra.AggAvg { // sum, cnt
+		return append(t, types.Float(s.F), types.Int(s.I))
 	}
+	return append(t, s.final(kind))
 }
 
 // loadPartial parses one partial tuple's state columns starting at col;
@@ -117,32 +87,26 @@ func (s *aggState) partialCols(kind algebra.AggKind) []types.Value {
 func loadPartial(kind algebra.AggKind, t types.Tuple, col int) (aggState, int) {
 	switch kind {
 	case algebra.AggMin, algebra.AggMax:
-		v := t[col]
-		return aggState{has: !v.IsNull(), minmax: v}, col + 1
+		return aggState(t[col]), col + 1
 	case algebra.AggSum:
-		return aggState{has: true, sum: t[col].AsFloat()}, col + 1
+		return aggState{F: t[col].AsFloat()}, col + 1
 	case algebra.AggCount:
-		return aggState{cnt: t[col].AsInt()}, col + 1
+		return aggState{I: t[col].AsInt()}, col + 1
 	default: // avg
-		return aggState{has: true, sum: t[col].AsFloat(), cnt: t[col+1].AsInt()}, col + 2
+		return aggState{F: t[col].AsFloat(), I: t[col+1].AsInt()}, col + 2
 	}
-}
-
-type aggGroup struct {
-	groupVals []types.Value
-	states    []aggState
-	m         *groupMaint // maintenance-mode state; nil otherwise
 }
 
 // AggTable is the hash-based aggregation state structure shared across ADP
 // phases: the "shared Group-by operator" of Figure 1. Raw tuples (in the
 // table's input layout) and partial tuples (in the corresponding partial
 // layout) may be absorbed in any interleaving; EmitFinal produces the
-// final aggregate relation.
+// final aggregate relation. Its groups live in a flat store (state.Groups):
+// a record per group — the group values, then one aggState per aggregate —
+// on storage from the context's spare, which Context.Release gives back
+// when the run ends; a released table panics on use.
 type AggTable struct {
 	ctx      *Context
-	in       *types.Schema
-	groupBy  []string
 	aggs     []algebra.AggSpec
 	groupIdx []int
 	argEvals []expr.Evaluator
@@ -150,24 +114,26 @@ type AggTable struct {
 	outSchema     *types.Schema
 	partialSchema *types.Schema
 
-	// groups chains aggregate groups under their key hash; group identity
-	// is the hash plus strict value equality (types.StrictEqual), which
-	// matches the byte codec's grouping semantics exactly — Int(1),
-	// Float(1), and Str("1") stay distinct.
-	groups  map[uint64][]*aggGroup
-	nGroups int
+	// groups finds a group by strict equality of its group values, the byte
+	// codec's grouping: Int(1), Float(1), and Str("1") stay distinct.
+	groups *state.Groups
 	// valScratch is allocation-free grouping scratch: group values are
-	// extracted into it and only copied to owned storage when a new group
-	// is created. colIn materializes the columnar entries (colbatch.go).
+	// extracted into it and only copied into the store when a group is
+	// created. order is the reused emit-order buffer of group ids. colIn
+	// materializes the columnar entries (colbatch.go).
 	valScratch []types.Value
+	order      []int32
 	colIn      colDelivery
 
-	// Maintenance (signed) mode: dirty lists the groups touched since
-	// the last EmitRevisions, bagScratch is the reused min/max bag key
-	// buffer, revRows the reused revision delivery batch. See aggdelta.go.
+	// Maintenance (signed) mode: gm and bags are side storage by group id,
+	// dirty lists the groups touched since the last EmitRevisions,
+	// bagScratch is the reused min/max bag key buffer, revRows the reused
+	// revision delivery batch. See aggdelta.go.
 	maint      bool
 	hasMinMax  bool
-	dirty      []*aggGroup
+	gm         []groupMaint
+	bags       []valueBag // len(aggs) per group, min/max tables only
+	dirty      []int32
 	bagScratch []byte
 	revRows    []types.Tuple
 
@@ -178,12 +144,9 @@ type AggTable struct {
 func NewAggTable(ctx *Context, in *types.Schema, groupBy []string, aggs []algebra.AggSpec) (*AggTable, error) {
 	a := &AggTable{
 		ctx:           ctx,
-		in:            in,
-		groupBy:       groupBy,
 		aggs:          aggs,
 		outSchema:     algebra.GroupSchema(in, groupBy, aggs, false),
 		partialSchema: algebra.GroupSchema(in, groupBy, aggs, true),
-		groups:        make(map[uint64][]*aggGroup),
 	}
 	for _, g := range groupBy {
 		i := in.IndexOf(g)
@@ -203,8 +166,15 @@ func NewAggTable(ctx *Context, in *types.Schema, groupBy []string, aggs []algebr
 		}
 		a.argEvals = append(a.argEvals, ev)
 	}
+	a.groups = state.NewGroups(len(groupBy), len(groupBy)+len(aggs), ctx.Spare)
+	if ctx.Spare != nil {
+		ctx.owned = append(ctx.owned, a)
+	}
 	return a, nil
 }
+
+// free gives the table's group store to spare at the end of its run.
+func (a *AggTable) free(spare *state.Spare) { spare.ReleaseGroups(a.groups) }
 
 // Schema returns the final output layout.
 func (a *AggTable) Schema() *types.Schema { return a.outSchema }
@@ -216,40 +186,25 @@ func (a *AggTable) PartialSchema() *types.Schema { return a.partialSchema }
 func (a *AggTable) Counters() *stats.OpCounters { return &a.counters }
 
 // Groups returns the current number of groups.
-func (a *AggTable) Groups() int { return a.nGroups }
+func (a *AggTable) Groups() int { return a.groups.Len() }
 
-// groupFor finds or creates the group for the given key values. vals may
-// be scratch storage: it is copied to owned storage only when the group is
-// new. Lookup is allocation-free at steady state.
-func (a *AggTable) groupFor(vals []types.Value) *aggGroup {
-	hash := types.Tuple(vals).HashKey(types.Identity(len(vals)))
-	for _, g := range a.groups[hash] {
-		if strictEqualVals(g.groupVals, vals) {
-			return g
-		}
-	}
-	owned := make([]types.Value, len(vals))
-	copy(owned, vals)
-	g := &aggGroup{groupVals: owned, states: make([]aggState, len(a.aggs))}
-	if a.maint {
-		g.m = &groupMaint{hash: hash}
+// group finds or creates the group of the given key values and returns its
+// id and record. vals may be scratch storage: it is copied into the store
+// only when the group is new. Lookup is allocation-free at steady state.
+func (a *AggTable) group(vals []types.Value) (int32, []types.Value) {
+	id := a.groups.Find(vals)
+	if a.maint && int(id) > len(a.gm) {
+		a.gm = append(a.gm, groupMaint{}) //adp:alloc-ok amortized side-storage growth
 		if a.hasMinMax {
-			g.m.bags = make([]valueBag, len(a.aggs))
+			a.bags = append(a.bags, make([]valueBag, len(a.aggs))...)
 		}
 	}
-	a.groups[hash] = append(a.groups[hash], g)
-	a.nGroups++
-	return g
+	return id, a.groups.Record(id)
 }
 
-// strictEqualVals reports element-wise strict equality (group identity).
-func strictEqualVals(a, b []types.Value) bool {
-	for i := range a {
-		if !types.StrictEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
+// state returns aggregate i's state in the group whose record is rec.
+func (a *AggTable) state(rec []types.Value, i int) *aggState {
+	return (*aggState)(&rec[len(a.groupIdx)+i])
 }
 
 // groupScratch returns the reused group-value buffer, sized to n.
@@ -276,13 +231,13 @@ func (a *AggTable) AbsorbRaw(t types.Tuple) {
 	for i, gi := range a.groupIdx {
 		vals[i] = t[gi]
 	}
-	g := a.groupFor(vals)
+	_, rec := a.group(vals)
 	for i, spec := range a.aggs {
 		var v types.Value
 		if a.argEvals[i] != nil {
 			v = a.argEvals[i](t)
 		}
-		g.states[i].accumulate(spec.Kind, v)
+		a.state(rec, i).accumulate(spec.Kind, v)
 	}
 }
 
@@ -319,14 +274,12 @@ func (a *AggTable) AbsorbPartial(t types.Tuple) {
 	a.counters.In++
 	a.ctx.Clock.Charge(a.ctx.Cost.AggUpdate)
 	ng := len(a.groupIdx)
-	vals := a.groupScratch(ng)
-	copy(vals, t[:ng])
-	g := a.groupFor(vals)
+	_, rec := a.group(t[:ng])
 	col := ng
 	for i, spec := range a.aggs {
 		var st aggState
 		st, col = loadPartial(spec.Kind, t, col)
-		g.states[i].merge(spec.Kind, st)
+		a.state(rec, i).merge(spec.Kind, st)
 	}
 }
 
@@ -338,10 +291,12 @@ var (
 // MergeFrom folds src — a table of the same grouping and aggregates, such as
 // a partition clone's private one — into a, state by state: a group a has
 // not seen is adopted as it stands, a group both hold merges its aggregate
-// states into a's. a is charged as if it had absorbed src's EmitPartial
-// rows (one AggUpdate and one In per group of src) without any partial
-// tuple being built or sorted. src's groups become a's: src must not be
-// used afterwards.
+// states into a's. Where a's spare has no storage to copy src's groups into
+// (a cold run), a takes src's chunks (state.Groups.Adopt); else it copies
+// them, starting each new group from the zero state, which merging leaves
+// exactly src's. a is charged as if it had absorbed src's EmitPartial rows
+// (one AggUpdate and one In per group of src) without any partial tuple
+// being built or sorted. src must not be used afterwards.
 //
 //adp:hotpath gated by BenchmarkAggTableMergeFrom (scripts/check_allocs.sh)
 func (a *AggTable) MergeFrom(src *AggTable) error {
@@ -354,33 +309,27 @@ func (a *AggTable) MergeFrom(src *AggTable) error {
 		func(x, y algebra.AggSpec) bool { return x.Kind == y.Kind }) {
 		return errMergeShape
 	}
-	a.counters.In += int64(src.nGroups)
-	a.ctx.Clock.Charge(int64(src.nGroups) * a.ctx.Cost.AggUpdate)
-	// No order of chains can show in a: chains of different hashes never
-	// meet, and a group of a merges with at most one group of src.
-	//adp:unordered-ok see above
-	for hash, chain := range src.groups {
-		mine := a.groups[hash]
-		if len(mine) == 0 {
-			a.groups[hash] = chain
-			a.nGroups += len(chain)
-			continue
-		}
-	adopt:
-		for _, g := range chain {
-			for _, have := range mine {
-				if strictEqualVals(have.groupVals, g.groupVals) {
-					for i, spec := range a.aggs {
-						have.states[i].merge(spec.Kind, g.states[i])
-					}
-					continue adopt
-				}
-			}
-			a.groups[hash] = append(a.groups[hash], g) //adp:alloc-ok a hash collision between distinct groups
-			a.nGroups++
-		}
+	n := src.groups.Len()
+	a.counters.In += int64(n)
+	a.ctx.Clock.Charge(int64(n) * a.ctx.Cost.AggUpdate)
+	if a.groups.Adopt(src.groups, func(into, from int32) {
+		a.mergeGroup(a.groups.Record(into), a.groups.Record(from))
+	}) {
+		return nil
+	}
+	// src removes no group (only maintenance does), so its ids are 1..n.
+	for id := int32(1); id <= int32(n); id++ {
+		rec := src.groups.Record(id)
+		a.mergeGroup(a.groups.Record(a.groups.Find(rec[:len(a.groupIdx)])), rec)
 	}
 	return nil
+}
+
+// mergeGroup folds the aggregate states of record from into record into.
+func (a *AggTable) mergeGroup(into, from []types.Value) {
+	for i, spec := range a.aggs {
+		a.state(into, i).merge(spec.Kind, *a.state(from, i))
+	}
 }
 
 // compareGroupVals is the emit order of groups: CompareKey's order wherever
@@ -418,33 +367,41 @@ func compareGroupVals(a, b []types.Value) int {
 	return 0
 }
 
-// sortedGroups returns the table's groups in emit order. The order is a
-// function of the group values alone, never of map iteration or of the
-// order groups were created in.
-func (a *AggTable) sortedGroups() []*aggGroup {
-	gs := make([]*aggGroup, 0, a.nGroups)
-	for _, chain := range a.groups {
-		gs = append(gs, chain...)
-	}
-	slices.SortFunc(gs, func(x, y *aggGroup) int { return compareGroupVals(x.groupVals, y.groupVals) })
-	return gs
+// sorted returns the table's group ids in emit order. The order is a
+// function of the group values alone, never of the order groups were created
+// in.
+func (a *AggTable) sorted() []int32 {
+	a.order = a.groups.IDs(a.order[:0])
+	a.sortIDs(a.order)
+	return a.order
+}
+
+// sortIDs sorts group ids by their group values (compareGroupVals).
+func (a *AggTable) sortIDs(ids []int32) {
+	ng := len(a.groupIdx)
+	slices.SortFunc(ids, func(x, y int32) int {
+		return compareGroupVals(a.groups.Record(x)[:ng], a.groups.Record(y)[:ng])
+	})
 }
 
 // EmitFinal produces the final aggregate relation, sorted by group values
-// for determinism, and charges output costs.
-func (a *AggTable) EmitFinal() []types.Tuple {
-	gs := a.sortedGroups()
-	a.emitted(len(gs))
-	out := make([]types.Tuple, 0, len(gs))
-	for _, g := range gs {
-		t := make(types.Tuple, 0, len(g.groupVals)+len(a.aggs))
-		t = append(t, g.groupVals...)
-		for i, spec := range a.aggs {
-			t = append(t, g.states[i].final(spec.Kind))
-		}
-		out = append(out, t)
+// for determinism, and charges output costs: each row is written into the
+// storage next returns for it, width values.
+func (a *AggTable) EmitFinal(next func(width int) types.Tuple) {
+	ids := a.sorted()
+	a.emitted(len(ids))
+	for _, id := range ids {
+		a.finalRow(next(len(a.groupIdx)+len(a.aggs)), a.groups.Record(id))
 	}
-	return out
+}
+
+// finalRow writes the final row of the group whose record is rec into t.
+func (a *AggTable) finalRow(t types.Tuple, rec []types.Value) types.Tuple {
+	ng := copy(t, rec[:len(a.groupIdx)])
+	for i, spec := range a.aggs {
+		t[ng+i] = a.state(rec, i).final(spec.Kind)
+	}
+	return t
 }
 
 // emitted accounts n output rows: one Move each.
@@ -456,20 +413,26 @@ func (a *AggTable) emitted(n int) {
 // EmitPartial produces the table's groups as partial-layout tuples
 // (PartialSchema), sorted by group values. A blocking AggTable emitting
 // partials is exactly the paper's "traditional pre-aggregation" operator
-// (§6): correct, but unpipelined.
+// (§6): correct, but unpipelined. The rows share one slab of their own:
+// the consumer may keep them.
 func (a *AggTable) EmitPartial() []types.Tuple {
-	gs := a.sortedGroups()
-	a.emitted(len(gs))
-	out := make([]types.Tuple, 0, len(gs))
-	for _, g := range gs {
-		t := make(types.Tuple, 0, len(g.groupVals)+len(a.aggs)+1)
-		t = append(t, g.groupVals...)
-		for i, spec := range a.aggs {
-			t = append(t, g.states[i].partialCols(spec.Kind)...)
-		}
-		out = append(out, t)
+	ids := a.sorted()
+	a.emitted(len(ids))
+	w := a.partialSchema.Len()
+	out, slab := make([]types.Tuple, len(ids)), make([]types.Value, len(ids)*w)
+	for j, id := range ids {
+		out[j] = a.appendPartial(slab[j*w:j*w:(j+1)*w], a.groups.Record(id))
 	}
 	return out
+}
+
+// appendPartial appends the partial row of the group whose record is rec to t.
+func (a *AggTable) appendPartial(t types.Tuple, rec []types.Value) types.Tuple {
+	t = append(t, rec[:len(a.groupIdx)]...)
+	for i, spec := range a.aggs {
+		t = a.state(rec, i).appendPartial(t, spec.Kind)
+	}
+	return t
 }
 
 // WindowPreAgg is the paper's adjustable sliding-window pre-aggregation
@@ -479,13 +442,11 @@ func (a *AggTable) EmitPartial() []types.Tuple {
 // effective, halving it (down to pseudogroup pass-through at w=1) when it
 // is not. Unlike a traditional pre-aggregate it is fully pipelined.
 type WindowPreAgg struct {
-	ctx      *Context
-	in       *types.Schema
-	groupIdx []int
-	aggs     []algebra.AggSpec
-	argEvals []expr.Evaluator
-	schema   *types.Schema
-	out      Sink
+	ctx    *Context
+	schema *types.Schema
+	out    Sink
+	// win aggregates the current window; a flush empties its store.
+	win *AggTable
 
 	// W is the current window size; MinW/MaxW bound adaptation.
 	W, MinW, MaxW int
@@ -493,11 +454,12 @@ type WindowPreAgg struct {
 	// (groups emitted / tuples absorbed in the window).
 	GrowBelow, ShrinkAbove float64
 
-	cur  map[string]*aggGroup
 	curN int
 
-	keyBuf     []byte
-	valScratch []types.Value
+	// keyBuf holds a flushed window's encoded group keys, group id's at
+	// keyBuf[keyOff[id-1]:keyOff[id]]: their byte order is the flush order.
+	keyBuf []byte
+	keyOff []int
 	// pending collects the partials produced while one input batch (or the
 	// final flush) is absorbed; they go downstream in one call.
 	pending []types.Tuple
@@ -511,38 +473,21 @@ type WindowPreAgg struct {
 // NewWindowPreAgg builds the operator with the default policy (initial
 // window 64, bounds [1, 64k], grow below 0.75, shrink above 0.95).
 func NewWindowPreAgg(ctx *Context, in *types.Schema, groupBy []string, aggs []algebra.AggSpec, out Sink) (*WindowPreAgg, error) {
-	w := &WindowPreAgg{
+	win, err := NewAggTable(ctx, in, groupBy, aggs)
+	if err != nil {
+		return nil, err
+	}
+	return &WindowPreAgg{
 		ctx:         ctx,
-		in:          in,
-		aggs:        aggs,
-		schema:      algebra.GroupSchema(in, groupBy, aggs, true),
+		schema:      win.partialSchema,
 		out:         out,
+		win:         win,
 		W:           64,
 		MinW:        1,
 		MaxW:        64 * 1024,
 		GrowBelow:   0.75,
 		ShrinkAbove: 0.95,
-		cur:         make(map[string]*aggGroup),
-	}
-	for _, g := range groupBy {
-		i := in.IndexOf(g)
-		if i < 0 {
-			return nil, fmt.Errorf("exec: window pre-agg column %q not in input", g)
-		}
-		w.groupIdx = append(w.groupIdx, i)
-	}
-	for _, spec := range aggs {
-		if spec.Arg == nil {
-			w.argEvals = append(w.argEvals, nil)
-			continue
-		}
-		ev, err := spec.Arg.Bind(in)
-		if err != nil {
-			return nil, err
-		}
-		w.argEvals = append(w.argEvals, ev)
-	}
-	return w, nil
+	}, nil
 }
 
 // Schema returns the partial layout produced.
@@ -583,29 +528,7 @@ func (w *WindowPreAgg) absorb(t types.Tuple) {
 		w.pushSingleton(t)
 		return
 	}
-	w.ctx.Clock.Charge(w.ctx.Cost.AggUpdate)
-	if cap(w.valScratch) < len(w.groupIdx) {
-		w.valScratch = make([]types.Value, len(w.groupIdx))
-	}
-	vals := w.valScratch[:len(w.groupIdx)]
-	for i, gi := range w.groupIdx {
-		vals[i] = t[gi]
-	}
-	w.keyBuf = types.AppendKeyAll(w.keyBuf[:0], types.Tuple(vals))
-	g, ok := w.cur[string(w.keyBuf)]
-	if !ok {
-		owned := make([]types.Value, len(vals))
-		copy(owned, vals)
-		g = &aggGroup{groupVals: owned, states: make([]aggState, len(w.aggs))}
-		w.cur[string(w.keyBuf)] = g
-	}
-	for i, spec := range w.aggs {
-		var v types.Value
-		if w.argEvals[i] != nil {
-			v = w.argEvals[i](t)
-		}
-		g.states[i].accumulate(spec.Kind, v)
-	}
+	w.win.AbsorbRaw(t)
 	w.curN++
 	if w.curN >= w.W {
 		w.flush()
@@ -616,47 +539,47 @@ func (w *WindowPreAgg) absorb(t types.Tuple) {
 // emits it (the w=1 pass-through mode).
 func (w *WindowPreAgg) pushSingleton(t types.Tuple) {
 	w.ctx.Clock.Charge(w.ctx.Cost.Move)
-	out := make(types.Tuple, 0, len(w.groupIdx)+len(w.aggs)+1)
-	for _, gi := range w.groupIdx {
+	a := w.win
+	out := make(types.Tuple, 0, w.schema.Len())
+	for _, gi := range a.groupIdx {
 		out = append(out, t[gi])
 	}
-	for i, spec := range w.aggs {
+	for i, spec := range a.aggs {
 		var st aggState
 		var v types.Value
-		if w.argEvals[i] != nil {
-			v = w.argEvals[i](t)
+		if a.argEvals[i] != nil {
+			v = a.argEvals[i](t)
 		}
 		st.accumulate(spec.Kind, v)
-		out = append(out, st.partialCols(spec.Kind)...)
+		out = st.appendPartial(out, spec.Kind)
 	}
 	w.counters.Out++
 	w.pending = append(w.pending, out)
 }
 
-// flush emits the current window's partial groups (into pending) and
-// adapts the window size to the coalescing ratio.
+// flush emits the current window's partial groups (into pending), in the
+// byte order of their encoded keys, and adapts the window size to the
+// coalescing ratio.
 func (w *WindowPreAgg) flush() {
 	if w.curN == 0 {
 		return
 	}
-	keys := make([]string, 0, len(w.cur))
-	for k := range w.cur {
-		keys = append(keys, k)
+	a := w.win
+	ids := a.groups.IDs(a.order[:0]) // 1..n: a window removes no group
+	w.keyBuf, w.keyOff = w.keyBuf[:0], append(w.keyOff[:0], 0)
+	for _, id := range ids {
+		w.keyBuf = types.AppendKeyAll(w.keyBuf, types.Tuple(a.groups.Record(id)[:len(a.groupIdx)]))
+		w.keyOff = append(w.keyOff, len(w.keyBuf))
 	}
-	sort.Strings(keys)
-	w.counters.Out += int64(len(keys))
-	w.ctx.Clock.Charge(int64(len(keys)) * w.ctx.Cost.Move)
-	for _, k := range keys {
-		g := w.cur[k]
-		t := make(types.Tuple, 0, len(g.groupVals)+len(w.aggs)+1)
-		t = append(t, g.groupVals...)
-		for i, spec := range w.aggs {
-			t = append(t, g.states[i].partialCols(spec.Kind)...)
-		}
-		w.pending = append(w.pending, t)
+	key := func(id int32) []byte { return w.keyBuf[w.keyOff[id-1]:w.keyOff[id]] }
+	slices.SortFunc(ids, func(x, y int32) int { return bytes.Compare(key(x), key(y)) })
+	w.counters.Out += int64(len(ids))
+	w.ctx.Clock.Charge(int64(len(ids)) * w.ctx.Cost.Move)
+	for _, id := range ids {
+		w.pending = append(w.pending, a.appendPartial(make(types.Tuple, 0, w.schema.Len()), a.groups.Record(id)))
 	}
-	ratio := float64(len(w.cur)) / float64(w.curN)
-	w.Coalesced += int64(w.curN - len(w.cur))
+	ratio := float64(len(ids)) / float64(w.curN)
+	w.Coalesced += int64(w.curN - len(ids))
 	w.WindowsFlushed++
 	switch {
 	case ratio <= w.GrowBelow:
@@ -668,7 +591,8 @@ func (w *WindowPreAgg) flush() {
 			w.W /= 2
 		}
 	}
-	w.cur = make(map[string]*aggGroup)
+	a.order = ids
+	a.groups.Reset()
 	w.curN = 0
 }
 

@@ -15,21 +15,20 @@ package exec
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/types"
 )
 
-// groupMaint is the per-group maintenance state: the group's signed
-// multiplicity, the output row last asserted downstream, and the value
-// bags backing min/max retraction.
+// groupMaint is a group's maintenance state, kept beside the store by
+// group id: the group's signed multiplicity and the output row last asserted
+// downstream. The value bags backing min/max retraction are AggTable.bags.
 type groupMaint struct {
-	hash   uint64 // chain key, for removal when weight reaches zero
-	weight int64  // signed multiplicity of the group's input rows
+	weight int64 // signed multiplicity of the group's input rows
 	dirty  bool
 	last   types.Tuple // previously asserted output row (nil = none yet)
-	bags   []valueBag  // per aggregate; populated only for min/max
 }
 
 // bagEntry is one distinct value in a bag with its multiplicity. key is
@@ -99,7 +98,7 @@ func (b *valueBag) remove(v types.Value, scratch []byte) []byte {
 // Must be called before anything is absorbed: maintenance groups carry
 // extra state that cannot be reconstructed retroactively.
 func (a *AggTable) EnableMaintenance() {
-	if a.nGroups > 0 {
+	if a.Groups() > 0 {
 		panic("exec: EnableMaintenance on a non-empty AggTable")
 	}
 	a.maint = true
@@ -127,13 +126,13 @@ func (a *AggTable) AbsorbSigned(t types.Tuple, sign int) {
 	for i, gi := range a.groupIdx {
 		vals[i] = t[gi]
 	}
-	g := a.groupFor(vals)
-	m := g.m
+	id, rec := a.group(vals)
+	m := &a.gm[id-1]
 	s := int64(sign)
 	m.weight += s
 	if !m.dirty {
 		m.dirty = true
-		a.dirty = append(a.dirty, g) //adp:alloc-ok amortized dirty-list growth
+		a.dirty = append(a.dirty, id) //adp:alloc-ok amortized dirty-list growth
 	}
 	for i, spec := range a.aggs {
 		var v types.Value
@@ -141,75 +140,70 @@ func (a *AggTable) AbsorbSigned(t types.Tuple, sign int) {
 			v = a.argEvals[i](t)
 		}
 		var bag *valueBag
-		if m.bags != nil {
-			bag = &m.bags[i]
+		if a.hasMinMax {
+			bag = &a.bags[int(id-1)*len(a.aggs)+i]
 		}
-		a.bagScratch = accumulateSigned(spec.Kind, v, s, &g.states[i], bag, a.bagScratch)
+		a.bagScratch = accumulateSigned(spec.Kind, v, s, a.state(rec, i), bag, a.bagScratch)
 	}
 }
 
 // accumulateSigned folds one signed argument value into an aggregate
-// state. COUNT follows the signed row unconditionally; the others track
-// their non-null argument count, min/max through the value bag (whose
-// extremes refresh the scalar state so final() stays oblivious to
-// maintenance). Sum stays exact under retraction for integer-valued
-// inputs — the float accumulates whole numbers only.
+// state. COUNT follows the signed row unconditionally; sum and avg track
+// their non-null argument count, and min/max keep the extreme of the value
+// bag (so final() stays oblivious to maintenance). Sum stays exact under
+// retraction for integer-valued inputs — the float accumulates whole
+// numbers only.
 func accumulateSigned(kind algebra.AggKind, v types.Value, sign int64, st *aggState, bag *valueBag, scratch []byte) []byte {
 	if kind == algebra.AggCount {
-		st.cnt += sign
+		st.I += sign
 		return scratch
 	}
 	if v.IsNull() {
 		return scratch
 	}
-	switch kind {
-	case algebra.AggMin, algebra.AggMax:
+	if kind == algebra.AggMin || kind == algebra.AggMax {
 		if sign > 0 {
 			scratch = bag.add(v, scratch)
 		} else {
 			scratch = bag.remove(v, scratch)
 		}
-		if len(bag.entries) == 0 {
-			st.has = false
-			st.minmax = types.Value{}
-		} else {
-			st.has = true
-			if kind == algebra.AggMin {
-				st.minmax = bag.entries[0].v
-			} else {
-				st.minmax = bag.entries[len(bag.entries)-1].v
-			}
+		switch n := len(bag.entries); {
+		case n == 0:
+			*st = aggState{}
+		case kind == algebra.AggMin:
+			*st = aggState(bag.entries[0].v)
+		default:
+			*st = aggState(bag.entries[n-1].v)
 		}
-		st.cnt += sign
 		return scratch
-	case algebra.AggSum, algebra.AggAvg:
-		st.sum += float64(sign) * v.AsFloat()
 	}
-	st.cnt += sign
-	st.has = st.cnt > 0
+	st.F += float64(sign) * v.AsFloat()
+	st.I += sign
 	return scratch
 }
 
-// EmitRevisions walks the groups touched since the last call in group-
-// key order and emits each one's revision: retraction of the previously
-// asserted row, assertion of the new one. A group whose weight reached
-// zero only retracts (never "emits 0") and is removed from the table; a
+// EmitRevisions walks the groups touched since the last call in emit
+// order (compareGroupVals, which no two groups tie in) and emits each one's
+// revision: retraction of the previously asserted row, assertion of the new
+// one. A group whose weight reached zero only retracts (never "emits 0") and
+// is removed from the table, its id and storage left to the next group; a
 // dirty group whose output row is unchanged emits nothing. The emitted
-// retraction tuple is the exact tuple asserted earlier — update folding
-// by strict row equality always cancels.
+// retraction tuple is the exact tuple asserted earlier — update folding by
+// strict row equality always cancels.
 func (a *AggTable) EmitRevisions(emit func(t types.Tuple, sign int)) {
 	if len(a.dirty) == 0 {
 		return
 	}
-	idx := types.Identity(len(a.groupIdx))
-	sort.Slice(a.dirty, func(i, j int) bool {
-		return types.CompareKey(types.Tuple(a.dirty[i].groupVals), idx, types.Tuple(a.dirty[j].groupVals), idx) < 0
-	})
-	for _, g := range a.dirty {
-		m := g.m
+	a.sortIDs(a.dirty)
+	for _, id := range a.dirty {
+		m := &a.gm[id-1]
 		m.dirty = false
 		if m.weight == 0 {
-			a.removeGroup(g)
+			// Its id and storage go to the next group, its bags emptied.
+			a.groups.Remove(id)
+			for i := int(id-1) * len(a.aggs); a.hasMinMax && i < int(id)*len(a.aggs); i++ {
+				a.bags[i].entries = a.bags[i].entries[:0]
+			}
 			if m.last != nil {
 				a.ctx.Clock.Charge(a.ctx.Cost.Move)
 				a.counters.Out++
@@ -218,12 +212,8 @@ func (a *AggTable) EmitRevisions(emit func(t types.Tuple, sign int)) {
 			}
 			continue
 		}
-		t := make(types.Tuple, 0, len(g.groupVals)+len(a.aggs))
-		t = append(t, g.groupVals...)
-		for i, spec := range a.aggs {
-			t = append(t, g.states[i].final(spec.Kind))
-		}
-		if m.last != nil && strictEqualVals(m.last, t) {
+		t := a.finalRow(make(types.Tuple, len(a.groupIdx)+len(a.aggs)), a.groups.Record(id))
+		if m.last != nil && slices.EqualFunc(m.last, t, types.StrictEqual) {
 			continue
 		}
 		if m.last != nil {
@@ -259,24 +249,4 @@ func (a *AggTable) EmitRevisionsTo(out Sink) {
 		a.revRows = append(a.revRows, t)
 	})
 	flush()
-}
-
-// removeGroup unlinks a zero-weight group from its hash chain.
-func (a *AggTable) removeGroup(g *aggGroup) {
-	chain := a.groups[g.m.hash]
-	for i, c := range chain {
-		if c != g {
-			continue
-		}
-		copy(chain[i:], chain[i+1:])
-		chain[len(chain)-1] = nil
-		chain = chain[:len(chain)-1]
-		if len(chain) == 0 {
-			delete(a.groups, g.m.hash)
-		} else {
-			a.groups[g.m.hash] = chain
-		}
-		a.nGroups--
-		return
-	}
 }

@@ -97,7 +97,7 @@ func TestBatchPipelineSegment(t *testing.T) {
 	a1, ctx1 := run(1)
 	a2, ctx2 := run(DefaultBatch)
 
-	r1, r2 := a1.EmitFinal(), a2.EmitFinal()
+	r1, r2 := finalRows(a1), finalRows(a2)
 	if len(r1) != len(r2) || len(r1) == 0 {
 		t.Fatalf("group counts differ: %d vs %d", len(r1), len(r2))
 	}

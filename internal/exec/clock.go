@@ -87,8 +87,9 @@ type Context struct {
 	Clock *Clock
 	Cost  *CostModel
 	Spare *state.Spare
-	// joins are the joins built on Spare, which Release empties.
-	joins []*HashJoin
+	// owned are the joins and aggregate tables built on Spare, which
+	// Release frees.
+	owned []interface{ free(*state.Spare) }
 }
 
 // NewContext creates a fresh execution context, whose structures allocate
@@ -105,16 +106,17 @@ func NewRunContext(cost *CostModel) *Context {
 }
 
 // Release ends the run of c: every join built on c gives its tables' index
-// storage, its lists' rows and its emitted rows' slabs to c's spare, and the
-// spare goes back to the pool. Nothing built on c may be used after. A
-// context without a spare releases nothing.
+// storage, its lists' rows and its emitted rows' slabs to c's spare, every
+// aggregate table its group store, and the spare goes back to the pool.
+// Nothing built on c may be used after. A context without a spare releases
+// nothing.
 func (c *Context) Release() {
 	if c.Spare == nil {
 		return
 	}
-	for _, j := range c.joins {
-		j.free(c.Spare)
+	for _, s := range c.owned {
+		s.free(c.Spare)
 	}
 	c.Spare.Return()
-	c.Spare, c.joins = nil, nil
+	c.Spare, c.owned = nil, nil
 }

@@ -91,8 +91,8 @@ func TestColumnarEntryMatchesRows(t *testing.T) {
 		ac.PushColBatch(lbs[i])
 		ar.Push(chunk(ls, i), 0)
 	}
-	col.out.Push(ac.EmitFinal(), 0)
-	row.out.Push(ar.EmitFinal(), 0)
+	col.out.Push(finalRows(ac), 0)
+	row.out.Push(finalRows(ar), 0)
 	check(t, "agg", col, row, *ac.Counters(), *ar.Counters())
 
 	// AggTable.PushDelta: assert every batch, retract every other one.
@@ -204,7 +204,7 @@ func TestAggTableColumnarGrouping(t *testing.T) {
 	if a1.Groups() != 8 || a2.Groups() != 8 {
 		t.Fatalf("groups: scalar %d, columnar %d, want 8", a1.Groups(), a2.Groups())
 	}
-	r1, r2 := a1.EmitFinal(), a2.EmitFinal()
+	r1, r2 := finalRows(a1), finalRows(a2)
 	counts := func(rs []types.Tuple) map[string]string {
 		m := map[string]string{}
 		for _, r := range rs {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -101,6 +102,33 @@ func TestAggDeltaMinMaxRetraction(t *testing.T) {
 	rows, signs = collectRevisions(a)
 	if len(rows) != 1 || signs[0] != 1 || rows[0][1].I != 7 {
 		t.Fatalf("revival revision = %v %v", rows, signs)
+	}
+}
+
+// TestAggDeltaRevisionOrderIsTotal: groups whose keys tie under CompareKey
+// but are distinct groups — Int(1) and Float(1), +0 and -0, NaN beside the
+// numbers — revise in one order whatever order they were absorbed in. The
+// parent sorted dirty groups by CompareKey, so absorbing Int(1) then
+// Float(1) revised [int float] and the reverse absorption [float int].
+func TestAggDeltaRevisionOrderIsTotal(t *testing.T) {
+	keys := []types.Value{
+		types.Int(1), types.Float(1), types.Float(0), types.Float(math.Copysign(0, -1)),
+		types.Float(math.NaN()), types.Int(0), types.Float(2),
+	}
+	revise := func(order []int) string {
+		a := maintAggFixture(t, []algebra.AggSpec{{Kind: algebra.AggCount, As: "ct"}})
+		for _, i := range order {
+			a.AbsorbSigned(types.Tuple{keys[i], types.Int(int64(i))}, 1)
+		}
+		rows, _ := collectRevisions(a)
+		return exactRows(rows)
+	}
+	forward := []int{0, 1, 2, 3, 4, 5, 6}
+	want := revise(forward)
+	for _, order := range [][]int{{1, 0, 3, 2, 4, 6, 5}, {6, 5, 4, 3, 2, 1, 0}, {4, 2, 0, 6, 1, 3, 5}} {
+		if got := revise(order); got != want {
+			t.Fatalf("absorbed in order %v, revised\n%s\nwant (absorbed in order %v)\n%s", order, got, forward, want)
+		}
 	}
 }
 

@@ -89,7 +89,7 @@ func NewHashJoinSized(ctx *Context, leftSchema, rightSchema *types.Schema, leftK
 	}
 	_, j.em.recycle = out.(InputCopier)
 	if ctx.Spare != nil {
-		ctx.joins = append(ctx.joins, j)
+		ctx.owned = append(ctx.owned, j)
 		if !j.em.recycle {
 			j.em.arena.spare = ctx.Spare
 		}

@@ -217,9 +217,9 @@ func BenchmarkMergeJoinPush(b *testing.B) {
 	})
 }
 
-// BenchmarkAggTableAbsorb tracks the group-by absorption hot path (byte
-// key codec + map[string(buf)] lookup; zero steady-state allocations once
-// all groups exist).
+// BenchmarkAggTableAbsorb tracks the group-by absorption hot path (the
+// group values' hash, then the group store's chain; zero steady-state
+// allocations once all groups exist).
 func BenchmarkAggTableAbsorb(b *testing.B) {
 	rows := randTuples(1<<14, 512, 9, rRow)
 	agg, err := NewAggTable(NewContext(), rSchema, []string{"r.k"},

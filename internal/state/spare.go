@@ -128,14 +128,21 @@ func (s *Spare) ReleaseValues(slabs [][]types.Value) {
 	s.values.items = append(s.values.items, slabs...)
 }
 
-// index makes an empty index of n buckets over l on storage from s (nil: none):
-// the smallest free bucket array that holds n, re-sliced to n (bucketOf masks
-// by the length) and cleared, and s's free entry chunks while they last.
+// index makes an empty index of n buckets over l on storage from s (nil:
+// none): a bucket array from s and s's free entry chunks while they last.
 func (s *Spare) index(l *List, keyCols []int, n int) *HashTable {
-	h := &HashTable{list: l, keyCols: keyCols}
-	best := -1
+	h := &HashTable{list: l, keyCols: keyCols, buckets: s.bucketArray(n)}
 	if s != nil {
 		h.entries.free = &s.entries
+	}
+	return h
+}
+
+// bucketArray returns n cleared buckets: the smallest free array of s that
+// holds n, re-sliced to n (an index masks by the length), else a new one.
+func (s *Spare) bucketArray(n int) []bucket {
+	best := -1
+	if s != nil {
 		for i, b := range s.buckets.items {
 			if cap(b) >= n && (best < 0 || cap(b) < cap(s.buckets.items[best])) {
 				best = i
@@ -143,10 +150,9 @@ func (s *Spare) index(l *List, keyCols []int, n int) *HashTable {
 		}
 	}
 	if best < 0 {
-		h.buckets = make([]bucket, n)
-		return h
+		return make([]bucket, n)
 	}
-	h.buckets = s.buckets.take(best)[:n]
-	clear(h.buckets)
-	return h
+	b := s.buckets.take(best)[:n]
+	clear(b)
+	return b
 }

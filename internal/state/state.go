@@ -3,10 +3,12 @@
 // results can be shared and reused across the plans of an adaptively
 // partitioned query. Every plan the engine lowers needs two of the paper's
 // five structures: a List, and a HashTable — a chained hash index over a
-// List. The sorted list, the hash over sorted data and the B+ tree, like
-// the paging of state to disk (§3.4.2) and the spilling of overflowed hash
-// partitions (§5), are not reproduced: no plan builds them and no strategy
-// runs under a memory budget.
+// List. An aggregate's groups — the shared group-by of Figure 1 — live in a
+// third, Groups: a record of values per group in chunks, and a chained hash
+// index over group ids. The sorted list, the hash over sorted data and the
+// B+ tree, like the paging of state to disk (§3.4.2) and the spilling of
+// overflowed hash partitions (§5), are not reproduced: no plan builds them
+// and no strategy runs under a memory budget.
 //
 // Rows are buffered once. A List stores tuples in arrival order in
 // fixed-size chunks, so it allocates what it holds and growth never moves a
@@ -16,12 +18,12 @@
 // holds. A Spare hands storage from structures nothing will use again to
 // the next ones, cleared and at the sizes they ask for: a finished phase's
 // index storage to the run's next tables while its lists stay, and, when a
-// run ends, every index, list chunk and emitted-row slab of the run to the
-// next run, through a process-wide pool of spares (TakeSpare, Return). A
-// released structure panics on use rather than read as empty. A
-// structure's consumers read more than its contents: chain length is what
-// a probe is charged, Len/Buckets what the monitor prices a plan by, chain
-// order the order results leave in. Those are contract
+// run ends, every index, list chunk, group store and emitted-row slab of
+// the run to the next run, through a process-wide pool of spares
+// (TakeSpare, Return). A released structure panics on use rather than read
+// as empty. A structure's consumers read more than its contents: chain
+// length is what a probe is charged, Len/Buckets what the monitor prices a
+// plan by, chain order the order results leave in. Those are contract
 // (TestHashTableMatchesChainModel), whatever the layout.
 package state
 

@@ -48,7 +48,7 @@ check 'BenchmarkPipelinedJoinPush/columnar-wide' 2  # PR 9: wide-schema columnar
 check 'BenchmarkHashKeys'                        0  # PR 3: vectorized hash kernel reuse path
 check 'BenchmarkMergeJoinPush/batch'             4  # PR 2: batched ordered merge join
 check 'BenchmarkAggTableAbsorb'                  1  # group-by absorb: zero steady-state (1 = headroom)
-check 'BenchmarkAggTableMergeFrom'               0  # PR 18: partition-table fold, groups adopted or already present
+check 'BenchmarkAggTableMergeFrom'               0  # PR 18: partition-table fold; since the group store: groups copied, merged, or chunks adopted
 check 'BenchmarkExchangePartition/rows'          2  # PR 4: exchange row scatter, steady-state <= 2 per batch
 check 'BenchmarkExchangePartition/columnar'      2  # columnar shim: one transpose, then the row scatter
 check 'BenchmarkPartitionMergeRelease'           1  # order-releasing root flush, rows in and out of one reused buffer (1 = headroom)
@@ -60,8 +60,19 @@ check 'BenchmarkStitchUp'                      110  # PR 21: 3 phases x 3 relati
 # state, 6643 allocs and 2.10 MB the worst of 13 runs (an op whose run finds no pooled spare
 # on its P allocates as a cold one does); 6740 allocs and 5.34 MB cold, on a drained pool
 # (one op in a fresh process). Budgets 1.25 x the worst steady-state measurement.
-check 'BenchmarkCorrectiveRun'                8304  # three phases' trees, the stitch-up, the optimizer's calls
+# Since aggregate groups live in a pooled group store: 6624-6628 allocs and 1.74-1.92 MB over
+# twelve runs (the parent, six runs beside them: 6640-6641 allocs, 1.92 MB); the allocs budget
+# is 1.25 x 6628, the bytes did not move.
+check 'BenchmarkCorrectiveRun'                8285  # three phases' trees, the stitch-up, the optimizer's calls
 check 'BenchmarkCorrectiveRun'             2628000 B/op
+# One static Q3A at SF 0.005 over two partitions (the agg_par2 shape), ended as RunStream ends
+# a run: 2477-2480 allocs and 1.81-1.89 MB at steady state over six runs of 20 ops; cold, on a
+# drained pool (one op in a fresh process), 2651-2653 allocs and 5.03 MB. The parent, whose
+# groups were map entries and four heap objects each: 10491-10492 allocs and 2.64-2.65 MB at
+# steady state, 10633-10637 allocs and 5.50-5.51 MB cold. Budgets 1.25 x the worst steady-state
+# measurement.
+check 'BenchmarkParallelAggRun'               3100  # two partition tables folded into the shared one
+check 'BenchmarkParallelAggRun'            2363000 B/op
 check 'BenchmarkStreamDelivery/next'             1  # PR 17: cursor Next() per row = its clone, whole pipeline on the count
 check 'BenchmarkStreamDelivery/batch'            0  # PR 17: cursor NextBatch(), rows read on lent batches
 # The SPJ P>1 root path: a stream's first row through the order-releasing partition merge.
@@ -86,10 +97,14 @@ check 'BenchmarkDeltaPropagation/agg'            2  # PR 10: signed agg absorb +
 # at steady state, the worst of 12 runs (2.20–2.71 / 3.39–4.61 / 6.89–8.39 MB: an op whose
 # run finds no pooled spare on its P allocates as a cold one does); cold, on a drained pool
 # (one op in a fresh process), 7390 / 7589 / 11492 allocs and 3.93 / 6.85 / 15.60 MB. All
-# budgets are 1.25 x the worst steady-state measurement.
-check 'BenchmarkStandingSetup/adopted'        9183  # the initial phase's tree is the maintenance tree
-check 'BenchmarkStandingSetup/switched'       9407  # + one tree built from the adopted one's lists
-check 'BenchmarkStandingSetup/replayed-p4'   14163  # four partitions: a tree warmed through a live root
+# budgets are 1.25 x the worst steady-state measurement. Since aggregate groups live in a
+# pooled group store, seven runs each: 3914-3924 / 4078-4111 / 5144-5157 allocs and 2.06-2.39 /
+# 3.24-4.53 / 6.72-7.87 MB (the parent, six runs beside them: 7335-7340 / 7490-7515 / 11310-11334 allocs
+# and 2.30-2.50 / 3.18-4.20 / 6.89-8.77 MB); the allocs budgets are 1.25 x the worst, the
+# bytes, inside the spread measured before, keep theirs.
+check 'BenchmarkStandingSetup/adopted'        4905  # the initial phase's tree is the maintenance tree
+check 'BenchmarkStandingSetup/switched'       5139  # + one tree built from the adopted one's lists
+check 'BenchmarkStandingSetup/replayed-p4'    6447  # four partitions: a tree warmed through a live root
 check 'BenchmarkStandingSetup/adopted'     3386000 B/op
 check 'BenchmarkStandingSetup/switched'    5760000 B/op
 check 'BenchmarkStandingSetup/replayed-p4' 10485000 B/op
