@@ -66,9 +66,11 @@ examples:
 	$(GO) build ./examples/...
 	$(GO) vet ./examples/...
 
-# Short fixed-duration fuzzing of the key codec, of the hash index against
-# the chain model of the layout it replaced, of the aggregate's flat group
-# store against the map-based table it replaced, of the delta-row scalar
+# Short fixed-duration fuzzing of the key codec, of the hash table — a list
+# under state's one chained index, on an empty spare and on recycled
+# storage — against the chain model of the layout it replaced, of the
+# aggregate's flat group store (the same index over group ids) against the
+# map-based table it replaced, of the delta-row scalar
 # conversion against the all-encoding/json one it replaced, of the standing
 # body's one-pass delta decode against the encoding/json decode and
 # buildDeltas it replaced, of the delta tracker's hash index against the
@@ -103,9 +105,10 @@ check-allocs:
 # update cursor is read while the run goroutine publishes windows into it.
 # So do the recycling pins: a run, and its partition clones, take storage an
 # earlier run's goroutines released, and a stream the batches another lent;
-# and the run-end release pins, joins and aggregate tables alike.
+# and the run-end release pins, joins and aggregate tables alike, and the
+# pin that every structure of a run draws its first chunk from its spare.
 chaos:
-	$(GO) test -race -count=1 -run='Fault|Chaos|ParallelAgg|CancelDuring|Maintenance|PhaseEvent|RegisterStanding|ServeStanding|Recycled|RunEndReleases' ./internal/source/ ./internal/core/ ./internal/engine/ ./internal/server/
+	$(GO) test -race -count=1 -run='Fault|Chaos|ParallelAgg|CancelDuring|Maintenance|PhaseEvent|RegisterStanding|ServeStanding|Recycled|RunEndReleases|SpareDraws' ./internal/source/ ./internal/core/ ./internal/engine/ ./internal/server/
 
 # Black-box smoke of the deployable server binary: build it, boot it on
 # a random port, stream a query, check /healthz + /metrics + SSE events,

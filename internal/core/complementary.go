@@ -84,6 +84,7 @@ func NewComplementaryJoin(ctx *exec.Context, leftSchema, rightSchema *types.Sche
 		out:      out,
 		leftKey:  leftKey,
 		rightKey: rightKey,
+		stitchEm: ctx.Emitter(),
 	}
 	c.merge = exec.NewMergeJoin(ctx, leftSchema, rightSchema, leftKey, rightKey,
 		&statSink{n: &c.Stats.MergeOut, out: out})

@@ -758,7 +758,7 @@ func (ex *executor) keepBase(ph *phase) {
 		if ex.stitches() || ex.out.standing {
 			part, _ := ph.trees[0].LeafLists(rel.Name)
 			if part == nil {
-				part = state.NewList(rel.Schema)
+				part = state.NewList(rel.Schema, ex.ctx.Spare)
 				capture, deliver := part, l.PushBatch
 				l.PushBatch = func(ts []types.Tuple) {
 					capture.InsertBatch(ts)
@@ -958,11 +958,9 @@ func (ex *executor) stitchUp() error {
 		return err
 	}
 	// Nothing probes the stitch-up's indexes again: the next run takes them.
-	for _, step := range s.tables {
-		for _, t := range step {
-			if t != nil {
-				ex.ctx.Spare.Release(t)
-			}
+	for _, t := range s.tables {
+		if t != nil {
+			ex.ctx.Spare.Release(t)
 		}
 	}
 	ex.rep.StitchTime = exec.Seconds(ex.ctx.Clock.Now - t0)

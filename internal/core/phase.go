@@ -276,9 +276,9 @@ func collisionFactor(trees []*Tree) float64 {
 // intermediates returns the materialized join results of one lowered plan
 // for stitch-up reuse registration (§3.4.2), per canonical expression key —
 // a single tree's own buffers, never a copy of them; the clones' buffers
-// concatenated in partition order — and the output count of the join that
-// materialized nothing, the root (PhaseRecord.RootRows). Call only once the
-// pipeline has quiesced.
+// concatenated in partition order, on partition 0's spare — and the output
+// count of the join that materialized nothing, the root
+// (PhaseRecord.RootRows). Call only once the pipeline has quiesced.
 func intermediates(trees []*Tree) (interm map[string]*state.List, rootRows int64) {
 	interm = map[string]*state.List{}
 	for i, j := range trees[0].Joins {
@@ -290,7 +290,7 @@ func intermediates(trees []*Tree) (interm map[string]*state.List, rootRows int64
 		}
 		list := j.ResultBuf
 		if len(trees) > 1 {
-			list = state.NewList(j.ResultBuf.Schema())
+			list = state.NewList(j.ResultBuf.Schema(), trees[0].ctx.Spare)
 			for _, t := range trees {
 				for _, chunk := range t.Joins[i].ResultBuf.Chunks() {
 					list.InsertBatch(chunk)

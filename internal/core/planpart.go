@@ -43,7 +43,7 @@ func (ex *executor) runPlanPartition() error {
 	if err != nil {
 		return err
 	}
-	matRows := state.NewList(matSchema)
+	matRows := state.NewList(matSchema, ex.ctx.Spare)
 	// Tuples materialize in the subtree's own layout; matSchema only
 	// renames columns, so values pass through unchanged.
 	tree, err := Lower(ex.ctx, breakJoin, &listSink{ctx: ex.ctx, dst: matRows})

@@ -30,7 +30,7 @@ func TestSignedChainReachesRoot(t *testing.T) {
 	// chain wires join side → teeSink → forwardSink → root and pushes the
 	// same churn into it: two assertions, then one retraction.
 	chain := func(ctx *exec.Context, root exec.Sink) *TreeJoin {
-		tj := &TreeJoin{ResultBuf: state.NewList(joined)}
+		tj := &TreeJoin{ResultBuf: state.NewList(joined, new(state.Spare))}
 		tee := &teeSink{join: tj, out: &forwardSink{out: root}}
 		j := exec.NewHashJoin(ctx, exec.Pipelined, a, b, []int{0}, []int{0}, tee)
 		j.RightSink().Push(bRows, 1)
@@ -87,7 +87,7 @@ func TestSignedChainReachesRoot(t *testing.T) {
 	})
 
 	t.Run("tee materializes unsigned rows", func(t *testing.T) {
-		tj := &TreeJoin{ResultBuf: state.NewList(a)}
+		tj := &TreeJoin{ResultBuf: state.NewList(a, new(state.Spare))}
 		var fwd []int
 		(&teeSink{join: tj, out: &forwardSink{out: exec.SinkFunc(func(ts []types.Tuple, sign int) {
 			fwd = append(fwd, sign)
@@ -101,7 +101,7 @@ func TestSignedChainReachesRoot(t *testing.T) {
 		rows := []types.Tuple{aRow(1, 10), aRow(2, 3)}
 		push := func(sign int) (int, exec.Clock) {
 			ctx := exec.NewContext()
-			s := &listSink{ctx: ctx, dst: state.NewList(a)}
+			s := &listSink{ctx: ctx, dst: state.NewList(a, new(state.Spare))}
 			s.Push(rows, sign)
 			return s.dst.Len(), *ctx.Clock
 		}

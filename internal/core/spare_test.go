@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"testing"
+	"unsafe"
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/exec"
 	"github.com/tukwila/adp/internal/opt"
 	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/state"
+	"github.com/tukwila/adp/internal/types"
 )
 
 // Corrective goldens at four partitions. Every value below was written by
@@ -345,4 +347,48 @@ func listReleased(l *state.List) (gone bool) {
 	defer func() { gone = recover() != nil }()
 	l.Len()
 	return false
+}
+
+// TestSpareDrawsFirstChunks: every structure of a run takes its storage from
+// the run's spare. On a spare holding the full row chunks another run
+// released, a join table built without an estimate (a growing one), the
+// negative table of the join's first retraction and the list keepBase
+// captures a base partition in each take their first full chunk from that
+// spare, and no two take the same one.
+func TestSpareDrawsFirstChunks(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "r.k", Kind: types.KindInt}, types.Column{Name: "r.v", Kind: types.KindInt})
+	rows := make([]types.Tuple, 1024)
+	for i := range rows {
+		rows[i] = types.Tuple{types.Int(int64(i % 100)), types.Int(int64(i))}
+	}
+	spare := &state.Spare{}
+	donated := map[*types.Tuple]bool{}
+	for range 3 {
+		l := state.NewList(schema, &state.Spare{})
+		l.InsertBatch(rows)
+		donated[unsafe.SliceData(l.Chunks()[0])] = true
+		spare.ReleaseList(l)
+	}
+	ctx := &exec.Context{Clock: &exec.Clock{}, Cost: exec.DefaultCosts(), Spare: spare}
+
+	join := exec.NewHashJoinSized(ctx, schema, schema, []int{0}, []int{0}, 0, 0, exec.Discard)
+	join.LeftSink().Push(rows, 1)
+	join.LeftSink().Push(rows, -1)
+	main, neg := join.SideLists(true)
+
+	ex := &executor{q: &algebra.Query{Relations: []algebra.RelRef{{Name: "r", Schema: schema}}}, o: Options{Strategy: Corrective}, ctx: ctx}
+	ph := &phase{leaves: []*exec.Leaf{{PushBatch: func([]types.Tuple) {}}}, trees: []*Tree{{}}, base: map[string]*state.List{}}
+	ex.keepBase(ph)
+	ph.leaves[0].PushBatch(rows)
+
+	for name, l := range map[string]*state.List{"growing join table": main, "negative table": neg, "captured base partition": ph.base["r"]} {
+		if l == nil || l.Len() != len(rows) {
+			t.Fatalf("%s: no list of %d rows", name, len(rows))
+		}
+		first := unsafe.SliceData(l.Chunks()[0])
+		if !donated[first] {
+			t.Errorf("%s: its first full chunk is not one the spare held", name)
+		}
+		delete(donated, first)
+	}
 }

@@ -71,7 +71,7 @@ func stitchGoldenFixture() (*algebra.Query, []*PhaseRecord) {
 	recs := make([]*PhaseRecord, 3)
 	for p := range recs {
 		recs[p] = &PhaseRecord{ID: p, BaseParts: map[string]*state.List{
-			"R": state.NewList(rS), "S": state.NewList(sS), "T": state.NewList(tS),
+			"R": state.NewList(rS, new(state.Spare)), "S": state.NewList(sS, new(state.Spare)), "T": state.NewList(tS, new(state.Spare)),
 		}, Interm: map[string]*state.List{}}
 	}
 	rng := rand.New(rand.NewSource(21))
@@ -114,7 +114,7 @@ func joinRS(rec *PhaseRecord, dropTag bool) *state.List {
 		cols = append(cols, types.Column{Name: "S.tag", Kind: types.KindInt})
 	}
 	cols = append(cols, types.Column{Name: "R.k", Kind: types.KindFloat}, types.Column{Name: "R.tag", Kind: types.KindString})
-	out := state.NewList(types.NewSchema(cols...))
+	out := state.NewList(types.NewSchema(cols...), new(state.Spare))
 	rec.BaseParts["S"].Scan(func(s types.Tuple) bool {
 		rec.BaseParts["R"].Scan(func(r types.Tuple) bool {
 			if types.Equal(r[0], s[0]) {
@@ -154,7 +154,7 @@ func TestStitchLegGoldens(t *testing.T) {
 		}, want: stitchLegGolden{Rows: "cdc49ce6ebdf9dd3", Reused: 37, Discarded: 429, Emitted: 13412, Combos: 24, Clock: 10951900}},
 		{name: "empty-partition-mid-vector", prep: func(recs []*PhaseRecord, _ *StitchUp, _ *digestSink, _ context.CancelFunc) {
 			recs[0].Interm[rsKey] = joinRS(recs[0], false)
-			recs[1].BaseParts["S"] = state.NewList(recs[1].BaseParts["S"].Schema())
+			recs[1].BaseParts["S"] = state.NewList(recs[1].BaseParts["S"].Schema(), new(state.Spare))
 			delete(recs[2].BaseParts, "T") // a phase that never saw T at all
 		}, want: stitchLegGolden{Rows: "8fac9ea050a1deb5", Reused: 429, Discarded: 0, Emitted: 2527, Combos: 24, Clock: 3049300}},
 		{name: "canceled-between-combinations", prep: func(_ []*PhaseRecord, _ *StitchUp, sink *digestSink, cancel context.CancelFunc) {

@@ -78,9 +78,9 @@ type StitchUp struct {
 	relOff        []int      // relOff[j] is Order[j]'s first column in Schema
 	prefixKeys    [][]keyRef // prefix-side key columns per fold step
 	relKeyCols    [][]int    // build-side key positions per fold step
-	// tables[step][phase] indexes Order[step]'s phase partition on the
-	// step's build key.
-	tables [][]*state.HashTable
+	// tables[step*len(phases)+phase] indexes Order[step]'s phase partition
+	// on the step's build key.
+	tables []*state.HashTable
 	// reuse bookkeeping: which intermediates were touched.
 	touched map[*state.List]bool
 	// keyScratch is the reused probe-key buffer.
@@ -108,6 +108,7 @@ func NewStitchUp(ctx *exec.Context, q *algebra.Query, phases []*PhaseRecord, out
 		phases:  phases,
 		out:     out,
 		touched: map[*state.List]bool{},
+		arena:   ctx.Arena(),
 	}
 	_, s.recycle = out.(exec.InputCopier)
 	if err := s.computeOrder(); err != nil {
@@ -213,12 +214,13 @@ func (s *StitchUp) resolveKeys() error {
 // them, the index is built on storage the phases' indexes released, and
 // building it is charged as the hash build it stands for.
 func (s *StitchUp) tableFor(step, phase int, part *state.List) *state.HashTable {
-	if t := s.tables[step][phase]; t != nil {
-		return t
+	at := &s.tables[step*len(s.phases)+phase]
+	if *at != nil {
+		return *at
 	}
 	t := state.IndexList(part, s.relKeyCols[step-1], s.ctx.Spare)
 	s.ctx.Clock.Charge(int64(part.Len()) * s.ctx.Cost.HashInsert)
-	s.tables[step][phase] = t
+	*at = t
 	return t
 }
 
@@ -239,15 +241,12 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 	if m < 2 || n < 2 {
 		return nil
 	}
-	s.tables = make([][]*state.HashTable, m)
-	for i := range s.tables {
-		s.tables[i] = make([]*state.HashTable, n)
-	}
+	s.tables = make([]*state.HashTable, m*n)
 	// levels[i] stays valid while the vector's first i+1 positions are
 	// unchanged (and with it the index a later step built over it).
 	s.levels = make([]prefixRows, m-1)
 	for i := range s.levels {
-		s.levels[i].k = i + 1
+		s.levels[i] = prefixRows{k: i + 1, adapted: s.ctx.Arena()}
 	}
 	prev := make([]int, m)
 	for i := range prev {

@@ -28,7 +28,7 @@ func BenchmarkStitchUp(b *testing.B) {
 	recs := f.partition(3, 4)
 	abKey := algebra.CanonKey([]string{"A", "B"})
 	for _, rec := range recs {
-		ab := state.NewList(f.schemas["A"].Concat(f.schemas["B"]))
+		ab := state.NewList(f.schemas["A"].Concat(f.schemas["B"]), new(state.Spare))
 		byKey := map[int64][]types.Tuple{}
 		rec.BaseParts["B"].Scan(func(t types.Tuple) bool { byKey[t[0].I] = append(byKey[t[0].I], t); return true })
 		rec.BaseParts["A"].Scan(func(a types.Tuple) bool {

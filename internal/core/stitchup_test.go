@@ -109,7 +109,7 @@ func (f *stitchFixture) partition(n int, seed int64) []*PhaseRecord {
 			Interm:    map[string]*state.List{},
 		}
 		for name, schema := range f.schemas {
-			recs[p].BaseParts[name] = state.NewList(schema)
+			recs[p].BaseParts[name] = state.NewList(schema, new(state.Spare))
 		}
 	}
 	for name, rows := range f.rows {
@@ -167,7 +167,7 @@ func TestStitchUpReusesMaterializedIntermediates(t *testing.T) {
 		types.Column{Name: "B.ck", Kind: types.KindInt},
 		types.Column{Name: "A.k", Kind: types.KindInt},
 	)
-	interm := state.NewList(permuted)
+	interm := state.NewList(permuted, new(state.Spare))
 	recs[0].BaseParts["A"].Scan(func(a types.Tuple) bool {
 		recs[0].BaseParts["B"].Scan(func(b types.Tuple) bool {
 			if a[0].I == b[0].I {
@@ -210,7 +210,7 @@ func TestStitchUpDisableReuseIgnoresIntermediates(t *testing.T) {
 	// (empty) intermediate proves the ablation path never consults it.
 	f := newStitchFixture(7, 40, 60, 40, 8)
 	recs := f.partition(3, 8)
-	junk := state.NewList(f.schemas["A"].Concat(f.schemas["B"]))
+	junk := state.NewList(f.schemas["A"].Concat(f.schemas["B"]), new(state.Spare))
 	recs[0].Interm[algebra.CanonKey([]string{"A", "B"})] = junk
 
 	want := f.fullJoinCount()
@@ -279,7 +279,7 @@ func TestStitchUpEmptyPartitions(t *testing.T) {
 		recs[0].BaseParts["A"].Insert(tp)
 		return true
 	})
-	recs[1].BaseParts["A"] = state.NewList(f.schemas["A"])
+	recs[1].BaseParts["A"] = state.NewList(f.schemas["A"], new(state.Spare))
 
 	want := f.fullJoinCount()
 	total := 0

@@ -173,7 +173,7 @@ func (t *Tree) build(p algebra.Plan, out exec.Sink) error {
 		}
 		tj := &TreeJoin{Key: v.Key(), Rels: v.Rels(), Preds: v.Preds}
 		if t.reuse && len(v.Rels()) < t.nrels {
-			tj.ResultBuf = state.NewList(v.Schema())
+			tj.ResultBuf = state.NewList(v.Schema(), t.ctx.Spare)
 			out = &teeSink{join: tj, out: out}
 		}
 		// Fixed-bucket tables are sized from the optimizer's estimates

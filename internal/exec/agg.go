@@ -167,9 +167,7 @@ func NewAggTable(ctx *Context, in *types.Schema, groupBy []string, aggs []algebr
 		a.argEvals = append(a.argEvals, ev)
 	}
 	a.groups = state.NewGroups(len(groupBy), len(groupBy)+len(aggs), ctx.Spare)
-	if ctx.Spare != nil {
-		ctx.owned = append(ctx.owned, a)
-	}
+	ctx.owned = append(ctx.owned, a)
 	return a, nil
 }
 

@@ -26,20 +26,17 @@ var Discard Sink = discardSink{}
 // arenaSlab is the value-arena slab size (values, not tuples).
 const arenaSlab = 4096
 
-// ValueArena carves tuple storage out of large slabs so that operators
-// whose outputs are retained downstream (join results, projections) pay
-// one allocation per slab instead of one per tuple. Unless the owner calls
-// Rewind or release, slabs are never reused, so handed-out tuples remain
-// valid until then; the returned slices are capacity-capped so appending
-// to one cannot clobber a neighbour.
+// ValueArena carves tuple storage out of large slabs, which its context's
+// spare lends until the run ends (Context.Arena, state.Spare.Values), so
+// that operators whose outputs are retained downstream (join results) pay
+// one slab per many tuples. Unless the owner calls Rewind, handed-out
+// tuples stay valid until the run ends; the returned slices are
+// capacity-capped so appending to one cannot clobber a neighbour.
 type ValueArena struct {
 	slab []types.Value
 	// spilled counts the values of slabs abandoned since the last Rewind.
 	spilled int
-	// spare, when set (an arena that never rewinds), supplies every
-	// arenaSlab-sized slab; slabs are those it handed out, for release.
-	spare *state.Spare
-	slabs [][]types.Value
+	spare   *state.Spare
 }
 
 // Alloc returns a tuple of n values carved from the current slab (zeroed
@@ -51,9 +48,6 @@ func (a *ValueArena) Alloc(n int) types.Tuple {
 			a.slab = make([]types.Value, 0, n)
 		} else {
 			a.slab = a.spare.Values(arenaSlab)
-			if a.spare != nil {
-				a.slabs = append(a.slabs, a.slab)
-			}
 		}
 	}
 	off := len(a.slab)
@@ -80,13 +74,6 @@ func (a *ValueArena) Rewind() {
 		return
 	}
 	a.slab = a.slab[:0]
-}
-
-// release gives the slabs the spare supplied back to it, once nothing reads
-// a tuple the arena handed out.
-func (a *ValueArena) release(spare *state.Spare) {
-	spare.ReleaseValues(a.slabs)
-	a.slab, a.slabs = nil, nil
 }
 
 // emitFlushLen caps how many buffered outputs a BatchEmitter accumulates

@@ -81,8 +81,8 @@ func DefaultCosts() *CostModel {
 }
 
 // Context bundles the clock and cost model shared by all operators of one
-// query execution, and the storage its structures take before they allocate
-// and give back when they are done: Spare, nil on a context no run ends.
+// query execution, and Spare, the storage every structure built on it takes
+// before it allocates and gives back when the run is over.
 type Context struct {
 	Clock *Clock
 	Cost  *CostModel
@@ -92,10 +92,10 @@ type Context struct {
 	owned []interface{ free(*state.Spare) }
 }
 
-// NewContext creates a fresh execution context, whose structures allocate
-// their own storage.
+// NewContext creates a fresh execution context on an empty spare of its
+// own: its structures allocate what they hold.
 func NewContext() *Context {
-	return &Context{Clock: &Clock{}, Cost: DefaultCosts()}
+	return &Context{Clock: &Clock{}, Cost: DefaultCosts(), Spare: &state.Spare{}}
 }
 
 // NewRunContext creates the context of one run, or of one partition clone
@@ -105,15 +105,17 @@ func NewRunContext(cost *CostModel) *Context {
 	return &Context{Clock: &Clock{}, Cost: cost, Spare: state.TakeSpare()}
 }
 
+// Arena returns an empty arena on c's spare.
+func (c *Context) Arena() ValueArena { return ValueArena{spare: c.Spare} }
+
+// Emitter returns an empty emitter whose arena is on c's spare.
+func (c *Context) Emitter() BatchEmitter { return BatchEmitter{arena: c.Arena()} }
+
 // Release ends the run of c: every join built on c gives its tables' index
-// storage, its lists' rows and its emitted rows' slabs to c's spare, every
-// aggregate table its group store, and the spare goes back to the pool.
-// Nothing built on c may be used after. A context without a spare releases
-// nothing.
+// storage and its lists' rows to c's spare, every aggregate table its group
+// store, and the spare — with every slab it lent an arena — goes back to
+// the pool. Nothing built on c may be used after, c included.
 func (c *Context) Release() {
-	if c.Spare == nil {
-		return
-	}
 	for _, s := range c.owned {
 		s.free(c.Spare)
 	}

@@ -25,25 +25,23 @@ type ColBatchSink interface {
 	PushColBatch(b *types.ColBatch)
 }
 
-// colDelivery turns columnar batches into row batches: the rows are carved
-// from a slab arena (downstream may retain them), and the row-header slice
-// is reused across batches.
+// colDelivery turns columnar batches into row batches: each batch's rows are
+// carved from one slab of their own (downstream may retain them), and the
+// row-header slice is reused across batches.
 type colDelivery struct {
-	arena ValueArena
-	rows  []types.Tuple
+	rows []types.Tuple
 }
 
 // materialize converts b into retention-safe row tuples. The returned
 // slice obeys the batch contract (reused across calls; the tuples
-// themselves are arena-backed and live forever). The whole batch's value
-// storage is carved in one arena allocation and the tuples are
-// capacity-capped sub-slices of it, so the steady-state cost is one slab
-// amortization instead of a per-row arena bump.
+// themselves live as long as anyone holds them). The whole batch's value
+// storage is one allocation and the tuples are capacity-capped sub-slices
+// of it, so the cost is one allocation per batch, not one per row.
 func (d *colDelivery) materialize(b *types.ColBatch) []types.Tuple {
 	w := b.Width()
 	n := b.Len()
 	rows := d.rows[:0]
-	flat := d.arena.Alloc(n * w)
+	flat := make(types.Tuple, n*w)
 	for i := 0; i < n; i++ {
 		t := flat[i*w : (i+1)*w : (i+1)*w]
 		b.ReadRow(t, i)

@@ -43,13 +43,13 @@ const errSignBlind = "exec: retraction delta reached a sign-blind Push"
 // --- HashJoin ---------------------------------------------------------
 
 // negTable returns input i's negative table, creating it on the input's
-// first retraction. Negative tables start at the default bucket count —
-// they hold deletions, which the cardinality estimates behind
-// NewHashJoinSized never cover.
+// first retraction, on the context's spare. Negative tables start at the
+// default bucket count and grow — they hold deletions, which the
+// cardinality estimates behind NewHashJoinSized never cover.
 func (j *HashJoin) negTable(i int) *state.HashTable {
 	in := &j.in[i]
 	if in.neg == nil {
-		in.neg = state.NewHashTable(in.main.List().Schema(), in.key) //adp:alloc-ok first retraction only
+		in.neg = state.NewHashTableSized(in.main.List().Schema(), in.key, 0, j.ctx.Spare) //adp:alloc-ok first retraction only
 	}
 	return in.neg
 }

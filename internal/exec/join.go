@@ -79,30 +79,25 @@ func NewHashJoin(ctx *Context, _ JoinStyle, leftSchema, rightSchema *types.Schem
 // behaviour: table memory can grow, but bucket counts are fixed at creation,
 // so an under-estimated input suffers bucket collisions for the rest of the
 // query (§4.4). Without an estimate for either side the tables start at the
-// default size and grow. Sized tables take their storage from the
-// context's spare.
+// default size and grow. Every table takes its storage from the context's
+// spare.
 func NewHashJoinSized(ctx *Context, leftSchema, rightSchema *types.Schema, leftKey, rightKey []int, estLeft, estRight float64, out Sink) *HashJoin {
 	j := &HashJoin{
 		ctx:    ctx,
 		out:    out,
 		schema: leftSchema.Concat(rightSchema),
+		em:     ctx.Emitter(),
 	}
 	_, j.em.recycle = out.(InputCopier)
-	if ctx.Spare != nil {
-		ctx.owned = append(ctx.owned, j)
-		if !j.em.recycle {
-			j.em.arena.spare = ctx.Spare
-		}
-	}
+	ctx.owned = append(ctx.owned, j)
 	j.in[0].key, j.in[1].key = leftKey, rightKey
 	ests := [2]float64{estLeft, estRight}
 	for i, schema := range [2]*types.Schema{leftSchema, rightSchema} {
-		if estLeft <= 0 && estRight <= 0 {
-			j.in[i].main = state.NewHashTable(schema, j.in[i].key)
-			continue
+		nbuckets := 0 // no estimate: a growing table
+		if estLeft > 0 || estRight > 0 {
+			nbuckets = int(min(max(ests[i], 64), 1<<26))
 		}
-		j.in[i].main = state.NewHashTableSized(schema, j.in[i].key, int(min(max(ests[i], 64), 1<<26)), ctx.Spare)
-		j.in[i].main.Fixed = true
+		j.in[i].main = state.NewHashTableSized(schema, j.in[i].key, nbuckets, ctx.Spare)
 	}
 	return j
 }
@@ -128,8 +123,7 @@ func (j *HashJoin) Release(spare *state.Spare) {
 }
 
 // free gives everything j holds to spare at the end of its run: its
-// tables' index storage, its lists' rows and the slabs of the rows it
-// emitted, which its consumer kept.
+// tables' index storage and its lists' rows.
 func (j *HashJoin) free(spare *state.Spare) {
 	j.Release(spare)
 	for _, in := range j.in {
@@ -138,7 +132,6 @@ func (j *HashJoin) free(spare *state.Spare) {
 			spare.ReleaseList(in.neg.List())
 		}
 	}
-	j.em.arena.release(spare)
 }
 
 // joinSide exposes one input of a HashJoin (i: 0 left, 1 right) as a sink,

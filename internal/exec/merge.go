@@ -98,16 +98,27 @@ type MergeJoin struct {
 }
 
 // NewMergeJoin creates the node. Inputs must arrive ascending on their key
-// columns.
+// columns. Its tables grow, on the context's spare.
 func NewMergeJoin(ctx *Context, leftSchema, rightSchema *types.Schema, leftKey, rightKey []int, out Sink) *MergeJoin {
-	return &MergeJoin{
+	m := &MergeJoin{
 		ctx:    ctx,
 		out:    out,
 		schema: leftSchema.Concat(rightSchema),
 		left: mergeSide{keyCols: leftKey,
-			table: state.NewHashTable(leftSchema, leftKey)},
+			table: state.NewHashTableSized(leftSchema, leftKey, 0, ctx.Spare)},
 		right: mergeSide{keyCols: rightKey,
-			table: state.NewHashTable(rightSchema, rightKey)},
+			table: state.NewHashTableSized(rightSchema, rightKey, 0, ctx.Spare)},
+		em: ctx.Emitter(),
+	}
+	ctx.owned = append(ctx.owned, m)
+	return m
+}
+
+// free gives m's tables to spare at the end of its run.
+func (m *MergeJoin) free(spare *state.Spare) {
+	for _, t := range [2]*state.HashTable{m.left.table, m.right.table} {
+		spare.Release(t)
+		spare.ReleaseList(t.List())
 	}
 }
 

@@ -78,7 +78,7 @@ func TestChainLenZeroAllocs(t *testing.T) {
 // per-tuple.
 func TestListInsertBatchAmortizedAllocs(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "t.k", Kind: types.KindInt})
-	l := NewList(schema)
+	l := NewList(schema, &Spare{})
 	batch := make([]types.Tuple, 64)
 	for i := range batch {
 		batch[i] = types.Tuple{types.Int(int64(i))}

@@ -9,33 +9,27 @@ import (
 
 // Groups is the state of a group-by: a record of width values per group —
 // its key values, then whatever its owner keeps beside them — and a chained
-// hash index that finds a group by its key. Identity is strict
+// hash index (index) that finds a group by its key. Identity is strict
 // (types.StrictEqual), as the byte key codec groups: Int(1), Float(1) and
 // Str("1") are three groups. A group is an id from 1 whose record stays put
-// past the first chunk; a removed group's id and record go to the next. Records and index entries
-// live in chunks of chunkRows groups, the first of which starts at chunkMin
-// and grows, so a small store stays small; full chunks and bucket arrays
-// come from, and go back to, a Spare.
+// past the first chunk; a removed group's id and record go to the next.
+// Records live beside the index's entries, a slab of width values per entry
+// of each entry chunk, so they grow as the entries do; full slabs come
+// from, and go back to, the index's Spare.
 type Groups struct {
 	keys, width int
-	// Chunk c of vals and of entries holds ids c<<chunkShift+1 on: their
-	// records, and their key hash and chain successor (-1: removed).
-	vals    [][]types.Value
-	entries [][]entry
-	n       int     // ids handed out
-	free    []int32 // removed ids, reused last first
-	buckets []bucket
-	spare   *Spare
+	ix          index
+	vals        [][]types.Value // vals[c]: the records of entry chunk c
+	free        []int32         // removed ids, reused last first
 }
+
+// groupsPerBucket is the load at which a new group doubles the buckets.
+const groupsPerBucket = 1
 
 // NewGroups makes an empty store of records of width values, the first keys
-// of them the group's key, on storage from spare (nil: its own).
+// of them the group's key, on storage from spare.
 func NewGroups(keys, width int, spare *Spare) *Groups {
-	return &Groups{keys: keys, width: width, buckets: spare.bucketArray(chunkMin), spare: spare}
-}
-
-func (g *Groups) entry(id int32) *entry {
-	return &g.entries[(id-1)>>chunkShift][(id-1)&(chunkRows-1)]
+	return &Groups{keys: keys, width: width, ix: newIndex(spare, chunkMin, groupsPerBucket)}
 }
 
 // Record returns group id's record. It moves when the store outgrows its
@@ -48,10 +42,8 @@ func (g *Groups) Record(id int32) []types.Value {
 // Len returns the number of groups. A released store panics: it must not
 // read as empty.
 func (g *Groups) Len() int {
-	if g.buckets == nil {
-		panic("state: group store used after its storage was released")
-	}
-	return g.n - len(g.free)
+	g.ix.live()
+	return g.ix.entries.n - len(g.free)
 }
 
 // Find returns the group of key, adding it — the key, then zero values — if
@@ -61,23 +53,25 @@ func (g *Groups) Find(key []types.Value) int32 {
 	if id := g.lookup(hash, key); id != 0 {
 		return id
 	}
-	id := int32(g.n + 1)
+	var id int32
 	if n := len(g.free); n > 0 {
 		id, g.free = g.free[n-1], g.free[:n-1]
+		e := g.ix.entry(id)
+		e.hash, e.next = hash, 0
+		g.ix.link(id, e)
 	} else {
-		g.grow()
+		id = g.ix.add(hash)
+		g.grow(int(id-1) >> chunkShift)
 	}
-	g.entry(id).hash = hash
 	rec := g.Record(id)
 	clear(rec[copy(rec, key):])
-	g.link(id)
 	return id
 }
 
 // lookup returns the group of key, 0 if there is none.
 func (g *Groups) lookup(hash uint64, key []types.Value) int32 {
-	for id := g.buckets[hash&uint64(len(g.buckets)-1)].head; id != 0; {
-		e := g.entry(id)
+	for id := g.ix.bucket(hash).head; id != 0; {
+		e := g.ix.entry(id)
 		if e.hash == hash && slices.EqualFunc(g.Record(id)[:g.keys], key, types.StrictEqual) {
 			return id
 		}
@@ -86,75 +80,28 @@ func (g *Groups) lookup(hash uint64, key []types.Value) int32 {
 	return 0
 }
 
-// grow adds an id, doubling the buckets when the ids outnumber them, and
-// makes room for its record: a first chunk of chunkMin ids that quadruples
-// by copy — a table copies what it holds about one and a third times, not
-// twice — then full successors.
-func (g *Groups) grow() {
-	if g.n == len(g.buckets) {
-		g.rehash(2 * g.n)
+// grow sizes entry chunk c's records to the chunk: a full slab from the
+// spare, a first one that grows by copy.
+func (g *Groups) grow(c int) {
+	if c == len(g.vals) {
+		g.vals = append(g.vals, nil)
 	}
-	c := len(g.entries) - 1
-	switch g.n++; {
-	case c >= 0 && g.n <= c<<chunkShift+len(g.entries[c]):
-	case g.n <= chunkRows:
-		e, v := g.chunk(max(4*(g.n-1), chunkMin))
-		if c == 0 {
-			copy(e, g.entries[0])
-			copy(v, g.vals[0])
-		}
-		g.entries, g.vals = append(g.entries[:0], e), append(g.vals[:0], v)
-	default:
-		e, v := g.chunk(chunkRows)
-		g.entries, g.vals = append(g.entries, e), append(g.vals, v)
-	}
-}
-
-// chunk returns storage for n ids: a full chunk from the spare while it has
-// entry chunks (Spare.Values allocates a slab it lacks), else a new one.
-func (g *Groups) chunk(n int) ([]entry, []types.Value) {
-	if s := g.spare; n == chunkRows && s != nil && len(s.entries.items) > 0 {
-		return s.entries.pop()[:n], s.Values(n * g.width)[:n*g.width]
-	}
-	return make([]entry, n), make([]types.Value, n*g.width)
-}
-
-// link puts id at the head of its bucket's chain.
-func (g *Groups) link(id int32) {
-	e := g.entry(id)
-	b := &g.buckets[e.hash&uint64(len(g.buckets)-1)]
-	e.next, b.head = b.head, id
-}
-
-// rehash moves the index to n buckets, giving the old array to the spare.
-func (g *Groups) rehash(n int) {
-	if g.spare != nil {
-		g.spare.buckets.push(g.buckets)
-	}
-	g.buckets = g.spare.bucketArray(n)
-	for id := int32(1); id <= int32(g.n); id++ {
-		if g.entry(id).next >= 0 {
-			g.link(id)
-		}
+	if n := cap(g.ix.entries.chunks[c]) * g.width; len(g.vals[c]) < n {
+		g.vals[c] = append(g.ix.spare.values.chunk(n, chunkRows*g.width), g.vals[c]...)[:n]
 	}
 }
 
 // Remove takes group id out of the index; its id goes to the next group.
 func (g *Groups) Remove(id int32) {
-	e := g.entry(id)
-	p := &g.buckets[e.hash&uint64(len(g.buckets)-1)].head
-	for *p != id {
-		p = &g.entry(*p).next
-	}
-	*p, e.next = e.next, -1
+	g.ix.unlink(id)
 	g.free = append(g.free, id)
 }
 
 // IDs appends the ids of the groups to dst, ascending.
 func (g *Groups) IDs(dst []int32) []int32 {
 	dst = slices.Grow(dst, g.Len())
-	for id := int32(1); id <= int32(g.n); id++ {
-		if g.entry(id).next >= 0 {
+	for id := int32(1); id <= int32(g.ix.entries.n); id++ {
+		if g.ix.entry(id).next >= 0 {
 			dst = append(dst, id)
 		}
 	}
@@ -162,55 +109,68 @@ func (g *Groups) IDs(dst []int32) []int32 {
 }
 
 // Adopt moves src's chunks after g's, leaving src empty, if g's spare holds
-// none to copy src's groups into (that would allocate what src holds) and
-// the chunks line up: g has none, or g's last and src's first are full. The
-// ids g's last chunk leaves unused go free, and so does a moved group whose
-// key g holds, after merge(into, from) folds it into g's. Adopt reports
-// whether it moved the groups.
+// no entry chunk to copy src's groups into (that would allocate what src
+// holds) and the chunks line up: g has none, or g's last and src's first are
+// full-sized. The ids g's last chunk leaves unused go free, and so does a
+// moved group whose key g holds, after merge(into, from) folds it into g's.
+// Adopt reports whether it moved the groups.
 func (g *Groups) Adopt(src *Groups, merge func(into, from int32)) bool {
-	if s, c := g.spare, len(g.entries)-1; s != nil && len(s.entries.items) > 0 ||
-		c >= 0 && (len(g.entries[c]) < chunkRows || len(src.entries) > 0 && len(src.entries[0]) < chunkRows) {
+	ge, se := &g.ix.entries, &src.ix.entries
+	c := len(ge.chunks) - 1
+	if len(g.ix.spare.entries.items) > 0 ||
+		c >= 0 && (cap(ge.chunks[c]) < chunkRows || len(se.chunks) > 0 && cap(se.chunks[0]) < chunkRows) {
 		return false
 	}
-	base := int32(len(g.entries) << chunkShift)
-	if n := len(g.buckets); int(base)+src.n > n {
-		g.rehash(n << bits.Len(uint(int(base)+src.n-1)/uint(n)))
+	base := int32(len(ge.chunks) << chunkShift)
+	if n := len(g.ix.buckets); int(base)+se.n > n {
+		g.ix.resize(n << bits.Len(uint(int(base)+se.n-1)/uint(n)))
 	}
-	for id := int32(g.n) + 1; id <= base; id++ {
-		g.entry(id).next, g.free = -1, append(g.free, id)
+	if c >= 0 {
+		ge.chunks[c] = ge.chunks[c][:chunkRows]
 	}
-	g.entries, g.vals, g.n = append(g.entries, src.entries...), append(g.vals, src.vals...), int(base)+src.n
-	clear(src.buckets)
-	src.entries, src.vals, src.n, src.free = src.entries[:0], src.vals[:0], 0, src.free[:0]
-	for id := base + 1; id <= int32(g.n); id++ {
-		if into := g.lookup(g.entry(id).hash, g.Record(id)[:g.keys]); into != 0 {
+	for id := int32(ge.n) + 1; id <= base; id++ {
+		g.ix.entry(id).next, g.free = -1, append(g.free, id)
+	}
+	ge.chunks, g.vals, ge.n = append(ge.chunks, se.chunks...), append(g.vals, src.vals...), int(base)+se.n
+	clear(src.ix.buckets)
+	se.chunks, se.n, src.vals, src.free = se.chunks[:0], 0, src.vals[:0], src.free[:0]
+	for id := base + 1; id <= int32(ge.n); id++ {
+		e := g.ix.entry(id)
+		if into := g.lookup(e.hash, g.Record(id)[:g.keys]); into != 0 {
 			merge(into, id)
-			g.entry(id).next, g.free = -1, append(g.free, id)
+			e.next, g.free = -1, append(g.free, id)
 		} else {
-			g.link(id)
+			e.next = 0
+			g.ix.link(id, e)
 		}
 	}
 	return true
 }
 
-// Reset empties the store and keeps its storage for the groups to come.
+// Reset empties the store: its first chunk stays for the groups to come,
+// the others go back to the spare.
 func (g *Groups) Reset() {
-	clear(g.buckets)
-	g.n, g.free = 0, g.free[:0]
+	e := &g.ix.entries
+	for c := 1; c < len(e.chunks); c++ {
+		e.free.push(e.chunks[c])
+		g.ix.spare.values.push(g.vals[c])
+	}
+	if len(e.chunks) > 0 {
+		e.chunks, g.vals = append(e.chunks[:0], e.chunks[0][:0]), g.vals[:1]
+	}
+	clear(g.ix.buckets)
+	e.n, g.free = 0, g.free[:0]
 }
 
-// ReleaseGroups gives g's bucket array and full chunks to s once nothing
-// will use g again: used again, g panics. Releasing g again gives nothing.
+// ReleaseGroups gives g's index storage and full record slabs to s once
+// nothing will use g again: used again, g panics. Releasing g again gives
+// nothing.
 func (s *Spare) ReleaseGroups(g *Groups) {
-	if g.buckets == nil {
-		return
-	}
-	s.buckets.push(g.buckets)
-	for c, e := range g.entries {
-		if len(e) == chunkRows {
-			s.entries.push(e)
-			s.values.push(g.vals[c])
+	for _, v := range g.vals {
+		if len(v) == chunkRows*g.width {
+			s.values.push(v)
 		}
 	}
-	g.buckets, g.entries, g.vals = nil, nil, nil
+	g.vals = nil
+	g.ix.release(s)
 }

@@ -2,20 +2,18 @@ package state
 
 import "github.com/tukwila/adp/internal/types"
 
-// defaultBuckets is the initial bucket count for hash structures. Buckets
-// in Tukwila "cannot be dynamically adjusted, meaning that an overly large
-// relation will still suffer from many bucket collisions" (§4.4) — we
-// reproduce that behaviour when Fixed is set, and grow otherwise.
-const defaultBuckets = 1024
+// defaultBuckets is the initial bucket count of a growing table, which
+// doubles its buckets at rowsPerBucket. Buckets in Tukwila "cannot be
+// dynamically adjusted, meaning that an overly large relation will still
+// suffer from many bucket collisions" (§4.4) — a table sized from an
+// estimate reproduces that behaviour; only one built without one grows.
+const defaultBuckets, rowsPerBucket = 1024, 4
 
-// HashTable is the workhorse state structure: a bucketed chaining hash
-// index, keyed on a column subset, over a List. Rows live once, in arrival
-// order, in the list; the index keeps one {hash, next} entry per row beside
-// it and one {head, tail, count} per bucket, all in 1-based row ids. A
-// bucket's chain is therefore its rows in arrival order, and stays so
-// across grow, which re-links every entry from its stored hash — no row is
-// rehashed, copied or moved. Several indexes may share one list (IndexList).
-// Row ids are int32: a table indexes at most 2^31-1 rows.
+// HashTable is the workhorse state structure: a chained hash index (index),
+// keyed on a column subset, over a List. Rows live once, in arrival order,
+// in the list; the index's entries sit beside them in the same geometry, so
+// a bucket's chain is its rows in arrival order. Several indexes may share
+// one list (IndexList). A table indexes at most 2^31-1 rows.
 //
 // Chain order, chain length and the bucket count are part of the contract,
 // not layout detail: a pipelined join charges the virtual clock by the
@@ -24,38 +22,28 @@ const defaultBuckets = 1024
 type HashTable struct {
 	list    *List
 	keyCols []int
-	entries chunked[entry]
-	buckets []bucket
-	// Fixed prevents bucket-array growth (reproduces mis-estimated
-	// allocation collisions).
-	Fixed bool
+	ix      index
 }
 
-// entry is the index's record of one row: its key hash and the next row of
-// its bucket's chain (0 ends it).
-type entry struct {
-	hash uint64
-	next int32
-}
-
-// bucket is one chain: its first and last row (0 when empty) and its length.
-type bucket struct{ head, tail, count int32 }
-
-// NewHashTable creates a hash table keyed on keyCols over the layout
-// schema.
+// NewHashTable creates a growing hash table keyed on keyCols over the
+// layout schema, on storage of its own.
 func NewHashTable(schema *types.Schema, keyCols []int) *HashTable {
-	return NewHashTableSized(schema, keyCols, defaultBuckets, nil)
+	return NewHashTableSized(schema, keyCols, 0, &Spare{})
 }
 
-// NewHashTableSized creates a hash table with an explicit bucket count (for
-// the optimizer to size from cardinality estimates), on storage from spare:
-// its index's and its list's.
+// NewHashTableSized creates a hash table on storage from spare. An explicit
+// bucket count (the optimizer's, from cardinality estimates) is fixed for
+// the table's life; with none (0) the table starts at the default and grows.
 func NewHashTableSized(schema *types.Schema, keyCols []int, nbuckets int, spare *Spare) *HashTable {
-	l := NewList(schema)
-	if spare != nil {
-		l.rows.free = &spare.rows
+	load := 0
+	if nbuckets <= 0 {
+		nbuckets, load = defaultBuckets, rowsPerBucket
 	}
-	return spare.index(l, keyCols, ceilPow2(max(nbuckets, 1)))
+	return newHashTable(NewList(schema, spare), keyCols, ceilPow2(nbuckets), load, spare)
+}
+
+func newHashTable(l *List, keyCols []int, nbuckets, load int, spare *Spare) *HashTable {
+	return &HashTable{list: l, keyCols: keyCols, ix: newIndex(spare, nbuckets, load)}
 }
 
 // IndexList builds a second index, keyed on keyCols, over the rows l
@@ -65,14 +53,14 @@ func NewHashTableSized(schema *types.Schema, keyCols []int, nbuckets int, spare 
 // table the rows were inserted into one by one, stored once at their final
 // size (from spare). l must not grow while the index is in use.
 func IndexList(l *List, keyCols []int, spare *Spare) *HashTable {
-	h := spare.index(l, keyCols, BucketsFor(l.Len()))
-	h.entries.reserve(l.Len())
+	h := newHashTable(l, keyCols, BucketsFor(l.Len()), rowsPerBucket, spare)
+	h.ix.entries.reserve(l.Len())
 	for c, chunk := range l.Chunks() {
 		for i, t := range chunk {
-			h.entries.chunks[c][i].hash = t.HashKey(keyCols)
+			h.ix.entries.chunks[c][i].hash = t.HashKey(keyCols)
 		}
 	}
-	h.relink()
+	h.ix.relink()
 	return h
 }
 
@@ -81,7 +69,7 @@ func IndexList(l *List, keyCols []int, spare *Spare) *HashTable {
 // bucket.
 func BucketsFor(n int) int {
 	b := defaultBuckets
-	for n-1 >= 4*b {
+	for n-1 >= rowsPerBucket*b {
 		b <<= 1
 	}
 	return b
@@ -95,27 +83,11 @@ func ceilPow2(n int) int {
 	return p
 }
 
-func (h *HashTable) bucketOf(hash uint64) int {
-	return int(hash & uint64(len(h.buckets)-1))
-}
-
-// link appends row id, whose entry is e, to its bucket's chain.
-func (h *HashTable) link(id int32, e *entry) {
-	b := &h.buckets[h.bucketOf(e.hash)]
-	if b.tail != 0 {
-		h.entries.at(int(b.tail - 1)).next = id
-	} else {
-		b.head = id
-	}
-	b.tail = id
-	b.count++
-}
-
 // row returns row id and its chain successor: two independent loads, issued
 // together so that a chain walk waits for one cache miss per step, not two.
 func (h *HashTable) row(id int32) (types.Tuple, int32) {
 	c, i := int(id-1)>>chunkShift, int(id-1)&(chunkRows-1)
-	return h.list.rows.chunks[c][i], h.entries.chunks[c][i].next
+	return h.list.rows.chunks[c][i], h.ix.entries.chunks[c][i].next
 }
 
 // List returns the rows the table indexes, in arrival order.
@@ -129,15 +101,19 @@ func (h *HashTable) Insert(t types.Tuple) {
 // InsertHashed inserts a tuple whose key hash the caller already computed
 // (a pipelined join hashes each tuple once and reuses the hash for both
 // the build insert and the opposite-side probe).
+//
+// It is the index's add written out: a 2M-row build runs a fifth slower
+// when it calls add (BenchmarkHashTableInsert).
 func (h *HashTable) InsertHashed(hash uint64, t types.Tuple) {
-	h.live()
-	if !h.Fixed && h.entries.n >= 4*len(h.buckets) {
-		h.grow()
+	x := &h.ix
+	x.live()
+	if x.load > 0 && x.entries.n >= x.load*len(x.buckets) {
+		x.resize(2 * len(x.buckets))
 	}
 	h.list.Insert(t)
-	h.entries.push(entry{hash: hash})
-	id := h.entries.n
-	h.link(int32(id), h.entries.at(id-1))
+	x.entries.push(entry{hash: hash})
+	id := int32(x.entries.n)
+	x.link(id, x.entry(id))
 }
 
 // InsertHashedBatch inserts a batch of tuples with a precomputed hash
@@ -159,7 +135,7 @@ func (h *HashTable) InsertHashedBatch(hashes []uint64, ts []types.Tuple) {
 //adp:hotpath gated by BenchmarkHashTableProbe (scripts/check_allocs.sh)
 func (h *HashTable) ProbeHashedBatch(hashes []uint64, keys []types.Tuple, keyCols []int, fn func(row int, match types.Tuple) bool) {
 	for i, key := range keys {
-		for id := h.buckets[h.bucketOf(hashes[i])].head; id != 0; {
+		for id := h.ix.bucket(hashes[i]).head; id != 0; {
 			t, next := h.row(id)
 			if t.KeyEquals(h.keyCols, key, keyCols) {
 				if !fn(i, t) {
@@ -171,47 +147,19 @@ func (h *HashTable) ProbeHashedBatch(hashes []uint64, keys []types.Tuple, keyCol
 	}
 }
 
-// grow doubles the bucket array and re-links every row, in arrival order,
-// from its stored hash: each chain keeps its order, nothing is rehashed and
-// no row moves.
-func (h *HashTable) grow() {
-	h.buckets = make([]bucket, 2*len(h.buckets))
-	h.relink()
-}
-
-// relink chains every entry into the (empty) bucket array, in arrival order.
-func (h *HashTable) relink() {
-	id := int32(0)
-	for _, chunk := range h.entries.chunks {
-		for i := range chunk {
-			id++
-			chunk[i].next = 0
-			h.link(id, &chunk[i])
-		}
-	}
-}
-
-// live panics on a released table, which must not read as empty (a probe
-// panics without it, on the nil bucket array).
-func (h *HashTable) live() {
-	if h.buckets == nil {
-		panic("state: hash table used after its index storage was released")
-	}
-}
-
 // Len returns the number of indexed rows.
-func (h *HashTable) Len() int { h.live(); return h.entries.n }
+func (h *HashTable) Len() int { h.ix.live(); return h.ix.entries.n }
 
 // Buckets returns the bucket count; Len/Buckets is the expected probe
 // chain length the re-optimizer reads as a sizing-health signal (§3.3
 // exposes structure size/cardinality to the decision modules).
-func (h *HashTable) Buckets() int { h.live(); return len(h.buckets) }
+func (h *HashTable) Buckets() int { h.ix.live(); return len(h.ix.buckets) }
 
 // Scan visits the rows in bucket order, each chain in arrival order (not
 // key-sorted); return false from fn to stop early.
 func (h *HashTable) Scan(fn func(types.Tuple) bool) {
-	h.live()
-	for _, b := range h.buckets {
+	h.ix.live()
+	for _, b := range h.ix.buckets {
 		for id := b.head; id != 0; {
 			t, next := h.row(id)
 			if !fn(t) {
@@ -239,7 +187,7 @@ func (h *HashTable) Probe(key []types.Value, fn func(types.Tuple) bool) {
 //adp:hotpath gated by BenchmarkHashTableProbe (scripts/check_allocs.sh)
 func (h *HashTable) ProbeHashed(hash uint64, key types.Tuple, fn func(types.Tuple) bool) {
 	idx := types.Identity(len(key))
-	for id := h.buckets[h.bucketOf(hash)].head; id != 0; {
+	for id := h.ix.bucket(hash).head; id != 0; {
 		t, next := h.row(id)
 		if t.KeyEquals(h.keyCols, key, idx) {
 			if !fn(t) {
@@ -262,5 +210,5 @@ func (h *HashTable) ChainLen(key []types.Value) int {
 
 // ChainLenHashed is ChainLen for a precomputed key hash.
 func (h *HashTable) ChainLenHashed(hash uint64) int {
-	return int(h.buckets[h.bucketOf(hash)].count)
+	return int(h.ix.bucket(hash).count)
 }

@@ -57,8 +57,7 @@ func BenchmarkHashTableInsert(b *testing.B) {
 	})
 	b.Run("fixed", func(b *testing.B) {
 		run(b, func(n int) *HashTable {
-			h := NewHashTableSized(schema, []int{0}, n/4, nil)
-			h.Fixed = true
+			h := NewHashTableSized(schema, []int{0}, n/4, &Spare{})
 			return h
 		})
 	})

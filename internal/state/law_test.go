@@ -95,10 +95,14 @@ type lawPair struct {
 	nextID int64
 }
 
-// newLawPair builds the table on spare's storage (nil: its own).
+// newLawPair builds the table on spare's storage: fixed at nbuckets, or
+// growing from there.
 func newLawPair(keyCols []int, nbuckets int, fixed bool, spare *Spare) *lawPair {
-	h := NewHashTableSized(lawSchema, keyCols, nbuckets, spare)
-	h.Fixed = fixed
+	load := rowsPerBucket
+	if fixed {
+		load = 0
+	}
+	h := newHashTable(NewList(lawSchema, spare), keyCols, ceilPow2(max(nbuckets, 1)), load, spare)
 	return &lawPair{h: h, m: newChainModel(keyCols, nbuckets, fixed)}
 }
 
@@ -112,8 +116,7 @@ func donorSpare(nbuckets, rows int) *Spare {
 }
 
 func donor(nbuckets, rows int) *HashTable {
-	h := NewHashTableSized(lawSchema, []int{0}, nbuckets, nil)
-	h.Fixed = true
+	h := NewHashTableSized(lawSchema, []int{0}, nbuckets, &Spare{})
 	for i := 0; i < rows; i++ {
 		h.Insert(types.Tuple{types.Int(int64(i)), types.Int(int64(i)), types.Int(int64(i))})
 	}
@@ -132,14 +135,14 @@ func returnedSpare(nbuckets, rows int) *Spare {
 	return s
 }
 
-// storages are the legs every law runs on: a table's own storage, and
-// storage another table used and released whose bucket array is smaller
-// than, as large as or larger than the table asks for (req buckets); each
+// storages are the legs every law runs on: an empty spare, and storage
+// another table used and released whose bucket array is smaller than, as
+// large as or larger than the structure asks for (req buckets); each
 // recycled leg holds three full entry chunks, and the returned leg three
 // full row chunks for the table's list too.
 func storages(req int) map[string]func() *Spare {
 	legs := map[string]func() *Spare{
-		"fresh":           func() *Spare { return nil },
+		"fresh":           func() *Spare { return &Spare{} },
 		"recycled/equal":  func() *Spare { return donorSpare(req, 2*chunkRows+7) },
 		"recycled/larger": func() *Spare { return donorSpare(4*req, 2*chunkRows+7) },
 		"returned":        func() *Spare { return returnedSpare(req, 3*chunkRows) },
@@ -245,7 +248,7 @@ func TestHashTableMatchesChainModel(t *testing.T) {
 					if !tc.fixed && p.h.Buckets() < 128 {
 						t.Fatalf("growing table ended at %d buckets: grow was not exercised", p.h.Buckets())
 					}
-					if s != nil && len(s.entries.items) != 2 {
+					if leg != "fresh" && len(s.entries.items) != 2 {
 						t.Fatalf("%d of 3 spare entry chunks left: the table's full chunk is not a recycled one", len(s.entries.items))
 					}
 					if leg == "returned" {
@@ -257,6 +260,21 @@ func TestHashTableMatchesChainModel(t *testing.T) {
 			}
 		})
 	}
+	// A group store shares the index: on every storage leg it must find each
+	// key's own group through removals and regrowth.
+	t.Run("groups", func(t *testing.T) {
+		for leg, spare := range storages(chunkMin) {
+			t.Run(leg, func(t *testing.T) {
+				s := spare()
+				if err := groupsLaw(NewGroups(2, 3, s)); err != nil {
+					t.Fatal(err)
+				}
+				if leg != "fresh" && len(s.entries.items) != 1 {
+					t.Fatalf("%d of 3 spare entry chunks left: the store's full chunks are not recycled ones", len(s.entries.items))
+				}
+			})
+		}
+	})
 	// A default table grows at 4096 and at 8192 rows, past chunk boundaries
 	// of the list and of the index.
 	t.Run("growing/default", func(t *testing.T) {
@@ -277,6 +295,59 @@ func TestHashTableMatchesChainModel(t *testing.T) {
 			})
 		}
 	})
+}
+
+// groupsLaw drives g and a model of it — its groups' keys and ids, under
+// strict identity — with finds and removals of law keys, and checks after
+// each step that a key finds its own group and a new key a free id, and at
+// the end every chain's tail and count, Len, IDs and every record's key.
+func groupsLaw(g *Groups) error {
+	type group struct {
+		key []types.Value
+		id  int32
+	}
+	var model []group
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 4000; i++ {
+		key := []types.Value{lawValues[rng.Intn(len(lawValues))], types.Int(int64(rng.Intn(150)))}
+		j := slices.IndexFunc(model, func(m group) bool { return slices.EqualFunc(m.key, key, types.StrictEqual) })
+		switch {
+		case j >= 0 && i%5 == 4:
+			g.Remove(model[j].id)
+			model = slices.Delete(model, j, j+1)
+		case j >= 0:
+			if id := g.Find(key); id != model[j].id {
+				return fmt.Errorf("step %d: key %v found group %d, model %d", i, key, id, model[j].id)
+			}
+		default:
+			id := g.Find(key)
+			if slices.ContainsFunc(model, func(m group) bool { return m.id == id }) {
+				return fmt.Errorf("step %d: new key %v got group %d, which another key holds", i, key, id)
+			}
+			model = append(model, group{key, id})
+		}
+	}
+	for b, bk := range g.ix.buckets {
+		n, last := int32(0), int32(0)
+		for id := bk.head; id != 0; id = g.ix.entry(id).next {
+			n, last = n+1, id
+		}
+		if n != bk.count || last != bk.tail {
+			return fmt.Errorf("bucket %d: chain of %d ending at %d, bucket says %d ending at %d", b, n, last, bk.count, bk.tail)
+		}
+	}
+	want := make([]int32, len(model))
+	for i, m := range model {
+		want[i] = m.id
+		if rec := g.Record(m.id); !slices.EqualFunc(rec[:2], m.key, types.StrictEqual) {
+			return fmt.Errorf("group %d holds key %v, model %v", m.id, rec[:2], m.key)
+		}
+	}
+	slices.Sort(want)
+	if got := g.IDs(nil); g.Len() != len(model) || !slices.Equal(got, want) {
+		return fmt.Errorf("Len %d, IDs %v; model %d groups %v", g.Len(), got, len(model), want)
+	}
+	return nil
 }
 
 // rowsFromSpare checks that l's first chunk is one of the returned spare's
@@ -315,10 +386,10 @@ func TestSpareTakesBestFit(t *testing.T) {
 		if h.Buckets() != ceilPow2(tc.ask) {
 			t.Fatalf("asked %d buckets, got %d", tc.ask, h.Buckets())
 		}
-		if from := arrays[tc.from]; (tc.from != 0) != (&h.buckets[0] == from) {
+		if from := arrays[tc.from]; (tc.from != 0) != (&h.ix.buckets[0] == from) {
 			t.Fatalf("asked %d buckets: took the wrong array (want the %d-bucket one)", tc.ask, tc.from)
 		}
-		for i, b := range h.buckets {
+		for i, b := range h.ix.buckets {
 			if b != (bucket{}) {
 				t.Fatalf("asked %d buckets: bucket %d not cleared: %+v", tc.ask, i, b)
 			}
@@ -326,18 +397,32 @@ func TestSpareTakesBestFit(t *testing.T) {
 	}
 	d := &Spare{}
 	h := NewHashTable(lawSchema, []int{0})
-	for i := 0; i < chunkRows/2; i++ {
+	for i := 0; i < chunkRows/4; i++ {
 		h.Insert(types.Tuple{types.Int(int64(i)), types.Null(), types.Int(int64(i))})
 	}
 	d.Release(h)
 	if len(d.entries.items) != 0 || len(d.buckets.items) != 1 {
-		t.Fatalf("a half-chunk table released %d chunks, %d arrays; want 0, 1", len(d.entries.items), len(d.buckets.items))
+		t.Fatalf("a quarter-chunk table released %d chunks, %d arrays; want 0, 1", len(d.entries.items), len(d.buckets.items))
+	}
+	// Value slabs go by the same rule: a group store's full chunk of
+	// chunkRows×width values passes over an emitted rows' slab on top that
+	// is too small for it and takes the one below that fits.
+	v := &Spare{}
+	fits := make([]types.Value, 6*chunkRows)
+	v.values.push(fits)
+	v.values.push(make([]types.Value, 4096))
+	g := NewGroups(1, 6, v)
+	for i := 0; i < chunkRows; i++ {
+		g.Find([]types.Value{types.Int(int64(i))})
+	}
+	if &g.vals[0][0] != &fits[0] || len(v.values.items) != 1 {
+		t.Fatalf("a group store's full record chunk did not take the slab that fits: %d slabs left", len(v.values.items))
 	}
 }
 
 // TestReleasedTablePanics: a table whose storage was released must not
 // read as empty — every use of it as an index panics — while its list
-// keeps every row.
+// keeps every row; nor must a released group store.
 func TestReleasedTablePanics(t *testing.T) {
 	build := func() *HashTable {
 		h := NewHashTable(lawSchema, []int{0})
@@ -366,7 +451,7 @@ func TestReleasedTablePanics(t *testing.T) {
 			t.Run(name+"/"+index, func(t *testing.T) {
 				h := build()
 				if index == "IndexList" {
-					h = IndexList(h.List(), []int{2}, nil)
+					h = IndexList(h.List(), []int{2}, &Spare{})
 				}
 				(&Spare{}).Release(h)
 				func() {
@@ -383,6 +468,36 @@ func TestReleasedTablePanics(t *testing.T) {
 			})
 		}
 	}
+	// A group store shares the index, and its release: every use of a
+	// released one panics too.
+	groupKey := []types.Value{types.Int(3)}
+	groupUses := map[string]func(g *Groups){
+		"Len":    func(g *Groups) { g.Len() },
+		"Find":   func(g *Groups) { g.Find(groupKey) },
+		"Record": func(g *Groups) { g.Record(1) },
+		"Remove": func(g *Groups) { g.Remove(1) },
+		"IDs":    func(g *Groups) { g.IDs(nil) },
+	}
+	for name, use := range groupUses {
+		t.Run(name+"/Groups", func(t *testing.T) {
+			g := fillGroups(NewGroups(1, 2, &Spare{}), 3*chunkRows)
+			(&Spare{}).ReleaseGroups(g)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released group store did not panic", name)
+				}
+			}()
+			use(g)
+		})
+	}
+}
+
+// fillGroups adds groups 0..n-1 of one integer key to g.
+func fillGroups(g *Groups, n int) *Groups {
+	for i := 0; i < n; i++ {
+		g.Find([]types.Value{types.Int(int64(i))})
+	}
+	return g
 }
 
 // TestReleasedListPanics: a list whose rows were released must not read as
@@ -401,7 +516,7 @@ func TestReleasedListPanics(t *testing.T) {
 	for name, use := range uses {
 		for _, n := range []int{0, 3 * chunkRows} {
 			t.Run(fmt.Sprintf("%s/rows=%d", name, n), func(t *testing.T) {
-				l := NewList(lawSchema)
+				l := NewList(lawSchema, &Spare{})
 				for i := 0; i < n; i++ {
 					l.Insert(row)
 				}
@@ -435,6 +550,18 @@ func TestDoubleReleaseGivesNothing(t *testing.T) {
 		t.Fatalf("a second release changed the spare: %d arrays, %d chunks; want %d, %d",
 			len(s.buckets.items), len(s.entries.items), len(buckets), len(entries))
 	}
+	g := fillGroups(NewGroups(1, 2, &Spare{}), 2*chunkRows+7)
+	s = &Spare{}
+	s.ReleaseGroups(g)
+	buckets, entries, values := slices.Clone(s.buckets.items), slices.Clone(s.entries.items), slices.Clone(s.values.items)
+	if len(entries) != 3 || len(values) != 3 {
+		t.Fatalf("a group store of three full-sized chunks released %d entry chunks, %d record slabs", len(entries), len(values))
+	}
+	s.ReleaseGroups(g)
+	if !slices.Equal(pointers(s.buckets.items), pointers(buckets)) || !slices.Equal(pointers(s.entries.items), pointers(entries)) ||
+		!slices.Equal(pointers(s.values.items), pointers(values)) {
+		t.Fatal("a second release of a group store changed the spare")
+	}
 }
 
 // pointers renders storage by where it starts.
@@ -455,7 +582,7 @@ func TestSpareHoldsOneRun(t *testing.T) {
 	first := donor(1024, 3*chunkRows)
 	s.Release(first)
 	s.ReleaseList(first.List())
-	s.ReleaseValues([][]types.Value{{types.Int(7), types.Int(8)}})
+	_ = append(s.Values(2), types.Int(7), types.Int(8)) // a slab lent until the run ends
 	s.endRun()
 	if len(s.buckets.items) != 1 || len(s.entries.items) != 3 || len(s.rows.items) != 3 || len(s.values.items) != 1 {
 		t.Fatalf("after one run: %d arrays, %d entry chunks, %d row chunks, %d slabs; want 1, 3, 3, 1",
@@ -480,14 +607,37 @@ func TestSpareHoldsOneRun(t *testing.T) {
 	s.ReleaseList(h.List())
 	s.endRun()
 	// What the first run left and the second did not take is gone: two
-	// arrays, one entry chunk and one row chunk, all the second run's.
-	if len(s.buckets.items) != 2 || len(s.entries.items) != 1 || len(s.rows.items) != 1 || len(s.values.items) != 0 {
-		t.Fatalf("after the next run: %d arrays, %d entry chunks, %d row chunks, %d slabs; want 2, 1, 1, 0",
+	// arrays, one entry chunk and one row chunk, all the second run's, and
+	// the slab it lent.
+	if len(s.buckets.items) != 2 || len(s.entries.items) != 1 || len(s.rows.items) != 1 || len(s.values.items) != 1 {
+		t.Fatalf("after the next run: %d arrays, %d entry chunks, %d row chunks, %d slabs; want 2, 1, 1, 1",
 			len(s.buckets.items), len(s.entries.items), len(s.rows.items), len(s.values.items))
 	}
 	s.endRun()
-	if len(s.buckets.items) != 0 || len(s.entries.items) != 0 || len(s.rows.items) != 0 {
+	if len(s.buckets.items) != 0 || len(s.entries.items) != 0 || len(s.rows.items) != 0 || len(s.values.items) != 0 {
 		t.Fatal("a run that released nothing returned storage")
+	}
+	// A group store is one more structure of a run: its full entry chunks
+	// and record slabs come from what the run before released, and go back
+	// with what this run releases.
+	d := fillGroups(NewGroups(1, 2, s), 2*chunkRows)
+	s.ReleaseGroups(d)
+	s.endRun()
+	entries, values := pointers(s.entries.items), pointers(s.values.items)
+	if len(entries) != 2 || len(values) != 2 {
+		t.Fatalf("after a group store's run: %d entry chunks, %d record slabs; want 2, 2", len(entries), len(values))
+	}
+	g := fillGroups(NewGroups(1, 2, s), chunkRows+1)
+	if len(s.entries.items) != 0 || len(s.values.items) != 0 {
+		t.Fatalf("the next group store left %d entry chunks, %d record slabs untaken", len(s.entries.items), len(s.values.items))
+	}
+	s.ReleaseGroups(g)
+	s.endRun()
+	if got := pointers(s.entries.items); len(got) != 2 || !slices.Contains(entries, got[0]) || !slices.Contains(entries, got[1]) {
+		t.Fatal("the group store's entry chunks are not the ones the run before released")
+	}
+	if got := pointers(s.values.items); len(got) != 2 || !slices.Contains(values, got[0]) || !slices.Contains(values, got[1]) {
+		t.Fatal("the group store's record slabs are not the ones the run before released")
 	}
 }
 
@@ -506,7 +656,7 @@ func FuzzHashTableModel(f *testing.F) {
 		// The script runs on the table's own storage, then on storage a
 		// table of half, the same or four times the bucket count released,
 		// then on what such a table's run returned, its list's rows too.
-		for leg, spare := range []*Spare{nil, donorSpare(size, chunkRows+len(script)), returnedSpare(size, 3*chunkRows)} {
+		for leg, spare := range []*Spare{{}, donorSpare(size, chunkRows+len(script)), returnedSpare(size, 3*chunkRows)} {
 			p := newLawPair([]int{0}, int(nbuckets%8), fixed, spare)
 			for i, op := range script {
 				v := int(op) % len(lawValues)
@@ -530,7 +680,7 @@ func TestListChunkBoundaries(t *testing.T) {
 				for i := range rows {
 					rows[i] = types.Tuple{types.Int(int64(i))}
 				}
-				l := NewList(lawSchema)
+				l := NewList(lawSchema, &Spare{})
 				if batch == 0 {
 					for _, r := range rows {
 						l.Insert(r)
@@ -583,13 +733,13 @@ func TestListChunkBoundaries(t *testing.T) {
 // storage released by another table and then by each index before the next.
 func TestIndexListSharesRows(t *testing.T) {
 	for _, recycled := range []bool{false, true} {
-		var spare *Spare
+		spare := &Spare{}
 		if recycled {
 			spare = donorSpare(4*defaultBuckets, 20*chunkRows+100)
 		}
 		rng := rand.New(rand.NewSource(17))
 		for _, n := range []int{0, 1, 100, 4096, 4097, 6000, 20000} {
-			built := newLawPair([]int{0}, defaultBuckets, false, nil)
+			built := newLawPair([]int{0}, defaultBuckets, false, &Spare{})
 			for i := 0; i < n; i++ {
 				built.insert(types.Int(rng.Int63n(int64(n/3+1))), lawValues[rng.Intn(len(lawValues))])
 			}
@@ -603,7 +753,7 @@ func TestIndexListSharesRows(t *testing.T) {
 				if idx.h.List() != list {
 					t.Fatalf("recycled=%t n=%d key %v: the index has a list of its own", recycled, n, keyCols)
 				}
-				if spare != nil {
+				if recycled {
 					spare.Release(idx.h)
 				}
 			}
@@ -626,7 +776,7 @@ func TestIndexListSharesRows(t *testing.T) {
 			first = append(first, &l.Chunks()[i/chunkRows][0])
 		}
 	}
-	idx := IndexList(l, []int{2}, nil)
+	idx := IndexList(l, []int{2}, &Spare{})
 	for c, chunk := range idx.List().Chunks() {
 		if &chunk[0] != first[c] {
 			t.Fatalf("chunk %d moved after it filled", c)

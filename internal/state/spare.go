@@ -7,19 +7,20 @@ import (
 	"github.com/tukwila/adp/internal/types"
 )
 
-// Spare is a run's free list of state storage: the bucket arrays and full
-// entry chunks of tables nothing will probe again, the full row chunks of
-// lists nothing will read again, and the value slabs of emitted rows, which
-// the run's next structures take back, cleared. Index storage comes back
-// from a finished phase; the rest, and every index, when the run ends. A run
-// takes its spare from a process-wide pool (TakeSpare) and gives it back
-// when it ends (Return), so the next run starts on what this one released.
-// It is not safe for concurrent use.
+// Spare is a run's free list of state storage — bucket arrays, entry and
+// row chunks, value slabs (group records, emitted rows) — which the run's
+// next structures take back, cleared. Every structure takes its storage
+// from a spare and gives it back to one: index storage when a phase
+// finishes, the rest when the run ends. A run takes its spare from a
+// process-wide pool (TakeSpare) and gives it back when it ends (Return), so
+// the next run starts on what this one released. It is not safe for
+// concurrent use.
 type Spare struct {
 	buckets stack[bucket]
 	entries stack[entry]
 	rows    stack[types.Tuple]
 	values  stack[types.Value]
+	lent    [][]types.Value // the slabs Values handed out this run
 }
 
 // stack is the free storage of one kind. Its first old items came from an
@@ -32,17 +33,39 @@ type stack[T any] struct {
 
 func (s *stack[T]) push(v []T) { s.items = append(s.items, v) }
 
-// take removes and returns item i.
-func (s *stack[T]) take(i int) []T {
-	v := s.items[i]
-	s.items = slices.Delete(s.items, i, i+1)
-	if i < s.old {
+// take returns n cleared elements: the smallest free item that holds n
+// (the topmost of equals), re-sliced to n and cleared, else a new one.
+// Every kind of storage is taken by this one rule.
+func (s *stack[T]) take(n int) []T {
+	best := -1
+	for i := len(s.items) - 1; i >= 0; i-- {
+		if c := cap(s.items[i]); c >= n && (best < 0 || c < cap(s.items[best])) {
+			best = i
+			if c == n {
+				break
+			}
+		}
+	}
+	if best < 0 {
+		return make([]T, n)
+	}
+	v := s.items[best][:n]
+	s.items = slices.Delete(s.items, best, best+1)
+	if best < s.old {
 		s.old--
 	}
+	clear(v)
 	return v
 }
 
-func (s *stack[T]) pop() []T { return s.take(len(s.items) - 1) }
+// chunk returns an empty chunk with room for n of a full chunk's size: a
+// full one when n is over half of that, else a new one of n.
+func (s *stack[T]) chunk(n, full int) []T {
+	if 2*n <= full {
+		return make([]T, 0, n)
+	}
+	return s.take(full)[:0]
+}
 
 // endRun drops what an earlier run left and this one did not take: the rest
 // is what this run released, old to the next.
@@ -78,24 +101,14 @@ func (s *Spare) endRun() {
 	s.buckets.endRun()
 	s.entries.endRun()
 	s.rows.endRun()
+	s.values.items, s.lent = append(s.values.items, s.lent...), s.lent[:0]
 	s.values.endRun()
 }
 
 // Release gives h's bucket array and full entry chunks to s. h keeps its
 // List, whose rows a stitch-up still reads; used as an index again, h panics.
 // Releasing h again gives nothing.
-func (s *Spare) Release(h *HashTable) {
-	if h.buckets == nil {
-		return
-	}
-	s.buckets.push(h.buckets)
-	for _, chunk := range h.entries.chunks {
-		if cap(chunk) == chunkRows {
-			s.entries.push(chunk)
-		}
-	}
-	h.buckets, h.entries = nil, chunked[entry]{}
-}
+func (s *Spare) Release(h *HashTable) { h.ix.release(s) }
 
 // ReleaseList gives l's full row chunks to s once nothing will read l again:
 // used again, l panics. Releasing l again gives nothing.
@@ -111,48 +124,11 @@ func (s *Spare) ReleaseList(l *List) {
 	l.rows = chunked[types.Tuple]{n: -1}
 }
 
-// Values returns an empty value slab with room for n values: the last one s
-// holds, cleared, if that is large enough, else a new one (s nil: always).
+// Values lends an empty value slab with room for n values — the smallest
+// one s holds that is large enough, cleared, else a new one — until the run
+// ends, when it comes back to s: for rows nothing reads past the run.
 func (s *Spare) Values(n int) []types.Value {
-	if s == nil || len(s.values.items) == 0 || cap(s.values.items[len(s.values.items)-1]) < n {
-		return make([]types.Value, 0, n)
-	}
-	v := s.values.pop()
-	clear(v[:cap(v)])
-	return v[:0]
-}
-
-// ReleaseValues gives value slabs to s once nothing will read a value in
-// them again.
-func (s *Spare) ReleaseValues(slabs [][]types.Value) {
-	s.values.items = append(s.values.items, slabs...)
-}
-
-// index makes an empty index of n buckets over l on storage from s (nil:
-// none): a bucket array from s and s's free entry chunks while they last.
-func (s *Spare) index(l *List, keyCols []int, n int) *HashTable {
-	h := &HashTable{list: l, keyCols: keyCols, buckets: s.bucketArray(n)}
-	if s != nil {
-		h.entries.free = &s.entries
-	}
-	return h
-}
-
-// bucketArray returns n cleared buckets: the smallest free array of s that
-// holds n, re-sliced to n (an index masks by the length), else a new one.
-func (s *Spare) bucketArray(n int) []bucket {
-	best := -1
-	if s != nil {
-		for i, b := range s.buckets.items {
-			if cap(b) >= n && (best < 0 || cap(b) < cap(s.buckets.items[best])) {
-				best = i
-			}
-		}
-	}
-	if best < 0 {
-		return make([]bucket, n)
-	}
-	b := s.buckets.take(best)[:n]
-	clear(b)
-	return b
+	v := s.values.take(n)[:0:n]
+	s.lent = append(s.lent, v)
+	return v
 }

@@ -4,7 +4,7 @@
 // partitioned query. Every plan the engine lowers needs two of the paper's
 // five structures: a List, and a HashTable — a chained hash index over a
 // List. An aggregate's groups — the shared group-by of Figure 1 — live in a
-// third, Groups: a record of values per group in chunks, and a chained hash
+// third, Groups: a record of values per group, found by the same kind of
 // index over group ids. The sorted list, the hash over sorted data and the
 // B+ tree, like the paging of state to disk (§3.4.2) and the spilling of
 // overflowed hash partitions (§5), are not reproduced: no plan builds them
@@ -12,29 +12,32 @@
 //
 // Rows are buffered once. A List stores tuples in arrival order in
 // fixed-size chunks, so it allocates what it holds and growth never moves a
-// row; a HashTable owns no rows but indexes a List — an entry per row and a
-// chain per bucket, in row ids — so grow re-links instead of rehashing, and
-// IndexList puts a second index, on another key, over rows a list already
-// holds. A Spare hands storage from structures nothing will use again to
-// the next ones, cleared and at the sizes they ask for: a finished phase's
+// row. There is one chained index (index): an entry per id and a chain per
+// bucket, in ids, so a resize re-links instead of rehashing. A HashTable is
+// a List plus an index over its rows, and IndexList puts a second index, on
+// another key, over rows a list already holds; Groups is record slabs beside
+// an index over group ids. Every structure takes its storage from a Spare —
+// the one allocation path — and gives it back to one: a finished phase's
 // index storage to the run's next tables while its lists stay, and, when a
 // run ends, every index, list chunk, group store and emitted-row slab of
 // the run to the next run, through a process-wide pool of spares
-// (TakeSpare, Return). A released structure panics on use rather than read
-// as empty. A structure's consumers read more than its contents: chain
-// length is what a probe is charged, Len/Buckets what the monitor prices a
-// plan by, chain order the order results leave in. Those are contract
-// (TestHashTableMatchesChainModel), whatever the layout.
+// (TakeSpare, Return). An empty spare hands out nothing, so a structure on
+// one allocates what it holds. A released structure panics on use rather
+// than read as empty. A structure's consumers read more than its contents:
+// chain length is what a probe is charged, Len/Buckets what the monitor
+// prices a plan by, chain order the order results leave in. Those are
+// contract (TestHashTableMatchesChainModel), whatever the layout.
 package state
 
 import "github.com/tukwila/adp/internal/types"
 
-// chunkMin and chunkRows are the chunk geometry List and HashTable share:
-// a sequence's first chunk starts at chunkMin rows and doubles (by copy, at
-// most chunkRows rows in all) until it holds chunkRows; every later chunk
-// is allocated at chunkRows. Past the first chunk growth never moves a row,
-// so a sequence allocates what it holds — an appended slice, which Go grows
-// by 1.25x once it is large, allocates about five times that.
+// chunkMin and chunkRows are the chunk geometry of every sequence in state —
+// list rows, index entries and, beside those, group records: a sequence's
+// first chunk starts at chunkMin elements and quadruples (by copy, at most
+// chunkRows elements in all) until it holds chunkRows; every later chunk is
+// allocated at chunkRows. Past the first chunk growth never moves an
+// element, so a sequence allocates what it holds — an appended slice, which
+// Go grows by 1.25x once it is large, allocates about five times that.
 const (
 	chunkMin   = 16
 	chunkShift = 10
@@ -42,8 +45,8 @@ const (
 )
 
 // chunked is an append-only sequence in that geometry: element i lives at
-// chunks[i>>chunkShift][i&(chunkRows-1)]. free, if set, holds released full
-// chunks (Spare) to use before allocating.
+// chunks[i>>chunkShift][i&(chunkRows-1)]. Its chunks come from, and its full
+// ones go back to, free (a Spare's stack of the kind).
 type chunked[T any] struct {
 	chunks [][]T
 	n      int
@@ -81,36 +84,25 @@ func (c *chunked[T]) tail(need int) int {
 
 // grow makes room at the tail for need more elements, or for as many as a
 // chunk takes: a short tail chunk (the first one, or the exact tail reserve
-// left) at least doubles, a full one gets a successor.
+// left) at least quadruples, a full one gets a successor.
 func (c *chunked[T]) grow(need int) {
 	last := len(c.chunks) - 1
 	switch {
 	case last < 0:
-		c.chunks = append(c.chunks, c.alloc(min(max(need, chunkMin), chunkRows)))
+		c.chunks = append(c.chunks, c.free.chunk(min(max(need, chunkMin), chunkRows), chunkRows))
 	case cap(c.chunks[last]) < chunkRows:
 		tail := c.chunks[last]
-		c.chunks[last] = append(c.alloc(min(max(2*cap(tail), len(tail)+need), chunkRows)), tail...)
+		c.chunks[last] = append(c.free.chunk(min(max(4*cap(tail), len(tail)+need), chunkRows), chunkRows), tail...)
 	default:
-		c.chunks = append(c.chunks, c.alloc(chunkRows))
+		c.chunks = append(c.chunks, c.free.chunk(chunkRows, chunkRows))
 	}
-}
-
-// alloc returns an empty chunk with room for n: a free one, cleared, if free
-// has one and n is over half a chunk; else a new one.
-func (c *chunked[T]) alloc(n int) []T {
-	if c.free == nil || len(c.free.items) == 0 || 2*n <= chunkRows {
-		return make([]T, 0, n)
-	}
-	chunk := c.free.pop()[:chunkRows]
-	clear(chunk)
-	return chunk[:0]
 }
 
 // reserve sizes an empty sequence for exactly n elements, all zero.
 func (c *chunked[T]) reserve(n int) {
 	for rest := n; rest > 0; rest -= chunkRows {
 		size := min(rest, chunkRows)
-		c.chunks = append(c.chunks, c.alloc(size)[:size])
+		c.chunks = append(c.chunks, c.free.chunk(size, chunkRows)[:size])
 	}
 	c.n = n
 }
@@ -124,8 +116,11 @@ type List struct {
 	rows   chunked[types.Tuple]
 }
 
-// NewList creates an empty list over the given layout.
-func NewList(schema *types.Schema) *List { return &List{schema: schema} }
+// NewList creates an empty list over the given layout, on storage from
+// spare.
+func NewList(schema *types.Schema, spare *Spare) *List {
+	return &List{schema: schema, rows: chunked[types.Tuple]{free: &spare.rows}}
+}
 
 // live panics on a released list (Spare.ReleaseList), which must not read
 // as empty.

@@ -35,7 +35,7 @@ func probeAll(k *HashTable, key int64) []types.Tuple {
 }
 
 func TestListBasics(t *testing.T) {
-	l := NewList(sch)
+	l := NewList(sch, &Spare{})
 	l.Insert(row(2, "b"))
 	l.Insert(row(1, "a"))
 	if l.Len() != 2 || len(l.Rows()) != 2 {
@@ -93,8 +93,7 @@ func TestHashTableKeyed(t *testing.T) {
 }
 
 func TestHashTableFixedBucketsStillCorrect(t *testing.T) {
-	h := NewHashTableSized(sch, []int{0}, 4, nil)
-	h.Fixed = true
+	h := NewHashTableSized(sch, []int{0}, 4, &Spare{})
 	for i := 0; i < 1000; i++ {
 		h.Insert(row(int64(i%37), "x"))
 	}
@@ -116,7 +115,7 @@ func TestHashTableRehash(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Insert(types.Tuple{types.Int(int64(i)), types.Int(int64(i % 10))})
 	}
-	r := IndexList(h.List(), []int{1}, nil)
+	r := IndexList(h.List(), []int{1}, &Spare{})
 	if r.Len() != 100 {
 		t.Fatalf("rehash lost tuples: %d", r.Len())
 	}

@@ -63,16 +63,22 @@ check 'BenchmarkStitchUp'                      110  # PR 21: 3 phases x 3 relati
 # Since aggregate groups live in a pooled group store: 6624-6628 allocs and 1.74-1.92 MB over
 # twelve runs (the parent, six runs beside them: 6640-6641 allocs, 1.92 MB); the allocs budget
 # is 1.25 x 6628, the bytes did not move.
-check 'BenchmarkCorrectiveRun'                8285  # three phases' trees, the stitch-up, the optimizer's calls
-check 'BenchmarkCorrectiveRun'             2628000 B/op
+# Since every structure takes its storage from its context's spare (growing and negative
+# tables, core's lists, every arena's slabs, lent until the run ends): 6574-6579 allocs over
+# eight runs, 1.07-1.49 MB over sixteen (the parent, four runs beside them: 6622-6627 allocs,
+# 1.74-1.92 MB); budgets 1.25 x the worst.
+check 'BenchmarkCorrectiveRun'                8224  # three phases' trees, the stitch-up, the optimizer's calls
+check 'BenchmarkCorrectiveRun'             1861000 B/op
 # One static Q3A at SF 0.005 over two partitions (the agg_par2 shape), ended as RunStream ends
 # a run: 2477-2480 allocs and 1.81-1.89 MB at steady state over six runs of 20 ops; cold, on a
 # drained pool (one op in a fresh process), 2651-2653 allocs and 5.03 MB. The parent, whose
 # groups were map entries and four heap objects each: 10491-10492 allocs and 2.64-2.65 MB at
 # steady state, 10633-10637 allocs and 5.50-5.51 MB cold. Budgets 1.25 x the worst steady-state
-# measurement.
-check 'BenchmarkParallelAggRun'               3100  # two partition tables folded into the shared one
-check 'BenchmarkParallelAggRun'            2363000 B/op
+# measurement. Since every structure takes its storage from its context's spare: 2430-2432
+# allocs and 1.34 MB over eight runs (the parent, four runs beside them: 2477-2481 allocs,
+# 1.81-1.82 MB); budgets 1.25 x the worst.
+check 'BenchmarkParallelAggRun'               3040  # two partition tables folded into the shared one
+check 'BenchmarkParallelAggRun'            1680000 B/op
 check 'BenchmarkStreamDelivery/next'             1  # PR 17: cursor Next() per row = its clone, whole pipeline on the count
 check 'BenchmarkStreamDelivery/batch'            0  # PR 17: cursor NextBatch(), rows read on lent batches
 # The SPJ P>1 root path: a stream's first row through the order-releasing partition merge.
@@ -101,13 +107,17 @@ check 'BenchmarkDeltaPropagation/agg'            2  # PR 10: signed agg absorb +
 # pooled group store, seven runs each: 3914-3924 / 4078-4111 / 5144-5157 allocs and 2.06-2.39 /
 # 3.24-4.53 / 6.72-7.87 MB (the parent, six runs beside them: 7335-7340 / 7490-7515 / 11310-11334 allocs
 # and 2.30-2.50 / 3.18-4.20 / 6.89-8.77 MB); the allocs budgets are 1.25 x the worst, the
-# bytes, inside the spread measured before, keep theirs.
-check 'BenchmarkStandingSetup/adopted'        4905  # the initial phase's tree is the maintenance tree
-check 'BenchmarkStandingSetup/switched'       5139  # + one tree built from the adopted one's lists
-check 'BenchmarkStandingSetup/replayed-p4'    6447  # four partitions: a tree warmed through a live root
-check 'BenchmarkStandingSetup/adopted'     3386000 B/op
-check 'BenchmarkStandingSetup/switched'    5760000 B/op
-check 'BenchmarkStandingSetup/replayed-p4' 10485000 B/op
+# bytes, inside the spread measured before, keep theirs. Since every structure takes its
+# storage from its context's spare, eight runs each: 3882-3894 / 4007-4030 / 4966-4987 allocs
+# and, with eight more runs, 1.68-2.17 / 2.10-3.81 / 4.01-5.41 MB (the parent, four runs
+# beside them: 3918-3925 / 4082-4098 / 5140-5163 allocs and 2.17-2.39 / 3.46-4.10 /
+# 6.33-8.26 MB); budgets 1.25 x the worst.
+check 'BenchmarkStandingSetup/adopted'        4868  # the initial phase's tree is the maintenance tree
+check 'BenchmarkStandingSetup/switched'       5038  # + one tree built from the adopted one's lists
+check 'BenchmarkStandingSetup/replayed-p4'    6234  # four partitions: a tree warmed through a live root
+check 'BenchmarkStandingSetup/adopted'     2711000 B/op
+check 'BenchmarkStandingSetup/switched'    4761000 B/op
+check 'BenchmarkStandingSetup/replayed-p4'  6763000 B/op
 # The delta tracker seeded with SF 0.005's 30113 lineitem rows: 49 allocs and 1.75 MB measured
 # (the string-key tracker: 30383 allocs, 4.94 MB). Budgets 1.25 x the measurement.
 check 'BenchmarkBaseTrackerSeed'                62  # slot-table doublings and 1024-entry chunks
