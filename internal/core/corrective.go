@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/exec"
@@ -371,12 +372,15 @@ func prepareRun(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, 
 // release gives the storage of every structure the run built back to the
 // pool for the next run (exec.Context.Release), once its report is final:
 // nothing reads the run's trees or lists after. A run that fails skips it
-// and leaves its storage to the GC.
+// and leaves its storage to the GC. The contexts give their spares back in
+// the reverse of the order they took them: the pool hands out the spare
+// given back last first, so in the next run of the same shape each context
+// takes the spare the same context filled.
 func (ex *executor) release() {
-	ex.ctx.Release()
-	for _, c := range ex.clones {
+	for _, c := range slices.Backward(ex.clones) {
 		c.Release()
 	}
+	ex.ctx.Release()
 }
 
 // cloneContext is a partition clone's context: a run context of its own,

@@ -24,9 +24,9 @@
 //   - The delta streams are pumped as a phase of the runner that pumped the
 //     base sources (phase.go), interleaving relations by virtual arrival.
 //     Delta rows pass the relation's filter pushdown, deletes are clamped
-//     against a live-multiset tracker seeded from the base partitions (a
-//     delete of a never-inserted row is dropped), and surviving rows enter
-//     the tree as sign-run batches.
+//     against the join side that buffers the relation's rows (a delete of a
+//     row with no live occurrence is dropped), and surviving rows enter the
+//     tree as sign-run batches.
 //   - At every poll the aggregate's group revisions (or the collected SPJ
 //     result deltas) flush as one update watermark, and — under the
 //     Corrective strategy — the monitor puts the maintenance plan, re-priced
@@ -40,6 +40,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/exec"
@@ -105,7 +106,8 @@ type maintainer struct {
 	plan    algebra.Plan
 	tree    *Tree
 
-	track  map[string]*ivm.BaseTracker
+	// track clamps a single-relation query's deletes (deltaIngress.retract).
+	track  *ivm.BaseTracker
 	leaves []*exec.Leaf
 
 	view *ivm.Multiset // the windows folded: the maintained result
@@ -123,7 +125,6 @@ func newMaintainer(ex *executor, m MaintOptions) (*maintainer, error) {
 		ex:      ex,
 		m:       m,
 		inPlace: ex.o.Partitions <= 1 && ex.o.PreAgg == opt.PreAggNone,
-		track:   map[string]*ivm.BaseTracker{},
 		view:    ivm.NewMultiset(),
 	}
 	for name, dp := range m.Deltas {
@@ -134,8 +135,9 @@ func newMaintainer(ex *executor, m MaintOptions) (*maintainer, error) {
 		if got, want := dp.Schema().Len(), rel.Schema.Len()+1; got != want {
 			return nil, fmt.Errorf("core: delta stream %q has width %d, want base+sign = %d", name, got, want)
 		}
-		// Only a relation with a delta stream has an ingress to clamp at.
-		mt.track[name] = ivm.NewBaseTracker()
+		if len(ex.q.Relations) == 1 {
+			mt.track = ivm.NewBaseTracker()
+		}
 	}
 	ex.out.standing = true
 	ex.out.asserts = mt.inPlace && ex.agg == nil
@@ -168,13 +170,12 @@ func (mt *maintainer) run() error {
 	if err := ex.execute(); err != nil {
 		return err
 	}
-	// Each tracker is seeded independently — order can't leak into output —
-	// from the phases' base partitions: there is no tree yet.
-	for name, track := range mt.track { //adp:unordered-ok
-		asserted, _ := mt.lists(name)
+	if mt.track != nil {
+		// Seeded from the phases' base partitions: there is no tree yet.
+		asserted, _ := mt.lists(ex.q.Relations[0].Name)
 		for _, part := range asserted {
 			part.Scan(func(t types.Tuple) bool {
-				track.Add(t)
+				mt.track.Add(t)
 				return true
 			})
 		}
@@ -326,11 +327,11 @@ func (mt *maintainer) pump() error {
 		if fp, ok := dp.(*source.Faulty); ok {
 			fp.SetNotify(ex.handleFault)
 		}
-		g := &deltaIngress{mt: mt, rel: rel.Name, track: mt.track[rel.Name]}
+		g := &deltaIngress{mt: mt, rel: rel.Name}
 		// The filter binds against the base schema; a delta row is the base
 		// row plus the sign column, so base-column indexes line up and
-		// deletes of filtered-out rows drop here too — the trackers and the
-		// join lists are post-filter multisets.
+		// deletes of filtered-out rows drop here too — the join lists and
+		// the tracker are post-filter multisets.
 		l, err := leaf(rel, ex.q.Filters, dp, g.pushBatch)
 		if err != nil {
 			return err
@@ -453,15 +454,14 @@ func (mt *maintainer) observe() {
 
 // deltaIngress is one relation's gate between the delta leaf and the
 // tree: it splits the wire sign off each row, clamps deletes against
-// the live base multiset, and forwards survivors as sign-run batches into
-// the maintenance tree of the moment, whose leaf join is their only record.
-// A survivor is the source row less its sign column, not a copy.
+// the relation's live multiset, and forwards survivors as sign-run batches
+// into the maintenance tree of the moment, whose leaf join is their only
+// record. A survivor is the source row less its sign column, not a copy.
 type deltaIngress struct {
-	mt    *maintainer
-	rel   string
-	track *ivm.BaseTracker
-	buf   []types.Tuple
-	cur   int8
+	mt  *maintainer
+	rel string
+	buf []types.Tuple // unflushed survivors, all of sign cur
+	cur int8
 }
 
 // pushBatch is the leaf's entry.
@@ -470,7 +470,7 @@ func (g *deltaIngress) pushBatch(ts []types.Tuple) {
 		row, sign := source.SplitSign(t)
 		s := int8(1)
 		if sign < 0 {
-			if !g.track.Remove(row) {
+			if !g.retract(row) {
 				// Clamp: delete of a row with no live occurrence. Dropping
 				// it here keeps every downstream structure an exact
 				// multiset.
@@ -478,8 +478,8 @@ func (g *deltaIngress) pushBatch(ts []types.Tuple) {
 				continue
 			}
 			s = -1
-		} else {
-			g.track.Add(row)
+		} else if g.mt.track != nil {
+			g.mt.track.Add(row)
 		}
 		if s != g.cur {
 			g.flush()
@@ -488,6 +488,24 @@ func (g *deltaIngress) pushBatch(ts []types.Tuple) {
 		g.buf = append(g.buf, row)
 	}
 	g.flush()
+}
+
+// retract reports whether row has a live occurrence (types.StrictEqual on
+// every column) for a delete to take: the current tree's leaf join side's
+// count, which every relation of a multi-relation query has, signed rows
+// unflushed in buf (at most exec.DefaultBatch) added; else the tracker's,
+// which records the take. It charges no time.
+func (g *deltaIngress) retract(row types.Tuple) bool {
+	if g.mt.track != nil {
+		return g.mt.track.Remove(row)
+	}
+	n := g.mt.tree.leaves[g.rel].Live(row)
+	for _, b := range g.buf {
+		if slices.EqualFunc(b, row, types.StrictEqual) {
+			n += int(g.cur)
+		}
+	}
+	return n > 0
 }
 
 func (g *deltaIngress) flush() {

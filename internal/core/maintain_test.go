@@ -607,17 +607,16 @@ func TestMaintenanceNoDeltasIsBaselineOnly(t *testing.T) {
 	}
 }
 
-// TestMaintenanceTracksOnlyDeltaRelations: a live-multiset tracker exists to
-// clamp deletes at a delta stream's ingress, so a standing Q3A whose only
-// delta stream is lineitem's builds and seeds one for lineitem alone —
-// customer and orders rows are never encoded into a tracker nobody reads —
-// and clamps, counts and emits exactly what commit a34c48a, which tracked
-// every relation, did (the update stream is TestMaintenanceRunGoldens'
-// agg/static/P=1/clean leg's).
+// TestMaintenanceTracksOnlyDeltaRelations: a delete is clamped against the
+// join side that buffers its relation's rows, so a standing Q3A whose only
+// delta stream is lineitem's builds no live-multiset tracker at all — no
+// relation's rows are indexed a second time — and clamps, counts and emits
+// exactly what commit a34c48a, which tracked every relation, did (the update
+// stream is TestMaintenanceRunGoldens' agg/static/P=1/clean leg's).
 func TestMaintenanceTracksOnlyDeltaRelations(t *testing.T) {
 	_, mt, rep := standingRun(t, q3aChurn, false, Options{Strategy: Static, PollEvery: 256}, nil)
-	if len(mt.track) != 1 || mt.track["lineitem"] == nil || mt.track["lineitem"].Len() == 0 {
-		t.Fatalf("trackers = %v, want a populated one for lineitem alone", mt.track)
+	if mt.track != nil {
+		t.Fatal("a tracker was built: lineitem's join side answers the clamp")
 	}
 	for _, rel := range []string{"customer", "orders"} {
 		if mt.fed(rel) == 0 {

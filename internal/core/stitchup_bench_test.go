@@ -23,6 +23,12 @@ func (s *countSink) Push(ts []types.Tuple, _ int) { s.rows += len(ts) }
 // over nine partition indexes. What an op allocates is those indexes and
 // little else — prefixes travel by reference in chunks every combination
 // reuses, result rows in one arena (budget in scripts/check_allocs.sh).
+// Every op runs on a fresh empty spare (exec.NewContext), never a pooled
+// one, and reads 101 allocs and 0.65 MB. It read 103 or 107 allocs and up
+// to 1.32 MB in about one run in four, GC off or on, while the fixture's
+// relations drew their phases in map order: each run cut one of three
+// fixtures, and the two others each put over 1024 A rows, one chunk, in a
+// phase.
 func BenchmarkStitchUp(b *testing.B) {
 	f := newStitchFixture(3, 3000, 6000, 3000, 1500)
 	recs := f.partition(3, 4)

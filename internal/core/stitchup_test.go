@@ -98,7 +98,8 @@ func phaseJoinCount(parts map[string]*state.List) int {
 
 // partition splits the fixture's rows into n phases by the given random
 // seed, producing PhaseRecords with base partitions only (no
-// intermediates).
+// intermediates). The relations draw in the query's order: drawn in map
+// order, one seed cut three different fixtures, one per run at random.
 func (f *stitchFixture) partition(n int, seed int64) []*PhaseRecord {
 	rng := rand.New(rand.NewSource(seed))
 	recs := make([]*PhaseRecord, n)
@@ -112,9 +113,9 @@ func (f *stitchFixture) partition(n int, seed int64) []*PhaseRecord {
 			recs[p].BaseParts[name] = state.NewList(schema, new(state.Spare))
 		}
 	}
-	for name, rows := range f.rows {
-		for _, r := range rows {
-			recs[rng.Intn(n)].BaseParts[name].Insert(r)
+	for _, rel := range f.q.Relations {
+		for _, r := range f.rows[rel.Name] {
+			recs[rng.Intn(n)].BaseParts[rel.Name].Insert(r)
 		}
 	}
 	return recs

@@ -68,9 +68,11 @@ type Tree struct {
 }
 
 // leafLister is an entry sink that buffers what it is fed in lists of its
-// own: an input side of an exec.HashJoin.
+// own: an input side of an exec.HashJoin. Live counts a row's live
+// occurrences there, for the maintenance ingress's delete clamp.
 type leafLister interface {
 	Lists() (main, neg *state.List)
+	Live(row types.Tuple) int
 }
 
 // LeafLists returns the lists behind the join side rel's scan feeds: the

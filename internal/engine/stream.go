@@ -10,6 +10,7 @@ import (
 	"github.com/tukwila/adp/internal/core"
 	"github.com/tukwila/adp/internal/opt"
 	"github.com/tukwila/adp/internal/source"
+	"github.com/tukwila/adp/internal/state"
 	"github.com/tukwila/adp/internal/types"
 )
 
@@ -108,8 +109,8 @@ const streamRowBuffer = 16
 
 // lenders holds the lenders of finished streams that got every batch back
 // (Stream.Report): a later stream lends the same batches again. The GC
-// empties it when it has gone unused for two cycles.
-var lenders = sync.Pool{New: func() any { return core.NewRowLender(streamRowBuffer) }}
+// drops one nobody took for two cycles.
+var lenders = state.Pool[core.RowLender]{New: func() *core.RowLender { return core.NewRowLender(streamRowBuffer) }}
 
 // Stream is a streaming execution cursor: root result rows arrive
 // incrementally while the run executes on a background goroutine, and a
@@ -232,7 +233,7 @@ func startStream(ctx context.Context, cat *core.Catalog, q *algebra.Query, o cor
 		cancel:      cancel,
 		runFn:       runFn,
 		rowsCh:      make(chan []types.Tuple, streamRowBuffer),
-		lender:      lenders.Get().(*core.RowLender),
+		lender:      lenders.Get(),
 		schemaReady: make(chan struct{}),
 		done:        make(chan struct{}),
 		closeCh:     make(chan struct{}),

@@ -14,13 +14,17 @@
 // then re-probes the opposite side's main table emitting sign s and its
 // negative table emitting -s — the bilinear delta rule. Unsigned execution
 // is the case with no negative table, and HashJoin.push serves both. The
-// maintenance driver clamps deletes against the tracked base multiset
-// before they reach the tree, so a negative-table row always has a
-// matching main-table row and the z-set difference is an exact multiset.
+// maintenance driver clamps each delete against the side it will enter
+// (joinSide.Live) before it reaches the tree, so a negative-table row
+// always has a matching main-table row and the z-set difference is an
+// exact multiset.
 package exec
 
 import (
+	"slices"
+
 	"github.com/tukwila/adp/internal/state"
+	"github.com/tukwila/adp/internal/types"
 )
 
 // DeltaSink is Sink, whose Push carries the sign. The alias remains for
@@ -72,3 +76,28 @@ func (j *HashJoin) SideLists(left bool) (main, neg *state.List) {
 
 // Lists is SideLists of the side this sink feeds.
 func (s joinSide) Lists() (main, neg *state.List) { return s.j.SideLists(s.i == 0) }
+
+// Live counts the occurrences of row that the side this sink feeds holds
+// live: the rows of its main table that are types.StrictEqual to row on
+// every column, less those of its negative table. Such rows have row's key,
+// so only the chain of row's key hash is walked. It charges the virtual
+// clock nothing: it answers the maintenance ingress's delete clamp, which
+// the cost model does not price.
+func (s joinSide) Live(row types.Tuple) int {
+	in := &s.j.in[s.i]
+	hs, rows := [1]uint64{row.HashKey(in.key)}, [1]types.Tuple{row}
+	n := 0
+	count := func(t *state.HashTable, d int) {
+		t.ProbeHashedBatch(hs[:], rows[:], in.key, func(_ int, m types.Tuple) bool {
+			if slices.EqualFunc(m, row, types.StrictEqual) {
+				n += d
+			}
+			return true
+		})
+	}
+	count(in.main, 1)
+	if in.neg != nil {
+		count(in.neg, -1)
+	}
+	return n
+}

@@ -381,3 +381,45 @@ func TestInsertOnlySignedMatchesPlain(t *testing.T) {
 		}()
 	}
 }
+
+// TestJoinSideLive: a side's live count of a row is its main-table rows
+// strictly equal to it on every column, less its negative-table ones — a
+// row that only shares the key counts nothing, nor does Float(1) for
+// Int(1) — and reading it charges no virtual time and allocates nothing.
+func TestJoinSideLive(t *testing.T) {
+	s := types.NewSchema(
+		types.Column{Name: "A.k", Kind: types.KindInt},
+		types.Column{Name: "A.v", Kind: types.KindFloat},
+	)
+	ctx := NewContext()
+	j := NewHashJoin(ctx, Pipelined, s, s, []int{0}, []int{0}, &updateLog{})
+	left := j.LeftSink().(joinSide)
+	nan := types.Tuple{types.Int(1), types.Float(math.NaN())}
+	left.Push([]types.Tuple{row(1, 0), nan, {types.Int(1), types.Float(2)}, {types.Int(1), types.Float(2)}}, 1)
+	left.Push([]types.Tuple{{types.Int(1), types.Float(2)}}, -1)
+	before := ctx.Clock.Now
+	for _, c := range []struct {
+		row  types.Tuple
+		want int
+	}{
+		{types.Tuple{types.Int(1), types.Float(2)}, 1},
+		{types.Tuple{types.Int(1), types.Float(math.Float64frombits(0x7ff8000000000001))}, 1},
+		{types.Tuple{types.Int(1), types.Float(3)}, 0},
+		{types.Tuple{types.Float(1), types.Float(2)}, 0},
+		{row(1, 0), 1},
+		{types.Tuple{types.Int(2), types.Float(2)}, 0},
+	} {
+		if got := left.Live(c.row); got != c.want {
+			t.Errorf("Live(%v) = %d, want %d", c.row, got, c.want)
+		}
+	}
+	if got := j.RightSink().(joinSide).Live(row(1, 0)); got != 0 {
+		t.Errorf("the right side holds %d of a left row", got)
+	}
+	if ctx.Clock.Now != before {
+		t.Errorf("Live charged %d ns", ctx.Clock.Now-before)
+	}
+	if a := testing.AllocsPerRun(100, func() { left.Live(row(1, 0)) }); a != 0 {
+		t.Errorf("Live allocates %v per call", a)
+	}
+}

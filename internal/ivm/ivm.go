@@ -129,9 +129,9 @@ func SortedRows(rows []types.Tuple) []types.Tuple {
 }
 
 // BaseTracker tracks one base relation's live multiset so the
-// maintenance driver can clamp deletes: a delete of a row with no live
-// occurrence is dropped before it reaches the operator tree, which
-// keeps the z-set join state an exact multiset difference.
+// maintenance driver can clamp deletes where no join side holds the
+// relation's rows: a delete of a row with no live occurrence is dropped
+// before it reaches the operator tree, which keeps its state exact.
 //
 // It is a hash index over the rows it is given: a row hashes with
 // types.HashValue over all its columns, and rows with one hash are told

@@ -2,7 +2,6 @@ package state
 
 import (
 	"slices"
-	"sync"
 
 	"github.com/tukwila/adp/internal/types"
 )
@@ -75,18 +74,13 @@ func (s *stack[T]) endRun() {
 }
 
 // spares is the process-wide pool of spares between runs. A pooled spare
-// holds what one run released, and the GC empties the pool when it has
-// gone unused for two cycles.
-var spares sync.Pool
+// holds what one run released, and the GC drops one nobody took for two
+// cycles.
+var spares = Pool[Spare]{New: func() *Spare { return &Spare{} }}
 
-// TakeSpare returns a spare for one run: a pooled one, holding what an
-// earlier run released, or else an empty one.
-func TakeSpare() *Spare {
-	if s, ok := spares.Get().(*Spare); ok {
-		return s
-	}
-	return &Spare{}
-}
+// TakeSpare returns a spare for one run: the pooled one an earlier run gave
+// back last, holding what that run released, or else an empty one.
+func TakeSpare() *Spare { return spares.Get() }
 
 // Return ends s's run: the storage s held from an earlier run that this one
 // did not take is dropped, and s goes back to the pool with what this run

@@ -52,6 +52,9 @@ check 'BenchmarkAggTableMergeFrom'               0  # PR 18: partition-table fol
 check 'BenchmarkExchangePartition/rows'          2  # PR 4: exchange row scatter, steady-state <= 2 per batch
 check 'BenchmarkExchangePartition/columnar'      2  # columnar shim: one transpose, then the row scatter
 check 'BenchmarkPartitionMergeRelease'           1  # order-releasing root flush, rows in and out of one reused buffer (1 = headroom)
+# BenchmarkStitchUp reads 101 allocs and 0.65 MB on every run since its fixture draws the
+# relations' phases in a fixed order; drawn in map order, one run in four cut a fixture that
+# read 103 or 107 allocs and up to 1.32 MB.
 check 'BenchmarkStitchUp'                      110  # PR 21: 3 phases x 3 relations with reuse: 9 indexes, prefix chunks, arenas (103; 49807 before)
 # One corrective Q5 at SF 0.002 that switches twice and stitches up: 6680 allocs and 5.33 MB
 # measured since a finished phase's index storage goes to the next phase's sized tables and
@@ -111,13 +114,18 @@ check 'BenchmarkDeltaPropagation/agg'            2  # PR 10: signed agg absorb +
 # storage from its context's spare, eight runs each: 3882-3894 / 4007-4030 / 4966-4987 allocs
 # and, with eight more runs, 1.68-2.17 / 2.10-3.81 / 4.01-5.41 MB (the parent, four runs
 # beside them: 3918-3925 / 4082-4098 / 5140-5163 allocs and 2.17-2.39 / 3.46-4.10 /
-# 6.33-8.26 MB); budgets 1.25 x the worst.
-check 'BenchmarkStandingSetup/adopted'        4868  # the initial phase's tree is the maintenance tree
-check 'BenchmarkStandingSetup/switched'       5038  # + one tree built from the adopted one's lists
-check 'BenchmarkStandingSetup/replayed-p4'    6234  # four partitions: a tree warmed through a live root
-check 'BenchmarkStandingSetup/adopted'     2711000 B/op
-check 'BenchmarkStandingSetup/switched'    4761000 B/op
-check 'BenchmarkStandingSetup/replayed-p4'  6763000 B/op
+# 6.33-8.26 MB); budgets 1.25 x the worst. Since deletes are clamped against the join side
+# that holds the row and no tracker is seeded, 27 runs each (sixteen at -count=8, ten in a
+# fresh process each, one of this gate): 3849-3869 / 3981-4016 / 4927-4954 allocs and
+# 1.05-1.67 / 1.72-3.18 / 2.95-4.36 MB (the parent, four runs beside them: 3894-3901 /
+# 4007-4037 / 4962-4978 allocs and 2.04-2.29 / 2.10-3.32 / 3.58-4.48 MB); budgets 1.25 x the
+# worst.
+check 'BenchmarkStandingSetup/adopted'        4837  # the initial phase's tree is the maintenance tree
+check 'BenchmarkStandingSetup/switched'       5020  # + one tree built from the adopted one's lists
+check 'BenchmarkStandingSetup/replayed-p4'    6193  # four partitions: a tree warmed through a live root
+check 'BenchmarkStandingSetup/adopted'     2085000 B/op
+check 'BenchmarkStandingSetup/switched'    3981000 B/op
+check 'BenchmarkStandingSetup/replayed-p4'  5454000 B/op
 # The delta tracker seeded with SF 0.005's 30113 lineitem rows: 49 allocs and 1.75 MB measured
 # (the string-key tracker: 30383 allocs, 4.94 MB). Budgets 1.25 x the measurement.
 check 'BenchmarkBaseTrackerSeed'                62  # slot-table doublings and 1024-entry chunks
