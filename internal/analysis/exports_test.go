@@ -19,6 +19,7 @@ import (
 // for a method, and the name, joined by dots.
 var keptWithoutCaller = map[string]string{
 	// Helpers that other packages' tests use.
+	"source.DeltaRelation":     "the maintenance tests of core and engine build a delta stream's failover mirror with it",
 	"algebra.NewGroup":         "the tests of algebra, opt and core build group-by specs with it",
 	"algebra.CombinationCount": "the tests of algebra and core check the number of phase combinations with it",
 	"core.Tree.JoinFor":        "the tests of core look up a tree's join by expression with it",

@@ -82,6 +82,11 @@ type StandingWindow struct {
 // stream in the same retry/backoff/failover machinery base sources use.
 // The watermark cadence follows WithPollEvery.
 //
+// The run reads the scripts' rows where they lie (source.NewDeltaProvider),
+// so the caller must not write a delta's row, or the sign slot past it,
+// until the stream has ended: NextWindow or NextUpdate has reported it
+// exhausted, or Report or Close has returned.
+//
 // The returned StandingQuery starts executing immediately on a
 // background goroutine and honors ctx cancellation.
 func (e *Engine) RegisterStanding(ctx context.Context, q *algebra.Query, deltas map[string][]source.Delta, opts ...Option) (*StandingQuery, error) {

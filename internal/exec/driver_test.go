@@ -52,8 +52,8 @@ func TestDriverBestLeafTieBreak(t *testing.T) {
 		return func([]types.Tuple) { seen = append(seen, fmt.Sprintf("%s@%d", leaf, ctx.Clock.Now)) }
 	}
 	d = NewDriver(ctx,
-		&Leaf{Provider: source.NewProvider(source.NewRelation("a", rSchema, []types.Tuple{rRow(1, 0)}), source.Stamped{Arrivals: []float64{at + 0.3e-9}}), PushBatch: stamp("a")},
-		&Leaf{Provider: source.NewProvider(source.NewRelation("b", sSchema, []types.Tuple{sRow(1, 0)}), source.Stamped{Arrivals: []float64{at}}), PushBatch: stamp("b")},
+		&Leaf{Provider: source.NewProvider(source.NewRelation("a", rSchema, []types.Tuple{rRow(1, 0)}), source.Bandwidth{Latency: at + 0.3e-9}), PushBatch: stamp("a")},
+		&Leaf{Provider: source.NewProvider(source.NewRelation("b", sSchema, []types.Tuple{sRow(1, 0)}), source.Bandwidth{Latency: at}), PushBatch: stamp("b")},
 	)
 	d.Run(0, nil)
 	if want := []string{"b@1000000", "a@1000000"}; !slices.Equal(seen, want) {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -15,33 +14,38 @@ import (
 	"github.com/tukwila/adp/internal/types"
 )
 
-// standingBody is a POST /v1/standing body as the handler reads it: its
-// query and options, and its deltas member's scripts.
+// standingBody is a POST /v1/standing body as the handler reads it: the
+// buffer its text is read into, its query and options, and its deltas
+// member's scripts. It is also the storage of one request: the handler takes
+// one from Server.bodies and gives it back once the run that reads its rows
+// has ended, and the next request reads and decodes over what this one left.
 type standingBody struct {
+	body    []byte
 	query   QuerySpec
 	options RunOptions
 	deltas  deltaScripts
 }
 
 // decode reads a standing body in one pass over its text, which the delta
-// rows' plain strings alias, after json.Valid checks the first value's
-// syntax (bytes after it are ignored, as a Decoder ignored them). Keys match
-// as encoding/json matches them, and it accepts what decoding into a
+// rows' plain strings alias, checking the first value's syntax as it goes
+// (bytes after it are ignored, as a Decoder ignored them). Keys match as
+// encoding/json matches them, and it accepts what decoding into a
 // StandingRequest accepted; a refused body is decoded whole into one, only
 // to word the refusal. The refusals buildDeltas made wait in their script
 // until resolve, which reports them after the query and options, as before.
 func (b *standingBody) decode(body string) error {
+	b.query, b.options = QuerySpec{}, RunOptions{}
+	b.deltas.reset()
 	sc := &deltaScanner{src: body}
 	obj, err := sc.ws() == '{', errUnread
-	if start := sc.i; obj && json.Valid([]byte(sc.skip())) {
-		sc.i = start
+	if obj {
 		err = sc.each(func(key string) error {
 			switch {
-			case strings.EqualFold(key, "query"):
-				return decodeBody(sc.skip(), &b.query)
-			case strings.EqualFold(key, "options"):
-				return decodeBody(sc.skip(), &b.options)
-			case strings.EqualFold(key, "deltas"):
+			case isKey(key, "query"):
+				return sc.decodeSkipped(&b.query)
+			case isKey(key, "options"):
+				return sc.decodeSkipped(&b.options)
+			case isKey(key, "deltas"):
 				return b.deltas.read(sc)
 			}
 			return errUnread
@@ -57,42 +61,96 @@ func (b *standingBody) decode(body string) error {
 	return err
 }
 
+// decodeSkipped passes over the value at the scanner and decodes its text
+// into v through encoding/json.
+func (sc *deltaScanner) decodeSkipped(v any) error {
+	raw, err := sc.skip()
+	if err != nil {
+		return err
+	}
+	return decodeBody(raw, v)
+}
+
 // deltaScripts is the deltas member of a standing request body: each
 // relation's script read by its column kinds, its rows converted straight
 // into slabs of values. It accepts what decoding into
 // map[string][]DeltaSpec and then buildDeltas accepted, and yields the same
-// deltas.
+// deltas. Its slabs, scripts and maps outlive a decode: the next decode
+// writes over them, and reads no slot it did not write.
 type deltaScripts struct {
 	s       *Server
-	scripts map[string]*deltaScript
+	scripts map[string]*deltaScript // by relation name
+	pool    []*deltaScript          // every script read so far; the first used are this body's
+	used    int
+	slabs   [][]types.Value // every slab so far; the first nslab hold this body's rows
+	nslab   int
+	out     map[string][]source.Delta // resolve's result
 }
 
 // deltaScript is one relation's script: its deltas, or the refusal
 // buildDeltas made of the first bad one.
 type deltaScript struct {
+	name   string // the engine's name of the relation, else the body's
 	deltas []source.Delta
 	err    error
 }
 
-// slabRows is how many rows one slab of converted values holds.
+// slabRows is how many rows a new slab of converted values holds.
 const slabRows = 1024
+
+// reset readies the scripts for a new body.
+func (d *deltaScripts) reset() {
+	clear(d.scripts)
+	d.used, d.nslab = 0, 0
+}
+
+// script returns a script named name to read into, empty: the one it
+// replaces, if any, else one not used yet.
+func (d *deltaScripts) script(name string) *deltaScript {
+	script := d.scripts[name]
+	if script == nil {
+		if d.used == len(d.pool) {
+			d.pool = append(d.pool, new(deltaScript))
+		}
+		script = d.pool[d.used]
+		d.used++
+	}
+	script.name, script.deltas, script.err = name, script.deltas[:0], nil
+	return script
+}
+
+// slab returns an empty slab with room for at least one row of w values and
+// its sign.
+func (d *deltaScripts) slab(w int) []types.Value {
+	if d.nslab == len(d.slabs) {
+		d.slabs = append(d.slabs, nil)
+	}
+	if cap(d.slabs[d.nslab]) <= w {
+		d.slabs[d.nslab] = make([]types.Value, 0, slabRows*(w+1))
+	}
+	d.nslab++
+	return d.slabs[d.nslab-1][:0]
+}
 
 // read reads one occurrence of the deltas member at the scanner. Like a
 // map, the member takes the scripts of every occurrence, a later script for
-// a relation replacing an earlier one, and null empties it.
+// a relation replacing an earlier one, and null empties it. A script takes
+// the storage of the one it replaces, and after null every script's, so a
+// body holds storage for at most one script a relation.
 func (d *deltaScripts) read(sc *deltaScanner) error {
 	switch sc.ws() {
 	case 'n':
-		sc.skip()
-		d.scripts = nil
-		return nil
+		d.reset()
+		return sc.word("null")
 	case '{':
 		if d.scripts == nil {
 			d.scripts = map[string]*deltaScript{}
 		}
 		return sc.each(func(name string) error {
 			script, err := d.readScript(sc, name)
-			d.scripts[name] = script
+			if err == nil {
+				d.scripts[script.name] = script
+			}
 			return err
 		})
 	}
@@ -101,49 +159,62 @@ func (d *deltaScripts) read(sc *deltaScanner) error {
 
 // resolve returns the decoded scripts, or the refusal of the first bad
 // script by relation name, so a body with several is refused with the same
-// message every time.
+// message every time. The map is the scripts' own, until the next decode.
 func (d *deltaScripts) resolve() (map[string][]source.Delta, error) {
-	out := make(map[string][]source.Delta, len(d.scripts))
-	for _, name := range slices.Sorted(maps.Keys(d.scripts)) {
-		script := d.scripts[name]
-		if script.err != nil {
-			return nil, script.err
+	var bad *deltaScript
+	for _, script := range d.scripts {
+		if script.err != nil && (bad == nil || script.name < bad.name) {
+			bad = script
 		}
-		out[name] = script.deltas
 	}
-	return out, nil
+	if bad != nil {
+		return nil, bad.err
+	}
+	if d.out == nil {
+		d.out = make(map[string][]source.Delta, len(d.scripts))
+	}
+	clear(d.out)
+	for name, script := range d.scripts {
+		d.out[name] = script.deltas
+	}
+	return d.out, nil
 }
 
 // readScript reads the script for relation name at the scanner. A script
 // for a relation the engine does not have is refused, but still read
 // through. A row takes a slab slot past its values, for its sign, so that
-// the delta source reads it in place (source.Delta).
+// the delta source reads it in place (source.Delta). A known relation's
+// script is named by the engine's string, which outlives the body. The
+// deltas grow, when full, by what the rest of the body holds at the rate
+// read so far (rest), so that new storage sizes its one slice for a body
+// of one script in a few steps.
 func (d *deltaScripts) readScript(sc *deltaScanner, name string) (*deltaScript, error) {
-	script := &deltaScript{}
+	rel, ok := d.s.eng.Relation(name)
+	if ok {
+		name = rel.Name
+	}
+	script := d.script(name)
 	var cols []types.Column
-	if rel, ok := d.s.eng.Relation(name); ok {
+	if ok {
 		cols = rel.Schema.Cols
 	} else {
 		script.err = fmt.Errorf("deltas for unknown relation %q", name)
 	}
 	switch sc.ws() {
 	case 'n':
-		sc.skip()
-		return script, nil
+		return script, sc.word("null")
 	case '[':
 	default:
 		return nil, errUnread
 	}
-	w := len(cols)
-	var vals []types.Value      // the slab rows convert into
-	var chunks [][]source.Delta // the deltas, a chunk to a slab
+	w, first := len(cols), sc.i
+	var vals []types.Value // the slab rows convert into
 	n := 0
 	err := sc.each(func(string) error {
 		i := n
 		n++
 		if cap(vals)-len(vals) <= w {
-			vals = make([]types.Value, 0, slabRows*(w+1))
-			chunks = append(chunks, make([]source.Delta, 0, slabRows))
+			vals = d.slab(w)
 		}
 		start := len(vals)
 		var (
@@ -163,15 +234,26 @@ func (d *deltaScripts) readScript(sc *deltaScanner, name string) (*deltaScript, 
 			script.err = fmt.Errorf("delta %d for %q, column %q: %w", i, name, cols[del.badCol].Name, del.bad)
 		default:
 			vals = append(vals, types.Int(int64(del.sign)))
-			c := len(chunks) - 1
-			chunks[c] = append(chunks[c], source.Delta{At: del.at, Sign: del.sign, Row: vals[start : start+w : start+w+1]})
+			if len(script.deltas) == cap(script.deltas) {
+				script.deltas = slices.Grow(script.deltas, sc.rest(len(script.deltas), first))
+			}
+			script.deltas = append(script.deltas, source.Delta{At: del.at, Sign: del.sign, Row: vals[start : start+w : start+w+1]})
 			return nil
 		}
 		vals = vals[:start]
 		return nil
 	})
-	script.deltas = slices.Concat(chunks...)
 	return script, err
+}
+
+// rest is how many more elements to make room for past n elements read
+// from offset from: as many again up to 256, then what the text past the
+// scanner holds at the rate they filled it, and an eighth more.
+func (sc *deltaScanner) rest(n, from int) int {
+	if n < 256 {
+		return max(n, 16)
+	}
+	return max(16, n*(len(sc.src)-sc.i)/(sc.i-from)*9/8)
 }
 
 // scannedDelta is one script element as read: its stamp, its sign, how
@@ -186,82 +268,97 @@ type scannedDelta struct {
 }
 
 // delta reads the script element at the scanner, converting its row by
-// cols onto the end of vals; values past the last column are only counted.
-// A key that is not a DeltaSpec field, or a value of a JSON type the
-// field does not take, is an error.
+// cols onto the end of vals; values past the last column are only checked
+// and counted. A key that is not a DeltaSpec field, or a value of a JSON
+// type the field does not take, is an error.
 func (sc *deltaScanner) delta(cols []types.Column, vals []types.Value) (scannedDelta, []types.Value, error) {
 	var d scannedDelta
 	start := len(vals)
 	switch sc.ws() {
 	case 'n':
-		sc.skip()
-		return d, vals, nil
+		return d, vals, sc.word("null")
 	case '{':
 	default:
 		return d, vals, errUnread
 	}
 	err := sc.each(func(key string) error {
-		var err error
 		switch {
-		case strings.EqualFold(key, "at"):
-			if raw := sc.skip(); raw != "null" {
-				d.at, err = strconv.ParseFloat(raw, 64)
+		case isKey(key, "at"):
+			var n jsonNumber
+			text, err := sc.nullOrNumber(&n)
+			if err == nil && text != "" {
+				d.at, err = n.float(text)
 			}
-		case strings.EqualFold(key, "sign"):
-			if raw := sc.skip(); raw != "null" {
-				var x int64
-				x, err = strconv.ParseInt(raw, 10, strconv.IntSize)
-				d.sign = int(x)
+			return err
+		case isKey(key, "sign"):
+			var n jsonNumber
+			text, err := sc.nullOrNumber(&n)
+			if err == nil && text != "" {
+				d.sign, err = n.int(text)
 			}
-		case strings.EqualFold(key, "row"):
+			return err
+		case isKey(key, "row"):
 			vals, d.width, d.bad = vals[:start], 0, nil
 			switch sc.ws() {
 			case 'n':
-				sc.skip()
+				return sc.word("null")
 			case '[':
-				err = sc.each(func(string) error {
+				return sc.each(func(string) error {
 					j := d.width
 					d.width++
 					if j >= len(cols) {
-						sc.skip()
-						return nil
+						_, err := sc.skip()
+						return err
 					}
-					v, err := sc.value(cols[j].Kind)
-					if err != nil && d.bad == nil {
-						d.bad, d.badCol = err, j
+					vals = append(vals, types.Value{})
+					bad, err := sc.value(cols[j].Kind, &vals[len(vals)-1])
+					if bad != nil && d.bad == nil {
+						d.bad, d.badCol = bad, j
 					}
-					vals = append(vals, v)
-					return nil
+					return err
 				})
-			default:
-				err = errUnread
 			}
-		default:
-			err = errUnread
 		}
-		return err
+		return errUnread
 	})
 	return d, vals, err
 }
 
-// deltaScanner walks the JSON text of a standing body, which has passed
-// json.Valid, so it only finds where each value ends; on bytes that are not
-// JSON it stops with an error rather than misread them.
-type deltaScanner struct {
-	src string
-	i   int
+// nullOrNumber reads the null, which leaves a field as it was, or the
+// number at the scanner into n, and returns the number's text ("" for null).
+func (sc *deltaScanner) nullOrNumber(n *jsonNumber) (string, error) {
+	switch c := sc.ws(); {
+	case c == 'n':
+		return "", sc.word("null")
+	case c == '-' || isDigit(c):
+		start := sc.i
+		err := sc.number(n)
+		return sc.src[start:sc.i], err
+	}
+	return "", errUnread
 }
 
-// errUnread stops the scan at what it will not read — a value of the wrong
-// JSON type, an unknown key — for the decode into a StandingRequest to word.
+// maxDepth is how deeply encoding/json lets arrays and objects nest.
+const maxDepth = 10000
+
+// deltaScanner walks the JSON text of a standing body and checks its syntax
+// as it goes: at a byte that cannot continue the value, the end of the text
+// included, it stops with errUnread.
+type deltaScanner struct {
+	src   string
+	i     int
+	depth int // the arrays and objects open at the scanner
+}
+
+// errUnread stops the scan at what it will not read — text that is not
+// JSON, a value of the wrong JSON type, an unknown key — for the decode
+// into a StandingRequest to word.
 var errUnread = errors.New("json: body not of type server.StandingRequest")
 
 // ws skips white space and returns the byte after it, 0 at the end.
 func (sc *deltaScanner) ws() byte {
 	for ; sc.i < len(sc.src); sc.i++ {
-		switch c := sc.src[sc.i]; c {
-		case ' ', '\t', '\n', '\r':
-		default:
+		if c := sc.src[sc.i]; c > ' ' || c != ' ' && c != '\t' && c != '\n' && c != '\r' {
 			return c
 		}
 	}
@@ -270,15 +367,19 @@ func (sc *deltaScanner) ws() byte {
 
 // each calls f at every element of the array, or every member of the
 // object, at the scanner — with the member's key — and moves past its end.
-// f reads the value.
+// f reads the value, white space before it included.
 func (sc *deltaScanner) each(f func(key string) error) error {
 	obj, end := sc.src[sc.i] == '{', byte(']')
 	if obj {
 		end = '}'
 	}
+	if sc.depth++; sc.depth > maxDepth {
+		return errUnread
+	}
 	sc.i++
 	if sc.ws() == end {
 		sc.i++
+		sc.depth--
 		return nil
 	}
 	for {
@@ -287,17 +388,14 @@ func (sc *deltaScanner) each(f func(key string) error) error {
 			if sc.ws() != '"' {
 				return errUnread
 			}
-			var err error
-			if key, err = unquote(sc.literal()); err != nil {
+			lit, plain, err := sc.str()
+			if err != nil {
 				return err
 			}
-			if sc.ws() != ':' {
+			if key = unquote(lit, plain); sc.ws() != ':' {
 				return errUnread
 			}
 			sc.i++
-		}
-		if sc.ws() == 0 {
-			return errUnread
 		}
 		if err := f(key); err != nil {
 			return err
@@ -307,6 +405,7 @@ func (sc *deltaScanner) each(f func(key string) error) error {
 			sc.i++
 		case end:
 			sc.i++
+			sc.depth--
 			return nil
 		default:
 			return errUnread
@@ -315,88 +414,239 @@ func (sc *deltaScanner) each(f func(key string) error) error {
 }
 
 // skip passes over the value at the scanner and returns its text.
-func (sc *deltaScanner) skip() string {
-	start, depth := sc.i, 0
-	for {
-		switch sc.ws() {
-		case 0:
-			return sc.src[start:sc.i]
-		case '[', '{':
-			depth++
-			sc.i++
-		case ']', '}':
-			depth--
-			sc.i++
-		case ',', ':':
-			sc.i++
-		default:
-			sc.literal()
-		}
-		if depth <= 0 {
-			return sc.src[start:sc.i]
-		}
-	}
-}
-
-// literal passes over the string, number, true, false or null at the
-// scanner and returns its text.
-func (sc *deltaScanner) literal() string {
+func (sc *deltaScanner) skip() (string, error) {
 	start := sc.i
-	if sc.src[start] == '"' {
-		for sc.i++; sc.i < len(sc.src); sc.i++ {
-			switch sc.src[sc.i] {
-			case '\\':
-				sc.i++
-			case '"':
-				sc.i++
-				return sc.src[start:sc.i]
-			}
-		}
-		sc.i = len(sc.src)
-		return sc.src[start:]
+	var err error
+	switch c := sc.ws(); {
+	case c == '{' || c == '[':
+		err = sc.each(func(string) error {
+			_, err := sc.skip()
+			return err
+		})
+	case c == '"':
+		_, _, err = sc.str()
+	case c == '-' || isDigit(c):
+		err = sc.number(new(jsonNumber))
+	case c == 't':
+		err = sc.word("true")
+	case c == 'f':
+		err = sc.word("false")
+	case c == 'n':
+		err = sc.word("null")
+	default:
+		err = errUnread
 	}
-	for ; sc.i < len(sc.src); sc.i++ {
-		switch sc.src[sc.i] {
-		case ' ', '\t', '\n', '\r', ',', ':', ']', '}':
-			return sc.src[start:sc.i]
-		}
-	}
-	return sc.src[start:]
+	return sc.src[start:sc.i], err
 }
 
-// value converts the row value at the scanner to a value of column kind k.
-// null, a number for a numeric column and a string with nothing to undo
-// for a string column are read off the text; anything else — an escape, a
-// number out of range or with a fraction for an int column, a value of the
-// wrong JSON type — goes through decodeValue, which words the refusals.
-func (sc *deltaScanner) value(k types.Kind) (types.Value, error) {
-	raw := sc.skip()
-	switch {
-	case raw == "null":
-		return types.Null(), nil
-	case k == types.KindString && raw[0] == '"':
-		if s, err := unquote(raw); err == nil {
-			return types.Str(s), nil
-		}
-	case (k == types.KindInt || k == types.KindFloat) && isNumber(raw):
-		if n, ok := smallInt(raw); ok {
-			switch {
-			case k == types.KindInt:
-				return types.Int(n), nil
-			case n != 0: // a zero is left to ParseFloat, which keeps "-0"'s sign
-				return types.Float(float64(n)), nil
+// word passes over the literal w at the scanner.
+func (sc *deltaScanner) word(w string) error {
+	if !strings.HasPrefix(sc.src[sc.i:], w) {
+		return errUnread
+	}
+	sc.i += len(w)
+	return nil
+}
+
+// str passes over the string literal at the scanner and returns its text,
+// which is plain when it stands for the bytes between its quotes: no
+// escape, and valid UTF-8.
+func (sc *deltaScanner) str() (lit string, plain bool, err error) {
+	src, start := sc.src, sc.i
+	plain, ascii := true, true
+	for i := start + 1; i < len(src); i++ {
+		switch c := src[i]; {
+		case c == '"':
+			sc.i = i + 1
+			lit = src[start:sc.i]
+			return lit, plain && (ascii || utf8.ValidString(lit)), nil
+		case c == '\\':
+			plain = false
+			if i++; i == len(src) {
+				return "", false, errUnread
 			}
-		}
-		x, err := strconv.ParseFloat(raw, 64)
-		switch {
-		case err != nil:
-		case k == types.KindFloat:
-			return types.Float(x), nil
-		case x == math.Trunc(x) && math.Abs(x) < 1<<53:
-			return types.Int(int64(x)), nil
+			switch src[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if i+4 >= len(src) || !isHex(src[i+1]) || !isHex(src[i+2]) || !isHex(src[i+3]) || !isHex(src[i+4]) {
+					return "", false, errUnread
+				}
+				i += 4
+			default:
+				return "", false, errUnread
+			}
+		case c < ' ':
+			return "", false, errUnread
+		case c >= utf8.RuneSelf:
+			ascii = false
 		}
 	}
-	return decodeValue(raw, k)
+	return "", false, errUnread
+}
+
+// unquote returns the text the string literal lit, which str passed over,
+// stands for: a substring of lit when it is plain, else what encoding/json
+// makes of it, its escapes undone and its broken UTF-8 repaired.
+func unquote(lit string, plain bool) string {
+	if plain {
+		return lit[1 : len(lit)-1]
+	}
+	var s string
+	json.Unmarshal([]byte(lit), &s) // str checked the literal: it decodes
+	return s
+}
+
+// jsonNumber is a number as number read it: while it has at most 19
+// digits, the integer they make and the power of ten that scales it.
+type jsonNumber struct {
+	mant   uint64
+	exp    int
+	digits int // the digits in mant; past 19, mant holds only the first 19
+	neg    bool
+	frac   bool // written with a fraction or an exponent
+}
+
+// number passes over the number at the scanner, converting its digits into
+// n as it reads them.
+func (sc *deltaScanner) number(n *jsonNumber) error {
+	src, i := sc.src, sc.i
+	if n.neg = src[i] == '-'; n.neg {
+		i++
+	}
+	switch {
+	case i == len(src) || !isDigit(src[i]):
+		return errUnread
+	case src[i] == '0':
+		i++
+	default:
+		for ; i < len(src) && isDigit(src[i]); i++ {
+			n.digit(src[i])
+		}
+	}
+	if i < len(src) && src[i] == '.' {
+		n.frac = true
+		d := i + 1
+		for i = d; i < len(src) && isDigit(src[i]); i++ {
+			n.digit(src[i])
+			n.exp--
+		}
+		if i == d {
+			return errUnread
+		}
+	}
+	if i < len(src) && (src[i] == 'e' || src[i] == 'E') {
+		n.frac = true
+		i++
+		neg := i < len(src) && src[i] == '-'
+		if i < len(src) && (src[i] == '-' || src[i] == '+') {
+			i++
+		}
+		d, e := i, 0
+		for ; i < len(src) && isDigit(src[i]); i++ {
+			e = min(10*e+int(src[i]-'0'), 1<<20) // past any float64's exponent
+		}
+		if i == d {
+			return errUnread
+		}
+		if neg {
+			e = -e
+		}
+		n.exp += e
+	}
+	sc.i = i
+	return nil
+}
+
+// digit appends one digit to the number's integer, which past 19 digits
+// only counts them.
+func (n *jsonNumber) digit(c byte) {
+	if n.digits++; n.digits <= 19 {
+		n.mant = 10*n.mant + uint64(c-'0')
+	}
+}
+
+// pow10 holds the powers of ten a float64 holds exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// float returns the float64 nearest the number, whose text is text, as
+// strconv.ParseFloat does. An integer of at most 53 bits scaled by an exact
+// power of ten is one correctly rounded product or quotient; any other
+// number is ParseFloat's.
+func (n *jsonNumber) float(text string) (float64, error) {
+	if n.digits > 19 || n.mant > 1<<53 || n.exp < -22 || n.exp > 22 {
+		return strconv.ParseFloat(text, 64)
+	}
+	f := float64(n.mant)
+	if n.exp < 0 {
+		f /= pow10[-n.exp]
+	} else {
+		f *= pow10[n.exp]
+	}
+	if n.neg {
+		f = -f
+	}
+	return f, nil
+}
+
+// int returns the number, whose text is text, as an int, as
+// strconv.ParseInt does: a fraction or an exponent, or a value past the int
+// range, is an error.
+func (n *jsonNumber) int(text string) (int, error) {
+	if !n.frac && n.digits <= 18 {
+		if n.neg {
+			return -int(n.mant), nil
+		}
+		return int(n.mant), nil
+	}
+	x, err := strconv.ParseInt(text, 10, strconv.IntSize)
+	return int(x), err
+}
+
+// value converts the row value at the scanner to *v, a value of column
+// kind k. null, a number for a numeric column and a string for a string
+// column are converted as they are read; anything else — a number out of
+// range or with a fraction for an int column, a value of the wrong JSON type
+// — goes through decodeValue, which words the refusal, bad. err is the
+// scan's.
+func (sc *deltaScanner) value(k types.Kind, v *types.Value) (bad, err error) {
+	c := sc.ws()
+	start := sc.i
+	switch {
+	case c == 'n':
+		*v = types.Null()
+		return nil, sc.word("null")
+	case c == '"' && k == types.KindString:
+		lit, plain, err := sc.str()
+		if err == nil {
+			*v = types.Str(unquote(lit, plain))
+		}
+		return nil, err
+	case c == '-' || isDigit(c):
+		var n jsonNumber
+		if err := sc.number(&n); err != nil {
+			return nil, err
+		}
+		if k != types.KindInt && k != types.KindFloat {
+			break
+		}
+		x, ferr := n.float(sc.src[start:sc.i])
+		switch {
+		case ferr != nil:
+		case k == types.KindFloat:
+			*v = types.Float(x)
+			return nil, nil
+		case x == math.Trunc(x) && math.Abs(x) < 1<<53:
+			*v = types.Int(int64(x))
+			return nil, nil
+		}
+	default:
+		if _, err := sc.skip(); err != nil {
+			return nil, err
+		}
+	}
+	*v, bad = decodeValue(sc.src[start:sc.i], k)
+	return bad, nil
 }
 
 // decodeValue converts one JSON value to a value of column kind k through
@@ -433,38 +683,10 @@ func decodeValue(raw string, k types.Kind) (types.Value, error) {
 	}
 }
 
-// unquote returns the text a JSON string literal stands for: a substring
-// of lit when there is nothing to unescape or repair, else what
-// encoding/json makes of it.
-func unquote(lit string) (string, error) {
-	if n := len(lit); n >= 2 && lit[n-1] == '"' && strings.IndexByte(lit, '\\') < 0 && utf8.ValidString(lit) {
-		return lit[1 : n-1], nil
-	}
-	var s string
-	err := json.Unmarshal([]byte(lit), &s)
-	return s, err
-}
+// isKey reports whether a member's key names field, as encoding/json
+// matches keys to fields: exactly, else by case folding.
+func isKey(key, field string) bool { return key == field || strings.EqualFold(key, field) }
 
-// smallInt reads a JSON number written as an integer of at most 15 digits,
-// which a float64 holds exactly.
-func smallInt(raw string) (int64, bool) {
-	digits := strings.TrimPrefix(raw, "-")
-	if len(digits) == 0 || len(digits) > 15 {
-		return 0, false
-	}
-	var n int64
-	for i := 0; i < len(digits); i++ {
-		c := digits[i] - '0'
-		if c > 9 {
-			return 0, false
-		}
-		n = 10*n + int64(c)
-	}
-	if len(digits) < len(raw) {
-		n = -n
-	}
-	return n, true
-}
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// isNumber reports whether a JSON value's text is a number.
-func isNumber(raw string) bool { return raw[0] == '-' || '0' <= raw[0] && raw[0] <= '9' }
+func isHex(c byte) bool { return isDigit(c) || 'a' <= c|0x20 && c|0x20 <= 'f' }

@@ -146,7 +146,7 @@ func standingDeltasSeeds() []string {
 	q := `{"relations":["orders"],"select":["orders.id"]}`
 	body := func(deltas string) string { return `{"query":` + q + `,"deltas":` + deltas + `}` }
 	orders := func(ds ...string) string { return body(`{"orders":[` + strings.Join(ds, ",") + `]}`) }
-	return []string{
+	seeds := []string{
 		standingRequest(`{"strategy":"static","poll_every":2}`),
 		standingRequest(`{"strategy":"planpart"}`),
 		`{"query":{"name":"spend-by-customer","relations":["cust","orders"],"joins":[{"left":"orders.cust","right":"cust.id"}],
@@ -222,7 +222,49 @@ func standingDeltasSeeds() []string {
 		orders(`{"at":0,"sign":1,"row":[1,2,nul]}`),
 		body("{\"cust\":[{\"at\":0,\"sign\":1,\"row\":[1,\"a\tb\"]}]}"),
 		body(`{"cust":[{"at":0,"sign":1,"row":[1,"\x"]}]}`),
+		orders(`{"at":0,"sign":1,"row":[1,2,3]}`, ``),
+		body(`{"orders":[],}`),
+		`{"query":` + q + `,"deltas":{},}`,
 	}
+	return append(seeds, syntaxSeeds(q)...)
+}
+
+// syntaxSeeds are bodies with a flaw only a syntax check finds — a trailing
+// comma, a malformed number, a raw control character in a string, a bad
+// escape — or one encoding/json repairs rather than refuses — broken UTF-8,
+// a lone surrogate — in every place the decode reads or skips: a value of
+// a float and of a string column, at, sign, a key of a delta and a relation
+// name, the query, the options and an unknown member. Each place also holds
+// arrays nested to encoding/json's depth limit and one past it.
+func syntaxSeeds(q string) []string {
+	flaws := []string{`[1,]`, `{"a":1,}`, `01`, `1.`, `.5`, `+1`, `-`, `1e`,
+		"\"a\x01b\"", "\"a\nb\"", "\"\xff\xfe\"", `"\ud800"`, `"\u12"`, `"\u12x4"`}
+	deltas := func(d string) string { return `{"query":` + q + `,"deltas":` + d + `}` }
+	var seeds []string
+	for _, place := range []struct {
+		depth int // of the value at the place
+		body  func(x string) string
+	}{
+		{5, func(x string) string { return deltas(`{"orders":[{"at":0,"sign":1,"row":[1,2,` + x + `]}]}`) }},
+		{5, func(x string) string { return deltas(`{"cust":[{"at":0,"sign":1,"row":[1,` + x + `]}]}`) }},
+		{4, func(x string) string { return deltas(`{"orders":[{"at":` + x + `,"sign":1,"row":[1,2,3]}]}`) }},
+		{4, func(x string) string { return deltas(`{"orders":[{"at":0,"sign":` + x + `,"row":[1,2,3]}]}`) }},
+		{4, func(x string) string { return deltas(`{"orders":[{` + x + `:0,"sign":1,"row":[1,2,3]}]}`) }},
+		{2, func(x string) string { return deltas(`{` + x + `:[]}`) }},
+		{2, func(x string) string {
+			return `{"query":{"relations":["orders"],"select":["orders.id"],"name":` + x + `},"deltas":{}}`
+		}},
+		{2, func(x string) string { return `{"query":` + q + `,"deltas":{},"options":{"poll_every":` + x + `}}` }},
+		{1, func(x string) string { return `{"query":` + q + `,"deltas":{},"extra":` + x + `}` }},
+	} {
+		for _, x := range flaws {
+			seeds = append(seeds, place.body(x))
+		}
+		for _, n := range []int{maxDepth - place.depth, maxDepth - place.depth + 1} {
+			seeds = append(seeds, place.body(strings.Repeat("[", n)+strings.Repeat("]", n)))
+		}
+	}
+	return seeds
 }
 
 // FuzzStandingDeltas: over any body, the handler's one-pass read accepts
@@ -282,6 +324,61 @@ func TestStandingDeltasSeeds(t *testing.T) {
 	}
 }
 
+// decodeInto reads a standing body's text as the handler does, into st,
+// storage an earlier body was decoded into.
+func decodeInto(st *standingBody, body string) (d decodedBody) {
+	if d.bodyErr = st.decode(body); d.bodyErr != nil {
+		return d
+	}
+	d.query, d.options = st.query, st.options
+	d.deltas, d.scriptErr = st.deltas.resolve()
+	return d
+}
+
+// TestStandingDecodePrefixes: every prefix of a body — cut inside a key, a
+// string with escapes, a number, a literal, between members — is refused
+// as the encoding/json decode refused it, in its words, without the scan
+// reading past the end of the text; the whole body is accepted. The prefixes
+// decode one after another into one store.
+func TestStandingDecodePrefixes(t *testing.T) {
+	eng, _ := spjEngine(200)
+	s := New(eng, Config{})
+	body := `{"query":{"relations":["cust","orders"],"joins":[{"left":"orders.cust","right":"cust.id"}],"select":["cust.name"]},` +
+		`"deltas":{"cust":[{"at":1.5e-3,"sign":1,"row":[7,"a\"b\u00e9"]},{"at":2,"sign":-1,"row":[1,"c01"]},null],` +
+		`"orders":[{"at":0.25,"sign":-1,"row":[-12,7,-0.5E+2]}],"ghost":null},"options":{"strategy":"static","partial_results":false}}`
+	st := s.bodies.Get()
+	defer s.bodies.Put(st)
+	for i := 0; i <= len(body); i++ {
+		want := decodeStandingRef(s, []byte(body[:i]))
+		if (want.bodyErr == nil) != (i == len(body)) {
+			t.Fatalf("the fixture's prefix %q is refused: %v", body[:i], want.bodyErr)
+		}
+		if d := diffBodies(decodeInto(st, body[:i]), want); d != "" {
+			t.Errorf("prefix %q: %s", body[:i], d)
+		}
+	}
+}
+
+// TestStandingDecodeRecycled: every seed decodes as the encoding/json decode
+// did into storage that a larger body, and then every seed before it, left
+// behind — slabs, scripts and maps written over, never cleared.
+func TestStandingDecodeRecycled(t *testing.T) {
+	churn, eng := churnBody(t, 3000)
+	s := New(eng, Config{})
+	spj, _ := spjEngine(200)
+	seeds := New(spj, Config{})
+	st := s.bodies.Get()
+	if d := decodeInto(st, string(churn)); d.bodyErr != nil || d.scriptErr != nil {
+		t.Fatalf("refused: %v %v", d.bodyErr, d.scriptErr)
+	}
+	st.deltas.s = seeds // the store, full of lineitem rows, now decodes over the seeds' engine
+	for _, b := range standingDeltasSeeds() {
+		if d := diffBodies(decodeInto(st, b), decodeStandingRef(seeds, []byte(b))); d != "" {
+			t.Errorf("body %.300s: %s", b, d)
+		}
+	}
+}
+
 // churnBody is a standing_churn-shaped POST /v1/standing body: Q3A over
 // TPC-H SF 0.005 and n lineitem deltas in thirds — an insert of a copy of a
 // base row, a retraction of a base row, a retraction of an earlier insert —
@@ -337,30 +434,52 @@ func churnBody(tb testing.TB, n int) ([]byte, *engine.Engine) {
 
 // BenchmarkStandingDecode is the standing handler's read of a
 // standing_churn-shaped body (9 000 lineitem deltas, about 0.65 MB) from
-// its text: "decode" is the body's decode and the scripts' resolution, and
-// "provider" goes on to build the lineitem delta source over the deltas.
+// its text: "decode" is the body's decode into new storage and the scripts'
+// resolution, "provider" goes on to build the lineitem delta source over
+// the deltas, "recycled" decodes into the storage an earlier request gave
+// back to the server, as a request does, and "parent" is the decode the
+// one-pass scan replaced (decodeStandingParent).
 func BenchmarkStandingDecode(b *testing.B) {
 	body, eng := churnBody(b, 9000)
 	s := New(eng, Config{})
 	text := string(body)
 	rel, _ := eng.Relation("lineitem")
-	for _, provider := range []bool{false, true} {
-		name := "decode"
-		if provider {
-			name = "provider"
+	check := func(b *testing.B, d decodedBody) {
+		if d.bodyErr != nil || d.scriptErr != nil || len(d.deltas["lineitem"]) != 9000 {
+			b.Fatalf("decoded %d deltas: %v, %v", len(d.deltas["lineitem"]), d.bodyErr, d.scriptErr)
 		}
-		b.Run(name, func(b *testing.B) {
+	}
+	recycled := func() decodedBody {
+		st := s.bodies.Get()
+		defer s.bodies.Put(st)
+		var d decodedBody
+		if d.bodyErr = st.decode(text); d.bodyErr == nil {
+			d.deltas, d.scriptErr = st.deltas.resolve()
+		}
+		return d
+	}
+	for _, leg := range []string{"decode", "provider", "recycled", "parent"} {
+		b.Run(leg, func(b *testing.B) {
+			if leg == "recycled" {
+				check(b, recycled()) // the storage a first request leaves
+			}
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d := decodeStanding(s, text)
-				if d.bodyErr != nil || d.scriptErr != nil || len(d.deltas["lineitem"]) != 9000 {
-					b.Fatalf("decoded %d deltas: %v, %v", len(d.deltas["lineitem"]), d.bodyErr, d.scriptErr)
-				}
-				if provider {
-					if _, err := source.NewDeltaProvider(source.NewProvider(rel, nil), d.deltas["lineitem"]); err != nil {
-						b.Fatal(err)
+				switch leg {
+				case "decode", "provider":
+					d := decodeStanding(s, text)
+					check(b, d)
+					if leg == "provider" {
+						if _, err := source.NewDeltaProvider(source.NewProvider(rel, nil), d.deltas["lineitem"]); err != nil {
+							b.Fatal(err)
+						}
 					}
+				case "recycled":
+					check(b, recycled())
+				case "parent":
+					check(b, decodeStandingParent(s, text))
 				}
 			}
 		})

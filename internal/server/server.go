@@ -33,6 +33,7 @@ import (
 	"github.com/tukwila/adp/internal/core"
 	"github.com/tukwila/adp/internal/engine"
 	"github.com/tukwila/adp/internal/source"
+	"github.com/tukwila/adp/internal/state"
 	"github.com/tukwila/adp/internal/types"
 )
 
@@ -117,7 +118,11 @@ type Server struct {
 	reg      *queryRegistry
 	// bufs holds idle ndjsonWriter buffers, sized to the execution slots:
 	// the most writers live at once.
-	bufs     chan []byte
+	bufs chan []byte
+	// bodies holds the storage of finished standing requests: each request
+	// in flight holds one, and the next request reads its body and decodes
+	// its deltas over what the last one left.
+	bodies   state.Pool[standingBody]
 	draining atomic.Bool
 	idSeq    atomic.Int64
 }
@@ -135,6 +140,7 @@ func New(eng *engine.Engine, cfg Config) *Server {
 		reg:      newQueryRegistry(cfg.RetainQueries),
 		bufs:     make(chan []byte, cfg.MaxConcurrent),
 	}
+	s.bodies.New = func() *standingBody { return &standingBody{deltas: deltaScripts{s: s}} }
 	if cfg.PlanCacheSize >= 0 {
 		s.cache = engine.NewPlanCache(cfg.PlanCacheSize)
 	}
@@ -222,20 +228,21 @@ type admission struct {
 }
 
 // admit takes a streaming request from the socket to an execution slot:
-// refuse while draining, read the body (readBody) and decode it into the
-// spec and ro it fills, build the query and options from them, run the
-// endpoint's own validate over them (nil = none), clamp the deadline, and
-// claim a slot or shed load. A request that does not make it has been
+// refuse while draining, read the body into buf (readBody) and decode it
+// into the spec and ro it fills, build the query and options from them, run
+// the endpoint's own validate over them (nil = none), clamp the deadline,
+// and claim a slot or shed load. A request that does not make it has been
 // answered with its error envelope (ok false); every reject is counted here.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, decode func(body string) error, spec *QuerySpec, ro *RunOptions, validate func(core.Options) error) (a admission, ok bool) {
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, buf *[]byte, decode func(body string) error, spec *QuerySpec, ro *RunOptions, validate func(core.Options) error) (a admission, ok bool) {
 	if s.draining.Load() {
 		s.met.queriesRejected.Add(1)
 		s.reject(w, WireError{Code: CodeDraining, HTTPStatus: http.StatusServiceUnavailable,
 			Message: "server is draining; not admitting new queries"})
 		return a, false
 	}
-	body, readErr := readBody(w, r)
-	if err := decode(body); err != nil {
+	var readErr error
+	*buf, readErr = readBody(w, r, *buf)
+	if err := decode(unsafe.String(unsafe.SliceData(*buf), len(*buf))); err != nil {
 		if readErr != nil && (err == io.EOF || err == io.ErrUnexpectedEOF) {
 			err = readErr // cut short where the read failed (past the bound): what a Decoder on the socket said
 		}
@@ -283,15 +290,18 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, decode func(body 
 	return a, true
 }
 
-// readBody reads a request body once, up to maxRequestBytes, into one
-// buffer: sized by Content-Length but never past the bound, and grown as it
-// fills when the length is absent or short. It returns the text read — the
-// buffer itself, which nothing writes after — and the error that stopped
-// the read short, if any: past the bound, the MaxBytesReader's.
-func readBody(w http.ResponseWriter, r *http.Request) (string, error) {
-	b := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxRequestBytes)+bytes.MinRead))
+// readBody reads a request body once, up to maxRequestBytes, over buf: into
+// buf itself when it has room for what Content-Length declares, else into a
+// new buffer sized by it but never past the bound, grown as it fills when
+// the length is absent or short. It returns the bytes read and the error
+// that stopped the read short, if any: past the bound, the MaxBytesReader's.
+func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
+	if n := min(max(r.ContentLength, 0), maxRequestBytes) + bytes.MinRead; int64(cap(buf)) < n {
+		buf = make([]byte, 0, n)
+	}
+	b := bytes.NewBuffer(buf[:0])
 	_, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	return unsafe.String(unsafe.SliceData(b.Bytes()), b.Len()), err
+	return b.Bytes(), err
 }
 
 // decodeBody decodes the first JSON value of a request body into req,
@@ -455,8 +465,11 @@ func (nw *ndjsonWriter) end(over bool, what, planCache string) {
 
 // handleQuery runs POST /v1/query: admission, execution, NDJSON stream.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	a, ok := s.admit(w, r, func(body string) error { return decodeBody(body, &req) }, &req.Query, &req.Options, nil)
+	var (
+		req QueryRequest
+		buf []byte
+	)
+	a, ok := s.admit(w, r, &buf, func(body string) error { return decodeBody(body, &req) }, &req.Query, &req.Options, nil)
 	if !ok {
 		return
 	}
@@ -511,11 +524,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // NDJSON stream of signed update frames punctuated by watermark frames.
 // The baseline window (seq 0) asserts the initial result, so a client
 // folding update frames from empty always holds the maintained view.
-// Standing queries bypass the plan cache.
+// Standing queries bypass the plan cache. The request's body, and the delta
+// rows decoded from it, live in storage from s.bodies; it goes back when
+// the handler returns, after the last frame is written and after the run
+// that reads the rows has ended: NextWindow ran dry or Close returned, and
+// either waits for the run goroutine.
 func (s *Server) handleStanding(w http.ResponseWriter, r *http.Request) {
-	b := &standingBody{deltas: deltaScripts{s: s}}
+	b := s.bodies.Get()
+	defer s.bodies.Put(b)
 	var deltas map[string][]source.Delta
-	a, ok := s.admit(w, r, b.decode, &b.query, &b.options, func(o core.Options) (err error) {
+	a, ok := s.admit(w, r, &b.body, b.decode, &b.query, &b.options, func(o core.Options) (err error) {
 		if o.Strategy == core.PlanPartition {
 			return errors.New("strategy planpart cannot maintain a standing query (use static or corrective)")
 		}

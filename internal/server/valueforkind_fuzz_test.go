@@ -61,20 +61,31 @@ var valueForKindSeeds = []string{
 // FuzzValueForKind: for every JSON value with nothing around it — what a
 // delta row element is — and every column kind, the conversion the deltas
 // scan makes reads the whole value and yields the value, or the error text,
-// of the one that sent everything through encoding/json.
+// of the one that sent everything through encoding/json. Text that is not
+// one JSON value it never reads to its end without a syntax error.
 func FuzzValueForKind(f *testing.F) {
 	for _, s := range valueForKindSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		if !json.Valid(raw) || len(bytes.TrimSpace(raw)) != len(raw) {
+		if len(bytes.TrimSpace(raw)) != len(raw) {
 			return
 		}
+		valid := json.Valid(raw)
 		for _, k := range []types.Kind{types.KindInt, types.KindFloat, types.KindString, types.KindNull} {
 			sc := deltaScanner{src: string(raw)}
-			got, gerr := sc.value(k)
+			var got types.Value
+			gerr, serr := sc.value(k, &got)
+			if !valid {
+				if serr == nil && sc.i == len(raw) {
+					t.Fatalf("value(%q, %v) read all of a text that is not JSON", raw, k)
+				}
+				continue
+			}
 			want, werr := valueForKindRef(raw, k)
 			switch {
+			case serr != nil:
+				t.Fatalf("value(%q, %v): syntax error %v in JSON", raw, k, serr)
 			case sc.i != len(raw):
 				t.Fatalf("value(%q, %v) read %d of %d bytes", raw, k, sc.i, len(raw))
 			case (gerr == nil) != (werr == nil), gerr != nil && gerr.Error() != werr.Error():

@@ -13,6 +13,7 @@ package source
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tukwila/adp/internal/types"
 )
@@ -28,9 +29,9 @@ const SignCol = "__delta_sign"
 // base-schema tuple, Sign is +1 (insert) or -1 (delete), At is the
 // virtual arrival time of the change. Deletes carry the entire row, not
 // a key: multiset semantics remove one matching duplicate per delete.
-// DeltaRelation reads a Row in place when the value just past it, within
-// its capacity, is types.Int of its sign; such a row must not be written
-// after.
+// DeltaRelation and NewDeltaProvider read a Row in place when the value
+// just past it, within its capacity, is types.Int of its sign; such a row
+// must not be written while they are read.
 type Delta struct {
 	Row  types.Tuple
 	Sign int
@@ -45,24 +46,6 @@ func Ins(at float64, vals ...types.Value) Delta {
 // Del builds a delete delta arriving at the given virtual time.
 func Del(at float64, vals ...types.Value) Delta {
 	return Delta{Row: types.Tuple(vals), Sign: -1, At: at}
-}
-
-// Stamped is a Schedule with explicit per-tuple arrival times (the
-// delta-script schedule: each change arrives exactly when scripted).
-// Indexes beyond the stamped range repeat the final stamp.
-type Stamped struct {
-	Arrivals []float64
-}
-
-// ArrivalAt implements Schedule.
-func (s Stamped) ArrivalAt(i int) float64 {
-	if i < len(s.Arrivals) {
-		return s.Arrivals[i]
-	}
-	if len(s.Arrivals) == 0 {
-		return 0
-	}
-	return s.Arrivals[len(s.Arrivals)-1]
 }
 
 // DeltaSchema returns the delta relation's schema: the base columns
@@ -88,23 +71,50 @@ func SplitSign(t types.Tuple) (row types.Tuple, sign int) {
 // *Relation, so a faulty delta stream fails over to another copy of the
 // same script.
 func DeltaRelation(name string, base *types.Schema, deltas []Delta) *Relation {
+	deltas = signed(deltas)
 	rows := make([]types.Tuple, len(deltas))
-	n := 0
 	for i, d := range deltas {
-		if w := len(d.Row); cap(d.Row) > w && d.Row[:w+1][w] == signValue(d.Sign) {
-			rows[i] = d.Row[: w+1 : w+1]
-		} else {
-			n += w + 1
-		}
-	}
-	slab := make([]types.Value, 0, n) // the copied rows' values, signs included, in one allocation
-	for i, d := range deltas {
-		if rows[i] == nil {
-			slab = append(append(slab, d.Row...), signValue(d.Sign))
-			rows[i] = slab[len(slab)-len(d.Row)-1 : len(slab) : len(slab)]
-		}
+		rows[i] = signedRow(d)
 	}
 	return NewRelation(name, DeltaSchema(base), rows)
+}
+
+// signed returns the script with every row in the delta relation's layout
+// (see Delta): deltas itself when they all are, else a copy whose rows
+// not in it are copied, signs included, into one slab.
+func signed(deltas []Delta) []Delta {
+	n := 0
+	for _, d := range deltas {
+		if !inPlace(d) {
+			n += len(d.Row) + 1
+		}
+	}
+	if n == 0 {
+		return deltas
+	}
+	out := slices.Clone(deltas)
+	slab := make([]types.Value, 0, n) // the copied rows' values, signs included, in one allocation
+	for i, d := range out {
+		if !inPlace(d) {
+			w := len(d.Row)
+			slab = append(append(slab, d.Row...), signValue(d.Sign))
+			out[i].Row = slab[len(slab)-w-1 : len(slab)-1 : len(slab)]
+		}
+	}
+	return out
+}
+
+// inPlace reports whether d's row is laid out as its delta-relation row:
+// the value just past it, within its capacity, is its sign.
+func inPlace(d Delta) bool {
+	w := len(d.Row)
+	return cap(d.Row) > w && d.Row[:w+1][w] == signValue(d.Sign)
+}
+
+// signedRow is the delta-relation row of a delta that is in place.
+func signedRow(d Delta) types.Tuple {
+	w := len(d.Row) + 1
+	return d.Row[:w:w]
 }
 
 // signValue is a delta's sign column value: -1 for a negative sign, else +1.
@@ -116,18 +126,19 @@ func signValue(s int) types.Value {
 }
 
 // NewDeltaProvider builds the delta stream of base from a script of
-// signed changes: a Provider over the script's DeltaRelation, stamped with
-// each change's arrival time. Its Name is the base source's, so the
+// signed changes: a Provider over the script's delta relation, each row
+// arriving at its change's stamp. Its Name is the base source's, so the
 // maintenance driver routes deltas to the plan leaf reading that relation
 // without extra mapping; its Schema is the base schema plus the sign
 // column. Changes deliver in script order with their stamped arrival
 // times; the availability-ordered driver interleaves multiple relations'
 // delta streams by those stamps exactly as it interleaves base sources,
 // and Faulty composes on top without knowing it is wrapping deltas. Rows
-// whose width does not match the base schema are rejected.
+// whose width does not match the base schema are rejected. The provider
+// reads the script in place, rows and stamps, when every row is in the
+// delta relation's layout (see Delta), and a copy of it otherwise.
 func NewDeltaProvider(base Provider, deltas []Delta) (Provider, error) {
 	bs := base.Schema()
-	arr := make([]float64, len(deltas))
 	for i, d := range deltas {
 		if len(d.Row) != bs.Len() {
 			return nil, fmt.Errorf("source: delta %d for %q has width %d, base schema %v has %d",
@@ -136,9 +147,41 @@ func NewDeltaProvider(base Provider, deltas []Delta) (Provider, error) {
 		if d.Sign == 0 {
 			return nil, fmt.Errorf("source: delta %d for %q has sign 0 (want +1 or -1)", i, base.Name())
 		}
-		arr[i] = d.At
 	}
-	return NewProvider(DeltaRelation(base.Name(), bs, deltas), Stamped{Arrivals: arr}), nil
+	return &deltaProvider{name: base.Name(), schema: DeltaSchema(bs), deltas: signed(deltas)}, nil
+}
+
+// deltaProvider is the Provider over a delta script whose rows are all in
+// the delta relation's layout: it delivers them, at their stamps, in place.
+type deltaProvider struct {
+	name     string
+	schema   *types.Schema
+	deltas   []Delta
+	consumed int
+}
+
+func (p *deltaProvider) Name() string          { return p.name }
+func (p *deltaProvider) Schema() *types.Schema { return p.schema }
+func (p *deltaProvider) Total() int            { return len(p.deltas) }
+func (p *deltaProvider) Consumed() int         { return p.consumed }
+func (p *deltaProvider) Exhausted() bool       { return p.consumed >= len(p.deltas) }
+func (p *deltaProvider) Reset()                { p.consumed = 0 }
+func (p *deltaProvider) Faulted() error        { return nil }
+
+func (p *deltaProvider) Next() (Row, bool) {
+	if p.consumed >= len(p.deltas) {
+		return Row{}, false
+	}
+	d := p.deltas[p.consumed]
+	p.consumed++
+	return Row{T: signedRow(d), At: d.At}, true
+}
+
+func (p *deltaProvider) PeekArrival() (float64, bool) {
+	if p.consumed >= len(p.deltas) {
+		return 0, false
+	}
+	return p.deltas[p.consumed].At, true
 }
 
 // MustDeltaProvider is NewDeltaProvider for fixtures with known-good

@@ -9,9 +9,10 @@ import (
 
 // TestDeltaRelationAdoptsSignedRows: a row laid out as its delta-relation
 // row — the value just past it, within its capacity, is its sign — is the
-// relation's row and shares its backing array. Every other row is copied
-// with its sign: one whose spare slot holds anything else, and the rows Ins
-// and Del build, which have no spare slot.
+// relation's row and shares its backing array, and the delta provider
+// delivers it, at its stamp, in place. Every other row is copied with its
+// sign: one whose spare slot holds anything else, and the rows Ins and Del
+// build, which have no spare slot.
 func TestDeltaRelationAdoptsSignedRows(t *testing.T) {
 	base := types.NewSchema(
 		types.Column{Name: "r.k", Kind: types.KindInt},
@@ -48,6 +49,25 @@ func TestDeltaRelationAdoptsSignedRows(t *testing.T) {
 		if shared := &row[0] == &d.Row[0]; shared != adopted[i] {
 			t.Errorf("row %d shares the delta's backing array: %v, want %v", i, shared, adopted[i])
 		}
+	}
+	p, err := NewDeltaProvider(NewProvider(NewRelation("r", base, nil), nil), deltas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range deltas {
+		if at, _ := p.PeekArrival(); at != d.At {
+			t.Errorf("provider row %d arrives at %v, want %v", i, at, d.At)
+		}
+		r, ok := p.Next()
+		if !ok || !slices.Equal(r.T, rel.Rows[i]) || r.At != d.At || cap(r.T) != len(r.T) {
+			t.Fatalf("provider row %d = %v at %v (%v), want %v at %v", i, r.T, r.At, ok, rel.Rows[i], d.At)
+		}
+		if shared := &r.T[0] == &d.Row[0]; shared != adopted[i] {
+			t.Errorf("provider row %d shares the delta's backing array: %v, want %v", i, shared, adopted[i])
+		}
+	}
+	if _, ok := p.Next(); ok || !p.Exhausted() || p.Total() != len(deltas) {
+		t.Errorf("provider past its %d deltas: not exhausted", len(deltas))
 	}
 	if slab[8] != types.Int(1) || slab[11] != types.Str("x") {
 		t.Errorf("copying wrote the deltas' spare slots: %v, %v", slab[8], slab[11])

@@ -135,11 +135,20 @@ check 'BenchmarkBaseTrackerSeed'           2200000 B/op
 # deltas (65 allocs and 7.09 MB with a json.Decoder's buffer and a copy of the member's text;
 # encoding/json into DeltaSpecs, then buildDeltas: 117060 allocs, 10.58 MB). The provider leg
 # goes on to build the delta source, which reads the decoded rows in place: 64 allocs and
-# 4.35 MB. Budgets 1.25 x the measurement.
-check 'BenchmarkStandingDecode/decode'          65  # value slabs (a sign slot per row), delta chunks, the script's deltas
-check 'BenchmarkStandingDecode/decode'     5064000 B/op
-check 'BenchmarkStandingDecode/provider'        80  # + the relation's row slice and arrivals, no row copied
-check 'BenchmarkStandingDecode/provider'   5434000 B/op
+# 4.35 MB. Since the decode checks the syntax in the same pass (no json.Valid pre-pass) and
+# writes into storage a request keeps, six runs each: "decode", into new storage, 43 allocs and
+# 3.755 MB (one delta slice sized by the rate the body fills it: no chunks to join); "provider"
+# 51 allocs and 3.756 MB (the source reads the script and its stamps in place: no row slice, no
+# arrivals); "recycled", into the storage a finished request gave back, 16 allocs and
+# 1904-1929 B, 13 of the allocs encoding/json's decode of the query and the options; "parent",
+# the decoder before this kept as the reference, 51-52 allocs and 4.05 MB. Budgets 1.25 x the
+# worst, except recycled's allocs, held at the measured 16 rather than 20.
+check 'BenchmarkStandingDecode/decode'          54  # value slabs (a sign slot per row), one delta slice a script
+check 'BenchmarkStandingDecode/decode'     4694000 B/op
+check 'BenchmarkStandingDecode/provider'        64  # + the delta source, which copies nothing
+check 'BenchmarkStandingDecode/provider'   4695000 B/op
+check 'BenchmarkStandingDecode/recycled'        16  # the query's and the options' encoding/json decode
+check 'BenchmarkStandingDecode/recycled'      2412 B/op
 # PR 25: one corrective poll's optimizer work on Q5 (CostPlan + Optimize on the query's
 # planner) under "plain", "obs" and "both": 7 allocs and 880 B measured on each. The parent,
 # which re-planned from scratch, took 670 / 691 / 689 allocs and 66.1 / 67.1 / 67.1 KB.
