@@ -388,11 +388,11 @@ func (sc *deltaScanner) each(f func(key string) error) error {
 			if sc.ws() != '"' {
 				return errUnread
 			}
-			lit, plain, err := sc.str()
-			if err != nil {
+			var err error
+			if key, err = sc.str(); err != nil {
 				return err
 			}
-			if key = unquote(lit, plain); sc.ws() != ':' {
+			if sc.ws() != ':' {
 				return errUnread
 			}
 			sc.i++
@@ -424,7 +424,7 @@ func (sc *deltaScanner) skip() (string, error) {
 			return err
 		})
 	case c == '"':
-		_, _, err = sc.str()
+		_, err = sc.str()
 	case c == '-' || isDigit(c):
 		err = sc.number(new(jsonNumber))
 	case c == 't':
@@ -448,52 +448,46 @@ func (sc *deltaScanner) word(w string) error {
 	return nil
 }
 
-// str passes over the string literal at the scanner and returns its text,
-// which is plain when it stands for the bytes between its quotes: no
-// escape, and valid UTF-8.
-func (sc *deltaScanner) str() (lit string, plain bool, err error) {
+// str passes over the string literal at the scanner and returns the text
+// it stands for: a substring of the literal when it has no escape and is
+// valid UTF-8, else what encoding/json makes of it, its escapes undone and
+// its broken UTF-8 repaired.
+func (sc *deltaScanner) str() (string, error) {
 	src, start := sc.src, sc.i
 	plain, ascii := true, true
 	for i := start + 1; i < len(src); i++ {
 		switch c := src[i]; {
 		case c == '"':
 			sc.i = i + 1
-			lit = src[start:sc.i]
-			return lit, plain && (ascii || utf8.ValidString(lit)), nil
+			lit := src[start:sc.i]
+			if plain && (ascii || utf8.ValidString(lit)) {
+				return lit[1 : len(lit)-1], nil
+			}
+			var s string
+			json.Unmarshal([]byte(lit), &s) // the literal is checked: it decodes
+			return s, nil
 		case c == '\\':
 			plain = false
 			if i++; i == len(src) {
-				return "", false, errUnread
+				return "", errUnread
 			}
 			switch src[i] {
 			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
 			case 'u':
 				if i+4 >= len(src) || !isHex(src[i+1]) || !isHex(src[i+2]) || !isHex(src[i+3]) || !isHex(src[i+4]) {
-					return "", false, errUnread
+					return "", errUnread
 				}
 				i += 4
 			default:
-				return "", false, errUnread
+				return "", errUnread
 			}
 		case c < ' ':
-			return "", false, errUnread
+			return "", errUnread
 		case c >= utf8.RuneSelf:
 			ascii = false
 		}
 	}
-	return "", false, errUnread
-}
-
-// unquote returns the text the string literal lit, which str passed over,
-// stands for: a substring of lit when it is plain, else what encoding/json
-// makes of it, its escapes undone and its broken UTF-8 repaired.
-func unquote(lit string, plain bool) string {
-	if plain {
-		return lit[1 : len(lit)-1]
-	}
-	var s string
-	json.Unmarshal([]byte(lit), &s) // str checked the literal: it decodes
-	return s
+	return "", errUnread
 }
 
 // jsonNumber is a number as number read it: while it has at most 19
@@ -617,9 +611,9 @@ func (sc *deltaScanner) value(k types.Kind, v *types.Value) (bad, err error) {
 		*v = types.Null()
 		return nil, sc.word("null")
 	case c == '"' && k == types.KindString:
-		lit, plain, err := sc.str()
+		s, err := sc.str()
 		if err == nil {
-			*v = types.Str(unquote(lit, plain))
+			*v = types.Str(s)
 		}
 		return nil, err
 	case c == '-' || isDigit(c):
