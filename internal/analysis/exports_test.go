@@ -23,7 +23,6 @@ var keptWithoutCaller = map[string]string{
 	"algebra.NewGroup":         "the tests of algebra, opt and core build group-by specs with it",
 	"algebra.CombinationCount": "the tests of algebra and core check the number of phase combinations with it",
 	"core.Tree.JoinFor":        "the tests of core look up a tree's join by expression with it",
-	"ivm.SortedRows":           "the tests of ivm and core compare folded views with it",
 	"ivm.Multiset.Negative":    "the tests of ivm, core and engine read a view's negative multiplicities with it",
 	"source.MustDeltaProvider": "the maintenance tests of core build delta providers with it",
 	"source.SortednessAsc":     "the tests of source and datagen measure how ordered a relation is with it",

@@ -213,20 +213,23 @@ type Report struct {
 	// Maintenance outcome (RunMaintenance only). Updates is the signed
 	// update stream in emission order — the baseline window, then every
 	// watermark's revisions — kept only when no RunHooks.OnUpdates reads
-	// it; UpdateCount is its length either way. Maintained is the stream
-	// folded: the maintained result in canonical sorted-multiset form.
-	// DeltaRows counts delta-source rows read; DeltaClamped counts deletes
-	// dropped for matching no live row; MaintSwitches counts
-	// mid-maintenance plan switches. MaintReplayed counts the rows pushed
-	// again, through the signed path, to build a maintenance tree: 0 while
-	// the initial run's own tree serves.
-	Updates       []ivm.Update
-	UpdateCount   int64
-	Maintained    []types.Tuple
-	DeltaRows     int64
-	DeltaClamped  int64
-	MaintSwitches int
-	MaintReplayed int64
+	// it; UpdateCount is its length either way. MaintainedRows is the sum
+	// of its signs: the maintained result's size, which the delete clamp
+	// keeps non-negative. Maintained is the maintained result in canonical
+	// sorted-multiset form — the stream folded — read off the view's own
+	// state when the run ends. DeltaRows counts delta-source rows read;
+	// DeltaClamped counts deletes dropped for matching no live row;
+	// MaintSwitches counts mid-maintenance plan switches. MaintReplayed
+	// counts the rows pushed again, through the signed path, to build a
+	// maintenance tree: 0 while the initial run's own tree serves.
+	Updates        []ivm.Update
+	UpdateCount    int64
+	MaintainedRows int64
+	Maintained     []types.Tuple
+	DeltaRows      int64
+	DeltaClamped   int64
+	MaintSwitches  int
+	MaintReplayed  int64
 }
 
 // executor carries one run's state.

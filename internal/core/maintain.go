@@ -24,9 +24,11 @@
 //   - The delta streams are pumped as a phase of the runner that pumped the
 //     base sources (phase.go), interleaving relations by virtual arrival.
 //     Delta rows pass the relation's filter pushdown, deletes are clamped
-//     against the join side that buffers the relation's rows (a delete of a
-//     row with no live occurrence is dropped), and surviving rows enter the
-//     tree as sign-run batches.
+//     against the side that buffers the relation's rows (a delete of a row
+//     with no live occurrence is dropped), and surviving rows enter the tree
+//     as sign-run batches. That side is a leaf join's input, or, for a
+//     single-relation query, whose scan feeds no join, a KeyedSide in front
+//     of the tree.
 //   - At every poll the aggregate's group revisions (or the collected SPJ
 //     result deltas) flush as one update watermark, and — under the
 //     Corrective strategy — the monitor puts the maintenance plan, re-priced
@@ -35,6 +37,8 @@
 //     already-delivered updates are never re-emitted: the paper's
 //     phase-boundary story transplanted to continuous execution, the warm-up
 //     being the stitch-up over already-propagated deltas.
+//   - The maintained result is that state: Report.Maintained is read off it
+//     when the run ends (maintained).
 package core
 
 import (
@@ -69,8 +73,8 @@ type MaintOptions struct {
 // flushing signed result updates at watermarks. The initial result leaves
 // once, as the baseline window: OnRows is never called, and the returned
 // Report has no Rows, only RowCount. The maintenance outcome is in
-// UpdateCount / Maintained / DeltaRows, and the update stream itself in
-// Updates unless OnUpdates took it.
+// UpdateCount / MaintainedRows / Maintained / DeltaRows, and the update stream
+// itself in Updates unless OnUpdates took it.
 // PlanPartition is not supported: its two-stage re-optimization has no
 // retained state to maintain.
 func RunMaintenance(ctx context.Context, cat *Catalog, q *algebra.Query, o Options, m MaintOptions, hooks RunHooks) (*Report, error) {
@@ -106,12 +110,12 @@ type maintainer struct {
 	plan    algebra.Plan
 	tree    *Tree
 
-	// track clamps a single-relation query's deletes (deltaIngress.retract).
-	track  *ivm.BaseTracker
+	// side buffers a single-relation query's relation, which feeds no join
+	// side, in front of every maintenance tree's entry (use): its z-set for
+	// the delete clamp and the maintained result. Nil with several relations.
+	side   *exec.KeyedSide
 	leaves []*exec.Leaf
-
-	view *ivm.Multiset // the windows folded: the maintained result
-	seq  int
+	seq    int
 }
 
 // newMaintainer validates the delta streams and, before the initial run
@@ -125,7 +129,6 @@ func newMaintainer(ex *executor, m MaintOptions) (*maintainer, error) {
 		ex:      ex,
 		m:       m,
 		inPlace: ex.o.Partitions <= 1 && ex.o.PreAgg == opt.PreAggNone,
-		view:    ivm.NewMultiset(),
 	}
 	for name, dp := range m.Deltas {
 		rel, ok := relOf(ex.q, name)
@@ -134,9 +137,6 @@ func newMaintainer(ex *executor, m MaintOptions) (*maintainer, error) {
 		}
 		if got, want := dp.Schema().Len(), rel.Schema.Len()+1; got != want {
 			return nil, fmt.Errorf("core: delta stream %q has width %d, want base+sign = %d", name, got, want)
-		}
-		if len(ex.q.Relations) == 1 {
-			mt.track = ivm.NewBaseTracker()
 		}
 	}
 	ex.out.standing = true
@@ -170,16 +170,6 @@ func (mt *maintainer) run() error {
 	if err := ex.execute(); err != nil {
 		return err
 	}
-	if mt.track != nil {
-		// Seeded from the phases' base partitions: there is no tree yet.
-		asserted, _ := mt.lists(ex.q.Relations[0].Name)
-		for _, part := range asserted {
-			part.Scan(func(t types.Tuple) bool {
-				mt.track.Add(t)
-				return true
-			})
-		}
-	}
 
 	rels := make([]string, 0, len(mt.m.Deltas))
 	for _, r := range ex.q.Relations {
@@ -203,8 +193,61 @@ func (mt *maintainer) run() error {
 	}
 	mt.watermark()
 
-	ex.rep.Maintained = mt.view.Rows()
-	return nil
+	var err error
+	ex.rep.Maintained, err = mt.maintained()
+	return err
+}
+
+// maintained reads the maintained result off the view's own state, sorted as
+// Report.Maintained is: an aggregate's asserted group rows, or the SPJ plan
+// run afresh over the live rows of the tree's leaf sides, on a context of its
+// own that charges the run nothing. Any watermark may call it.
+func (mt *maintainer) maintained() ([]types.Tuple, error) {
+	if mt.agg != nil {
+		return ivm.SortedRows(mt.agg.Asserted(make([]types.Tuple, 0, mt.agg.Groups()))), nil
+	}
+	ad, err := types.NewAdapter(mt.plan.Schema(), mt.ex.outSchema)
+	if err != nil {
+		return nil, err
+	}
+	var rows []types.Tuple
+	tree, err := Lower(exec.NewContext(), mt.plan, exec.SinkFunc(func(ts []types.Tuple, _ int) {
+		for _, t := range ts {
+			rows = append(rows, ad.Adapt(t))
+		}
+	}))
+	if err != nil {
+		return nil, err
+	}
+	for _, rel := range mt.ex.q.Relations {
+		tree.Entry[rel.Name].Push(liveRows(mt.tree.LeafLists(rel.Name)), 0)
+	}
+	return ivm.SortedRows(rows), nil
+}
+
+// liveRows returns a z-set's live rows, in main's order: main less neg, as
+// multisets under the key codec's identity (types.StrictEqual).
+func liveRows(main, neg *state.List) (live []types.Tuple) {
+	var key []byte
+	gone := map[string]int{}
+	for _, l := range []*state.List{neg, main} {
+		if l == nil { // no retraction yet
+			continue
+		}
+		l.Scan(func(t types.Tuple) bool {
+			key = types.AppendKeyAll(key[:0], t)
+			switch n := gone[string(key)]; {
+			case l == neg:
+				gone[string(key)] = n + 1
+			case n > 0:
+				gone[string(key)] = n - 1
+			default:
+				live = append(live, t)
+			}
+			return true
+		})
+	}
+	return live
 }
 
 // setUp readies the maintenance tree from what the initial run left behind.
@@ -216,11 +259,11 @@ func (mt *maintainer) run() error {
 func (mt *maintainer) setUp() error {
 	ex := mt.ex
 	if first := ex.phases[0]; mt.inPlace && len(ex.phases) == 1 {
-		mt.plan, mt.tree = first.Plan, first.tree
 		first.Interm = nil
-		for _, j := range mt.tree.Joins {
+		for _, j := range first.tree.Joins {
 			j.ResultBuf = nil
 		}
+		mt.use(first.Plan, first.tree)
 		return nil
 	}
 	return mt.buildTree(ex.reoptimizer().Optimize(mt.optInputs()).Root, !mt.inPlace)
@@ -274,20 +317,39 @@ func (mt *maintainer) buildTree(plan algebra.Plan, live bool) error {
 		}
 	}
 	root.out = sink
-	mt.plan, mt.tree = plan, tree
+	mt.use(plan, tree)
 	return nil
+}
+
+// use makes tree, lowered from plan, the maintenance tree. A single-relation
+// query's KeyedSide, seeded from the base partitions before the first tree,
+// goes in front of its entry as the relation's leaf side.
+func (mt *maintainer) use(plan algebra.Plan, tree *Tree) {
+	if rels := mt.ex.q.Relations; len(rels) == 1 {
+		if mt.side == nil {
+			mt.side = exec.NewKeyedSide(mt.ex.ctx, rels[0].Schema, nil)
+			asserted, _ := mt.lists(rels[0].Name)
+			for _, l := range asserted {
+				for _, chunk := range l.Chunks() {
+					mt.side.Buffer(chunk, 1)
+				}
+			}
+		}
+		name := rels[0].Name
+		mt.side.Out, tree.Entry[name] = tree.Entry[name], mt.side
+		tree.leaves[name] = mt.side
+	}
+	mt.plan, mt.tree = plan, tree
 }
 
 // lists returns where rel's z-set is buffered: its asserted rows — the base
 // rows, then every delta inserted since, in arrival order — and its retracted
-// ones. The maintenance tree's leaf join holds both once there is a tree;
+// ones. The maintenance tree's leaf side holds both once there is a tree;
 // until then the initial run's phases hold the base rows.
 func (mt *maintainer) lists(rel string) (asserted []*state.List, retracted *state.List) {
 	if mt.tree != nil {
-		if main, neg := mt.tree.LeafLists(rel); main != nil {
-			return []*state.List{main}, neg
-		}
-		return nil, nil
+		main, neg := mt.tree.LeafLists(rel)
+		return []*state.List{main}, neg
 	}
 	for _, rec := range mt.ex.phases {
 		if part := rec.BaseParts[rel]; part != nil {
@@ -301,10 +363,7 @@ func (mt *maintainer) lists(rel string) (asserted []*state.List, retracted *stat
 // deltas of either sign.
 func (mt *maintainer) fed(rel string) float64 {
 	main, neg := mt.tree.LeafLists(rel)
-	n := 0
-	if main != nil {
-		n = main.Len()
-	}
+	n := main.Len()
 	if neg != nil {
 		n += neg.Len()
 	}
@@ -359,14 +418,16 @@ func (mt *maintainer) pump() error {
 
 // watermark flushes the updates produced since the last call — the
 // aggregate's pending group revisions, or the SPJ root's collected signed
-// rows — as one window, folded into the view, to the OnUpdates hook (else
-// Report.Updates) and the event stream, and returns its size. The first
-// watermark (the baseline) always emits, so subscribers can anchor the
-// fold even when the initial result is empty.
+// rows — as one window, to the OnUpdates hook (else Report.Updates) and the
+// event stream, adds its signs to Report.MaintainedRows and returns its size.
+// The first watermark (the baseline) always emits, so subscribers can anchor
+// the fold even when the initial result is empty.
 func (mt *maintainer) watermark() int {
 	ex := mt.ex
 	var win []ivm.Update
 	if mt.agg != nil {
+		// Sized once: the holder may keep it, so each window is a new slice.
+		win = make([]ivm.Update, 0, 2*mt.agg.Pending())
 		mt.agg.EmitRevisions(func(t types.Tuple, sign int) {
 			win = append(win, ivm.Update{Row: t, Sign: sign})
 		})
@@ -377,7 +438,7 @@ func (mt *maintainer) watermark() int {
 		return 0
 	}
 	for _, u := range win {
-		mt.view.Apply(u)
+		ex.rep.MaintainedRows += int64(u.Sign)
 	}
 	ex.rep.UpdateCount += int64(len(win))
 	var read int64
@@ -478,8 +539,6 @@ func (g *deltaIngress) pushBatch(ts []types.Tuple) {
 				continue
 			}
 			s = -1
-		} else if g.mt.track != nil {
-			g.mt.track.Add(row)
 		}
 		if s != g.cur {
 			g.flush()
@@ -491,14 +550,11 @@ func (g *deltaIngress) pushBatch(ts []types.Tuple) {
 }
 
 // retract reports whether row has a live occurrence (types.StrictEqual on
-// every column) for a delete to take: the current tree's leaf join side's
-// count, which every relation of a multi-relation query has, signed rows
-// unflushed in buf (at most exec.DefaultBatch) added; else the tracker's,
-// which records the take. It charges no time.
+// every column) for a delete to take: the current tree's leaf side's count —
+// every relation has one: a join input, or a single relation's KeyedSide —
+// signed rows unflushed in buf (at most exec.DefaultBatch) added. It charges
+// no time.
 func (g *deltaIngress) retract(row types.Tuple) bool {
-	if g.mt.track != nil {
-		return g.mt.track.Remove(row)
-	}
 	n := g.mt.tree.leaves[g.rel].Live(row)
 	for _, b := range g.buf {
 		if slices.EqualFunc(b, row, types.StrictEqual) {

@@ -236,7 +236,7 @@ func TestMaintenanceClampAfterSwitch(t *testing.T) {
 
 // TestMaintenanceTracksUnbufferedRelation: a single-relation query's scan
 // feeds no join side, so its delta stream's deletes are clamped against a
-// tracker seeded from the base partition, which sees every survivor.
+// KeyedSide seeded from the base partition, which sees every survivor.
 func TestMaintenanceTracksUnbufferedRelation(t *testing.T) {
 	s := kvSchema("A")
 	fixture := func(bool) (*algebra.Query, func() *Catalog, func(*Catalog) map[string][]source.Delta) {
@@ -255,8 +255,14 @@ func TestMaintenanceTracksUnbufferedRelation(t *testing.T) {
 		return singleRelQuery(s, nil, nil), cat, script
 	}
 	_, mt, rep := standingRun(t, fixture, false, Options{Strategy: Static}, nil)
-	if mt.track == nil || mt.track.Len() != 1 {
-		t.Fatal("want a tracker holding A's one live row")
+	side := mt.tree.leaves["A"]
+	if mt.side == nil || side != mt.side {
+		t.Fatal("want A buffered by a KeyedSide in front of the tree")
+	}
+	for _, r := range []types.Tuple{{types.Int(1), types.Int(10)}, {types.Int(2), types.Int(20)}, {types.Int(3), types.Int(30)}} {
+		if got, want := side.Live(r), map[int64]int{2: 1}[r[0].I]; got != want {
+			t.Errorf("%v live %d times, want %d", r, got, want)
+		}
 	}
 	if rep.DeltaClamped != 2 {
 		t.Errorf("DeltaClamped = %d, want 2", rep.DeltaClamped)

@@ -609,14 +609,14 @@ func TestMaintenanceNoDeltasIsBaselineOnly(t *testing.T) {
 
 // TestMaintenanceTracksOnlyDeltaRelations: a delete is clamped against the
 // join side that buffers its relation's rows, so a standing Q3A whose only
-// delta stream is lineitem's builds no live-multiset tracker at all — no
-// relation's rows are indexed a second time — and clamps, counts and emits
+// delta stream is lineitem's builds no KeyedSide at all — no relation's rows
+// are indexed a second time — and clamps, counts and emits
 // exactly what commit a34c48a, which tracked every relation, did (the update
 // stream is TestMaintenanceRunGoldens' agg/static/P=1/clean leg's).
 func TestMaintenanceTracksOnlyDeltaRelations(t *testing.T) {
 	_, mt, rep := standingRun(t, q3aChurn, false, Options{Strategy: Static, PollEvery: 256}, nil)
-	if mt.track != nil {
-		t.Fatal("a tracker was built: lineitem's join side answers the clamp")
+	if mt.side != nil {
+		t.Fatal("a KeyedSide was built: lineitem's join side answers the clamp")
 	}
 	for _, rel := range []string{"customer", "orders"} {
 		if mt.fed(rel) == 0 {

@@ -190,8 +190,11 @@ type standingGolden struct {
 }
 
 // runStandingLeg runs one leg and renders its golden. Every watermark's prefix
-// of the update stream is folded and held against a static run from scratch
-// over the relations patched with the deltas read by then.
+// of the update stream is folded and held against the maintained result read
+// off the view's own state at that watermark (maintainer.maintained) and
+// against a static run from scratch over the relations patched with the
+// deltas read by then; the report's result and size against the view's state
+// at the last watermark.
 func runStandingLeg(t *testing.T, fixture standingFixture, spj bool, o Options, failover string) (standingGolden, *Report) {
 	t.Helper()
 	q, cat, script := fixture(spj)
@@ -212,11 +215,17 @@ func runStandingLeg(t *testing.T, fixture standingFixture, spj bool, o Options, 
 		upto    int
 		readBy  map[string]int
 		readAll int64
+		// view digests the maintained result read off the view's state at
+		// the watermark (maintainer.maintained), viewN its rows.
+		view  string
+		viewN int
 	}
 	var marks []mark
 	var updates []ivm.Update
 	upto := 0
-	rep, err := RunMaintenance(context.Background(), c, q, o, MaintOptions{Deltas: deltas, FlushEvery: 100}, RunHooks{
+	// RunMaintenance, with the maintainer at hand.
+	var mt *maintainer
+	ex, finish, err := prepareRun(context.Background(), c, q, o, RunHooks{
 		OnUpdates: func(wm UpdateWatermark, us []ivm.Update) {
 			updates = append(updates, us...)
 			upto += len(us)
@@ -225,9 +234,25 @@ func runStandingLeg(t *testing.T, fixture standingFixture, spj bool, o Options, 
 				m.readBy[name] = p.Consumed()
 				m.readAll += int64(p.Consumed())
 			}
+			own, err := mt.maintained()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.view, m.viewN = digest(keyRows(own)), len(own)
 			marks = append(marks, m)
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mt, err = newMaintainer(ex, MaintOptions{Deltas: deltas, FlushEvery: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mt.run(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := finish()
+	ex.release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +263,9 @@ func runStandingLeg(t *testing.T, fixture standingFixture, spj bool, o Options, 
 	}
 	if len(marks) == 0 || int64(upto) != rep.UpdateCount || rep.Updates != nil {
 		t.Fatalf("OnUpdates delivered %d updates, the report counts %d and holds %d", upto, rep.UpdateCount, len(rep.Updates))
+	}
+	if last := marks[len(marks)-1]; digest(keyRows(rep.Maintained)) != last.view || rep.MaintainedRows != int64(last.viewN) {
+		t.Fatalf("the report maintains %d rows (%d listed), the view's state held %d or other rows", rep.MaintainedRows, len(rep.Maintained), last.viewN)
 	}
 
 	lines := make([]string, len(updates))
@@ -285,6 +313,10 @@ func runStandingLeg(t *testing.T, fixture standingFixture, spj bool, o Options, 
 		if fold.Negative() {
 			t.Fatalf("watermark %d: the update stream folds to a negative multiset", m.wm.Seq)
 		}
+		rows := fold.Rows()
+		if len(rows) != m.viewN || digest(keyRows(rows)) != m.view {
+			t.Fatalf("watermark %d: the update stream folds to %d rows, the view's state held %d or other rows", m.wm.Seq, len(rows), m.viewN)
+		}
 		var patched []*source.Relation
 		for _, r := range q.Relations {
 			patched = append(patched, patchRelation(base[r.Name], scripts[r.Name][:m.readBy[r.Name]]))
@@ -293,9 +325,18 @@ func runStandingLeg(t *testing.T, fixture standingFixture, spj bool, o Options, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertRowsWithin(t, fmt.Sprintf("fold at watermark %d", m.wm.Seq), fold.Rows(), ivm.SortedRows(oracle.Rows), 1e-9)
+		assertRowsWithin(t, fmt.Sprintf("fold at watermark %d", m.wm.Seq), rows, ivm.SortedRows(oracle.Rows), 1e-9)
 	}
 	return g, rep
+}
+
+// keyRows renders rows, in order, as their key-codec encodings.
+func keyRows(rows []types.Tuple) string {
+	var b []byte
+	for _, r := range rows {
+		b = types.AppendKeyAll(b, r)
+	}
+	return string(b)
 }
 
 // TestStandingSetupGoldens: {aggregate Q3A with min and max, SPJ} × the

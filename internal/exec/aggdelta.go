@@ -229,6 +229,22 @@ func (a *AggTable) EmitRevisions(emit func(t types.Tuple, sign int)) {
 	a.dirty = a.dirty[:0]
 }
 
+// Pending returns the number of groups touched since the last EmitRevisions:
+// the next one emits at most two revisions for each.
+func (a *AggTable) Pending() int { return len(a.dirty) }
+
+// Asserted appends to dst, by group id, the row each group has asserted and
+// not retracted as of the last EmitRevisions: the maintained result, which
+// folding the emitted revisions from empty yields too.
+func (a *AggTable) Asserted(dst []types.Tuple) []types.Tuple {
+	for i := range a.gm {
+		if t := a.gm[i].last; t != nil {
+			dst = append(dst, t)
+		}
+	}
+	return dst
+}
+
 // EmitRevisionsTo delivers the pending revisions as signed row batches:
 // consecutive same-sign revisions share one batch, of at most emitFlushLen
 // rows.

@@ -44,47 +44,36 @@ func SignBlind(sign int) {
 
 const errSignBlind = "exec: retraction delta reached a sign-blind Push"
 
-// --- HashJoin ---------------------------------------------------------
+// --- Join inputs -------------------------------------------------------
 
-// negTable returns input i's negative table, creating it on the input's
-// first retraction, on the context's spare. Negative tables start at the
-// default bucket count and grow — they hold deletions, which the
-// cardinality estimates behind NewHashJoinSized never cover.
-func (j *HashJoin) negTable(i int) *state.HashTable {
-	in := &j.in[i]
+// negTable returns the input's negative table, creating it on the input's
+// first retraction, on spare. Negative tables start at the default bucket
+// count and grow — they hold deletions, which the cardinality estimates
+// behind NewHashJoinSized never cover.
+func (in *joinInput) negTable(spare *state.Spare) *state.HashTable {
 	if in.neg == nil {
-		in.neg = state.NewHashTableSized(in.main.List().Schema(), in.key, 0, j.ctx.Spare) //adp:alloc-ok first retraction only
+		in.neg = state.NewHashTableSized(in.main.List().Schema(), in.key, 0, spare) //adp:alloc-ok first retraction only
 	}
 	return in.neg
 }
 
-// SideLists exposes one side's z-set as the join buffers it. main holds the
-// rows pushed or asserted, in arrival order: the source data a plan must
-// buffer at its leaves (§3.4), which a leaf feeding this side directly
-// shares as its base partition. neg holds the rows retracted (nil until
-// there is one); a maintenance tree built later is warmed from both.
-func (j *HashJoin) SideLists(left bool) (main, neg *state.List) {
-	in := &j.in[1]
-	if left {
-		in = &j.in[0]
-	}
+// lists returns the input's z-set as its tables buffer it: main holds the
+// rows pushed or asserted, in arrival order; neg the rows retracted (nil
+// until there is one).
+func (in *joinInput) lists() (main, neg *state.List) {
 	if in.neg != nil {
 		neg = in.neg.List()
 	}
 	return in.main.List(), neg
 }
 
-// Lists is SideLists of the side this sink feeds.
-func (s joinSide) Lists() (main, neg *state.List) { return s.j.SideLists(s.i == 0) }
-
-// Live counts the occurrences of row that the side this sink feeds holds
-// live: the rows of its main table that are types.StrictEqual to row on
-// every column, less those of its negative table. Such rows have row's key,
-// so only the chain of row's key hash is walked. It charges the virtual
-// clock nothing: it answers the maintenance ingress's delete clamp, which
-// the cost model does not price.
-func (s joinSide) Live(row types.Tuple) int {
-	in := &s.j.in[s.i]
+// live counts the occurrences of row the input holds live: the rows of its
+// main table that are types.StrictEqual to row on every column, less those
+// of its negative table. Such rows have row's key, so only the chain of
+// row's key hash is walked. It charges the virtual clock nothing: it answers
+// the maintenance ingress's delete clamp, which the cost model does not
+// price.
+func (in *joinInput) live(row types.Tuple) int {
 	hs, rows := [1]uint64{row.HashKey(in.key)}, [1]types.Tuple{row}
 	n := 0
 	count := func(t *state.HashTable, d int) {
@@ -101,3 +90,87 @@ func (s joinSide) Live(row types.Tuple) int {
 	}
 	return n
 }
+
+// release gives the index storage of the input's tables to spare; with rows
+// also their lists' rows.
+func (in *joinInput) release(spare *state.Spare, rows bool) {
+	for _, t := range []*state.HashTable{in.main, in.neg} {
+		if t == nil {
+			continue
+		}
+		spare.Release(t)
+		if rows {
+			spare.ReleaseList(t.List())
+		}
+	}
+}
+
+// SideLists exposes one side's z-set as the join buffers it (joinInput.lists):
+// main is the source data a plan must buffer at its leaves (§3.4), which a
+// leaf feeding this side directly shares as its base partition; a
+// maintenance tree built later is warmed from both lists.
+func (j *HashJoin) SideLists(left bool) (main, neg *state.List) {
+	if left {
+		return j.in[0].lists()
+	}
+	return j.in[1].lists()
+}
+
+// Lists is SideLists of the side this sink feeds.
+func (s joinSide) Lists() (main, neg *state.List) { return s.j.SideLists(s.i == 0) }
+
+// Live counts the occurrences of row that the side this sink feeds holds
+// live (joinInput.live).
+func (s joinSide) Live(row types.Tuple) int { return s.j.in[s.i].live(row) }
+
+// --- KeyedSide --------------------------------------------------------
+
+// KeyedSide buffers a relation that feeds no join the way a join input
+// buffers one that does: a main and a negative table, keyed on all the
+// relation's columns. A single-relation standing query's scan feeds its
+// result directly; a KeyedSide in front of it gives the maintenance driver
+// the relation's z-set to clamp deletes against (Live) and to read the live
+// rows from (Lists). It forwards every batch to its sink unchanged and
+// charges the virtual clock nothing: the cost model prices no such buffer.
+type KeyedSide struct {
+	ctx *Context
+	in  joinInput
+	// Out receives every batch after it is buffered.
+	Out Sink
+}
+
+// NewKeyedSide creates an empty side over the layout schema on ctx's spare,
+// which Context.Release gives its tables and lists back to.
+func NewKeyedSide(ctx *Context, schema *types.Schema, out Sink) *KeyedSide {
+	key := types.Identity(schema.Len())
+	s := &KeyedSide{ctx: ctx, in: joinInput{key: key, main: state.NewHashTableSized(schema, key, 0, ctx.Spare)}, Out: out}
+	ctx.owned = append(ctx.owned, s)
+	return s
+}
+
+// Push implements Sink: ts builds into the main table (the negative one when
+// sign < 0), then goes on to Out.
+func (s *KeyedSide) Push(ts []types.Tuple, sign int) {
+	s.Buffer(ts, sign)
+	s.Out.Push(ts, sign)
+}
+
+// Buffer builds ts into the side as Push does, without forwarding them: rows
+// whose consequences Out already has.
+func (s *KeyedSide) Buffer(ts []types.Tuple, sign int) {
+	t := s.in.main
+	if sign < 0 {
+		t = s.in.negTable(s.ctx.Spare)
+	}
+	for _, r := range ts {
+		t.Insert(r)
+	}
+}
+
+// Lists returns the side's z-set (joinInput.lists).
+func (s *KeyedSide) Lists() (main, neg *state.List) { return s.in.lists() }
+
+// Live counts row's live occurrences in the side (joinInput.live).
+func (s *KeyedSide) Live(row types.Tuple) int { return s.in.live(row) }
+
+func (s *KeyedSide) free(spare *state.Spare) { s.in.release(spare, true) }

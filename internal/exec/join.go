@@ -114,23 +114,16 @@ func (j *HashJoin) Tables() (left, right *state.HashTable) { return j.in[0].main
 // Release gives the index storage of the join's tables to spare once nothing
 // will push into or probe the join again; its lists stay (SideLists).
 func (j *HashJoin) Release(spare *state.Spare) {
-	for _, in := range j.in {
-		spare.Release(in.main)
-		if in.neg != nil {
-			spare.Release(in.neg)
-		}
+	for i := range j.in {
+		j.in[i].release(spare, false)
 	}
 }
 
 // free gives everything j holds to spare at the end of its run: its
 // tables' index storage and its lists' rows.
 func (j *HashJoin) free(spare *state.Spare) {
-	j.Release(spare)
-	for _, in := range j.in {
-		spare.ReleaseList(in.main.List())
-		if in.neg != nil {
-			spare.ReleaseList(in.neg.List())
-		}
+	for i := range j.in {
+		j.in[i].release(spare, true)
 	}
 }
 
@@ -177,7 +170,7 @@ func (j *HashJoin) push(i int, rows []types.Tuple, sign int) {
 	build, other := j.in[i].main, &j.in[1-i]
 	first, second, firstSign := other.main, other.neg, sign
 	if sign < 0 {
-		build = j.negTable(i)
+		build = j.in[i].negTable(j.ctx.Spare)
 		first, second, firstSign = other.neg, other.main, 1
 	}
 	j.sweep(i, rows, build, first, firstSign)

@@ -1,9 +1,11 @@
 // Package ivm holds the shared vocabulary of incremental view
 // maintenance: signed result updates, the multiset algebra that folds
-// them, and the base-relation tracker that clamps deletes. It depends
-// only on the types layer so every other layer — exec operators, the
-// core maintenance driver, the engine API, the HTTP server — can speak
-// it without import cycles.
+// them, and a base-relation tracker of live rows. It depends only on the
+// types layer so every other layer — exec operators, the core
+// maintenance driver, the engine API, the HTTP server — can speak it
+// without import cycles. The engine itself keeps no Multiset or
+// BaseTracker: its maintained view is its operators' state. Tests fold
+// with Multiset, and benchmark/probes.go times both structures.
 //
 // The central contract is *fold consistency*: folding a standing
 // query's update stream into an empty multiset always yields exactly
@@ -13,6 +15,8 @@
 package ivm
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 
 	"github.com/tukwila/adp/internal/types"
@@ -114,18 +118,32 @@ func Fold(updates []Update) *Multiset {
 	return m
 }
 
-// SortedRows clones and key-sorts a row list: the from-scratch side of
-// an oracle comparison, in the same canonical order Rows produces.
+// SortedRows key-sorts rows in place, in the canonical order Rows produces,
+// and returns them: a maintained result read off its view's state, or the
+// from-scratch side of an oracle comparison. Each row is encoded twice, once
+// to size the one buffer that holds every key.
 func SortedRows(rows []types.Tuple) []types.Tuple {
-	out := make([]types.Tuple, len(rows))
-	copy(out, rows)
-	var ka, kb []byte
-	sort.SliceStable(out, func(i, j int) bool {
-		ka = types.AppendKeyAll(ka[:0], out[i])
-		kb = types.AppendKeyAll(kb[:0], out[j])
-		return string(ka) < string(kb)
-	})
-	return out
+	type keyed struct {
+		row    types.Tuple
+		lo, hi int
+	}
+	var keys []byte
+	n := 0
+	for _, r := range rows {
+		keys = types.AppendKeyAll(keys[:0], r)
+		n += len(keys)
+	}
+	keys, ks := make([]byte, 0, n), make([]keyed, len(rows))
+	for i, r := range rows {
+		lo := len(keys)
+		keys = types.AppendKeyAll(keys, r)
+		ks[i] = keyed{r, lo, len(keys)}
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int { return bytes.Compare(keys[a.lo:a.hi], keys[b.lo:b.hi]) })
+	for i, k := range ks {
+		rows[i] = k.row
+	}
+	return rows
 }
 
 // BaseTracker tracks one base relation's live multiset so the

@@ -295,7 +295,7 @@ func wireReport(rep *core.Report, planCache string) WireReport {
 		Updates:        rep.UpdateCount,
 		DeltaRows:      rep.DeltaRows,
 		DeltaClamped:   rep.DeltaClamped,
-		MaintainedRows: int64(len(rep.Maintained)),
+		MaintainedRows: rep.MaintainedRows,
 		MaintSwitches:  rep.MaintSwitches,
 	}
 	for _, p := range rep.Phases {

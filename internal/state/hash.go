@@ -83,11 +83,12 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// row returns row id and its chain successor: two independent loads, issued
-// together so that a chain walk waits for one cache miss per step, not two.
-func (h *HashTable) row(id int32) (types.Tuple, int32) {
+// row returns row id and its index entry (its key hash and chain successor):
+// two independent loads, issued together so that a chain walk waits for one
+// cache miss per step, not two.
+func (h *HashTable) row(id int32) (types.Tuple, entry) {
 	c, i := int(id-1)>>chunkShift, int(id-1)&(chunkRows-1)
-	return h.list.rows.chunks[c][i], h.ix.entries.chunks[c][i].next
+	return h.list.rows.chunks[c][i], h.ix.entries.chunks[c][i]
 }
 
 // List returns the rows the table indexes, in arrival order.
@@ -129,20 +130,22 @@ func (h *HashTable) InsertHashedBatch(hashes []uint64, ts []types.Tuple) {
 // ProbeHashedBatch drives one probe per batch row: row i probes with hash
 // hashes[i] and the key columns keyCols of keys[i], and fn receives the
 // row index with each matching tuple (return false to stop that
-// row's probe; later rows still probe). It is the batch companion of
-// ProbeHashed — one hash vector and zero per-row setup.
+// row's probe; later rows still probe). A row matches when its stored hash
+// is the probe's and its key is types.Equal to the probe key — the hash's
+// own equivalence, so a bucket count never changes the matches. It is the
+// batch companion of ProbeHashed — one hash vector and zero per-row setup.
 //
 //adp:hotpath gated by BenchmarkHashTableProbe (scripts/check_allocs.sh)
 func (h *HashTable) ProbeHashedBatch(hashes []uint64, keys []types.Tuple, keyCols []int, fn func(row int, match types.Tuple) bool) {
 	for i, key := range keys {
 		for id := h.ix.bucket(hashes[i]).head; id != 0; {
-			t, next := h.row(id)
-			if t.KeyEquals(h.keyCols, key, keyCols) {
+			t, e := h.row(id)
+			if e.hash == hashes[i] && t.KeyEquals(h.keyCols, key, keyCols) {
 				if !fn(i, t) {
 					break
 				}
 			}
-			id = next
+			id = e.next
 		}
 	}
 }
@@ -161,11 +164,11 @@ func (h *HashTable) Scan(fn func(types.Tuple) bool) {
 	h.ix.live()
 	for _, b := range h.ix.buckets {
 		for id := b.head; id != 0; {
-			t, next := h.row(id)
+			t, e := h.row(id)
 			if !fn(t) {
 				return
 			}
-			id = next
+			id = e.next
 		}
 	}
 }
@@ -181,20 +184,20 @@ func (h *HashTable) Probe(key []types.Value, fn func(types.Tuple) bool) {
 
 // ProbeHashed is the allocation-free probe fast path: the caller supplies
 // the key's hash (computed once per tuple and shared between insert and
-// probe) and the key as a tuple prefix. Steady-state it performs zero
-// allocations.
+// probe) and the key as a tuple prefix. It matches as ProbeHashedBatch does.
+// Steady-state it performs zero allocations.
 //
 //adp:hotpath gated by BenchmarkHashTableProbe (scripts/check_allocs.sh)
 func (h *HashTable) ProbeHashed(hash uint64, key types.Tuple, fn func(types.Tuple) bool) {
 	idx := types.Identity(len(key))
 	for id := h.ix.bucket(hash).head; id != 0; {
-		t, next := h.row(id)
-		if t.KeyEquals(h.keyCols, key, idx) {
+		t, e := h.row(id)
+		if e.hash == hash && t.KeyEquals(h.keyCols, key, idx) {
 			if !fn(t) {
 				return
 			}
 		}
-		id = next
+		id = e.next
 	}
 }
 

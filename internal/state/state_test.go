@@ -1,7 +1,9 @@
 package state
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/tukwila/adp/internal/types"
@@ -103,6 +105,58 @@ func TestHashTableFixedBucketsStillCorrect(t *testing.T) {
 	}
 	if got := len(probeAll(h, 0)); got != 28 {
 		t.Errorf("fixed-bucket probe(0) = %d, want 28", got)
+	}
+}
+
+// TestProbeMatchesIgnoreBucketCount: a probe matches the rows whose key is
+// its own hash key — NaN only NaN (any payload), Int(2^53+1) not Float(2^53),
+// Int(2^62) not Float(2^62), either zero both — in a one-bucket table, where
+// every row shares the probe's chain, exactly as in a 1024-bucket one, on
+// both probe paths.
+func TestProbeMatchesIgnoreBucketCount(t *testing.T) {
+	keys := []types.Value{
+		types.Int(0), types.Int(1), types.Int(2), types.Int(3), types.Int(4), // 0-4
+		types.Float(2.5), types.Float(math.NaN()), types.Float(math.Float64frombits(0x7ff8000000000001)), // 5-7
+		types.Float(1 << 53), types.Int(1<<53 + 1), types.Int(1 << 62), types.Float(1 << 62), // 8-11
+		types.Float(math.Copysign(0, -1)), types.Null(), types.Str("1"), types.Float(1), // 12-15
+	}
+	schema := types.NewSchema(types.Column{Name: "r.k", Kind: types.KindFloat}, types.Column{Name: "r.i", Kind: types.KindInt})
+	probes := []struct {
+		key  types.Value
+		want []int64
+	}{
+		{types.Float(math.NaN()), []int64{6, 7}},
+		{types.Int(1<<53 + 1), []int64{9}},
+		{types.Float(1 << 53), []int64{8}},
+		{types.Int(1 << 53), []int64{8}},
+		{types.Int(1 << 62), []int64{10}},
+		{types.Float(1 << 62), []int64{11}},
+		{types.Float(0), []int64{0, 12}},
+		{types.Int(1), []int64{1, 15}},
+		{types.Float(2.5), []int64{5}},
+		{types.Null(), []int64{13}},
+		{types.Str("1"), []int64{14}},
+	}
+	for _, buckets := range []int{1, 1024} {
+		h := NewHashTableSized(schema, []int{0}, buckets, &Spare{})
+		for i, k := range keys {
+			h.Insert(types.Tuple{k, types.Int(int64(i))})
+		}
+		for _, p := range probes {
+			var one, batch []int64
+			h.Probe([]types.Value{p.key}, func(m types.Tuple) bool {
+				one = append(one, m[1].I)
+				return true
+			})
+			key := types.Tuple{p.key}
+			h.ProbeHashedBatch([]uint64{key.HashKey([]int{0})}, []types.Tuple{key}, []int{0}, func(_ int, m types.Tuple) bool {
+				batch = append(batch, m[1].I)
+				return true
+			})
+			if !slices.Equal(one, p.want) || !slices.Equal(batch, p.want) {
+				t.Errorf("%d buckets: probe %v (%v) matches rows %v (batch %v), want %v", buckets, p.key, p.key.K, one, batch, p.want)
+			}
+		}
 	}
 }
 

@@ -73,3 +73,65 @@ func FuzzDecodeKeyArbitrary(f *testing.F) {
 		}
 	})
 }
+
+// hashFuzzValue builds a value of every kind from fuzz input: NULL, Int(i),
+// the float of bits, Str(s), or the float nearest i — an int and a float
+// that Compare ties, however large i is.
+func hashFuzzValue(kind uint8, i int64, bits uint64, s string) Value {
+	switch kind % 5 {
+	case 0:
+		return Null()
+	case 1:
+		return Int(i)
+	case 2:
+		return Float(math.Float64frombits(bits))
+	case 3:
+		return Str(s)
+	default:
+		return Float(float64(i))
+	}
+}
+
+// FuzzHashAgreesWithEqual: values a hash probe calls equal (Equal) hash
+// equal, alone and as a key column, so a probe finds every match in its own
+// bucket and a table's bucket count never changes the matches; Equal is
+// reflexive and symmetric and holds wherever the key codec's identity
+// (StrictEqual) does.
+func FuzzHashAgreesWithEqual(f *testing.F) {
+	nan2 := uint64(0x7ff8000000000001)
+	f.Add(uint8(1), int64(2), uint64(0), "", uint8(4), int64(2), uint64(0), "")
+	f.Add(uint8(2), int64(0), math.Float64bits(0), "", uint8(2), int64(0), math.Float64bits(math.Copysign(0, -1)), "")
+	f.Add(uint8(2), int64(0), math.Float64bits(math.NaN()), "", uint8(2), int64(0), nan2, "")
+	f.Add(uint8(2), int64(0), nan2, "", uint8(1), int64(7), uint64(0), "")
+	f.Add(uint8(0), int64(0), uint64(0), "", uint8(0), int64(0), uint64(0), "")
+	f.Add(uint8(0), int64(0), uint64(0), "", uint8(1), int64(0), uint64(0), "")
+	f.Add(uint8(1), int64(1<<53+1), uint64(0), "", uint8(4), int64(1<<53+1), uint64(0), "")
+	f.Add(uint8(1), int64(1<<62), uint64(0), "", uint8(4), int64(1<<62), uint64(0), "")
+	f.Add(uint8(1), int64(-1<<62), uint64(0), "", uint8(4), int64(-1<<62), uint64(0), "")
+	f.Add(uint8(1), int64(math.MaxInt64), uint64(0), "", uint8(4), int64(math.MaxInt64), uint64(0), "")
+	f.Add(uint8(2), int64(0), math.Float64bits(math.Inf(1)), "", uint8(2), int64(0), math.Float64bits(math.Inf(1)), "")
+	f.Add(uint8(3), int64(0), uint64(0), "1", uint8(1), int64(1), uint64(0), "")
+	f.Fuzz(func(t *testing.T, ka uint8, ia int64, fa uint64, sa string, kb uint8, ib int64, fb uint64, sb string) {
+		a, b := hashFuzzValue(ka, ia, fa, sa), hashFuzzValue(kb, ib, fb, sb)
+		if !Equal(a, a) || !Equal(b, b) {
+			t.Fatalf("Equal is not reflexive on %v (%v) or %v (%v)", a, a.K, b, b.K)
+		}
+		eq := Equal(a, b)
+		if eq != Equal(b, a) {
+			t.Fatalf("Equal(%v, %v) = %v one way only", a, b, eq)
+		}
+		if StrictEqual(a, b) && !eq {
+			t.Fatalf("%v (%v) and %v (%v) are one key-codec value but not Equal", a, a.K, b, b.K)
+		}
+		if !eq {
+			return
+		}
+		if Hash(a) != Hash(b) {
+			t.Fatalf("Equal values hash apart: %v (%v) and %v (%v)", a, a.K, b, b.K)
+		}
+		ta, tb := Tuple{Str("pad"), a}, Tuple{b, Int(3)}
+		if !ta.KeyEquals([]int{1}, tb, []int{0}) || ta.HashKey([]int{1}) != tb.HashKey([]int{0}) {
+			t.Fatalf("key columns %v and %v are Equal but not one hash key", a, b)
+		}
+	})
+}

@@ -46,8 +46,9 @@ func (t Tuple) HashKey(cols []int) uint64 {
 	return h
 }
 
-// KeyEquals reports whether t and other agree on the given column
-// positions (acols for t, bcols for other).
+// KeyEquals reports whether t and other agree, value by value under Equal,
+// on the given column positions (acols for t, bcols for other): whether they
+// are one hash key.
 func (t Tuple) KeyEquals(acols []int, other Tuple, bcols []int) bool {
 	for i := range acols {
 		if !Equal(t[acols[i]], other[bcols[i]]) {

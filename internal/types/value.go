@@ -161,8 +161,44 @@ func Compare(a, b Value) int {
 	}
 }
 
-// Equal reports whether two values are equal under Compare semantics.
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
+// Equal reports whether two values are one hash key: equal as HashValue
+// mixes them, so values Equal calls equal always hash equal, and a hash
+// probe's matches do not depend on the table's bucket count. NULL equals
+// NULL; an integral float below 2^62 in magnitude is the int of its value
+// (Int(2) and Float(2) are equal, and so are the two zeros); every NaN is one
+// value, equal to no number; any other float equals only itself. Compare is
+// the looser order merge joins and min/max follow: it ties NaN with every
+// number, and Int(2^53+1) with Float(2^53), which Equal tells apart.
+func Equal(a, b Value) bool {
+	if a.K == b.K && a.K != KindFloat { // the common case: nothing to normalize
+		switch a.K {
+		case KindInt:
+			return a.I == b.I
+		case KindString:
+			return a.S == b.S
+		}
+		return true
+	}
+	a, b = hashForm(a), hashForm(b)
+	switch {
+	case a.K != b.K:
+		return false
+	case a.K == KindInt:
+		return a.I == b.I
+	default: // two floats HashValue mixes by their bits
+		return a.F == b.F || math.IsNaN(a.F) && math.IsNaN(b.F)
+	}
+}
+
+// hashForm is v as HashValue mixes it: an integral float below 2^62 in
+// magnitude is the Int of its value. FuzzHashAgreesWithEqual holds the two
+// to one rule.
+func hashForm(v Value) Value {
+	if f := v.F; v.K == KindFloat && f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1<<62 {
+		return Int(int64(f))
+	}
+	return v
+}
 
 // StrictEqual reports whether two values are identical under the
 // grouping-identity semantics of the key codec (AppendKeyValue): the kind

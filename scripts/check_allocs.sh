@@ -119,13 +119,18 @@ check 'BenchmarkDeltaPropagation/agg'            2  # PR 10: signed agg absorb +
 # fresh process each, one of this gate): 3849-3869 / 3981-4016 / 4927-4954 allocs and
 # 1.05-1.67 / 1.72-3.18 / 2.95-4.36 MB (the parent, four runs beside them: 3894-3901 /
 # 4007-4037 / 4962-4978 allocs and 2.04-2.29 / 2.10-3.32 / 3.58-4.48 MB); budgets 1.25 x the
-# worst.
-check 'BenchmarkStandingSetup/adopted'        4837  # the initial phase's tree is the maintenance tree
-check 'BenchmarkStandingSetup/switched'       5020  # + one tree built from the adopted one's lists
-check 'BenchmarkStandingSetup/replayed-p4'    6193  # four partitions: a tree warmed through a live root
-check 'BenchmarkStandingSetup/adopted'     2085000 B/op
-check 'BenchmarkStandingSetup/switched'    3981000 B/op
-check 'BenchmarkStandingSetup/replayed-p4'  5454000 B/op
+# worst. Since the windows are not folded into a second copy of the view (the baseline
+# window's rows were cloned into it) and the maintained result is read off the view's state
+# once, 26 runs each (eighteen in a fresh process each, eight at -count=8): 1446-1451 /
+# 1572-1580 / 2522-2527 allocs and 0.58-0.70 / 1.01-1.25 / 2.18-2.20 MB (the parent, four
+# runs beside them: 3840-3842 / 3973-3974 / 4919-4920 allocs and 0.81 / 1.48 / 2.42 MB);
+# budgets 1.25 x the worst.
+check 'BenchmarkStandingSetup/adopted'        1814  # the initial phase's tree is the maintenance tree
+check 'BenchmarkStandingSetup/switched'       1975  # + one tree built from the adopted one's lists
+check 'BenchmarkStandingSetup/replayed-p4'    3159  # four partitions: a tree warmed through a live root
+check 'BenchmarkStandingSetup/adopted'      880000 B/op
+check 'BenchmarkStandingSetup/switched'    1564000 B/op
+check 'BenchmarkStandingSetup/replayed-p4'  2748000 B/op
 # The delta tracker seeded with SF 0.005's 30113 lineitem rows: 49 allocs and 1.75 MB measured
 # (the string-key tracker: 30383 allocs, 4.94 MB). Budgets 1.25 x the measurement.
 check 'BenchmarkBaseTrackerSeed'                62  # slot-table doublings and 1024-entry chunks
