@@ -60,9 +60,11 @@ type ComplementaryJoin struct {
 	pqLeft  *tupleHeap
 	pqRight *tupleHeap
 
-	// lastLeft/lastRight are the highest-keyed tuples sent to the merge
-	// join (the router watermarks); retaining the tuple instead of a
-	// materialized key keeps routing allocation-free.
+	// lastLeft/lastRight are the router watermarks: the first tuple of the
+	// highest-keyed group sent to the merge join, which the merge join
+	// orders the next tuple against too — Compare is not transitive across
+	// int and float keys. Retaining the tuple instead of a materialized key
+	// keeps routing allocation-free.
 	lastLeft  types.Tuple
 	lastRight types.Tuple
 
@@ -134,8 +136,14 @@ func (c *ComplementaryJoin) classify(t types.Tuple, left bool) bool {
 	if left {
 		last, key, merged, hashed = &c.lastLeft, c.leftKey, &c.Stats.MergeRoutedLeft, &c.Stats.HashRoutedLeft
 	}
-	if *last == nil || types.CompareKey(*last, key, t, key) <= 0 {
-		*last = t
+	order := -1 // the first tuple opens the merge join's first group
+	if *last != nil {
+		order = types.CompareKey(*last, key, t, key)
+	}
+	if order <= 0 {
+		if order < 0 {
+			*last = t
+		}
 		*merged++
 		return true
 	}

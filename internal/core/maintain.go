@@ -199,9 +199,10 @@ func (mt *maintainer) run() error {
 }
 
 // maintained reads the maintained result off the view's own state, sorted as
-// Report.Maintained is: an aggregate's asserted group rows, or the SPJ plan
-// run afresh over the live rows of the tree's leaf sides, on a context of its
-// own that charges the run nothing. Any watermark may call it.
+// Report.Maintained is: an aggregate's asserted group rows, or the live
+// result the maintenance tree's root join holds (a single relation's
+// KeyedSide its live rows), copied out of the run's storage. Any watermark
+// may call it.
 func (mt *maintainer) maintained() ([]types.Tuple, error) {
 	if mt.agg != nil {
 		return ivm.SortedRows(mt.agg.Asserted(make([]types.Tuple, 0, mt.agg.Groups()))), nil
@@ -210,44 +211,26 @@ func (mt *maintainer) maintained() ([]types.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []types.Tuple
-	tree, err := Lower(exec.NewContext(), mt.plan, exec.SinkFunc(func(ts []types.Tuple, _ int) {
-		for _, t := range ts {
-			rows = append(rows, ad.Adapt(t))
+	// MaintainedRows counts the live rows: one slab holds them all.
+	w, n := mt.ex.outSchema.Len(), int(mt.ex.rep.MaintainedRows)
+	rows, slab := make([]types.Tuple, 0, n), make([]types.Value, w*n)
+	add := func(t types.Tuple) {
+		if len(slab) < w {
+			slab = make([]types.Value, w*max(n/4, 64))
 		}
-	}))
-	if err != nil {
-		return nil, err
+		rows = append(rows, ad.AdaptInto(slab[:w:w], t))
+		slab = slab[w:]
 	}
-	for _, rel := range mt.ex.q.Relations {
-		tree.Entry[rel.Name].Push(liveRows(mt.tree.LeafLists(rel.Name)), 0)
+	if joins := mt.tree.Joins; len(joins) > 0 {
+		var cat types.Tuple
+		joins[len(joins)-1].Node.Result(func(l, r types.Tuple) {
+			cat = append(append(cat[:0], l...), r...)
+			add(cat)
+		})
+	} else {
+		mt.side.Result(add)
 	}
 	return ivm.SortedRows(rows), nil
-}
-
-// liveRows returns a z-set's live rows, in main's order: main less neg, as
-// multisets under the key codec's identity (types.StrictEqual).
-func liveRows(main, neg *state.List) (live []types.Tuple) {
-	var key []byte
-	gone := map[string]int{}
-	for _, l := range []*state.List{neg, main} {
-		if l == nil { // no retraction yet
-			continue
-		}
-		l.Scan(func(t types.Tuple) bool {
-			key = types.AppendKeyAll(key[:0], t)
-			switch n := gone[string(key)]; {
-			case l == neg:
-				gone[string(key)] = n + 1
-			case n > 0:
-				gone[string(key)] = n - 1
-			default:
-				live = append(live, t)
-			}
-			return true
-		})
-	}
-	return live
 }
 
 // setUp readies the maintenance tree from what the initial run left behind.
@@ -322,18 +305,13 @@ func (mt *maintainer) buildTree(plan algebra.Plan, live bool) error {
 }
 
 // use makes tree, lowered from plan, the maintenance tree. A single-relation
-// query's KeyedSide, seeded from the base partitions before the first tree,
+// query's KeyedSide, made over the base partitions before the first tree,
 // goes in front of its entry as the relation's leaf side.
 func (mt *maintainer) use(plan algebra.Plan, tree *Tree) {
 	if rels := mt.ex.q.Relations; len(rels) == 1 {
 		if mt.side == nil {
-			mt.side = exec.NewKeyedSide(mt.ex.ctx, rels[0].Schema, nil)
 			asserted, _ := mt.lists(rels[0].Name)
-			for _, l := range asserted {
-				for _, chunk := range l.Chunks() {
-					mt.side.Buffer(chunk, 1)
-				}
-			}
+			mt.side = exec.NewKeyedSide(mt.ex.ctx, rels[0].Schema, asserted, nil)
 		}
 		name := rels[0].Name
 		mt.side.Out, tree.Entry[name] = tree.Entry[name], mt.side

@@ -13,19 +13,21 @@ import (
 // the tree is the initial phase's. switched: the same, then one tree built
 // from the adopted one's main and negative lists, as a mid-maintenance switch
 // does. replayed-p4: four partitions, so a tree warmed with the base rows
-// through a live root. Each run ends as RunMaintenance's does, giving its
+// through a live root. spj-adopted: the adopted leg with Q3A's group-by
+// dropped, so the view is the join's rows. Each run ends as RunMaintenance's does, giving its
 // storage to the next. The budgets in scripts/check_allocs.sh keep the
 // warm-up on its one reused batch: a relation-sized one regrows every column
 // a dozen times.
 func BenchmarkStandingSetup(b *testing.B) {
-	q, cat, script := q3aChurn(false)
-	scripts := map[string][]source.Delta{"lineitem": script(nil)["lineitem"][:600]}
 	legs := []struct {
 		name    string
+		spj     bool
 		parts   int
 		rebuild bool
-	}{{"adopted", 1, false}, {"switched", 1, true}, {"replayed-p4", 4, false}}
+	}{{"adopted", false, 1, false}, {"switched", false, 1, true}, {"replayed-p4", false, 4, false}, {"spj-adopted", true, 1, false}}
 	for _, leg := range legs {
+		q, cat, script := q3aChurn(leg.spj)
+		scripts := map[string][]source.Delta{"lineitem": script(nil)["lineitem"][:600]}
 		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -54,7 +56,7 @@ func BenchmarkStandingSetup(b *testing.B) {
 					b.Fatal(err)
 				}
 				ex.release()
-				if base := basePassed(ex); rep.DeltaRows != 600 || (rep.MaintReplayed == 0) != (leg.name == "adopted") || rep.MaintReplayed > base+600 {
+				if base := basePassed(ex); rep.DeltaRows != 600 || (rep.MaintReplayed == 0) != (leg.parts == 1 && !leg.rebuild) || rep.MaintReplayed > base+600 {
 					b.Fatalf("read %d deltas, pushed %d rows to build a tree (%d base rows)", rep.DeltaRows, rep.MaintReplayed, base)
 				}
 			}

@@ -91,6 +91,28 @@ func (in *joinInput) live(row types.Tuple) int {
 	return n
 }
 
+// eachLive calls fn with each row the input holds live, in main's order: main
+// less neg as multisets, a retracted row cancelling the first of its
+// types.StrictEqual occurrences in main. Retractions wait for their match
+// under their stored key hash.
+func (in *joinInput) eachLive(fn func(types.Tuple)) {
+	if in.neg == nil {
+		in.main.ScanHashed(func(_ uint64, t types.Tuple) { fn(t) })
+		return
+	}
+	gone := make(map[uint64][]types.Tuple, in.neg.Len())
+	in.neg.ScanHashed(func(h uint64, t types.Tuple) { gone[h] = append(gone[h], t) })
+	in.main.ScanHashed(func(h uint64, t types.Tuple) {
+		ns := gone[h]
+		if i := slices.IndexFunc(ns, func(n types.Tuple) bool { return slices.EqualFunc(n, t, types.StrictEqual) }); i >= 0 {
+			ns[i] = ns[len(ns)-1]
+			gone[h] = ns[:len(ns)-1]
+			return
+		}
+		fn(t)
+	})
+}
+
 // release gives the index storage of the input's tables to spare; with rows
 // also their lists' rows.
 func (in *joinInput) release(spare *state.Spare, rows bool) {
@@ -123,6 +145,46 @@ func (s joinSide) Lists() (main, neg *state.List) { return s.j.SideLists(s.i == 
 // live (joinInput.live).
 func (s joinSide) Live(row types.Tuple) int { return s.j.in[s.i].live(row) }
 
+// Result calls fn with every row of the join's result as its state holds it
+// now — each live row of one input with each live match in the other, left
+// operand first — in no particular order: a maintenance tree's root join
+// holds its standing view. An input without retractions is probed through
+// its main table as it stands; when both have some, the left one's live rows
+// are indexed for the call on the run's spare. It charges the virtual clock
+// nothing: reading a maintained view out is not query work the cost model
+// prices.
+func (j *HashJoin) Result(fn func(left, right types.Tuple)) {
+	o, p := &j.in[0], &j.in[1] // o scanned, p probed
+	if p.neg != nil {
+		o, p = p, o
+	}
+	probe := p.main
+	if p.neg != nil {
+		spare := j.ctx.Spare
+		live := state.NewList(probe.List().Schema(), spare)
+		p.eachLive(live.Insert)
+		probe = state.IndexList(live, p.key, spare)
+		defer func() {
+			spare.Release(probe)
+			spare.ReleaseList(live)
+		}()
+	}
+	var hs [1]uint64
+	var row [1]types.Tuple
+	emit := func(_ int, m types.Tuple) bool {
+		if o == &j.in[0] {
+			fn(row[0], m)
+		} else {
+			fn(m, row[0])
+		}
+		return true
+	}
+	o.eachLive(func(t types.Tuple) {
+		hs[0], row[0] = t.HashKey(o.key), t
+		probe.ProbeHashedBatch(hs[:], row[:], o.key, emit)
+	})
+}
+
 // --- KeyedSide --------------------------------------------------------
 
 // KeyedSide buffers a relation that feeds no join the way a join input
@@ -139,11 +201,24 @@ type KeyedSide struct {
 	Out Sink
 }
 
-// NewKeyedSide creates an empty side over the layout schema on ctx's spare,
-// which Context.Release gives its tables and lists back to.
-func NewKeyedSide(ctx *Context, schema *types.Schema, out Sink) *KeyedSide {
+// NewKeyedSide creates a side over the layout schema on ctx's spare, which
+// Context.Release gives its tables and lists back to, holding the rows of
+// base. With one list, as a single-phase run leaves, that list becomes the
+// side's main list, indexed where it lies: its rows are buffered once.
+func NewKeyedSide(ctx *Context, schema *types.Schema, base []*state.List, out Sink) *KeyedSide {
+	var main *state.List
+	if len(base) == 1 {
+		main = base[0]
+	} else {
+		main = state.NewList(schema, ctx.Spare)
+		for _, l := range base {
+			for _, chunk := range l.Chunks() {
+				main.InsertBatch(chunk)
+			}
+		}
+	}
 	key := types.Identity(schema.Len())
-	s := &KeyedSide{ctx: ctx, in: joinInput{key: key, main: state.NewHashTableSized(schema, key, 0, ctx.Spare)}, Out: out}
+	s := &KeyedSide{ctx: ctx, in: joinInput{key: key, main: state.IndexList(main, key, ctx.Spare)}, Out: out}
 	ctx.owned = append(ctx.owned, s)
 	return s
 }
@@ -151,13 +226,6 @@ func NewKeyedSide(ctx *Context, schema *types.Schema, out Sink) *KeyedSide {
 // Push implements Sink: ts builds into the main table (the negative one when
 // sign < 0), then goes on to Out.
 func (s *KeyedSide) Push(ts []types.Tuple, sign int) {
-	s.Buffer(ts, sign)
-	s.Out.Push(ts, sign)
-}
-
-// Buffer builds ts into the side as Push does, without forwarding them: rows
-// whose consequences Out already has.
-func (s *KeyedSide) Buffer(ts []types.Tuple, sign int) {
 	t := s.in.main
 	if sign < 0 {
 		t = s.in.negTable(s.ctx.Spare)
@@ -165,6 +233,7 @@ func (s *KeyedSide) Buffer(ts []types.Tuple, sign int) {
 	for _, r := range ts {
 		t.Insert(r)
 	}
+	s.Out.Push(ts, sign)
 }
 
 // Lists returns the side's z-set (joinInput.lists).
@@ -172,5 +241,8 @@ func (s *KeyedSide) Lists() (main, neg *state.List) { return s.in.lists() }
 
 // Live counts row's live occurrences in the side (joinInput.live).
 func (s *KeyedSide) Live(row types.Tuple) int { return s.in.live(row) }
+
+// Result calls fn with each row the side holds live, in arrival order.
+func (s *KeyedSide) Result(fn func(types.Tuple)) { s.in.eachLive(fn) }
 
 func (s *KeyedSide) free(spare *state.Spare) { s.in.release(spare, true) }

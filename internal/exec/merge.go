@@ -225,9 +225,13 @@ func (m *MergeJoin) advance() {
 			c := types.CompareKey(lg.rows[0], m.left.keyCols, rg.rows[0], m.right.keyCols)
 			switch {
 			case c == 0:
+				// Compare ties keys that are not one hash key (Int(2^53+1)
+				// and Float(2^53)): a pair joins as the hash side joins it.
 				for _, lt := range lg.rows {
 					for _, rt := range rg.rows {
-						m.emit(lt, rt)
+						if lt.KeyEquals(m.left.keyCols, rt, m.right.keyCols) {
+							m.emit(lt, rt)
+						}
 					}
 				}
 				m.left.ready = m.left.ready[1:]

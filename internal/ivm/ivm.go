@@ -16,6 +16,7 @@ package ivm
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
 	"sort"
 
@@ -120,30 +121,47 @@ func Fold(updates []Update) *Multiset {
 
 // SortedRows key-sorts rows in place, in the canonical order Rows produces,
 // and returns them: a maintained result read off its view's state, or the
-// from-scratch side of an oracle comparison. Each row is encoded twice, once
-// to size the one buffer that holds every key.
+// from-scratch side of an oracle comparison. A value's encoding ends itself
+// (a terminator or a length prefix), so two rows' keys first differ inside
+// the encodings of their first unequal values: only those are encoded, and
+// two floats of one decade not even those (floatOrder).
 func SortedRows(rows []types.Tuple) []types.Tuple {
-	type keyed struct {
-		row    types.Tuple
-		lo, hi int
-	}
-	var keys []byte
-	n := 0
-	for _, r := range rows {
-		keys = types.AppendKeyAll(keys[:0], r)
-		n += len(keys)
-	}
-	keys, ks := make([]byte, 0, n), make([]keyed, len(rows))
-	for i, r := range rows {
-		lo := len(keys)
-		keys = types.AppendKeyAll(keys, r)
-		ks[i] = keyed{r, lo, len(keys)}
-	}
-	slices.SortStableFunc(ks, func(a, b keyed) int { return bytes.Compare(keys[a.lo:a.hi], keys[b.lo:b.hi]) })
-	for i, k := range ks {
-		rows[i] = k.row
-	}
+	var ka, kb []byte
+	slices.SortStableFunc(rows, func(a, b types.Tuple) int {
+		for c := range min(len(a), len(b)) {
+			if types.StrictEqual(a[c], b[c]) {
+				continue
+			}
+			if d, ok := floatOrder(a[c], b[c]); ok {
+				return d
+			}
+			ka = types.AppendKeyValue(ka[:0], a[c])
+			kb = types.AppendKeyValue(kb[:0], b[c])
+			return bytes.Compare(ka, kb)
+		}
+		return len(a) - len(b)
+	})
 	return rows
+}
+
+// decades are the powers of ten between which a positive float's shortest
+// text is plain decimal ('g' writes 1e-4 ≤ x < 1e6 without an exponent).
+var decades = [...]float64{1e-4, 1e-3, 1e-2, 1e-1, 1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
+
+// floatOrder orders two floats as their key encodings order, where that is
+// their numeric order: both in one decade of the plain-decimal range, whose
+// shortest texts have equally long integer parts, no trailing zeros and a
+// terminator below every digit and the point. ok is false elsewhere.
+func floatOrder(a, b types.Value) (d int, ok bool) {
+	if a.K != types.KindFloat || b.K != types.KindFloat {
+		return 0, false
+	}
+	for i := 1; i < len(decades); i++ {
+		if lo, hi := decades[i-1], decades[i]; a.F >= lo && a.F < hi {
+			return cmp.Compare(a.F, b.F), b.F >= lo && b.F < hi
+		}
+	}
+	return 0, false
 }
 
 // BaseTracker tracks one base relation's live multiset so the

@@ -274,3 +274,32 @@ func TestMultisetHoldsLiveRowsOnly(t *testing.T) {
 		t.Fatalf("a lone retraction: Negative %v, %d entries", m.Negative(), len(m.counts))
 	}
 }
+
+// TestSortedRowsOrdersFloatsByEncoding: SortedRows orders one-float rows as
+// their key encodings order, on floats around every power of ten from 1e-5
+// to 1e7 (a float's last ulps either side of it included), of both signs,
+// and drawn across the decades at random.
+func TestSortedRowsOrdersFloatsByEncoding(t *testing.T) {
+	var fs []float64
+	for p := 1e-5; p <= 1e7; p *= 10 {
+		for _, x := range []float64{p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)), 1.5 * p, 9.999999999999999 * p / 10, 0.99 * p} {
+			fs = append(fs, x, -x)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		fs = append(fs, math.Pow(10, rng.Float64()*12-6), float64(rng.Intn(100000))/100)
+	}
+	var rows []types.Tuple
+	for _, f := range fs {
+		rows = append(rows, types.Tuple{types.Float(f)}, types.Tuple{types.Int(7), types.Float(f)})
+	}
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	want := slices.Clone(rows)
+	slices.SortStableFunc(want, func(a, b types.Tuple) int {
+		return strings.Compare(string(types.AppendKeyAll(nil, a)), string(types.AppendKeyAll(nil, b)))
+	})
+	if got := SortedRows(rows); !slices.Equal(idents(got), idents(want)) {
+		t.Fatal("SortedRows does not order floats as their key encodings do")
+	}
+}

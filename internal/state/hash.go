@@ -51,7 +51,7 @@ func newHashTable(l *List, keyCols []int, nbuckets, load int, spare *Spare) *Has
 // according to the join key" when key compatibility fails (§3.4.3, §3.2),
 // without copying a row. Buckets and chains are exactly those of a growing
 // table the rows were inserted into one by one, stored once at their final
-// size (from spare). l must not grow while the index is in use.
+// size (from spare). While the index is in use, l grows only through it.
 func IndexList(l *List, keyCols []int, spare *Spare) *HashTable {
 	h := newHashTable(l, keyCols, BucketsFor(l.Len()), rowsPerBucket, spare)
 	h.ix.entries.reserve(l.Len())
@@ -169,6 +169,16 @@ func (h *HashTable) Scan(fn func(types.Tuple) bool) {
 				return
 			}
 			id = e.next
+		}
+	}
+}
+
+// ScanHashed visits the rows in arrival order, each with its stored key hash.
+func (h *HashTable) ScanHashed(fn func(hash uint64, t types.Tuple)) {
+	h.ix.live()
+	for c, chunk := range h.list.Chunks() {
+		for i, t := range chunk {
+			fn(h.ix.entries.chunks[c][i].hash, t)
 		}
 	}
 }

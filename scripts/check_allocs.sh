@@ -131,6 +131,12 @@ check 'BenchmarkStandingSetup/replayed-p4'    3159  # four partitions: a tree wa
 check 'BenchmarkStandingSetup/adopted'      880000 B/op
 check 'BenchmarkStandingSetup/switched'    1564000 B/op
 check 'BenchmarkStandingSetup/replayed-p4'  2748000 B/op
+# The SPJ leg reads its maintained result off the root join's two sides at the end: 18 runs
+# (ten in a fresh process each, eight at -count=8) 3783-3786 allocs and 1.28 MB (the parent,
+# which folded every window into a second copy of the view: 11598-11601 allocs, 1.79 MB);
+# budgets 1.25 x the worst.
+check 'BenchmarkStandingSetup/spj-adopted'    4733  # the adopted leg, Q3A without its group-by
+check 'BenchmarkStandingSetup/spj-adopted' 1602000 B/op
 # The delta tracker seeded with SF 0.005's 30113 lineitem rows: 49 allocs and 1.75 MB measured
 # (the string-key tracker: 30383 allocs, 4.94 MB). Budgets 1.25 x the measurement.
 check 'BenchmarkBaseTrackerSeed'                62  # slot-table doublings and 1024-entry chunks
