@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint build test bench bench-perf check-fmt check-allocs check-bench bench-module fuzz-short examples chaos serve-smoke loc ci
+.PHONY: all vet lint build test bench bench-perf check-fmt check-allocs check-bench bench-module fuzz-short examples chaos serve-smoke loc alloc-profile ci
 
 all: ci
 
@@ -40,7 +40,8 @@ test:
 # Fast perf smoke: hash-probe and hash-build, join push (row batches, plus the
 # columnar shim the benchmark's probes time), vectorized key hashing,
 # ordered merge-join, aggregate absorb and partition-table fold,
-# exchange-partitioning, one whole stitch-up, one corrective run that
+# exchange-partitioning, one whole stitch-up (on an empty and on a pooled
+# spare), one corrective run that
 # switches twice and stitches up, one standing query per
 # maintenance set-up, a standing query's delta-tracker seed and request
 # decode, one corrective poll's re-optimization, streaming cursor
@@ -147,6 +148,14 @@ bench-module:
 # of the parent commit.
 loc:
 	@./scripts/loc.sh
+
+# Where the bytes of a benchmark op go: a heap profile of WORKLOAD's OPS
+# measured ops (seed 42, after the warm-up), as pprof -top in MB per op. It
+# profiles a copy of the tree in a temporary directory; not part of ci.
+WORKLOAD ?= agg_corrective
+OPS ?= 30
+alloc-profile:
+	./scripts/allocprofile.sh $(WORKLOAD) $(OPS)
 
 # Full benchmark sweep (paper figures; slow).
 bench:

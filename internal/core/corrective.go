@@ -964,12 +964,6 @@ func (ex *executor) stitchUp() error {
 	if err := s.RunContext(ex.runCtx); err != nil {
 		return err
 	}
-	// Nothing probes the stitch-up's indexes again: the next run takes them.
-	for _, t := range s.tables {
-		if t != nil {
-			ex.ctx.Spare.Release(t)
-		}
-	}
 	ex.rep.StitchTime = exec.Seconds(ex.ctx.Clock.Now - t0)
 	ex.rep.StitchCombos = s.Combos
 	ex.rep.Reused = s.Reused

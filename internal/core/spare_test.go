@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
@@ -391,4 +393,72 @@ func TestSpareDrawsFirstChunks(t *testing.T) {
 		}
 		delete(donated, first)
 	}
+}
+
+// TestSpareDrawsStitchUpStorage: a stitch-up takes its prefixes' row chunks
+// and indexes from its run's spare and gives them back when it returns. Of
+// two identical runs, each on the pooled spare the run before returned, the
+// second holds only prefix chunks the first gave back, builds its prefix
+// index on storage the first gave back, and so allocates less than the
+// smallest piece of either (a 1024-bucket array, 12 KB) in all. The fixture
+// indexes the first prefix (2000 A rows against 500 of B) and emits few
+// rows, so the result slice stays small.
+func TestSpareDrawsStitchUpStorage(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // two collections would empty the pool
+	f := newStitchFixture(11, 6000, 1500, 300, 50000)
+	recs := f.partition(3, 4)
+	run := func() (chunks map[*types.Tuple]bool, indexed bool, bytes uint64) {
+		ctx := exec.NewRunContext(exec.DefaultCosts())
+		defer ctx.Release()
+		chunks = make(map[*types.Tuple]bool, 64)
+		var s *StitchUp
+		rows := 0
+		sink := exec.SinkFunc(func(ts []types.Tuple, _ int) {
+			rows += len(ts)
+			for _, p := range s.levels {
+				for _, c := range p.chunks {
+					chunks[unsafe.SliceData(c)] = true
+				}
+				indexed = indexed || p.indexed
+			}
+		})
+		s, err := NewStitchUp(ctx, f.q, recs, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := s.RunContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		if rows == 0 {
+			t.Fatal("the stitch-up emitted nothing")
+		}
+		for i, p := range s.levels {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("prefix %d kept its index after RunContext returned", i)
+					}
+				}()
+				p.ix.First(0)
+			}()
+		}
+		return chunks, indexed, m1.TotalAlloc - m0.TotalAlloc
+	}
+	first, indexed, cold := run()
+	if len(first) == 0 || !indexed {
+		t.Fatalf("%d prefix chunks, indexed %t: the fixture no longer shapes the stitch-up", len(first), indexed)
+	}
+	second, _, bytes := run()
+	for c := range second {
+		if !first[c] {
+			t.Fatal("the second stitch-up holds a prefix chunk the first did not give back")
+		}
+	}
+	if bytes >= 12<<10 {
+		t.Fatalf("the second stitch-up allocated %d bytes (the first %d): it did not run on the storage the first gave back", bytes, cold)
+	}
+	t.Logf("allocated %d bytes, then %d", cold, bytes)
 }

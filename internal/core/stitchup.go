@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/exec"
@@ -241,6 +240,7 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 	if m < 2 || n < 2 {
 		return nil
 	}
+	defer s.release()
 	s.tables = make([]*state.HashTable, m*n)
 	// levels[i] stays valid while the vector's first i+1 positions are
 	// unchanged (and with it the index a later step built over it).
@@ -273,7 +273,7 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 			s.levels[0].reset()
 			if part := s.phases[c[0]].BaseParts[s.Order[0]]; part != nil {
 				part.Scan(func(t types.Tuple) bool {
-					s.levels[0].add()[0] = t
+					s.levels[0].add(s.ctx.Spare)[0] = t
 					return true
 				})
 			}
@@ -312,23 +312,19 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 	return nil
 }
 
-// prefixChunk is the number of rows per prefixRows chunk.
-const prefixChunk = 512
-
 // prefixRows is the cached join of a vector prefix of k relations, kept by
-// reference: row r is k base-tuple headers, one per relation in fold
-// order, in chunks a later prefix of the same length reuses. heads/next are
-// a lazily built hash index over the rows (1-based row numbers, 0 ends a
-// chain) keyed on the columns the NEXT fold step probes, so the stitch-up
-// join can scan the smaller side and probe the larger ("it decides on a
-// pairwise basis which state structure should be scanned for tuples and
+// reference: row r is k base-tuple headers, one per relation in fold order,
+// per rows to each of the spare's row chunks, which a later prefix of the
+// same length reuses, as it does ix: an index over the rows (row r is id
+// r+1), built lazily on the columns the NEXT fold step probes, so the
+// stitch-up join can scan the smaller side and probe the larger ("it decides
+// on a pairwise basis which state structure should be scanned for tuples and
 // which should be probed against", §3.4.3).
 type prefixRows struct {
-	k, n    int
-	chunks  [][]types.Tuple
-	heads   []int32
-	next    []int32
-	indexed bool
+	k, n, per int
+	chunks    [][]types.Tuple
+	ix        state.Index
+	indexed   bool // ix indexes the current rows
 	// adapted backs the rows of a reused intermediate, which are headers
 	// into tuples adapted to the fold order; it rewinds with the prefix.
 	adapted exec.ValueArena
@@ -341,17 +337,33 @@ func (p *prefixRows) reset() {
 
 // row returns row r's k headers.
 func (p *prefixRows) row(r int) []types.Tuple {
-	off := r % prefixChunk * p.k
-	return p.chunks[r/prefixChunk][off : off+p.k]
+	off := r % p.per * p.k
+	return p.chunks[r/p.per][off : off+p.k]
 }
 
 // add appends a row and returns its k headers for the caller to fill.
-func (p *prefixRows) add() []types.Tuple {
-	if p.n == len(p.chunks)*prefixChunk {
-		p.chunks = append(p.chunks, make([]types.Tuple, prefixChunk*p.k))
+func (p *prefixRows) add(spare *state.Spare) []types.Tuple {
+	if p.n == len(p.chunks)*p.per {
+		p.chunks = append(p.chunks, spare.RowChunk())
+		p.per = len(p.chunks[0]) / p.k
 	}
 	p.n++
 	return p.row(p.n - 1)
+}
+
+// release gives the stitch-up's storage to the run's spare as RunContext
+// returns: the indexes over the phases' partitions (their lists stay), and
+// the prefixes' chunks and indexes.
+func (s *StitchUp) release() {
+	for _, t := range s.tables {
+		if t != nil {
+			s.ctx.Spare.Release(t)
+		}
+	}
+	for i := range s.levels {
+		s.ctx.Spare.ReleaseRowChunks(s.levels[i].chunks)
+		s.ctx.Spare.ReleaseIndex(&s.levels[i].ix)
+	}
 }
 
 // keyOf extracts row's key columns into key.
@@ -361,7 +373,7 @@ func keyOf(key types.Tuple, row []types.Tuple, refs []keyRef) {
 	}
 }
 
-// index builds (once per prefix) the hash over the rows' refs columns, one
+// index builds (once per prefix) the index over the rows' refs columns, one
 // HashInsert charged per row. Buckets are those of a table the rows were
 // inserted into one by one, and rows are linked back to front so every
 // chain ascends: a probe meets its matches in row order.
@@ -370,18 +382,12 @@ func (s *StitchUp) index(p *prefixRows, refs []keyRef) {
 		return
 	}
 	p.indexed = true
-	buckets := state.BucketsFor(p.n)
-	p.heads = slices.Grow(p.heads[:0], buckets)[:buckets]
-	clear(p.heads)
-	p.next = slices.Grow(p.next[:0], p.n)[:p.n]
-	mask := uint64(len(p.heads) - 1)
+	p.ix.Reset(s.ctx.Spare, p.n)
 	key := s.keyScratchFor(len(refs))
 	s.ctx.Clock.Charge(int64(p.n) * s.ctx.Cost.HashInsert)
 	for r := p.n - 1; r >= 0; r-- {
 		keyOf(key, p.row(r), refs)
-		b := key.HashKey(types.Identity(len(key))) & mask
-		p.next[r] = p.heads[b]
-		p.heads[b] = int32(r + 1)
+		p.ix.Link(int32(r+1), key.HashKey(types.Identity(len(key))))
 	}
 }
 
@@ -406,7 +412,7 @@ func (s *StitchUp) reuse(i int, c []int) bool {
 	out := &s.levels[i]
 	s.ctx.Clock.Charge(int64(interm.Len()) * s.ctx.Cost.Move)
 	interm.Scan(func(t types.Tuple) bool {
-		row, wide := out.add(), ad.AdaptInto(out.adapted.Alloc(s.relOff[i+1]), t)
+		row, wide := out.add(s.ctx.Spare), ad.AdaptInto(out.adapted.Alloc(s.relOff[i+1]), t)
 		for j := range row {
 			row[j] = wide[s.relOff[j]:s.relOff[j+1]:s.relOff[j+1]]
 		}
@@ -442,7 +448,7 @@ func (s *StitchUp) extend(i int, c []int) {
 	emit := func(rt types.Tuple) bool {
 		s.ctx.Clock.Charge(s.ctx.Cost.Move)
 		if !last {
-			row := out.add()
+			row := out.add(s.ctx.Spare)
 			copy(row, pt)
 			row[i] = rt
 			return true
@@ -467,15 +473,15 @@ func (s *StitchUp) extend(i int, c []int) {
 		}
 		return
 	}
-	// Scan the (smaller) partition, probe a hash over the prefix.
+	// Scan the (smaller) partition, probe an index over the prefix.
 	s.index(prefix, pKeys)
-	mask := uint64(len(prefix.heads) - 1)
 	s.ctx.Clock.Charge(int64(part.Len()) * s.ctx.Cost.HashProbe)
 	part.Scan(func(rt types.Tuple) bool {
 		for k, col := range rCols {
 			key[k] = rt[col]
 		}
-		for id := prefix.heads[key.HashKey(types.Identity(len(key)))&mask]; id != 0; id = prefix.next[id-1] {
+		hash := key.HashKey(types.Identity(len(key)))
+		for id := prefix.ix.First(hash); id != 0; id = prefix.ix.Next(id, hash) {
 			pt = prefix.row(int(id - 1))
 			if keyEquals(pt, pKeys, key) {
 				emit(rt)

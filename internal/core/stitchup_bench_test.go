@@ -20,15 +20,13 @@ func (s *countSink) Push(ts []types.Tuple, _ int) { s.rows += len(ts) }
 
 // BenchmarkStitchUp is one stitch-up of three relations cut into three
 // phases, every phase having materialized A⋈B for reuse: 24 combinations
-// over nine partition indexes. What an op allocates is those indexes and
-// little else — prefixes travel by reference in chunks every combination
-// reuses, result rows in one arena (budget in scripts/check_allocs.sh).
-// Every op runs on a fresh empty spare (exec.NewContext), never a pooled
-// one, and reads 101 allocs and 0.65 MB. It read 103 or 107 allocs and up
-// to 1.32 MB in about one run in four, GC off or on, while the fixture's
-// relations drew their phases in map order: each run cut one of three
-// fixtures, and the two others each put over 1024 A rows, one chunk, in a
-// phase.
+// over nine partition indexes. What an op allocates is those indexes, the
+// prefixes' row chunks and indexes, and the result rows' arena, all taken
+// from its context's spare (budgets in scripts/check_allocs.sh). A "cold"
+// op runs on a fresh empty spare (exec.NewContext), so it allocates all of
+// them. A "recycled" op takes the pooled spare the op before it returned and
+// returns it (exec.NewRunContext, Context.Release), as a run does, after one
+// warm-up op.
 func BenchmarkStitchUp(b *testing.B) {
 	f := newStitchFixture(3, 3000, 6000, 3000, 1500)
 	recs := f.partition(3, 4)
@@ -45,11 +43,9 @@ func BenchmarkStitchUp(b *testing.B) {
 		})
 		rec.Interm[abKey] = ab
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	op := func(b *testing.B, ctx *exec.Context) {
 		sink := &countSink{}
-		s, err := NewStitchUp(exec.NewContext(), f.q, recs, sink)
+		s, err := NewStitchUp(ctx, f.q, recs, sink)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,4 +56,23 @@ func BenchmarkStitchUp(b *testing.B) {
 			b.Fatalf("stitch-up emitted %d rows and reused %d", sink.rows, s.Reused)
 		}
 	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			op(b, exec.NewContext())
+		}
+	})
+	b.Run("recycled", func(b *testing.B) {
+		recycled := func() {
+			ctx := exec.NewRunContext(exec.DefaultCosts())
+			op(b, ctx)
+			ctx.Release()
+		}
+		recycled()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			recycled()
+		}
+	})
 }

@@ -65,11 +65,12 @@ func (a *ValueArena) concat(lt, rt types.Tuple) types.Tuple {
 
 // Rewind hands every value carved since the last Rewind back to the arena:
 // the caller guarantees nobody holds them any more. A cycle that outgrew
-// its slab gets one slab sized for the whole cycle, so a steady producer
-// settles on a single slab and allocates nothing further.
+// its slab gets one slab sized for the whole cycle, lent by the spare as
+// the others are, so a steady producer settles on a single slab, and the
+// next run takes it back.
 func (a *ValueArena) Rewind() {
 	if a.spilled > 0 {
-		a.slab = make([]types.Value, 0, a.spilled+cap(a.slab))
+		a.slab = a.spare.Values(a.spilled + cap(a.slab))
 		a.spilled = 0
 		return
 	}

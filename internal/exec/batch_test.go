@@ -2,7 +2,9 @@ package exec
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/source"
@@ -184,5 +186,29 @@ func TestJoinRecyclesEmitArenaForCopyingSink(t *testing.T) {
 			t.Fatalf("retained tuple storage %p handed out twice", &r[0])
 		}
 		seen[&r[0]] = true
+	}
+}
+
+// TestSpareDrawsRewoundSlab: the slab a rewound arena gets for a cycle that
+// outgrew its slab is lent by the run's spare, so an identical second run,
+// on the pooled spare the first returned, takes that slab back instead of
+// allocating one.
+func TestSpareDrawsRewoundSlab(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // two collections would empty the pool
+	run := func() *types.Value {
+		ctx := NewRunContext(DefaultCosts())
+		defer ctx.Release()
+		a := ctx.Arena()
+		for i := 0; i < 3*arenaSlab/4; i++ { // one cycle of three slabs' values
+			a.Alloc(4)
+		}
+		a.Rewind()
+		if cap(a.slab) < 3*arenaSlab {
+			t.Fatalf("the rewound slab holds %d values, want the cycle's %d", cap(a.slab), 3*arenaSlab)
+		}
+		return unsafe.SliceData(a.slab[:1])
+	}
+	if first, second := run(), run(); second != first {
+		t.Fatal("the second run's rewound slab is not the one the first run's spare lent")
 	}
 }

@@ -116,3 +116,75 @@ func (x *index) live() {
 		panic("state: structure used after its index storage was released")
 	}
 }
+
+// Index is the one index over bare ids, for a caller that keeps what an id
+// names (the stitch-up's prefix rows): buckets fixed at BucketsFor of its
+// ids, ids linked from the last to the first, each at the head of its chain,
+// so chains ascend, and a walk (First, Next) that yields the ids whose stored
+// hash is the probe's; the caller compares keys.
+type Index struct{ ix index }
+
+// Reset sizes x for ids 1..n, none linked, keeping its storage: a zero Index
+// takes a bucket array and full entry chunks from spare, a used one gives
+// back the chunks n does not need.
+func (x *Index) Reset(spare *Spare, n int) {
+	if x.ix.spare == nil {
+		x.ix = newIndex(spare, BucketsFor(n), 0)
+	}
+	x.ix.live()
+	e := &x.ix.entries
+	need := (n + chunkRows - 1) >> chunkShift
+	for ; len(e.chunks) > need; e.chunks = e.chunks[:len(e.chunks)-1] {
+		e.free.push(e.chunks[len(e.chunks)-1])
+	}
+	for c := 0; c < need; c++ {
+		if c == len(e.chunks) {
+			e.chunks = append(e.chunks, e.free.take(chunkRows))
+		}
+		e.chunks[c] = e.chunks[c][:min(n-c<<chunkShift, chunkRows)]
+	}
+	e.n = n
+	if nb := BucketsFor(n); cap(x.ix.buckets) < nb {
+		x.ix.spare.buckets.push(x.ix.buckets)
+		x.ix.buckets = x.ix.spare.buckets.take(nb)
+	} else {
+		x.ix.buckets = x.ix.buckets[:nb]
+		clear(x.ix.buckets)
+	}
+}
+
+// Link links id, under hash, at the head of its chain.
+func (x *Index) Link(id int32, hash uint64) {
+	b := x.ix.bucket(hash)
+	*x.ix.entry(id) = entry{hash: hash, next: b.head}
+	if b.tail == 0 {
+		b.tail = id
+	}
+	b.head, b.count = id, b.count+1
+}
+
+// First returns the first id on hash's chain whose stored hash is hash, 0 if
+// there is none.
+func (x *Index) First(hash uint64) int32 {
+	x.ix.live()
+	return x.match(x.ix.bucket(hash).head, hash)
+}
+
+// Next returns the id after id on its chain whose stored hash is hash, 0 if
+// there is none.
+func (x *Index) Next(id int32, hash uint64) int32 { return x.match(x.ix.entry(id).next, hash) }
+
+func (x *Index) match(id int32, hash uint64) int32 {
+	for id != 0 {
+		e := x.ix.entry(id)
+		if e.hash == hash {
+			return id
+		}
+		id = e.next
+	}
+	return 0
+}
+
+// ReleaseIndex gives x's storage to s once nothing will use x again: used
+// again, x panics. Releasing x again gives nothing.
+func (s *Spare) ReleaseIndex(x *Index) { x.ix.release(s) }

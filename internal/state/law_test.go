@@ -783,3 +783,123 @@ func TestIndexListSharesRows(t *testing.T) {
 		}
 	}
 }
+
+// walk returns the ids an Index walk yields for hash, in walk order.
+func walk(x *Index, hash uint64) (got []int32) {
+	for id := x.First(hash); id != 0; id = x.Next(id, hash) {
+		got = append(got, id)
+	}
+	return got
+}
+
+// TestIndexWalk: the exported walk over bare ids yields, for a hash, exactly
+// the ids whose stored hash is that hash, ascending — at BucketsFor's count,
+// where ten hashes share each of four buckets, and at one bucket, where
+// every id shares the chain. Only the stored hash keeps the others out of
+// the caller's key comparison.
+func TestIndexWalk(t *testing.T) {
+	const n = 2*chunkRows + 77
+	hashes := make([]uint64, n)
+	rng := rand.New(rand.NewSource(5))
+	for i := range hashes {
+		hashes[i] = uint64(rng.Intn(10))<<20 | uint64(rng.Intn(4))
+	}
+	for _, buckets := range []int{BucketsFor(n), 1} {
+		t.Run(fmt.Sprintf("buckets=%d", buckets), func(t *testing.T) {
+			x := &Index{}
+			x.Reset(&Spare{}, n)
+			x.ix.buckets = x.ix.buckets[:buckets]
+			for id := int32(n); id >= 1; id-- {
+				x.Link(id, hashes[id-1])
+			}
+			for h := uint64(0); h <= 10<<20; h += 1 << 20 {
+				for b := uint64(0); b < 4; b++ {
+					var want []int32
+					for i, hi := range hashes {
+						if hi == h|b {
+							want = append(want, int32(i+1))
+						}
+					}
+					if got := walk(x, h|b); !slices.Equal(got, want) {
+						t.Fatalf("walk of hash %#x yields %d ids, want %d ascending: %v…", h|b, len(got), len(want), got[:min(len(got), 8)])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestIndexResetKeepsStorage: a reset index keeps its bucket array and the
+// entry chunks its new size needs, gives the others to its spare and links
+// none of the ids before the reset. A released index panics on use, and
+// releasing it again gives nothing.
+func TestIndexResetKeepsStorage(t *testing.T) {
+	link := func(x *Index, n int) {
+		for id := int32(n); id >= 1; id-- {
+			x.Link(id, uint64(id%9))
+		}
+	}
+	s, x := &Spare{}, &Index{}
+	x.Reset(s, 3*chunkRows)
+	link(x, 3*chunkRows)
+	buckets, entries := unsafe.SliceData(x.ix.buckets), pointers(x.ix.entries.chunks)
+	x.Reset(s, chunkRows+1)
+	if len(x.ix.buckets) != BucketsFor(chunkRows+1) || unsafe.SliceData(x.ix.buckets) != buckets {
+		t.Fatalf("reset to %d buckets moved the array (%d buckets)", BucketsFor(chunkRows+1), len(x.ix.buckets))
+	}
+	if !slices.Equal(pointers(x.ix.entries.chunks), entries[:2]) || !slices.Equal(pointers(s.entries.items), entries[2:]) {
+		t.Fatal("reset did not keep the entry chunks it needs and give the other to the spare")
+	}
+	if got := walk(x, 3); len(got) != 0 {
+		t.Fatalf("a reset index yields %d ids", len(got))
+	}
+	link(x, chunkRows+1)
+	if got := walk(x, 3); len(got) != chunkRows/9+1 || got[0] != 3 || !slices.IsSorted(got) {
+		t.Fatalf("walk after reset = %d ids from %v", len(got), got[:min(len(got), 1)])
+	}
+	x.Reset(s, 3*chunkRows)
+	if got := pointers(x.ix.entries.chunks); !slices.Equal(got, entries) || len(s.entries.items) != 0 {
+		t.Fatal("growing again did not take back the chunk the reset gave away")
+	}
+	s.ReleaseIndex(x)
+	held := len(s.buckets.items) + len(s.entries.items)
+	s.ReleaseIndex(x)
+	if len(s.buckets.items)+len(s.entries.items) != held {
+		t.Fatal("a second release changed the spare")
+	}
+	for name, use := range map[string]func(){
+		"First": func() { x.First(3) },
+		"Next":  func() { x.Next(1, 3) },
+		"Link":  func() { x.Link(1, 3) },
+		"Reset": func() { x.Reset(s, 10) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released index did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
+// TestRowChunksComeBack: RowChunk takes a released full row chunk, cleared,
+// and ReleaseRowChunks gives it back for the next taker.
+func TestRowChunksComeBack(t *testing.T) {
+	s := &Spare{}
+	l := NewList(lawSchema, &Spare{})
+	for i := 0; i < chunkRows; i++ {
+		l.Insert(types.Tuple{types.Int(int64(i))})
+	}
+	donated := unsafe.SliceData(l.Chunks()[0])
+	s.ReleaseList(l)
+	c := s.RowChunk()
+	if unsafe.SliceData(c) != donated || len(c) != chunkRows || slices.ContainsFunc(c, func(t types.Tuple) bool { return t != nil }) {
+		t.Fatal("RowChunk did not take the released chunk, full length and cleared")
+	}
+	s.ReleaseRowChunks([][]types.Tuple{c})
+	if unsafe.SliceData(s.RowChunk()) != donated {
+		t.Fatal("a chunk given back is not the next one taken")
+	}
+}

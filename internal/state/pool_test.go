@@ -2,6 +2,7 @@ package state
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -34,8 +35,10 @@ func TestPoolGivesBackAcrossGoroutines(t *testing.T) {
 
 // TestPoolDropsAfterTwoCycles: an item survives one GC cycle and is dropped
 // at the second, as from a sync.Pool — whether or not the GC hook has run
-// yet.
+// yet. Automatic collection is off for the test, so that its own
+// runtime.GC calls are the only cycles.
 func TestPoolDropsAfterTwoCycles(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	p := newIntPool()
 	a := new(int)
 	p.Put(a)

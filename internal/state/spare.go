@@ -30,7 +30,14 @@ type stack[T any] struct {
 	old   int
 }
 
-func (s *stack[T]) push(v []T) { s.items = append(s.items, v) }
+// push gives v to the stack, which makes room for 16 items at its first, so
+// a fresh spare's first releases do not regrow it item by item.
+func (s *stack[T]) push(v []T) {
+	if s.items == nil {
+		s.items = make([][]T, 0, 16)
+	}
+	s.items = append(s.items, v)
+}
 
 // take returns n cleared elements: the smallest free item that holds n
 // (the topmost of equals), re-sliced to n and cleared, else a new one.
@@ -116,6 +123,18 @@ func (s *Spare) ReleaseList(l *List) {
 		}
 	}
 	l.rows = chunked[types.Tuple]{n: -1}
+}
+
+// RowChunk takes a full row chunk — cleared, chunkRows headers long — for
+// a caller that lays its rows out in it itself (the stitch-up's prefixes).
+func (s *Spare) RowChunk() []types.Tuple { return s.rows.take(chunkRows) }
+
+// ReleaseRowChunks gives chunks RowChunk took to s once nothing will read
+// them again.
+func (s *Spare) ReleaseRowChunks(chunks [][]types.Tuple) {
+	for _, chunk := range chunks {
+		s.rows.push(chunk)
+	}
 }
 
 // Values lends an empty value slab with room for n values — the smallest

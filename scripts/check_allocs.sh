@@ -54,8 +54,16 @@ check 'BenchmarkExchangePartition/columnar'      2  # columnar shim: one transpo
 check 'BenchmarkPartitionMergeRelease'           1  # order-releasing root flush, rows in and out of one reused buffer (1 = headroom)
 # BenchmarkStitchUp reads 101 allocs and 0.65 MB on every run since its fixture draws the
 # relations' phases in a fixed order; drawn in map order, one run in four cut a fixture that
-# read 103 or 107 allocs and up to 1.32 MB.
-check 'BenchmarkStitchUp'                      110  # PR 21: 3 phases x 3 relations with reuse: 9 indexes, prefix chunks, arenas (103; 49807 before)
+# read 103 or 107 allocs and up to 1.32 MB. Since the prefixes take full row chunks and the
+# state index from the spare and give them back, eight runs each: "cold", on a fresh empty
+# spare per op, 104 allocs and 0.681 MB (the stacks that take the storage back are part of
+# the op); "recycled", on the pooled spare the op before returned, 80 allocs and 63064-63169 B,
+# most of it the combination's result slice. Cold's allocs budget is the measurement and one;
+# the others 1.25 x the worst.
+check 'BenchmarkStitchUp/cold'                 105  # 3 phases x 3 relations with reuse: 9 indexes, prefix chunks, arenas (103; 49807 before)
+check 'BenchmarkStitchUp/cold'              852000 B/op
+check 'BenchmarkStitchUp/recycled'             100  # the indexes, prefix chunks and slabs the op before gave back
+check 'BenchmarkStitchUp/recycled'           79000 B/op
 # One corrective Q5 at SF 0.002 that switches twice and stitches up: 6680 allocs and 5.33 MB
 # measured since a finished phase's index storage goes to the next phase's sized tables and
 # the stitch-up's indexes (6701 allocs and 7.80 MB when every phase allocated its own).
@@ -69,9 +77,11 @@ check 'BenchmarkStitchUp'                      110  # PR 21: 3 phases x 3 relati
 # Since every structure takes its storage from its context's spare (growing and negative
 # tables, core's lists, every arena's slabs, lent until the run ends): 6574-6579 allocs over
 # eight runs, 1.07-1.49 MB over sixteen (the parent, four runs beside them: 6622-6627 allocs,
-# 1.74-1.92 MB); budgets 1.25 x the worst.
-check 'BenchmarkCorrectiveRun'                8224  # three phases' trees, the stitch-up, the optimizer's calls
-check 'BenchmarkCorrectiveRun'             1861000 B/op
+# 1.74-1.92 MB); budgets 1.25 x the worst. Since the stitch-up's prefix chunks and indexes
+# come from the spare: 6563-6568 allocs and 0.807-1.028 MB over ten runs (the parent, six
+# runs beside them: 6573-6577 allocs, 1.073-1.279 MB); budgets 1.25 x the worst.
+check 'BenchmarkCorrectiveRun'                8210  # three phases' trees, the stitch-up, the optimizer's calls
+check 'BenchmarkCorrectiveRun'             1285000 B/op
 # One static Q3A at SF 0.005 over two partitions (the agg_par2 shape), ended as RunStream ends
 # a run: 2477-2480 allocs and 1.81-1.89 MB at steady state over six runs of 20 ops; cold, on a
 # drained pool (one op in a fresh process), 2651-2653 allocs and 5.03 MB. The parent, whose
