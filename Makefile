@@ -67,7 +67,8 @@ examples:
 	$(GO) build ./examples/...
 	$(GO) vet ./examples/...
 
-# Short fixed-duration fuzzing of the key codec, of the hash table — a list
+# Short fixed-duration fuzzing of the key codec, of the canonical row order
+# (SortedRows) against the key codec's byte order, of the hash table — a list
 # under state's one chained index, on an empty spare and on recycled
 # storage — against the chain model of the layout it replaced, of the
 # aggregate's flat group store (the same index over group ids) against the
@@ -83,6 +84,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyCodecRoundTrip$$' -fuzztime=5s ./internal/types/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeKeyArbitrary$$' -fuzztime=5s ./internal/types/
 	$(GO) test -run='^$$' -fuzz='^FuzzHashAgreesWithEqual$$' -fuzztime=5s ./internal/types/
+	$(GO) test -run='^$$' -fuzz='^FuzzSortedRowsMatchesKeyOrder$$' -fuzztime=5s ./internal/types/
 	$(GO) test -run='^$$' -fuzz='^FuzzHashTableModel$$' -fuzztime=5s ./internal/state/
 	$(GO) test -run='^$$' -fuzz='^FuzzAggTableModel$$' -fuzztime=5s ./internal/exec/
 	$(GO) test -run='^$$' -fuzz='^FuzzValueForKind$$' -fuzztime=5s ./internal/server/

@@ -7,7 +7,6 @@ import (
 	"github.com/tukwila/adp/internal/engine"
 	"github.com/tukwila/adp/internal/exec"
 	"github.com/tukwila/adp/internal/expr"
-	"github.com/tukwila/adp/internal/ivm"
 	"github.com/tukwila/adp/internal/opt"
 	"github.com/tukwila/adp/internal/server"
 	"github.com/tukwila/adp/internal/source"
@@ -332,9 +331,9 @@ var (
 	Del = source.Del
 )
 
-// Update is one signed revision to a standing query's result: an
-// assertion (Sign +1) or retraction (-1) of Row.
-type Update = ivm.Update
+// Update is one signed revision to a standing query's result (Sign +1
+// asserts Row, -1 retracts it), delivered by the StandingQuery's cursor alone.
+type Update = types.Update
 
 // StandingQuery is a registered incremental view returned by
 // Engine.RegisterStanding: the query runs once over the base sources,

@@ -175,10 +175,10 @@
 // Engine.RegisterStanding runs a query once and then keeps its result current
 // as signed deltas stream in, emitting revisions (Update) at watermarks. The
 // initial result leaves once, as the baseline window, which asserts it, so
-// folding the update stream from empty always yields the maintained view; the
-// stream is kept only where no hook reads it (Report.Updates), and counted
-// either way (Report.UpdateCount). Maintenance starts from the state the
-// initial run built — base rows are processed once:
+// folding the update stream from empty always yields the maintained view. The
+// stream leaves only through the standing cursor; the report just counts it
+// (Report.UpdateCount). Maintenance starts from the state the initial run
+// built — base rows are processed once:
 //
 //   - adopted: a serial run without pre-aggregation (the default) absorbs
 //     into its group-by as signed from the first row, so that table's pending

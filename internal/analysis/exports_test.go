@@ -5,8 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,18 +71,12 @@ var keptWithoutCaller = map[string]string{
 // method itself is not. Either way the test may under-report, and it never
 // reports an export that has a caller.
 func TestEveryExportHasACaller(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		t.Fatalf("repository root not found above internal/analysis: %v", err)
-	}
+	root := repoRoot(t)
 	fset := token.NewFileSet()
 	declared := map[string]string{} // key -> name
 	mentioned := map[string]bool{}  // method names
 	named := map[string]bool{}      // package-qualified function keys
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -179,6 +175,94 @@ func TestEveryExportHasACaller(t *testing.T) {
 
 // modulePath is the import path of the repository's root module.
 const modulePath = "github.com/tukwila/adp"
+
+// repoRoot returns the repository's root directory, two above this package.
+func repoRoot(t *testing.T) string {
+	t.Helper()
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("repository root not found above internal/analysis: %v", err)
+	}
+	return root
+}
+
+// moduleImports returns the packages of the root module — as paths from the
+// repository root, "." for the root package — that the non-test Go files of
+// the package in dir import.
+func moduleImports(t *testing.T, root, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(root, dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range f.Imports {
+			ipath, _ := strconv.Unquote(spec.Path.Value)
+			if ipath == modulePath {
+				seen["."] = true
+			} else if rel, ok := strings.CutPrefix(ipath, modulePath+"/"); ok {
+				seen[rel] = true
+			}
+		}
+	}
+	return slices.Sorted(maps.Keys(seen))
+}
+
+// TestIvmStaysOutOfTheEngine pins internal/ivm to its role: reference
+// structures (Multiset, BaseTracker) that tests and the benchmark's probes
+// use and the engine never builds. No non-test file of the root package,
+// internal/core, internal/engine, internal/server or a cmd/ program may
+// reach it through the module's imports, and its own non-test files import
+// nothing of the module but internal/types.
+func TestIvmStaysOutOfTheEngine(t *testing.T) {
+	root := repoRoot(t)
+	if got := moduleImports(t, root, "internal/ivm"); !slices.Equal(got, []string{"internal/types"}) {
+		t.Errorf("internal/ivm imports %v of the module, want only internal/types", got)
+	}
+	starts := []string{".", "internal/core", "internal/engine", "internal/server"}
+	cmds, err := os.ReadDir(filepath.Join(root, "cmd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range cmds {
+		if d.IsDir() {
+			starts = append(starts, "cmd/"+d.Name())
+		}
+	}
+	for _, start := range starts {
+		// A breadth-first walk of start's module imports; via[p] is the
+		// package that first imported p.
+		via := map[string]string{start: ""}
+		for queue := []string{start}; len(queue) > 0; queue = queue[1:] {
+			for _, p := range moduleImports(t, root, queue[0]) {
+				if _, ok := via[p]; !ok {
+					via[p] = queue[0]
+					queue = append(queue, p)
+				}
+			}
+		}
+		if _, ok := via["internal/ivm"]; !ok {
+			continue
+		}
+		chain := []string{"internal/ivm"}
+		for p := via["internal/ivm"]; p != ""; p = via[p] {
+			chain = append(chain, p)
+		}
+		slices.Reverse(chain)
+		t.Errorf("%s reaches internal/ivm: %s", start, strings.Join(chain, " imports "))
+	}
+}
 
 // recvName returns the type name of a method receiver, without pointer or
 // type parameters.

@@ -8,7 +8,6 @@ import (
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/exec"
-	"github.com/tukwila/adp/internal/ivm"
 	"github.com/tukwila/adp/internal/opt"
 	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/state"
@@ -210,19 +209,17 @@ type Report struct {
 	Histograms map[string]*stats.Histogram
 	Orders     map[string]*stats.OrderDetector
 
-	// Maintenance outcome (RunMaintenance only). Updates is the signed
-	// update stream in emission order — the baseline window, then every
-	// watermark's revisions — kept only when no RunHooks.OnUpdates reads
-	// it; UpdateCount is its length either way. MaintainedRows is the sum
-	// of its signs: the maintained result's size, which the delete clamp
-	// keeps non-negative. Maintained is the maintained result in canonical
-	// sorted-multiset form — the stream folded — read off the view's own
-	// state when the run ends. DeltaRows counts delta-source rows read;
-	// DeltaClamped counts deletes dropped for matching no live row;
-	// MaintSwitches counts mid-maintenance plan switches. MaintReplayed
-	// counts the rows pushed again, through the signed path, to build a
-	// maintenance tree: 0 while the initial run's own tree serves.
-	Updates        []ivm.Update
+	// Maintenance outcome (RunMaintenance only). UpdateCount is the length
+	// of the signed update stream, which leaves through RunHooks.OnUpdates
+	// alone. MaintainedRows is the sum of its signs: the maintained result's
+	// size, which the delete clamp keeps non-negative. Maintained is the
+	// maintained result in canonical sorted-multiset form — the stream
+	// folded — read off the view's own state when the run ends. DeltaRows
+	// counts delta-source rows read; DeltaClamped counts deletes dropped for
+	// matching no live row; MaintSwitches counts mid-maintenance plan
+	// switches. MaintReplayed counts the rows pushed again, through the
+	// signed path, to build a maintenance tree: 0 while the initial run's own
+	// tree serves.
 	UpdateCount    int64
 	MaintainedRows int64
 	Maintained     []types.Tuple

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"github.com/tukwila/adp/internal/ivm"
 	"github.com/tukwila/adp/internal/types"
 )
 
@@ -234,11 +233,11 @@ type RunHooks struct {
 	OnSchema func(s *types.Schema)
 	// OnUpdates receives each flushed standing-query watermark window
 	// with its updates, in emission order (RunMaintenance only), invoked
-	// just before the matching UpdateWatermark event. Each window is its own
-	// slice, the hook's to keep and the run's no longer: Report.Updates
-	// stays nil. Every update is delivered exactly once, and the baseline
-	// window (Seq 0) — the initial result — even when empty.
-	OnUpdates func(wm UpdateWatermark, updates []ivm.Update)
+	// just before the matching UpdateWatermark event: the update stream's
+	// one way out (the report only counts it). Each window is the hook's to
+	// keep. Every update is delivered exactly once, and the baseline window
+	// (Seq 0) — the initial result — even when empty.
+	OnUpdates func(wm UpdateWatermark, updates []types.Update)
 }
 
 // emit sends an event to the Emit hook, if any.

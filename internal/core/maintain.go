@@ -48,7 +48,6 @@ import (
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/exec"
-	"github.com/tukwila/adp/internal/ivm"
 	"github.com/tukwila/adp/internal/opt"
 	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/state"
@@ -205,7 +204,7 @@ func (mt *maintainer) run() error {
 // may call it.
 func (mt *maintainer) maintained() ([]types.Tuple, error) {
 	if mt.agg != nil {
-		return ivm.SortedRows(mt.agg.Asserted(make([]types.Tuple, 0, mt.agg.Groups()))), nil
+		return types.SortedRows(mt.agg.Asserted(make([]types.Tuple, 0, mt.agg.Groups()))), nil
 	}
 	ad, err := types.NewAdapter(mt.plan.Schema(), mt.ex.outSchema)
 	if err != nil {
@@ -230,7 +229,7 @@ func (mt *maintainer) maintained() ([]types.Tuple, error) {
 	} else {
 		mt.side.Result(add)
 	}
-	return ivm.SortedRows(rows), nil
+	return types.SortedRows(rows), nil
 }
 
 // setUp readies the maintenance tree from what the initial run left behind.
@@ -396,18 +395,18 @@ func (mt *maintainer) pump() error {
 
 // watermark flushes the updates produced since the last call — the
 // aggregate's pending group revisions, or the SPJ root's collected signed
-// rows — as one window, to the OnUpdates hook (else Report.Updates) and the
-// event stream, adds its signs to Report.MaintainedRows and returns its size.
+// rows — as one window, to the OnUpdates hook, if any, and the event
+// stream, adds its signs to Report.MaintainedRows and returns its size.
 // The first watermark (the baseline) always emits, so subscribers can anchor
 // the fold even when the initial result is empty.
 func (mt *maintainer) watermark() int {
 	ex := mt.ex
-	var win []ivm.Update
+	var win []types.Update
 	if mt.agg != nil {
 		// Sized once: the holder may keep it, so each window is a new slice.
-		win = make([]ivm.Update, 0, 2*mt.agg.Pending())
+		win = make([]types.Update, 0, 2*mt.agg.Pending())
 		mt.agg.EmitRevisions(func(t types.Tuple, sign int) {
-			win = append(win, ivm.Update{Row: t, Sign: sign})
+			win = append(win, types.Update{Row: t, Sign: sign})
 		})
 	} else {
 		win, ex.out.updates = ex.out.updates, nil
@@ -431,8 +430,6 @@ func (mt *maintainer) watermark() int {
 	}
 	if ex.hooks.OnUpdates != nil {
 		ex.hooks.OnUpdates(wm, win)
-	} else {
-		ex.rep.Updates = append(ex.rep.Updates, win...)
 	}
 	ex.emit(wm)
 	mt.seq++

@@ -19,18 +19,19 @@ import (
 
 // standingRun runs fixture as RunMaintenance does, keeping hold of the
 // executor and the maintainer and showing them to onEvent (optional) with
-// every event.
-func standingRun(t *testing.T, fixture standingFixture, spj bool, o Options, onEvent func(*executor, *maintainer, Event)) (*executor, *maintainer, *Report) {
+// every event, and returns the run's update stream with its report.
+func standingRun(t *testing.T, fixture standingFixture, spj bool, o Options, onEvent func(*executor, *maintainer, Event)) (*executor, *maintainer, *Report, []types.Update) {
 	t.Helper()
 	q, cat, script := fixture(spj)
 	c := cat()
 	var ex *executor
 	var mt *maintainer
-	hooks := RunHooks{Emit: func(ev Event) {
+	var ups []types.Update
+	hooks := collectUpdates(&ups, RunHooks{Emit: func(ev Event) {
 		if onEvent != nil {
 			onEvent(ex, mt, ev)
 		}
-	}}
+	}})
 	ex, finish, err := prepareRun(context.Background(), c, q, o, hooks)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +46,7 @@ func standingRun(t *testing.T, fixture standingFixture, spj bool, o Options, onE
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ex, mt, rep
+	return ex, mt, rep, ups
 }
 
 // listLens renders the main and negative list lengths of every relation's
@@ -84,7 +85,7 @@ func TestMaintenanceAdoptsInitialTree(t *testing.T) {
 		t.Run(map[bool]string{false: "agg", true: "spj"}[spj], func(t *testing.T) {
 			var group *exec.AggTable
 			var atStart []*state.HashTable
-			ex, mt, rep := standingRun(t, q3aChurn, spj, Options{Strategy: Static, PollEvery: 256}, func(ex *executor, _ *maintainer, ev Event) {
+			ex, mt, rep, _ := standingRun(t, q3aChurn, spj, Options{Strategy: Static, PollEvery: 256}, func(ex *executor, _ *maintainer, ev Event) {
 				switch ev.(type) {
 				case PhaseStarted:
 					group = ex.agg
@@ -167,7 +168,7 @@ func TestMaintenanceBuildReadsLists(t *testing.T) {
 		t.Run(map[bool]string{false: "agg", true: "spj"}[spj], func(t *testing.T) {
 			var atSwitches int64
 			o := Options{Strategy: Corrective, PollEvery: 64, SwitchFactor: 0.99, MaxPhases: 8}
-			ex, mt, rep := standingRun(t, maintSwitchFixture, spj, o, func(ex *executor, mt *maintainer, ev Event) {
+			ex, mt, rep, _ := standingRun(t, maintSwitchFixture, spj, o, func(ex *executor, mt *maintainer, ev Event) {
 				if sw, ok := ev.(PlanSwitched); ok && sw.Phase >= len(ex.phases) {
 					_, n := listLens(ex.q, mt.tree)
 					atSwitches += n
@@ -182,7 +183,7 @@ func TestMaintenanceBuildReadsLists(t *testing.T) {
 			}
 
 			old, oldSum := listLens(q, mt.tree)
-			oldTree, updates := mt.tree, len(rep.Updates)
+			oldTree, updates := mt.tree, rep.UpdateCount
 			if err := mt.buildTree(mt.plan, false); err != nil {
 				t.Fatal(err)
 			}
@@ -196,8 +197,8 @@ func TestMaintenanceBuildReadsLists(t *testing.T) {
 			if got := rep.MaintReplayed - atSwitches; got != oldSum {
 				t.Errorf("the build pushed %d rows, the old tree's lists held %d", got, oldSum)
 			}
-			if len(rep.Updates) != updates {
-				t.Errorf("a tree warmed with its root unbound emitted %d updates", len(rep.Updates)-updates)
+			if rep.UpdateCount != updates {
+				t.Errorf("a tree warmed with its root unbound emitted %d updates", rep.UpdateCount-updates)
 			}
 		})
 	}
@@ -219,7 +220,7 @@ func TestMaintenanceReplayedCountsBaseRows(t *testing.T) {
 	for _, leg := range legs {
 		for _, spj := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/spj=%v", leg.name, spj), func(t *testing.T) {
-				ex, mt, rep := standingRun(t, leg.fixture, spj, leg.o, nil)
+				ex, mt, rep, _ := standingRun(t, leg.fixture, spj, leg.o, nil)
 				if leg.name == "initial-switch" && len(ex.phases) < 2 {
 					t.Fatal("the initial run never switched: the fixture no longer forces it")
 				}
@@ -241,7 +242,7 @@ func TestMaintenanceReplayedCountsBaseRows(t *testing.T) {
 func TestMaintenanceChaosAdoptedFailover(t *testing.T) {
 	for _, spj := range []bool{false, true} {
 		t.Run(map[bool]string{false: "agg", true: "spj"}[spj], func(t *testing.T) {
-			run := func(failover bool) *Report {
+			run := func(failover bool) (*Report, []types.Update) {
 				q, cat, script := q3aChurn(spj)
 				c := cat()
 				scripts := script(c)
@@ -249,30 +250,32 @@ func TestMaintenanceChaosAdoptedFailover(t *testing.T) {
 				if failover {
 					failOver(q, deltas, scripts, "lineitem")
 				}
+				var ups []types.Update
 				rep, err := RunMaintenance(context.Background(), c, q, Options{Strategy: Static, PollEvery: 256},
-					MaintOptions{Deltas: deltas, FlushEvery: 100}, RunHooks{})
+					MaintOptions{Deltas: deltas, FlushEvery: 100}, collectUpdates(&ups, RunHooks{}))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if rep.MaintReplayed != 0 {
 					t.Fatalf("MaintReplayed = %d: the tree was not adopted", rep.MaintReplayed)
 				}
-				return rep
+				return rep, ups
 			}
-			clean, faulty := run(false), run(true)
+			clean, cleanUps := run(false)
+			faulty, faultyUps := run(true)
 			if st := faulty.SourceFaults["lineitem.delta"]; !st.FailedOver {
 				t.Fatalf("the delta stream did not fail over: %+v", faulty.SourceFaults)
 			}
-			if len(faulty.Updates) != len(clean.Updates) {
-				t.Fatalf("%d updates, fault-free %d", len(faulty.Updates), len(clean.Updates))
+			if len(faultyUps) != len(cleanUps) {
+				t.Fatalf("%d updates, fault-free %d", len(faultyUps), len(cleanUps))
 			}
-			for i, u := range clean.Updates {
-				if g := faulty.Updates[i]; g.Sign != u.Sign || bitRows([]types.Tuple{g.Row}) != bitRows([]types.Tuple{u.Row}) {
+			for i, u := range cleanUps {
+				if g := faultyUps[i]; g.Sign != u.Sign || bitRows([]types.Tuple{g.Row}) != bitRows([]types.Tuple{u.Row}) {
 					t.Fatalf("update %d = %+v, fault-free %+v", i, g, u)
 				}
 			}
 			assertRowsIdentical(t, faulty.Maintained, clean.Maintained)
-			assertRowsIdentical(t, ivm.Fold(faulty.Updates).Rows(), clean.Maintained)
+			assertRowsIdentical(t, ivm.Fold(faultyUps).Rows(), clean.Maintained)
 		})
 	}
 }

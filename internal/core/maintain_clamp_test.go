@@ -60,12 +60,12 @@ func clampQuery(a, b *types.Schema) *algebra.Query {
 
 // updateDigest renders a standing run's update stream as its length and a
 // digest of its signed rows, floats by their bits.
-func updateDigest(rep *Report) string {
+func updateDigest(rep *Report, updates []types.Update) string {
 	var ups strings.Builder
-	for _, u := range rep.Updates {
+	for _, u := range updates {
 		fmt.Fprintf(&ups, "%+d %s", u.Sign, bitRows([]types.Tuple{u.Row}))
 	}
-	return fmt.Sprintf("%d:%s clamped=%d", len(rep.Updates), digest(ups.String()), rep.DeltaClamped)
+	return fmt.Sprintf("%d:%s clamped=%d", len(updates), digest(ups.String()), rep.DeltaClamped)
 }
 
 // TestMaintenanceClampAgainstLiveRows runs one delete script per case into a
@@ -149,7 +149,8 @@ func TestMaintenanceClampAgainstLiveRows(t *testing.T) {
 				q := clampQuery(as, bs)
 				cat := catalogOf(a, b)
 				m := MaintOptions{Deltas: maintDeltaProviders(cat, map[string][]source.Delta{"A": tc.deltas}), FlushEvery: 64}
-				rep, err := RunMaintenance(context.Background(), cat, q, Options{Strategy: Static, PollEvery: 64, Partitions: parts}, m, RunHooks{})
+				var ups []types.Update
+				rep, err := RunMaintenance(context.Background(), cat, q, Options{Strategy: Static, PollEvery: 64, Partitions: parts}, m, collectUpdates(&ups, RunHooks{}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,11 +159,11 @@ func TestMaintenanceClampAgainstLiveRows(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertMaintainedOracle(t, rep, rep.Updates, oracle)
+				assertMaintainedOracle(t, rep, ups, oracle)
 				if rep.DeltaClamped != clamped {
 					t.Errorf("DeltaClamped = %d, the oracle clamps %d", rep.DeltaClamped, clamped)
 				}
-				if got := updateDigest(rep); got != tc.want {
+				if got := updateDigest(rep, ups); got != tc.want {
 					t.Errorf("update stream = %s, want %s", got, tc.want)
 				}
 			})
@@ -195,15 +196,16 @@ func TestMaintenanceClampAfterSwitch(t *testing.T) {
 		source.Del(tail+0.005, types.Int(99_999), types.Int(1)),
 	)
 	var switchedAt []float64
+	var ups []types.Update
 	rep, err := RunMaintenance(context.Background(), c, q,
 		Options{Strategy: Corrective, PollEvery: 64, SwitchFactor: 0.99, MaxPhases: 8},
-		MaintOptions{Deltas: maintDeltaProviders(c, deltas), FlushEvery: 100}, RunHooks{
+		MaintOptions{Deltas: maintDeltaProviders(c, deltas), FlushEvery: 100}, collectUpdates(&ups, RunHooks{
 			Emit: func(ev Event) {
 				if e, ok := ev.(PlanSwitched); ok {
 					switchedAt = append(switchedAt, e.VirtualSeconds)
 				}
 			},
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +227,11 @@ func TestMaintenanceClampAfterSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertMaintainedOracle(t, rep, rep.Updates, oracle)
+	assertMaintainedOracle(t, rep, ups, oracle)
 	if rep.DeltaClamped != clamped {
 		t.Errorf("DeltaClamped = %d, the oracle clamps %d", rep.DeltaClamped, clamped)
 	}
-	if got, want := updateDigest(rep), "389:c627991d4998b609 clamped=43"; got != want {
+	if got, want := updateDigest(rep, ups), "389:c627991d4998b609 clamped=43"; got != want {
 		t.Errorf("update stream = %s, want %s", got, want)
 	}
 }
@@ -254,7 +256,7 @@ func TestMaintenanceTracksUnbufferedRelation(t *testing.T) {
 		}
 		return singleRelQuery(s, nil, nil), cat, script
 	}
-	_, mt, rep := standingRun(t, fixture, false, Options{Strategy: Static}, nil)
+	_, mt, rep, _ := standingRun(t, fixture, false, Options{Strategy: Static}, nil)
 	side := mt.tree.leaves["A"]
 	if mt.side == nil || side != mt.side {
 		t.Fatal("want A buffered by a KeyedSide in front of the tree")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"github.com/tukwila/adp/internal/algebra"
@@ -116,11 +115,25 @@ func assertRowsIdentical(t *testing.T, got, want []types.Tuple) {
 	}
 }
 
+// collectUpdates returns hooks with an OnUpdates that appends every window
+// to *us before calling hooks' own, if any: a test's hold on a standing
+// run's update stream, which leaves a run through that hook alone.
+func collectUpdates(us *[]types.Update, hooks RunHooks) RunHooks {
+	next := hooks.OnUpdates
+	hooks.OnUpdates = func(wm UpdateWatermark, win []types.Update) {
+		*us = append(*us, win...)
+		if next != nil {
+			next(wm, win)
+		}
+	}
+	return hooks
+}
+
 // assertMaintainedOracle is the headline pin: the maintained result must
 // be byte-identical (as a sorted multiset) to a from-scratch run over
 // the post-delta relations, and the run's update stream must fold to it
 // without ever going negative.
-func assertMaintainedOracle(t *testing.T, rep *Report, updates []ivm.Update, oracle *Report) {
+func assertMaintainedOracle(t *testing.T, rep *Report, updates []types.Update, oracle *Report) {
 	t.Helper()
 	if int64(len(updates)) != rep.UpdateCount {
 		t.Fatalf("%d updates, the report counts %d", len(updates), rep.UpdateCount)
@@ -130,7 +143,7 @@ func assertMaintainedOracle(t *testing.T, rep *Report, updates []ivm.Update, ora
 		t.Fatal("update stream folds to a negative multiset (unmatched retraction)")
 	}
 	assertRowsIdentical(t, fold.Rows(), rep.Maintained)
-	assertRowsIdentical(t, rep.Maintained, ivm.SortedRows(oracle.Rows))
+	assertRowsIdentical(t, rep.Maintained, types.SortedRows(oracle.Rows))
 }
 
 func maintFlightsQuery() *algebra.Query {
@@ -163,20 +176,19 @@ func TestMaintenanceOracleEquivalenceAgg(t *testing.T) {
 				}), FlushEvery: 50}
 
 				var marks []UpdateWatermark
-				var streamed, baseline []ivm.Update
-				rep, err := RunMaintenance(context.Background(), cat, q, o, m, RunHooks{
+				var streamed, baseline []types.Update
+				rep, err := RunMaintenance(context.Background(), cat, q, o, m, collectUpdates(&streamed, RunHooks{
 					Emit: func(ev Event) {
 						if wm, ok := ev.(UpdateWatermark); ok {
 							marks = append(marks, wm)
 						}
 					},
-					OnUpdates: func(wm UpdateWatermark, us []ivm.Update) {
+					OnUpdates: func(wm UpdateWatermark, us []types.Update) {
 						if wm.Seq == 0 {
 							baseline = us
 						}
-						streamed = append(streamed, us...)
 					},
-				})
+				}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,10 +208,9 @@ func TestMaintenanceOracleEquivalenceAgg(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertRowsIdentical(t, ivm.Fold(baseline).Rows(), ivm.SortedRows(initial.Rows))
+				assertRowsIdentical(t, ivm.Fold(baseline).Rows(), types.SortedRows(initial.Rows))
 
-				// Watermark protocol: baseline first, strictly increasing,
-				// the hook the stream's one holder.
+				// Watermark protocol: baseline first, strictly increasing.
 				if len(marks) == 0 || marks[0].Seq != 0 {
 					t.Fatalf("no baseline watermark: %+v", marks)
 				}
@@ -207,9 +218,6 @@ func TestMaintenanceOracleEquivalenceAgg(t *testing.T) {
 					if marks[i].Seq != marks[i-1].Seq+1 {
 						t.Fatalf("watermark seq gap: %+v", marks)
 					}
-				}
-				if rep.Updates != nil {
-					t.Fatalf("the report kept %d updates beside the OnUpdates hook", len(rep.Updates))
 				}
 				if want := int64(len(df) + len(dt) + len(dc)); rep.DeltaRows != want {
 					t.Errorf("DeltaRows = %d, want %d", rep.DeltaRows, want)
@@ -236,7 +244,8 @@ func TestMaintenanceOracleEquivalenceSPJ(t *testing.T) {
 				m := MaintOptions{Deltas: maintDeltaProviders(cat, map[string][]source.Delta{
 					"F": df, "T": dt, "C": dc,
 				}), FlushEvery: 64}
-				rep, err := RunMaintenance(context.Background(), cat, q, o, m, RunHooks{})
+				var ups []types.Update
+				rep, err := RunMaintenance(context.Background(), cat, q, o, m, collectUpdates(&ups, RunHooks{}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -247,7 +256,7 @@ func TestMaintenanceOracleEquivalenceSPJ(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertMaintainedOracle(t, rep, rep.Updates, oracle)
+				assertMaintainedOracle(t, rep, ups, oracle)
 			})
 		}
 	}
@@ -267,7 +276,8 @@ func TestMaintenanceFilterPushdown(t *testing.T) {
 	m := MaintOptions{Deltas: maintDeltaProviders(cat, map[string][]source.Delta{
 		"F": df, "T": dt, "C": dc,
 	})}
-	rep, err := RunMaintenance(context.Background(), cat, q, Options{Strategy: Static}, m, RunHooks{})
+	var ups []types.Update
+	rep, err := RunMaintenance(context.Background(), cat, q, Options{Strategy: Static}, m, collectUpdates(&ups, RunHooks{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +288,7 @@ func TestMaintenanceFilterPushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertMaintainedOracle(t, rep, rep.Updates, oracle)
+	assertMaintainedOracle(t, rep, ups, oracle)
 }
 
 func kvSchema(name string) *types.Schema {
@@ -314,7 +324,8 @@ func TestMaintenanceDeleteNeverInsertedClamps(t *testing.T) {
 	q := singleRelQuery(s, nil, nil)
 	cat := catalogOf(rel)
 	m := MaintOptions{Deltas: maintDeltaProviders(cat, map[string][]source.Delta{"A": deltas})}
-	rep, err := RunMaintenance(context.Background(), cat, q, Options{Strategy: Static}, m, RunHooks{})
+	var ups []types.Update
+	rep, err := RunMaintenance(context.Background(), cat, q, Options{Strategy: Static}, m, collectUpdates(&ups, RunHooks{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +333,8 @@ func TestMaintenanceDeleteNeverInsertedClamps(t *testing.T) {
 		t.Errorf("DeltaClamped = %d, want 2", rep.DeltaClamped)
 	}
 	want := []types.Tuple{{types.Int(2), types.Int(20)}}
-	assertRowsIdentical(t, rep.Maintained, ivm.SortedRows(want))
-	for _, u := range rep.Updates {
+	assertRowsIdentical(t, rep.Maintained, types.SortedRows(want))
+	for _, u := range ups {
 		if u.Row[0].I == 9 {
 			t.Fatalf("clamped delete leaked into updates: %+v", u)
 		}
@@ -351,7 +362,8 @@ func TestMaintenanceGroupCountToZeroRetracts(t *testing.T) {
 	})
 	cat := catalogOf(rel)
 	m := MaintOptions{Deltas: maintDeltaProviders(cat, map[string][]source.Delta{"A": deltas})}
-	rep, err := RunMaintenance(context.Background(), cat, q, Options{Strategy: Static}, m, RunHooks{})
+	var ups []types.Update
+	rep, err := RunMaintenance(context.Background(), cat, q, Options{Strategy: Static}, m, collectUpdates(&ups, RunHooks{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,13 +372,13 @@ func TestMaintenanceGroupCountToZeroRetracts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertMaintainedOracle(t, rep, rep.Updates, oracle)
+	assertMaintainedOracle(t, rep, ups, oracle)
 	if len(rep.Maintained) != 1 || rep.Maintained[0][0].I != 2 {
 		t.Fatalf("group 1 must be retracted, maintained = %v", rep.Maintained)
 	}
 	// The retraction must be the group's previously asserted revision —
 	// never a fresh count-0 assertion.
-	for _, u := range rep.Updates {
+	for _, u := range ups {
 		if u.Sign > 0 && u.Row[0].I == 1 && u.Row[1].I == 0 {
 			t.Fatalf("emptied group asserted with count 0: %+v", u)
 		}
@@ -388,7 +400,7 @@ func TestMaintenanceDuplicateMultiplicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []types.Tuple{{types.Int(1), types.Int(10)}, {types.Int(2), types.Int(20)}}
-	assertRowsIdentical(t, rep.Maintained, ivm.SortedRows(want))
+	assertRowsIdentical(t, rep.Maintained, types.SortedRows(want))
 	if rep.DeltaClamped != 0 {
 		t.Errorf("DeltaClamped = %d, want 0", rep.DeltaClamped)
 	}
@@ -456,14 +468,15 @@ func TestMaintenanceForcedPlanSwitch(t *testing.T) {
 		"A": da, "B": db, "C": dc,
 	}), FlushEvery: 100}
 	var switches int
+	var ups []types.Update
 	rep, err := RunMaintenance(context.Background(), cat, q,
-		Options{Strategy: Corrective, PollEvery: 64, SwitchFactor: 0.99, MaxPhases: 8}, m, RunHooks{
+		Options{Strategy: Corrective, PollEvery: 64, SwitchFactor: 0.99, MaxPhases: 8}, m, collectUpdates(&ups, RunHooks{
 			Emit: func(ev Event) {
 				if _, ok := ev.(PlanSwitched); ok {
 					switches++
 				}
 			},
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,8 +493,8 @@ func TestMaintenanceForcedPlanSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertMaintainedOracle(t, rep, rep.Updates, oracle)
-	t.Logf("maintenance switches=%d updates=%d", rep.MaintSwitches, len(rep.Updates))
+	assertMaintainedOracle(t, rep, ups, oracle)
+	t.Logf("maintenance switches=%d updates=%d", rep.MaintSwitches, len(ups))
 }
 
 // TestMaintenanceChaosDeltaFailover is the maintenance chaos pin: a
@@ -583,10 +596,10 @@ func TestMaintenanceUnknownDeltaRelation(t *testing.T) {
 func TestMaintenanceNoDeltasIsBaselineOnly(t *testing.T) {
 	f, tr, c := flightsData(80, 200, 150, 89)
 	q := maintFlightsQuery()
-	var windows [][]ivm.Update
+	var windows [][]types.Update
 	rep, err := RunMaintenance(context.Background(), catalogOf(f, tr, c), q,
 		Options{Strategy: Static}, MaintOptions{}, RunHooks{
-			OnUpdates: func(_ UpdateWatermark, us []ivm.Update) { windows = append(windows, us) },
+			OnUpdates: func(_ UpdateWatermark, us []types.Update) { windows = append(windows, us) },
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -598,8 +611,8 @@ func TestMaintenanceNoDeltasIsBaselineOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRowsIdentical(t, ivm.Fold(windows[0]).Rows(), ivm.SortedRows(initial.Rows))
-	assertRowsIdentical(t, rep.Maintained, ivm.SortedRows(initial.Rows))
+	assertRowsIdentical(t, ivm.Fold(windows[0]).Rows(), types.SortedRows(initial.Rows))
+	assertRowsIdentical(t, rep.Maintained, types.SortedRows(initial.Rows))
 	for _, u := range windows[0] {
 		if u.Sign != 1 {
 			t.Fatalf("baseline-only run emitted a retraction: %+v", u)
@@ -614,7 +627,7 @@ func TestMaintenanceNoDeltasIsBaselineOnly(t *testing.T) {
 // exactly what commit a34c48a, which tracked every relation, did (the update
 // stream is TestMaintenanceRunGoldens' agg/static/P=1/clean leg's).
 func TestMaintenanceTracksOnlyDeltaRelations(t *testing.T) {
-	_, mt, rep := standingRun(t, q3aChurn, false, Options{Strategy: Static, PollEvery: 256}, nil)
+	_, mt, rep, updates := standingRun(t, q3aChurn, false, Options{Strategy: Static, PollEvery: 256}, nil)
 	if mt.side != nil {
 		t.Fatal("a KeyedSide was built: lineitem's join side answers the clamp")
 	}
@@ -623,11 +636,7 @@ func TestMaintenanceTracksOnlyDeltaRelations(t *testing.T) {
 			t.Errorf("the tree was fed no %s rows: the fixture no longer reads it", rel)
 		}
 	}
-	var ups strings.Builder
-	for _, u := range rep.Updates {
-		fmt.Fprintf(&ups, "%+d %s", u.Sign, bitRows([]types.Tuple{u.Row}))
-	}
-	if got, want := fmt.Sprintf("%d:%s clamped=%d", len(rep.Updates), digest(ups.String()), rep.DeltaClamped), "952:096b55a08e6e768c clamped=157"; got != want {
+	if got, want := updateDigest(rep, updates), "952:096b55a08e6e768c clamped=157"; got != want {
 		t.Errorf("update stream = %s, want %s", got, want)
 	}
 }
@@ -648,10 +657,10 @@ func TestMaintenanceDeliversResultOnce(t *testing.T) {
 					o := Options{Strategy: Static, PollEvery: 256, Partitions: parts, PreAgg: preAgg}
 					c := cat()
 					var onRows int
-					var baseline []ivm.Update
+					var baseline []types.Update
 					rep, err := RunMaintenance(context.Background(), c, q, o, MaintOptions{Deltas: maintDeltaProviders(c, script(c)), FlushEvery: 100}, RunHooks{
 						OnRows: func([]types.Tuple) { onRows++ },
-						OnUpdates: func(wm UpdateWatermark, us []ivm.Update) {
+						OnUpdates: func(wm UpdateWatermark, us []types.Update) {
 							if wm.Seq == 0 {
 								baseline = us
 							}
@@ -680,7 +689,7 @@ func TestMaintenanceDeliversResultOnce(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					assertRowsIdentical(t, ivm.Fold(baseline).Rows(), ivm.SortedRows(once.Rows))
+					assertRowsIdentical(t, ivm.Fold(baseline).Rows(), types.SortedRows(once.Rows))
 				})
 			}
 		}

@@ -174,23 +174,24 @@ func maintLeg(t *testing.T, q *algebra.Query, cat *Catalog, scripts map[string][
 		failOver(q, deltas, scripts, failover)
 	}
 	var marks []UpdateWatermark
-	rep, err := RunMaintenance(context.Background(), cat, q, o, MaintOptions{Deltas: deltas, FlushEvery: 100}, RunHooks{
+	var updates []types.Update
+	rep, err := RunMaintenance(context.Background(), cat, q, o, MaintOptions{Deltas: deltas, FlushEvery: 100}, collectUpdates(&updates, RunHooks{
 		Emit: func(ev Event) {
 			if wm, ok := ev.(UpdateWatermark); ok {
 				marks = append(marks, wm)
 			}
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ups strings.Builder
-	for _, u := range rep.Updates {
+	for _, u := range updates {
 		fmt.Fprintf(&ups, "%+d %s", u.Sign, bitRows([]types.Tuple{u.Row}))
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "updates=%d:%s deltaRows=%d clamped=%d maintSwitches=%d switches=%d marks=",
-		len(rep.Updates), digest(ups.String()), rep.DeltaRows, rep.DeltaClamped, rep.MaintSwitches, rep.Switches)
+		len(updates), digest(ups.String()), rep.DeltaRows, rep.DeltaClamped, rep.MaintSwitches, rep.Switches)
 	g := maintGolden{clocks: []float64{rep.VirtualSeconds, rep.CPUSeconds}}
 	for _, wm := range marks {
 		fmt.Fprintf(&sb, "[%d %d %d]", wm.Seq, wm.Updates, wm.DeltaRows)

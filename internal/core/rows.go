@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"github.com/tukwila/adp/internal/exec"
-	"github.com/tukwila/adp/internal/ivm"
 	"github.com/tukwila/adp/internal/types"
 )
 
@@ -96,7 +95,7 @@ type rootRows struct {
 	// leaves as updates, the signed root rows since the last watermark and,
 	// with asserts, the initial run's as +1, the baseline.
 	standing, asserts bool
-	updates           []ivm.Update
+	updates           []types.Update
 }
 
 func newRootRows(ctx context.Context, hooks RunHooks) *rootRows {
@@ -178,7 +177,7 @@ func (s *rootSink) Push(ts []types.Tuple, sign int) {
 	}
 	if sign != 0 {
 		for _, t := range ts {
-			out.updates = append(out.updates, ivm.Update{Row: s.ad.Adapt(t), Sign: sign})
+			out.updates = append(out.updates, types.Update{Row: s.ad.Adapt(t), Sign: sign})
 		}
 		return
 	}

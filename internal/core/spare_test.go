@@ -395,14 +395,14 @@ func TestSpareDrawsFirstChunks(t *testing.T) {
 	}
 }
 
-// TestSpareDrawsStitchUpStorage: a stitch-up takes its prefixes' row chunks
-// and indexes from its run's spare and gives them back when it returns. Of
-// two identical runs, each on the pooled spare the run before returned, the
-// second holds only prefix chunks the first gave back, builds its prefix
-// index on storage the first gave back, and so allocates less than the
-// smallest piece of either (a 1024-bucket array, 12 KB) in all. The fixture
-// indexes the first prefix (2000 A rows against 500 of B) and emits few
-// rows, so the result slice stays small.
+// TestSpareDrawsStitchUpStorage: a stitch-up takes its prefixes' and its
+// result rows' row chunks, and its prefix indexes, from its run's spare and
+// gives them back when it returns. Of two identical runs, each on the pooled
+// spare the run before returned, the second holds only row chunks the first
+// gave back, builds its prefix index on storage the first gave back, and so
+// allocates less than the smallest piece of either (a 1024-bucket array,
+// 12 KB) in all. The fixture indexes the first prefix (2000 A rows against
+// 500 of B).
 func TestSpareDrawsStitchUpStorage(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // two collections would empty the pool
 	f := newStitchFixture(11, 6000, 1500, 300, 50000)
@@ -420,6 +420,9 @@ func TestSpareDrawsStitchUpStorage(t *testing.T) {
 					chunks[unsafe.SliceData(c)] = true
 				}
 				indexed = indexed || p.indexed
+			}
+			for _, c := range s.wide.chunks {
+				chunks[unsafe.SliceData(c)] = true
 			}
 		})
 		s, err := NewStitchUp(ctx, f.q, recs, sink)
@@ -449,12 +452,12 @@ func TestSpareDrawsStitchUpStorage(t *testing.T) {
 	}
 	first, indexed, cold := run()
 	if len(first) == 0 || !indexed {
-		t.Fatalf("%d prefix chunks, indexed %t: the fixture no longer shapes the stitch-up", len(first), indexed)
+		t.Fatalf("%d row chunks, indexed %t: the fixture no longer shapes the stitch-up", len(first), indexed)
 	}
 	second, _, bytes := run()
 	for c := range second {
 		if !first[c] {
-			t.Fatal("the second stitch-up holds a prefix chunk the first did not give back")
+			t.Fatal("the second stitch-up holds a row chunk the first did not give back")
 		}
 	}
 	if bytes >= 12<<10 {

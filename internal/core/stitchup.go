@@ -86,10 +86,10 @@ type StitchUp struct {
 	keyScratch types.Tuple
 
 	// levels[i] is the joined prefix of length i+1 of the current vector;
-	// wide holds the last fold step's concatenated rows, carved from arena,
-	// which rewinds per combination when out copies its input.
+	// wide the last fold step's concatenated rows (k = 1), carved from
+	// arena, which rewinds per combination when out copies its input.
 	levels  []prefixRows
-	wide    []types.Tuple
+	wide    prefixRows
 	arena   exec.ValueArena
 	recycle bool
 }
@@ -248,6 +248,7 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 	for i := range s.levels {
 		s.levels[i] = prefixRows{k: i + 1, adapted: s.ctx.Arena()}
 	}
+	s.wide = prefixRows{k: 1}
 	prev := make([]int, m)
 	for i := range prev {
 		prev[i] = -1
@@ -279,20 +280,20 @@ func (s *StitchUp) RunContext(ctx context.Context) error {
 			}
 			first = 1
 		}
-		// The combination's rows leave in one delivery, each charged one
-		// Move as it leaves, on top of the fold's own: the Move a phase's
-		// root sink charges its rows, which the stitch-up's does not.
-		s.wide = s.wide[:0]
+		// The combination's rows leave a chunk per delivery, each charged
+		// one Move as it leaves, on top of the fold's own: the Move a
+		// phase's root sink charges its rows, which the stitch-up's does not.
+		s.wide.reset()
 		if s.recycle {
 			s.arena.Rewind()
 		}
 		for i := first; i < m; i++ {
 			s.extend(i, c)
 		}
-		s.ctx.Clock.Charge(int64(len(s.wide)) * s.ctx.Cost.Move)
-		s.Emitted += int64(len(s.wide))
-		if len(s.wide) > 0 {
-			s.out.Push(s.wide, 0)
+		s.ctx.Clock.Charge(int64(s.wide.n) * s.ctx.Cost.Move)
+		s.Emitted += int64(s.wide.n)
+		for c := 0; c*s.wide.per < s.wide.n; c++ {
+			s.out.Push(s.wide.chunks[c][:min(s.wide.per, s.wide.n-c*s.wide.per)], 0)
 		}
 		return true
 	})
@@ -352,8 +353,8 @@ func (p *prefixRows) add(spare *state.Spare) []types.Tuple {
 }
 
 // release gives the stitch-up's storage to the run's spare as RunContext
-// returns: the indexes over the phases' partitions (their lists stay), and
-// the prefixes' chunks and indexes.
+// returns: the indexes over the phases' partitions (their lists stay), the
+// prefixes' and the result rows' chunks, and the prefixes' indexes.
 func (s *StitchUp) release() {
 	for _, t := range s.tables {
 		if t != nil {
@@ -364,6 +365,7 @@ func (s *StitchUp) release() {
 		s.ctx.Spare.ReleaseRowChunks(s.levels[i].chunks)
 		s.ctx.Spare.ReleaseIndex(&s.levels[i].ix)
 	}
+	s.ctx.Spare.ReleaseRowChunks(s.wide.chunks)
 }
 
 // keyOf extracts row's key columns into key.
@@ -458,7 +460,7 @@ func (s *StitchUp) extend(i int, c []int) {
 			copy(wide[s.relOff[j]:], t)
 		}
 		copy(wide[s.relOff[i]:], rt)
-		s.wide = append(s.wide, wide)
+		s.wide.add(s.ctx.Spare)[0] = wide
 		return true
 	}
 	if prefix.n <= part.Len() {

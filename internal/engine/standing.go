@@ -9,7 +9,6 @@ import (
 
 	"github.com/tukwila/adp/internal/algebra"
 	"github.com/tukwila/adp/internal/core"
-	"github.com/tukwila/adp/internal/ivm"
 	"github.com/tukwila/adp/internal/source"
 	"github.com/tukwila/adp/internal/types"
 )
@@ -51,15 +50,14 @@ func (e *Engine) InjectDeltaFaults(rel string, fs *source.FaultSchedule) *Engine
 // Delivery contract: the initial result leaves once, as the baseline
 // window (Seq 0), which asserts it. Updates arrive in emission order,
 // exactly once, grouped by watermark window, and are not kept behind the
-// cursor: the final Report counts them (UpdateCount) and its Updates is
-// nil. Folding them from an empty multiset yields Report.Maintained. The
-// event subscription interleaves the standing lifecycle
-// (MaintenanceStarted, UpdateWatermark, PlanSwitched during maintenance)
-// with the usual run narrative.
+// cursor: the final Report only counts them (UpdateCount). Folding them
+// from an empty multiset yields Report.Maintained. The event subscription
+// interleaves the standing lifecycle (MaintenanceStarted, UpdateWatermark,
+// PlanSwitched during maintenance) with the usual run narrative.
 type StandingQuery struct {
 	s     *Stream
 	updCh chan StandingWindow
-	cur   []ivm.Update
+	cur   []types.Update
 	curI  int
 }
 
@@ -69,7 +67,7 @@ type StandingQuery struct {
 // assertions and is delivered even when empty.
 type StandingWindow struct {
 	Watermark core.UpdateWatermark
-	Updates   []ivm.Update
+	Updates   []types.Update
 }
 
 // RegisterStanding runs q to completion over the registered sources and
@@ -121,7 +119,7 @@ func (e *Engine) RegisterStanding(ctx context.Context, q *algebra.Query, deltas 
 	}
 	sq := &StandingQuery{updCh: make(chan StandingWindow, standingUpdateBuffer)}
 	runFn := func(runCtx context.Context, cat *core.Catalog, q *algebra.Query, o core.Options, hooks core.RunHooks) (*core.Report, error) {
-		hooks.OnUpdates = func(wm core.UpdateWatermark, us []ivm.Update) {
+		hooks.OnUpdates = func(wm core.UpdateWatermark, us []types.Update) {
 			select {
 			case sq.updCh <- StandingWindow{Watermark: wm, Updates: us}:
 			case <-runCtx.Done():
@@ -155,7 +153,7 @@ func (sq *StandingQuery) NextWindow() (StandingWindow, bool) {
 
 // NextUpdate returns the next revision update, flattening windows. ok is
 // false when the update stream is exhausted. Not safe for concurrent use.
-func (sq *StandingQuery) NextUpdate() (ivm.Update, bool) {
+func (sq *StandingQuery) NextUpdate() (types.Update, bool) {
 	if sq.curI < len(sq.cur) {
 		u := sq.cur[sq.curI]
 		sq.curI++
@@ -164,7 +162,7 @@ func (sq *StandingQuery) NextUpdate() (ivm.Update, bool) {
 	for {
 		win, ok := <-sq.updCh
 		if !ok {
-			return ivm.Update{}, false
+			return types.Update{}, false
 		}
 		if len(win.Updates) == 0 {
 			continue
@@ -177,13 +175,13 @@ func (sq *StandingQuery) NextUpdate() (ivm.Update, bool) {
 // Updates returns the remaining revision updates as a range-over-func
 // iterator. A run error (including cancellation) is yielded once, as the
 // final pair, with a zero Update. Breaking out leaves the cursor usable.
-func (sq *StandingQuery) Updates() iter.Seq2[ivm.Update, error] {
-	return func(yield func(ivm.Update, error) bool) {
+func (sq *StandingQuery) Updates() iter.Seq2[types.Update, error] {
+	return func(yield func(types.Update, error) bool) {
 		for {
 			u, ok := sq.NextUpdate()
 			if !ok {
 				if err := sq.Err(); err != nil {
-					yield(ivm.Update{}, err)
+					yield(types.Update{}, err)
 				}
 				return
 			}

@@ -127,14 +127,15 @@ type AggTable struct {
 
 	// Maintenance (signed) mode: gm and bags are side storage by group id,
 	// dirty lists the groups touched since the last EmitRevisions,
-	// bagScratch is the reused min/max bag key buffer, revRows the reused
-	// revision delivery batch. See aggdelta.go.
+	// bagScratch is the reused min/max bag key buffer, revScratch the row a
+	// revision is built in, revRows the reused revision batch (aggdelta.go).
 	maint      bool
 	hasMinMax  bool
 	gm         []groupMaint
 	bags       []valueBag // len(aggs) per group, min/max tables only
 	dirty      []int32
 	bagScratch []byte
+	revScratch types.Tuple
 	revRows    []types.Tuple
 
 	counters stats.OpCounters

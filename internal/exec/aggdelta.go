@@ -101,7 +101,7 @@ func (a *AggTable) EnableMaintenance() {
 	if a.Groups() > 0 {
 		panic("exec: EnableMaintenance on a non-empty AggTable")
 	}
-	a.maint = true
+	a.maint, a.revScratch = true, make(types.Tuple, len(a.groupIdx)+len(a.aggs))
 	for _, spec := range a.aggs {
 		if spec.Kind == algebra.AggMin || spec.Kind == algebra.AggMax {
 			a.hasMinMax = true
@@ -212,10 +212,12 @@ func (a *AggTable) EmitRevisions(emit func(t types.Tuple, sign int)) {
 			}
 			continue
 		}
-		t := a.finalRow(make(types.Tuple, len(a.groupIdx)+len(a.aggs)), a.groups.Record(id))
-		if m.last != nil && slices.EqualFunc(m.last, t, types.StrictEqual) {
+		// Built in scratch, copied out only when changed: the holder keeps it.
+		a.finalRow(a.revScratch, a.groups.Record(id))
+		if m.last != nil && slices.EqualFunc(m.last, a.revScratch, types.StrictEqual) {
 			continue
 		}
+		t := slices.Clone(a.revScratch)
 		if m.last != nil {
 			a.ctx.Clock.Charge(a.ctx.Cost.Move)
 			a.counters.Out++

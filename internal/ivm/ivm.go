@@ -1,11 +1,9 @@
-// Package ivm holds the shared vocabulary of incremental view
-// maintenance: signed result updates, the multiset algebra that folds
-// them, and a base-relation tracker of live rows. It depends only on the
-// types layer so every other layer — exec operators, the core
-// maintenance driver, the engine API, the HTTP server — can speak it
-// without import cycles. The engine itself keeps no Multiset or
-// BaseTracker: its maintained view is its operators' state. Tests fold
-// with Multiset, and benchmark/probes.go times both structures.
+// Package ivm holds the reference structures of incremental view
+// maintenance: the multiset algebra that folds a standing run's signed
+// updates (types.Update), and a base-relation tracker of live rows. The
+// engine builds neither — its maintained view is its operators' state, and
+// no package of it imports ivm. Tests fold update streams with Multiset, and
+// benchmark/probes.go times both structures.
 //
 // The central contract is *fold consistency*: folding a standing
 // query's update stream into an empty multiset always yields exactly
@@ -15,20 +13,13 @@
 package ivm
 
 import (
-	"bytes"
-	"cmp"
-	"slices"
 	"sort"
 
 	"github.com/tukwila/adp/internal/types"
 )
 
-// Update is one signed change to a standing query's result: Sign +1
-// asserts one occurrence of Row, -1 retracts one.
-type Update struct {
-	Row  types.Tuple
-	Sign int
-}
+// Update is types.Update, the signed change a standing run emits.
+type Update = types.Update
 
 // Multiset is a fold target for signed rows keyed by the canonical byte
 // codec (strict identity: Int(1), Float(1), Str("1") stay distinct).
@@ -117,51 +108,6 @@ func Fold(updates []Update) *Multiset {
 		m.Apply(u)
 	}
 	return m
-}
-
-// SortedRows key-sorts rows in place, in the canonical order Rows produces,
-// and returns them: a maintained result read off its view's state, or the
-// from-scratch side of an oracle comparison. A value's encoding ends itself
-// (a terminator or a length prefix), so two rows' keys first differ inside
-// the encodings of their first unequal values: only those are encoded, and
-// two floats of one decade not even those (floatOrder).
-func SortedRows(rows []types.Tuple) []types.Tuple {
-	var ka, kb []byte
-	slices.SortStableFunc(rows, func(a, b types.Tuple) int {
-		for c := range min(len(a), len(b)) {
-			if types.StrictEqual(a[c], b[c]) {
-				continue
-			}
-			if d, ok := floatOrder(a[c], b[c]); ok {
-				return d
-			}
-			ka = types.AppendKeyValue(ka[:0], a[c])
-			kb = types.AppendKeyValue(kb[:0], b[c])
-			return bytes.Compare(ka, kb)
-		}
-		return len(a) - len(b)
-	})
-	return rows
-}
-
-// decades are the powers of ten between which a positive float's shortest
-// text is plain decimal ('g' writes 1e-4 ≤ x < 1e6 without an exponent).
-var decades = [...]float64{1e-4, 1e-3, 1e-2, 1e-1, 1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
-
-// floatOrder orders two floats as their key encodings order, where that is
-// their numeric order: both in one decade of the plain-decimal range, whose
-// shortest texts have equally long integer parts, no trailing zeros and a
-// terminator below every digit and the point. ok is false elsewhere.
-func floatOrder(a, b types.Value) (d int, ok bool) {
-	if a.K != types.KindFloat || b.K != types.KindFloat {
-		return 0, false
-	}
-	for i := 1; i < len(decades); i++ {
-		if lo, hi := decades[i-1], decades[i]; a.F >= lo && a.F < hi {
-			return cmp.Compare(a.F, b.F), b.F >= lo && b.F < hi
-		}
-	}
-	return 0, false
 }
 
 // BaseTracker tracks one base relation's live multiset so the

@@ -1,9 +1,12 @@
 package types
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -79,6 +82,51 @@ func AppendKeyAll(dst []byte, t Tuple) []byte {
 		dst = AppendKeyValue(dst, v)
 	}
 	return dst
+}
+
+// SortedRows sorts rows in place by their AppendKeyAll encodings, the
+// canonical order of a maintained result read off its view's state, and
+// returns them. A value's encoding ends itself (a terminator or a length
+// prefix), so two rows' keys first differ inside the encodings of their
+// first unequal values: only those are encoded, and two floats of one decade
+// not even those (floatOrder).
+func SortedRows(rows []Tuple) []Tuple {
+	var ka, kb []byte
+	slices.SortStableFunc(rows, func(a, b Tuple) int {
+		for c := range min(len(a), len(b)) {
+			if StrictEqual(a[c], b[c]) {
+				continue
+			}
+			if d, ok := floatOrder(a[c], b[c]); ok {
+				return d
+			}
+			ka = AppendKeyValue(ka[:0], a[c])
+			kb = AppendKeyValue(kb[:0], b[c])
+			return bytes.Compare(ka, kb)
+		}
+		return len(a) - len(b)
+	})
+	return rows
+}
+
+// decades are the powers of ten between which a positive float's shortest
+// text is plain decimal ('g' writes 1e-4 ≤ x < 1e6 without an exponent).
+var decades = [...]float64{1e-4, 1e-3, 1e-2, 1e-1, 1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
+
+// floatOrder orders two floats as their key encodings order, where that is
+// their numeric order: both in one decade of the plain-decimal range, whose
+// shortest texts have equally long integer parts, no trailing zeros and a
+// terminator below every digit and the point. ok is false elsewhere.
+func floatOrder(a, b Value) (d int, ok bool) {
+	if a.K != KindFloat || b.K != KindFloat {
+		return 0, false
+	}
+	for i := 1; i < len(decades); i++ {
+		if lo, hi := decades[i-1], decades[i]; a.F >= lo && a.F < hi {
+			return cmp.Compare(a.F, b.F), b.F >= lo && b.F < hi
+		}
+	}
+	return 0, false
 }
 
 // AppendKey appends the encoding of t's key columns to dst and returns

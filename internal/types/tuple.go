@@ -12,6 +12,13 @@ import (
 // two input slices without copying string payloads.
 type Tuple []Value
 
+// Update is one signed change to a standing query's result: Sign +1
+// asserts one occurrence of Row, -1 retracts one.
+type Update struct {
+	Row  Tuple
+	Sign int
+}
+
 // Clone returns a copy whose backing array is independent of t.
 func (t Tuple) Clone() Tuple {
 	out := make(Tuple, len(t))
