@@ -74,8 +74,9 @@ type parLowering struct {
 
 // sink installs the partition boundary in front of a consumer input.
 // Scan children partition at the driver (recorded in LeafKeys); operator
-// children get an exchange keyed on the consumer's columns.
-func (pl *parLowering) sink(child algebra.Plan, keyCols []int, down exec.Sink) (exec.Sink, error) {
+// children get an exchange keyed on the consumer's columns, whose scratch
+// the clone's context ctx lends.
+func (pl *parLowering) sink(ctx *exec.Context, child algebra.Plan, keyCols []int, down exec.Sink) (exec.Sink, error) {
 	if scan, ok := child.(*algebra.ScanPlan); ok {
 		name := scan.Rel.Name
 		if prev, ok := pl.pt.LeafKeys[name]; ok && !slices.Equal(prev, keyCols) {
@@ -96,7 +97,7 @@ func (pl *parLowering) sink(child algebra.Plan, keyCols []int, down exec.Sink) (
 	}
 	pl.pt.entrySinks[pl.p] = append(pl.pt.entrySinks[pl.p], down)
 	pt, p := pl.pt, pl.p
-	return exec.NewExchange(pt.P, keyCols, func(dst int, rows []types.Tuple) {
+	return ctx.Exchange(pt.P, keyCols, func(dst int, rows []types.Tuple) {
 		if dst == p {
 			down.Push(rows, 0)
 			return

@@ -270,7 +270,7 @@ func (t *Tree) boundarySink(child algebra.Plan, keyCols []int, down exec.Sink) (
 	if t.par == nil {
 		return down, nil
 	}
-	return t.par.sink(child, keyCols, down)
+	return t.par.sink(t.ctx, child, keyCols, down)
 }
 
 // Finish propagates end-of-stream through the tree: its pre-aggregates

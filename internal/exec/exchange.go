@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"github.com/tukwila/adp/internal/state"
 	"github.com/tukwila/adp/internal/stats"
 	"github.com/tukwila/adp/internal/types"
 )
@@ -28,8 +29,10 @@ type Exchange struct {
 	keyCols []int
 	route   func(part int, rows []types.Tuple)
 
-	// scratch[p] gathers the current batch's rows for partition p.
+	// scratch[p] gathers the current batch's rows for partition p: lent by
+	// spare when the exchange has one, else grown by append.
 	scratch [][]types.Tuple
+	spare   *state.Spare
 	colIn   colDelivery // PushColBatch's materializer (colbatch.go)
 
 	counters stats.OpCounters
@@ -45,6 +48,14 @@ func NewExchange(parts int, keyCols []int, route func(part int, rows []types.Tup
 		route:   route,
 		scratch: make([][]types.Tuple, parts),
 	}
+}
+
+// Exchange returns an exchange (NewExchange) whose scratch buffers c's spare
+// lends until the run ends: c is the context that pushes into it.
+func (c *Context) Exchange(parts int, keyCols []int, route func(part int, rows []types.Tuple)) *Exchange {
+	e := NewExchange(parts, keyCols, route)
+	e.spare = c.Spare
+	return e
 }
 
 // Counters exposes routing statistics (In = rows seen, Out = rows routed).
@@ -77,11 +88,24 @@ func partitionOf(h uint64, parts int) int {
 func (e *Exchange) Push(ts []types.Tuple, sign int) {
 	SignBlind(sign)
 	e.counters.In += int64(len(ts))
+	if e.spare != nil {
+		e.room(len(ts))
+	}
 	for _, t := range ts {
 		p := e.PartitionOf(t)
 		e.scratch[p] = append(e.scratch[p], t)
 	}
 	e.deliver()
+}
+
+// room makes every partition's scratch hold n rows, lending one at least a
+// parallel read batch long where it does not.
+func (e *Exchange) room(n int) {
+	for p, rows := range e.scratch {
+		if cap(rows) < n {
+			e.scratch[p] = e.spare.Rows(max(n, ParReadBatch))
+		}
+	}
 }
 
 // deliver routes the gathered sub-batches in partition order and resets

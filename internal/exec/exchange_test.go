@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/tukwila/adp/internal/types"
 )
@@ -83,6 +85,34 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(50, func() { ex.Push(rows, 0) })
 	if avg > 0 {
 		t.Errorf("Exchange.Push allocates %.1f/op at steady state, want 0", avg)
+	}
+}
+
+// TestExchangeScratchIsLent: an exchange on a context scatters into scratch
+// the context's spare lends, each buffer with room for a whole batch, and
+// the run's end gives it back: the next run's exchange scatters in the same
+// buffers.
+func TestExchangeScratchIsLent(t *testing.T) {
+	rows := randTuples(700, 50, 5, rRow)
+	scratch := func() []*types.Tuple {
+		ctx := NewRunContext(DefaultCosts())
+		defer ctx.Release()
+		ex := ctx.Exchange(4, []int{0}, func(int, []types.Tuple) {})
+		ex.Push(rows, 0)
+		var bufs []*types.Tuple
+		for p, s := range ex.scratch {
+			if cap(s) < len(rows) {
+				t.Fatalf("partition %d scattered into room for %d rows, the batch has %d", p, cap(s), len(rows))
+			}
+			bufs = append(bufs, unsafe.SliceData(s))
+		}
+		return bufs
+	}
+	first := scratch()
+	for _, buf := range scratch() {
+		if !slices.Contains(first, buf) {
+			t.Fatal("the next run's exchange did not scatter in the buffers the last run gave back")
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"github.com/tukwila/adp/internal/state"
 	"github.com/tukwila/adp/internal/types"
 )
 
@@ -21,7 +22,7 @@ import (
 // flush loop keeps receiving its own inbox while a send blocks, which
 // makes the bounded channels deadlock-free. Everything that travels is a
 // row batch: one message payload, one handler table, one outbox and one
-// buffer pool.
+// set of message buffers, which the next driver takes back (msgBufs).
 //
 // Consistency points use a single WaitGroup that counts in-flight
 // messages plus non-empty outbox slots: when it reaches zero, every
@@ -46,9 +47,41 @@ const (
 type parMsg struct {
 	step    int // -1 = data message, >= 0 = run finisher step
 	entry   int
-	rows    []types.Tuple
-	buf     *[]types.Tuple // pooled backing storage, recycled after processing
-	arrival int64          // sender's virtual time; receiver advances to it
+	rows    []types.Tuple // a buffer of the driver's msgBufs, given back after processing
+	arrival int64         // sender's virtual time; receiver advances to it
+}
+
+// msgBufs is a driver's free message buffers, the one given back last taken
+// first. The driver takes a set from msgPool when its workers start and
+// gives it back when they have stopped (Close), so the next driver sends in
+// the buffers this one grew. The driver goroutine and the workers share it.
+type msgBufs struct {
+	mu   sync.Mutex
+	free [][]types.Tuple
+}
+
+var msgPool = state.Pool[msgBufs]{New: func() *msgBufs { return &msgBufs{} }}
+
+// get returns an empty buffer: a free one, else a new one of a read batch.
+func (b *msgBufs) get() []types.Tuple {
+	b.mu.Lock()
+	n := len(b.free)
+	if n == 0 {
+		b.mu.Unlock()
+		return make([]types.Tuple, 0, ParReadBatch)
+	}
+	buf := b.free[n-1]
+	b.free = b.free[:n-1]
+	b.mu.Unlock()
+	return buf
+}
+
+// put clears buf, so that it holds no row, and frees it.
+func (b *msgBufs) put(buf []types.Tuple) {
+	clear(buf)
+	b.mu.Lock()
+	b.free = append(b.free, buf[:0])
+	b.mu.Unlock()
 }
 
 // ParallelDriver executes one lowered, partitioned plan: the serial read
@@ -72,7 +105,7 @@ type ParallelDriver struct {
 	// outbox slots; zero means the whole pipeline is quiescent.
 	inflight sync.WaitGroup
 	joined   sync.WaitGroup // worker goroutines
-	pool     sync.Pool      // *[]types.Tuple message buffers
+	bufs     *msgBufs       // from msgPool while the workers run
 
 	read    *Driver
 	started bool
@@ -117,9 +150,10 @@ func (pd *ParallelDriver) Bind(handlers [][]Sink, finish func(part, step int), s
 // LeafScatter returns the driver-side exchange for one source leaf: a
 // sink that hash-partitions post-filter source rows on
 // keyCols and ships each partition's share to its worker, stamped with
-// the driver clock's current virtual time (the rows' arrival horizon).
+// the driver clock's current virtual time (the rows' arrival horizon). Its
+// scratch is lent by the driver context's spare.
 func (pd *ParallelDriver) LeafScatter(entry int, keyCols []int) *Exchange {
-	return NewExchange(pd.parts, keyCols, func(part int, rows []types.Tuple) {
+	return pd.ctx.Exchange(pd.parts, keyCols, func(part int, rows []types.Tuple) {
 		pd.sendData(part, entry, rows)
 	})
 }
@@ -147,21 +181,12 @@ func (pd *ParallelDriver) StageSend(from, dst, entry int, rows []types.Tuple) {
 }
 
 // sendData ships a data sub-batch from the driver goroutine to a worker,
-// copying the rows into a pooled buffer (the source slice is reused by
+// copying the rows into a message buffer (the source slice is reused by
 // the caller's exchange).
 func (pd *ParallelDriver) sendData(dst, entry int, rows []types.Tuple) {
-	buf := pd.getBuf()
-	*buf = append((*buf)[:0], rows...)
+	buf := append(pd.bufs.get(), rows...)
 	pd.inflight.Add(1)
-	pd.inbox[dst] <- parMsg{step: -1, entry: entry, rows: *buf, buf: buf, arrival: pd.ctx.Clock.Now}
-}
-
-func (pd *ParallelDriver) getBuf() *[]types.Tuple {
-	if b, ok := pd.pool.Get().(*[]types.Tuple); ok {
-		return b
-	}
-	b := make([]types.Tuple, 0, ParReadBatch)
-	return &b
+	pd.inbox[dst] <- parMsg{step: -1, entry: entry, rows: buf, arrival: pd.ctx.Clock.Now}
 }
 
 // start launches the workers (idempotent).
@@ -170,6 +195,7 @@ func (pd *ParallelDriver) start() {
 		return
 	}
 	pd.started = true
+	pd.bufs = msgPool.Get()
 	entries := 0
 	if len(pd.handlers) > 0 {
 		entries = len(pd.handlers[0])
@@ -253,8 +279,9 @@ func (pd *ParallelDriver) Finish() {
 	}
 }
 
-// Close shuts the workers down after a final quiesce. The per-partition
-// contexts and operator state are safe to read afterwards.
+// Close shuts the workers down after a final quiesce and gives the message
+// buffers back for the next driver. The per-partition contexts and operator
+// state are safe to read afterwards.
 func (pd *ParallelDriver) Close() {
 	if !pd.started || pd.closed {
 		return
@@ -265,6 +292,8 @@ func (pd *ParallelDriver) Close() {
 		close(pd.inbox[p])
 	}
 	pd.joined.Wait()
+	msgPool.Put(pd.bufs)
+	pd.bufs = nil
 }
 
 // FoldClocks folds the per-partition clocks into the driver clock: Now
@@ -314,11 +343,7 @@ func (w *parWorker) handle(m parMsg) {
 	}
 	pd.ctxs[w.p].Clock.AdvanceTo(m.arrival)
 	pd.handlers[w.p][m.entry].Push(m.rows, 0)
-	if m.buf != nil {
-		clear(m.rows)
-		*m.buf = m.rows[:0]
-		pd.pool.Put(m.buf)
-	}
+	pd.bufs.put(m.rows)
 	pd.inflight.Done()
 }
 
@@ -345,20 +370,19 @@ func (w *parWorker) flush() {
 	}
 }
 
-// sendSlot packs one outbox slot into a pooled message and sends it,
+// sendSlot packs one outbox slot into a message buffer and sends it,
 // servicing this worker's own inbox while the destination is full — the
 // receive keeps the system live (no send-cycle deadlock) and is safe
 // because flush only runs between messages, never inside an operator.
 func (w *parWorker) sendSlot(dst, entry int) {
 	pd := w.pd
 	rows := w.out[dst][entry]
-	buf := pd.getBuf()
-	*buf = append((*buf)[:0], rows...)
+	buf := append(pd.bufs.get(), rows...)
 	clear(rows)
 	w.out[dst][entry] = rows[:0]
 	// The slot's inflight credit transfers to the message; the receiver
 	// releases it after processing.
-	m := parMsg{step: -1, entry: entry, rows: *buf, buf: buf, arrival: pd.ctxs[w.p].Clock.Now}
+	m := parMsg{step: -1, entry: entry, rows: buf, arrival: pd.ctxs[w.p].Clock.Now}
 	for {
 		select {
 		case pd.inbox[dst] <- m:

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -111,6 +112,35 @@ func TestParallelDriverJoinMatchesSerial(t *testing.T) {
 	if f.pd.Delivered() != sd.Delivered {
 		t.Errorf("delivered = %d, serial %d", f.pd.Delivered(), sd.Delivered)
 	}
+}
+
+// TestParallelDriverGivesBuffersBack: Close gives the driver's message
+// buffers back to the process-wide pool, each cleared so that it holds no
+// row of the finished run, and the next driver sends in them.
+func TestParallelDriverGivesBuffersBack(t *testing.T) {
+	f := newParJoinFixture(2)
+	ls, rs := randTuples(2000, 50, 3, rRow), randTuples(2000, 50, 4, sRow)
+	if _, err := f.pd.RunContext(context.Background(), f.leaves(ls, rs), 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	f.pd.Finish()
+	f.pd.Close()
+	set := msgPool.Get()
+	if len(set.free) == 0 {
+		t.Fatal("the driver gave back no message buffers")
+	}
+	for i, buf := range set.free {
+		if len(buf) != 0 || slices.ContainsFunc(buf[:cap(buf)], func(t types.Tuple) bool { return t != nil }) {
+			t.Fatalf("buffer %d came back holding rows", i)
+		}
+	}
+	msgPool.Put(set)
+	next := newParJoinFixture(2)
+	next.pd.start()
+	if next.pd.bufs != set {
+		t.Error("the next driver did not take the buffers the last one gave back")
+	}
+	next.pd.Close()
 }
 
 // TestParallelDriverPollSeesQuiescedState pins the monitor contract: when

@@ -24,6 +24,8 @@ type standingBody struct {
 	query   QuerySpec
 	options RunOptions
 	deltas  deltaScripts
+	text    strings.Reader // the member decodeSkipped decodes, read by dec
+	dec     *json.Decoder
 }
 
 // decode reads a standing body in one pass over its text, which the delta
@@ -42,9 +44,9 @@ func (b *standingBody) decode(body string) error {
 		err = sc.each(func(key string) error {
 			switch {
 			case isKey(key, "query"):
-				return sc.decodeSkipped(&b.query)
+				return b.decodeSkipped(sc, &b.query)
 			case isKey(key, "options"):
-				return sc.decodeSkipped(&b.options)
+				return b.decodeSkipped(sc, &b.options)
 			case isKey(key, "deltas"):
 				return b.deltas.read(sc)
 			}
@@ -62,13 +64,23 @@ func (b *standingBody) decode(body string) error {
 }
 
 // decodeSkipped passes over the value at the scanner and decodes its text
-// into v through encoding/json.
-func (sc *deltaScanner) decodeSkipped(v any) error {
+// into v through encoding/json, as decodeBody does, but with the decoder b
+// keeps: the text is the whole value, so a decode leaves nothing buffered
+// for the next. A decoder that failed is dropped, since it keeps failing.
+func (b *standingBody) decodeSkipped(sc *deltaScanner, v any) error {
 	raw, err := sc.skip()
 	if err != nil {
 		return err
 	}
-	return decodeBody(raw, v)
+	b.text.Reset(raw)
+	if b.dec == nil {
+		b.dec = json.NewDecoder(&b.text)
+		b.dec.DisallowUnknownFields()
+	}
+	if err = b.dec.Decode(v); err != nil {
+		b.dec = nil
+	}
+	return err
 }
 
 // deltaScripts is the deltas member of a standing request body: each

@@ -14,8 +14,8 @@ import (
 // Str("1") are three groups. A group is an id from 1 whose record stays put
 // past the first chunk; a removed group's id and record go to the next.
 // Records live beside the index's entries, a slab of width values per entry
-// of each entry chunk, so they grow as the entries do; full slabs come
-// from, and go back to, the index's Spare.
+// of each entry chunk, so they grow as the entries do; slabs come from, and
+// go back to, the index's Spare.
 type Groups struct {
 	keys, width int
 	ix          index
@@ -80,14 +80,17 @@ func (g *Groups) lookup(hash uint64, key []types.Value) int32 {
 	return 0
 }
 
-// grow sizes entry chunk c's records to the chunk: a full slab from the
-// spare, a first one that grows by copy.
+// grow sizes entry chunk c's records to the chunk, from the spare: a first
+// slab grows by copy, and its old one goes back.
 func (g *Groups) grow(c int) {
 	if c == len(g.vals) {
 		g.vals = append(g.vals, nil)
 	}
-	if n := cap(g.ix.entries.chunks[c]) * g.width; len(g.vals[c]) < n {
-		g.vals[c] = append(g.ix.spare.values.chunk(n, chunkRows*g.width), g.vals[c]...)[:n]
+	if n, old := cap(g.ix.entries.chunks[c])*g.width, g.vals[c]; len(old) < n {
+		g.vals[c] = append(g.ix.spare.values.chunk(n, chunkRows*g.width), old...)[:n]
+		if old != nil {
+			g.ix.spare.values.push(old)
+		}
 	}
 }
 
@@ -109,7 +112,7 @@ func (g *Groups) IDs(dst []int32) []int32 {
 }
 
 // Adopt moves src's chunks after g's, leaving src empty, if g's spare holds
-// no entry chunk to copy src's groups into (that would allocate what src
+// no full entry chunk to copy src's groups into (that would allocate what src
 // holds) and the chunks line up: g has none, or g's last and src's first are
 // full-sized. The ids g's last chunk leaves unused go free, and so does a
 // moved group whose key g holds, after merge(into, from) folds it into g's.
@@ -117,7 +120,7 @@ func (g *Groups) IDs(dst []int32) []int32 {
 func (g *Groups) Adopt(src *Groups, merge func(into, from int32)) bool {
 	ge, se := &g.ix.entries, &src.ix.entries
 	c := len(ge.chunks) - 1
-	if len(g.ix.spare.entries.items) > 0 ||
+	if slices.ContainsFunc(g.ix.spare.entries.items, func(c []entry) bool { return cap(c) == chunkRows }) ||
 		c >= 0 && (cap(ge.chunks[c]) < chunkRows || len(se.chunks) > 0 && cap(se.chunks[0]) < chunkRows) {
 		return false
 	}
@@ -162,14 +165,11 @@ func (g *Groups) Reset() {
 	e.n, g.free = 0, g.free[:0]
 }
 
-// ReleaseGroups gives g's index storage and full record slabs to s once
-// nothing will use g again: used again, g panics. Releasing g again gives
-// nothing.
+// ReleaseGroups gives g's index storage and record slabs to s once nothing
+// will use g again: used again, g panics. Releasing g again gives nothing.
 func (s *Spare) ReleaseGroups(g *Groups) {
 	for _, v := range g.vals {
-		if len(v) == chunkRows*g.width {
-			s.values.push(v)
-		}
+		s.values.push(v)
 	}
 	g.vals = nil
 	g.ix.release(s)

@@ -95,17 +95,15 @@ func (x *index) relink() {
 	}
 }
 
-// release gives the bucket array and the full entry chunks to s: used
-// again, the index panics. Releasing it again gives nothing.
+// release gives the bucket array and the entry chunks to s: used again, the
+// index panics. Releasing it again gives nothing.
 func (x *index) release(s *Spare) {
 	if x.buckets == nil {
 		return
 	}
 	s.buckets.push(x.buckets)
 	for _, chunk := range x.entries.chunks {
-		if cap(chunk) == chunkRows {
-			s.entries.push(chunk)
-		}
+		s.entries.push(chunk)
 	}
 	x.buckets, x.entries = nil, chunked[entry]{}
 }

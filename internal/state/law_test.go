@@ -368,8 +368,8 @@ func rowsFromSpare(l *List, s *Spare) error {
 
 // TestSpareTakesBestFit: a table takes the smallest released bucket array
 // that holds what it asks for, re-sliced to exactly that, and allocates when
-// none does; a released table's full entry chunks are kept, its short first
-// chunk is not.
+// none does; a released table's entry chunks are all kept, its short first
+// chunk too.
 func TestSpareTakesBestFit(t *testing.T) {
 	s := &Spare{}
 	arrays := map[int]*bucket{}
@@ -377,7 +377,7 @@ func TestSpareTakesBestFit(t *testing.T) {
 		d := donorSpare(n, 10)
 		arrays[n] = &d.buckets.items[0][0]
 		s.Release(NewHashTableSized(lawSchema, []int{0}, 1, d)) // moves the array into s
-		if len(d.buckets.items) != 0 || len(d.entries.items) != 0 {
+		if len(d.buckets.items) != 0 || len(d.entries.items) != 1 {
 			t.Fatalf("donor of %d buckets kept %d arrays, %d chunks", n, len(d.buckets.items), len(d.entries.items))
 		}
 	}
@@ -401,8 +401,8 @@ func TestSpareTakesBestFit(t *testing.T) {
 		h.Insert(types.Tuple{types.Int(int64(i)), types.Null(), types.Int(int64(i))})
 	}
 	d.Release(h)
-	if len(d.entries.items) != 0 || len(d.buckets.items) != 1 {
-		t.Fatalf("a quarter-chunk table released %d chunks, %d arrays; want 0, 1", len(d.entries.items), len(d.buckets.items))
+	if len(d.entries.items) != 1 || cap(d.entries.items[0]) != chunkRows/4 || len(d.buckets.items) != 1 {
+		t.Fatalf("a quarter-chunk table released %d chunks, %d arrays; want its one short chunk, 1", len(d.entries.items), len(d.buckets.items))
 	}
 	// Value slabs go by the same rule: a group store's full chunk of
 	// chunkRows×width values passes over an emitted rows' slab on top that
@@ -607,37 +607,90 @@ func TestSpareHoldsOneRun(t *testing.T) {
 	s.ReleaseList(h.List())
 	s.endRun()
 	// What the first run left and the second did not take is gone: two
-	// arrays, one entry chunk and one row chunk, all the second run's, and
-	// the slab it lent.
-	if len(s.buckets.items) != 2 || len(s.entries.items) != 1 || len(s.rows.items) != 1 || len(s.values.items) != 1 {
-		t.Fatalf("after the next run: %d arrays, %d entry chunks, %d row chunks, %d slabs; want 2, 1, 1, 1",
+	// arrays, two entry chunks (the second table's short one among them)
+	// and one row chunk, all the second run's, and the slab it lent.
+	if len(s.buckets.items) != 2 || len(s.entries.items) != 2 || len(s.rows.items) != 1 || len(s.values.items) != 1 {
+		t.Fatalf("after the next run: %d arrays, %d entry chunks, %d row chunks, %d slabs; want 2, 2, 1, 1",
 			len(s.buckets.items), len(s.entries.items), len(s.rows.items), len(s.values.items))
 	}
 	s.endRun()
 	if len(s.buckets.items) != 0 || len(s.entries.items) != 0 || len(s.rows.items) != 0 || len(s.values.items) != 0 {
 		t.Fatal("a run that released nothing returned storage")
 	}
-	// A group store is one more structure of a run: its full entry chunks
-	// and record slabs come from what the run before released, and go back
-	// with what this run releases.
+	// A group store is one more structure of a run: its entry chunks and
+	// record slabs — the full ones and the first ones it grew out of — come
+	// from what the run before released, and go back with what this run
+	// releases.
 	d := fillGroups(NewGroups(1, 2, s), 2*chunkRows)
 	s.ReleaseGroups(d)
 	s.endRun()
 	entries, values := pointers(s.entries.items), pointers(s.values.items)
-	if len(entries) != 2 || len(values) != 2 {
-		t.Fatalf("after a group store's run: %d entry chunks, %d record slabs; want 2, 2", len(entries), len(values))
+	if len(entries) != 5 || len(values) != 5 {
+		t.Fatalf("after a group store's run: %d entry chunks, %d record slabs; want 5, 5 (three first, two full)", len(entries), len(values))
 	}
 	g := fillGroups(NewGroups(1, 2, s), chunkRows+1)
-	if len(s.entries.items) != 0 || len(s.values.items) != 0 {
-		t.Fatalf("the next group store left %d entry chunks, %d record slabs untaken", len(s.entries.items), len(s.values.items))
+	for _, items := range [][]int{caps(s.entries.items), caps(s.values.items)} {
+		if !slices.Equal(items, []int{chunkMin, 4 * chunkMin, 16 * chunkMin}) && !slices.Equal(items, []int{2 * chunkMin, 8 * chunkMin, 32 * chunkMin}) {
+			t.Fatalf("the next group store left %v in the spare; want the three first chunks it grew out of", items)
+		}
 	}
 	s.ReleaseGroups(g)
 	s.endRun()
-	if got := pointers(s.entries.items); len(got) != 2 || !slices.Contains(entries, got[0]) || !slices.Contains(entries, got[1]) {
+	if got := pointers(s.entries.items); len(got) != 5 || !isSubset(got, entries) {
 		t.Fatal("the group store's entry chunks are not the ones the run before released")
 	}
-	if got := pointers(s.values.items); len(got) != 2 || !slices.Contains(values, got[0]) || !slices.Contains(values, got[1]) {
+	if got := pointers(s.values.items); len(got) != 5 || !isSubset(got, values) {
 		t.Fatal("the group store's record slabs are not the ones the run before released")
+	}
+}
+
+// caps lists the capacities of items, in order.
+func caps[T any](items [][]T) []int {
+	out := make([]int, len(items))
+	for i, v := range items {
+		out[i] = cap(v)
+	}
+	return out
+}
+
+func isSubset[T comparable](sub, of []T) bool {
+	return !slices.ContainsFunc(sub, func(v T) bool { return !slices.Contains(of, v) })
+}
+
+// TestShortStructuresComeBack: a list, a table and a group store that hold
+// less than a chunk give every chunk back — the short one each holds and
+// those it grew out of — so built again to the same length on the spare the
+// first build returned, they allocate no storage: no more than the same
+// structures holding one row each.
+func TestShortStructuresComeBack(t *testing.T) {
+	rows := make([]types.Tuple, 300)
+	for i := range rows {
+		rows[i] = types.Tuple{types.Int(int64(i)), types.Null(), types.Int(int64(i))}
+	}
+	build := func(s *Spare, rows []types.Tuple) func() {
+		return func() {
+			h := NewHashTableSized(lawSchema, []int{0}, 0, s)
+			l := NewList(lawSchema, s)
+			g := NewGroups(1, 3, s)
+			for _, r := range rows {
+				h.Insert(r)
+				g.Find(r[:1])
+			}
+			l.InsertBatch(rows)
+			s.Release(h)
+			s.ReleaseList(h.List())
+			s.ReleaseList(l)
+			s.ReleaseGroups(g)
+			s.endRun()
+		}
+	}
+	short, one := &Spare{}, &Spare{}
+	headers := testing.AllocsPerRun(20, build(one, rows[:1]))
+	if got := testing.AllocsPerRun(20, build(short, rows)); got != headers {
+		t.Errorf("%d rows built again on the storage they returned: %v allocations, want %v (one row's)", len(rows), got, headers)
+	}
+	if fresh := testing.AllocsPerRun(20, func() { build(&Spare{}, rows)() }); fresh <= headers+1 {
+		t.Fatalf("a fresh build allocates %v, no more than a recycled one's headers (%v): the law shows nothing", fresh, headers)
 	}
 }
 

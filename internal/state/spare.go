@@ -19,7 +19,6 @@ type Spare struct {
 	entries stack[entry]
 	rows    stack[types.Tuple]
 	values  stack[types.Value]
-	lent    [][]types.Value // the slabs Values handed out this run
 }
 
 // stack is the free storage of one kind. Its first old items came from an
@@ -28,6 +27,7 @@ type Spare struct {
 type stack[T any] struct {
 	items [][]T
 	old   int
+	lent  [][]T
 }
 
 // push gives v to the stack, which makes room for 16 items at its first, so
@@ -39,9 +39,9 @@ func (s *stack[T]) push(v []T) {
 	s.items = append(s.items, v)
 }
 
-// take returns n cleared elements: the smallest free item that holds n
-// (the topmost of equals), re-sliced to n and cleared, else a new one.
-// Every kind of storage is taken by this one rule.
+// take returns n elements: the smallest free item that holds n (the topmost
+// of equals), cleared up to its capacity and re-sliced to n, else a new one.
+// Every kind and size of storage is taken by this one rule.
 func (s *stack[T]) take(n int) []T {
 	best := -1
 	for i := len(s.items) - 1; i >= 0; i-- {
@@ -55,27 +55,34 @@ func (s *stack[T]) take(n int) []T {
 	if best < 0 {
 		return make([]T, n)
 	}
-	v := s.items[best][:n]
+	v := s.items[best]
 	s.items = slices.Delete(s.items, best, best+1)
 	if best < s.old {
 		s.old--
 	}
-	clear(v)
+	clear(v[:cap(v)])
+	return v[:n]
+}
+
+// chunk returns an empty chunk with room for n elements, and for no more
+// than a full chunk of full: take's, its capacity cut to full.
+func (s *stack[T]) chunk(n, full int) []T {
+	v := s.take(n)
+	return v[:0:min(cap(v), full)]
+}
+
+// lend returns an empty item with room for n elements, taken by take's rule,
+// which comes back to s when the run ends.
+func (s *stack[T]) lend(n int) []T {
+	v := s.take(n)[:0]
+	s.lent = append(s.lent, v)
 	return v
 }
 
-// chunk returns an empty chunk with room for n of a full chunk's size: a
-// full one when n is over half of that, else a new one of n.
-func (s *stack[T]) chunk(n, full int) []T {
-	if 2*n <= full {
-		return make([]T, 0, n)
-	}
-	return s.take(full)[:0]
-}
-
-// endRun drops what an earlier run left and this one did not take: the rest
-// is what this run released, old to the next.
+// endRun takes back what this run lent and drops what an earlier run left
+// and this one did not take: the rest, old to the next, is this run's.
 func (s *stack[T]) endRun() {
+	s.items, s.lent = append(s.items, s.lent...), s.lent[:0]
 	s.items = slices.Delete(s.items, 0, s.old)
 	s.old = len(s.items)
 }
@@ -102,26 +109,21 @@ func (s *Spare) endRun() {
 	s.buckets.endRun()
 	s.entries.endRun()
 	s.rows.endRun()
-	s.values.items, s.lent = append(s.values.items, s.lent...), s.lent[:0]
 	s.values.endRun()
 }
 
-// Release gives h's bucket array and full entry chunks to s. h keeps its
-// List, whose rows a stitch-up still reads; used as an index again, h panics.
+// Release gives h's bucket array and entry chunks to s. h keeps its List,
+// whose rows a stitch-up still reads; used as an index again, h panics.
 // Releasing h again gives nothing.
 func (s *Spare) Release(h *HashTable) { h.ix.release(s) }
 
-// ReleaseList gives l's full row chunks to s once nothing will read l again:
-// used again, l panics. Releasing l again gives nothing.
+// ReleaseList gives l's row chunks to s once nothing will read l again: used
+// again, l panics. Releasing l again gives nothing.
 func (s *Spare) ReleaseList(l *List) {
 	if l.rows.n < 0 {
 		return
 	}
-	for _, chunk := range l.rows.chunks {
-		if cap(chunk) == chunkRows {
-			s.rows.push(chunk)
-		}
-	}
+	s.ReleaseRowChunks(l.rows.chunks)
 	l.rows = chunked[types.Tuple]{n: -1}
 }
 
@@ -129,8 +131,7 @@ func (s *Spare) ReleaseList(l *List) {
 // a caller that lays its rows out in it itself (the stitch-up's prefixes).
 func (s *Spare) RowChunk() []types.Tuple { return s.rows.take(chunkRows) }
 
-// ReleaseRowChunks gives chunks RowChunk took to s once nothing will read
-// them again.
+// ReleaseRowChunks gives row chunks to s once nothing will read them again.
 func (s *Spare) ReleaseRowChunks(chunks [][]types.Tuple) {
 	for _, chunk := range chunks {
 		s.rows.push(chunk)
@@ -140,8 +141,8 @@ func (s *Spare) ReleaseRowChunks(chunks [][]types.Tuple) {
 // Values lends an empty value slab with room for n values — the smallest
 // one s holds that is large enough, cleared, else a new one — until the run
 // ends, when it comes back to s: for rows nothing reads past the run.
-func (s *Spare) Values(n int) []types.Value {
-	v := s.values.take(n)[:0:n]
-	s.lent = append(s.lent, v)
-	return v
-}
+func (s *Spare) Values(n int) []types.Value { return s.values.lend(n)[:0:n] }
+
+// Rows lends an empty row buffer with room for n rows as Values lends a slab:
+// for a buffer nothing reads past the run (an exchange's scratch).
+func (s *Spare) Rows(n int) []types.Tuple { return s.rows.lend(n) }

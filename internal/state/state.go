@@ -33,11 +33,11 @@ import "github.com/tukwila/adp/internal/types"
 
 // chunkMin and chunkRows are the chunk geometry of every sequence in state —
 // list rows, index entries and, beside those, group records: a sequence's
-// first chunk starts at chunkMin elements and quadruples (by copy, at most
-// chunkRows elements in all) until it holds chunkRows; every later chunk is
-// allocated at chunkRows. Past the first chunk growth never moves an
-// element, so a sequence allocates what it holds — an appended slice, which
-// Go grows by 1.25x once it is large, allocates about five times that.
+// first chunk starts at chunkMin elements, or in the smallest free chunk that
+// holds them, and quadruples by copy until it holds chunkRows; every later
+// chunk holds chunkRows. Past the first chunk growth never moves an element,
+// so a sequence allocates what it holds — an appended slice, which Go grows
+// by 1.25x once it is large, allocates about five times that.
 const (
 	chunkMin   = 16
 	chunkShift = 10
@@ -45,8 +45,8 @@ const (
 )
 
 // chunked is an append-only sequence in that geometry: element i lives at
-// chunks[i>>chunkShift][i&(chunkRows-1)]. Its chunks come from, and its full
-// ones go back to, free (a Spare's stack of the kind).
+// chunks[i>>chunkShift][i&(chunkRows-1)]. Its chunks come from, and all go
+// back to, free (a Spare's stack of the kind).
 type chunked[T any] struct {
 	chunks [][]T
 	n      int
@@ -84,7 +84,7 @@ func (c *chunked[T]) tail(need int) int {
 
 // grow makes room at the tail for need more elements, or for as many as a
 // chunk takes: a short tail chunk (the first one, or the exact tail reserve
-// left) at least quadruples, a full one gets a successor.
+// left) at least quadruples into a new one, a full one gets a successor.
 func (c *chunked[T]) grow(need int) {
 	last := len(c.chunks) - 1
 	switch {
@@ -93,6 +93,7 @@ func (c *chunked[T]) grow(need int) {
 	case cap(c.chunks[last]) < chunkRows:
 		tail := c.chunks[last]
 		c.chunks[last] = append(c.free.chunk(min(max(4*cap(tail), len(tail)+need), chunkRows), chunkRows), tail...)
+		c.free.push(tail)
 	default:
 		c.chunks = append(c.chunks, c.free.chunk(chunkRows, chunkRows))
 	}
