@@ -29,8 +29,8 @@ type Exchange struct {
 	keyCols []int
 	route   func(part int, rows []types.Tuple)
 
-	// scratch[p] gathers the current batch's rows for partition p: lent by
-	// spare when the exchange has one, else grown by append.
+	// scratch[p] gathers the current batch's rows for partition p, in a
+	// buffer spare lends.
 	scratch [][]types.Tuple
 	spare   *state.Spare
 	colIn   colDelivery // PushColBatch's materializer (colbatch.go)
@@ -40,13 +40,15 @@ type Exchange struct {
 
 // NewExchange builds an exchange over parts partitions, keyed on keyCols
 // of the input layout. route receives each partition's sub-batch; it is
-// invoked synchronously on the pushing goroutine.
+// invoked synchronously on the pushing goroutine. Its scratch buffers come
+// from a spare of its own.
 func NewExchange(parts int, keyCols []int, route func(part int, rows []types.Tuple)) *Exchange {
 	return &Exchange{
 		parts:   parts,
 		keyCols: keyCols,
 		route:   route,
 		scratch: make([][]types.Tuple, parts),
+		spare:   &state.Spare{},
 	}
 }
 
@@ -81,16 +83,15 @@ func partitionOf(h uint64, parts int) int {
 
 // Push implements Sink: the batch is scattered into reused per-partition
 // buffers and delivered partition by partition (ascending), preserving row
-// order within each partition. Steady state performs no allocations beyond
-// buffer growth. The route is unsigned, so the exchange is sign-blind.
+// order within each partition. Steady state performs no allocations: a
+// partition's buffer holds the whole batch. The route is unsigned, so the
+// exchange is sign-blind.
 //
 //adp:hotpath gated by BenchmarkExchangePartition (scripts/check_allocs.sh)
 func (e *Exchange) Push(ts []types.Tuple, sign int) {
 	SignBlind(sign)
 	e.counters.In += int64(len(ts))
-	if e.spare != nil {
-		e.room(len(ts))
-	}
+	e.room(len(ts))
 	for _, t := range ts {
 		p := e.PartitionOf(t)
 		e.scratch[p] = append(e.scratch[p], t)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -118,6 +119,7 @@ func TestParallelDriverJoinMatchesSerial(t *testing.T) {
 // buffers back to the process-wide pool, each cleared so that it holds no
 // row of the finished run, and the next driver sends in them.
 func TestParallelDriverGivesBuffersBack(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // two collections would empty the pool
 	f := newParJoinFixture(2)
 	ls, rs := randTuples(2000, 50, 3, rRow), randTuples(2000, 50, 4, sRow)
 	if _, err := f.pd.RunContext(context.Background(), f.leaves(ls, rs), 0, nil); err != nil {

@@ -39,9 +39,9 @@ func (s *stack[T]) push(v []T) {
 	s.items = append(s.items, v)
 }
 
-// take returns n elements: the smallest free item that holds n (the topmost
-// of equals), cleared up to its capacity and re-sliced to n, else a new one.
-// Every kind and size of storage is taken by this one rule.
+// take returns n cleared elements: the smallest free item that holds n (the
+// topmost of equals), re-sliced to n, else a new one. Every kind and size of
+// storage is taken by this one rule; what lies past n is not cleared.
 func (s *stack[T]) take(n int) []T {
 	best := -1
 	for i := len(s.items) - 1; i >= 0; i-- {
@@ -55,19 +55,20 @@ func (s *stack[T]) take(n int) []T {
 	if best < 0 {
 		return make([]T, n)
 	}
-	v := s.items[best]
+	v := s.items[best][:n]
 	s.items = slices.Delete(s.items, best, best+1)
 	if best < s.old {
 		s.old--
 	}
-	clear(v[:cap(v)])
-	return v[:n]
+	clear(v)
+	return v
 }
 
-// chunk returns an empty chunk with room for n elements, and for no more
-// than a full chunk of full: take's, its capacity cut to full.
+// chunk returns an empty chunk with room for n elements and at most full:
+// take's, cleared up to its capacity, which Groups.Adopt re-slices into.
 func (s *stack[T]) chunk(n, full int) []T {
 	v := s.take(n)
+	clear(v[n:min(cap(v), full)])
 	return v[:0:min(cap(v), full)]
 }
 
@@ -82,8 +83,7 @@ func (s *stack[T]) lend(n int) []T {
 // endRun takes back what this run lent and drops what an earlier run left
 // and this one did not take: the rest, old to the next, is this run's.
 func (s *stack[T]) endRun() {
-	s.items, s.lent = append(s.items, s.lent...), s.lent[:0]
-	s.items = slices.Delete(s.items, 0, s.old)
+	s.items, s.lent = slices.Delete(append(s.items, s.lent...), 0, s.old), s.lent[:0]
 	s.old = len(s.items)
 }
 
@@ -145,4 +145,4 @@ func (s *Spare) Values(n int) []types.Value { return s.values.lend(n)[:0:n] }
 
 // Rows lends an empty row buffer with room for n rows as Values lends a slab:
 // for a buffer nothing reads past the run (an exchange's scratch).
-func (s *Spare) Rows(n int) []types.Tuple { return s.rows.lend(n) }
+func (s *Spare) Rows(n int) []types.Tuple { return s.rows.lend(n)[:0:n] }
